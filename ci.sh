@@ -135,6 +135,17 @@ cargo test --release -q -p qb2olap-suite --test integration_server
 cargo run --release -p qb2olap_bench --bin loadgen -- \
     --observations 4000 --connections 32 --requests 8 --gate
 
+# The benchmark (BENCHMARK.json, qbbench/) stays runnable against the
+# sources it measures. First its own tests: the name contract (every metric
+# name in BENCHMARK.json declared in qbbench/src/names.rs and back) and the
+# harness helpers. Then the smoke run: every workload and every traced run
+# at 4 000 observations with 1 s windows, under 20 s; it fails on any wire
+# body, backend-parity or invariant mismatch. The package has its own
+# target directory (qbbench/target); nothing under qbbench/ is edited.
+cargo test --release --offline --manifest-path qbbench/Cargo.toml
+cargo run --release --offline --manifest-path qbbench/Cargo.toml -- \
+    all --smoke --out target/qbbench-smoke
+
 # Documentation cross-references resolve: every local *.md file mentioned
 # in the top-level docs exists, and the architecture map is linked from
 # the README (so it cannot silently rot).
@@ -151,6 +162,7 @@ grep -q 'E16' EXPERIMENTS.md
 grep -q 'E17' EXPERIMENTS.md
 grep -q 'E18' EXPERIMENTS.md
 grep -q 'E19' EXPERIMENTS.md
+grep -q 'E20' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

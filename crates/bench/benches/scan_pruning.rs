@@ -41,7 +41,7 @@ fn bench_scan_pruning(c: &mut Criterion) {
     let querying = tool.querying(&cube.dataset).expect("cube is enriched");
     let materialized = querying.materialize().expect("materialization");
     materialized.verify_zone_invariants().expect("zone maps verify");
-    let threads = auto_scan_threads(&materialized);
+    let threads = auto_scan_threads(materialized.live_row_count());
 
     let queries: Vec<(&str, CubeQuery)> = vec![
         (

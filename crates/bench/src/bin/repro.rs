@@ -10,47 +10,13 @@ use std::collections::BTreeSet;
 
 use enrichment::{EnrichmentConfig, EnrichmentSession};
 use qb2olap::{demo, Endpoint, ExecutionBackend, Qb2Olap, SparqlVariant};
-use qb2olap_bench::{demo_cube_with, measurements_to_json, render_measurements, timed, Measurement};
+use qb2olap_bench::{
+    alloc_counter, demo_cube_with, measurements_to_json, render_measurements, timed, Measurement,
+};
 use rdf::vocab::eurostat_property;
 
-/// A byte-counting wrapper around the system allocator, so E13 can report
-/// *allocation per refresh* — the quantity the copy-on-write columns are
-/// designed to shrink — not just wall-clock latency.
-mod alloc_counter {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-    /// Counts every allocation's size; frees are not subtracted (the
-    /// metric is allocation churn, not peak residency).
-    pub struct CountingAllocator;
-
-    // SAFETY: delegates directly to `System`, only adding a relaxed
-    // atomic counter on the allocation paths.
-    unsafe impl GlobalAlloc for CountingAllocator {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    /// Total bytes allocated so far; subtract two snapshots to get the
-    /// churn of the code in between.
-    pub fn allocated_bytes() -> u64 {
-        ALLOCATED_BYTES.load(Ordering::Relaxed)
-    }
-}
-
+/// E13 reports *allocation per refresh* — the quantity the copy-on-write
+/// columns are designed to shrink — not just wall-clock latency.
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
 
@@ -1351,7 +1317,7 @@ fn e17_zone_map_pruning(observations: usize) -> Vec<Measurement> {
         .verify_zone_invariants()
         .expect("E17: zone maps verify");
     let live_rows = materialized.live_row_count();
-    let threads = auto_scan_threads(&materialized);
+    let threads = auto_scan_threads(live_rows);
 
     let dice = |dimension: rdf::Iri, level: rdf::Iri, attribute: rdf::Iri, value: &str| {
         MemberFilter::Compare {

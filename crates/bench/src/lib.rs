@@ -3,6 +3,8 @@
 
 #![warn(missing_docs)]
 
+pub mod alloc_counter;
+
 use std::time::{Duration, Instant};
 
 use qb2olap::demo::{self, DemoCube};

@@ -106,6 +106,57 @@ pub enum MeasureValue {
     Float(f64),
 }
 
+/// One column segment of a [`MeasureVector`], typed like the vector.
+#[derive(Debug, Clone, Copy)]
+pub enum MeasureSlice<'a> {
+    /// `xsd:integer` values.
+    Integer(&'a [i64]),
+    /// `xsd:decimal` values.
+    Decimal(&'a [f64]),
+    /// `xsd:double` values.
+    Double(&'a [f64]),
+}
+
+/// Routes one float-vector value exactly as the SPARQL engine routes the
+/// corresponding literal into its aggregates: a lexical form that parses as
+/// `i64` is an integer input, everything else a float input. The routing
+/// decides which [`sparql::NumericSum`] path a value takes, so it must
+/// match the literal-side routing bit-for-bit:
+///
+/// * `Integer` rows always route integer (canonical `xsd:integer` lexicals
+///   always parse) and never come through here;
+/// * `Double` values route integer when integral and within `i64` range
+///   (the canonical lexical of `2.0` is `"2"`);
+/// * `Decimal` values additionally need `|v| ≥ 1e15`: below that the
+///   canonical lexical keeps a trailing `.0` and never parses as an
+///   integer (see `rdf`'s decimal formatting).
+///
+/// `tests::numeric_routing_matches_the_literal_parse` pins the equivalence
+/// against an actual parse of [`MeasureVector::term_at`].
+#[inline]
+pub(crate) fn route_float(value: f64, decimal: bool) -> MeasureValue {
+    /// The `i64` the value's canonical lexical form denotes, if it parses
+    /// as one. Below 2⁵³ the shortest round-trip form is the exact
+    /// integer; beyond that it may denote a *neighbouring* integer
+    /// (`4.611686018427388e18` prints as `"4611686018427388000"`, not
+    /// 2⁶²), so the actual form is consulted — exactly what the engine's
+    /// `as_integer` read does.
+    fn int_if_lexically_integer(value: f64) -> Option<i64> {
+        const TWO_53: f64 = 9_007_199_254_740_992.0;
+        if value.fract() != 0.0 {
+            return None;
+        }
+        if value.abs() < TWO_53 {
+            return Some(value as i64);
+        }
+        value.to_string().parse::<i64>().ok()
+    }
+    match int_if_lexically_integer(value) {
+        Some(int) if !decimal || value.abs() >= 1e15 => MeasureValue::Integer(int),
+        _ => MeasureValue::Float(value),
+    }
+}
+
 /// A dense, typed vector of measure values.
 ///
 /// The variant is chosen at build time from the XSD datatype of the measure
@@ -189,55 +240,27 @@ impl MeasureVector {
     }
 
     /// One row routed exactly as the SPARQL engine routes the corresponding
-    /// literal ([`MeasureVector::term_at`]) into its aggregates: a lexical
-    /// form that parses as `i64` is an integer input, everything else a
-    /// float input. The routing decides which [`sparql::NumericSum`] path a
-    /// value takes, so it must match the literal-side routing bit-for-bit:
-    ///
-    /// * `Integer` rows always route integer (canonical `xsd:integer`
-    ///   lexicals always parse);
-    /// * `Double` rows route integer when integral and within `i64` range
-    ///   (the canonical lexical of `2.0` is `"2"`);
-    /// * `Decimal` rows additionally need `|v| ≥ 1e15`: below that the
-    ///   canonical lexical keeps a trailing `.0` and never parses as an
-    ///   integer (see `rdf`'s decimal formatting).
-    ///
-    /// `tests::numeric_routing_matches_the_literal_parse` pins the
-    /// equivalence against an actual parse of [`MeasureVector::term_at`].
+    /// literal ([`MeasureVector::term_at`]) into its aggregates: integer
+    /// rows always route integer, float rows by the lexical rules of this
+    /// module's `route_float`.
     #[inline]
     pub fn numeric_at(&self, row: usize) -> MeasureValue {
-        /// The `i64` the value's canonical lexical form denotes, if it
-        /// parses as one. Below 2⁵³ the shortest round-trip form is the
-        /// exact integer; beyond that it may denote a *neighbouring*
-        /// integer (`4.611686018427388e18` prints as
-        /// `"4611686018427388000"`, not 2⁶²), so the actual form is
-        /// consulted — exactly what the engine's `as_integer` read does.
-        fn int_if_lexically_integer(value: f64) -> Option<i64> {
-            const TWO_53: f64 = 9_007_199_254_740_992.0;
-            if value.fract() != 0.0 {
-                return None;
-            }
-            if value.abs() < TWO_53 {
-                return Some(value as i64);
-            }
-            value.to_string().parse::<i64>().ok()
-        }
         match self {
             MeasureVector::Integer(v) => MeasureValue::Integer(*v.get(row)),
-            MeasureVector::Decimal(v) => {
-                let value = *v.get(row);
-                match int_if_lexically_integer(value) {
-                    Some(int) if value.abs() >= 1e15 => MeasureValue::Integer(int),
-                    _ => MeasureValue::Float(value),
-                }
-            }
-            MeasureVector::Double(v) => {
-                let value = *v.get(row);
-                match int_if_lexically_integer(value) {
-                    Some(int) => MeasureValue::Integer(int),
-                    None => MeasureValue::Float(value),
-                }
-            }
+            MeasureVector::Decimal(v) => route_float(*v.get(row), true),
+            MeasureVector::Double(v) => route_float(*v.get(row), false),
+        }
+    }
+
+    /// The contiguous values of one [`crate::cowvec::SEGMENT_LEN`]-row
+    /// column segment (see [`CowVec::segment_slice`]), typed like the
+    /// vector. Panics on a segment past the tail.
+    #[inline]
+    pub fn segment(&self, segment: usize) -> MeasureSlice<'_> {
+        match self {
+            MeasureVector::Integer(v) => MeasureSlice::Integer(v.segment_slice(segment)),
+            MeasureVector::Decimal(v) => MeasureSlice::Decimal(v.segment_slice(segment)),
+            MeasureVector::Double(v) => MeasureSlice::Double(v.segment_slice(segment)),
         }
     }
 

@@ -23,15 +23,22 @@
 //! classifies every segment against the cube's [`ZoneMaps`] (and the
 //! tombstone bitmap's per-segment dead counts), skipping segments that are
 //! provably irrelevant to the query or fully dead, and the surviving
-//! segments *are* the work queue — workers pull whole segments, so stats
-//! flushes and compensated-sum partials align with segment boundaries and
-//! the result is bit-identical to the unpruned scan at any worker count
+//! segments *are* the work queue — workers pull whole segments, so
+//! compensated-sum partials align with segment boundaries and the result
+//! is bit-identical to the unpruned scan at any worker count
 //! (`QB2OLAP_NO_PRUNE=1` force-disables pruning for differential runs).
+//!
+//! The segment is also the unit of execution: the kernel (`scan_spans`)
+//! makes one pass per column over a segment's slices — liveness, lift,
+//! filter, group, accumulate — with member codes packed into integer group
+//! keys, and cells stay coded until the boundary that builds
+//! [`QueryOutput`] (ARCHITECTURE.md § "The segment kernel").
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use obs::{Counter, ExecutionProfile};
+use obs::ExecutionProfile;
 use qb4olap::AggregateFunction;
 use rdf::{Iri, Literal, Term};
 use sparql::ast::CmpOp;
@@ -39,12 +46,13 @@ use sparql::numeric::{float_max, float_min};
 use sparql::compare_terms;
 
 use crate::build::MaterializedCube;
-use crate::columns::{DimensionColumn, MeasureColumn, MeasureValue, MeasureVector};
+use crate::columns::{
+    route_float, DimensionColumn, MeasureColumn, MeasureSlice, MeasureValue, MeasureVector,
+};
 use crate::cowvec::SEGMENT_LEN;
 use crate::dictionary::{MemberId, AMBIGUOUS_MEMBER, NO_MEMBER};
 use crate::error::CubeStoreError;
 use crate::hierarchy::{LevelIndex, RollupMap};
-use crate::tombstone::Tombstones;
 use crate::zonemap::ZoneMaps;
 
 /// How a dice comparison reads the attribute value, mirroring the two
@@ -149,14 +157,24 @@ pub struct QueryOutput {
     pub cells: Vec<OutputCell>,
 }
 
-/// Row count below which the scan stays single-threaded (spawning workers
-/// costs more than it saves on small cubes).
-const PARALLEL_SCAN_THRESHOLD: usize = 16_384;
+/// Live rows in the surviving segments below which the scan stays
+/// single-threaded. Derived from two measurements (EXPERIMENTS.md §E20):
+/// the kernel costs ≈ 8 ns per row, and a second scoped worker — spawn,
+/// first touch of its scratch buffers, join, merge — ≈ 100 µs. The scan
+/// goes parallel once scanning alone would cost ten times that overhead:
+/// `10 × 100 µs / 8 ns = 125 000` rows, rounded to whole segments.
+const PARALLEL_SCAN_THRESHOLD: usize = 32 * SEGMENT_LEN;
+
+/// Key-space size up to which groups are found through a dense slot array
+/// (one `u32` per possible key: 256 KiB per worker at the limit) instead of
+/// the hash table.
+const DENSE_GROUP_LIMIT: usize = 1 << 16;
 
 /// Totals observed by one columnar execution, summed exactly across the
-/// scan's worker chunks (each worker accumulates locally and flushes its
-/// chunk totals into shared atomic counters once, so any thread count and
-/// any chunk partitioning produce the same numbers).
+/// scan's worker chunks: the kernel adds to them once per segment from
+/// survivor counts, each worker returns its own totals, and the totals of
+/// all workers are added up — so any thread count and any chunk
+/// partitioning produce the same numbers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Physical rows visited (live + tombstoned).
@@ -170,10 +188,11 @@ pub struct ScanStats {
     pub rows_filtered: u64,
     /// Rows that reached a measure accumulator.
     pub rows_aggregated: u64,
-    /// Bottom-code → target-member roll-up map lookups performed.
+    /// Bound bottom codes lifted through a roll-up map: one per axis a live
+    /// row reaches with a member bound on it.
     pub rollup_lookups: u64,
     /// Member-id → term dictionary lookups performed while building the
-    /// output coordinates.
+    /// output coordinates: one per coordinate of every returned cell.
     pub dictionary_lookups: u64,
     /// Worker chunks the scan was split into.
     pub scan_chunks: u64,
@@ -235,64 +254,30 @@ impl ScanStats {
         profile.add_counter("segments_pruned", self.segments_pruned);
         profile.add_counter("segments_dead", self.segments_dead);
     }
-}
 
-/// The scan-side totals as shared atomic counters: one instance is shared
-/// by every worker of one scan, each flushing its local chunk totals with
-/// a single `add` per field — the adds are atomic, so concurrent flushes
-/// from any number of chunks sum exactly.
-#[derive(Debug, Default)]
-struct SharedScanStats {
-    rows_scanned: Counter,
-    tombstones_skipped: Counter,
-    rows_no_member: Counter,
-    rows_filtered: Counter,
-    rows_aggregated: Counter,
-    rollup_lookups: Counter,
-    scan_chunks: Counter,
-}
-
-impl SharedScanStats {
-    fn flush(&self, local: &ScanStats) {
-        self.rows_scanned.add(local.rows_scanned);
-        self.tombstones_skipped.add(local.tombstones_skipped);
-        self.rows_no_member.add(local.rows_no_member);
-        self.rows_filtered.add(local.rows_filtered);
-        self.rows_aggregated.add(local.rows_aggregated);
-        self.rollup_lookups.add(local.rollup_lookups);
-        self.scan_chunks.add(local.scan_chunks);
-    }
-
-    fn snapshot(&self) -> ScanStats {
-        ScanStats {
-            rows_scanned: self.rows_scanned.get(),
-            tombstones_skipped: self.tombstones_skipped.get(),
-            rows_no_member: self.rows_no_member.get(),
-            rows_filtered: self.rows_filtered.get(),
-            rows_aggregated: self.rows_aggregated.get(),
-            rollup_lookups: self.rollup_lookups.get(),
-            dictionary_lookups: 0,
-            scan_chunks: self.scan_chunks.get(),
-            // Segment classification happens before any worker spawns;
-            // `scan` fills these from its own (single-threaded) counts.
-            segments_total: 0,
-            segments_pruned: 0,
-            segments_dead: 0,
-        }
+    /// Adds another worker's row-side totals.
+    fn add_worker(&mut self, other: &ScanStats) {
+        self.rows_scanned += other.rows_scanned;
+        self.tombstones_skipped += other.tombstones_skipped;
+        self.rows_no_member += other.rows_no_member;
+        self.rows_filtered += other.rows_filtered;
+        self.rows_aggregated += other.rows_aggregated;
+        self.rollup_lookups += other.rollup_lookups;
+        self.scan_chunks += other.scan_chunks;
     }
 }
 
 /// Executes a columnar query against a materialized cube.
 ///
-/// Large cubes are scanned on multiple threads (the surviving segments
-/// distributed over the workers, partial groups merged at the end); the
-/// thread count comes from [`std::thread::available_parallelism`]. Every measure type
+/// Large scans run on multiple threads (the surviving segments distributed
+/// over the workers, partial groups merged at the end); the thread count
+/// comes from [`auto_scan_threads`]. Every measure type
 /// parallelizes: the accumulators are order-independent
 /// ([`sparql::NumericSum`] — exact for integers, correctly rounded
 /// compensated summation for floats), so the bit-compatibility guarantee
 /// holds on any thread count and any chunk partitioning.
 pub fn execute(cube: &MaterializedCube, query: &CubeQuery) -> Result<QueryOutput, CubeStoreError> {
-    execute_with_threads(cube, query, auto_scan_threads(cube))
+    execute_with_options(cube, query, ExecOptions::auto()).map(|(output, _)| output)
 }
 
 /// [`execute`] against a pinned [`crate::overlay::CubeSnapshot`]: runs over
@@ -319,15 +304,18 @@ pub fn execute_snapshot_traced(
     execute_traced(snapshot.cube(), query)
 }
 
-/// The scan thread count [`execute`] picks for a cube: all available
-/// cores once the cube is large enough to amortize spawning workers,
-/// one below that. "Large enough" counts **live** rows: a
-/// heavily-tombstoned cube near the compaction threshold does far less
-/// work than its physical row count suggests, and spawning a full worker
-/// fleet for it costs more than the scan saves.
-pub fn auto_scan_threads(cube: &MaterializedCube) -> usize {
-    if cube.live_row_count() >= PARALLEL_SCAN_THRESHOLD {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+/// The scan thread count an automatic execution picks once it knows how
+/// many live rows the segments that survived pruning hold: all available
+/// cores when that is enough work to amortize spawning workers, one below
+/// that. Counting the rows left *after* pruning and tombstoning keeps a
+/// selective dice over a large cube, or a heavily-tombstoned cube near the
+/// compaction threshold, from spawning a worker fleet for a scan that
+/// visits a fraction of the physical rows.
+pub fn auto_scan_threads(surviving_rows: usize) -> usize {
+    // `available_parallelism` re-reads the cgroup files on every call.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    if surviving_rows >= PARALLEL_SCAN_THRESHOLD {
+        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     } else {
         1
     }
@@ -346,8 +334,9 @@ pub fn pruning_enabled() -> bool {
 /// segment pruning runs.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Scan worker threads (1 = the sequential scan). The effective count
-    /// never exceeds the number of surviving segments.
+    /// Scan worker threads: 1 = the sequential scan, 0 = sized by
+    /// [`auto_scan_threads`] from the rows that survive pruning. The
+    /// effective count never exceeds the number of surviving segments.
     pub threads: usize,
     /// Whether zone maps may prune segments before the scan. Pruning never
     /// changes results or error behavior — disabling it (or setting
@@ -356,13 +345,10 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// What [`execute`] uses: automatic thread count for the cube, pruning
-    /// unless [`pruning_enabled`] says otherwise.
-    pub fn auto(cube: &MaterializedCube) -> Self {
-        ExecOptions {
-            threads: auto_scan_threads(cube),
-            prune: pruning_enabled(),
-        }
+    /// What [`execute`] uses: automatic thread count, pruning unless
+    /// [`pruning_enabled`] says otherwise.
+    pub fn auto() -> Self {
+        Self::with_threads(0)
     }
 
     /// An explicit thread count, pruning from the environment.
@@ -385,9 +371,8 @@ pub fn execute_with_threads(
     execute_with_stats(cube, query, threads).map(|(output, _)| output)
 }
 
-/// [`execute_with_threads`] also returning the scan-side totals. The
-/// stats are accumulated per worker chunk and flushed into shared atomic
-/// counters, so they are exact on any thread count.
+/// [`execute_with_threads`] also returning the scan-side totals, which are
+/// exact on any thread count.
 pub fn execute_with_stats(
     cube: &MaterializedCube,
     query: &CubeQuery,
@@ -404,16 +389,7 @@ pub fn execute_with_options(
     query: &CubeQuery,
     options: ExecOptions,
 ) -> Result<(QueryOutput, ScanStats), CubeStoreError> {
-    let _execute_span = obs::span("cubestore.execute");
-    let axes = plan_axes(cube, query)?;
-    let compiled_filters = compile_filters(query, &axes)?;
-    let measures = cube.measure_columns();
-    let (groups, mut stats) = {
-        let _scan_span = obs::span("cubestore.scan");
-        scan(cube, &axes, &compiled_filters, measures, options)?
-    };
-    let cells = aggregate_cells(groups, &axes, measures, query, &mut stats)?;
-    Ok((assemble(&axes, measures, cells), stats))
+    run(cube, query, options, None)
 }
 
 /// [`execute`] with per-phase timings: returns the query output together
@@ -425,7 +401,7 @@ pub fn execute_traced(
     cube: &MaterializedCube,
     query: &CubeQuery,
 ) -> Result<(QueryOutput, ExecutionProfile, ScanStats), CubeStoreError> {
-    execute_traced_with_options(cube, query, ExecOptions::auto(cube))
+    execute_traced_with_options(cube, query, ExecOptions::auto())
 }
 
 /// [`execute_traced`] with an explicit scan thread count.
@@ -443,76 +419,130 @@ pub fn execute_traced_with_options(
     query: &CubeQuery,
     options: ExecOptions,
 ) -> Result<(QueryOutput, ExecutionProfile, ScanStats), CubeStoreError> {
-    let _execute_span = obs::span("cubestore.execute");
-    let total_started = Instant::now();
+    let started = Instant::now();
     let mut profile = ExecutionProfile::new("columnar");
-    for slice in &query.slices {
-        profile.push_plan(format!("SLICE dimension=<{}>", slice.as_str()));
-    }
+    let (output, stats) = run(cube, query, options, Some(&mut profile))?;
+    stats.fill_profile(&mut profile);
+    profile.total = started.elapsed();
+    Ok((output, profile, stats))
+}
 
+/// Everything the scan and the assembly read, fixed before the first row.
+struct ScanPlan<'c> {
+    cube: &'c MaterializedCube,
+    axes: Vec<AxisPlan<'c>>,
+    filters: Vec<CompiledFilter>,
+    measures: &'c [MeasureColumn],
+    having: &'c [MeasureFilter],
+    options: ExecOptions,
+}
+
+/// The one execution path behind every entry point: plans the axes,
+/// compiles the filters, then runs the kernel with the narrowest group key
+/// the query's key space fits. A profile, when asked for, gets the plan
+/// lines and one step per phase.
+fn run(
+    cube: &MaterializedCube,
+    query: &CubeQuery,
+    options: ExecOptions,
+    mut profile: Option<&mut ExecutionProfile>,
+) -> Result<(QueryOutput, ScanStats), CubeStoreError> {
+    let _execute_span = obs::span("cubestore.execute");
     let started = Instant::now();
     let axes = plan_axes(cube, query)?;
-    for axis in &axes {
-        profile.push_plan(format!(
-            "AXIS dimension=<{}> level=<{}>",
-            axis.column.dimension.as_str(),
-            axis.rollup.target_level.as_str()
-        ));
+    if let Some(profile) = profile.as_deref_mut() {
+        for slice in &query.slices {
+            profile.push_plan(format!("SLICE dimension=<{}>", slice.as_str()));
+        }
+        for axis in &axes {
+            profile.push_plan(format!(
+                "AXIS dimension=<{}> level=<{}>",
+                axis.column.dimension.as_str(),
+                axis.rollup.target_level.as_str()
+            ));
+        }
+        for _ in &query.member_filters {
+            profile.push_plan("DICE member-filter".to_string());
+        }
+        for _ in &query.measure_filters {
+            profile.push_plan("DICE measure-filter (HAVING)".to_string());
+        }
+        profile.push_step("plan-axes", started.elapsed(), Some(axes.len() as u64), "");
     }
-    for _ in &query.member_filters {
-        profile.push_plan("DICE member-filter".to_string());
-    }
-    for _ in &query.measure_filters {
-        profile.push_plan("DICE measure-filter (HAVING)".to_string());
-    }
-    profile.push_step(
-        "plan-axes",
-        started.elapsed(),
-        Some(axes.len() as u64),
-        "",
-    );
 
     let started = Instant::now();
-    let compiled_filters = compile_filters(query, &axes)?;
-    profile.push_step(
-        "compile-filters",
-        started.elapsed(),
-        Some(compiled_filters.len() as u64),
-        "",
-    );
+    let filters = compile_filters(query, &axes)?;
+    if let Some(profile) = profile.as_deref_mut() {
+        let compiled = Some(filters.len() as u64);
+        profile.push_step("compile-filters", started.elapsed(), compiled, "");
+    }
 
-    let measures = cube.measure_columns();
-    let started = Instant::now();
-    let (groups, mut stats) = {
-        let _scan_span = obs::span("cubestore.scan");
-        scan(cube, &axes, &compiled_filters, measures, options)?
+    let plan = ScanPlan {
+        cube,
+        axes,
+        filters,
+        measures: cube.measure_columns(),
+        having: &query.measure_filters,
+        options,
     };
-    profile.push_plan(format!(
-        "SEGMENTS total={} pruned={} dead={}",
-        stats.segments_total, stats.segments_pruned, stats.segments_dead
-    ));
-    profile.push_step(
-        "scan",
-        started.elapsed(),
-        Some(stats.rows_scanned),
-        format!(
-            "threads={} chunks={} segments_pruned={}",
-            options.threads, stats.scan_chunks, stats.segments_pruned
-        ),
-    );
+    let (cells, stats) = if let Some(space) = KeySpace::<u64>::of(&plan.axes) {
+        run_keyed(&plan, &space, profile)?
+    } else if let Some(space) = KeySpace::<u128>::of(&plan.axes) {
+        run_keyed(&plan, &space, profile)?
+    } else {
+        return Err(CubeStoreError::Unsupported(
+            "the result levels span more than 2^128 member combinations; \
+             use the SPARQL backend"
+                .to_string(),
+        ));
+    };
+    let output = QueryOutput {
+        axes: plan
+            .axes
+            .iter()
+            .map(|axis| AxisSpec {
+                dimension: axis.column.dimension.clone(),
+                level: axis.rollup.target_level.clone(),
+            })
+            .collect(),
+        measures: plan.measures.iter().map(|m| m.property.clone()).collect(),
+        cells,
+    };
+    Ok((output, stats))
+}
 
+/// Scan and assembly at one group-key width.
+fn run_keyed<K: GroupKey>(
+    plan: &ScanPlan<'_>,
+    space: &KeySpace<K>,
+    profile: Option<&mut ExecutionProfile>,
+) -> Result<(Vec<OutputCell>, ScanStats), CubeStoreError> {
     let started = Instant::now();
-    let cells = aggregate_cells(groups, &axes, measures, query, &mut stats)?;
-    profile.push_step(
-        "aggregate",
-        started.elapsed(),
-        Some(cells.len() as u64),
-        "HAVING + sort",
-    );
-
-    stats.fill_profile(&mut profile);
-    profile.total = total_started.elapsed();
-    Ok((assemble(&axes, measures, cells), profile, stats))
+    let (groups, mut stats, threads) = {
+        let _scan_span = obs::span("cubestore.scan");
+        scan(plan, space)?
+    };
+    let scanned = started.elapsed();
+    let started = Instant::now();
+    let cells = assemble_cells(groups, space, plan, &mut stats)?;
+    if let Some(profile) = profile {
+        profile.push_plan(format!(
+            "SEGMENTS total={} pruned={} dead={}",
+            stats.segments_total, stats.segments_pruned, stats.segments_dead
+        ));
+        profile.push_step(
+            "scan",
+            scanned,
+            Some(stats.rows_scanned),
+            format!(
+                "threads={threads} chunks={} segments_pruned={}",
+                stats.scan_chunks, stats.segments_pruned
+            ),
+        );
+        let returned = Some(cells.len() as u64);
+        profile.push_step("aggregate", started.elapsed(), returned, "HAVING + sort");
+    }
+    Ok((cells, stats))
 }
 
 /// Plans the kept axes in schema order (the same order the SPARQL
@@ -573,62 +603,6 @@ fn compile_filters(
         .collect()
 }
 
-/// Aggregates each scanned group, applies the measure filters (HAVING),
-/// resolves the coordinate terms and sorts the cells canonically.
-fn aggregate_cells(
-    groups: ScanGroups,
-    axes: &[AxisPlan<'_>],
-    measures: &[MeasureColumn],
-    query: &CubeQuery,
-    stats: &mut ScanStats,
-) -> Result<Vec<OutputCell>, CubeStoreError> {
-    let mut cells: Vec<OutputCell> = Vec::with_capacity(groups.len());
-    'groups: for (key, accs) in groups {
-        let values: Vec<Option<Term>> = accs
-            .iter()
-            .zip(measures)
-            .map(|(acc, measure)| Some(acc.aggregate(measure)))
-            .collect();
-        for filter in &query.measure_filters {
-            let verdict = eval_measure_filter(filter, measures, &values)?;
-            if verdict != Some(true) {
-                continue 'groups;
-            }
-        }
-        stats.dictionary_lookups += key.len() as u64;
-        let coordinates = key
-            .iter()
-            .zip(axes)
-            .map(|(&code, axis)| axis.level_index.dictionary.term(code).clone())
-            .collect();
-        cells.push(OutputCell {
-            coordinates,
-            values,
-        });
-    }
-    cells.sort_by(|a, b| a.coordinates.cmp(&b.coordinates));
-    Ok(cells)
-}
-
-/// Assembles the output envelope around the sorted cells.
-fn assemble(
-    axes: &[AxisPlan<'_>],
-    measures: &[MeasureColumn],
-    cells: Vec<OutputCell>,
-) -> QueryOutput {
-    QueryOutput {
-        axes: axes
-            .iter()
-            .map(|axis| AxisSpec {
-                dimension: axis.column.dimension.clone(),
-                level: axis.rollup.target_level.clone(),
-            })
-            .collect(),
-        measures: measures.iter().map(|m| m.property.clone()).collect(),
-        cells,
-    }
-}
-
 struct AxisPlan<'c> {
     column: &'c DimensionColumn,
     rollup: &'c RollupMap,
@@ -638,15 +612,12 @@ struct AxisPlan<'c> {
     dim_index: usize,
 }
 
-/// Partial aggregation state: coordinate key → one accumulator per measure.
-type ScanGroups = HashMap<Vec<MemberId>, Vec<MeasureAcc>>;
-
 /// One surviving segment of the physical row space — the scan's unit of
-/// work. `dead` caches the segment's tombstone count so workers elide the
-/// per-row liveness check in fully-live segments.
+/// work. `dead` caches the segment's tombstone count so the kernel skips
+/// the bitmap entirely in fully-live segments.
 struct SegmentSpan {
-    start: usize,
-    end: usize,
+    segment: usize,
+    len: usize,
     dead: usize,
 }
 
@@ -726,54 +697,52 @@ fn filter_possible(filter: &CompiledFilter, lifted: &[Vec<MemberId>]) -> bool {
 /// thread spawns, workers pull whole segments, and accumulation is
 /// order-independent for every measure type (compensated float sums
 /// included), so results are bit-identical to the unpruned scan at any
-/// worker count.
-fn scan(
-    cube: &MaterializedCube,
-    axes: &[AxisPlan<'_>],
-    filters: &[CompiledFilter],
-    measures: &[MeasureColumn],
-    options: ExecOptions,
-) -> Result<(ScanGroups, ScanStats), CubeStoreError> {
-    let rows = cube.row_count();
-    let tombstones = cube.tombstones();
-    let zones = cube.zone_maps();
+/// worker count. Also returns the thread count the scan was sized for.
+fn scan<K: GroupKey>(
+    plan: &ScanPlan<'_>,
+    space: &KeySpace<K>,
+) -> Result<(Groups<K>, ScanStats, usize), CubeStoreError> {
+    let rows = plan.cube.row_count();
+    let tombstones = plan.cube.tombstones();
+    let zones = plan.cube.zone_maps();
 
     let segments_total = rows.div_ceil(SEGMENT_LEN);
     let mut segments_dead = 0u64;
     let mut segments_pruned = 0u64;
+    let mut surviving_rows = 0usize;
     let mut spans: Vec<SegmentSpan> = Vec::with_capacity(segments_total);
     for segment in 0..segments_total {
-        let start = segment * SEGMENT_LEN;
-        let end = ((segment + 1) * SEGMENT_LEN).min(rows);
-        let dead = tombstones.dead_in_segment(segment).min(end - start);
-        if dead == end - start {
+        let len = ((segment + 1) * SEGMENT_LEN).min(rows) - segment * SEGMENT_LEN;
+        let dead = tombstones.dead_in_segment(segment).min(len);
+        if dead == len {
             segments_dead += 1;
             continue;
         }
-        if options.prune && segment_prunable(zones, segment, axes, filters) {
+        if plan.options.prune && segment_prunable(zones, segment, &plan.axes, &plan.filters) {
             segments_pruned += 1;
             continue;
         }
-        spans.push(SegmentSpan { start, end, dead });
+        surviving_rows += len - dead;
+        spans.push(SegmentSpan { segment, len, dead });
     }
 
-    let shared = SharedScanStats::default();
-    let workers = options.threads.max(1).min(spans.len().max(1));
-    let groups = if workers <= 1 {
-        scan_spans(axes, filters, measures, tombstones, &spans, &shared)?
+    let threads = match plan.options.threads {
+        0 => auto_scan_threads(surviving_rows),
+        explicit => explicit,
+    };
+    let workers = threads.min(spans.len().max(1));
+    let (groups, mut stats) = if workers <= 1 {
+        scan_spans(plan, space, &spans)?
     } else {
-        let partials: Vec<Result<ScanGroups, CubeStoreError>> =
+        let partials: Vec<Result<(Groups<K>, ScanStats), CubeStoreError>> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|worker| {
                         // Balanced contiguous slices of the surviving
                         // segments; never empty since workers <= spans.
-                        let slice =
-                            &spans[worker * spans.len() / workers..(worker + 1) * spans.len() / workers];
-                        let shared = &shared;
-                        scope.spawn(move || {
-                            scan_spans(axes, filters, measures, tombstones, slice, shared)
-                        })
+                        let slice = &spans
+                            [worker * spans.len() / workers..(worker + 1) * spans.len() / workers];
+                        scope.spawn(move || scan_spans(plan, space, slice))
                     })
                     .collect();
                 handles
@@ -781,192 +750,532 @@ fn scan(
                     .map(|handle| handle.join().expect("scan worker panicked"))
                     .collect()
             });
-        let mut groups: ScanGroups = HashMap::new();
+        // In worker order, so a refusal is the one of the earliest rows.
+        let mut partials = partials.into_iter();
+        let (mut groups, mut stats) = partials.next().expect("two or more workers")?;
         for partial in partials {
-            for (key, accs) in partial? {
-                match groups.entry(key) {
-                    std::collections::hash_map::Entry::Vacant(vacant) => {
-                        vacant.insert(accs);
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                        for (merged, acc) in occupied.get_mut().iter_mut().zip(&accs) {
-                            merged.merge(acc);
-                        }
-                    }
-                }
-            }
+            let (other, other_stats) = partial?;
+            groups.merge(other);
+            stats.add_worker(&other_stats);
         }
-        groups
+        (groups, stats)
     };
-    let mut stats = shared.snapshot();
     stats.segments_total = segments_total as u64;
     stats.segments_pruned = segments_pruned;
     stats.segments_dead = segments_dead;
-    Ok((groups, stats))
+    Ok((groups, stats, threads))
 }
 
-/// The sequential scan over one worker's segment spans. Worker totals are
-/// accumulated in plain locals and flushed into `shared` once at the end —
-/// one atomic add per field, exact under concurrency — so the flush
-/// boundaries align with segment boundaries no matter the worker count.
-fn scan_spans(
-    axes: &[AxisPlan<'_>],
-    filters: &[CompiledFilter],
-    measures: &[MeasureColumn],
-    tombstones: &Tombstones,
+/// The kernel: one worker's segments, one segment at a time, one pass per
+/// column. All per-row state lives in scratch buffers sized once per
+/// worker, so a scan allocates per worker and per new group, never per row
+/// or per segment:
+///
+/// 1. *liveness* — the segment's live row offsets, from the tombstone
+///    bitmap words (or `0..len` when the segment has no dead row);
+/// 2. *lift* — per axis in schema order, each listed row's bottom code goes
+///    through the roll-up map into `lifted[axis]`; rows that are unbound or
+///    have no ancestor leave the list, so a later axis never sees them. A
+///    row lifting to [`AMBIGUOUS_MEMBER`] leaves the list too and is
+///    remembered if it is the earliest such row: the listed rows of an axis
+///    are exactly the rows the row-at-a-time order would have brought this
+///    far, so the earliest remembered row is the one that order refuses on;
+/// 3. *filter* — the compiled truth tables over the lifted codes;
+/// 4. *group* — each surviving row's lifted codes pack into one mixed-radix
+///    key, which the group table turns into a dense group number;
+/// 5. *accumulate* — per measure, one typed loop over the surviving rows.
+fn scan_spans<K: GroupKey>(
+    plan: &ScanPlan<'_>,
+    space: &KeySpace<K>,
     spans: &[SegmentSpan],
-    shared: &SharedScanStats,
-) -> Result<ScanGroups, CubeStoreError> {
-    let mut groups: ScanGroups = HashMap::new();
-    let mut local = ScanStats {
+) -> Result<(Groups<K>, ScanStats), CubeStoreError> {
+    let axes = &plan.axes;
+    let tombstones = plan.cube.tombstones();
+    let mut groups = Groups::new(space, plan.measures);
+    let mut stats = ScanStats {
         scan_chunks: 1,
         ..ScanStats::default()
     };
+    let mut rows: Vec<u16> = Vec::with_capacity(SEGMENT_LEN);
+    let mut lifted: Vec<Vec<MemberId>> = vec![vec![NO_MEMBER; SEGMENT_LEN]; axes.len()];
+    let mut keys: Vec<K> = Vec::with_capacity(SEGMENT_LEN);
+    let mut group_of: Vec<u32> = Vec::with_capacity(SEGMENT_LEN);
+
     for span in spans {
-        // The per-segment dead count lets a fully-live segment skip the
-        // bitmap entirely even when other segments have tombstones.
-        let check_tombstones = span.dead > 0;
-        'rows: for row in span.start..span.end {
-            local.rows_scanned += 1;
-            if check_tombstones && tombstones.is_dead(row) {
-                local.tombstones_skipped += 1;
-                continue;
-            }
-            let mut key = Vec::with_capacity(axes.len());
-            for axis in axes {
-                let bottom = axis.column.code(row);
-                if bottom == NO_MEMBER {
-                    local.rows_no_member += 1;
-                    continue 'rows;
+        rows.clear();
+        if span.dead == 0 {
+            rows.extend(0..span.len as u16);
+        } else {
+            let words = tombstones.segment_words(span.segment);
+            for (word, base) in (0..span.len).step_by(64).enumerate() {
+                let mut live = !words.get(word).copied().unwrap_or(0);
+                if span.len - base < 64 {
+                    live &= (1u64 << (span.len - base)) - 1;
                 }
-                local.rollup_lookups += 1;
-                let target = axis.rollup.target(bottom);
-                if target == NO_MEMBER {
-                    local.rows_no_member += 1;
-                    continue 'rows;
+                while live != 0 {
+                    rows.push((base + live.trailing_zeros() as usize) as u16);
+                    live &= live - 1;
                 }
-                if target == AMBIGUOUS_MEMBER {
-                    shared.flush(&local);
-                    return Err(CubeStoreError::Unsupported(format!(
-                        "member {} of dimension <{}> rolls up to several members of level <{}> \
-                         (non-functional roll-up); use the SPARQL backend",
-                        axis.column.dictionary.term(bottom),
-                        axis.column.dimension.as_str(),
-                        axis.rollup.target_level.as_str()
-                    )));
-                }
-                key.push(target);
-            }
-            for filter in filters {
-                if !filter.keeps(&key) {
-                    local.rows_filtered += 1;
-                    continue 'rows;
-                }
-            }
-            local.rows_aggregated += 1;
-            let accs = groups
-                .entry(key)
-                .or_insert_with(|| vec![MeasureAcc::default(); measures.len()]);
-            for (acc, measure) in accs.iter_mut().zip(measures) {
-                acc.update(&measure.data, row);
             }
         }
-    }
-    shared.flush(&local);
-    Ok(groups)
-}
+        stats.rows_scanned += span.len as u64;
+        stats.tombstones_skipped += (span.len - rows.len()) as u64;
 
-/// One measure accumulator: everything the five QB4OLAP aggregate
-/// functions need, updated in a single pass. SUM/AVG accumulate through
-/// [`sparql::NumericSum`] — the same order-independent accumulator the
-/// SPARQL engine's aggregates use — so chunk order, append order and
-/// thread count cannot move the result by an ulp. MIN/MAX additionally
-/// track integer-vector extremes as exact `i64`s (the `f64` view rounds
-/// above 2⁵³).
-#[derive(Debug, Clone)]
-struct MeasureAcc {
-    count: usize,
-    sum: sparql::NumericSum,
-    /// Exact extremes of an [`MeasureVector::Integer`] vector.
-    min_int: i64,
-    max_int: i64,
-    /// Extremes of a float vector (every stored `f64` is one of the input
-    /// values, so the reconstruction via `term_for` is exact).
-    min: f64,
-    max: f64,
-}
+        // (row offset, axis, bottom code) of the earliest ambiguous row.
+        let mut refusal: Option<(u16, usize, MemberId)> = None;
+        for (index, (axis, lifted)) in axes.iter().zip(&mut lifted).enumerate() {
+            let codes = axis.column.code_segment(span.segment);
+            let targets = axis.rollup.targets();
+            let mut worst: MemberId = 0;
+            for &row in &rows {
+                // An unbound row's `NO_MEMBER` lies past every map.
+                let bottom = codes[row as usize] as usize;
+                debug_assert!(bottom < targets.len() || bottom == NO_MEMBER as usize);
+                let target = targets.get(bottom).copied().unwrap_or(NO_MEMBER);
+                lifted[row as usize] = target;
+                worst = worst.max(target);
+            }
+            stats.rollup_lookups += rows.len() as u64;
+            if worst >= AMBIGUOUS_MEMBER {
+                // Some listed row is unbound, ragged or ambiguous here.
+                let entering = rows.len();
+                let is_unbound = |row: &&u16| codes[**row as usize] == NO_MEMBER;
+                stats.rollup_lookups -= rows.iter().filter(is_unbound).count() as u64;
+                let ambiguous = |row: &&u16| lifted[**row as usize] == AMBIGUOUS_MEMBER;
+                if let Some(&row) = rows.iter().find(ambiguous) {
+                    if refusal.is_none_or(|(first, ..)| row < first) {
+                        refusal = Some((row, index, codes[row as usize]));
+                    }
+                }
+                rows.retain(|&row| lifted[row as usize] < AMBIGUOUS_MEMBER);
+                stats.rows_no_member += (entering - rows.len()) as u64;
+            }
+        }
+        if let Some((_, index, bottom)) = refusal {
+            let axis = &axes[index];
+            return Err(CubeStoreError::Unsupported(format!(
+                "member {} of dimension <{}> rolls up to several members of level <{}> \
+                 (non-functional roll-up); use the SPARQL backend",
+                axis.column.dictionary.term(bottom),
+                axis.column.dimension.as_str(),
+                axis.rollup.target_level.as_str()
+            )));
+        }
 
-impl Default for MeasureAcc {
-    fn default() -> Self {
-        MeasureAcc {
-            count: 0,
-            sum: sparql::NumericSum::new(),
-            min_int: i64::MAX,
-            max_int: i64::MIN,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+        let entering = rows.len();
+        for filter in &plan.filters {
+            filter.retain(&mut rows, &lifted);
+        }
+        stats.rows_filtered += (entering - rows.len()) as u64;
+        stats.rows_aggregated += rows.len() as u64;
+
+        keys.clear();
+        keys.resize(rows.len(), K::ZERO);
+        for (&radix, lifted) in space.radices.iter().zip(&lifted) {
+            for (key, &row) in keys.iter_mut().zip(&rows) {
+                *key = key.push(radix, lifted[row as usize]);
+            }
+        }
+        group_of.clear();
+        group_of.extend(keys.iter().map(|&key| groups.table.group_of(key)));
+        for (acc, measure) in groups.accs.iter_mut().zip(plan.measures) {
+            acc.grow(groups.table.keys.len());
+            acc.update(measure.data.segment(span.segment), &rows, &group_of);
         }
     }
+    Ok((groups, stats))
 }
 
-impl MeasureAcc {
-    /// Folds another chunk's accumulator into this one (multi-threaded
-    /// scan). Exact for every measure type.
-    fn merge(&mut self, other: &MeasureAcc) {
-        self.count += other.count;
-        self.sum.merge(&other.sum);
-        self.min_int = self.min_int.min(other.min_int);
-        self.max_int = self.max_int.max(other.max_int);
-        self.min = float_min(self.min, other.min);
-        self.max = float_max(self.max, other.max);
+/// A packed group key: the lifted member codes of one row as the digits of
+/// a mixed-radix number, radix = member count of each axis's result level.
+/// `u64` unless the product of the radices overflows it, `u128` then.
+trait GroupKey: Copy + Ord + Send + Sync {
+    const ZERO: Self;
+    fn from_count(count: usize) -> Self;
+    fn checked_mul(self, radix: Self) -> Option<Self>;
+    /// Appends a digit. Cannot overflow while the digits stay below their
+    /// radices and the product of all radices fits ([`KeySpace::of`]).
+    fn push(self, radix: Self, digit: MemberId) -> Self;
+    /// Removes the last digit.
+    fn pop(self, radix: Self) -> (Self, MemberId);
+    /// The key as a dense slot number (key spaces within
+    /// [`DENSE_GROUP_LIMIT`] only).
+    fn slot(self) -> usize;
+    fn hash(self) -> u64;
+}
+
+macro_rules! group_key {
+    ($key:ty) => {
+        impl GroupKey for $key {
+            const ZERO: Self = 0;
+            fn from_count(count: usize) -> Self {
+                count as $key
+            }
+            fn checked_mul(self, radix: Self) -> Option<Self> {
+                <$key>::checked_mul(self, radix)
+            }
+            #[inline]
+            fn push(self, radix: Self, digit: MemberId) -> Self {
+                self * radix + <$key>::from(digit)
+            }
+            fn pop(self, radix: Self) -> (Self, MemberId) {
+                (self / radix, (self % radix) as MemberId)
+            }
+            #[inline]
+            fn slot(self) -> usize {
+                self as usize
+            }
+            /// Multiplicative (Fibonacci) hashing. High bits are folded
+            /// down first: a product only carries key bits *upwards*, so
+            /// keys that differ in their leading digits alone would
+            /// otherwise share most of their hash.
+            #[inline]
+            fn hash(self) -> u64 {
+                let folded = self as u64 ^ ((self as u128 >> 64) as u64).rotate_left(29);
+                (folded ^ (folded >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            }
+        }
+    };
+}
+group_key!(u64);
+group_key!(u128);
+
+/// The key space of one query: a radix per axis, and the number of dense
+/// slots when the product of the radices is small enough for them. The
+/// table kind follows from that product alone.
+struct KeySpace<K> {
+    radices: Vec<K>,
+    dense_slots: Option<usize>,
+}
+
+impl<K: GroupKey> KeySpace<K> {
+    /// `None` when the product of the radices overflows `K`.
+    fn of(axes: &[AxisPlan<'_>]) -> Option<Self> {
+        // An empty level keeps radix 1: no row survives it anyway.
+        let radices: Vec<K> = axes
+            .iter()
+            .map(|axis| K::from_count(axis.level_index.member_count().max(1)))
+            .collect();
+        let size = radices
+            .iter()
+            .try_fold(K::from_count(1), |size, &radix| size.checked_mul(radix))?;
+        let dense_slots = (size <= K::from_count(DENSE_GROUP_LIMIT)).then(|| size.slot());
+        Some(KeySpace {
+            radices,
+            dense_slots,
+        })
+    }
+}
+
+const NO_GROUP: u32 = u32::MAX;
+
+/// Key → dense group number, in first-seen order.
+struct GroupTable<K> {
+    /// Group numbers, [`NO_GROUP`] where none: one slot per possible key
+    /// when `dense`; otherwise an open-addressing hash table — a power of
+    /// two of slots, at most half full, probed linearly, a slot's key read
+    /// back from `keys`.
+    slots: Vec<u32>,
+    dense: bool,
+    /// Group number → key.
+    keys: Vec<K>,
+}
+
+impl<K: GroupKey> GroupTable<K> {
+    fn new(space: &KeySpace<K>) -> Self {
+        GroupTable {
+            slots: vec![NO_GROUP; space.dense_slots.unwrap_or(1 << 10)],
+            dense: space.dense_slots.is_some(),
+            keys: Vec::new(),
+        }
     }
 
     #[inline]
-    fn update(&mut self, data: &MeasureVector, row: usize) {
-        self.count += 1;
-        // SUM/AVG inputs are routed exactly as the SPARQL engine routes
-        // the corresponding literal (see `MeasureVector::numeric_at`).
-        let routed = data.numeric_at(row);
-        match routed {
-            MeasureValue::Integer(value) => self.sum.add_integer(value),
-            MeasureValue::Float(value) => self.sum.add_float(value),
+    fn group_of(&mut self, key: K) -> u32 {
+        let mut at = if self.dense {
+            key.slot()
+        } else {
+            self.home(key)
+        };
+        loop {
+            match self.slots[at] {
+                NO_GROUP => break,
+                group if self.dense || self.keys[group as usize] == key => return group,
+                _ => at = (at + 1) & (self.slots.len() - 1),
+            }
         }
-        // MIN/MAX compare within the vector's own value space (a float
-        // vector's value may have routed integer for the sum above).
-        match data {
-            MeasureVector::Integer(_) => {
-                if let MeasureValue::Integer(value) = routed {
-                    self.min_int = self.min_int.min(value);
-                    self.max_int = self.max_int.max(value);
+        let group = u32::try_from(self.keys.len()).expect("fewer than 2^32 groups");
+        self.slots[at] = group;
+        self.keys.push(key);
+        if !self.dense && self.keys.len() * 2 > self.slots.len() {
+            self.slots = vec![NO_GROUP; self.slots.len() * 2];
+            for (group, &key) in self.keys.iter().enumerate() {
+                let mut at = self.home(key);
+                while self.slots[at] != NO_GROUP {
+                    at = (at + 1) & (self.slots.len() - 1);
                 }
+                self.slots[at] = group as u32;
             }
-            MeasureVector::Decimal(_) | MeasureVector::Double(_) => {
-                let value = data.value(row);
-                self.min = float_min(self.min, value);
-                self.max = float_max(self.max, value);
+        }
+        group
+    }
+
+    /// The slot a key's probe sequence starts at: the top bits of the
+    /// multiplicative hash, the only ones every bit of the key reaches.
+    #[inline]
+    fn home(&self, key: K) -> usize {
+        (key.hash() >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+}
+
+/// One measure's accumulators, a column indexed by group number. Only the
+/// state the measure's aggregate function reads exists: SUM/AVG over an
+/// integer vector stay in a bare `i128`; over a float vector they go
+/// through [`sparql::NumericSum`] — the same order-independent accumulator
+/// the SPARQL engine's aggregates use — so chunk order, append order and
+/// thread count cannot move the result by an ulp. MIN/MAX keep the extreme
+/// in the vector's own type (the `f64` view of an integer rounds above 2⁵³).
+enum Accumulator {
+    Count(Vec<u64>),
+    /// `(exact sum, count)`.
+    IntSum(Vec<(i128, u64)>),
+    /// `(routed sum, count)`.
+    FloatSum(Vec<(sparql::NumericSum, u64)>),
+    IntMin(Vec<i64>),
+    IntMax(Vec<i64>),
+    /// Every stored `f64` is one of the input values, so the
+    /// reconstruction via `term_for` is exact.
+    FloatMin(Vec<f64>),
+    FloatMax(Vec<f64>),
+}
+
+impl Accumulator {
+    fn for_measure(measure: &MeasureColumn) -> Self {
+        let integer = matches!(measure.data, MeasureVector::Integer(_));
+        match measure.aggregate {
+            AggregateFunction::Count => Accumulator::Count(Vec::new()),
+            AggregateFunction::Sum | AggregateFunction::Avg if integer => {
+                Accumulator::IntSum(Vec::new())
             }
+            AggregateFunction::Sum | AggregateFunction::Avg => Accumulator::FloatSum(Vec::new()),
+            AggregateFunction::Min if integer => Accumulator::IntMin(Vec::new()),
+            AggregateFunction::Min => Accumulator::FloatMin(Vec::new()),
+            AggregateFunction::Max if integer => Accumulator::IntMax(Vec::new()),
+            AggregateFunction::Max => Accumulator::FloatMax(Vec::new()),
         }
     }
 
-    /// The aggregate as a [`Term`], with exactly the typing rules of the
-    /// SPARQL engine's aggregate evaluation.
-    fn aggregate(&self, measure: &MeasureColumn) -> Term {
-        match measure.aggregate {
-            AggregateFunction::Count => Term::Literal(Literal::integer(self.count as i64)),
-            AggregateFunction::Sum => self.sum.sum_term(),
-            AggregateFunction::Avg => {
-                Term::Literal(Literal::decimal(self.sum.value() / self.count as f64))
-            }
-            AggregateFunction::Min => match measure.data {
-                MeasureVector::Integer(_) => Term::Literal(Literal::integer(self.min_int)),
-                _ => measure.data.term_for(self.min),
-            },
-            AggregateFunction::Max => match measure.data {
-                MeasureVector::Integer(_) => Term::Literal(Literal::integer(self.max_int)),
-                _ => measure.data.term_for(self.max),
-            },
+    /// Extends the column to `groups` entries, new ones at the identity.
+    fn grow(&mut self, groups: usize) {
+        match self {
+            Accumulator::Count(counts) => counts.resize(groups, 0),
+            Accumulator::IntSum(sums) => sums.resize(groups, (0, 0)),
+            Accumulator::FloatSum(sums) => sums.resize(groups, (sparql::NumericSum::new(), 0)),
+            Accumulator::IntMin(mins) => mins.resize(groups, i64::MAX),
+            Accumulator::IntMax(maxs) => maxs.resize(groups, i64::MIN),
+            Accumulator::FloatMin(mins) => mins.resize(groups, f64::INFINITY),
+            Accumulator::FloatMax(maxs) => maxs.resize(groups, f64::NEG_INFINITY),
         }
     }
+
+    /// Folds the listed rows of one segment into their groups.
+    fn update(&mut self, values: MeasureSlice<'_>, rows: &[u16], group_of: &[u32]) {
+        use MeasureSlice::{Decimal, Double, Integer};
+        let decimal = matches!(values, Decimal(_));
+        let pairs = rows
+            .iter()
+            .zip(group_of)
+            .map(|(&row, &group)| (row as usize, group as usize));
+        match (self, values) {
+            (Accumulator::Count(counts), _) => pairs.for_each(|(_, group)| counts[group] += 1),
+            (Accumulator::IntSum(sums), Integer(values)) => pairs.for_each(|(row, group)| {
+                sums[group].0 += i128::from(values[row]);
+                sums[group].1 += 1;
+            }),
+            // Routed exactly as the SPARQL engine routes the corresponding
+            // literal: a float vector's value may be an integer input.
+            (Accumulator::FloatSum(sums), Decimal(values) | Double(values)) => {
+                pairs.for_each(|(row, group)| {
+                    let (sum, count) = &mut sums[group];
+                    match route_float(values[row], decimal) {
+                        MeasureValue::Integer(value) => sum.add_integer(value),
+                        MeasureValue::Float(value) => sum.add_float(value),
+                    }
+                    *count += 1;
+                })
+            }
+            (Accumulator::IntMin(mins), Integer(values)) => {
+                pairs.for_each(|(row, group)| mins[group] = mins[group].min(values[row]))
+            }
+            (Accumulator::IntMax(maxs), Integer(values)) => {
+                pairs.for_each(|(row, group)| maxs[group] = maxs[group].max(values[row]))
+            }
+            (Accumulator::FloatMin(mins), Decimal(values) | Double(values)) => {
+                pairs.for_each(|(row, group)| mins[group] = float_min(mins[group], values[row]))
+            }
+            (Accumulator::FloatMax(maxs), Decimal(values) | Double(values)) => {
+                pairs.for_each(|(row, group)| maxs[group] = float_max(maxs[group], values[row]))
+            }
+            _ => unreachable!("the accumulator was chosen from this measure's vector"),
+        }
+    }
+
+    /// Folds group `from` of another worker's column into group `into`.
+    /// Exact for every kind; signed-zero ties resolve as in `update`.
+    fn merge_group(&mut self, into: usize, other: &Accumulator, from: usize) {
+        match (self, other) {
+            (Accumulator::Count(a), Accumulator::Count(b)) => a[into] += b[from],
+            (Accumulator::IntSum(a), Accumulator::IntSum(b)) => {
+                a[into].0 += b[from].0;
+                a[into].1 += b[from].1;
+            }
+            (Accumulator::FloatSum(a), Accumulator::FloatSum(b)) => {
+                a[into].0.merge(&b[from].0);
+                a[into].1 += b[from].1;
+            }
+            (Accumulator::IntMin(a), Accumulator::IntMin(b)) => a[into] = a[into].min(b[from]),
+            (Accumulator::IntMax(a), Accumulator::IntMax(b)) => a[into] = a[into].max(b[from]),
+            (Accumulator::FloatMin(a), Accumulator::FloatMin(b)) => {
+                a[into] = float_min(a[into], b[from])
+            }
+            (Accumulator::FloatMax(a), Accumulator::FloatMax(b)) => {
+                a[into] = float_max(a[into], b[from])
+            }
+            _ => unreachable!("workers of one scan build the same accumulator kinds"),
+        }
+    }
+
+    /// One group's aggregate as a [`Term`], with exactly the typing rules
+    /// of the SPARQL engine's aggregate evaluation.
+    fn finish(&self, group: usize, measure: &MeasureColumn) -> Term {
+        let sum_or_avg = |sum: &sparql::NumericSum, count: u64| match measure.aggregate {
+            AggregateFunction::Avg => Term::Literal(Literal::decimal(sum.value() / count as f64)),
+            _ => sum.sum_term(),
+        };
+        match self {
+            Accumulator::Count(counts) => Term::Literal(Literal::integer(counts[group] as i64)),
+            Accumulator::IntSum(sums) => {
+                let (total, count) = sums[group];
+                sum_or_avg(&sparql::NumericSum::from_integer_total(total), count)
+            }
+            Accumulator::FloatSum(sums) => sum_or_avg(&sums[group].0, sums[group].1),
+            Accumulator::IntMin(extremes) | Accumulator::IntMax(extremes) => {
+                Term::Literal(Literal::integer(extremes[group]))
+            }
+            Accumulator::FloatMin(extremes) | Accumulator::FloatMax(extremes) => {
+                measure.data.term_for(extremes[group])
+            }
+        }
+    }
+}
+
+/// Partial aggregation state of one worker: the group table and one
+/// accumulator column per measure.
+struct Groups<K> {
+    table: GroupTable<K>,
+    accs: Vec<Accumulator>,
+}
+
+impl<K: GroupKey> Groups<K> {
+    fn new(space: &KeySpace<K>, measures: &[MeasureColumn]) -> Self {
+        Groups {
+            table: GroupTable::new(space),
+            accs: measures.iter().map(Accumulator::for_measure).collect(),
+        }
+    }
+
+    /// Folds another worker's groups in (multi-threaded scan).
+    fn merge(&mut self, other: Groups<K>) {
+        for (from, &key) in other.table.keys.iter().enumerate() {
+            let into = self.table.group_of(key) as usize;
+            for (acc, other_acc) in self.accs.iter_mut().zip(&other.accs) {
+                acc.grow(self.table.keys.len());
+                acc.merge_group(into, other_acc, from);
+            }
+        }
+    }
+}
+
+/// Turns the coded groups into the sorted output cells. Groups stay coded
+/// through HAVING and the sort: each axis ranks the member codes that
+/// actually occur by their terms once, the per-axis ranks re-pack into one
+/// key per cell whose integer order is the canonical coordinate order, and
+/// coordinate terms are cloned from the dictionaries only for the cells
+/// returned.
+fn assemble_cells<K: GroupKey>(
+    groups: Groups<K>,
+    space: &KeySpace<K>,
+    plan: &ScanPlan<'_>,
+    stats: &mut ScanStats,
+) -> Result<Vec<OutputCell>, CubeStoreError> {
+    let (axes, measures) = (&plan.axes, plan.measures);
+    let mut kept: Vec<(K, Vec<Option<Term>>)> = Vec::with_capacity(groups.table.keys.len());
+    'groups: for (group, &key) in groups.table.keys.iter().enumerate() {
+        let values: Vec<Option<Term>> = groups
+            .accs
+            .iter()
+            .zip(measures)
+            .map(|(acc, measure)| Some(acc.finish(group, measure)))
+            .collect();
+        for filter in plan.having {
+            if eval_measure_filter(filter, measures, &values)? != Some(true) {
+                continue 'groups;
+            }
+        }
+        kept.push((key, values));
+    }
+
+    // codes[cell * axes + axis]: the member code of each kept cell.
+    let width = axes.len();
+    let mut codes: Vec<MemberId> = vec![NO_MEMBER; kept.len() * width];
+    for (cell, (key, _)) in kept.iter().enumerate() {
+        let mut rest = *key;
+        for axis in (0..width).rev() {
+            (rest, codes[cell * width + axis]) = rest.pop(space.radices[axis]);
+        }
+    }
+
+    const UNRANKED: u32 = u32::MAX;
+    let mut order: Vec<(K, u32)> = (0..kept.len() as u32).map(|cell| (K::ZERO, cell)).collect();
+    for (axis, plan) in axes.iter().enumerate() {
+        let dictionary = &plan.level_index.dictionary;
+        let mut rank = vec![UNRANKED; dictionary.len()];
+        let mut present: Vec<MemberId> = Vec::new();
+        for cell in 0..kept.len() {
+            let code = codes[cell * width + axis];
+            if rank[code as usize] == UNRANKED {
+                rank[code as usize] = 0;
+                present.push(code);
+            }
+        }
+        present.sort_unstable_by(|&a, &b| dictionary.term(a).cmp(dictionary.term(b)));
+        for (position, &code) in present.iter().enumerate() {
+            rank[code as usize] = position as u32;
+        }
+        // At most as many ranks as the axis has members, so the re-packed
+        // key fits wherever the scan key did.
+        let radix = K::from_count(present.len());
+        for (cell, (key, _)) in order.iter_mut().enumerate() {
+            *key = key.push(radix, rank[codes[cell * width + axis] as usize]);
+        }
+    }
+    order.sort_unstable();
+
+    stats.dictionary_lookups += (order.len() * width) as u64;
+    Ok(order
+        .into_iter()
+        .map(|(_, cell)| {
+            let cell = cell as usize;
+            OutputCell {
+                coordinates: axes
+                    .iter()
+                    .zip(&codes[cell * width..(cell + 1) * width])
+                    .map(|(axis, &code)| axis.level_index.dictionary.term(code).clone())
+                    .collect(),
+                values: std::mem::take(&mut kept[cell].1),
+            }
+        })
+        .collect())
 }
 
 /// A member filter with every comparison pre-evaluated into a truth table
@@ -984,35 +1293,82 @@ enum CompiledFilter {
 }
 
 impl CompiledFilter {
-    /// True if a row with the given axis coordinates survives the filter:
-    /// all referenced attributes are present (join) and the condition
-    /// evaluates to true (FILTER).
-    fn keeps(&self, key: &[MemberId]) -> bool {
-        self.joins(key) && self.eval(key) == Some(true)
-    }
-
-    fn joins(&self, key: &[MemberId]) -> bool {
+    /// Drops every listed row the filter does not keep, axis coordinates
+    /// read from the scan's lifted-code buffers (`lifted[axis][row]`). A
+    /// row is kept when all referenced attributes are present (join) and
+    /// the condition evaluates to true (FILTER).
+    fn retain(&self, rows: &mut Vec<u16>, lifted: &[Vec<MemberId>]) {
         match self {
-            CompiledFilter::Compare { axis, table } => table[key[*axis] as usize].is_some(),
-            CompiledFilter::And(a, b) | CompiledFilter::Or(a, b) => a.joins(key) && b.joins(key),
+            // The common shape, one lookup per row: joined and true.
+            CompiledFilter::Compare { axis, table } => {
+                let codes = &lifted[*axis];
+                rows.retain(|&row| table[codes[row as usize] as usize] == Some(Some(true)));
+            }
+            tree => rows.retain(|&row| {
+                tree.joins(lifted, row as usize) && tree.eval(lifted, row as usize) == Some(true)
+            }),
         }
     }
 
-    /// Three-valued evaluation matching the SPARQL engine's `&&` / `||`.
-    fn eval(&self, key: &[MemberId]) -> Option<bool> {
+    fn joins(&self, lifted: &[Vec<MemberId>], row: usize) -> bool {
         match self {
-            CompiledFilter::Compare { axis, table } => table[key[*axis] as usize].flatten(),
-            CompiledFilter::And(a, b) => match (a.eval(key), b.eval(key)) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-            CompiledFilter::Or(a, b) => match (a.eval(key), b.eval(key)) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
+            CompiledFilter::Compare { axis, table } => table[lifted[*axis][row] as usize].is_some(),
+            CompiledFilter::And(a, b) | CompiledFilter::Or(a, b) => {
+                a.joins(lifted, row) && b.joins(lifted, row)
+            }
         }
+    }
+
+    fn eval(&self, lifted: &[Vec<MemberId>], row: usize) -> Option<bool> {
+        match self {
+            CompiledFilter::Compare { axis, table } => table[lifted[*axis][row] as usize].flatten(),
+            CompiledFilter::And(a, b) => and3(a.eval(lifted, row), b.eval(lifted, row)),
+            CompiledFilter::Or(a, b) => or3(a.eval(lifted, row), b.eval(lifted, row)),
+        }
+    }
+
+    /// `a && b` (`and`) or `a || b`. Two comparisons on one axis fold into
+    /// one truth table — a member joins when it joins both sides — so a
+    /// dice over a single level always costs the scan one lookup per row.
+    fn combine(a: CompiledFilter, b: CompiledFilter, and: bool) -> CompiledFilter {
+        use CompiledFilter::Compare;
+        match (a, b) {
+            (
+                Compare { axis, table },
+                Compare {
+                    axis: other,
+                    table: others,
+                },
+            ) if axis == other => {
+                let connective = if and { and3 } else { or3 };
+                let table = table
+                    .into_iter()
+                    .zip(others)
+                    .map(|(a, b)| Some(connective(a?, b?)))
+                    .collect();
+                Compare { axis, table }
+            }
+            (a, b) if and => CompiledFilter::And(Box::new(a), Box::new(b)),
+            (a, b) => CompiledFilter::Or(Box::new(a), Box::new(b)),
+        }
+    }
+}
+
+/// Three-valued `&&`, matching the SPARQL engine's.
+fn and3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    match (a, b) {
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        (Some(true), Some(true)) => Some(true),
+        _ => None,
+    }
+}
+
+/// Three-valued `||`, matching the SPARQL engine's.
+fn or3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    match (a, b) {
+        (Some(true), _) | (_, Some(true)) => Some(true),
+        (Some(false), Some(false)) => Some(false),
+        _ => None,
     }
 }
 
@@ -1021,13 +1377,15 @@ fn compile_filter(
     axes: &[AxisPlan<'_>],
 ) -> Result<CompiledFilter, CubeStoreError> {
     match filter {
-        MemberFilter::And(a, b) => Ok(CompiledFilter::And(
-            Box::new(compile_filter(a, axes)?),
-            Box::new(compile_filter(b, axes)?),
+        MemberFilter::And(a, b) => Ok(CompiledFilter::combine(
+            compile_filter(a, axes)?,
+            compile_filter(b, axes)?,
+            true,
         )),
-        MemberFilter::Or(a, b) => Ok(CompiledFilter::Or(
-            Box::new(compile_filter(a, axes)?),
-            Box::new(compile_filter(b, axes)?),
+        MemberFilter::Or(a, b) => Ok(CompiledFilter::combine(
+            compile_filter(a, axes)?,
+            compile_filter(b, axes)?,
+            false,
         )),
         MemberFilter::Compare {
             dimension,
@@ -1087,24 +1445,14 @@ fn eval_measure_filter(
     values: &[Option<Term>],
 ) -> Result<Option<bool>, CubeStoreError> {
     match filter {
-        MeasureFilter::And(a, b) => {
-            let va = eval_measure_filter(a, measures, values)?;
-            let vb = eval_measure_filter(b, measures, values)?;
-            Ok(match (va, vb) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            })
-        }
-        MeasureFilter::Or(a, b) => {
-            let va = eval_measure_filter(a, measures, values)?;
-            let vb = eval_measure_filter(b, measures, values)?;
-            Ok(match (va, vb) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            })
-        }
+        MeasureFilter::And(a, b) => Ok(and3(
+            eval_measure_filter(a, measures, values)?,
+            eval_measure_filter(b, measures, values)?,
+        )),
+        MeasureFilter::Or(a, b) => Ok(or3(
+            eval_measure_filter(a, measures, values)?,
+            eval_measure_filter(b, measures, values)?,
+        )),
         MeasureFilter::Compare { measure, op, value } => {
             let index = measures
                 .iter()
@@ -1126,7 +1474,10 @@ mod tests {
     use qb4olap::AggregateFunction;
     use rdf::StoreDelta;
 
+    use crate::cowvec::CowVec;
+    use crate::dictionary::Dictionary;
     use crate::testutil::{fixture, iri, member, observation_triples};
+    use crate::tombstone::Tombstones;
 
     fn traced_fixture_cube(extra_rows: usize) -> MaterializedCube {
         let (endpoint, schema) = fixture(AggregateFunction::Sum);
@@ -1378,22 +1729,52 @@ mod tests {
     }
 
     #[test]
-    fn auto_scan_threads_sizes_from_live_rows() {
-        let mut cube = segmented_cube(&[(PARALLEL_SCAN_THRESHOLD - 5, "c1")]);
-        assert_eq!(cube.row_count(), PARALLEL_SCAN_THRESHOLD);
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        assert_eq!(auto_scan_threads(&cube), cores);
-        // Tombstone just under half the cube — the heavily-tombstoned
-        // state right before the catalog compacts. The physical row count
-        // still clears the parallel threshold; the live count does not,
-        // and thread sizing must follow the work actually left.
-        for row in 0..PARALLEL_SCAN_THRESHOLD / 2 {
-            assert!(cube.tombstones.kill(row));
+    fn auto_threads_are_sized_from_the_rows_that_survive() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(auto_scan_threads(PARALLEL_SCAN_THRESHOLD), cores);
+        assert_eq!(auto_scan_threads(PARALLEL_SCAN_THRESHOLD - 1), 1);
+
+        // Rows 0..5 are the fixture; one more threshold of c2 rows, then a
+        // c1 tail. The cube clears the threshold, the "Alpha" dice (c1
+        // only) leaves the first and the tail segment: the automatic scan
+        // must stay on one thread however many cores there are.
+        let mut cube = segmented_cube(&[
+            (PARALLEL_SCAN_THRESHOLD + SEGMENT_LEN - 5, "c2"),
+            (10, "c1"),
+        ]);
+        let mut alpha_dice = rollup_query();
+        alpha_dice.member_filters = vec![country_name_dice("Alpha")];
+        let auto = ExecOptions {
+            threads: 0,
+            prune: true,
+        };
+        let (_, stats) = execute_with_options(&cube, &alpha_dice, auto).unwrap();
+        assert_eq!(stats.segments_total - stats.segments_pruned, 2);
+        assert_eq!(
+            stats.scan_chunks, 1,
+            "two surviving segments are below the threshold"
+        );
+        let (_, stats) = execute_with_options(&cube, &rollup_query(), auto).unwrap();
+        assert_eq!(
+            stats.scan_chunks,
+            cores.min(stats.segments_total as usize) as u64
+        );
+
+        // Tombstone all but one segment's worth of the cube — the state
+        // right before the catalog compacts. Every segment keeps a live
+        // row, so none is skipped, yet the work left is below the threshold.
+        for row in 0..cube.row_count() {
+            if row % SEGMENT_LEN >= SEGMENT_LEN / 8 {
+                assert!(cube.tombstones.kill(row));
+            }
         }
-        assert!(cube.row_count() >= PARALLEL_SCAN_THRESHOLD);
-        assert!(cube.live_row_count() < PARALLEL_SCAN_THRESHOLD);
-        assert_eq!(auto_scan_threads(&cube), 1);
         cube.verify_zone_invariants().unwrap();
+        let (_, stats) = execute_with_options(&cube, &rollup_query(), auto).unwrap();
+        assert_eq!(stats.segments_dead, 0);
+        assert_eq!(
+            stats.scan_chunks, 1,
+            "thread sizing follows the live rows left"
+        );
     }
 
     #[test]
@@ -1419,5 +1800,708 @@ mod tests {
         assert_eq!(float_max(f64::NEG_INFINITY, -0.0), -0.0);
         assert_eq!(float_min(f64::INFINITY, 0.5), 0.5);
     }
-}
 
+    // ---- The segment kernel, against a row-at-a-time reference ----------
+
+    /// One dimension of a [`synthetic_cube`]: `bottoms` bottom members,
+    /// `uppers` upper members and the bottom → upper roll-up targets.
+    struct DimSpec {
+        bottoms: usize,
+        uppers: usize,
+        up: Vec<MemberId>,
+    }
+
+    impl DimSpec {
+        /// Bottom member `b` rolls up to upper member `b % uppers`.
+        fn regular(bottoms: usize, uppers: usize) -> Self {
+            let up = (0..bottoms).map(|b| (b % uppers) as MemberId).collect();
+            DimSpec {
+                bottoms,
+                uppers,
+                up,
+            }
+        }
+    }
+
+    fn dim(index: usize) -> Iri {
+        iri(&format!("dim/d{index}"))
+    }
+
+    fn upper(index: usize) -> Iri {
+        iri(&format!("lv/u{index}"))
+    }
+
+    /// A cube assembled straight from codes, so a test controls every row:
+    /// dimension `i` is `dim/d{i}` with bottom level `lv/b{i}` and upper
+    /// level `lv/u{i}`; `codes[i][row]` is the row's bottom code. Member
+    /// terms sort in *reverse* code order, so an assembly that ordered
+    /// cells by code instead of by term would show.
+    fn synthetic_cube(
+        dims: &[DimSpec],
+        codes: Vec<Vec<MemberId>>,
+        measures: Vec<(AggregateFunction, MeasureVector)>,
+    ) -> MaterializedCube {
+        let members = |prefix: &str, count: usize| {
+            let mut dictionary = Dictionary::new();
+            for code in 0..count {
+                dictionary.encode(&member(&format!("{prefix}{:05}", 99_999 - code)));
+            }
+            dictionary
+        };
+        let row_count = measures[0].1.len();
+        let mut schema = qb4olap::CubeSchema::new(iri("dsd"), iri("ds"));
+        let mut dimensions = Vec::new();
+        let mut levels = BTreeMap::new();
+        let mut rollups = BTreeMap::new();
+        for (index, (spec, codes)) in dims.iter().zip(codes).enumerate() {
+            assert_eq!(codes.len(), row_count);
+            let bottom = iri(&format!("lv/b{index}"));
+            schema.dimensions.push(qb4olap::Dimension::new(dim(index)));
+            let bottoms = members(&format!("d{index}b"), spec.bottoms);
+            dimensions.push(DimensionColumn::new(
+                dim(index),
+                bottom.clone(),
+                codes,
+                bottoms.clone(),
+            ));
+            levels.insert(bottom.clone(), LevelIndex::new(bottom.clone(), bottoms));
+            let uppers = members(&format!("d{index}u"), spec.uppers);
+            levels.insert(upper(index), LevelIndex::new(upper(index), uppers));
+            let identity = (0..spec.bottoms as MemberId).collect();
+            rollups.insert(
+                (dim(index), bottom.clone()),
+                RollupMap::new(dim(index), bottom, identity),
+            );
+            rollups.insert(
+                (dim(index), upper(index)),
+                RollupMap::new(dim(index), upper(index), spec.up.clone()),
+            );
+        }
+        let measures: Vec<MeasureColumn> = measures
+            .into_iter()
+            .enumerate()
+            .map(|(index, (aggregate, data))| MeasureColumn {
+                property: iri(&format!("measure/m{index}")),
+                aggregate,
+                data,
+            })
+            .collect();
+        let zones = ZoneMaps::build(&dimensions, &measures, row_count);
+        MaterializedCube {
+            schema: std::sync::Arc::new(schema),
+            row_count,
+            dimensions,
+            measures,
+            levels,
+            rollups,
+            observations: crate::observations::ObservationIndex::from_map(Default::default()),
+            dropped_observations: Default::default(),
+            multivalued_observations: Default::default(),
+            broader: Default::default(),
+            dataset_label: None,
+            tombstones: Tombstones::new(),
+            zones,
+            stats: Default::default(),
+        }
+    }
+
+    /// `rows` rows whose code on dimension `i` is `(row * step_i) % bottoms_i`
+    /// — every dimension cycles at its own pace — over one integer SUM.
+    fn cycling_cube(dims: &[DimSpec], rows: usize) -> MaterializedCube {
+        let codes = dims
+            .iter()
+            .enumerate()
+            .map(|(index, spec)| {
+                (0..rows)
+                    .map(|row| ((row * (2 * index + 1)) % spec.bottoms) as MemberId)
+                    .collect()
+            })
+            .collect();
+        let values = MeasureVector::Integer(CowVec::from_vec((0..rows as i64).collect()));
+        synthetic_cube(dims, codes, vec![(AggregateFunction::Sum, values)])
+    }
+
+    /// All kept dimensions rolled up to their upper level.
+    fn rolled_up(kept: &[usize], of: usize) -> CubeQuery {
+        CubeQuery {
+            slices: (0..of).filter(|d| !kept.contains(d)).map(dim).collect(),
+            rollups: kept.iter().map(|&d| (dim(d), upper(d))).collect(),
+            ..CubeQuery::default()
+        }
+    }
+
+    /// The scan spelled out one row at a time, unpruned and sequential —
+    /// the order every refusal and counter is defined by — with aggregates
+    /// computed over the measure *terms* the way the SPARQL engine does.
+    /// Returns the output and `(tombstones_skipped, rows_no_member,
+    /// rollup_lookups, rows_aggregated)`, or the refusal message.
+    fn reference(
+        cube: &MaterializedCube,
+        query: &CubeQuery,
+    ) -> Result<(QueryOutput, [u64; 4]), String> {
+        let axes = plan_axes(cube, query).unwrap();
+        let mut counts = [0u64; 4];
+        let mut groups: BTreeMap<Vec<Term>, Vec<Vec<Term>>> = BTreeMap::new();
+        'rows: for row in 0..cube.row_count() {
+            let segment = row / SEGMENT_LEN;
+            let segment_len = SEGMENT_LEN.min(cube.row_count() - segment * SEGMENT_LEN);
+            if cube.tombstones.dead_in_segment(segment) == segment_len {
+                continue; // a fully dead segment is skipped, not scanned
+            }
+            if cube.tombstones.is_dead(row) {
+                counts[0] += 1;
+                continue;
+            }
+            let mut key = Vec::new();
+            for axis in &axes {
+                let bottom = axis.column.code(row);
+                if bottom == NO_MEMBER {
+                    counts[1] += 1;
+                    continue 'rows;
+                }
+                counts[2] += 1;
+                match axis.rollup.target(bottom) {
+                    NO_MEMBER => {
+                        counts[1] += 1;
+                        continue 'rows;
+                    }
+                    AMBIGUOUS_MEMBER => {
+                        return Err(format!(
+                            "{} of <{}>",
+                            axis.column.dictionary.term(bottom),
+                            axis.column.dimension.as_str()
+                        ))
+                    }
+                    target => key.push(axis.level_index.dictionary.term(target).clone()),
+                }
+            }
+            counts[3] += 1;
+            let inputs = groups
+                .entry(key)
+                .or_insert_with(|| vec![Vec::new(); cube.measures.len()]);
+            for (inputs, measure) in inputs.iter_mut().zip(&cube.measures) {
+                inputs.push(measure.data.term_at(row));
+            }
+        }
+        let extreme = |inputs: &[Term], op: CmpOp| {
+            let mut best = inputs[0].clone();
+            for input in &inputs[1..] {
+                let integers = input
+                    .as_literal()
+                    .unwrap()
+                    .as_integer()
+                    .zip(best.as_literal().unwrap().as_integer());
+                let wins = match integers {
+                    // Exact where `compare_terms`' f64 view rounds.
+                    Some((a, b)) => (op == CmpOp::Lt && a < b) || (op == CmpOp::Gt && a > b),
+                    // Numeric ties (signed zeros) fall back to the lexical form.
+                    None => {
+                        compare_terms(input, op, &best) == Some(true)
+                            || (compare_terms(input, CmpOp::Eq, &best) == Some(true)
+                                && apply_lexical(op, input, &best))
+                    }
+                };
+                if wins {
+                    best = input.clone();
+                }
+            }
+            best
+        };
+        let cells = groups
+            .into_iter()
+            .map(|(coordinates, inputs)| OutputCell {
+                coordinates,
+                values: inputs
+                    .iter()
+                    .zip(&cube.measures)
+                    .map(|(inputs, measure)| {
+                        let mut sum = sparql::NumericSum::new();
+                        assert!(inputs.iter().all(|input| sum.add_term(input)));
+                        Some(match measure.aggregate {
+                            AggregateFunction::Count => Term::integer(inputs.len() as i64),
+                            AggregateFunction::Sum => sum.sum_term(),
+                            AggregateFunction::Avg => {
+                                Term::Literal(Literal::decimal(sum.value() / inputs.len() as f64))
+                            }
+                            AggregateFunction::Min => extreme(inputs, CmpOp::Lt),
+                            AggregateFunction::Max => extreme(inputs, CmpOp::Gt),
+                        })
+                    })
+                    .collect(),
+            })
+            .collect();
+        let output = QueryOutput {
+            axes: axes
+                .iter()
+                .map(|axis| AxisSpec {
+                    dimension: axis.column.dimension.clone(),
+                    level: axis.rollup.target_level.clone(),
+                })
+                .collect(),
+            measures: cube.measures.iter().map(|m| m.property.clone()).collect(),
+            cells,
+        };
+        Ok((output, counts))
+    }
+
+    fn apply_lexical(op: CmpOp, a: &Term, b: &Term) -> bool {
+        let lexical = |term: &Term| term.as_literal().unwrap().lexical().to_string();
+        match op {
+            CmpOp::Lt => lexical(a) < lexical(b),
+            _ => lexical(a) > lexical(b),
+        }
+    }
+
+    /// Runs the query unpruned at 1, 2 and 8 workers and checks output and
+    /// row counters against [`reference`].
+    fn assert_matches_reference(cube: &MaterializedCube, query: &CubeQuery) -> QueryOutput {
+        let (expected, counts) = reference(cube, query).unwrap();
+        for threads in [1, 2, 8] {
+            let options = ExecOptions {
+                threads,
+                prune: false,
+            };
+            let (output, stats) = execute_with_options(cube, query, options).unwrap();
+            assert_eq!(output, expected, "output at {threads} threads");
+            let got = [
+                stats.tombstones_skipped,
+                stats.rows_no_member,
+                stats.rollup_lookups,
+                stats.rows_aggregated,
+            ];
+            assert_eq!(got, counts, "row counters at {threads} threads");
+            assert_eq!(
+                stats.dictionary_lookups,
+                (expected.cells.len() * expected.axes.len()) as u64
+            );
+        }
+        let pruned = ExecOptions {
+            threads: 2,
+            prune: true,
+        };
+        assert_eq!(
+            execute_with_options(cube, query, pruned).unwrap().0,
+            expected
+        );
+        expected
+    }
+
+    #[test]
+    fn slicing_every_dimension_gives_one_cell_with_an_empty_key() {
+        let dims = [DimSpec::regular(7, 3), DimSpec::regular(5, 2)];
+        let mut cube = cycling_cube(&dims, SEGMENT_LEN + 100);
+        let output = assert_matches_reference(&cube, &rolled_up(&[], 2));
+        let total: i64 = (0..(SEGMENT_LEN + 100) as i64).sum();
+        assert_eq!(
+            output.cells,
+            vec![OutputCell {
+                coordinates: vec![],
+                values: vec![Some(Term::integer(total))]
+            }]
+        );
+        // With every row dead there is no row to make the one group.
+        for row in 0..cube.row_count() {
+            cube.tombstones.kill(row);
+        }
+        assert!(assert_matches_reference(&cube, &rolled_up(&[], 2))
+            .cells
+            .is_empty());
+    }
+
+    #[test]
+    fn a_scan_no_row_survives_returns_no_cell() {
+        // Every bottom member of dimension 0 is ragged at the upper level.
+        let dims = [
+            DimSpec {
+                bottoms: 4,
+                uppers: 2,
+                up: vec![NO_MEMBER; 4],
+            },
+            DimSpec::regular(5, 2),
+        ];
+        let cube = cycling_cube(&dims, 300);
+        let output = assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
+        assert!(output.cells.is_empty());
+        assert_eq!(output.axes.len(), 2);
+        // The same rows aggregate fine once the ragged dimension is sliced.
+        assert_eq!(
+            assert_matches_reference(&cube, &rolled_up(&[1], 2))
+                .cells
+                .len(),
+            2
+        );
+    }
+
+    #[test]
+    fn a_short_tail_segment_is_scanned_to_its_last_row() {
+        let dims = [DimSpec::regular(9, 4), DimSpec::regular(6, 3)];
+        for rows in [
+            1,
+            63,
+            64,
+            65,
+            SEGMENT_LEN - 1,
+            SEGMENT_LEN,
+            SEGMENT_LEN + 1,
+            2 * SEGMENT_LEN + 37,
+        ] {
+            let cube = cycling_cube(&dims, rows);
+            assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
+            let (_, stats) = execute_with_stats(&cube, &rolled_up(&[0, 1], 2), 1).unwrap();
+            assert_eq!(stats.rows_scanned, rows as u64);
+        }
+    }
+
+    #[test]
+    fn partly_and_fully_tombstoned_segments_drop_exactly_the_dead_rows() {
+        let dims = [DimSpec::regular(9, 4), DimSpec::regular(6, 3)];
+        let mut cube = cycling_cube(&dims, 3 * SEGMENT_LEN + 200);
+        // Segment 0: both ends of the segment and of a bitmap word.
+        for row in [0, 1, 63, 64, 127, 128, 2000, SEGMENT_LEN - 1] {
+            assert!(cube.tombstones.kill(row));
+        }
+        // Segment 1: entirely dead. Segment 2: untouched. The tail: dead
+        // rows only near its start, so the bitmap words end inside it.
+        for row in SEGMENT_LEN..2 * SEGMENT_LEN {
+            assert!(cube.tombstones.kill(row));
+        }
+        for row in [3 * SEGMENT_LEN, 3 * SEGMENT_LEN + 5, 3 * SEGMENT_LEN + 70] {
+            assert!(cube.tombstones.kill(row));
+        }
+        cube.verify_zone_invariants().unwrap();
+        assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
+        let (_, stats) = execute_with_stats(&cube, &rolled_up(&[0, 1], 2), 2).unwrap();
+        assert_eq!(stats.segments_dead, 1);
+        assert_eq!(
+            stats.tombstones_skipped, 11,
+            "the dead segment's rows are not scanned"
+        );
+        assert_eq!(stats.rows_scanned, (2 * SEGMENT_LEN + 200) as u64);
+        assert_eq!(stats.rows_aggregated, (2 * SEGMENT_LEN + 200 - 11) as u64);
+    }
+
+    #[test]
+    fn ragged_rows_drop_at_the_first_axis_that_loses_them() {
+        // Dimension 0: bottom member 1 has no upper ancestor. Dimension 1:
+        // fully regular. Rows additionally go unbound here and there.
+        let dims = [
+            DimSpec {
+                bottoms: 4,
+                uppers: 2,
+                up: vec![0, NO_MEMBER, 1, 0],
+            },
+            DimSpec::regular(5, 2),
+        ];
+        let rows = SEGMENT_LEN + 50;
+        let unbound_every = |n: usize, code: MemberId, row: usize| {
+            if row.is_multiple_of(n) {
+                NO_MEMBER
+            } else {
+                code
+            }
+        };
+        let codes = vec![
+            (0..rows)
+                .map(|row| unbound_every(7, (row % 4) as MemberId, row))
+                .collect(),
+            (0..rows)
+                .map(|row| unbound_every(11, (row % 5) as MemberId, row))
+                .collect(),
+        ];
+        let values = MeasureVector::Integer(CowVec::from_vec(vec![1; rows]));
+        let cube = synthetic_cube(&dims, codes, vec![(AggregateFunction::Count, values)]);
+        // At the upper level both the unbound and the ragged rows drop...
+        let output = assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
+        assert_eq!(output.cells.len(), 4);
+        // ... at the bottom level only the unbound ones.
+        let bottom = CubeQuery::default();
+        assert_eq!(assert_matches_reference(&cube, &bottom).cells.len(), 4 * 5);
+        let (_, stats) = execute_with_stats(&cube, &bottom, 1).unwrap();
+        let unbound = (0..rows)
+            .filter(|row| row.is_multiple_of(7) || row.is_multiple_of(11))
+            .count();
+        assert_eq!(stats.rows_no_member, unbound as u64);
+    }
+
+    /// A cube of `rows` regular rows over two dimensions whose bottom
+    /// member 3 is ambiguous at the upper level, with `overrides` placing
+    /// specific codes on specific rows.
+    fn ambiguous_cube(rows: usize, overrides: &[(usize, [MemberId; 2])]) -> MaterializedCube {
+        let spec = || DimSpec {
+            bottoms: 4,
+            uppers: 2,
+            up: vec![0, 1, 0, AMBIGUOUS_MEMBER],
+        };
+        let mut codes = vec![vec![0; rows], vec![1; rows]];
+        for &(row, [first, second]) in overrides {
+            codes[0][row] = first;
+            codes[1][row] = second;
+        }
+        let values = MeasureVector::Integer(CowVec::from_vec(vec![1; rows]));
+        synthetic_cube(
+            &[spec(), spec()],
+            codes,
+            vec![(AggregateFunction::Sum, values)],
+        )
+    }
+
+    fn refusal_of(cube: &MaterializedCube, threads: usize, prune: bool) -> String {
+        let query = rolled_up(&[0, 1], 2);
+        match execute_with_options(cube, &query, ExecOptions { threads, prune }) {
+            Err(CubeStoreError::Unsupported(message)) => message,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_row_lost_on_an_earlier_axis_never_refuses_on_a_later_one() {
+        // Row 10 is unbound on axis 0, row 20 dead; both would be
+        // ambiguous on axis 1 had they got that far.
+        let mut cube = ambiguous_cube(100, &[(10, [NO_MEMBER, 3]), (20, [0, 3])]);
+        assert!(cube.tombstones.kill(20));
+        let output = assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
+        assert_eq!(output.cells.len(), 1);
+        assert_eq!(output.cells[0].values, vec![Some(Term::integer(98))]);
+        // Sliced away, the ambiguous axis cannot refuse either.
+        assert_matches_reference(&ambiguous_cube(100, &[(5, [0, 3])]), &rolled_up(&[0], 2));
+    }
+
+    #[test]
+    fn the_refusal_is_the_one_of_the_first_offending_row_in_scan_order() {
+        // Row 5 is ambiguous on axis 1, row 9 on axis 0: the axis-0 pass
+        // meets row 9 first, yet row 5 comes first in row order.
+        let cube = ambiguous_cube(50, &[(9, [3, 1]), (5, [0, 3])]);
+        let expected = reference(&cube, &rolled_up(&[0, 1], 2)).unwrap_err();
+        assert!(expected.ends_with("dim/d1>"), "{expected}");
+        for (threads, prune) in [(1, false), (1, true), (4, false)] {
+            let message = refusal_of(&cube, threads, prune);
+            assert_eq!(
+                message,
+                format!(
+                    "member {} of dimension <{}> rolls up to several members of level <{}> \
+                     (non-functional roll-up); use the SPARQL backend",
+                    member("d1b99996"),
+                    dim(1).as_str(),
+                    upper(1).as_str()
+                )
+            );
+        }
+        // A row ambiguous on both axes refuses on the earlier axis.
+        let both = ambiguous_cube(50, &[(7, [3, 3])]);
+        assert!(refusal_of(&both, 1, false).contains("dim/d0>"));
+        // Across segments — and so across workers — the earlier segment's
+        // row wins, whatever axis it offends on.
+        let far = ambiguous_cube(
+            2 * SEGMENT_LEN + 10,
+            &[(SEGMENT_LEN + 3, [3, 1]), (17, [0, 3])],
+        );
+        for threads in [1, 2, 3] {
+            assert!(
+                refusal_of(&far, threads, false).contains("dim/d1>"),
+                "{threads} threads"
+            );
+        }
+        let far = ambiguous_cube(
+            2 * SEGMENT_LEN + 10,
+            &[(SEGMENT_LEN + 3, [0, 3]), (17, [3, 1])],
+        );
+        for threads in [1, 2, 3] {
+            assert!(
+                refusal_of(&far, threads, true).contains("dim/d0>"),
+                "{threads} threads"
+            );
+        }
+    }
+
+    /// The cells of `query` through an explicit key width and table kind.
+    fn cells_through<K: GroupKey>(
+        cube: &MaterializedCube,
+        query: &CubeQuery,
+        threads: usize,
+        hashed: bool,
+    ) -> Vec<OutputCell> {
+        let axes = plan_axes(cube, query).unwrap();
+        let plan = ScanPlan {
+            cube,
+            filters: compile_filters(query, &axes).unwrap(),
+            axes,
+            measures: cube.measure_columns(),
+            having: &query.measure_filters,
+            options: ExecOptions {
+                threads,
+                prune: false,
+            },
+        };
+        let mut space = KeySpace::<K>::of(&plan.axes).expect("the key space fits");
+        assert!(
+            space.dense_slots.is_some(),
+            "small enough for the dense table"
+        );
+        if hashed {
+            space.dense_slots = None;
+        }
+        run_keyed(&plan, &space, None).unwrap().0
+    }
+
+    #[test]
+    fn table_kind_and_key_width_do_not_show_in_the_output() {
+        // Co-prime cycle lengths: every row of the cube is its own group at
+        // the bottom levels (41 × 31 × 9 = 11 439 possible keys), which
+        // grows the hash table from its initial 1 024 slots several times;
+        // rolled up, 7 × 31 × 2 = 434 groups stay within it.
+        let dims = [
+            DimSpec::regular(41, 7),
+            DimSpec::regular(31, 31),
+            DimSpec::regular(9, 2),
+        ];
+        let cube = cycling_cube(&dims, 2 * SEGMENT_LEN + 500);
+        let mut having = rolled_up(&[0, 1, 2], 3);
+        having.measure_filters = vec![MeasureFilter::Compare {
+            measure: iri("measure/m0"),
+            op: CmpOp::Gt,
+            value: Term::integer(90_000),
+        }];
+        for query in [rolled_up(&[0, 1, 2], 3), CubeQuery::default(), having] {
+            let expected = execute_with_threads(&cube, &query, 1).unwrap().cells;
+            assert!(!expected.is_empty());
+            for threads in [1, 3] {
+                assert_eq!(
+                    cells_through::<u64>(&cube, &query, threads, false),
+                    expected
+                );
+                assert_eq!(cells_through::<u64>(&cube, &query, threads, true), expected);
+                assert_eq!(
+                    cells_through::<u128>(&cube, &query, threads, false),
+                    expected
+                );
+                assert_eq!(
+                    cells_through::<u128>(&cube, &query, threads, true),
+                    expected
+                );
+            }
+        }
+        let bottom = assert_matches_reference(&cube, &CubeQuery::default());
+        assert_eq!(bottom.cells.len(), cube.row_count());
+    }
+
+    /// Keys that differ only in their leading digits — a high-stride axis
+    /// varying while the others stand still — must still spread over the
+    /// hash table: only the top bits of a multiplicative hash see them.
+    #[test]
+    fn hashed_groups_spread_keys_that_differ_only_in_high_bits() {
+        let space = KeySpace::<u64> { radices: vec![], dense_slots: None };
+        let mut table = GroupTable::new(&space);
+        let homes: std::collections::BTreeSet<usize> =
+            (0..512u64).map(|digit| table.home(digit << 50)).collect();
+        assert!(homes.len() > 300, "{} distinct home slots of 512 keys", homes.len());
+        for digit in 0..5000u64 {
+            assert_eq!(table.group_of(digit << 50), digit as u32);
+        }
+        for digit in (0..5000u64).rev() {
+            assert_eq!(table.group_of(digit << 50), digit as u32, "found again after growth");
+        }
+        assert!(table.slots.len() >= 2 * 5000 && table.slots.len().is_power_of_two());
+    }
+
+    #[test]
+    fn a_key_space_past_u64_runs_the_same_kernel_on_u128_keys() {
+        // Five bottom levels of 2^13 members: 2^65 possible keys.
+        let dims: Vec<DimSpec> = (0..5).map(|_| DimSpec::regular(1 << 13, 3)).collect();
+        let cube = cycling_cube(&dims, SEGMENT_LEN + 300);
+        let axes = plan_axes(&cube, &CubeQuery::default()).unwrap();
+        assert!(
+            KeySpace::<u64>::of(&axes).is_none(),
+            "the product overflows u64"
+        );
+        let wide = KeySpace::<u128>::of(&axes).unwrap();
+        assert!(wide.dense_slots.is_none());
+        assert_matches_reference(&cube, &CubeQuery::default());
+        // Rolled up, the same cube fits u64 and the dense table again.
+        let axes = plan_axes(&cube, &rolled_up(&[0, 1, 2, 3, 4], 5)).unwrap();
+        assert_eq!(KeySpace::<u64>::of(&axes).unwrap().dense_slots, Some(243));
+        assert_matches_reference(&cube, &rolled_up(&[0, 1, 2, 3, 4], 5));
+    }
+
+    #[test]
+    fn every_aggregate_function_over_every_vector_type_at_any_thread_count() {
+        let rows = 2 * SEGMENT_LEN + 777;
+        let dims = [DimSpec::regular(11, 4), DimSpec::regular(3, 3)];
+        let codes = |step: usize, bottoms: usize| -> Vec<MemberId> {
+            (0..rows)
+                .map(|row| ((row * step) % bottoms) as MemberId)
+                .collect()
+        };
+        // Values that stress each route: integers up to the i64 edges (sums
+        // past i64 turn decimal), floats that cancel, integral floats (a
+        // double `2.0` is an integer input), both zeros.
+        let integers: Vec<i64> = (0..rows as i64)
+            .map(|row| match row % 97 {
+                0 => i64::MAX - row,
+                1 => i64::MIN + row,
+                _ => (row * 7919) % 1000 - 500,
+            })
+            .collect();
+        let floats: Vec<f64> = (0..rows)
+            .map(|row| match row % 13 {
+                0 => 1e16,
+                1 => -1e16,
+                2 => 0.0,
+                3 => -0.0,
+                4 => (row % 50) as f64,
+                5 => 2.5e15 + row as f64,
+                _ => (row as f64) * 0.37 - 800.25,
+            })
+            .collect();
+        let functions = [
+            AggregateFunction::Sum,
+            AggregateFunction::Avg,
+            AggregateFunction::Count,
+            AggregateFunction::Min,
+            AggregateFunction::Max,
+        ];
+        let vectors: [&dyn Fn() -> MeasureVector; 3] = [
+            &|| MeasureVector::Integer(CowVec::from_vec(integers.clone())),
+            &|| MeasureVector::Decimal(CowVec::from_vec(floats.clone())),
+            &|| MeasureVector::Double(CowVec::from_vec(floats.clone())),
+        ];
+        for vector in vectors {
+            let measures = functions
+                .iter()
+                .map(|&function| (function, vector()))
+                .collect();
+            let cube = synthetic_cube(&dims, vec![codes(1, 11), codes(5, 3)], measures);
+            // `assert_matches_reference` runs 1, 2 and 8 workers.
+            assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
+            assert_matches_reference(&cube, &rolled_up(&[1], 2));
+        }
+        // Signed zeros alone: MIN is the negative zero, MAX the positive,
+        // in whichever order and on whichever worker they arrive.
+        for zeros in [vec![0.0, -0.0, 0.0], vec![-0.0, 0.0, -0.0]] {
+            let mut values = vec![0.0; SEGMENT_LEN];
+            values.extend(&zeros);
+            values[..3].copy_from_slice(&zeros);
+            let rows = values.len();
+            let measures = vec![
+                (
+                    AggregateFunction::Min,
+                    MeasureVector::Double(CowVec::from_vec(values.clone())),
+                ),
+                (
+                    AggregateFunction::Max,
+                    MeasureVector::Decimal(CowVec::from_vec(values)),
+                ),
+            ];
+            let cube = synthetic_cube(&[DimSpec::regular(1, 1)], vec![vec![0; rows]], measures);
+            for threads in [1, 2] {
+                let output = execute_with_threads(&cube, &CubeQuery::default(), threads).unwrap();
+                assert_eq!(
+                    output.cells[0].values,
+                    vec![
+                        Some(Term::Literal(Literal::double(-0.0))),
+                        Some(Term::Literal(Literal::decimal(0.0)))
+                    ]
+                );
+            }
+        }
+    }
+}

@@ -147,6 +147,13 @@ impl RollupMap {
         self.map[bottom as usize]
     }
 
+    /// Every target, indexed by bottom-member code — the slice the segment
+    /// scan lifts a whole column segment through.
+    #[inline]
+    pub fn targets(&self) -> &[MemberId] {
+        &self.map
+    }
+
     /// Appends the target for the next bottom-member code (incremental
     /// maintenance: the bottom dictionary grew by one member). Copies the
     /// shared map on the first push of a refresh.

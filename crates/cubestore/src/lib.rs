@@ -96,7 +96,7 @@ pub use catalog::{
     CubeCatalog, MaintenanceReport, MaintenanceStrategy, RebuildReason, ReportLog,
     COMPACTION_LIVE_FRACTION,
 };
-pub use columns::{DimensionColumn, MeasureColumn, MeasureValue, MeasureVector};
+pub use columns::{DimensionColumn, MeasureColumn, MeasureSlice, MeasureValue, MeasureVector};
 pub use cowvec::CowVec;
 pub use dictionary::{Dictionary, MemberId, AMBIGUOUS_MEMBER, NO_MEMBER};
 pub use error::{CubeStoreError, DeltaRefusal, RefusalKind};

@@ -75,6 +75,19 @@ impl Tombstones {
             .map_or(0, |&count| count as usize)
     }
 
+    /// The bitmap words covering column segment `segment`, least
+    /// significant bit = the segment's first row. The slice is shorter than
+    /// `SEGMENT_LEN / 64` (possibly empty) where the words end early: rows
+    /// past them are live. Lets the segment scan turn liveness into row
+    /// lists 64 rows at a time instead of one [`Tombstones::is_dead`] probe
+    /// per row.
+    pub fn segment_words(&self, segment: usize) -> &[u64] {
+        const WORDS: usize = SEGMENT_LEN / 64;
+        let start = (segment * WORDS).min(self.words.len());
+        let end = (start + WORDS).min(self.words.len());
+        &self.words[start..end]
+    }
+
     /// Marks `row` dead. Returns `false` (and changes nothing) if the row
     /// was already dead. Clones the shared words at most once per refresh.
     pub fn kill(&mut self, row: usize) -> bool {
@@ -134,6 +147,19 @@ mod tests {
             (0..4).map(|s| t.dead_in_segment(s)).sum::<usize>(),
             t.dead_rows()
         );
+    }
+
+    #[test]
+    fn segment_words_cover_exactly_the_segment() {
+        let mut t = Tombstones::new();
+        assert!(t.segment_words(0).is_empty(), "no words = every row live");
+        t.kill(1);
+        t.kill(SEGMENT_LEN + 65);
+        assert_eq!(t.segment_words(0).len(), SEGMENT_LEN / 64);
+        assert_eq!(t.segment_words(0)[0], 0b10);
+        assert_eq!(t.segment_words(1), &[0, 0b10], "the words end early");
+        assert!(t.segment_words(2).is_empty());
+        assert!(t.segment_words(99).is_empty());
     }
 
     #[test]

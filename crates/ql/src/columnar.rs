@@ -133,7 +133,7 @@ pub(crate) fn execute_columnar(
 ) -> Result<(ResultCube, cubestore::ScanStats), QlError> {
     let query = to_cube_query(&prepared.pipeline)?;
     let (output, stats) =
-        cubestore::execute_with_stats(cube, &query, cubestore::auto_scan_threads(cube))?;
+        cubestore::execute_with_options(cube, &query, cubestore::ExecOptions::auto())?;
     Ok((assemble_result(output, prepared)?, stats))
 }
 
@@ -167,7 +167,8 @@ pub(crate) fn execute_columnar_traced(
     Ok((result, profile, stats))
 }
 
-/// Validates the axis alignment and builds the sorted result cube.
+/// Validates the axis alignment and wraps the cells, which `cubestore`
+/// returns in the cube's canonical coordinate order already.
 fn assemble_result(
     output: cubestore::QueryOutput,
     prepared: &PreparedQuery,
@@ -190,7 +191,7 @@ fn assemble_result(
         )));
     }
 
-    let mut result = ResultCube {
+    let result = ResultCube {
         axes: prepared.translation.axes.clone(),
         measures: prepared.translation.measures.clone(),
         cells: output
@@ -202,7 +203,10 @@ fn assemble_result(
             })
             .collect(),
     };
-    result.sort_cells();
+    debug_assert!(
+        result.cells.windows(2).all(|pair| pair[0].coordinates <= pair[1].coordinates),
+        "cubestore returns cells in canonical coordinate order"
+    );
     Ok(result)
 }
 

@@ -296,10 +296,13 @@ impl fmt::Debug for Literal {
 
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\"{}\"", escape_literal(&self.lexical))?;
+        f.write_str("\"")?;
+        write_escaped_literal(f, &self.lexical)?;
+        f.write_str("\"")?;
         if let Some(lang) = &self.language {
             write!(f, "@{lang}")
-        } else if self.datatype != xsd::string() {
+        } else if self.datatype.as_str().strip_prefix(xsd::NAMESPACE) != Some("string") {
+            // Compared as text: `xsd::string()` would allocate an IRI.
             write!(f, "^^{}", self.datatype)
         } else {
             Ok(())
@@ -310,17 +313,30 @@ impl fmt::Display for Literal {
 /// Escapes a literal lexical form for N-Triples/Turtle output.
 pub fn escape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
+    write_escaped_literal(&mut out, s).expect("writing into a String cannot fail");
     out
+}
+
+/// [`escape_literal`] straight into a writer, so displaying a literal
+/// builds no intermediate `String`.
+fn write_escaped_literal(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    // Every escaped byte is ASCII: the stretches between them are whole
+    // UTF-8 sequences.
+    let mut written = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        out.write_str(&s[written..at])?;
+        out.write_str(escape)?;
+        written = at + 1;
+    }
+    out.write_str(&s[written..])
 }
 
 /// Any RDF term.

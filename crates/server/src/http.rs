@@ -425,19 +425,39 @@ pub fn percent_encode(text: &str) -> String {
 pub fn json_string(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
     out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_json_into(&mut out, text);
     out.push('"');
     out
+}
+
+/// Appends `text` to `out` with the escapes a JSON string needs, without the
+/// surrounding quotes: the one definition of the wire format's escaping,
+/// shared by [`json_string`] and the streaming serializers in
+/// [`crate::json`].
+pub fn escape_json_into(out: &mut String, text: &str) {
+    use std::fmt::Write;
+    // Every byte that needs an escape is ASCII, so the stretches between
+    // them are whole UTF-8 sequences and copy over as they are.
+    let mut copied = 0;
+    for (at, byte) in text.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&text[copied..at]);
+        if escape.is_empty() {
+            write!(out, "\\u{byte:04x}").expect("writing into a String cannot fail");
+        } else {
+            out.push_str(escape);
+        }
+        copied = at + 1;
+    }
+    out.push_str(&text[copied..]);
 }
 
 /// The read timeout the connection loop installs: `None` means block

@@ -9,9 +9,39 @@
 //! N-Triples form (the `Display` impl of [`rdf::Term`]), which keeps IRIs,
 //! blank nodes and typed literals unambiguous inside JSON strings.
 
-use crate::http::json_string;
+use std::fmt::{self, Write};
+
+use crate::http::escape_json_into;
 use ql::ResultCube;
+use rdf::Term;
 use sparql::Solutions;
+
+/// A [`fmt::Write`] sink that JSON-escapes everything formatted into it on
+/// the way into the output buffer, so a term's `Display` form lands in the
+/// body without an intermediate `String`.
+struct Escaped<'a>(&'a mut String);
+
+impl Write for Escaped<'_> {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        escape_json_into(self.0, text);
+        Ok(())
+    }
+}
+
+/// Appends `value`'s `Display` form as one JSON string.
+fn push_string(out: &mut String, value: impl fmt::Display) {
+    out.push('"');
+    write!(Escaped(out), "{value}").expect("writing into a String cannot fail");
+    out.push('"');
+}
+
+/// Appends a term in its N-Triples form, or `null` for an absent one.
+fn push_term(out: &mut String, term: Option<&Term>) {
+    match term {
+        Some(term) => push_string(out, term),
+        None => out.push_str("null"),
+    }
+}
 
 /// Renders a [`ResultCube`] as the canonical `/ql` response body.
 ///
@@ -25,29 +55,35 @@ use sparql::Solutions;
 /// ([`ResultCube::sort_cells`]), so two identical cubes always serialize
 /// to identical bytes.
 pub fn cube_to_json(cube: &ResultCube) -> String {
-    let mut out = String::with_capacity(256 + cube.cells.len() * 64);
+    // Per cell: 31 bytes of punctuation plus one quoted term per axis and
+    // measure — an IRI or a typed literal, ≈ 60 bytes either way. The
+    // header names two or three IRIs per axis and measure.
+    let (axes, measures) = (cube.axes.len(), cube.measures.len());
+    let per_cell = 32 + 64 * (axes + measures);
+    let mut out = String::with_capacity(64 + 192 * (axes + measures) + cube.cells.len() * per_cell);
     out.push_str("{\"axes\":[");
     for (i, axis) in cube.axes.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{{\"dimension\":{},\"level\":{},\"variable\":{}}}",
-            json_string(axis.dimension.as_str()),
-            json_string(axis.level.as_str()),
-            json_string(&axis.variable),
-        ));
+        out.push_str("{\"dimension\":");
+        push_string(&mut out, axis.dimension.as_str());
+        out.push_str(",\"level\":");
+        push_string(&mut out, axis.level.as_str());
+        out.push_str(",\"variable\":");
+        push_string(&mut out, &axis.variable);
+        out.push('}');
     }
     out.push_str("],\"measures\":[");
     for (i, (measure, variable)) in cube.measures.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{{\"measure\":{},\"variable\":{}}}",
-            json_string(measure.as_str()),
-            json_string(variable),
-        ));
+        out.push_str("{\"measure\":");
+        push_string(&mut out, measure.as_str());
+        out.push_str(",\"variable\":");
+        push_string(&mut out, variable);
+        out.push('}');
     }
     out.push_str("],\"cells\":[");
     for (i, cell) in cube.cells.iter().enumerate() {
@@ -59,17 +95,14 @@ pub fn cube_to_json(cube: &ResultCube) -> String {
             if j > 0 {
                 out.push(',');
             }
-            out.push_str(&json_string(&term.to_string()));
+            push_term(&mut out, Some(term));
         }
         out.push_str("],\"values\":[");
         for (j, value) in cell.values.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            match value {
-                Some(term) => out.push_str(&json_string(&term.to_string())),
-                None => out.push_str("null"),
-            }
+            push_term(&mut out, value.as_ref());
         }
         out.push_str("]}");
     }
@@ -82,13 +115,14 @@ pub fn cube_to_json(cube: &ResultCube) -> String {
 /// body: `{"variables":[...],"rows":[["<term>",null,...],...]}` with terms
 /// in N-Triples form and unbound variables as `null`.
 pub fn solutions_to_json(solutions: &Solutions) -> String {
-    let mut out = String::with_capacity(64 + solutions.rows.len() * 48);
+    let per_row = 4 + 64 * solutions.variables.len();
+    let mut out = String::with_capacity(64 + solutions.rows.len() * per_row);
     out.push_str("{\"variables\":[");
     for (i, variable) in solutions.variables.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&json_string(variable.name()));
+        push_string(&mut out, variable.name());
     }
     out.push_str("],\"rows\":[");
     for (i, row) in solutions.rows.iter().enumerate() {
@@ -100,10 +134,7 @@ pub fn solutions_to_json(solutions: &Solutions) -> String {
             if j > 0 {
                 out.push(',');
             }
-            match binding {
-                Some(term) => out.push_str(&json_string(&term.to_string())),
-                None => out.push_str("null"),
-            }
+            push_term(&mut out, binding.as_ref());
         }
         out.push(']');
     }

@@ -160,10 +160,17 @@ mod tests {
         });
         let pool = WorkerPool::start(1, 0, handler);
 
-        // First connection occupies the worker...
+        // First connection occupies the worker, once the freshly spawned
+        // thread has reached its `recv` (a rendezvous send before that
+        // finds nobody listening)...
         let _c1 = connected_pair(&listener);
-        let (s1, _) = listener.accept().unwrap();
-        pool.try_dispatch(s1).expect("a worker is waiting");
+        let (mut s1, _) = listener.accept().unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while let Err(back) = pool.try_dispatch(s1) {
+            assert!(std::time::Instant::now() < deadline, "a worker is waiting");
+            s1 = back;
+            std::thread::yield_now();
+        }
         // ... give it a moment to actually dequeue, then the rendezvous
         // channel has nobody listening: dispatch must hand the stream back.
         std::thread::sleep(Duration::from_millis(50));

@@ -166,6 +166,17 @@ impl NumericSum {
         }
     }
 
+    /// A sum of exclusively integer-routed inputs whose exact total a caller
+    /// already holds (the columnar scan keeps integer measures in a bare
+    /// `i128`), so the typing rules of [`NumericSum::sum_term`] and the
+    /// rounding of [`NumericSum::value`] stay defined in one place.
+    pub fn from_integer_total(total: i128) -> Self {
+        NumericSum {
+            int_sum: total,
+            ..Self::new()
+        }
+    }
+
     /// Accumulates an integer-routed value (exact).
     pub fn add_integer(&mut self, value: i64) {
         self.int_sum += value as i128;

@@ -137,6 +137,15 @@ fn saturated_pool_refuses_with_429() {
     let server = empty_server(config);
     let addr = server.addr();
 
+    // A rendezvous queue refuses while the freshly spawned worker has not
+    // reached its first `recv` yet: wait until it serves.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while Client::connect(addr).expect("connect").get("/health").expect("request").status != 200 {
+        assert!(std::time::Instant::now() < deadline, "the worker never came up");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(50)); // the warm-up connection has closed
+
     // Occupy the single worker...
     let busy = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("connect");
