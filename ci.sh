@@ -45,6 +45,14 @@ QB2OLAP_FUZZ_STEPS=200 cargo test --release -q -p qb2olap-suite --test integrati
 QB2OLAP_FUZZ_SEED=0xE155EED QB2OLAP_FUZZ_PROGRAMS=500 QB2OLAP_FUZZ_QUERIES=500 \
     cargo test --release -q -p qb2olap-suite --test integration_qlsmith
 
+# The evaluator's machine-independent allocation bounds, pinned by name:
+# over a 2 000- and an 8 000-observation cube the observation-pivot SELECT
+# costs one allocation per decoded solution plus a constant (a constant
+# alone when dictionary-encoded), Mary's translated SPARQL a constant plus
+# a few per group, and a cube build grows with distinct members, not cells
+# — no per-intermediate-row allocation anywhere on the SPARQL → columns path.
+cargo test --release -q -p qb2olap_bench --test sparql_allocations
+
 # The observability gates, pinned by name: the explain-smoke test (an
 # EXPLAIN ANALYZE profile must name every pipeline step with timings and
 # row counts on both backends), the metrics-invariant test (a
@@ -127,6 +135,13 @@ cargo run --release -p qb2olap_bench --bin repro -- e18 --observations 12000 > /
 # 429, keep-alive, graceful shutdown, wire bodies bit-identical to library
 # results over the E7 workload) cannot be quarantined away.
 cargo test --release -q -p qb2olap-suite --test integration_server
+# Flake check: the pool's saturation unit test rendezvouses on a channel
+# (the handler signals when it holds the stream) instead of sleeping; fifty
+# consecutive runs must all pass.
+for _ in $(seq 1 50); do
+    cargo test --release -q -p qb2olap_server --lib -- \
+        pool::tests::rendezvous_queue_refuses_when_workers_are_busy
+done
 # Then E19: loadgen drives 32 keep-alive connections of /ql traffic twice
 # — idle and under forced background rebuilds — checking every response
 # body against the library-computed canonical JSON, and --gate fails the
@@ -163,6 +178,7 @@ grep -q 'E17' EXPERIMENTS.md
 grep -q 'E18' EXPERIMENTS.md
 grep -q 'E19' EXPERIMENTS.md
 grep -q 'E20' EXPERIMENTS.md
+grep -q 'E21' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -1,0 +1,131 @@
+//! The id-level SPARQL evaluator allocates per query, per pattern and per
+//! solution — never per intermediate row — and the cube build on top of it
+//! allocates per distinct member, not per cell. Checked by count, so the
+//! bounds hold on any machine: the same queries over a demo cube of 2 000
+//! and of 8 000 observations walk four times the intermediate rows and
+//! must cost (nearly) the same number of allocations beyond their output.
+
+use qb2olap::cubestore::MaterializedCube;
+use qb2olap::datagen::workload::mary_query;
+use qb2olap::{Endpoint, SparqlVariant};
+use qb2olap_bench::alloc_counter::{allocations, CountingAllocator};
+use qb2olap_bench::demo_cube;
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = allocations();
+    let value = f();
+    (value, allocations() - before)
+}
+
+/// What one scale costs: (solutions, allocations) of the observation-pivot
+/// SELECT decoded and dictionary-encoded and of Mary's translated SPARQL,
+/// and (fact cells, allocations) of a cube build.
+struct Scale {
+    pivot: (u64, u64),
+    pivot_encoded: (u64, u64),
+    mary: (u64, u64),
+    build: (u64, u64),
+}
+
+fn measure(observations: usize) -> Scale {
+    let cube = demo_cube(observations);
+    let endpoint = &cube.endpoint;
+    // The query `qb::load_observations` sends.
+    let pivot = format!(
+        "PREFIX qb: <http://purl.org/linked-data/cube#>
+         SELECT ?obs ?p ?v WHERE {{
+           {{ SELECT DISTINCT ?obs WHERE {{ ?obs qb:dataSet <{}> }} ORDER BY ?obs }}
+           ?obs ?p ?v .
+         }}",
+        cube.dataset.as_str()
+    );
+    let tool = qb2olap::Qb2Olap::new(endpoint.clone());
+    let querying = tool
+        .querying(&cube.dataset)
+        .expect("the demo cube is enriched");
+    let mary = querying
+        .prepare(&mary_query())
+        .expect("Mary's query prepares")
+        .sparql(SparqlVariant::Direct);
+    let schema = querying.schema().clone();
+    let build = || MaterializedCube::from_endpoint(endpoint, &schema).expect("materializes");
+    // Once unmeasured: lazily initialized statics allocate on first use.
+    endpoint.select(&pivot).expect("pivot");
+    build();
+
+    let (decoded, pivot_allocations) = counted(|| endpoint.select(&pivot).expect("pivot"));
+    let (encoded, encoded_allocations) =
+        counted(|| endpoint.select_encoded(&pivot).expect("pivot"));
+    assert_eq!(encoded.len(), decoded.len());
+    assert!(
+        decoded.len() >= 8 * observations,
+        "every triple of every observation"
+    );
+    let (answer, mary_allocations) = counted(|| endpoint.select(&mary).expect("Mary's query"));
+    assert!(!answer.is_empty());
+    let (materialized, build_allocations) = counted(build);
+    assert_eq!(materialized.row_count(), observations);
+    let columns = materialized.dimension_columns().len() + materialized.measure_columns().len();
+    Scale {
+        pivot: (decoded.len() as u64, pivot_allocations),
+        pivot_encoded: (encoded.len() as u64, encoded_allocations),
+        mary: (answer.len() as u64, mary_allocations),
+        build: ((observations * columns) as u64, build_allocations),
+    }
+}
+
+#[test]
+fn sparql_and_build_allocations_do_not_grow_with_intermediate_rows() {
+    let (small, large) = (measure(2_000), measure(8_000));
+
+    // Decoded solutions own one `Vec` each (the public shape); beyond
+    // that the evaluator spends a constant — tables grow by doubling.
+    const FIXED: u64 = 500;
+    for (solutions, spent) in [small.pivot, large.pivot] {
+        assert!(
+            spent <= solutions + FIXED,
+            "{spent} allocations for {solutions} decoded solutions"
+        );
+    }
+    // Encoded solutions are one flat table: no per-solution cost at all.
+    for (solutions, spent) in [small.pivot_encoded, large.pivot_encoded] {
+        assert!(
+            spent <= FIXED,
+            "{spent} allocations for {solutions} encoded solutions"
+        );
+    }
+    assert!(large.pivot_encoded.0 >= 4 * small.pivot_encoded.0);
+    assert!(large.pivot_encoded.1 <= small.pivot_encoded.1 + 64);
+
+    // Mary's query joins seventeen patterns over every observation and
+    // filters on `STR(..)` of two attributes before grouping: a few dozen
+    // groups out of tens of thousands of intermediate rows. It pays per
+    // pattern and per group (key, members, aggregate inputs, output row).
+    const PER_QUERY: u64 = 1_000;
+    const PER_GROUP: u64 = 20;
+    for (groups, spent) in [small.mary, large.mary] {
+        assert!(
+            spent <= PER_QUERY + PER_GROUP * groups,
+            "{spent} allocations for {groups} groups"
+        );
+    }
+
+    // The build allocates per distinct member (dictionaries, level
+    // indexes, labels, roll-up maps) and per column — not per fact cell:
+    // four times the cells over the same members costs a few more table
+    // doublings.
+    let (small_cells, small_spent) = small.build;
+    let (large_cells, large_spent) = large.build;
+    assert!(large_cells >= small_cells + 30_000);
+    assert!(
+        large_spent <= small_spent + 1_000,
+        "{large_spent} allocations for {large_cells} cells against {small_spent} for {small_cells}"
+    );
+    assert!(
+        small_spent < 8_000,
+        "{small_spent} allocations to build {small_cells} cells"
+    );
+}

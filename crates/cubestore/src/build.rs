@@ -6,14 +6,15 @@
 //! The build runs a handful of SPARQL queries *once*; afterwards every QL
 //! pipeline executes directly over the columns with no endpoint round-trip.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
+use qb::ComponentKind;
 use qb4olap::CubeSchema;
 use rdf::{Iri, Term};
 use sparql::Endpoint;
 
-use crate::columns::{DimensionColumn, MeasureColumn, MeasureVector};
+use crate::columns::{DimensionColumn, MeasureColumn, MeasureVector, StoredMeasure};
 use crate::dictionary::{Dictionary, MemberId, AMBIGUOUS_MEMBER, NO_MEMBER};
 use crate::error::CubeStoreError;
 use crate::hierarchy::{LevelIndex, RollupMap};
@@ -259,28 +260,39 @@ struct Builder<'a> {
 }
 
 impl Builder<'_> {
+    /// The rows of a two-column SELECT in which both columns are bound.
+    fn bound_pairs(&self, query: &str) -> Result<Vec<(Term, Term)>, CubeStoreError> {
+        let solutions = self.endpoint.select_encoded(query)?;
+        let term = |row: &[u32], column: usize| solutions.term(*row.get(column)?).cloned();
+        Ok(solutions.rows().filter_map(|row| Some((term(row, 0)?, term(row, 1)?))).collect())
+    }
+
     fn build(self) -> Result<MaterializedCube, CubeStoreError> {
         let mut stats = BuildStats::default();
 
         // The observations the SPARQL backend sees: typed `qb:Observation`
         // AND linked to the dataset. `qb::load_observations` only requires
         // the `qb:dataSet` link, so intersect with the typed set.
-        let typed: BTreeSet<Term> = self
-            .endpoint
-            .select(&format!(
-                "PREFIX qb: <http://purl.org/linked-data/cube#>
-                 SELECT ?o WHERE {{ ?o a qb:Observation ; qb:dataSet <{}> }}",
-                self.schema.dataset.as_str()
-            ))?
-            .rows
-            .iter()
-            .filter_map(|r| r.first().cloned().flatten())
-            .collect();
+        let typed = self.endpoint.select_encoded(&format!(
+            "PREFIX qb: <http://purl.org/linked-data/cube#>
+             SELECT ?o WHERE {{ ?o a qb:Observation ; qb:dataSet <{}> }}",
+            self.schema.dataset.as_str()
+        ))?;
+        let typed: HashSet<&Term> =
+            typed.rows().filter_map(|row| typed.term(*row.first()?)).collect();
 
         let structure = qb::load_dataset(self.endpoint, &self.schema.dataset)?.structure;
         let observations =
             qb::load_observations(self.endpoint, &self.schema.dataset, &structure, None)?;
         stats.observations_seen = observations.len();
+        let terms = &observations.terms;
+        // The table column holding a property, if the DSD declares the
+        // property with that kind.
+        let column_of = |property: &Iri, kind: ComponentKind| {
+            let components = &structure.components;
+            let column = components.iter().position(|c| &c.property == property)?;
+            (components[column].kind == kind).then_some(column)
+        };
 
         // Per-dimension bottom levels (the level IRI doubles as the
         // observation property, exactly as the SPARQL translator assumes).
@@ -297,54 +309,78 @@ impl Builder<'_> {
                 })?;
             bottoms.push(bottom);
         }
+        let bottom_columns: Vec<Option<usize>> =
+            bottoms.iter().map(|bottom| column_of(bottom, ComponentKind::Dimension)).collect();
+        let measure_columns: Vec<Option<usize>> = self
+            .schema
+            .measures
+            .iter()
+            .map(|measure| column_of(&measure.property, ComponentKind::Measure))
+            .collect();
 
         // Fact columns. A row is accepted only if the observation is typed
         // and carries a literal value for every measure (the SPARQL
-        // pattern's inner joins enforce the same).
+        // pattern's inner joins enforce the same). Cells are indexes into
+        // the table's distinct terms, so a member is dictionary-encoded and
+        // a measure literal parsed on first sight only: `member_codes` and
+        // `measure_values` remember the outcome per (column, term).
         let mut dictionaries: Vec<Dictionary> =
             vec![Dictionary::new(); self.schema.dimensions.len()];
+        let mut member_codes = vec![vec![NO_MEMBER; terms.len()]; self.schema.dimensions.len()];
         let mut codes: Vec<Vec<MemberId>> = vec![Vec::new(); self.schema.dimensions.len()];
         let mut measure_data: Vec<Option<MeasureVector>> = vec![None; self.schema.measures.len()];
+        let mut measure_values: Vec<Vec<Option<StoredMeasure>>> =
+            vec![vec![None; terms.len()]; self.schema.measures.len()];
         let mut row_count = 0usize;
         let mut observation_rows: HashMap<Term, usize> = HashMap::new();
         let mut dropped_observations: BTreeSet<Term> = BTreeSet::new();
         let mut multivalued_observations: BTreeSet<Term> = BTreeSet::new();
-        for observation in &observations {
-            if !typed.contains(&observation.node) {
+        for observation in 0..observations.len() {
+            let node = &terms[observations.node(observation) as usize];
+            let cells = observations.cells(observation);
+            // The term index of each measure's value, where it is a literal.
+            let literals = || {
+                measure_columns.iter().map(|column| {
+                    column
+                        .map(|column| cells[column] as usize)
+                        .filter(|&cell| terms.get(cell).is_some_and(Term::is_literal))
+                })
+            };
+            if !typed.contains(node) || literals().any(|cell| cell.is_none()) {
                 stats.rows_dropped += 1;
-                dropped_observations.insert(observation.node.clone());
+                dropped_observations.insert(node.clone());
                 continue;
             }
-            let mut literals = Vec::with_capacity(self.schema.measures.len());
-            for measure in &self.schema.measures {
-                match observation.measure(&measure.property).and_then(Term::as_literal) {
-                    Some(literal) => literals.push(literal),
-                    None => break,
-                }
-            }
-            if literals.len() != self.schema.measures.len() {
-                stats.rows_dropped += 1;
-                dropped_observations.insert(observation.node.clone());
-                continue;
-            }
-            for (index, literal) in literals.into_iter().enumerate() {
+            for (index, cell) in literals().flatten().enumerate() {
+                let literal = terms[cell].as_literal().expect("filtered to literals");
                 let vector = match &mut measure_data[index] {
                     Some(v) => v,
                     slot => slot.insert(MeasureVector::for_literal(literal)?),
                 };
-                vector.push(literal)?;
+                let value = match measure_values[index][cell] {
+                    Some(value) => value,
+                    None => *measure_values[index][cell].insert(vector.stored_value(literal)?),
+                };
+                vector.push_stored(value);
             }
-            for (index, bottom) in bottoms.iter().enumerate() {
-                let code = match observation.dimension(bottom) {
-                    Some(member) => dictionaries[index].encode(member),
+            for (index, column) in bottom_columns.iter().enumerate() {
+                let cell = column.map(|column| cells[column] as usize);
+                let code = match cell.filter(|&cell| cell < terms.len()) {
+                    Some(cell) => {
+                        let code = &mut member_codes[index][cell];
+                        if *code == NO_MEMBER {
+                            *code = dictionaries[index].encode(&terms[cell]);
+                        }
+                        *code
+                    }
                     None => NO_MEMBER,
                 };
                 codes[index].push(code);
             }
-            if !observation.multivalued.is_empty() {
-                multivalued_observations.insert(observation.node.clone());
+            if observations.multivalued(observation).next().is_some() {
+                multivalued_observations.insert(node.clone());
             }
-            observation_rows.insert(observation.node.clone(), row_count);
+            observation_rows.insert(node.clone(), row_count);
             row_count += 1;
         }
         stats.rows = row_count;
@@ -377,21 +413,10 @@ impl Builder<'_> {
         // Display labels, read once and shared by every level index (the
         // columnar Exploration paths serve member labels from here instead
         // of one SPARQL lookup per member).
-        let label_pairs: Vec<(Term, Term)> = self
-            .endpoint
-            .select(
-                "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-                 SELECT ?m ?v WHERE { ?m rdfs:label ?v } ORDER BY ?m ?v",
-            )?
-            .rows
-            .iter()
-            .filter_map(|r| {
-                match (r.first().cloned().flatten(), r.get(1).cloned().flatten()) {
-                    (Some(m), Some(v)) => Some((m, v)),
-                    _ => None,
-                }
-            })
-            .collect();
+        let label_pairs = self.bound_pairs(
+            "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
+             SELECT ?m ?v WHERE { ?m rdfs:label ?v } ORDER BY ?m ?v",
+        )?;
         let dataset_node = Term::Iri(self.schema.dataset.clone());
         let dataset_label = label_pairs
             .iter()
@@ -413,21 +438,10 @@ impl Builder<'_> {
                 }
                 let mut index = LevelIndex::new(level.clone(), dictionary);
                 for attribute in self.schema.level_attributes(level) {
-                    let pairs: Vec<(Term, Term)> = self
-                        .endpoint
-                        .select(&format!(
-                            "SELECT ?m ?v WHERE {{ ?m <{}> ?v }} ORDER BY ?m ?v",
-                            attribute.iri.as_str()
-                        ))?
-                        .rows
-                        .iter()
-                        .filter_map(|r| {
-                            match (r.first().cloned().flatten(), r.get(1).cloned().flatten()) {
-                                (Some(m), Some(v)) => Some((m, v)),
-                                _ => None,
-                            }
-                        })
-                        .collect();
+                    let pairs = self.bound_pairs(&format!(
+                        "SELECT ?m ?v WHERE {{ ?m <{}> ?v }} ORDER BY ?m ?v",
+                        attribute.iri.as_str()
+                    ))?;
                     index.set_attribute(attribute.iri.clone(), &pairs);
                 }
                 if !index.has_attribute(&rdf::vocab::rdfs::label()) {
@@ -440,18 +454,13 @@ impl Builder<'_> {
 
         // Member-level `skos:broader` adjacency, read once and retained on
         // the cube (incremental maintenance and exploration replay it).
-        let broader_rows = self.endpoint.select(
+        let mut broader: BTreeMap<Term, Vec<Term>> = BTreeMap::new();
+        for (child, parent) in self.bound_pairs(
             "PREFIX skos: <http://www.w3.org/2004/02/skos/core#>
              SELECT ?c ?p WHERE { ?c skos:broader ?p } ORDER BY ?c ?p",
-        )?;
-        let mut broader: BTreeMap<Term, Vec<Term>> = BTreeMap::new();
-        for row in &broader_rows.rows {
-            if let (Some(child), Some(parent)) =
-                (row.first().cloned().flatten(), row.get(1).cloned().flatten())
-            {
-                broader.entry(child).or_default().push(parent);
-                stats.broader_links += 1;
-            }
+        )? {
+            broader.entry(child).or_default().push(parent);
+            stats.broader_links += 1;
         }
 
         // Roll-up maps: for every level reachable upward from the bottom,

@@ -157,6 +157,15 @@ pub(crate) fn route_float(value: f64, decimal: bool) -> MeasureValue {
     }
 }
 
+/// One element of a [`MeasureVector`], as stored.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum StoredMeasure {
+    /// An element of an integer vector.
+    Integer(i64),
+    /// An element of a decimal or double vector.
+    Float(f64),
+}
+
 /// A dense, typed vector of measure values.
 ///
 /// The variant is chosen at build time from the XSD datatype of the measure
@@ -194,37 +203,46 @@ impl MeasureVector {
 
     /// Appends a value, verifying it reconstructs to exactly `literal`.
     pub fn push(&mut self, literal: &Literal) -> Result<(), CubeStoreError> {
-        let fail = |lit: &Literal| {
-            CubeStoreError::Unsupported(format!(
-                "measure literal \"{}\"^^<{}> does not round-trip through the columnar encoding",
-                lit.lexical(),
-                lit.datatype().as_str()
-            ))
-        };
-        match self {
-            MeasureVector::Integer(values) => {
-                let v = literal.as_integer().ok_or_else(|| fail(literal))?;
-                if Literal::integer(v) != *literal {
-                    return Err(fail(literal));
-                }
-                values.push(v);
-            }
-            MeasureVector::Decimal(values) => {
-                let v = literal.as_double().ok_or_else(|| fail(literal))?;
-                if Literal::decimal(v) != *literal {
-                    return Err(fail(literal));
-                }
-                values.push(v);
-            }
-            MeasureVector::Double(values) => {
-                let v = literal.as_double().ok_or_else(|| fail(literal))?;
-                if Literal::double(v) != *literal {
-                    return Err(fail(literal));
-                }
-                values.push(v);
-            }
-        }
+        let value = self.stored_value(literal)?;
+        self.push_stored(value);
         Ok(())
+    }
+
+    /// The value this vector stores for `literal`, verified to reconstruct
+    /// to exactly `literal`. Split from the append so the build parses each
+    /// distinct literal once, however many rows carry it.
+    pub(crate) fn stored_value(&self, literal: &Literal) -> Result<StoredMeasure, CubeStoreError> {
+        let parsed = match self {
+            MeasureVector::Integer(_) => literal
+                .as_integer()
+                .map(|v| (StoredMeasure::Integer(v), Literal::integer(v))),
+            MeasureVector::Decimal(_) => literal
+                .as_double()
+                .map(|v| (StoredMeasure::Float(v), Literal::decimal(v))),
+            MeasureVector::Double(_) => literal
+                .as_double()
+                .map(|v| (StoredMeasure::Float(v), Literal::double(v))),
+        };
+        match parsed {
+            Some((value, rebuilt)) if rebuilt == *literal => Ok(value),
+            _ => Err(CubeStoreError::Unsupported(format!(
+                "measure literal \"{}\"^^<{}> does not round-trip through the columnar encoding",
+                literal.lexical(),
+                literal.datatype().as_str()
+            ))),
+        }
+    }
+
+    /// Appends a value [`MeasureVector::stored_value`] produced for this
+    /// vector.
+    pub(crate) fn push_stored(&mut self, value: StoredMeasure) {
+        match (self, value) {
+            (MeasureVector::Integer(values), StoredMeasure::Integer(v)) => values.push(v),
+            (MeasureVector::Decimal(values) | MeasureVector::Double(values), StoredMeasure::Float(v)) => {
+                values.push(v)
+            }
+            _ => unreachable!("a stored value is pushed to the vector that produced it"),
+        }
     }
 
     /// The numeric value of one row as `f64`. For [`MeasureVector::Integer`]

@@ -346,6 +346,129 @@ mod tests {
         assert_eq!(cube.stats().rows_dropped, 2);
     }
 
+    /// Everything a build produces, rendered deterministically:
+    /// dictionaries in `MemberId` order, code columns, measure vectors,
+    /// level indexes with their attributes, roll-up maps, zone maps, the
+    /// observation → row index, the dropped / multi-valued sets, the
+    /// broader adjacency and the build counters.
+    fn build_state(cube: &MaterializedCube) -> String {
+        let members = |dictionary: &Dictionary| -> Vec<Term> {
+            dictionary.iter().map(|(_, term)| term.clone()).collect()
+        };
+        let mut out = format!("{:?}\n{:?}\n", cube.stats, cube.dataset_label);
+        for column in &cube.dimensions {
+            let codes: Vec<MemberId> = column.codes().collect();
+            out += &format!("{:?} {:?}\n", column.dimension, members(&column.dictionary));
+            out += &format!("{codes:?}\n");
+        }
+        for column in &cube.measures {
+            out += &format!("{:?} {:?}\n", column.property, column.data);
+        }
+        for (level, index) in &cube.levels {
+            out += &format!("{level:?} {:?}\n", members(&index.dictionary));
+            for attribute in index.attribute_iris() {
+                let values: Vec<Option<&Term>> = (0..index.member_count() as MemberId)
+                    .map(|member| index.attribute_value(attribute, member))
+                    .collect();
+                out += &format!("  {attribute:?} {values:?}\n");
+            }
+        }
+        for (key, map) in &cube.rollups {
+            out += &format!("{key:?} {:?}\n", map.targets());
+        }
+        out += &format!("{:?}\n", cube.zones);
+        out += &format!("{:?}\n{:?}\n", cube.dropped_observations, cube.multivalued_observations);
+        out += &format!("{:?}\n", cube.broader);
+        out
+    }
+
+    /// The build reads encoded solutions; `LocalEndpoint` produces them
+    /// natively, any other endpoint through the trait's decode-then-encode
+    /// default. Both must materialize the very same cube — including the
+    /// corners: dropped observations, a multi-valued slot, an unbound
+    /// dimension, float measures.
+    #[test]
+    fn native_and_default_encoded_solutions_build_identical_cubes() {
+        use sparql::ConservativeEndpoint;
+
+        let (endpoint, schema) = fixture(AggregateFunction::Avg);
+        let node = |name: &str| Term::iri(format!("http://example.org/obs/{name}"));
+        let link = |name: &str| Triple::new(node(name), rdf::vocab::qb::data_set(), iri("ds"));
+        let typed = |name: &str| {
+            Triple::new(node(name), rdf::vocab::rdf::type_(), Term::Iri(rdf::vocab::qb::observation()))
+        };
+        let mut extra = vec![
+            // Linked but untyped; typed but missing `score`: both dropped.
+            link("untyped"),
+            Triple::new(node("untyped"), iri("measure/value"), Literal::integer(1)),
+            typed("half"),
+            link("half"),
+            Triple::new(node("half"), iri("measure/value"), Literal::integer(1)),
+            // A second, different city on o1: multi-valued.
+            Triple::new(node("o1"), iri("lv/city"), member("c2")),
+            // Complete but for the month: an unbound dimension.
+            typed("monthless"),
+            link("monthless"),
+            Triple::new(node("monthless"), iri("lv/city"), member("c9")),
+            Triple::new(node("monthless"), iri("measure/value"), Literal::integer(20)),
+            Triple::new(node("monthless"), iri("measure/score"), Literal::integer(6)),
+        ];
+        extra.extend(testutil::observation_triples("o6", "c1", "m2", 20, 6));
+        endpoint.insert_triples(&extra).unwrap();
+
+        let native = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
+        let by_default =
+            MaterializedCube::from_endpoint(&ConservativeEndpoint::new(endpoint.clone()), &schema)
+                .unwrap();
+        assert_eq!(build_state(&native), build_state(&by_default));
+        for name in ["o1", "o6", "monthless", "half"] {
+            assert_eq!(
+                native.observations.row_of(&node(name)),
+                by_default.observations.row_of(&node(name))
+            );
+        }
+        native.verify_zone_invariants().unwrap();
+        // The corners are really there.
+        let stats = native.stats();
+        assert_eq!((stats.observations_seen, stats.rows, stats.rows_dropped), (9, 7, 2));
+        assert_eq!(native.multivalued_observations.len(), 1);
+        assert_eq!(native.dimension_column(&iri("dim/month")).unwrap().unbound_rows(), 1);
+        // Repeated values share one dictionary entry and one parse.
+        assert_eq!(native.dimension_column(&iri("dim/city")).unwrap().dictionary.len(), 4);
+
+        // A float measure, and a literal that does not round-trip: the same
+        // cube, and the same refusal, on both paths.
+        let (endpoint, schema) = fixture(AggregateFunction::Sum);
+        let value = |name: &str, literal: Literal| {
+            Triple::new(node(name), iri("measure/value"), literal)
+        };
+        let floats = LocalEndpoint::new();
+        for triple in endpoint.store().triples_matching(None, None, None) {
+            if triple.predicate != iri("measure/value") {
+                floats.insert_triples(&[triple]).unwrap();
+            }
+        }
+        for (name, v) in [("o1", 1.5), ("o2", 2.0), ("o3", 1.5), ("o4", -0.25), ("o5", 2.0)] {
+            floats.insert_triples(&[value(name, Literal::decimal(v))]).unwrap();
+        }
+        let native = MaterializedCube::from_endpoint(&floats, &schema).unwrap();
+        let by_default =
+            MaterializedCube::from_endpoint(&ConservativeEndpoint::new(floats.clone()), &schema)
+                .unwrap();
+        assert_eq!(build_state(&native), build_state(&by_default));
+        assert!(matches!(native.measures[0].data, MeasureVector::Decimal(_)));
+
+        floats.store().remove(&value("o5", Literal::decimal(2.0)));
+        floats
+            .insert_triples(&[value("o5", Literal::typed("02.50", rdf::vocab::xsd::decimal()))])
+            .unwrap();
+        let native = MaterializedCube::from_endpoint(&floats, &schema).unwrap_err();
+        let by_default =
+            MaterializedCube::from_endpoint(&ConservativeEndpoint::new(floats), &schema).unwrap_err();
+        assert!(matches!(native, CubeStoreError::Unsupported(_)), "{native}");
+        assert_eq!(native.to_string(), by_default.to_string());
+    }
+
     #[test]
     fn rollup_drops_ragged_members_and_sums() {
         let cube = build(AggregateFunction::Sum);

@@ -6,13 +6,13 @@
 //! work against the [`Endpoint`] trait, exactly as the original tool works
 //! against Virtuoso.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rdf::{Iri, Term};
-use sparql::{Endpoint, Solutions};
+use sparql::{EncodedSolutions, Endpoint, Solutions};
 
 use crate::error::QbError;
-use crate::model::{Component, ComponentKind, DataStructureDefinition, Observation, QbDataset};
+use crate::model::{Component, ComponentKind, DataStructureDefinition, QbDataset};
 
 /// A QB dataset discovered on an endpoint, with its DSD IRI and observation count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,6 +199,63 @@ pub fn dimension_members(
         .collect())
 }
 
+/// The observations of a dataset, pivoted: one row per observation node (in
+/// `Term` order of the nodes), one column per DSD component (in
+/// [`DataStructureDefinition::components`] order). Nodes and cells are
+/// indexes into [`ObservationTable::terms`], the distinct terms of the
+/// table, so a consumer does its per-term work — dictionary-encoding a
+/// member, parsing a measure literal — once per term and not once per cell.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ObservationTable {
+    /// The distinct terms nodes and cells index into.
+    pub terms: Vec<Term>,
+    columns: usize,
+    nodes: Vec<u32>,
+    cells: Vec<u32>,
+    /// `(observation, column)` of the dimension/measure slots that carried
+    /// several distinct values.
+    multivalued: BTreeSet<(usize, usize)>,
+}
+
+impl ObservationTable {
+    /// The cell of a component the observation has no value for.
+    pub const UNBOUND: u32 = EncodedSolutions::UNBOUND;
+
+    /// Number of observations.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True if the dataset has no observations.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The observation node (IRI or blank), as an index into `terms`.
+    pub fn node(&self, observation: usize) -> u32 {
+        self.nodes[observation]
+    }
+
+    /// One cell per DSD component: the value bound to it, as an index into
+    /// `terms`, or [`ObservationTable::UNBOUND`]. A slot that carried
+    /// several values keeps the last one the endpoint reported.
+    pub fn cells(&self, observation: usize) -> &[u32] {
+        &self.cells[observation * self.columns..(observation + 1) * self.columns]
+    }
+
+    /// The columns of the observation's dimension/measure slots that
+    /// carried **several distinct values** in the store (QB-malformed data;
+    /// the cell keeps only one). Consumers that freeze a single value per
+    /// slot — the columnar materialization — must treat these observations
+    /// conservatively: removing the kept value would silently expose the
+    /// other one.
+    pub fn multivalued(&self, observation: usize) -> impl Iterator<Item = usize> + '_ {
+        self.multivalued
+            .range((observation, 0)..(observation + 1, 0))
+            .map(|&(_, column)| column)
+    }
+}
+
 /// Loads observations of a dataset, classifying each bound property according
 /// to the DSD. `limit` bounds the number of observations fetched (None = all).
 pub fn load_observations(
@@ -206,7 +263,8 @@ pub fn load_observations(
     dataset: &Iri,
     dsd: &DataStructureDefinition,
     limit: Option<usize>,
-) -> Result<Vec<Observation>, QbError> {
+) -> Result<ObservationTable, QbError> {
+    const UNBOUND: u32 = ObservationTable::UNBOUND;
     let limit_clause = limit.map(|l| format!(" LIMIT {l}")).unwrap_or_default();
     let query = format!(
         "PREFIX qb: <http://purl.org/linked-data/cube#>
@@ -216,43 +274,70 @@ pub fn load_observations(
          }}",
         ds = dataset.as_str(),
     );
-    let solutions = endpoint.select(&query)?;
+    let solutions = endpoint.select_encoded(&query)?;
+    let column = |name: &str| {
+        solutions
+            .column(name)
+            .ok_or_else(|| QbError::Malformed(format!("the endpoint did not project ?{name}")))
+    };
+    let (obs_column, p_column, v_column) = (column("obs")?, column("p")?, column("v")?);
 
-    let mut observations: BTreeMap<Term, Observation> = BTreeMap::new();
-    for i in 0..solutions.len() {
-        let (Some(obs), Some(p), Some(v)) = (
-            solutions.get(i, "obs"),
-            solutions.get(i, "p"),
-            solutions.get(i, "v"),
-        ) else {
+    // Per distinct term, resolved on first use: the table row of a node,
+    // and the component column of a property (`None`: not an IRI).
+    let columns = dsd.components.len();
+    let mut row_of_node = vec![UNBOUND; solutions.terms.len()];
+    let mut column_of_property: Vec<Option<Option<usize>>> = vec![None; solutions.terms.len()];
+    let mut table = ObservationTable {
+        columns,
+        ..ObservationTable::default()
+    };
+    for row in solutions.rows() {
+        let (obs, p, v) = (row[obs_column], row[p_column], row[v_column]);
+        if [obs, p, v].contains(&UNBOUND) {
             continue;
+        }
+        let column = *column_of_property[p as usize].get_or_insert_with(|| {
+            let property = solutions.terms[p as usize].as_iri()?;
+            Some(dsd.components.iter().position(|c| &c.property == property).unwrap_or(columns))
+        });
+        let Some(column) = column else { continue };
+        let observation = match row_of_node[obs as usize] {
+            UNBOUND => {
+                row_of_node[obs as usize] = table.nodes.len() as u32;
+                table.nodes.push(obs);
+                table.cells.resize(table.cells.len() + columns, UNBOUND);
+                table.nodes.len() - 1
+            }
+            known => known as usize,
         };
-        let Some(property) = p.as_iri() else { continue };
-        let entry = observations
-            .entry(obs.clone())
-            .or_insert_with(|| Observation::new(obs.clone()));
-        match dsd.component(property).map(|c| c.kind) {
-            Some(ComponentKind::Dimension) => {
-                if let Some(previous) = entry.dimensions.insert(property.clone(), v.clone()) {
-                    if previous != *v {
-                        entry.multivalued.insert(property.clone());
-                    }
-                }
+        if let Some(component) = dsd.components.get(column) {
+            let cell = &mut table.cells[observation * columns + column];
+            if component.kind != ComponentKind::Attribute && ![UNBOUND, v].contains(cell) {
+                table.multivalued.insert((observation, column));
             }
-            Some(ComponentKind::Measure) => {
-                if let Some(previous) = entry.measures.insert(property.clone(), v.clone()) {
-                    if previous != *v {
-                        entry.multivalued.insert(property.clone());
-                    }
-                }
-            }
-            Some(ComponentKind::Attribute) => {
-                entry.attributes.insert(property.clone(), v.clone());
-            }
-            None => {}
+            *cell = v;
         }
     }
-    Ok(observations.into_values().collect())
+
+    // Rows in `Term` order of their nodes. The sub-select already orders
+    // them, so this re-orders only what a foreign endpoint sent otherwise.
+    let node = |observation: usize| &solutions.terms[table.nodes[observation] as usize];
+    if !(1..table.len()).all(|next| node(next - 1) < node(next)) {
+        let by_node: BTreeMap<&Term, usize> = (0..table.len()).map(|o| (node(o), o)).collect();
+        let order: Vec<usize> = by_node.into_values().collect();
+        let mut position = vec![0; table.len()];
+        for (new, &old) in order.iter().enumerate() {
+            position[old] = new;
+        }
+        table = ObservationTable {
+            nodes: order.iter().map(|&old| table.nodes[old]).collect(),
+            cells: order.iter().flat_map(|&old| table.cells(old).to_vec()).collect(),
+            multivalued: table.multivalued.iter().map(|&(old, c)| (position[old], c)).collect(),
+            ..table
+        };
+    }
+    table.terms = solutions.terms;
+    Ok(table)
 }
 
 /// The distinct properties observed on a set of resources, with usage counts.
@@ -387,14 +472,91 @@ mod tests {
     fn load_observations_roundtrip() {
         let (endpoint, dataset, dsd) = endpoint_with_tiny_cube();
         let structure = load_dsd(&endpoint, &dsd).unwrap();
-        let observations = load_observations(&endpoint, &dataset, &structure, None).unwrap();
-        assert_eq!(observations.len(), 3);
-        for obs in &observations {
-            assert_eq!(obs.dimensions.len(), 2);
-            assert_eq!(obs.measures.len(), 1);
-        }
+        let table = load_observations(&endpoint, &dataset, &structure, None).unwrap();
+        assert_eq!(table.len(), 3);
+        // Rows come in node order; columns follow the DSD (citizen, geo,
+        // obsValue) and every cell resolves through the shared term list.
+        let decoded: Vec<Vec<String>> = (0..table.len())
+            .map(|o| {
+                std::iter::once(table.node(o))
+                    .chain(table.cells(o).iter().copied())
+                    .map(|cell| table.terms[cell as usize].display_label())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            decoded,
+            vec![
+                vec!["obs0", "SY", "DE", "10"],
+                vec!["obs1", "SY", "FR", "4"],
+                vec!["obs2", "NG", "FR", "7"],
+            ]
+        );
+        assert!((0..3).all(|o| table.multivalued(o).next().is_none()));
+        // Five distinct members, three nodes, three values: shared cells
+        // share a term.
+        assert_eq!(table.cells(0)[0], table.cells(1)[0]);
         let limited = load_observations(&endpoint, &dataset, &structure, Some(2)).unwrap();
         assert_eq!(limited.len(), 2);
+    }
+
+    /// An endpoint that answers SELECTs with the rows in reverse: what a
+    /// foreign endpoint ignoring the sub-select's ORDER BY may send.
+    struct Reversed(LocalEndpoint);
+
+    impl Endpoint for Reversed {
+        fn query(&self, sparql: &str) -> Result<sparql::QueryResults, sparql::SparqlError> {
+            Ok(match self.0.query(sparql)? {
+                sparql::QueryResults::Solutions(mut solutions) => {
+                    solutions.rows.reverse();
+                    sparql::QueryResults::Solutions(solutions)
+                }
+                other => other,
+            })
+        }
+        fn insert_triples(&self, triples: &[rdf::Triple]) -> Result<usize, sparql::SparqlError> {
+            self.0.insert_triples(triples)
+        }
+        fn insert_triples_named(
+            &self,
+            graph: &Iri,
+            triples: &[rdf::Triple],
+        ) -> Result<usize, sparql::SparqlError> {
+            self.0.insert_triples_named(graph, triples)
+        }
+        fn triple_count(&self) -> usize {
+            self.0.triple_count()
+        }
+    }
+
+    #[test]
+    fn load_observations_orders_rows_whatever_the_endpoint_sends() {
+        let (endpoint, dataset, dsd) = endpoint_with_tiny_cube();
+        endpoint
+            .insert_triples(&[rdf::Triple::new(
+                Term::iri("http://example.org/obs0"),
+                eurostat_property::geo(),
+                Term::iri("http://example.org/dic/geo#AT"),
+            )])
+            .unwrap();
+        let structure = load_dsd(&endpoint, &dsd).unwrap();
+        let native = load_observations(&endpoint, &dataset, &structure, None).unwrap();
+        let reversed = load_observations(&Reversed(endpoint), &dataset, &structure, None).unwrap();
+        let decode = |table: &ObservationTable, cell: u32| table.terms.get(cell as usize).cloned();
+        for o in 0..native.len() {
+            assert_eq!(decode(&native, native.node(o)), decode(&reversed, reversed.node(o)));
+            assert_eq!(
+                native.multivalued(o).collect::<Vec<_>>(),
+                reversed.multivalued(o).collect::<Vec<_>>()
+            );
+            // Single-valued cells agree; the multi-valued one keeps
+            // whichever value arrived last.
+            for (c, (&a, &b)) in native.cells(o).iter().zip(reversed.cells(o)).enumerate() {
+                if !native.multivalued(o).any(|m| m == c) {
+                    assert_eq!(decode(&native, a), decode(&reversed, b));
+                }
+            }
+        }
     }
 
     #[test]
@@ -410,19 +572,18 @@ mod tests {
             )])
             .unwrap();
         let structure = load_dsd(&endpoint, &dsd).unwrap();
-        let observations = load_observations(&endpoint, &dataset, &structure, None).unwrap();
-        let obs0 = observations
-            .iter()
-            .find(|o| o.node == Term::iri("http://example.org/obs0"))
-            .unwrap();
+        let table = load_observations(&endpoint, &dataset, &structure, None).unwrap();
         assert_eq!(
-            obs0.multivalued.iter().collect::<Vec<_>>(),
-            vec![&eurostat_property::geo()]
+            table.terms[table.node(0) as usize],
+            Term::iri("http://example.org/obs0")
         );
-        assert!(observations
+        let geo = structure
+            .components
             .iter()
-            .filter(|o| o.node != obs0.node)
-            .all(|o| o.multivalued.is_empty()));
+            .position(|c| c.property == eurostat_property::geo())
+            .unwrap();
+        assert_eq!(table.multivalued(0).collect::<Vec<_>>(), vec![geo]);
+        assert!((1..table.len()).all(|o| table.multivalued(o).next().is_none()));
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub use builder::{dataset_triples, dsd_triples, observation_triples, QbDatasetBu
 pub use error::QbError;
 pub use introspect::{
     count_observations, dimension_members, list_datasets, load_dataset, load_dsd,
-    load_observations, properties_of_members, DatasetSummary,
+    load_observations, properties_of_members, DatasetSummary, ObservationTable,
 };
 pub use model::{Component, ComponentKind, DataStructureDefinition, Observation, QbDataset};
 pub use validate::{validate_dataset, Severity, ValidationIssue, ValidationReport};

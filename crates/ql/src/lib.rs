@@ -26,7 +26,6 @@ pub mod error;
 pub mod executor;
 pub mod parser;
 pub mod pipeline;
-pub mod reference;
 pub mod translate;
 
 pub use cubestore;
@@ -44,5 +43,4 @@ pub use error::QlError;
 pub use executor::{ExecutionBackend, PreparedQuery, QueryTimings, QueryingModule};
 pub use parser::parse_ql;
 pub use pipeline::{simplify, QueryPipeline, SimplificationReport};
-pub use reference::evaluate_reference;
 pub use translate::{translate, SparqlVariant, TranslationOutput};

@@ -6,9 +6,8 @@
 //! index layout of typical RDF stores (the role Virtuoso plays in the
 //! original QB2OLAP deployment).
 
-use std::collections::hash_map::Entry;
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
-use std::ops::Bound;
 
 use crate::term::{Iri, Term, Triple};
 
@@ -30,14 +29,15 @@ impl Interner {
 
     /// Returns the id for `term`, interning it if necessary.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        match self.ids.entry(term.clone()) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let id = self.terms.len() as TermId;
-                self.terms.push(term.clone());
-                *e.insert(id)
-            }
+        // Probe first: most calls hit (a bulk load interns ~3 terms per
+        // triple over a far smaller vocabulary), and a hit clones nothing.
+        if let Some(&id) = self.ids.get(term) {
+            return id;
         }
+        let id = self.terms.len() as TermId;
+        self.terms.push(term.clone());
+        self.ids.insert(term.clone(), id);
+        id
     }
 
     /// Returns the id of `term` if it has already been interned.
@@ -85,6 +85,9 @@ pub type EncodedTriple = (TermId, TermId, TermId);
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
     interner: Interner,
+    /// Predicate IRI → id of its `Term::Iri`, so encoding a triple wraps a
+    /// predicate in a `Term` once per distinct IRI, not once per triple.
+    predicates: HashMap<Iri, TermId>,
     spo: BTreeSet<(TermId, TermId, TermId)>,
     pos: BTreeSet<(TermId, TermId, TermId)>,
     osp: BTreeSet<(TermId, TermId, TermId)>,
@@ -114,9 +117,25 @@ impl Graph {
     /// Interns a triple's components without inserting it.
     fn encode(&mut self, triple: &Triple) -> EncodedTriple {
         let s = self.interner.intern(&triple.subject);
-        let p = self.interner.intern(&Term::Iri(triple.predicate.clone()));
+        let p = match self.predicates.get(&triple.predicate) {
+            Some(&id) => id,
+            None => {
+                let id = self.interner.intern(&Term::Iri(triple.predicate.clone()));
+                self.predicates.insert(triple.predicate.clone(), id);
+                id
+            }
+        };
         let o = self.interner.intern(&triple.object);
         (s, p, o)
+    }
+
+    /// The id of a predicate IRI, if any triple could carry it.
+    fn predicate_id(&self, predicate: &Iri) -> Option<TermId> {
+        match self.predicates.get(predicate) {
+            Some(&id) => Some(id),
+            // Interned only as a subject or object so far.
+            None => self.interner.get(&Term::Iri(predicate.clone())),
+        }
     }
 
     /// Inserts a triple. Returns `true` if it was not already present.
@@ -128,28 +147,27 @@ impl Graph {
     /// Inserts a batch of triples, returning how many were new.
     ///
     /// Into an **empty** graph this takes the fast path the ROADMAP's
-    /// bulk-load hot path asks for: reserve the interner up front, encode
-    /// everything, sort + dedup once, and build the three indexes from the
-    /// sorted runs — instead of three per-triple `BTreeSet` probes. On a
-    /// non-empty graph it falls back to per-triple insertion (the batch
-    /// must still be checked against what is already there).
-    pub fn bulk_insert<I: IntoIterator<Item = Triple>>(&mut self, triples: I) -> usize {
+    /// bulk-load hot path asks for: encode everything, sort + dedup once,
+    /// and build the three indexes from the sorted runs — instead of three
+    /// per-triple `BTreeSet` probes. On a non-empty graph it falls back to
+    /// per-triple insertion (the batch must still be checked against what
+    /// is already there). Triples may be passed by reference: nothing of a
+    /// triple is cloned but the terms the graph has not seen yet.
+    pub fn bulk_insert<I>(&mut self, triples: I) -> usize
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Triple>,
+    {
         let iter = triples.into_iter();
-        let (lower, _) = iter.size_hint();
         if !self.spo.is_empty() {
-            let mut added = 0;
-            for triple in iter {
-                if self.insert(&triple) {
-                    added += 1;
-                }
-            }
-            return added;
+            return iter.filter(|triple| self.insert(triple.borrow())).count();
         }
         // A fresh graph: no existing triples to collide with, so the only
         // duplicates are within the batch itself — sort + dedup finds them
-        // in one pass.
-        self.interner.reserve(lower);
-        let mut encoded: Vec<EncodedTriple> = iter.map(|t| self.encode(&t)).collect();
+        // in one pass. The interner grows with the distinct terms it meets:
+        // a batch has several triples per term, and a table sized for the
+        // triples would be touched sparsely, a fresh page per probe.
+        let mut encoded: Vec<EncodedTriple> = iter.map(|t| self.encode(t.borrow())).collect();
         encoded.sort_unstable();
         encoded.dedup();
         self.spo = encoded.iter().copied().collect();
@@ -172,7 +190,7 @@ impl Graph {
     pub fn remove(&mut self, triple: &Triple) -> bool {
         let (Some(s), Some(p), Some(o)) = (
             self.interner.get(&triple.subject),
-            self.interner.get(&Term::Iri(triple.predicate.clone())),
+            self.predicate_id(&triple.predicate),
             self.interner.get(&triple.object),
         ) else {
             return false;
@@ -189,7 +207,7 @@ impl Graph {
     pub fn contains(&self, triple: &Triple) -> bool {
         match (
             self.interner.get(&triple.subject),
-            self.interner.get(&Term::Iri(triple.predicate.clone())),
+            self.predicate_id(&triple.predicate),
             self.interner.get(&triple.object),
         ) {
             (Some(s), Some(p), Some(o)) => self.spo.contains(&(s, p, o)),
@@ -244,41 +262,27 @@ impl Graph {
         predicate: Option<&Iri>,
         object: Option<&Term>,
     ) -> Vec<Triple> {
-        self.match_pattern(subject, predicate, object)
-            .into_iter()
+        self.matching(subject, predicate, object)
             .map(|t| self.decode(t))
             .collect()
     }
 
-    /// Matches a triple pattern at the id level.
-    pub fn match_pattern(
+    /// Matches a triple pattern given as terms at the id level; a term the
+    /// graph has never seen matches nothing.
+    fn matching(
         &self,
         subject: Option<&Term>,
         predicate: Option<&Iri>,
         object: Option<&Term>,
-    ) -> Vec<EncodedTriple> {
-        let s = match subject {
-            Some(t) => match self.interner.get(t) {
-                Some(id) => Some(id),
-                None => return Vec::new(),
-            },
-            None => None,
-        };
-        let p = match predicate {
-            Some(iri) => match self.interner.get(&Term::Iri(iri.clone())) {
-                Some(id) => Some(id),
-                None => return Vec::new(),
-            },
-            None => None,
-        };
-        let o = match object {
-            Some(t) => match self.interner.get(t) {
-                Some(id) => Some(id),
-                None => return Vec::new(),
-            },
-            None => None,
-        };
-        self.match_ids(s, p, o)
+    ) -> impl Iterator<Item = EncodedTriple> + '_ {
+        let s = subject.map(|t| self.interner.get(t));
+        let p = predicate.map(|iri| self.predicate_id(iri));
+        let o = object.map(|t| self.interner.get(t));
+        let known = ![s, p, o].contains(&Some(None));
+        known
+            .then(|| self.matching_ids(s.flatten(), p.flatten(), o.flatten()))
+            .into_iter()
+            .flatten()
     }
 
     /// Matches a triple pattern where components are given as optional ids.
@@ -288,86 +292,58 @@ impl Graph {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Vec<EncodedTriple> {
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.spo.contains(&(s, p, o)) {
-                    vec![(s, p, o)]
-                } else {
-                    Vec::new()
-                }
+        self.matching_ids(s, p, o).collect()
+    }
+
+    /// Iterates the triples matching an id-level pattern (`None` =
+    /// wildcard) straight off the index whose sort order has the bound
+    /// components as a prefix — one range scan, nothing collected. This is
+    /// the single place an index is chosen; every other matcher sits on it.
+    pub fn matching_ids(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> impl Iterator<Item = EncodedTriple> + '_ {
+        // An index key back to (s, p, o) order.
+        type ToSpo = fn((TermId, TermId, TermId)) -> EncodedTriple;
+        // (index, its key components in sort order, key → (s, p, o)).
+        let (index, [a, b, c], to_spo): (_, _, ToSpo) = match (s, p, o) {
+            (Some(_), None, Some(_)) | (None, None, Some(_)) => {
+                (&self.osp, [o, s, p], |(o, s, p)| (s, p, o))
             }
-            (Some(s), Some(p), None) => self
-                .range2(&self.spo, s, p)
-                .map(|&(a, b, c)| (a, b, c))
-                .collect(),
-            (Some(s), None, None) => self
-                .range1(&self.spo, s)
-                .map(|&(a, b, c)| (a, b, c))
-                .collect(),
-            (None, Some(p), Some(o)) => self
-                .range2(&self.pos, p, o)
-                .map(|&(p, o, s)| (s, p, o))
-                .collect(),
-            (None, Some(p), None) => self
-                .range1(&self.pos, p)
-                .map(|&(p, o, s)| (s, p, o))
-                .collect(),
-            (None, None, Some(o)) => self
-                .range1(&self.osp, o)
-                .map(|&(o, s, p)| (s, p, o))
-                .collect(),
-            (Some(s), None, Some(o)) => self
-                .range2(&self.osp, o, s)
-                .map(|&(o, s, p)| (s, p, o))
-                .collect(),
-            (None, None, None) => self.spo.iter().copied().collect(),
-        }
-    }
-
-    fn range1<'a>(
-        &'a self,
-        index: &'a BTreeSet<(TermId, TermId, TermId)>,
-        first: TermId,
-    ) -> impl Iterator<Item = &'a (TermId, TermId, TermId)> {
-        index.range((
-            Bound::Included((first, 0, 0)),
-            Bound::Included((first, TermId::MAX, TermId::MAX)),
-        ))
-    }
-
-    fn range2<'a>(
-        &'a self,
-        index: &'a BTreeSet<(TermId, TermId, TermId)>,
-        first: TermId,
-        second: TermId,
-    ) -> impl Iterator<Item = &'a (TermId, TermId, TermId)> {
-        index.range((
-            Bound::Included((first, second, 0)),
-            Bound::Included((first, second, TermId::MAX)),
-        ))
+            (None, Some(_), _) => (&self.pos, [p, o, s], |(p, o, s)| (s, p, o)),
+            _ => (&self.spo, [s, p, o], |spo| spo),
+        };
+        debug_assert!(a.is_some() || b.is_none(), "bound components form a prefix");
+        debug_assert!(b.is_some() || c.is_none(), "bound components form a prefix");
+        let low = (a.unwrap_or(0), b.unwrap_or(0), c.unwrap_or(0));
+        let high = (
+            a.unwrap_or(TermId::MAX),
+            b.unwrap_or(TermId::MAX),
+            c.unwrap_or(TermId::MAX),
+        );
+        index.range(low..=high).map(move |&key| to_spo(key))
     }
 
     /// Convenience: all objects of `(subject, predicate, ?o)`.
     pub fn objects(&self, subject: &Term, predicate: &Iri) -> Vec<Term> {
-        self.triples_matching(Some(subject), Some(predicate), None)
-            .into_iter()
-            .map(|t| t.object)
+        self.matching(Some(subject), Some(predicate), None)
+            .map(|(_, _, o)| self.term(o).clone())
             .collect()
     }
 
     /// Convenience: the first object of `(subject, predicate, ?o)`, if any.
     pub fn object(&self, subject: &Term, predicate: &Iri) -> Option<Term> {
-        self.triples_matching(Some(subject), Some(predicate), None)
-            .into_iter()
-            .map(|t| t.object)
+        self.matching(Some(subject), Some(predicate), None)
+            .map(|(_, _, o)| self.term(o).clone())
             .next()
     }
 
     /// Convenience: all subjects of `(?s, predicate, object)`.
     pub fn subjects(&self, predicate: &Iri, object: &Term) -> Vec<Term> {
-        self.triples_matching(None, Some(predicate), Some(object))
-            .into_iter()
-            .map(|t| t.subject)
+        self.matching(None, Some(predicate), Some(object))
+            .map(|(s, _, _)| self.term(s).clone())
             .collect()
     }
 
@@ -462,6 +438,55 @@ mod tests {
         assert_eq!(g.triples_matching(None, Some(&p1), Some(&x)).len(), 2);
         assert_eq!(g.triples_matching(Some(&a), None, Some(&x)).len(), 1);
         assert_eq!(g.triples_matching(Some(&a), Some(&p1), Some(&x)).len(), 1);
+    }
+
+    #[test]
+    fn an_iri_is_one_term_in_any_position() {
+        let mut g = Graph::new();
+        // `q` is first seen as an object and then used as a predicate, `p`
+        // the other way round: one id each, whichever way they came in.
+        g.insert(&t("http://a", "http://p", "http://q"));
+        assert!(!g.contains(&t("http://a", "http://q", "http://p")));
+        assert!(g.insert(&t("http://a", "http://q", "http://p")));
+        assert_eq!(g.term_count(), 3);
+        assert_eq!(g.triples_matching(None, Some(&Iri::new("http://q")), None).len(), 1);
+        assert_eq!(g.subjects(&Iri::new("http://p"), &Term::iri("http://q")).len(), 1);
+        assert!(g.remove(&t("http://a", "http://q", "http://p")));
+        assert!(!g.remove(&t("http://a", "http://q", "http://p")));
+        assert_eq!(g.len(), 1);
+    }
+
+    #[test]
+    fn matching_ids_agrees_with_a_full_scan_for_every_shape() {
+        let mut g = Graph::new();
+        for i in 0..60u32 {
+            g.insert(&t(
+                &format!("http://s{}", i % 7),
+                &format!("http://p{}", i % 3),
+                &format!("http://o{}", i % 5),
+            ));
+        }
+        let all = g.match_ids(None, None, None);
+        assert_eq!(all.len(), g.len());
+        let (s0, p0, o0) = all[all.len() / 2];
+        let unused = g.term_count() as TermId + 7;
+        for s in [None, Some(s0), Some(unused)] {
+            for p in [None, Some(p0), Some(unused)] {
+                for o in [None, Some(o0), Some(unused)] {
+                    let wanted = |bound: Option<TermId>, id| bound.is_none_or(|b| b == id);
+                    let mut expected: Vec<EncodedTriple> = all
+                        .iter()
+                        .copied()
+                        .filter(|&(ts, tp, to)| wanted(s, ts) && wanted(p, tp) && wanted(o, to))
+                        .collect();
+                    let mut matched: Vec<EncodedTriple> = g.matching_ids(s, p, o).collect();
+                    assert_eq!(matched, g.match_ids(s, p, o));
+                    matched.sort_unstable();
+                    expected.sort_unstable();
+                    assert_eq!(matched, expected, "pattern ({s:?}, {p:?}, {o:?})");
+                }
+            }
+        }
     }
 
     #[test]

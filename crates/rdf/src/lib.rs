@@ -6,6 +6,7 @@
 //!
 //! * [`term`] — IRIs, blank nodes, typed literals, triples;
 //! * [`graph`] — an indexed in-memory graph (SPO/POS/OSP) with term interning;
+//! * [`heap`] — the allocator policy of a process that holds a store;
 //! * [`store`] — a thread-safe store with a default graph and named graphs;
 //! * [`parser`] / [`serializer`] — Turtle and N-Triples I/O;
 //! * [`namespace`] — prefix management;
@@ -33,6 +34,7 @@
 
 pub mod error;
 pub mod graph;
+pub mod heap;
 pub mod namespace;
 pub mod parser;
 pub mod serializer;

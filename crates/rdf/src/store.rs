@@ -7,6 +7,7 @@
 //! (`Arc` internally) so the Enrichment, Exploration and Querying modules
 //! can share a single endpoint, as in Figure 1 of the paper.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -144,9 +145,19 @@ impl StoreInner {
 }
 
 /// A shared, thread-safe collection of RDF graphs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Store {
     inner: Arc<RwLock<StoreInner>>,
+}
+
+impl Default for Store {
+    fn default() -> Self {
+        // A process that holds a store keeps the heap it grows into.
+        crate::heap::keep_freed_memory();
+        Store {
+            inner: Arc::default(),
+        }
+    }
 }
 
 impl Store {
@@ -286,14 +297,19 @@ impl Store {
     /// once and taking [`Graph::bulk_insert`]'s sort-and-build fast path
     /// when the store is still empty (the ROADMAP's bulk-load hot path).
     /// With the change log enabled the per-triple path is used instead, so
-    /// the exact set of newly inserted triples can be recorded.
-    pub fn bulk_insert<I: IntoIterator<Item = Triple>>(&self, triples: I) -> usize {
+    /// the exact set of newly inserted triples can be recorded. Triples
+    /// may be passed by reference (see [`Graph::bulk_insert`]).
+    pub fn bulk_insert<I>(&self, triples: I) -> usize
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Triple>,
+    {
         let mut inner = self.inner.write();
         if inner.log.is_some() {
             let mut inserted = Vec::new();
             for t in triples {
-                if inner.default_graph.insert(&t) {
-                    inserted.push(t);
+                if inner.default_graph.insert(t.borrow()) {
+                    inserted.push(t.borrow().clone());
                 }
             }
             let added = inserted.len();

@@ -154,8 +154,12 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let (block_tx, block_rx) = std::sync::mpsc::channel::<()>();
         let block_rx = Mutex::new(block_rx);
+        let (holding_tx, holding_rx) = std::sync::mpsc::channel::<()>();
+        let holding_tx = Mutex::new(holding_tx);
         let handler = Arc::new(move |_stream: TcpStream| {
-            // Park the single worker until the test releases it.
+            // Tell the test the single worker holds a stream (so it is not
+            // in `recv`), then park it until the test releases it.
+            holding_tx.lock().send(()).unwrap();
             let _ = block_rx.lock().recv_timeout(Duration::from_secs(5));
         });
         let pool = WorkerPool::start(1, 0, handler);
@@ -171,9 +175,12 @@ mod tests {
             s1 = back;
             std::thread::yield_now();
         }
-        // ... give it a moment to actually dequeue, then the rendezvous
-        // channel has nobody listening: dispatch must hand the stream back.
-        std::thread::sleep(Duration::from_millis(50));
+        // ... and once the handler says it holds that stream, the
+        // rendezvous channel has nobody listening: dispatch must hand the
+        // next stream back.
+        holding_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the worker picked the first connection up");
         let _c2 = connected_pair(&listener);
         let (s2, _) = listener.accept().unwrap();
         assert!(pool.try_dispatch(s2).is_err(), "saturated pool refuses");

@@ -441,6 +441,36 @@ impl Expression {
             Expression::Exists(_) | Expression::NotExists(_) => false,
         }
     }
+
+    /// Calls `visit` for every variable the expression mentions, `EXISTS`
+    /// bodies included.
+    pub fn visit_variables<'a>(&'a self, visit: &mut dyn FnMut(&'a Variable)) {
+        match self {
+            Expression::Var(v) => visit(v),
+            Expression::Constant(_) => {}
+            Expression::Not(e) | Expression::Neg(e) => e.visit_variables(visit),
+            Expression::And(a, b)
+            | Expression::Or(a, b)
+            | Expression::Compare(a, _, b)
+            | Expression::Arithmetic(a, _, b) => {
+                a.visit_variables(visit);
+                b.visit_variables(visit);
+            }
+            Expression::Call(_, args) => args.iter().for_each(|e| e.visit_variables(visit)),
+            Expression::Aggregate(aggregate) => {
+                if let Some(e) = &aggregate.expr {
+                    e.visit_variables(visit);
+                }
+            }
+            Expression::In(e, list) => {
+                e.visit_variables(visit);
+                list.iter().for_each(|e| e.visit_variables(visit));
+            }
+            Expression::Exists(pattern) | Expression::NotExists(pattern) => {
+                pattern.visit_variables(visit)
+            }
+        }
+    }
 }
 
 /// One row of a `VALUES` block: each entry is a term or `UNDEF`.
@@ -500,6 +530,36 @@ impl GroupGraphPattern {
     /// Appends a filter.
     pub fn push_filter(&mut self, expr: Expression) {
         self.elements.push(PatternElement::Filter(expr));
+    }
+
+    /// Calls `visit` for every variable in scope of the group: everything
+    /// its elements mention, and of a sub-select what it projects (its
+    /// inner variables are a scope of their own).
+    pub fn visit_variables<'a>(&'a self, visit: &mut dyn FnMut(&'a Variable)) {
+        for element in &self.elements {
+            match element {
+                PatternElement::Triple(pattern) => pattern.variables().into_iter().for_each(&mut *visit),
+                PatternElement::Filter(expr) => expr.visit_variables(visit),
+                PatternElement::Optional(g) | PatternElement::Minus(g) | PatternElement::Group(g) => {
+                    g.visit_variables(visit)
+                }
+                PatternElement::Union(a, b) => {
+                    a.visit_variables(visit);
+                    b.visit_variables(visit);
+                }
+                PatternElement::Bind { expr, var } => {
+                    expr.visit_variables(visit);
+                    visit(var);
+                }
+                PatternElement::Values { vars, .. } => vars.iter().for_each(&mut *visit),
+                PatternElement::SubSelect(sub) => match &sub.projection {
+                    Projection::Wildcard => sub.pattern.visit_variables(visit),
+                    Projection::Items(items) => {
+                        items.iter().for_each(|item| visit(item.output_variable()))
+                    }
+                },
+            }
+        }
     }
 
     /// Number of triple patterns (recursively, including nested groups,
@@ -612,6 +672,25 @@ impl SelectQuery {
                 SelectItem::Var(_) => false,
                 SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
             }),
+        }
+    }
+
+    /// Calls `visit` for every variable in the query's own scope (see
+    /// [`GroupGraphPattern::visit_variables`]): the evaluator sizes its
+    /// fixed-width solution rows from the distinct names seen here.
+    pub fn visit_variables<'a>(&'a self, visit: &mut dyn FnMut(&'a Variable)) {
+        self.pattern.visit_variables(visit);
+        if let Projection::Items(items) = &self.projection {
+            for item in items {
+                if let SelectItem::Expr { expr, .. } = item {
+                    expr.visit_variables(visit);
+                }
+                visit(item.output_variable());
+            }
+        }
+        let modifiers = self.group_by.iter().chain(&self.having);
+        for expr in modifiers.chain(self.order_by.iter().map(|c| &c.expr)) {
+            expr.visit_variables(visit);
         }
     }
 

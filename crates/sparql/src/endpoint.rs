@@ -14,10 +14,10 @@ use rdf::{Iri, Store, StoreDelta, Triple};
 
 use crate::ast::Query;
 use crate::error::SparqlError;
-use crate::eval::evaluate_query;
+use crate::eval::{evaluate_query, evaluate_select_encoded};
 use crate::parser::parse_query;
 use crate::pretty::query_to_string;
-use crate::results::{QueryResults, Solutions};
+use crate::results::{EncodedSolutions, QueryResults, Solutions};
 
 /// A SPARQL endpoint: accepts query text, returns results.
 pub trait Endpoint {
@@ -54,6 +54,19 @@ pub trait Endpoint {
                 "expected a SELECT query, got an ASK result".to_string(),
             )),
         }
+    }
+
+    /// Executes a SELECT query and returns its solutions dictionary-encoded
+    /// (see [`EncodedSolutions`]) — the entry point for bulk consumers that
+    /// do per-*term* work, such as the columnar cube build.
+    ///
+    /// The default encodes the decoded [`Self::select`] result, so every
+    /// endpoint that answers SELECTs answers this too (one query either
+    /// way); [`LocalEndpoint`] overrides it to hand out the evaluator's id
+    /// rows without decoding a term per cell first. Both yield the same
+    /// value.
+    fn select_encoded(&self, sparql: &str) -> Result<EncodedSolutions, SparqlError> {
+        Ok(self.select(sparql)?.into())
     }
 
     /// Executes an ASK query and returns its boolean.
@@ -167,8 +180,24 @@ impl Endpoint for LocalEndpoint {
             .with_default_graph(|graph| evaluate_query(graph, query))
     }
 
+    fn select_encoded(&self, sparql: &str) -> Result<EncodedSolutions, SparqlError> {
+        self.queries_executed.fetch_add(1, Ordering::Relaxed);
+        let parsed = {
+            let _parse_span = obs::span("sparql.parse");
+            parse_query(sparql)?
+        };
+        let Query::Select(select) = &parsed else {
+            return Err(SparqlError::Endpoint(
+                "expected a SELECT query, got an ASK result".to_string(),
+            ));
+        };
+        let _eval_span = obs::span("sparql.evaluate");
+        self.store
+            .with_default_graph(|graph| evaluate_select_encoded(graph, select))
+    }
+
     fn insert_triples(&self, triples: &[Triple]) -> Result<usize, SparqlError> {
-        Ok(self.store.bulk_insert(triples.iter().cloned()))
+        Ok(self.store.bulk_insert(triples))
     }
 
     fn insert_triples_named(&self, graph: &Iri, triples: &[Triple]) -> Result<usize, SparqlError> {

@@ -1,922 +1,686 @@
 //! The query evaluator: executes parsed queries against an [`rdf::Graph`].
 //!
-//! Evaluation is a straightforward pipeline of index nested-loop joins over
-//! the graph's SPO/POS/OSP indexes, followed by filtering, grouping /
-//! aggregation and solution modifiers. This is sufficient for the workloads
-//! QB2OLAP generates (star-shaped observation joins plus roll-up navigation
-//! joins and a final GROUP BY).
+//! Evaluation works on **term ids**, not terms. A partial solution is a
+//! fixed-width row of [`TermId`]s — one slot per variable of the query,
+//! `UNBOUND` where a variable has no binding — and the solutions of a
+//! pattern are one flat `Rows` table. Triple patterns resolve their
+//! constants to ids once and run index nested-loop joins over the graph's
+//! SPO/POS/OSP ranges ([`Graph::matching_ids`]); sub-selects, `VALUES` and
+//! `OPTIONAL` join whole tables; FILTER, BIND, GROUP BY, DISTINCT and
+//! ORDER BY evaluate compiled expressions (`crate::expr`) over the ids.
+//! Terms are materialised once, when a finished table becomes
+//! [`Solutions`] (or is re-numbered into [`EncodedSolutions`]). This is
+//! sufficient for the workloads QB2OLAP generates (star-shaped observation
+//! joins plus roll-up navigation joins and a final GROUP BY).
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 
-use rdf::{Graph, Iri, Literal, Term};
+use rdf::{Graph, Term, TermId};
 
 use crate::ast::*;
 use crate::error::SparqlError;
-use crate::results::{QueryResults, Solutions};
+pub use crate::expr::compare_terms;
+use crate::expr::{Expr, Group, SortKey, Terms, UNBOUND};
+use crate::results::{EncodedSolutions, QueryResults, Solutions};
 
 /// Evaluates any query form against a graph.
 pub fn evaluate_query(graph: &Graph, query: &Query) -> Result<QueryResults, SparqlError> {
     match query {
         Query::Select(q) => Ok(QueryResults::Solutions(evaluate_select(graph, q)?)),
         Query::Ask(q) => {
-            let mut ev = Evaluator::new(graph);
-            let rows = ev.eval_group(&q.pattern, vec![Vec::new()])?;
-            Ok(QueryResults::Boolean(!rows.is_empty()))
+            let scope = Scope::new(|visit| q.pattern.visit_variables(visit));
+            let mut ev = Evaluator::new(graph, scope);
+            let unit = Rows::unit(ev.scope.width);
+            Ok(QueryResults::Boolean(
+                ev.eval_group(&q.pattern, unit)?.len > 0,
+            ))
         }
     }
 }
 
 /// Evaluates a SELECT query against a graph.
 pub fn evaluate_select(graph: &Graph, query: &SelectQuery) -> Result<Solutions, SparqlError> {
-    Evaluator::new(graph).run_select(query)
+    let mut ev = Evaluator::new(graph, Scope::default());
+    let (names, table) = ev.run_select(query)?;
+    let decode = |&id: &TermId| (id != UNBOUND).then(|| ev.terms.get(id).clone());
+    Ok(Solutions {
+        variables: names.into_iter().map(Variable::new).collect(),
+        rows: table
+            .iter()
+            .map(|row| row.iter().map(decode).collect())
+            .collect(),
+    })
 }
 
-/// A partial solution: one entry per registered variable (None = unbound).
-type Row = Vec<Option<Term>>;
-
-struct Evaluator<'g> {
-    graph: &'g Graph,
-    vars: Vec<String>,
-    var_index: HashMap<String, usize>,
+/// Evaluates a SELECT query into dictionary-encoded solutions: the ids of
+/// the finished table are re-numbered densely and each distinct term is
+/// cloned once.
+pub fn evaluate_select_encoded(
+    graph: &Graph,
+    query: &SelectQuery,
+) -> Result<EncodedSolutions, SparqlError> {
+    let mut ev = Evaluator::new(graph, Scope::default());
+    let (names, mut table) = ev.run_select(query)?;
+    let mut local: HashMap<TermId, u32> = HashMap::new();
+    let mut terms = Vec::new();
+    for id in table.ids.iter_mut().filter(|id| **id != UNBOUND) {
+        let global = *id;
+        *id = *local.entry(global).or_insert_with(|| {
+            terms.push(ev.terms.get(global).clone());
+            terms.len() as u32 - 1
+        });
+    }
+    let variables = names.into_iter().map(Variable::new).collect();
+    Ok(EncodedSolutions::new(
+        variables, terms, table.ids, table.len,
+    ))
 }
 
-impl<'g> Evaluator<'g> {
-    fn new(graph: &'g Graph) -> Self {
+/// A table of partial solutions: `len` rows of `width` ids, row-major.
+#[derive(Clone)]
+pub(crate) struct Rows {
+    width: usize,
+    /// Kept explicitly: a table over zero slots still has a row count.
+    len: usize,
+    ids: Vec<TermId>,
+}
+
+impl Rows {
+    fn new(width: usize) -> Self {
+        Rows {
+            width,
+            len: 0,
+            ids: Vec::new(),
+        }
+    }
+
+    /// The join identity: one row binding nothing.
+    fn unit(width: usize) -> Self {
+        Rows {
+            width,
+            len: 1,
+            ids: vec![UNBOUND; width],
+        }
+    }
+
+    pub(crate) fn row(&self, index: usize) -> &[TermId] {
+        &self.ids[index * self.width..(index + 1) * self.width]
+    }
+
+    fn row_mut(&mut self, index: usize) -> &mut [TermId] {
+        &mut self.ids[index * self.width..(index + 1) * self.width]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[TermId]> + '_ {
+        (0..self.len).map(|index| self.row(index))
+    }
+
+    fn push(&mut self, row: &[TermId]) {
+        self.ids.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// Appends `row` extended by `bindings` (slot, id), unless a slot is
+    /// already bound to something else — a repeated slot checks against the
+    /// binding its first occurrence made. Unbound ids bind nothing.
+    fn push_merged(&mut self, row: &[TermId], bindings: impl Iterator<Item = (usize, TermId)>) {
+        let start = self.ids.len();
+        self.ids.extend_from_slice(row);
+        for (slot, id) in bindings.filter(|&(_, id)| id != UNBOUND) {
+            let cell = &mut self.ids[start + slot];
+            if *cell != UNBOUND && *cell != id {
+                self.ids.truncate(start);
+                return;
+            }
+            *cell = id;
+        }
+        self.len += 1;
+    }
+
+    fn append(&mut self, other: Rows) {
+        self.ids.extend_from_slice(&other.ids);
+        self.len += other.len;
+    }
+
+    /// Keeps the rows whose index `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let (width, mut kept) = (self.width, 0);
+        for index in 0..self.len {
+            if keep(index) {
+                self.ids
+                    .copy_within(index * width..(index + 1) * width, kept * width);
+                kept += 1;
+            }
+        }
+        self.ids.truncate(kept * width);
+        self.len = kept;
+    }
+
+    /// Binds `slot` to `column[i]` in every row `i` where that is bound
+    /// (BIND / `AS` semantics: an error leaves the row as it was).
+    fn bind_column(&mut self, slot: usize, column: &[TermId]) {
+        for (index, &value) in column.iter().enumerate() {
+            if value != UNBOUND {
+                self.row_mut(index)[slot] = value;
+            }
+        }
+    }
+
+    /// The rows `order` names, narrowed to `slots`.
+    fn gather(&self, order: impl Iterator<Item = usize>, slots: &[usize]) -> Rows {
+        let mut out = Rows::new(slots.len());
+        for index in order {
+            let row = self.row(index);
+            out.ids.extend(slots.iter().map(|&slot| row[slot]));
+            out.len += 1;
+        }
+        out
+    }
+}
+
+/// Numbers the rows of `keys` by distinct key in first-occurrence order:
+/// each row's group, and each group's first row.
+fn group_ids(keys: &Rows) -> (Vec<usize>, Vec<usize>) {
+    let mut index: HashMap<&[TermId], usize> = HashMap::new();
+    let mut firsts = Vec::new();
+    let group_of = keys
+        .iter()
+        .enumerate()
+        .map(|(row, key)| {
+            *index.entry(key).or_insert_with(|| {
+                firsts.push(row);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    (group_of, firsts)
+}
+
+/// Sorts `items` stably by `order`. `Term`'s order — and with it ORDER BY's —
+/// is not total over literals of mixed kinds (`"10" < 7 < 10 < "10"`), and
+/// the standard library's sorts may panic on such an order; a plain merge
+/// sort just leaves those rows in some order, and agrees with any other
+/// stable sort wherever the order is consistent.
+fn merge_sort(items: &mut Vec<usize>, order: impl Fn(usize, usize) -> Ordering) {
+    let len = items.len();
+    let mut merged = items.clone();
+    let mut width = 1;
+    while width < len {
+        for start in (0..len).step_by(2 * width) {
+            let (middle, end) = ((start + width).min(len), (start + 2 * width).min(len));
+            let (mut left, mut right) = (start, middle);
+            for slot in &mut merged[start..end] {
+                // The right run only wins when strictly smaller: stability.
+                let from = if right < end
+                    && (left == middle || order(items[right], items[left]).is_lt())
+                {
+                    &mut right
+                } else {
+                    &mut left
+                };
+                *slot = items[*from];
+                *from += 1;
+            }
+        }
+        std::mem::swap(items, &mut merged);
+        width *= 2;
+    }
+}
+
+/// Joins every row of `rows` with every compatible row of `other`, whose
+/// columns bind `slots`: two rows are compatible when no slot is bound to
+/// different ids in both. Output is `rows`-major, `other` order within.
+/// The columns bound in every row on both sides form a sort key, so each
+/// row meets only its candidates; with no such column that is every row.
+fn join(rows: &Rows, slots: &[usize], other: &Rows) -> Rows {
+    let key: Vec<usize> = (0..slots.len())
+        .filter(|&column| {
+            other.iter().all(|row| row[column] != UNBOUND)
+                && rows.iter().all(|row| row[slots[column]] != UNBOUND)
+        })
+        .collect();
+    let other_key = |index: usize| key.iter().map(move |&column| other.row(index)[column]);
+    let mut order: Vec<usize> = (0..other.len).collect();
+    order.sort_by(|&a, &b| other_key(a).cmp(other_key(b)));
+    let mut out = Rows::new(rows.width);
+    for row in rows.iter() {
+        let row_key = || key.iter().map(|&column| row[slots[column]]);
+        let start = order.partition_point(|&index| other_key(index).lt(row_key()));
+        for &index in order[start..]
+            .iter()
+            .take_while(|&&index| other_key(index).eq(row_key()))
+        {
+            out.push_merged(
+                row,
+                slots.iter().copied().zip(other.row(index).iter().copied()),
+            );
+        }
+    }
+    out
+}
+
+/// The variables of one (sub-)query, in registration order. Slots are
+/// handed out as evaluation first meets a variable — exactly the order
+/// `SELECT *` reports — while the row width is fixed up front from every
+/// name the query mentions, plus one hidden slot (the last) that tags rows
+/// with their origin while an OPTIONAL or EXISTS body runs over them.
+#[derive(Default)]
+struct Scope<'q> {
+    vars: Vec<&'q str>,
+    index: HashMap<&'q str, usize>,
+    width: usize,
+}
+
+impl<'q> Scope<'q> {
+    fn new(visit_variables: impl FnOnce(&mut dyn FnMut(&'q Variable))) -> Self {
+        let mut names = HashSet::new();
+        visit_variables(&mut |v| {
+            names.insert(v.name());
+        });
+        Scope {
+            width: names.len() + 1,
+            ..Scope::default()
+        }
+    }
+}
+
+/// One position of a triple pattern, resolved once per pattern.
+#[derive(Clone, Copy, PartialEq)]
+enum Position {
+    Slot(usize),
+    /// `None`: a constant the graph has never seen.
+    Constant(Option<TermId>),
+}
+
+impl Position {
+    fn bound(self, row: &[TermId]) -> Option<TermId> {
+        match self {
+            Position::Constant(id) => id,
+            Position::Slot(slot) => Some(row[slot]).filter(|&id| id != UNBOUND),
+        }
+    }
+}
+
+struct Evaluator<'g, 'q> {
+    terms: Terms<'g>,
+    scope: Scope<'q>,
+}
+
+impl<'g, 'q> Evaluator<'g, 'q> {
+    fn new(graph: &'g Graph, scope: Scope<'q>) -> Self {
         Evaluator {
-            graph,
-            vars: Vec::new(),
-            var_index: HashMap::new(),
+            terms: Terms::new(graph),
+            scope,
         }
     }
 
-    fn var_id(&mut self, name: &str) -> usize {
-        if let Some(&id) = self.var_index.get(name) {
-            return id;
-        }
-        let id = self.vars.len();
-        self.vars.push(name.to_string());
-        self.var_index.insert(name.to_string(), id);
-        id
+    fn var_id(&mut self, name: &'q str) -> usize {
+        let next = self.scope.vars.len();
+        debug_assert!(
+            next + 1 < self.scope.width || self.scope.index.contains_key(name),
+            "?{name} was not counted when the rows were sized"
+        );
+        *self.scope.index.entry(name).or_insert_with(|| {
+            self.scope.vars.push(name);
+            next
+        })
     }
 
-    fn lookup<'r>(&self, row: &'r Row, name: &str) -> Option<&'r Term> {
-        let id = *self.var_index.get(name)?;
-        row.get(id)?.as_ref()
+    /// Evaluates `expr` once per row, `UNBOUND` standing for errors. A
+    /// top-level `EXISTS` runs its body over all rows at once.
+    fn eval_column(&mut self, expr: &'q Expression, rows: &Rows) -> Vec<TermId> {
+        if let Expression::Exists(pattern) | Expression::NotExists(pattern) = expr {
+            let negated = matches!(expr, Expression::NotExists(_));
+            return match self.correlated(pattern, rows) {
+                Err(_) => vec![UNBOUND; rows.len],
+                Ok(matches) => {
+                    let mut found = vec![negated; rows.len];
+                    for row in matches.iter() {
+                        found[row[matches.width - 1] as usize] = !negated;
+                    }
+                    found.into_iter().map(|b| self.terms.boolean(b)).collect()
+                }
+            };
+        }
+        let index = &self.scope.index;
+        let compiled = self.terms.compile(expr, &|name| index.get(name).copied());
+        let value = |row| self.terms.eval(&compiled, row, None).unwrap_or(UNBOUND);
+        rows.iter().map(value).collect()
     }
 
-    fn bind(row: &mut Row, id: usize, term: Term) {
-        if row.len() <= id {
-            row.resize(id + 1, None);
+    /// Evaluates `inner` with every row of `rows` as its own input, all at
+    /// once: the result rows carry the index of the row they extend in the
+    /// hidden slot. (Nothing runs over no rows, so the variables of a body
+    /// that is never reached stay unregistered.)
+    fn correlated(
+        &mut self,
+        inner: &'q GroupGraphPattern,
+        rows: &Rows,
+    ) -> Result<Rows, SparqlError> {
+        let mut tagged = rows.clone();
+        for index in 0..tagged.len {
+            tagged.row_mut(index)[rows.width - 1] = index as TermId;
         }
-        row[id] = Some(term);
+        match rows.len {
+            0 => Ok(tagged),
+            _ => self.eval_group(inner, tagged),
+        }
     }
 
     // ---- SELECT pipeline -------------------------------------------------
 
-    fn run_select(&mut self, query: &SelectQuery) -> Result<Solutions, SparqlError> {
-        let rows = self.eval_group(&query.pattern, vec![Vec::new()])?;
+    /// Evaluates a (sub-)query in a scope of its own, down to the table of
+    /// its projected columns.
+    fn run_select(&mut self, query: &'q SelectQuery) -> Result<(Vec<&'q str>, Rows), SparqlError> {
+        let scope = Scope::new(|visit| query.visit_variables(visit));
+        let outer = std::mem::replace(&mut self.scope, scope);
+        let result = self.select(query);
+        self.scope = outer;
+        result
+    }
 
-        let (mut solution_rows, out_vars) = if query.is_aggregated() {
+    fn select(&mut self, query: &'q SelectQuery) -> Result<(Vec<&'q str>, Rows), SparqlError> {
+        let rows = self.eval_group(&query.pattern, Rows::unit(self.scope.width))?;
+        let (mut rows, names) = if query.is_aggregated() {
             self.aggregate(query, rows)?
         } else {
-            self.project_plain(query, rows)?
+            self.project_plain(query, rows)
         };
+        let slots: Vec<usize> = names.iter().map(|name| self.scope.index[name]).collect();
 
-        // DISTINCT on the projected values.
+        // DISTINCT on the projected values, keeping first occurrences.
         if query.distinct {
-            let ids: Vec<usize> = out_vars.iter().map(|v| self.var_id(v.name())).collect();
-            let mut seen = std::collections::BTreeSet::new();
-            solution_rows.retain(|row| {
-                let key: Vec<Option<Term>> =
-                    ids.iter().map(|&i| row.get(i).cloned().flatten()).collect();
-                seen.insert(key)
-            });
+            let (_, firsts) = group_ids(&rows.gather(0..rows.len, &slots));
+            let mut firsts = firsts.into_iter().peekable();
+            rows.retain(|index| firsts.next_if_eq(&index).is_some());
         }
 
-        // ORDER BY.
+        // ORDER BY: one key column per condition, with the numeric reading
+        // of each key looked up once; ties keep their order.
+        let mut order: Vec<usize> = (0..rows.len).collect();
         if !query.order_by.is_empty() {
-            // One sort key per ORDER BY condition: the evaluated expression
-            // plus its direction flag.
-            type SortKeys = Vec<(Option<Term>, bool)>;
-            let mut keyed: Vec<(SortKeys, Row)> = solution_rows
-                .into_iter()
-                .map(|row| {
-                    let keys = query
-                        .order_by
-                        .iter()
-                        .map(|cond| (self.eval_expr(&cond.expr, &row), cond.descending))
-                        .collect::<Vec<_>>();
-                    (keys, row)
+            let keys: Vec<(Vec<SortKey>, bool)> = query
+                .order_by
+                .iter()
+                .map(|cond| {
+                    let column = self.eval_column(&cond.expr, &rows);
+                    let keyed = column.into_iter().map(|id| self.terms.sort_key(id));
+                    (keyed.collect(), cond.descending)
                 })
                 .collect();
-            keyed.sort_by(|(ka, _), (kb, _)| {
-                for ((va, desc), (vb, _)) in ka.iter().zip(kb.iter()) {
-                    let ord = compare_for_order(va.as_ref(), vb.as_ref());
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
+            merge_sort(&mut order, |a, b| {
+                keys.iter()
+                    .map(|(column, descending)| {
+                        let ord = self.terms.order(column[a], column[b]);
+                        if *descending {
+                            ord.reverse()
+                        } else {
+                            ord
+                        }
+                    })
+                    .find(|ord| ord.is_ne())
+                    .unwrap_or(Ordering::Equal)
             });
-            solution_rows = keyed.into_iter().map(|(_, row)| row).collect();
         }
 
-        // OFFSET / LIMIT.
-        let offset = query.offset.unwrap_or(0);
-        if offset > 0 {
-            solution_rows = solution_rows.into_iter().skip(offset).collect();
-        }
-        if let Some(limit) = query.limit {
-            solution_rows.truncate(limit);
-        }
-
-        // Final projection to the output width.
-        let ids: Vec<usize> = out_vars.iter().map(|v| self.var_id(v.name())).collect();
-        let rows = solution_rows
+        // OFFSET / LIMIT, then the final projection to the output width.
+        let window = order
             .into_iter()
-            .map(|row| ids.iter().map(|&i| row.get(i).cloned().flatten()).collect())
-            .collect();
-        Ok(Solutions {
-            variables: out_vars,
-            rows,
-        })
+            .skip(query.offset.unwrap_or(0))
+            .take(query.limit.unwrap_or(usize::MAX));
+        Ok((names, rows.gather(window, &slots)))
     }
 
     /// Projection of a non-aggregated query: binds expression aliases into
     /// the rows and determines the output variable list.
-    fn project_plain(
-        &mut self,
-        query: &SelectQuery,
-        mut rows: Vec<Row>,
-    ) -> Result<(Vec<Row>, Vec<Variable>), SparqlError> {
-        match &query.projection {
-            Projection::Wildcard => {
-                let out_vars = self.vars.iter().map(|v| Variable::new(v.clone())).collect();
-                Ok((rows, out_vars))
-            }
-            Projection::Items(items) => {
-                let mut out_vars = Vec::with_capacity(items.len());
-                for item in items {
-                    match item {
-                        SelectItem::Var(v) => {
-                            self.var_id(v.name());
-                            out_vars.push(v.clone());
-                        }
-                        SelectItem::Expr { expr, alias } => {
-                            let alias_id = self.var_id(alias.name());
-                            for row in rows.iter_mut() {
-                                if let Some(value) = self.eval_expr(expr, row) {
-                                    Self::bind(row, alias_id, value);
-                                }
-                            }
-                            out_vars.push(alias.clone());
-                        }
-                    }
-                }
-                Ok((rows, out_vars))
+    fn project_plain(&mut self, query: &'q SelectQuery, mut rows: Rows) -> (Rows, Vec<&'q str>) {
+        let Projection::Items(items) = &query.projection else {
+            return (rows, self.scope.vars.clone());
+        };
+        for item in items {
+            let slot = self.var_id(item.output_variable().name());
+            if let SelectItem::Expr { expr, .. } = item {
+                let column = self.eval_column(expr, &rows);
+                rows.bind_column(slot, &column);
             }
         }
+        (
+            rows,
+            items
+                .iter()
+                .map(|item| item.output_variable().name())
+                .collect(),
+        )
     }
 
-    /// Grouping and aggregation.
+    /// Grouping and aggregation: one output row per group that passes
+    /// HAVING, binding only the projected variables, groups in `Term` order
+    /// of their keys.
     fn aggregate(
         &mut self,
-        query: &SelectQuery,
-        rows: Vec<Row>,
-    ) -> Result<(Vec<Row>, Vec<Variable>), SparqlError> {
-        let items = match &query.projection {
-            Projection::Items(items) => items.clone(),
-            Projection::Wildcard => {
-                return Err(SparqlError::unsupported(
-                    "SELECT * cannot be combined with GROUP BY / aggregates",
-                ))
-            }
+        query: &'q SelectQuery,
+        rows: Rows,
+    ) -> Result<(Rows, Vec<&'q str>), SparqlError> {
+        let Projection::Items(items) = &query.projection else {
+            return Err(SparqlError::unsupported(
+                "SELECT * cannot be combined with GROUP BY / aggregates",
+            ));
         };
 
-        // Partition rows into groups keyed by the GROUP BY expressions.
-        let mut groups: BTreeMap<Vec<Option<Term>>, Vec<Row>> = BTreeMap::new();
-        if query.group_by.is_empty() {
-            // Implicit single group (possibly empty).
-            groups.insert(Vec::new(), rows);
-        } else {
-            for row in rows {
-                let key: Vec<Option<Term>> = query
-                    .group_by
-                    .iter()
-                    .map(|e| self.eval_expr(e, &row))
-                    .collect();
-                groups.entry(key).or_default().push(row);
+        // Partition rows into groups keyed by the GROUP BY expressions; with
+        // none there is a single (possibly empty) implicit group.
+        let columns: Vec<Vec<TermId>> = query
+            .group_by
+            .iter()
+            .map(|e| self.eval_column(e, &rows))
+            .collect();
+        let mut keys = Rows::new(columns.len());
+        for row in 0..rows.len {
+            keys.ids.extend(columns.iter().map(|column| column[row]));
+            keys.len += 1;
+        }
+        let (group_of, firsts) = match columns.len() {
+            0 => (vec![0; rows.len], vec![0]),
+            _ => group_ids(&keys),
+        };
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); firsts.len()];
+        for (row, &group) in group_of.iter().enumerate() {
+            members[group].push(row);
+        }
+        let mut groups: Vec<usize> = (0..firsts.len()).collect();
+        merge_sort(&mut groups, |a, b| {
+            let (a, b) = (keys.row(firsts[a]), keys.row(firsts[b]));
+            // Key order is plain `Term` order, unbound first.
+            let mut pairs = a
+                .iter()
+                .zip(b)
+                .map(|(&a, &b)| self.terms.order((a, None), (b, None)));
+            pairs.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
+        });
+
+        let names: Vec<&str> = items
+            .iter()
+            .map(|item| item.output_variable().name())
+            .collect();
+        let slots: Vec<usize> = names.iter().map(|name| self.var_id(name)).collect();
+        let index = &self.scope.index;
+        let slot_of = |name: &str| index.get(name).copied();
+        let mut compile = |e: &Expression| self.terms.compile(e, &slot_of);
+        let having: Vec<Expr> = query.having.iter().map(&mut compile).collect();
+        let projected: Vec<Expr> = items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Var(v) => Expr::Var(slot_of(v.name())),
+                SelectItem::Expr { expr, .. } => compile(expr),
+            })
+            .collect();
+
+        let unbound = vec![UNBOUND; rows.width];
+        let mut out = Rows::new(rows.width);
+        for members in groups.into_iter().map(|group| &members[group]) {
+            let sample = members.first().map_or(&unbound[..], |&row| rows.row(row));
+            let group = Some(Group {
+                rows: &rows,
+                members,
+            });
+            let passes = |terms: &mut Terms, e| {
+                terms
+                    .eval(e, sample, group)
+                    .and_then(|value| terms.effective_boolean(value))
+                    == Some(true)
+            };
+            if !having.iter().all(|e| passes(&mut self.terms, e)) {
+                continue;
             }
-        }
-
-        let mut out_vars = Vec::with_capacity(items.len());
-        for item in &items {
-            out_vars.push(item.output_variable().clone());
-        }
-        let out_ids: Vec<usize> = out_vars.iter().map(|v| self.var_id(v.name())).collect();
-
-        let mut result_rows = Vec::with_capacity(groups.len());
-        'groups: for (_key, group_rows) in groups {
-            let sample_row: Row = group_rows.first().cloned().unwrap_or_default();
-
-            // HAVING.
-            for having in &query.having {
-                let value = self.eval_grouped_expr(having, &group_rows, &sample_row);
-                if !matches!(value.as_ref().and_then(effective_boolean), Some(true)) {
-                    continue 'groups;
+            out.push(&unbound);
+            for (expr, &slot) in projected.iter().zip(&slots) {
+                if let Some(value) = self.terms.eval(expr, sample, group) {
+                    out.row_mut(out.len - 1)[slot] = value;
                 }
             }
-
-            let mut out_row: Row = Vec::new();
-            for (item, &id) in items.iter().zip(&out_ids) {
-                let value = match item {
-                    SelectItem::Var(v) => self.lookup(&sample_row, v.name()).cloned(),
-                    SelectItem::Expr { expr, .. } => {
-                        self.eval_grouped_expr(expr, &group_rows, &sample_row)
-                    }
-                };
-                if let Some(value) = value {
-                    Self::bind(&mut out_row, id, value);
-                }
-            }
-            result_rows.push(out_row);
         }
-        Ok((result_rows, out_vars))
+        Ok((out, names))
     }
 
     // ---- graph pattern evaluation -----------------------------------------
 
     fn eval_group(
         &mut self,
-        group: &GroupGraphPattern,
-        input: Vec<Row>,
-    ) -> Result<Vec<Row>, SparqlError> {
+        group: &'q GroupGraphPattern,
+        input: Rows,
+    ) -> Result<Rows, SparqlError> {
         let mut rows = input;
         let mut filters: Vec<&Expression> = Vec::new();
 
         for element in &group.elements {
             match element {
-                PatternElement::Triple(pattern) => {
-                    rows = self.eval_triple(pattern, rows);
-                }
-                PatternElement::Filter(expr) => {
-                    filters.push(expr);
-                }
+                PatternElement::Triple(pattern) => rows = self.eval_triple(pattern, &rows),
+                PatternElement::Filter(expr) => filters.push(expr),
                 PatternElement::Optional(inner) => {
-                    let mut next = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        let extended = self.eval_group(inner, vec![row.clone()])?;
-                        if extended.is_empty() {
+                    // A left join: the body's extensions of each row in its
+                    // place, the row itself where there are none. A UNION
+                    // in the body emits branch by branch, so bring each
+                    // row's extensions together first (stably).
+                    let tag = rows.width - 1;
+                    let matches = self.correlated(inner, &rows)?;
+                    let mut order: Vec<usize> = (0..matches.len).collect();
+                    order.sort_by_key(|&index| matches.row(index)[tag]);
+                    let mut order = order.into_iter().peekable();
+                    let mut next = Rows::new(rows.width);
+                    for (index, row) in rows.iter().enumerate() {
+                        let before = next.len;
+                        while let Some(m) =
+                            order.next_if(|&m| matches.row(m)[tag] == index as TermId)
+                        {
+                            next.push(matches.row(m));
+                            // An enclosing body's tag, not this one's.
+                            next.row_mut(next.len - 1)[tag] = row[tag];
+                        }
+                        if next.len == before {
                             next.push(row);
-                        } else {
-                            next.extend(extended);
                         }
                     }
                     rows = next;
                 }
                 PatternElement::Union(left, right) => {
                     let mut combined = self.eval_group(left, rows.clone())?;
-                    combined.extend(self.eval_group(right, rows)?);
+                    combined.append(self.eval_group(right, rows)?);
                     rows = combined;
                 }
                 PatternElement::Minus(inner) => {
-                    let right_rows = self.eval_group(inner, vec![Vec::new()])?;
-                    rows.retain(|row| {
-                        !right_rows.iter().any(|r| {
-                            let mut shares_var = false;
-                            let compatible = (0..self.vars.len()).all(|i| {
-                                let a = row.get(i).and_then(Option::as_ref);
-                                let b = r.get(i).and_then(Option::as_ref);
-                                match (a, b) {
-                                    (Some(a), Some(b)) => {
-                                        shares_var = true;
-                                        a == b
-                                    }
-                                    _ => true,
-                                }
-                            });
-                            compatible && shares_var
-                        })
-                    });
+                    let right = self.eval_group(inner, Rows::unit(rows.width))?;
+                    let vars = self.scope.vars.len();
+                    let excludes = |row: &[TermId], r: &[TermId]| {
+                        let shared = || (0..vars).filter(|&v| row[v] != UNBOUND && r[v] != UNBOUND);
+                        shared().next().is_some() && shared().all(|v| row[v] == r[v])
+                    };
+                    let kept: Vec<bool> = rows
+                        .iter()
+                        .map(|row| !right.iter().any(|r| excludes(row, r)))
+                        .collect();
+                    rows.retain(|index| kept[index]);
                 }
                 PatternElement::Bind { expr, var } => {
-                    let id = self.var_id(var.name());
-                    for row in rows.iter_mut() {
-                        if let Some(value) = self.eval_expr(expr, row) {
-                            Self::bind(row, id, value);
-                        }
-                    }
+                    let slot = self.var_id(var.name());
+                    let column = self.eval_column(expr, &rows);
+                    rows.bind_column(slot, &column);
                 }
-                PatternElement::Values { vars, rows: value_rows } => {
-                    let ids: Vec<usize> = vars.iter().map(|v| self.var_id(v.name())).collect();
-                    let mut next = Vec::new();
-                    for row in &rows {
-                        for value_row in value_rows {
-                            let mut merged = row.clone();
-                            let mut compatible = true;
-                            for (&id, value) in ids.iter().zip(value_row) {
-                                if let Some(term) = value {
-                                    match merged.get(id).and_then(Option::as_ref) {
-                                        Some(existing) if existing != term => {
-                                            compatible = false;
-                                            break;
-                                        }
-                                        _ => Self::bind(&mut merged, id, term.clone()),
-                                    }
-                                }
-                            }
-                            if compatible {
-                                next.push(merged);
-                            }
-                        }
+                PatternElement::Values {
+                    vars,
+                    rows: value_rows,
+                } => {
+                    let slots: Vec<usize> = vars.iter().map(|v| self.var_id(v.name())).collect();
+                    let mut table = Rows::new(slots.len());
+                    for value_row in value_rows {
+                        let cells = value_row.iter().map(|term| match term {
+                            Some(term) => self.terms.intern(term.clone()),
+                            None => UNBOUND,
+                        });
+                        table
+                            .ids
+                            .extend(cells.chain(std::iter::repeat(UNBOUND)).take(slots.len()));
+                        table.len += 1;
                     }
-                    rows = next;
+                    rows = join(&rows, &slots, &table);
                 }
                 PatternElement::SubSelect(sub) => {
-                    let solutions = evaluate_select(self.graph, sub)?;
-                    let ids: Vec<usize> = solutions
-                        .variables
-                        .iter()
-                        .map(|v| self.var_id(v.name()))
-                        .collect();
-                    let mut next = Vec::new();
-                    for row in &rows {
-                        for sub_row in &solutions.rows {
-                            let mut merged = row.clone();
-                            let mut compatible = true;
-                            for (&id, value) in ids.iter().zip(sub_row) {
-                                if let Some(term) = value {
-                                    match merged.get(id).and_then(Option::as_ref) {
-                                        Some(existing) if existing != term => {
-                                            compatible = false;
-                                            break;
-                                        }
-                                        _ => Self::bind(&mut merged, id, term.clone()),
-                                    }
-                                }
-                            }
-                            if compatible {
-                                next.push(merged);
-                            }
-                        }
-                    }
-                    rows = next;
+                    let (names, table) = self.run_select(sub)?;
+                    let slots: Vec<usize> = names.iter().map(|name| self.var_id(name)).collect();
+                    rows = join(&rows, &slots, &table);
                 }
-                PatternElement::Group(inner) => {
-                    rows = self.eval_group(inner, rows)?;
-                }
+                PatternElement::Group(inner) => rows = self.eval_group(inner, rows)?,
             }
         }
 
-        // Apply the group's filters over its final rows. Filters are
-        // evaluated with EXISTS support, so this goes through `eval_expr`.
+        // Apply the group's filters over its final rows.
         for filter in filters {
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
-                let keep = matches!(
-                    self.eval_expr(filter, &row).as_ref().and_then(effective_boolean),
-                    Some(true)
-                );
-                if keep {
-                    kept.push(row);
-                }
-            }
-            rows = kept;
+            let column = self.eval_column(filter, &rows);
+            let passes = |id| id != UNBOUND && self.terms.effective_boolean(id) == Some(true);
+            rows.retain(|index| passes(column[index]));
         }
         Ok(rows)
     }
 
-    fn eval_triple(&mut self, pattern: &TriplePattern, rows: Vec<Row>) -> Vec<Row> {
-        let subject_id = match &pattern.subject {
-            VarOrTerm::Var(v) => Some(self.var_id(v.name())),
-            VarOrTerm::Term(_) => None,
+    fn eval_triple(&mut self, pattern: &'q TriplePattern, rows: &Rows) -> Rows {
+        let graph = self.terms.graph;
+        let subject = match &pattern.subject {
+            VarOrTerm::Var(v) => Position::Slot(self.var_id(v.name())),
+            VarOrTerm::Term(t) => Position::Constant(graph.term_id(t)),
         };
-        let predicate_id = match &pattern.predicate {
-            VarOrIri::Var(v) => Some(self.var_id(v.name())),
-            VarOrIri::Iri(_) => None,
+        let predicate = match &pattern.predicate {
+            VarOrIri::Var(v) => Position::Slot(self.var_id(v.name())),
+            VarOrIri::Iri(iri) => Position::Constant(graph.term_id(&Term::Iri(iri.clone()))),
         };
-        let object_id = match &pattern.object {
-            VarOrTerm::Var(v) => Some(self.var_id(v.name())),
-            VarOrTerm::Term(_) => None,
+        let object = match &pattern.object {
+            VarOrTerm::Var(v) => Position::Slot(self.var_id(v.name())),
+            VarOrTerm::Term(t) => Position::Constant(graph.term_id(t)),
         };
-
-        let mut out = Vec::new();
-        for row in rows {
-            // Resolve each position to a concrete term if bound.
-            let subject = match &pattern.subject {
-                VarOrTerm::Term(t) => Some(t.clone()),
-                VarOrTerm::Var(_) => subject_id.and_then(|id| row.get(id).cloned().flatten()),
-            };
-            let predicate: Option<Iri> = match &pattern.predicate {
-                VarOrIri::Iri(iri) => Some(iri.clone()),
-                VarOrIri::Var(_) => {
-                    match predicate_id.and_then(|id| row.get(id).cloned().flatten()) {
-                        Some(Term::Iri(iri)) => Some(iri),
-                        Some(_) => {
-                            // A non-IRI bound to a predicate variable can never match.
-                            continue;
-                        }
-                        None => None,
-                    }
-                }
-            };
-            let object = match &pattern.object {
-                VarOrTerm::Term(t) => Some(t.clone()),
-                VarOrTerm::Var(_) => object_id.and_then(|id| row.get(id).cloned().flatten()),
-            };
-
-            let matches =
-                self.graph
-                    .triples_matching(subject.as_ref(), predicate.as_ref(), object.as_ref());
-            for triple in matches {
-                let mut new_row = row.clone();
-                let mut ok = true;
-                if let (Some(id), VarOrTerm::Var(_)) = (subject_id, &pattern.subject) {
-                    ok &= Self::bind_checked(&mut new_row, id, triple.subject.clone());
-                }
-                if let (Some(id), VarOrIri::Var(_)) = (predicate_id, &pattern.predicate) {
-                    ok &= Self::bind_checked(&mut new_row, id, Term::Iri(triple.predicate.clone()));
-                }
-                if let (Some(id), VarOrTerm::Var(_)) = (object_id, &pattern.object) {
-                    ok &= Self::bind_checked(&mut new_row, id, triple.object.clone());
-                }
-                if ok {
-                    out.push(new_row);
-                }
+        let positions = [subject, predicate, object];
+        let mut out = Rows::new(rows.width);
+        if positions.contains(&Position::Constant(None)) {
+            return out;
+        }
+        // The star joins of a cube query extend each row about once.
+        out.ids.reserve(rows.ids.len());
+        // A slot holding a computed term (or a literal, in predicate
+        // position) finds an empty range: such ids are in no index.
+        for row in rows.iter() {
+            let [s, p, o] = positions.map(|position| position.bound(row));
+            for (s, p, o) in graph.matching_ids(s, p, o) {
+                // Positions that were bound match themselves; a variable
+                // repeated in the pattern must match its first binding.
+                let matched = positions.iter().zip([s, p, o]);
+                out.push_merged(
+                    row,
+                    matched.filter_map(|(position, id)| match position {
+                        Position::Slot(slot) => Some((*slot, id)),
+                        Position::Constant(_) => None,
+                    }),
+                );
             }
         }
         out
-    }
-
-    /// Binds `term` to variable `id`, returning false if the row already has
-    /// an incompatible binding (needed when a variable repeats in a pattern).
-    fn bind_checked(row: &mut Row, id: usize, term: Term) -> bool {
-        match row.get(id).and_then(Option::as_ref) {
-            Some(existing) => *existing == term,
-            None => {
-                Self::bind(row, id, term);
-                true
-            }
-        }
-    }
-
-    // ---- expression evaluation --------------------------------------------
-
-    /// Expression evaluation that may register new variables (EXISTS bodies).
-    fn eval_expr(&mut self, expr: &Expression, row: &Row) -> Option<Term> {
-        match expr {
-            Expression::Exists(pattern) => {
-                let rows = self.eval_group(pattern, vec![row.clone()]).ok()?;
-                Some(Term::Literal(Literal::boolean(!rows.is_empty())))
-            }
-            Expression::NotExists(pattern) => {
-                let rows = self.eval_group(pattern, vec![row.clone()]).ok()?;
-                Some(Term::Literal(Literal::boolean(rows.is_empty())))
-            }
-            _ => self.eval_expr_immutable(expr, row),
-        }
-    }
-
-    /// Expression evaluation without EXISTS support (no mutation needed).
-    fn eval_expr_immutable(&self, expr: &Expression, row: &Row) -> Option<Term> {
-        match expr {
-            Expression::Var(v) => self.lookup(row, v.name()).cloned(),
-            Expression::Constant(t) => Some(t.clone()),
-            Expression::Not(inner) => {
-                let b = effective_boolean(&self.eval_expr_immutable(inner, row)?)?;
-                Some(Term::Literal(Literal::boolean(!b)))
-            }
-            Expression::And(a, b) => {
-                let va = self
-                    .eval_expr_immutable(a, row)
-                    .as_ref()
-                    .and_then(effective_boolean);
-                let vb = self
-                    .eval_expr_immutable(b, row)
-                    .as_ref()
-                    .and_then(effective_boolean);
-                match (va, vb) {
-                    (Some(false), _) | (_, Some(false)) => {
-                        Some(Term::Literal(Literal::boolean(false)))
-                    }
-                    (Some(true), Some(true)) => Some(Term::Literal(Literal::boolean(true))),
-                    _ => None,
-                }
-            }
-            Expression::Or(a, b) => {
-                let va = self
-                    .eval_expr_immutable(a, row)
-                    .as_ref()
-                    .and_then(effective_boolean);
-                let vb = self
-                    .eval_expr_immutable(b, row)
-                    .as_ref()
-                    .and_then(effective_boolean);
-                match (va, vb) {
-                    (Some(true), _) | (_, Some(true)) => {
-                        Some(Term::Literal(Literal::boolean(true)))
-                    }
-                    (Some(false), Some(false)) => Some(Term::Literal(Literal::boolean(false))),
-                    _ => None,
-                }
-            }
-            Expression::Compare(a, op, b) => {
-                let va = self.eval_expr_immutable(a, row)?;
-                let vb = self.eval_expr_immutable(b, row)?;
-                compare_terms(&va, *op, &vb).map(|b| Term::Literal(Literal::boolean(b)))
-            }
-            Expression::Arithmetic(a, op, b) => {
-                let va = numeric_value(&self.eval_expr_immutable(a, row)?)?;
-                let vb = numeric_value(&self.eval_expr_immutable(b, row)?)?;
-                let result = match op {
-                    ArithOp::Add => va + vb,
-                    ArithOp::Sub => va - vb,
-                    ArithOp::Mul => va * vb,
-                    ArithOp::Div => {
-                        if vb == 0.0 {
-                            return None;
-                        }
-                        va / vb
-                    }
-                };
-                Some(number_term(result))
-            }
-            Expression::Neg(inner) => {
-                let v = numeric_value(&self.eval_expr_immutable(inner, row)?)?;
-                Some(number_term(-v))
-            }
-            Expression::Call(function, args) => self.eval_function(*function, args, row),
-            Expression::Aggregate(_) => None,
-            Expression::In(needle, haystack) => {
-                let v = self.eval_expr_immutable(needle, row)?;
-                for candidate in haystack {
-                    if let Some(c) = self.eval_expr_immutable(candidate, row) {
-                        if compare_terms(&v, CmpOp::Eq, &c) == Some(true) {
-                            return Some(Term::Literal(Literal::boolean(true)));
-                        }
-                    }
-                }
-                Some(Term::Literal(Literal::boolean(false)))
-            }
-            Expression::Exists(_) | Expression::NotExists(_) => None,
-        }
-    }
-
-    fn eval_function(&self, function: Function, args: &[Expression], row: &Row) -> Option<Term> {
-        let arg = |i: usize| -> Option<Term> {
-            args.get(i).and_then(|e| self.eval_expr_immutable(e, row))
-        };
-        match function {
-            Function::Bound => match args.first() {
-                Some(Expression::Var(v)) => Some(Term::Literal(Literal::boolean(
-                    self.lookup(row, v.name()).is_some(),
-                ))),
-                _ => None,
-            },
-            Function::Str => Some(Term::Literal(Literal::string(term_string(&arg(0)?)))),
-            Function::Lang => match arg(0)? {
-                Term::Literal(lit) => Some(Term::Literal(Literal::string(
-                    lit.language().unwrap_or(""),
-                ))),
-                _ => None,
-            },
-            Function::Datatype => match arg(0)? {
-                Term::Literal(lit) => Some(Term::Iri(lit.datatype().clone())),
-                _ => None,
-            },
-            Function::IsIri => Some(Term::Literal(Literal::boolean(arg(0)?.is_iri()))),
-            Function::IsLiteral => Some(Term::Literal(Literal::boolean(arg(0)?.is_literal()))),
-            Function::IsBlank => Some(Term::Literal(Literal::boolean(arg(0)?.is_blank()))),
-            Function::Regex => {
-                let text = term_string(&arg(0)?);
-                let pattern = term_string(&arg(1)?);
-                let case_insensitive = args
-                    .get(2)
-                    .and_then(|e| self.eval_expr_immutable(e, row))
-                    .map(|t| term_string(&t).contains('i'))
-                    .unwrap_or(false);
-                let (text, pattern) = if case_insensitive {
-                    (text.to_lowercase(), pattern.to_lowercase())
-                } else {
-                    (text, pattern)
-                };
-                Some(Term::Literal(Literal::boolean(regex_like_match(
-                    &text, &pattern,
-                ))))
-            }
-            Function::Contains => Some(Term::Literal(Literal::boolean(
-                term_string(&arg(0)?).contains(&term_string(&arg(1)?)),
-            ))),
-            Function::StrStarts => Some(Term::Literal(Literal::boolean(
-                term_string(&arg(0)?).starts_with(&term_string(&arg(1)?)),
-            ))),
-            Function::StrEnds => Some(Term::Literal(Literal::boolean(
-                term_string(&arg(0)?).ends_with(&term_string(&arg(1)?)),
-            ))),
-            Function::UCase => Some(Term::Literal(Literal::string(
-                term_string(&arg(0)?).to_uppercase(),
-            ))),
-            Function::LCase => Some(Term::Literal(Literal::string(
-                term_string(&arg(0)?).to_lowercase(),
-            ))),
-            Function::StrLen => Some(Term::Literal(Literal::integer(
-                term_string(&arg(0)?).chars().count() as i64,
-            ))),
-            Function::Concat => {
-                let mut out = String::new();
-                for e in args {
-                    out.push_str(&term_string(&self.eval_expr_immutable(e, row)?));
-                }
-                Some(Term::Literal(Literal::string(out)))
-            }
-            Function::Abs => Some(number_term(numeric_value(&arg(0)?)?.abs())),
-            Function::Year => {
-                let s = term_string(&arg(0)?);
-                s.get(0..4)?.parse::<i64>().ok().map(|y| Term::Literal(Literal::integer(y)))
-            }
-            Function::Month => {
-                let s = term_string(&arg(0)?);
-                s.get(5..7)?.parse::<i64>().ok().map(|m| Term::Literal(Literal::integer(m)))
-            }
-            Function::If => {
-                let cond = effective_boolean(&arg(0)?)?;
-                if cond {
-                    arg(1)
-                } else {
-                    arg(2)
-                }
-            }
-            Function::Coalesce => {
-                for e in args {
-                    if let Some(v) = self.eval_expr_immutable(e, row) {
-                        return Some(v);
-                    }
-                }
-                None
-            }
-            Function::Iri => Some(Term::iri(term_string(&arg(0)?))),
-            Function::SameTerm => Some(Term::Literal(Literal::boolean(arg(0)? == arg(1)?))),
-        }
-    }
-
-    /// Evaluates an expression that may contain aggregates over a group.
-    fn eval_grouped_expr(
-        &self,
-        expr: &Expression,
-        group_rows: &[Row],
-        sample_row: &Row,
-    ) -> Option<Term> {
-        match expr {
-            Expression::Aggregate(agg) => self.eval_aggregate(agg, group_rows),
-            Expression::Var(_) | Expression::Constant(_) => {
-                self.eval_expr_immutable(expr, sample_row)
-            }
-            Expression::Not(inner) => {
-                let b = effective_boolean(&self.eval_grouped_expr(inner, group_rows, sample_row)?)?;
-                Some(Term::Literal(Literal::boolean(!b)))
-            }
-            Expression::And(a, b) => {
-                let va = self.eval_grouped_expr(a, group_rows, sample_row);
-                let vb = self.eval_grouped_expr(b, group_rows, sample_row);
-                match (
-                    va.as_ref().and_then(effective_boolean),
-                    vb.as_ref().and_then(effective_boolean),
-                ) {
-                    (Some(false), _) | (_, Some(false)) => {
-                        Some(Term::Literal(Literal::boolean(false)))
-                    }
-                    (Some(true), Some(true)) => Some(Term::Literal(Literal::boolean(true))),
-                    _ => None,
-                }
-            }
-            Expression::Or(a, b) => {
-                let va = self.eval_grouped_expr(a, group_rows, sample_row);
-                let vb = self.eval_grouped_expr(b, group_rows, sample_row);
-                match (
-                    va.as_ref().and_then(effective_boolean),
-                    vb.as_ref().and_then(effective_boolean),
-                ) {
-                    (Some(true), _) | (_, Some(true)) => Some(Term::Literal(Literal::boolean(true))),
-                    (Some(false), Some(false)) => Some(Term::Literal(Literal::boolean(false))),
-                    _ => None,
-                }
-            }
-            Expression::Compare(a, op, b) => {
-                let va = self.eval_grouped_expr(a, group_rows, sample_row)?;
-                let vb = self.eval_grouped_expr(b, group_rows, sample_row)?;
-                compare_terms(&va, *op, &vb).map(|b| Term::Literal(Literal::boolean(b)))
-            }
-            Expression::Arithmetic(a, op, b) => {
-                let va = numeric_value(&self.eval_grouped_expr(a, group_rows, sample_row)?)?;
-                let vb = numeric_value(&self.eval_grouped_expr(b, group_rows, sample_row)?)?;
-                let result = match op {
-                    ArithOp::Add => va + vb,
-                    ArithOp::Sub => va - vb,
-                    ArithOp::Mul => va * vb,
-                    ArithOp::Div => {
-                        if vb == 0.0 {
-                            return None;
-                        }
-                        va / vb
-                    }
-                };
-                Some(number_term(result))
-            }
-            _ => self.eval_expr_immutable(expr, sample_row),
-        }
-    }
-
-    fn eval_aggregate(&self, agg: &AggregateExpr, group_rows: &[Row]) -> Option<Term> {
-        // Collect the evaluated values of the aggregated expression.
-        let mut values: Vec<Term> = Vec::new();
-        match &agg.expr {
-            None => {
-                // COUNT(*) counts rows.
-                return Some(Term::Literal(Literal::integer(group_rows.len() as i64)));
-            }
-            Some(inner) => {
-                for row in group_rows {
-                    if let Some(v) = self.eval_expr_immutable(inner, row) {
-                        values.push(v);
-                    }
-                }
-            }
-        }
-        if agg.distinct {
-            let mut seen = std::collections::BTreeSet::new();
-            values.retain(|v| seen.insert(v.clone()));
-        }
-        match agg.function {
-            AggregateFunction::Count => Some(Term::Literal(Literal::integer(values.len() as i64))),
-            AggregateFunction::Sum => {
-                // Order-independent accumulation (integers exactly, floats
-                // through the compensated expansion): the result depends
-                // only on the multiset of values, so the columnar engine —
-                // which scans the same values in a different (chunked,
-                // append-reordered) sequence through the same NumericSum —
-                // stays bit-identical.
-                let mut sum = crate::numeric::NumericSum::new();
-                for v in &values {
-                    if !sum.add_term(v) {
-                        return None;
-                    }
-                }
-                Some(sum.sum_term())
-            }
-            AggregateFunction::Avg => {
-                if values.is_empty() {
-                    return Some(Term::Literal(Literal::integer(0)));
-                }
-                let mut sum = crate::numeric::NumericSum::new();
-                for v in &values {
-                    if !sum.add_term(v) {
-                        return None;
-                    }
-                }
-                Some(Term::Literal(Literal::decimal(
-                    sum.value() / values.len() as f64,
-                )))
-            }
-            AggregateFunction::Min => values.into_iter().min(),
-            AggregateFunction::Max => values.into_iter().max(),
-            AggregateFunction::Sample => values.into_iter().next(),
-            AggregateFunction::GroupConcat => {
-                let joined = values
-                    .iter()
-                    .map(term_string)
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                Some(Term::Literal(Literal::string(joined)))
-            }
-        }
-    }
-}
-
-// ---- value helpers ---------------------------------------------------------
-
-/// SPARQL effective boolean value.
-fn effective_boolean(term: &Term) -> Option<bool> {
-    match term {
-        Term::Literal(lit) => {
-            if let Some(b) = lit.as_boolean() {
-                Some(b)
-            } else if lit.is_numeric() {
-                lit.as_double().map(|n| n != 0.0)
-            } else if lit.language().is_some() || lit.datatype() == &rdf::vocab::xsd::string() {
-                Some(!lit.lexical().is_empty())
-            } else {
-                None
-            }
-        }
-        _ => None,
-    }
-}
-
-/// The string value of a term (IRI string, literal lexical form, blank label).
-fn term_string(term: &Term) -> String {
-    match term {
-        Term::Iri(iri) => iri.as_str().to_string(),
-        Term::Blank(b) => b.as_str().to_string(),
-        Term::Literal(lit) => lit.lexical().to_string(),
-    }
-}
-
-/// The numeric value of a term, if it is a numeric literal.
-fn numeric_value(term: &Term) -> Option<f64> {
-    term.as_literal().and_then(Literal::as_double)
-}
-
-/// Wraps an f64 result as an integer literal when it is integral.
-fn number_term(value: f64) -> Term {
-    if value.fract() == 0.0 && value.abs() < 9.0e15 {
-        Term::Literal(Literal::integer(value as i64))
-    } else {
-        Term::Literal(Literal::decimal(value))
-    }
-}
-
-/// SPARQL value comparison: numeric when both sides are numeric literals,
-/// lexical between literals (with equality also requiring matching
-/// datatype/language), term identity otherwise. Returns `None` on type
-/// errors. Public so that engines that must agree cell-for-cell with this
-/// evaluator (the columnar backend) can reuse the exact same semantics.
-pub fn compare_terms(a: &Term, op: CmpOp, b: &Term) -> Option<bool> {
-    use std::cmp::Ordering;
-    // Numeric comparison when both sides are numeric literals.
-    if let (Some(na), Some(nb)) = (numeric_value(a), numeric_value(b)) {
-        let ord = na.partial_cmp(&nb)?;
-        return Some(apply_cmp(op, ord));
-    }
-    match (a, b) {
-        (Term::Literal(la), Term::Literal(lb)) => {
-            // String/date-like comparison on lexical forms.
-            let ord = la.lexical().cmp(lb.lexical());
-            // Equality additionally requires matching language/datatype.
-            match op {
-                CmpOp::Eq => Some(la == lb),
-                CmpOp::Ne => Some(la != lb),
-                _ => Some(apply_cmp(op, ord)),
-            }
-        }
-        _ => match op {
-            CmpOp::Eq => Some(a == b),
-            CmpOp::Ne => Some(a != b),
-            _ => {
-                let ord = a.cmp(b);
-                if ord == Ordering::Equal {
-                    Some(apply_cmp(op, ord))
-                } else {
-                    // Ordering IRIs/blank nodes is not defined in SPARQL; we
-                    // still provide a deterministic order for robustness.
-                    Some(apply_cmp(op, ord))
-                }
-            }
-        },
-    }
-}
-
-fn apply_cmp(op: CmpOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        CmpOp::Eq => ord == Equal,
-        CmpOp::Ne => ord != Equal,
-        CmpOp::Lt => ord == Less,
-        CmpOp::Le => ord != Greater,
-        CmpOp::Gt => ord == Greater,
-        CmpOp::Ge => ord != Less,
-    }
-}
-
-/// Ordering used by ORDER BY: unbound first, then by term order with numeric
-/// awareness.
-fn compare_for_order(a: Option<&Term>, b: Option<&Term>) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(a), Some(b)) => {
-            if let (Some(na), Some(nb)) = (numeric_value(a), numeric_value(b)) {
-                na.partial_cmp(&nb).unwrap_or(Ordering::Equal)
-            } else {
-                a.cmp(b)
-            }
-        }
-    }
-}
-
-/// A tiny "regex" matcher supporting the common idioms QB2OLAP emits:
-/// plain substring search plus optional `^` / `$` anchors.
-fn regex_like_match(text: &str, pattern: &str) -> bool {
-    let starts = pattern.starts_with('^');
-    let ends = pattern.ends_with('$') && pattern.len() > 1;
-    let core = &pattern[usize::from(starts)..pattern.len() - usize::from(ends)];
-    match (starts, ends) {
-        (true, true) => text == core,
-        (true, false) => text.starts_with(core),
-        (false, true) => text.ends_with(core),
-        (false, false) => text.contains(core),
     }
 }
 
@@ -925,6 +689,7 @@ mod tests {
     use super::*;
     use crate::parser::{parse_query, parse_select};
     use rdf::parser::parse_turtle;
+    use rdf::Iri;
 
     fn graph() -> Graph {
         parse_turtle(
@@ -1005,7 +770,13 @@ ex:FR ex:continent ex:Europe ; rdfs:label "France"@en .
              SELECT (COUNT(*) AS ?n) (AVG(?v) AS ?avg) WHERE { ?obs ex:value ?v . }",
         );
         assert_eq!(s.get(0, "n"), Some(&Term::integer(4)));
-        let avg = s.get(0, "avg").unwrap().as_literal().unwrap().as_double().unwrap();
+        let avg = s
+            .get(0, "avg")
+            .unwrap()
+            .as_literal()
+            .unwrap()
+            .as_double()
+            .unwrap();
         assert!((avg - 10.5).abs() < 1e-9);
     }
 

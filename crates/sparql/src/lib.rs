@@ -42,6 +42,7 @@ pub mod ast;
 pub mod endpoint;
 pub mod error;
 pub mod eval;
+mod expr;
 pub mod numeric;
 pub mod parser;
 pub mod pretty;
@@ -53,11 +54,11 @@ pub mod token;
 pub use ast::{Query, SelectQuery, Variable};
 pub use endpoint::{ConservativeEndpoint, Endpoint, LocalEndpoint};
 pub use error::SparqlError;
-pub use eval::{compare_terms, evaluate_query, evaluate_select};
-pub use numeric::{float_max, float_min, CompensatedSum, NumericSum};
+pub use eval::{compare_terms, evaluate_query, evaluate_select, evaluate_select_encoded};
+pub use numeric::{float_max, float_min, CompensatedSum, NumericSum, NumericValue};
 pub use parser::{parse_query, parse_select};
 pub use pretty::{query_to_string, select_to_string};
-pub use results::{QueryResults, Solutions};
+pub use results::{EncodedSolutions, QueryResults, Solutions};
 
 // Randomised invariant tests. The seed repo expressed these with `proptest`,
 // which is unavailable in the offline build; seeded `StdRng` sampling keeps

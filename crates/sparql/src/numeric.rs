@@ -133,6 +133,32 @@ impl CompensatedSum {
     }
 }
 
+/// How the engine reads one numeric literal, parsed once: comparisons and
+/// arithmetic use [`NumericValue::double`]; aggregation routes a lexical
+/// form that also parses as `i64` through the exact integer path. The
+/// evaluator caches one of these per distinct term id instead of re-parsing
+/// the lexical form per comparison or per aggregated row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NumericValue {
+    /// The `f64` reading ([`Literal::as_double`]).
+    pub double: f64,
+    /// The `i64` reading ([`Literal::as_integer`]), when the lexical form
+    /// has one.
+    pub integer: Option<i64>,
+}
+
+impl NumericValue {
+    /// Parses `term`; `None` unless it is a numeric literal with a valid
+    /// lexical form.
+    pub fn of(term: &Term) -> Option<Self> {
+        let literal = term.as_literal()?;
+        Some(NumericValue {
+            double: literal.as_double()?,
+            integer: literal.as_integer(),
+        })
+    }
+}
+
 /// A SUM/AVG accumulator with the SPARQL engine's value model and typing
 /// rules, usable incrementally and mergeable across scan partitions.
 ///
@@ -195,17 +221,16 @@ impl NumericSum {
     /// `false` (leaving the sum untouched) for non-numeric terms, on which
     /// the engine's aggregates error out.
     pub fn add_term(&mut self, term: &Term) -> bool {
-        let Some(literal) = term.as_literal() else {
-            return false;
-        };
-        match literal.as_integer() {
-            Some(value) => self.add_integer(value),
-            None => match literal.as_double() {
-                Some(value) => self.add_float(value),
-                None => return false,
-            },
+        NumericValue::of(term).map(|value| self.add_value(value)).is_some()
+    }
+
+    /// Accumulates an already-parsed value along the route its literal
+    /// takes (see [`NumericValue`]).
+    pub fn add_value(&mut self, value: NumericValue) {
+        match value.integer {
+            Some(integer) => self.add_integer(integer),
+            None => self.add_float(value.double),
         }
-        true
     }
 
     /// Folds another accumulator in (partitioned scans). Exact.

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use rdf::Term;
+use rdf::{Interner, Term};
 
 use crate::ast::Variable;
 
@@ -106,6 +106,95 @@ impl Solutions {
         sep(&mut out);
         out.push_str(&format!("{} solution(s)\n", self.rows.len()));
         out
+    }
+}
+
+/// Dictionary-encoded solutions: every distinct term of a result once, plus
+/// flat rows of indexes into that list.
+///
+/// This is the shape bulk consumers (the columnar cube build) read: work
+/// that depends on the *term* — hashing it into a dictionary, parsing a
+/// measure literal — is done once per entry of [`Self::terms`] and reused
+/// for every cell that carries its index. [`crate::Endpoint::select_encoded`]
+/// produces it; the ids are private to one result and mean nothing across
+/// results.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct EncodedSolutions {
+    /// Output variables, in projection order.
+    pub variables: Vec<Variable>,
+    /// The distinct terms bound anywhere in the result, in row-major
+    /// first-occurrence order.
+    pub terms: Vec<Term>,
+    /// Row-major cells, `variables.len()` per solution: an index into
+    /// `terms`, or [`EncodedSolutions::UNBOUND`].
+    ids: Vec<u32>,
+    /// Number of solutions (kept explicitly: a result over zero variables
+    /// still has a row count).
+    len: usize,
+}
+
+impl EncodedSolutions {
+    /// The cell value of a variable that is unbound in a solution.
+    pub const UNBOUND: u32 = u32::MAX;
+
+    /// Assembles a result from its parts; `ids` holds `len` rows of
+    /// `variables.len()` cells.
+    pub(crate) fn new(variables: Vec<Variable>, terms: Vec<Term>, ids: Vec<u32>, len: usize) -> Self {
+        debug_assert_eq!(ids.len(), len * variables.len());
+        EncodedSolutions {
+            variables,
+            terms,
+            ids,
+            len,
+        }
+    }
+
+    /// Number of solutions.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if there are no solutions.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The index of a variable by name, if it is part of the output.
+    pub fn column(&self, name: &str) -> Option<usize> {
+        self.variables.iter().position(|v| v.name() == name)
+    }
+
+    /// The cells of solution `row`, aligned with `variables`.
+    pub fn row(&self, row: usize) -> &[u32] {
+        let width = self.variables.len();
+        &self.ids[row * width..(row + 1) * width]
+    }
+
+    /// Iterates the solutions' cells in order.
+    pub fn rows(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        (0..self.len).map(|row| self.row(row))
+    }
+
+    /// The term behind a cell (`None` for [`EncodedSolutions::UNBOUND`]).
+    pub fn term(&self, cell: u32) -> Option<&Term> {
+        self.terms.get(cell as usize)
+    }
+}
+
+/// Encodes decoded solutions — what [`crate::Endpoint::select_encoded`]
+/// does for endpoints that only speak the decoded protocol.
+impl From<Solutions> for EncodedSolutions {
+    fn from(solutions: Solutions) -> Self {
+        let width = solutions.variables.len();
+        let mut distinct = Interner::new();
+        let mut ids = Vec::with_capacity(solutions.rows.len() * width);
+        for row in &solutions.rows {
+            for cell in (0..width).map(|column| row.get(column).and_then(Option::as_ref)) {
+                ids.push(cell.map_or(Self::UNBOUND, |term| distinct.intern(term)));
+            }
+        }
+        let terms = distinct.iter().map(|(_, term)| term.clone()).collect();
+        EncodedSolutions::new(solutions.variables, terms, ids, solutions.rows.len())
     }
 }
 
