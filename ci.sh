@@ -34,11 +34,15 @@ QB2OLAP_FUZZ_STEPS=200 cargo test --release -q -p qb2olap-suite --test integrati
 
 # The qlsmith gate, pinned by name and seed: 500 grammar-covering QL
 # programs (every pipeline-step variant, every aggregate function, dice
-# trees over strings/numbers/IRIs) run through all three execution
-# backends, and 500 grammar-covering SPARQL SELECTs run through the parsed
-# and the pretty-printed evaluation path — bit-identical results required,
-# with store mutations interleaved every ten queries so the campaign also
-# covers delta-refreshed, tombstoned and rebuild-fallback catalog states.
+# trees over strings/numbers/IRIs) run through the five oracle legs of
+# `qlsmith::diff::LEGS`, all on one settled pin of the store — `columnar`
+# (the served snapshot, default options), `columnar-unpruned` (one worker,
+# zone-map pruning off), `columnar-scratch` (a cube built from scratch at
+# the pin's epoch), `sparql-direct` and `sparql-alternative` — and 500
+# grammar-covering SPARQL SELECTs run through the parsed and the
+# pretty-printed evaluation path. Bit-identical results required, with
+# store mutations interleaved every ten queries so the campaign also
+# covers delta-accreted, tombstoned, compacted and rebuilt catalog states.
 # The coverage recorders fail the run if any grammar production was never
 # generated, and the harness self-test proves a seeded mismatch is caught,
 # shrunk to a one-statement corpus file and replayed.
@@ -67,31 +71,16 @@ cargo test --release -q -p qb2olap-suite --test integration_obs
 # branch of the segment-pruning decision (full scans, clustered leaf /
 # mid-level / unclustered dices, slices, roll-ups, HAVING) must return
 # bit-identical cubes with pruning on and off, at one worker and at
-# several, with monotone segment counters — and the process-wide
-# QB2OLAP_NO_PRUNE kill switch must be invisible in QL results.
+# several, with monotone segment counters.
 cargo test --release -q -p qb2olap-suite --test integration_pruning
-
-# The same qlsmith campaign with the pruning kill switch thrown: 500
-# grammar-covering QL programs through all three backends must stay
-# bit-identical when every columnar scan runs unpruned, so the pruner
-# cannot hide a divergence anywhere in the grammar.
-QB2OLAP_NO_PRUNE=1 QB2OLAP_FUZZ_SEED=0xE155EED QB2OLAP_FUZZ_PROGRAMS=500 QB2OLAP_FUZZ_QUERIES=500 \
-    cargo test --release -q -p qb2olap-suite --test integration_qlsmith
 
 # The overlay consistency gates: the concurrency stress test (N readers
 # racing a mutating writer and the background fold threads, every pinned
 # snapshot checked bit-identical against a scratch materialization at
-# exactly its epoch), the slow-fold regression test (a structural rebuild
-# taking hundreds of milliseconds must never push concurrent snapshot
-# serving past pin cost), and the QB2OLAP_NO_OVERLAY kill switch
-# (snapshot serving degrades to the blocking path, bit-identically).
+# exactly its epoch) and the slow-fold regression test (a structural
+# rebuild taking hundreds of milliseconds must never push concurrent
+# snapshot serving past pin cost).
 cargo test --release -q -p qb2olap-suite --test integration_overlay
-
-# The same qlsmith campaign with the overlay kill switch thrown: the
-# columnar-overlay oracle leg then runs through the blocking serve, so all
-# four backends must still agree on every generated program.
-QB2OLAP_NO_OVERLAY=1 QB2OLAP_FUZZ_SEED=0xE155EED QB2OLAP_FUZZ_PROGRAMS=500 QB2OLAP_FUZZ_QUERIES=500 \
-    cargo test --release -q -p qb2olap-suite --test integration_qlsmith
 
 # The regression corpus replays green, pinned by name so a corpus file
 # that stops parsing or starts diverging fails the gate even if the

@@ -945,7 +945,9 @@ fn e13_cow_and_tombstone_maintenance(observations: usize) -> Vec<Measurement> {
 /// that falls back to a rebuild, and any columnar-vs-SPARQL divergence,
 /// aborts — the CI smoke step runs this experiment.
 fn e14_float_and_partial_removal_maintenance(observations: usize) -> Vec<Measurement> {
-    use qb2olap::cubestore::{execute_with_threads, CubeQuery, MaintenanceStrategy, MaterializedCube};
+    use qb2olap::cubestore::{
+        execute, CubeQuery, ExecOptions, MaintenanceStrategy, MaterializedCube,
+    };
     use rdf::vocab::{demo_schema, sdmx_measure};
     use std::collections::BTreeMap;
 
@@ -1097,19 +1099,24 @@ fn e14_float_and_partial_removal_maintenance(observations: usize) -> Vec<Measure
         rollups: BTreeMap::from([(demo_schema::citizenship_dim(), demo_schema::continent())]),
         ..CubeQuery::default()
     };
-    let reference = execute_with_threads(&materialized, &scan_query, 1).expect("scan");
+    let scan = |threads| {
+        let options = ExecOptions {
+            threads,
+            prune: true,
+        };
+        execute(&materialized, &scan_query, &options, None).expect("scan").0
+    };
+    let reference = scan(1);
     for threads in [2usize, 8] {
         assert_eq!(
-            execute_with_threads(&materialized, &scan_query, threads).expect("scan"),
+            scan(threads),
             reference,
             "E14: chunked float scan diverges at {threads} workers"
         );
     }
     for threads in [1usize, 2] {
         let samples: Vec<std::time::Duration> = (0..RUNS)
-            .map(|_| {
-                timed(|| execute_with_threads(&materialized, &scan_query, threads).expect("scan")).1
-            })
+            .map(|_| timed(|| scan(threads)).1)
             .collect();
         let stats = criterion::Stats::from_durations(&samples).expect("samples");
         rows.push(Measurement::new(
@@ -1134,7 +1141,8 @@ fn e16_observability_overhead(observations: usize) -> Vec<Measurement> {
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
-    use qb2olap::cubestore::{execute, execute_traced, CubeQuery};
+    use qb2olap::cubestore::{execute, CubeQuery, ExecOptions};
+    use qb2olap::obs::ExecutionProfile;
     use rdf::vocab::demo_schema;
 
     const RUNS: usize = 9;
@@ -1144,8 +1152,7 @@ fn e16_observability_overhead(observations: usize) -> Vec<Measurement> {
     let querying = tool.querying(&cube.dataset).expect("cube is enriched");
     let materialized = querying.materialize().expect("materialization");
 
-    // The same scan the `backends`/`obs_overhead` benches measure, so
-    // E11 and E16 numbers are directly comparable.
+    // The same scan E11 and E14 time, so their numbers are comparable.
     let scan_query = CubeQuery {
         slices: vec![
             demo_schema::destination_dim(),
@@ -1158,20 +1165,29 @@ fn e16_observability_overhead(observations: usize) -> Vec<Measurement> {
         ..CubeQuery::default()
     };
 
+    let scan = || {
+        execute(&materialized, &scan_query, &ExecOptions::default(), None)
+            .expect("scan")
+            .0
+    };
+    let traced = || {
+        let mut profile = ExecutionProfile::new("columnar");
+        let options = ExecOptions::default();
+        let (output, _) =
+            execute(&materialized, &scan_query, &options, Some(&mut profile)).expect("scan");
+        (output, profile)
+    };
     let mut rows = Vec::new();
 
     // Instrumentation must never change results: the three paths agree
     // cell-for-cell before any timing is reported.
-    let reference = execute(&materialized, &scan_query).expect("scan");
-    let observed = obs::with_subscriber(Arc::new(obs::CollectingSubscriber::new()), || {
-        execute(&materialized, &scan_query).expect("scan")
-    });
+    let reference = scan();
+    let observed = obs::with_subscriber(Arc::new(obs::CollectingSubscriber::new()), scan);
     assert_eq!(
         reference, observed,
         "E16: a collecting subscriber changed the scan result"
     );
-    let (traced, _profile, _stats) = execute_traced(&materialized, &scan_query).expect("scan");
-    assert_eq!(reference, traced, "E16: the traced path changed the scan result");
+    assert_eq!(reference, traced().0, "E16: the traced path changed the scan result");
     rows.push(Measurement::new(
         "E16",
         &parameters,
@@ -1180,7 +1196,7 @@ fn e16_observability_overhead(observations: usize) -> Vec<Measurement> {
     ));
 
     let noop_samples: Vec<std::time::Duration> = (0..RUNS)
-        .map(|_| timed(|| execute(&materialized, &scan_query).expect("scan")).1)
+        .map(|_| timed(scan).1)
         .collect();
     let noop = criterion::Stats::from_durations(&noop_samples).expect("samples");
     rows.push(Measurement::new(
@@ -1199,12 +1215,7 @@ fn e16_observability_overhead(observations: usize) -> Vec<Measurement> {
     let collector = Arc::new(obs::CollectingSubscriber::new());
     let collecting_samples: Vec<std::time::Duration> = (0..RUNS)
         .map(|_| {
-            timed(|| {
-                obs::with_subscriber(collector.clone(), || {
-                    execute(&materialized, &scan_query).expect("scan")
-                })
-            })
-            .1
+            timed(|| obs::with_subscriber(collector.clone(), scan)).1
         })
         .collect();
     assert!(
@@ -1226,7 +1237,7 @@ fn e16_observability_overhead(observations: usize) -> Vec<Measurement> {
     ));
 
     let traced_samples: Vec<std::time::Duration> = (0..RUNS)
-        .map(|_| timed(|| execute_traced(&materialized, &scan_query).expect("scan")).1)
+        .map(|_| timed(traced).1)
         .collect();
     let traced_stats = criterion::Stats::from_durations(&traced_samples).expect("samples");
     rows.push(Measurement::new(
@@ -1296,8 +1307,7 @@ fn e17_zone_map_pruning(observations: usize) -> Vec<Measurement> {
     use std::collections::BTreeMap;
 
     use qb2olap::cubestore::{
-        auto_scan_threads, execute_with_options, CubeQuery, ExecOptions, MemberFilter,
-        MemberPredicate,
+        auto_scan_threads, execute, CubeQuery, ExecOptions, MemberFilter, MemberPredicate,
     };
     use rdf::vocab::{demo_schema, rdfs, sdmx_dimension};
     use sparql::ast::CmpOp;
@@ -1393,19 +1403,14 @@ fn e17_zone_map_pruning(observations: usize) -> Vec<Measurement> {
 
         // Correctness gate: pruned output is bit-identical to the unpruned
         // single-threaded reference, at one worker and at the auto count.
-        let (reference, full_stats) = execute_with_options(
-            &materialized,
-            query,
-            ExecOptions { threads: 1, prune: false },
-        )
-        .expect("unpruned scan");
+        let run = |options: ExecOptions| execute(&materialized, query, &options, None);
+        let (reference, full_stats) =
+            run(ExecOptions { threads: 1, prune: false }).expect("unpruned scan");
         for options in [pruned, unpruned, ExecOptions { threads: 1, prune: true }] {
-            let (output, _) =
-                execute_with_options(&materialized, query, options).expect("scan");
+            let (output, _) = run(options).expect("scan");
             assert_eq!(output, reference, "E17: pruning changed the result of '{name}'");
         }
-        let (_, pruned_stats) =
-            execute_with_options(&materialized, query, pruned).expect("pruned scan");
+        let (_, pruned_stats) = run(pruned).expect("pruned scan");
         let fraction = pruned_stats.rows_scanned as f64 / (live_rows as f64).max(1.0);
         if *name == "leaf-month-dice" && observations >= 80_000 {
             assert!(
@@ -1442,15 +1447,11 @@ fn e17_zone_map_pruning(observations: usize) -> Vec<Measurement> {
         ));
 
         let pruned_samples: Vec<std::time::Duration> = (0..RUNS)
-            .map(|_| {
-                timed(|| execute_with_options(&materialized, query, pruned).expect("scan")).1
-            })
+            .map(|_| timed(|| run(pruned).expect("scan")).1)
             .collect();
         let pruned_time = criterion::Stats::from_durations(&pruned_samples).expect("samples");
         let full_samples: Vec<std::time::Duration> = (0..RUNS)
-            .map(|_| {
-                timed(|| execute_with_options(&materialized, query, unpruned).expect("scan")).1
-            })
+            .map(|_| timed(|| run(unpruned).expect("scan")).1)
             .collect();
         let full_time = criterion::Stats::from_durations(&full_samples).expect("samples");
         rows.push(Measurement::new(
@@ -1482,7 +1483,7 @@ fn e18_serving_under_rebuild(observations: usize) -> Vec<Measurement> {
     use std::time::{Duration, Instant};
 
     use qb2olap::cubestore::{
-        execute_snapshot, CubeQuery, MaintenanceStrategy, RebuildReason,
+        execute, CubeQuery, ExecOptions, MaintenanceStrategy, RebuildReason,
     };
     use rdf::vocab::{demo_schema, qb4o};
     use rdf::{Term, Triple};
@@ -1511,7 +1512,9 @@ fn e18_serving_under_rebuild(observations: usize) -> Vec<Measurement> {
     let read = || {
         let started = Instant::now();
         let snapshot = querying.snapshot().expect("snapshot serve");
-        let output = execute_snapshot(&snapshot, &query).expect("snapshot execute");
+        let options = ExecOptions::default();
+        let (output, _) =
+            execute(snapshot.cube(), &query, &options, None).expect("snapshot execute");
         (started.elapsed(), output, snapshot.epoch())
     };
 

@@ -5,7 +5,7 @@
 //! allocations although it visits five times the rows.
 
 use qb2olap::cubestore::cowvec::SEGMENT_LEN;
-use qb2olap::cubestore::{execute_with_options, CubeQuery, ExecOptions};
+use qb2olap::cubestore::{execute, CubeQuery, ExecOptions};
 use qb2olap::rdf::Iri;
 use qb2olap_bench::alloc_counter::{allocations, CountingAllocator};
 use qb2olap_bench::demo_cube;
@@ -43,9 +43,9 @@ fn execute_allocations(segments: usize) -> (u64, usize) {
         prune: false,
     };
     // Once unmeasured: lazily initialized statics allocate on first use.
-    execute_with_options(&materialized, &query, options).expect("executes");
+    execute(&materialized, &query, &options, None).expect("executes");
     let before = allocations();
-    let (output, stats) = execute_with_options(&materialized, &query, options).expect("executes");
+    let (output, stats) = execute(&materialized, &query, &options, None).expect("executes");
     let spent = allocations() - before;
     assert_eq!(stats.rows_scanned, (segments * SEGMENT_LEN) as u64);
     (spent, output.cells.len())

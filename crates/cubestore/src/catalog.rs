@@ -1,33 +1,31 @@
 //! The live cube catalog: one shared, change-tracked columnar
 //! representation per dataset, served to every consumer module.
 //!
-//! A [`CubeCatalog`] keys [`MaterializedCube`]s by dataset IRI and
-//! validates the endpoint's mutation epoch on **every** [`CubeCatalog::serve`]
-//! call, so a consumer can never observe a stale cube: if the store moved,
-//! the catalog transparently refreshes the entry — replaying the recorded
-//! [`rdf::StoreDelta`]s through [`MaterializedCube::apply_delta`] when the
-//! change log covers the gap and the delta is appliable, and falling back
-//! to a full re-materialization otherwise. Every refresh decision, reason
-//! and timing is recorded as a [`MaintenanceReport`].
+//! A [`CubeCatalog`] keys [`MaterializedCube`]s by dataset IRI and has
+//! **one read path**, [`CubeCatalog::serve_snapshot`]: it validates the
+//! endpoint's mutation epoch on every call and returns a pinned
+//! [`CubeSnapshot`] — the last folded base plus a [`DeltaOverlay`] of
+//! everything accreted since — which readers execute against without
+//! holding any catalog lock. When the store moved, the call catches up:
 //!
-//! # Non-blocking serving
+//! * the first build runs inline (there is nothing to serve meanwhile);
+//! * appliable [`rdf::StoreDelta`]s are accreted into the overlay inline
+//!   in O(delta) through [`MaterializedCube::apply_delta`];
+//! * structural changes (a refused delta or a change-log gap) and
+//!   compactions go through **one fold** — a rebuild from scratch,
+//!   published with an atomic swap. It runs on a background thread over
+//!   the frozen [`sparql::Endpoint::background_handle`] while readers keep
+//!   the stale-but-consistent pin, and on the caller's thread when the
+//!   endpoint has no handle.
 //!
-//! [`CubeCatalog::serve_snapshot`] is the read path that never waits on
-//! maintenance: it returns a pinned [`CubeSnapshot`] — the last folded
-//! base plus a [`DeltaOverlay`] of everything accreted since — and readers
-//! execute against it without holding any catalog lock. Appliable deltas
-//! are accreted into the overlay inline in O(delta); structural changes
-//! (a refused delta or a change-log gap) and compactions are handed to a
-//! **background fold thread** that rebuilds from a frozen
-//! [`sparql::Endpoint::background_handle`] and publishes the new base
-//! with an atomic swap, while readers keep getting the stale-but-
-//! consistent snapshot. Maintenance claims are serialized by one
-//! `refreshing` flag per slot: the blocking [`CubeCatalog::serve`] (which
-//! still guarantees freshness) waits on the slot's condvar instead of
-//! holding the slot lock across the refresh, so a slow fold can never
-//! delay a concurrent serve by more than the snapshot-pin cost. The
-//! `QB2OLAP_NO_OVERLAY` kill switch ([`overlay_enabled`]) forces the
-//! snapshot path down the blocking one for differential runs.
+//! [`CubeCatalog::serve_settled`] is the same pin for callers that must
+//! read their own writes: it waits for in-flight maintenance and pins
+//! again until the pin is at the store's epoch, and surfaces a failed
+//! fold as an error instead of waiting for one that is not coming. Every
+//! decision, reason and timing is recorded as a [`MaintenanceReport`].
+//! Maintenance claims are serialized by one `refreshing` flag per slot,
+//! so a slow fold can never delay a concurrent pin by more than the pin
+//! cost.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -43,16 +41,17 @@ use sparql::Endpoint;
 
 use crate::build::MaterializedCube;
 use crate::error::{CubeStoreError, DeltaRefusal};
-use crate::overlay::{member_total, overlay_enabled, CubeSnapshot, DeltaOverlay};
+use crate::overlay::{member_total, CubeSnapshot, DeltaOverlay};
 
 /// How the catalog brought an entry up to date.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceStrategy {
     /// First materialization of the dataset.
     Fresh,
-    /// Recorded deltas were replayed onto the existing columns
-    /// (copy-on-write: only the components the deltas extended were
-    /// copied; removals were tombstoned).
+    /// Recorded deltas were replayed onto the served columns in O(delta)
+    /// and accreted into the entry's [`DeltaOverlay`] (copy-on-write: only
+    /// the components the deltas extended were copied; removals were
+    /// tombstoned). The base stays untouched until the next fold.
     Delta,
     /// The cube was re-materialized from the endpoint because the deltas
     /// were unappliable or the change log had a coverage gap.
@@ -61,11 +60,6 @@ pub enum MaintenanceStrategy {
     /// live-fraction threshold ([`COMPACTION_LIVE_FRACTION`]), so the
     /// catalog re-materialized to reclaim the dead rows.
     Compaction,
-    /// Recorded deltas were accreted into a [`DeltaOverlay`] on the
-    /// snapshot read path ([`CubeCatalog::serve_snapshot`]): the base cube
-    /// was left untouched and readers merge base + overlay at scan time
-    /// until a background fold publishes a new base.
-    Overlay,
 }
 
 impl MaintenanceStrategy {
@@ -77,7 +71,6 @@ impl MaintenanceStrategy {
             MaintenanceStrategy::Delta => "delta",
             MaintenanceStrategy::Rebuild => "rebuild",
             MaintenanceStrategy::Compaction => "compaction",
-            MaintenanceStrategy::Overlay => "overlay",
         }
     }
 }
@@ -130,8 +123,7 @@ impl fmt::Display for RebuildReason {
 pub struct MaintenanceReport {
     /// The dataset that was refreshed.
     pub dataset: Iri,
-    /// Delta replay, full rebuild, compaction, overlay accretion, or
-    /// first build.
+    /// Delta accretion, full rebuild, compaction, or first build.
     pub strategy: MaintenanceStrategy,
     /// For [`MaintenanceStrategy::Rebuild`] and
     /// [`MaintenanceStrategy::Compaction`]: why the columns were
@@ -143,13 +135,12 @@ pub struct MaintenanceReport {
     pub from_epoch: u64,
     /// The store epoch the entry is at after the refresh.
     pub to_epoch: u64,
-    /// Number of store deltas replayed (delta/overlay strategies only).
+    /// Number of store deltas replayed (delta strategy only).
     pub deltas_applied: usize,
     /// Fact rows appended by the refresh (net new live rows for rebuilds).
     pub rows_appended: usize,
     /// Fact rows removed by the refresh: tombstoned for
-    /// [`MaintenanceStrategy::Delta`] / [`MaintenanceStrategy::Overlay`],
-    /// net lost live rows for rebuilds.
+    /// [`MaintenanceStrategy::Delta`], net lost live rows for rebuilds.
     pub rows_removed: usize,
     /// Level members added by the refresh.
     pub members_added: usize,
@@ -272,11 +263,11 @@ impl CatalogEntry {
 
 /// A dataset's slot: the entry plus the maintenance claim that serializes
 /// refreshes. `refreshing` is the single-writer claim — whoever sets it
-/// (a blocking serve, an inline overlay accretion, or a background fold
-/// thread) owns maintenance of the slot until it clears the flag and
-/// signals `maintenance_done`. The slot mutex itself is only ever held
-/// for pointer-swap-sized critical sections, never across endpoint I/O
-/// or column work.
+/// (a first build, an inline accretion, or a fold on the caller's or a
+/// background thread) owns maintenance of the slot until it clears the
+/// flag and signals `maintenance_done`. The slot mutex itself is only ever
+/// held for pointer-swap-sized critical sections, never across endpoint
+/// I/O or column work.
 #[derive(Default)]
 struct SlotInner {
     state: Mutex<SlotState>,
@@ -287,6 +278,18 @@ struct SlotInner {
 struct SlotState {
     entry: Option<CatalogEntry>,
     refreshing: bool,
+    /// Why the last fold failed, until the next claim: the entry stayed
+    /// stale, and [`CubeCatalog::serve_settled`] returns this instead of
+    /// waiting for a fold that is not coming.
+    fold_error: Option<CubeStoreError>,
+}
+
+impl SlotState {
+    /// Takes the maintenance claim (the caller checked it was free).
+    fn claim(&mut self) {
+        self.refreshing = true;
+        self.fold_error = None;
+    }
 }
 
 impl SlotInner {
@@ -298,6 +301,15 @@ impl SlotInner {
             .wait_timeout(guard, Duration::from_millis(50))
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         guard
+    }
+
+    /// Parks until no maintenance is in flight.
+    fn idle(&self) -> MutexGuard<'_, SlotState> {
+        let mut st = self.state.lock();
+        while st.refreshing {
+            st = self.wait(st);
+        }
+        st
     }
 
     /// Clears the maintenance claim and wakes every waiter.
@@ -349,6 +361,76 @@ fn record_report_metrics(
     metrics.gauge("catalog.live_fraction").set(live_fraction);
 }
 
+/// Rebuilds `schema`'s cube from `source` and publishes it as the slot's
+/// new base — the one path structural changes and compactions take, on a
+/// background thread or the caller's. Runs under the slot's maintenance
+/// claim and releases it, success or failure. The epoch is read *before*
+/// the build, so a mutation racing it is caught up by the next serve
+/// rather than skipped. A failure leaves the entry stale but consistent
+/// and is kept in the slot for [`CubeCatalog::serve_settled`]. A free
+/// function because the fold thread outlives any `&self` borrow.
+fn run_fold(
+    metrics: &MetricsRegistry,
+    slot: &SlotInner,
+    schema: &CubeSchema,
+    source: &dyn Endpoint,
+    strategy: MaintenanceStrategy,
+    reason: RebuildReason,
+    background: bool,
+) -> Result<CubeSnapshot, CubeStoreError> {
+    let started = Instant::now();
+    let target_epoch = source.epoch();
+    // catch_unwind so a panicking build can never strand the claim.
+    let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let _fold_span = obs::span("catalog.fold");
+        let _rebuild_span = obs::span("catalog.rebuild");
+        MaterializedCube::from_endpoint(source, schema)
+    }))
+    .unwrap_or_else(|_| Err(CubeStoreError::Build("the fold panicked".to_string())));
+    let mut st = slot.state.lock();
+    st.refreshing = false;
+    let result = match built {
+        Ok(cube) => {
+            let cube = Arc::new(cube);
+            let entry = st.entry.as_mut().expect("entry present while claim held");
+            let old_live = entry.served_cube().live_row_count();
+            let old_members = member_total(entry.served_cube());
+            let window = started.elapsed();
+            let report = MaintenanceReport {
+                dataset: schema.dataset.clone(),
+                strategy,
+                reason: Some(reason),
+                duration: window,
+                from_epoch: entry.served_epoch(),
+                to_epoch: target_epoch,
+                deltas_applied: 0,
+                rows_appended: cube.live_row_count().saturating_sub(old_live),
+                rows_removed: old_live.saturating_sub(cube.live_row_count()),
+                members_added: member_total(&cube).saturating_sub(old_members),
+                overlap: background.then_some(window),
+            };
+            entry.publish_base(cube.clone(), target_epoch);
+            record_report_metrics(metrics, &report, &cube);
+            entry.record(report);
+            metrics.counter("catalog.overlay.folds").inc();
+            metrics.gauge("catalog.overlay.rows").set(0.0);
+            Ok(entry.snapshot())
+        }
+        Err(error) => {
+            metrics.counter("catalog.overlay.fold_failures").inc();
+            st.fold_error = Some(error.clone());
+            Err(error)
+        }
+    };
+    drop(st);
+    slot.maintenance_done.notify_all();
+    result
+}
+
+/// Pins [`CubeCatalog::serve_settled`] takes before it catches up on the
+/// caller's thread instead of waiting for another fold.
+const SETTLE_ATTEMPTS: usize = 8;
+
 /// A shared catalog of live materialized cubes, keyed by dataset IRI.
 ///
 /// Cheap to share (`Arc<CubeCatalog>`); the Querying and Exploration
@@ -357,9 +439,9 @@ fn record_report_metrics(
 /// only held long enough to find or create a dataset's slot, and each
 /// slot's own lock is only held for snapshot pins and publish swaps —
 /// refresh work runs outside it under the slot's `refreshing` claim, so
-/// a multi-second rebuild of one dataset delays the blocking [`Self::serve`]
-/// (which needs the fresh cube anyway) but never a [`Self::serve_snapshot`],
-/// and never serving of any other dataset.
+/// a multi-second rebuild of one dataset delays only
+/// [`Self::serve_settled`] (which needs the fresh cube anyway), never a
+/// [`Self::serve_snapshot`], and never serving of any other dataset.
 #[derive(Default)]
 pub struct CubeCatalog {
     inner: Mutex<BTreeMap<Iri, EntrySlot>>,
@@ -387,275 +469,30 @@ impl CubeCatalog {
         &self.metrics
     }
 
-    /// Returns the up-to-date cube for `schema`'s dataset, materializing or
-    /// refreshing it as needed.
-    ///
-    /// The first call for a dataset enables change tracking on the endpoint
-    /// and builds the cube; later calls compare the endpoint's mutation
-    /// epoch with the entry's and replay deltas (or rebuild) when the store
-    /// moved. Stale reads are impossible by construction: the epoch is
-    /// validated on every call. The refresh itself runs on the caller's
-    /// thread but **outside** the slot lock, under the slot's maintenance
-    /// claim — a concurrent [`Self::serve_snapshot`] keeps serving the
-    /// pinned snapshot meanwhile. For reads that must not wait on
-    /// maintenance at all, use [`Self::serve_snapshot`].
-    pub fn serve(
-        &self,
-        endpoint: &dyn Endpoint,
-        schema: &CubeSchema,
-    ) -> Result<Arc<MaterializedCube>, CubeStoreError> {
-        let _serve_span = obs::span("catalog.serve");
-        self.metrics.counter("catalog.serve.calls").inc();
-        let slot = self.slot(&schema.dataset);
-        loop {
-            let mut st = slot.state.lock();
-            match st.entry.as_ref() {
-                Some(entry) => {
-                    let now = endpoint.epoch();
-                    if entry.served_epoch() == now {
-                        self.metrics.counter("catalog.serve.hits").inc();
-                        return Ok(entry.served_cube().clone());
-                    }
-                    if st.refreshing {
-                        // Maintenance in flight: freshness requires its
-                        // result, so wait for the claim and re-examine.
-                        st = slot.wait(st);
-                        continue;
-                    }
-                    let old = entry.served_cube().clone();
-                    let from_epoch = entry.served_epoch();
-                    st.refreshing = true;
-                    drop(st);
-                    // The actual refresh runs with no lock held.
-                    let outcome = self.refresh(endpoint, schema, &old, from_epoch, now);
-                    let result = match outcome {
-                        Ok((cube, report)) => {
-                            let mut st = slot.state.lock();
-                            st.refreshing = false;
-                            let entry =
-                                st.entry.as_mut().expect("entry present while claim held");
-                            entry.publish_base(cube.clone(), report.to_epoch);
-                            record_report_metrics(&self.metrics, &report, &cube);
-                            entry.record(report);
-                            Ok(cube)
-                        }
-                        Err(error) => {
-                            slot.state.lock().refreshing = false;
-                            Err(error)
-                        }
-                    };
-                    slot.maintenance_done.notify_all();
-                    return result;
-                }
-                None => {
-                    if st.refreshing {
-                        st = slot.wait(st);
-                        continue;
-                    }
-                    st.refreshing = true;
-                    drop(st);
-                    let outcome = self.first_build(endpoint, schema);
-                    let result = match outcome {
-                        Ok((cube, epoch, report)) => {
-                            let mut st = slot.state.lock();
-                            st.refreshing = false;
-                            record_report_metrics(&self.metrics, &report, &cube);
-                            let mut reports = ReportLog::new();
-                            reports.push(report);
-                            st.entry = Some(CatalogEntry {
-                                base: cube.clone(),
-                                base_epoch: epoch,
-                                overlay: None,
-                                reports,
-                            });
-                            Ok(cube)
-                        }
-                        Err(error) => {
-                            slot.state.lock().refreshing = false;
-                            Err(error)
-                        }
-                    };
-                    slot.maintenance_done.notify_all();
-                    return result;
-                }
-            }
-        }
-    }
-
-    /// First materialization of a dataset: enable change tracking, then
-    /// build. The epoch is read *before* the build: a mutation racing with
-    /// the build is re-examined (and, being already materialized, resolved
-    /// by a rebuild) rather than silently skipped.
-    fn first_build(
-        &self,
-        endpoint: &dyn Endpoint,
-        schema: &CubeSchema,
-    ) -> Result<(Arc<MaterializedCube>, u64, MaintenanceReport), CubeStoreError> {
-        endpoint.enable_change_tracking();
-        let epoch = endpoint.epoch();
-        let started = Instant::now();
-        let cube = {
-            let _build_span = obs::span("catalog.fresh-build");
-            Arc::new(MaterializedCube::from_endpoint(endpoint, schema)?)
-        };
-        let report = MaintenanceReport {
-            dataset: schema.dataset.clone(),
-            strategy: MaintenanceStrategy::Fresh,
-            reason: None,
-            duration: started.elapsed(),
-            from_epoch: epoch,
-            to_epoch: epoch,
-            deltas_applied: 0,
-            rows_appended: cube.row_count(),
-            rows_removed: 0,
-            members_added: member_total(&cube),
-            overlap: None,
-        };
-        Ok((cube, epoch, report))
-    }
-
-    /// Brings `old` (the served cube at `from_epoch`) up to date on the
-    /// caller's thread: delta replay when possible, compaction or rebuild
-    /// otherwise. Runs with no catalog lock held; the caller owns the
-    /// slot's maintenance claim.
-    fn refresh(
-        &self,
-        endpoint: &dyn Endpoint,
-        schema: &CubeSchema,
-        old: &Arc<MaterializedCube>,
-        from_epoch: u64,
-        now: u64,
-    ) -> Result<(Arc<MaterializedCube>, MaintenanceReport), CubeStoreError> {
-        let started = Instant::now();
-        let old_rows = old.row_count();
-        let old_tombstoned = old.tombstoned_rows();
-        let old_live = old.live_row_count();
-        let old_members = member_total(old);
-        let (cube, strategy, reason, deltas_applied, to_epoch) =
-            match endpoint.deltas_since(from_epoch) {
-                Some(deltas) => {
-                    // The epoch the replay catches the entry up to:
-                    // the last recorded delta (mutations racing in
-                    // after `now` was read are replayed next time).
-                    let caught_up = deltas.last().map(|d| d.epoch).unwrap_or(now);
-                    let replay = {
-                        let _replay_span = obs::span("catalog.delta-replay");
-                        old.apply_delta(&deltas)
-                    };
-                    match replay {
-                        Ok(cube) if needs_compaction(&cube) => {
-                            // The delta applied, but the tombstones
-                            // it (and earlier refreshes) left now
-                            // dominate the columns: re-materialize
-                            // while the reason is recorded.
-                            let reason = RebuildReason::LowLiveFraction {
-                                live_rows: cube.live_row_count(),
-                                total_rows: cube.row_count(),
-                            };
-                            let rebuilt = {
-                                let _rebuild_span = obs::span("catalog.rebuild");
-                                MaterializedCube::from_endpoint(endpoint, schema)?
-                            };
-                            (
-                                rebuilt,
-                                MaintenanceStrategy::Compaction,
-                                Some(reason),
-                                deltas.len(),
-                                now,
-                            )
-                        }
-                        Ok(cube) => {
-                            (cube, MaintenanceStrategy::Delta, None, deltas.len(), caught_up)
-                        }
-                        Err(error) => {
-                            let reason = match error {
-                                CubeStoreError::DeltaUnsupported(refusal) => {
-                                    RebuildReason::DeltaRefused(refusal)
-                                }
-                                other => RebuildReason::Error(other.to_string()),
-                            };
-                            let rebuilt = {
-                                let _rebuild_span = obs::span("catalog.rebuild");
-                                MaterializedCube::from_endpoint(endpoint, schema)?
-                            };
-                            (
-                                rebuilt,
-                                MaintenanceStrategy::Rebuild,
-                                Some(reason),
-                                deltas.len(),
-                                now,
-                            )
-                        }
-                    }
-                }
-                None => {
-                    let rebuilt = {
-                        let _rebuild_span = obs::span("catalog.rebuild");
-                        MaterializedCube::from_endpoint(endpoint, schema)?
-                    };
-                    (
-                        rebuilt,
-                        MaintenanceStrategy::Rebuild,
-                        Some(RebuildReason::ChangeLogGap),
-                        0,
-                        now,
-                    )
-                }
-            };
-        let cube = Arc::new(cube);
-        // Appends grow the physical rows; removals grow the
-        // tombstone count. Rebuilds reset both, so they report the
-        // net live-row movement instead.
-        let (rows_appended, rows_removed) = match strategy {
-            MaintenanceStrategy::Delta => (
-                cube.row_count().saturating_sub(old_rows),
-                cube.tombstoned_rows().saturating_sub(old_tombstoned),
-            ),
-            _ => (
-                cube.live_row_count().saturating_sub(old_live),
-                old_live.saturating_sub(cube.live_row_count()),
-            ),
-        };
-        let report = MaintenanceReport {
-            dataset: schema.dataset.clone(),
-            strategy,
-            reason,
-            duration: started.elapsed(),
-            from_epoch,
-            to_epoch,
-            deltas_applied,
-            rows_appended,
-            rows_removed,
-            members_added: member_total(&cube).saturating_sub(old_members),
-            overlap: None,
-        };
-        Ok((cube, report))
-    }
-
     /// Returns a pinned [`CubeSnapshot`] for `schema`'s dataset **without
-    /// ever waiting on maintenance**: the caller gets the current base +
-    /// overlay immediately and executes against it lock-free.
+    /// ever waiting on maintenance** once the dataset is built: the caller
+    /// gets the current base + overlay immediately and executes against it
+    /// lock-free. This is the catalog's one read path.
     ///
-    /// When the store moved, the catalog catches up in the cheapest way
+    /// The first call for a dataset enables change tracking on the
+    /// endpoint and builds the cube inline (there is nothing to serve
+    /// meanwhile). Later calls compare the endpoint's mutation epoch with
+    /// the pin's and, when the store moved, catch up in the cheapest way
     /// that does not block the reader:
     ///
     /// * appliable deltas are **accreted inline** into a new overlay in
     ///   O(delta) — this serve returns the caught-up snapshot, and the
-    ///   refresh is recorded as [`MaintenanceStrategy::Overlay`];
-    /// * structural changes (refused delta, change-log gap) hand the
-    ///   rebuild to a **background fold thread** working from the frozen
-    ///   [`sparql::Endpoint::background_handle`]; this serve — and every
-    ///   one until the fold publishes — returns the stale-but-consistent
-    ///   pinned snapshot (`catalog.overlay.stale_serves` counts them, the
-    ///   `catalog.overlay.lag` gauge tracks how far behind they are);
-    /// * tombstones past [`COMPACTION_LIVE_FRACTION`] likewise compact in
-    ///   the background while the overlay keeps serving.
-    ///
-    /// Endpoints without a background handle (e.g. the conservative
-    /// wrappers) degrade structural maintenance to the blocking path, and
-    /// the `QB2OLAP_NO_OVERLAY` kill switch degrades every call to
-    /// [`Self::serve`] — results are bit-identical either way, which the
-    /// overlay differential campaigns pin.
+    ///   refresh is recorded as [`MaintenanceStrategy::Delta`];
+    /// * structural changes (refused delta, change-log gap) and tombstones
+    ///   past [`COMPACTION_LIVE_FRACTION`] go through one **fold** — a
+    ///   rebuild from scratch published with an atomic swap. It runs on a
+    ///   background thread over the frozen
+    ///   [`sparql::Endpoint::background_handle`] while this serve, and
+    ///   every one until the fold publishes, returns the stale-but-
+    ///   consistent pin (`catalog.overlay.stale_serves` counts them, the
+    ///   `catalog.overlay.lag` gauge tracks how far behind they are).
+    ///   Endpoints without a background handle (the conservative wrappers)
+    ///   fold on the caller's thread and get the fresh snapshot.
     pub fn serve_snapshot(
         &self,
         endpoint: &dyn Endpoint,
@@ -663,15 +500,9 @@ impl CubeCatalog {
     ) -> Result<CubeSnapshot, CubeStoreError> {
         let _snapshot_span = obs::span("catalog.serve-snapshot");
         self.metrics.counter("catalog.overlay.serve_calls").inc();
-        if !overlay_enabled() {
-            self.serve(endpoint, schema)?;
-            return Ok(self
-                .current_snapshot(&schema.dataset)
-                .expect("entry exists after a successful serve"));
-        }
         let slot = self.slot(&schema.dataset);
-        {
-            let mut st = slot.state.lock();
+        let mut st = slot.state.lock();
+        loop {
             if let Some(entry) = st.entry.as_ref() {
                 let now = endpoint.epoch();
                 let pinned = entry.snapshot();
@@ -687,29 +518,128 @@ impl CubeCatalog {
                     self.metrics.counter("catalog.overlay.stale_serves").inc();
                     return Ok(pinned);
                 }
-                st.refreshing = true;
+                st.claim();
                 drop(st);
-                return self.accrete_or_fold(endpoint, schema, &slot, pinned, now);
+                return self.catch_up(endpoint, schema, &slot, pinned, now, true);
             }
+            if !st.refreshing {
+                st.claim();
+                drop(st);
+                return self.first_build(endpoint, schema, &slot);
+            }
+            // Another caller is building the first cube: nothing to serve
+            // until it lands.
+            st = slot.wait(st);
         }
-        // First build: there is no stale snapshot to serve meanwhile, so
-        // this one call is blocking by necessity.
-        self.serve(endpoint, schema)?;
-        Ok(self
-            .current_snapshot(&schema.dataset)
-            .expect("entry exists after a successful serve"))
     }
 
-    /// The catch-up half of [`Self::serve_snapshot`]. Runs with the slot's
-    /// maintenance claim held and no lock: accretes appliable deltas into
-    /// the overlay inline, or hands structural work to a background fold.
-    fn accrete_or_fold(
+    /// A pinned snapshot that is **settled**: at the store's current epoch
+    /// with no maintenance in flight — what library callers that must read
+    /// their own writes use (`QueryingModule::materialize` and
+    /// `snapshot_settled`, the catalog-backed explorer).
+    ///
+    /// Pins through [`Self::serve_snapshot`]; while the pin is stale or a
+    /// fold is in flight, waits for maintenance and pins again. A fold that
+    /// failed meanwhile is returned as the error rather than waited for. A
+    /// store mutating faster than folds land never settles: after
+    /// eight pins the catch-up runs on the caller's thread.
+    /// A failed compaction of an otherwise current pin is not an error:
+    /// the next pin serves the overlay.
+    pub fn serve_settled(
+        &self,
+        endpoint: &dyn Endpoint,
+        schema: &CubeSchema,
+    ) -> Result<CubeSnapshot, CubeStoreError> {
+        let slot = self.slot(&schema.dataset);
+        for _ in 0..SETTLE_ATTEMPTS {
+            let pinned = self.serve_snapshot(endpoint, schema)?;
+            let stale = pinned.epoch() != endpoint.epoch();
+            if !stale && !slot.state.lock().refreshing {
+                return Ok(pinned);
+            }
+            let failed = slot.idle().fold_error.clone();
+            if let (true, Some(error)) = (stale, failed) {
+                return Err(error);
+            }
+        }
+        let mut st = slot.idle();
+        let pinned = st.entry.as_ref().expect("pinned above").snapshot();
+        let now = endpoint.epoch();
+        if pinned.epoch() == now {
+            return Ok(pinned);
+        }
+        st.claim();
+        drop(st);
+        self.catch_up(endpoint, schema, &slot, pinned, now, false)
+    }
+
+    /// First materialization of a dataset: enable change tracking, then
+    /// build, under the slot's claim. The epoch is read *before* the
+    /// build: a mutation racing with it is caught up by the next serve
+    /// rather than silently skipped.
+    fn first_build(
+        &self,
+        endpoint: &dyn Endpoint,
+        schema: &CubeSchema,
+        slot: &SlotInner,
+    ) -> Result<CubeSnapshot, CubeStoreError> {
+        endpoint.enable_change_tracking();
+        let epoch = endpoint.epoch();
+        let started = Instant::now();
+        let built = {
+            let _build_span = obs::span("catalog.fresh-build");
+            MaterializedCube::from_endpoint(endpoint, schema)
+        };
+        let cube = match built {
+            Ok(cube) => Arc::new(cube),
+            Err(error) => {
+                slot.release_claim();
+                return Err(error);
+            }
+        };
+        let report = MaintenanceReport {
+            dataset: schema.dataset.clone(),
+            strategy: MaintenanceStrategy::Fresh,
+            reason: None,
+            duration: started.elapsed(),
+            from_epoch: epoch,
+            to_epoch: epoch,
+            deltas_applied: 0,
+            rows_appended: cube.row_count(),
+            rows_removed: 0,
+            members_added: member_total(&cube),
+            overlap: None,
+        };
+        record_report_metrics(&self.metrics, &report, &cube);
+        let mut reports = ReportLog::new();
+        reports.push(report);
+        let entry = CatalogEntry {
+            base: cube,
+            base_epoch: epoch,
+            overlay: None,
+            reports,
+        };
+        let snapshot = entry.snapshot();
+        let mut st = slot.state.lock();
+        st.entry = Some(entry);
+        st.refreshing = false;
+        drop(st);
+        slot.maintenance_done.notify_all();
+        Ok(snapshot)
+    }
+
+    /// Brings `pinned` up to the store's epoch `now`, holding the slot's
+    /// maintenance claim and no lock: accretes appliable deltas into the
+    /// overlay inline, or folds — on a background thread when `background`
+    /// is allowed and the endpoint offers a handle, inline otherwise.
+    fn catch_up(
         &self,
         endpoint: &dyn Endpoint,
         schema: &CubeSchema,
         slot: &EntrySlot,
         pinned: CubeSnapshot,
         now: u64,
+        background: bool,
     ) -> Result<CubeSnapshot, CubeStoreError> {
         let from_epoch = pinned.epoch();
         let started = Instant::now();
@@ -725,177 +655,109 @@ impl CubeCatalog {
                     Err(CubeStoreError::DeltaUnsupported(refusal)) => {
                         Err(RebuildReason::DeltaRefused(refusal))
                     }
-                    Err(other) => {
-                        // Non-refusal failure: release the claim and
-                        // surface the error (the blocking path does the
-                        // same after its rebuild attempt fails).
-                        slot.release_claim();
-                        return Err(other);
-                    }
+                    Err(other) => Err(RebuildReason::Error(other.to_string())),
                 }
             }
             None => Err(RebuildReason::ChangeLogGap),
         };
-        match accreted {
-            Ok((merged, caught_up, deltas_applied)) => {
-                let prior_deltas =
-                    pinned.overlay().map(|o| o.deltas_applied()).unwrap_or(0);
-                let overlay = Arc::new(DeltaOverlay::new(
-                    pinned.base(),
-                    pinned.base_epoch(),
-                    merged.clone(),
-                    caught_up,
-                    prior_deltas,
-                    deltas_applied,
-                ));
-                let report = MaintenanceReport {
-                    dataset: schema.dataset.clone(),
-                    strategy: MaintenanceStrategy::Overlay,
-                    reason: None,
-                    duration: started.elapsed(),
-                    from_epoch,
-                    to_epoch: caught_up,
-                    deltas_applied,
-                    rows_appended: merged.row_count().saturating_sub(pinned.cube().row_count()),
-                    rows_removed: merged
-                        .tombstoned_rows()
-                        .saturating_sub(pinned.cube().tombstoned_rows()),
-                    members_added: member_total(&merged)
-                        .saturating_sub(member_total(pinned.cube())),
-                    overlap: None,
-                };
-                let wants_compaction = needs_compaction(&merged);
-                let mut st = slot.state.lock();
-                st.refreshing = false;
-                let entry = st.entry.as_mut().expect("entry present while claim held");
-                entry.overlay = Some(overlay.clone());
-                record_report_metrics(&self.metrics, &report, &merged);
-                self.metrics.counter("catalog.overlay.accretions").inc();
-                self.metrics
-                    .gauge("catalog.overlay.rows")
-                    .set(overlay.rows_appended() as f64);
-                entry.record(report);
-                let snapshot = entry.snapshot();
-                if wants_compaction {
-                    if let Some(handle) = endpoint.background_handle() {
-                        // Tombstones dominate: fold in the background.
-                        // Readers keep the overlay until the compacted
-                        // base lands.
-                        let reason = RebuildReason::LowLiveFraction {
-                            live_rows: merged.live_row_count(),
-                            total_rows: merged.row_count(),
-                        };
-                        st.refreshing = true;
-                        drop(st);
-                        self.spawn_fold(
-                            slot.clone(),
-                            schema.clone(),
-                            handle,
-                            MaintenanceStrategy::Compaction,
-                            reason,
-                        );
-                        return Ok(snapshot);
-                    }
-                }
-                drop(st);
-                slot.maintenance_done.notify_all();
-                Ok(snapshot)
-            }
+        let (merged, caught_up, deltas_applied) = match accreted {
+            Ok(accreted) => accreted,
             Err(reason) => {
-                // Structural change: the overlay cannot absorb it. Rebuild
-                // in the background from a frozen store handle and keep
-                // serving the stale pin meanwhile.
-                match endpoint.background_handle() {
-                    Some(handle) => {
+                // Structural change: the overlay cannot absorb it.
+                let strategy = MaintenanceStrategy::Rebuild;
+                return match self.fold(endpoint, schema, slot, strategy, reason, background) {
+                    Some(folded) => folded,
+                    None => {
                         self.metrics.counter("catalog.overlay.stale_serves").inc();
-                        self.spawn_fold(
-                            slot.clone(),
-                            schema.clone(),
-                            handle,
-                            MaintenanceStrategy::Rebuild,
-                            reason,
-                        );
                         Ok(pinned)
                     }
-                    None => {
-                        // No epoch-consistent handle (conservative
-                        // endpoints): degrade to the blocking path.
-                        slot.release_claim();
-                        self.serve(endpoint, schema)?;
-                        Ok(self
-                            .current_snapshot(&schema.dataset)
-                            .expect("entry exists after a successful serve"))
-                    }
-                }
+                };
             }
+        };
+        let prior_deltas = pinned.overlay().map(|o| o.deltas_applied()).unwrap_or(0);
+        let overlay = Arc::new(DeltaOverlay::new(
+            pinned.base(),
+            pinned.base_epoch(),
+            merged.clone(),
+            caught_up,
+            prior_deltas,
+            deltas_applied,
+        ));
+        let report = MaintenanceReport {
+            dataset: schema.dataset.clone(),
+            strategy: MaintenanceStrategy::Delta,
+            reason: None,
+            duration: started.elapsed(),
+            from_epoch,
+            to_epoch: caught_up,
+            deltas_applied,
+            rows_appended: merged.row_count().saturating_sub(pinned.cube().row_count()),
+            rows_removed: merged
+                .tombstoned_rows()
+                .saturating_sub(pinned.cube().tombstoned_rows()),
+            members_added: member_total(&merged).saturating_sub(member_total(pinned.cube())),
+            overlap: None,
+        };
+        let wants_compaction = needs_compaction(&merged);
+        let mut st = slot.state.lock();
+        let entry = st.entry.as_mut().expect("entry present while claim held");
+        entry.overlay = Some(overlay.clone());
+        record_report_metrics(&self.metrics, &report, &merged);
+        self.metrics.counter("catalog.overlay.accretions").inc();
+        self.metrics
+            .gauge("catalog.overlay.rows")
+            .set(overlay.rows_appended() as f64);
+        entry.record(report);
+        let snapshot = entry.snapshot();
+        if wants_compaction {
+            // Tombstones dominate: the fold inherits the claim, and readers
+            // keep the overlay until the compacted base lands.
+            drop(st);
+            let reason = RebuildReason::LowLiveFraction {
+                live_rows: merged.live_row_count(),
+                total_rows: merged.row_count(),
+            };
+            let strategy = MaintenanceStrategy::Compaction;
+            return self
+                .fold(endpoint, schema, slot, strategy, reason, background)
+                .unwrap_or(Ok(snapshot));
         }
+        st.refreshing = false;
+        drop(st);
+        slot.maintenance_done.notify_all();
+        Ok(snapshot)
     }
 
-    /// Spawns the background fold thread. The caller must hold the slot's
-    /// maintenance claim; the thread inherits it and releases it when the
-    /// fold publishes (or fails). The fold reads from `handle` — a frozen,
-    /// epoch-consistent store copy — so a rebuild racing live writers
-    /// still materializes one well-defined state.
-    fn spawn_fold(
+    /// Runs [`run_fold`] on a spawned thread over the endpoint's frozen
+    /// background handle (`None`: the result lands in the slot later), or
+    /// on the caller's thread when `background` is off or the endpoint has
+    /// no handle (`Some`: the folded snapshot or the error). The caller
+    /// holds the maintenance claim; the fold inherits and releases it.
+    fn fold(
         &self,
-        slot: EntrySlot,
-        schema: CubeSchema,
-        handle: Arc<dyn Endpoint + Send + Sync>,
+        endpoint: &dyn Endpoint,
+        schema: &CubeSchema,
+        slot: &EntrySlot,
         strategy: MaintenanceStrategy,
         reason: RebuildReason,
-    ) {
+        background: bool,
+    ) -> Option<Result<CubeSnapshot, CubeStoreError>> {
         self.metrics.counter("catalog.overlay.folds_started").inc();
-        let metrics = self.metrics.clone();
-        std::thread::spawn(move || {
-            let started = Instant::now();
-            // catch_unwind so a panicking build can never strand the
-            // maintenance claim (waiters also tick on a timeout, but the
-            // claim must still be released).
-            let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let _fold_span = obs::span("catalog.fold");
-                let target_epoch = handle.epoch();
-                let _rebuild_span = obs::span("catalog.rebuild");
-                MaterializedCube::from_endpoint(handle.as_ref(), &schema)
-                    .map(|cube| (Arc::new(cube), target_epoch))
-            }));
-            let mut st = slot.state.lock();
-            st.refreshing = false;
-            match built {
-                Ok(Ok((cube, target_epoch))) => {
-                    if let Some(entry) = st.entry.as_mut() {
-                        let old_live = entry.served_cube().live_row_count();
-                        let old_members = member_total(entry.served_cube());
-                        let window = started.elapsed();
-                        let report = MaintenanceReport {
-                            dataset: schema.dataset.clone(),
-                            strategy,
-                            reason: Some(reason),
-                            duration: window,
-                            from_epoch: entry.served_epoch(),
-                            to_epoch: target_epoch,
-                            deltas_applied: 0,
-                            rows_appended: cube.live_row_count().saturating_sub(old_live),
-                            rows_removed: old_live.saturating_sub(cube.live_row_count()),
-                            members_added: member_total(&cube).saturating_sub(old_members),
-                            overlap: Some(window),
-                        };
-                        entry.publish_base(cube.clone(), target_epoch);
-                        record_report_metrics(&metrics, &report, &cube);
-                        entry.record(report);
-                        metrics.counter("catalog.overlay.folds").inc();
-                        metrics.gauge("catalog.overlay.rows").set(0.0);
-                    }
-                }
-                Ok(Err(_)) | Err(_) => {
-                    // The entry stays as it was: stale but consistent.
-                    // The next blocking serve retries the rebuild inline
-                    // and surfaces the error to its caller.
-                    metrics.counter("catalog.overlay.fold_failures").inc();
-                }
+        // Asked for only when used: a handle can be a copy of the store.
+        let handle = if background { endpoint.background_handle() } else { None };
+        match handle {
+            Some(handle) => {
+                let (metrics, slot, schema) = (self.metrics.clone(), slot.clone(), schema.clone());
+                std::thread::spawn(move || {
+                    // The outcome lands in the slot: a new base, or the
+                    // error `serve_settled` surfaces.
+                    let source = handle.as_ref();
+                    let _ = run_fold(&metrics, &slot, &schema, source, strategy, reason, true);
+                });
+                None
             }
-            drop(st);
-            slot.maintenance_done.notify_all();
-        });
+            None => Some(run_fold(&self.metrics, slot, schema, endpoint, strategy, reason, false)),
+        }
     }
 
     /// The currently pinned snapshot of a dataset (base + overlay),
@@ -907,8 +769,8 @@ impl CubeCatalog {
             .and_then(|slot| slot.state.lock().entry.as_ref().map(|entry| entry.snapshot()))
     }
 
-    /// True while a maintenance claim (refresh, accretion, or background
-    /// fold) is in flight for the dataset.
+    /// True while a maintenance claim (first build, accretion, or fold)
+    /// is in flight for the dataset.
     pub fn maintenance_in_flight(&self, dataset: &Iri) -> bool {
         self.existing_slot(dataset)
             .is_some_and(|slot| slot.state.lock().refreshing)
@@ -918,12 +780,8 @@ impl CubeCatalog {
     /// benches and oracles use this to fence "fold-then-serve" against the
     /// background fold; serving paths never need it.
     pub fn wait_for_maintenance(&self, dataset: &Iri) {
-        let Some(slot) = self.existing_slot(dataset) else {
-            return;
-        };
-        let mut st = slot.state.lock();
-        while st.refreshing {
-            st = slot.wait(st);
+        if let Some(slot) = self.existing_slot(dataset) {
+            drop(slot.idle());
         }
     }
 
@@ -970,7 +828,7 @@ impl CubeCatalog {
 
     /// The cube currently served for a dataset (base + overlay when one is
     /// accreted), without refreshing it. Useful for inspection; consumers
-    /// should go through [`Self::serve`] or [`Self::serve_snapshot`].
+    /// should go through [`Self::serve_snapshot`] or [`Self::serve_settled`].
     pub fn peek(&self, dataset: &Iri) -> Option<Arc<MaterializedCube>> {
         self.existing_slot(dataset).and_then(|slot| {
             slot.state
@@ -981,7 +839,8 @@ impl CubeCatalog {
         })
     }
 
-    /// Drops a dataset's entry; the next [`Self::serve`] rebuilds it.
+    /// Drops a dataset's entry; the next [`Self::serve_snapshot`] rebuilds
+    /// it.
     pub fn evict(&self, dataset: &Iri) {
         self.inner.lock().remove(dataset);
     }
@@ -1001,10 +860,10 @@ mod tests {
 
     use qb4olap::AggregateFunction;
     use rdf::Term;
-    use sparql::LocalEndpoint;
+    use sparql::{ConservativeEndpoint, LocalEndpoint};
 
-    use crate::executor::{execute, CubeQuery};
-    use crate::testutil::{fixture, iri, member, observation_triples};
+    use crate::executor::CubeQuery;
+    use crate::testutil::{fixture, iri, member, observation_triples, run};
 
     use super::*;
 
@@ -1013,11 +872,20 @@ mod tests {
         (endpoint, schema, CubeCatalog::new())
     }
 
+    /// The settled cube, as library callers read it.
+    fn served(
+        catalog: &CubeCatalog,
+        endpoint: &dyn Endpoint,
+        schema: &CubeSchema,
+    ) -> Arc<MaterializedCube> {
+        catalog.serve_settled(endpoint, schema).unwrap().cube().clone()
+    }
+
     #[test]
     fn first_serve_materializes_and_enables_tracking() {
         let (endpoint, schema, catalog) = setup();
         assert!(!endpoint.store().change_log_enabled());
-        let cube = catalog.serve(&endpoint, &schema).unwrap();
+        let cube = served(&catalog, &endpoint, &schema);
         assert_eq!(cube.row_count(), 5);
         assert!(endpoint.store().change_log_enabled());
         let report = catalog.last_report(&schema.dataset).unwrap();
@@ -1031,9 +899,9 @@ mod tests {
     #[test]
     fn unchanged_store_serves_the_same_cube_without_queries() {
         let (endpoint, schema, catalog) = setup();
-        let first = catalog.serve(&endpoint, &schema).unwrap();
+        let first = served(&catalog, &endpoint, &schema);
         let queries = endpoint.queries_executed();
-        let second = catalog.serve(&endpoint, &schema).unwrap();
+        let second = served(&catalog, &endpoint, &schema);
         assert!(Arc::ptr_eq(&first, &second), "same shared columns");
         assert_eq!(endpoint.queries_executed(), queries, "no SPARQL issued");
         assert_eq!(catalog.reports(&schema.dataset).len(), 1, "no refresh recorded");
@@ -1042,10 +910,10 @@ mod tests {
     #[test]
     fn observation_append_refreshes_via_the_delta_path() {
         let (endpoint, schema, catalog) = setup();
-        let stale = catalog.serve(&endpoint, &schema).unwrap();
+        let stale = served(&catalog, &endpoint, &schema);
         endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
 
-        let fresh = catalog.serve(&endpoint, &schema).unwrap();
+        let fresh = served(&catalog, &endpoint, &schema);
         assert!(!Arc::ptr_eq(&stale, &fresh));
         assert_eq!(fresh.row_count(), 6);
         let report = catalog.last_report(&schema.dataset).unwrap();
@@ -1060,7 +928,7 @@ mod tests {
             rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
             ..CubeQuery::default()
         };
-        let output = execute(&fresh, &query).unwrap();
+        let output = run(&fresh, &query).unwrap();
         let k1m1 = output
             .cells
             .iter()
@@ -1069,19 +937,19 @@ mod tests {
         assert_eq!(k1m1.values[0], Some(Term::integer(13)), "10 + 3");
 
         // Serving again without further mutation reuses the refreshed cube.
-        let again = catalog.serve(&endpoint, &schema).unwrap();
+        let again = served(&catalog, &endpoint, &schema);
         assert!(Arc::ptr_eq(&fresh, &again));
     }
 
     #[test]
     fn unappliable_deltas_fall_back_to_a_reported_rebuild() {
         let (endpoint, schema, catalog) = setup();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         // Cut a roll-up link: the ragged mutation the delta path refuses.
         assert!(endpoint
             .store()
             .remove(&qb4olap::rollup_triple(&member("c1"), &member("K1"))));
-        let fresh = catalog.serve(&endpoint, &schema).unwrap();
+        let fresh = served(&catalog, &endpoint, &schema);
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);
         let reason = report.reason.unwrap();
@@ -1099,18 +967,18 @@ mod tests {
             rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
             ..CubeQuery::default()
         };
-        let output = execute(&fresh, &query).unwrap();
+        let output = run(&fresh, &query).unwrap();
         assert!(!output.cells.iter().any(|c| c.coordinates[0] == member("K1")));
     }
 
     #[test]
     fn change_log_gaps_fall_back_to_a_rebuild() {
         let (endpoint, schema, catalog) = setup();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         // Drop the log out from under the catalog, then mutate.
         endpoint.store().disable_change_log();
         endpoint.insert_triples(&observation_triples("o6", "c2", "m2", 2, 2)).unwrap();
-        let fresh = catalog.serve(&endpoint, &schema).unwrap();
+        let fresh = served(&catalog, &endpoint, &schema);
         assert_eq!(fresh.row_count(), 6);
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);
@@ -1121,7 +989,7 @@ mod tests {
     #[test]
     fn tombstoned_removal_refreshes_via_the_delta_path() {
         let (endpoint, schema, catalog) = setup();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         // Remove one observation completely, in one batch → one delta
         // (observation_triples yields exactly the six triples the fixture
         // observation was built from).
@@ -1129,7 +997,7 @@ mod tests {
             .store()
             .remove_all(&observation_triples("o3", "c2", "m1", 5, 1));
         assert_eq!(removed, 6);
-        let fresh = catalog.serve(&endpoint, &schema).unwrap();
+        let fresh = served(&catalog, &endpoint, &schema);
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Delta);
         assert_eq!(report.rows_removed, 1);
@@ -1142,7 +1010,7 @@ mod tests {
             rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
             ..CubeQuery::default()
         };
-        let output = execute(&fresh, &query).unwrap();
+        let output = run(&fresh, &query).unwrap();
         assert!(!output
             .cells
             .iter()
@@ -1154,7 +1022,7 @@ mod tests {
         use rdf::Triple;
 
         let (endpoint, schema, catalog) = setup();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         // Strip ONE measure value of o3 — previously an unappliable
         // partial removal (rebuild); now the row tombstones and the
         // fragment is recorded as dropped, all in O(delta).
@@ -1164,7 +1032,7 @@ mod tests {
             iri("measure/value"),
             rdf::Literal::integer(5)
         )));
-        let fresh = catalog.serve(&endpoint, &schema).unwrap();
+        let fresh = served(&catalog, &endpoint, &schema);
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Delta);
         assert_eq!(report.rows_removed, 1);
@@ -1177,7 +1045,7 @@ mod tests {
             rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
             ..CubeQuery::default()
         };
-        let output = execute(&fresh, &query).unwrap();
+        let output = run(&fresh, &query).unwrap();
         assert!(!output
             .cells
             .iter()
@@ -1187,10 +1055,11 @@ mod tests {
     #[test]
     fn accumulated_tombstones_trigger_a_reported_compaction() {
         let (endpoint, schema, catalog) = setup();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         // Remove three of the five observations (each as one whole-batch
-        // delta): live 2/5 < the 0.5 threshold, so the serve must apply
-        // the deltas, notice the fraction and compact.
+        // delta): live 2/5 < the 0.5 threshold, so the serve accretes the
+        // tombstones, notices the fraction and compacts; the settled serve
+        // waits for the compacted base.
         for (name, city, month, value, score) in
             [("o1", "c1", "m1", 10, 4), ("o3", "c2", "m1", 5, 1), ("o4", "c3", "m1", 100, 9)]
         {
@@ -1199,17 +1068,21 @@ mod tests {
                 .remove_all(&observation_triples(name, city, month, value, score));
             assert_eq!(removed, 6);
         }
-        let fresh = catalog.serve(&endpoint, &schema).unwrap();
-        let report = catalog.last_report(&schema.dataset).unwrap();
-        assert_eq!(report.strategy, MaintenanceStrategy::Compaction);
+        let fresh = served(&catalog, &endpoint, &schema);
+        let reports = catalog.reports(&schema.dataset);
+        let [.., accreted, compacted] = reports.as_slice() else {
+            panic!("expected an accretion and a compaction: {reports:?}");
+        };
+        assert_eq!(accreted.strategy, MaintenanceStrategy::Delta);
+        assert_eq!(accreted.rows_removed, 3);
+        assert_eq!(compacted.strategy, MaintenanceStrategy::Compaction);
         assert_eq!(
-            report.reason,
+            compacted.reason,
             Some(RebuildReason::LowLiveFraction {
                 live_rows: 2,
                 total_rows: 5
             })
         );
-        assert_eq!(report.rows_removed, 3);
         // The compacted cube is dense again: no tombstones, 2 physical rows.
         assert_eq!(fresh.row_count(), 2);
         assert_eq!(fresh.tombstoned_rows(), 0);
@@ -1217,7 +1090,7 @@ mod tests {
         // the surviving rows and pass the exact-recomputation checker.
         fresh.verify_zone_invariants().unwrap();
         assert_eq!(fresh.zone_maps().rows(), 2);
-        let output = execute(&fresh, &CubeQuery::default()).unwrap();
+        let output = run(&fresh, &CubeQuery::default()).unwrap();
         assert_eq!(output.cells.len(), 2);
     }
 
@@ -1265,7 +1138,7 @@ mod tests {
     #[test]
     fn serve_report_retention_is_capped_via_the_ring() {
         let (endpoint, schema, catalog) = setup();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         for round in 0..(ReportLog::CAPACITY + 5) {
             endpoint
                 .insert_triples(&observation_triples(
@@ -1276,7 +1149,7 @@ mod tests {
                     1,
                 ))
                 .unwrap();
-            catalog.serve(&endpoint, &schema).unwrap();
+            served(&catalog, &endpoint, &schema);
         }
         let reports = catalog.reports(&schema.dataset);
         assert_eq!(reports.len(), ReportLog::CAPACITY);
@@ -1287,16 +1160,16 @@ mod tests {
     #[test]
     fn serve_decisions_feed_the_metrics_registry() {
         let (endpoint, schema, catalog) = setup();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         // Delta append, then a refused delta (cut roll-up link) → rebuild.
         endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         assert!(endpoint
             .store()
             .remove(&qb4olap::rollup_triple(&member("c1"), &member("K1"))));
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         // Unchanged serve → hit.
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
 
         let snapshot = catalog.metrics().snapshot();
         assert_eq!(snapshot.counter("catalog.refresh.fresh"), 1);
@@ -1304,8 +1177,9 @@ mod tests {
         assert_eq!(snapshot.counter("catalog.refresh.rebuild"), 1);
         assert_eq!(snapshot.counter("catalog.refresh.compaction"), 0);
         assert_eq!(snapshot.counter("catalog.refusal.rollup-link-removed"), 1);
-        assert_eq!(snapshot.counter("catalog.serve.calls"), 4);
-        assert_eq!(snapshot.counter("catalog.serve.hits"), 1);
+        // The rebuild's settled serve pins twice: stale, then folded.
+        assert_eq!(snapshot.counter("catalog.overlay.serve_calls"), 5);
+        assert_eq!(snapshot.counter("catalog.overlay.hits"), 2);
         assert_eq!(snapshot.gauge("catalog.live_fraction"), Some(1.0));
         let refresh = snapshot.histogram("catalog.refresh.duration_ns").unwrap();
         assert_eq!(refresh.count, 3, "fresh + delta + rebuild all timed");
@@ -1316,12 +1190,13 @@ mod tests {
         let collector = Arc::new(obs::CollectingSubscriber::new());
         obs::with_subscriber(collector.clone(), || {
             let (endpoint, schema, catalog) = setup();
-            catalog.serve(&endpoint, &schema).unwrap();
+            catalog.serve_snapshot(&endpoint, &schema).unwrap();
             endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
-            catalog.serve(&endpoint, &schema).unwrap();
-            endpoint.store().disable_change_log();
+            catalog.serve_snapshot(&endpoint, &schema).unwrap();
+            // No background handle: the fold runs under the serve.
+            let conservative = ConservativeEndpoint::with_epochs(endpoint.clone());
             endpoint.insert_triples(&observation_triples("o7", "c2", "m2", 2, 2)).unwrap();
-            catalog.serve(&endpoint, &schema).unwrap();
+            catalog.serve_snapshot(&conservative, &schema).unwrap();
         });
         // The builds issue SPARQL queries, so sparql.parse/sparql.evaluate
         // spans appear nested (depth 2) under the build spans; the catalog
@@ -1341,12 +1216,13 @@ mod tests {
         assert_eq!(
             spans,
             vec![
-                ("catalog.serve", 0),
+                ("catalog.serve-snapshot", 0),
                 ("catalog.fresh-build", 1),
-                ("catalog.serve", 0),
-                ("catalog.delta-replay", 1),
-                ("catalog.serve", 0),
-                ("catalog.rebuild", 1),
+                ("catalog.serve-snapshot", 0),
+                ("catalog.overlay-accrete", 1),
+                ("catalog.serve-snapshot", 0),
+                ("catalog.fold", 1),
+                ("catalog.rebuild", 2),
             ],
             "each serve span contains its refresh-path span"
         );
@@ -1355,23 +1231,21 @@ mod tests {
     #[test]
     fn eviction_forces_a_fresh_build() {
         let (endpoint, schema, catalog) = setup();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         catalog.evict(&schema.dataset);
         assert!(catalog.peek(&schema.dataset).is_none());
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Fresh);
     }
 
     #[test]
     fn conservative_snapshot_endpoint_pins_the_first_build() {
-        use sparql::ConservativeEndpoint;
-
         let (endpoint, schema) = fixture(AggregateFunction::Sum);
         let conservative = ConservativeEndpoint::new(endpoint);
         let catalog = CubeCatalog::new();
 
-        let first = catalog.serve(&conservative, &schema).unwrap();
+        let first = served(&catalog, &conservative, &schema);
         assert_eq!(first.row_count(), 5);
         assert_eq!(
             catalog.last_report(&schema.dataset).unwrap().strategy,
@@ -1386,7 +1260,7 @@ mod tests {
             .unwrap();
         assert!(conservative.inner().epoch() > 0, "the store itself moved");
 
-        let second = catalog.serve(&conservative, &schema).unwrap();
+        let second = served(&catalog, &conservative, &schema);
         assert!(Arc::ptr_eq(&first, &second), "pinned to the first build");
         assert_eq!(second.row_count(), 5, "the mutation stays invisible");
         assert_eq!(
@@ -1398,12 +1272,10 @@ mod tests {
 
     #[test]
     fn conservative_epoch_endpoint_degrades_to_rebuild_per_change() {
-        use sparql::ConservativeEndpoint;
-
         let (endpoint, schema) = fixture(AggregateFunction::Sum);
         let conservative = ConservativeEndpoint::with_epochs(endpoint);
         let catalog = CubeCatalog::new();
-        catalog.serve(&conservative, &schema).unwrap();
+        served(&catalog, &conservative, &schema);
 
         // Two separate mutations, two serves: every epoch change must
         // degrade to a change-log-gap rebuild — the wrapper reports
@@ -1412,7 +1284,7 @@ mod tests {
             conservative
                 .insert_triples(&observation_triples(round, "c2", "m2", 2, 2))
                 .unwrap();
-            let fresh = catalog.serve(&conservative, &schema).unwrap();
+            let fresh = served(&catalog, &conservative, &schema);
             assert_eq!(fresh.row_count(), obs, "the rebuild sees every row");
             let report = catalog.last_report(&schema.dataset).unwrap();
             assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);
@@ -1424,8 +1296,8 @@ mod tests {
             let scratch =
                 MaterializedCube::from_endpoint(&conservative, &schema).unwrap();
             assert_eq!(
-                execute(&fresh, &CubeQuery::default()).unwrap(),
-                execute(&scratch, &CubeQuery::default()).unwrap()
+                run(&fresh, &CubeQuery::default()).unwrap(),
+                run(&scratch, &CubeQuery::default()).unwrap()
             );
         }
         assert!(
@@ -1442,7 +1314,7 @@ mod tests {
     #[test]
     fn serve_snapshot_accretes_appends_into_an_overlay() {
         let (endpoint, schema, catalog) = setup();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
 
         let snapshot = catalog.serve_snapshot(&endpoint, &schema).unwrap();
@@ -1452,7 +1324,7 @@ mod tests {
         assert_eq!(snapshot.cube().row_count(), 6);
         assert_eq!(snapshot.epoch(), endpoint.epoch());
         let report = catalog.last_report(&schema.dataset).unwrap();
-        assert_eq!(report.strategy, MaintenanceStrategy::Overlay);
+        assert_eq!(report.strategy, MaintenanceStrategy::Delta);
         assert_eq!(report.rows_appended, 1);
         assert!(report.overlap.is_none());
 
@@ -1460,19 +1332,18 @@ mod tests {
         // (a scratch materialization of the same store state).
         let scratch = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
         assert_eq!(
-            execute(snapshot.cube(), &CubeQuery::default()).unwrap(),
-            execute(&scratch, &CubeQuery::default()).unwrap()
+            run(snapshot.cube(), &CubeQuery::default()).unwrap(),
+            run(&scratch, &CubeQuery::default()).unwrap()
         );
-        // A blocking serve sees the caught-up overlay as fresh state: it
+        // A settled serve sees the caught-up overlay as fresh state: it
         // serves the merged cube as a hit rather than folding eagerly.
-        let served = catalog.serve(&endpoint, &schema).unwrap();
-        assert!(Arc::ptr_eq(&served, snapshot.cube()));
+        assert!(Arc::ptr_eq(&served(&catalog, &endpoint, &schema), snapshot.cube()));
     }
 
     #[test]
     fn overlay_accretion_is_cumulative_until_a_fold() {
         let (endpoint, schema, catalog) = setup();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
         let first = catalog.serve_snapshot(&endpoint, &schema).unwrap();
         endpoint.insert_triples(&observation_triples("o7", "c2", "m2", 2, 2)).unwrap();
@@ -1507,7 +1378,7 @@ mod tests {
     #[test]
     fn structural_change_folds_in_the_background_and_serves_stale() {
         let (endpoint, schema, catalog) = setup();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         let before_epoch = endpoint.epoch();
         // Cut a roll-up link: structural, refused by the delta classifier.
         assert!(endpoint
@@ -1535,8 +1406,8 @@ mod tests {
         // The folded base matches a scratch materialization.
         let scratch = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
         assert_eq!(
-            execute(fresh.cube(), &CubeQuery::default()).unwrap(),
-            execute(&scratch, &CubeQuery::default()).unwrap()
+            run(fresh.cube(), &CubeQuery::default()).unwrap(),
+            run(&scratch, &CubeQuery::default()).unwrap()
         );
         let metrics = catalog.metrics().snapshot();
         assert_eq!(metrics.counter("catalog.overlay.folds_started"), 1);
@@ -1547,7 +1418,7 @@ mod tests {
     #[test]
     fn overlay_past_the_compaction_threshold_compacts_in_the_background() {
         let (endpoint, schema, catalog) = setup();
-        catalog.serve(&endpoint, &schema).unwrap();
+        served(&catalog, &endpoint, &schema);
         for (name, city, month, value, score) in
             [("o1", "c1", "m1", 10, 4), ("o3", "c2", "m1", 5, 1), ("o4", "c3", "m1", 100, 9)]
         {
@@ -1570,7 +1441,7 @@ mod tests {
         assert!(catalog
             .reports(&schema.dataset)
             .iter()
-            .any(|r| r.strategy == MaintenanceStrategy::Overlay));
+            .any(|r| r.strategy == MaintenanceStrategy::Delta));
         let compacted = catalog.current_snapshot(&schema.dataset).unwrap();
         assert!(!compacted.is_overlaid());
         assert_eq!(compacted.cube().row_count(), 2, "dead rows reclaimed");
@@ -1584,15 +1455,13 @@ mod tests {
         assert!(report.overlap.is_some());
         // Identical results before and after the background compaction.
         assert_eq!(
-            execute(snapshot.cube(), &CubeQuery::default()).unwrap(),
-            execute(compacted.cube(), &CubeQuery::default()).unwrap()
+            run(snapshot.cube(), &CubeQuery::default()).unwrap(),
+            run(compacted.cube(), &CubeQuery::default()).unwrap()
         );
     }
 
     #[test]
     fn conservative_endpoint_degrades_snapshot_serving_to_blocking() {
-        use sparql::ConservativeEndpoint;
-
         let (endpoint, schema) = fixture(AggregateFunction::Sum);
         let conservative = ConservativeEndpoint::with_epochs(endpoint);
         let catalog = CubeCatalog::new();
@@ -1622,9 +1491,109 @@ mod tests {
         let metrics = catalog.metrics().snapshot();
         assert_eq!(metrics.counter("catalog.overlay.serve_calls"), 3);
         assert_eq!(metrics.counter("catalog.overlay.accretions"), 1);
-        assert_eq!(metrics.counter("catalog.refresh.overlay"), 1);
+        assert_eq!(metrics.counter("catalog.refresh.delta"), 1);
         assert_eq!(metrics.counter("catalog.overlay.hits"), 1);
         assert_eq!(metrics.gauge("catalog.overlay.rows"), Some(1.0));
         assert_eq!(metrics.counter("catalog.overlay.folds_started"), 0);
+    }
+
+    /// A delegating endpoint whose background handles fail every query
+    /// while `broken` is set: folds fail, inline work succeeds.
+    struct BrokenFolds {
+        inner: LocalEndpoint,
+        broken: Arc<std::sync::atomic::AtomicBool>,
+        handle: bool,
+    }
+
+    impl Endpoint for BrokenFolds {
+        fn query(&self, sparql: &str) -> Result<sparql::QueryResults, sparql::SparqlError> {
+            if self.handle && self.broken.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(sparql::SparqlError::Endpoint("fold handle down".to_string()));
+            }
+            self.inner.query(sparql)
+        }
+
+        fn insert_triples(&self, triples: &[rdf::Triple]) -> Result<usize, sparql::SparqlError> {
+            self.inner.insert_triples(triples)
+        }
+
+        fn insert_triples_named(
+            &self,
+            graph: &Iri,
+            triples: &[rdf::Triple],
+        ) -> Result<usize, sparql::SparqlError> {
+            self.inner.insert_triples_named(graph, triples)
+        }
+
+        fn triple_count(&self) -> usize {
+            self.inner.triple_count()
+        }
+
+        fn epoch(&self) -> u64 {
+            self.inner.epoch()
+        }
+
+        fn deltas_since(&self, since: u64) -> Option<Vec<rdf::StoreDelta>> {
+            self.inner.deltas_since(since)
+        }
+
+        fn enable_change_tracking(&self) {
+            self.inner.enable_change_tracking();
+        }
+
+        fn background_handle(&self) -> Option<Arc<dyn Endpoint + Send + Sync>> {
+            Some(Arc::new(BrokenFolds {
+                inner: LocalEndpoint::with_store(self.inner.store().snapshot()),
+                broken: self.broken.clone(),
+                handle: true,
+            }))
+        }
+    }
+
+    #[test]
+    fn a_failed_fold_serves_stale_then_surfaces_and_recovers() {
+        let (endpoint, schema) = fixture(AggregateFunction::Sum);
+        let broken = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let flaky = BrokenFolds {
+            inner: endpoint,
+            broken: broken.clone(),
+            handle: false,
+        };
+        let catalog = CubeCatalog::new();
+        let built = catalog.serve_snapshot(&flaky, &schema).unwrap();
+        assert!(flaky
+            .inner
+            .store()
+            .remove(&qb4olap::rollup_triple(&member("c1"), &member("K1"))));
+
+        // The refused delta hands off to a fold that fails: readers keep
+        // the stale pin, the failure is counted and the claim released.
+        let stale = catalog.serve_snapshot(&flaky, &schema).unwrap();
+        assert_eq!(stale.epoch(), built.epoch());
+        catalog.wait_for_maintenance(&schema.dataset);
+        let metrics = catalog.metrics().snapshot();
+        assert_eq!(metrics.counter("catalog.overlay.fold_failures"), 1);
+        assert_eq!(metrics.counter("catalog.overlay.folds"), 0);
+        assert!(!catalog.maintenance_in_flight(&schema.dataset));
+
+        // A settled serve retries the fold once and returns its error.
+        let started = Instant::now();
+        let error = catalog.serve_settled(&flaky, &schema).unwrap_err();
+        assert!(error.to_string().contains("fold handle down"), "{error}");
+        assert!(started.elapsed() < Duration::from_secs(5), "bounded, never hangs");
+        assert_eq!(catalog.current_snapshot(&schema.dataset).unwrap().epoch(), built.epoch());
+
+        // The next successful fold recovers.
+        broken.store(false, std::sync::atomic::Ordering::SeqCst);
+        let settled = catalog.serve_settled(&flaky, &schema).unwrap();
+        assert_eq!(settled.epoch(), flaky.epoch());
+        let report = catalog.last_report(&schema.dataset).unwrap();
+        assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);
+        assert!(report.overlap.is_some(), "folded in the background");
+        let scratch = MaterializedCube::from_endpoint(&flaky.inner, &schema).unwrap();
+        assert_eq!(
+            run(settled.cube(), &CubeQuery::default()).unwrap(),
+            run(&scratch, &CubeQuery::default()).unwrap()
+        );
     }
 }

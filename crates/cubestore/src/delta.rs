@@ -828,8 +828,8 @@ mod tests {
     use rdf::{Literal, Term, Triple};
     use sparql::{Endpoint, LocalEndpoint};
 
-    use crate::executor::{execute, CubeQuery};
-    use crate::testutil::{fixture, iri, member, observation_triples};
+    use crate::executor::CubeQuery;
+    use crate::testutil::{fixture, iri, member, observation_triples, run, run_with};
     use crate::{CubeStoreError, MaterializedCube, RefusalKind};
 
     use super::*;
@@ -869,8 +869,8 @@ mod tests {
         let rebuilt = MaterializedCube::from_endpoint(endpoint, cube.schema()).unwrap();
         for query in [CubeQuery::default(), rollup_to_country()] {
             assert_eq!(
-                execute(cube, &query).unwrap(),
-                execute(&rebuilt, &query).unwrap(),
+                run(cube, &query).unwrap(),
+                run(&rebuilt, &query).unwrap(),
                 "delta-applied cube diverges from a rebuild"
             );
         }
@@ -914,7 +914,7 @@ mod tests {
         );
         assert_eq!(refreshed.broader_parents(&member("c4")), &[member("K2")]);
         // The K2 group gains the new observation's value.
-        let output = execute(&refreshed, &rollup_to_country()).unwrap();
+        let output = run(&refreshed, &rollup_to_country()).unwrap();
         let k2m1 = output
             .cells
             .iter()
@@ -964,7 +964,7 @@ mod tests {
         assert!(!refreshed.is_observation(&o3));
         assert_matches_rebuild(&endpoint, &refreshed);
         // The K2/m1 cell (5) is gone; K2/m2 (7) survives.
-        let output = execute(&refreshed, &rollup_to_country()).unwrap();
+        let output = run(&refreshed, &rollup_to_country()).unwrap();
         assert!(!output
             .cells
             .iter()
@@ -1066,7 +1066,7 @@ mod tests {
         assert_eq!(column.code(5), NO_MEMBER, "the stripped dimension is unbound");
         assert_matches_rebuild(&endpoint, &refreshed);
         // o1's 10 leaves every city roll-up (no city binding joins)...
-        let output = execute(&refreshed, &rollup_to_country()).unwrap();
+        let output = run(&refreshed, &rollup_to_country()).unwrap();
         assert!(!output
             .cells
             .iter()
@@ -1076,7 +1076,7 @@ mod tests {
             slices: vec![iri("dim/city")],
             ..CubeQuery::default()
         };
-        let output = execute(&refreshed, &sliced).unwrap();
+        let output = run(&refreshed, &sliced).unwrap();
         let m1 = output
             .cells
             .iter()
@@ -1321,11 +1321,10 @@ mod tests {
         // Bit-identical to a from-scratch rebuild, for any thread count.
         let rebuilt = MaterializedCube::from_endpoint(&endpoint, refreshed.schema()).unwrap();
         let reference =
-            crate::executor::execute_with_threads(&rebuilt, &CubeQuery::default(), 1).unwrap();
+            run_with(&rebuilt, &CubeQuery::default(), 1, true).unwrap().0;
         for threads in [1usize, 2, 8] {
             assert_eq!(
-                crate::executor::execute_with_threads(&refreshed, &CubeQuery::default(), threads)
-                    .unwrap(),
+                run_with(&refreshed, &CubeQuery::default(), threads, true).unwrap().0,
                 reference,
                 "float delta-applied cube diverges from a rebuild at {threads} threads"
             );

@@ -26,7 +26,7 @@
 //! segments *are* the work queue — workers pull whole segments, so
 //! compensated-sum partials align with segment boundaries and the result
 //! is bit-identical to the unpruned scan at any worker count
-//! (`QB2OLAP_NO_PRUNE=1` force-disables pruning for differential runs).
+//! (`ExecOptions { prune: false, .. }` is the differential baseline).
 //!
 //! The segment is also the unit of execution: the kernel (`scan_spans`)
 //! makes one pass per column over a segment's slices — liveness, lift,
@@ -267,43 +267,6 @@ impl ScanStats {
     }
 }
 
-/// Executes a columnar query against a materialized cube.
-///
-/// Large scans run on multiple threads (the surviving segments distributed
-/// over the workers, partial groups merged at the end); the thread count
-/// comes from [`auto_scan_threads`]. Every measure type
-/// parallelizes: the accumulators are order-independent
-/// ([`sparql::NumericSum`] — exact for integers, correctly rounded
-/// compensated summation for floats), so the bit-compatibility guarantee
-/// holds on any thread count and any chunk partitioning.
-pub fn execute(cube: &MaterializedCube, query: &CubeQuery) -> Result<QueryOutput, CubeStoreError> {
-    execute_with_options(cube, query, ExecOptions::auto()).map(|(output, _)| output)
-}
-
-/// [`execute`] against a pinned [`crate::overlay::CubeSnapshot`]: runs over
-/// the snapshot's merged cube (base + overlay), which shares every sealed
-/// segment with the base, so overlay rows go through exactly the same
-/// compiled filters, roll-up maps, zone-map pruning and compensated-sum
-/// partials as folded rows — results are bit-identical to executing a
-/// fully-folded cube at the snapshot's epoch. The caller holds the
-/// snapshot by value; no catalog lock is touched during execution.
-pub fn execute_snapshot(
-    snapshot: &crate::overlay::CubeSnapshot,
-    query: &CubeQuery,
-) -> Result<QueryOutput, CubeStoreError> {
-    execute(snapshot.cube(), query)
-}
-
-/// [`execute_snapshot`] with per-phase timings — the snapshot analogue of
-/// [`execute_traced`]. The QL layer appends the snapshot's `OVERLAY` plan
-/// line to the returned profile so overlay serving shows up in `explain`.
-pub fn execute_snapshot_traced(
-    snapshot: &crate::overlay::CubeSnapshot,
-    query: &CubeQuery,
-) -> Result<(QueryOutput, ExecutionProfile, ScanStats), CubeStoreError> {
-    execute_traced(snapshot.cube(), query)
-}
-
 /// The scan thread count an automatic execution picks once it knows how
 /// many live rows the segments that survived pruning hold: all available
 /// cores when that is enough work to amortize spawning workers, one below
@@ -321,17 +284,10 @@ pub fn auto_scan_threads(surviving_rows: usize) -> usize {
     }
 }
 
-/// True unless the `QB2OLAP_NO_PRUNE` environment variable force-disables
-/// zone-map segment pruning (any non-empty value other than `0`). The
-/// knob exists for differential runs: pruned and unpruned executions must
-/// produce bit-identical outputs, and CI pins that by running the same
-/// workloads both ways.
-pub fn pruning_enabled() -> bool {
-    !obs::env::kill_switch("QB2OLAP_NO_PRUNE")
-}
-
 /// Per-execution knobs: the scan worker count and whether zone-map
-/// segment pruning runs.
+/// segment pruning runs. [`Default`] — automatic threads, pruning on — is
+/// what every serving path uses; the differential gates pin the other
+/// settings to it bit for bit.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
     /// Scan worker threads: 1 = the sequential scan, 0 = sized by
@@ -339,92 +295,18 @@ pub struct ExecOptions {
     /// effective count never exceeds the number of surviving segments.
     pub threads: usize,
     /// Whether zone maps may prune segments before the scan. Pruning never
-    /// changes results or error behavior — disabling it (or setting
-    /// `QB2OLAP_NO_PRUNE`) only makes the scan visit every segment.
+    /// changes results or error behavior — disabling it only makes the
+    /// scan visit every segment.
     pub prune: bool,
 }
 
-impl ExecOptions {
-    /// What [`execute`] uses: automatic thread count, pruning unless
-    /// [`pruning_enabled`] says otherwise.
-    pub fn auto() -> Self {
-        Self::with_threads(0)
-    }
-
-    /// An explicit thread count, pruning from the environment.
-    pub fn with_threads(threads: usize) -> Self {
+impl Default for ExecOptions {
+    fn default() -> Self {
         ExecOptions {
-            threads,
-            prune: pruning_enabled(),
+            threads: 0,
+            prune: true,
         }
     }
-}
-
-/// [`execute`] with an explicit scan thread count (1 = the sequential
-/// scan). Exposed so benchmarks can compare single- and multi-threaded
-/// medians directly; `execute` picks the count automatically.
-pub fn execute_with_threads(
-    cube: &MaterializedCube,
-    query: &CubeQuery,
-    threads: usize,
-) -> Result<QueryOutput, CubeStoreError> {
-    execute_with_stats(cube, query, threads).map(|(output, _)| output)
-}
-
-/// [`execute_with_threads`] also returning the scan-side totals, which are
-/// exact on any thread count.
-pub fn execute_with_stats(
-    cube: &MaterializedCube,
-    query: &CubeQuery,
-    threads: usize,
-) -> Result<(QueryOutput, ScanStats), CubeStoreError> {
-    execute_with_options(cube, query, ExecOptions::with_threads(threads))
-}
-
-/// The fully-parameterized entry point: explicit thread count *and*
-/// explicit pruning switch (the differential gate runs the same query
-/// with `prune` on and off and asserts bit-identical outputs).
-pub fn execute_with_options(
-    cube: &MaterializedCube,
-    query: &CubeQuery,
-    options: ExecOptions,
-) -> Result<(QueryOutput, ScanStats), CubeStoreError> {
-    run(cube, query, options, None)
-}
-
-/// [`execute`] with per-phase timings: returns the query output together
-/// with an [`ExecutionProfile`] naming every execution phase (plan,
-/// filter compilation, scan, aggregation) with wall-clock durations, row
-/// counts and the scan counters. This is the columnar half of the QL
-/// layer's `explain`.
-pub fn execute_traced(
-    cube: &MaterializedCube,
-    query: &CubeQuery,
-) -> Result<(QueryOutput, ExecutionProfile, ScanStats), CubeStoreError> {
-    execute_traced_with_options(cube, query, ExecOptions::auto())
-}
-
-/// [`execute_traced`] with an explicit scan thread count.
-pub fn execute_traced_with_threads(
-    cube: &MaterializedCube,
-    query: &CubeQuery,
-    threads: usize,
-) -> Result<(QueryOutput, ExecutionProfile, ScanStats), CubeStoreError> {
-    execute_traced_with_options(cube, query, ExecOptions::with_threads(threads))
-}
-
-/// [`execute_traced`] with explicit [`ExecOptions`].
-pub fn execute_traced_with_options(
-    cube: &MaterializedCube,
-    query: &CubeQuery,
-    options: ExecOptions,
-) -> Result<(QueryOutput, ExecutionProfile, ScanStats), CubeStoreError> {
-    let started = Instant::now();
-    let mut profile = ExecutionProfile::new("columnar");
-    let (output, stats) = run(cube, query, options, Some(&mut profile))?;
-    stats.fill_profile(&mut profile);
-    profile.total = started.elapsed();
-    Ok((output, profile, stats))
 }
 
 /// Everything the scan and the assembly read, fixed before the first row.
@@ -437,18 +319,35 @@ struct ScanPlan<'c> {
     options: ExecOptions,
 }
 
-/// The one execution path behind every entry point: plans the axes,
-/// compiles the filters, then runs the kernel with the narrowest group key
-/// the query's key space fits. A profile, when asked for, gets the plan
-/// lines and one step per phase.
-fn run(
+/// Executes a columnar query against a materialized cube — the crate's
+/// one execution entry point. To read a pinned
+/// [`crate::overlay::CubeSnapshot`], pass its merged
+/// [`cube`](crate::overlay::CubeSnapshot::cube): it shares every sealed
+/// segment with the base, so overlay rows go through the same compiled
+/// filters, roll-up maps, zone-map pruning and compensated-sum partials as
+/// folded rows, and no catalog lock is touched.
+///
+/// Plans the axes, compiles the filters, then runs the kernel with the
+/// narrowest group key the query's key space fits. Large scans run on
+/// several threads (see [`ExecOptions::threads`]); the accumulators are
+/// order-independent ([`sparql::NumericSum`] — exact for integers,
+/// correctly rounded compensated summation for floats), so the output is
+/// bit-identical on any thread count, chunk partitioning and pruning
+/// setting. The returned [`ScanStats`] are exact on any thread count.
+///
+/// A `profile`, when passed, receives the plan lines, one step per phase
+/// (`plan-axes`, `compile-filters`, `scan`, `aggregate`), the scan
+/// counters and the total time — the columnar half of `explain`. Without
+/// one nothing is recorded.
+pub fn execute(
     cube: &MaterializedCube,
     query: &CubeQuery,
-    options: ExecOptions,
+    options: &ExecOptions,
     mut profile: Option<&mut ExecutionProfile>,
 ) -> Result<(QueryOutput, ScanStats), CubeStoreError> {
     let _execute_span = obs::span("cubestore.execute");
-    let started = Instant::now();
+    let total = Instant::now();
+    let started = total;
     let axes = plan_axes(cube, query)?;
     if let Some(profile) = profile.as_deref_mut() {
         for slice in &query.slices {
@@ -483,12 +382,12 @@ fn run(
         filters,
         measures: cube.measure_columns(),
         having: &query.measure_filters,
-        options,
+        options: *options,
     };
     let (cells, stats) = if let Some(space) = KeySpace::<u64>::of(&plan.axes) {
-        run_keyed(&plan, &space, profile)?
+        run_keyed(&plan, &space, profile.as_deref_mut())?
     } else if let Some(space) = KeySpace::<u128>::of(&plan.axes) {
-        run_keyed(&plan, &space, profile)?
+        run_keyed(&plan, &space, profile.as_deref_mut())?
     } else {
         return Err(CubeStoreError::Unsupported(
             "the result levels span more than 2^128 member combinations; \
@@ -508,6 +407,10 @@ fn run(
         measures: plan.measures.iter().map(|m| m.property.clone()).collect(),
         cells,
     };
+    if let Some(profile) = profile {
+        stats.fill_profile(profile);
+        profile.total = total.elapsed();
+    }
     Ok((output, stats))
 }
 
@@ -1476,7 +1379,7 @@ mod tests {
 
     use crate::cowvec::CowVec;
     use crate::dictionary::Dictionary;
-    use crate::testutil::{fixture, iri, member, observation_triples};
+    use crate::testutil::{fixture, iri, member, observation_triples, run, run_with};
     use crate::tombstone::Tombstones;
 
     fn traced_fixture_cube(extra_rows: usize) -> MaterializedCube {
@@ -1499,7 +1402,7 @@ mod tests {
             rollups,
             ..CubeQuery::default()
         };
-        let (baseline, sequential) = execute_with_stats(&cube, &query, 1).unwrap();
+        let (baseline, sequential) = run_with(&cube, &query, 1, true).unwrap();
         assert_eq!(sequential.rows_scanned, 100);
         // o4 sits on the ragged city c3 (no country), so the roll-up
         // drops exactly one row before aggregation.
@@ -1507,7 +1410,7 @@ mod tests {
         assert_eq!(sequential.rows_aggregated, 99);
         assert_eq!(sequential.scan_chunks, 1);
         for threads in [2, 3, 8, 64] {
-            let (output, stats) = execute_with_stats(&cube, &query, threads).unwrap();
+            let (output, stats) = run_with(&cube, &query, threads, true).unwrap();
             assert_eq!(output, baseline, "results identical at {threads} threads");
             assert_eq!(
                 stats.rows_scanned, sequential.rows_scanned,
@@ -1531,8 +1434,14 @@ mod tests {
             rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
             ..CubeQuery::default()
         };
-        let (output, profile, _stats) = execute_traced_with_threads(&cube, &query, 2).unwrap();
-        assert_eq!(output, execute(&cube, &query).unwrap(), "tracing is free of effects");
+        let mut profile = ExecutionProfile::new("columnar");
+        let options = ExecOptions {
+            threads: 2,
+            prune: true,
+        };
+        let (output, _) = execute(&cube, &query, &options, Some(&mut profile)).unwrap();
+        assert_eq!(output, run(&cube, &query).unwrap(), "tracing is free of effects");
+        assert!(profile.total >= profile.steps_total());
         assert_eq!(profile.backend, "columnar");
         assert_eq!(
             profile.step_names(),
@@ -1553,7 +1462,7 @@ mod tests {
     fn scan_stats_feed_a_metrics_registry() {
         let cube = traced_fixture_cube(0);
         let registry = obs::MetricsRegistry::new();
-        let (_, stats) = execute_with_stats(&cube, &CubeQuery::default(), 1).unwrap();
+        let (_, stats) = run_with(&cube, &CubeQuery::default(), 1, true).unwrap();
         stats.record_into(&registry);
         stats.record_into(&registry);
         let snapshot = registry.snapshot();
@@ -1617,23 +1526,13 @@ mod tests {
         let mut alpha_dice = rollup_query();
         alpha_dice.member_filters = vec![country_name_dice("Alpha")];
 
-        let (baseline, full) = execute_with_options(
-            &cube,
-            &alpha_dice,
-            ExecOptions { threads: 1, prune: false },
-        )
-        .unwrap();
+        let (baseline, full) = run_with(&cube, &alpha_dice, 1, false).unwrap();
         assert_eq!(full.segments_pruned, 0, "pruning off visits everything");
         assert_eq!(full.segments_total, 3);
         assert_eq!(full.rows_scanned, cube.row_count() as u64);
 
         for threads in [1, 4] {
-            let (output, stats) = execute_with_options(
-                &cube,
-                &alpha_dice,
-                ExecOptions { threads, prune: true },
-            )
-            .unwrap();
+            let (output, stats) = run_with(&cube, &alpha_dice, threads, true).unwrap();
             assert_eq!(output, baseline, "pruned output diverged at {threads} threads");
             assert_eq!(stats.segments_total, 3);
             assert_eq!(stats.segments_pruned, 1, "the all-c2 sealed segment");
@@ -1645,12 +1544,7 @@ mod tests {
             );
         }
         // Two surviving segments → at most two whole-segment workers.
-        let (_, stats) = execute_with_options(
-            &cube,
-            &alpha_dice,
-            ExecOptions { threads: 4, prune: true },
-        )
-        .unwrap();
+        let (_, stats) = run_with(&cube, &alpha_dice, 4, true).unwrap();
         assert_eq!(stats.scan_chunks, 2);
 
         // A dice no country satisfies prunes every segment: zero rows
@@ -1658,18 +1552,8 @@ mod tests {
         // every row away.
         let mut nothing_dice = rollup_query();
         nothing_dice.member_filters = vec![country_name_dice("Zeta")];
-        let (pruned_empty, stats) = execute_with_options(
-            &cube,
-            &nothing_dice,
-            ExecOptions { threads: 4, prune: true },
-        )
-        .unwrap();
-        let (full_empty, _) = execute_with_options(
-            &cube,
-            &nothing_dice,
-            ExecOptions { threads: 4, prune: false },
-        )
-        .unwrap();
+        let (pruned_empty, stats) = run_with(&cube, &nothing_dice, 4, true).unwrap();
+        let (full_empty, _) = run_with(&cube, &nothing_dice, 4, false).unwrap();
         assert_eq!(pruned_empty, full_empty);
         assert!(pruned_empty.cells.is_empty());
         assert_eq!(stats.segments_pruned, 3);
@@ -1677,12 +1561,7 @@ mod tests {
 
         // Without member filters nothing is provably irrelevant (every
         // segment has rows that roll up somewhere live).
-        let (_, stats) = execute_with_options(
-            &cube,
-            &rollup_query(),
-            ExecOptions { threads: 4, prune: true },
-        )
-        .unwrap();
+        let (_, stats) = run_with(&cube, &rollup_query(), 4, true).unwrap();
         assert_eq!(stats.segments_pruned, 0);
     }
 
@@ -1703,12 +1582,7 @@ mod tests {
         let mut query = rollup_query();
         query.member_filters = vec![country_name_dice("Zeta")];
         for prune in [false, true] {
-            let error = execute_with_options(
-                &cube,
-                &query,
-                ExecOptions { threads: 1, prune },
-            )
-            .unwrap_err();
+            let error = run_with(&cube, &query, 1, prune).unwrap_err();
             assert!(matches!(error, CubeStoreError::Unsupported(_)), "{error}");
         }
     }
@@ -1721,7 +1595,7 @@ mod tests {
             assert!(cube.tombstones.kill(row));
         }
         cube.verify_zone_invariants().unwrap();
-        let (output, stats) = execute_with_stats(&cube, &rollup_query(), 1).unwrap();
+        let (output, stats) = run_with(&cube, &rollup_query(), 1, true).unwrap();
         assert!(output.cells.is_empty());
         assert_eq!(stats.segments_dead, 1);
         assert_eq!(stats.rows_scanned, 0);
@@ -1748,13 +1622,13 @@ mod tests {
             threads: 0,
             prune: true,
         };
-        let (_, stats) = execute_with_options(&cube, &alpha_dice, auto).unwrap();
+        let (_, stats) = execute(&cube, &alpha_dice, &auto, None).unwrap();
         assert_eq!(stats.segments_total - stats.segments_pruned, 2);
         assert_eq!(
             stats.scan_chunks, 1,
             "two surviving segments are below the threshold"
         );
-        let (_, stats) = execute_with_options(&cube, &rollup_query(), auto).unwrap();
+        let (_, stats) = execute(&cube, &rollup_query(), &auto, None).unwrap();
         assert_eq!(
             stats.scan_chunks,
             cores.min(stats.segments_total as usize) as u64
@@ -1769,7 +1643,7 @@ mod tests {
             }
         }
         cube.verify_zone_invariants().unwrap();
-        let (_, stats) = execute_with_options(&cube, &rollup_query(), auto).unwrap();
+        let (_, stats) = execute(&cube, &rollup_query(), &auto, None).unwrap();
         assert_eq!(stats.segments_dead, 0);
         assert_eq!(
             stats.scan_chunks, 1,
@@ -1779,12 +1653,9 @@ mod tests {
 
     #[test]
     fn pruning_is_enabled_by_default() {
-        // CI reruns the differential campaigns with QB2OLAP_NO_PRUNE=1 at
-        // the process level; inside an ordinary test run the knob is
-        // absent and pruning is on.
-        if std::env::var_os("QB2OLAP_NO_PRUNE").is_none() {
-            assert!(pruning_enabled());
-        }
+        let options = ExecOptions::default();
+        assert!(options.prune);
+        assert_eq!(options.threads, 0, "sized from the surviving rows");
     }
 
     /// Signed zeros must pick a deterministic winner in every order and
@@ -2061,7 +1932,7 @@ mod tests {
                 threads,
                 prune: false,
             };
-            let (output, stats) = execute_with_options(cube, query, options).unwrap();
+            let (output, stats) = execute(cube, query, &options, None).unwrap();
             assert_eq!(output, expected, "output at {threads} threads");
             let got = [
                 stats.tombstones_skipped,
@@ -2080,7 +1951,7 @@ mod tests {
             prune: true,
         };
         assert_eq!(
-            execute_with_options(cube, query, pruned).unwrap().0,
+            execute(cube, query, &pruned, None).unwrap().0,
             expected
         );
         expected
@@ -2147,7 +2018,7 @@ mod tests {
         ] {
             let cube = cycling_cube(&dims, rows);
             assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
-            let (_, stats) = execute_with_stats(&cube, &rolled_up(&[0, 1], 2), 1).unwrap();
+            let (_, stats) = run_with(&cube, &rolled_up(&[0, 1], 2), 1, true).unwrap();
             assert_eq!(stats.rows_scanned, rows as u64);
         }
     }
@@ -2170,7 +2041,7 @@ mod tests {
         }
         cube.verify_zone_invariants().unwrap();
         assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
-        let (_, stats) = execute_with_stats(&cube, &rolled_up(&[0, 1], 2), 2).unwrap();
+        let (_, stats) = run_with(&cube, &rolled_up(&[0, 1], 2), 2, true).unwrap();
         assert_eq!(stats.segments_dead, 1);
         assert_eq!(
             stats.tombstones_skipped, 11,
@@ -2216,7 +2087,7 @@ mod tests {
         // ... at the bottom level only the unbound ones.
         let bottom = CubeQuery::default();
         assert_eq!(assert_matches_reference(&cube, &bottom).cells.len(), 4 * 5);
-        let (_, stats) = execute_with_stats(&cube, &bottom, 1).unwrap();
+        let (_, stats) = run_with(&cube, &bottom, 1, true).unwrap();
         let unbound = (0..rows)
             .filter(|row| row.is_multiple_of(7) || row.is_multiple_of(11))
             .count();
@@ -2247,7 +2118,7 @@ mod tests {
 
     fn refusal_of(cube: &MaterializedCube, threads: usize, prune: bool) -> String {
         let query = rolled_up(&[0, 1], 2);
-        match execute_with_options(cube, &query, ExecOptions { threads, prune }) {
+        match run_with(cube, &query, threads, prune) {
             Err(CubeStoreError::Unsupported(message)) => message,
             other => panic!("expected a refusal, got {other:?}"),
         }
@@ -2362,7 +2233,7 @@ mod tests {
             value: Term::integer(90_000),
         }];
         for query in [rolled_up(&[0, 1, 2], 3), CubeQuery::default(), having] {
-            let expected = execute_with_threads(&cube, &query, 1).unwrap().cells;
+            let expected = run_with(&cube, &query, 1, true).unwrap().0.cells;
             assert!(!expected.is_empty());
             for threads in [1, 3] {
                 assert_eq!(
@@ -2493,7 +2364,7 @@ mod tests {
             ];
             let cube = synthetic_cube(&[DimSpec::regular(1, 1)], vec![vec![0; rows]], measures);
             for threads in [1, 2] {
-                let output = execute_with_threads(&cube, &CubeQuery::default(), threads).unwrap();
+                let output = run_with(&cube, &CubeQuery::default(), threads, true).unwrap().0;
                 assert_eq!(
                     output.cells[0].values,
                     vec![

@@ -101,14 +101,12 @@ pub use cowvec::CowVec;
 pub use dictionary::{Dictionary, MemberId, AMBIGUOUS_MEMBER, NO_MEMBER};
 pub use error::{CubeStoreError, DeltaRefusal, RefusalKind};
 pub use executor::{
-    auto_scan_threads, execute, execute_snapshot, execute_snapshot_traced, execute_traced,
-    execute_traced_with_options, execute_traced_with_threads, execute_with_options,
-    execute_with_stats, execute_with_threads, pruning_enabled, AxisSpec, CubeQuery, ExecOptions,
-    MeasureFilter, MemberFilter, MemberPredicate, OutputCell, QueryOutput, ScanStats,
+    auto_scan_threads, execute, AxisSpec, CubeQuery, ExecOptions, MeasureFilter, MemberFilter,
+    MemberPredicate, OutputCell, QueryOutput, ScanStats,
 };
 pub use hierarchy::{LevelIndex, RollupMap};
 pub use observations::ObservationIndex;
-pub use overlay::{overlay_enabled, CubeSnapshot, DeltaOverlay};
+pub use overlay::{CubeSnapshot, DeltaOverlay};
 pub use tombstone::Tombstones;
 pub use zonemap::ZoneMaps;
 
@@ -122,6 +120,28 @@ pub(crate) mod testutil {
     };
     use rdf::{Iri, Literal, Term};
     use sparql::{Endpoint, LocalEndpoint};
+
+    use crate::{
+        execute, CubeQuery, CubeStoreError, ExecOptions, MaterializedCube, QueryOutput, ScanStats,
+    };
+
+    /// [`execute`] with the default options, the output alone.
+    pub(crate) fn run(
+        cube: &MaterializedCube,
+        query: &CubeQuery,
+    ) -> Result<QueryOutput, CubeStoreError> {
+        execute(cube, query, &ExecOptions::default(), None).map(|(output, _)| output)
+    }
+
+    /// [`execute`] at an explicit worker count and pruning switch.
+    pub(crate) fn run_with(
+        cube: &MaterializedCube,
+        query: &CubeQuery,
+        threads: usize,
+        prune: bool,
+    ) -> Result<(QueryOutput, ScanStats), CubeStoreError> {
+        execute(cube, query, &ExecOptions { threads, prune }, None)
+    }
 
     pub(crate) fn iri(suffix: &str) -> Iri {
         Iri::new(format!("http://example.org/{suffix}"))
@@ -267,7 +287,7 @@ mod tests {
     use sparql::ast::CmpOp;
     use sparql::{Endpoint, LocalEndpoint};
 
-    use super::testutil::{fixture, iri, member};
+    use super::testutil::{fixture, iri, member, run, run_with};
     use super::*;
 
     fn build(score_aggregate: AggregateFunction) -> MaterializedCube {
@@ -472,7 +492,7 @@ mod tests {
     #[test]
     fn rollup_drops_ragged_members_and_sums() {
         let cube = build(AggregateFunction::Sum);
-        let output = execute(&cube, &rollup_query()).unwrap();
+        let output = run(&cube, &rollup_query()).unwrap();
         assert_eq!(
             output.axes,
             vec![
@@ -520,7 +540,7 @@ mod tests {
             rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
             ..CubeQuery::default()
         };
-        let output = execute(&cube, &query).unwrap();
+        let output = run(&cube, &query).unwrap();
         assert_eq!(output.axes.len(), 1);
         assert_eq!(output.cells.len(), 2);
         let k1 = output
@@ -540,7 +560,7 @@ mod tests {
             rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
             ..CubeQuery::default()
         };
-        let output = execute(&cube, &query).unwrap();
+        let output = run(&cube, &query).unwrap();
         let k1 = output
             .cells
             .iter()
@@ -554,7 +574,7 @@ mod tests {
             (AggregateFunction::Count, Term::integer(2)),
         ] {
             let cube = build(aggregate);
-            let output = execute(&cube, &query).unwrap();
+            let output = run(&cube, &query).unwrap();
             let k2 = output
                 .cells
                 .iter()
@@ -579,7 +599,7 @@ mod tests {
 
         let mut query = rollup_query();
         query.member_filters = vec![compare(CmpOp::Eq, "Alpha")];
-        let output = execute(&cube, &query).unwrap();
+        let output = run(&cube, &query).unwrap();
         assert!(output.cells.iter().all(|c| c.coordinates[0] == member("K1")));
         assert_eq!(output.cells.len(), 2);
 
@@ -590,7 +610,7 @@ mod tests {
             Box::new(compare(CmpOp::Eq, "Alpha")),
             Box::new(compare(CmpOp::Ne, "Alpha")),
         )];
-        let output = execute(&cube, &query).unwrap();
+        let output = run(&cube, &query).unwrap();
         assert!(output.cells.iter().all(|c| c.coordinates[0] == member("K1")));
 
         // An IRI constant compared with the member's attribute term.
@@ -604,7 +624,7 @@ mod tests {
                 value: Term::Literal(Literal::string("Alpha")),
             },
         }];
-        let output = execute(&cube, &query).unwrap();
+        let output = run(&cube, &query).unwrap();
         assert_eq!(output.cells.len(), 2);
     }
 
@@ -621,7 +641,7 @@ mod tests {
             op: CmpOp::Gt,
             value: Term::Literal(Literal::integer(20)),
         }];
-        let output = execute(&cube, &query).unwrap();
+        let output = run(&cube, &query).unwrap();
         assert_eq!(output.cells.len(), 1);
         assert_eq!(output.cells[0].coordinates, vec![member("K1")]);
 
@@ -647,7 +667,7 @@ mod tests {
                 }),
             )),
         )];
-        let output = execute(&cube, &query).unwrap();
+        let output = run(&cube, &query).unwrap();
         assert_eq!(output.cells.len(), 1);
         assert_eq!(output.cells[0].coordinates, vec![member("K1")]);
     }
@@ -665,10 +685,10 @@ mod tests {
                 .ambiguous_members(),
             1
         );
-        let error = execute(&cube, &rollup_query()).unwrap_err();
+        let error = run(&cube, &rollup_query()).unwrap_err();
         assert!(matches!(error, CubeStoreError::Unsupported(_)), "{error}");
         // Queries that do not roll city up still work.
-        assert!(execute(&cube, &CubeQuery::default()).is_ok());
+        assert!(run(&cube, &CubeQuery::default()).is_ok());
     }
 
     #[test]
@@ -762,7 +782,7 @@ mod tests {
                 ..CubeQuery::default()
             };
             assert!(matches!(
-                execute(&cube, &query).unwrap_err(),
+                run(&cube, &query).unwrap_err(),
                 CubeStoreError::Unsupported(_)
             ));
         }
@@ -776,7 +796,7 @@ mod tests {
             ..CubeQuery::default()
         };
         assert!(matches!(
-            execute(&cube, &query).unwrap_err(),
+            run(&cube, &query).unwrap_err(),
             CubeStoreError::Query(_)
         ));
 
@@ -785,7 +805,7 @@ mod tests {
             ..CubeQuery::default()
         };
         assert!(matches!(
-            execute(&cube, &query).unwrap_err(),
+            run(&cube, &query).unwrap_err(),
             CubeStoreError::Query(_)
         ));
 
@@ -798,7 +818,7 @@ mod tests {
             ..CubeQuery::default()
         };
         assert!(matches!(
-            execute(&cube, &query).unwrap_err(),
+            run(&cube, &query).unwrap_err(),
             CubeStoreError::Query(_)
         ));
 
@@ -813,7 +833,7 @@ mod tests {
             },
         }];
         assert!(matches!(
-            execute(&cube, &query).unwrap_err(),
+            run(&cube, &query).unwrap_err(),
             CubeStoreError::Query(_)
         ));
     }
@@ -821,7 +841,7 @@ mod tests {
     #[test]
     fn cells_are_sorted_canonically() {
         let cube = build(AggregateFunction::Sum);
-        let output = execute(&cube, &CubeQuery::default()).unwrap();
+        let output = run(&cube, &CubeQuery::default()).unwrap();
         assert_eq!(output.cells.len(), 5);
         let mut sorted = output.cells.clone();
         sorted.sort_by(|a, b| a.coordinates.cmp(&b.coordinates));
@@ -841,11 +861,11 @@ mod tests {
             },
         ];
         for query in &queries {
-            let sequential = execute_with_threads(&cube, query, 1).unwrap();
+            let sequential = run_with(&cube, query, 1, true).unwrap().0;
             for threads in [2, 3, 8, 64] {
                 assert_eq!(
                     sequential,
-                    execute_with_threads(&cube, query, threads).unwrap(),
+                    run_with(&cube, query, threads, true).unwrap().0,
                     "chunked scan with {threads} workers diverged"
                 );
             }
@@ -857,7 +877,7 @@ mod tests {
             .unwrap();
         let ambiguous = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
         assert!(matches!(
-            execute_with_threads(&ambiguous, &rollup_query(), 4).unwrap_err(),
+            run_with(&ambiguous, &rollup_query(), 4, true).unwrap_err(),
             CubeStoreError::Unsupported(_)
         ));
     }

@@ -28,22 +28,13 @@
 //!   segment pruning commutes with the overlay: a segment pruned on the
 //!   merged cube contains no row a folded cube would have scanned.
 //!
-//! The `QB2OLAP_NO_OVERLAY` environment variable (mirroring
-//! `QB2OLAP_NO_PRUNE`) forces every snapshot serve down the blocking
-//! fold-then-serve path, as a differential kill switch.
+//! The qlsmith campaign checks the claim on every generated program: its
+//! `columnar` leg reads the settled pin, its `columnar-scratch` leg a cube
+//! materialized from scratch at the pin's epoch.
 
 use std::sync::Arc;
 
 use crate::build::MaterializedCube;
-
-/// True unless the `QB2OLAP_NO_OVERLAY` kill switch is set (non-empty,
-/// not `"0"`). With the switch thrown, [`crate::CubeCatalog::serve_snapshot`]
-/// degrades to the blocking fold-then-serve path — results must be
-/// bit-identical either way, which is exactly what the differential
-/// campaigns check.
-pub fn overlay_enabled() -> bool {
-    !obs::env::kill_switch("QB2OLAP_NO_OVERLAY")
-}
 
 /// Total number of level members a cube serves (all levels summed).
 pub(crate) fn member_total(cube: &MaterializedCube) -> usize {
@@ -412,14 +403,5 @@ mod tests {
         snapshot.verify_consistent().unwrap();
         assert_eq!(snapshot.plan_line(), "OVERLAY none");
         assert_eq!(snapshot.epoch(), snapshot.base_epoch());
-    }
-
-    #[test]
-    fn the_kill_switch_reads_the_environment() {
-        // The variable is unset in the test environment; the switch must
-        // default to enabled. (ci.sh reruns whole campaigns with it set.)
-        if std::env::var("QB2OLAP_NO_OVERLAY").is_err() {
-            assert!(overlay_enabled());
-        }
     }
 }

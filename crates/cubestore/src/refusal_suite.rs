@@ -14,8 +14,8 @@ use rdf::{Literal, Term, Triple};
 use sparql::{Endpoint, LocalEndpoint};
 
 use crate::catalog::{CubeCatalog, MaintenanceStrategy, RebuildReason};
-use crate::executor::{execute, CubeQuery};
-use crate::testutil::{fixture, iri, member};
+use crate::executor::CubeQuery;
+use crate::testutil::{fixture, iri, member, run};
 use crate::{MaterializedCube, RefusalKind};
 
 /// One refusal scenario: optional store state established *before* the
@@ -253,10 +253,10 @@ fn every_refusal_kind_has_a_minimal_trigger_and_a_clean_rebuild() {
         let (endpoint, schema) = fixture(AggregateFunction::Sum);
         (trigger.setup)(&endpoint);
         let catalog = CubeCatalog::new();
-        catalog.serve(&endpoint, &schema).unwrap();
+        catalog.serve_settled(&endpoint, &schema).unwrap();
 
         (trigger.mutate)(&endpoint);
-        let rebuilt = catalog.serve(&endpoint, &schema).unwrap();
+        let rebuilt = catalog.serve_settled(&endpoint, &schema).unwrap().cube().clone();
 
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(
@@ -283,8 +283,8 @@ fn every_refusal_kind_has_a_minimal_trigger_and_a_clean_rebuild() {
         // materialization of the mutated store…
         let scratch = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
         assert_eq!(
-            execute(&rebuilt, &CubeQuery::default()).unwrap(),
-            execute(&scratch, &CubeQuery::default()).unwrap(),
+            run(&rebuilt, &CubeQuery::default()).unwrap(),
+            run(&scratch, &CubeQuery::default()).unwrap(),
             "{kind}: rebuilt cube must equal a fresh materialization"
         );
         // …and its live rows agree with what SPARQL counts as complete
@@ -319,8 +319,8 @@ fn every_refusal_kind_degrades_to_a_background_rebuild_on_the_snapshot_path() {
             "{kind}: the stale pin stays at the pre-mutation epoch"
         );
         assert_eq!(
-            execute(stale.cube(), &CubeQuery::default()).unwrap(),
-            execute(initial.cube(), &CubeQuery::default()).unwrap(),
+            run(stale.cube(), &CubeQuery::default()).unwrap(),
+            run(initial.cube(), &CubeQuery::default()).unwrap(),
             "{kind}: the stale snapshot serves the pinned state unchanged"
         );
 
@@ -347,8 +347,8 @@ fn every_refusal_kind_degrades_to_a_background_rebuild_on_the_snapshot_path() {
         // from-scratch materialization and agrees with SPARQL row counts.
         let scratch = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
         assert_eq!(
-            execute(fresh.cube(), &CubeQuery::default()).unwrap(),
-            execute(&scratch, &CubeQuery::default()).unwrap(),
+            run(fresh.cube(), &CubeQuery::default()).unwrap(),
+            run(&scratch, &CubeQuery::default()).unwrap(),
             "{kind}: folded base must equal a fresh materialization"
         );
         assert_eq!(
@@ -366,9 +366,9 @@ fn refused_serves_leave_no_delta_strategy_in_the_reports() {
         let (endpoint, schema) = fixture(AggregateFunction::Sum);
         (trigger.setup)(&endpoint);
         let catalog = CubeCatalog::new();
-        catalog.serve(&endpoint, &schema).unwrap();
+        catalog.serve_settled(&endpoint, &schema).unwrap();
         (trigger.mutate)(&endpoint);
-        catalog.serve(&endpoint, &schema).unwrap();
+        catalog.serve_settled(&endpoint, &schema).unwrap();
         let strategies: Vec<MaintenanceStrategy> = catalog
             .reports(&schema.dataset)
             .iter()

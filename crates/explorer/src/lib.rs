@@ -236,10 +236,14 @@ impl<'e> CubeExplorer<'e> {
         }
     }
 
-    /// The up-to-date columnar cube, when catalog-backed.
+    /// The up-to-date columnar cube, when catalog-backed: the settled pin,
+    /// so navigation sees every write that landed before the call.
     fn cube(&self) -> Result<Option<Arc<MaterializedCube>>, ExplorerError> {
         match &self.catalog {
-            Some(catalog) => Ok(Some(catalog.serve(self.endpoint, &self.schema)?)),
+            Some(catalog) => {
+                let settled = catalog.serve_settled(self.endpoint, &self.schema)?;
+                Ok(Some(settled.cube().clone()))
+            }
             None => Ok(None),
         }
     }
@@ -829,7 +833,7 @@ mod tests {
         assert!(snapshot.counter("explorer.member_count") >= 1);
         assert_eq!(snapshot.counter("explorer.schema_tree"), 1);
         assert_eq!(snapshot.counter("catalog.refresh.fresh"), 1);
-        assert!(snapshot.counter("catalog.serve.calls") >= 4);
+        assert!(snapshot.counter("catalog.overlay.serve_calls") >= 4);
 
         // A plain (SPARQL-only) explorer gets a private registry.
         let plain = CubeExplorer::open(&endpoint, &dataset).unwrap();
@@ -837,7 +841,7 @@ mod tests {
         let snapshot = plain.metrics().snapshot();
         assert_eq!(snapshot.counter("explorer.members"), 1);
         assert_eq!(snapshot.counter("explorer.members_via_sparql"), 1);
-        assert_eq!(snapshot.counter("catalog.serve.calls"), 0);
+        assert_eq!(snapshot.counter("catalog.overlay.serve_calls"), 0);
     }
 
     #[test]

@@ -2,21 +2,33 @@
 //! execution backend, every SPARQL query through the parsed *and* the
 //! text path, and the results must be bit-identical.
 
-use ql::{ExecutionBackend, QlError, QueryingModule, ResultCube, SparqlVariant};
+use std::cell::RefCell;
+
+use cubestore::{ExecOptions, MaterializedCube};
+use ql::{execute_columnar, PreparedQuery, QlError, QueryingModule, ResultCube, SparqlVariant};
 use sparql::ast::{Query, SelectQuery};
 use sparql::pretty::query_to_string;
 use sparql::{Endpoint, SparqlError};
 
-/// The execution backends the oracle compares, with display labels. The
-/// real [`ModuleOracle`] additionally evaluates a fourth `columnar-overlay`
-/// leg — the non-blocking snapshot read path — ahead of these.
-pub const BACKENDS: [(&str, ExecutionBackend); 3] = [
-    ("sparql-direct", ExecutionBackend::Sparql(SparqlVariant::Direct)),
-    (
-        "sparql-alternative",
-        ExecutionBackend::Sparql(SparqlVariant::Alternative),
-    ),
-    ("columnar", ExecutionBackend::Columnar),
+/// The legs [`ModuleOracle`] evaluates every program on, in order, all
+/// against one settled pin of the store:
+///
+/// * `columnar` — the served path: the pinned snapshot (base + overlay)
+///   with the default [`ExecOptions`];
+/// * `columnar-unpruned` — the same snapshot on one worker with zone-map
+///   pruning off, so the pruner and the parallel merge cannot hide a
+///   divergence;
+/// * `columnar-scratch` — a cube materialized from scratch at the pin's
+///   epoch, so overlay accretion, tombstones and folds are checked against
+///   a build that never saw a delta;
+/// * `sparql-direct` and `sparql-alternative` — the paper's path: both
+///   generated SPARQL variants evaluated on the endpoint.
+pub const LEGS: [&str; 5] = [
+    "columnar",
+    "columnar-unpruned",
+    "columnar-scratch",
+    "sparql-direct",
+    "sparql-alternative",
 ];
 
 /// Evaluates one QL program text through every backend.
@@ -29,36 +41,63 @@ pub trait QlOracle {
     fn evaluate(&self, ql_text: &str) -> Result<Vec<(&'static str, ResultCube)>, QlError>;
 }
 
-/// The real oracle: a [`QueryingModule`] over a live endpoint + schema.
+/// The real oracle: a [`QueryingModule`] over a live endpoint + schema,
+/// evaluating the [`LEGS`]. The scratch cube is built once per store
+/// epoch; the store must not move while a program is evaluated.
 pub struct ModuleOracle<'e> {
     module: &'e QueryingModule<'e>,
+    scratch: RefCell<Option<(u64, MaterializedCube)>>,
 }
 
 impl<'e> ModuleOracle<'e> {
     /// Wraps a querying module.
     pub fn new(module: &'e QueryingModule<'e>) -> Self {
-        ModuleOracle { module }
+        ModuleOracle {
+            module,
+            scratch: RefCell::new(None),
+        }
+    }
+
+    /// `columnar-scratch`: the prepared query on a from-scratch cube of
+    /// the store at `epoch`.
+    fn scratch_leg(&self, prepared: &PreparedQuery, epoch: u64) -> Result<ResultCube, QlError> {
+        let mut scratch = self.scratch.borrow_mut();
+        if scratch.as_ref().map(|(built, _)| *built) != Some(epoch) {
+            let endpoint = self.module.endpoint();
+            let cube = MaterializedCube::from_endpoint(endpoint, self.module.schema())?;
+            if endpoint.epoch() != epoch {
+                return Err(QlError::Columnar("the store moved under the oracle".to_string()));
+            }
+            *scratch = Some((epoch, cube));
+        }
+        let (_, cube) = scratch.as_ref().expect("built above");
+        Ok(execute_columnar(cube, prepared, &ExecOptions::default(), None)?.0)
     }
 }
 
 impl QlOracle for ModuleOracle<'_> {
     fn evaluate(&self, ql_text: &str) -> Result<Vec<(&'static str, ResultCube)>, QlError> {
         let prepared = self.module.prepare(ql_text)?;
-        let mut results = Vec::with_capacity(BACKENDS.len() + 1);
-        // The overlay read path goes first so any disagreement is pinned
-        // on it: a settled snapshot (background folds drained) must be
-        // bit-identical to the fold-then-serve results below. With
-        // QB2OLAP_NO_OVERLAY set this degenerates to the blocking serve.
         let snapshot = self.module.snapshot_settled()?;
-        let mut cube = self.module.execute_on_snapshot(&prepared, &snapshot)?;
-        cube.sort_cells();
-        results.push(("columnar-overlay", cube));
-        for (label, backend) in BACKENDS {
-            let mut cube = self.module.execute(&prepared, backend)?;
-            cube.sort_cells();
-            results.push((label, cube));
-        }
-        Ok(results)
+        let unpruned = ExecOptions {
+            threads: 1,
+            prune: false,
+        };
+        let cubes = [
+            self.module.execute_on_snapshot(&prepared, &snapshot)?,
+            execute_columnar(snapshot.cube(), &prepared, &unpruned, None)?.0,
+            self.scratch_leg(&prepared, snapshot.epoch())?,
+            self.module.execute(&prepared, SparqlVariant::Direct)?,
+            self.module.execute(&prepared, SparqlVariant::Alternative)?,
+        ];
+        Ok(LEGS
+            .into_iter()
+            .zip(cubes)
+            .map(|(label, mut cube)| {
+                cube.sort_cells();
+                (label, cube)
+            })
+            .collect())
     }
 }
 

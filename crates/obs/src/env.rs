@@ -1,21 +1,23 @@
 //! Centralized parsing of the `QB2OLAP_*` environment knobs.
 //!
 //! Before this module, every consumer parsed its knobs ad hoc — the fuzz
-//! campaign accepted hex, the benches accepted only decimal, the overlay
-//! and pruning kill switches had their own truthiness rules, and an
+//! campaign accepted hex, the benches accepted only decimal, and an
 //! invalid value either panicked (a `unwrap()` on the parse) or fell back
 //! silently depending on which file you were in. Production incidents love
 //! exactly that kind of divergence, so every knob now goes through one of
-//! the three parsers here, all with **warn-and-default** semantics: an
+//! the two parsers here, both with **warn-and-default** semantics: an
 //! unset variable is silently the default, while a *set but invalid* value
 //! (empty, garbage, overflow) logs one warning line to stderr and then
-//! behaves as if the variable were unset. A typo in an ops runbook must
-//! never panic a serving process, and must never silently flip a kill
-//! switch either way without a trace.
+//! behaves as if the variable were unset. A typo in a campaign runbook
+//! must never panic the process.
+//!
+//! Knobs size test campaigns and benches only: nothing on a serving or
+//! query path reads the environment (pruning and the overlay are
+//! per-call options and oracle legs, not process-wide switches).
 //!
 //! This module lives in `obs` because `obs` is the workspace's shared
-//! dependency-free kernel — every crate that reads a knob (cubestore,
-//! fuzz, bench, server) already depends on it. The `qb2olap` facade
+//! dependency-free kernel — every crate that reads a knob (fuzz, bench,
+//! the integration tests) already depends on it. The `qb2olap` facade
 //! re-exports it as `qb2olap::obs::env`.
 
 /// Reads a `u64` knob (decimal, or hex with a `0x`/`0X` prefix), falling
@@ -60,34 +62,9 @@ pub fn usize_knob(name: &str, default: usize) -> usize {
     }
 }
 
-/// Reads a kill-switch knob (`QB2OLAP_NO_PRUNE`, `QB2OLAP_NO_OVERLAY`,
-/// ...): **thrown** (`true`) when the variable is set to anything
-/// non-empty other than `"0"` or `"false"`, **not thrown** when unset,
-/// empty or explicitly `"0"`/`"false"`. There is no invalid value — any
-/// other text means "disable the feature", which is the conservative
-/// direction for a kill switch — but unrecognized truthy spellings of
-/// *off* (e.g. `"no"`) still warn so a typo'd attempt to clear the switch
-/// is visible.
-pub fn kill_switch(name: &str) -> bool {
-    match std::env::var(name) {
-        Err(_) => false,
-        Ok(text) => {
-            let trimmed = text.trim();
-            if trimmed.is_empty() || trimmed == "0" || trimmed.eq_ignore_ascii_case("false") {
-                return false;
-            }
-            if trimmed.eq_ignore_ascii_case("no") || trimmed.eq_ignore_ascii_case("off") {
-                warn_invalid(name, &text, "thrown (any non-empty value throws the switch)");
-            }
-            true
-        }
-    }
-}
-
 /// One stderr line per invalid read. Deliberately unbuffered and
-/// deliberately not a panic: knobs tune campaigns and kill switches, and a
-/// malformed value must neither take the process down nor vanish without
-/// a trace.
+/// deliberately not a panic: knobs tune campaigns, and a malformed value
+/// must neither take the process down nor vanish without a trace.
 fn warn_invalid(name: &str, got: &str, fallback: &str) {
     eprintln!("warning: ignoring invalid {name}={got:?}, using {fallback}");
 }
@@ -103,7 +80,6 @@ mod tests {
     fn unset_is_the_default() {
         assert_eq!(u64_knob("QB2OLAP_ENV_TEST_UNSET", 7), 7);
         assert_eq!(usize_knob("QB2OLAP_ENV_TEST_UNSET", 9), 9);
-        assert!(!kill_switch("QB2OLAP_ENV_TEST_UNSET"));
     }
 
     #[test]
@@ -143,23 +119,5 @@ mod tests {
         assert_eq!(u64_knob("QB2OLAP_ENV_TEST_OVERFLOW", 13), 13);
         assert_eq!(u64_knob("QB2OLAP_ENV_TEST_OVERFLOW_HEX", 13), 13);
         assert_eq!(usize_knob("QB2OLAP_ENV_TEST_OVERFLOW", 13), 13);
-    }
-
-    #[test]
-    fn kill_switch_truth_table() {
-        std::env::set_var("QB2OLAP_ENV_TEST_KS_ON", "1");
-        std::env::set_var("QB2OLAP_ENV_TEST_KS_WORD", "anything");
-        std::env::set_var("QB2OLAP_ENV_TEST_KS_OFF", "0");
-        std::env::set_var("QB2OLAP_ENV_TEST_KS_FALSE", "false");
-        std::env::set_var("QB2OLAP_ENV_TEST_KS_EMPTY", "");
-        std::env::set_var("QB2OLAP_ENV_TEST_KS_NO", "no");
-        assert!(kill_switch("QB2OLAP_ENV_TEST_KS_ON"));
-        assert!(kill_switch("QB2OLAP_ENV_TEST_KS_WORD"));
-        assert!(!kill_switch("QB2OLAP_ENV_TEST_KS_OFF"));
-        assert!(!kill_switch("QB2OLAP_ENV_TEST_KS_FALSE"));
-        assert!(!kill_switch("QB2OLAP_ENV_TEST_KS_EMPTY"));
-        // "no" is conservatively *thrown* (with a warning): only the
-        // documented spellings clear a kill switch.
-        assert!(kill_switch("QB2OLAP_ENV_TEST_KS_NO"));
     }
 }

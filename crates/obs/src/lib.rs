@@ -16,10 +16,10 @@
 //!   pluggable [`Subscriber`]. Production code runs with no subscriber
 //!   installed, in which case [`span()`] never reads the clock — the
 //!   guard is a no-op struct and the instrumented hot paths stay at
-//!   uninstrumented speed (the `obs_overhead` bench pins this). Tests and
-//!   repro harnesses install a [`CollectingSubscriber`] to capture the
-//!   full span tree (a catalog `serve` span containing the delta-replay
-//!   or rebuild span, a QL execute span containing the scan span, …).
+//!   uninstrumented speed (repro's E16 measures this). Tests and repro
+//!   harnesses install a [`CollectingSubscriber`] to capture the full span
+//!   tree (a catalog `serve-snapshot` span containing the overlay-accrete
+//!   or fold span, a QL execute span containing the scan span, …).
 //! * **[`profile`]** — an [`ExecutionProfile`] attached to query results:
 //!   the logical plan (one line per pipeline step), per-phase timings and
 //!   row counts, and named counters (rows scanned, tombstones skipped,

@@ -15,8 +15,8 @@
 //! With neither installed (the production default) [`span`] returns an
 //! inert guard **without reading the clock**: the entire cost of an
 //! instrumented call site is one thread-local read and one atomic load.
-//! The `obs_overhead` bench pins that this is indistinguishable from
-//! noise on an E7-scale scan.
+//! Repro's E16 measures that this is indistinguishable from noise on an
+//! E7-scale scan.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -3,7 +3,11 @@
 //! [`cubestore::MaterializedCube`], producing a [`ResultCube`] identical to
 //! what the SPARQL backend computes for the same prepared query.
 
-use cubestore::{CubeQuery, MaterializedCube, MeasureFilter, MemberFilter, MemberPredicate};
+use std::time::Instant;
+
+use cubestore::{
+    CubeQuery, ExecOptions, MaterializedCube, MeasureFilter, MemberFilter, MemberPredicate,
+};
 use rdf::{Literal, Term};
 
 use crate::ast::{DiceCondition, DiceOperand, DiceValue};
@@ -126,45 +130,28 @@ fn measure_filter(condition: &DiceCondition) -> Result<MeasureFilter, QlError> {
 /// Runs a prepared query on the materialized cube and assembles the result
 /// with the *same* axes and measure variables as the SPARQL translation, so
 /// the two backends produce comparable (identical) cubes. Also returns the
-/// scan totals so the caller can feed the metrics registry.
-pub(crate) fn execute_columnar(
+/// scan totals so the caller can feed the metrics registry. A `profile`
+/// gets the `lower-pipeline` step, everything [`cubestore::execute`]
+/// records, and the `assemble-cube` step, in that order.
+pub fn execute_columnar(
     cube: &MaterializedCube,
     prepared: &PreparedQuery,
+    options: &ExecOptions,
+    mut profile: Option<&mut obs::ExecutionProfile>,
 ) -> Result<(ResultCube, cubestore::ScanStats), QlError> {
+    let started = Instant::now();
     let query = to_cube_query(&prepared.pipeline)?;
-    let (output, stats) =
-        cubestore::execute_with_options(cube, &query, cubestore::ExecOptions::auto())?;
-    Ok((assemble_result(output, prepared)?, stats))
-}
-
-/// [`execute_columnar`] with per-phase timings: the cubestore execution
-/// profile plus the lowering and result-assembly phases on top.
-pub(crate) fn execute_columnar_traced(
-    cube: &MaterializedCube,
-    prepared: &PreparedQuery,
-) -> Result<(ResultCube, obs::ExecutionProfile, cubestore::ScanStats), QlError> {
-    let started = std::time::Instant::now();
-    let query = to_cube_query(&prepared.pipeline)?;
-    let lower = started.elapsed();
-    let (output, mut profile, stats) = cubestore::execute_traced(cube, &query)?;
-    profile.steps.insert(
-        0,
-        obs::ProfileStep {
-            name: "lower-pipeline".to_string(),
-            duration: lower,
-            rows: None,
-            detail: String::new(),
-        },
-    );
-    let started = std::time::Instant::now();
+    if let Some(profile) = profile.as_deref_mut() {
+        profile.push_step("lower-pipeline", started.elapsed(), None, "");
+    }
+    let (output, stats) = cubestore::execute(cube, &query, options, profile.as_deref_mut())?;
+    let started = Instant::now();
     let result = assemble_result(output, prepared)?;
-    profile.push_step(
-        "assemble-cube",
-        started.elapsed(),
-        Some(result.cells.len() as u64),
-        "",
-    );
-    Ok((result, profile, stats))
+    if let Some(profile) = profile {
+        let cells = Some(result.cells.len() as u64);
+        profile.push_step("assemble-cube", started.elapsed(), cells, "");
+    }
+    Ok((result, stats))
 }
 
 /// Validates the axis alignment and wraps the cells, which `cubestore`

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cubestore::{CubeCatalog, MaintenanceReport, MaterializedCube};
+use cubestore::{CubeCatalog, ExecOptions, MaintenanceReport, MaterializedCube};
 use qb4olap::CubeSchema;
 use rdf::Iri;
 use sparql::Endpoint;
@@ -104,7 +104,7 @@ pub struct QueryTimings {
 /// cube, plus the shared [`CubeCatalog`] the columnar backend serves from.
 ///
 /// The catalog validates the store's mutation epoch on **every**
-/// [`QueryingModule::execute`], replaying recorded deltas (or rebuilding)
+/// [`QueryingModule::execute`], accreting recorded deltas (or folding)
 /// when the store moved — columnar results can never be stale, and several
 /// modules (Querying and Exploration) can share one live columnar
 /// representation by sharing the catalog.
@@ -168,6 +168,11 @@ impl<'e> QueryingModule<'e> {
         &self.schema
     }
 
+    /// The endpoint the module queries and materializes from.
+    pub fn endpoint(&self) -> &'e dyn Endpoint {
+        self.endpoint
+    }
+
     /// The cube catalog the module serves columnar executions from.
     pub fn catalog(&self) -> &Arc<CubeCatalog> {
         &self.catalog
@@ -181,12 +186,10 @@ impl<'e> QueryingModule<'e> {
 
     /// The up-to-date columnar materialization of the dataset, built on
     /// first call and incrementally maintained afterwards: if the store
-    /// mutated since the last call, the catalog replays the recorded
-    /// deltas or rebuilds before returning.
+    /// mutated since the last call, the catalog catches up (and waits for
+    /// any fold) before returning — the cube of [`Self::snapshot_settled`].
     pub fn materialize(&self) -> Result<Arc<MaterializedCube>, QlError> {
-        self.catalog
-            .serve(self.endpoint, &self.schema)
-            .map_err(|e| QlError::Columnar(e.to_string()))
+        Ok(self.snapshot_settled()?.cube().clone())
     }
 
     /// Pins a [`cubestore::CubeSnapshot`] of the dataset **without waiting
@@ -194,34 +197,20 @@ impl<'e> QueryingModule<'e> {
     /// overlay inline, structural changes trigger a background rebuild
     /// while this call returns the stale-but-consistent pin immediately.
     /// Execute against it with [`Self::execute_on_snapshot`]; results are
-    /// bit-identical to the blocking [`Self::materialize`] path at the
-    /// snapshot's epoch.
+    /// bit-identical to a cube built from scratch at the snapshot's epoch.
     pub fn snapshot(&self) -> Result<cubestore::CubeSnapshot, QlError> {
         self.catalog
             .serve_snapshot(self.endpoint, &self.schema)
             .map_err(|e| QlError::Columnar(e.to_string()))
     }
 
-    /// Like [`Self::snapshot`], but waits for any background fold to
-    /// publish first and retries until the pin is current — the
-    /// "fold-then-serve" side of the overlay differential oracle. Falls
-    /// back to the blocking serve if the store keeps mutating underneath.
+    /// Like [`Self::snapshot`], but settled: at the store's current epoch
+    /// with no fold in flight ([`CubeCatalog::serve_settled`]) — what every
+    /// library-side columnar execution reads, so it sees its own writes.
     pub fn snapshot_settled(&self) -> Result<cubestore::CubeSnapshot, QlError> {
-        for _ in 0..8 {
-            let snapshot = self.snapshot()?;
-            if snapshot.epoch() == self.endpoint.epoch()
-                && !self.catalog.maintenance_in_flight(&self.schema.dataset)
-            {
-                return Ok(snapshot);
-            }
-            self.catalog.wait_for_maintenance(&self.schema.dataset);
-        }
-        // A store mutating faster than folds can land never settles; the
-        // blocking serve is fresh by construction at its epoch check.
-        self.materialize()?;
         self.catalog
-            .current_snapshot(&self.schema.dataset)
-            .ok_or_else(|| QlError::Columnar("catalog lost the served entry".to_string()))
+            .serve_settled(self.endpoint, &self.schema)
+            .map_err(|e| QlError::Columnar(e.to_string()))
     }
 
     /// Runs a prepared query's columnar pipeline against an explicitly
@@ -237,7 +226,8 @@ impl<'e> QueryingModule<'e> {
         let metrics = self.catalog.metrics();
         metrics.counter("ql.execute.columnar_snapshot").inc();
         let started = Instant::now();
-        let (cube, stats) = columnar::execute_columnar(snapshot.cube(), prepared)?;
+        let (cube, stats) =
+            columnar::execute_columnar(snapshot.cube(), prepared, &ExecOptions::default(), None)?;
         stats.record_into(metrics);
         metrics
             .histogram("ql.execute.duration_ns")
@@ -285,8 +275,10 @@ impl<'e> QueryingModule<'e> {
             }
             ExecutionBackend::Columnar => {
                 metrics.counter("ql.execute.columnar").inc();
-                let materialized = self.materialize()?;
-                let (cube, stats) = columnar::execute_columnar(&materialized, prepared)?;
+                let snapshot = self.snapshot_settled()?;
+                let options = ExecOptions::default();
+                let (cube, stats) =
+                    columnar::execute_columnar(snapshot.cube(), prepared, &options, None)?;
                 stats.record_into(metrics);
                 cube
             }
@@ -348,29 +340,27 @@ impl<'e> QueryingModule<'e> {
             ExecutionBackend::Columnar => {
                 metrics.counter("ql.execute.columnar").inc();
                 let started = Instant::now();
-                let materialized = self.materialize()?;
+                let snapshot = self.snapshot_settled()?;
                 let materialize = started.elapsed();
-                let (cube, inner, stats) =
-                    columnar::execute_columnar_traced(&materialized, prepared)?;
-                stats.record_into(metrics);
-                let mut profile = obs::ExecutionProfile::new(&inner.backend);
+                let mut profile = obs::ExecutionProfile::new("columnar");
                 for line in prepared.pipeline.plan_lines() {
                     profile.push_plan(&line);
-                }
-                for line in &inner.plan {
-                    profile.push_plan(line);
-                }
-                if let Some(snapshot) = self.catalog.current_snapshot(&self.schema.dataset) {
-                    profile.push_plan(snapshot.plan_line());
                 }
                 profile.push_step(
                     "materialize",
                     materialize,
-                    Some(materialized.row_count() as u64),
+                    Some(snapshot.cube().row_count() as u64),
                     "catalog-served cube rows",
                 );
-                profile.steps.extend(inner.steps);
-                profile.counters = inner.counters;
+                let (cube, stats) = columnar::execute_columnar(
+                    snapshot.cube(),
+                    prepared,
+                    &ExecOptions::default(),
+                    Some(&mut profile),
+                )?;
+                stats.record_into(metrics);
+                // The pin this execution ran on, not a later one.
+                profile.push_plan(snapshot.plan_line());
                 (cube, profile)
             }
         };

@@ -15,12 +15,14 @@
 //!   [`executor::ExecutionBackend`] seam (SPARQL on the endpoint, or the
 //!   columnar [`cubestore`] engine) and the end-to-end
 //!   [`executor::QueryingModule`];
+//! * [`columnar`] — the one columnar execution path every
+//!   [`executor::QueryingModule`] columnar call goes through;
 //! * [`cube`] — the result cube.
 
 #![warn(missing_docs)]
 
 pub mod ast;
-pub(crate) mod columnar;
+pub mod columnar;
 pub mod cube;
 pub mod error;
 pub mod executor;
@@ -34,6 +36,7 @@ pub use obs;
 #[cfg(any(test, feature = "testutil"))]
 pub mod testutil;
 
+pub use columnar::execute_columnar;
 pub use ast::{
     CubeRef, DiceCondition, DiceOp, DiceOperand, DiceValue, QlOperation, QlProgram, QlStatement,
 };

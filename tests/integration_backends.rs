@@ -430,7 +430,8 @@ mod mutation_fuzzer {
     use std::collections::{BTreeMap, BTreeSet};
 
     use qb2olap::cubestore::{
-        execute_with_threads, CubeCatalog, CubeQuery, MaintenanceStrategy, MaterializedCube,
+        execute, CubeCatalog, CubeQuery, ExecOptions, MaintenanceStrategy, MaterializedCube,
+        QueryOutput,
     };
     use qb2olap::{Endpoint, ExecutionBackend, Qb2Olap, SparqlVariant};
     use qb4olap::{
@@ -524,12 +525,20 @@ mod mutation_fuzzer {
         schema
     }
 
+    /// The bottom-level cube at an explicit scan worker count.
+    fn scan(cube: &MaterializedCube, threads: usize) -> QueryOutput {
+        let options = ExecOptions {
+            threads,
+            prune: true,
+        };
+        execute(cube, &CubeQuery::default(), &options, None).unwrap().0
+    }
+
     /// The float cube's SPARQL oracle: per-city SUM(rate) / AVG(index)
     /// over bottom-level members, compared **term-for-term** (bit-identical
     /// lexical forms) with the catalog-served columnar cells.
     fn assert_float_lockstep(tool: &Qb2Olap, catalog: &CubeCatalog, schema: &CubeSchema, step: usize) {
-        let cube = catalog.serve(tool.endpoint(), schema).unwrap();
-        let output = execute_with_threads(&cube, &CubeQuery::default(), 1).unwrap();
+        let output = scan(catalog.serve_settled(tool.endpoint(), schema).unwrap().cube(), 1);
         let solutions = tool
             .endpoint()
             .select(&format!(
@@ -612,7 +621,7 @@ mod mutation_fuzzer {
         let catalog = tool.catalog().clone();
         let querying = tool.querying(&dataset).unwrap();
         querying.materialize().unwrap();
-        catalog.serve(tool.endpoint(), &float_schema).unwrap();
+        catalog.serve_settled(tool.endpoint(), &float_schema).unwrap();
         let explorer = tool.explorer(&dataset).unwrap();
 
         let citizen_level = rdf::vocab::eurostat_property::citizen();
@@ -818,7 +827,7 @@ mod mutation_fuzzer {
 
             // Both cubes must absorb the step via the delta path...
             querying.materialize().unwrap();
-            catalog.serve(tool.endpoint(), &float_schema).unwrap();
+            catalog.serve_settled(tool.endpoint(), &float_schema).unwrap();
             assert_delta_only(&catalog, &dataset, step);
             assert_delta_only(&catalog, &float_dataset, step);
 
@@ -846,11 +855,11 @@ mod mutation_fuzzer {
             if heavy {
                 // Thread-count sweep on the float cube: chunked compensated
                 // sums must be bit-identical at 1/2/8 workers.
-                let cube = catalog.serve(tool.endpoint(), &float_schema).unwrap();
-                let reference = execute_with_threads(&cube, &CubeQuery::default(), 1).unwrap();
+                let settled = catalog.serve_settled(tool.endpoint(), &float_schema).unwrap();
+                let reference = scan(settled.cube(), 1);
                 for threads in [2usize, 8] {
                     assert_eq!(
-                        execute_with_threads(&cube, &CubeQuery::default(), threads).unwrap(),
+                        scan(settled.cube(), threads),
                         reference,
                         "float scan diverges at {threads} threads after step {step}"
                     );

@@ -15,35 +15,22 @@
 //! * a slow-endpoint regression test forces a structural rebuild that takes
 //!   hundreds of milliseconds and asserts concurrent snapshot serving stays
 //!   at pin cost throughout (the serve path may hold the slot lock only for
-//!   pin/swap-sized sections);
-//! * the `QB2OLAP_NO_OVERLAY` kill switch degrades snapshot serving to the
-//!   blocking path — fresh, never overlaid, and still bit-identical.
-//!
-//! The tests serialize on one static mutex: the kill-switch test mutates
-//! the process environment the other two read through `overlay_enabled`.
+//!   pin/swap-sized sections).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cubestore::{
-    execute, execute_snapshot, CubeCatalog, CubeQuery, MaintenanceStrategy, MaterializedCube,
-    QueryOutput,
+    execute, CubeCatalog, CubeQuery, ExecOptions, MaintenanceStrategy,
+    MaterializedCube, QueryOutput,
 };
 use qb4olap::CubeSchema;
 use qlsmith::fixture::{firi, fuzz_cube};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparql::{Endpoint, LocalEndpoint, Query, QueryResults, SparqlError};
-
-/// Serializes the tests in this binary: the kill-switch test flips
-/// `QB2OLAP_NO_OVERLAY`, which the others read on every `serve_snapshot`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn env_guard() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The query battery every pin is checked with: the bottom-level cube and a
 /// two-dimension roll-up (the merged overlay must extend roll-up maps, not
@@ -61,21 +48,24 @@ fn battery() -> Vec<CubeQuery> {
     ]
 }
 
+/// The battery's outputs on one cube.
+fn run_battery(cube: &MaterializedCube) -> Vec<QueryOutput> {
+    battery()
+        .iter()
+        .map(|q| execute(cube, q, &ExecOptions::default(), None).expect("execute").0)
+        .collect()
+}
+
 /// The oracle: a scratch materialization of the endpoint's *current* state,
 /// run through the battery. Callers must guarantee the store does not
 /// mutate while this runs (the writer thread is the sole mutator and calls
 /// this between its own mutations).
 fn scratch_oracle(endpoint: &dyn Endpoint, schema: &CubeSchema) -> Vec<QueryOutput> {
-    let scratch = MaterializedCube::from_endpoint(endpoint, schema).expect("scratch build");
-    battery()
-        .iter()
-        .map(|q| execute(&scratch, q).expect("scratch execute"))
-        .collect()
+    run_battery(&MaterializedCube::from_endpoint(endpoint, schema).expect("scratch build"))
 }
 
 #[test]
 fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
-    let _env = env_guard();
     const READERS: usize = 4;
     const WRITER_STEPS: usize = 48;
 
@@ -135,7 +125,6 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
         for _ in 0..READERS {
             let endpoint = endpoint.clone();
             scope.spawn(move || {
-                let battery = battery();
                 let check_pin = || {
                     let snapshot = catalog
                         .serve_snapshot(&endpoint, schema)
@@ -155,10 +144,7 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
                         overlaid_pins.fetch_add(1, Ordering::Relaxed);
                     }
                     let epoch = snapshot.epoch();
-                    let actual: Vec<QueryOutput> = battery
-                        .iter()
-                        .map(|q| execute_snapshot(&snapshot, q).expect("snapshot execute"))
-                        .collect();
+                    let actual = run_battery(snapshot.cube());
                     loop {
                         if let Some(outputs) = expected.lock().unwrap().get(&epoch) {
                             assert_eq!(
@@ -189,22 +175,10 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
 
     // Convergence: once maintenance drains, the pin is current and matches
     // the final oracle entry.
-    for _ in 0..16 {
-        catalog.wait_for_maintenance(&schema.dataset);
-        let snapshot = catalog.serve_snapshot(&endpoint, &schema).expect("settle");
-        if snapshot.epoch() == endpoint.epoch() && !catalog.maintenance_in_flight(&schema.dataset)
-        {
-            break;
-        }
-    }
-    let settled = catalog.serve_snapshot(&endpoint, &schema).expect("settled");
+    let settled = catalog.serve_settled(&endpoint, &schema).expect("settled");
     assert_eq!(settled.epoch(), endpoint.epoch(), "catalog settles at the store epoch");
-    let final_outputs: Vec<QueryOutput> = battery()
-        .iter()
-        .map(|q| execute_snapshot(&settled, q).expect("settled execute"))
-        .collect();
     assert_eq!(
-        Some(&final_outputs),
+        Some(&run_battery(settled.cube())),
         expected.lock().unwrap().get(&endpoint.epoch()),
         "settled snapshot matches the final oracle entry"
     );
@@ -221,7 +195,7 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
         .map(|r| r.strategy)
         .collect();
     assert!(
-        strategies.contains(&MaintenanceStrategy::Overlay),
+        strategies.contains(&MaintenanceStrategy::Delta),
         "appends must accrete into overlays: {strategies:?}"
     );
     assert!(
@@ -296,7 +270,6 @@ impl Endpoint for SlowEndpoint {
 
 #[test]
 fn a_slow_background_fold_never_delays_snapshot_serving() {
-    let _env = env_guard();
     let mut cube = fuzz_cube();
     cube.endpoint.enable_change_tracking();
     let schema = cube.schema.clone();
@@ -337,11 +310,11 @@ fn a_slow_background_fold_never_delays_snapshot_serving() {
         max_pin = max_pin.max(elapsed);
         snapshot.verify_consistent().expect("in-flight pin");
         assert_eq!(snapshot.epoch(), stale_epoch, "stale-but-consistent during the fold");
-        let outputs: Vec<QueryOutput> = battery()
-            .iter()
-            .map(|q| execute_snapshot(&snapshot, q).expect("in-flight execute"))
-            .collect();
-        assert_eq!(outputs, stale_outputs, "in-flight pins serve the stale oracle");
+        assert_eq!(
+            run_battery(snapshot.cube()),
+            stale_outputs,
+            "in-flight pins serve the stale oracle"
+        );
         in_flight_pins += 1;
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -369,67 +342,5 @@ fn a_slow_background_fold_never_delays_snapshot_serving() {
     let settled = catalog.serve_snapshot(&slow, &schema).expect("settled");
     assert_eq!(settled.epoch(), slow.epoch());
     assert!(!settled.is_overlaid(), "a fold publishes a clean base");
-    let outputs: Vec<QueryOutput> = battery()
-        .iter()
-        .map(|q| execute_snapshot(&settled, q).expect("settled execute"))
-        .collect();
-    assert_eq!(outputs, scratch_oracle(&cube.endpoint, &schema));
-}
-
-/// The process-wide kill switch: `QB2OLAP_NO_OVERLAY` routes every
-/// `serve_snapshot` through the blocking path — pins come back fresh and
-/// never overlaid, and not a single cell may change.
-#[test]
-fn the_no_overlay_knob_degrades_snapshot_serving_to_blocking() {
-    let _env = env_guard();
-    let saved = std::env::var_os("QB2OLAP_NO_OVERLAY");
-    std::env::remove_var("QB2OLAP_NO_OVERLAY");
-    assert!(cubestore::overlay_enabled());
-
-    let mut cube = fuzz_cube();
-    cube.endpoint.enable_change_tracking();
-    let schema = cube.schema.clone();
-    let catalog = CubeCatalog::new();
-    let mut rng = StdRng::seed_from_u64(0x0FF0);
-
-    // Overlay on: an append accretes instead of folding.
-    catalog.serve_snapshot(&cube.endpoint, &schema).expect("first build");
-    cube.append_observation(&mut rng);
-    let overlaid = catalog.serve_snapshot(&cube.endpoint, &schema).expect("overlaid pin");
-    assert!(overlaid.is_overlaid());
-    assert_eq!(overlaid.epoch(), cube.endpoint.epoch());
-    let on_outputs: Vec<QueryOutput> = battery()
-        .iter()
-        .map(|q| execute_snapshot(&overlaid, q).expect("overlaid execute"))
-        .collect();
-    assert_eq!(on_outputs, scratch_oracle(&cube.endpoint, &schema));
-
-    // Knob set: the same call now takes the blocking path — a fresh,
-    // clean-base pin via a delta fold, bit-identical all the same.
-    std::env::set_var("QB2OLAP_NO_OVERLAY", "1");
-    assert!(!cubestore::overlay_enabled());
-    cube.append_observation(&mut rng);
-    let blocking = catalog.serve_snapshot(&cube.endpoint, &schema).expect("blocking pin");
-    assert!(!blocking.is_overlaid(), "the knob must fold instead of overlaying");
-    assert_eq!(blocking.epoch(), cube.endpoint.epoch());
-    assert_eq!(
-        catalog.last_report(&schema.dataset).expect("report").strategy,
-        MaintenanceStrategy::Delta,
-        "the blocking path folds deltas into the base"
-    );
-    let off_outputs: Vec<QueryOutput> = battery()
-        .iter()
-        .map(|q| execute_snapshot(&blocking, q).expect("blocking execute"))
-        .collect();
-    assert_eq!(off_outputs, scratch_oracle(&cube.endpoint, &schema));
-
-    // `0` and the empty string mean "leave the overlay on".
-    std::env::set_var("QB2OLAP_NO_OVERLAY", "0");
-    assert!(cubestore::overlay_enabled());
-    std::env::set_var("QB2OLAP_NO_OVERLAY", "");
-    assert!(cubestore::overlay_enabled());
-    match saved {
-        Some(value) => std::env::set_var("QB2OLAP_NO_OVERLAY", value),
-        None => std::env::remove_var("QB2OLAP_NO_OVERLAY"),
-    }
+    assert_eq!(run_battery(settled.cube()), scratch_oracle(&cube.endpoint, &schema));
 }

@@ -9,19 +9,29 @@
 //! generator layout, where a leaf-month dice provably skips whole
 //! segments.
 //!
-//! These tests drive the switch through `ExecOptions`, so they hold under
-//! any environment; the process-wide `QB2OLAP_NO_PRUNE` knob has its own
-//! test below, and ci.sh additionally reruns the qlsmith campaign and this
-//! suite with the knob set.
+//! The switch is `ExecOptions::prune`; the qlsmith campaign's
+//! `columnar-unpruned` leg checks the same property on every generated
+//! program.
 
 use std::collections::BTreeMap;
 
 use cubestore::{
-    execute_with_options, CubeQuery, ExecOptions, MemberFilter, MemberPredicate, MeasureFilter,
+    execute, CubeQuery, CubeStoreError, ExecOptions, MaterializedCube, MemberFilter,
+    MemberPredicate, MeasureFilter, QueryOutput, ScanStats,
 };
-use qb2olap::{demo, ExecutionBackend, Qb2Olap};
+use qb2olap::{demo, Qb2Olap};
 use rdf::vocab::{demo_schema, rdfs, sdmx_dimension};
 use sparql::ast::CmpOp;
+
+/// One execution at an explicit worker count and pruning switch.
+fn run(
+    cube: &MaterializedCube,
+    query: &CubeQuery,
+    threads: usize,
+    prune: bool,
+) -> Result<(QueryOutput, ScanStats), CubeStoreError> {
+    execute(cube, query, &ExecOptions { threads, prune }, None)
+}
 
 /// A dice comparing a level attribute's string form with a constant.
 fn attribute_dice(dimension: rdf::Iri, level: rdf::Iri, attribute: rdf::Iri, value: &str) -> MemberFilter {
@@ -128,25 +138,16 @@ fn battery_is_bit_identical_with_pruning_on_and_off_at_any_worker_count() {
     let live_rows = cube.live_row_count() as u64;
 
     for (name, query) in query_battery() {
-        let (baseline, unpruned) = execute_with_options(
-            &cube,
-            &query,
-            ExecOptions {
-                threads: 1,
-                prune: false,
-            },
-        )
-        .unwrap_or_else(|e| panic!("'{name}' failed unpruned: {e}"));
+        let (baseline, unpruned) = run(&cube, &query, 1, false)
+            .unwrap_or_else(|e| panic!("'{name}' failed unpruned: {e}"));
         assert_eq!(unpruned.segments_pruned, 0, "'{name}': pruning was disabled");
         assert_eq!(unpruned.rows_scanned, live_rows, "'{name}': unpruned scans all live rows");
 
         for threads in [1usize, 4] {
             for prune in [false, true] {
-                let (output, stats) =
-                    execute_with_options(&cube, &query, ExecOptions { threads, prune })
-                        .unwrap_or_else(|e| {
-                            panic!("'{name}' failed at {threads} threads, prune={prune}: {e}")
-                        });
+                let (output, stats) = run(&cube, &query, threads, prune).unwrap_or_else(|e| {
+                    panic!("'{name}' failed at {threads} threads, prune={prune}: {e}")
+                });
                 assert_eq!(
                     output, baseline,
                     "'{name}' diverges at {threads} threads, prune={prune}"
@@ -175,15 +176,7 @@ fn battery_is_bit_identical_with_pruning_on_and_off_at_any_worker_count() {
     // the other segments are skipped and the scan touches a fraction of
     // the live rows.
     let (_, query) = query_battery().swap_remove(2);
-    let (_, stats) = execute_with_options(
-        &cube,
-        &query,
-        ExecOptions {
-            threads: 1,
-            prune: true,
-        },
-    )
-    .unwrap();
+    let (_, stats) = run(&cube, &query, 1, true).unwrap();
     assert!(stats.segments_total >= 3, "expected a multi-segment cube");
     assert!(
         stats.segments_pruned >= stats.segments_total - 1,
@@ -199,79 +192,6 @@ fn battery_is_bit_identical_with_pruning_on_and_off_at_any_worker_count() {
 
     // A full-rollup query with no dice prunes nothing.
     let (_, query) = query_battery().swap_remove(1);
-    let (_, stats) = execute_with_options(
-        &cube,
-        &query,
-        ExecOptions {
-            threads: 1,
-            prune: true,
-        },
-    )
-    .unwrap();
+    let (_, stats) = run(&cube, &query, 1, true).unwrap();
     assert_eq!(stats.segments_pruned, 0, "nothing to prune without a dice");
-}
-
-/// The process-wide kill switch: `QB2OLAP_NO_PRUNE` turns pruning off for
-/// every execution that does not pass explicit options — and doing so must
-/// not change a single cell of the QL workload. The QL layer reaches the
-/// scan through `ExecOptions::with_threads`, which reads the knob.
-///
-/// This is the only test in the binary that touches the environment; the
-/// battery above uses explicit `ExecOptions` precisely so it cannot race
-/// with this one.
-#[test]
-fn the_no_prune_knob_is_invisible_in_ql_results() {
-    let saved = std::env::var_os("QB2OLAP_NO_PRUNE");
-    std::env::remove_var("QB2OLAP_NO_PRUNE");
-    assert!(cubestore::pruning_enabled());
-
-    let demo = demo::setup_demo_cube(&datagen::EurostatConfig {
-        observations: 6_000,
-        time_ordered: true,
-        ..Default::default()
-    })
-    .unwrap();
-    let tool = Qb2Olap::new(demo.endpoint.clone());
-    let querying = tool.querying(&demo.dataset).unwrap();
-
-    let mut workload: Vec<(String, String)> = datagen::workload::bench_queries()
-        .into_iter()
-        .map(|(name, text)| (name.to_string(), text))
-        .collect();
-    workload.extend(datagen::workload::generated_queries(17, 12));
-
-    let run_all = || -> Vec<qb2olap::ResultCube> {
-        workload
-            .iter()
-            .map(|(name, text)| {
-                let prepared = querying
-                    .prepare(text)
-                    .unwrap_or_else(|e| panic!("'{name}' failed to prepare: {e}"));
-                querying
-                    .execute(&prepared, ExecutionBackend::Columnar)
-                    .unwrap_or_else(|e| panic!("'{name}' failed on the columnar backend: {e}"))
-            })
-            .collect()
-    };
-
-    let pruned = run_all();
-    std::env::set_var("QB2OLAP_NO_PRUNE", "1");
-    assert!(!cubestore::pruning_enabled());
-    let unpruned = run_all();
-    // `0` and the empty string mean "leave pruning on".
-    std::env::set_var("QB2OLAP_NO_PRUNE", "0");
-    assert!(cubestore::pruning_enabled());
-    std::env::set_var("QB2OLAP_NO_PRUNE", "");
-    assert!(cubestore::pruning_enabled());
-    match saved {
-        Some(value) => std::env::set_var("QB2OLAP_NO_PRUNE", value),
-        None => std::env::remove_var("QB2OLAP_NO_PRUNE"),
-    }
-
-    for (((name, _), with), without) in workload.iter().zip(&pruned).zip(&unpruned) {
-        assert_eq!(
-            with, without,
-            "'{name}' changed under QB2OLAP_NO_PRUNE=1"
-        );
-    }
 }

@@ -1,5 +1,6 @@
 //! The qlsmith campaign: seeded, grammar-covering differential fuzzing of
-//! the whole QL pipeline (three execution backends, bit-identical cells)
+//! the whole QL pipeline (the five oracle legs of `qlsmith::diff::LEGS`,
+//! bit-identical cells)
 //! and of the SPARQL SELECT surface (direct AST evaluation vs the
 //! pretty-print → parse → evaluate text path), interleaved with live store
 //! mutations so generated queries also run against delta-refreshed,
@@ -90,10 +91,8 @@ fn ql_campaign_is_bit_identical_across_backends_and_mutations() {
     let reports = module.maintenance_reports();
     let strategies: Vec<MaintenanceStrategy> = reports.iter().map(|r| r.strategy).collect();
     assert!(
-        strategies.contains(&MaintenanceStrategy::Delta)
-            || strategies.contains(&MaintenanceStrategy::Overlay),
-        "appends/removals must refresh incrementally (delta fold or overlay \
-         accretion): {strategies:?}"
+        strategies.contains(&MaintenanceStrategy::Delta),
+        "appends/removals must accrete incrementally: {strategies:?}"
     );
     assert!(
         strategies.contains(&MaintenanceStrategy::Rebuild),
@@ -211,8 +210,10 @@ fn seeded_mismatch_is_caught_shrunk_and_replayed_from_the_corpus() {
     let full_text = program.to_ql_string();
     let caught = check_program(&faulty, &full_text).unwrap();
     assert!(caught.is_some(), "the driver must flag the seeded mismatch");
-    // …which the honest oracle does not exhibit.
+    // …which the honest oracle does not exhibit, on any of its legs.
     assert!(check_program(&real, &full_text).unwrap().is_none());
+    let legs: Vec<&str> = real.evaluate(&full_text).unwrap().iter().map(|(l, _)| *l).collect();
+    assert_eq!(legs, qlsmith::diff::LEGS);
 
     // 2. The shrinker reduces the trigger to a single statement.
     let minimal = shrink_ql(&program, &cube.schema, |text| {
