@@ -149,6 +149,14 @@ cargo run --release -p qb2olap_bench --bin loadgen -- \
 cargo test --release --offline --manifest-path qbbench/Cargo.toml
 cargo run --release --offline --manifest-path qbbench/Cargo.toml -- \
     all --smoke --out target/qbbench-smoke
+# qbbench/Cargo.lock is tracked, and cargo rewrites it whenever a crate
+# qbbench builds (core, server, bench and their path dependencies) gains or
+# loses a dependency. Files under qbbench/ must not change in a PR, so the
+# builds above must have left it as committed. Skipped outside a git
+# checkout.
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    git diff --exit-code -- qbbench/Cargo.lock
+fi
 
 # Documentation cross-references resolve: every local *.md file mentioned
 # in the top-level docs exists, and the architecture map is linked from

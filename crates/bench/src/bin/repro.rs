@@ -655,14 +655,13 @@ fn e12_incremental_maintenance(observations: usize) -> Vec<Measurement> {
     // Exploration from the catalog's columns vs per-step SPARQL: member
     // listing (with labels) and roll-up navigation of the citizenship
     // hierarchy.
-    let columnar_explorer = tool.explorer(&cube.dataset).expect("explorer");
-    let sparql_explorer = tool.explorer_via_sparql(&cube.dataset).expect("explorer");
+    let explorer = tool.explorer(&cube.dataset).expect("explorer");
     assert_eq!(
-        columnar_explorer
+        explorer
             .members(&eurostat_property::citizen())
             .expect("columnar members"),
-        sparql_explorer
-            .members(&eurostat_property::citizen())
+        explorer
+            .members_via_sparql(&eurostat_property::citizen())
             .expect("SPARQL members"),
         "E12: columnar exploration diverges from the SPARQL oracle"
     );
@@ -671,7 +670,7 @@ fn e12_incremental_maintenance(observations: usize) -> Vec<Measurement> {
         (
             "explore_members_columns_ms",
             Box::new(|| {
-                columnar_explorer
+                explorer
                     .members(&eurostat_property::citizen())
                     .map(|_| ())
                     .expect("members")
@@ -680,8 +679,8 @@ fn e12_incremental_maintenance(observations: usize) -> Vec<Measurement> {
         (
             "explore_members_sparql_ms",
             Box::new(|| {
-                sparql_explorer
-                    .members(&eurostat_property::citizen())
+                explorer
+                    .members_via_sparql(&eurostat_property::citizen())
                     .map(|_| ())
                     .expect("members")
             }),
@@ -689,7 +688,7 @@ fn e12_incremental_maintenance(observations: usize) -> Vec<Measurement> {
         (
             "explore_rollup_edges_columns_ms",
             Box::new(|| {
-                columnar_explorer
+                explorer
                     .rollup_edges(&eurostat_property::citizen(), &demo_schema::continent())
                     .map(|_| ())
                     .expect("edges")
@@ -698,8 +697,11 @@ fn e12_incremental_maintenance(observations: usize) -> Vec<Measurement> {
         (
             "explore_rollup_edges_sparql_ms",
             Box::new(|| {
-                sparql_explorer
-                    .rollup_edges(&eurostat_property::citizen(), &demo_schema::continent())
+                explorer
+                    .rollup_edges_via_sparql(
+                        &eurostat_property::citizen(),
+                        &demo_schema::continent(),
+                    )
                     .map(|_| ())
                     .expect("edges")
             }),

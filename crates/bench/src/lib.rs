@@ -30,8 +30,9 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 
 /// Generates complete, delta-appliable observations over the demo cube's
 /// existing member pools — the mutation shape the maintenance harnesses
-/// (repro E12/E13 and the `backends` bench refresh entries) append to a
-/// live endpoint. One factory per experiment keeps node IRIs unique.
+/// (repro E12/E13, qbbench's `serve-under-writes` writer and its traced
+/// write probe) append to a live endpoint. One factory per experiment
+/// keeps node IRIs unique.
 pub struct ObservationFactory {
     dataset: rdf::Iri,
     /// (bottom level, its members) per demo dimension, read once.

@@ -113,18 +113,11 @@ impl Qb2Olap {
     }
 
     /// Opens the Exploration module for an (enriched) dataset, serving
-    /// navigation from the tool's shared cube catalog.
+    /// navigation from the tool's shared cube catalog. The paper's
+    /// per-step SPARQL navigation is the explorer's `*_via_sparql` oracle
+    /// methods.
     pub fn explorer<'t>(&'t self, dataset: &Iri) -> Result<CubeExplorer<'t>, explorer::ExplorerError> {
         CubeExplorer::open_with_catalog(&self.endpoint, dataset, self.catalog.clone())
-    }
-
-    /// Opens the Exploration module with per-step SPARQL navigation (the
-    /// paper's workflow, and the oracle for the columnar path).
-    pub fn explorer_via_sparql<'t>(
-        &'t self,
-        dataset: &Iri,
-    ) -> Result<CubeExplorer<'t>, explorer::ExplorerError> {
-        CubeExplorer::open(&self.endpoint, dataset)
     }
 
     /// Opens the Querying module for an (enriched) dataset, executing
@@ -133,10 +126,11 @@ impl Qb2Olap {
         QueryingModule::for_dataset_with_catalog(&self.endpoint, dataset, self.catalog.clone())
     }
 
-    /// Pins a [`cubestore::CubeSnapshot`] of a dataset's cube without
-    /// waiting on maintenance: appliable changes are accreted into a delta
-    /// overlay inline, structural changes fold in the background while the
-    /// current pin keeps serving. See ARCHITECTURE.md §"Overlay &
+    /// Pins a [`cubestore::CubeSnapshot`] of a dataset's cube — one cube,
+    /// its epoch, and what was accreted onto it since its last fold —
+    /// without waiting on maintenance: appliable changes are replayed onto
+    /// the pinned cube inline, structural changes fold in the background
+    /// while the current pin keeps serving. See ARCHITECTURE.md §"Overlay &
     /// background fold".
     pub fn snapshot(&self, dataset: &Iri) -> Result<cubestore::CubeSnapshot, ql::QlError> {
         self.querying(dataset)?.snapshot()
@@ -210,7 +204,6 @@ mod tests {
         // The explorer serves members from the very same materialization,
         // without any further SPARQL.
         let explorer = tool.explorer(&cube.dataset).unwrap();
-        assert!(explorer.serves_from_columns());
         let queries = cube.endpoint.queries_executed();
         let members = explorer
             .members(&rdf::vocab::eurostat_property::citizen())

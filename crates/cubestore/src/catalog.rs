@@ -4,19 +4,22 @@
 //! A [`CubeCatalog`] keys [`MaterializedCube`]s by dataset IRI and has
 //! **one read path**, [`CubeCatalog::serve_snapshot`]: it validates the
 //! endpoint's mutation epoch on every call and returns a pinned
-//! [`CubeSnapshot`] — the last folded base plus a [`DeltaOverlay`] of
-//! everything accreted since — which readers execute against without
-//! holding any catalog lock. When the store moved, the call catches up:
+//! [`CubeSnapshot`] — one cube, its epoch, and a [`crate::SinceFold`]
+//! record of what was accreted onto it since its last fold — which readers
+//! execute against without holding any catalog lock. Each slot holds
+//! exactly the snapshot the next pin returns. When the store moved, the
+//! call catches up:
 //!
 //! * the first build runs inline (there is nothing to serve meanwhile);
-//! * appliable [`rdf::StoreDelta`]s are accreted into the overlay inline
-//!   in O(delta) through [`MaterializedCube::apply_delta`];
-//! * structural changes (a refused delta or a change-log gap) and
-//!   compactions go through **one fold** — a rebuild from scratch,
-//!   published with an atomic swap. It runs on a background thread over
-//!   the frozen [`sparql::Endpoint::background_handle`] while readers keep
-//!   the stale-but-consistent pin, and on the caller's thread when the
-//!   endpoint has no handle.
+//! * appliable [`rdf::StoreDelta`]s are replayed onto the pinned cube
+//!   inline in O(delta) through [`MaterializedCube::apply_delta`], and the
+//!   result is swapped in;
+//! * structural changes (a refused delta, a change-log gap, a replay that
+//!   shrank the cube) and compactions go through **one fold** — a rebuild
+//!   from scratch, published with an atomic swap. It runs on a background
+//!   thread over the frozen [`sparql::Endpoint::background_handle`] while
+//!   readers keep the stale-but-consistent pin, and on the caller's thread
+//!   when the endpoint has no handle.
 //!
 //! [`CubeCatalog::serve_settled`] is the same pin for callers that must
 //! read their own writes: it waits for in-flight maintenance and pins
@@ -25,7 +28,7 @@
 //! decision, reason and timing is recorded as a [`MaintenanceReport`].
 //! Maintenance claims are serialized by one `refreshing` flag per slot,
 //! so a slow fold can never delay a concurrent pin by more than the pin
-//! cost.
+//! cost; a replaced cube is released only after the slot lock is.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -41,17 +44,17 @@ use sparql::Endpoint;
 
 use crate::build::MaterializedCube;
 use crate::error::{CubeStoreError, DeltaRefusal};
-use crate::overlay::{member_total, CubeSnapshot, DeltaOverlay};
+use crate::overlay::CubeSnapshot;
 
 /// How the catalog brought an entry up to date.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceStrategy {
     /// First materialization of the dataset.
     Fresh,
-    /// Recorded deltas were replayed onto the served columns in O(delta)
-    /// and accreted into the entry's [`DeltaOverlay`] (copy-on-write: only
-    /// the components the deltas extended were copied; removals were
-    /// tombstoned). The base stays untouched until the next fold.
+    /// Recorded deltas were replayed onto the served cube in O(delta) and
+    /// the result swapped in (copy-on-write: only the components the
+    /// deltas extended were copied; removals were tombstoned). The pin's
+    /// [`crate::SinceFold`] record sums these until the next fold.
     Delta,
     /// The cube was re-materialized from the endpoint because the deltas
     /// were unappliable or the change log had a coverage gap.
@@ -93,7 +96,8 @@ pub enum RebuildReason {
         total_rows: usize,
     },
     /// The delta replay failed with a non-refusal error (endpoint or
-    /// build failure surfaced mid-apply).
+    /// build failure surfaced mid-apply), or returned a cube smaller than
+    /// its input on a counted axis — a mis-merge.
     Error(String),
 }
 
@@ -167,6 +171,33 @@ fn needs_compaction(cube: &MaterializedCube) -> bool {
         && (cube.live_row_count() as f64) < (cube.row_count() as f64) * COMPACTION_LIVE_FRACTION
 }
 
+/// Total number of level members a cube serves (all levels summed).
+fn member_total(cube: &MaterializedCube) -> usize {
+    cube.levels().values().map(|index| index.member_count()).sum()
+}
+
+/// What a delta replay added on top of its input: rows appended, rows
+/// tombstoned, members added. `apply_delta` only ever adds, so an axis
+/// that shrank means the replay mis-merged: it is refused as a fold
+/// reason, never served.
+fn replay_growth(
+    input: &MaterializedCube,
+    replayed: &MaterializedCube,
+) -> Result<(usize, usize, usize), RebuildReason> {
+    let grown = |what: &str, after: usize, before: usize| {
+        after.checked_sub(before).ok_or_else(|| {
+            RebuildReason::Error(format!(
+                "{what} underflow: the replay returned {after} but its input has {before}"
+            ))
+        })
+    };
+    Ok((
+        grown("row-count", replayed.row_count(), input.row_count())?,
+        grown("tombstone-count", replayed.tombstoned_rows(), input.tombstoned_rows())?,
+        grown("member-count", member_total(replayed), member_total(input))?,
+    ))
+}
+
 /// A bounded ring of the most recent maintenance reports for one
 /// dataset: pushing at capacity evicts the oldest report in O(1)
 /// (previously a `Vec::remove(0)` front-shift on every refresh past the
@@ -216,49 +247,9 @@ impl ReportLog {
 }
 
 struct CatalogEntry {
-    /// The last fully-folded cube.
-    base: Arc<MaterializedCube>,
-    /// The store epoch `base` materializes.
-    base_epoch: u64,
-    /// Changes accreted since `base` by the snapshot read path.
-    overlay: Option<Arc<DeltaOverlay>>,
+    /// What the next pin returns.
+    pin: CubeSnapshot,
     reports: ReportLog,
-}
-
-impl CatalogEntry {
-    fn record(&mut self, report: MaintenanceReport) {
-        self.reports.push(report);
-    }
-
-    /// The cube consumers should read: base + overlay when an overlay is
-    /// accreted, the base alone otherwise.
-    fn served_cube(&self) -> &Arc<MaterializedCube> {
-        match &self.overlay {
-            Some(overlay) => overlay.merged(),
-            None => &self.base,
-        }
-    }
-
-    /// The store epoch the served cube is consistent with.
-    fn served_epoch(&self) -> u64 {
-        match &self.overlay {
-            Some(overlay) => overlay.epoch(),
-            None => self.base_epoch,
-        }
-    }
-
-    fn snapshot(&self) -> CubeSnapshot {
-        CubeSnapshot::new(self.base.clone(), self.base_epoch, self.overlay.clone())
-    }
-
-    /// Atomically replaces the base with a freshly folded cube: the
-    /// overlay (now folded in or superseded) is dropped in the same swap,
-    /// so no reader can ever pin a new base with a stale overlay.
-    fn publish_base(&mut self, cube: Arc<MaterializedCube>, epoch: u64) {
-        self.base = cube;
-        self.base_epoch = epoch;
-        self.overlay = None;
-    }
 }
 
 /// A dataset's slot: the entry plus the maintenance claim that serializes
@@ -362,7 +353,7 @@ fn record_report_metrics(
 }
 
 /// Rebuilds `schema`'s cube from `source` and publishes it as the slot's
-/// new base — the one path structural changes and compactions take, on a
+/// new pin — the one path structural changes and compactions take, on a
 /// background thread or the caller's. Runs under the slot's maintenance
 /// claim and releases it, success or failure. The epoch is read *before*
 /// the build, so a mutation racing it is caught up by the next serve
@@ -389,40 +380,43 @@ fn run_fold(
     .unwrap_or_else(|_| Err(CubeStoreError::Build("the fold panicked".to_string())));
     let mut st = slot.state.lock();
     st.refreshing = false;
-    let result = match built {
+    let (result, replaced) = match built {
         Ok(cube) => {
             let cube = Arc::new(cube);
             let entry = st.entry.as_mut().expect("entry present while claim held");
-            let old_live = entry.served_cube().live_row_count();
-            let old_members = member_total(entry.served_cube());
+            let old = entry.pin.cube();
+            let old_live = old.live_row_count();
             let window = started.elapsed();
             let report = MaintenanceReport {
                 dataset: schema.dataset.clone(),
                 strategy,
                 reason: Some(reason),
                 duration: window,
-                from_epoch: entry.served_epoch(),
+                from_epoch: entry.pin.epoch(),
                 to_epoch: target_epoch,
                 deltas_applied: 0,
                 rows_appended: cube.live_row_count().saturating_sub(old_live),
                 rows_removed: old_live.saturating_sub(cube.live_row_count()),
-                members_added: member_total(&cube).saturating_sub(old_members),
+                members_added: member_total(&cube).saturating_sub(member_total(old)),
                 overlap: background.then_some(window),
             };
-            entry.publish_base(cube.clone(), target_epoch);
+            let folded = CubeSnapshot::folded(cube.clone(), target_epoch);
+            let replaced = std::mem::replace(&mut entry.pin, folded);
             record_report_metrics(metrics, &report, &cube);
-            entry.record(report);
+            entry.reports.push(report);
             metrics.counter("catalog.overlay.folds").inc();
             metrics.gauge("catalog.overlay.rows").set(0.0);
-            Ok(entry.snapshot())
+            (Ok(entry.pin.clone()), Some(replaced))
         }
         Err(error) => {
             metrics.counter("catalog.overlay.fold_failures").inc();
             st.fold_error = Some(error.clone());
-            Err(error)
+            (Err(error), None)
         }
     };
     drop(st);
+    // Freed (when no reader still pins it) outside the slot lock.
+    drop(replaced);
     slot.maintenance_done.notify_all();
     result
 }
@@ -471,8 +465,8 @@ impl CubeCatalog {
 
     /// Returns a pinned [`CubeSnapshot`] for `schema`'s dataset **without
     /// ever waiting on maintenance** once the dataset is built: the caller
-    /// gets the current base + overlay immediately and executes against it
-    /// lock-free. This is the catalog's one read path.
+    /// gets the current pin immediately and executes against it lock-free.
+    /// This is the catalog's one read path.
     ///
     /// The first call for a dataset enables change tracking on the
     /// endpoint and builds the cube inline (there is nothing to serve
@@ -480,11 +474,12 @@ impl CubeCatalog {
     /// the pin's and, when the store moved, catch up in the cheapest way
     /// that does not block the reader:
     ///
-    /// * appliable deltas are **accreted inline** into a new overlay in
+    /// * appliable deltas are **accreted inline** onto the pinned cube in
     ///   O(delta) — this serve returns the caught-up snapshot, and the
     ///   refresh is recorded as [`MaintenanceStrategy::Delta`];
-    /// * structural changes (refused delta, change-log gap) and tombstones
-    ///   past [`COMPACTION_LIVE_FRACTION`] go through one **fold** — a
+    /// * structural changes (refused delta, change-log gap, a replay that
+    ///   shrank the cube) and tombstones past
+    ///   [`COMPACTION_LIVE_FRACTION`] go through one **fold** — a
     ///   rebuild from scratch published with an atomic swap. It runs on a
     ///   background thread over the frozen
     ///   [`sparql::Endpoint::background_handle`] while this serve, and
@@ -505,7 +500,7 @@ impl CubeCatalog {
         loop {
             if let Some(entry) = st.entry.as_ref() {
                 let now = endpoint.epoch();
-                let pinned = entry.snapshot();
+                let pinned = entry.pin.clone();
                 let lag = now.saturating_sub(pinned.epoch());
                 self.metrics.gauge("catalog.overlay.lag").set(lag as f64);
                 if lag == 0 {
@@ -544,7 +539,7 @@ impl CubeCatalog {
     /// store mutating faster than folds land never settles: after
     /// eight pins the catch-up runs on the caller's thread.
     /// A failed compaction of an otherwise current pin is not an error:
-    /// the next pin serves the overlay.
+    /// the next pin serves the accreted cube.
     pub fn serve_settled(
         &self,
         endpoint: &dyn Endpoint,
@@ -563,7 +558,7 @@ impl CubeCatalog {
             }
         }
         let mut st = slot.idle();
-        let pinned = st.entry.as_ref().expect("pinned above").snapshot();
+        let pinned = st.entry.as_ref().expect("pinned above").pin.clone();
         let now = endpoint.epoch();
         if pinned.epoch() == now {
             return Ok(pinned);
@@ -613,13 +608,11 @@ impl CubeCatalog {
         record_report_metrics(&self.metrics, &report, &cube);
         let mut reports = ReportLog::new();
         reports.push(report);
+        let snapshot = CubeSnapshot::folded(cube, epoch);
         let entry = CatalogEntry {
-            base: cube,
-            base_epoch: epoch,
-            overlay: None,
+            pin: snapshot.clone(),
             reports,
         };
-        let snapshot = entry.snapshot();
         let mut st = slot.state.lock();
         st.entry = Some(entry);
         st.refreshing = false;
@@ -629,9 +622,10 @@ impl CubeCatalog {
     }
 
     /// Brings `pinned` up to the store's epoch `now`, holding the slot's
-    /// maintenance claim and no lock: accretes appliable deltas into the
-    /// overlay inline, or folds — on a background thread when `background`
-    /// is allowed and the endpoint offers a handle, inline otherwise.
+    /// maintenance claim and no lock: replays appliable deltas onto the
+    /// pinned cube inline and swaps the result in, or folds — on a
+    /// background thread when `background` is allowed and the endpoint
+    /// offers a handle, inline otherwise.
     fn catch_up(
         &self,
         endpoint: &dyn Endpoint,
@@ -646,12 +640,13 @@ impl CubeCatalog {
         let accreted = match endpoint.deltas_since(from_epoch) {
             Some(deltas) => {
                 let caught_up = deltas.last().map(|d| d.epoch).unwrap_or(now);
-                let merged = {
+                let replayed = {
                     let _accrete_span = obs::span("catalog.overlay-accrete");
                     pinned.cube().apply_delta(&deltas)
                 };
-                match merged {
-                    Ok(merged) => Ok((Arc::new(merged), caught_up, deltas.len())),
+                match replayed {
+                    Ok(replayed) => replay_growth(pinned.cube(), &replayed)
+                        .map(|growth| (Arc::new(replayed), caught_up, deltas.len(), growth)),
                     Err(CubeStoreError::DeltaUnsupported(refusal)) => {
                         Err(RebuildReason::DeltaRefused(refusal))
                     }
@@ -660,10 +655,10 @@ impl CubeCatalog {
             }
             None => Err(RebuildReason::ChangeLogGap),
         };
-        let (merged, caught_up, deltas_applied) = match accreted {
+        let (replayed, caught_up, deltas_applied, (rows, tombstones, members)) = match accreted {
             Ok(accreted) => accreted,
             Err(reason) => {
-                // Structural change: the overlay cannot absorb it.
+                // Structural change (or a mis-merged replay): fold.
                 let strategy = MaintenanceStrategy::Rebuild;
                 return match self.fold(endpoint, schema, slot, strategy, reason, background) {
                     Some(folded) => folded,
@@ -674,15 +669,6 @@ impl CubeCatalog {
                 };
             }
         };
-        let prior_deltas = pinned.overlay().map(|o| o.deltas_applied()).unwrap_or(0);
-        let overlay = Arc::new(DeltaOverlay::new(
-            pinned.base(),
-            pinned.base_epoch(),
-            merged.clone(),
-            caught_up,
-            prior_deltas,
-            deltas_applied,
-        ));
         let report = MaintenanceReport {
             dataset: schema.dataset.clone(),
             strategy: MaintenanceStrategy::Delta,
@@ -691,39 +677,40 @@ impl CubeCatalog {
             from_epoch,
             to_epoch: caught_up,
             deltas_applied,
-            rows_appended: merged.row_count().saturating_sub(pinned.cube().row_count()),
-            rows_removed: merged
-                .tombstoned_rows()
-                .saturating_sub(pinned.cube().tombstoned_rows()),
-            members_added: member_total(&merged).saturating_sub(member_total(pinned.cube())),
+            rows_appended: rows,
+            rows_removed: tombstones,
+            members_added: members,
             overlap: None,
         };
-        let wants_compaction = needs_compaction(&merged);
+        let since_fold = pinned.since_fold().accreted(&report);
+        let snapshot = CubeSnapshot::new(replayed.clone(), caught_up, since_fold);
+        let wants_compaction = needs_compaction(&replayed);
         let mut st = slot.state.lock();
         let entry = st.entry.as_mut().expect("entry present while claim held");
-        entry.overlay = Some(overlay.clone());
-        record_report_metrics(&self.metrics, &report, &merged);
+        let replaced = std::mem::replace(&mut entry.pin, snapshot.clone());
+        record_report_metrics(&self.metrics, &report, &replayed);
         self.metrics.counter("catalog.overlay.accretions").inc();
         self.metrics
             .gauge("catalog.overlay.rows")
-            .set(overlay.rows_appended() as f64);
-        entry.record(report);
-        let snapshot = entry.snapshot();
+            .set(since_fold.rows as f64);
+        entry.reports.push(report);
+        if !wants_compaction {
+            st.refreshing = false;
+        }
+        drop(st);
+        drop(replaced);
         if wants_compaction {
             // Tombstones dominate: the fold inherits the claim, and readers
-            // keep the overlay until the compacted base lands.
-            drop(st);
+            // keep the accreted cube until the compacted one lands.
             let reason = RebuildReason::LowLiveFraction {
-                live_rows: merged.live_row_count(),
-                total_rows: merged.row_count(),
+                live_rows: replayed.live_row_count(),
+                total_rows: replayed.row_count(),
             };
             let strategy = MaintenanceStrategy::Compaction;
             return self
                 .fold(endpoint, schema, slot, strategy, reason, background)
                 .unwrap_or(Ok(snapshot));
         }
-        st.refreshing = false;
-        drop(st);
         slot.maintenance_done.notify_all();
         Ok(snapshot)
     }
@@ -749,7 +736,7 @@ impl CubeCatalog {
             Some(handle) => {
                 let (metrics, slot, schema) = (self.metrics.clone(), slot.clone(), schema.clone());
                 std::thread::spawn(move || {
-                    // The outcome lands in the slot: a new base, or the
+                    // The outcome lands in the slot: a new pin, or the
                     // error `serve_settled` surfaces.
                     let source = handle.as_ref();
                     let _ = run_fold(&metrics, &slot, &schema, source, strategy, reason, true);
@@ -760,13 +747,13 @@ impl CubeCatalog {
         }
     }
 
-    /// The currently pinned snapshot of a dataset (base + overlay),
-    /// without refreshing or waiting — exactly what a concurrent
-    /// [`Self::serve_snapshot`] would be handed if the store had not
-    /// moved. `None` until the first build completes.
+    /// The currently pinned snapshot of a dataset, without refreshing or
+    /// waiting — exactly what a concurrent [`Self::serve_snapshot`] would
+    /// be handed if the store had not moved. `None` until the first build
+    /// completes.
     pub fn current_snapshot(&self, dataset: &Iri) -> Option<CubeSnapshot> {
         self.existing_slot(dataset)
-            .and_then(|slot| slot.state.lock().entry.as_ref().map(|entry| entry.snapshot()))
+            .and_then(|slot| slot.state.lock().entry.as_ref().map(|entry| entry.pin.clone()))
     }
 
     /// True while a maintenance claim (first build, accretion, or fold)
@@ -826,17 +813,11 @@ impl CubeCatalog {
         self.inner.lock().keys().cloned().collect()
     }
 
-    /// The cube currently served for a dataset (base + overlay when one is
-    /// accreted), without refreshing it. Useful for inspection; consumers
-    /// should go through [`Self::serve_snapshot`] or [`Self::serve_settled`].
+    /// The cube currently served for a dataset, without refreshing it.
+    /// Useful for inspection; consumers should go through
+    /// [`Self::serve_snapshot`] or [`Self::serve_settled`].
     pub fn peek(&self, dataset: &Iri) -> Option<Arc<MaterializedCube>> {
-        self.existing_slot(dataset).and_then(|slot| {
-            slot.state
-                .lock()
-                .entry
-                .as_ref()
-                .map(|entry| entry.served_cube().clone())
-        })
+        self.current_snapshot(dataset).map(|pin| pin.cube().clone())
     }
 
     /// Drops a dataset's entry; the next [`Self::serve_snapshot`] rebuilds
@@ -863,6 +844,7 @@ mod tests {
     use sparql::{ConservativeEndpoint, LocalEndpoint};
 
     use crate::executor::CubeQuery;
+    use crate::overlay::SinceFold;
     use crate::testutil::{fixture, iri, member, observation_triples, run};
 
     use super::*;
@@ -1059,7 +1041,7 @@ mod tests {
         // Remove three of the five observations (each as one whole-batch
         // delta): live 2/5 < the 0.5 threshold, so the serve accretes the
         // tombstones, notices the fraction and compacts; the settled serve
-        // waits for the compacted base.
+        // waits for the compacted cube.
         for (name, city, month, value, score) in
             [("o1", "c1", "m1", 10, 4), ("o3", "c2", "m1", 5, 1), ("o4", "c3", "m1", 100, 9)]
         {
@@ -1309,34 +1291,38 @@ mod tests {
         );
     }
 
-    // ---- snapshot / overlay serving -----------------------------------
+    // ---- snapshot serving ----------------------------------------------
 
     #[test]
     fn serve_snapshot_accretes_appends_into_an_overlay() {
         let (endpoint, schema, catalog) = setup();
-        served(&catalog, &endpoint, &schema);
+        let built = catalog.serve_snapshot(&endpoint, &schema).unwrap();
         endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
 
         let snapshot = catalog.serve_snapshot(&endpoint, &schema).unwrap();
         snapshot.verify_consistent().unwrap();
-        assert!(snapshot.is_overlaid(), "the append lives in the overlay");
-        assert_eq!(snapshot.base().row_count(), 5, "the base is untouched");
+        let since = snapshot.since_fold();
+        assert_eq!((since.rows, since.tombstones, since.deltas), (1, 0, 1));
+        assert_eq!(since.fold_epoch, built.epoch(), "no fold since the first build");
+        assert_eq!(built.cube().row_count(), 5, "the earlier pin is untouched");
         assert_eq!(snapshot.cube().row_count(), 6);
         assert_eq!(snapshot.epoch(), endpoint.epoch());
+        let line = snapshot.plan_line();
+        assert!(line.starts_with("OVERLAY rows=1 "), "{line}");
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Delta);
         assert_eq!(report.rows_appended, 1);
         assert!(report.overlap.is_none());
 
-        // Overlay-served results are bit-identical to fold-then-serve
-        // (a scratch materialization of the same store state).
+        // Accreted results are bit-identical to fold-then-serve (a scratch
+        // materialization of the same store state).
         let scratch = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
         assert_eq!(
             run(snapshot.cube(), &CubeQuery::default()).unwrap(),
             run(&scratch, &CubeQuery::default()).unwrap()
         );
-        // A settled serve sees the caught-up overlay as fresh state: it
-        // serves the merged cube as a hit rather than folding eagerly.
+        // A settled serve sees the caught-up pin as fresh state: it serves
+        // the accreted cube as a hit rather than folding eagerly.
         assert!(Arc::ptr_eq(&served(&catalog, &endpoint, &schema), snapshot.cube()));
     }
 
@@ -1352,14 +1338,58 @@ mod tests {
         // The first pin is immutable: still 6 rows at its epoch.
         first.verify_consistent().unwrap();
         assert_eq!(first.cube().row_count(), 6);
-        // The second accreted on top: same base, deeper overlay.
+        // The second accreted on top: same fold epoch, summed record.
         second.verify_consistent().unwrap();
-        assert!(Arc::ptr_eq(first.base(), second.base()), "one shared base");
         assert_eq!(second.cube().row_count(), 7);
-        let overlay = second.overlay().unwrap();
-        assert_eq!(overlay.rows_appended(), 2, "cumulative vs the base");
-        assert_eq!(overlay.deltas_applied(), 2);
+        let since = second.since_fold();
+        assert_eq!(since.fold_epoch, first.since_fold().fold_epoch, "no fold between");
+        assert_eq!(since.rows, 2, "cumulative since the fold");
+        assert_eq!(since.deltas, 2);
         assert!(second.epoch() > first.epoch());
+    }
+
+    #[test]
+    fn a_pin_keeps_its_cube_and_plan_line_across_accretions_and_a_fold() {
+        let (endpoint, schema, catalog) = setup();
+        served(&catalog, &endpoint, &schema);
+        endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
+        let pinned = catalog.serve_snapshot(&endpoint, &schema).unwrap();
+        let (cube, line) = (pinned.cube().clone(), pinned.plan_line());
+        assert!(line.starts_with("OVERLAY rows=1 "), "{line}");
+
+        // Two more accretions, then a structural change folds.
+        for name in ["o7", "o8"] {
+            endpoint.insert_triples(&observation_triples(name, "c2", "m2", 2, 2)).unwrap();
+            catalog.serve_snapshot(&endpoint, &schema).unwrap();
+        }
+        assert!(endpoint
+            .store()
+            .remove(&qb4olap::rollup_triple(&member("c1"), &member("K1"))));
+        let folded = served(&catalog, &endpoint, &schema);
+        let report = catalog.last_report(&schema.dataset).unwrap();
+        assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);
+        assert_eq!(folded.row_count(), 8);
+
+        assert!(Arc::ptr_eq(pinned.cube(), &cube), "the pin still holds its own cube");
+        assert_eq!(pinned.cube().row_count(), 6);
+        assert_eq!(pinned.plan_line(), line, "and its own plan line");
+        pinned.verify_consistent().unwrap();
+        let current = catalog.current_snapshot(&schema.dataset).unwrap();
+        assert_eq!(current.plan_line(), "OVERLAY none");
+    }
+
+    #[test]
+    fn a_replay_that_shrinks_the_cube_is_a_fold_reason() {
+        let (endpoint, schema) = fixture(AggregateFunction::Sum);
+        let smaller = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
+        endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
+        let larger = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
+        assert_eq!(replay_growth(&smaller, &larger), Ok((1, 0, 0)));
+        // The roles swapped: the shape a mis-merged replay would produce.
+        let Err(RebuildReason::Error(detail)) = replay_growth(&larger, &smaller) else {
+            panic!("a shrinking replay must be refused");
+        };
+        assert!(detail.contains("row-count underflow"), "{detail}");
     }
 
     #[test]
@@ -1393,8 +1423,8 @@ mod tests {
 
         catalog.wait_for_maintenance(&schema.dataset);
         let fresh = catalog.current_snapshot(&schema.dataset).unwrap();
-        assert!(!fresh.is_overlaid());
-        assert_eq!(fresh.base_epoch(), endpoint.epoch());
+        assert_eq!(fresh.plan_line(), "OVERLAY none");
+        assert_eq!(fresh.since_fold().fold_epoch, endpoint.epoch());
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);
         assert!(
@@ -1430,7 +1460,7 @@ mod tests {
         // immediately — compaction happens behind it.
         let snapshot = catalog.serve_snapshot(&endpoint, &schema).unwrap();
         snapshot.verify_consistent().unwrap();
-        assert!(snapshot.is_overlaid());
+        assert_eq!(snapshot.since_fold().tombstones, 3);
         assert_eq!(snapshot.cube().live_row_count(), 2);
         assert_eq!(snapshot.cube().tombstoned_rows(), 3);
 
@@ -1443,7 +1473,7 @@ mod tests {
             .iter()
             .any(|r| r.strategy == MaintenanceStrategy::Delta));
         let compacted = catalog.current_snapshot(&schema.dataset).unwrap();
-        assert!(!compacted.is_overlaid());
+        assert_eq!(compacted.since_fold(), SinceFold::folded_at(compacted.epoch()));
         assert_eq!(compacted.cube().row_count(), 2, "dead rows reclaimed");
         assert_eq!(compacted.cube().tombstoned_rows(), 0);
         let report = catalog.last_report(&schema.dataset).unwrap();
@@ -1472,7 +1502,7 @@ mod tests {
         // No background handle: the epoch change degrades to an inline
         // blocking rebuild — fresh, not stale.
         let snapshot = catalog.serve_snapshot(&conservative, &schema).unwrap();
-        assert!(!snapshot.is_overlaid());
+        assert_eq!(snapshot.plan_line(), "OVERLAY none");
         assert_eq!(snapshot.cube().row_count(), 6);
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);

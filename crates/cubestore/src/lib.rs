@@ -61,12 +61,12 @@
 //!
 //! * reads never have to wait on any of that:
 //!   [`catalog::CubeCatalog::serve_snapshot`] pins an immutable
-//!   [`overlay::CubeSnapshot`] — the last folded base plus a
-//!   [`overlay::DeltaOverlay`] of changes accreted since — while
-//!   structural rebuilds and compactions run on a **background fold
-//!   thread** and publish the new base with an atomic swap (the
-//!   [`overlay`] module documents why merged results stay bit-identical
-//!   to a full fold).
+//!   [`overlay::CubeSnapshot`] — one cube, its epoch and a
+//!   [`overlay::SinceFold`] record of what was accreted onto it since its
+//!   last fold — while structural rebuilds and compactions run on a
+//!   **background fold thread** and publish the new cube with an atomic
+//!   swap (the [`overlay`] module documents why accreted results stay
+//!   bit-identical to a full fold).
 //!
 //! The repo-level `ARCHITECTURE.md` places this crate in the overall
 //! system and spells out the COW/tombstone invariants; EXPERIMENTS.md
@@ -106,7 +106,7 @@ pub use executor::{
 };
 pub use hierarchy::{LevelIndex, RollupMap};
 pub use observations::ObservationIndex;
-pub use overlay::{CubeSnapshot, DeltaOverlay};
+pub use overlay::{CubeSnapshot, SinceFold};
 pub use tombstone::Tombstones;
 pub use zonemap::ZoneMaps;
 

@@ -326,8 +326,8 @@ fn every_refusal_kind_degrades_to_a_background_rebuild_on_the_snapshot_path() {
 
         catalog.wait_for_maintenance(&schema.dataset);
         let fresh = catalog.current_snapshot(&schema.dataset).unwrap();
-        assert!(!fresh.is_overlaid(), "{kind}: the fold published a clean base");
-        assert_eq!(fresh.base_epoch(), endpoint.epoch());
+        assert_eq!(fresh.plan_line(), "OVERLAY none", "{kind}: the fold reset the record");
+        assert_eq!(fresh.since_fold().fold_epoch, endpoint.epoch());
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(
             report.strategy,

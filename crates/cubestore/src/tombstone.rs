@@ -108,6 +108,22 @@ impl Tombstones {
         self.dead += 1;
         true
     }
+
+    /// Checks the bitmap fits a `rows`-row cube: no row at or past `rows`
+    /// is marked dead. Only the words from the last row on are read.
+    pub(crate) fn verify(&self, rows: usize) -> Result<(), String> {
+        for (index, &word) in self.words.iter().enumerate().skip(rows / 64) {
+            let first_past = rows.saturating_sub(index * 64);
+            let past = word >> first_past;
+            if past != 0 {
+                let row = index * 64 + first_past + past.trailing_zeros() as usize;
+                return Err(format!(
+                    "tombstone bitmap marks row {row} dead but the cube has {rows} rows"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -127,6 +143,10 @@ mod tests {
         assert!(t.is_dead(3) && t.is_dead(64) && t.is_dead(200));
         assert!(!t.is_dead(4) && !t.is_dead(63) && !t.is_dead(201));
         assert!(!t.is_empty());
+        t.verify(201).unwrap();
+        let err = t.verify(200).unwrap_err();
+        assert!(err.contains("row 200 dead"), "{err}");
+        assert!(t.verify(64).unwrap_err().contains("row 64 dead"));
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! exposed as a library API plus text / DOT renderers used by the runnable
 //! examples.
 //!
-//! Navigation has two serving paths. Opened plainly
-//! ([`CubeExplorer::open`]), every step issues SPARQL, as in the paper.
-//! Opened on a shared [`cubestore::CubeCatalog`]
-//! ([`CubeExplorer::open_with_catalog`]), member listings, counts and
-//! roll-up navigation are served from the same live columnar cube the
-//! Querying module executes on — no per-step SPARQL — while the SPARQL
-//! path stays available (`*_via_sparql`) as a differential oracle.
+//! An explorer is always opened on a shared [`cubestore::CubeCatalog`]
+//! ([`CubeExplorer::open_with_catalog`]): the summary, member listings,
+//! counts and roll-up navigation are served from the same live columnar
+//! cube the Querying module executes on — no per-step SPARQL. The paper's
+//! per-step SPARQL navigation stays available on the same explorer
+//! (`*_via_sparql`) as the differential oracle.
 
 #![warn(missing_docs)]
 
@@ -132,76 +131,43 @@ fn label_from_index(index: &cubestore::LevelIndex, member: &Term) -> String {
         .unwrap_or_else(|| member.display_label())
 }
 
-/// An interactive explorer over one enriched cube.
+/// An interactive explorer over one enriched cube, served from a shared
+/// live cube catalog.
 pub struct CubeExplorer<'e> {
     endpoint: &'e dyn Endpoint,
     schema: CubeSchema,
-    /// When set, member navigation is served from the catalog's live
-    /// columnar cube instead of per-step SPARQL.
-    catalog: Option<Arc<CubeCatalog>>,
-    /// Per-operation counters (`explorer.<op>`): the catalog's shared
-    /// registry when catalog-backed, a private one otherwise.
-    metrics: Arc<obs::MetricsRegistry>,
+    /// Navigation is served from this catalog's live columnar cube, and
+    /// per-operation counters (`explorer.<op>`) go to its registry.
+    catalog: Arc<CubeCatalog>,
 }
 
 impl<'e> CubeExplorer<'e> {
-    /// Opens a cube by reading its QB4OLAP schema from the endpoint. Every
-    /// navigation step issues SPARQL (the paper's workflow); use
-    /// [`Self::open_with_catalog`] for columnar serving.
-    pub fn open(endpoint: &'e dyn Endpoint, dataset: &Iri) -> Result<Self, ExplorerError> {
-        let schema = qb4olap::schema_from_endpoint(endpoint, dataset)?;
-        Ok(CubeExplorer {
-            endpoint,
-            schema,
-            catalog: None,
-            metrics: Arc::new(obs::MetricsRegistry::default()),
-        })
-    }
-
-    /// Opens a cube on a shared [`CubeCatalog`]: member listings, counts
-    /// and roll-up navigation are answered from the catalog's live columns
-    /// — the same representation the Querying module executes on — with no
-    /// per-step SPARQL round-trips.
+    /// Opens a cube on a shared [`CubeCatalog`], reading its QB4OLAP
+    /// schema from the endpoint: member listings, counts and roll-up
+    /// navigation are answered from the catalog's live columns — the same
+    /// representation the Querying module executes on — with no per-step
+    /// SPARQL round-trips.
     pub fn open_with_catalog(
         endpoint: &'e dyn Endpoint,
         dataset: &Iri,
         catalog: Arc<CubeCatalog>,
     ) -> Result<Self, ExplorerError> {
         let schema = qb4olap::schema_from_endpoint(endpoint, dataset)?;
-        let metrics = catalog.metrics().clone();
-        Ok(CubeExplorer {
-            endpoint,
-            schema,
-            catalog: Some(catalog),
-            metrics,
-        })
-    }
-
-    /// Opens a cube from an already materialised schema.
-    pub fn with_schema(endpoint: &'e dyn Endpoint, schema: CubeSchema) -> Self {
-        CubeExplorer {
-            endpoint,
-            schema,
-            catalog: None,
-            metrics: Arc::new(obs::MetricsRegistry::default()),
-        }
+        Ok(Self::with_schema_and_catalog(endpoint, schema, catalog))
     }
 
     /// Opens a cube from an already materialised schema on a shared
-    /// catalog — no per-open SPARQL introspection, columnar navigation
-    /// from the shared live columns. The HTTP server opens one of these
-    /// per exploration request against its schema cache.
+    /// catalog — no per-open SPARQL introspection. The HTTP server opens
+    /// one of these per exploration request against its schema cache.
     pub fn with_schema_and_catalog(
         endpoint: &'e dyn Endpoint,
         schema: CubeSchema,
         catalog: Arc<CubeCatalog>,
     ) -> Self {
-        let metrics = catalog.metrics().clone();
         CubeExplorer {
             endpoint,
             schema,
-            catalog: Some(catalog),
-            metrics,
+            catalog,
         }
     }
 
@@ -210,96 +176,58 @@ impl<'e> CubeExplorer<'e> {
         &self.schema
     }
 
-    /// The metrics registry this explorer's per-operation counters live in
-    /// (shared with the catalog when catalog-backed).
-    pub fn metrics(&self) -> &Arc<obs::MetricsRegistry> {
-        &self.metrics
-    }
-
     /// Counts one navigation operation under `explorer.<op>`.
     fn count_op(&self, op: &str) {
-        self.metrics.counter(&format!("explorer.{op}")).inc();
+        self.catalog.metrics().counter(&format!("explorer.{op}")).inc();
     }
 
-    /// True if navigation is served from the columnar catalog.
-    pub fn serves_from_columns(&self) -> bool {
-        self.catalog.is_some()
+    /// A pinned, never-waiting snapshot of the cube. Navigation built on a
+    /// snapshot keeps serving while structural maintenance folds in the
+    /// background.
+    pub fn snapshot(&self) -> Result<cubestore::CubeSnapshot, ExplorerError> {
+        Ok(self.catalog.serve_snapshot(self.endpoint, &self.schema)?)
     }
 
-    /// A pinned, never-waiting snapshot of the cube (base plus delta
-    /// overlay), when catalog-backed. Navigation built on a snapshot keeps
-    /// serving while structural maintenance folds in the background.
-    pub fn snapshot(&self) -> Result<Option<cubestore::CubeSnapshot>, ExplorerError> {
-        match &self.catalog {
-            Some(catalog) => Ok(Some(catalog.serve_snapshot(self.endpoint, &self.schema)?)),
-            None => Ok(None),
-        }
+    /// The up-to-date columnar cube: the settled pin, so navigation sees
+    /// every write that landed before the call.
+    fn cube(&self) -> Result<Arc<MaterializedCube>, ExplorerError> {
+        let settled = self.catalog.serve_settled(self.endpoint, &self.schema)?;
+        Ok(settled.cube().clone())
     }
 
-    /// The up-to-date columnar cube, when catalog-backed: the settled pin,
-    /// so navigation sees every write that landed before the call.
-    fn cube(&self) -> Result<Option<Arc<MaterializedCube>>, ExplorerError> {
-        match &self.catalog {
-            Some(catalog) => {
-                let settled = catalog.serve_settled(self.endpoint, &self.schema)?;
-                Ok(Some(settled.cube().clone()))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// A summary of this cube (the entry the cube chooser displays). Served
-    /// from the catalog's columns when available.
+    /// A summary of this cube (the entry the cube chooser displays), served
+    /// from the catalog's columns.
     pub fn summary(&self) -> Result<CubeSummary, ExplorerError> {
         self.count_op("summary");
-        if let Some(cube) = self.cube()? {
-            return Ok(CubeSummary {
-                dataset: self.schema.dataset.clone(),
-                label: cube.dataset_label().map(str::to_string),
-                observations: cube.stats().observations_seen,
-                enriched: true,
-            });
-        }
-        let summaries = qb::list_datasets(self.endpoint)?;
-        summaries
-            .into_iter()
-            .find(|s| s.dataset == self.schema.dataset)
-            .map(|s| CubeSummary {
-                dataset: s.dataset,
-                label: s.label,
-                observations: s.observations,
-                enriched: true,
-            })
-            .ok_or_else(|| {
-                ExplorerError::Schema(format!(
-                    "dataset <{}> is not listed on the endpoint",
-                    self.schema.dataset.as_str()
-                ))
-            })
+        let cube = self.cube()?;
+        Ok(CubeSummary {
+            dataset: self.schema.dataset.clone(),
+            label: cube.dataset_label().map(str::to_string),
+            observations: cube.stats().observations_seen,
+            enriched: true,
+        })
     }
 
     /// The members of a level, with display labels. Served from the
-    /// catalog's columns when available, in the same order the SPARQL
-    /// oracle returns ([`Self::members_via_sparql`]).
+    /// catalog's columns, in the same order the SPARQL oracle returns
+    /// ([`Self::members_via_sparql`]).
     pub fn members(&self, level: &Iri) -> Result<Vec<MemberInfo>, ExplorerError> {
         self.count_op("members");
-        if let Some(cube) = self.cube()? {
-            if let Some(index) = cube.level(level) {
-                let mut members: Vec<Term> =
-                    index.dictionary.iter().map(|(_, t)| t.clone()).collect();
-                members.sort();
-                return Ok(members
-                    .into_iter()
-                    .map(|member| MemberInfo {
-                        label: label_from_index(index, &member),
-                        member,
-                    })
-                    .collect());
-            }
+        let cube = self.cube()?;
+        let Some(index) = cube.level(level) else {
             // A level the cube's schema does not know: the oracle returns
             // whatever `qb4o:memberOf` says (typically nothing).
-        }
-        self.members_via_sparql(level)
+            return self.members_via_sparql(level);
+        };
+        let mut members: Vec<Term> = index.dictionary.iter().map(|(_, t)| t.clone()).collect();
+        members.sort();
+        Ok(members
+            .into_iter()
+            .map(|member| MemberInfo {
+                label: label_from_index(index, &member),
+                member,
+            })
+            .collect())
     }
 
     /// The members of a level resolved through SPARQL — the paper's
@@ -317,15 +245,13 @@ impl<'e> CubeExplorer<'e> {
         Ok(out)
     }
 
-    /// Number of members of a level (from columns when catalog-backed).
+    /// Number of members of a level, from the columns.
     pub fn member_count(&self, level: &Iri) -> Result<usize, ExplorerError> {
         self.count_op("member_count");
-        if let Some(cube) = self.cube()? {
-            if let Some(index) = cube.level(level) {
-                return Ok(index.member_count());
-            }
+        match self.cube()?.level(level) {
+            Some(index) => Ok(index.member_count()),
+            None => self.member_count_via_sparql(level),
         }
-        self.member_count_via_sparql(level)
     }
 
     /// Number of members of a level, counted on the endpoint (the oracle).
@@ -378,45 +304,44 @@ impl<'e> CubeExplorer<'e> {
     }
 
     /// The roll-up edges (child member → parent member) between two levels.
-    /// Served from the catalog's broader adjacency when available, in the
-    /// same `(child, parent)` order as the SPARQL oracle.
+    /// Served from the catalog's broader adjacency, in the same
+    /// `(child, parent)` order as the SPARQL oracle.
     pub fn rollup_edges(
         &self,
         child_level: &Iri,
         parent_level: &Iri,
     ) -> Result<Vec<(MemberInfo, MemberInfo)>, ExplorerError> {
         self.count_op("rollup_edges");
-        if let Some(cube) = self.cube()? {
-            if let (Some(child_index), Some(parent_index)) =
-                (cube.level(child_level), cube.level(parent_level))
-            {
-                let mut edges: Vec<(Term, Term)> = Vec::new();
-                for (_, child) in child_index.dictionary.iter() {
-                    for parent in cube.broader_parents(child) {
-                        if parent_index.dictionary.id(parent).is_some() {
-                            edges.push((child.clone(), parent.clone()));
-                        }
-                    }
+        let cube = self.cube()?;
+        let (Some(child_index), Some(parent_index)) =
+            (cube.level(child_level), cube.level(parent_level))
+        else {
+            return self.rollup_edges_via_sparql(child_level, parent_level);
+        };
+        let mut edges: Vec<(Term, Term)> = Vec::new();
+        for (_, child) in child_index.dictionary.iter() {
+            for parent in cube.broader_parents(child) {
+                if parent_index.dictionary.id(parent).is_some() {
+                    edges.push((child.clone(), parent.clone()));
                 }
-                edges.sort();
-                return Ok(edges
-                    .into_iter()
-                    .map(|(child, parent)| {
-                        (
-                            MemberInfo {
-                                label: label_from_index(child_index, &child),
-                                member: child,
-                            },
-                            MemberInfo {
-                                label: label_from_index(parent_index, &parent),
-                                member: parent,
-                            },
-                        )
-                    })
-                    .collect());
             }
         }
-        self.rollup_edges_via_sparql(child_level, parent_level)
+        edges.sort();
+        Ok(edges
+            .into_iter()
+            .map(|(child, parent)| {
+                (
+                    MemberInfo {
+                        label: label_from_index(child_index, &child),
+                        member: child,
+                    },
+                    MemberInfo {
+                        label: label_from_index(parent_index, &parent),
+                        member: parent,
+                    },
+                )
+            })
+            .collect())
     }
 
     /// The roll-up edges resolved through SPARQL (the oracle).
@@ -543,6 +468,14 @@ mod tests {
         (endpoint, data.dataset)
     }
 
+    /// An explorer on a fresh catalog of its own.
+    fn open<'e>(
+        endpoint: &'e LocalEndpoint,
+        dataset: &Iri,
+    ) -> Result<CubeExplorer<'e>, ExplorerError> {
+        CubeExplorer::open_with_catalog(endpoint, dataset, Arc::new(CubeCatalog::new()))
+    }
+
     #[test]
     fn cube_listing_marks_enriched_cubes() {
         let (endpoint, dataset) = enriched_endpoint(120);
@@ -567,14 +500,15 @@ mod tests {
     #[test]
     fn members_and_labels() {
         let (endpoint, dataset) = enriched_endpoint(150);
-        let explorer = CubeExplorer::open(&endpoint, &dataset).unwrap();
-        let members = explorer.members(&demo_schema::continent()).unwrap();
+        let explorer = open(&endpoint, &dataset).unwrap();
+        let continent = demo_schema::continent();
+        let members = explorer.members(&continent).unwrap();
         assert!(!members.is_empty());
         assert!(members.iter().any(|m| m.label == "Africa" || m.label == "Asia"));
-        assert_eq!(
-            explorer.member_count(&demo_schema::continent()).unwrap(),
-            members.len()
-        );
+        assert_eq!(members, explorer.members_via_sparql(&continent).unwrap());
+        let count = explorer.member_count(&continent).unwrap();
+        assert_eq!(count, members.len());
+        assert_eq!(count, explorer.member_count_via_sparql(&continent).unwrap());
         // Labels fall back to the local name for unlabeled members.
         assert_eq!(
             explorer
@@ -587,7 +521,7 @@ mod tests {
     #[test]
     fn clustering_and_rollup_edges() {
         let (endpoint, dataset) = enriched_endpoint(150);
-        let explorer = CubeExplorer::open(&endpoint, &dataset).unwrap();
+        let explorer = open(&endpoint, &dataset).unwrap();
         let clusters = explorer
             .cluster_by_level(&demo_schema::citizenship_dim())
             .unwrap();
@@ -601,12 +535,18 @@ mod tests {
         assert!(edges
             .iter()
             .all(|(child, parent)| !child.label.is_empty() && !parent.label.is_empty()));
+        assert_eq!(
+            edges,
+            explorer
+                .rollup_edges_via_sparql(&eurostat_property::citizen(), &demo_schema::continent())
+                .unwrap()
+        );
     }
 
     #[test]
     fn schema_tree_and_dot_rendering() {
         let (endpoint, dataset) = enriched_endpoint(150);
-        let explorer = CubeExplorer::open(&endpoint, &dataset).unwrap();
+        let explorer = open(&endpoint, &dataset).unwrap();
         let tree = explorer.schema_tree().unwrap();
         assert!(tree.contains("dimension citizenshipDim"));
         assert!(tree.contains("level continent"));
@@ -617,7 +557,15 @@ mod tests {
             .instance_graph_dot(&demo_schema::citizenship_dim())
             .unwrap();
         assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("->"));
+        // Every edge the SPARQL oracle navigates is drawn.
+        let oracle = explorer
+            .rollup_edges_via_sparql(&eurostat_property::citizen(), &demo_schema::continent())
+            .unwrap();
+        assert!(!oracle.is_empty());
+        for (child, parent) in &oracle {
+            let edge = format!("\"{}\" -> \"{}\";", child.label, parent.label);
+            assert!(dot.contains(&edge), "{edge} missing from\n{dot}");
+        }
 
         // Unknown dimensions produce an empty graph rather than an error.
         let empty = explorer
@@ -631,7 +579,6 @@ mod tests {
         let (endpoint, dataset) = enriched_endpoint(200);
         let catalog = std::sync::Arc::new(cubestore::CubeCatalog::new());
         let explorer = CubeExplorer::open_with_catalog(&endpoint, &dataset, catalog).unwrap();
-        assert!(explorer.serves_from_columns());
         // Warm the catalog, then count round-trips: navigation from columns
         // must not touch the endpoint again.
         explorer.members(&eurostat_property::citizen()).unwrap();
@@ -807,7 +754,7 @@ mod tests {
         let endpoint = LocalEndpoint::new();
         let generated = datagen::generate(&datagen::EurostatConfig::small(10));
         endpoint.insert_triples(&generated.triples).unwrap();
-        assert!(CubeExplorer::open(&endpoint, &generated.dataset).is_err());
+        assert!(open(&endpoint, &generated.dataset).is_err());
     }
 
     #[test]
@@ -834,20 +781,22 @@ mod tests {
         assert_eq!(snapshot.counter("explorer.schema_tree"), 1);
         assert_eq!(snapshot.counter("catalog.refresh.fresh"), 1);
         assert!(snapshot.counter("catalog.overlay.serve_calls") >= 4);
+        assert_eq!(snapshot.counter("explorer.members_via_sparql"), 0);
 
-        // A plain (SPARQL-only) explorer gets a private registry.
-        let plain = CubeExplorer::open(&endpoint, &dataset).unwrap();
-        plain.members(&eurostat_property::citizen()).unwrap();
-        let snapshot = plain.metrics().snapshot();
-        assert_eq!(snapshot.counter("explorer.members"), 1);
+        // The oracle counts into the same registry, under its own name,
+        // and pins nothing.
+        let serve_calls = snapshot.counter("catalog.overlay.serve_calls");
+        explorer.members_via_sparql(&eurostat_property::citizen()).unwrap();
+        let snapshot = catalog.metrics().snapshot();
+        assert_eq!(snapshot.counter("explorer.members"), 2);
         assert_eq!(snapshot.counter("explorer.members_via_sparql"), 1);
-        assert_eq!(snapshot.counter("catalog.overlay.serve_calls"), 0);
+        assert_eq!(snapshot.counter("catalog.overlay.serve_calls"), serve_calls);
     }
 
     #[test]
     fn timedim_members_without_enrichment_are_absent() {
         let (endpoint, dataset) = enriched_endpoint(80);
-        let explorer = CubeExplorer::open(&endpoint, &dataset).unwrap();
+        let explorer = open(&endpoint, &dataset).unwrap();
         // The time dimension was not enriched in this fixture, so the year
         // level does not exist and has no members.
         assert_eq!(explorer.member_count(&demo_schema::year()).unwrap(), 0);

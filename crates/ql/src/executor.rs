@@ -193,8 +193,8 @@ impl<'e> QueryingModule<'e> {
     }
 
     /// Pins a [`cubestore::CubeSnapshot`] of the dataset **without waiting
-    /// on maintenance**: appliable deltas are accreted into the snapshot's
-    /// overlay inline, structural changes trigger a background rebuild
+    /// on maintenance**: appliable deltas are replayed onto the pinned cube
+    /// inline, structural changes trigger a background rebuild
     /// while this call returns the stale-but-consistent pin immediately.
     /// Execute against it with [`Self::execute_on_snapshot`]; results are
     /// bit-identical to a cube built from scratch at the snapshot's epoch.
@@ -211,28 +211,6 @@ impl<'e> QueryingModule<'e> {
         self.catalog
             .serve_settled(self.endpoint, &self.schema)
             .map_err(|e| QlError::Columnar(e.to_string()))
-    }
-
-    /// Runs a prepared query's columnar pipeline against an explicitly
-    /// pinned snapshot (base + overlay merged at scan time). The snapshot
-    /// is immutable: concurrent mutations and background folds cannot
-    /// change what this execution sees.
-    pub fn execute_on_snapshot(
-        &self,
-        prepared: &PreparedQuery,
-        snapshot: &cubestore::CubeSnapshot,
-    ) -> Result<ResultCube, QlError> {
-        let _span = obs::span("ql.execute");
-        let metrics = self.catalog.metrics();
-        metrics.counter("ql.execute.columnar_snapshot").inc();
-        let started = Instant::now();
-        let (cube, stats) =
-            columnar::execute_columnar(snapshot.cube(), prepared, &ExecOptions::default(), None)?;
-        stats.record_into(metrics);
-        metrics
-            .histogram("ql.execute.duration_ns")
-            .record(started.elapsed().as_nanos() as u64);
-        Ok(cube)
     }
 
     /// Runs the Query Simplification and Query Translation phases. The
@@ -252,6 +230,17 @@ impl<'e> QueryingModule<'e> {
         })
     }
 
+    /// Runs a prepared query's columnar pipeline against an explicitly
+    /// pinned snapshot. The snapshot is immutable: concurrent mutations
+    /// and background folds cannot change what this execution sees.
+    pub fn execute_on_snapshot(
+        &self,
+        prepared: &PreparedQuery,
+        snapshot: &cubestore::CubeSnapshot,
+    ) -> Result<ResultCube, QlError> {
+        self.execute_with(prepared, ExecutionBackend::Columnar, Some(snapshot), None)
+    }
+
     /// Runs the Execution phase on the chosen backend. Accepts a plain
     /// [`SparqlVariant`] as shorthand for [`ExecutionBackend::Sparql`].
     pub fn execute(
@@ -259,34 +248,7 @@ impl<'e> QueryingModule<'e> {
         prepared: &PreparedQuery,
         backend: impl Into<ExecutionBackend>,
     ) -> Result<ResultCube, QlError> {
-        let _span = obs::span("ql.execute");
-        let metrics = self.catalog.metrics();
-        let started = Instant::now();
-        let cube = match backend.into() {
-            ExecutionBackend::Sparql(variant) => {
-                metrics.counter("ql.execute.sparql").inc();
-                let sparql_text = prepared.sparql(variant);
-                let solutions = self.endpoint.select(&sparql_text)?;
-                ResultCube::from_solutions(
-                    prepared.translation.axes.clone(),
-                    prepared.translation.measures.clone(),
-                    &solutions,
-                )
-            }
-            ExecutionBackend::Columnar => {
-                metrics.counter("ql.execute.columnar").inc();
-                let snapshot = self.snapshot_settled()?;
-                let options = ExecOptions::default();
-                let (cube, stats) =
-                    columnar::execute_columnar(snapshot.cube(), prepared, &options, None)?;
-                stats.record_into(metrics);
-                cube
-            }
-        };
-        metrics
-            .histogram("ql.execute.duration_ns")
-            .record(started.elapsed().as_nanos() as u64);
-        Ok(cube)
+        self.execute_with(prepared, backend.into(), None, None)
     }
 
     /// [`Self::execute`] with an EXPLAIN-style [`obs::ExecutionProfile`]:
@@ -297,78 +259,102 @@ impl<'e> QueryingModule<'e> {
         prepared: &PreparedQuery,
         backend: impl Into<ExecutionBackend>,
     ) -> Result<(ResultCube, obs::ExecutionProfile), QlError> {
+        let backend = backend.into();
+        let mut profile = obs::ExecutionProfile::new(match backend {
+            ExecutionBackend::Sparql(SparqlVariant::Direct) => "sparql:direct",
+            ExecutionBackend::Sparql(SparqlVariant::Alternative) => "sparql:alternative",
+            ExecutionBackend::Columnar => "columnar",
+        });
+        for line in prepared.pipeline.plan_lines() {
+            profile.push_plan(&line);
+        }
+        let cube = self.execute_with(prepared, backend, None, Some(&mut profile))?;
+        Ok((cube, profile))
+    }
+
+    /// The one execution body behind [`Self::execute`],
+    /// [`Self::execute_profiled`] and [`Self::execute_on_snapshot`]. A
+    /// columnar execution runs on `snapshot` when given, on a settled pin
+    /// otherwise; `profile`, when given, receives the per-step timings, the
+    /// physical plan and the total.
+    fn execute_with(
+        &self,
+        prepared: &PreparedQuery,
+        backend: ExecutionBackend,
+        snapshot: Option<&cubestore::CubeSnapshot>,
+        mut profile: Option<&mut obs::ExecutionProfile>,
+    ) -> Result<ResultCube, QlError> {
         let _span = obs::span("ql.execute");
         let metrics = self.catalog.metrics();
         let total = Instant::now();
-        let (cube, mut profile) = match backend.into() {
+        let cube = match backend {
             ExecutionBackend::Sparql(variant) => {
                 metrics.counter("ql.execute.sparql").inc();
-                let name = match variant {
-                    SparqlVariant::Direct => "sparql:direct",
-                    SparqlVariant::Alternative => "sparql:alternative",
-                };
-                let mut profile = obs::ExecutionProfile::new(name);
-                for line in prepared.pipeline.plan_lines() {
-                    profile.push_plan(&line);
-                }
                 let started = Instant::now();
                 let sparql_text = prepared.sparql(variant);
-                profile.push_step(
-                    "translate-sparql",
-                    started.elapsed(),
-                    Some(sparql_text.lines().count() as u64),
-                    "generated query lines",
-                );
+                let translated = started.elapsed();
                 let started = Instant::now();
                 let solutions = self.endpoint.select(&sparql_text)?;
-                profile.push_step("select", started.elapsed(), Some(solutions.len() as u64), "");
+                let selected = started.elapsed();
                 let started = Instant::now();
                 let cube = ResultCube::from_solutions(
                     prepared.translation.axes.clone(),
                     prepared.translation.measures.clone(),
                     &solutions,
                 );
-                profile.push_step(
-                    "assemble-cube",
-                    started.elapsed(),
-                    Some(cube.cells.len() as u64),
-                    "",
-                );
-                profile.add_counter("solutions", solutions.len() as u64);
-                (cube, profile)
+                if let Some(profile) = profile.as_deref_mut() {
+                    let lines = sparql_text.lines().count() as u64;
+                    let note = "generated query lines";
+                    profile.push_step("translate-sparql", translated, Some(lines), note);
+                    profile.push_step("select", selected, Some(solutions.len() as u64), "");
+                    let cells = Some(cube.cells.len() as u64);
+                    profile.push_step("assemble-cube", started.elapsed(), cells, "");
+                    profile.add_counter("solutions", solutions.len() as u64);
+                }
+                cube
             }
             ExecutionBackend::Columnar => {
-                metrics.counter("ql.execute.columnar").inc();
                 let started = Instant::now();
-                let snapshot = self.snapshot_settled()?;
-                let materialize = started.elapsed();
-                let mut profile = obs::ExecutionProfile::new("columnar");
-                for line in prepared.pipeline.plan_lines() {
-                    profile.push_plan(&line);
+                let settled;
+                let snapshot = match snapshot {
+                    Some(pinned) => {
+                        metrics.counter("ql.execute.columnar_snapshot").inc();
+                        pinned
+                    }
+                    None => {
+                        metrics.counter("ql.execute.columnar").inc();
+                        settled = self.snapshot_settled()?;
+                        &settled
+                    }
+                };
+                if let Some(profile) = profile.as_deref_mut() {
+                    let rows = Some(snapshot.cube().row_count() as u64);
+                    let note = "catalog-served cube rows";
+                    profile.push_step("materialize", started.elapsed(), rows, note);
                 }
-                profile.push_step(
-                    "materialize",
-                    materialize,
-                    Some(snapshot.cube().row_count() as u64),
-                    "catalog-served cube rows",
-                );
+                let options = ExecOptions::default();
                 let (cube, stats) = columnar::execute_columnar(
                     snapshot.cube(),
                     prepared,
-                    &ExecOptions::default(),
-                    Some(&mut profile),
+                    &options,
+                    profile.as_deref_mut(),
                 )?;
                 stats.record_into(metrics);
-                // The pin this execution ran on, not a later one.
-                profile.push_plan(snapshot.plan_line());
-                (cube, profile)
+                if let Some(profile) = profile.as_deref_mut() {
+                    // The pin this execution ran on, not a later one.
+                    profile.push_plan(snapshot.plan_line());
+                }
+                cube
             }
         };
-        profile.total = total.elapsed();
+        let elapsed = total.elapsed();
+        if let Some(profile) = profile {
+            profile.total = elapsed;
+        }
         metrics
             .histogram("ql.execute.duration_ns")
-            .record(profile.total.as_nanos() as u64);
-        Ok((cube, profile))
+            .record(elapsed.as_nanos() as u64);
+        Ok(cube)
     }
 
     /// Prepares `ql_text` and renders EXPLAIN ANALYZE output for **both**

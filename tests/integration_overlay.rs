@@ -2,16 +2,16 @@
 //! §"Overlay & background fold").
 //!
 //! Snapshot serving promises two things at once: **reads never wait on
-//! maintenance** (appliable deltas accrete into an overlay inline,
+//! maintenance** (appliable deltas accrete onto the pinned cube inline,
 //! structural changes fold on a background thread while the current pin
 //! keeps serving) and **every pin is bit-identical** to a cube built from
 //! scratch at the pin's epoch. These tests attack both promises:
 //!
 //! * a concurrency stress test races N readers against a mutating writer
 //!   and the background fold threads, checking every pinned snapshot
-//!   against a scratch-materialized oracle at exactly that epoch — a torn
-//!   snapshot (base and overlay from different epochs) or a lost/duplicated
-//!   row fails the run;
+//!   against a scratch-materialized oracle at exactly that epoch — a cube
+//!   whose components disagree on its row count, or a lost/duplicated row,
+//!   fails the run;
 //! * a slow-endpoint regression test forces a structural rebuild that takes
 //!   hundreds of milliseconds and asserts concurrent snapshot serving stays
 //!   at pin cost throughout (the serve path may hold the slot lock only for
@@ -33,7 +33,7 @@ use rand::SeedableRng;
 use sparql::{Endpoint, LocalEndpoint, Query, QueryResults, SparqlError};
 
 /// The query battery every pin is checked with: the bottom-level cube and a
-/// two-dimension roll-up (the merged overlay must extend roll-up maps, not
+/// two-dimension roll-up (an accreted cube must extend roll-up maps, not
 /// just raw columns).
 fn battery() -> Vec<CubeQuery> {
     vec![
@@ -87,21 +87,21 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
 
     let first = catalog.serve_snapshot(&endpoint, &schema).expect("first build");
     first.verify_consistent().expect("first pin");
-    assert!(!first.is_overlaid(), "a fresh build has nothing to overlay");
+    assert_eq!(first.plan_line(), "OVERLAY none", "a fresh build has accreted nothing");
 
     let done = AtomicBool::new(false);
     let pins = AtomicUsize::new(0);
-    let overlaid_pins = AtomicUsize::new(0);
+    let accreted_pins = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
         let expected = &expected;
         let done = &done;
         let pins = &pins;
-        let overlaid_pins = &overlaid_pins;
+        let accreted_pins = &accreted_pins;
         let catalog = &catalog;
         let schema = &schema;
 
-        // The writer: appends (overlay-appliable), removals (tombstone
+        // The writer: appends (delta-appliable), removals (tombstone
         // deltas) and ragged-link toggles (delta refusals that force
         // background rebuilds), each followed by its oracle entry.
         scope.spawn(move || {
@@ -130,18 +130,9 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
                         .serve_snapshot(&endpoint, schema)
                         .expect("serve_snapshot");
                     snapshot.verify_consistent().expect("pinned snapshot");
-                    // Overlay bookkeeping is now checked (not saturating)
-                    // subtraction: a mis-merged fold records an underflow
-                    // that no live pin may ever carry.
-                    if let Some(overlay) = snapshot.overlay() {
-                        assert!(
-                            overlay.bookkeeping_underflow().is_none(),
-                            "live pin carries a bookkeeping underflow"
-                        );
-                    }
                     pins.fetch_add(1, Ordering::Relaxed);
-                    if snapshot.is_overlaid() {
-                        overlaid_pins.fetch_add(1, Ordering::Relaxed);
+                    if snapshot.since_fold().deltas > 0 {
+                        accreted_pins.fetch_add(1, Ordering::Relaxed);
                     }
                     let epoch = snapshot.epoch();
                     let actual = run_battery(snapshot.cube());
@@ -186,8 +177,8 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
     // The run must actually have exercised the machinery, not just hit.
     assert!(pins.load(Ordering::Relaxed) >= READERS * 2, "readers barely ran");
     assert!(
-        overlaid_pins.load(Ordering::Relaxed) > 0,
-        "no reader ever saw an overlaid pin"
+        accreted_pins.load(Ordering::Relaxed) > 0,
+        "no reader ever saw an accreted pin"
     );
     let strategies: Vec<MaintenanceStrategy> = catalog
         .reports(&schema.dataset)
@@ -196,7 +187,7 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
         .collect();
     assert!(
         strategies.contains(&MaintenanceStrategy::Delta),
-        "appends must accrete into overlays: {strategies:?}"
+        "appends must accrete onto the pin: {strategies:?}"
     );
     assert!(
         strategies.contains(&MaintenanceStrategy::Rebuild),
@@ -341,6 +332,6 @@ fn a_slow_background_fold_never_delays_snapshot_serving() {
     // The fold lands the structural change; results match scratch.
     let settled = catalog.serve_snapshot(&slow, &schema).expect("settled");
     assert_eq!(settled.epoch(), slow.epoch());
-    assert!(!settled.is_overlaid(), "a fold publishes a clean base");
+    assert_eq!(settled.plan_line(), "OVERLAY none", "a fold resets the record");
     assert_eq!(run_battery(settled.cube()), scratch_oracle(&cube.endpoint, &schema));
 }
