@@ -1,18 +1,19 @@
-//! `loadgen` — concurrent HTTP load against the serving front end, with a
-//! correctness check per response (E19 in EXPERIMENTS.md).
+//! `loadgen` — the HTTP serving gate (E19 in EXPERIMENTS.md): concurrent
+//! load against the serving front end, with a correctness check per
+//! response.
 //!
-//! Boots an in-process [`qb2olap_server`] over the demo cube, precomputes
-//! the **library-side** canonical JSON body of every E7 workload query,
-//! then drives N keep-alive connections that POST those queries to `/ql`
-//! round-robin, asserting each wire body is bit-identical to the library
-//! result. Two phases: idle, then with an agitator thread forcing
-//! structural background rebuilds (the §E18 pattern) — `--gate` fails the
-//! run if the mid-rebuild p99 exceeds 10x the idle p99, or if any body
-//! mismatched.
+//! Boots an in-process [`qb2olap_server`] over a 4 000-observation demo
+//! cube, precomputes the **library-side** canonical JSON body of every E7
+//! workload query, then drives 32 keep-alive connections that POST 8 of
+//! those queries each to `/ql` round-robin, checking each wire body is
+//! bit-identical to the library result. Two phases: idle, then with an
+//! agitator thread forcing structural background rebuilds (the §E18
+//! pattern). The run fails if any body mismatched or the mid-rebuild p99
+//! exceeds max(10 × idle p99, 25 ms). It takes no arguments; latency
+//! numbers are the benchmark's job (`qbbench`).
 //!
 //! ```text
-//! cargo run --release -p qb2olap_bench --bin loadgen -- \
-//!     --observations 4000 --connections 32 --requests 8 --gate
+//! cargo run --release -p qb2olap_bench --bin loadgen
 //! ```
 
 use std::net::SocketAddr;
@@ -26,66 +27,26 @@ use qb2olap_server::client::Client;
 use rdf::vocab::qb4o;
 use rdf::{Term, Triple};
 
-struct Args {
-    observations: usize,
-    connections: usize,
-    requests_per_connection: usize,
-    gate: bool,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        observations: 4_000,
-        connections: 32,
-        requests_per_connection: 8,
-        gate: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut number = |name: &str| -> usize {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs a number"))
-        };
-        match arg.as_str() {
-            "--observations" => parsed.observations = number("--observations"),
-            "--connections" => parsed.connections = number("--connections"),
-            "--requests" => parsed.requests_per_connection = number("--requests"),
-            "--gate" => parsed.gate = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: loadgen [--observations N] [--connections N] [--requests N] [--gate]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other:?} (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-    parsed
-}
+const OBSERVATIONS: usize = 4_000;
+const CONNECTIONS: usize = 32;
+const REQUESTS_PER_CONNECTION: usize = 8;
 
 /// One phase of load: every connection thread sends its share of requests
-/// round-robin over the workload, checking bodies; returns each request's
+/// round-robin over the workload, checking bodies; returns the phase's p99
 /// latency plus the mismatch count.
 fn run_phase(
     addr: SocketAddr,
-    connections: usize,
-    requests_per_connection: usize,
     expected: &Arc<Vec<(String, String)>>, // (wire path+body request, expected body)
-) -> (Vec<Duration>, usize, Duration) {
+) -> (Duration, usize) {
     let mismatches = Arc::new(AtomicUsize::new(0));
-    let started = Instant::now();
-    let handles: Vec<_> = (0..connections)
+    let handles: Vec<_> = (0..CONNECTIONS)
         .map(|thread_index| {
             let expected = expected.clone();
             let mismatches = mismatches.clone();
             std::thread::spawn(move || {
-                let mut latencies = Vec::with_capacity(requests_per_connection);
+                let mut latencies = Vec::with_capacity(REQUESTS_PER_CONNECTION);
                 let mut client = Client::connect(addr).expect("connect");
-                for i in 0..requests_per_connection {
+                for i in 0..REQUESTS_PER_CONNECTION {
                     let (query, want) = &expected[(thread_index + i) % expected.len()];
                     let sent = Instant::now();
                     let response = client.post("/ql", query).expect("request");
@@ -102,39 +63,17 @@ fn run_phase(
     for handle in handles {
         all.extend(handle.join().expect("load thread"));
     }
-    let elapsed = started.elapsed();
-    (all, mismatches.load(Ordering::Relaxed), elapsed)
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-fn report(name: &str, latencies: &mut [Duration], mismatches: usize, wall: Duration) -> Duration {
-    latencies.sort();
-    let p50 = percentile(latencies, 0.50);
-    let p99 = percentile(latencies, 0.99);
-    let qps = latencies.len() as f64 / wall.as_secs_f64();
-    println!(
-        "{name}: {} requests in {wall:?} — {qps:.0} QPS, p50 {p50:?}, p99 {p99:?}, {mismatches} mismatched bodies",
-        latencies.len(),
-    );
-    p99
+    all.sort();
+    let p99 = all[((all.len() - 1) as f64 * 0.99).round() as usize];
+    (p99, mismatches.load(Ordering::Relaxed))
 }
 
 fn main() {
-    let args = parse_args();
-
     eprintln!(
-        "building demo cube ({} observations) and precomputing expected bodies...",
-        args.observations
+        "building demo cube ({OBSERVATIONS} observations) and precomputing expected bodies..."
     );
     let cube = demo_cube_with(&datagen::EurostatConfig {
-        observations: args.observations,
+        observations: OBSERVATIONS,
         time_ordered: true,
         ..Default::default()
     });
@@ -162,27 +101,19 @@ fn main() {
 
     let config = qb2olap_server::ServerConfig {
         workers: 8,
-        queue_capacity: args.connections.max(64),
+        queue_capacity: 64,
         default_dataset: Some(cube.dataset.clone()),
         ..qb2olap_server::ServerConfig::default()
     };
     let server = qb2olap_server::start(tool.clone(), config).expect("bind server");
     let addr = server.addr();
     eprintln!(
-        "serving on {} — {} connections x {} requests per phase",
+        "serving on {} — {CONNECTIONS} connections x {REQUESTS_PER_CONNECTION} requests per phase",
         server.base_url(),
-        args.connections,
-        args.requests_per_connection
     );
 
     // Phase 1: idle (no maintenance in flight).
-    let (mut idle, idle_bad, idle_wall) = run_phase(
-        addr,
-        args.connections,
-        args.requests_per_connection,
-        &expected,
-    );
-    let idle_p99 = report("idle        ", &mut idle, idle_bad, idle_wall);
+    let (idle_p99, idle_bad) = run_phase(addr, &expected);
 
     // Phase 2: the §E18 agitator forces a structural refusal per round so
     // a background fold is almost always in flight while we serve.
@@ -208,46 +139,32 @@ fn main() {
             }
         })
     };
-    let (mut rebuild, rebuild_bad, rebuild_wall) = run_phase(
-        addr,
-        args.connections,
-        args.requests_per_connection,
-        &expected,
-    );
+    let (rebuild_p99, rebuild_bad) = run_phase(addr, &expected);
     stop.store(true, Ordering::SeqCst);
     agitator.join().expect("agitator exits");
-    let rebuild_p99 = report("mid-rebuild ", &mut rebuild, rebuild_bad, rebuild_wall);
-
-    let metrics = server.metrics();
-    println!(
-        "server: {} requests, {} connections, {} saturation rejections, {} timeouts",
-        metrics.counter("server.requests"),
-        metrics.counter("server.connections"),
-        metrics.counter("server.rejected.saturated"),
-        metrics.counter("server.timeouts"),
-    );
     server.shutdown();
 
-    if args.gate {
-        // The wire-level restatement of the §E18 guarantee: serving does
-        // not degrade by more than 10x while folds run. The floor absorbs
-        // sub-millisecond idle p99s on fast machines, same as repro e18.
-        let limit = (idle_p99 * 10).max(Duration::from_millis(25));
-        let mut failed = false;
-        if rebuild_p99 > limit {
-            eprintln!("GATE FAIL: mid-rebuild p99 {rebuild_p99:?} exceeds limit {limit:?}");
-            failed = true;
-        }
-        if idle_bad + rebuild_bad > 0 {
-            eprintln!(
-                "GATE FAIL: {} responses diverged from library results",
-                idle_bad + rebuild_bad
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("gate ok: mid-rebuild p99 {rebuild_p99:?} within {limit:?}, all bodies bit-identical");
+    // The wire-level restatement of the §E18 guarantee: serving does not
+    // degrade by more than 10x while folds run. The floor absorbs
+    // sub-millisecond idle p99s on fast machines, same as repro e18.
+    let limit = (idle_p99 * 10).max(Duration::from_millis(25));
+    let mut failed = false;
+    if rebuild_p99 > limit {
+        eprintln!(
+            "GATE FAIL: mid-rebuild p99 {rebuild_p99:?} exceeds limit {limit:?} \
+             (idle p99 {idle_p99:?})"
+        );
+        failed = true;
     }
+    if idle_bad + rebuild_bad > 0 {
+        eprintln!(
+            "GATE FAIL: {} responses diverged from library results",
+            idle_bad + rebuild_bad
+        );
+        failed = true;
+    }
+    if failed {
+        std::process::exit(1);
+    }
+    println!("gate ok: mid-rebuild p99 {rebuild_p99:?} within {limit:?}, all bodies bit-identical");
 }

@@ -1,12 +1,11 @@
 //! Experiment-reproduction harness: regenerates the measurements behind every
-//! figure/claim of the paper (see EXPERIMENTS.md for the index E1–E17).
+//! figure/claim of the paper (E1–E10) and runs this repository's
+//! assertion-carrying smokes (E11–E18); EXPERIMENTS.md is the index.
 //!
 //! Usage:
 //! ```text
 //! cargo run --release -p qb2olap_bench --bin repro -- [all|e1|e2|...|e18] [--observations N] [--json]
 //! ```
-
-use std::collections::BTreeSet;
 
 use enrichment::{EnrichmentConfig, EnrichmentSession};
 use qb2olap::{demo, Endpoint, ExecutionBackend, Qb2Olap, SparqlVariant};
@@ -308,6 +307,10 @@ fn e6_mary_query(observations: usize) -> Vec<Measurement> {
     let alternative = querying
         .execute(&prepared, SparqlVariant::Alternative)
         .expect("alternative");
+    assert_eq!(
+        direct, alternative,
+        "E6: the SPARQL variants disagree on Mary's query"
+    );
     let parameters = format!("observations={observations}");
     vec![
         Measurement::new(
@@ -323,12 +326,6 @@ fn e6_mary_query(observations: usize) -> Vec<Measurement> {
             prepared.report.original_operations as f64,
         ),
         Measurement::new("E6", &parameters, "result_cells", direct.len() as f64),
-        Measurement::new(
-            "E6",
-            &parameters,
-            "variants_agree",
-            (direct == alternative) as u8 as f64,
-        ),
     ]
 }
 
@@ -450,22 +447,18 @@ fn e9_simplification(observations: usize) -> Vec<Measurement> {
         ));
     }
 
-    // Confirm both programs produce identical cubes (the point of rule (b)).
-    let a = querying
-        .run(&datagen::workload::mary_query())
-        .expect("optimized runs")
-        .1;
-    let b = querying
-        .run(&datagen::workload::mary_query_unoptimized())
-        .expect("unoptimized runs")
-        .1;
-    let distinct: BTreeSet<bool> = [a == b].into_iter().collect();
-    rows.push(Measurement::new(
-        "E9",
-        format!("observations={observations}"),
-        "programs_equivalent",
-        distinct.contains(&true) as u8 as f64,
-    ));
+    // Both programs must produce identical cubes (the point of rule (b)).
+    assert_eq!(
+        querying
+            .run(&datagen::workload::mary_query())
+            .expect("optimized runs")
+            .1,
+        querying
+            .run(&datagen::workload::mary_query_unoptimized())
+            .expect("unoptimized runs")
+            .1,
+        "E9: the naive and the simplified program disagree"
+    );
     rows
 }
 

@@ -1,5 +1,6 @@
-//! Shared helpers for the QB2OLAP benchmark and experiment-reproduction
-//! harness (see `EXPERIMENTS.md` for the experiment index E1–E10).
+//! Shared helpers for the experiment-reproduction harness (`repro`, see
+//! `EXPERIMENTS.md` for the index E1–E18), the `loadgen` serving gate, the
+//! allocation-bound tests, and the benchmark package's write workloads.
 
 #![warn(missing_docs)]
 

@@ -96,9 +96,8 @@ pub struct MaterializedCube {
     pub(crate) dataset_label: Option<String>,
     /// Dead-row bitmap; rows it marks are skipped by every scan.
     pub(crate) tombstones: Tombstones,
-    /// Per-segment pruning metadata (distinct member codes per dimension,
-    /// min/max per measure), built here and extended under
-    /// [`MaterializedCube::apply_delta`].
+    /// Per-segment pruning metadata (distinct member codes per dimension),
+    /// built here and extended under [`MaterializedCube::apply_delta`].
     pub(crate) zones: ZoneMaps,
     pub(crate) stats: BuildStats,
 }
@@ -152,14 +151,13 @@ impl MaterializedCube {
 
     /// Checks every zone-map invariant against the actual column contents
     /// and the tombstone bitmap: exact distinct-code sets per (dimension,
-    /// segment), exact min/max per (measure, segment), and per-segment
-    /// dead counts that re-count from the bitmap. `Err` carries the first
-    /// violation found. Exposed so lifecycle tests (build → delta-append →
-    /// tombstone → compaction) can assert the maps stay sound at every
-    /// step.
+    /// segment) and per-segment dead counts that re-count from the bitmap.
+    /// `Err` carries the first violation found. Exposed so lifecycle tests
+    /// (build → delta-append → tombstone → compaction) can assert the maps
+    /// stay sound at every step.
     pub fn verify_zone_invariants(&self) -> Result<(), String> {
         self.zones
-            .verify(&self.dimensions, &self.measures, self.row_count, &self.tombstones)
+            .verify(&self.dimensions, self.row_count, &self.tombstones)
     }
 
     /// The column of a dimension, if the schema declares it.
@@ -201,11 +199,6 @@ impl MaterializedCube {
     /// The `skos:broader` parents of a member (empty if none are known).
     pub fn broader_parents(&self, member: &Term) -> &[Term] {
         self.broader.get(member).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The full member-level `skos:broader` adjacency (child → parents).
-    pub fn broader_map(&self) -> &BTreeMap<Term, Vec<Term>> {
-        &self.broader
     }
 
     /// True if `node` is one of the live materialized observations
@@ -504,7 +497,7 @@ impl Builder<'_> {
         }
         stats.rollup_maps = rollups.len();
 
-        let zones = ZoneMaps::build(&dimensions, &measures, row_count);
+        let zones = ZoneMaps::build(&dimensions, row_count);
 
         Ok(MaterializedCube {
             schema: Arc::new(self.schema.clone()),

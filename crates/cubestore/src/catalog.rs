@@ -448,14 +448,6 @@ impl CubeCatalog {
         Self::default()
     }
 
-    /// Creates an empty catalog reporting into an existing registry.
-    pub fn with_metrics(metrics: Arc<MetricsRegistry>) -> Self {
-        Self {
-            inner: Mutex::default(),
-            metrics,
-        }
-    }
-
     /// The registry every serve/refresh decision reports into. The
     /// querying module and explorer of the same tool instance share it,
     /// so one snapshot covers the whole serve path.
@@ -549,8 +541,13 @@ impl CubeCatalog {
         for _ in 0..SETTLE_ATTEMPTS {
             let pinned = self.serve_snapshot(endpoint, schema)?;
             let stale = pinned.epoch() != endpoint.epoch();
-            if !stale && !slot.state.lock().refreshing {
-                return Ok(pinned);
+            if !stale {
+                // The slot's newest pin, not `pinned`: a compaction that
+                // landed since publishes at the same epoch.
+                let st = slot.state.lock();
+                if !st.refreshing {
+                    return Ok(st.entry.as_ref().expect("pinned above").pin.clone());
+                }
             }
             let failed = slot.idle().fold_error.clone();
             if let (true, Some(error)) = (stale, failed) {

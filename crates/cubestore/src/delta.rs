@@ -102,9 +102,7 @@ impl MaterializedCube {
         // tombstone-only delta appends nothing, so the maps are untouched —
         // zone sets are never loosened by removals (a dead row's codes
         // staying recorded costs precision, not soundness).
-        let mut zones = std::mem::take(&mut cube.zones);
-        zones.extend(&cube.dimensions, &cube.measures, cube.row_count);
-        cube.zones = zones;
+        cube.zones.extend(&cube.dimensions, cube.row_count);
         Ok(cube)
     }
 }

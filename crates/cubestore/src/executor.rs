@@ -137,12 +137,14 @@ pub struct AxisSpec {
     pub level: Iri,
 }
 
-/// One cell of a query result.
+/// One cell of a query result — of this engine's and, re-exported as
+/// `ql::CubeCell`, of every QL result cube.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OutputCell {
+pub struct CubeCell {
     /// The member of each axis, in axis order.
     pub coordinates: Vec<Term>,
-    /// The aggregated value of each measure, in measure order.
+    /// The aggregated value of each measure, in measure order (`None` when
+    /// the aggregate produced no value).
     pub values: Vec<Option<Term>>,
 }
 
@@ -154,7 +156,7 @@ pub struct QueryOutput {
     /// The measure properties, in schema order.
     pub measures: Vec<Iri>,
     /// The cells, sorted canonically by coordinates.
-    pub cells: Vec<OutputCell>,
+    pub cells: Vec<CubeCell>,
 }
 
 /// Live rows in the surviving segments below which the scan stays
@@ -419,7 +421,7 @@ fn run_keyed<K: GroupKey>(
     plan: &ScanPlan<'_>,
     space: &KeySpace<K>,
     profile: Option<&mut ExecutionProfile>,
-) -> Result<(Vec<OutputCell>, ScanStats), CubeStoreError> {
+) -> Result<(Vec<CubeCell>, ScanStats), CubeStoreError> {
     let started = Instant::now();
     let (groups, mut stats, threads) = {
         let _scan_span = obs::span("cubestore.scan");
@@ -1110,7 +1112,7 @@ fn assemble_cells<K: GroupKey>(
     space: &KeySpace<K>,
     plan: &ScanPlan<'_>,
     stats: &mut ScanStats,
-) -> Result<Vec<OutputCell>, CubeStoreError> {
+) -> Result<Vec<CubeCell>, CubeStoreError> {
     let (axes, measures) = (&plan.axes, plan.measures);
     let mut kept: Vec<(K, Vec<Option<Term>>)> = Vec::with_capacity(groups.table.keys.len());
     'groups: for (group, &key) in groups.table.keys.iter().enumerate() {
@@ -1169,7 +1171,7 @@ fn assemble_cells<K: GroupKey>(
         .into_iter()
         .map(|(_, cell)| {
             let cell = cell as usize;
-            OutputCell {
+            CubeCell {
                 coordinates: axes
                     .iter()
                     .zip(&codes[cell * width..(cell + 1) * width])
@@ -1757,7 +1759,7 @@ mod tests {
                 data,
             })
             .collect();
-        let zones = ZoneMaps::build(&dimensions, &measures, row_count);
+        let zones = ZoneMaps::build(&dimensions, row_count);
         MaterializedCube {
             schema: std::sync::Arc::new(schema),
             row_count,
@@ -1880,7 +1882,7 @@ mod tests {
         };
         let cells = groups
             .into_iter()
-            .map(|(coordinates, inputs)| OutputCell {
+            .map(|(coordinates, inputs)| CubeCell {
                 coordinates,
                 values: inputs
                     .iter()
@@ -1965,7 +1967,7 @@ mod tests {
         let total: i64 = (0..(SEGMENT_LEN + 100) as i64).sum();
         assert_eq!(
             output.cells,
-            vec![OutputCell {
+            vec![CubeCell {
                 coordinates: vec![],
                 values: vec![Some(Term::integer(total))]
             }]
@@ -2190,7 +2192,7 @@ mod tests {
         query: &CubeQuery,
         threads: usize,
         hashed: bool,
-    ) -> Vec<OutputCell> {
+    ) -> Vec<CubeCell> {
         let axes = plan_axes(cube, query).unwrap();
         let plan = ScanPlan {
             cube,

@@ -101,8 +101,8 @@ pub use cowvec::CowVec;
 pub use dictionary::{Dictionary, MemberId, AMBIGUOUS_MEMBER, NO_MEMBER};
 pub use error::{CubeStoreError, DeltaRefusal, RefusalKind};
 pub use executor::{
-    auto_scan_threads, execute, AxisSpec, CubeQuery, ExecOptions, MeasureFilter, MemberFilter,
-    MemberPredicate, OutputCell, QueryOutput, ScanStats,
+    auto_scan_threads, execute, AxisSpec, CubeCell, CubeQuery, ExecOptions, MeasureFilter,
+    MemberFilter, MemberPredicate, QueryOutput, ScanStats,
 };
 pub use hierarchy::{LevelIndex, RollupMap};
 pub use observations::ObservationIndex;

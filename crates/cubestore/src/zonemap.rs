@@ -15,12 +15,6 @@
 //!   query time the executor lifts a segment's code set through the
 //!   roll-up map of each kept axis, so a dice at *any* level (leaf, mid or
 //!   top) can prove a segment irrelevant;
-//! * for each measure column, the **min/max** of the segment's values
-//!   (exact `i64` bounds for integer vectors, total-order `f64` bounds for
-//!   float vectors). Measure dices have `HAVING` semantics — they filter
-//!   *aggregates*, not rows — so these bounds are not used for pruning
-//!   today; they are maintained and invariant-checked so the segment
-//!   metadata stays complete;
 //! * (on [`Tombstones`], not here) a per-segment dead-row count, so a
 //!   fully-dead segment is skipped without touching the bitmap.
 //!
@@ -35,21 +29,20 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crate::columns::{DimensionColumn, MeasureColumn, MeasureVector};
+use crate::columns::DimensionColumn;
 use crate::cowvec::SEGMENT_LEN;
 use crate::dictionary::MemberId;
 use crate::tombstone::Tombstones;
 
 /// The per-segment pruning metadata of one cube: one code set per
-/// (dimension, segment) and one min/max per (measure, segment), covering
-/// every physical row (tombstoned rows included).
+/// (dimension, segment), covering every physical row (tombstoned rows
+/// included).
 #[derive(Debug, Clone, Default)]
 pub struct ZoneMaps {
     /// Physical rows covered so far (== the cube's `row_count` between
     /// maintenance steps).
     rows: usize,
     dimensions: Vec<DimensionZones>,
-    measures: Vec<MeasureZones>,
 }
 
 /// The zone entries of one dimension column: sealed segments share their
@@ -59,78 +52,6 @@ pub struct ZoneMaps {
 struct DimensionZones {
     sealed: Vec<Arc<Vec<MemberId>>>,
     tail: BTreeSet<MemberId>,
-}
-
-/// Per-segment min/max of one measure column, in the column's own value
-/// space. The last entry covers the (possibly unsealed) tail and widens in
-/// place as rows append. Float bounds use `f64::total_cmp` so NaNs and
-/// signed zeros order deterministically.
-#[derive(Debug, Clone)]
-enum MeasureZones {
-    Int(Vec<(i64, i64)>),
-    Float(Vec<(f64, f64)>),
-}
-
-impl MeasureZones {
-    fn empty_for(data: &MeasureVector) -> Self {
-        match data {
-            MeasureVector::Integer(_) => MeasureZones::Int(Vec::new()),
-            MeasureVector::Decimal(_) | MeasureVector::Double(_) => MeasureZones::Float(Vec::new()),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            MeasureZones::Int(entries) => entries.is_empty(),
-            MeasureZones::Float(entries) => entries.is_empty(),
-        }
-    }
-
-    fn matches(&self, data: &MeasureVector) -> bool {
-        matches!(
-            (self, data),
-            (MeasureZones::Int(_), MeasureVector::Integer(_))
-                | (
-                    MeasureZones::Float(_),
-                    MeasureVector::Decimal(_) | MeasureVector::Double(_)
-                )
-        )
-    }
-
-    /// Widens the zone of `segment` with the value of `row` (appending the
-    /// segment's first entry when the row opens a new segment).
-    fn record(&mut self, data: &MeasureVector, row: usize, segment: usize) {
-        match (self, data) {
-            (MeasureZones::Int(entries), MeasureVector::Integer(values)) => {
-                let value = *values.get(row);
-                if entries.len() <= segment {
-                    entries.push((value, value));
-                } else {
-                    let bounds = &mut entries[segment];
-                    bounds.0 = bounds.0.min(value);
-                    bounds.1 = bounds.1.max(value);
-                }
-            }
-            (
-                MeasureZones::Float(entries),
-                MeasureVector::Decimal(values) | MeasureVector::Double(values),
-            ) => {
-                let value = *values.get(row);
-                if entries.len() <= segment {
-                    entries.push((value, value));
-                } else {
-                    let bounds = &mut entries[segment];
-                    if value.total_cmp(&bounds.0).is_lt() {
-                        bounds.0 = value;
-                    }
-                    if value.total_cmp(&bounds.1).is_gt() {
-                        bounds.1 = value;
-                    }
-                }
-            }
-            _ => debug_assert!(false, "measure zone variant out of sync with its vector"),
-        }
-    }
 }
 
 /// Iterates one segment's distinct member codes, sealed or tail.
@@ -152,20 +73,12 @@ impl Iterator for SegmentCodes<'_> {
 
 impl ZoneMaps {
     /// Builds the zone maps of a freshly materialized cube.
-    pub(crate) fn build(
-        dimensions: &[DimensionColumn],
-        measures: &[MeasureColumn],
-        row_count: usize,
-    ) -> Self {
+    pub(crate) fn build(dimensions: &[DimensionColumn], row_count: usize) -> Self {
         let mut zones = ZoneMaps {
             rows: 0,
             dimensions: vec![DimensionZones::default(); dimensions.len()],
-            measures: measures
-                .iter()
-                .map(|column| MeasureZones::empty_for(&column.data))
-                .collect(),
         };
-        zones.extend(dimensions, measures, row_count);
+        zones.extend(dimensions, row_count);
         zones
     }
 
@@ -176,20 +89,7 @@ impl ZoneMaps {
     /// a no-op: zone sets are never loosened, and never tightened either —
     /// a dead row's codes staying in its segment's set costs precision,
     /// not soundness.
-    pub(crate) fn extend(
-        &mut self,
-        dimensions: &[DimensionColumn],
-        measures: &[MeasureColumn],
-        row_count: usize,
-    ) {
-        // A zero-row build leaves a placeholder integer vector behind; the
-        // first real append may re-type it. Mirror the re-typing while the
-        // zones are still empty.
-        for (zones, column) in self.measures.iter_mut().zip(measures) {
-            if zones.is_empty() && !zones.matches(&column.data) {
-                *zones = MeasureZones::empty_for(&column.data);
-            }
-        }
+    pub(crate) fn extend(&mut self, dimensions: &[DimensionColumn], row_count: usize) {
         for row in self.rows..row_count {
             let seals_segment = (row + 1) % SEGMENT_LEN == 0;
             for (zones, column) in self.dimensions.iter_mut().zip(dimensions) {
@@ -200,10 +100,6 @@ impl ZoneMaps {
                         .push(Arc::new(zones.tail.iter().copied().collect()));
                     zones.tail.clear();
                 }
-            }
-            let segment = row / SEGMENT_LEN;
-            for (zones, column) in self.measures.iter_mut().zip(measures) {
-                zones.record(&column.data, row, segment);
             }
         }
         self.rows = row_count;
@@ -240,13 +136,11 @@ impl ZoneMaps {
     /// Verifies every zone invariant against the actual column contents —
     /// the checker the lifecycle tests run over every segment. Because
     /// fact rows are append-only, the dimension sets must equal the exact
-    /// distinct code sets and the measure bounds must equal the exact
-    /// per-segment extremes; the tombstone bitmap's per-segment dead
-    /// counts must re-count exactly.
+    /// distinct code sets; the tombstone bitmap's per-segment dead counts
+    /// must re-count exactly.
     pub(crate) fn verify(
         &self,
         dimensions: &[DimensionColumn],
-        measures: &[MeasureColumn],
         row_count: usize,
         tombstones: &Tombstones,
     ) -> Result<(), String> {
@@ -258,9 +152,6 @@ impl ZoneMaps {
         }
         if self.dimensions.len() != dimensions.len() {
             return Err("zone maps out of sync with the dimension columns".to_string());
-        }
-        if self.measures.len() != measures.len() {
-            return Err("zone maps out of sync with the measure columns".to_string());
         }
         let segments = self.segment_count();
         let segment_rows =
@@ -286,58 +177,6 @@ impl ZoneMaps {
                         "dimension {position} segment {segment}: zone set {recorded:?} does not \
                          match the column's distinct codes {actual:?}"
                     ));
-                }
-            }
-        }
-
-        for (position, (zones, column)) in self.measures.iter().zip(measures).enumerate() {
-            if row_count > 0 && !zones.matches(&column.data) {
-                return Err(format!(
-                    "measure {position}: zone variant out of sync with the vector"
-                ));
-            }
-            for segment in 0..segments {
-                match zones {
-                    MeasureZones::Int(entries) => {
-                        let MeasureVector::Integer(values) = &column.data else {
-                            return Err(format!("measure {position}: vector/zone mismatch"));
-                        };
-                        let rows = segment_rows(segment).map(|row| *values.get(row));
-                        let (min, max) = rows.fold((i64::MAX, i64::MIN), |(lo, hi), v| {
-                            (lo.min(v), hi.max(v))
-                        });
-                        if entries.get(segment) != Some(&(min, max)) {
-                            return Err(format!(
-                                "measure {position} segment {segment}: bounds {:?} do not match \
-                                 the exact extremes ({min}, {max})",
-                                entries.get(segment)
-                            ));
-                        }
-                    }
-                    MeasureZones::Float(entries) => {
-                        let (MeasureVector::Decimal(values) | MeasureVector::Double(values)) =
-                            &column.data
-                        else {
-                            return Err(format!("measure {position}: vector/zone mismatch"));
-                        };
-                        let mut rows = segment_rows(segment).map(|row| *values.get(row));
-                        let first = rows.next().expect("segments are non-empty");
-                        let (min, max) = rows.fold((first, first), |(lo, hi), v| {
-                            (
-                                if v.total_cmp(&lo).is_lt() { v } else { lo },
-                                if v.total_cmp(&hi).is_gt() { v } else { hi },
-                            )
-                        });
-                        let recorded = entries.get(segment).copied();
-                        if recorded.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
-                            != Some((min.to_bits(), max.to_bits()))
-                        {
-                            return Err(format!(
-                                "measure {position} segment {segment}: bounds {recorded:?} do \
-                                 not match the exact extremes ({min}, {max})"
-                            ));
-                        }
-                    }
                 }
             }
         }
@@ -369,10 +208,8 @@ impl ZoneMaps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columns::DimensionColumn;
     use crate::dictionary::{Dictionary, NO_MEMBER};
-    use qb4olap::AggregateFunction;
-    use rdf::{Iri, Literal, Term};
+    use rdf::{Iri, Term};
 
     fn column(codes: Vec<MemberId>) -> DimensionColumn {
         let mut dictionary = Dictionary::new();
@@ -382,28 +219,14 @@ mod tests {
         DimensionColumn::new(Iri::new("http://dim"), Iri::new("http://lv"), codes, dictionary)
     }
 
-    fn measure(values: Vec<i64>) -> MeasureColumn {
-        let mut data = MeasureVector::for_literal(&Literal::integer(0)).unwrap();
-        for value in &values {
-            data.push(&Literal::integer(*value)).unwrap();
-        }
-        MeasureColumn {
-            property: Iri::new("http://measure"),
-            aggregate: AggregateFunction::Sum,
-            data,
-        }
-    }
-
     #[test]
-    fn build_records_exact_sets_and_bounds_per_segment() {
+    fn build_records_exact_code_sets_per_segment() {
         let rows = SEGMENT_LEN + 10;
         let codes: Vec<MemberId> = (0..rows)
             .map(|row| if row < SEGMENT_LEN { (row % 3) as MemberId } else { 3 })
             .collect();
-        let values: Vec<i64> = (0..rows).map(|row| row as i64 % 100).collect();
         let dimensions = [column(codes)];
-        let measures = [measure(values)];
-        let zones = ZoneMaps::build(&dimensions, &measures, rows);
+        let zones = ZoneMaps::build(&dimensions, rows);
         assert_eq!(zones.rows(), rows);
         assert_eq!(zones.segment_count(), 2);
         assert_eq!(
@@ -416,27 +239,21 @@ mod tests {
         );
         assert!(zones.dimension_codes(0, 2).is_none(), "no third segment");
         assert!(zones.dimension_codes(1, 0).is_none(), "no second dimension");
-        zones
-            .verify(&dimensions, &measures, rows, &Tombstones::new())
-            .unwrap();
+        zones.verify(&dimensions, rows, &Tombstones::new()).unwrap();
     }
 
     #[test]
     fn extend_is_incremental_and_seals_at_boundaries() {
         let total = SEGMENT_LEN * 2 + 5;
         let codes: Vec<MemberId> = (0..total).map(|row| (row % 4) as MemberId).collect();
-        let values: Vec<i64> = (0..total).map(|row| -(row as i64)).collect();
         let dimensions = [column(codes)];
-        let measures = [measure(values)];
-        let mut zones = ZoneMaps::build(&dimensions, &measures, 100);
+        let mut zones = ZoneMaps::build(&dimensions, 100);
         // Extending in several steps must land on the same maps as one
         // fresh build over all rows.
-        zones.extend(&dimensions, &measures, SEGMENT_LEN + 1);
-        zones.extend(&dimensions, &measures, total);
-        zones
-            .verify(&dimensions, &measures, total, &Tombstones::new())
-            .unwrap();
-        let fresh = ZoneMaps::build(&dimensions, &measures, total);
+        zones.extend(&dimensions, SEGMENT_LEN + 1);
+        zones.extend(&dimensions, total);
+        zones.verify(&dimensions, total, &Tombstones::new()).unwrap();
+        let fresh = ZoneMaps::build(&dimensions, total);
         for segment in 0..zones.segment_count() {
             assert_eq!(
                 zones.dimension_codes(0, segment).unwrap().collect::<Vec<_>>(),
@@ -448,22 +265,20 @@ mod tests {
     #[test]
     fn unbound_rows_keep_no_member_in_the_zone_set() {
         let dimensions = [column(vec![0, NO_MEMBER, 1])];
-        let zones = ZoneMaps::build(&dimensions, &[], 3);
+        let zones = ZoneMaps::build(&dimensions, 3);
         assert_eq!(
             zones.dimension_codes(0, 0).unwrap().collect::<Vec<_>>(),
             vec![0, 1, NO_MEMBER]
         );
-        zones
-            .verify(&dimensions, &[], 3, &Tombstones::new())
-            .unwrap();
+        zones.verify(&dimensions, 3, &Tombstones::new()).unwrap();
     }
 
     #[test]
     fn verify_catches_a_stale_row_count() {
         let dimensions = [column(vec![0, 1])];
-        let zones = ZoneMaps::build(&dimensions, &[], 2);
+        let zones = ZoneMaps::build(&dimensions, 2);
         let error = zones
-            .verify(&dimensions, &[], 3, &Tombstones::new())
+            .verify(&dimensions, 3, &Tombstones::new())
             .unwrap_err();
         assert!(error.contains("cover 2 rows"), "{error}");
     }

@@ -11,7 +11,7 @@ use cubestore::{
 use rdf::{Literal, Term};
 
 use crate::ast::{DiceCondition, DiceOperand, DiceValue};
-use crate::cube::{CubeCell, ResultCube};
+use crate::cube::ResultCube;
 use crate::error::QlError;
 use crate::executor::PreparedQuery;
 use crate::pipeline::QueryPipeline;
@@ -181,14 +181,7 @@ fn assemble_result(
     let result = ResultCube {
         axes: prepared.translation.axes.clone(),
         measures: prepared.translation.measures.clone(),
-        cells: output
-            .cells
-            .into_iter()
-            .map(|cell| CubeCell {
-                coordinates: cell.coordinates,
-                values: cell.values,
-            })
-            .collect(),
+        cells: output.cells,
     };
     debug_assert!(
         result.cells.windows(2).all(|pair| pair[0].coordinates <= pair[1].coordinates),

@@ -3,6 +3,8 @@
 use rdf::{Iri, Term};
 use sparql::Solutions;
 
+pub use cubestore::CubeCell;
+
 /// One axis of the result cube: a dimension kept in the result, the level it
 /// was aggregated to, and the SPARQL variable that carries its members.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,16 +15,6 @@ pub struct CubeAxis {
     pub level: Iri,
     /// The SPARQL variable name (without `?`).
     pub variable: String,
-}
-
-/// One cell of the result cube.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CubeCell {
-    /// The member of each axis, in axis order.
-    pub coordinates: Vec<Term>,
-    /// The aggregated value of each measure, in measure order (`None` when
-    /// the aggregate produced no value).
-    pub values: Vec<Option<Term>>,
 }
 
 /// A result cube.

@@ -13,6 +13,7 @@
 //! in-flight connection, and returns; `shutdown` then joins them all.
 
 use std::net::TcpStream;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -110,7 +111,11 @@ fn worker_loop<F: Fn(TcpStream)>(receiver: &Mutex<Receiver<TcpStream>>, handler:
         // Hold the lock only while dequeueing, never while serving.
         let next = receiver.lock().recv();
         match next {
-            Ok(stream) => handler(stream),
+            // A panicking handler loses only its connection (unwinding
+            // drops the stream); the worker goes back to `recv`.
+            Ok(stream) => {
+                let _ = panic::catch_unwind(AssertUnwindSafe(|| handler(stream)));
+            }
             Err(_) => return, // sender dropped and queue drained
         }
     }
@@ -147,6 +152,32 @@ mod tests {
         // shutdown drains everything that was queued before returning.
         pool.shutdown();
         assert_eq!(served.load(Ordering::SeqCst), 5);
+    }
+
+    #[test]
+    fn a_panicking_handler_does_not_shrink_the_pool() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let handler = {
+            let calls = calls.clone();
+            Arc::new(move |_stream: TcpStream| {
+                if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("handler panics on the first stream");
+                }
+            })
+        };
+        // One worker: if the panic killed it, nobody would serve the second
+        // stream.
+        let pool = WorkerPool::start(1, 8, handler);
+        for _ in 0..2 {
+            let client = connected_pair(&listener);
+            let (server_side, _) = listener.accept().unwrap();
+            pool.try_dispatch(server_side).expect("queue has room");
+            drop(client);
+        }
+        pool.shutdown();
+        let served = calls.load(Ordering::SeqCst);
+        assert_eq!(served, 2, "the second stream is served too");
     }
 
     #[test]
