@@ -27,8 +27,8 @@ cargo test --release -q -p qb2olap-suite --test integration_backends -- \
 # whole/partial removals against one store (two datasets) must refresh
 # exclusively via the delta path (no rebuild, no compaction) while the
 # catalog-served columnar results stay bit-identical to fresh SPARQL
-# evaluation after every step (float SUM/AVG included, thread counts
-# 1/2/8 swept periodically).
+# evaluation after every step (float SUM/AVG included, and periodically
+# the float cube's scan against a from-scratch build).
 QB2OLAP_FUZZ_STEPS=200 cargo test --release -q -p qb2olap-suite --test integration_backends -- \
     mutation_sequence_fuzzer_keeps_catalog_and_sparql_in_lockstep
 
@@ -36,8 +36,8 @@ QB2OLAP_FUZZ_STEPS=200 cargo test --release -q -p qb2olap-suite --test integrati
 # programs (every pipeline-step variant, every aggregate function, dice
 # trees over strings/numbers/IRIs) run through the five oracle legs of
 # `qlsmith::diff::LEGS`, all on one settled pin of the store — `columnar`
-# (the served snapshot, default options), `columnar-unpruned` (one worker,
-# zone-map pruning off), `columnar-scratch` (a cube built from scratch at
+# (the served snapshot, default options), `columnar-unpruned` (zone-map
+# pruning off), `columnar-scratch` (a cube built from scratch at
 # the pin's epoch), `sparql-direct` and `sparql-alternative` — and 500
 # grammar-covering SPARQL SELECTs run through the parsed and the
 # pretty-printed evaluation path. Bit-identical results required, with
@@ -70,8 +70,8 @@ cargo test --release -q -p qb2olap-suite --test integration_obs
 # The zone-map pruning differential gate: a query battery covering every
 # branch of the segment-pruning decision (full scans, clustered leaf /
 # mid-level / unclustered dices, slices, roll-ups, HAVING) must return
-# bit-identical cubes with pruning on and off, at one worker and at
-# several, with monotone segment counters.
+# bit-identical cubes with pruning on and off, with monotone segment
+# counters.
 cargo test --release -q -p qb2olap-suite --test integration_pruning
 
 # The overlay consistency gates: the concurrency stress test (N readers
@@ -112,15 +112,15 @@ cargo run --release -p qb2olap_bench --bin repro -- e12 --observations 4000 > /d
 cargo run --release -p qb2olap_bench --bin repro -- e13 --observations 4000 > /dev/null
 # E14 additionally asserts: float appends and partial removals refresh via
 # the delta path (never a rebuild) on a decimal-measure cube, with
-# columnar results bit-identical to SPARQL and the chunked float scan
-# bit-identical across worker counts.
+# columnar results bit-identical to SPARQL and the float scan
+# bit-identical to a from-scratch build's.
 cargo run --release -p qb2olap_bench --bin repro -- e14 --observations 4000 > /dev/null
 # E16 additionally asserts: instrumented execution (collecting subscriber,
 # traced profile) returns cells bit-identical to the uninstrumented scan,
 # and the facade's EXPLAIN renders every pipeline step on both backends.
 cargo run --release -p qb2olap_bench --bin repro -- e16 --observations 4000 > /dev/null
 # E17 additionally asserts: pruned scans return cells bit-identical to
-# unpruned ones at 1 and auto worker counts for every query shape.
+# unpruned ones for every query shape.
 # 12000 observations = 3 sealed segments, so the smoke run actually
 # prunes (4000 rows would fit one segment and prune nothing).
 cargo run --release -p qb2olap_bench --bin repro -- e17 --observations 12000 > /dev/null

@@ -935,8 +935,8 @@ fn e13_cow_and_tombstone_maintenance(observations: usize) -> Vec<Measurement> {
 /// delta-appliable. Measures, on an `xsd:decimal`-measure cube at the
 /// given scale: the full-rebuild baseline these mutations used to pay,
 /// the latency/allocation of a 1- and 100-row *float* append refresh and
-/// of a partial removal (one measure value stripped), and the chunked
-/// float scan at 1 and 2 workers (asserted bit-identical). Any refresh
+/// of a partial removal (one measure value stripped), and the float scan
+/// (asserted bit-identical to a from-scratch build's). Any refresh
 /// that falls back to a rebuild, and any columnar-vs-SPARQL divergence,
 /// aborts — the CI smoke step runs this experiment.
 fn e14_float_and_partial_removal_maintenance(observations: usize) -> Vec<Measurement> {
@@ -1080,8 +1080,8 @@ fn e14_float_and_partial_removal_maintenance(observations: usize) -> Vec<Measure
     );
     rows.push(Measurement::new("E14", &parameters, "float_matches_sparql", 1.0));
 
-    // The chunked float scan — single- vs two-worker medians, asserted
-    // bit-identical (the integral-only gate is gone).
+    // The float scan — its median, and the delta-maintained cube's
+    // compensated sums asserted bit-identical to a from-scratch build's.
     let materialized = querying.materialize().expect("serve");
     let scan_query = CubeQuery {
         slices: vec![
@@ -1094,33 +1094,19 @@ fn e14_float_and_partial_removal_maintenance(observations: usize) -> Vec<Measure
         rollups: BTreeMap::from([(demo_schema::citizenship_dim(), demo_schema::continent())]),
         ..CubeQuery::default()
     };
-    let scan = |threads| {
-        let options = ExecOptions {
-            threads,
-            prune: true,
-        };
-        execute(&materialized, &scan_query, &options, None).expect("scan").0
+    let scan = |cube: &MaterializedCube| {
+        execute(cube, &scan_query, &ExecOptions::default(), None).expect("scan").0
     };
-    let reference = scan(1);
-    for threads in [2usize, 8] {
-        assert_eq!(
-            scan(threads),
-            reference,
-            "E14: chunked float scan diverges at {threads} workers"
-        );
-    }
-    for threads in [1usize, 2] {
-        let samples: Vec<std::time::Duration> = (0..RUNS)
-            .map(|_| timed(|| scan(threads)).1)
-            .collect();
-        let stats = criterion::Stats::from_durations(&samples).expect("samples");
-        rows.push(Measurement::new(
-            "E14",
-            format!("{parameters} threads={threads}"),
-            "scan_float_ms",
-            millis(stats.median),
-        ));
-    }
+    let rebuilt = MaterializedCube::from_endpoint(&cube.endpoint, &schema).expect("rebuild");
+    assert_eq!(
+        scan(&materialized),
+        scan(&rebuilt),
+        "E14: the delta-maintained float scan diverges from a rebuild"
+    );
+    let samples: Vec<std::time::Duration> =
+        (0..RUNS).map(|_| timed(|| scan(&materialized)).1).collect();
+    let stats = criterion::Stats::from_durations(&samples).expect("samples");
+    rows.push(Measurement::new("E14", &parameters, "scan_float_ms", millis(stats.median)));
     rows
 }
 
@@ -1296,14 +1282,12 @@ fn e16_observability_overhead(observations: usize) -> Vec<Measurement> {
 /// rows scanned and scan wall time for selective dices at the leaf
 /// (month), middle (year) and top (continent) of the hierarchies, against
 /// the full roll-up, with pruning on and off. Every pruned run is first
-/// checked cell-for-cell against the unpruned single-threaded scan; at
+/// checked cell-for-cell against the unpruned scan; at
 /// the paper's 80k scale the leaf dice must touch < 10% of the live rows.
 fn e17_zone_map_pruning(observations: usize) -> Vec<Measurement> {
     use std::collections::BTreeMap;
 
-    use qb2olap::cubestore::{
-        auto_scan_threads, execute, CubeQuery, ExecOptions, MemberFilter, MemberPredicate,
-    };
+    use qb2olap::cubestore::{execute, CubeQuery, ExecOptions, MemberFilter, MemberPredicate};
     use rdf::vocab::{demo_schema, rdfs, sdmx_dimension};
     use sparql::ast::CmpOp;
 
@@ -1322,7 +1306,6 @@ fn e17_zone_map_pruning(observations: usize) -> Vec<Measurement> {
         .verify_zone_invariants()
         .expect("E17: zone maps verify");
     let live_rows = materialized.live_row_count();
-    let threads = auto_scan_threads(live_rows);
 
     let dice = |dimension: rdf::Iri, level: rdf::Iri, attribute: rdf::Iri, value: &str| {
         MemberFilter::Compare {
@@ -1391,21 +1374,13 @@ fn e17_zone_map_pruning(observations: usize) -> Vec<Measurement> {
 
     let mut rows = Vec::new();
     rows.push(Measurement::new("E17", &parameters, "live_rows", live_rows as f64));
-    rows.push(Measurement::new("E17", &parameters, "scan_threads", threads as f64));
     for (name, query) in &queries {
-        let pruned = ExecOptions { threads, prune: true };
-        let unpruned = ExecOptions { threads, prune: false };
-
         // Correctness gate: pruned output is bit-identical to the unpruned
-        // single-threaded reference, at one worker and at the auto count.
-        let run = |options: ExecOptions| execute(&materialized, query, &options, None);
-        let (reference, full_stats) =
-            run(ExecOptions { threads: 1, prune: false }).expect("unpruned scan");
-        for options in [pruned, unpruned, ExecOptions { threads: 1, prune: true }] {
-            let (output, _) = run(options).expect("scan");
-            assert_eq!(output, reference, "E17: pruning changed the result of '{name}'");
-        }
-        let (_, pruned_stats) = run(pruned).expect("pruned scan");
+        // reference.
+        let run = |prune| execute(&materialized, query, &ExecOptions { prune }, None);
+        let (reference, full_stats) = run(false).expect("unpruned scan");
+        let (output, pruned_stats) = run(true).expect("pruned scan");
+        assert_eq!(output, reference, "E17: pruning changed the result of '{name}'");
         let fraction = pruned_stats.rows_scanned as f64 / (live_rows as f64).max(1.0);
         if *name == "leaf-month-dice" && observations >= 80_000 {
             assert!(
@@ -1442,11 +1417,11 @@ fn e17_zone_map_pruning(observations: usize) -> Vec<Measurement> {
         ));
 
         let pruned_samples: Vec<std::time::Duration> = (0..RUNS)
-            .map(|_| timed(|| run(pruned).expect("scan")).1)
+            .map(|_| timed(|| run(true).expect("scan")).1)
             .collect();
         let pruned_time = criterion::Stats::from_durations(&pruned_samples).expect("samples");
         let full_samples: Vec<std::time::Duration> = (0..RUNS)
-            .map(|_| timed(|| run(unpruned).expect("scan")).1)
+            .map(|_| timed(|| run(false).expect("scan")).1)
             .collect();
         let full_time = criterion::Stats::from_durations(&full_samples).expect("samples");
         rows.push(Measurement::new(

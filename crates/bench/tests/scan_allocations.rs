@@ -1,5 +1,5 @@
-//! The columnar scan allocates per query, per worker and per group — never
-//! per row or per segment. Checked by count, so the bound holds on any
+//! The columnar scan allocates per query and per group — never per row or
+//! per segment. Checked by count, so the bound holds on any
 //! machine: the same roll-up over a cube of 2 and of 10 sealed segments
 //! produces the same groups, and must cost (nearly) the same number of
 //! allocations although it visits five times the rows.
@@ -15,7 +15,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 const SCHEMA: &str = "http://www.fing.edu.uy/inco/cubes/schemas/migr_asyapp#";
 
-/// Allocations one sequential, unpruned execution makes on a demo cube of
+/// Allocations one unpruned execution makes on a demo cube of
 /// `segments` sealed segments — citizenship rolled up to continents, every
 /// other dimension sliced — with the groups it produced.
 fn execute_allocations(segments: usize) -> (u64, usize) {
@@ -38,10 +38,7 @@ fn execute_allocations(segments: usize) -> (u64, usize) {
         rollups: [(citizenship, Iri::new(format!("{SCHEMA}continent")))].into(),
         ..CubeQuery::default()
     };
-    let options = ExecOptions {
-        threads: 1,
-        prune: false,
-    };
+    let options = ExecOptions { prune: false };
     // Once unmeasured: lazily initialized statics allocate on first use.
     execute(&materialized, &query, &options, None).expect("executes");
     let before = allocations();

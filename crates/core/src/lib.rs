@@ -126,16 +126,6 @@ impl Qb2Olap {
         QueryingModule::for_dataset_with_catalog(&self.endpoint, dataset, self.catalog.clone())
     }
 
-    /// Pins a [`cubestore::CubeSnapshot`] of a dataset's cube — one cube,
-    /// its epoch, and what was accreted onto it since its last fold —
-    /// without waiting on maintenance: appliable changes are replayed onto
-    /// the pinned cube inline, structural changes fold in the background
-    /// while the current pin keeps serving. See ARCHITECTURE.md §"Overlay &
-    /// background fold".
-    pub fn snapshot(&self, dataset: &Iri) -> Result<cubestore::CubeSnapshot, ql::QlError> {
-        self.querying(dataset)?.snapshot()
-    }
-
     /// Blocks until any in-flight background fold for `dataset` has
     /// published (or failed). A fence for tests and benchmarks; serving
     /// never needs it.

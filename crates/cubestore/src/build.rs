@@ -214,12 +214,58 @@ impl MaterializedCube {
     }
 }
 
+/// Extends every roll-up map to cover the bottom members its column
+/// dictionary holds beyond the map's length — all of them for the empty
+/// maps a build starts from, the members that entered since for a delta
+/// refresh — so both produce identical maps. Each new entry walks the
+/// `broader` links for exactly the path length the hierarchy declares (zero
+/// hops for the bottom level's identity map) and anchors the result at the
+/// target level's members: the same navigation the generated SPARQL
+/// performs.
+pub(crate) fn extend_rollup_maps(cube: &mut MaterializedCube) {
+    let MaterializedCube {
+        schema,
+        dimensions,
+        levels,
+        rollups,
+        broader,
+        ..
+    } = cube;
+    for map in rollups.values_mut() {
+        let column = dimensions
+            .iter()
+            .find(|column| column.dimension == map.dimension)
+            .expect("every roll-up map belongs to a column");
+        if map.len() == column.dictionary.len() {
+            continue;
+        }
+        let bottom = &column.bottom_level;
+        let steps = if map.target_level == *bottom {
+            0
+        } else {
+            let dimension = schema
+                .dimension(&map.dimension)
+                .expect("every column has a schema dimension");
+            let (_, steps) = dimension
+                .rollup_path(bottom, &map.target_level)
+                .expect("maps exist only along declared roll-up paths");
+            steps.len()
+        };
+        let target_index = levels.get(&map.target_level).expect("all levels indexed");
+        for code in map.len()..column.dictionary.len() {
+            let term = column.dictionary.term(code as MemberId);
+            map.push(resolve_rollup_target(term, steps, broader, target_index));
+        }
+    }
+}
+
 /// Resolves the roll-up target of one bottom member: walks the `broader`
 /// adjacency for exactly `steps` hops (tracking path *counts*, because the
-/// SPARQL join counts an observation once per distinct path) and anchors
-/// the result at the target level's members. Shared by the initial build
-/// and by incremental maintenance so both produce identical maps.
-pub(crate) fn resolve_rollup_target(
+/// SPARQL join counts an observation once per distinct path, so a member
+/// with several paths — even to a single ancestor — is marked ambiguous
+/// and refused at execution time rather than silently undercounted) and
+/// anchors the result at the target level's members.
+fn resolve_rollup_target(
     term: &Term,
     steps: usize,
     broader: &BTreeMap<Term, Vec<Term>>,
@@ -456,50 +502,23 @@ impl Builder<'_> {
             stats.broader_links += 1;
         }
 
-        // Roll-up maps: for every level reachable upward from the bottom,
-        // walk the broader links for exactly the path length the hierarchy
-        // declares and anchor the result at the target level's members —
-        // the same navigation the generated SPARQL performs. Path *counts*
-        // are tracked, not just reachable members: the SPARQL join counts
-        // an observation once per distinct broader path, so a member with
-        // several paths (even to a single ancestor) is marked ambiguous
-        // and refused at execution time rather than silently undercounted.
+        // Roll-up maps: one per level reachable upward from the bottom (and
+        // the bottom itself), empty here and filled below by
+        // `extend_rollup_maps` — the same extender incremental maintenance
+        // runs when new bottom members arrive.
         let mut rollups: BTreeMap<(Iri, Iri), RollupMap> = BTreeMap::new();
         for (dimension, column) in self.schema.dimensions.iter().zip(&dimensions) {
             let bottom = &column.bottom_level;
-            let bottom_index = levels.get(bottom).expect("all levels indexed");
-            let identity: Vec<MemberId> = column
-                .dictionary
-                .iter()
-                .map(|(_, term)| bottom_index.dictionary.id(term).unwrap_or(NO_MEMBER))
-                .collect();
-            rollups.insert(
-                (dimension.iri.clone(), bottom.clone()),
-                RollupMap::new(dimension.iri.clone(), bottom.clone(), identity),
-            );
-
-            for target in dimension.ancestor_levels(bottom) {
-                let steps = match dimension.rollup_path(bottom, &target) {
-                    Some((_, steps)) => steps.len(),
-                    None => continue,
-                };
-                let target_index = levels.get(&target).expect("all levels indexed");
-                let map: Vec<MemberId> = column
-                    .dictionary
-                    .iter()
-                    .map(|(_, term)| resolve_rollup_target(term, steps, &broader, target_index))
-                    .collect();
-                rollups.insert(
-                    (dimension.iri.clone(), target.clone()),
-                    RollupMap::new(dimension.iri.clone(), target, map),
-                );
+            for target in std::iter::once(bottom.clone()).chain(dimension.ancestor_levels(bottom)) {
+                let map = RollupMap::new(dimension.iri.clone(), target.clone(), Vec::new());
+                rollups.insert((dimension.iri.clone(), target), map);
             }
         }
         stats.rollup_maps = rollups.len();
 
         let zones = ZoneMaps::build(&dimensions, row_count);
 
-        Ok(MaterializedCube {
+        let mut cube = MaterializedCube {
             schema: Arc::new(self.schema.clone()),
             row_count,
             dimensions,
@@ -514,6 +533,8 @@ impl Builder<'_> {
             tombstones: Tombstones::new(),
             zones,
             stats,
-        })
+        };
+        extend_rollup_maps(&mut cube);
+        Ok(cube)
     }
 }

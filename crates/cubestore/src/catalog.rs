@@ -816,12 +816,6 @@ impl CubeCatalog {
     pub fn peek(&self, dataset: &Iri) -> Option<Arc<MaterializedCube>> {
         self.current_snapshot(dataset).map(|pin| pin.cube().clone())
     }
-
-    /// Drops a dataset's entry; the next [`Self::serve_snapshot`] rebuilds
-    /// it.
-    pub fn evict(&self, dataset: &Iri) {
-        self.inner.lock().remove(dataset);
-    }
 }
 
 impl std::fmt::Debug for CubeCatalog {
@@ -1205,17 +1199,6 @@ mod tests {
             ],
             "each serve span contains its refresh-path span"
         );
-    }
-
-    #[test]
-    fn eviction_forces_a_fresh_build() {
-        let (endpoint, schema, catalog) = setup();
-        served(&catalog, &endpoint, &schema);
-        catalog.evict(&schema.dataset);
-        assert!(catalog.peek(&schema.dataset).is_none());
-        served(&catalog, &endpoint, &schema);
-        let report = catalog.last_report(&schema.dataset).unwrap();
-        assert_eq!(report.strategy, MaintenanceStrategy::Fresh);
     }
 
     #[test]

@@ -68,7 +68,7 @@ use std::sync::Arc;
 use rdf::vocab::{qb, qb4o, rdf as rdfv, rdfs, skos};
 use rdf::{Iri, StoreDelta, Term, Triple};
 
-use crate::build::{resolve_rollup_target, MaterializedCube};
+use crate::build::{extend_rollup_maps, MaterializedCube};
 use crate::dictionary::NO_MEMBER;
 use crate::error::{CubeStoreError, DeltaRefusal, RefusalKind};
 
@@ -769,54 +769,6 @@ fn append_observation(
     Ok(())
 }
 
-/// Extends every roll-up map to cover bottom members that entered a column
-/// dictionary since the map was built, using the same
-/// broader-walk-with-path-counts the initial build uses.
-fn extend_rollup_maps(cube: &mut MaterializedCube) {
-    let MaterializedCube {
-        schema,
-        dimensions,
-        levels,
-        rollups,
-        broader,
-        ..
-    } = cube;
-    let broader: &BTreeMap<Term, Vec<Term>> = broader;
-    for column in dimensions.iter() {
-        let bottom = &column.bottom_level;
-        let dimension = schema
-            .dimension(&column.dimension)
-            .expect("every column has a schema dimension");
-
-        // Identity map (bottom level): anchor new codes at the declared
-        // bottom members.
-        let identity_key = (column.dimension.clone(), bottom.clone());
-        if let Some(map) = rollups.get_mut(&identity_key) {
-            let bottom_index = levels.get(bottom).expect("bottom level indexed");
-            for code in map.len()..column.dictionary.len() {
-                let term = column.dictionary.term(code as crate::dictionary::MemberId);
-                map.push(bottom_index.dictionary.id(term).unwrap_or(NO_MEMBER));
-            }
-        }
-
-        for target in dimension.ancestor_levels(bottom) {
-            let steps = match dimension.rollup_path(bottom, &target) {
-                Some((_, steps)) => steps.len(),
-                None => continue,
-            };
-            let key = (column.dimension.clone(), target.clone());
-            let Some(map) = rollups.get_mut(&key) else {
-                continue;
-            };
-            let target_index = levels.get(&target).expect("all levels indexed");
-            for code in map.len()..column.dictionary.len() {
-                let term = column.dictionary.term(code as crate::dictionary::MemberId);
-                map.push(resolve_rollup_target(term, steps, broader, target_index));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
@@ -1267,7 +1219,7 @@ mod tests {
         // Previously refused as NonIntegralAppend: appending would have
         // summed floats in a different order than a rebuild. With the
         // order-independent compensated summator the append replays
-        // bit-identically, on any thread count.
+        // bit-identically.
         let city = iri("lv/city");
         let value = iri("measure/value");
         let mut builder = ::qb::QbDatasetBuilder::new(iri("ds"), iri("dsd"))
@@ -1316,15 +1268,14 @@ mod tests {
         }
         let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
         assert_eq!(refreshed.row_count(), 9);
-        // Bit-identical to a from-scratch rebuild, for any thread count.
+        // Bit-identical to a from-scratch rebuild, pruned or not.
         let rebuilt = MaterializedCube::from_endpoint(&endpoint, refreshed.schema()).unwrap();
-        let reference =
-            run_with(&rebuilt, &CubeQuery::default(), 1, true).unwrap().0;
-        for threads in [1usize, 2, 8] {
+        let reference = run(&rebuilt, &CubeQuery::default()).unwrap();
+        for prune in [false, true] {
             assert_eq!(
-                run_with(&refreshed, &CubeQuery::default(), threads, true).unwrap().0,
+                run_with(&refreshed, &CubeQuery::default(), prune).unwrap().0,
                 reference,
-                "float delta-applied cube diverges from a rebuild at {threads} threads"
+                "float delta-applied cube diverges from a rebuild (prune={prune})"
             );
         }
     }

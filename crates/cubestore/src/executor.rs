@@ -13,20 +13,17 @@
 //! two-sum expansion), with identical typing rules (integer sums stay
 //! integers, averages are decimals, MIN/MAX return input terms).
 //!
-//! Because the sums are order-independent, the scan may be chunked across
-//! any number of worker threads — and the delta path may append rows in an
-//! order a rebuild would not produce — without moving any aggregate by even
-//! an ulp.
+//! Because the sums are order-independent, the delta path may append rows
+//! in an order a rebuild would not produce, and pruning may skip segments,
+//! without moving any aggregate by even an ulp.
 //!
-//! The unit of both parallelism and pruning is the sealed
-//! [`SEGMENT_LEN`]-row column segment: before any worker spawns, the scan
-//! classifies every segment against the cube's [`ZoneMaps`] (and the
-//! tombstone bitmap's per-segment dead counts), skipping segments that are
-//! provably irrelevant to the query or fully dead, and the surviving
-//! segments *are* the work queue — workers pull whole segments, so
-//! compensated-sum partials align with segment boundaries and the result
-//! is bit-identical to the unpruned scan at any worker count
-//! (`ExecOptions { prune: false, .. }` is the differential baseline).
+//! A query runs on the caller's thread. The unit of pruning is the sealed
+//! [`SEGMENT_LEN`]-row column segment: the scan first classifies every
+//! segment against the cube's [`ZoneMaps`] (and the tombstone bitmap's
+//! per-segment dead counts), skipping segments that are provably
+//! irrelevant to the query or fully dead, so the result is bit-identical
+//! to the unpruned scan (`ExecOptions { prune: false }` is the
+//! differential baseline).
 //!
 //! The segment is also the unit of execution: the kernel (`scan_spans`)
 //! makes one pass per column over a segment's slices — liveness, lift,
@@ -35,7 +32,6 @@
 //! [`QueryOutput`] (ARCHITECTURE.md § "The segment kernel").
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use obs::ExecutionProfile;
@@ -159,24 +155,13 @@ pub struct QueryOutput {
     pub cells: Vec<CubeCell>,
 }
 
-/// Live rows in the surviving segments below which the scan stays
-/// single-threaded. Derived from two measurements (EXPERIMENTS.md §E20):
-/// the kernel costs ≈ 8 ns per row, and a second scoped worker — spawn,
-/// first touch of its scratch buffers, join, merge — ≈ 100 µs. The scan
-/// goes parallel once scanning alone would cost ten times that overhead:
-/// `10 × 100 µs / 8 ns = 125 000` rows, rounded to whole segments.
-const PARALLEL_SCAN_THRESHOLD: usize = 32 * SEGMENT_LEN;
-
 /// Key-space size up to which groups are found through a dense slot array
-/// (one `u32` per possible key: 256 KiB per worker at the limit) instead of
-/// the hash table.
+/// (one `u32` per possible key: 256 KiB at the limit) instead of the hash
+/// table.
 const DENSE_GROUP_LIMIT: usize = 1 << 16;
 
-/// Totals observed by one columnar execution, summed exactly across the
-/// scan's worker chunks: the kernel adds to them once per segment from
-/// survivor counts, each worker returns its own totals, and the totals of
-/// all workers are added up — so any thread count and any chunk
-/// partitioning produce the same numbers.
+/// Totals observed by one columnar execution: the kernel adds to them once
+/// per segment from survivor counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Physical rows visited (live + tombstoned).
@@ -196,8 +181,6 @@ pub struct ScanStats {
     /// Member-id → term dictionary lookups performed while building the
     /// output coordinates: one per coordinate of every returned cell.
     pub dictionary_lookups: u64,
-    /// Worker chunks the scan was split into.
-    pub scan_chunks: u64,
     /// Column segments the cube's physical row space spans.
     pub segments_total: u64,
     /// Segments skipped because the zone maps proved no row in them could
@@ -230,7 +213,6 @@ impl ScanStats {
         metrics
             .counter("cubestore.scan.dictionary_lookups")
             .add(self.dictionary_lookups);
-        metrics.counter("cubestore.scan.chunks").add(self.scan_chunks);
         metrics
             .counter("cubestore.scan.segments_total")
             .add(self.segments_total);
@@ -251,51 +233,17 @@ impl ScanStats {
         profile.add_counter("rows_aggregated", self.rows_aggregated);
         profile.add_counter("rollup_lookups", self.rollup_lookups);
         profile.add_counter("dictionary_lookups", self.dictionary_lookups);
-        profile.add_counter("scan_chunks", self.scan_chunks);
         profile.add_counter("segments_total", self.segments_total);
         profile.add_counter("segments_pruned", self.segments_pruned);
         profile.add_counter("segments_dead", self.segments_dead);
     }
-
-    /// Adds another worker's row-side totals.
-    fn add_worker(&mut self, other: &ScanStats) {
-        self.rows_scanned += other.rows_scanned;
-        self.tombstones_skipped += other.tombstones_skipped;
-        self.rows_no_member += other.rows_no_member;
-        self.rows_filtered += other.rows_filtered;
-        self.rows_aggregated += other.rows_aggregated;
-        self.rollup_lookups += other.rollup_lookups;
-        self.scan_chunks += other.scan_chunks;
-    }
 }
 
-/// The scan thread count an automatic execution picks once it knows how
-/// many live rows the segments that survived pruning hold: all available
-/// cores when that is enough work to amortize spawning workers, one below
-/// that. Counting the rows left *after* pruning and tombstoning keeps a
-/// selective dice over a large cube, or a heavily-tombstoned cube near the
-/// compaction threshold, from spawning a worker fleet for a scan that
-/// visits a fraction of the physical rows.
-pub fn auto_scan_threads(surviving_rows: usize) -> usize {
-    // `available_parallelism` re-reads the cgroup files on every call.
-    static CORES: OnceLock<usize> = OnceLock::new();
-    if surviving_rows >= PARALLEL_SCAN_THRESHOLD {
-        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-    } else {
-        1
-    }
-}
-
-/// Per-execution knobs: the scan worker count and whether zone-map
-/// segment pruning runs. [`Default`] — automatic threads, pruning on — is
-/// what every serving path uses; the differential gates pin the other
-/// settings to it bit for bit.
+/// Per-execution knobs: whether zone-map segment pruning runs.
+/// [`Default`] — pruning on — is what every serving path uses; the
+/// differential gates pin the unpruned scan to it bit for bit.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Scan worker threads: 1 = the sequential scan, 0 = sized by
-    /// [`auto_scan_threads`] from the rows that survive pruning. The
-    /// effective count never exceeds the number of surviving segments.
-    pub threads: usize,
     /// Whether zone maps may prune segments before the scan. Pruning never
     /// changes results or error behavior — disabling it only makes the
     /// scan visit every segment.
@@ -304,10 +252,7 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            threads: 0,
-            prune: true,
-        }
+        ExecOptions { prune: true }
     }
 }
 
@@ -329,13 +274,11 @@ struct ScanPlan<'c> {
 /// filters, roll-up maps, zone-map pruning and compensated-sum partials as
 /// folded rows, and no catalog lock is touched.
 ///
-/// Plans the axes, compiles the filters, then runs the kernel with the
-/// narrowest group key the query's key space fits. Large scans run on
-/// several threads (see [`ExecOptions::threads`]); the accumulators are
-/// order-independent ([`sparql::NumericSum`] — exact for integers,
-/// correctly rounded compensated summation for floats), so the output is
-/// bit-identical on any thread count, chunk partitioning and pruning
-/// setting. The returned [`ScanStats`] are exact on any thread count.
+/// Plans the axes, compiles the filters, then runs the kernel on the
+/// caller's thread with the narrowest group key the query's key space
+/// fits. The accumulators are order-independent ([`sparql::NumericSum`] —
+/// exact for integers, correctly rounded compensated summation for
+/// floats), so the output is bit-identical with pruning on and off.
 ///
 /// A `profile`, when passed, receives the plan lines, one step per phase
 /// (`plan-axes`, `compile-filters`, `scan`, `aggregate`), the scan
@@ -423,7 +366,7 @@ fn run_keyed<K: GroupKey>(
     profile: Option<&mut ExecutionProfile>,
 ) -> Result<(Vec<CubeCell>, ScanStats), CubeStoreError> {
     let started = Instant::now();
-    let (groups, mut stats, threads) = {
+    let (groups, mut stats) = {
         let _scan_span = obs::span("cubestore.scan");
         scan(plan, space)?
     };
@@ -439,10 +382,7 @@ fn run_keyed<K: GroupKey>(
             "scan",
             scanned,
             Some(stats.rows_scanned),
-            format!(
-                "threads={threads} chunks={} segments_pruned={}",
-                stats.scan_chunks, stats.segments_pruned
-            ),
+            format!("segments_pruned={}", stats.segments_pruned),
         );
         let returned = Some(cells.len() as u64);
         profile.push_step("aggregate", started.elapsed(), returned, "HAVING + sort");
@@ -517,7 +457,7 @@ struct AxisPlan<'c> {
     dim_index: usize,
 }
 
-/// One surviving segment of the physical row space — the scan's unit of
+/// One surviving segment of the physical row space — the kernel's unit of
 /// work. `dead` caches the segment's tombstone count so the kernel skips
 /// the bitmap entirely in fully-live segments.
 struct SegmentSpan {
@@ -597,16 +537,14 @@ fn filter_possible(filter: &CompiledFilter, lifted: &[Vec<MemberId>]) -> bool {
 }
 
 /// Scans the fact rows: classifies every column segment against the zone
-/// maps and the per-segment tombstone counts, then distributes the
-/// *surviving* segments over the workers. Pruning happens before any
-/// thread spawns, workers pull whole segments, and accumulation is
+/// maps and the per-segment tombstone counts as dead, pruned or
+/// surviving, then runs the kernel over the survivors. Accumulation is
 /// order-independent for every measure type (compensated float sums
-/// included), so results are bit-identical to the unpruned scan at any
-/// worker count. Also returns the thread count the scan was sized for.
+/// included), so results are bit-identical to the unpruned scan.
 fn scan<K: GroupKey>(
     plan: &ScanPlan<'_>,
     space: &KeySpace<K>,
-) -> Result<(Groups<K>, ScanStats, usize), CubeStoreError> {
+) -> Result<(Groups<K>, ScanStats), CubeStoreError> {
     let rows = plan.cube.row_count();
     let tombstones = plan.cube.tombstones();
     let zones = plan.cube.zone_maps();
@@ -614,7 +552,6 @@ fn scan<K: GroupKey>(
     let segments_total = rows.div_ceil(SEGMENT_LEN);
     let mut segments_dead = 0u64;
     let mut segments_pruned = 0u64;
-    let mut surviving_rows = 0usize;
     let mut spans: Vec<SegmentSpan> = Vec::with_capacity(segments_total);
     for segment in 0..segments_total {
         let len = ((segment + 1) * SEGMENT_LEN).min(rows) - segment * SEGMENT_LEN;
@@ -627,54 +564,20 @@ fn scan<K: GroupKey>(
             segments_pruned += 1;
             continue;
         }
-        surviving_rows += len - dead;
         spans.push(SegmentSpan { segment, len, dead });
     }
 
-    let threads = match plan.options.threads {
-        0 => auto_scan_threads(surviving_rows),
-        explicit => explicit,
-    };
-    let workers = threads.min(spans.len().max(1));
-    let (groups, mut stats) = if workers <= 1 {
-        scan_spans(plan, space, &spans)?
-    } else {
-        let partials: Vec<Result<(Groups<K>, ScanStats), CubeStoreError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|worker| {
-                        // Balanced contiguous slices of the surviving
-                        // segments; never empty since workers <= spans.
-                        let slice = &spans
-                            [worker * spans.len() / workers..(worker + 1) * spans.len() / workers];
-                        scope.spawn(move || scan_spans(plan, space, slice))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("scan worker panicked"))
-                    .collect()
-            });
-        // In worker order, so a refusal is the one of the earliest rows.
-        let mut partials = partials.into_iter();
-        let (mut groups, mut stats) = partials.next().expect("two or more workers")?;
-        for partial in partials {
-            let (other, other_stats) = partial?;
-            groups.merge(other);
-            stats.add_worker(&other_stats);
-        }
-        (groups, stats)
-    };
+    let (groups, mut stats) = scan_spans(plan, space, &spans)?;
     stats.segments_total = segments_total as u64;
     stats.segments_pruned = segments_pruned;
     stats.segments_dead = segments_dead;
-    Ok((groups, stats, threads))
+    Ok((groups, stats))
 }
 
-/// The kernel: one worker's segments, one segment at a time, one pass per
-/// column. All per-row state lives in scratch buffers sized once per
-/// worker, so a scan allocates per worker and per new group, never per row
-/// or per segment:
+/// The kernel: the surviving segments, one at a time, one pass per column.
+/// All per-row state lives in scratch buffers sized once per scan, so a
+/// scan allocates per query and per new group, never per row or per
+/// segment:
 ///
 /// 1. *liveness* — the segment's live row offsets, from the tombstone
 ///    bitmap words (or `0..len` when the segment has no dead row);
@@ -697,10 +600,7 @@ fn scan_spans<K: GroupKey>(
     let axes = &plan.axes;
     let tombstones = plan.cube.tombstones();
     let mut groups = Groups::new(space, plan.measures);
-    let mut stats = ScanStats {
-        scan_chunks: 1,
-        ..ScanStats::default()
-    };
+    let mut stats = ScanStats::default();
     let mut rows: Vec<u16> = Vec::with_capacity(SEGMENT_LEN);
     let mut lifted: Vec<Vec<MemberId>> = vec![vec![NO_MEMBER; SEGMENT_LEN]; axes.len()];
     let mut keys: Vec<K> = Vec::with_capacity(SEGMENT_LEN);
@@ -794,7 +694,7 @@ fn scan_spans<K: GroupKey>(
 /// A packed group key: the lifted member codes of one row as the digits of
 /// a mixed-radix number, radix = member count of each axis's result level.
 /// `u64` unless the product of the radices overflows it, `u128` then.
-trait GroupKey: Copy + Ord + Send + Sync {
+trait GroupKey: Copy + Ord {
     const ZERO: Self;
     fn from_count(count: usize) -> Self;
     fn checked_mul(self, radix: Self) -> Option<Self>;
@@ -937,8 +837,8 @@ impl<K: GroupKey> GroupTable<K> {
 /// state the measure's aggregate function reads exists: SUM/AVG over an
 /// integer vector stay in a bare `i128`; over a float vector they go
 /// through [`sparql::NumericSum`] — the same order-independent accumulator
-/// the SPARQL engine's aggregates use — so chunk order, append order and
-/// thread count cannot move the result by an ulp. MIN/MAX keep the extreme
+/// the SPARQL engine's aggregates use — so segment order and append order
+/// cannot move the result by an ulp. MIN/MAX keep the extreme
 /// in the vector's own type (the `f64` view of an integer rounds above 2⁵³).
 enum Accumulator {
     Count(Vec<u64>),
@@ -1025,31 +925,6 @@ impl Accumulator {
         }
     }
 
-    /// Folds group `from` of another worker's column into group `into`.
-    /// Exact for every kind; signed-zero ties resolve as in `update`.
-    fn merge_group(&mut self, into: usize, other: &Accumulator, from: usize) {
-        match (self, other) {
-            (Accumulator::Count(a), Accumulator::Count(b)) => a[into] += b[from],
-            (Accumulator::IntSum(a), Accumulator::IntSum(b)) => {
-                a[into].0 += b[from].0;
-                a[into].1 += b[from].1;
-            }
-            (Accumulator::FloatSum(a), Accumulator::FloatSum(b)) => {
-                a[into].0.merge(&b[from].0);
-                a[into].1 += b[from].1;
-            }
-            (Accumulator::IntMin(a), Accumulator::IntMin(b)) => a[into] = a[into].min(b[from]),
-            (Accumulator::IntMax(a), Accumulator::IntMax(b)) => a[into] = a[into].max(b[from]),
-            (Accumulator::FloatMin(a), Accumulator::FloatMin(b)) => {
-                a[into] = float_min(a[into], b[from])
-            }
-            (Accumulator::FloatMax(a), Accumulator::FloatMax(b)) => {
-                a[into] = float_max(a[into], b[from])
-            }
-            _ => unreachable!("workers of one scan build the same accumulator kinds"),
-        }
-    }
-
     /// One group's aggregate as a [`Term`], with exactly the typing rules
     /// of the SPARQL engine's aggregate evaluation.
     fn finish(&self, group: usize, measure: &MeasureColumn) -> Term {
@@ -1074,8 +949,8 @@ impl Accumulator {
     }
 }
 
-/// Partial aggregation state of one worker: the group table and one
-/// accumulator column per measure.
+/// Aggregation state of one scan: the group table and one accumulator
+/// column per measure.
 struct Groups<K> {
     table: GroupTable<K>,
     accs: Vec<Accumulator>,
@@ -1086,17 +961,6 @@ impl<K: GroupKey> Groups<K> {
         Groups {
             table: GroupTable::new(space),
             accs: measures.iter().map(Accumulator::for_measure).collect(),
-        }
-    }
-
-    /// Folds another worker's groups in (multi-threaded scan).
-    fn merge(&mut self, other: Groups<K>) {
-        for (from, &key) in other.table.keys.iter().enumerate() {
-            let into = self.table.group_of(key) as usize;
-            for (acc, other_acc) in self.accs.iter_mut().zip(&other.accs) {
-                acc.grow(self.table.keys.len());
-                acc.merge_group(into, other_acc, from);
-            }
         }
     }
 }
@@ -1397,35 +1261,20 @@ mod tests {
     }
 
     #[test]
-    fn chunked_scan_counters_sum_exactly_on_any_thread_count() {
+    fn scan_counters_are_exact_on_a_ragged_rollup() {
         let cube = traced_fixture_cube(95); // 100 live rows
-        let rollups = BTreeMap::from([(iri("dim/city"), iri("lv/country"))]);
-        let query = CubeQuery {
-            rollups,
-            ..CubeQuery::default()
-        };
-        let (baseline, sequential) = run_with(&cube, &query, 1, true).unwrap();
-        assert_eq!(sequential.rows_scanned, 100);
+        let (_, stats) = run_with(&cube, &rollup_query(), true).unwrap();
+        assert_eq!(stats.rows_scanned, 100);
         // o4 sits on the ragged city c3 (no country), so the roll-up
         // drops exactly one row before aggregation.
-        assert_eq!(sequential.rows_no_member, 1);
-        assert_eq!(sequential.rows_aggregated, 99);
-        assert_eq!(sequential.scan_chunks, 1);
-        for threads in [2, 3, 8, 64] {
-            let (output, stats) = run_with(&cube, &query, threads, true).unwrap();
-            assert_eq!(output, baseline, "results identical at {threads} threads");
-            assert_eq!(
-                stats.rows_scanned, sequential.rows_scanned,
-                "concurrent chunk flushes sum exactly at {threads} threads"
-            );
-            assert_eq!(stats.rows_aggregated, sequential.rows_aggregated);
-            assert_eq!(stats.rollup_lookups, sequential.rollup_lookups);
-            assert_eq!(stats.tombstones_skipped, 0);
-            // 100 rows fit one segment, and a worker pulls whole segments.
-            assert_eq!(stats.scan_chunks, 1);
-            assert_eq!(stats.segments_total, 1);
-            assert_eq!(stats.segments_pruned, 0);
-        }
+        assert_eq!(stats.rows_no_member, 1);
+        assert_eq!(stats.rows_aggregated, 99);
+        // Every row lifts on the city axis, the 99 that survive it on the
+        // month axis.
+        assert_eq!(stats.rollup_lookups, 100 + 99);
+        assert_eq!(stats.tombstones_skipped, 0);
+        assert_eq!(stats.segments_total, 1);
+        assert_eq!(stats.segments_pruned, 0);
     }
 
     #[test]
@@ -1437,10 +1286,7 @@ mod tests {
             ..CubeQuery::default()
         };
         let mut profile = ExecutionProfile::new("columnar");
-        let options = ExecOptions {
-            threads: 2,
-            prune: true,
-        };
+        let options = ExecOptions::default();
         let (output, _) = execute(&cube, &query, &options, Some(&mut profile)).unwrap();
         assert_eq!(output, run(&cube, &query).unwrap(), "tracing is free of effects");
         assert!(profile.total >= profile.steps_total());
@@ -1464,7 +1310,7 @@ mod tests {
     fn scan_stats_feed_a_metrics_registry() {
         let cube = traced_fixture_cube(0);
         let registry = obs::MetricsRegistry::new();
-        let (_, stats) = run_with(&cube, &CubeQuery::default(), 1, true).unwrap();
+        let (_, stats) = run_with(&cube, &CubeQuery::default(), true).unwrap();
         stats.record_into(&registry);
         stats.record_into(&registry);
         let snapshot = registry.snapshot();
@@ -1528,34 +1374,28 @@ mod tests {
         let mut alpha_dice = rollup_query();
         alpha_dice.member_filters = vec![country_name_dice("Alpha")];
 
-        let (baseline, full) = run_with(&cube, &alpha_dice, 1, false).unwrap();
+        let (baseline, full) = run_with(&cube, &alpha_dice, false).unwrap();
         assert_eq!(full.segments_pruned, 0, "pruning off visits everything");
         assert_eq!(full.segments_total, 3);
         assert_eq!(full.rows_scanned, cube.row_count() as u64);
 
-        for threads in [1, 4] {
-            let (output, stats) = run_with(&cube, &alpha_dice, threads, true).unwrap();
-            assert_eq!(output, baseline, "pruned output diverged at {threads} threads");
-            assert_eq!(stats.segments_total, 3);
-            assert_eq!(stats.segments_pruned, 1, "the all-c2 sealed segment");
-            assert!(stats.segments_pruned <= stats.segments_total);
-            assert_eq!(
-                stats.rows_scanned,
-                (cube.row_count() - SEGMENT_LEN) as u64,
-                "the pruned segment's rows were never visited"
-            );
-        }
-        // Two surviving segments → at most two whole-segment workers.
-        let (_, stats) = run_with(&cube, &alpha_dice, 4, true).unwrap();
-        assert_eq!(stats.scan_chunks, 2);
+        let (output, stats) = run_with(&cube, &alpha_dice, true).unwrap();
+        assert_eq!(output, baseline, "pruned output diverged");
+        assert_eq!(stats.segments_total, 3);
+        assert_eq!(stats.segments_pruned, 1, "the all-c2 sealed segment");
+        assert_eq!(
+            stats.rows_scanned,
+            (cube.row_count() - SEGMENT_LEN) as u64,
+            "the pruned segment's rows were never visited"
+        );
 
         // A dice no country satisfies prunes every segment: zero rows
         // visited, same (empty) output as the full scan that filters
         // every row away.
         let mut nothing_dice = rollup_query();
         nothing_dice.member_filters = vec![country_name_dice("Zeta")];
-        let (pruned_empty, stats) = run_with(&cube, &nothing_dice, 4, true).unwrap();
-        let (full_empty, _) = run_with(&cube, &nothing_dice, 4, false).unwrap();
+        let (pruned_empty, stats) = run_with(&cube, &nothing_dice, true).unwrap();
+        let (full_empty, _) = run_with(&cube, &nothing_dice, false).unwrap();
         assert_eq!(pruned_empty, full_empty);
         assert!(pruned_empty.cells.is_empty());
         assert_eq!(stats.segments_pruned, 3);
@@ -1563,7 +1403,7 @@ mod tests {
 
         // Without member filters nothing is provably irrelevant (every
         // segment has rows that roll up somewhere live).
-        let (_, stats) = run_with(&cube, &rollup_query(), 4, true).unwrap();
+        let (_, stats) = run_with(&cube, &rollup_query(), true).unwrap();
         assert_eq!(stats.segments_pruned, 0);
     }
 
@@ -1584,7 +1424,7 @@ mod tests {
         let mut query = rollup_query();
         query.member_filters = vec![country_name_dice("Zeta")];
         for prune in [false, true] {
-            let error = run_with(&cube, &query, 1, prune).unwrap_err();
+            let error = run_with(&cube, &query, prune).unwrap_err();
             assert!(matches!(error, CubeStoreError::Unsupported(_)), "{error}");
         }
     }
@@ -1597,67 +1437,61 @@ mod tests {
             assert!(cube.tombstones.kill(row));
         }
         cube.verify_zone_invariants().unwrap();
-        let (output, stats) = run_with(&cube, &rollup_query(), 1, true).unwrap();
+        let (output, stats) = run_with(&cube, &rollup_query(), true).unwrap();
         assert!(output.cells.is_empty());
         assert_eq!(stats.segments_dead, 1);
         assert_eq!(stats.rows_scanned, 0);
         assert_eq!(stats.tombstones_skipped, 0, "the bitmap was never consulted");
     }
 
+    /// A cube past 32 segments (131 072 rows), the size from which a
+    /// second scan thread measured faster on an idle machine (EXPERIMENTS.md
+    /// §E20): pruning, tombstone skipping and the row counters stay exact
+    /// on the one scan path at that scale.
     #[test]
-    fn auto_threads_are_sized_from_the_rows_that_survive() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(auto_scan_threads(PARALLEL_SCAN_THRESHOLD), cores);
-        assert_eq!(auto_scan_threads(PARALLEL_SCAN_THRESHOLD - 1), 1);
-
-        // Rows 0..5 are the fixture; one more threshold of c2 rows, then a
-        // c1 tail. The cube clears the threshold, the "Alpha" dice (c1
-        // only) leaves the first and the tail segment: the automatic scan
-        // must stay on one thread however many cores there are.
-        let mut cube = segmented_cube(&[
-            (PARALLEL_SCAN_THRESHOLD + SEGMENT_LEN - 5, "c2"),
-            (10, "c1"),
-        ]);
+    fn a_cube_past_thirty_two_segments_prunes_and_counts_exactly() {
+        // Rows 0..5 are the fixture; c2 rows up to 33 whole segments, then
+        // a ten-row c1 tail: 34 segments, of which only the first and the
+        // tail hold a c1 row.
+        let mut cube = segmented_cube(&[(33 * SEGMENT_LEN - 5, "c2"), (10, "c1")]);
+        assert_eq!(cube.row_count(), 33 * SEGMENT_LEN + 10);
         let mut alpha_dice = rollup_query();
         alpha_dice.member_filters = vec![country_name_dice("Alpha")];
-        let auto = ExecOptions {
-            threads: 0,
-            prune: true,
+        let pruned_matches_unpruned = |cube: &MaterializedCube, query: &CubeQuery| {
+            let (output, stats) = run_with(cube, query, true).unwrap();
+            assert_eq!(output, run_with(cube, query, false).unwrap().0);
+            stats
         };
-        let (_, stats) = execute(&cube, &alpha_dice, &auto, None).unwrap();
-        assert_eq!(stats.segments_total - stats.segments_pruned, 2);
-        assert_eq!(
-            stats.scan_chunks, 1,
-            "two surviving segments are below the threshold"
-        );
-        let (_, stats) = execute(&cube, &rollup_query(), &auto, None).unwrap();
-        assert_eq!(
-            stats.scan_chunks,
-            cores.min(stats.segments_total as usize) as u64
-        );
+        let alpha_prunes_all_but_the_first_and_the_tail = |stats: ScanStats| {
+            assert_eq!((stats.segments_total, stats.segments_pruned), (34, 32));
+            assert_eq!(stats.rows_scanned, (SEGMENT_LEN + 10) as u64);
+        };
+        alpha_prunes_all_but_the_first_and_the_tail(pruned_matches_unpruned(&cube, &alpha_dice));
+        let stats = pruned_matches_unpruned(&cube, &rollup_query());
+        assert_eq!(stats.segments_pruned, 0);
+        assert_eq!(stats.rows_scanned, cube.row_count() as u64);
 
-        // Tombstone all but one segment's worth of the cube — the state
-        // right before the catalog compacts. Every segment keeps a live
-        // row, so none is skipped, yet the work left is below the threshold.
+        // Tombstone seven eighths of every segment — the state right before
+        // the catalog compacts. Every segment keeps a live row, so none is
+        // skipped as dead, and the dead rows are visited but not counted.
+        let mut killed = 0u64;
         for row in 0..cube.row_count() {
             if row % SEGMENT_LEN >= SEGMENT_LEN / 8 {
                 assert!(cube.tombstones.kill(row));
+                killed += 1;
             }
         }
         cube.verify_zone_invariants().unwrap();
-        let (_, stats) = execute(&cube, &rollup_query(), &auto, None).unwrap();
+        let stats = pruned_matches_unpruned(&cube, &rollup_query());
         assert_eq!(stats.segments_dead, 0);
-        assert_eq!(
-            stats.scan_chunks, 1,
-            "thread sizing follows the live rows left"
-        );
+        assert_eq!(stats.rows_scanned, cube.row_count() as u64);
+        assert_eq!(stats.tombstones_skipped, killed);
+        alpha_prunes_all_but_the_first_and_the_tail(pruned_matches_unpruned(&cube, &alpha_dice));
     }
 
     #[test]
     fn pruning_is_enabled_by_default() {
-        let options = ExecOptions::default();
-        assert!(options.prune);
-        assert_eq!(options.threads, 0, "sized from the surviving rows");
+        assert!(ExecOptions::default().prune);
     }
 
     /// Signed zeros must pick a deterministic winner in every order and
@@ -1925,37 +1759,24 @@ mod tests {
         }
     }
 
-    /// Runs the query unpruned at 1, 2 and 8 workers and checks output and
-    /// row counters against [`reference`].
+    /// Runs the query unpruned and checks output and row counters against
+    /// [`reference`], then pruned and checks the output again.
     fn assert_matches_reference(cube: &MaterializedCube, query: &CubeQuery) -> QueryOutput {
         let (expected, counts) = reference(cube, query).unwrap();
-        for threads in [1, 2, 8] {
-            let options = ExecOptions {
-                threads,
-                prune: false,
-            };
-            let (output, stats) = execute(cube, query, &options, None).unwrap();
-            assert_eq!(output, expected, "output at {threads} threads");
-            let got = [
-                stats.tombstones_skipped,
-                stats.rows_no_member,
-                stats.rollup_lookups,
-                stats.rows_aggregated,
-            ];
-            assert_eq!(got, counts, "row counters at {threads} threads");
-            assert_eq!(
-                stats.dictionary_lookups,
-                (expected.cells.len() * expected.axes.len()) as u64
-            );
-        }
-        let pruned = ExecOptions {
-            threads: 2,
-            prune: true,
-        };
+        let (output, stats) = run_with(cube, query, false).unwrap();
+        assert_eq!(output, expected);
+        let got = [
+            stats.tombstones_skipped,
+            stats.rows_no_member,
+            stats.rollup_lookups,
+            stats.rows_aggregated,
+        ];
+        assert_eq!(got, counts, "row counters");
         assert_eq!(
-            execute(cube, query, &pruned, None).unwrap().0,
-            expected
+            stats.dictionary_lookups,
+            (expected.cells.len() * expected.axes.len()) as u64
         );
+        assert_eq!(run_with(cube, query, true).unwrap().0, expected);
         expected
     }
 
@@ -2020,7 +1841,7 @@ mod tests {
         ] {
             let cube = cycling_cube(&dims, rows);
             assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
-            let (_, stats) = run_with(&cube, &rolled_up(&[0, 1], 2), 1, true).unwrap();
+            let (_, stats) = run_with(&cube, &rolled_up(&[0, 1], 2), true).unwrap();
             assert_eq!(stats.rows_scanned, rows as u64);
         }
     }
@@ -2043,7 +1864,7 @@ mod tests {
         }
         cube.verify_zone_invariants().unwrap();
         assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
-        let (_, stats) = run_with(&cube, &rolled_up(&[0, 1], 2), 2, true).unwrap();
+        let (_, stats) = run_with(&cube, &rolled_up(&[0, 1], 2), true).unwrap();
         assert_eq!(stats.segments_dead, 1);
         assert_eq!(
             stats.tombstones_skipped, 11,
@@ -2089,7 +1910,7 @@ mod tests {
         // ... at the bottom level only the unbound ones.
         let bottom = CubeQuery::default();
         assert_eq!(assert_matches_reference(&cube, &bottom).cells.len(), 4 * 5);
-        let (_, stats) = run_with(&cube, &bottom, 1, true).unwrap();
+        let (_, stats) = run_with(&cube, &bottom, true).unwrap();
         let unbound = (0..rows)
             .filter(|row| row.is_multiple_of(7) || row.is_multiple_of(11))
             .count();
@@ -2118,9 +1939,9 @@ mod tests {
         )
     }
 
-    fn refusal_of(cube: &MaterializedCube, threads: usize, prune: bool) -> String {
+    fn refusal_of(cube: &MaterializedCube, prune: bool) -> String {
         let query = rolled_up(&[0, 1], 2);
-        match run_with(cube, &query, threads, prune) {
+        match run_with(cube, &query, prune) {
             Err(CubeStoreError::Unsupported(message)) => message,
             other => panic!("expected a refusal, got {other:?}"),
         }
@@ -2146,8 +1967,8 @@ mod tests {
         let cube = ambiguous_cube(50, &[(9, [3, 1]), (5, [0, 3])]);
         let expected = reference(&cube, &rolled_up(&[0, 1], 2)).unwrap_err();
         assert!(expected.ends_with("dim/d1>"), "{expected}");
-        for (threads, prune) in [(1, false), (1, true), (4, false)] {
-            let message = refusal_of(&cube, threads, prune);
+        for prune in [false, true] {
+            let message = refusal_of(&cube, prune);
             assert_eq!(
                 message,
                 format!(
@@ -2161,36 +1982,25 @@ mod tests {
         }
         // A row ambiguous on both axes refuses on the earlier axis.
         let both = ambiguous_cube(50, &[(7, [3, 3])]);
-        assert!(refusal_of(&both, 1, false).contains("dim/d0>"));
-        // Across segments — and so across workers — the earlier segment's
-        // row wins, whatever axis it offends on.
+        assert!(refusal_of(&both, false).contains("dim/d0>"));
+        // Across segments the earlier segment's row wins, whatever axis it
+        // offends on.
         let far = ambiguous_cube(
             2 * SEGMENT_LEN + 10,
             &[(SEGMENT_LEN + 3, [3, 1]), (17, [0, 3])],
         );
-        for threads in [1, 2, 3] {
-            assert!(
-                refusal_of(&far, threads, false).contains("dim/d1>"),
-                "{threads} threads"
-            );
-        }
+        assert!(refusal_of(&far, false).contains("dim/d1>"));
         let far = ambiguous_cube(
             2 * SEGMENT_LEN + 10,
             &[(SEGMENT_LEN + 3, [0, 3]), (17, [3, 1])],
         );
-        for threads in [1, 2, 3] {
-            assert!(
-                refusal_of(&far, threads, true).contains("dim/d0>"),
-                "{threads} threads"
-            );
-        }
+        assert!(refusal_of(&far, true).contains("dim/d0>"));
     }
 
     /// The cells of `query` through an explicit key width and table kind.
     fn cells_through<K: GroupKey>(
         cube: &MaterializedCube,
         query: &CubeQuery,
-        threads: usize,
         hashed: bool,
     ) -> Vec<CubeCell> {
         let axes = plan_axes(cube, query).unwrap();
@@ -2200,10 +2010,7 @@ mod tests {
             axes,
             measures: cube.measure_columns(),
             having: &query.measure_filters,
-            options: ExecOptions {
-                threads,
-                prune: false,
-            },
+            options: ExecOptions { prune: false },
         };
         let mut space = KeySpace::<K>::of(&plan.axes).expect("the key space fits");
         assert!(
@@ -2235,22 +2042,11 @@ mod tests {
             value: Term::integer(90_000),
         }];
         for query in [rolled_up(&[0, 1, 2], 3), CubeQuery::default(), having] {
-            let expected = run_with(&cube, &query, 1, true).unwrap().0.cells;
+            let expected = run_with(&cube, &query, true).unwrap().0.cells;
             assert!(!expected.is_empty());
-            for threads in [1, 3] {
-                assert_eq!(
-                    cells_through::<u64>(&cube, &query, threads, false),
-                    expected
-                );
-                assert_eq!(cells_through::<u64>(&cube, &query, threads, true), expected);
-                assert_eq!(
-                    cells_through::<u128>(&cube, &query, threads, false),
-                    expected
-                );
-                assert_eq!(
-                    cells_through::<u128>(&cube, &query, threads, true),
-                    expected
-                );
+            for hashed in [false, true] {
+                assert_eq!(cells_through::<u64>(&cube, &query, hashed), expected);
+                assert_eq!(cells_through::<u128>(&cube, &query, hashed), expected);
             }
         }
         let bottom = assert_matches_reference(&cube, &CubeQuery::default());
@@ -2296,7 +2092,7 @@ mod tests {
     }
 
     #[test]
-    fn every_aggregate_function_over_every_vector_type_at_any_thread_count() {
+    fn every_aggregate_function_over_every_vector_type() {
         let rows = 2 * SEGMENT_LEN + 777;
         let dims = [DimSpec::regular(11, 4), DimSpec::regular(3, 3)];
         let codes = |step: usize, bottoms: usize| -> Vec<MemberId> {
@@ -2343,12 +2139,11 @@ mod tests {
                 .map(|&function| (function, vector()))
                 .collect();
             let cube = synthetic_cube(&dims, vec![codes(1, 11), codes(5, 3)], measures);
-            // `assert_matches_reference` runs 1, 2 and 8 workers.
             assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
             assert_matches_reference(&cube, &rolled_up(&[1], 2));
         }
         // Signed zeros alone: MIN is the negative zero, MAX the positive,
-        // in whichever order and on whichever worker they arrive.
+        // in whichever order and segment they arrive.
         for zeros in [vec![0.0, -0.0, 0.0], vec![-0.0, 0.0, -0.0]] {
             let mut values = vec![0.0; SEGMENT_LEN];
             values.extend(&zeros);
@@ -2365,16 +2160,14 @@ mod tests {
                 ),
             ];
             let cube = synthetic_cube(&[DimSpec::regular(1, 1)], vec![vec![0; rows]], measures);
-            for threads in [1, 2] {
-                let output = run_with(&cube, &CubeQuery::default(), threads, true).unwrap().0;
-                assert_eq!(
-                    output.cells[0].values,
-                    vec![
-                        Some(Term::Literal(Literal::double(-0.0))),
-                        Some(Term::Literal(Literal::decimal(0.0)))
-                    ]
-                );
-            }
+            let output = run_with(&cube, &CubeQuery::default(), true).unwrap().0;
+            assert_eq!(
+                output.cells[0].values,
+                vec![
+                    Some(Term::Literal(Literal::double(-0.0))),
+                    Some(Term::Literal(Literal::decimal(0.0)))
+                ]
+            );
         }
     }
 }

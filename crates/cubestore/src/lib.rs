@@ -51,8 +51,7 @@
 //! * aggregation is **order-independent** ([`sparql::NumericSum`]: exact
 //!   `i128` integer sums plus correctly rounded compensated float sums,
 //!   shared with the SPARQL engine), so appends of *any* measure type —
-//!   floats included — replay bit-identically to a rebuild, and the row
-//!   scan chunks across threads for every measure type;
+//!   floats included — replay bit-identically to a rebuild;
 //! * everything the delta classifier cannot replay bit-identically
 //!   refuses with a typed [`error::DeltaRefusal`] and falls back to a
 //!   rebuild whose [`catalog::RebuildReason`] lands in the
@@ -101,8 +100,8 @@ pub use cowvec::CowVec;
 pub use dictionary::{Dictionary, MemberId, AMBIGUOUS_MEMBER, NO_MEMBER};
 pub use error::{CubeStoreError, DeltaRefusal, RefusalKind};
 pub use executor::{
-    auto_scan_threads, execute, AxisSpec, CubeCell, CubeQuery, ExecOptions, MeasureFilter,
-    MemberFilter, MemberPredicate, QueryOutput, ScanStats,
+    execute, AxisSpec, CubeCell, CubeQuery, ExecOptions, MeasureFilter, MemberFilter,
+    MemberPredicate, QueryOutput, ScanStats,
 };
 pub use hierarchy::{LevelIndex, RollupMap};
 pub use observations::ObservationIndex;
@@ -133,14 +132,13 @@ pub(crate) mod testutil {
         execute(cube, query, &ExecOptions::default(), None).map(|(output, _)| output)
     }
 
-    /// [`execute`] at an explicit worker count and pruning switch.
+    /// [`execute`] at an explicit pruning switch.
     pub(crate) fn run_with(
         cube: &MaterializedCube,
         query: &CubeQuery,
-        threads: usize,
         prune: bool,
     ) -> Result<(QueryOutput, ScanStats), CubeStoreError> {
-        execute(cube, query, &ExecOptions { threads, prune }, None)
+        execute(cube, query, &ExecOptions { prune }, None)
     }
 
     pub(crate) fn iri(suffix: &str) -> Iri {
@@ -849,7 +847,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_scan_matches_the_sequential_scan_on_any_thread_count() {
+    fn pruned_scan_matches_the_unpruned_scan() {
         let cube = build(AggregateFunction::Sum);
         let queries = [
             CubeQuery::default(),
@@ -861,24 +859,22 @@ mod tests {
             },
         ];
         for query in &queries {
-            let sequential = run_with(&cube, query, 1, true).unwrap().0;
-            for threads in [2, 3, 8, 64] {
-                assert_eq!(
-                    sequential,
-                    run_with(&cube, query, threads, true).unwrap().0,
-                    "chunked scan with {threads} workers diverged"
-                );
-            }
+            assert_eq!(
+                run_with(&cube, query, false).unwrap().0,
+                run_with(&cube, query, true).unwrap().0
+            );
         }
-        // Errors surface from workers too: the ambiguous-roll-up refusal.
+        // Refusals surface either way: the ambiguous-roll-up refusal.
         let (endpoint, schema) = fixture(AggregateFunction::Sum);
         endpoint
             .insert_triples(&[qb4olap::rollup_triple(&member("c1"), &member("K2"))])
             .unwrap();
         let ambiguous = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
-        assert!(matches!(
-            run_with(&ambiguous, &rollup_query(), 4, true).unwrap_err(),
-            CubeStoreError::Unsupported(_)
-        ));
+        for prune in [false, true] {
+            assert!(matches!(
+                run_with(&ambiguous, &rollup_query(), prune).unwrap_err(),
+                CubeStoreError::Unsupported(_)
+            ));
+        }
     }
 }

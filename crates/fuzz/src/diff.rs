@@ -13,11 +13,10 @@ use sparql::{Endpoint, SparqlError};
 /// The legs [`ModuleOracle`] evaluates every program on, in order, all
 /// against one settled pin of the store:
 ///
-/// * `columnar` — the served path: the pinned snapshot (base + overlay)
-///   with the default [`ExecOptions`];
-/// * `columnar-unpruned` — the same snapshot on one worker with zone-map
-///   pruning off, so the pruner and the parallel merge cannot hide a
-///   divergence;
+/// * `columnar` — the served path: the pinned snapshot with the default
+///   [`ExecOptions`];
+/// * `columnar-unpruned` — the same snapshot with zone-map pruning off, so
+///   the pruner cannot hide a divergence;
 /// * `columnar-scratch` — a cube materialized from scratch at the pin's
 ///   epoch, so overlay accretion, tombstones and folds are checked against
 ///   a build that never saw a delta;
@@ -79,10 +78,7 @@ impl QlOracle for ModuleOracle<'_> {
     fn evaluate(&self, ql_text: &str) -> Result<Vec<(&'static str, ResultCube)>, QlError> {
         let prepared = self.module.prepare(ql_text)?;
         let snapshot = self.module.snapshot_settled()?;
-        let unpruned = ExecOptions {
-            threads: 1,
-            prune: false,
-        };
+        let unpruned = ExecOptions { prune: false };
         let cubes = [
             self.module.execute_on_snapshot(&prepared, &snapshot)?,
             execute_columnar(snapshot.cube(), &prepared, &unpruned, None)?.0,

@@ -43,12 +43,25 @@ pub mod sparql_gen;
 pub mod universe;
 
 /// Reads a `u64` campaign knob from the environment (decimal, or hex with a
-/// `0x` prefix), falling back to `default` when unset — and, with a stderr
-/// warning, when set to an unparsable value. A thin alias for the
-/// workspace-wide parser in [`obs::env`], kept so existing campaign
-/// harnesses don't have to change their imports.
+/// `0x`/`0X` prefix, surrounding whitespace ignored), falling back to
+/// `default` when unset. A set-but-invalid value (empty text, garbage, a
+/// sign, overflow past `u64::MAX`) warns once on stderr and falls back too:
+/// a typo in a campaign runbook must neither panic the process nor vanish
+/// without a trace. Knobs size test campaigns only; nothing on a serving
+/// or query path reads the environment.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    obs::env::u64_knob(name, default)
+    let Ok(text) = std::env::var(name) else {
+        return default;
+    };
+    let trimmed = text.trim();
+    let parsed = match trimmed.strip_prefix("0x").or_else(|| trimmed.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => trimmed.parse(),
+    };
+    parsed.unwrap_or_else(|_| {
+        eprintln!("warning: ignoring invalid {name}={text:?}, using {default}");
+        default
+    })
 }
 
 /// The campaign seed: `QB2OLAP_FUZZ_SEED` or `0xE155EED`.
@@ -103,14 +116,28 @@ mod tests {
         );
     }
 
+    /// Env mutation is process-global: every case uses its own variable,
+    /// so the suite stays order-independent under the parallel runner.
     #[test]
     fn env_knobs_parse_decimal_and_hex() {
         assert_eq!(super::env_u64("QB2OLAP_FUZZ_NO_SUCH_KNOB", 7), 7);
-        std::env::set_var("QB2OLAP_FUZZ_TEST_KNOB_A", "42");
-        std::env::set_var("QB2OLAP_FUZZ_TEST_KNOB_B", "0xff");
-        std::env::set_var("QB2OLAP_FUZZ_TEST_KNOB_C", "nonsense");
-        assert_eq!(super::env_u64("QB2OLAP_FUZZ_TEST_KNOB_A", 7), 42);
-        assert_eq!(super::env_u64("QB2OLAP_FUZZ_TEST_KNOB_B", 7), 255);
-        assert_eq!(super::env_u64("QB2OLAP_FUZZ_TEST_KNOB_C", 7), 7);
+        for (suffix, text, expected) in [
+            ("DEC", "42", 42),
+            ("HEX", "0xff", 255),
+            ("HEX_UPPER", "0XE155EED", 0xE15_5EED),
+            ("PADDED", "  12  ", 12),
+            // Set but invalid: warn and fall back to the default.
+            ("EMPTY", "", 7),
+            ("GARBAGE", "over 9000", 7),
+            ("NEGATIVE", "-3", 7),
+            ("FLOAT", "1.5", 7),
+            // 2^64 exactly: one past u64::MAX in both spellings.
+            ("OVERFLOW", "18446744073709551616", 7),
+            ("OVERFLOW_HEX", "0x10000000000000000", 7),
+        ] {
+            let name = format!("QB2OLAP_FUZZ_TEST_KNOB_{suffix}");
+            std::env::set_var(&name, text);
+            assert_eq!(super::env_u64(&name, 7), expected, "{name}={text:?}");
+        }
     }
 }

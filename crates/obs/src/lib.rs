@@ -26,10 +26,7 @@
 //!   dictionary lookups, roll-up map lookups). [`ExecutionProfile::render`]
 //!   is the cube's `EXPLAIN ANALYZE`.
 //!
-//! The crate also hosts [`mod@env`], the one parser for every `QB2OLAP_*`
-//! environment knob (warn-and-default, never panicking) — it lives here
-//! because `obs` is the dependency-free kernel every knob-reading crate
-//! already pulls.
+//! Nothing here reads the environment.
 //!
 //! The metric naming scheme is dotted lowercase, `<crate>.<subsystem>.<what>`
 //! (`catalog.refresh.delta`, `cubestore.scan.rows`, `explorer.members`,
@@ -39,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-pub mod env;
 pub mod metrics;
 pub mod profile;
 pub mod span;

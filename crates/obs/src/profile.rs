@@ -28,7 +28,7 @@ pub struct ProfileStep {
     pub duration: Duration,
     /// Rows produced or touched by the phase, when meaningful.
     pub rows: Option<u64>,
-    /// Free-form annotation (backend variant, thread count, …).
+    /// Free-form annotation (backend variant, segments pruned, …).
     pub detail: String,
 }
 
@@ -153,7 +153,7 @@ mod tests {
         let mut profile = ExecutionProfile::new("columnar");
         profile.push_plan("SLICE dim=geo member=pt");
         profile.push_plan("ROLLUP dim=time level=year");
-        profile.push_step("scan", Duration::from_millis(3), Some(1000), "threads=4");
+        profile.push_step("scan", Duration::from_millis(3), Some(1000), "segments_pruned=4");
         profile.push_step("aggregate", Duration::from_millis(1), Some(12), "");
         profile.add_counter("rows_scanned", 600);
         profile.add_counter("rows_scanned", 400);

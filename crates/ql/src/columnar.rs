@@ -17,35 +17,17 @@ use crate::executor::PreparedQuery;
 use crate::pipeline::QueryPipeline;
 use crate::translate::to_sparql_cmp;
 
-/// Lowers a simplified pipeline into columnar terms. The partitioning of
-/// dices into member (pre-aggregation) and measure (post-aggregation)
-/// filters mirrors the SPARQL translator exactly.
+/// Lowers a simplified pipeline into columnar terms, with the dices split
+/// into member (pre-aggregation) and measure (post-aggregation) filters by
+/// the same [`QueryPipeline::partition_dices`] the SPARQL translator uses.
 pub(crate) fn to_cube_query(pipeline: &QueryPipeline) -> Result<CubeQuery, QlError> {
-    let mut query = CubeQuery {
+    let (member_dices, measure_dices) = pipeline.partition_dices()?;
+    Ok(CubeQuery {
         slices: pipeline.slices.clone(),
         rollups: pipeline.rollups.clone(),
-        ..CubeQuery::default()
-    };
-    for dice in &pipeline.dices {
-        let comparisons = dice.comparisons();
-        let has_measure = comparisons
-            .iter()
-            .any(|(operand, _, _)| matches!(operand, DiceOperand::Measure(_)));
-        let has_attribute = comparisons
-            .iter()
-            .any(|(operand, _, _)| matches!(operand, DiceOperand::Attribute { .. }));
-        if has_measure && has_attribute {
-            return Err(QlError::Validation(
-                "a single DICE condition cannot mix measures and level attributes".to_string(),
-            ));
-        }
-        if has_measure {
-            query.measure_filters.push(measure_filter(dice)?);
-        } else {
-            query.member_filters.push(member_filter(dice)?);
-        }
-    }
-    Ok(query)
+        member_filters: member_dices.into_iter().map(member_filter).collect::<Result<_, _>>()?,
+        measure_filters: measure_dices.into_iter().map(measure_filter).collect::<Result<_, _>>()?,
+    })
 }
 
 /// The constant term a QL dice value compares against — the same literal

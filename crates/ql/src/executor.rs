@@ -573,6 +573,24 @@ mod tests {
     }
 
     #[test]
+    fn a_dice_mixing_measures_and_attributes_fails_to_prepare() {
+        let endpoint = LocalEndpoint::new();
+        let module = QueryingModule::with_schema(&endpoint, demo_cube_schema());
+        let mixed = datagen::workload::yearly_large_cells().replace(
+            "sdmx-measure:obsValue > 400",
+            "sdmx-measure:obsValue > 400 AND \
+             schema:destinationDim|property:geo|schema:countryName = \"France\"",
+        );
+        match module.prepare(&mixed) {
+            Err(QlError::Validation(message)) => assert_eq!(
+                message,
+                "a single DICE condition cannot mix measures and level attributes"
+            ),
+            other => panic!("expected the mixed-dice refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn columnar_backend_matches_sparql_for_the_whole_workload() {
         let (endpoint, dataset) = enriched_endpoint(500);
         let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();

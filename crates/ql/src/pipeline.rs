@@ -52,6 +52,34 @@ impl QueryPipeline {
         self.slices.len() + self.rollups.len() + self.dices.len()
     }
 
+    /// The dices split into member dices (on level attributes, applied
+    /// before aggregation) and measure dices (on aggregated measures, the
+    /// `HAVING` side), each in program order — the one split both
+    /// execution backends lower. A dice mixing the two is refused.
+    pub(crate) fn partition_dices(
+        &self,
+    ) -> Result<(Vec<&DiceCondition>, Vec<&DiceCondition>), QlError> {
+        let mut member_dices = Vec::new();
+        let mut measure_dices = Vec::new();
+        for dice in &self.dices {
+            let comparisons = dice.comparisons();
+            let on_measures = comparisons
+                .iter()
+                .filter(|(operand, _, _)| matches!(operand, DiceOperand::Measure(_)))
+                .count();
+            if on_measures == 0 {
+                member_dices.push(dice);
+            } else if on_measures == comparisons.len() {
+                measure_dices.push(dice);
+            } else {
+                return Err(QlError::Validation(
+                    "a single DICE condition cannot mix measures and level attributes".to_string(),
+                ));
+            }
+        }
+        Ok((member_dices, measure_dices))
+    }
+
     /// One logical-plan line per pipeline step, in execution order
     /// (slices, roll-ups, dices) — the `plan:` section of an execution
     /// profile. Exactly [`Self::operation_count`] lines.

@@ -189,28 +189,7 @@ impl<'a> Translator<'a> {
             ));
         }
 
-        // Partition the dices into attribute dices and measure dices.
-        let mut attribute_dices: Vec<&DiceCondition> = Vec::new();
-        let mut measure_dices: Vec<&DiceCondition> = Vec::new();
-        for dice in &self.pipeline.dices {
-            let comparisons = dice.comparisons();
-            let has_measure = comparisons
-                .iter()
-                .any(|(operand, _, _)| matches!(operand, DiceOperand::Measure(_)));
-            let has_attribute = comparisons
-                .iter()
-                .any(|(operand, _, _)| matches!(operand, DiceOperand::Attribute { .. }));
-            if has_measure && has_attribute {
-                return Err(QlError::Validation(
-                    "a single DICE condition cannot mix measures and level attributes".to_string(),
-                ));
-            }
-            if has_measure {
-                measure_dices.push(dice);
-            } else {
-                attribute_dices.push(dice);
-            }
-        }
+        let (attribute_dices, measure_dices) = self.pipeline.partition_dices()?;
 
         let direct = self.build_query(&plans, &measures, &attribute_dices, &measure_dices, false)?;
         let alternative =

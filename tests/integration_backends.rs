@@ -421,8 +421,9 @@ mod mutation_fuzzer {
     //!   the sequence is one PR 5 made delta-appliable), and
     //! * catalog-served columnar results stay **bit-identical** to fresh
     //!   SPARQL evaluation, for the integer workload queries and for the
-    //!   float cube's SUM/AVG aggregates (periodically also across scan
-    //!   thread counts 1/2/8 and against the explorer's SPARQL oracles).
+    //!   float cube's SUM/AVG aggregates (periodically also against a
+    //!   from-scratch build of the float cube and the explorer's SPARQL
+    //!   oracles).
     //!
     //! `QB2OLAP_FUZZ_STEPS` / `QB2OLAP_FUZZ_SEED` override the defaults
     //! for longer local soaks; ci.sh pins the fixed-seed smoke run.
@@ -525,20 +526,16 @@ mod mutation_fuzzer {
         schema
     }
 
-    /// The bottom-level cube at an explicit scan worker count.
-    fn scan(cube: &MaterializedCube, threads: usize) -> QueryOutput {
-        let options = ExecOptions {
-            threads,
-            prune: true,
-        };
-        execute(cube, &CubeQuery::default(), &options, None).unwrap().0
+    /// The bottom-level cube.
+    fn scan(cube: &MaterializedCube) -> QueryOutput {
+        execute(cube, &CubeQuery::default(), &ExecOptions::default(), None).unwrap().0
     }
 
     /// The float cube's SPARQL oracle: per-city SUM(rate) / AVG(index)
     /// over bottom-level members, compared **term-for-term** (bit-identical
     /// lexical forms) with the catalog-served columnar cells.
     fn assert_float_lockstep(tool: &Qb2Olap, catalog: &CubeCatalog, schema: &CubeSchema, step: usize) {
-        let output = scan(catalog.serve_settled(tool.endpoint(), schema).unwrap().cube(), 1);
+        let output = scan(catalog.serve_settled(tool.endpoint(), schema).unwrap().cube());
         let solutions = tool
             .endpoint()
             .select(&format!(
@@ -605,11 +602,9 @@ mod mutation_fuzzer {
 
     #[test]
     fn mutation_sequence_fuzzer_keeps_catalog_and_sparql_in_lockstep() {
-        // Centralized knob parsing (obs::env): this site used to accept
-        // only decimal, silently ignoring the hex seeds ci.sh pins for the
-        // qlsmith campaigns.
-        let steps = obs::env::usize_knob("QB2OLAP_FUZZ_STEPS", 200);
-        let seed = obs::env::u64_knob("QB2OLAP_FUZZ_SEED", 0xE14_5EED);
+        // The qlsmith knob parser: decimal or hex, warn-and-default.
+        let steps = qlsmith::env_u64("QB2OLAP_FUZZ_STEPS", 200) as usize;
+        let seed = qlsmith::env_u64("QB2OLAP_FUZZ_SEED", 0xE14_5EED);
         let mut rng = StdRng::seed_from_u64(seed);
 
         let (tool, dataset) = demo_tool(250);
@@ -853,17 +848,16 @@ mod mutation_fuzzer {
             }
             assert_float_lockstep(&tool, &catalog, &float_schema, step);
             if heavy {
-                // Thread-count sweep on the float cube: chunked compensated
-                // sums must be bit-identical at 1/2/8 workers.
+                // The delta-refreshed float cube's compensated sums are
+                // bit-identical to a from-scratch build's.
                 let settled = catalog.serve_settled(tool.endpoint(), &float_schema).unwrap();
-                let reference = scan(settled.cube(), 1);
-                for threads in [2usize, 8] {
-                    assert_eq!(
-                        scan(settled.cube(), threads),
-                        reference,
-                        "float scan diverges at {threads} threads after step {step}"
-                    );
-                }
+                let rebuilt =
+                    MaterializedCube::from_endpoint(tool.endpoint(), &float_schema).unwrap();
+                assert_eq!(
+                    scan(settled.cube()),
+                    scan(&rebuilt),
+                    "float scan diverges from a rebuild after step {step}"
+                );
                 // Catalog-served exploration matches its SPARQL oracle.
                 assert_eq!(
                     explorer.members(&citizen_level).unwrap(),

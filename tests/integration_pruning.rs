@@ -2,10 +2,10 @@
 //!
 //! Pruning must be invisible in results and visible only in the scan
 //! counters: every query in the battery returns *bit-identical* cubes with
-//! pruning on and off, at one worker and at several, while the counters
-//! stay monotone (`segments_pruned + segments_dead <= segments_total`,
-//! pruned scans never read more rows than unpruned ones) and collapse to
-//! zero when pruning is disabled. The battery runs on the time-ordered
+//! pruning on and off, while the counters stay monotone
+//! (`segments_pruned + segments_dead <= segments_total`, pruned scans never
+//! read more rows than unpruned ones) and collapse to zero when pruning is
+//! disabled. The battery runs on the time-ordered
 //! generator layout, where a leaf-month dice provably skips whole
 //! segments.
 //!
@@ -23,14 +23,13 @@ use qb2olap::{demo, Qb2Olap};
 use rdf::vocab::{demo_schema, rdfs, sdmx_dimension};
 use sparql::ast::CmpOp;
 
-/// One execution at an explicit worker count and pruning switch.
+/// One execution at an explicit pruning switch.
 fn run(
     cube: &MaterializedCube,
     query: &CubeQuery,
-    threads: usize,
     prune: bool,
 ) -> Result<(QueryOutput, ScanStats), CubeStoreError> {
-    execute(cube, query, &ExecOptions { threads, prune }, None)
+    execute(cube, query, &ExecOptions { prune }, None)
 }
 
 /// A dice comparing a level attribute's string form with a constant.
@@ -122,7 +121,7 @@ fn query_battery() -> Vec<(&'static str, CubeQuery)> {
 }
 
 #[test]
-fn battery_is_bit_identical_with_pruning_on_and_off_at_any_worker_count() {
+fn battery_is_bit_identical_with_pruning_on_and_off() {
     // 12k time-ordered observations ≈ 3 segments, month "2013-01" fully
     // inside segment 0.
     let config = datagen::EurostatConfig {
@@ -138,37 +137,26 @@ fn battery_is_bit_identical_with_pruning_on_and_off_at_any_worker_count() {
     let live_rows = cube.live_row_count() as u64;
 
     for (name, query) in query_battery() {
-        let (baseline, unpruned) = run(&cube, &query, 1, false)
+        let (baseline, unpruned) = run(&cube, &query, false)
             .unwrap_or_else(|e| panic!("'{name}' failed unpruned: {e}"));
         assert_eq!(unpruned.segments_pruned, 0, "'{name}': pruning was disabled");
         assert_eq!(unpruned.rows_scanned, live_rows, "'{name}': unpruned scans all live rows");
 
-        for threads in [1usize, 4] {
-            for prune in [false, true] {
-                let (output, stats) = run(&cube, &query, threads, prune).unwrap_or_else(|e| {
-                    panic!("'{name}' failed at {threads} threads, prune={prune}: {e}")
-                });
-                assert_eq!(
-                    output, baseline,
-                    "'{name}' diverges at {threads} threads, prune={prune}"
-                );
-                // Monotone sanity on the segment counters.
-                assert!(
-                    stats.segments_pruned + stats.segments_dead <= stats.segments_total,
-                    "'{name}': pruned {} + dead {} > total {}",
-                    stats.segments_pruned,
-                    stats.segments_dead,
-                    stats.segments_total
-                );
-                assert!(
-                    stats.rows_scanned <= unpruned.rows_scanned,
-                    "'{name}': pruning increased rows scanned"
-                );
-                if !prune {
-                    assert_eq!(stats.segments_pruned, 0, "'{name}': prune=false still pruned");
-                }
-            }
-        }
+        let (output, stats) =
+            run(&cube, &query, true).unwrap_or_else(|e| panic!("'{name}' failed pruned: {e}"));
+        assert_eq!(output, baseline, "'{name}' diverges with pruning on");
+        // Monotone sanity on the segment counters.
+        assert!(
+            stats.segments_pruned + stats.segments_dead <= stats.segments_total,
+            "'{name}': pruned {} + dead {} > total {}",
+            stats.segments_pruned,
+            stats.segments_dead,
+            stats.segments_total
+        );
+        assert!(
+            stats.rows_scanned <= unpruned.rows_scanned,
+            "'{name}': pruning increased rows scanned"
+        );
     }
 
     // The clustered leaf dice actually exercises the pruner: on the
@@ -176,7 +164,7 @@ fn battery_is_bit_identical_with_pruning_on_and_off_at_any_worker_count() {
     // the other segments are skipped and the scan touches a fraction of
     // the live rows.
     let (_, query) = query_battery().swap_remove(2);
-    let (_, stats) = run(&cube, &query, 1, true).unwrap();
+    let (_, stats) = run(&cube, &query, true).unwrap();
     assert!(stats.segments_total >= 3, "expected a multi-segment cube");
     assert!(
         stats.segments_pruned >= stats.segments_total - 1,
@@ -192,6 +180,6 @@ fn battery_is_bit_identical_with_pruning_on_and_off_at_any_worker_count() {
 
     // A full-rollup query with no dice prunes nothing.
     let (_, query) = query_battery().swap_remove(1);
-    let (_, stats) = run(&cube, &query, 1, true).unwrap();
+    let (_, stats) = run(&cube, &query, true).unwrap();
     assert_eq!(stats.segments_pruned, 0, "nothing to prune without a dice");
 }
