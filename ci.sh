@@ -99,37 +99,6 @@ for experiment in e1 e2 e3 e4 e5 e6 e8 e9; do
 done
 cargo run --release -p qb2olap_bench --bin repro -- e7 > /dev/null
 
-# Release-mode repro smoke: the experiment harness must run end to end
-# (E11 re-checks backend parity at this scale; E12 re-checks incremental
-# maintenance — the delta path must be taken for pure appends, parity must
-# hold after every refresh, and the rebuild fallback must report a reason;
-# E13 re-checks O(delta) maintenance — copy-on-write refreshes must share
-# dictionaries, whole-observation removals must tombstone instead of
-# rebuilding, and accumulated tombstones must trigger a reported
-# compaction, with parity held across every boundary).
-cargo run --release -p qb2olap_bench --bin repro -- e11 --observations 4000 > /dev/null
-cargo run --release -p qb2olap_bench --bin repro -- e12 --observations 4000 > /dev/null
-cargo run --release -p qb2olap_bench --bin repro -- e13 --observations 4000 > /dev/null
-# E14 additionally asserts: float appends and partial removals refresh via
-# the delta path (never a rebuild) on a decimal-measure cube, with
-# columnar results bit-identical to SPARQL and the float scan
-# bit-identical to a from-scratch build's.
-cargo run --release -p qb2olap_bench --bin repro -- e14 --observations 4000 > /dev/null
-# E16 additionally asserts: instrumented execution (collecting subscriber,
-# traced profile) returns cells bit-identical to the uninstrumented scan,
-# and the facade's EXPLAIN renders every pipeline step on both backends.
-cargo run --release -p qb2olap_bench --bin repro -- e16 --observations 4000 > /dev/null
-# E17 additionally asserts: pruned scans return cells bit-identical to
-# unpruned ones for every query shape.
-# 12000 observations = 3 sealed segments, so the smoke run actually
-# prunes (4000 rows would fit one segment and prune nothing).
-cargo run --release -p qb2olap_bench --bin repro -- e17 --observations 12000 > /dev/null
-# E18 additionally asserts: a forced structural rebuild folds on a
-# background thread while snapshot reads keep flowing — read p99 during
-# the fold within 10x the idle p99, every in-flight read stale-but-
-# consistent, and the settled pin landing the new epoch.
-cargo run --release -p qb2olap_bench --bin repro -- e18 --observations 12000 > /dev/null
-
 # The HTTP serving gates. First the server test suite, pinned by name so
 # the protocol-hardening and wire-fidelity coverage (400/404/405/408/413/
 # 429, keep-alive, graceful shutdown, wire bodies bit-identical to library

@@ -146,7 +146,7 @@ fn main() {
 
     // The wire-level restatement of the §E18 guarantee: serving does not
     // degrade by more than 10x while folds run. The floor absorbs
-    // sub-millisecond idle p99s on fast machines, same as repro e18.
+    // sub-millisecond idle p99s on fast machines.
     let limit = (idle_p99 * 10).max(Duration::from_millis(25));
     let mut failed = false;
     if rebuild_p99 > limit {

@@ -1,43 +1,59 @@
 //! Experiment-reproduction harness: regenerates the measurements behind every
-//! figure/claim of the paper (E1–E10) and runs this repository's
-//! assertion-carrying smokes (E11–E18); EXPERIMENTS.md is the index.
+//! figure and claim of the paper (E1–E10); EXPERIMENTS.md is the index.
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p qb2olap_bench --bin repro -- [all|e1|e2|...|e18] [--observations N] [--json]
+//! cargo run --release -p qb2olap_bench --bin repro -- [all|e1|e2|...|e10] [--observations N] [--json]
 //! ```
+//!
+//! An unknown experiment id or flag, or a non-numeric `--observations`
+//! value, prints the usage line to stderr and exits with status 2.
 
 use enrichment::{EnrichmentConfig, EnrichmentSession};
-use qb2olap::{demo, Endpoint, ExecutionBackend, Qb2Olap, SparqlVariant};
+use qb2olap::{demo, Endpoint, Qb2Olap, SparqlVariant};
 use qb2olap_bench::{
-    alloc_counter, demo_cube_with, measurements_to_json, render_measurements, timed, Measurement,
+    demo_cube_with, measurements_to_json, render_measurements, timed, Measurement,
 };
 use rdf::vocab::eurostat_property;
 
-/// E13 reports *allocation per refresh* — the quantity the copy-on-write
-/// columns are designed to shrink — not just wall-clock latency.
-#[global_allocator]
-static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
+const USAGE: &str = "usage: repro [all|e1|e2|...|e10] [--observations N] [--json]";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// The experiment ids `repro` accepts besides `all`.
+const EXPERIMENTS: [&str; 10] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"];
+
+/// The parsed command line: experiment id, observation count, JSON output.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, usize, bool), String> {
     let mut experiment = "all".to_string();
     let mut observations = 20_000usize;
     let mut as_json = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--observations" => {
-                observations = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(observations);
+                let value = args.next().unwrap_or_default();
+                observations = value
+                    .parse()
+                    .map_err(|_| format!("--observations needs a count, got '{value}'"))?;
             }
             "--json" => as_json = true,
-            other if !other.starts_with("--") => experiment = other.to_lowercase(),
-            _ => {}
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            id => {
+                let id = id.to_lowercase();
+                if id != "all" && !EXPERIMENTS.contains(&id.as_str()) {
+                    return Err(format!("unknown experiment '{id}'"));
+                }
+                experiment = id;
+            }
         }
     }
+    Ok((experiment, observations, as_json))
+}
+
+fn main() {
+    let (experiment, observations, as_json) =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|message| {
+            eprintln!("repro: {message}; {USAGE}");
+            std::process::exit(2);
+        });
 
     let mut rows: Vec<Measurement> = Vec::new();
     let run = |id: &str, experiment: &str| experiment == "all" || experiment == id;
@@ -68,27 +84,6 @@ fn main() {
     }
     if run("e9", &experiment) {
         rows.extend(e9_simplification(observations.min(10_000)));
-    }
-    if run("e11", &experiment) {
-        rows.extend(e11_backend_comparison(observations));
-    }
-    if run("e12", &experiment) {
-        rows.extend(e12_incremental_maintenance(observations));
-    }
-    if run("e13", &experiment) {
-        rows.extend(e13_cow_and_tombstone_maintenance(observations));
-    }
-    if run("e14", &experiment) {
-        rows.extend(e14_float_and_partial_removal_maintenance(observations));
-    }
-    if run("e16", &experiment) {
-        rows.extend(e16_observability_overhead(observations));
-    }
-    if run("e17", &experiment) {
-        rows.extend(e17_zone_map_pruning(observations));
-    }
-    if run("e18", &experiment) {
-        rows.extend(e18_serving_under_rebuild(observations));
     }
 
     if as_json {
@@ -462,1107 +457,20 @@ fn e9_simplification(observations: usize) -> Vec<Measurement> {
     rows
 }
 
-/// E11: execution-backend comparison — the same prepared workload queries
-/// executed via the QL → SPARQL translation and via the columnar cube
-/// engine, reported as median/MAD over repeated runs (plus the one-time
-/// materialization cost and a cell-for-cell parity bit).
-fn e11_backend_comparison(observations: usize) -> Vec<Measurement> {
-    const RUNS: usize = 9;
-    let parameters = format!("observations={observations}");
-    let cube = demo_cube_with(&datagen::EurostatConfig::small(observations));
-    let tool = Qb2Olap::new(cube.endpoint.clone());
-    let querying = tool.querying(&cube.dataset).expect("cube is enriched");
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
 
-    let mut rows = Vec::new();
-    let (materialized, build) = timed(|| querying.materialize().expect("materialization"));
-    rows.push(Measurement::new(
-        "E11",
-        &parameters,
-        "materialize_ms",
-        millis(build),
-    ));
-    rows.push(Measurement::new(
-        "E11",
-        &parameters,
-        "materialized_rows",
-        materialized.stats().rows as f64,
-    ));
+    fn parse(args: &str) -> Result<(String, usize, bool), String> {
+        parse_args(args.split_whitespace().map(str::to_string))
+    }
 
-    for (name, text) in datagen::workload::bench_queries() {
-        let prepared = querying.prepare(&text).expect("workload queries prepare");
-        // A parity failure must abort the harness (CI runs E11 as a smoke
-        // step), not just show up as a metric in discarded output.
-        assert_eq!(
-            querying
-                .execute(&prepared, SparqlVariant::Direct)
-                .expect("SPARQL backend runs"),
-            querying
-                .execute(&prepared, ExecutionBackend::Columnar)
-                .expect("columnar backend runs"),
-            "E11: backends disagree for workload query '{name}'"
-        );
-        for (backend_name, backend) in [
-            ("sparql_direct", ExecutionBackend::Sparql(SparqlVariant::Direct)),
-            ("columnar", ExecutionBackend::Columnar),
-        ] {
-            let samples: Vec<std::time::Duration> = (0..RUNS)
-                .map(|_| timed(|| querying.execute(&prepared, backend).expect("executes")).1)
-                .collect();
-            let stats = criterion::Stats::from_durations(&samples).expect("samples exist");
-            let query_parameters = format!("{parameters} query={name} backend={backend_name}");
-            rows.push(Measurement::new(
-                "E11",
-                &query_parameters,
-                "execute_median_ms",
-                millis(stats.median),
-            ));
-            rows.push(Measurement::new(
-                "E11",
-                &query_parameters,
-                "execute_mad_ms",
-                millis(stats.mad),
-            ));
+    #[test]
+    fn known_ids_and_flags_parse_and_unknown_ones_are_refused() {
+        assert_eq!(parse(""), Ok(("all".to_string(), 20_000, false)));
+        assert_eq!(parse("E10 --observations 2000 --json"), Ok(("e10".to_string(), 2_000, true)));
+        for refused in ["e13", "e99", "--bogus", "e1 --observations abc", "e1 --observations"] {
+            assert!(parse(refused).is_err(), "'{refused}' must be refused");
         }
     }
-    rows.push(Measurement::new("E11", &parameters, "backends_identical", 1.0));
-    rows
-}
-
-/// E12: incremental cube maintenance and columnar exploration — a pure
-/// observation-append delta vs a full re-materialization, the rebuild
-/// fallback with its reported reason, and exploration served from the
-/// catalog's columns vs per-step SPARQL. Parity failures abort (the CI
-/// smoke step runs this experiment).
-fn e12_incremental_maintenance(observations: usize) -> Vec<Measurement> {
-    use qb2olap::cubestore::{MaintenanceStrategy, MaterializedCube};
-    use rdf::vocab::demo_schema;
-
-    const RUNS: usize = 5;
-    let parameters = format!("observations={observations}");
-    let cube = demo_cube_with(&datagen::EurostatConfig::small(observations));
-    let tool = Qb2Olap::new(cube.endpoint.clone());
-    let querying = tool.querying(&cube.dataset).expect("cube is enriched");
-
-    let mut rows = Vec::new();
-    let (_, fresh) = timed(|| querying.materialize().expect("materialization"));
-    rows.push(Measurement::new(
-        "E12",
-        &parameters,
-        "materialize_fresh_ms",
-        millis(fresh),
-    ));
-
-    // Full re-materialization median: the cost every store mutation paid
-    // before the catalog existed.
-    let schema = querying.schema().clone();
-    let rebuild_samples: Vec<std::time::Duration> = (0..RUNS)
-        .map(|_| {
-            timed(|| MaterializedCube::from_endpoint(&cube.endpoint, &schema).expect("rebuild")).1
-        })
-        .collect();
-    let rebuild_stats = criterion::Stats::from_durations(&rebuild_samples).expect("samples");
-    rows.push(Measurement::new(
-        "E12",
-        &parameters,
-        "full_rebuild_median_ms",
-        millis(rebuild_stats.median),
-    ));
-
-    let mut factory = qb2olap_bench::ObservationFactory::new(&cube.endpoint, &cube.dataset, "e12");
-
-    // Pure observation-append deltas at growing batch sizes: the refresh
-    // must take the delta path, and at E7 scale it is orders of magnitude
-    // cheaper than the full rebuild above.
-    for batch_size in [100usize, 1_000] {
-        let batch = factory.batch(batch_size);
-        cube.endpoint.insert_triples(&batch).expect("append");
-        let (_, refresh) = timed(|| querying.materialize().expect("refresh"));
-        let report = querying
-            .maintenance_reports()
-            .last()
-            .cloned()
-            .expect("refresh recorded");
-        assert_eq!(
-            report.strategy,
-            MaintenanceStrategy::Delta,
-            "E12: a pure observation append must refresh via the delta path"
-        );
-        assert_eq!(report.rows_appended, batch_size);
-        let batch_parameters = format!("{parameters} append_batch={batch_size}");
-        rows.push(Measurement::new(
-            "E12",
-            &batch_parameters,
-            "delta_refresh_ms",
-            millis(refresh),
-        ));
-        rows.push(Measurement::new(
-            "E12",
-            &batch_parameters,
-            "delta_rows_appended",
-            report.rows_appended as f64,
-        ));
-    }
-
-    // Parity after the deltas: catalog-served cells == fresh SPARQL cells.
-    let prepared = querying
-        .prepare(&datagen::workload::rollup_citizenship_to_continent())
-        .expect("prepare");
-    assert_eq!(
-        querying
-            .execute(&prepared, SparqlVariant::Direct)
-            .expect("SPARQL backend runs"),
-        querying
-            .execute(&prepared, ExecutionBackend::Columnar)
-            .expect("columnar backend runs"),
-        "E12: catalog-served cells diverge from SPARQL after delta refreshes"
-    );
-    rows.push(Measurement::new("E12", &parameters, "delta_matches_sparql", 1.0));
-
-    // The rebuild fallback: cutting a roll-up link is not delta-appliable.
-    let victim = qb2olap::qb4olap::members_of_level(&cube.endpoint, &eurostat_property::citizen())
-        .expect("members")
-        .first()
-        .cloned()
-        .expect("citizen members exist");
-    let store = cube.endpoint.store();
-    let links = store.triples_matching(Some(&victim), Some(&rdf::vocab::skos::broader()), None);
-    for triple in &links {
-        store.remove(triple);
-    }
-    assert!(!links.is_empty(), "victim member had a continent link");
-    let (_, fallback) = timed(|| querying.materialize().expect("refresh"));
-    let report = querying
-        .maintenance_reports()
-        .last()
-        .cloned()
-        .expect("refresh recorded");
-    assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);
-    assert!(report.reason.is_some(), "rebuild reason is reported");
-    rows.push(Measurement::new(
-        "E12",
-        &parameters,
-        "rebuild_fallback_ms",
-        millis(fallback),
-    ));
-
-    // Exploration from the catalog's columns vs per-step SPARQL: member
-    // listing (with labels) and roll-up navigation of the citizenship
-    // hierarchy.
-    let explorer = tool.explorer(&cube.dataset).expect("explorer");
-    assert_eq!(
-        explorer
-            .members(&eurostat_property::citizen())
-            .expect("columnar members"),
-        explorer
-            .members_via_sparql(&eurostat_property::citizen())
-            .expect("SPARQL members"),
-        "E12: columnar exploration diverges from the SPARQL oracle"
-    );
-    type Probe<'a> = (&'a str, Box<dyn Fn() + 'a>);
-    let probes: Vec<Probe> = vec![
-        (
-            "explore_members_columns_ms",
-            Box::new(|| {
-                explorer
-                    .members(&eurostat_property::citizen())
-                    .map(|_| ())
-                    .expect("members")
-            }),
-        ),
-        (
-            "explore_members_sparql_ms",
-            Box::new(|| {
-                explorer
-                    .members_via_sparql(&eurostat_property::citizen())
-                    .map(|_| ())
-                    .expect("members")
-            }),
-        ),
-        (
-            "explore_rollup_edges_columns_ms",
-            Box::new(|| {
-                explorer
-                    .rollup_edges(&eurostat_property::citizen(), &demo_schema::continent())
-                    .map(|_| ())
-                    .expect("edges")
-            }),
-        ),
-        (
-            "explore_rollup_edges_sparql_ms",
-            Box::new(|| {
-                explorer
-                    .rollup_edges_via_sparql(
-                        &eurostat_property::citizen(),
-                        &demo_schema::continent(),
-                    )
-                    .map(|_| ())
-                    .expect("edges")
-            }),
-        ),
-    ];
-    for (name, run) in probes {
-        let samples: Vec<std::time::Duration> = (0..RUNS).map(|_| timed(&run).1).collect();
-        let stats = criterion::Stats::from_durations(&samples).expect("samples");
-        rows.push(Measurement::new("E12", &parameters, name, millis(stats.median)));
-    }
-    rows
-}
-
-/// E13: O(delta) maintenance — copy-on-write columns and tombstoned
-/// removals. Measures what PR 3's delta path could not make cheap:
-/// the latency *and allocation churn* of a 1-row (and 100-row) append
-/// refresh vs a full rebuild, a single-observation removal absorbed as a
-/// tombstone (previously: forced rebuild), and the compaction the catalog
-/// triggers once tombstones outgrow the live rows. COW violations
-/// (a refresh deep-copying a dictionary) and parity failures abort — the
-/// CI smoke step runs this experiment.
-fn e13_cow_and_tombstone_maintenance(observations: usize) -> Vec<Measurement> {
-    use qb2olap::cubestore::{MaintenanceStrategy, MaterializedCube, RebuildReason};
-    use rdf::Term;
-
-    const RUNS: usize = 5;
-    let parameters = format!("observations={observations}");
-    let cube = demo_cube_with(&datagen::EurostatConfig::small(observations));
-    let tool = Qb2Olap::new(cube.endpoint.clone());
-    let querying = tool.querying(&cube.dataset).expect("cube is enriched");
-    let mut rows = Vec::new();
-
-    querying.materialize().expect("materialization");
-
-    // Baseline: the full rebuild every refresh used to cost, in time and
-    // in allocation churn.
-    let schema = querying.schema().clone();
-    let rebuild_samples: Vec<std::time::Duration> = (0..RUNS)
-        .map(|_| {
-            timed(|| MaterializedCube::from_endpoint(&cube.endpoint, &schema).expect("rebuild")).1
-        })
-        .collect();
-    let rebuild_stats = criterion::Stats::from_durations(&rebuild_samples).expect("samples");
-    rows.push(Measurement::new(
-        "E13",
-        &parameters,
-        "full_rebuild_median_ms",
-        millis(rebuild_stats.median),
-    ));
-    let before = alloc_counter::allocated_bytes();
-    let _rebuilt = MaterializedCube::from_endpoint(&cube.endpoint, &schema).expect("rebuild");
-    rows.push(Measurement::new(
-        "E13",
-        &parameters,
-        "full_rebuild_alloc_bytes",
-        (alloc_counter::allocated_bytes() - before) as f64,
-    ));
-    drop(_rebuilt);
-
-    // Observation factory over the existing member pools (same shape E12
-    // uses), so appends stay delta-appliable.
-    let mut factory = qb2olap_bench::ObservationFactory::new(&cube.endpoint, &cube.dataset, "e13");
-
-    // Append refreshes at 1 and 100 rows: the COW acceptance case. The
-    // refresh must take the delta path, share (not copy) every dictionary
-    // with the previous cube, and allocate orders of magnitude less than
-    // the rebuild above.
-    for batch_size in [1usize, 100] {
-        let stale = querying.materialize().expect("serve");
-        cube.endpoint
-            .insert_triples(&factory.batch(batch_size))
-            .expect("append");
-        let before = alloc_counter::allocated_bytes();
-        let (fresh, refresh) = timed(|| querying.materialize().expect("refresh"));
-        let alloc = alloc_counter::allocated_bytes() - before;
-        let report = querying
-            .maintenance_reports()
-            .last()
-            .cloned()
-            .expect("refresh recorded");
-        assert_eq!(
-            report.strategy,
-            MaintenanceStrategy::Delta,
-            "E13: a pure observation append must refresh via the delta path"
-        );
-        assert_eq!(report.rows_appended, batch_size);
-        for (old, new) in stale.dimension_columns().iter().zip(fresh.dimension_columns()) {
-            assert!(
-                old.dictionary.shares_storage_with(&new.dictionary),
-                "E13: COW violation — the append refresh deep-copied the <{}> dictionary",
-                old.dimension.as_str()
-            );
-        }
-        let batch_parameters = format!("{parameters} append_batch={batch_size}");
-        rows.push(Measurement::new(
-            "E13",
-            &batch_parameters,
-            "delta_refresh_ms",
-            millis(refresh),
-        ));
-        rows.push(Measurement::new(
-            "E13",
-            &batch_parameters,
-            "delta_refresh_alloc_bytes",
-            alloc as f64,
-        ));
-    }
-
-    // A single-observation removal: previously unappliable (full rebuild),
-    // now a tombstone.
-    let list_observations = || -> Vec<Term> {
-        cube.endpoint
-            .select(&format!(
-                "PREFIX qb: <http://purl.org/linked-data/cube#>
-                 SELECT ?o WHERE {{ ?o a qb:Observation ; qb:dataSet <{}> }} ORDER BY ?o",
-                cube.dataset.as_str()
-            ))
-            .expect("observations list")
-            .rows
-            .iter()
-            .filter_map(|r| r.first().cloned().flatten())
-            .collect()
-    };
-    let remove_one = |node: &Term| {
-        let store = cube.endpoint.store();
-        let triples = store.triples_matching(Some(node), None, None);
-        assert!(!triples.is_empty());
-        assert!(store.remove_all(&triples) >= 4, "whole observation removed");
-    };
-    let victim = list_observations().pop().expect("observations exist");
-    remove_one(&victim);
-    let before = alloc_counter::allocated_bytes();
-    let (fresh, refresh) = timed(|| querying.materialize().expect("refresh"));
-    let alloc = alloc_counter::allocated_bytes() - before;
-    let report = querying
-        .maintenance_reports()
-        .last()
-        .cloned()
-        .expect("refresh recorded");
-    assert_eq!(
-        report.strategy,
-        MaintenanceStrategy::Delta,
-        "E13: a whole-observation removal must refresh via the tombstone path"
-    );
-    assert_eq!(report.rows_removed, 1);
-    assert_eq!(fresh.tombstoned_rows(), 1);
-    rows.push(Measurement::new(
-        "E13",
-        &parameters,
-        "tombstone_remove_1_ms",
-        millis(refresh),
-    ));
-    rows.push(Measurement::new(
-        "E13",
-        &parameters,
-        "tombstone_remove_1_alloc_bytes",
-        alloc as f64,
-    ));
-
-    // Parity after the COW/tombstone refreshes: catalog-served cells must
-    // equal fresh SPARQL evaluation.
-    let prepared = querying
-        .prepare(&datagen::workload::rollup_citizenship_to_continent())
-        .expect("prepare");
-    assert_eq!(
-        querying
-            .execute(&prepared, SparqlVariant::Direct)
-            .expect("SPARQL backend runs"),
-        querying
-            .execute(&prepared, ExecutionBackend::Columnar)
-            .expect("columnar backend runs"),
-        "E13: catalog-served cells diverge from SPARQL after COW/tombstone refreshes"
-    );
-    rows.push(Measurement::new("E13", &parameters, "tombstone_matches_sparql", 1.0));
-
-    // Keep removing (in change-log-sized batches, refreshing between
-    // rounds) until the live fraction crosses the compaction threshold;
-    // the catalog must notice and re-materialize with a recorded reason.
-    let batch = (observations / 4).clamp(200, 2_000);
-    let mut compaction_rounds = 0usize;
-    loop {
-        compaction_rounds += 1;
-        assert!(
-            compaction_rounds <= 64,
-            "E13: compaction never triggered after {compaction_rounds} rounds"
-        );
-        for node in list_observations().iter().take(batch) {
-            remove_one(node);
-        }
-        let (fresh, refresh) = timed(|| querying.materialize().expect("refresh"));
-        let report = querying
-            .maintenance_reports()
-            .last()
-            .cloned()
-            .expect("refresh recorded");
-        match report.strategy {
-            MaintenanceStrategy::Delta => continue,
-            MaintenanceStrategy::Compaction => {
-                assert!(
-                    matches!(report.reason, Some(RebuildReason::LowLiveFraction { .. })),
-                    "E13: compaction must report the live fraction: {report:?}"
-                );
-                assert_eq!(fresh.tombstoned_rows(), 0, "compaction reclaims dead rows");
-                rows.push(Measurement::new(
-                    "E13",
-                    &parameters,
-                    "compaction_refresh_ms",
-                    millis(refresh),
-                ));
-                rows.push(Measurement::new(
-                    "E13",
-                    &parameters,
-                    "compaction_after_removal_rounds",
-                    compaction_rounds as f64,
-                ));
-                break;
-            }
-            other => panic!("E13: unexpected refresh strategy {other:?}: {report:?}"),
-        }
-    }
-
-    // Parity holds across the compaction boundary too.
-    assert_eq!(
-        querying
-            .execute(&prepared, SparqlVariant::Direct)
-            .expect("SPARQL backend runs"),
-        querying
-            .execute(&prepared, ExecutionBackend::Columnar)
-            .expect("columnar backend runs"),
-        "E13: catalog-served cells diverge from SPARQL after compaction"
-    );
-    rows.push(Measurement::new("E13", &parameters, "compaction_matches_sparql", 1.0));
-    rows
-}
-
-/// E14: float-measure maintenance — order-independent (compensated)
-/// aggregation makes float appends and partial-observation removals
-/// delta-appliable. Measures, on an `xsd:decimal`-measure cube at the
-/// given scale: the full-rebuild baseline these mutations used to pay,
-/// the latency/allocation of a 1- and 100-row *float* append refresh and
-/// of a partial removal (one measure value stripped), and the float scan
-/// (asserted bit-identical to a from-scratch build's). Any refresh
-/// that falls back to a rebuild, and any columnar-vs-SPARQL divergence,
-/// aborts — the CI smoke step runs this experiment.
-fn e14_float_and_partial_removal_maintenance(observations: usize) -> Vec<Measurement> {
-    use qb2olap::cubestore::{
-        execute, CubeQuery, ExecOptions, MaintenanceStrategy, MaterializedCube,
-    };
-    use rdf::vocab::{demo_schema, sdmx_measure};
-    use std::collections::BTreeMap;
-
-    const RUNS: usize = 5;
-    let parameters = format!("observations={observations}");
-    let cube = demo_cube_with(&datagen::EurostatConfig {
-        decimal_measures: true,
-        ..datagen::EurostatConfig::small(observations)
-    });
-    let tool = Qb2Olap::new(cube.endpoint.clone());
-    let querying = tool.querying(&cube.dataset).expect("cube is enriched");
-    let mut rows = Vec::new();
-    querying.materialize().expect("materialization");
-
-    // Baseline: what every float append and partial removal used to cost.
-    let schema = querying.schema().clone();
-    let rebuild_samples: Vec<std::time::Duration> = (0..RUNS)
-        .map(|_| {
-            timed(|| MaterializedCube::from_endpoint(&cube.endpoint, &schema).expect("rebuild")).1
-        })
-        .collect();
-    let rebuild_stats = criterion::Stats::from_durations(&rebuild_samples).expect("samples");
-    rows.push(Measurement::new(
-        "E14",
-        &parameters,
-        "full_rebuild_median_ms",
-        millis(rebuild_stats.median),
-    ));
-    let before = alloc_counter::allocated_bytes();
-    let rebuilt = MaterializedCube::from_endpoint(&cube.endpoint, &schema).expect("rebuild");
-    rows.push(Measurement::new(
-        "E14",
-        &parameters,
-        "full_rebuild_alloc_bytes",
-        (alloc_counter::allocated_bytes() - before) as f64,
-    ));
-    drop(rebuilt);
-
-    // Float append refreshes at 1 and 100 rows: previously refused as
-    // NonIntegralAppend (rebuild); now the delta path must absorb them.
-    let mut factory = qb2olap_bench::ObservationFactory::new(&cube.endpoint, &cube.dataset, "e14");
-    for batch_size in [1usize, 100] {
-        cube.endpoint
-            .insert_triples(&factory.float_batch(batch_size))
-            .expect("append");
-        let before = alloc_counter::allocated_bytes();
-        let (_, refresh) = timed(|| querying.materialize().expect("refresh"));
-        let alloc = alloc_counter::allocated_bytes() - before;
-        let report = querying
-            .maintenance_reports()
-            .last()
-            .cloned()
-            .expect("refresh recorded");
-        assert_eq!(
-            report.strategy,
-            MaintenanceStrategy::Delta,
-            "E14: a float observation append must refresh via the delta path"
-        );
-        assert_eq!(report.rows_appended, batch_size);
-        let batch_parameters = format!("{parameters} append_batch={batch_size}");
-        rows.push(Measurement::new(
-            "E14",
-            &batch_parameters,
-            "float_append_refresh_ms",
-            millis(refresh),
-        ));
-        rows.push(Measurement::new(
-            "E14",
-            &batch_parameters,
-            "float_append_refresh_alloc_bytes",
-            alloc as f64,
-        ));
-    }
-
-    // A partial removal: strip ONE measure value (one pattern = one
-    // delta). Previously unappliable; now a tombstone + dropped-fragment
-    // reclassification.
-    let victim = cube
-        .endpoint
-        .select(&format!(
-            "PREFIX qb: <http://purl.org/linked-data/cube#>
-             SELECT ?o WHERE {{ ?o a qb:Observation ; qb:dataSet <{}> }} ORDER BY ?o LIMIT 1",
-            cube.dataset.as_str()
-        ))
-        .expect("observation list")
-        .get(0, "o")
-        .cloned()
-        .expect("observations exist");
-    let removed =
-        cube.endpoint
-            .store()
-            .remove_matching(Some(&victim), Some(&sdmx_measure::obs_value()), None);
-    assert_eq!(removed.len(), 1);
-    let before = alloc_counter::allocated_bytes();
-    let (fresh, refresh) = timed(|| querying.materialize().expect("refresh"));
-    let alloc = alloc_counter::allocated_bytes() - before;
-    let report = querying
-        .maintenance_reports()
-        .last()
-        .cloned()
-        .expect("refresh recorded");
-    assert_eq!(
-        report.strategy,
-        MaintenanceStrategy::Delta,
-        "E14: a partial-observation removal must refresh via the delta path"
-    );
-    assert_eq!(report.rows_removed, 1);
-    assert_eq!(fresh.tombstoned_rows(), 1);
-    rows.push(Measurement::new(
-        "E14",
-        &parameters,
-        "partial_remove_refresh_ms",
-        millis(refresh),
-    ));
-    rows.push(Measurement::new(
-        "E14",
-        &parameters,
-        "partial_remove_refresh_alloc_bytes",
-        alloc as f64,
-    ));
-
-    // Parity after the float/partial refreshes: catalog-served cells must
-    // equal fresh SPARQL evaluation, bit for bit (decimal lexicals).
-    let prepared = querying
-        .prepare(&datagen::workload::rollup_citizenship_to_continent())
-        .expect("prepare");
-    assert_eq!(
-        querying
-            .execute(&prepared, SparqlVariant::Direct)
-            .expect("SPARQL backend runs"),
-        querying
-            .execute(&prepared, ExecutionBackend::Columnar)
-            .expect("columnar backend runs"),
-        "E14: catalog-served float cells diverge from SPARQL"
-    );
-    rows.push(Measurement::new("E14", &parameters, "float_matches_sparql", 1.0));
-
-    // The float scan — its median, and the delta-maintained cube's
-    // compensated sums asserted bit-identical to a from-scratch build's.
-    let materialized = querying.materialize().expect("serve");
-    let scan_query = CubeQuery {
-        slices: vec![
-            demo_schema::destination_dim(),
-            demo_schema::time_dim(),
-            demo_schema::term("ageDim"),
-            demo_schema::term("sexDim"),
-            demo_schema::asylapp_dim(),
-        ],
-        rollups: BTreeMap::from([(demo_schema::citizenship_dim(), demo_schema::continent())]),
-        ..CubeQuery::default()
-    };
-    let scan = |cube: &MaterializedCube| {
-        execute(cube, &scan_query, &ExecOptions::default(), None).expect("scan").0
-    };
-    let rebuilt = MaterializedCube::from_endpoint(&cube.endpoint, &schema).expect("rebuild");
-    assert_eq!(
-        scan(&materialized),
-        scan(&rebuilt),
-        "E14: the delta-maintained float scan diverges from a rebuild"
-    );
-    let samples: Vec<std::time::Duration> =
-        (0..RUNS).map(|_| timed(|| scan(&materialized)).1).collect();
-    let stats = criterion::Stats::from_durations(&samples).expect("samples");
-    rows.push(Measurement::new("E14", &parameters, "scan_float_ms", millis(stats.median)));
-    rows
-}
-
-/// E16: observability overhead — the same representative full-scan
-/// roll-up executed three ways: with no subscriber installed (the
-/// production default; span guards are inert and never read the clock),
-/// under a collecting subscriber recording the span tree, and through
-/// the traced path that builds a full `EXPLAIN ANALYZE` profile. The
-/// no-op-vs-collecting gap is the cost of *observing*; the traced entry
-/// is the cost of `explain`. Ends with an explain smoke (the rendered
-/// profile must name the scan) and snapshot-derived counter rows.
-fn e16_observability_overhead(observations: usize) -> Vec<Measurement> {
-    use std::collections::BTreeMap;
-    use std::sync::Arc;
-
-    use qb2olap::cubestore::{execute, CubeQuery, ExecOptions};
-    use qb2olap::obs::ExecutionProfile;
-    use rdf::vocab::demo_schema;
-
-    const RUNS: usize = 9;
-    let parameters = format!("observations={observations}");
-    let cube = demo_cube_with(&datagen::EurostatConfig::small(observations));
-    let tool = Qb2Olap::new(cube.endpoint.clone());
-    let querying = tool.querying(&cube.dataset).expect("cube is enriched");
-    let materialized = querying.materialize().expect("materialization");
-
-    // The same scan E11 and E14 time, so their numbers are comparable.
-    let scan_query = CubeQuery {
-        slices: vec![
-            demo_schema::destination_dim(),
-            demo_schema::time_dim(),
-            demo_schema::term("ageDim"),
-            demo_schema::term("sexDim"),
-            demo_schema::asylapp_dim(),
-        ],
-        rollups: BTreeMap::from([(demo_schema::citizenship_dim(), demo_schema::continent())]),
-        ..CubeQuery::default()
-    };
-
-    let scan = || {
-        execute(&materialized, &scan_query, &ExecOptions::default(), None)
-            .expect("scan")
-            .0
-    };
-    let traced = || {
-        let mut profile = ExecutionProfile::new("columnar");
-        let options = ExecOptions::default();
-        let (output, _) =
-            execute(&materialized, &scan_query, &options, Some(&mut profile)).expect("scan");
-        (output, profile)
-    };
-    let mut rows = Vec::new();
-
-    // Instrumentation must never change results: the three paths agree
-    // cell-for-cell before any timing is reported.
-    let reference = scan();
-    let observed = obs::with_subscriber(Arc::new(obs::CollectingSubscriber::new()), scan);
-    assert_eq!(
-        reference, observed,
-        "E16: a collecting subscriber changed the scan result"
-    );
-    assert_eq!(reference, traced().0, "E16: the traced path changed the scan result");
-    rows.push(Measurement::new(
-        "E16",
-        &parameters,
-        "instrumented_results_identical",
-        1.0,
-    ));
-
-    let noop_samples: Vec<std::time::Duration> = (0..RUNS)
-        .map(|_| timed(scan).1)
-        .collect();
-    let noop = criterion::Stats::from_durations(&noop_samples).expect("samples");
-    rows.push(Measurement::new(
-        "E16",
-        &parameters,
-        "scan_noop_median_ms",
-        millis(noop.median),
-    ));
-    rows.push(Measurement::new(
-        "E16",
-        &parameters,
-        "scan_noop_mad_ms",
-        millis(noop.mad),
-    ));
-
-    let collector = Arc::new(obs::CollectingSubscriber::new());
-    let collecting_samples: Vec<std::time::Duration> = (0..RUNS)
-        .map(|_| {
-            timed(|| obs::with_subscriber(collector.clone(), scan)).1
-        })
-        .collect();
-    assert!(
-        collector.completed().contains(&"cubestore.scan"),
-        "E16: the collecting subscriber must see the scan span"
-    );
-    let collecting = criterion::Stats::from_durations(&collecting_samples).expect("samples");
-    rows.push(Measurement::new(
-        "E16",
-        &parameters,
-        "scan_collecting_median_ms",
-        millis(collecting.median),
-    ));
-    rows.push(Measurement::new(
-        "E16",
-        &parameters,
-        "scan_collecting_mad_ms",
-        millis(collecting.mad),
-    ));
-
-    let traced_samples: Vec<std::time::Duration> = (0..RUNS)
-        .map(|_| timed(traced).1)
-        .collect();
-    let traced_stats = criterion::Stats::from_durations(&traced_samples).expect("samples");
-    rows.push(Measurement::new(
-        "E16",
-        &parameters,
-        "scan_traced_median_ms",
-        millis(traced_stats.median),
-    ));
-    rows.push(Measurement::new(
-        "E16",
-        &parameters,
-        "scan_traced_mad_ms",
-        millis(traced_stats.mad),
-    ));
-    if noop.median.as_nanos() > 0 {
-        rows.push(Measurement::new(
-            "E16",
-            &parameters,
-            "collecting_over_noop_ratio",
-            collecting.median.as_secs_f64() / noop.median.as_secs_f64(),
-        ));
-    }
-
-    // Explain smoke: the facade's EXPLAIN must render both backends and
-    // name the physical scan step (CI aborts on a broken profile).
-    let explained = tool
-        .explain(&cube.dataset, &datagen::workload::mary_query())
-        .expect("explain");
-    assert!(
-        explained.contains("EXPLAIN ANALYZE (backend=sparql:direct")
-            && explained.contains("EXPLAIN ANALYZE (backend=columnar")
-            && explained.contains("scan"),
-        "E16: explain output is missing a backend or the scan step:\n{explained}"
-    );
-    rows.push(Measurement::new(
-        "E16",
-        &parameters,
-        "explain_renders_both_backends",
-        1.0,
-    ));
-
-    // The shared registry saw all of the above; report the scan volume
-    // straight from the snapshot so the counters are part of the record.
-    let snapshot = tool.metrics();
-    rows.push(Measurement::new(
-        "E16",
-        &parameters,
-        "metric_scan_rows_total",
-        snapshot.counter("cubestore.scan.rows") as f64,
-    ));
-    rows.push(Measurement::new(
-        "E16",
-        &parameters,
-        "metric_ql_executions",
-        (snapshot.counter("ql.execute.sparql") + snapshot.counter("ql.execute.columnar")) as f64,
-    ));
-    rows
-}
-
-/// E17: zone-map segment pruning on the time-ordered generator layout —
-/// rows scanned and scan wall time for selective dices at the leaf
-/// (month), middle (year) and top (continent) of the hierarchies, against
-/// the full roll-up, with pruning on and off. Every pruned run is first
-/// checked cell-for-cell against the unpruned scan; at
-/// the paper's 80k scale the leaf dice must touch < 10% of the live rows.
-fn e17_zone_map_pruning(observations: usize) -> Vec<Measurement> {
-    use std::collections::BTreeMap;
-
-    use qb2olap::cubestore::{execute, CubeQuery, ExecOptions, MemberFilter, MemberPredicate};
-    use rdf::vocab::{demo_schema, rdfs, sdmx_dimension};
-    use sparql::ast::CmpOp;
-
-    const RUNS: usize = 9;
-    let parameters = format!("observations={observations}");
-    let config = datagen::EurostatConfig {
-        observations,
-        time_ordered: true,
-        ..Default::default()
-    };
-    let cube = demo_cube_with(&config);
-    let tool = Qb2Olap::new(cube.endpoint.clone());
-    let querying = tool.querying(&cube.dataset).expect("cube is enriched");
-    let materialized = querying.materialize().expect("materialization");
-    materialized
-        .verify_zone_invariants()
-        .expect("E17: zone maps verify");
-    let live_rows = materialized.live_row_count();
-
-    let dice = |dimension: rdf::Iri, level: rdf::Iri, attribute: rdf::Iri, value: &str| {
-        MemberFilter::Compare {
-            dimension,
-            level,
-            attribute,
-            predicate: MemberPredicate::Str {
-                op: CmpOp::Eq,
-                value: value.to_string(),
-            },
-        }
-    };
-    let queries: Vec<(&str, CubeQuery)> = vec![
-        (
-            "leaf-month-dice",
-            CubeQuery {
-                member_filters: vec![dice(
-                    demo_schema::time_dim(),
-                    sdmx_dimension::ref_period(),
-                    rdfs::label(),
-                    "2013-01",
-                )],
-                ..CubeQuery::default()
-            },
-        ),
-        (
-            "mid-year-dice",
-            CubeQuery {
-                rollups: BTreeMap::from([(demo_schema::time_dim(), demo_schema::year())]),
-                member_filters: vec![dice(
-                    demo_schema::time_dim(),
-                    demo_schema::year(),
-                    rdfs::label(),
-                    "2014",
-                )],
-                ..CubeQuery::default()
-            },
-        ),
-        (
-            "top-continent-dice",
-            CubeQuery {
-                rollups: BTreeMap::from([(
-                    demo_schema::citizenship_dim(),
-                    demo_schema::continent(),
-                )]),
-                member_filters: vec![dice(
-                    demo_schema::citizenship_dim(),
-                    demo_schema::continent(),
-                    demo_schema::continent_name(),
-                    "Africa",
-                )],
-                ..CubeQuery::default()
-            },
-        ),
-        (
-            "full-rollup",
-            CubeQuery {
-                rollups: BTreeMap::from([
-                    (demo_schema::citizenship_dim(), demo_schema::continent()),
-                    (demo_schema::time_dim(), demo_schema::year()),
-                ]),
-                ..CubeQuery::default()
-            },
-        ),
-    ];
-
-    let mut rows = Vec::new();
-    rows.push(Measurement::new("E17", &parameters, "live_rows", live_rows as f64));
-    for (name, query) in &queries {
-        // Correctness gate: pruned output is bit-identical to the unpruned
-        // reference.
-        let run = |prune| execute(&materialized, query, &ExecOptions { prune }, None);
-        let (reference, full_stats) = run(false).expect("unpruned scan");
-        let (output, pruned_stats) = run(true).expect("pruned scan");
-        assert_eq!(output, reference, "E17: pruning changed the result of '{name}'");
-        let fraction = pruned_stats.rows_scanned as f64 / (live_rows as f64).max(1.0);
-        if *name == "leaf-month-dice" && observations >= 80_000 {
-            assert!(
-                fraction < 0.10,
-                "E17: the leaf dice scanned {fraction:.3} of the live rows at paper scale"
-            );
-        }
-
-        let params = format!("{parameters} query={name}");
-        rows.push(Measurement::new(
-            "E17",
-            &params,
-            "rows_scanned_pruned",
-            pruned_stats.rows_scanned as f64,
-        ));
-        rows.push(Measurement::new(
-            "E17",
-            &params,
-            "rows_scanned_full",
-            full_stats.rows_scanned as f64,
-        ));
-        rows.push(Measurement::new("E17", &params, "scanned_fraction", fraction));
-        rows.push(Measurement::new(
-            "E17",
-            &params,
-            "segments_total",
-            pruned_stats.segments_total as f64,
-        ));
-        rows.push(Measurement::new(
-            "E17",
-            &params,
-            "segments_pruned",
-            pruned_stats.segments_pruned as f64,
-        ));
-
-        let pruned_samples: Vec<std::time::Duration> = (0..RUNS)
-            .map(|_| timed(|| run(true).expect("scan")).1)
-            .collect();
-        let pruned_time = criterion::Stats::from_durations(&pruned_samples).expect("samples");
-        let full_samples: Vec<std::time::Duration> = (0..RUNS)
-            .map(|_| timed(|| run(false).expect("scan")).1)
-            .collect();
-        let full_time = criterion::Stats::from_durations(&full_samples).expect("samples");
-        rows.push(Measurement::new(
-            "E17",
-            &params,
-            "execute_pruned_median_ms",
-            millis(pruned_time.median),
-        ));
-        rows.push(Measurement::new(
-            "E17",
-            &params,
-            "execute_full_median_ms",
-            millis(full_time.median),
-        ));
-    }
-    rows
-}
-
-/// E18: read latency while a forced structural rebuild folds in the
-/// background — the non-blocking serving gate. A dangling `qb4o:hasLevel`
-/// triple makes the delta classifier refuse (without changing any result
-/// cell), the rebuild runs on a background thread over a frozen store
-/// handle, and snapshot reads (pin + roll-up query) keep flowing the whole
-/// time: their p99 during the fold must stay within 10× the idle p99,
-/// every in-flight read must return the stale-but-consistent cells, and
-/// the settled pin must land the new epoch.
-fn e18_serving_under_rebuild(observations: usize) -> Vec<Measurement> {
-    use std::collections::BTreeMap;
-    use std::time::{Duration, Instant};
-
-    use qb2olap::cubestore::{
-        execute, CubeQuery, ExecOptions, MaintenanceStrategy, RebuildReason,
-    };
-    use rdf::vocab::{demo_schema, qb4o};
-    use rdf::{Term, Triple};
-
-    const IDLE_READS: usize = 300;
-    fn p99(mut samples: Vec<Duration>) -> Duration {
-        samples.sort();
-        samples[(samples.len() * 99 / 100).min(samples.len() - 1)]
-    }
-
-    let parameters = format!("observations={observations}");
-    let config = datagen::EurostatConfig {
-        observations,
-        time_ordered: true,
-        ..Default::default()
-    };
-    let cube = demo_cube_with(&config);
-    let tool = Qb2Olap::new(cube.endpoint.clone());
-    let querying = tool.querying(&cube.dataset).expect("cube is enriched");
-    let query = CubeQuery {
-        rollups: BTreeMap::from([(demo_schema::citizenship_dim(), demo_schema::continent())]),
-        ..CubeQuery::default()
-    };
-
-    // One "read" = pin a snapshot (never waits) + run the roll-up on it.
-    let read = || {
-        let started = Instant::now();
-        let snapshot = querying.snapshot().expect("snapshot serve");
-        let options = ExecOptions::default();
-        let (output, _) =
-            execute(snapshot.cube(), &query, &options, None).expect("snapshot execute");
-        (started.elapsed(), output, snapshot.epoch())
-    };
-
-    // Warm build, reference cells, idle latency distribution.
-    let (_, reference, _) = read();
-    let idle: Vec<Duration> = (0..IDLE_READS).map(|_| read().0).collect();
-    let p99_idle = p99(idle);
-
-    // The forced structural change: a schema-structure triple no query
-    // touches, so the rebuild is pure overhead and the cells are stable.
-    let stale_epoch = cube.endpoint.epoch();
-    cube.endpoint
-        .insert_triples(&[Triple::new(
-            Term::iri("http://example.org/e18/dsd"),
-            qb4o::has_level(),
-            Term::iri("http://example.org/e18/level"),
-        )])
-        .expect("trigger insert");
-
-    // The first read hands the refused delta off to a background fold and
-    // returns the stale pin; every read after that stays at pin cost until
-    // the fold publishes.
-    let mut during: Vec<Duration> = Vec::new();
-    let (first_latency, first_output, first_epoch) = read();
-    assert_eq!(first_output, reference, "E18: the stale pin changed cells");
-    assert_eq!(first_epoch, stale_epoch, "E18: the refusing read must serve stale");
-    during.push(first_latency);
-    while tool.catalog().maintenance_in_flight(&cube.dataset) && during.len() < 5_000 {
-        let (latency, output, _) = read();
-        assert_eq!(output, reference, "E18: a read during the fold changed cells");
-        during.push(latency);
-    }
-    tool.wait_for_maintenance(&cube.dataset);
-
-    let report = querying
-        .maintenance_reports()
-        .last()
-        .cloned()
-        .expect("E18: the fold must record a report");
-    assert_eq!(report.strategy, MaintenanceStrategy::Rebuild, "E18: {report:?}");
-    assert!(
-        matches!(report.reason, Some(RebuildReason::DeltaRefused(_))),
-        "E18: the fold must carry the refusal: {report:?}"
-    );
-    let overlap = report
-        .overlap
-        .expect("E18: background folds record their stale-serving window");
-
-    let p99_fold = p99(during.clone());
-    // 10× is the gate; the small absolute floor keeps sub-millisecond
-    // timer jitter from failing runs at tiny scales.
-    let limit = (p99_idle * 10).max(Duration::from_millis(5));
-    assert!(
-        p99_fold <= limit,
-        "E18: read p99 {p99_fold:?} during the fold breaches 10x idle p99 {p99_idle:?}"
-    );
-
-    // The fold landed: a settled read pins the new epoch, same cells.
-    let (_, settled_output, settled_epoch) = read();
-    assert_eq!(settled_epoch, cube.endpoint.epoch(), "E18: the fold must land");
-    assert_eq!(settled_output, reference, "E18: cells changed across the fold");
-
-    vec![
-        Measurement::new("E18", &parameters, "idle_reads", IDLE_READS as f64),
-        Measurement::new("E18", &parameters, "read_p99_idle_ms", millis(p99_idle)),
-        Measurement::new("E18", &parameters, "reads_during_fold", during.len() as f64),
-        Measurement::new("E18", &parameters, "read_p99_during_fold_ms", millis(p99_fold)),
-        Measurement::new(
-            "E18",
-            &parameters,
-            "fold_overlap_ms",
-            millis(overlap),
-        ),
-        Measurement::new(
-            "E18",
-            &parameters,
-            "p99_ratio_fold_over_idle",
-            p99_fold.as_secs_f64() / p99_idle.as_secs_f64().max(f64::EPSILON),
-        ),
-    ]
 }

@@ -1,5 +1,5 @@
-//! Shared helpers for the experiment-reproduction harness (`repro`, see
-//! `EXPERIMENTS.md` for the index E1–E18), the `loadgen` serving gate, the
+//! Shared helpers for the paper's experiment-reproduction harness (`repro`,
+//! E1–E10 in `EXPERIMENTS.md`), the `loadgen` serving gate, the
 //! allocation-bound tests, and the benchmark package's write workloads.
 
 #![warn(missing_docs)]
@@ -30,10 +30,9 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 }
 
 /// Generates complete, delta-appliable observations over the demo cube's
-/// existing member pools — the mutation shape the maintenance harnesses
-/// (repro E12/E13, qbbench's `serve-under-writes` writer and its traced
-/// write probe) append to a live endpoint. One factory per experiment
-/// keeps node IRIs unique.
+/// existing member pools — the mutation shape qbbench's
+/// `serve-under-writes` writer and its traced write probe append to a live
+/// endpoint. One factory per workload keeps node IRIs unique.
 pub struct ObservationFactory {
     dataset: rdf::Iri,
     /// (bottom level, its members) per demo dimension, read once.
@@ -77,27 +76,6 @@ impl ObservationFactory {
     /// integer measure value — exactly what the columnar delta path
     /// accepts as a pure append.
     pub fn batch(&mut self, count: usize) -> Vec<rdf::Triple> {
-        self.batch_with(count, |serial| {
-            rdf::Literal::integer((serial % 500) as i64 + 1)
-        })
-    }
-
-    /// Like [`ObservationFactory::batch`], but with quarter-step
-    /// `xsd:decimal` measure values — appends for a *float-measure* cube
-    /// (one generated with `EurostatConfig::decimal_measures`; mixing
-    /// measure datatypes within one dataset is unsupported by the columnar
-    /// engine, so use the factory method matching the cube's type).
-    pub fn float_batch(&mut self, count: usize) -> Vec<rdf::Triple> {
-        self.batch_with(count, |serial| {
-            rdf::Literal::decimal((serial % 2_000) as f64 / 4.0 + 0.25)
-        })
-    }
-
-    fn batch_with(
-        &mut self,
-        count: usize,
-        measure: impl Fn(usize) -> rdf::Literal,
-    ) -> Vec<rdf::Triple> {
         use rdf::vocab::{qb, rdf as rdfv, sdmx_measure};
         use rdf::{Term, Triple};
         let mut batch = Vec::with_capacity(count * 9);
@@ -112,7 +90,7 @@ impl ObservationFactory {
             batch.push(Triple::new(
                 node,
                 sdmx_measure::obs_value(),
-                rdf::Term::Literal(measure(self.serial)),
+                rdf::Literal::integer((self.serial % 500) as i64 + 1),
             ));
             self.serial += 1;
         }

@@ -112,18 +112,29 @@ impl Qb2Olap {
         EnrichmentSession::start(&self.endpoint, dataset, config)
     }
 
-    /// Opens the Exploration module for an (enriched) dataset, serving
-    /// navigation from the tool's shared cube catalog. The paper's
-    /// per-step SPARQL navigation is the explorer's `*_via_sparql` oracle
-    /// methods.
+    /// Opens the Exploration module for an (enriched) dataset, reading its
+    /// QB4OLAP schema from the endpoint and serving navigation from the
+    /// tool's shared cube catalog. The paper's per-step SPARQL navigation
+    /// is the explorer's `*_via_sparql` oracle methods.
     pub fn explorer<'t>(&'t self, dataset: &Iri) -> Result<CubeExplorer<'t>, explorer::ExplorerError> {
-        CubeExplorer::open_with_catalog(&self.endpoint, dataset, self.catalog.clone())
+        let schema = qb4olap::schema_from_endpoint(&self.endpoint, dataset)?;
+        Ok(CubeExplorer::with_schema_and_catalog(
+            &self.endpoint,
+            schema,
+            self.catalog.clone(),
+        ))
     }
 
-    /// Opens the Querying module for an (enriched) dataset, executing
-    /// columnar queries on the tool's shared cube catalog.
+    /// Opens the Querying module for an (enriched) dataset, reading its
+    /// QB4OLAP schema from the endpoint and executing columnar queries on
+    /// the tool's shared cube catalog.
     pub fn querying<'t>(&'t self, dataset: &Iri) -> Result<QueryingModule<'t>, ql::QlError> {
-        QueryingModule::for_dataset_with_catalog(&self.endpoint, dataset, self.catalog.clone())
+        let schema = qb4olap::schema_from_endpoint(&self.endpoint, dataset)?;
+        Ok(QueryingModule::with_schema_and_catalog(
+            &self.endpoint,
+            schema,
+            self.catalog.clone(),
+        ))
     }
 
     /// Blocks until any in-flight background fold for `dataset` has

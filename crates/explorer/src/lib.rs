@@ -8,7 +8,7 @@
 //! examples.
 //!
 //! An explorer is always opened on a shared [`cubestore::CubeCatalog`]
-//! ([`CubeExplorer::open_with_catalog`]): the summary, member listings,
+//! ([`CubeExplorer::with_schema_and_catalog`]): the summary, member listings,
 //! counts and roll-up navigation are served from the same live columnar
 //! cube the Querying module executes on — no per-step SPARQL. The paper's
 //! per-step SPARQL navigation stays available on the same explorer
@@ -142,23 +142,13 @@ pub struct CubeExplorer<'e> {
 }
 
 impl<'e> CubeExplorer<'e> {
-    /// Opens a cube on a shared [`CubeCatalog`], reading its QB4OLAP
-    /// schema from the endpoint: member listings, counts and roll-up
-    /// navigation are answered from the catalog's live columns — the same
-    /// representation the Querying module executes on — with no per-step
-    /// SPARQL round-trips.
-    pub fn open_with_catalog(
-        endpoint: &'e dyn Endpoint,
-        dataset: &Iri,
-        catalog: Arc<CubeCatalog>,
-    ) -> Result<Self, ExplorerError> {
-        let schema = qb4olap::schema_from_endpoint(endpoint, dataset)?;
-        Ok(Self::with_schema_and_catalog(endpoint, schema, catalog))
-    }
-
-    /// Opens a cube from an already materialised schema on a shared
-    /// catalog — no per-open SPARQL introspection. The HTTP server opens
-    /// one of these per exploration request against its schema cache.
+    /// Opens a cube from an already materialised schema (read one back from
+    /// the endpoint with `qb4olap::schema_from_endpoint`) on a shared
+    /// [`CubeCatalog`]: member listings, counts and roll-up navigation are
+    /// answered from the catalog's live columns — the same representation
+    /// the Querying module executes on — with no per-step SPARQL
+    /// round-trips. The HTTP server opens one of these per exploration
+    /// request against its schema cache.
     pub fn with_schema_and_catalog(
         endpoint: &'e dyn Endpoint,
         schema: CubeSchema,
@@ -468,12 +458,22 @@ mod tests {
         (endpoint, data.dataset)
     }
 
+    /// An explorer on `catalog`, its QB4OLAP schema read from the endpoint.
+    fn open_on<'e>(
+        endpoint: &'e LocalEndpoint,
+        dataset: &Iri,
+        catalog: Arc<CubeCatalog>,
+    ) -> Result<CubeExplorer<'e>, ExplorerError> {
+        let schema = qb4olap::schema_from_endpoint(endpoint, dataset)?;
+        Ok(CubeExplorer::with_schema_and_catalog(endpoint, schema, catalog))
+    }
+
     /// An explorer on a fresh catalog of its own.
     fn open<'e>(
         endpoint: &'e LocalEndpoint,
         dataset: &Iri,
     ) -> Result<CubeExplorer<'e>, ExplorerError> {
-        CubeExplorer::open_with_catalog(endpoint, dataset, Arc::new(CubeCatalog::new()))
+        open_on(endpoint, dataset, Arc::new(CubeCatalog::new()))
     }
 
     #[test]
@@ -578,7 +578,7 @@ mod tests {
     fn catalog_backed_navigation_matches_the_sparql_oracle() {
         let (endpoint, dataset) = enriched_endpoint(200);
         let catalog = std::sync::Arc::new(cubestore::CubeCatalog::new());
-        let explorer = CubeExplorer::open_with_catalog(&endpoint, &dataset, catalog).unwrap();
+        let explorer = open_on(&endpoint, &dataset, catalog).unwrap();
         // Warm the catalog, then count round-trips: navigation from columns
         // must not touch the endpoint again.
         explorer.members(&eurostat_property::citizen()).unwrap();
@@ -622,8 +622,7 @@ mod tests {
     fn catalog_backed_summary_matches_the_dataset_listing() {
         let (endpoint, dataset) = enriched_endpoint(130);
         let catalog = std::sync::Arc::new(cubestore::CubeCatalog::new());
-        let explorer =
-            CubeExplorer::open_with_catalog(&endpoint, &dataset, catalog).unwrap();
+        let explorer = open_on(&endpoint, &dataset, catalog).unwrap();
         let summary = explorer.summary().unwrap();
         let listed = list_cubes(&endpoint)
             .unwrap()
@@ -643,8 +642,7 @@ mod tests {
         // cube's stats — must track it exactly like the SPARQL listing.
         let (endpoint, dataset) = enriched_endpoint(140);
         let catalog = std::sync::Arc::new(cubestore::CubeCatalog::new());
-        let explorer =
-            CubeExplorer::open_with_catalog(&endpoint, &dataset, catalog.clone()).unwrap();
+        let explorer = open_on(&endpoint, &dataset, catalog.clone()).unwrap();
         assert_eq!(explorer.summary().unwrap().observations, 140);
 
         let node = endpoint
@@ -691,8 +689,7 @@ mod tests {
 
         let (endpoint, dataset) = enriched_endpoint(120);
         let catalog = std::sync::Arc::new(cubestore::CubeCatalog::new());
-        let explorer =
-            CubeExplorer::open_with_catalog(&endpoint, &dataset, catalog.clone()).unwrap();
+        let explorer = open_on(&endpoint, &dataset, catalog.clone()).unwrap();
         assert_eq!(explorer.summary().unwrap().observations, 120);
 
         let nodes: Vec<rdf::Term> = endpoint
@@ -761,8 +758,7 @@ mod tests {
     fn navigation_operations_are_counted_in_the_shared_registry() {
         let (endpoint, dataset) = enriched_endpoint(80);
         let catalog = Arc::new(CubeCatalog::new());
-        let explorer =
-            CubeExplorer::open_with_catalog(&endpoint, &dataset, catalog.clone()).unwrap();
+        let explorer = open_on(&endpoint, &dataset, catalog.clone()).unwrap();
         explorer.summary().unwrap();
         explorer.members(&eurostat_property::citizen()).unwrap();
         explorer.members(&eurostat_property::citizen()).unwrap();

@@ -20,7 +20,6 @@ use std::time::{Duration, Instant};
 
 use cubestore::{CubeCatalog, ExecOptions, MaintenanceReport, MaterializedCube};
 use qb4olap::CubeSchema;
-use rdf::Iri;
 use sparql::Endpoint;
 
 use crate::ast::QlProgram;
@@ -115,29 +114,9 @@ pub struct QueryingModule<'e> {
 }
 
 impl<'e> QueryingModule<'e> {
-    /// Creates the module by reading the QB4OLAP schema of `dataset` back
-    /// from the endpoint (i.e. after the Enrichment module loaded it). The
-    /// module gets a private catalog; use
-    /// [`Self::for_dataset_with_catalog`] to share one across consumers.
-    pub fn for_dataset(endpoint: &'e dyn Endpoint, dataset: &Iri) -> Result<Self, QlError> {
-        Self::for_dataset_with_catalog(endpoint, dataset, Arc::new(CubeCatalog::new()))
-    }
-
-    /// Creates the module on a shared cube catalog.
-    pub fn for_dataset_with_catalog(
-        endpoint: &'e dyn Endpoint,
-        dataset: &Iri,
-        catalog: Arc<CubeCatalog>,
-    ) -> Result<Self, QlError> {
-        let schema = qb4olap::schema_from_endpoint(endpoint, dataset)?;
-        Ok(QueryingModule {
-            endpoint,
-            schema,
-            catalog,
-        })
-    }
-
-    /// Creates the module from an already materialised schema.
+    /// Creates the module from an already materialised schema (read one
+    /// back from the endpoint with `qb4olap::schema_from_endpoint`), on a
+    /// private catalog.
     pub fn with_schema(endpoint: &'e dyn Endpoint, schema: CubeSchema) -> Self {
         QueryingModule {
             endpoint,
@@ -147,10 +126,11 @@ impl<'e> QueryingModule<'e> {
     }
 
     /// Creates the module from an already materialised schema **and** a
-    /// shared catalog — the HTTP server's per-request path: the schema is
-    /// read from the endpoint once and cached, so opening the module costs
-    /// no SPARQL round-trips, while columnar serving still flows through
-    /// the one shared live catalog.
+    /// shared catalog — the facade's path, and the HTTP server's
+    /// per-request path: the server reads the schema from the endpoint once
+    /// and caches it, so opening the module costs no SPARQL round-trips,
+    /// while columnar serving still flows through the one shared live
+    /// catalog.
     pub fn with_schema_and_catalog(
         endpoint: &'e dyn Endpoint,
         schema: CubeSchema,
@@ -408,7 +388,15 @@ mod tests {
     use datagen::{load_demo_endpoint, EurostatConfig};
     use enrichment::{EnrichmentConfig, EnrichmentSession};
     use rdf::vocab::{demo_schema, eurostat_property, rdfs, sdmx_dimension};
+    use rdf::Iri;
     use sparql::LocalEndpoint;
+
+    /// The module over `dataset`, its QB4OLAP schema read back from the
+    /// endpoint, on a private catalog.
+    fn module_for<'e>(endpoint: &'e LocalEndpoint, dataset: &Iri) -> QueryingModule<'e> {
+        let schema = qb4olap::schema_from_endpoint(endpoint, dataset).unwrap();
+        QueryingModule::with_schema(endpoint, schema)
+    }
 
     /// Builds an endpoint with a small generated dataset, runs the demo
     /// enrichment on it and returns the endpoint + dataset IRI.
@@ -480,7 +468,7 @@ mod tests {
     #[test]
     fn full_workflow_on_the_enriched_cube() {
         let (endpoint, dataset) = enriched_endpoint(400);
-        let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();
+        let module = module_for(&endpoint, &dataset);
         assert!(module.schema().dimension(&demo_schema::citizenship_dim()).is_some());
 
         let (prepared, cube, timings) = module.run(&datagen::workload::mary_query()).unwrap();
@@ -498,7 +486,7 @@ mod tests {
     #[test]
     fn both_variants_return_the_same_cube() {
         let (endpoint, dataset) = enriched_endpoint(400);
-        let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();
+        let module = module_for(&endpoint, &dataset);
         for (name, text) in datagen::workload::bench_queries() {
             if name == "by_political_organisation" {
                 // politicalOrg has no attribute dice; still part of the loop.
@@ -521,7 +509,7 @@ mod tests {
     #[test]
     fn unoptimized_and_optimized_mary_query_agree() {
         let (endpoint, dataset) = enriched_endpoint(300);
-        let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();
+        let module = module_for(&endpoint, &dataset);
         let (_, optimised, _) = module.run(&datagen::workload::mary_query()).unwrap();
         let (prepared, unoptimised, _) = module
             .run(&datagen::workload::mary_query_unoptimized())
@@ -533,7 +521,7 @@ mod tests {
     #[test]
     fn rollup_totals_are_preserved() {
         let (endpoint, dataset) = enriched_endpoint(300);
-        let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();
+        let module = module_for(&endpoint, &dataset);
 
         // Total of the measure across all observations (no slicing at all).
         let raw_total = module
@@ -557,7 +545,7 @@ mod tests {
     #[test]
     fn preparation_errors_surface() {
         let (endpoint, dataset) = enriched_endpoint(100);
-        let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();
+        let module = module_for(&endpoint, &dataset);
         assert!(module.prepare("not ql").is_err());
         assert!(module
             .prepare(
@@ -567,9 +555,9 @@ mod tests {
                  $C1 := SLICE (data:migr_asyappctzm, schema:noSuchDim);"
             )
             .is_err());
-        // The module refuses to start on a dataset without a QB4OLAP schema.
+        // A dataset without a QB4OLAP schema has no schema to open a module on.
         let empty = LocalEndpoint::new();
-        assert!(QueryingModule::for_dataset(&empty, &dataset).is_err());
+        assert!(qb4olap::schema_from_endpoint(&empty, &dataset).is_err());
     }
 
     #[test]
@@ -593,7 +581,7 @@ mod tests {
     #[test]
     fn columnar_backend_matches_sparql_for_the_whole_workload() {
         let (endpoint, dataset) = enriched_endpoint(500);
-        let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();
+        let module = module_for(&endpoint, &dataset);
         let queries_before = endpoint.queries_executed();
         // Force the one-time materialization, then count round-trips.
         module.materialize().unwrap();
@@ -632,7 +620,7 @@ mod tests {
         use rdf::{Literal, Term, Triple};
 
         let (endpoint, dataset) = enriched_endpoint(300);
-        let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();
+        let module = module_for(&endpoint, &dataset);
         let prepared = module
             .prepare(&datagen::workload::totals_by_citizenship())
             .unwrap();
@@ -686,7 +674,7 @@ mod tests {
             decimal_measures: true,
             ..EurostatConfig::small(300)
         });
-        let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();
+        let module = module_for(&endpoint, &dataset);
         let prepared = module
             .prepare(&datagen::workload::rollup_citizenship_to_continent())
             .unwrap();
@@ -753,7 +741,7 @@ mod tests {
     #[test]
     fn profiled_execution_names_every_step_on_both_backends() {
         let (endpoint, dataset) = enriched_endpoint(300);
-        let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();
+        let module = module_for(&endpoint, &dataset);
         let prepared = module.prepare(&datagen::workload::mary_query()).unwrap();
         let plain = module.execute(&prepared, SparqlVariant::Direct).unwrap();
 
@@ -806,7 +794,7 @@ mod tests {
     #[test]
     fn explain_renders_both_backends_side_by_side() {
         let (endpoint, dataset) = enriched_endpoint(200);
-        let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();
+        let module = module_for(&endpoint, &dataset);
         let explained = module.explain(&datagen::workload::mary_query()).unwrap();
         assert!(explained.contains("EXPLAIN ANALYZE (backend=sparql:direct"));
         assert!(explained.contains("EXPLAIN ANALYZE (backend=columnar"));
@@ -816,7 +804,7 @@ mod tests {
     #[test]
     fn executions_feed_the_shared_metrics_registry() {
         let (endpoint, dataset) = enriched_endpoint(200);
-        let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();
+        let module = module_for(&endpoint, &dataset);
         let prepared = module.prepare(&datagen::workload::mary_query()).unwrap();
         module.execute(&prepared, SparqlVariant::Direct).unwrap();
         module.execute(&prepared, SparqlVariant::Alternative).unwrap();
@@ -837,7 +825,7 @@ mod tests {
         // subscriber installed and with the no-op subscriber must return
         // bit-identical cubes — observability is passive.
         let (endpoint, dataset) = enriched_endpoint(300);
-        let module = QueryingModule::for_dataset(&endpoint, &dataset).unwrap();
+        let module = module_for(&endpoint, &dataset);
         let collector = Arc::new(obs::CollectingSubscriber::new());
         for (name, text) in datagen::workload::bench_queries() {
             let prepared = module.prepare(&text).unwrap();
@@ -864,16 +852,19 @@ mod tests {
             collector.completed().contains(&"ql.execute"),
             "the subscriber observed the executions"
         );
+        assert!(
+            collector.completed().contains(&"cubestore.scan"),
+            "the subscriber observed the columnar scans"
+        );
     }
 
     #[test]
     fn modules_share_a_catalog_and_its_materialization() {
         let (endpoint, dataset) = enriched_endpoint(200);
         let catalog = Arc::new(cubestore::CubeCatalog::new());
-        let first =
-            QueryingModule::for_dataset_with_catalog(&endpoint, &dataset, catalog.clone()).unwrap();
-        let second =
-            QueryingModule::for_dataset_with_catalog(&endpoint, &dataset, catalog.clone()).unwrap();
+        let schema = qb4olap::schema_from_endpoint(&endpoint, &dataset).unwrap();
+        let first = QueryingModule::with_schema_and_catalog(&endpoint, schema.clone(), catalog.clone());
+        let second = QueryingModule::with_schema_and_catalog(&endpoint, schema, catalog.clone());
         let cube_a = first.materialize().unwrap();
         let queries = endpoint.queries_executed();
         let cube_b = second.materialize().unwrap();
