@@ -56,6 +56,13 @@ QB2OLAP_FUZZ_SEED=0xE155EED QB2OLAP_FUZZ_PROGRAMS=500 QB2OLAP_FUZZ_QUERIES=500 \
 # a few per group, and a cube build grows with distinct members, not cells
 # — no per-intermediate-row allocation anywhere on the SPARQL → columns path.
 cargo test --release -q -p qb2olap_bench --test sparql_allocations
+# The columnar side's two bounds, pinned by name: the same roll-up over 2
+# and 10 sealed segments costs the same allocations give or take 2 per
+# extra segment (the scan never allocates per row), and the /ql wire path
+# (coded execution + coded_cube_to_json) for two roll-ups whose cell counts
+# differ over fivefold differs in allocations by at most the difference in
+# distinct members plus 16 (never per cell).
+cargo test --release -q -p qb2olap_bench --test scan_allocations
 
 # The observability gates, pinned by name: the explain-smoke test (an
 # EXPLAIN ANALYZE profile must name every pipeline step with timings and
@@ -101,9 +108,15 @@ cargo run --release -p qb2olap_bench --bin repro -- e7 > /dev/null
 
 # The HTTP serving gates. First the server test suite, pinned by name so
 # the protocol-hardening and wire-fidelity coverage (400/404/405/408/413/
-# 429, keep-alive, graceful shutdown, wire bodies bit-identical to library
-# results over the E7 workload) cannot be quarantined away.
+# 429, a handler panic answered as 500 and counted, keep-alive, graceful
+# shutdown, wire bodies bit-identical to library results over the E7
+# workload) cannot be quarantined away.
 cargo test --release -q -p qb2olap-suite --test integration_server
+# The coded /ql writer's byte-identity gate: over the E3/E6/E9 lists,
+# qbbench's generated list and 500 qlsmith programs per cube (demo,
+# decimal demo, fuzz cube with decimal and with double measures), the body
+# written from the coded result equals the decoded cube's canonical body.
+cargo test --release -q -p qb2olap-suite --test integration_coded_wire
 # Flake check: the pool's saturation unit test rendezvouses on a channel
 # (the handler signals when it holds the stream) instead of sleeping; fifty
 # consecutive runs must all pass.
@@ -155,6 +168,7 @@ grep -q 'E18' EXPERIMENTS.md
 grep -q 'E19' EXPERIMENTS.md
 grep -q 'E20' EXPERIMENTS.md
 grep -q 'E21' EXPERIMENTS.md
+grep -q 'E22' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

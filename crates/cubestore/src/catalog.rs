@@ -901,9 +901,8 @@ mod tests {
             rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
             ..CubeQuery::default()
         };
-        let output = run(&fresh, &query).unwrap();
-        let k1m1 = output
-            .cells
+        let cells = run(&fresh, &query).unwrap().into_cells();
+        let k1m1 = cells
             .iter()
             .find(|c| c.coordinates == vec![member("K1"), member("m1")])
             .unwrap();
@@ -940,8 +939,8 @@ mod tests {
             rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
             ..CubeQuery::default()
         };
-        let output = run(&fresh, &query).unwrap();
-        assert!(!output.cells.iter().any(|c| c.coordinates[0] == member("K1")));
+        let cells = run(&fresh, &query).unwrap().into_cells();
+        assert!(!cells.iter().any(|c| c.coordinates[0] == member("K1")));
     }
 
     #[test]
@@ -983,9 +982,9 @@ mod tests {
             rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
             ..CubeQuery::default()
         };
-        let output = run(&fresh, &query).unwrap();
-        assert!(!output
-            .cells
+        assert!(!run(&fresh, &query)
+            .unwrap()
+            .into_cells()
             .iter()
             .any(|c| c.coordinates == vec![member("K2"), member("m1")]));
     }
@@ -1018,9 +1017,9 @@ mod tests {
             rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
             ..CubeQuery::default()
         };
-        let output = run(&fresh, &query).unwrap();
-        assert!(!output
-            .cells
+        assert!(!run(&fresh, &query)
+            .unwrap()
+            .into_cells()
             .iter()
             .any(|c| c.coordinates == vec![member("K2"), member("m1")]));
     }
@@ -1063,8 +1062,7 @@ mod tests {
         // the surviving rows and pass the exact-recomputation checker.
         fresh.verify_zone_invariants().unwrap();
         assert_eq!(fresh.zone_maps().rows(), 2);
-        let output = run(&fresh, &CubeQuery::default()).unwrap();
-        assert_eq!(output.cells.len(), 2);
+        assert_eq!(run(&fresh, &CubeQuery::default()).unwrap().len(), 2);
     }
 
     fn dummy_report(from_epoch: u64) -> MaintenanceReport {

@@ -7,7 +7,7 @@
 //! (see the [`crate::cowvec`] module docs for the cost model).
 
 use qb4olap::AggregateFunction;
-use rdf::{Iri, Literal, Term};
+use rdf::{Iri, Literal, Numeric, Term};
 
 use crate::cowvec::CowVec;
 use crate::dictionary::{Dictionary, MemberId, NO_MEMBER};
@@ -282,20 +282,18 @@ impl MeasureVector {
         }
     }
 
-    /// Reconstructs the original [`Term`] for a raw value of this vector
-    /// (used by MIN/MAX, whose SPARQL result is one of the input terms, and
-    /// by the removal path, which rebuilds an observation's measure triples
-    /// from its row to verify a removal is complete).
-    pub fn term_for(&self, value: f64) -> Term {
+    /// A raw value of this vector, typed like the vector's literals (used
+    /// by MIN/MAX, whose SPARQL result is one of the input terms).
+    pub fn numeric_for(&self, value: f64) -> Numeric {
         match self {
-            MeasureVector::Integer(_) => Term::Literal(Literal::integer(value as i64)),
-            MeasureVector::Decimal(_) => Term::Literal(Literal::decimal(value)),
-            MeasureVector::Double(_) => Term::Literal(Literal::double(value)),
+            MeasureVector::Integer(_) => Numeric::Integer(value as i64),
+            MeasureVector::Decimal(_) => Numeric::Decimal(value),
+            MeasureVector::Double(_) => Numeric::Double(value),
         }
     }
 
     /// Reconstructs the exact [`Term`] of one row — unlike
-    /// [`MeasureVector::term_for`] this never round-trips an integer
+    /// [`MeasureVector::numeric_for`] this never round-trips an integer
     /// through `f64`, so it is lossless for the full `i64` range. The
     /// removal path uses it to rebuild an observation's measure triples.
     pub fn term_at(&self, row: usize) -> Term {
@@ -378,7 +376,7 @@ mod tests {
         assert_eq!(vector.len(), 2);
         assert!(!vector.is_empty());
         assert_eq!(vector.value(0), 42.0);
-        assert_eq!(vector.term_for(-7.0), Term::integer(-7));
+        assert_eq!(vector.numeric_for(-7.0), Numeric::Integer(-7));
         // A decimal literal cannot be pushed into an integer vector.
         assert!(vector.push(&Literal::decimal(1.5)).is_err());
         // A non-canonical lexical form does not round-trip.
@@ -392,11 +390,11 @@ mod tests {
         let mut decimal = MeasureVector::for_literal(&Literal::decimal(1.5)).unwrap();
         decimal.push(&Literal::decimal(1.5)).unwrap();
         assert_eq!(decimal.value(0), 1.5);
-        assert_eq!(decimal.term_for(1.5), Term::Literal(Literal::decimal(1.5)));
+        assert_eq!(decimal.numeric_for(1.5), Numeric::Decimal(1.5));
 
         let mut double = MeasureVector::for_literal(&Literal::double(2.25)).unwrap();
         double.push(&Literal::double(2.25)).unwrap();
-        assert_eq!(double.term_for(2.25), Term::Literal(Literal::double(2.25)));
+        assert_eq!(double.numeric_for(2.25), Numeric::Double(2.25));
     }
 
     #[test]

@@ -864,9 +864,8 @@ mod tests {
         );
         assert_eq!(refreshed.broader_parents(&member("c4")), &[member("K2")]);
         // The K2 group gains the new observation's value.
-        let output = run(&refreshed, &rollup_to_country()).unwrap();
-        let k2m1 = output
-            .cells
+        let cells = run(&refreshed, &rollup_to_country()).unwrap().into_cells();
+        let k2m1 = cells
             .iter()
             .find(|c| c.coordinates == vec![member("K2"), member("m1")])
             .unwrap();
@@ -914,9 +913,9 @@ mod tests {
         assert!(!refreshed.is_observation(&o3));
         assert_matches_rebuild(&endpoint, &refreshed);
         // The K2/m1 cell (5) is gone; K2/m2 (7) survives.
-        let output = run(&refreshed, &rollup_to_country()).unwrap();
-        assert!(!output
-            .cells
+        assert!(!run(&refreshed, &rollup_to_country())
+            .unwrap()
+            .into_cells()
             .iter()
             .any(|c| c.coordinates == vec![member("K2"), member("m1")]));
         // The original cube is untouched.
@@ -1016,9 +1015,9 @@ mod tests {
         assert_eq!(column.code(5), NO_MEMBER, "the stripped dimension is unbound");
         assert_matches_rebuild(&endpoint, &refreshed);
         // o1's 10 leaves every city roll-up (no city binding joins)...
-        let output = run(&refreshed, &rollup_to_country()).unwrap();
-        assert!(!output
-            .cells
+        assert!(!run(&refreshed, &rollup_to_country())
+            .unwrap()
+            .into_cells()
             .iter()
             .any(|c| c.coordinates == vec![member("K1"), member("m1")]));
         // ... but still counts when the city dimension is sliced away.
@@ -1026,9 +1025,8 @@ mod tests {
             slices: vec![iri("dim/city")],
             ..CubeQuery::default()
         };
-        let output = run(&refreshed, &sliced).unwrap();
-        let m1 = output
-            .cells
+        let cells = run(&refreshed, &sliced).unwrap().into_cells();
+        let m1 = cells
             .iter()
             .find(|c| c.coordinates == vec![member("m1")])
             .unwrap();

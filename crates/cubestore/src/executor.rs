@@ -28,18 +28,20 @@
 //! The segment is also the unit of execution: the kernel (`scan_spans`)
 //! makes one pass per column over a segment's slices — liveness, lift,
 //! filter, group, accumulate — with member codes packed into integer group
-//! keys, and cells stay coded until the boundary that builds
-//! [`QueryOutput`] (ARCHITECTURE.md § "The segment kernel").
+//! keys. Cells stay coded through HAVING, the sort and the output itself:
+//! a [`QueryOutput`] holds each axis's present members once, per-cell ranks
+//! into them and typed [`Numeric`] aggregates, and builds terms only when a
+//! caller decodes it (ARCHITECTURE.md § "The segment kernel").
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use obs::ExecutionProfile;
 use qb4olap::AggregateFunction;
-use rdf::{Iri, Literal, Term};
+use rdf::{Iri, Literal, Numeric, Term};
 use sparql::ast::CmpOp;
 use sparql::numeric::{float_max, float_min};
-use sparql::compare_terms;
+use sparql::{compare_numbers, compare_terms};
 
 use crate::build::MaterializedCube;
 use crate::columns::{
@@ -144,15 +146,79 @@ pub struct CubeCell {
     pub values: Vec<Option<Term>>,
 }
 
-/// The result of one columnar execution.
+/// The result of one columnar execution, still coded. Each axis lists the
+/// members present in the result once, in canonical order; a cell names
+/// its coordinates by their positions (ranks) in those lists and holds its
+/// aggregates as typed numbers. Cells are sorted canonically by
+/// coordinates. [`QueryOutput::cell`] and [`QueryOutput::into_cells`]
+/// decode on demand; a serializer can write straight from the codes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutput {
     /// The axes, in schema dimension order.
     pub axes: Vec<AxisSpec>,
     /// The measure properties, in schema order.
     pub measures: Vec<Iri>,
-    /// The cells, sorted canonically by coordinates.
-    pub cells: Vec<CubeCell>,
+    /// Per axis, the members present, in canonical order.
+    members: Vec<Vec<Term>>,
+    /// Cell-major: `ranks[cell * axes + axis]` indexes `members[axis]`.
+    ranks: Vec<u32>,
+    /// Cell-major: `values[cell * measures + measure]`.
+    values: Vec<Numeric>,
+    /// The number of cells (not derivable from `ranks` with no axis).
+    len: usize,
+}
+
+impl QueryOutput {
+    /// The number of cells.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no cell survived.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The members of `axis` present in the result, in canonical order: a
+    /// cell's rank on that axis indexes this list.
+    pub fn members(&self, axis: usize) -> &[Term] {
+        &self.members[axis]
+    }
+
+    /// Cell `cell`'s rank on each axis, in axis order.
+    pub fn ranks(&self, cell: usize) -> &[u32] {
+        let width = self.axes.len();
+        &self.ranks[cell * width..(cell + 1) * width]
+    }
+
+    /// Cell `cell`'s aggregate of each measure, in measure order: the value
+    /// of the literal the SPARQL engine's aggregate evaluation produces.
+    pub fn values(&self, cell: usize) -> &[Numeric] {
+        let width = self.measures.len();
+        &self.values[cell * width..(cell + 1) * width]
+    }
+
+    /// Decodes one cell into terms.
+    pub fn cell(&self, cell: usize) -> CubeCell {
+        CubeCell {
+            coordinates: self
+                .ranks(cell)
+                .iter()
+                .zip(&self.members)
+                .map(|(&rank, members)| members[rank as usize].clone())
+                .collect(),
+            values: self
+                .values(cell)
+                .iter()
+                .map(|&value| Some(Term::Literal(value.into())))
+                .collect(),
+        }
+    }
+
+    /// Decodes every cell, in order.
+    pub fn into_cells(self) -> Vec<CubeCell> {
+        (0..self.len).map(|cell| self.cell(cell)).collect()
+    }
 }
 
 /// Key-space size up to which groups are found through a dense slot array
@@ -179,7 +245,9 @@ pub struct ScanStats {
     /// row reaches with a member bound on it.
     pub rollup_lookups: u64,
     /// Member-id → term dictionary lookups performed while building the
-    /// output coordinates: one per coordinate of every returned cell.
+    /// output: one per distinct member of each axis present in the result
+    /// (decoding the cells later clones from those, not from the
+    /// dictionaries).
     pub dictionary_lookups: u64,
     /// Column segments the cube's physical row space spans.
     pub segments_total: u64,
@@ -329,7 +397,7 @@ pub fn execute(
         having: &query.measure_filters,
         options: *options,
     };
-    let (cells, stats) = if let Some(space) = KeySpace::<u64>::of(&plan.axes) {
+    let (output, stats) = if let Some(space) = KeySpace::<u64>::of(&plan.axes) {
         run_keyed(&plan, &space, profile.as_deref_mut())?
     } else if let Some(space) = KeySpace::<u128>::of(&plan.axes) {
         run_keyed(&plan, &space, profile.as_deref_mut())?
@@ -339,18 +407,6 @@ pub fn execute(
              use the SPARQL backend"
                 .to_string(),
         ));
-    };
-    let output = QueryOutput {
-        axes: plan
-            .axes
-            .iter()
-            .map(|axis| AxisSpec {
-                dimension: axis.column.dimension.clone(),
-                level: axis.rollup.target_level.clone(),
-            })
-            .collect(),
-        measures: plan.measures.iter().map(|m| m.property.clone()).collect(),
-        cells,
     };
     if let Some(profile) = profile {
         stats.fill_profile(profile);
@@ -364,7 +420,7 @@ fn run_keyed<K: GroupKey>(
     plan: &ScanPlan<'_>,
     space: &KeySpace<K>,
     profile: Option<&mut ExecutionProfile>,
-) -> Result<(Vec<CubeCell>, ScanStats), CubeStoreError> {
+) -> Result<(QueryOutput, ScanStats), CubeStoreError> {
     let started = Instant::now();
     let (groups, mut stats) = {
         let _scan_span = obs::span("cubestore.scan");
@@ -372,7 +428,7 @@ fn run_keyed<K: GroupKey>(
     };
     let scanned = started.elapsed();
     let started = Instant::now();
-    let cells = assemble_cells(groups, space, plan, &mut stats)?;
+    let output = assemble_output(groups, space, plan, &mut stats)?;
     if let Some(profile) = profile {
         profile.push_plan(format!(
             "SEGMENTS total={} pruned={} dead={}",
@@ -384,10 +440,10 @@ fn run_keyed<K: GroupKey>(
             Some(stats.rows_scanned),
             format!("segments_pruned={}", stats.segments_pruned),
         );
-        let returned = Some(cells.len() as u64);
+        let returned = Some(output.len() as u64);
         profile.push_step("aggregate", started.elapsed(), returned, "HAVING + sort");
     }
-    Ok((cells, stats))
+    Ok((output, stats))
 }
 
 /// Plans the kept axes in schema order (the same order the SPARQL
@@ -925,25 +981,25 @@ impl Accumulator {
         }
     }
 
-    /// One group's aggregate as a [`Term`], with exactly the typing rules
-    /// of the SPARQL engine's aggregate evaluation.
-    fn finish(&self, group: usize, measure: &MeasureColumn) -> Term {
+    /// One group's aggregate, typed with exactly the rules of the SPARQL
+    /// engine's aggregate evaluation: the value of the literal it returns.
+    fn finish(&self, group: usize, measure: &MeasureColumn) -> Numeric {
         let sum_or_avg = |sum: &sparql::NumericSum, count: u64| match measure.aggregate {
-            AggregateFunction::Avg => Term::Literal(Literal::decimal(sum.value() / count as f64)),
-            _ => sum.sum_term(),
+            AggregateFunction::Avg => Numeric::Decimal(sum.value() / count as f64),
+            _ => sum.sum_numeric(),
         };
         match self {
-            Accumulator::Count(counts) => Term::Literal(Literal::integer(counts[group] as i64)),
+            Accumulator::Count(counts) => Numeric::Integer(counts[group] as i64),
             Accumulator::IntSum(sums) => {
                 let (total, count) = sums[group];
                 sum_or_avg(&sparql::NumericSum::from_integer_total(total), count)
             }
             Accumulator::FloatSum(sums) => sum_or_avg(&sums[group].0, sums[group].1),
             Accumulator::IntMin(extremes) | Accumulator::IntMax(extremes) => {
-                Term::Literal(Literal::integer(extremes[group]))
+                Numeric::Integer(extremes[group])
             }
             Accumulator::FloatMin(extremes) | Accumulator::FloatMax(extremes) => {
-                measure.data.term_for(extremes[group])
+                measure.data.numeric_for(extremes[group])
             }
         }
     }
@@ -965,40 +1021,53 @@ impl<K: GroupKey> Groups<K> {
     }
 }
 
-/// Turns the coded groups into the sorted output cells. Groups stay coded
-/// through HAVING and the sort: each axis ranks the member codes that
-/// actually occur by their terms once, the per-axis ranks re-pack into one
-/// key per cell whose integer order is the canonical coordinate order, and
-/// coordinate terms are cloned from the dictionaries only for the cells
-/// returned.
-fn assemble_cells<K: GroupKey>(
+/// Turns the coded groups into the sorted, still coded output. HAVING
+/// runs on each group's finished aggregates — typed numbers, no literal is
+/// built. Each axis then ranks the member codes that actually occur by
+/// their terms once, the per-axis ranks re-pack into one key per cell whose
+/// integer order is the canonical coordinate order, and each present
+/// member's term is cloned from the dictionary once, however many cells
+/// name it.
+fn assemble_output<K: GroupKey>(
     groups: Groups<K>,
     space: &KeySpace<K>,
     plan: &ScanPlan<'_>,
     stats: &mut ScanStats,
-) -> Result<Vec<CubeCell>, CubeStoreError> {
+) -> Result<QueryOutput, CubeStoreError> {
     let (axes, measures) = (&plan.axes, plan.measures);
-    let mut kept: Vec<(K, Vec<Option<Term>>)> = Vec::with_capacity(groups.table.keys.len());
-    'groups: for (group, &key) in groups.table.keys.iter().enumerate() {
-        let values: Vec<Option<Term>> = groups
-            .accs
+    let groups_found = groups.table.keys.len();
+    let having = plan
+        .having
+        .iter()
+        .map(|filter| CompiledHaving::compile(filter, measures));
+    let having = match having.collect::<Result<Vec<_>, _>>() {
+        Ok(having) => having,
+        // An unknown measure refuses the query once a group reaches HAVING.
+        Err(_) if groups_found == 0 => Vec::new(),
+        Err(error) => return Err(error),
+    };
+    // The kept groups' keys, and their aggregates, `measures.len()` each.
+    let mut kept: Vec<K> = Vec::with_capacity(groups_found);
+    let mut aggregates: Vec<Numeric> = Vec::with_capacity(groups_found * measures.len());
+    for (group, &key) in groups.table.keys.iter().enumerate() {
+        let start = aggregates.len();
+        let finished = groups.accs.iter().zip(measures);
+        aggregates.extend(finished.map(|(acc, measure)| acc.finish(group, measure)));
+        if having
             .iter()
-            .zip(measures)
-            .map(|(acc, measure)| Some(acc.finish(group, measure)))
-            .collect();
-        for filter in plan.having {
-            if eval_measure_filter(filter, measures, &values)? != Some(true) {
-                continue 'groups;
-            }
+            .all(|filter| filter.eval(&aggregates[start..]) == Some(true))
+        {
+            kept.push(key);
+        } else {
+            aggregates.truncate(start);
         }
-        kept.push((key, values));
     }
 
-    // codes[cell * axes + axis]: the member code of each kept cell.
+    // codes[cell * width + axis]: the member code of each kept cell.
     let width = axes.len();
     let mut codes: Vec<MemberId> = vec![NO_MEMBER; kept.len() * width];
-    for (cell, (key, _)) in kept.iter().enumerate() {
-        let mut rest = *key;
+    for (cell, &key) in kept.iter().enumerate() {
+        let mut rest = key;
         for axis in (0..width).rev() {
             (rest, codes[cell * width + axis]) = rest.pop(space.radices[axis]);
         }
@@ -1006,6 +1075,8 @@ fn assemble_cells<K: GroupKey>(
 
     const UNRANKED: u32 = u32::MAX;
     let mut order: Vec<(K, u32)> = (0..kept.len() as u32).map(|cell| (K::ZERO, cell)).collect();
+    let mut members: Vec<Vec<Term>> = Vec::with_capacity(width);
+    let mut rank_of: Vec<Vec<u32>> = Vec::with_capacity(width);
     for (axis, plan) in axes.iter().enumerate() {
         let dictionary = &plan.level_index.dictionary;
         let mut rank = vec![UNRANKED; dictionary.len()];
@@ -1027,24 +1098,45 @@ fn assemble_cells<K: GroupKey>(
         for (cell, (key, _)) in order.iter_mut().enumerate() {
             *key = key.push(radix, rank[codes[cell * width + axis] as usize]);
         }
+        stats.dictionary_lookups += present.len() as u64;
+        members.push(
+            present
+                .iter()
+                .map(|&code| dictionary.term(code).clone())
+                .collect(),
+        );
+        rank_of.push(rank);
     }
     order.sort_unstable();
 
-    stats.dictionary_lookups += (order.len() * width) as u64;
-    Ok(order
-        .into_iter()
-        .map(|(_, cell)| {
-            let cell = cell as usize;
-            CubeCell {
-                coordinates: axes
-                    .iter()
-                    .zip(&codes[cell * width..(cell + 1) * width])
-                    .map(|(axis, &code)| axis.level_index.dictionary.term(code).clone())
-                    .collect(),
-                values: std::mem::take(&mut kept[cell].1),
-            }
-        })
-        .collect())
+    let mut ranks: Vec<u32> = Vec::with_capacity(order.len() * width);
+    let mut values: Vec<Numeric> = Vec::with_capacity(order.len() * measures.len());
+    for &(_, cell) in &order {
+        let cell = cell as usize;
+        let codes = &codes[cell * width..(cell + 1) * width];
+        ranks.extend(
+            rank_of
+                .iter()
+                .zip(codes)
+                .map(|(rank, &code)| rank[code as usize]),
+        );
+        let aggregates = &aggregates[cell * measures.len()..(cell + 1) * measures.len()];
+        values.extend_from_slice(aggregates);
+    }
+    Ok(QueryOutput {
+        axes: axes
+            .iter()
+            .map(|axis| AxisSpec {
+                dimension: axis.column.dimension.clone(),
+                level: axis.rollup.target_level.clone(),
+            })
+            .collect(),
+        measures: measures.iter().map(|m| m.property.clone()).collect(),
+        members,
+        ranks,
+        values,
+        len: order.len(),
+    })
 }
 
 /// A member filter with every comparison pre-evaluated into a truth table
@@ -1207,31 +1299,62 @@ fn eval_predicate(predicate: &MemberPredicate, value: &Term) -> Option<bool> {
     }
 }
 
-/// HAVING evaluation: compares the already-computed aggregate terms.
-fn eval_measure_filter(
-    filter: &MeasureFilter,
-    measures: &[MeasureColumn],
-    values: &[Option<Term>],
-) -> Result<Option<bool>, CubeStoreError> {
-    match filter {
-        MeasureFilter::And(a, b) => Ok(and3(
-            eval_measure_filter(a, measures, values)?,
-            eval_measure_filter(b, measures, values)?,
-        )),
-        MeasureFilter::Or(a, b) => Ok(or3(
-            eval_measure_filter(a, measures, values)?,
-            eval_measure_filter(b, measures, values)?,
-        )),
-        MeasureFilter::Compare { measure, op, value } => {
-            let index = measures
-                .iter()
-                .position(|m| &m.property == measure)
-                .ok_or_else(|| {
-                    CubeStoreError::Query(format!("unknown measure <{}>", measure.as_str()))
-                })?;
-            Ok(values[index]
-                .as_ref()
-                .and_then(|aggregate| compare_terms(aggregate, *op, value)))
+/// A HAVING condition with each comparison's measure resolved to its
+/// position and its constant read as a number once, when it is one.
+enum CompiledHaving {
+    Compare {
+        measure: usize,
+        op: CmpOp,
+        value: Term,
+        /// What [`compare_terms`] reads `value` as on the numeric path.
+        number: Option<f64>,
+    },
+    And(Box<CompiledHaving>, Box<CompiledHaving>),
+    Or(Box<CompiledHaving>, Box<CompiledHaving>),
+}
+
+impl CompiledHaving {
+    fn compile(filter: &MeasureFilter, measures: &[MeasureColumn]) -> Result<Self, CubeStoreError> {
+        let compile = |filter| Self::compile(filter, measures).map(Box::new);
+        Ok(match filter {
+            MeasureFilter::And(a, b) => CompiledHaving::And(compile(a)?, compile(b)?),
+            MeasureFilter::Or(a, b) => CompiledHaving::Or(compile(a)?, compile(b)?),
+            MeasureFilter::Compare { measure, op, value } => CompiledHaving::Compare {
+                measure: measures
+                    .iter()
+                    .position(|m| &m.property == measure)
+                    .ok_or_else(|| {
+                        CubeStoreError::Query(format!("unknown measure <{}>", measure.as_str()))
+                    })?,
+                op: *op,
+                value: value.clone(),
+                number: value.as_literal().and_then(Literal::as_double),
+            },
+        })
+    }
+
+    /// The condition over one group's aggregates, decided exactly as
+    /// [`compare_terms`] decides it on the finished literals. Against a
+    /// numeric constant both sides compare as numbers, and an aggregate's
+    /// [`Numeric::as_f64`] is the number `compare_terms` parses back from
+    /// its lexical form, so no literal is built. Any other constant
+    /// compares with the finished term.
+    fn eval(&self, aggregates: &[Numeric]) -> Option<bool> {
+        match self {
+            CompiledHaving::Compare {
+                measure,
+                op,
+                value,
+                number,
+            } => {
+                let aggregate = aggregates[*measure];
+                match number {
+                    Some(number) => compare_numbers(aggregate.as_f64(), *op, *number),
+                    None => compare_terms(&Term::Literal(aggregate.into()), *op, value),
+                }
+            }
+            CompiledHaving::And(a, b) => and3(a.eval(aggregates), b.eval(aggregates)),
+            CompiledHaving::Or(a, b) => or3(a.eval(aggregates), b.eval(aggregates)),
         }
     }
 }
@@ -1397,7 +1520,7 @@ mod tests {
         let (pruned_empty, stats) = run_with(&cube, &nothing_dice, true).unwrap();
         let (full_empty, _) = run_with(&cube, &nothing_dice, false).unwrap();
         assert_eq!(pruned_empty, full_empty);
-        assert!(pruned_empty.cells.is_empty());
+        assert!(pruned_empty.is_empty());
         assert_eq!(stats.segments_pruned, 3);
         assert_eq!(stats.rows_scanned, 0);
 
@@ -1438,7 +1561,7 @@ mod tests {
         }
         cube.verify_zone_invariants().unwrap();
         let (output, stats) = run_with(&cube, &rollup_query(), true).unwrap();
-        assert!(output.cells.is_empty());
+        assert!(output.is_empty());
         assert_eq!(stats.segments_dead, 1);
         assert_eq!(stats.rows_scanned, 0);
         assert_eq!(stats.tombstones_skipped, 0, "the bitmap was never consulted");
@@ -1640,12 +1763,12 @@ mod tests {
     /// The scan spelled out one row at a time, unpruned and sequential —
     /// the order every refusal and counter is defined by — with aggregates
     /// computed over the measure *terms* the way the SPARQL engine does.
-    /// Returns the output and `(tombstones_skipped, rows_no_member,
+    /// Returns the cells and `(tombstones_skipped, rows_no_member,
     /// rollup_lookups, rows_aggregated)`, or the refusal message.
     fn reference(
         cube: &MaterializedCube,
         query: &CubeQuery,
-    ) -> Result<(QueryOutput, [u64; 4]), String> {
+    ) -> Result<(Vec<CubeCell>, [u64; 4]), String> {
         let axes = plan_axes(cube, query).unwrap();
         let mut counts = [0u64; 4];
         let mut groups: BTreeMap<Vec<Term>, Vec<Vec<Term>>> = BTreeMap::new();
@@ -1737,18 +1860,7 @@ mod tests {
                     .collect(),
             })
             .collect();
-        let output = QueryOutput {
-            axes: axes
-                .iter()
-                .map(|axis| AxisSpec {
-                    dimension: axis.column.dimension.clone(),
-                    level: axis.rollup.target_level.clone(),
-                })
-                .collect(),
-            measures: cube.measures.iter().map(|m| m.property.clone()).collect(),
-            cells,
-        };
-        Ok((output, counts))
+        Ok((cells, counts))
     }
 
     fn apply_lexical(op: CmpOp, a: &Term, b: &Term) -> bool {
@@ -1759,12 +1871,13 @@ mod tests {
         }
     }
 
-    /// Runs the query unpruned and checks output and row counters against
-    /// [`reference`], then pruned and checks the output again.
-    fn assert_matches_reference(cube: &MaterializedCube, query: &CubeQuery) -> QueryOutput {
+    /// Runs the query unpruned and checks the decoded cells and the row
+    /// counters against [`reference`], then pruned and checks the output
+    /// again. Returns the cells.
+    fn assert_matches_reference(cube: &MaterializedCube, query: &CubeQuery) -> Vec<CubeCell> {
         let (expected, counts) = reference(cube, query).unwrap();
         let (output, stats) = run_with(cube, query, false).unwrap();
-        assert_eq!(output, expected);
+        assert_eq!(output.clone().into_cells(), expected);
         let got = [
             stats.tombstones_skipped,
             stats.rows_no_member,
@@ -1772,11 +1885,19 @@ mod tests {
             stats.rows_aggregated,
         ];
         assert_eq!(got, counts, "row counters");
-        assert_eq!(
-            stats.dictionary_lookups,
-            (expected.cells.len() * expected.axes.len()) as u64
-        );
-        assert_eq!(run_with(cube, query, true).unwrap().0, expected);
+        // One lookup per distinct member of each axis.
+        let distinct: usize = (0..output.axes.len())
+            .map(|axis| {
+                let members: std::collections::BTreeSet<&Term> = expected
+                    .iter()
+                    .map(|cell| &cell.coordinates[axis])
+                    .collect();
+                assert_eq!(output.members(axis).len(), members.len());
+                members.len()
+            })
+            .sum();
+        assert_eq!(stats.dictionary_lookups, distinct as u64);
+        assert_eq!(run_with(cube, query, true).unwrap().0, output);
         expected
     }
 
@@ -1784,10 +1905,10 @@ mod tests {
     fn slicing_every_dimension_gives_one_cell_with_an_empty_key() {
         let dims = [DimSpec::regular(7, 3), DimSpec::regular(5, 2)];
         let mut cube = cycling_cube(&dims, SEGMENT_LEN + 100);
-        let output = assert_matches_reference(&cube, &rolled_up(&[], 2));
+        let cells = assert_matches_reference(&cube, &rolled_up(&[], 2));
         let total: i64 = (0..(SEGMENT_LEN + 100) as i64).sum();
         assert_eq!(
-            output.cells,
+            cells,
             vec![CubeCell {
                 coordinates: vec![],
                 values: vec![Some(Term::integer(total))]
@@ -1797,9 +1918,7 @@ mod tests {
         for row in 0..cube.row_count() {
             cube.tombstones.kill(row);
         }
-        assert!(assert_matches_reference(&cube, &rolled_up(&[], 2))
-            .cells
-            .is_empty());
+        assert!(assert_matches_reference(&cube, &rolled_up(&[], 2)).is_empty());
     }
 
     #[test]
@@ -1814,14 +1933,11 @@ mod tests {
             DimSpec::regular(5, 2),
         ];
         let cube = cycling_cube(&dims, 300);
-        let output = assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
-        assert!(output.cells.is_empty());
-        assert_eq!(output.axes.len(), 2);
+        assert!(assert_matches_reference(&cube, &rolled_up(&[0, 1], 2)).is_empty());
+        assert_eq!(run(&cube, &rolled_up(&[0, 1], 2)).unwrap().axes.len(), 2);
         // The same rows aggregate fine once the ragged dimension is sliced.
         assert_eq!(
-            assert_matches_reference(&cube, &rolled_up(&[1], 2))
-                .cells
-                .len(),
+            assert_matches_reference(&cube, &rolled_up(&[1], 2)).len(),
             2
         );
     }
@@ -1905,11 +2021,13 @@ mod tests {
         let values = MeasureVector::Integer(CowVec::from_vec(vec![1; rows]));
         let cube = synthetic_cube(&dims, codes, vec![(AggregateFunction::Count, values)]);
         // At the upper level both the unbound and the ragged rows drop...
-        let output = assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
-        assert_eq!(output.cells.len(), 4);
+        assert_eq!(
+            assert_matches_reference(&cube, &rolled_up(&[0, 1], 2)).len(),
+            4
+        );
         // ... at the bottom level only the unbound ones.
         let bottom = CubeQuery::default();
-        assert_eq!(assert_matches_reference(&cube, &bottom).cells.len(), 4 * 5);
+        assert_eq!(assert_matches_reference(&cube, &bottom).len(), 4 * 5);
         let (_, stats) = run_with(&cube, &bottom, true).unwrap();
         let unbound = (0..rows)
             .filter(|row| row.is_multiple_of(7) || row.is_multiple_of(11))
@@ -1953,9 +2071,9 @@ mod tests {
         // ambiguous on axis 1 had they got that far.
         let mut cube = ambiguous_cube(100, &[(10, [NO_MEMBER, 3]), (20, [0, 3])]);
         assert!(cube.tombstones.kill(20));
-        let output = assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
-        assert_eq!(output.cells.len(), 1);
-        assert_eq!(output.cells[0].values, vec![Some(Term::integer(98))]);
+        let cells = assert_matches_reference(&cube, &rolled_up(&[0, 1], 2));
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].values, vec![Some(Term::integer(98))]);
         // Sliced away, the ambiguous axis cannot refuse either.
         assert_matches_reference(&ambiguous_cube(100, &[(5, [0, 3])]), &rolled_up(&[0], 2));
     }
@@ -2020,7 +2138,7 @@ mod tests {
         if hashed {
             space.dense_slots = None;
         }
-        run_keyed(&plan, &space, None).unwrap().0
+        run_keyed(&plan, &space, None).unwrap().0.into_cells()
     }
 
     #[test]
@@ -2042,7 +2160,7 @@ mod tests {
             value: Term::integer(90_000),
         }];
         for query in [rolled_up(&[0, 1, 2], 3), CubeQuery::default(), having] {
-            let expected = run_with(&cube, &query, true).unwrap().0.cells;
+            let expected = run_with(&cube, &query, true).unwrap().0.into_cells();
             assert!(!expected.is_empty());
             for hashed in [false, true] {
                 assert_eq!(cells_through::<u64>(&cube, &query, hashed), expected);
@@ -2050,7 +2168,7 @@ mod tests {
             }
         }
         let bottom = assert_matches_reference(&cube, &CubeQuery::default());
-        assert_eq!(bottom.cells.len(), cube.row_count());
+        assert_eq!(bottom.len(), cube.row_count());
     }
 
     /// Keys that differ only in their leading digits — a high-stride axis
@@ -2162,12 +2280,164 @@ mod tests {
             let cube = synthetic_cube(&[DimSpec::regular(1, 1)], vec![vec![0; rows]], measures);
             let output = run_with(&cube, &CubeQuery::default(), true).unwrap().0;
             assert_eq!(
-                output.cells[0].values,
+                output.cell(0).values,
                 vec![
                     Some(Term::Literal(Literal::double(-0.0))),
                     Some(Term::Literal(Literal::decimal(0.0)))
                 ]
             );
         }
+    }
+
+    /// One group's finished aggregate of `values` under `function`, run
+    /// through the real accumulator.
+    fn aggregate_of(function: AggregateFunction, data: MeasureVector) -> (Numeric, MeasureColumn) {
+        let rows: Vec<u16> = (0..data.len() as u16).collect();
+        let column = MeasureColumn {
+            property: iri("measure/m"),
+            aggregate: function,
+            data,
+        };
+        let mut accumulator = Accumulator::for_measure(&column);
+        accumulator.grow(1);
+        accumulator.update(column.data.segment(0), &rows, &vec![0; rows.len()]);
+        (accumulator.finish(0, &column), column)
+    }
+
+    /// HAVING decides on the accumulator side exactly what `compare_terms`
+    /// decides on the finished literal: every aggregate function over every
+    /// vector type, every operator, integer and decimal constants and
+    /// non-numeric ones, at the rims of the typing rules — `i64::MIN`/`MAX`
+    /// sums, integer sums past `i64` (decimal), signed-zero MIN/MAX ties and
+    /// all-integral float totals on either side of the 9e15 cutoff.
+    #[test]
+    fn having_on_aggregates_matches_compare_terms_on_finished_literals() {
+        use AggregateFunction::{Avg, Count, Max, Min, Sum};
+        let integers: Vec<Vec<i64>> = vec![
+            vec![i64::MAX],
+            vec![i64::MIN],
+            vec![i64::MAX, i64::MAX],
+            vec![i64::MIN, -1],
+            vec![i64::MAX, 1, -2],
+            vec![0],
+            vec![7, -3, 12],
+            vec![8_999_999_999_999_999, 1],
+        ];
+        let floats: Vec<Vec<f64>> = vec![
+            vec![0.0, -0.0],
+            vec![-0.0, 0.0, -0.0],
+            vec![-0.0],
+            vec![1.5, -2.25],
+            vec![1e16, -1e16, 0.5],
+            // Decimal: 2.0 routes float, the rest integer; all integral.
+            vec![2.0, 8_999_999_999_999_997.0],
+            vec![2.0, 8_999_999_999_999_998.0],
+            // Double: 1e19 routes float, the rest integer; all integral.
+            vec![1e19, -9_991_000_000_000_002_048.0],
+            vec![1e19, -9_991_000_000_000_000_000.0],
+            vec![2.5e15, 0.25],
+            vec![9e15],
+        ];
+        let mut vectors: Vec<MeasureVector> = integers
+            .into_iter()
+            .map(|values| MeasureVector::Integer(CowVec::from_vec(values)))
+            .collect();
+        for values in floats {
+            vectors.push(MeasureVector::Decimal(CowVec::from_vec(values.clone())));
+            vectors.push(MeasureVector::Double(CowVec::from_vec(values)));
+        }
+        let fixed: Vec<Term> = vec![
+            Term::integer(0),
+            Term::integer(i64::MAX),
+            Term::integer(i64::MIN),
+            Term::integer(8_999_999_999_999_999),
+            Term::integer(9_000_000_000_000_000),
+            Term::Literal(Literal::decimal(9e15)),
+            Term::Literal(Literal::decimal(-0.0)),
+            Term::Literal(Literal::decimal(0.0)),
+            Term::Literal(Literal::decimal(-0.75)),
+            Term::Literal(Literal::double(1e19)),
+            Term::string("5"),
+            Term::string(""),
+            Term::string("9000000000000000"),
+            Term::iri("http://example.org/member/K1"),
+            Term::Literal(Literal::typed("five", rdf::vocab::xsd::integer())),
+        ];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let mut kinds = std::collections::BTreeSet::new();
+        for data in vectors {
+            for function in [Sum, Avg, Count, Min, Max] {
+                let (aggregate, column) = aggregate_of(function, data.clone());
+                let finished = Term::Literal(aggregate.into());
+                kinds.insert(aggregate.datatype_str());
+                // The aggregate against itself, its neighbours, and as the
+                // other numeric types.
+                let own = aggregate.as_f64();
+                let mut constants = fixed.clone();
+                constants.push(finished.clone());
+                for value in [own, own + 1.0, own - 1.0] {
+                    constants.push(Term::Literal(Literal::decimal(value)));
+                    constants.push(Term::Literal(Literal::double(value)));
+                }
+                for constant in constants {
+                    for op in ops {
+                        let filter = MeasureFilter::Compare {
+                            measure: column.property.clone(),
+                            op,
+                            value: constant.clone(),
+                        };
+                        let having =
+                            CompiledHaving::compile(&filter, std::slice::from_ref(&column))
+                                .unwrap();
+                        assert_eq!(
+                            having.eval(&[aggregate]),
+                            compare_terms(&finished, op, &constant),
+                            "{function:?} over {data:?}: {finished} {op:?} {constant}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            kinds.len(),
+            3,
+            "every aggregate kind was compared: {kinds:?}"
+        );
+
+        // The rims are really reached.
+        let of = |function, data| aggregate_of(function, data).0;
+        let ints = |values: Vec<i64>| MeasureVector::Integer(CowVec::from_vec(values));
+        let decimals = |values: Vec<f64>| MeasureVector::Decimal(CowVec::from_vec(values));
+        let doubles = |values: Vec<f64>| MeasureVector::Double(CowVec::from_vec(values));
+        assert_eq!(of(Sum, ints(vec![i64::MAX])), Numeric::Integer(i64::MAX));
+        assert_eq!(
+            of(Sum, ints(vec![i64::MAX, i64::MAX])),
+            Numeric::Decimal(2.0 * i64::MAX as f64)
+        );
+        assert_eq!(
+            of(Sum, decimals(vec![2.0, 8_999_999_999_999_997.0])),
+            Numeric::Integer(8_999_999_999_999_999)
+        );
+        assert_eq!(
+            of(Sum, decimals(vec![2.0, 8_999_999_999_999_998.0])),
+            Numeric::Decimal(9e15)
+        );
+        assert_eq!(
+            of(Sum, doubles(vec![1e19, -9_991_000_000_000_002_048.0])),
+            Numeric::Integer(9_000_000_000_000_000 - 2_048)
+        );
+        assert_eq!(
+            of(Sum, doubles(vec![1e19, -9_991_000_000_000_000_000.0])),
+            Numeric::Decimal(9e15)
+        );
+        assert_eq!(of(Min, doubles(vec![0.0, -0.0])), Numeric::Double(-0.0));
+        assert_eq!(of(Max, decimals(vec![-0.0, 0.0])), Numeric::Decimal(0.0));
     }
 }

@@ -505,20 +505,16 @@ mod tests {
             ]
         );
         // o4 (ragged c3) contributes nowhere.
-        assert_eq!(output.cells.len(), 4);
-        let cell = output
-            .cells
+        let cells = output.into_cells();
+        assert_eq!(cells.len(), 4);
+        let cell = cells
             .iter()
             .find(|c| c.coordinates == vec![member("K1"), member("m1")])
             .unwrap();
         assert_eq!(cell.values[0], Some(Term::integer(10)));
-        assert!(!output
-            .cells
-            .iter()
-            .any(|c| c.coordinates.contains(&member("c3"))));
+        assert!(!cells.iter().any(|c| c.coordinates.contains(&member("c3"))));
         // Grand total excludes the ragged row's 100.
-        let total: i64 = output
-            .cells
+        let total: i64 = cells
             .iter()
             .map(|c| {
                 c.values[0]
@@ -540,9 +536,9 @@ mod tests {
         };
         let output = run(&cube, &query).unwrap();
         assert_eq!(output.axes.len(), 1);
-        assert_eq!(output.cells.len(), 2);
-        let k1 = output
-            .cells
+        let cells = output.into_cells();
+        assert_eq!(cells.len(), 2);
+        let k1 = cells
             .iter()
             .find(|c| c.coordinates == vec![member("K1")])
             .unwrap();
@@ -558,9 +554,8 @@ mod tests {
             rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
             ..CubeQuery::default()
         };
-        let output = run(&cube, &query).unwrap();
-        let k1 = output
-            .cells
+        let cells = run(&cube, &query).unwrap().into_cells();
+        let k1 = cells
             .iter()
             .find(|c| c.coordinates == vec![member("K1")])
             .unwrap();
@@ -572,9 +567,8 @@ mod tests {
             (AggregateFunction::Count, Term::integer(2)),
         ] {
             let cube = build(aggregate);
-            let output = run(&cube, &query).unwrap();
-            let k2 = output
-                .cells
+            let cells = run(&cube, &query).unwrap().into_cells();
+            let k2 = cells
                 .iter()
                 .find(|c| c.coordinates == vec![member("K2")])
                 .unwrap();
@@ -597,9 +591,9 @@ mod tests {
 
         let mut query = rollup_query();
         query.member_filters = vec![compare(CmpOp::Eq, "Alpha")];
-        let output = run(&cube, &query).unwrap();
-        assert!(output.cells.iter().all(|c| c.coordinates[0] == member("K1")));
-        assert_eq!(output.cells.len(), 2);
+        let cells = run(&cube, &query).unwrap().into_cells();
+        assert!(cells.iter().all(|c| c.coordinates[0] == member("K1")));
+        assert_eq!(cells.len(), 2);
 
         // K2 has no countryName: the SPARQL join drops its rows even when
         // the condition is an OR whose other side would not need it.
@@ -608,8 +602,8 @@ mod tests {
             Box::new(compare(CmpOp::Eq, "Alpha")),
             Box::new(compare(CmpOp::Ne, "Alpha")),
         )];
-        let output = run(&cube, &query).unwrap();
-        assert!(output.cells.iter().all(|c| c.coordinates[0] == member("K1")));
+        let cells = run(&cube, &query).unwrap().into_cells();
+        assert!(cells.iter().all(|c| c.coordinates[0] == member("K1")));
 
         // An IRI constant compared with the member's attribute term.
         let mut query = rollup_query();
@@ -622,8 +616,7 @@ mod tests {
                 value: Term::Literal(Literal::string("Alpha")),
             },
         }];
-        let output = run(&cube, &query).unwrap();
-        assert_eq!(output.cells.len(), 2);
+        assert_eq!(run(&cube, &query).unwrap().len(), 2);
     }
 
     #[test]
@@ -640,8 +633,8 @@ mod tests {
             value: Term::Literal(Literal::integer(20)),
         }];
         let output = run(&cube, &query).unwrap();
-        assert_eq!(output.cells.len(), 1);
-        assert_eq!(output.cells[0].coordinates, vec![member("K1")]);
+        assert_eq!(output.len(), 1);
+        assert_eq!(output.cell(0).coordinates, vec![member("K1")]);
 
         // Per group (country, value-sum, score-sum): K1 = (30, 10),
         // K2 = (12, 4). Keep groups with score >= 5 AND
@@ -666,8 +659,8 @@ mod tests {
             )),
         )];
         let output = run(&cube, &query).unwrap();
-        assert_eq!(output.cells.len(), 1);
-        assert_eq!(output.cells[0].coordinates, vec![member("K1")]);
+        assert_eq!(output.len(), 1);
+        assert_eq!(output.cell(0).coordinates, vec![member("K1")]);
     }
 
     #[test]
@@ -839,11 +832,11 @@ mod tests {
     #[test]
     fn cells_are_sorted_canonically() {
         let cube = build(AggregateFunction::Sum);
-        let output = run(&cube, &CubeQuery::default()).unwrap();
-        assert_eq!(output.cells.len(), 5);
-        let mut sorted = output.cells.clone();
+        let cells = run(&cube, &CubeQuery::default()).unwrap().into_cells();
+        assert_eq!(cells.len(), 5);
+        let mut sorted = cells.clone();
         sorted.sort_by(|a, b| a.coordinates.cmp(&b.coordinates));
-        assert_eq!(output.cells, sorted);
+        assert_eq!(cells, sorted);
     }
 
     #[test]

@@ -70,7 +70,8 @@ impl<'e> ModuleOracle<'e> {
             *scratch = Some((epoch, cube));
         }
         let (_, cube) = scratch.as_ref().expect("built above");
-        Ok(execute_columnar(cube, prepared, &ExecOptions::default(), None)?.0)
+        let (coded, _) = execute_columnar(cube, prepared, &ExecOptions::default(), None)?;
+        Ok(coded.decode())
     }
 }
 
@@ -81,7 +82,9 @@ impl QlOracle for ModuleOracle<'_> {
         let unpruned = ExecOptions { prune: false };
         let cubes = [
             self.module.execute_on_snapshot(&prepared, &snapshot)?,
-            execute_columnar(snapshot.cube(), &prepared, &unpruned, None)?.0,
+            execute_columnar(snapshot.cube(), &prepared, &unpruned, None)?
+                .0
+                .decode(),
             self.scratch_leg(&prepared, snapshot.epoch())?,
             self.module.execute(&prepared, SparqlVariant::Direct)?,
             self.module.execute(&prepared, SparqlVariant::Alternative)?,

@@ -1,7 +1,8 @@
 //! The columnar execution backend: lowers a simplified [`QueryPipeline`]
 //! into a [`cubestore::CubeQuery`] and runs it on a
-//! [`cubestore::MaterializedCube`], producing a [`ResultCube`] identical to
-//! what the SPARQL backend computes for the same prepared query.
+//! [`cubestore::MaterializedCube`], producing a [`CodedCube`] that decodes
+//! to the [`crate::ResultCube`] the SPARQL backend computes for the same
+//! prepared query.
 
 use std::time::Instant;
 
@@ -11,7 +12,7 @@ use cubestore::{
 use rdf::{Literal, Term};
 
 use crate::ast::{DiceCondition, DiceOperand, DiceValue};
-use crate::cube::ResultCube;
+use crate::cube::CodedCube;
 use crate::error::QlError;
 use crate::executor::PreparedQuery;
 use crate::pipeline::QueryPipeline;
@@ -109,39 +110,33 @@ fn measure_filter(condition: &DiceCondition) -> Result<MeasureFilter, QlError> {
     }
 }
 
-/// Runs a prepared query on the materialized cube and assembles the result
-/// with the *same* axes and measure variables as the SPARQL translation, so
-/// the two backends produce comparable (identical) cubes. Also returns the
-/// scan totals so the caller can feed the metrics registry. A `profile`
-/// gets the `lower-pipeline` step, everything [`cubestore::execute`]
-/// records, and the `assemble-cube` step, in that order.
+/// Runs a prepared query on the materialized cube and labels the coded
+/// result with the *same* axes and measure variables as the SPARQL
+/// translation, so the two backends produce comparable (identical) cubes
+/// once decoded. Also returns the scan totals so the caller can feed the
+/// metrics registry. A `profile` gets the `lower-pipeline` step and
+/// everything [`cubestore::execute`] records, in that order.
 pub fn execute_columnar(
     cube: &MaterializedCube,
     prepared: &PreparedQuery,
     options: &ExecOptions,
     mut profile: Option<&mut obs::ExecutionProfile>,
-) -> Result<(ResultCube, cubestore::ScanStats), QlError> {
+) -> Result<(CodedCube, cubestore::ScanStats), QlError> {
     let started = Instant::now();
     let query = to_cube_query(&prepared.pipeline)?;
     if let Some(profile) = profile.as_deref_mut() {
         profile.push_step("lower-pipeline", started.elapsed(), None, "");
     }
-    let (output, stats) = cubestore::execute(cube, &query, options, profile.as_deref_mut())?;
-    let started = Instant::now();
-    let result = assemble_result(output, prepared)?;
-    if let Some(profile) = profile {
-        let cells = Some(result.cells.len() as u64);
-        profile.push_step("assemble-cube", started.elapsed(), cells, "");
-    }
-    Ok((result, stats))
+    let (output, stats) = cubestore::execute(cube, &query, options, profile)?;
+    Ok((label_output(output, prepared)?, stats))
 }
 
-/// Validates the axis alignment and wraps the cells, which `cubestore`
-/// returns in the cube's canonical coordinate order already.
-fn assemble_result(
+/// Validates the axis alignment and labels the output, whose cells
+/// `cubestore` returns in the cube's canonical coordinate order already.
+fn label_output(
     output: cubestore::QueryOutput,
     prepared: &PreparedQuery,
-) -> Result<ResultCube, QlError> {
+) -> Result<CodedCube, QlError> {
     // Both planners walk the schema dimensions in order, so the axes must
     // line up; anything else means the materialization is out of sync with
     // the schema the query was prepared against.
@@ -160,16 +155,11 @@ fn assemble_result(
         )));
     }
 
-    let result = ResultCube {
+    Ok(CodedCube {
         axes: prepared.translation.axes.clone(),
         measures: prepared.translation.measures.clone(),
-        cells: output.cells,
-    };
-    debug_assert!(
-        result.cells.windows(2).all(|pair| pair[0].coordinates <= pair[1].coordinates),
-        "cubestore returns cells in canonical coordinate order"
-    );
-    Ok(result)
+        output,
+    })
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@ use rdf::{Iri, Term};
 use sparql::Solutions;
 
 pub use cubestore::CubeCell;
+use cubestore::QueryOutput;
 
 /// One axis of the result cube: a dimension kept in the result, the level it
 /// was aggregated to, and the SPARQL variable that carries its members.
@@ -26,6 +27,40 @@ pub struct ResultCube {
     pub measures: Vec<(Iri, String)>,
     /// The cells.
     pub cells: Vec<CubeCell>,
+}
+
+/// A columnar result before decoding: the prepared query's axes and
+/// measure variables over the engine's coded output (per-axis members,
+/// per-cell ranks, typed aggregates). The HTTP `/ql` route serializes it as
+/// it is; [`CodedCube::decode`] builds the [`ResultCube`] a library caller
+/// gets.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CodedCube {
+    /// The axes, aligned with `output.axes`.
+    pub axes: Vec<CubeAxis>,
+    /// The measures: `(measure property, output variable name)`, aligned
+    /// with `output.measures`.
+    pub measures: Vec<(Iri, String)>,
+    /// The coded cells, in canonical coordinate order.
+    pub output: QueryOutput,
+}
+
+impl CodedCube {
+    /// The decoded cube: one term per coordinate and value.
+    pub fn decode(self) -> ResultCube {
+        let cells = self.output.into_cells();
+        debug_assert!(
+            cells
+                .windows(2)
+                .all(|pair| pair[0].coordinates <= pair[1].coordinates),
+            "cubestore returns cells in canonical coordinate order"
+        );
+        ResultCube {
+            axes: self.axes,
+            measures: self.measures,
+            cells,
+        }
+    }
 }
 
 impl ResultCube {

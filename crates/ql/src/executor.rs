@@ -24,7 +24,7 @@ use sparql::Endpoint;
 
 use crate::ast::QlProgram;
 use crate::columnar;
-use crate::cube::{CubeAxis, ResultCube};
+use crate::cube::{CodedCube, CubeAxis, ResultCube};
 use crate::error::QlError;
 use crate::parser::parse_ql;
 use crate::pipeline::{simplify, QueryPipeline, SimplificationReport};
@@ -221,6 +221,19 @@ impl<'e> QueryingModule<'e> {
         self.execute_with(prepared, ExecutionBackend::Columnar, Some(snapshot), None)
     }
 
+    /// [`Self::execute_on_snapshot`] without the decode: the result still
+    /// coded, which is what the HTTP `/ql` route serializes. Its
+    /// [`CodedCube::decode`] is `execute_on_snapshot`'s cube.
+    pub fn execute_coded_on_snapshot(
+        &self,
+        prepared: &PreparedQuery,
+        snapshot: &cubestore::CubeSnapshot,
+    ) -> Result<CodedCube, QlError> {
+        self.timed(None, |profile| {
+            self.execute_coded(prepared, Some(snapshot), profile)
+        })
+    }
+
     /// Runs the Execution phase on the chosen backend. Accepts a plain
     /// [`SparqlVariant`] as shorthand for [`ExecutionBackend::Sparql`].
     pub fn execute(
@@ -252,89 +265,122 @@ impl<'e> QueryingModule<'e> {
         Ok((cube, profile))
     }
 
-    /// The one execution body behind [`Self::execute`],
+    /// The decoded execution behind [`Self::execute`],
     /// [`Self::execute_profiled`] and [`Self::execute_on_snapshot`]. A
-    /// columnar execution runs on `snapshot` when given, on a settled pin
-    /// otherwise; `profile`, when given, receives the per-step timings, the
-    /// physical plan and the total.
+    /// columnar execution is [`Self::execute_coded`] plus the decode, which
+    /// a `profile` times as its `assemble-cube` step.
     fn execute_with(
         &self,
         prepared: &PreparedQuery,
         backend: ExecutionBackend,
         snapshot: Option<&cubestore::CubeSnapshot>,
-        mut profile: Option<&mut obs::ExecutionProfile>,
+        profile: Option<&mut obs::ExecutionProfile>,
     ) -> Result<ResultCube, QlError> {
-        let _span = obs::span("ql.execute");
+        self.timed(profile, |mut profile| {
+            let cube = match backend {
+                ExecutionBackend::Sparql(variant) => {
+                    self.catalog.metrics().counter("ql.execute.sparql").inc();
+                    let started = Instant::now();
+                    let sparql_text = prepared.sparql(variant);
+                    let translated = started.elapsed();
+                    let started = Instant::now();
+                    let solutions = self.endpoint.select(&sparql_text)?;
+                    let selected = started.elapsed();
+                    let started = Instant::now();
+                    let cube = ResultCube::from_solutions(
+                        prepared.translation.axes.clone(),
+                        prepared.translation.measures.clone(),
+                        &solutions,
+                    );
+                    if let Some(profile) = profile.as_deref_mut() {
+                        let lines = sparql_text.lines().count() as u64;
+                        let note = "generated query lines";
+                        profile.push_step("translate-sparql", translated, Some(lines), note);
+                        profile.push_step("select", selected, Some(solutions.len() as u64), "");
+                        let cells = Some(cube.cells.len() as u64);
+                        profile.push_step("assemble-cube", started.elapsed(), cells, "");
+                        profile.add_counter("solutions", solutions.len() as u64);
+                    }
+                    cube
+                }
+                ExecutionBackend::Columnar => {
+                    let coded = self.execute_coded(prepared, snapshot, profile.as_deref_mut())?;
+                    let started = Instant::now();
+                    let cube = coded.decode();
+                    if let Some(profile) = profile {
+                        let cells = Some(cube.cells.len() as u64);
+                        profile.push_step("assemble-cube", started.elapsed(), cells, "");
+                    }
+                    cube
+                }
+            };
+            Ok(cube)
+        })
+    }
+
+    /// The one columnar execution body: runs on `snapshot` when given, on
+    /// a settled pin otherwise, and feeds the scan counters to the metrics
+    /// registry. A `profile` gets the `materialize` step, every step of
+    /// [`columnar::execute_columnar`] and the pin's plan line.
+    fn execute_coded(
+        &self,
+        prepared: &PreparedQuery,
+        snapshot: Option<&cubestore::CubeSnapshot>,
+        mut profile: Option<&mut obs::ExecutionProfile>,
+    ) -> Result<CodedCube, QlError> {
         let metrics = self.catalog.metrics();
-        let total = Instant::now();
-        let cube = match backend {
-            ExecutionBackend::Sparql(variant) => {
-                metrics.counter("ql.execute.sparql").inc();
-                let started = Instant::now();
-                let sparql_text = prepared.sparql(variant);
-                let translated = started.elapsed();
-                let started = Instant::now();
-                let solutions = self.endpoint.select(&sparql_text)?;
-                let selected = started.elapsed();
-                let started = Instant::now();
-                let cube = ResultCube::from_solutions(
-                    prepared.translation.axes.clone(),
-                    prepared.translation.measures.clone(),
-                    &solutions,
-                );
-                if let Some(profile) = profile.as_deref_mut() {
-                    let lines = sparql_text.lines().count() as u64;
-                    let note = "generated query lines";
-                    profile.push_step("translate-sparql", translated, Some(lines), note);
-                    profile.push_step("select", selected, Some(solutions.len() as u64), "");
-                    let cells = Some(cube.cells.len() as u64);
-                    profile.push_step("assemble-cube", started.elapsed(), cells, "");
-                    profile.add_counter("solutions", solutions.len() as u64);
-                }
-                cube
+        let started = Instant::now();
+        let settled;
+        let snapshot = match snapshot {
+            Some(pinned) => {
+                metrics.counter("ql.execute.columnar_snapshot").inc();
+                pinned
             }
-            ExecutionBackend::Columnar => {
-                let started = Instant::now();
-                let settled;
-                let snapshot = match snapshot {
-                    Some(pinned) => {
-                        metrics.counter("ql.execute.columnar_snapshot").inc();
-                        pinned
-                    }
-                    None => {
-                        metrics.counter("ql.execute.columnar").inc();
-                        settled = self.snapshot_settled()?;
-                        &settled
-                    }
-                };
-                if let Some(profile) = profile.as_deref_mut() {
-                    let rows = Some(snapshot.cube().row_count() as u64);
-                    let note = "catalog-served cube rows";
-                    profile.push_step("materialize", started.elapsed(), rows, note);
-                }
-                let options = ExecOptions::default();
-                let (cube, stats) = columnar::execute_columnar(
-                    snapshot.cube(),
-                    prepared,
-                    &options,
-                    profile.as_deref_mut(),
-                )?;
-                stats.record_into(metrics);
-                if let Some(profile) = profile.as_deref_mut() {
-                    // The pin this execution ran on, not a later one.
-                    profile.push_plan(snapshot.plan_line());
-                }
-                cube
+            None => {
+                metrics.counter("ql.execute.columnar").inc();
+                settled = self.snapshot_settled()?;
+                &settled
             }
         };
+        if let Some(profile) = profile.as_deref_mut() {
+            let rows = Some(snapshot.cube().row_count() as u64);
+            let note = "catalog-served cube rows";
+            profile.push_step("materialize", started.elapsed(), rows, note);
+        }
+        let options = ExecOptions::default();
+        let (coded, stats) = columnar::execute_columnar(
+            snapshot.cube(),
+            prepared,
+            &options,
+            profile.as_deref_mut(),
+        )?;
+        stats.record_into(metrics);
+        if let Some(profile) = profile {
+            // The pin this execution ran on, not a later one.
+            profile.push_plan(snapshot.plan_line());
+        }
+        Ok(coded)
+    }
+
+    /// The `ql.execute` span, the duration histogram and the profile's
+    /// total around one execution.
+    fn timed<T>(
+        &self,
+        mut profile: Option<&mut obs::ExecutionProfile>,
+        run: impl FnOnce(Option<&mut obs::ExecutionProfile>) -> Result<T, QlError>,
+    ) -> Result<T, QlError> {
+        let _span = obs::span("ql.execute");
+        let total = Instant::now();
+        let result = run(profile.as_deref_mut())?;
         let elapsed = total.elapsed();
         if let Some(profile) = profile {
             profile.total = elapsed;
         }
-        metrics
+        self.catalog
+            .metrics()
             .histogram("ql.execute.duration_ns")
             .record(elapsed.as_nanos() as u64);
-        Ok(cube)
+        Ok(result)
     }
 
     /// Prepares `ql_text` and renders EXPLAIN ANALYZE output for **both**

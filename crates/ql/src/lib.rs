@@ -40,7 +40,7 @@ pub use columnar::execute_columnar;
 pub use ast::{
     CubeRef, DiceCondition, DiceOp, DiceOperand, DiceValue, QlOperation, QlProgram, QlStatement,
 };
-pub use cube::{CubeAxis, CubeCell, ResultCube};
+pub use cube::{CodedCube, CubeAxis, CubeCell, ResultCube};
 pub use cubestore::{CubeCatalog, MaintenanceReport, MaintenanceStrategy};
 pub use error::QlError;
 pub use executor::{ExecutionBackend, PreparedQuery, QueryTimings, QueryingModule};

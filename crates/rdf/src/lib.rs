@@ -46,7 +46,7 @@ pub use error::{ParseError, StoreError};
 pub use graph::{EncodedTriple, Graph, Interner, TermId};
 pub use namespace::PrefixMap;
 pub use store::{Store, StoreDelta, DEFAULT_CHANGE_LOG_CAPACITY};
-pub use term::{BlankNode, Iri, Literal, Term, Triple};
+pub use term::{BlankNode, Iri, Literal, Numeric, Term, Triple};
 
 /// Commonly used items, for glob import.
 pub mod prelude {

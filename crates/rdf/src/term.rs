@@ -157,17 +157,17 @@ impl Literal {
 
     /// An `xsd:integer` literal.
     pub fn integer(value: i64) -> Self {
-        Literal::typed(value.to_string(), xsd::integer())
+        Numeric::Integer(value).into()
     }
 
     /// An `xsd:decimal` literal.
     pub fn decimal(value: f64) -> Self {
-        Literal::typed(format_decimal(value), xsd::decimal())
+        Numeric::Decimal(value).into()
     }
 
     /// An `xsd:double` literal.
     pub fn double(value: f64) -> Self {
-        Literal::typed(value.to_string(), xsd::double())
+        Numeric::Double(value).into()
     }
 
     /// An `xsd:boolean` literal.
@@ -242,12 +242,77 @@ impl Literal {
     }
 }
 
-/// Canonical decimal formatting without scientific notation.
-fn format_decimal(value: f64) -> String {
-    if value.fract() == 0.0 && value.abs() < 1e15 {
-        format!("{:.1}", value)
-    } else {
-        format!("{}", value)
+/// A number typed `xsd:integer`, `xsd:decimal` or `xsd:double`, not yet
+/// formatted: the value a [`Literal::integer`], [`Literal::decimal`] or
+/// [`Literal::double`] literal holds. Its [`Display`](fmt::Display) form is
+/// the one definition of those literals' lexical forms, so a writer that
+/// formats a `Numeric` straight into its output writes exactly the bytes of
+/// the literal, without building one.
+///
+/// Every lexical form is made of ASCII digits, `-` and `.` (Rust never
+/// formats an `f64` with an exponent), so it needs no escaping in
+/// N-Triples or JSON.
+#[derive(Debug, Clone, Copy)]
+pub enum Numeric {
+    /// An `xsd:integer`.
+    Integer(i64),
+    /// An `xsd:decimal`: `5.0`, `5.25`; no exponent, and a `.0` on integral
+    /// values below 10¹⁵.
+    Decimal(f64),
+    /// An `xsd:double`: the shortest form that reads back as the same `f64`.
+    Double(f64),
+}
+
+impl Numeric {
+    /// The datatype IRI's text.
+    pub fn datatype_str(self) -> &'static str {
+        match self {
+            Numeric::Integer(_) => "http://www.w3.org/2001/XMLSchema#integer",
+            Numeric::Decimal(_) => "http://www.w3.org/2001/XMLSchema#decimal",
+            Numeric::Double(_) => "http://www.w3.org/2001/XMLSchema#double",
+        }
+    }
+
+    /// The value as an `f64`: exactly what [`Literal::as_double`] parses
+    /// back from the lexical form (an integer beyond 2⁵³ rounds to the
+    /// nearest `f64`, as the parse does).
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Numeric::Integer(value) => value as f64,
+            Numeric::Decimal(value) | Numeric::Double(value) => value,
+        }
+    }
+}
+
+/// Equal when both format to the same literal: same datatype, same
+/// integer or same `f64` bits (so `0.0` and `-0.0` differ).
+impl PartialEq for Numeric {
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (Numeric::Integer(a), Numeric::Integer(b)) => a == b,
+            (Numeric::Decimal(a), Numeric::Decimal(b))
+            | (Numeric::Double(a), Numeric::Double(b)) => a.to_bits() == b.to_bits(),
+            _ => false,
+        }
+    }
+}
+
+/// The lexical form.
+impl fmt::Display for Numeric {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Numeric::Decimal(value) if value.fract() == 0.0 && value.abs() < 1e15 => {
+                write!(f, "{value:.1}")
+            }
+            Numeric::Integer(value) => write!(f, "{value}"),
+            Numeric::Decimal(value) | Numeric::Double(value) => write!(f, "{value}"),
+        }
+    }
+}
+
+impl From<Numeric> for Literal {
+    fn from(value: Numeric) -> Self {
+        Literal::typed(value.to_string(), Iri::new(value.datatype_str()))
     }
 }
 
@@ -603,5 +668,29 @@ mod tests {
     fn decimal_formatting() {
         assert_eq!(Literal::decimal(5.0).lexical(), "5.0");
         assert_eq!(Literal::decimal(5.25).lexical(), "5.25");
+        assert_eq!(Literal::decimal(-0.0).lexical(), "-0.0");
+        assert_eq!(Literal::decimal(1e15).lexical(), "1000000000000000");
+    }
+
+    #[test]
+    fn numerics_format_as_their_literals() {
+        for (value, datatype) in [
+            (Numeric::Integer(i64::MIN), xsd::integer()),
+            (Numeric::Decimal(2.5e-7), xsd::decimal()),
+            (Numeric::Double(1e300), xsd::double()),
+        ] {
+            let literal = Literal::from(value);
+            assert_eq!(literal.datatype(), &datatype);
+            assert_eq!(value.datatype_str(), datatype.as_str());
+            assert_eq!(literal.lexical(), value.to_string());
+            assert_eq!(literal.as_double(), Some(value.as_f64()));
+        }
+        assert_eq!(
+            Numeric::Integer(i64::MAX).as_f64(),
+            Literal::integer(i64::MAX).as_double().unwrap()
+        );
+        assert_ne!(Numeric::Double(0.0), Numeric::Double(-0.0));
+        assert_ne!(Numeric::Double(1.0), Numeric::Decimal(1.0));
+        assert_eq!(Numeric::Decimal(0.5), Numeric::Decimal(0.5));
     }
 }

@@ -12,8 +12,9 @@
 use std::fmt::{self, Write};
 
 use crate::http::escape_json_into;
-use ql::ResultCube;
-use rdf::Term;
+use cubestore::QueryOutput;
+use ql::{CodedCube, CubeAxis, CubeCell, ResultCube};
+use rdf::{Iri, Term};
 use sparql::Solutions;
 
 /// A [`fmt::Write`] sink that JSON-escapes everything formatted into it on
@@ -55,14 +56,105 @@ fn push_term(out: &mut String, term: Option<&Term>) {
 /// ([`ResultCube::sort_cells`]), so two identical cubes always serialize
 /// to identical bytes.
 pub fn cube_to_json(cube: &ResultCube) -> String {
+    write_cube(&cube.axes, &cube.measures, cube.cells.as_slice())
+}
+
+/// Renders a columnar result straight from its codes: the bytes of
+/// [`cube_to_json`] on the decoded cube, without decoding it. Each axis's
+/// members are escaped once, however many cells name them, and an
+/// aggregate is formatted into the body without a literal.
+pub fn coded_cube_to_json(cube: &CodedCube) -> String {
+    let output = &cube.output;
+    let members = (0..output.axes.len())
+        .map(|axis| {
+            let members = output.members(axis);
+            let mut text = String::with_capacity(64 * members.len());
+            let mut bounds = Vec::with_capacity(members.len() + 1);
+            bounds.push(0);
+            for member in members {
+                push_term(&mut text, Some(member));
+                bounds.push(text.len());
+            }
+            EscapedMembers { text, bounds }
+        })
+        .collect();
+    write_cube(&cube.axes, &cube.measures, &CodedCells { output, members })
+}
+
+/// Where [`write_cube`] reads the cells from. Each `write_*` appends one
+/// complete JSON value.
+trait CellSource {
+    fn cells(&self) -> usize;
+    fn write_coordinate(&self, out: &mut String, cell: usize, axis: usize);
+    fn write_value(&self, out: &mut String, cell: usize, measure: usize);
+}
+
+impl CellSource for [CubeCell] {
+    fn cells(&self) -> usize {
+        self.len()
+    }
+
+    fn write_coordinate(&self, out: &mut String, cell: usize, axis: usize) {
+        push_term(out, Some(&self[cell].coordinates[axis]));
+    }
+
+    fn write_value(&self, out: &mut String, cell: usize, measure: usize) {
+        push_term(out, self[cell].values[measure].as_ref());
+    }
+}
+
+/// One axis's members as JSON strings, back to back: member `rank` is
+/// `text[bounds[rank]..bounds[rank + 1]]`.
+struct EscapedMembers {
+    text: String,
+    bounds: Vec<usize>,
+}
+
+struct CodedCells<'a> {
+    output: &'a QueryOutput,
+    members: Vec<EscapedMembers>,
+}
+
+impl CellSource for CodedCells<'_> {
+    fn cells(&self) -> usize {
+        self.output.len()
+    }
+
+    fn write_coordinate(&self, out: &mut String, cell: usize, axis: usize) {
+        let EscapedMembers { text, bounds } = &self.members[axis];
+        let rank = self.output.ranks(cell)[axis] as usize;
+        out.push_str(&text[bounds[rank]..bounds[rank + 1]]);
+    }
+
+    /// The literal's N-Triples form `"<lexical>"^^<datatype>` as a JSON
+    /// string. Neither a numeric lexical form nor an XSD datatype IRI holds
+    /// a character JSON escapes, so only the quotes around the lexical form
+    /// are escaped, here.
+    fn write_value(&self, out: &mut String, cell: usize, measure: usize) {
+        let value = self.output.values(cell)[measure];
+        out.push_str("\"\\\"");
+        write!(out, "{value}").expect("writing into a String cannot fail");
+        out.push_str("\\\"^^<");
+        out.push_str(value.datatype_str());
+        out.push_str(">\"");
+    }
+}
+
+/// The `/ql` body over any cell source: the punctuation of the wire format,
+/// written in one place.
+fn write_cube(
+    axes: &[CubeAxis],
+    measures: &[(Iri, String)],
+    cells: &(impl CellSource + ?Sized),
+) -> String {
     // Per cell: 31 bytes of punctuation plus one quoted term per axis and
     // measure — an IRI or a typed literal, ≈ 60 bytes either way. The
     // header names two or three IRIs per axis and measure.
-    let (axes, measures) = (cube.axes.len(), cube.measures.len());
-    let per_cell = 32 + 64 * (axes + measures);
-    let mut out = String::with_capacity(64 + 192 * (axes + measures) + cube.cells.len() * per_cell);
+    let width = axes.len() + measures.len();
+    let per_cell = 32 + 64 * width;
+    let mut out = String::with_capacity(64 + 192 * width + cells.cells() * per_cell);
     out.push_str("{\"axes\":[");
-    for (i, axis) in cube.axes.iter().enumerate() {
+    for (i, axis) in axes.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -75,7 +167,7 @@ pub fn cube_to_json(cube: &ResultCube) -> String {
         out.push('}');
     }
     out.push_str("],\"measures\":[");
-    for (i, (measure, variable)) in cube.measures.iter().enumerate() {
+    for (i, (measure, variable)) in measures.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -86,23 +178,23 @@ pub fn cube_to_json(cube: &ResultCube) -> String {
         out.push('}');
     }
     out.push_str("],\"cells\":[");
-    for (i, cell) in cube.cells.iter().enumerate() {
-        if i > 0 {
+    for cell in 0..cells.cells() {
+        if cell > 0 {
             out.push(',');
         }
         out.push_str("{\"coordinates\":[");
-        for (j, term) in cell.coordinates.iter().enumerate() {
-            if j > 0 {
+        for axis in 0..axes.len() {
+            if axis > 0 {
                 out.push(',');
             }
-            push_term(&mut out, Some(term));
+            cells.write_coordinate(&mut out, cell, axis);
         }
         out.push_str("],\"values\":[");
-        for (j, value) in cell.values.iter().enumerate() {
-            if j > 0 {
+        for measure in 0..measures.len() {
+            if measure > 0 {
                 out.push(',');
             }
-            push_term(&mut out, value.as_ref());
+            cells.write_value(&mut out, cell, measure);
         }
         out.push_str("]}");
     }

@@ -16,6 +16,8 @@
 //! - a fixed worker pool with a **bounded accept queue** admits requests;
 //!   saturation is an explicit `429`, never an unbounded backlog;
 //! - a per-request deadline turns overlong work into `408`;
+//! - a handler panic answers `500 {"error":"internal error"}`, counts in
+//!   `server.panics` and closes its connection; the worker lives on;
 //! - shutdown is graceful: queued and in-flight requests finish, new
 //!   connections are refused.
 //!
@@ -38,6 +40,7 @@ mod routes;
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -79,8 +82,9 @@ pub struct ServerConfig {
     /// The dataset served when a request does not name one; `None` falls
     /// back to the endpoint's single enriched cube.
     pub default_dataset: Option<Iri>,
-    /// Honor the `X-Qb2olap-Test-Sleep-Ms` header (tests only — simulates
-    /// slow handlers for deadline/saturation coverage).
+    /// Honor the `X-Qb2olap-Test-Sleep-Ms` and `X-Qb2olap-Test-Panic`
+    /// headers (tests only — simulate slow and panicking handlers for
+    /// deadline, saturation and panic coverage).
     pub debug_delay_header: bool,
 }
 
@@ -261,7 +265,15 @@ fn serve_connection(state: &ServerState, stream: TcpStream) {
         };
 
         let started = Instant::now();
-        let mut response = routes::handle(state, &request);
+        let handled = panic::catch_unwind(AssertUnwindSafe(|| routes::handle(state, &request)));
+        let Ok(mut response) = handled else {
+            // A panicking handler answers, is counted, and closes its
+            // connection: whatever it left half done stays behind.
+            state.metrics.counter("server.panics").add(1);
+            record_status(state, 500);
+            let _ = Response::error(500, "internal error").write_to(&mut write_half, false);
+            return;
+        };
         if started.elapsed() > state.config.request_timeout {
             state.metrics.counter("server.timeouts").add(1);
             response = Response::error(
@@ -317,7 +329,7 @@ fn response_for_read_error(state: &ServerState, error: &ReadError) -> Option<Res
 // Re-exported for integration tests and loadgen: the canonical wire
 // serializers — call them on library-side results to assert bit-identity
 // with what the server sent.
-pub use json::{cube_to_json, solutions_to_json};
+pub use json::{coded_cube_to_json, cube_to_json, solutions_to_json};
 pub use routes::handle as handle_request;
 
 #[doc(hidden)]

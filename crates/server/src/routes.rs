@@ -6,14 +6,16 @@
 //! [`ql::QueryingModule::with_schema_and_catalog`]), pin a
 //! [`cubestore::CubeSnapshot`] (~hundreds of nanoseconds, never waits on
 //! a background fold), execute against the pin, serialize with the
-//! canonical serializers in [`crate::json`]. Engine errors surface as
-//! `400` with the engine's message verbatim in `{"error": ...}` — the
-//! same string a library caller would get from the `Err`.
+//! canonical serializers in [`crate::json`] — `/ql` straight from the
+//! engine's coded result, never building a [`ql::ResultCube`]. Engine
+//! errors surface as `400` with the engine's message verbatim in
+//! `{"error": ...}` — the same string a library caller would get from the
+//! `Err`.
 
 use std::time::Instant;
 
 use crate::http::{Request, Response};
-use crate::json::{cube_to_json, solutions_to_json};
+use crate::json::{coded_cube_to_json, solutions_to_json};
 use crate::{ServerState, EPOCH_HEADER};
 use explorer::CubeExplorer;
 use ql::QueryingModule;
@@ -26,14 +28,18 @@ pub fn handle(state: &ServerState, request: &Request) -> Response {
     let started = Instant::now();
     state.metrics.counter("server.requests").add(1);
 
-    // Test hook: simulate a slow handler. Only honored when the config
-    // opts in — production servers ignore the header entirely.
+    // Test hooks: simulate a slow or a panicking handler. Only honored
+    // when the config opts in — production servers ignore the headers
+    // entirely.
     if state.config.debug_delay_header {
         if let Some(ms) = request
             .header("x-qb2olap-test-sleep-ms")
             .and_then(|v| v.parse::<u64>().ok())
         {
             std::thread::sleep(std::time::Duration::from_millis(ms));
+        }
+        if request.header("x-qb2olap-test-panic").is_some() {
+            panic!("handler panic requested by the x-qb2olap-test-panic header");
         }
     }
 
@@ -170,8 +176,8 @@ fn ql_route(state: &ServerState, request: &Request) -> Response {
         Ok(prepared) => prepared,
         Err(e) => return Response::error(400, &e.to_string()),
     };
-    match module.execute_on_snapshot(&prepared, &snapshot) {
-        Ok(cube) => Response::json(cube_to_json(&cube))
+    match module.execute_coded_on_snapshot(&prepared, &snapshot) {
+        Ok(cube) => Response::json(coded_cube_to_json(&cube))
             .with_header(EPOCH_HEADER, snapshot.epoch().to_string()),
         Err(e) => Response::error(400, &e.to_string()),
     }

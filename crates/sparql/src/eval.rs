@@ -20,7 +20,7 @@ use rdf::{Graph, Term, TermId};
 
 use crate::ast::*;
 use crate::error::SparqlError;
-pub use crate::expr::compare_terms;
+pub use crate::expr::{compare_numbers, compare_terms};
 use crate::expr::{Expr, Group, SortKey, Terms, UNBOUND};
 use crate::results::{EncodedSolutions, QueryResults, Solutions};
 

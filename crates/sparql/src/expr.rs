@@ -152,7 +152,7 @@ impl<'g> Terms<'g> {
     /// anything else on the ids alone.
     fn compare(&mut self, a: TermId, op: CmpOp, b: TermId) -> Option<bool> {
         if let (Some(na), Some(nb)) = (self.double(a), self.double(b)) {
-            return na.partial_cmp(&nb).map(|ord| apply_cmp(op, ord));
+            return compare_numbers(na, op, nb);
         }
         Some(match op {
             CmpOp::Eq => a == b,
@@ -498,9 +498,15 @@ fn effective_boolean(term: &Term) -> Option<bool> {
 pub fn compare_terms(a: &Term, op: CmpOp, b: &Term) -> Option<bool> {
     let numeric = |term: &Term| term.as_literal().and_then(Literal::as_double);
     match (numeric(a), numeric(b)) {
-        (Some(na), Some(nb)) => na.partial_cmp(&nb).map(|ord| apply_cmp(op, ord)),
+        (Some(na), Some(nb)) => compare_numbers(na, op, nb),
         _ => Some(compare_non_numeric(a, op, b)),
     }
+}
+
+/// [`compare_terms`] when both sides are numeric literals, on the `f64`s
+/// their lexical forms parse to: `None` when either is NaN.
+pub fn compare_numbers(a: f64, op: CmpOp, b: f64) -> Option<bool> {
+    a.partial_cmp(&b).map(|ord| apply_cmp(op, ord))
 }
 
 /// [`compare_terms`] when at most one side is a numeric literal.

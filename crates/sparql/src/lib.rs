@@ -54,7 +54,7 @@ pub mod token;
 pub use ast::{Query, SelectQuery, Variable};
 pub use endpoint::{ConservativeEndpoint, Endpoint, LocalEndpoint};
 pub use error::SparqlError;
-pub use eval::{compare_terms, evaluate_query, evaluate_select, evaluate_select_encoded};
+pub use eval::{compare_numbers, compare_terms, evaluate_query, evaluate_select, evaluate_select_encoded};
 pub use numeric::{float_max, float_min, CompensatedSum, NumericSum, NumericValue};
 pub use parser::{parse_query, parse_select};
 pub use pretty::{query_to_string, select_to_string};

@@ -31,7 +31,7 @@
 //! in whatever order values arrive, stays within `f64` range — which holds
 //! for any realistic statistical data.
 
-use rdf::{Literal, Term};
+use rdf::{Numeric, Term};
 
 /// An order-independent, correctly rounded `f64` accumulator.
 ///
@@ -140,9 +140,9 @@ impl CompensatedSum {
 /// the lexical form per comparison or per aggregated row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NumericValue {
-    /// The `f64` reading ([`Literal::as_double`]).
+    /// The `f64` reading ([`rdf::Literal::as_double`]).
     pub double: f64,
-    /// The `i64` reading ([`Literal::as_integer`]), when the lexical form
+    /// The `i64` reading ([`rdf::Literal::as_integer`]), when the lexical form
     /// has one.
     pub integer: Option<i64>,
 }
@@ -262,17 +262,22 @@ impl NumericSum {
     /// (the engine's historical `9.0e15` cutoff); everything else is an
     /// `xsd:decimal` of the correctly rounded total.
     pub fn sum_term(&self) -> Term {
+        Term::Literal(self.sum_numeric().into())
+    }
+
+    /// [`NumericSum::sum_term`] before it is formatted into a literal.
+    pub fn sum_numeric(&self) -> Numeric {
         if !self.saw_float {
             if let Ok(value) = i64::try_from(self.int_sum) {
-                return Term::Literal(Literal::integer(value));
+                return Numeric::Integer(value);
             }
-            return Term::Literal(Literal::decimal(self.value()));
+            return Numeric::Decimal(self.value());
         }
         let total = self.value();
         if self.all_integral && total.abs() < 9.0e15 {
-            Term::Literal(Literal::integer(total as i64))
+            Numeric::Integer(total as i64)
         } else {
-            Term::Literal(Literal::decimal(total))
+            Numeric::Decimal(total)
         }
     }
 }
@@ -309,6 +314,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use rdf::Literal;
 
     fn fsum(values: &[f64]) -> f64 {
         let mut sum = CompensatedSum::new();

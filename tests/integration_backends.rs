@@ -535,7 +535,8 @@ mod mutation_fuzzer {
     /// over bottom-level members, compared **term-for-term** (bit-identical
     /// lexical forms) with the catalog-served columnar cells.
     fn assert_float_lockstep(tool: &Qb2Olap, catalog: &CubeCatalog, schema: &CubeSchema, step: usize) {
-        let output = scan(catalog.serve_settled(tool.endpoint(), schema).unwrap().cube());
+        let pin = catalog.serve_settled(tool.endpoint(), schema).unwrap();
+        let cells = scan(pin.cube()).into_cells();
         let solutions = tool
             .endpoint()
             .select(&format!(
@@ -561,11 +562,11 @@ mod mutation_fuzzer {
             oracle.insert(city, (sum, avg));
         }
         assert_eq!(
-            output.cells.len(),
+            cells.len(),
             oracle.len(),
             "float cube cell count diverges from SPARQL after step {step}"
         );
-        for cell in &output.cells {
+        for cell in &cells {
             let (sum, avg) = oracle
                 .get(&cell.coordinates[0])
                 .unwrap_or_else(|| panic!("extra columnar cell {:?} at step {step}", cell.coordinates));

@@ -171,6 +171,33 @@ fn saturated_pool_refuses_with_429() {
 }
 
 #[test]
+fn a_panicking_handler_answers_500_and_is_counted() {
+    let mut config = test_config();
+    config.workers = 1;
+    let server = empty_server(config);
+
+    // Twice on one worker: the panic answers, closes its connection and
+    // leaves the worker serving.
+    for _ in 0..2 {
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let response = client
+            .request("GET", "/health", None, &[("X-Qb2olap-Test-Panic", "1")])
+            .expect("a response, not a dropped connection");
+        assert_eq!(response.status, 500);
+        assert_eq!(response.body_text(), "{\"error\":\"internal error\"}\n");
+        assert_eq!(response.header("connection"), Some("close"));
+    }
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let after = client.get("/health").expect("served after the panics");
+    assert_eq!(after.status, 200);
+
+    let snapshot = server.metrics();
+    assert_eq!(snapshot.counter("server.panics"), 2);
+    assert_eq!(snapshot.counter("server.responses.500"), 2);
+    server.shutdown();
+}
+
+#[test]
 fn keep_alive_reuses_one_connection() {
     let server = empty_server(test_config());
     let mut client = Client::connect(server.addr()).expect("connect");
