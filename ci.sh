@@ -49,12 +49,17 @@ QB2OLAP_FUZZ_STEPS=200 cargo test --release -q -p qb2olap-suite --test integrati
 QB2OLAP_FUZZ_SEED=0xE155EED QB2OLAP_FUZZ_PROGRAMS=500 QB2OLAP_FUZZ_QUERIES=500 \
     cargo test --release -q -p qb2olap-suite --test integration_qlsmith
 
-# The evaluator's machine-independent allocation bounds, pinned by name:
-# over a 2 000- and an 8 000-observation cube the observation-pivot SELECT
-# costs one allocation per decoded solution plus a constant (a constant
-# alone when dictionary-encoded), Mary's translated SPARQL a constant plus
-# a few per group, and a cube build grows with distinct members, not cells
-# — no per-intermediate-row allocation anywhere on the SPARQL → columns path.
+# The store's and the evaluator's machine-independent allocation bounds,
+# pinned by name: over a 2 000- and an 8 000-observation cube a bulk load
+# costs at most 64 more allocations at four times the triples (per distinct
+# term and per index run, never per triple or per tree node), a background
+# handle the same count at both sizes give or take 8 (the index runs are
+# shared, not copied), the observation-pivot SELECT one allocation per
+# decoded solution plus a constant (a constant alone when dictionary-
+# encoded), Mary's translated SPARQL a constant plus a few per group, and a
+# cube build grows with distinct members, not cells — no per-triple or
+# per-intermediate-row allocation anywhere on the load → SPARQL → columns
+# path.
 cargo test --release -q -p qb2olap_bench --test sparql_allocations
 # The columnar side's two bounds, pinned by name: the same roll-up over 2
 # and 10 sealed segments costs the same allocations give or take 2 per
@@ -169,6 +174,7 @@ grep -q 'E19' EXPERIMENTS.md
 grep -q 'E20' EXPERIMENTS.md
 grep -q 'E21' EXPERIMENTS.md
 grep -q 'E22' EXPERIMENTS.md
+grep -q 'E23' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

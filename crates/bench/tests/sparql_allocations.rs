@@ -1,13 +1,16 @@
 //! The id-level SPARQL evaluator allocates per query, per pattern and per
 //! solution — never per intermediate row — and the cube build on top of it
-//! allocates per distinct member, not per cell. Checked by count, so the
-//! bounds hold on any machine: the same queries over a demo cube of 2 000
-//! and of 8 000 observations walk four times the intermediate rows and
-//! must cost (nearly) the same number of allocations beyond their output.
+//! allocates per distinct member, not per cell. Under both sits a triple
+//! store whose bulk load allocates per distinct term, not per triple, and
+//! whose background snapshot shares the indexes instead of copying them.
+//! Checked by count, so the bounds hold on any machine: the same work over
+//! a demo cube of 2 000 and of 8 000 observations touches four times the
+//! triples and intermediate rows and must cost (nearly) the same number of
+//! allocations beyond its output.
 
 use qb2olap::cubestore::MaterializedCube;
 use qb2olap::datagen::workload::mary_query;
-use qb2olap::{Endpoint, SparqlVariant};
+use qb2olap::{Endpoint, LocalEndpoint, SparqlVariant};
 use qb2olap_bench::alloc_counter::{allocations, CountingAllocator};
 use qb2olap_bench::demo_cube;
 
@@ -20,10 +23,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, allocations() - before)
 }
 
-/// What one scale costs: (solutions, allocations) of the observation-pivot
-/// SELECT decoded and dictionary-encoded and of Mary's translated SPARQL,
-/// and (fact cells, allocations) of a cube build.
+/// What one scale costs: (triples, allocations) of a bulk load into an
+/// empty store and the allocations of a background handle on the enriched
+/// store, (solutions, allocations) of the observation-pivot SELECT decoded
+/// and dictionary-encoded and of Mary's translated SPARQL, and (fact cells,
+/// allocations) of a cube build.
 struct Scale {
+    load: (u64, u64),
+    handle: u64,
     pivot: (u64, u64),
     pivot_encoded: (u64, u64),
     mary: (u64, u64),
@@ -33,6 +40,20 @@ struct Scale {
 fn measure(observations: usize) -> Scale {
     let cube = demo_cube(observations);
     let endpoint = &cube.endpoint;
+    let triples = &cube.generated.triples;
+    let (loaded, load_allocations) = counted(|| {
+        LocalEndpoint::new()
+            .insert_triples(triples)
+            .expect("bulk load")
+    });
+    assert_eq!(loaded, triples.len());
+    let (handle, handle_allocations) = counted(|| endpoint.background_handle());
+    assert_eq!(
+        handle
+            .expect("a local endpoint has a handle")
+            .triple_count(),
+        endpoint.triple_count()
+    );
     // The query `qb::load_observations` sends.
     let pivot = format!(
         "PREFIX qb: <http://purl.org/linked-data/cube#>
@@ -70,6 +91,8 @@ fn measure(observations: usize) -> Scale {
     assert_eq!(materialized.row_count(), observations);
     let columns = materialized.dimension_columns().len() + materialized.measure_columns().len();
     Scale {
+        load: (loaded as u64, load_allocations),
+        handle: handle_allocations,
         pivot: (decoded.len() as u64, pivot_allocations),
         pivot_encoded: (encoded.len() as u64, encoded_allocations),
         mary: (answer.len() as u64, mary_allocations),
@@ -80,6 +103,29 @@ fn measure(observations: usize) -> Scale {
 #[test]
 fn sparql_and_build_allocations_do_not_grow_with_intermediate_rows() {
     let (small, large) = (measure(2_000), measure(8_000));
+
+    // A bulk load allocates per distinct term (the interner's tables grow
+    // by doubling) and per index (a sorted run and its offsets), never per
+    // triple: four times the triples costs a few more doublings.
+    assert!(large.load.0 >= 4 * small.load.0 - small.load.0 / 8);
+    assert!(
+        large.load.1 <= small.load.1 + 64,
+        "{} allocations to load {} triples against {} for {}",
+        large.load.1,
+        large.load.0,
+        small.load.1,
+        small.load.0
+    );
+    // A background handle shares the index runs and copies only the
+    // overlays and the interner — a fixed number of allocations at any size.
+    assert!(
+        large.handle.abs_diff(small.handle) <= 8,
+        "{} allocations for a handle at {} triples against {} at {}",
+        large.handle,
+        large.load.0,
+        small.handle,
+        small.load.0
+    );
 
     // Decoded solutions own one `Vec` each (the public shape); beyond
     // that the evaluator spends a constant — tables grow by doubling.

@@ -6,11 +6,12 @@
 //! The build runs a handful of SPARQL queries *once*; afterwards every QL
 //! pipeline executes directly over the columns with no endpoint round-trip.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use qb::ComponentKind;
 use qb4olap::CubeSchema;
+use rdf::hash::{FxHashMap, FxHashSet};
 use rdf::{Iri, Term};
 use sparql::Endpoint;
 
@@ -317,7 +318,7 @@ impl Builder<'_> {
              SELECT ?o WHERE {{ ?o a qb:Observation ; qb:dataSet <{}> }}",
             self.schema.dataset.as_str()
         ))?;
-        let typed: HashSet<&Term> =
+        let typed: FxHashSet<&Term> =
             typed.rows().filter_map(|row| typed.term(*row.first()?)).collect();
 
         let structure = qb::load_dataset(self.endpoint, &self.schema.dataset)?.structure;
@@ -371,7 +372,7 @@ impl Builder<'_> {
         let mut measure_values: Vec<Vec<Option<StoredMeasure>>> =
             vec![vec![None; terms.len()]; self.schema.measures.len()];
         let mut row_count = 0usize;
-        let mut observation_rows: HashMap<Term, usize> = HashMap::new();
+        let mut observation_rows: FxHashMap<Term, usize> = FxHashMap::default();
         let mut dropped_observations: BTreeSet<Term> = BTreeSet::new();
         let mut multivalued_observations: BTreeSet<Term> = BTreeSet::new();
         for observation in 0..observations.len() {

@@ -11,9 +11,9 @@
 //! overlay; when the overlay outgrows a fraction of the base, it is merged
 //! down once — amortized O(delta) per refresh.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use rdf::hash::FxHashMap;
 use rdf::Term;
 
 /// Overlay entries per base entry tolerated before a merge (1/8th), so
@@ -28,20 +28,20 @@ const MERGE_MINIMUM: usize = 64;
 #[derive(Debug, Clone, Default)]
 pub struct ObservationIndex {
     /// The shared bulk of the index.
-    base: Arc<HashMap<Term, usize>>,
+    base: Arc<FxHashMap<Term, usize>>,
     /// Recent changes: `Some(row)` = inserted/overridden, `None` = removed.
-    overlay: HashMap<Term, Option<usize>>,
+    overlay: FxHashMap<Term, Option<usize>>,
     /// Number of live entries across both layers.
     live: usize,
 }
 
 impl ObservationIndex {
     /// Creates an index over the rows assigned at build time.
-    pub fn from_map(base: HashMap<Term, usize>) -> Self {
+    pub fn from_map(base: FxHashMap<Term, usize>) -> Self {
         let live = base.len();
         ObservationIndex {
             base: Arc::new(base),
-            overlay: HashMap::new(),
+            overlay: FxHashMap::default(),
             live,
         }
     }
@@ -101,7 +101,7 @@ impl ObservationIndex {
         {
             return;
         }
-        let mut merged = HashMap::with_capacity(self.live);
+        let mut merged = FxHashMap::with_capacity_and_hasher(self.live, Default::default());
         for (node, row) in self.base.iter() {
             if !self.overlay.contains_key(node) {
                 merged.insert(node.clone(), *row);
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn layered_insert_remove_lookup() {
-        let base: HashMap<Term, usize> = (0..10).map(|i| (node(i), i)).collect();
+        let base: FxHashMap<Term, usize> = (0..10).map(|i| (node(i), i)).collect();
         let mut index = ObservationIndex::from_map(base);
         assert_eq!(index.len(), 10);
         assert_eq!(index.row_of(&node(3)), Some(3));
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn clones_share_the_base() {
-        let base: HashMap<Term, usize> = (0..100).map(|i| (node(i), i)).collect();
+        let base: FxHashMap<Term, usize> = (0..100).map(|i| (node(i), i)).collect();
         let mut index = ObservationIndex::from_map(base);
         let clone = index.clone();
         assert!(Arc::ptr_eq(&index.base, &clone.base));
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn overlay_merges_down_when_it_outgrows_the_ratio() {
-        let base: HashMap<Term, usize> = (0..64).map(|i| (node(i), i)).collect();
+        let base: FxHashMap<Term, usize> = (0..64).map(|i| (node(i), i)).collect();
         let mut index = ObservationIndex::from_map(base);
         index.remove(&node(0));
         for i in 0..80 {
@@ -171,7 +171,7 @@ mod tests {
         // Removal-only streams merge too (removal-heavy delta sequences
         // must not accumulate an O(removals) overlay between compactions).
         let mut removals = ObservationIndex::from_map(
-            (0..512).map(|i| (node(i), i)).collect::<HashMap<_, _>>(),
+            (0..512).map(|i| (node(i), i)).collect::<FxHashMap<_, _>>(),
         );
         for i in 0..200 {
             removals.remove(&node(i));

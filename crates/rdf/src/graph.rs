@@ -1,24 +1,42 @@
 //! An in-memory, indexed RDF graph.
 //!
-//! Terms are interned into dense `u32` identifiers and triples are kept in
-//! three `BTreeSet` indexes (SPO, POS, OSP) so that any triple pattern with
-//! a bound prefix can be answered with a range scan. This mirrors the
+//! Terms are interned into dense `u32` identifiers, and triples are kept in
+//! three orderings — SPO, POS and OSP — so that any triple pattern with a
+//! bound prefix is one contiguous range of one of them. This mirrors the
 //! index layout of typical RDF stores (the role Virtuoso plays in the
 //! original QB2OLAP deployment).
+//!
+//! Each ordering is an immutable **sorted run** shared behind an `Arc`, a
+//! **first-term offset table** that turns a bound first component into a
+//! direct slice of the run, and a small **overlay**: a `BTreeSet` of keys
+//! inserted since the run was built and one of run keys removed since. A
+//! lookup slices the run, binary-searches the other bound components and
+//! merges the overlay in, so it yields exactly the key order of a sorted
+//! set. Bulk loads, large batches and an overlay grown past a fixed share
+//! of its run all go through one merge that writes a new run. Cloning a
+//! graph shares the runs and copies the overlays and the interner. See
+//! ARCHITECTURE.md § "The triple store".
 
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::BuildHasher;
+use std::sync::Arc;
 
+use crate::hash::{FxBuildHasher, FxHashMap};
 use crate::term::{Iri, Term, Triple};
 
 /// A dense identifier for an interned term.
 pub type TermId = u32;
 
 /// Interns [`Term`]s to dense [`TermId`]s and back.
+///
+/// Hashed with [`FxHasher`](crate::hash::FxHasher) unless `S` says
+/// otherwise: the store, decoded results and the cube dictionaries intern
+/// loaded data. A table fed terms a request chose names a keyed hasher.
 #[derive(Debug, Default, Clone)]
-pub struct Interner {
+pub struct Interner<S = FxBuildHasher> {
     terms: Vec<Term>,
-    ids: HashMap<Term, TermId>,
+    ids: HashMap<Term, TermId, S>,
 }
 
 impl Interner {
@@ -26,7 +44,9 @@ impl Interner {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<S: BuildHasher> Interner<S> {
     /// Returns the id for `term`, interning it if necessary.
     pub fn intern(&mut self, term: &Term) -> TermId {
         // Probe first: most calls hit (a bulk load interns ~3 terms per
@@ -61,10 +81,7 @@ impl Interner {
 
     /// Iterates over `(id, term)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
-        self.terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i as TermId, t))
+        self.terms.iter().enumerate().map(|(i, t)| (i as TermId, t))
     }
 
     /// Number of distinct interned terms.
@@ -81,16 +98,232 @@ impl Interner {
 /// A triple of interned term ids in (subject, predicate, object) order.
 pub type EncodedTriple = (TermId, TermId, TermId);
 
+/// A triple's ids in one index's component order.
+type Key = (TermId, TermId, TermId);
+
+/// The overlay may hold one key per this many run keys before the next
+/// mutation merges it into a new run: lookups stay a slice plus a small
+/// tree, and each merge is paid for by that many inserts.
+const OVERLAY_SHARE: usize = 16;
+
+/// Overlay size below which no merge happens, so a small graph is not
+/// rewritten on every insert.
+const OVERLAY_MINIMUM: usize = 64;
+
+/// One ordering of the graph's triples: a sorted run, its first-term
+/// offsets and an overlay of the changes since the run was built.
+#[derive(Debug, Default, Clone)]
+struct Index {
+    /// Sorted, duplicate-free keys; clones of the graph share it. A `Vec`
+    /// behind the `Arc` so a freshly sorted batch becomes the run as it is,
+    /// without a second copy of its megabytes.
+    run: Arc<Vec<Key>>,
+    /// `run[start[a]..start[a + 1]]` holds the run keys whose first
+    /// component is `a`; an id past the table heads none.
+    start: Arc<Vec<u32>>,
+    /// Keys added since the run was built; none of them is in the run.
+    inserted: BTreeSet<Key>,
+    /// Run keys removed since the run was built.
+    removed: BTreeSet<Key>,
+    /// Bit `a` is set once the overlay has held a key whose first component
+    /// is `a` (a merge clears them all): a lookup for any other `a` is a
+    /// run slice alone, with no tree descent.
+    touched: Vec<u64>,
+}
+
+impl Index {
+    fn len(&self) -> usize {
+        self.run.len() - self.removed.len() + self.inserted.len()
+    }
+
+    fn overlay_len(&self) -> usize {
+        self.inserted.len() + self.removed.len()
+    }
+
+    /// How many overlay keys the run tolerates before a merge.
+    fn overlay_limit(&self) -> usize {
+        OVERLAY_MINIMUM.max(self.run.len() / OVERLAY_SHARE)
+    }
+
+    /// The run keys whose first component is `first`.
+    fn run_of(&self, first: TermId) -> &[Key] {
+        let first = first as usize;
+        match (self.start.get(first), self.start.get(first + 1)) {
+            (Some(&low), Some(&high)) => &self.run[low as usize..high as usize],
+            _ => &[],
+        }
+    }
+
+    fn contains(&self, key: Key) -> bool {
+        self.inserted.contains(&key)
+            || (!self.removed.contains(&key) && self.run_of(key.0).binary_search(&key).is_ok())
+    }
+
+    fn touched(&self, first: TermId) -> bool {
+        let bit = first as usize;
+        self.touched
+            .get(bit / 64)
+            .is_some_and(|word| word & (1 << (bit % 64)) != 0)
+    }
+
+    fn touch(&mut self, first: TermId) {
+        let bit = first as usize;
+        if self.touched.len() <= bit / 64 {
+            self.touched.resize(bit / 64 + 1, 0);
+        }
+        self.touched[bit / 64] |= 1 << (bit % 64);
+    }
+
+    /// Adds a key the index does not hold.
+    fn insert(&mut self, key: Key) {
+        self.touch(key.0);
+        if !self.removed.remove(&key) {
+            self.inserted.insert(key);
+        }
+    }
+
+    /// Drops a key the index holds.
+    fn remove(&mut self, key: Key) {
+        self.touch(key.0);
+        if !self.inserted.remove(&key) {
+            self.removed.insert(key);
+        }
+    }
+
+    /// The keys whose leading components equal the bound ones (`None` =
+    /// wildcard; a bound component follows only bound ones), in key order.
+    fn matching(
+        &self,
+        a: Option<TermId>,
+        b: Option<TermId>,
+        c: Option<TermId>,
+    ) -> impl Iterator<Item = Key> + '_ {
+        let mut run = match a {
+            Some(a) => self.run_of(a),
+            None => &self.run[..],
+        };
+        // Within one first component the run is sorted on the second, and
+        // within one second on the third.
+        if let Some(b) = b {
+            run = narrow(run, |key| key.1.cmp(&b));
+        }
+        if let Some(c) = c {
+            run = narrow(run, |key| key.2.cmp(&c));
+        }
+        let low = (a.unwrap_or(0), b.unwrap_or(0), c.unwrap_or(0));
+        let high = (
+            a.unwrap_or(TermId::MAX),
+            b.unwrap_or(TermId::MAX),
+            c.unwrap_or(TermId::MAX),
+        );
+        let (inserted, removed) = match a.is_none_or(|a| self.touched(a)) {
+            true => (
+                self.inserted.range(low..=high),
+                self.removed.range(low..=high),
+            ),
+            false => Default::default(),
+        };
+        let mut removed = removed.peekable();
+        let kept = run
+            .iter()
+            .copied()
+            .filter(move |key| removed.next_if_eq(&key).is_none());
+        merge_sorted(kept, inserted.copied())
+    }
+
+    /// Writes a new run holding the index's keys plus `additions` (sorted,
+    /// duplicate-free, none of them held), and empties the overlay. The one
+    /// way a run is built: a bulk load merges into the empty run, a large
+    /// batch into the current one, and a compaction merges nothing.
+    fn merge(&mut self, additions: Vec<Key>) {
+        let run = if self.run.is_empty() && self.inserted.is_empty() {
+            // Nothing to merge with (`removed` is within the run).
+            additions
+        } else {
+            let mut removed = self.removed.iter().peekable();
+            let kept = self
+                .run
+                .iter()
+                .copied()
+                .filter(|key| removed.next_if_eq(&key).is_none());
+            let added = merge_sorted(self.inserted.iter().copied(), additions.iter().copied());
+            let mut run = Vec::with_capacity(self.len() + additions.len());
+            run.extend(merge_sorted(kept, added));
+            run
+        };
+        assert!(u32::try_from(run.len()).is_ok(), "a run's offsets are u32");
+        self.start = first_offsets(&run);
+        self.run = Arc::new(run);
+        self.inserted.clear();
+        self.removed.clear();
+        self.touched.clear();
+    }
+}
+
+/// The sub-slice of `keys` where `order` is `Equal`, given `keys` sorted
+/// by it.
+fn narrow(keys: &[Key], order: impl Fn(&Key) -> std::cmp::Ordering) -> &[Key] {
+    let low = keys.partition_point(|key| order(key).is_lt());
+    let high = low + keys[low..].partition_point(|key| order(key).is_le());
+    &keys[low..high]
+}
+
+/// Merges two sorted sequences of distinct keys into one.
+fn merge_sorted(
+    a: impl Iterator<Item = Key>,
+    b: impl Iterator<Item = Key>,
+) -> impl Iterator<Item = Key> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y < x => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
+/// Reorders keys sorted on `(x, y, z)` into `(z, x, y)` order — SPO into
+/// OSP, OSP into POS — with one stable counting sort on `z`, every
+/// component being below `ids`.
+fn rotate_sorted(keys: &[Key], ids: usize) -> Vec<Key> {
+    let mut next = vec![0u32; ids + 1];
+    for key in keys {
+        next[key.2 as usize + 1] += 1;
+    }
+    for id in 1..next.len() {
+        next[id] += next[id - 1];
+    }
+    let mut rotated = vec![(0, 0, 0); keys.len()];
+    for &(x, y, z) in keys {
+        let slot = &mut next[z as usize];
+        rotated[*slot as usize] = (z, x, y);
+        *slot += 1;
+    }
+    rotated
+}
+
+/// The offset table of a sorted run: entry `a` is the index of the first
+/// key whose first component is at least `a`, up to one past the largest.
+fn first_offsets(run: &[Key]) -> Arc<Vec<u32>> {
+    let mut start = Vec::with_capacity(run.last().map_or(1, |key| key.0 as usize + 2));
+    for (index, key) in run.iter().enumerate() {
+        while start.len() <= key.0 as usize {
+            start.push(index as u32);
+        }
+    }
+    start.push(run.len() as u32);
+    Arc::new(start)
+}
+
 /// An in-memory RDF graph with SPO/POS/OSP indexes.
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
     interner: Interner,
     /// Predicate IRI → id of its `Term::Iri`, so encoding a triple wraps a
     /// predicate in a `Term` once per distinct IRI, not once per triple.
-    predicates: HashMap<Iri, TermId>,
-    spo: BTreeSet<(TermId, TermId, TermId)>,
-    pos: BTreeSet<(TermId, TermId, TermId)>,
-    osp: BTreeSet<(TermId, TermId, TermId)>,
+    predicates: FxHashMap<Iri, TermId>,
+    spo: Index,
+    pos: Index,
+    osp: Index,
 }
 
 impl Graph {
@@ -106,7 +339,7 @@ impl Graph {
 
     /// True if the graph contains no triples.
     pub fn is_empty(&self) -> bool {
-        self.spo.is_empty()
+        self.len() == 0
     }
 
     /// Number of distinct terms appearing in the graph.
@@ -117,6 +350,12 @@ impl Graph {
     /// Interns a triple's components without inserting it.
     fn encode(&mut self, triple: &Triple) -> EncodedTriple {
         let s = self.interner.intern(&triple.subject);
+        let (p, o) = self.encode_predicate_object(triple);
+        (s, p, o)
+    }
+
+    /// Interns a triple's predicate and object, in that order.
+    fn encode_predicate_object(&mut self, triple: &Triple) -> (TermId, TermId) {
         let p = match self.predicates.get(&triple.predicate) {
             Some(&id) => id,
             None => {
@@ -125,8 +364,16 @@ impl Graph {
                 id
             }
         };
-        let o = self.interner.intern(&triple.object);
-        (s, p, o)
+        (p, self.interner.intern(&triple.object))
+    }
+
+    /// The ids of a triple's terms, if the graph has seen all three.
+    fn ids_of(&self, triple: &Triple) -> Option<EncodedTriple> {
+        Some((
+            self.interner.get(&triple.subject)?,
+            self.predicate_id(&triple.predicate)?,
+            self.interner.get(&triple.object)?,
+        ))
     }
 
     /// The id of a predicate IRI, if any triple could carry it.
@@ -138,81 +385,108 @@ impl Graph {
         }
     }
 
+    /// Adds a triple the graph does not hold to the three overlays.
+    fn add(&mut self, (s, p, o): EncodedTriple) {
+        self.spo.insert((s, p, o));
+        self.pos.insert((p, o, s));
+        self.osp.insert((o, s, p));
+    }
+
+    /// Merges the overlays into new runs once they pass their share.
+    fn compact_if_due(&mut self) {
+        if self.spo.overlay_len() > self.spo.overlay_limit() {
+            for index in [&mut self.spo, &mut self.pos, &mut self.osp] {
+                index.merge(Vec::new());
+            }
+        }
+    }
+
     /// Inserts a triple. Returns `true` if it was not already present.
     pub fn insert(&mut self, triple: &Triple) -> bool {
         let encoded = self.encode(triple);
         self.insert_encoded(encoded)
     }
 
+    /// Inserts a triple given by ids this graph's interner issued for it.
+    fn insert_encoded(&mut self, encoded: EncodedTriple) -> bool {
+        if self.spo.contains(encoded) {
+            return false;
+        }
+        self.add(encoded);
+        self.compact_if_due();
+        true
+    }
+
     /// Inserts a batch of triples, returning how many were new.
     ///
-    /// Into an **empty** graph this takes the fast path the ROADMAP's
-    /// bulk-load hot path asks for: encode everything, sort + dedup once,
-    /// and build the three indexes from the sorted runs — instead of three
-    /// per-triple `BTreeSet` probes. On a non-empty graph it falls back to
-    /// per-triple insertion (the batch must still be checked against what
-    /// is already there). Triples may be passed by reference: nothing of a
-    /// triple is cloned but the terms the graph has not seen yet.
+    /// The batch is encoded, sorted and deduplicated once and checked
+    /// against what the graph holds. When the new triples would push the
+    /// overlay past its share of the run — every bulk load into an empty
+    /// graph beyond a handful of triples — each index merges them into a
+    /// new run in one pass; a small batch joins the overlay. Triples may be
+    /// passed by reference: nothing of a triple is cloned but the terms the
+    /// graph has not seen yet.
     pub fn bulk_insert<I>(&mut self, triples: I) -> usize
     where
         I: IntoIterator,
         I::Item: Borrow<Triple>,
     {
-        let iter = triples.into_iter();
-        if !self.spo.is_empty() {
-            return iter.filter(|triple| self.insert(triple.borrow())).count();
-        }
-        // A fresh graph: no existing triples to collide with, so the only
-        // duplicates are within the batch itself — sort + dedup finds them
-        // in one pass. The interner grows with the distinct terms it meets:
-        // a batch has several triples per term, and a table sized for the
-        // triples would be touched sparsely, a fresh page per probe.
-        let mut encoded: Vec<EncodedTriple> = iter.map(|t| self.encode(t.borrow())).collect();
+        // The interner grows with the distinct terms it meets: a batch has
+        // several triples per term, and a table sized for the triples would
+        // be touched sparsely, a fresh page per probe. Data arrives grouped
+        // by subject (an observation's star, a Turtle `;` list), so the
+        // previous subject is compared before the interner is probed.
+        let mut previous: Option<(Term, TermId)> = None;
+        let mut encoded: Vec<EncodedTriple> = triples
+            .into_iter()
+            .map(|triple| {
+                let triple = triple.borrow();
+                let s = match &previous {
+                    Some((subject, id)) if *subject == triple.subject => *id,
+                    _ => {
+                        let id = self.interner.intern(&triple.subject);
+                        previous = Some((triple.subject.clone(), id));
+                        id
+                    }
+                };
+                let (p, o) = self.encode_predicate_object(triple);
+                (s, p, o)
+            })
+            .collect();
         encoded.sort_unstable();
         encoded.dedup();
-        self.spo = encoded.iter().copied().collect();
-        self.pos = encoded.iter().map(|&(s, p, o)| (p, o, s)).collect();
-        self.osp = encoded.iter().map(|&(s, p, o)| (o, s, p)).collect();
-        encoded.len()
-    }
-
-    /// Inserts a triple given by already-interned ids.
-    pub fn insert_encoded(&mut self, (s, p, o): EncodedTriple) -> bool {
-        let added = self.spo.insert((s, p, o));
-        if added {
-            self.pos.insert((p, o, s));
-            self.osp.insert((o, s, p));
+        encoded.retain(|&key| !self.spo.contains(key));
+        let added = encoded.len();
+        if self.spo.overlay_len() + added <= self.spo.overlay_limit() {
+            for &key in &encoded {
+                self.add(key);
+            }
+            return added;
         }
+        let osp = rotate_sorted(&encoded, self.interner.len());
+        let pos = rotate_sorted(&osp, self.interner.len());
+        self.spo.merge(encoded);
+        self.osp.merge(osp);
+        self.pos.merge(pos);
         added
     }
 
     /// Removes a triple. Returns `true` if it was present.
     pub fn remove(&mut self, triple: &Triple) -> bool {
-        let (Some(s), Some(p), Some(o)) = (
-            self.interner.get(&triple.subject),
-            self.predicate_id(&triple.predicate),
-            self.interner.get(&triple.object),
-        ) else {
+        let Some((s, p, o)) = self.ids_of(triple).filter(|&key| self.spo.contains(key)) else {
             return false;
         };
-        let removed = self.spo.remove(&(s, p, o));
-        if removed {
-            self.pos.remove(&(p, o, s));
-            self.osp.remove(&(o, s, p));
-        }
-        removed
+        self.spo.remove((s, p, o));
+        self.pos.remove((p, o, s));
+        self.osp.remove((o, s, p));
+        self.compact_if_due();
+        true
     }
 
     /// True if the graph contains the given triple.
     pub fn contains(&self, triple: &Triple) -> bool {
-        match (
-            self.interner.get(&triple.subject),
-            self.predicate_id(&triple.predicate),
-            self.interner.get(&triple.object),
-        ) {
-            (Some(s), Some(p), Some(o)) => self.spo.contains(&(s, p, o)),
-            _ => false,
-        }
+        self.ids_of(triple)
+            .is_some_and(|key| self.spo.contains(key))
     }
 
     /// Interns a term (for callers that want to work at the id level,
@@ -231,9 +505,10 @@ impl Graph {
         self.interner.resolve(id)
     }
 
-    /// Iterates over all triples (decoded).
+    /// Iterates over all triples (decoded), in SPO id order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.spo.iter().map(move |&(s, p, o)| self.decode((s, p, o)))
+        self.matching_ids(None, None, None)
+            .map(move |encoded| self.decode(encoded))
     }
 
     /// Decodes an encoded triple into a [`Triple`].
@@ -285,20 +560,11 @@ impl Graph {
             .flatten()
     }
 
-    /// Matches a triple pattern where components are given as optional ids.
-    pub fn match_ids(
-        &self,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> Vec<EncodedTriple> {
-        self.matching_ids(s, p, o).collect()
-    }
-
     /// Iterates the triples matching an id-level pattern (`None` =
     /// wildcard) straight off the index whose sort order has the bound
-    /// components as a prefix — one range scan, nothing collected. This is
-    /// the single place an index is chosen; every other matcher sits on it.
+    /// components as a prefix, in that index's key order — one slice of its
+    /// run merged with its overlay, nothing collected. This is the single
+    /// place an index is chosen; every other matcher sits on it.
     pub fn matching_ids(
         &self,
         s: Option<TermId>,
@@ -306,7 +572,7 @@ impl Graph {
         o: Option<TermId>,
     ) -> impl Iterator<Item = EncodedTriple> + '_ {
         // An index key back to (s, p, o) order.
-        type ToSpo = fn((TermId, TermId, TermId)) -> EncodedTriple;
+        type ToSpo = fn(Key) -> EncodedTriple;
         // (index, its key components in sort order, key → (s, p, o)).
         let (index, [a, b, c], to_spo): (_, _, ToSpo) = match (s, p, o) {
             (Some(_), None, Some(_)) | (None, None, Some(_)) => {
@@ -317,13 +583,7 @@ impl Graph {
         };
         debug_assert!(a.is_some() || b.is_none(), "bound components form a prefix");
         debug_assert!(b.is_some() || c.is_none(), "bound components form a prefix");
-        let low = (a.unwrap_or(0), b.unwrap_or(0), c.unwrap_or(0));
-        let high = (
-            a.unwrap_or(TermId::MAX),
-            b.unwrap_or(TermId::MAX),
-            c.unwrap_or(TermId::MAX),
-        );
-        index.range(low..=high).map(move |&key| to_spo(key))
+        index.matching(a, b, c).map(to_spo)
     }
 
     /// Convenience: all objects of `(subject, predicate, ?o)`.
@@ -352,40 +612,17 @@ impl Graph {
         self.subjects(&crate::vocab::rdf::type_(), &Term::Iri(class.clone()))
     }
 
-    /// Convenience: all distinct predicates used on `subject`.
-    pub fn predicates_of(&self, subject: &Term) -> Vec<Iri> {
-        let mut preds: Vec<Iri> = self
-            .triples_matching(Some(subject), None, None)
-            .into_iter()
-            .map(|t| t.predicate)
-            .collect();
-        preds.sort();
-        preds.dedup();
-        preds
-    }
-
-    /// Extends this graph with all triples from another graph.
-    pub fn extend_from(&mut self, other: &Graph) {
-        for triple in other.iter() {
-            self.insert(&triple);
-        }
-    }
-
     /// Builds a graph from an iterator of triples.
     pub fn from_triples<I: IntoIterator<Item = Triple>>(triples: I) -> Self {
         let mut g = Graph::new();
-        for t in triples {
-            g.insert(&t);
-        }
+        g.bulk_insert(triples);
         g
     }
 }
 
 impl Extend<Triple> for Graph {
     fn extend<T: IntoIterator<Item = Triple>>(&mut self, iter: T) {
-        for t in iter {
-            self.insert(&t);
-        }
+        self.bulk_insert(iter);
     }
 }
 
@@ -400,6 +637,7 @@ mod tests {
     use super::*;
     use crate::term::Literal;
     use crate::vocab::{rdf, rdfs};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Iri::new(p), Term::iri(o))
@@ -449,44 +687,257 @@ mod tests {
         assert!(!g.contains(&t("http://a", "http://q", "http://p")));
         assert!(g.insert(&t("http://a", "http://q", "http://p")));
         assert_eq!(g.term_count(), 3);
-        assert_eq!(g.triples_matching(None, Some(&Iri::new("http://q")), None).len(), 1);
-        assert_eq!(g.subjects(&Iri::new("http://p"), &Term::iri("http://q")).len(), 1);
+        assert_eq!(
+            g.triples_matching(None, Some(&Iri::new("http://q")), None)
+                .len(),
+            1
+        );
+        assert_eq!(
+            g.subjects(&Iri::new("http://p"), &Term::iri("http://q"))
+                .len(),
+            1
+        );
         assert!(g.remove(&t("http://a", "http://q", "http://p")));
         assert!(!g.remove(&t("http://a", "http://q", "http://p")));
         assert_eq!(g.len(), 1);
     }
 
-    #[test]
-    fn matching_ids_agrees_with_a_full_scan_for_every_shape() {
-        let mut g = Graph::new();
-        for i in 0..60u32 {
-            g.insert(&t(
-                &format!("http://s{}", i % 7),
-                &format!("http://p{}", i % 3),
-                &format!("http://o{}", i % 5),
-            ));
+    /// The reference: three `BTreeSet`s and one range scan per pattern. The
+    /// graph must answer every pattern with exactly its triples, in exactly
+    /// its order.
+    #[derive(Clone, Default)]
+    struct Model {
+        spo: BTreeSet<Key>,
+        pos: BTreeSet<Key>,
+        osp: BTreeSet<Key>,
+    }
+
+    impl Model {
+        fn insert(&mut self, (s, p, o): EncodedTriple) -> bool {
+            let added = self.spo.insert((s, p, o));
+            self.pos.insert((p, o, s));
+            self.osp.insert((o, s, p));
+            added
         }
-        let all = g.match_ids(None, None, None);
-        assert_eq!(all.len(), g.len());
-        let (s0, p0, o0) = all[all.len() / 2];
-        let unused = g.term_count() as TermId + 7;
-        for s in [None, Some(s0), Some(unused)] {
-            for p in [None, Some(p0), Some(unused)] {
-                for o in [None, Some(o0), Some(unused)] {
-                    let wanted = |bound: Option<TermId>, id| bound.is_none_or(|b| b == id);
-                    let mut expected: Vec<EncodedTriple> = all
-                        .iter()
-                        .copied()
-                        .filter(|&(ts, tp, to)| wanted(s, ts) && wanted(p, tp) && wanted(o, to))
-                        .collect();
-                    let mut matched: Vec<EncodedTriple> = g.matching_ids(s, p, o).collect();
-                    assert_eq!(matched, g.match_ids(s, p, o));
-                    matched.sort_unstable();
-                    expected.sort_unstable();
-                    assert_eq!(matched, expected, "pattern ({s:?}, {p:?}, {o:?})");
+
+        fn remove(&mut self, (s, p, o): EncodedTriple) -> bool {
+            let removed = self.spo.remove(&(s, p, o));
+            self.pos.remove(&(p, o, s));
+            self.osp.remove(&(o, s, p));
+            removed
+        }
+
+        fn matching(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Key> {
+            type ToSpo = fn(Key) -> EncodedTriple;
+            let (index, [a, b, c], to_spo): (_, _, ToSpo) = match (s, p, o) {
+                (Some(_), None, Some(_)) | (None, None, Some(_)) => {
+                    (&self.osp, [o, s, p], |(o, s, p)| (s, p, o))
+                }
+                (None, Some(_), _) => (&self.pos, [p, o, s], |(p, o, s)| (s, p, o)),
+                _ => (&self.spo, [s, p, o], |spo| spo),
+            };
+            let low = (a.unwrap_or(0), b.unwrap_or(0), c.unwrap_or(0));
+            let high = (
+                a.unwrap_or(TermId::MAX),
+                b.unwrap_or(TermId::MAX),
+                c.unwrap_or(TermId::MAX),
+            );
+            index.range(low..=high).map(|&key| to_spo(key)).collect()
+        }
+    }
+
+    /// A triple over a small vocabulary: eight IRIs usable in any position
+    /// plus four literals as objects, so patterns match several triples.
+    fn random_triple(rng: &mut StdRng) -> Triple {
+        let iri = |rng: &mut StdRng| format!("http://t{}", rng.gen_range(0..8u8));
+        let object = match rng.gen_range(0..3u8) {
+            0 => Term::Literal(Literal::string(format!("l{}", rng.gen_range(0..4u8)))),
+            _ => Term::iri(iri(rng)),
+        };
+        Triple::new(Term::iri(iri(rng)), Iri::new(iri(rng)), object)
+    }
+
+    fn ids(g: &Graph, triple: &Triple) -> EncodedTriple {
+        g.ids_of(triple).expect("the graph interned the triple")
+    }
+
+    /// `len`, `contains` and `matching_ids` of `g` equal the model's, the
+    /// last for all 27 shapes of bound / unbound / never-issued components.
+    fn check(g: &Graph, model: &Model, rng: &mut StdRng, step: &str) {
+        assert_eq!(g.len(), model.spo.len(), "{step}: len");
+        for _ in 0..8 {
+            let triple = random_triple(rng);
+            let expected = g
+                .ids_of(&triple)
+                .is_some_and(|key| model.spo.contains(&key));
+            assert_eq!(g.contains(&triple), expected, "{step}: contains {triple}");
+        }
+        let all: Vec<Key> = model.spo.iter().copied().collect();
+        let (s0, p0, o0) = match all.len() {
+            0 => (0, 0, 0),
+            len => all[rng.gen_range(0..len)],
+        };
+        let unknown = g.term_count() as TermId + 7;
+        for s in [None, Some(s0), Some(unknown)] {
+            for p in [None, Some(p0), Some(unknown)] {
+                for o in [None, Some(o0), Some(unknown)] {
+                    let matched: Vec<Key> = g.matching_ids(s, p, o).collect();
+                    assert_eq!(
+                        matched,
+                        model.matching(s, p, o),
+                        "{step}: ({s:?}, {p:?}, {o:?})"
+                    );
                 }
             }
         }
+    }
+
+    /// One mutation of `g` and its model, drawn at random.
+    fn mutate(
+        g: &mut Graph,
+        model: &mut Model,
+        removed: &mut Vec<Triple>,
+        rng: &mut StdRng,
+    ) -> String {
+        let existing = |g: &Graph, model: &Model, rng: &mut StdRng| {
+            let all: Vec<Key> = model.spo.iter().copied().collect();
+            (!all.is_empty()).then(|| g.decode(all[rng.gen_range(0..all.len())]))
+        };
+        match rng.gen_range(0..8u8) {
+            0 | 1 => {
+                let triple = random_triple(rng);
+                let added = g.insert(&triple);
+                assert_eq!(added, model.insert(ids(g, &triple)));
+                format!("insert {triple}")
+            }
+            2 => match existing(g, model, rng) {
+                Some(triple) => {
+                    assert!(!g.insert(&triple), "duplicate insert");
+                    format!("duplicate insert {triple}")
+                }
+                None => "nothing to duplicate".to_string(),
+            },
+            3 => match existing(g, model, rng) {
+                Some(triple) => {
+                    assert!(g.remove(&triple));
+                    assert!(model.remove(ids(g, &triple)));
+                    removed.push(triple.clone());
+                    format!("remove {triple}")
+                }
+                None => "nothing to remove".to_string(),
+            },
+            4 => {
+                let triple = random_triple(rng);
+                let gone = g.remove(&triple);
+                assert_eq!(gone, g.ids_of(&triple).is_some_and(|key| model.remove(key)));
+                format!("remove maybe-absent {triple}")
+            }
+            5 => match removed.pop() {
+                Some(triple) => {
+                    assert_eq!(g.insert(&triple), model.insert(ids(g, &triple)));
+                    format!("re-insert removed {triple}")
+                }
+                None => "nothing to re-insert".to_string(),
+            },
+            6 => {
+                // A fresh key lands in the overlay; removing it at once
+                // removes an overlay-only key.
+                let triple = random_triple(rng);
+                let added = g.insert(&triple);
+                assert_eq!(added, model.insert(ids(g, &triple)));
+                if added {
+                    assert!(g.remove(&triple));
+                    model.remove(ids(g, &triple));
+                }
+                format!("insert and remove {triple}")
+            }
+            _ => {
+                // Small batches join the overlay, large ones merge.
+                let len = if rng.gen_bool(0.5) {
+                    rng.gen_range(1..20)
+                } else {
+                    rng.gen_range(100..300)
+                };
+                let batch: Vec<Triple> = (0..len).map(|_| random_triple(rng)).collect();
+                let added = g.bulk_insert(&batch);
+                let expected = batch
+                    .iter()
+                    .filter(|triple| model.insert(ids(g, triple)))
+                    .count();
+                assert_eq!(added, expected);
+                format!("bulk insert of {len}")
+            }
+        }
+    }
+
+    #[test]
+    fn matching_ids_agrees_with_a_full_scan_for_every_shape() {
+        let mut compactions = 0;
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut g = Graph::new();
+            let mut model = Model::default();
+            // A bulk load into the empty graph: half the seeds large enough
+            // to build runs, half small enough to stay in the overlay.
+            let len = if seed % 2 == 0 { 400 } else { 40 };
+            let batch: Vec<Triple> = (0..len).map(|_| random_triple(&mut rng)).collect();
+            let added = g.bulk_insert(&batch);
+            assert_eq!(
+                added,
+                batch
+                    .iter()
+                    .filter(|triple| model.insert(ids(&g, triple)))
+                    .count()
+            );
+            check(&g, &model, &mut rng, "bulk load");
+
+            let mut removed = Vec::new();
+            for i in 0..240 {
+                let run = Arc::clone(&g.spo.run);
+                let step = mutate(&mut g, &mut model, &mut removed, &mut rng);
+                if !Arc::ptr_eq(&g.spo.run, &run) && !step.starts_with("bulk") {
+                    compactions += 1;
+                }
+                let step = format!("seed {seed} step {i}: {step}");
+                check(&g, &model, &mut rng, &step);
+
+                if i % 10 == 0 {
+                    // A clone shares the runs; mutating either side leaves
+                    // the other as it was.
+                    let (mut fork, mut fork_model) = (g.clone(), model.clone());
+                    for index in [
+                        (&g.spo, &fork.spo),
+                        (&g.pos, &fork.pos),
+                        (&g.osp, &fork.osp),
+                    ] {
+                        assert!(Arc::ptr_eq(&index.0.run, &index.1.run));
+                        assert!(Arc::ptr_eq(&index.0.start, &index.1.start));
+                    }
+                    let mut fork_removed = removed.clone();
+                    for _ in 0..4 {
+                        let fork_step =
+                            mutate(&mut fork, &mut fork_model, &mut fork_removed, &mut rng);
+                        check(
+                            &fork,
+                            &fork_model,
+                            &mut rng,
+                            &format!("{step}, fork: {fork_step}"),
+                        );
+                        let own_step = mutate(&mut g, &mut model, &mut removed, &mut rng);
+                        check(
+                            &g,
+                            &model,
+                            &mut rng,
+                            &format!("{step}, beside a fork: {own_step}"),
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            compactions > 0,
+            "enough single inserts and removes to compact"
+        );
     }
 
     #[test]
@@ -520,10 +971,13 @@ mod tests {
             Some(Term::Literal(Literal::string("Syria")))
         );
         assert_eq!(
+            g.objects(&syria, &rdf::type_()),
+            vec![Term::iri("http://ex/Country")]
+        );
+        assert_eq!(
             g.subjects_of_type(&Iri::new("http://ex/Country")),
             vec![syria.clone()]
         );
-        assert_eq!(g.predicates_of(&syria).len(), 2);
     }
 
     #[test]
@@ -600,7 +1054,9 @@ mod tests {
         assert_eq!(g.len(), 2);
         // A later removal keeps all indexes in sync.
         assert!(g.remove(&t("http://b", "http://p", "http://y")));
-        assert!(g.triples_matching(None, None, Some(&Term::iri("http://y"))).is_empty());
+        assert!(g
+            .triples_matching(None, None, Some(&Term::iri("http://y")))
+            .is_empty());
     }
 
     #[test]
@@ -613,9 +1069,10 @@ mod tests {
         assert_eq!(g.len(), 2);
 
         let mut g2 = Graph::new();
-        g2.extend_from(&g);
+        g2.extend(g.iter());
         g2.extend(triples);
         assert_eq!(g2.len(), 2);
+        assert!(g.iter().eq(g2.iter()));
     }
 
     #[test]
@@ -624,8 +1081,7 @@ mod tests {
         interner.reserve(2);
         let a = interner.intern(&Term::iri("http://a"));
         let b = interner.intern(&Term::iri("http://b"));
-        let pairs: Vec<(TermId, Term)> =
-            interner.iter().map(|(id, t)| (id, t.clone())).collect();
+        let pairs: Vec<(TermId, Term)> = interner.iter().map(|(id, t)| (id, t.clone())).collect();
         assert_eq!(
             pairs,
             vec![(a, Term::iri("http://a")), (b, Term::iri("http://b"))]
@@ -635,11 +1091,7 @@ mod tests {
     #[test]
     fn decode_roundtrip() {
         let mut g = Graph::new();
-        let triple = Triple::new(
-            Term::blank("b1"),
-            Iri::new("http://p"),
-            Literal::integer(7),
-        );
+        let triple = Triple::new(Term::blank("b1"), Iri::new("http://p"), Literal::integer(7));
         g.insert(&triple);
         let decoded: Vec<Triple> = g.iter().collect();
         assert_eq!(decoded, vec![triple]);

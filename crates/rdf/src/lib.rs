@@ -5,9 +5,13 @@
 //! original system):
 //!
 //! * [`term`] — IRIs, blank nodes, typed literals, triples;
-//! * [`graph`] — an indexed in-memory graph (SPO/POS/OSP) with term interning;
+//! * [`graph`] — an in-memory graph with term interning and SPO/POS/OSP
+//!   indexes, each a shared sorted run with first-term offsets plus a small
+//!   insert/remove overlay;
+//! * [`hash`] — the Fx hasher the interner and the id tables use;
 //! * [`heap`] — the allocator policy of a process that holds a store;
-//! * [`store`] — a thread-safe store with a default graph and named graphs;
+//! * [`store`] — a thread-safe store with a default graph and named graphs,
+//!   whose snapshots share the graphs' runs;
 //! * [`parser`] / [`serializer`] — Turtle and N-Triples I/O;
 //! * [`namespace`] — prefix management;
 //! * [`vocab`] — the RDF/RDFS/XSD/SKOS/QB/QB4OLAP/SDMX/Eurostat vocabularies.
@@ -34,6 +38,7 @@
 
 pub mod error;
 pub mod graph;
+pub mod hash;
 pub mod heap;
 pub mod namespace;
 pub mod parser;

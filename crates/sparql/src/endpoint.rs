@@ -221,9 +221,10 @@ impl Endpoint for LocalEndpoint {
     }
 
     fn background_handle(&self) -> Option<Arc<dyn Endpoint + Send + Sync>> {
-        // A frozen copy of the store (see `Store::snapshot`): the handle's
-        // epoch and data are captured atomically, so a background rebuild
-        // racing live writers still sees one consistent state.
+        // A snapshot of the store (see `Store::snapshot`): the handle's epoch
+        // and data are captured atomically, so a background rebuild racing
+        // live writers still sees one consistent state. It shares the
+        // graphs' index runs and copies their overlays and interners.
         Some(Arc::new(LocalEndpoint::with_store(self.store.snapshot())))
     }
 }

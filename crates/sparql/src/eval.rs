@@ -16,6 +16,7 @@
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
+use rdf::hash::FxHashMap;
 use rdf::{Graph, Term, TermId};
 
 use crate::ast::*;
@@ -62,7 +63,7 @@ pub fn evaluate_select_encoded(
 ) -> Result<EncodedSolutions, SparqlError> {
     let mut ev = Evaluator::new(graph, Scope::default());
     let (names, mut table) = ev.run_select(query)?;
-    let mut local: HashMap<TermId, u32> = HashMap::new();
+    let mut local: FxHashMap<TermId, u32> = FxHashMap::default();
     let mut terms = Vec::new();
     for id in table.ids.iter_mut().filter(|id| **id != UNBOUND) {
         let global = *id;
@@ -182,7 +183,7 @@ impl Rows {
 /// Numbers the rows of `keys` by distinct key in first-occurrence order:
 /// each row's group, and each group's first row.
 fn group_ids(keys: &Rows) -> (Vec<usize>, Vec<usize>) {
-    let mut index: HashMap<&[TermId], usize> = HashMap::new();
+    let mut index: FxHashMap<&[TermId], usize> = FxHashMap::default();
     let mut firsts = Vec::new();
     let group_of = keys
         .iter()
@@ -260,7 +261,8 @@ fn join(rows: &Rows, slots: &[usize], other: &Rows) -> Rows {
     out
 }
 
-/// The variables of one (sub-)query, in registration order. Slots are
+/// The variables of one (sub-)query, in registration order. Their names are
+/// the request's, so `index` keeps the keyed default hasher. Slots are
 /// handed out as evaluation first meets a variable — exactly the order
 /// `SELECT *` reports — while the row width is fixed up front from every
 /// name the query mentions, plus one hidden slot (the last) that tags rows

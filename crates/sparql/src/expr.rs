@@ -10,8 +10,9 @@
 //! per query, evaluated per row without a name lookup.
 
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::hash::RandomState;
 
+use rdf::hash::{FxHashMap, FxHashSet};
 use rdf::{Graph, Interner, Literal, Term, TermId};
 
 use crate::ast::{AggregateFunction, ArithOp, CmpOp, Expression, Function};
@@ -59,13 +60,15 @@ pub(crate) struct Terms<'g> {
     pub graph: &'g Graph,
     /// First side-interner id (the graph's term count).
     base: TermId,
-    computed: Interner,
+    /// Keyed (SipHash): it interns the query's own constants, which a
+    /// request chooses. The id tables below hash ids this program assigned.
+    computed: Interner<RandomState>,
     /// How each term met so far reads as a number, parsed once.
-    numeric: HashMap<TermId, Option<NumericValue>>,
+    numeric: FxHashMap<TermId, Option<NumericValue>>,
     /// Results of one-argument function calls, by (function, argument):
     /// `STR(?x)` over a million rows computes — and allocates — one string
     /// per distinct `?x`.
-    unary_calls: HashMap<(u8, TermId), Option<TermId>>,
+    unary_calls: FxHashMap<(u8, TermId), Option<TermId>>,
     /// The ids of `false` and `true`.
     booleans: [TermId; 2],
 }
@@ -75,9 +78,9 @@ impl<'g> Terms<'g> {
         let mut terms = Terms {
             graph,
             base: graph.term_count() as TermId,
-            computed: Interner::new(),
-            numeric: HashMap::new(),
-            unary_calls: HashMap::new(),
+            computed: Interner::default(),
+            numeric: FxHashMap::default(),
+            unary_calls: FxHashMap::default(),
             booleans: [UNBOUND; 2],
         };
         terms.booleans = [false, true].map(|b| terms.intern(Term::Literal(Literal::boolean(b))));
@@ -433,7 +436,7 @@ impl<'g> Terms<'g> {
             .filter_map(|&member| self.eval(inner, group.rows.row(member), None))
             .collect();
         if distinct {
-            let mut seen = HashSet::new();
+            let mut seen = FxHashSet::default();
             values.retain(|&value| seen.insert(value));
         }
         // Order-independent accumulation (integers exactly, floats through
