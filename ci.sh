@@ -96,7 +96,10 @@ cargo test --release -q -p qb2olap-suite --test integration_overlay
 
 # The regression corpus replays green, pinned by name so a corpus file
 # that stops parsing or starts diverging fails the gate even if the
-# campaign above is ever quarantined.
+# campaign above is ever quarantined. One file,
+# tests/corpus/seed-0004-two-dimension-attribute-dice.ql, is a dice
+# comparing attributes of two dimensions, which the alternative SPARQL
+# variant once dropped.
 cargo test --release -q -p qb2olap-suite --test integration_qlsmith -- \
     committed_corpus_replays_green
 
@@ -110,6 +113,13 @@ for experiment in e1 e2 e3 e4 e5 e6 e8 e9; do
     cargo run --release -p qb2olap_bench --bin repro -- "$experiment" --observations 2000 > /dev/null
 done
 cargo run --release -p qb2olap_bench --bin repro -- e7 > /dev/null
+# The SPARQL snapshot, pinned by name: both variants' text for the E3
+# workload (which holds E6's Mary query and E9's naive program) must equal
+# crates/ql/testdata/workload.sparql byte for byte, and for
+# generated_queries(11, 64) the committed FNV-1a digest per query. It
+# guards the one renderer that turns the cube plan into SPARQL.
+cargo test --release -q -p ql --lib -- \
+    translate::tests::generated_sparql_matches_the_committed_snapshot
 
 # The HTTP serving gates. First the server test suite, pinned by name so
 # the protocol-hardening and wire-fidelity coverage (400/404/405/408/413/

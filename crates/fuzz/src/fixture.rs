@@ -6,9 +6,10 @@
 //! * ten measures — one integer and one float column for **each** of the
 //!   five aggregate functions, so every generated program aggregates all of
 //!   them at once;
-//! * attributes at three different levels with string, numeric and IRI
+//! * attributes at four different levels with string, numeric and IRI
 //!   values, so dice predicates can target every [`ql::ast::DiceValue`]
-//!   variant;
+//!   variant — and, with a string attribute on the category as well as on
+//!   the geography, one dice can compare attributes of two dimensions;
 //! * measure values drawn from the [`crate::pool`] edge cases — signed
 //!   zeros, subnormals, `f64::MAX` and `i64::MAX`-adjacent integers flow
 //!   through MIN/MAX, while SUM/AVG columns stay bounded so the compensated
@@ -153,6 +154,10 @@ pub fn fuzz_schema() -> CubeSchema {
         .attributes
         .push(LevelAttribute::new(firi("attr/continentCode")));
     schema
+        .level_mut(&firi("lv/cat"))
+        .attributes
+        .push(LevelAttribute::new(firi("attr/catName")));
+    schema
 }
 
 /// One complete observation (every dimension bound, all ten measures).
@@ -281,6 +286,14 @@ pub fn fuzz_cube() -> FuzzCube {
             &fmember(continent),
             &firi("attr/continentCode"),
             &Term::Literal(Literal::string(["AF", "EU"][i])),
+        ));
+    }
+
+    for (i, category) in CATEGORIES.iter().enumerate() {
+        triples.push(qb4olap::attribute_triple(
+            &fmember(category),
+            &firi("attr/catName"),
+            &Term::Literal(Literal::string(["Ant", "Bee", "Cod", "Doe"][i])),
         ));
     }
 

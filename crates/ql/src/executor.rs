@@ -1,19 +1,19 @@
 //! The Querying module workflow (Figure 3 of the paper): QL text is parsed,
-//! simplified, translated to SPARQL and executed, and the resulting cube is
-//! computed on the fly.
+//! simplified and translated into one cube plan, which is executed, and
+//! the resulting cube is computed on the fly.
 //!
-//! Execution goes through an [`ExecutionBackend`] seam: the
-//! [`ExecutionBackend::Sparql`] path evaluates one of the two generated
-//! SPARQL variants on the endpoint (the paper's workflow), while
-//! [`ExecutionBackend::Columnar`] runs the simplified pipeline on a
-//! [`cubestore::MaterializedCube`] served by a shared
-//! [`cubestore::CubeCatalog`] — built lazily from the endpoint, kept live
-//! by O(delta) incremental maintenance (copy-on-write refreshes for
-//! appends, tombstoned rows for whole-observation removals, a reported
+//! Execution goes through an [`ExecutionBackend`] seam over that one plan:
+//! the [`ExecutionBackend::Sparql`] path renders one of the two SPARQL
+//! variants from it and evaluates the text on the endpoint (the paper's
+//! workflow), while [`ExecutionBackend::Columnar`] runs the plan's
+//! [`cubestore::CubeQuery`] on a [`cubestore::MaterializedCube`] served by
+//! a shared [`cubestore::CubeCatalog`] — built lazily from the endpoint,
+//! kept live by O(delta) incremental maintenance (copy-on-write refreshes
+//! for appends, tombstoned rows for whole-observation removals, a reported
 //! rebuild for everything the classifier refuses), and validated against
 //! the store's mutation epoch on every execution, so no SPARQL round-trip
-//! per query and no stale reads. Both backends return identical
-//! [`ResultCube`]s for the same prepared query.
+//! per query, no SPARQL text rendered, and no stale reads. Both backends
+//! return identical [`ResultCube`]s for the same prepared query.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,11 +33,11 @@ use crate::translate::{translate, SparqlVariant, TranslationOutput};
 /// Which engine executes a prepared query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionBackend {
-    /// Translate-and-ship: evaluate the chosen generated SPARQL variant on
+    /// Render-and-ship: evaluate the chosen SPARQL variant of the plan on
     /// the endpoint (the paper's Figure 3 workflow).
     Sparql(SparqlVariant),
-    /// Run the simplified pipeline on the lazily materialized columnar
-    /// cube, bypassing SPARQL entirely.
+    /// Run the plan on the lazily materialized columnar cube, bypassing
+    /// SPARQL entirely.
     Columnar,
 }
 
@@ -63,14 +63,15 @@ pub struct PreparedQuery {
     pub pipeline: QueryPipeline,
     /// What the simplification did.
     pub report: SimplificationReport,
-    /// The translation (both SPARQL variants + result-cube metadata).
+    /// The translation: the cube plan both backends run, plus the
+    /// result-cube metadata.
     pub translation: TranslationOutput,
     /// The backend [`QueryingModule::run`] executes the query on.
     pub backend: ExecutionBackend,
 }
 
 impl PreparedQuery {
-    /// The SPARQL text of the chosen variant.
+    /// The SPARQL text of the chosen variant, rendered from the plan.
     pub fn sparql(&self, variant: SparqlVariant) -> String {
         match variant {
             SparqlVariant::Direct => self.translation.direct_sparql(),
@@ -534,9 +535,6 @@ mod tests {
         let (endpoint, dataset) = enriched_endpoint(400);
         let module = module_for(&endpoint, &dataset);
         for (name, text) in datagen::workload::bench_queries() {
-            if name == "by_political_organisation" {
-                // politicalOrg has no attribute dice; still part of the loop.
-            }
             let prepared = match module.prepare(&text) {
                 Ok(p) => p,
                 Err(e) => panic!("workload query '{name}' failed to prepare: {e}"),
@@ -816,7 +814,6 @@ mod tests {
             columnar_profile.step_names(),
             vec![
                 "materialize",
-                "lower-pipeline",
                 "plan-axes",
                 "compile-filters",
                 "scan",

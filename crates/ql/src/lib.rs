@@ -2,21 +2,24 @@
 //!
 //! Users write OLAP queries in the high-level language **QL** — a sequence
 //! of `SLICE`, `ROLLUP`, `DRILLDOWN` and `DICE` operations — and the module
-//! simplifies the program, translates it into SPARQL (two semantically
-//! equivalent variants) using the QB4OLAP metadata, executes it on the
-//! endpoint and materialises the resulting cube on the fly.
+//! simplifies the program, translates it into one cube plan using the
+//! QB4OLAP metadata, executes that plan on the endpoint (rendered as one of
+//! two semantically equivalent SPARQL variants) or on the columnar engine,
+//! and materialises the resulting cube on the fly.
 //!
 //! * [`ast`] / [`parser`] — the QL language;
 //! * [`pipeline`] — the Query Simplification phase (slice push-down,
 //!   roll-up/drill-down fusion) and schema validation;
-//! * [`translate`](mod@translate) — the Query Translation phase (direct +
-//!   alternative SPARQL);
+//! * [`translate`](mod@translate) — the Query Translation phase: the one
+//!   lowering of a pipeline into the cube plan ([`TranslationOutput`]) and
+//!   its on-demand rendering as direct or alternative SPARQL;
 //! * [`executor`] — the Execution phase behind the
 //!   [`executor::ExecutionBackend`] seam (SPARQL on the endpoint, or the
 //!   columnar [`cubestore`] engine) and the end-to-end
 //!   [`executor::QueryingModule`];
 //! * [`columnar`] — the one columnar execution path every
-//!   [`executor::QueryingModule`] columnar call goes through;
+//!   [`executor::QueryingModule`] columnar call goes through: it runs the
+//!   plan's [`cubestore::CubeQuery`] as it is;
 //! * [`cube`] — the result cube.
 
 #![warn(missing_docs)]

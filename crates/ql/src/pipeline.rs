@@ -54,8 +54,9 @@ impl QueryPipeline {
 
     /// The dices split into member dices (on level attributes, applied
     /// before aggregation) and measure dices (on aggregated measures, the
-    /// `HAVING` side), each in program order — the one split both
-    /// execution backends lower. A dice mixing the two is refused.
+    /// `HAVING` side), each in program order — the split the cube plan's
+    /// member and measure filters follow. A dice mixing the two is
+    /// refused.
     pub(crate) fn partition_dices(
         &self,
     ) -> Result<(Vec<&DiceCondition>, Vec<&DiceCondition>), QlError> {

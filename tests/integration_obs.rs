@@ -48,7 +48,6 @@ fn explain_smoke_profiles_every_pipeline_step_on_both_backends() {
         columnar_profile.step_names(),
         vec![
             "materialize",
-            "lower-pipeline",
             "plan-axes",
             "compile-filters",
             "scan",
