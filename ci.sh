@@ -54,13 +54,20 @@ QB2OLAP_FUZZ_SEED=0xE155EED QB2OLAP_FUZZ_PROGRAMS=500 QB2OLAP_FUZZ_QUERIES=500 \
 # costs at most 64 more allocations at four times the triples (per distinct
 # term and per index run, never per triple or per tree node), a background
 # handle the same count at both sizes give or take 8 (the index runs are
-# shared, not copied), the observation-pivot SELECT one allocation per
-# decoded solution plus a constant (a constant alone when dictionary-
-# encoded), Mary's translated SPARQL a constant plus a few per group, and a
-# cube build grows with distinct members, not cells — no per-triple or
-# per-intermediate-row allocation anywhere on the load → SPARQL → columns
-# path.
+# shared, not copied), the flat observation-star SELECT
+# (`?obs qb:dataSet <ds> . ?obs ?p ?v`) one allocation per decoded solution
+# plus a constant (a constant alone when dictionary-encoded), Mary's
+# translated SPARQL a constant plus a few per group, and a cube build grows
+# with distinct members, not cells — no per-triple or per-intermediate-row
+# allocation anywhere on the load → SPARQL → columns path.
 cargo test --release -q -p qb2olap_bench --test sparql_allocations
+# The demo cube interns its observations in Term order, so the build above
+# never re-orders the pivot. The re-order is pinned here by name:
+# observations stored in reverse Term order materialize the same rows
+# (nodes, codes, measures, zone maps) as the same observations stored in
+# Term order.
+cargo test --release -q -p cubestore --lib -- \
+    tests::observations_stored_out_of_term_order_materialize_the_same_rows
 # The columnar side's two bounds, pinned by name: the same roll-up over 2
 # and 10 sealed segments costs the same allocations give or take 2 per
 # extra segment (the scan never allocates per row), and the /ql wire path
@@ -185,6 +192,7 @@ grep -q 'E20' EXPERIMENTS.md
 grep -q 'E21' EXPERIMENTS.md
 grep -q 'E22' EXPERIMENTS.md
 grep -q 'E23' EXPERIMENTS.md
+grep -q 'E24' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -58,7 +58,7 @@ fn measure(observations: usize) -> Scale {
     let pivot = format!(
         "PREFIX qb: <http://purl.org/linked-data/cube#>
          SELECT ?obs ?p ?v WHERE {{
-           {{ SELECT DISTINCT ?obs WHERE {{ ?obs qb:dataSet <{}> }} ORDER BY ?obs }}
+           ?obs qb:dataSet <{}> .
            ?obs ?p ?v .
          }}",
         cube.dataset.as_str()

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use qb::ComponentKind;
 use qb4olap::CubeSchema;
-use rdf::hash::{FxHashMap, FxHashSet};
+use rdf::hash::FxHashMap;
 use rdf::{Iri, Term};
 use sparql::Endpoint;
 
@@ -310,20 +310,10 @@ impl Builder<'_> {
     fn build(self) -> Result<MaterializedCube, CubeStoreError> {
         let mut stats = BuildStats::default();
 
-        // The observations the SPARQL backend sees: typed `qb:Observation`
-        // AND linked to the dataset. `qb::load_observations` only requires
-        // the `qb:dataSet` link, so intersect with the typed set.
-        let typed = self.endpoint.select_encoded(&format!(
-            "PREFIX qb: <http://purl.org/linked-data/cube#>
-             SELECT ?o WHERE {{ ?o a qb:Observation ; qb:dataSet <{}> }}",
-            self.schema.dataset.as_str()
-        ))?;
-        let typed: FxHashSet<&Term> =
-            typed.rows().filter_map(|row| typed.term(*row.first()?)).collect();
-
+        // One read of every dataset-linked observation's star. The SPARQL
+        // backend sees only the typed ones; the table flags those.
         let structure = qb::load_dataset(self.endpoint, &self.schema.dataset)?.structure;
-        let observations =
-            qb::load_observations(self.endpoint, &self.schema.dataset, &structure, None)?;
+        let observations = qb::load_observations(self.endpoint, &self.schema.dataset, &structure)?;
         stats.observations_seen = observations.len();
         let terms = &observations.terms;
         // The table column holding a property, if the DSD declares the
@@ -367,12 +357,15 @@ impl Builder<'_> {
         let mut dictionaries: Vec<Dictionary> =
             vec![Dictionary::new(); self.schema.dimensions.len()];
         let mut member_codes = vec![vec![NO_MEMBER; terms.len()]; self.schema.dimensions.len()];
-        let mut codes: Vec<Vec<MemberId>> = vec![Vec::new(); self.schema.dimensions.len()];
+        let mut codes: Vec<Vec<MemberId>> = (0..self.schema.dimensions.len())
+            .map(|_| Vec::with_capacity(observations.len()))
+            .collect();
         let mut measure_data: Vec<Option<MeasureVector>> = vec![None; self.schema.measures.len()];
         let mut measure_values: Vec<Vec<Option<StoredMeasure>>> =
             vec![vec![None; terms.len()]; self.schema.measures.len()];
         let mut row_count = 0usize;
-        let mut observation_rows: FxHashMap<Term, usize> = FxHashMap::default();
+        let mut observation_rows: FxHashMap<Term, usize> =
+            FxHashMap::with_capacity_and_hasher(observations.len(), Default::default());
         let mut dropped_observations: BTreeSet<Term> = BTreeSet::new();
         let mut multivalued_observations: BTreeSet<Term> = BTreeSet::new();
         for observation in 0..observations.len() {
@@ -386,7 +379,7 @@ impl Builder<'_> {
                         .filter(|&cell| terms.get(cell).is_some_and(Term::is_literal))
                 })
             };
-            if !typed.contains(node) || literals().any(|cell| cell.is_none()) {
+            if !observations.typed(observation) || literals().any(|cell| cell.is_none()) {
                 stats.rows_dropped += 1;
                 dropped_observations.insert(node.clone());
                 continue;

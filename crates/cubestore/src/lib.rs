@@ -487,6 +487,48 @@ mod tests {
         assert_eq!(native.to_string(), by_default.to_string());
     }
 
+    /// The build orders rows by the `Term` order of the observation nodes,
+    /// not by the order the store happens to hold them in: observations
+    /// inserted in reverse `Term` order (so their store ids run backwards)
+    /// materialize the very same rows — same node per row, same codes and
+    /// measures per column, hence the same zone maps — across a segment
+    /// boundary.
+    #[test]
+    fn observations_stored_out_of_term_order_materialize_the_same_rows() {
+        let observations = cowvec::SEGMENT_LEN + 100;
+        let stars: Vec<Vec<Triple>> = (0..observations)
+            .map(|i| {
+                let (city, month) = (["c1", "c2", "c3"][i % 3], ["m1", "m2"][i / 1500 % 2]);
+                testutil::observation_triples(&format!("p{i:05}"), city, month, i as i64, 7)
+            })
+            .collect();
+        let (forward, schema) = fixture(AggregateFunction::Sum);
+        let (backward, _) = fixture(AggregateFunction::Sum);
+        forward.insert_triples(&stars.concat()).unwrap();
+        let reversed: Vec<Triple> = stars.iter().rev().flatten().cloned().collect();
+        backward.insert_triples(&reversed).unwrap();
+
+        // The stores really hold the nodes in opposite orders.
+        let arrival = |endpoint: &LocalEndpoint| -> Vec<Term> {
+            let linked = endpoint
+                .select("SELECT ?o WHERE { ?o <http://purl.org/linked-data/cube#dataSet> ?d }")
+                .unwrap();
+            (0..linked.len()).filter_map(|row| linked.get(row, "o").cloned()).collect()
+        };
+        let (sent_forward, sent_backward) = (arrival(&forward), arrival(&backward));
+        assert!(sent_forward.windows(2).all(|pair| pair[0] < pair[1]));
+        assert!(sent_backward.windows(2).any(|pair| pair[0] > pair[1]));
+
+        let forward = MaterializedCube::from_endpoint(&forward, &schema).unwrap();
+        let backward = MaterializedCube::from_endpoint(&backward, &schema).unwrap();
+        assert_eq!(forward.row_count(), observations + 5);
+        assert_eq!(build_state(&forward), build_state(&backward));
+        for node in &sent_forward {
+            assert_eq!(forward.observations.row_of(node), backward.observations.row_of(node));
+        }
+        backward.verify_zone_invariants().unwrap();
+    }
+
     #[test]
     fn rollup_drops_ragged_members_and_sums() {
         let cube = build(AggregateFunction::Sum);

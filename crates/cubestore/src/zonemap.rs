@@ -46,29 +46,12 @@ pub struct ZoneMaps {
 }
 
 /// The zone entries of one dimension column: sealed segments share their
-/// sorted code sets behind `Arc`s, the tail accumulates in a `BTreeSet`
-/// until it seals.
+/// sorted code sets behind `Arc`s, the tail's sorted set grows until it
+/// seals.
 #[derive(Debug, Clone, Default)]
 struct DimensionZones {
     sealed: Vec<Arc<Vec<MemberId>>>,
-    tail: BTreeSet<MemberId>,
-}
-
-/// Iterates one segment's distinct member codes, sealed or tail.
-pub(crate) enum SegmentCodes<'a> {
-    Sealed(std::slice::Iter<'a, MemberId>),
-    Tail(std::collections::btree_set::Iter<'a, MemberId>),
-}
-
-impl Iterator for SegmentCodes<'_> {
-    type Item = MemberId;
-
-    fn next(&mut self) -> Option<MemberId> {
-        match self {
-            SegmentCodes::Sealed(iter) => iter.next().copied(),
-            SegmentCodes::Tail(iter) => iter.next().copied(),
-        }
-    }
+    tail: Vec<MemberId>,
 }
 
 impl ZoneMaps {
@@ -90,16 +73,21 @@ impl ZoneMaps {
     /// a dead row's codes staying in its segment's set costs precision,
     /// not soundness.
     pub(crate) fn extend(&mut self, dimensions: &[DimensionColumn], row_count: usize) {
-        for row in self.rows..row_count {
-            let seals_segment = (row + 1) % SEGMENT_LEN == 0;
-            for (zones, column) in self.dimensions.iter_mut().zip(dimensions) {
-                zones.tail.insert(column.code(row));
-                if seals_segment {
-                    zones
-                        .sealed
-                        .push(Arc::new(zones.tail.iter().copied().collect()));
+        for (zones, column) in self.dimensions.iter_mut().zip(dimensions) {
+            let mut row = self.rows;
+            while row < row_count {
+                let (segment, start) = (row / SEGMENT_LEN, row % SEGMENT_LEN);
+                let end = (row_count - segment * SEGMENT_LEN).min(SEGMENT_LEN);
+                // The tail set absorbs the segment's new codes as one
+                // slice: append, sort, dedup.
+                zones.tail.extend_from_slice(&column.code_segment(segment)[start..end]);
+                zones.tail.sort_unstable();
+                zones.tail.dedup();
+                if end == SEGMENT_LEN {
+                    zones.sealed.push(Arc::new(zones.tail.clone()));
                     zones.tail.clear();
                 }
+                row = segment * SEGMENT_LEN + end;
             }
         }
         self.rows = row_count;
@@ -122,15 +110,16 @@ impl ZoneMaps {
         &self,
         dimension: usize,
         segment: usize,
-    ) -> Option<SegmentCodes<'_>> {
+    ) -> Option<impl Iterator<Item = MemberId> + '_> {
         let zones = self.dimensions.get(dimension)?;
-        if segment < zones.sealed.len() {
-            Some(SegmentCodes::Sealed(zones.sealed[segment].iter()))
+        let codes = if segment < zones.sealed.len() {
+            &zones.sealed[segment]
         } else if segment == zones.sealed.len() && !zones.tail.is_empty() {
-            Some(SegmentCodes::Tail(zones.tail.iter()))
+            &zones.tail
         } else {
-            None
-        }
+            return None;
+        };
+        Some(codes.iter().copied())
     }
 
     /// Verifies every zone invariant against the actual column contents —

@@ -212,6 +212,7 @@ pub struct ObservationTable {
     columns: usize,
     nodes: Vec<u32>,
     cells: Vec<u32>,
+    typed: Vec<bool>,
     /// `(observation, column)` of the dimension/measure slots that carried
     /// several distinct values.
     multivalued: BTreeSet<(usize, usize)>,
@@ -243,6 +244,12 @@ impl ObservationTable {
         &self.cells[observation * self.columns..(observation + 1) * self.columns]
     }
 
+    /// True if the observation's star holds `rdf:type qb:Observation` (the
+    /// IRI; other types next to it do not matter).
+    pub fn typed(&self, observation: usize) -> bool {
+        self.typed[observation]
+    }
+
     /// The columns of the observation's dimension/measure slots that
     /// carried **several distinct values** in the store (QB-malformed data;
     /// the cell keeps only one). Consumers that freeze a single value per
@@ -256,20 +263,32 @@ impl ObservationTable {
     }
 }
 
-/// Loads observations of a dataset, classifying each bound property according
-/// to the DSD. `limit` bounds the number of observations fetched (None = all).
+/// What a predicate term of the observation star is to the table.
+#[derive(Debug, Clone, Copy)]
+enum Predicate {
+    /// Not an IRI: the solution is skipped.
+    NotIri,
+    /// The property of a DSD component: its column.
+    Component(usize),
+    /// `rdf:type`.
+    Type,
+    /// Any other property: it makes the node an observation, nothing more.
+    Other,
+}
+
+/// Loads the observations of a dataset with one flat read of their stars,
+/// classifying each bound property according to the DSD and noting which
+/// observations are typed `qb:Observation`.
 pub fn load_observations(
     endpoint: &dyn Endpoint,
     dataset: &Iri,
     dsd: &DataStructureDefinition,
-    limit: Option<usize>,
 ) -> Result<ObservationTable, QbError> {
     const UNBOUND: u32 = ObservationTable::UNBOUND;
-    let limit_clause = limit.map(|l| format!(" LIMIT {l}")).unwrap_or_default();
     let query = format!(
         "PREFIX qb: <http://purl.org/linked-data/cube#>
          SELECT ?obs ?p ?v WHERE {{
-           {{ SELECT DISTINCT ?obs WHERE {{ ?obs qb:dataSet <{ds}> }} ORDER BY ?obs{limit_clause} }}
+           ?obs qb:dataSet <{ds}> .
            ?obs ?p ?v .
          }}",
         ds = dataset.as_str(),
@@ -283,10 +302,11 @@ pub fn load_observations(
     let (obs_column, p_column, v_column) = (column("obs")?, column("p")?, column("v")?);
 
     // Per distinct term, resolved on first use: the table row of a node,
-    // and the component column of a property (`None`: not an IRI).
+    // and what a predicate is to the table.
     let columns = dsd.components.len();
     let mut row_of_node = vec![UNBOUND; solutions.terms.len()];
-    let mut column_of_property: Vec<Option<Option<usize>>> = vec![None; solutions.terms.len()];
+    let mut predicates: Vec<Option<Predicate>> = vec![None; solutions.terms.len()];
+    let (rdf_type, class) = (rdf::vocab::rdf::type_(), Term::Iri(rdf::vocab::qb::observation()));
     let mut table = ObservationTable {
         columns,
         ..ObservationTable::default()
@@ -296,43 +316,64 @@ pub fn load_observations(
         if [obs, p, v].contains(&UNBOUND) {
             continue;
         }
-        let column = *column_of_property[p as usize].get_or_insert_with(|| {
-            let property = solutions.terms[p as usize].as_iri()?;
-            Some(dsd.components.iter().position(|c| &c.property == property).unwrap_or(columns))
+        let predicate = *predicates[p as usize].get_or_insert_with(|| {
+            match solutions.terms[p as usize].as_iri() {
+                None => Predicate::NotIri,
+                Some(property) if *property == rdf_type => Predicate::Type,
+                Some(property) => dsd
+                    .components
+                    .iter()
+                    .position(|c| &c.property == property)
+                    .map_or(Predicate::Other, Predicate::Component),
+            }
         });
-        let Some(column) = column else { continue };
+        if let Predicate::NotIri = predicate {
+            continue;
+        }
         let observation = match row_of_node[obs as usize] {
             UNBOUND => {
                 row_of_node[obs as usize] = table.nodes.len() as u32;
                 table.nodes.push(obs);
+                table.typed.push(false);
                 table.cells.resize(table.cells.len() + columns, UNBOUND);
                 table.nodes.len() - 1
             }
             known => known as usize,
         };
-        if let Some(component) = dsd.components.get(column) {
-            let cell = &mut table.cells[observation * columns + column];
-            if component.kind != ComponentKind::Attribute && ![UNBOUND, v].contains(cell) {
-                table.multivalued.insert((observation, column));
+        match predicate {
+            Predicate::Component(column) => {
+                let cell = &mut table.cells[observation * columns + column];
+                if dsd.components[column].kind != ComponentKind::Attribute
+                    && ![UNBOUND, v].contains(cell)
+                {
+                    table.multivalued.insert((observation, column));
+                }
+                *cell = v;
             }
-            *cell = v;
+            Predicate::Type => table.typed[observation] |= solutions.terms[v as usize] == class,
+            _ => {}
         }
     }
 
-    // Rows in `Term` order of their nodes. The sub-select already orders
-    // them, so this re-orders only what a foreign endpoint sent otherwise.
-    let node = |observation: usize| &solutions.terms[table.nodes[observation] as usize];
-    if !(1..table.len()).all(|next| node(next - 1) < node(next)) {
-        let by_node: BTreeMap<&Term, usize> = (0..table.len()).map(|o| (node(o), o)).collect();
-        let order: Vec<usize> = by_node.into_values().collect();
-        let mut position = vec![0; table.len()];
+    // Rows in `Term` order of their nodes: one permutation sort and one
+    // gather, whatever order the endpoint sent the stars in.
+    let node = |table: &ObservationTable, observation: usize| {
+        &solutions.terms[table.nodes[observation] as usize]
+    };
+    if !(1..table.len()).all(|next| node(&table, next - 1) < node(&table, next)) {
+        let mut order: Vec<u32> = (0..table.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| node(&table, a as usize).cmp(node(&table, b as usize)));
+        let mut cells = Vec::with_capacity(table.cells.len());
+        let mut position = vec![0; order.len()];
         for (new, &old) in order.iter().enumerate() {
-            position[old] = new;
+            cells.extend_from_slice(table.cells(old as usize));
+            position[old as usize] = new;
         }
         table = ObservationTable {
-            nodes: order.iter().map(|&old| table.nodes[old]).collect(),
-            cells: order.iter().flat_map(|&old| table.cells(old).to_vec()).collect(),
+            nodes: order.iter().map(|&old| table.nodes[old as usize]).collect(),
+            typed: order.iter().map(|&old| table.typed[old as usize]).collect(),
             multivalued: table.multivalued.iter().map(|&(old, c)| (position[old], c)).collect(),
+            cells,
             ..table
         };
     }
@@ -472,7 +513,7 @@ mod tests {
     fn load_observations_roundtrip() {
         let (endpoint, dataset, dsd) = endpoint_with_tiny_cube();
         let structure = load_dsd(&endpoint, &dsd).unwrap();
-        let table = load_observations(&endpoint, &dataset, &structure, None).unwrap();
+        let table = load_observations(&endpoint, &dataset, &structure).unwrap();
         assert_eq!(table.len(), 3);
         // Rows come in node order; columns follow the DSD (citizen, geo,
         // obsValue) and every cell resolves through the shared term list.
@@ -496,12 +537,10 @@ mod tests {
         // Five distinct members, three nodes, three values: shared cells
         // share a term.
         assert_eq!(table.cells(0)[0], table.cells(1)[0]);
-        let limited = load_observations(&endpoint, &dataset, &structure, Some(2)).unwrap();
-        assert_eq!(limited.len(), 2);
     }
 
-    /// An endpoint that answers SELECTs with the rows in reverse: what a
-    /// foreign endpoint ignoring the sub-select's ORDER BY may send.
+    /// An endpoint that answers SELECTs with the rows in reverse: an order
+    /// a foreign endpoint may send the stars in.
     struct Reversed(LocalEndpoint);
 
     impl Endpoint for Reversed {
@@ -540,8 +579,8 @@ mod tests {
             )])
             .unwrap();
         let structure = load_dsd(&endpoint, &dsd).unwrap();
-        let native = load_observations(&endpoint, &dataset, &structure, None).unwrap();
-        let reversed = load_observations(&Reversed(endpoint), &dataset, &structure, None).unwrap();
+        let native = load_observations(&endpoint, &dataset, &structure).unwrap();
+        let reversed = load_observations(&Reversed(endpoint), &dataset, &structure).unwrap();
         let decode = |table: &ObservationTable, cell: u32| table.terms.get(cell as usize).cloned();
         for o in 0..native.len() {
             assert_eq!(decode(&native, native.node(o)), decode(&reversed, reversed.node(o)));
@@ -572,7 +611,7 @@ mod tests {
             )])
             .unwrap();
         let structure = load_dsd(&endpoint, &dsd).unwrap();
-        let table = load_observations(&endpoint, &dataset, &structure, None).unwrap();
+        let table = load_observations(&endpoint, &dataset, &structure).unwrap();
         assert_eq!(
             table.terms[table.node(0) as usize],
             Term::iri("http://example.org/obs0")
@@ -584,6 +623,42 @@ mod tests {
             .unwrap();
         assert_eq!(table.multivalued(0).collect::<Vec<_>>(), vec![geo]);
         assert!((1..table.len()).all(|o| table.multivalued(o).next().is_none()));
+    }
+
+    #[test]
+    fn typed_means_the_star_holds_rdf_type_qb_observation() {
+        use rdf::vocab::{qb, rdf as rdfv};
+        let dataset = Iri::new("http://example.org/dataset");
+        let node = |name: &str| Term::iri(format!("http://example.org/{name}"));
+        let class = Term::Iri(qb::observation());
+        let mut triples = Vec::new();
+        for (name, types) in [
+            ("typed", vec![class.clone()]),
+            ("untyped", vec![]),
+            ("two-types", vec![Term::iri("http://example.org/Other"), class.clone()]),
+            ("literal-type", vec![Term::string(qb::observation().as_str())]),
+        ] {
+            triples.push(rdf::Triple::new(node(name), qb::data_set(), Term::Iri(dataset.clone())));
+            for class in types {
+                triples.push(rdf::Triple::new(node(name), rdfv::type_(), class));
+            }
+        }
+        let endpoint = LocalEndpoint::new();
+        endpoint.insert_triples(&triples).unwrap();
+        let dsd = DataStructureDefinition::new(Iri::new("http://example.org/dsd"));
+        let table = load_observations(&endpoint, &dataset, &dsd).unwrap();
+        let typed: Vec<(Term, bool)> = (0..table.len())
+            .map(|o| (table.terms[table.node(o) as usize].clone(), table.typed(o)))
+            .collect();
+        assert_eq!(
+            typed,
+            vec![
+                (node("literal-type"), false),
+                (node("two-types"), true),
+                (node("typed"), true),
+                (node("untyped"), false),
+            ]
+        );
     }
 
     #[test]
