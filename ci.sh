@@ -56,7 +56,8 @@ QB2OLAP_FUZZ_SEED=0xE155EED QB2OLAP_FUZZ_PROGRAMS=500 QB2OLAP_FUZZ_QUERIES=500 \
 # handle the same count at both sizes give or take 8 (the index runs are
 # shared, not copied), the flat observation-star SELECT
 # (`?obs qb:dataSet <ds> . ?obs ?p ?v`) one allocation per decoded solution
-# plus a constant (a constant alone when dictionary-encoded), Mary's
+# plus a constant (a constant alone when dictionary-encoded, natively and
+# through a wrapper that forwards only `query`), Mary's
 # translated SPARQL a constant plus a few per group, and a cube build grows
 # with distinct members, not cells — no per-triple or per-intermediate-row
 # allocation anywhere on the load → SPARQL → columns path.
@@ -163,6 +164,13 @@ cargo run --release -p qb2olap_bench --bin loadgen
 cargo test --release --offline --manifest-path qbbench/Cargo.toml
 cargo run --release --offline --manifest-path qbbench/Cargo.toml -- \
     all --smoke --out target/qbbench-smoke
+# The count gate: the smoke run's count rows (rows scanned, segments pruned,
+# cells, body bytes, the build's SELECTs, solutions, triples) must equal the
+# smoke counts committed in the newest BENCH_<pr>.json (schema in
+# EXPERIMENTS.md, "Trajectory files"). Count rows repeat exactly, so a
+# difference is a behaviour change the PR did not commit. Allocation counts
+# are not gated.
+cargo run --release -p qb2olap_bench --bin count_gate -- target/qbbench-smoke/results.json .
 # qbbench/Cargo.lock is tracked, and cargo rewrites it whenever a crate
 # qbbench builds (core, server, bench and their path dependencies) gains or
 # loses a dependency. Files under qbbench/ must not change in a PR, so the
@@ -193,6 +201,7 @@ grep -q 'E21' EXPERIMENTS.md
 grep -q 'E22' EXPERIMENTS.md
 grep -q 'E23' EXPERIMENTS.md
 grep -q 'E24' EXPERIMENTS.md
+grep -q 'E25' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -10,6 +10,7 @@
 
 use qb2olap::cubestore::MaterializedCube;
 use qb2olap::datagen::workload::mary_query;
+use qb2olap::sparql::ConservativeEndpoint;
 use qb2olap::{Endpoint, LocalEndpoint, SparqlVariant};
 use qb2olap_bench::alloc_counter::{allocations, CountingAllocator};
 use qb2olap_bench::demo_cube;
@@ -25,14 +26,16 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// What one scale costs: (triples, allocations) of a bulk load into an
 /// empty store and the allocations of a background handle on the enriched
-/// store, (solutions, allocations) of the observation-pivot SELECT decoded
-/// and dictionary-encoded and of Mary's translated SPARQL, and (fact cells,
-/// allocations) of a cube build.
+/// store, (solutions, allocations) of the observation-pivot SELECT decoded,
+/// dictionary-encoded, and dictionary-encoded through a wrapper that
+/// forwards only `query`/`query_parsed`, and of Mary's translated SPARQL,
+/// and (fact cells, allocations) of a cube build.
 struct Scale {
     load: (u64, u64),
     handle: u64,
     pivot: (u64, u64),
     pivot_encoded: (u64, u64),
+    pivot_wrapped: (u64, u64),
     mary: (u64, u64),
     build: (u64, u64),
 }
@@ -81,6 +84,9 @@ fn measure(observations: usize) -> Scale {
     let (encoded, encoded_allocations) =
         counted(|| endpoint.select_encoded(&pivot).expect("pivot"));
     assert_eq!(encoded.len(), decoded.len());
+    let wrapper = ConservativeEndpoint::new(endpoint.clone());
+    let (wrapped, wrapped_allocations) = counted(|| wrapper.select_encoded(&pivot).expect("pivot"));
+    assert_eq!(wrapped, encoded);
     assert!(
         decoded.len() >= 8 * observations,
         "every triple of every observation"
@@ -95,6 +101,7 @@ fn measure(observations: usize) -> Scale {
         handle: handle_allocations,
         pivot: (decoded.len() as u64, pivot_allocations),
         pivot_encoded: (encoded.len() as u64, encoded_allocations),
+        pivot_wrapped: (wrapped.len() as u64, wrapped_allocations),
         mary: (answer.len() as u64, mary_allocations),
         build: ((observations * columns) as u64, build_allocations),
     }
@@ -145,6 +152,17 @@ fn sparql_and_build_allocations_do_not_grow_with_intermediate_rows() {
     }
     assert!(large.pivot_encoded.0 >= 4 * small.pivot_encoded.0);
     assert!(large.pivot_encoded.1 <= small.pivot_encoded.1 + 64);
+    // A wrapper that forwards `query` (the shape of every timing or
+    // conservative wrapper) hands out the same encoded table: no decode on
+    // the way, so the same bounds.
+    for (solutions, spent) in [small.pivot_wrapped, large.pivot_wrapped] {
+        assert!(
+            spent <= FIXED,
+            "{spent} allocations for {solutions} encoded solutions through a wrapper"
+        );
+    }
+    assert!(large.pivot_wrapped.0 >= 4 * small.pivot_wrapped.0);
+    assert!(large.pivot_wrapped.1 <= small.pivot_wrapped.1 + 64);
 
     // Mary's query joins seventeen patterns over every observation and
     // filters on `STR(..)` of two attributes before grouping: a few dozen

@@ -400,11 +400,11 @@ mod tests {
         out
     }
 
-    /// The build reads encoded solutions; `LocalEndpoint` produces them
-    /// natively, any other endpoint through the trait's decode-then-encode
-    /// default. Both must materialize the very same cube — including the
-    /// corners: dropped observations, a multi-valued slot, an unbound
-    /// dimension, float measures.
+    /// The build reads encoded solutions, from `LocalEndpoint` directly or
+    /// through a wrapper that forwards only `query` (the trait's provided
+    /// `select_encoded`). Both must materialize the very same cube —
+    /// including the corners: dropped observations, a multi-valued slot, an
+    /// unbound dimension, float measures.
     #[test]
     fn native_and_default_encoded_solutions_build_identical_cubes() {
         use sparql::ConservativeEndpoint;

@@ -546,9 +546,10 @@ mod tests {
     impl Endpoint for Reversed {
         fn query(&self, sparql: &str) -> Result<sparql::QueryResults, sparql::SparqlError> {
             Ok(match self.0.query(sparql)? {
-                sparql::QueryResults::Solutions(mut solutions) => {
+                sparql::QueryResults::Solutions(encoded) => {
+                    let mut solutions = sparql::Solutions::from(encoded);
                     solutions.rows.reverse();
-                    sparql::QueryResults::Solutions(solutions)
+                    sparql::QueryResults::Solutions(solutions.into())
                 }
                 other => other,
             })

@@ -6,6 +6,12 @@
 //! it over an in-process [`rdf::Store`]. Higher layers (enrichment,
 //! exploration, querying) only ever use the trait, so they are oblivious to
 //! where the data lives, just as in the paper.
+//!
+//! Results cross the boundary in one form: a SELECT yields the evaluator's
+//! [`EncodedSolutions`], which bulk consumers read as they are
+//! ([`Endpoint::select_encoded`]) and everyone else decodes once, at the
+//! edge ([`Endpoint::select`]). A wrapper that forwards `query` and
+//! `query_parsed` therefore runs exactly the path the product runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -14,12 +20,18 @@ use rdf::{Iri, Store, StoreDelta, Triple};
 
 use crate::ast::Query;
 use crate::error::SparqlError;
-use crate::eval::{evaluate_query, evaluate_select_encoded};
+use crate::eval::evaluate_query;
 use crate::parser::parse_query;
 use crate::pretty::query_to_string;
 use crate::results::{EncodedSolutions, QueryResults, Solutions};
 
 /// A SPARQL endpoint: accepts query text, returns results.
+///
+/// A SELECT answers in one form, [`EncodedSolutions`], from
+/// [`Self::query`] and [`Self::query_parsed`] — the only two methods a
+/// forwarding wrapper needs to override. [`Self::select_encoded`] hands that
+/// result out as it is; [`Self::select`] and [`Self::select_parsed`] decode
+/// it once into [`Solutions`].
 pub trait Endpoint {
     /// Executes any supported query form.
     fn query(&self, sparql: &str) -> Result<QueryResults, SparqlError>;
@@ -38,35 +50,20 @@ pub trait Endpoint {
 
     /// Executes an already-parsed SELECT query and returns its solutions.
     fn select_parsed(&self, query: &Query) -> Result<Solutions, SparqlError> {
-        match self.query_parsed(query)? {
-            QueryResults::Solutions(s) => Ok(s),
-            QueryResults::Boolean(_) => Err(SparqlError::Endpoint(
-                "expected a SELECT query, got an ASK result".to_string(),
-            )),
-        }
+        Ok(select_result(self.query_parsed(query)?)?.into())
     }
 
     /// Executes a SELECT query and returns its solutions.
     fn select(&self, sparql: &str) -> Result<Solutions, SparqlError> {
-        match self.query(sparql)? {
-            QueryResults::Solutions(s) => Ok(s),
-            QueryResults::Boolean(_) => Err(SparqlError::Endpoint(
-                "expected a SELECT query, got an ASK result".to_string(),
-            )),
-        }
+        Ok(self.select_encoded(sparql)?.into())
     }
 
     /// Executes a SELECT query and returns its solutions dictionary-encoded
-    /// (see [`EncodedSolutions`]) — the entry point for bulk consumers that
-    /// do per-*term* work, such as the columnar cube build.
-    ///
-    /// The default encodes the decoded [`Self::select`] result, so every
-    /// endpoint that answers SELECTs answers this too (one query either
-    /// way); [`LocalEndpoint`] overrides it to hand out the evaluator's id
-    /// rows without decoding a term per cell first. Both yield the same
-    /// value.
+    /// (see [`EncodedSolutions`]), as [`Self::query`] produced them — the
+    /// entry point for bulk consumers that do per-*term* work, such as the
+    /// columnar cube build.
     fn select_encoded(&self, sparql: &str) -> Result<EncodedSolutions, SparqlError> {
-        Ok(self.select(sparql)?.into())
+        select_result(self.query(sparql)?)
     }
 
     /// Executes an ASK query and returns its boolean.
@@ -128,6 +125,16 @@ pub trait Endpoint {
     }
 }
 
+/// The solutions of a SELECT result; an ASK result is an error.
+pub(crate) fn select_result(results: QueryResults) -> Result<EncodedSolutions, SparqlError> {
+    match results {
+        QueryResults::Solutions(solutions) => Ok(solutions),
+        QueryResults::Boolean(_) => Err(SparqlError::Endpoint(
+            "expected a SELECT query, got an ASK result".to_string(),
+        )),
+    }
+}
+
 /// An in-process endpoint backed by an [`rdf::Store`].
 #[derive(Debug, Clone, Default)]
 pub struct LocalEndpoint {
@@ -163,14 +170,18 @@ impl LocalEndpoint {
 
 impl Endpoint for LocalEndpoint {
     fn query(&self, sparql: &str) -> Result<QueryResults, SparqlError> {
-        self.queries_executed.fetch_add(1, Ordering::Relaxed);
         let parsed = {
             let _parse_span = obs::span("sparql.parse");
-            parse_query(sparql)?
+            parse_query(sparql)
         };
-        let _eval_span = obs::span("sparql.evaluate");
-        self.store
-            .with_default_graph(|graph| evaluate_query(graph, &parsed))
+        match parsed {
+            Ok(query) => self.query_parsed(&query),
+            // A query that fails to parse still counts as executed.
+            Err(error) => {
+                self.queries_executed.fetch_add(1, Ordering::Relaxed);
+                Err(error)
+            }
+        }
     }
 
     fn query_parsed(&self, query: &Query) -> Result<QueryResults, SparqlError> {
@@ -178,22 +189,6 @@ impl Endpoint for LocalEndpoint {
         let _eval_span = obs::span("sparql.evaluate");
         self.store
             .with_default_graph(|graph| evaluate_query(graph, query))
-    }
-
-    fn select_encoded(&self, sparql: &str) -> Result<EncodedSolutions, SparqlError> {
-        self.queries_executed.fetch_add(1, Ordering::Relaxed);
-        let parsed = {
-            let _parse_span = obs::span("sparql.parse");
-            parse_query(sparql)?
-        };
-        let Query::Select(select) = &parsed else {
-            return Err(SparqlError::Endpoint(
-                "expected a SELECT query, got an ASK result".to_string(),
-            ));
-        };
-        let _eval_span = obs::span("sparql.evaluate");
-        self.store
-            .with_default_graph(|graph| evaluate_select_encoded(graph, select))
     }
 
     fn insert_triples(&self, triples: &[Triple]) -> Result<usize, SparqlError> {
@@ -412,6 +407,9 @@ mod tests {
         let via_ast = ep.select_parsed(&parsed).unwrap();
         assert_eq!(via_text, via_ast);
         assert_eq!(ep.queries_executed(), 2, "parsed execution still counts");
+        let encoded = ep.select_encoded(text).unwrap();
+        assert_eq!(Solutions::from(encoded), via_text);
+        assert_eq!(ep.queries_executed(), 3, "an encoded select is one query");
         // Handing an ASK AST to select_parsed is a type error.
         let ask = crate::parser::parse_query("ASK { ?s ?p ?o }").unwrap();
         assert!(ep.select_parsed(&ask).is_err());

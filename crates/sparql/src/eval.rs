@@ -8,8 +8,9 @@
 //! SPO/POS/OSP ranges ([`Graph::matching_ids`]); sub-selects, `VALUES` and
 //! `OPTIONAL` join whole tables; FILTER, BIND, GROUP BY, DISTINCT and
 //! ORDER BY evaluate compiled expressions (`crate::expr`) over the ids.
-//! Terms are materialised once, when a finished table becomes
-//! [`Solutions`] (or is re-numbered into [`EncodedSolutions`]). This is
+//! A finished SELECT table leaves as [`EncodedSolutions`]: its ids are
+//! re-numbered densely and each distinct term is cloned once. Decoding into
+//! [`crate::Solutions`] happens at the endpoint's edge, never here. This is
 //! sufficient for the workloads QB2OLAP generates (star-shaped observation
 //! joins plus roll-up navigation joins and a final GROUP BY).
 
@@ -23,46 +24,25 @@ use crate::ast::*;
 use crate::error::SparqlError;
 pub use crate::expr::{compare_numbers, compare_terms};
 use crate::expr::{Expr, Group, SortKey, Terms, UNBOUND};
-use crate::results::{EncodedSolutions, QueryResults, Solutions};
+use crate::results::{EncodedSolutions, QueryResults};
 
-/// Evaluates any query form against a graph.
+/// Evaluates any query form against a graph — the evaluator's one entry.
+/// A SELECT's finished table is re-numbered densely into
+/// [`EncodedSolutions`], cloning each distinct term once.
 pub fn evaluate_query(graph: &Graph, query: &Query) -> Result<QueryResults, SparqlError> {
-    match query {
-        Query::Select(q) => Ok(QueryResults::Solutions(evaluate_select(graph, q)?)),
-        Query::Ask(q) => {
-            let scope = Scope::new(|visit| q.pattern.visit_variables(visit));
+    let select = match query {
+        Query::Select(select) => select,
+        Query::Ask(ask) => {
+            let scope = Scope::new(|visit| ask.pattern.visit_variables(visit));
             let mut ev = Evaluator::new(graph, scope);
             let unit = Rows::unit(ev.scope.width);
-            Ok(QueryResults::Boolean(
-                ev.eval_group(&q.pattern, unit)?.len > 0,
-            ))
+            return Ok(QueryResults::Boolean(
+                ev.eval_group(&ask.pattern, unit)?.len > 0,
+            ));
         }
-    }
-}
-
-/// Evaluates a SELECT query against a graph.
-pub fn evaluate_select(graph: &Graph, query: &SelectQuery) -> Result<Solutions, SparqlError> {
+    };
     let mut ev = Evaluator::new(graph, Scope::default());
-    let (names, table) = ev.run_select(query)?;
-    let decode = |&id: &TermId| (id != UNBOUND).then(|| ev.terms.get(id).clone());
-    Ok(Solutions {
-        variables: names.into_iter().map(Variable::new).collect(),
-        rows: table
-            .iter()
-            .map(|row| row.iter().map(decode).collect())
-            .collect(),
-    })
-}
-
-/// Evaluates a SELECT query into dictionary-encoded solutions: the ids of
-/// the finished table are re-numbered densely and each distinct term is
-/// cloned once.
-pub fn evaluate_select_encoded(
-    graph: &Graph,
-    query: &SelectQuery,
-) -> Result<EncodedSolutions, SparqlError> {
-    let mut ev = Evaluator::new(graph, Scope::default());
-    let (names, mut table) = ev.run_select(query)?;
+    let (names, mut table) = ev.run_select(select)?;
     let mut local: FxHashMap<TermId, u32> = FxHashMap::default();
     let mut terms = Vec::new();
     for id in table.ids.iter_mut().filter(|id| **id != UNBOUND) {
@@ -73,9 +53,9 @@ pub fn evaluate_select_encoded(
         });
     }
     let variables = names.into_iter().map(Variable::new).collect();
-    Ok(EncodedSolutions::new(
+    Ok(QueryResults::Solutions(EncodedSolutions::new(
         variables, terms, table.ids, table.len,
-    ))
+    )))
 }
 
 /// A table of partial solutions: `len` rows of `width` ids, row-major.
@@ -690,6 +670,8 @@ impl<'g, 'q> Evaluator<'g, 'q> {
 mod tests {
     use super::*;
     use crate::parser::{parse_query, parse_select};
+    use crate::results::Solutions;
+    use crate::testutil::evaluate_decoded;
     use rdf::parser::parse_turtle;
     use rdf::Iri;
 
@@ -715,7 +697,7 @@ ex:FR ex:continent ex:Europe ; rdfs:label "France"@en .
     }
 
     fn select(g: &Graph, q: &str) -> Solutions {
-        evaluate_select(g, &parse_select(q).unwrap()).unwrap()
+        evaluate_decoded(g, &parse_select(q).unwrap())
     }
 
     #[test]

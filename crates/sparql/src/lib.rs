@@ -54,7 +54,7 @@ pub mod token;
 pub use ast::{Query, SelectQuery, Variable};
 pub use endpoint::{ConservativeEndpoint, Endpoint, LocalEndpoint};
 pub use error::SparqlError;
-pub use eval::{compare_numbers, compare_terms, evaluate_query, evaluate_select, evaluate_select_encoded};
+pub use eval::{compare_numbers, compare_terms, evaluate_query};
 pub use numeric::{float_max, float_min, CompensatedSum, NumericSum, NumericValue};
 pub use parser::{parse_query, parse_select};
 pub use pretty::{query_to_string, select_to_string};
@@ -68,9 +68,9 @@ mod proptests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use rdf::{Graph, Iri, Literal, Term, Triple};
 
-    use crate::eval::evaluate_select;
     use crate::parser::parse_select;
     use crate::pretty::select_to_string;
+    use crate::testutil::evaluate_decoded;
 
     const CASES: u64 = 128;
 
@@ -105,7 +105,7 @@ mod proptests {
                  SELECT ?c (SUM(?v) AS ?total) WHERE { ?o ex:country ?c ; ex:value ?v } GROUP BY ?c",
             )
             .unwrap();
-            let solutions = evaluate_select(&graph, &query).unwrap();
+            let solutions = evaluate_decoded(&graph, &query);
 
             // Reference computation straight from the graph.
             let mut expected: std::collections::BTreeMap<Term, i64> = Default::default();
@@ -146,8 +146,8 @@ mod proptests {
             let query = parse_select(&text).unwrap();
             let printed = select_to_string(&query);
             let reparsed = parse_select(&printed).unwrap();
-            let a = evaluate_select(&graph, &query).unwrap();
-            let b = evaluate_select(&graph, &reparsed).unwrap();
+            let a = evaluate_decoded(&graph, &query);
+            let b = evaluate_decoded(&graph, &reparsed);
             assert_eq!(a, b, "seed {seed}");
         }
     }
@@ -160,32 +160,29 @@ mod proptests {
             let mut rng = StdRng::seed_from_u64(seed);
             let graph = random_graph(&mut rng);
             let limit = rng.gen_range(1..10usize);
-            let all = evaluate_select(
+            let all = evaluate_decoded(
                 &graph,
                 &parse_select(
                     "PREFIX ex: <http://example.org/> SELECT ?c WHERE { ?o ex:country ?c }",
                 )
                 .unwrap(),
-            )
-            .unwrap();
-            let distinct = evaluate_select(
+            );
+            let distinct = evaluate_decoded(
                 &graph,
                 &parse_select(
                     "PREFIX ex: <http://example.org/> SELECT DISTINCT ?c WHERE { ?o ex:country ?c }",
                 )
                 .unwrap(),
-            )
-            .unwrap();
+            );
             assert!(distinct.len() <= all.len(), "seed {seed}");
 
-            let limited = evaluate_select(
+            let limited = evaluate_decoded(
                 &graph,
                 &parse_select(&format!(
                     "PREFIX ex: <http://example.org/> SELECT ?c WHERE {{ ?o ex:country ?c }} LIMIT {limit}",
                 ))
                 .unwrap(),
-            )
-            .unwrap();
+            );
             assert_eq!(limited.len(), all.len().min(limit), "seed {seed}");
         }
     }

@@ -309,8 +309,8 @@ impl<'a> Printer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_select;
     use crate::parser::parse_select;
+    use crate::testutil::evaluate_decoded;
     use rdf::parser::parse_turtle;
 
     fn roundtrip(query_text: &str) -> (SelectQuery, SelectQuery) {
@@ -346,8 +346,8 @@ mod tests {
         let original = parse_select(text).unwrap();
         let printed = select_to_string(&original);
         let reparsed = parse_select(&printed).unwrap();
-        let r1 = evaluate_select(&data, &original).unwrap();
-        let r2 = evaluate_select(&data, &reparsed).unwrap();
+        let r1 = evaluate_decoded(&data, &original);
+        let r2 = evaluate_decoded(&data, &reparsed);
         assert_eq!(r1, r2);
     }
 

@@ -1,7 +1,5 @@
 //! Query result representations.
 
-use std::collections::BTreeMap;
-
 use rdf::{Interner, Term};
 
 use crate::ast::Variable;
@@ -44,17 +42,6 @@ impl Solutions {
     pub fn get(&self, row: usize, name: &str) -> Option<&Term> {
         let col = self.column(name)?;
         self.rows.get(row)?.get(col)?.as_ref()
-    }
-
-    /// Iterates rows as `variable name → term` maps (unbound vars omitted).
-    pub fn iter_maps(&self) -> impl Iterator<Item = BTreeMap<&str, &Term>> + '_ {
-        self.rows.iter().map(move |row| {
-            self.variables
-                .iter()
-                .zip(row.iter())
-                .filter_map(|(v, t)| t.as_ref().map(|t| (v.name(), t)))
-                .collect()
-        })
     }
 
     /// Renders the solutions as a fixed-width text table (used by the demo
@@ -115,9 +102,10 @@ impl Solutions {
 /// This is the shape bulk consumers (the columnar cube build) read: work
 /// that depends on the *term* — hashing it into a dictionary, parsing a
 /// measure literal — is done once per entry of [`Self::terms`] and reused
-/// for every cell that carries its index. [`crate::Endpoint::select_encoded`]
-/// produces it; the ids are private to one result and mean nothing across
-/// results.
+/// for every cell that carries its index. It is the evaluator's only SELECT
+/// output ([`QueryResults::Solutions`]); [`crate::Endpoint::select`] decodes
+/// it into [`Solutions`] at the edge. The ids are private to one result and
+/// mean nothing across results.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EncodedSolutions {
     /// Output variables, in projection order.
@@ -181,8 +169,8 @@ impl EncodedSolutions {
     }
 }
 
-/// Encodes decoded solutions — what [`crate::Endpoint::select_encoded`]
-/// does for endpoints that only speak the decoded protocol.
+/// Encodes decoded solutions, numbering terms in row-major first-occurrence
+/// order — the numbering the evaluator's results carry.
 impl From<Solutions> for EncodedSolutions {
     fn from(solutions: Solutions) -> Self {
         let width = solutions.variables.len();
@@ -198,6 +186,26 @@ impl From<Solutions> for EncodedSolutions {
     }
 }
 
+/// Decodes encoded solutions: one cloned term per bound cell. The one
+/// decoder behind [`crate::Endpoint::select`] and
+/// [`crate::Endpoint::select_parsed`].
+impl From<EncodedSolutions> for Solutions {
+    fn from(encoded: EncodedSolutions) -> Self {
+        let rows = encoded
+            .rows()
+            .map(|row| {
+                row.iter()
+                    .map(|&cell| encoded.term(cell).cloned())
+                    .collect()
+            })
+            .collect();
+        Solutions {
+            variables: encoded.variables,
+            rows,
+        }
+    }
+}
+
 /// Renders a term compactly for table output (no angle brackets or quotes).
 fn render_term(term: &Term) -> String {
     match term {
@@ -207,33 +215,17 @@ fn render_term(term: &Term) -> String {
     }
 }
 
-/// The result of executing a query: a solution table for SELECT, a boolean
-/// for ASK.
+/// The result of executing a query: dictionary-encoded solutions for
+/// SELECT, a boolean for ASK.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryResults {
     /// SELECT results.
-    Solutions(Solutions),
+    Solutions(EncodedSolutions),
     /// ASK result.
     Boolean(bool),
 }
 
 impl QueryResults {
-    /// Returns the solutions, if this is a SELECT result.
-    pub fn solutions(&self) -> Option<&Solutions> {
-        match self {
-            QueryResults::Solutions(s) => Some(s),
-            QueryResults::Boolean(_) => None,
-        }
-    }
-
-    /// Consumes the result and returns the solutions, if this is a SELECT result.
-    pub fn into_solutions(self) -> Option<Solutions> {
-        match self {
-            QueryResults::Solutions(s) => Some(s),
-            QueryResults::Boolean(_) => None,
-        }
-    }
-
     /// Returns the boolean, if this is an ASK result.
     pub fn boolean(&self) -> Option<bool> {
         match self {
@@ -270,11 +262,12 @@ mod tests {
     }
 
     #[test]
-    fn iter_maps_skips_unbound() {
-        let s = sample();
-        let maps: Vec<_> = s.iter_maps().collect();
-        assert_eq!(maps[0].len(), 2);
-        assert_eq!(maps[1].len(), 1);
+    fn encoding_round_trips() {
+        let encoded = EncodedSolutions::from(sample());
+        assert_eq!(encoded.len(), 2);
+        assert_eq!(encoded.terms.len(), 3, "each distinct term once");
+        assert_eq!(encoded.row(1)[1], EncodedSolutions::UNBOUND);
+        assert_eq!(Solutions::from(encoded), sample());
     }
 
     #[test]
@@ -288,12 +281,8 @@ mod tests {
 
     #[test]
     fn query_results_accessors() {
-        let r = QueryResults::Solutions(sample());
-        assert!(r.solutions().is_some());
+        let r = QueryResults::Solutions(sample().into());
         assert!(r.boolean().is_none());
-        assert!(r.into_solutions().is_some());
-        let b = QueryResults::Boolean(true);
-        assert_eq!(b.boolean(), Some(true));
-        assert!(b.solutions().is_none());
+        assert_eq!(QueryResults::Boolean(true).boolean(), Some(true));
     }
 }

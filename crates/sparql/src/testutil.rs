@@ -1,20 +1,33 @@
 //! AST builder conveniences for test harnesses (feature `testutil`).
 //!
-//! The qlsmith fuzzer generates [`SelectQuery`](crate::ast::SelectQuery)
-//! values programmatically and
+//! The qlsmith fuzzer generates [`SelectQuery`] values programmatically and
 //! needs two things the regular API keeps implicit: terse constructors for
 //! deeply nested expression trees, and *exhaustive* tables of the grammar's
 //! productions. Every table below is paired with an index function whose
 //! `match` has no wildcard arm, so adding a variant to the AST without
 //! extending the generator fails to compile — that is the grammar-coverage
 //! guarantee the CI gate relies on.
+//!
+//! [`evaluate_decoded`] runs a SELECT straight against a graph the way an
+//! endpoint's `select` does, for tests that bypass the store.
 
-use rdf::Term;
+use rdf::{Graph, Term};
 
 use crate::ast::{
     AggregateExpr, AggregateFunction, ArithOp, CmpOp, Expression, Function, GroupGraphPattern,
-    PatternElement, Variable,
+    PatternElement, Query, SelectQuery, Variable,
 };
+use crate::endpoint::select_result;
+use crate::eval::evaluate_query;
+use crate::results::Solutions;
+
+/// Evaluates a SELECT against `graph` and decodes its solutions, as
+/// [`crate::Endpoint::select`] does. Panics on an evaluation error.
+pub fn evaluate_decoded(graph: &Graph, query: &SelectQuery) -> Solutions {
+    let results =
+        evaluate_query(graph, &Query::Select(query.clone())).expect("the query evaluates");
+    select_result(results).expect("a SELECT result").into()
+}
 
 /// Every comparison operator, in a fixed order.
 pub const ALL_CMP_OPS: [CmpOp; 6] = [

@@ -64,20 +64,22 @@ fn render(solutions: &Solutions) -> Vec<String> {
     std::iter::once(header).chain(rows).collect()
 }
 
-/// Evaluates `query` on every path — text, dictionary-encoded natively and
-/// through the decoded default — checks they agree, and compares with the
-/// expected table (header line, then one line per solution, in order).
+/// Evaluates `query` and compares the decoded result with the expected
+/// table (header line, then one line per solution, in order); checks that
+/// re-encoding the decoded table gives back the encoded result (the decode
+/// round-trip), and that a forwarding wrapper answers the same encoded
+/// result as the endpoint it wraps.
 fn check(query: &str, expected: &[&str]) {
     let endpoint = endpoint();
     let text = format!("{PREFIXES}{query}");
     let solutions = endpoint.select(&text).unwrap();
     assert_eq!(render(&solutions), expected, "{query}");
     let encoded = endpoint.select_encoded(&text).unwrap();
-    assert_eq!(encoded, EncodedSolutions::from(solutions), "{query}");
-    let by_default = ConservativeEndpoint::new(endpoint)
+    assert_eq!(EncodedSolutions::from(solutions), encoded, "{query}");
+    let wrapped = ConservativeEndpoint::new(endpoint)
         .select_encoded(&text)
         .unwrap();
-    assert_eq!(encoded, by_default, "{query}");
+    assert_eq!(wrapped, encoded, "{query}");
 }
 
 #[test]
