@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use qb::ComponentKind;
+use qb::{ComponentKind, DataStructureDefinition, ObservationTable};
 use qb4olap::CubeSchema;
 use rdf::hash::FxHashMap;
 use rdf::{Iri, Term};
@@ -72,6 +72,10 @@ pub struct BuildStats {
 #[derive(Debug, Clone)]
 pub struct MaterializedCube {
     pub(crate) schema: Arc<CubeSchema>,
+    /// The DSD the build read: its components are the columns of the
+    /// observation table, so a delta replay reads stars without reading
+    /// the schema again.
+    pub(crate) structure: Arc<DataStructureDefinition>,
     /// Physical fact rows, tombstoned rows included.
     pub(crate) row_count: usize,
     pub(crate) dimensions: Vec<DimensionColumn>,
@@ -294,6 +298,147 @@ fn resolve_rollup_target(
     }
 }
 
+/// What a fresh build makes of one observation of an [`ObservationTable`]:
+/// the one classification the build and [`MaterializedCube::apply_delta`]
+/// share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// A fact row.
+    Complete,
+    /// A fact row, but this table column (a dimension or measure) carried
+    /// several values; the row keeps the one the table kept.
+    Multivalued(usize),
+    /// No fact row: the SPARQL pattern's inner joins drop it too.
+    Dropped(Defect),
+}
+
+/// Why an observation is dropped. Measures are cube measure indexes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Defect {
+    /// The star holds no `rdf:type qb:Observation`.
+    Untyped,
+    /// No value for the measure.
+    MissingMeasure(usize),
+    /// A value that is not a literal for the measure.
+    NonLiteralMeasure(usize),
+}
+
+/// Turns observation-table rows into fact rows: a member is
+/// dictionary-encoded and a measure literal parsed once per distinct
+/// (column, term) of the table, however many rows carry it. The build and
+/// [`MaterializedCube::apply_delta`] both append through it.
+pub(crate) struct FactEncoder<'t> {
+    table: &'t ObservationTable,
+    /// The table column of each cube dimension's bottom level and of each
+    /// cube measure, where the DSD declares the property with that kind.
+    bottoms: Vec<Option<usize>>,
+    measures: Vec<Option<usize>>,
+    /// Per (cube column, table term), resolved on first use.
+    codes: Vec<Vec<MemberId>>,
+    values: Vec<Vec<Option<StoredMeasure>>>,
+}
+
+impl<'t> FactEncoder<'t> {
+    pub(crate) fn new(
+        structure: &DataStructureDefinition,
+        dimensions: &[DimensionColumn],
+        measures: &[MeasureColumn],
+        table: &'t ObservationTable,
+    ) -> Self {
+        let column_of = |property: &Iri, kind: ComponentKind| {
+            let components = &structure.components;
+            let column = components.iter().position(|c| &c.property == property)?;
+            (components[column].kind == kind).then_some(column)
+        };
+        let terms = table.terms.len();
+        FactEncoder {
+            table,
+            bottoms: dimensions
+                .iter()
+                .map(|column| column_of(&column.bottom_level, ComponentKind::Dimension))
+                .collect(),
+            measures: measures
+                .iter()
+                .map(|column| column_of(&column.property, ComponentKind::Measure))
+                .collect(),
+            codes: vec![vec![NO_MEMBER; terms]; dimensions.len()],
+            values: vec![vec![None; terms]; measures.len()],
+        }
+    }
+
+    /// The term index of a measure's value in the observation, if bound.
+    fn cell(&self, observation: usize, measure: usize) -> Option<usize> {
+        let cell = self.table.cells(observation)[self.measures[measure]?] as usize;
+        (cell < self.table.terms.len()).then_some(cell)
+    }
+
+    /// A fact row needs the type and a literal for every measure; a slot
+    /// with several values is reported only for a fact row.
+    pub(crate) fn classify(&self, observation: usize) -> Verdict {
+        if !self.table.typed(observation) {
+            return Verdict::Dropped(Defect::Untyped);
+        }
+        for measure in 0..self.measures.len() {
+            match self.cell(observation, measure) {
+                None => return Verdict::Dropped(Defect::MissingMeasure(measure)),
+                Some(cell) if !self.table.terms[cell].is_literal() => {
+                    return Verdict::Dropped(Defect::NonLiteralMeasure(measure))
+                }
+                Some(_) => {}
+            }
+        }
+        match self.table.multivalued(observation).next() {
+            Some(column) => Verdict::Multivalued(column),
+            None => Verdict::Complete,
+        }
+    }
+
+    /// Appends the fact row of an observation [`Self::classify`] accepts:
+    /// one code per dimension ([`NO_MEMBER`] where unbound), one value per
+    /// measure. An empty measure column takes its type from its first
+    /// accepted literal.
+    pub(crate) fn append(
+        &mut self,
+        dimensions: &mut [DimensionColumn],
+        measures: &mut [MeasureColumn],
+        observation: usize,
+    ) -> Result<(), CubeStoreError> {
+        let table = self.table;
+        for (index, column) in measures.iter_mut().enumerate() {
+            let cell = self
+                .cell(observation, index)
+                .expect("a fact row binds every measure");
+            let value = match self.values[index][cell] {
+                Some(value) => value,
+                None => {
+                    let literal = table.terms[cell].as_literal().expect("classified literal");
+                    if column.data.is_empty() {
+                        column.data = MeasureVector::for_literal(literal)?;
+                    }
+                    *self.values[index][cell].insert(column.data.stored_value(literal)?)
+                }
+            };
+            column.data.push_stored(value);
+        }
+        let cells = table.cells(observation);
+        for (index, column) in dimensions.iter_mut().enumerate() {
+            let cell = self.bottoms[index].map(|column| cells[column] as usize);
+            let code = match cell.filter(|&cell| cell < table.terms.len()) {
+                Some(cell) => {
+                    let code = &mut self.codes[index][cell];
+                    if *code == NO_MEMBER {
+                        *code = column.dictionary.encode(&table.terms[cell]);
+                    }
+                    *code
+                }
+                None => NO_MEMBER,
+            };
+            column.codes.push(code);
+        }
+        Ok(())
+    }
+}
+
 struct Builder<'a> {
     endpoint: &'a dyn Endpoint,
     schema: &'a CubeSchema,
@@ -313,20 +458,14 @@ impl Builder<'_> {
         // One read of every dataset-linked observation's star. The SPARQL
         // backend sees only the typed ones; the table flags those.
         let structure = qb::load_dataset(self.endpoint, &self.schema.dataset)?.structure;
-        let observations = qb::load_observations(self.endpoint, &self.schema.dataset, &structure)?;
+        let observations =
+            qb::load_observations(self.endpoint, &self.schema.dataset, &structure, None)?;
         stats.observations_seen = observations.len();
-        let terms = &observations.terms;
-        // The table column holding a property, if the DSD declares the
-        // property with that kind.
-        let column_of = |property: &Iri, kind: ComponentKind| {
-            let components = &structure.components;
-            let column = components.iter().position(|c| &c.property == property)?;
-            (components[column].kind == kind).then_some(column)
-        };
 
-        // Per-dimension bottom levels (the level IRI doubles as the
-        // observation property, exactly as the SPARQL translator assumes).
-        let mut bottoms: Vec<Iri> = Vec::with_capacity(self.schema.dimensions.len());
+        // One column per dimension, keyed by its bottom level (the level
+        // IRI doubles as the observation property, exactly as the SPARQL
+        // translator assumes), and one per measure.
+        let mut dimensions: Vec<DimensionColumn> = Vec::with_capacity(self.schema.dimensions.len());
         for dimension in &self.schema.dimensions {
             let bottom = self
                 .schema
@@ -337,111 +476,51 @@ impl Builder<'_> {
                         dimension.iri.as_str()
                     ))
                 })?;
-            bottoms.push(bottom);
+            dimensions.push(DimensionColumn::new(
+                dimension.iri.clone(),
+                bottom,
+                Vec::new(),
+                Dictionary::new(),
+            ));
         }
-        let bottom_columns: Vec<Option<usize>> =
-            bottoms.iter().map(|bottom| column_of(bottom, ComponentKind::Dimension)).collect();
-        let measure_columns: Vec<Option<usize>> = self
+        let mut measures: Vec<MeasureColumn> = self
             .schema
             .measures
             .iter()
-            .map(|measure| column_of(&measure.property, ComponentKind::Measure))
+            .map(|spec| MeasureColumn {
+                property: spec.property.clone(),
+                aggregate: spec.aggregate,
+                // Typed by its first accepted literal; with no accepted row
+                // the empty integer vector keeps the cube usable (every
+                // query returns zero cells).
+                data: MeasureVector::Integer(crate::cowvec::CowVec::new()),
+            })
             .collect();
 
-        // Fact columns. A row is accepted only if the observation is typed
-        // and carries a literal value for every measure (the SPARQL
-        // pattern's inner joins enforce the same). Cells are indexes into
-        // the table's distinct terms, so a member is dictionary-encoded and
-        // a measure literal parsed on first sight only: `member_codes` and
-        // `measure_values` remember the outcome per (column, term).
-        let mut dictionaries: Vec<Dictionary> =
-            vec![Dictionary::new(); self.schema.dimensions.len()];
-        let mut member_codes = vec![vec![NO_MEMBER; terms.len()]; self.schema.dimensions.len()];
-        let mut codes: Vec<Vec<MemberId>> = (0..self.schema.dimensions.len())
-            .map(|_| Vec::with_capacity(observations.len()))
-            .collect();
-        let mut measure_data: Vec<Option<MeasureVector>> = vec![None; self.schema.measures.len()];
-        let mut measure_values: Vec<Vec<Option<StoredMeasure>>> =
-            vec![vec![None; terms.len()]; self.schema.measures.len()];
-        let mut row_count = 0usize;
+        // Fact rows, in the table's node order.
+        let mut encoder = FactEncoder::new(&structure, &dimensions, &measures, &observations);
         let mut observation_rows: FxHashMap<Term, usize> =
             FxHashMap::with_capacity_and_hasher(observations.len(), Default::default());
         let mut dropped_observations: BTreeSet<Term> = BTreeSet::new();
         let mut multivalued_observations: BTreeSet<Term> = BTreeSet::new();
         for observation in 0..observations.len() {
-            let node = &terms[observations.node(observation) as usize];
-            let cells = observations.cells(observation);
-            // The term index of each measure's value, where it is a literal.
-            let literals = || {
-                measure_columns.iter().map(|column| {
-                    column
-                        .map(|column| cells[column] as usize)
-                        .filter(|&cell| terms.get(cell).is_some_and(Term::is_literal))
-                })
-            };
-            if !observations.typed(observation) || literals().any(|cell| cell.is_none()) {
-                stats.rows_dropped += 1;
-                dropped_observations.insert(node.clone());
-                continue;
+            let node = &observations.terms[observations.node(observation) as usize];
+            match encoder.classify(observation) {
+                Verdict::Dropped(_) => {
+                    stats.rows_dropped += 1;
+                    dropped_observations.insert(node.clone());
+                    continue;
+                }
+                Verdict::Multivalued(_) => {
+                    multivalued_observations.insert(node.clone());
+                }
+                Verdict::Complete => {}
             }
-            for (index, cell) in literals().flatten().enumerate() {
-                let literal = terms[cell].as_literal().expect("filtered to literals");
-                let vector = match &mut measure_data[index] {
-                    Some(v) => v,
-                    slot => slot.insert(MeasureVector::for_literal(literal)?),
-                };
-                let value = match measure_values[index][cell] {
-                    Some(value) => value,
-                    None => *measure_values[index][cell].insert(vector.stored_value(literal)?),
-                };
-                vector.push_stored(value);
-            }
-            for (index, column) in bottom_columns.iter().enumerate() {
-                let cell = column.map(|column| cells[column] as usize);
-                let code = match cell.filter(|&cell| cell < terms.len()) {
-                    Some(cell) => {
-                        let code = &mut member_codes[index][cell];
-                        if *code == NO_MEMBER {
-                            *code = dictionaries[index].encode(&terms[cell]);
-                        }
-                        *code
-                    }
-                    None => NO_MEMBER,
-                };
-                codes[index].push(code);
-            }
-            if observations.multivalued(observation).next().is_some() {
-                multivalued_observations.insert(node.clone());
-            }
-            observation_rows.insert(node.clone(), row_count);
-            row_count += 1;
+            encoder.append(&mut dimensions, &mut measures, observation)?;
+            observation_rows.insert(node.clone(), observation_rows.len());
         }
+        let row_count = observation_rows.len();
         stats.rows = row_count;
-
-        let dimensions: Vec<DimensionColumn> = self
-            .schema
-            .dimensions
-            .iter()
-            .zip(bottoms.iter())
-            .zip(codes.into_iter().zip(dictionaries))
-            .map(|((dimension, bottom), (codes, dictionary))| {
-                DimensionColumn::new(dimension.iri.clone(), bottom.clone(), codes, dictionary)
-            })
-            .collect();
-
-        let measures: Vec<MeasureColumn> = self
-            .schema
-            .measures
-            .iter()
-            .zip(measure_data)
-            .map(|(spec, data)| MeasureColumn {
-                property: spec.property.clone(),
-                aggregate: spec.aggregate,
-                // No accepted row: an empty integer vector keeps the cube
-                // usable (every query returns zero cells).
-                data: data.unwrap_or(MeasureVector::Integer(crate::cowvec::CowVec::new())),
-            })
-            .collect();
 
         // Display labels, read once and shared by every level index (the
         // columnar Exploration paths serve member labels from here instead
@@ -514,6 +593,7 @@ impl Builder<'_> {
 
         let mut cube = MaterializedCube {
             schema: Arc::new(self.schema.clone()),
+            structure: Arc::new(structure),
             row_count,
             dimensions,
             measures,

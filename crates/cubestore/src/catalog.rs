@@ -13,7 +13,9 @@
 //! * the first build runs inline (there is nothing to serve meanwhile);
 //! * appliable [`rdf::StoreDelta`]s are replayed onto the pinned cube
 //!   inline in O(delta) through [`MaterializedCube::apply_delta`], and the
-//!   result is swapped in;
+//!   result is swapped in — unless the store moved during the replay,
+//!   whose star read may then have seen the later write: the current pin
+//!   keeps serving and the next call replays again;
 //! * structural changes (a refused delta, a change-log gap, a replay that
 //!   shrank the cube) and compactions go through **one fold** — a rebuild
 //!   from scratch, published with an atomic swap. It runs on a background
@@ -468,7 +470,10 @@ impl CubeCatalog {
     ///
     /// * appliable deltas are **accreted inline** onto the pinned cube in
     ///   O(delta) — this serve returns the caught-up snapshot, and the
-    ///   refresh is recorded as [`MaintenanceStrategy::Delta`];
+    ///   refresh is recorded as [`MaintenanceStrategy::Delta`]. If the
+    ///   store's epoch moved past the last replayed delta meanwhile, the
+    ///   replay is not published: this serve returns the current pin
+    ///   (counted in `catalog.overlay.stale_serves`);
     /// * structural changes (refused delta, change-log gap, a replay that
     ///   shrank the cube) and tombstones past
     ///   [`COMPACTION_LIVE_FRACTION`] go through one **fold** — a
@@ -639,8 +644,16 @@ impl CubeCatalog {
                 let caught_up = deltas.last().map(|d| d.epoch).unwrap_or(now);
                 let replayed = {
                     let _accrete_span = obs::span("catalog.overlay-accrete");
-                    pinned.cube().apply_delta(&deltas)
+                    pinned.cube().apply_delta(&deltas, endpoint)
                 };
+                if replayed.is_ok() && endpoint.epoch() != caught_up {
+                    // The replay's star read may have seen a write past its
+                    // last delta: no pin mixes two epochs. Keep serving the
+                    // current pin; the next serve replays again.
+                    slot.release_claim();
+                    self.metrics.counter("catalog.overlay.stale_serves").inc();
+                    return Ok(pinned);
+                }
                 match replayed {
                     Ok(replayed) => replay_growth(pinned.cube(), &replayed)
                         .map(|growth| (Arc::new(replayed), caught_up, deltas.len(), growth)),
@@ -1556,6 +1569,106 @@ mod tests {
                 handle: true,
             }))
         }
+    }
+
+    /// A delegating endpoint that lands `write` in the store when the
+    /// first star read (`VALUES ?obs`) comes in: a write between a
+    /// replay's `deltas_since` and its read.
+    struct TornRead {
+        inner: LocalEndpoint,
+        write: Mutex<Vec<rdf::Triple>>,
+    }
+
+    impl Endpoint for TornRead {
+        fn query(&self, sparql: &str) -> Result<sparql::QueryResults, sparql::SparqlError> {
+            if sparql.contains("VALUES ?obs") {
+                let write = std::mem::take(&mut *self.write.lock());
+                if !write.is_empty() {
+                    self.inner.insert_triples(&write)?;
+                }
+            }
+            self.inner.query(sparql)
+        }
+
+        fn insert_triples(&self, triples: &[rdf::Triple]) -> Result<usize, sparql::SparqlError> {
+            self.inner.insert_triples(triples)
+        }
+
+        fn insert_triples_named(
+            &self,
+            graph: &Iri,
+            triples: &[rdf::Triple],
+        ) -> Result<usize, sparql::SparqlError> {
+            self.inner.insert_triples_named(graph, triples)
+        }
+
+        fn triple_count(&self) -> usize {
+            self.inner.triple_count()
+        }
+
+        fn epoch(&self) -> u64 {
+            self.inner.epoch()
+        }
+
+        fn deltas_since(&self, since: u64) -> Option<Vec<rdf::StoreDelta>> {
+            self.inner.deltas_since(since)
+        }
+
+        fn enable_change_tracking(&self) {
+            self.inner.enable_change_tracking();
+        }
+    }
+
+    #[test]
+    fn a_write_landing_before_the_star_read_is_not_published() {
+        let (endpoint, schema) = fixture(AggregateFunction::Sum);
+        let torn = TornRead {
+            inner: endpoint,
+            write: Mutex::new(Vec::new()),
+        };
+        let catalog = CubeCatalog::new();
+        let built = catalog.serve_snapshot(&torn, &schema).unwrap();
+        let at_pin = LocalEndpoint::with_store(torn.inner.store().snapshot());
+
+        // o6 arrives without its city; the city lands during the replay.
+        let mut o6 = observation_triples("o6", "c1", "m2", 40, 2);
+        let city = o6.remove(2);
+        torn.inner.insert_triples(&o6).unwrap();
+        *torn.write.lock() = vec![city];
+        let pin = catalog.serve_snapshot(&torn, &schema).unwrap();
+        assert_eq!(
+            pin.epoch(),
+            built.epoch(),
+            "the torn replay is not published"
+        );
+        let scratch = MaterializedCube::from_endpoint(&at_pin, &schema).unwrap();
+        assert_eq!(
+            run(pin.cube(), &CubeQuery::default()).unwrap(),
+            run(&scratch, &CubeQuery::default()).unwrap()
+        );
+        let metrics = catalog.metrics().snapshot();
+        assert_eq!(metrics.counter("catalog.overlay.stale_serves"), 1);
+        assert_eq!(metrics.counter("catalog.refresh.delta"), 0);
+        assert!(!catalog.maintenance_in_flight(&schema.dataset));
+
+        // The next serve replays both writes.
+        let settled = catalog.serve_settled(&torn, &schema).unwrap();
+        assert_eq!(settled.epoch(), torn.epoch());
+        let o6 = Term::iri("http://example.org/obs/o6");
+        assert!(settled.cube().is_observation(&o6));
+        assert_eq!(
+            settled
+                .cube()
+                .dimension_column(&iri("dim/city"))
+                .unwrap()
+                .unbound_rows(),
+            0
+        );
+        let scratch = MaterializedCube::from_endpoint(&torn.inner, &schema).unwrap();
+        assert_eq!(
+            run(settled.cube(), &CubeQuery::default()).unwrap(),
+            run(&scratch, &CubeQuery::default()).unwrap()
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct DimensionColumn {
     pub bottom_level: Iri,
     /// Per-row member codes into [`DimensionColumn::dictionary`]
     /// ([`NO_MEMBER`] where the observation has no value for the dimension).
-    codes: CowVec<MemberId>,
+    pub(crate) codes: CowVec<MemberId>,
     /// The bottom-member dictionary. It may contain members that are *not*
     /// declared `qb4o:memberOf` the bottom level; the roll-up maps decide
     /// what those members reach.
@@ -80,17 +80,6 @@ impl DimensionColumn {
     /// Number of physical rows with no member bound.
     pub fn unbound_rows(&self) -> usize {
         self.codes.iter().filter(|&&c| c == NO_MEMBER).count()
-    }
-
-    /// Appends one fact row (incremental maintenance), encoding the member
-    /// into the column dictionary ([`NO_MEMBER`] when the observation has
-    /// no value for the dimension).
-    pub fn push_row(&mut self, member: Option<&Term>) {
-        let code = match member {
-            Some(term) => self.dictionary.encode(term),
-            None => NO_MEMBER,
-        };
-        self.codes.push(code);
     }
 }
 
@@ -168,8 +157,8 @@ pub(crate) enum StoredMeasure {
 
 /// A dense, typed vector of measure values.
 ///
-/// The variant is chosen at build time from the XSD datatype of the measure
-/// literals, and the builder verifies that every literal round-trips exactly
+/// An empty vector takes its variant from the XSD datatype of the first
+/// literal the fact encoder accepts into it, and the encoder verifies that every literal round-trips exactly
 /// through the variant's reconstruction (so MIN/MAX can return the same
 /// [`Term`]s the SPARQL engine returns). Data that does not round-trip is
 /// rejected as [`CubeStoreError::Unsupported`].
@@ -201,16 +190,9 @@ impl MeasureVector {
         }
     }
 
-    /// Appends a value, verifying it reconstructs to exactly `literal`.
-    pub fn push(&mut self, literal: &Literal) -> Result<(), CubeStoreError> {
-        let value = self.stored_value(literal)?;
-        self.push_stored(value);
-        Ok(())
-    }
-
     /// The value this vector stores for `literal`, verified to reconstruct
-    /// to exactly `literal`. Split from the append so the build parses each
-    /// distinct literal once, however many rows carry it.
+    /// to exactly `literal`. Split from the append so the fact encoder
+    /// parses each distinct literal once, however many rows carry it.
     pub(crate) fn stored_value(&self, literal: &Literal) -> Result<StoredMeasure, CubeStoreError> {
         let parsed = match self {
             MeasureVector::Integer(_) => literal
@@ -329,26 +311,16 @@ pub struct MeasureColumn {
     pub data: MeasureVector,
 }
 
-impl MeasureColumn {
-    /// Appends one value (incremental maintenance). An empty column — the
-    /// placeholder integer vector a zero-row build leaves behind — is
-    /// re-typed to the literal's datatype first, exactly as the builder
-    /// would have typed it from the first accepted row.
-    pub fn push_value(&mut self, literal: &Literal) -> Result<(), CubeStoreError> {
-        if self.data.is_empty() {
-            // An unsupported datatype falls through to push(), whose error
-            // names the offending literal.
-            if let Ok(vector) = MeasureVector::for_literal(literal) {
-                self.data = vector;
-            }
-        }
-        self.data.push(literal)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Appends a literal the way the fact encoder does: parse, then push.
+    fn push(vector: &mut MeasureVector, literal: &Literal) -> Result<(), CubeStoreError> {
+        let value = vector.stored_value(literal)?;
+        vector.push_stored(value);
+        Ok(())
+    }
 
     #[test]
     fn dimension_column_accessors() {
@@ -371,29 +343,28 @@ mod tests {
     fn integer_vector_roundtrip() {
         let lit = Literal::integer(42);
         let mut vector = MeasureVector::for_literal(&lit).unwrap();
-        vector.push(&lit).unwrap();
-        vector.push(&Literal::integer(-7)).unwrap();
+        push(&mut vector, &lit).unwrap();
+        push(&mut vector, &Literal::integer(-7)).unwrap();
         assert_eq!(vector.len(), 2);
         assert!(!vector.is_empty());
         assert_eq!(vector.value(0), 42.0);
         assert_eq!(vector.numeric_for(-7.0), Numeric::Integer(-7));
         // A decimal literal cannot be pushed into an integer vector.
-        assert!(vector.push(&Literal::decimal(1.5)).is_err());
+        assert!(push(&mut vector, &Literal::decimal(1.5)).is_err());
         // A non-canonical lexical form does not round-trip.
-        assert!(vector
-            .push(&Literal::typed("007", rdf::vocab::xsd::integer()))
+        assert!(push(&mut vector, &Literal::typed("007", rdf::vocab::xsd::integer()))
             .is_err());
     }
 
     #[test]
     fn decimal_and_double_vectors() {
         let mut decimal = MeasureVector::for_literal(&Literal::decimal(1.5)).unwrap();
-        decimal.push(&Literal::decimal(1.5)).unwrap();
+        push(&mut decimal, &Literal::decimal(1.5)).unwrap();
         assert_eq!(decimal.value(0), 1.5);
         assert_eq!(decimal.numeric_for(1.5), Numeric::Decimal(1.5));
 
         let mut double = MeasureVector::for_literal(&Literal::double(2.25)).unwrap();
-        double.push(&Literal::double(2.25)).unwrap();
+        push(&mut double, &Literal::double(2.25)).unwrap();
         assert_eq!(double.numeric_for(2.25), Numeric::Double(2.25));
     }
 
@@ -451,7 +422,7 @@ mod tests {
     fn integer_boundary_values_stay_exact() {
         let mut vector = MeasureVector::for_literal(&Literal::integer(0)).unwrap();
         for v in [i64::MAX, i64::MAX - 1, i64::MIN, i64::MIN + 1] {
-            vector.push(&Literal::integer(v)).unwrap();
+            push(&mut vector, &Literal::integer(v)).unwrap();
         }
         assert_eq!(vector.numeric_at(0), MeasureValue::Integer(i64::MAX));
         assert_eq!(vector.numeric_at(1), MeasureValue::Integer(i64::MAX - 1));

@@ -1,6 +1,7 @@
 //! Incremental maintenance: applies recorded store deltas
-//! ([`rdf::StoreDelta`]) to a [`MaterializedCube`] without touching the
-//! endpoint.
+//! ([`rdf::StoreDelta`]) to a [`MaterializedCube`], reading back from the
+//! endpoint only the stars of the observations the deltas link or
+//! tombstone.
 //!
 //! The delta path handles every *pure-data* mutation — appending new
 //! observations (any measure type: float aggregation is order-independent
@@ -8,15 +9,21 @@
 //! rebuild's row order), introducing brand-new members (with their
 //! roll-up links, labels and attribute values), and removing observations
 //! whole **or in part** — by extending the copy-on-write columns and
-//! roll-up maps and tombstoning removed rows. A partial removal
-//! re-classifies the surviving fragment exactly as a fresh build would:
-//! unlinked from the dataset → invisible; untyped or missing a measure →
-//! recorded as *dropped*; still complete → re-appended as a live row with
-//! the removed dimension values unbound. Every mutation the path cannot
-//! replay with bit-identical results refuses with
-//! [`CubeStoreError::DeltaUnsupported`], whose typed [`DeltaRefusal`]
-//! becomes the rebuild reason in the catalog's maintenance report, so a
-//! wrong classification can cost a rebuild but never correctness.
+//! roll-up maps and tombstoning removed rows. An observation becomes a row
+//! one way only, the build's: after the last delta of a replay, the stars
+//! of every node a delta newly linked to the dataset or tombstoned are read
+//! in one pivot SELECT (`qb::load_observations` restricted by a `VALUES`
+//! block) and classified and encoded by the build's fact encoder. So a
+//! partial removal re-classifies the surviving fragment exactly as a fresh
+//! build would (unlinked from the dataset → invisible; untyped or missing
+//! a measure → recorded as *dropped*; still complete → re-appended as a
+//! live row with the removed dimension values unbound), and an observation
+//! whose dimension value reached the store before its `qb:dataSet` link is
+//! appended with that value. Every mutation the path cannot replay with
+//! bit-identical results refuses with [`CubeStoreError::DeltaUnsupported`],
+//! whose typed [`DeltaRefusal`] becomes the rebuild reason in the catalog's
+//! maintenance report, so a wrong classification can cost a rebuild but
+//! never correctness.
 //!
 //! # Delta-vs-rebuild decision table
 //!
@@ -27,15 +34,17 @@
 //!
 //! | Mutation | Decision | Refusal kind / rationale |
 //! |---|---|---|
-//! | Insert a complete new observation (typed, linked, every measure) over known members | **apply**: extend each column's tail | — |
+//! | Insert a complete new observation (typed, linked, every measure) over known members | **apply**: read its star, extend each column's tail | — |
 //! | Insert a complete new observation referencing a brand-new member | **apply**: extend level index, adjacency and roll-up maps, then append | — |
+//! | Insert the rest of an observation whose fragment was stored unlinked (before the build, or by an earlier delta of the replay) | **apply**: the star read sees the whole star, fragment included | — |
 //! | Insert `qb4o:memberOf` for a fresh term | **apply**: add to the level index | — |
 //! | Insert `skos:broader` for a fresh (not yet materialized) child | **apply**: extend the adjacency | — |
 //! | Insert an attribute/label value filling an empty slot | **apply**: set the slot | — |
 //! | Remove **all** triples of one materialized observation in one delta | **apply**: tombstone its row (executor skips it; catalog compacts when the live fraction drops) | — |
-//! | Remove the `qb:dataSet` link (and possibly more) of a materialized observation | **apply**: tombstone; the fragment is invisible to a fresh build | — |
-//! | Remove the type triple or a measure value of a materialized observation | **apply**: tombstone and record the fragment as *dropped* (a fresh build drops it too); later mutations of it rebuild | — |
-//! | Remove only dimension values of a materialized observation | **apply**: tombstone the old row and re-append the surviving row with those dimensions unbound | — |
+//! | Remove the `qb:dataSet` link (and possibly more) of a materialized observation | **apply**: tombstone; the star read no longer returns the fragment, which is invisible to a fresh build | — |
+//! | Remove the type triple or a measure value of a materialized observation | **apply**: tombstone; the star read classifies the fragment *dropped* (a fresh build drops it too); later mutations of it rebuild | — |
+//! | Remove only dimension values of a materialized observation | **apply**: tombstone; the star read re-appends the surviving row with those dimensions unbound | — |
+//! | A removal spread over several deltas replayed together | **apply**: the first delta tombstones, the star read after the last classifies what is left | — |
 //! | Remove a dimension/measure value of a materialized observation that the build never materialized (a duplicate the store held) | refuse | [`RefusalKind::ObservationMutated`] — a fresh build could now pick a different value |
 //! | Partially remove an observation that carried **several** values for some dimension/measure at build time | refuse | [`RefusalKind::ObservationMutated`] — stripping the frozen value would silently expose the duplicate a fresh build now picks |
 //! | Insert/remove a schema or hierarchy-structure triple (`qb:*` components, `qb4o:*` structure) | refuse | [`RefusalKind::SchemaStructure`] — every roll-up map could change |
@@ -53,11 +62,13 @@
 //! | Attribute value for a member the cube never saw | refuse | [`RefusalKind::UnknownMemberAttribute`] — it may matter to a member of a later delta |
 //! | Anything in a named graph, or triples invisible to the materialization | **skip** (no-op) | the cube materializes the default graph only |
 //!
-//! Removal batching still matters, just less than it used to: a removal
-//! spread across several `Store::remove` calls arrives as several
-//! single-triple deltas, each of which is applied as a *partial* removal —
-//! the first one usually turns the fragment into a *dropped* observation,
-//! and the next delta touching that dropped fragment refuses with
+//! Removal batching matters only across replays. A removal spread across
+//! several `Store::remove` calls arrives as several single-triple deltas;
+//! when one replay covers them all, the first tombstones the row and the
+//! star read after the last classifies whatever is left, as a fresh build
+//! would. When a replay ends between them (a serve came in after the
+//! first), that replay's read usually classifies the fragment *dropped*,
+//! and the next replay touching it refuses with
 //! [`RefusalKind::DroppedObservationMutated`] and rebuilds. Callers that
 //! want a clean one-step tombstone batch the whole observation through
 //! [`rdf::Store::remove_all`] (or [`rdf::Store::remove_matching`]).
@@ -65,12 +76,19 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use ::qb::ComponentKind;
 use rdf::vocab::{qb, qb4o, rdf as rdfv, rdfs, skos};
 use rdf::{Iri, StoreDelta, Term, Triple};
+use sparql::Endpoint;
 
-use crate::build::{extend_rollup_maps, MaterializedCube};
+use crate::build::{extend_rollup_maps, Defect, FactEncoder, MaterializedCube, Verdict};
 use crate::dictionary::NO_MEMBER;
 use crate::error::{CubeStoreError, DeltaRefusal, RefusalKind};
+
+/// The nodes whose stars a replay reads back after its last delta: those a
+/// delta newly linked to the dataset (`false`) and those it tombstoned
+/// (`true`).
+type ReadSet = BTreeMap<Term, bool>;
 
 impl MaterializedCube {
     /// Applies a sequence of store deltas, returning the refreshed cube.
@@ -82,24 +100,39 @@ impl MaterializedCube {
     /// of named graphs are skipped: the cube materializes the default
     /// graph, which is all the local SPARQL engine queries.
     ///
+    /// One read per replay: the deltas are classified in order, and after
+    /// the last one the stars of the nodes they newly linked to the
+    /// dataset or tombstoned are read from `endpoint` in one pivot SELECT
+    /// and pushed through the build's fact encoder. The read sees the
+    /// store as it is when it runs, so the result stands for the last
+    /// delta's epoch only if the store has not moved since; the catalog
+    /// publishes it only then. A replay that links and tombstones nothing
+    /// reads nothing.
+    ///
     /// The returned cube shares every untouched component with `self`
     /// (copy-on-write): a pure observation append copies only each
     /// column's mutable tail and the small observation-index overlay, a
     /// whole-observation removal additionally copies the tombstone words —
     /// never the sealed column segments, dictionaries or roll-up maps.
-    pub fn apply_delta(&self, deltas: &[StoreDelta]) -> Result<MaterializedCube, CubeStoreError> {
+    pub fn apply_delta(
+        &self,
+        deltas: &[StoreDelta],
+        endpoint: &dyn Endpoint,
+    ) -> Result<MaterializedCube, CubeStoreError> {
         let context = DeltaContext::for_cube(self);
         let mut cube = self.clone();
+        let mut reads = ReadSet::new();
         for delta in deltas {
             if delta.graph.is_some() {
                 continue;
             }
-            apply_one(&mut cube, &context, delta)?;
+            apply_one(&mut cube, &context, &mut reads, delta)?;
         }
-        // Extend the zone maps over whatever rows the deltas appended
-        // (observation appends and partial-removal re-appends alike):
+        read_stars(&mut cube, endpoint, &reads)?;
+        extend_rollup_maps(&mut cube);
+        // Extend the zone maps over whatever rows the read appended:
         // O(appended rows), touching only each map's tail entries. A
-        // tombstone-only delta appends nothing, so the maps are untouched —
+        // tombstone-only replay appends nothing, so the maps are untouched —
         // zone sets are never loosened by removals (a dead row's codes
         // staying recorded costs precision, not soundness).
         cube.zones.extend(&cube.dimensions, cube.row_count);
@@ -177,15 +210,6 @@ impl DeltaContext {
     }
 }
 
-/// A new observation assembled from the inserted triples of one delta.
-#[derive(Default)]
-struct PendingObservation {
-    typed: bool,
-    linked: bool,
-    dimensions: BTreeMap<Iri, Vec<Term>>,
-    measures: BTreeMap<Iri, Vec<Term>>,
-}
-
 fn unsupported(kind: RefusalKind, detail: impl Into<String>) -> CubeStoreError {
     CubeStoreError::DeltaUnsupported(DeltaRefusal::new(kind, detail))
 }
@@ -208,12 +232,12 @@ fn is_adjacency_parent(cube: &MaterializedCube, term: &Term) -> bool {
 fn apply_one(
     cube: &mut MaterializedCube,
     context: &DeltaContext,
+    reads: &mut ReadSet,
     delta: &StoreDelta,
 ) -> Result<(), CubeStoreError> {
     // Removals of a materialized observation's fact triples are collected
-    // per node: the row is tombstoned and the surviving fragment (if any)
-    // re-classified against the build rules — dropped, invisible, or
-    // re-appended live.
+    // per node: the row is tombstoned and the node's star read back after
+    // the last delta.
     let mut pending_removals: BTreeMap<Term, Vec<&Triple>> = BTreeMap::new();
     for triple in &delta.removed {
         if cube.observations.contains(&triple.subject) && context.is_fact_triple(triple) {
@@ -226,17 +250,17 @@ fn apply_one(
         check_removal(cube, context, triple)?;
     }
     for (node, removed) in pending_removals {
-        apply_observation_removal(cube, context, &node, &removed)?;
+        tombstone_observation(cube, context, &node, &removed)?;
+        reads.insert(node, true);
     }
     if delta.inserted.is_empty() {
         return Ok(());
     }
 
-    // Classify every inserted triple against the pre-delta state.
+    // Classify every inserted triple against the state so far.
     let mut new_members: Vec<(Term, Iri)> = Vec::new();
     let mut new_broader: Vec<(Term, Term)> = Vec::new();
     let mut attribute_inserts: Vec<&Triple> = Vec::new();
-    let mut pending: BTreeMap<Term, PendingObservation> = BTreeMap::new();
     for triple in &delta.inserted {
         let predicate = &triple.predicate;
         if context.schema_predicates.contains(predicate) {
@@ -289,56 +313,43 @@ fn apply_one(
             new_members.push((triple.subject.clone(), level.clone()));
             continue;
         }
-        if *predicate == rdfv::type_() {
-            if triple.object == Term::Iri(qb::observation())
-                && !cube.observations.contains(&triple.subject)
-            {
-                pending.entry(triple.subject.clone()).or_default().typed = true;
-            }
-            continue;
-        }
         if *predicate == qb::data_set() {
+            // A node newly linked to this cube's dataset: the star read
+            // decides whether it is a fact row. Links to other datasets
+            // are invisible.
             if triple.object == context.dataset && !cube.observations.contains(&triple.subject) {
-                pending.entry(triple.subject.clone()).or_default().linked = true;
+                reads.entry(triple.subject.clone()).or_insert(false);
             }
             continue;
         }
-        if context.bottom_order.contains(predicate) {
+        if context.is_fact_triple(triple) {
+            // A type, dimension or measure triple: the star read sees it if
+            // the node is (or gets) linked, unless the node's row or its
+            // drop is frozen.
+            if cube.dropped_observations.contains(&triple.subject) {
+                // A fresh build might accept the dropped observation now.
+                return Err(unsupported(
+                    RefusalKind::DroppedObservationMutated,
+                    format!("dropped observation {} mutated", triple.subject),
+                ));
+            }
             if cube.observations.contains(&triple.subject) {
+                let slot = if context.bottom_order.contains(predicate) {
+                    "dimension"
+                } else {
+                    "measure"
+                };
                 return Err(unsupported(
                     RefusalKind::ObservationMutated,
                     format!(
-                        "materialized observation {} gained a dimension value",
+                        "materialized observation {} gained a {slot} value",
                         triple.subject
                     ),
                 ));
             }
-            pending
-                .entry(triple.subject.clone())
-                .or_default()
-                .dimensions
-                .entry(predicate.clone())
-                .or_default()
-                .push(triple.object.clone());
             continue;
         }
-        if context.measure_order.contains(predicate) {
-            if cube.observations.contains(&triple.subject) {
-                return Err(unsupported(
-                    RefusalKind::ObservationMutated,
-                    format!(
-                        "materialized observation {} gained a measure value",
-                        triple.subject
-                    ),
-                ));
-            }
-            pending
-                .entry(triple.subject.clone())
-                .or_default()
-                .measures
-                .entry(predicate.clone())
-                .or_default()
-                .push(triple.object.clone());
+        if *predicate == rdfv::type_() {
             continue;
         }
         if context.tracked_attributes.contains(predicate) {
@@ -349,8 +360,9 @@ fn apply_one(
         // triples, ...) is invisible to the materialization.
     }
 
-    // Apply in dependency order: members, hierarchy links, attribute
-    // values, observations, then extend the roll-up maps.
+    // Apply in dependency order: members, hierarchy links, then attribute
+    // values. Observations are appended by the star read, and the roll-up
+    // maps extended, after the last delta.
     for (member, level) in &new_members {
         let index = cube.levels.get_mut(level).expect("level classified above");
         index.add_member(member);
@@ -365,31 +377,7 @@ fn apply_one(
         }
     }
     for triple in attribute_inserts {
-        apply_attribute_insert(cube, context, triple)?;
-    }
-    let mut appended = false;
-    for (node, observation) in pending {
-        if !observation.linked {
-            if cube.dropped_observations.contains(&node) {
-                // A previously dropped (incomplete) observation of this
-                // dataset gained triples; a fresh build might now accept
-                // it, so the delta path may not silently ignore it.
-                return Err(unsupported(
-                    RefusalKind::DroppedObservationMutated,
-                    format!("dropped observation {node} mutated"),
-                ));
-            }
-            // Never linked to this cube's dataset: another dataset's
-            // observation, or a fragment whose `qb:dataSet` link arrives
-            // in a later delta (which then rebuilds). A fresh build would
-            // skip it too.
-            continue;
-        }
-        append_observation(cube, context, node, observation)?;
-        appended = true;
-    }
-    if appended || !new_members.is_empty() {
-        extend_rollup_maps(cube);
+        apply_attribute_insert(cube, context, reads, triple)?;
     }
     Ok(())
 }
@@ -478,24 +466,21 @@ fn check_removal(
     Ok(())
 }
 
-/// Applies one delta's removals of a materialized observation's fact
-/// triples. The materialized triple set is reconstructed from the columns
+/// Tombstones a materialized observation one delta removes fact triples
+/// from. The materialized triple set is reconstructed from the columns
 /// (the dictionaries decode the dimension members,
 /// [`crate::columns::MeasureVector::term_at`] the measure literals), so
-/// the classification is exact:
+/// the checks are exact:
 ///
 /// * a removal of a value the build never materialized (a duplicate the
 ///   store held) refuses — a fresh build could now pick a different value;
-/// * a removal covering *everything* tombstones the row, exactly as
-///   before;
-/// * a partial removal tombstones the row and re-classifies the surviving
-///   fragment the way a fresh build would: no `qb:dataSet` link →
-///   invisible (not even counted as seen); untyped or missing a measure →
-///   recorded in `dropped_observations` (so any later mutation of the
-///   fragment refuses and rebuilds, keeping first-touch semantics); still
-///   a complete observation (only optional dimension values gone) →
-///   re-appended at the column tail with those dimensions unbound.
-fn apply_observation_removal(
+/// * a partial removal from an observation whose slots carried several
+///   values at build time refuses — stripping the frozen value would
+///   silently expose the duplicate.
+///
+/// Otherwise the row dies and the node leaves the counts; the star read
+/// after the last delta decides what, if anything, is left of it.
+fn tombstone_observation(
     cube: &mut MaterializedCube,
     context: &DeltaContext,
     node: &Term,
@@ -548,85 +533,90 @@ fn apply_observation_removal(
         ));
     }
 
-    // Every case below kills the current row and drops it from the index;
-    // they differ in how the surviving fragment is accounted for.
     cube.observations.remove(node);
     cube.tombstones.kill(row);
     cube.stats.rows -= 1;
+    cube.stats.observations_seen -= 1;
+    if cube.multivalued_observations.contains(node) {
+        Arc::make_mut(&mut cube.multivalued_observations).remove(node);
+    }
+    Ok(())
+}
 
-    if removed_set.len() == expected.len() {
-        // Whole removal: the node is gone from the dataset entirely.
-        cube.stats.observations_seen -= 1;
+/// Reads the stars of the replay's read set in one pivot SELECT and
+/// classifies each the way a fresh build does. A complete one is
+/// appended. A tombstoned node that is now dropped is recorded as
+/// dropped; a new one refuses, as does a star with several values in a
+/// slot. A node the read no longer returns is invisible.
+fn read_stars(
+    cube: &mut MaterializedCube,
+    endpoint: &dyn Endpoint,
+    reads: &ReadSet,
+) -> Result<(), CubeStoreError> {
+    if reads.is_empty() {
         return Ok(());
     }
-    if removed_set.contains(&dataset_triple) {
-        // The surviving fragment is no longer linked to this dataset: a
-        // fresh build neither materializes nor counts it.
-        cube.stats.observations_seen -= 1;
-        return Ok(());
-    }
-    let lost_type = removed_set.contains(&type_triple);
-    let lost_measure = cube.measures.iter().any(|measure| {
-        removed_set.contains(&Triple::new(
-            node.clone(),
-            measure.property.clone(),
-            measure.data.term_at(row),
-        ))
-    });
-    if lost_type || lost_measure {
-        // Still dataset-linked, but a fresh build would *drop* it (untyped
-        // or missing a measure). Track it so later mutations of the
-        // fragment refuse — first-touch semantics, like any dropped
-        // observation.
-        cube.stats.rows_dropped += 1;
-        Arc::make_mut(&mut cube.dropped_observations).insert(node.clone());
-        return Ok(());
-    }
-
-    // Only (optional) dimension values were removed: a fresh build still
-    // materializes the observation, with those dimensions unbound. Re-append
-    // the surviving row at the tail; order-independent aggregation makes the
-    // row position irrelevant to every query.
-    let surviving_members: Vec<Option<Term>> = cube
-        .dimensions
-        .iter()
-        .map(|column| {
-            let code = column.code(row);
-            if code == NO_MEMBER {
-                return None;
+    let nodes: Vec<Term> = reads.keys().cloned().collect();
+    let structure = cube.structure.clone();
+    let table = ::qb::load_observations(endpoint, &cube.schema.dataset, &structure, Some(&nodes))?;
+    let mut encoder = FactEncoder::new(&structure, &cube.dimensions, &cube.measures, &table);
+    for observation in 0..table.len() {
+        let node = &table.terms[table.node(observation) as usize];
+        cube.stats.observations_seen += 1;
+        match encoder.classify(observation) {
+            Verdict::Complete => {}
+            Verdict::Dropped(_) if reads.get(node) == Some(&true) => {
+                cube.stats.rows_dropped += 1;
+                Arc::make_mut(&mut cube.dropped_observations).insert(node.clone());
+                continue;
             }
-            let member = column.dictionary.term(code).clone();
-            let removed_this = removed_set.contains(&Triple::new(
-                node.clone(),
-                column.bottom_level.clone(),
-                member.clone(),
-            ));
-            (!removed_this).then_some(member)
-        })
-        .collect();
-    let measure_literals: Vec<rdf::Literal> = cube
-        .measures
-        .iter()
-        .map(|measure| match measure.data.term_at(row) {
-            Term::Literal(literal) => literal,
-            other => unreachable!("measure columns reconstruct literals, got {other}"),
-        })
-        .collect();
-    for (column, member) in cube.dimensions.iter_mut().zip(&surviving_members) {
-        column.push_row(member.as_ref());
+            Verdict::Dropped(defect) => {
+                let measure = |index: usize| cube.measures[index].property.as_str();
+                return Err(match defect {
+                    Defect::Untyped => unsupported(
+                        RefusalKind::IncompleteObservation,
+                        format!("observation {node} arrives incomplete (not typed qb:Observation)"),
+                    ),
+                    Defect::MissingMeasure(index) => unsupported(
+                        RefusalKind::IncompleteObservation,
+                        format!("observation {node} is missing measure <{}>", measure(index)),
+                    ),
+                    Defect::NonLiteralMeasure(index) => unsupported(
+                        RefusalKind::MalformedObservation,
+                        format!(
+                            "observation {node} has a non-literal value for measure <{}>",
+                            measure(index)
+                        ),
+                    ),
+                });
+            }
+            Verdict::Multivalued(column) => {
+                let component = &structure.components[column];
+                let slot = match component.kind {
+                    ComponentKind::Measure => "measure",
+                    _ => "dimension",
+                };
+                return Err(unsupported(
+                    RefusalKind::MalformedObservation,
+                    format!(
+                        "observation {node} has several values for {slot} <{}>",
+                        component.property.as_str()
+                    ),
+                ));
+            }
+        }
+        encoder.append(&mut cube.dimensions, &mut cube.measures, observation)?;
+        cube.observations.insert(node.clone(), cube.row_count);
+        cube.row_count += 1;
+        cube.stats.rows += 1;
     }
-    for (measure, literal) in cube.measures.iter_mut().zip(&measure_literals) {
-        measure.push_value(literal)?;
-    }
-    cube.observations.insert(node.clone(), cube.row_count);
-    cube.row_count += 1;
-    cube.stats.rows += 1;
     Ok(())
 }
 
 fn apply_attribute_insert(
     cube: &mut MaterializedCube,
     context: &DeltaContext,
+    reads: &ReadSet,
     triple: &Triple,
 ) -> Result<(), CubeStoreError> {
     if triple.subject == context.dataset && triple.predicate == rdfs::label() {
@@ -649,7 +639,7 @@ fn apply_attribute_insert(
         }
         return Ok(());
     }
-    if cube.observations.contains(&triple.subject) {
+    if cube.observations.contains(&triple.subject) || reads.contains_key(&triple.subject) {
         // Labels or attribute-named properties on observation nodes never
         // reach any query; ignore them.
         return Ok(());
@@ -690,85 +680,6 @@ fn apply_attribute_insert(
     Ok(())
 }
 
-fn append_observation(
-    cube: &mut MaterializedCube,
-    context: &DeltaContext,
-    node: Term,
-    observation: PendingObservation,
-) -> Result<(), CubeStoreError> {
-    if !observation.typed {
-        // A dataset-linked but untyped fragment would be dropped today yet
-        // could be completed by a later mutation; a rebuild decides.
-        return Err(unsupported(
-            RefusalKind::IncompleteObservation,
-            format!("observation {node} arrives incomplete (not typed qb:Observation)"),
-        ));
-    }
-    // Any measure type appends in place — float columns included: SUM/AVG
-    // accumulate through the order-independent compensated summator, so an
-    // appended row's position cannot diverge from a rebuild's ORDER BY
-    // ?obs row order by even an ulp.
-    for (position, property) in context.measure_order.iter().enumerate() {
-        let values = observation
-            .measures
-            .get(property)
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        match values {
-            [Term::Literal(literal)] => cube.measures[position].push_value(literal)?,
-            [] => {
-                return Err(unsupported(
-                    RefusalKind::IncompleteObservation,
-                    format!("observation {node} is missing measure <{}>", property.as_str()),
-                ))
-            }
-            [_] => {
-                return Err(unsupported(
-                    RefusalKind::MalformedObservation,
-                    format!(
-                        "observation {node} has a non-literal value for measure <{}>",
-                        property.as_str()
-                    ),
-                ))
-            }
-            _ => {
-                return Err(unsupported(
-                    RefusalKind::MalformedObservation,
-                    format!(
-                        "observation {node} has several values for measure <{}>",
-                        property.as_str()
-                    ),
-                ))
-            }
-        }
-    }
-    for (position, bottom) in context.bottom_order.iter().enumerate() {
-        let values = observation
-            .dimensions
-            .get(bottom)
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        match values {
-            [] => cube.dimensions[position].push_row(None),
-            [member] => cube.dimensions[position].push_row(Some(member)),
-            _ => {
-                return Err(unsupported(
-                    RefusalKind::MalformedObservation,
-                    format!(
-                        "observation {node} has several values for dimension <{}>",
-                        bottom.as_str()
-                    ),
-                ))
-            }
-        }
-    }
-    cube.observations.insert(node, cube.row_count);
-    cube.row_count += 1;
-    cube.stats.rows += 1;
-    cube.stats.observations_seen += 1;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
@@ -787,11 +698,7 @@ mod tests {
     /// Builds the fixture cube with change tracking on, so mutations made
     /// through the endpoint are recorded as replayable deltas.
     fn tracked() -> (LocalEndpoint, MaterializedCube, u64) {
-        let (endpoint, schema) = fixture(AggregateFunction::Sum);
-        endpoint.enable_change_tracking();
-        let epoch = endpoint.epoch();
-        let cube = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
-        (endpoint, cube, epoch)
+        tracked_with(&[])
     }
 
     fn deltas_after(endpoint: &LocalEndpoint, epoch: u64) -> Vec<StoreDelta> {
@@ -832,7 +739,9 @@ mod tests {
         endpoint
             .insert_triples(&observation_triples("o6", "c1", "m2", 40, 2))
             .unwrap();
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         assert_eq!(refreshed.row_count(), cube.row_count() + 1);
         assert_eq!(refreshed.stats().rows, cube.stats().rows + 1);
         assert!(refreshed.is_observation(&Term::iri("http://example.org/obs/o6")));
@@ -854,7 +763,9 @@ mod tests {
         batch.extend(observation_triples("o7", "c4", "m1", 11, 1));
         endpoint.insert_triples(&batch).unwrap();
 
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         assert_eq!(refreshed.row_count(), 6);
         let city_index = refreshed.level(&iri("lv/city")).unwrap();
         let id = city_index.dictionary.id(&member("c4")).expect("declared");
@@ -884,7 +795,7 @@ mod tests {
             .unwrap();
         let deltas = deltas_after(&endpoint, epoch);
         assert_eq!(deltas.len(), 2);
-        let refreshed = cube.apply_delta(&deltas).unwrap();
+        let refreshed = cube.apply_delta(&deltas, &endpoint).unwrap();
         assert_eq!(refreshed.row_count(), 7);
         assert_matches_rebuild(&endpoint, &refreshed);
     }
@@ -903,7 +814,9 @@ mod tests {
             Triple::new(o3.clone(), iri("measure/score"), Literal::integer(1)),
         ]);
         assert_eq!(removed, 6);
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         // The row stays physically present but dead.
         assert_eq!(refreshed.row_count(), 5, "physical rows unchanged");
         assert_eq!(refreshed.live_row_count(), 4);
@@ -939,7 +852,9 @@ mod tests {
         endpoint
             .insert_triples(&observation_triples("o3", "c2", "m1", 50, 2))
             .unwrap();
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         assert_eq!(refreshed.row_count(), 6, "old row dead, new row appended");
         assert_eq!(refreshed.live_row_count(), 5);
         assert!(refreshed.is_observation(&o3));
@@ -956,7 +871,7 @@ mod tests {
         assert!(endpoint
             .store()
             .remove(&Triple::new(o1.clone(), iri("measure/value"), Literal::integer(10))));
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch), &endpoint).unwrap();
         assert_eq!(refreshed.row_count(), 5, "row stays physically present");
         assert_eq!(refreshed.live_row_count(), 4);
         assert_eq!(refreshed.stats().rows, 4);
@@ -972,7 +887,7 @@ mod tests {
             .insert_triples(&[Triple::new(o1, iri("measure/value"), Literal::integer(11))])
             .unwrap();
         let error = refreshed
-            .apply_delta(&deltas_after(&endpoint, epoch))
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
             .unwrap_err();
         assert_eq!(refusal(error).kind, RefusalKind::DroppedObservationMutated);
     }
@@ -986,7 +901,9 @@ mod tests {
             qb::data_set(),
             Term::iri("http://example.org/ds")
         )));
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         assert_eq!(refreshed.live_row_count(), 4);
         assert_eq!(refreshed.stats().observations_seen, 4, "no longer counted");
         assert_eq!(refreshed.stats().rows_dropped, 0, "invisible, not dropped");
@@ -1003,7 +920,7 @@ mod tests {
         assert!(endpoint
             .store()
             .remove(&Triple::new(o1.clone(), iri("lv/city"), member("c1"))));
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch), &endpoint).unwrap();
         assert_eq!(refreshed.row_count(), 6, "old row dead, survivor re-appended");
         assert_eq!(refreshed.live_row_count(), 5);
         assert_eq!(refreshed.tombstoned_rows(), 1);
@@ -1033,27 +950,114 @@ mod tests {
         assert_eq!(m1.values[0], Some(Term::integer(115)), "10 + 5 + 100");
     }
 
+    /// The six fact triples of the fixture's o3 (c2, m1, 5, 1).
+    fn o3_triples() -> Vec<Triple> {
+        observation_triples("o3", "c2", "m1", 5, 1)
+    }
+
     #[test]
     fn per_triple_whole_removal_drops_then_refuses() {
-        // Removing a whole observation one triple at a time: the first
-        // single-triple delta applies as a partial removal that *drops*
-        // the fragment; the next delta touches a dropped observation and
-        // refuses — so callers still batch whole removals through
-        // `Store::remove_all` for a clean one-step tombstone.
+        // Removing a whole observation one triple at a time with a replay
+        // after each: the first replay's star read finds the fragment
+        // untyped and *drops* it; the next delta touches a dropped
+        // observation and refuses. (Replayed together the same removals
+        // apply, see `a_removal_spread_over_three_deltas_replays_as_one`.)
         let (endpoint, cube, epoch) = tracked();
-        let o3 = Term::iri("http://example.org/obs/o3");
-        for triple in [
-            Triple::new(o3.clone(), rdfv::type_(), Term::Iri(qb::observation())),
-            Triple::new(o3.clone(), qb::data_set(), Term::iri("http://example.org/ds")),
-            Triple::new(o3.clone(), iri("lv/city"), member("c2")),
-            Triple::new(o3.clone(), iri("lv/month"), member("m1")),
-            Triple::new(o3.clone(), iri("measure/value"), Literal::integer(5)),
-            Triple::new(o3.clone(), iri("measure/score"), Literal::integer(1)),
-        ] {
-            assert!(endpoint.store().remove(&triple));
-        }
-        let error = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap_err();
+        let [typed, linked, ..] = <[Triple; 6]>::try_from(o3_triples()).unwrap();
+        assert!(endpoint.store().remove(&typed));
+        let dropped = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
+        assert_eq!(dropped.stats().rows_dropped, 1);
+        assert_matches_rebuild(&endpoint, &dropped);
+
+        let epoch = endpoint.epoch();
+        assert!(endpoint.store().remove(&linked));
+        let error = dropped
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap_err();
         assert_eq!(refusal(error).kind, RefusalKind::DroppedObservationMutated);
+    }
+
+    #[test]
+    fn a_removal_spread_over_three_deltas_replays_as_one() {
+        // Type, then dataset link, then city, each its own delta: the
+        // first tombstones o3, the star read after the last no longer
+        // returns it (the surviving month and measures are unlinked).
+        let (endpoint, cube, epoch) = tracked();
+        let o3 = o3_triples();
+        for triple in &o3[..3] {
+            assert_eq!(endpoint.store().remove_all(std::slice::from_ref(triple)), 1);
+        }
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
+        assert_eq!(refreshed.live_row_count(), 4);
+        assert_eq!(refreshed.stats().observations_seen, 4);
+        assert_eq!(refreshed.stats().rows_dropped, 0, "invisible, not dropped");
+        assert_matches_rebuild(&endpoint, &refreshed);
+    }
+
+    /// Builds the fixture cube over a store that also holds `early`.
+    fn tracked_with(early: &[Triple]) -> (LocalEndpoint, MaterializedCube, u64) {
+        let (endpoint, schema) = fixture(AggregateFunction::Sum);
+        endpoint.insert_triples(early).unwrap();
+        endpoint.enable_change_tracking();
+        let epoch = endpoint.epoch();
+        let cube = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
+        (endpoint, cube, epoch)
+    }
+
+    /// o6 (c1, m2, 40, 2) split into its city triple and the rest.
+    fn o6_split() -> (Triple, Vec<Triple>) {
+        let mut rest = observation_triples("o6", "c1", "m2", 40, 2);
+        let city = rest.remove(2);
+        assert_eq!(city.predicate, iri("lv/city"));
+        (city, rest)
+    }
+
+    #[test]
+    fn a_dimension_value_stored_before_the_build_joins_its_observation() {
+        let (city, rest) = o6_split();
+        let (endpoint, cube, epoch) = tracked_with(&[city]);
+        endpoint.insert_triples(&rest).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
+        let column = refreshed.dimension_column(&iri("dim/city")).unwrap();
+        assert_eq!(column.unbound_rows(), 0, "o6 reads its early city back");
+        assert_matches_rebuild(&endpoint, &refreshed);
+    }
+
+    #[test]
+    fn a_dimension_value_from_an_earlier_delta_joins_its_observation() {
+        let (city, rest) = o6_split();
+        let (endpoint, cube, epoch) = tracked();
+        endpoint.insert_triples(&[city]).unwrap();
+        endpoint.insert_triples(&rest).unwrap();
+        let deltas = deltas_after(&endpoint, epoch);
+        assert_eq!(deltas.len(), 2);
+        let refreshed = cube.apply_delta(&deltas, &endpoint).unwrap();
+        let column = refreshed.dimension_column(&iri("dim/city")).unwrap();
+        assert_eq!(column.unbound_rows(), 0, "o6 reads its city back");
+        assert_matches_rebuild(&endpoint, &refreshed);
+    }
+
+    #[test]
+    fn a_blank_node_observation_is_read_back_by_its_label() {
+        let (endpoint, cube, epoch) = tracked();
+        let node = Term::blank("fresh");
+        let star: Vec<Triple> = observation_triples("o6", "c2", "m2", 8, 3)
+            .into_iter()
+            .map(|triple| Triple::new(node.clone(), triple.predicate, triple.object))
+            .collect();
+        endpoint.insert_triples(&star).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
+        assert_eq!(refreshed.live_row_count(), 6);
+        assert!(refreshed.is_observation(&node));
+        assert_matches_rebuild(&endpoint, &refreshed);
     }
 
     #[test]
@@ -1081,7 +1085,9 @@ mod tests {
         assert!(endpoint
             .store()
             .remove(&Triple::new(o1.clone(), iri("lv/city"), other)));
-        let error = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap_err();
+        let error = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap_err();
         let refusal_a = refusal(error);
         assert_eq!(refusal_a.kind, RefusalKind::ObservationMutated);
         assert!(refusal_a.detail.contains("never materialized"), "{refusal_a}");
@@ -1093,7 +1099,9 @@ mod tests {
         assert!(endpoint
             .store()
             .remove(&Triple::new(o1, iri("lv/city"), materialized)));
-        let error = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap_err();
+        let error = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap_err();
         let refusal_b = refusal(error);
         assert_eq!(refusal_b.kind, RefusalKind::ObservationMutated);
         assert!(refusal_b.detail.contains("several values"), "{refusal_b}");
@@ -1110,7 +1118,9 @@ mod tests {
         assert!(endpoint
             .store()
             .remove(&qb4olap::rollup_triple(&member("c1"), &member("K1"))));
-        let error = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap_err();
+        let error = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap_err();
         let refusal = refusal(error);
         assert_eq!(refusal.kind, RefusalKind::RollupLinkRemoved);
         assert!(refusal.detail.contains("roll-up link removed"), "{refusal}");
@@ -1124,7 +1134,9 @@ mod tests {
         endpoint
             .insert_triples(&[Triple::new(o1, iri("lv/city"), member("c2"))])
             .unwrap();
-        let error = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap_err();
+        let error = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap_err();
         let refusal = refusal(error);
         assert_eq!(refusal.kind, RefusalKind::ObservationMutated);
         assert!(refusal.detail.contains("gained a dimension value"), "{refusal}");
@@ -1140,7 +1152,9 @@ mod tests {
                 Term::iri("http://example.org/lv/region"),
             )])
             .unwrap();
-        let error = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap_err();
+        let error = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap_err();
         assert_eq!(refusal(error).kind, RefusalKind::SchemaStructure);
     }
 
@@ -1155,7 +1169,9 @@ mod tests {
                 Triple::new(node, qb::data_set(), Term::iri("http://example.org/ds")),
             ])
             .unwrap();
-        let error = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap_err();
+        let error = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap_err();
         assert_eq!(refusal(error).kind, RefusalKind::IncompleteObservation);
 
         // A broader link added to an already-materialized member.
@@ -1163,7 +1179,9 @@ mod tests {
         endpoint
             .insert_triples(&[qb4olap::rollup_triple(&member("c3"), &member("K2"))])
             .unwrap();
-        let error = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap_err();
+        let error = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap_err();
         assert_eq!(refusal(error).kind, RefusalKind::RollupLinkAdded);
 
         // An attribute value for a member the cube has never seen.
@@ -1175,7 +1193,9 @@ mod tests {
                 Literal::string("Ghost"),
             )])
             .unwrap();
-        let error = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap_err();
+        let error = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap_err();
         assert_eq!(refusal(error).kind, RefusalKind::UnknownMemberAttribute);
     }
 
@@ -1190,7 +1210,9 @@ mod tests {
                 &Term::Literal(Literal::string("Beta")),
             )])
             .unwrap();
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         let country = refreshed.level(&iri("lv/country")).unwrap();
         let id = country.dictionary.id(&member("K2")).unwrap();
         assert_eq!(
@@ -1207,7 +1229,7 @@ mod tests {
             )])
             .unwrap();
         let error = refreshed
-            .apply_delta(&deltas_after(&endpoint, epoch))
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
             .unwrap_err();
         assert_eq!(refusal(error).kind, RefusalKind::AttributeConflict);
     }
@@ -1264,7 +1286,9 @@ mod tests {
                 ])
                 .unwrap();
         }
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         assert_eq!(refreshed.row_count(), 9);
         // Bit-identical to a from-scratch rebuild, pruned or not.
         let rebuilt = MaterializedCube::from_endpoint(&endpoint, refreshed.schema()).unwrap();
@@ -1292,7 +1316,9 @@ mod tests {
                 Triple::new(node, iri("measure/value"), Literal::integer(123)),
             ])
             .unwrap();
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         assert_eq!(refreshed.row_count(), cube.row_count());
         assert_matches_rebuild(&endpoint, &refreshed);
     }
@@ -1321,7 +1347,9 @@ mod tests {
         endpoint
             .insert_triples(&[Triple::new(node.clone(), rdfv::type_(), Term::Iri(qb::observation()))])
             .unwrap();
-        let error = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap_err();
+        let error = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap_err();
         assert_eq!(refusal(error).kind, RefusalKind::DroppedObservationMutated);
 
         // Removing a fact triple from the dropped observation refuses too:
@@ -1330,7 +1358,7 @@ mod tests {
         assert!(endpoint
             .store()
             .remove(&Triple::new(node, qb::data_set(), Term::iri("http://example.org/ds"))));
-        let error = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap_err();
+        let error = cube.apply_delta(&deltas_after(&endpoint, epoch), &endpoint).unwrap_err();
         assert_eq!(refusal(error).kind, RefusalKind::DroppedObservationMutated);
     }
 
@@ -1348,7 +1376,9 @@ mod tests {
                 qb4olap::rollup_triple(&member("c9"), &member("K1")),
             ])
             .unwrap();
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         let rebuilt = MaterializedCube::from_endpoint(&endpoint, refreshed.schema()).unwrap();
         assert_eq!(
             refreshed.broader_parents(&member("c9")),
@@ -1375,7 +1405,9 @@ mod tests {
                 Literal::string("noise"),
             )])
             .unwrap();
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         assert_eq!(refreshed.row_count(), cube.row_count());
         assert_matches_rebuild(&endpoint, &refreshed);
     }
@@ -1409,7 +1441,9 @@ mod tests {
         endpoint
             .insert_triples(&observation_triples("o6", "c1", "m1", 8, 8))
             .unwrap();
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         // Dictionaries saw no new member: fully shared.
         for (before, after) in cube.dimensions.iter().zip(&refreshed.dimensions) {
             assert!(
@@ -1455,7 +1489,9 @@ mod tests {
             triples.extend(observation_triples(&format!("a{i:06}"), "c1", "m1", 1, 1));
         }
         endpoint.insert_triples(&triples).unwrap();
-        let sealed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let sealed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         sealed.verify_zone_invariants().unwrap();
         assert_eq!(sealed.zone_maps().segment_count(), 2);
         let frozen: Vec<Vec<_>> = (0..sealed.dimensions.len())
@@ -1466,7 +1502,9 @@ mod tests {
         endpoint
             .insert_triples(&observation_triples("b000000", "c3", "m2", 2, 2))
             .unwrap();
-        let extended = sealed.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let extended = sealed
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         extended.verify_zone_invariants().unwrap();
         for (d, codes) in frozen.iter().enumerate() {
             let after: Vec<_> = extended
@@ -1502,7 +1540,9 @@ mod tests {
             .map(|d| cube.zone_maps().dimension_codes(d, 0).unwrap().collect())
             .collect();
         remove_o4(&endpoint);
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         assert_eq!(refreshed.tombstoned_rows(), 1);
         refreshed.verify_zone_invariants().unwrap();
         assert_eq!(refreshed.zone_maps().rows(), 5, "zones still cover the dead row");
@@ -1528,7 +1568,9 @@ mod tests {
             .position(|d| d.dimension == iri("dim/city"))
             .unwrap();
         remove_o4(&endpoint);
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch)).unwrap();
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         refreshed.verify_zone_invariants().unwrap();
         // The delta-applied cube still lists the dead row's city code.
         assert_eq!(

@@ -1364,7 +1364,6 @@ mod tests {
     use super::*;
 
     use qb4olap::AggregateFunction;
-    use rdf::StoreDelta;
 
     use crate::cowvec::CowVec;
     use crate::dictionary::Dictionary;
@@ -1441,29 +1440,34 @@ mod tests {
         assert_eq!(snapshot.counter("cubestore.scan.rows"), 10);
     }
 
-    /// Extends the 5-row fixture cube with one delta appending phases of
-    /// complete observations `(count, city)` — segment-scale cubes with no
-    /// SPARQL materialization cost.
+    /// Extends the 5-row fixture cube with phases of rows `(count, city)`
+    /// (month `m1`, both measures 1), pushed as raw codes and values —
+    /// segment-scale cubes with no SPARQL materialization cost.
     fn segmented_cube(phases: &[(usize, &str)]) -> MaterializedCube {
         let (endpoint, schema) = fixture(AggregateFunction::Sum);
-        let cube = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
-        let mut inserted = Vec::new();
-        let mut row = 0usize;
-        for &(count, city) in phases {
-            for _ in 0..count {
-                // Zero-padded: the delta path appends observations in node
-                // order, and phase boundaries must map to row boundaries.
-                inserted.extend(observation_triples(&format!("a{row:06}"), city, "m1", 1, 1));
-                row += 1;
-            }
-        }
-        let delta = StoreDelta {
-            epoch: 1,
-            graph: None,
-            inserted,
-            removed: Vec::new(),
+        let mut cube = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
+        let code = |cube: &MaterializedCube, column: usize, name: &str| {
+            cube.dimensions[column]
+                .dictionary
+                .id(&member(name))
+                .unwrap()
         };
-        cube.apply_delta(&[delta]).unwrap()
+        let m1 = code(&cube, 1, "m1");
+        for &(count, city) in phases {
+            let city = code(&cube, 0, city);
+            for _ in 0..count {
+                cube.dimensions[0].codes.push(city);
+                cube.dimensions[1].codes.push(m1);
+                for measure in &mut cube.measures {
+                    measure
+                        .data
+                        .push_stored(crate::columns::StoredMeasure::Integer(1));
+                }
+            }
+            cube.row_count += count;
+        }
+        cube.zones.extend(&cube.dimensions, cube.row_count);
+        cube
     }
 
     fn country_name_dice(value: &str) -> MemberFilter {
@@ -1719,6 +1723,7 @@ mod tests {
         let zones = ZoneMaps::build(&dimensions, row_count);
         MaterializedCube {
             schema: std::sync::Arc::new(schema),
+            structure: std::sync::Arc::new(qb::DataStructureDefinition::new(iri("dsd"))),
             row_count,
             dimensions,
             measures,

@@ -42,10 +42,13 @@
 //!   maps, a layered observation index), so
 //!   [`build::MaterializedCube::apply_delta`] clones only what a delta
 //!   actually extends;
+//! * an observation becomes a fact row one way, the build's: a replay
+//!   reads the stars of the nodes its deltas link or tombstone in one
+//!   pivot SELECT and encodes them with the build's fact encoder;
 //! * observation *removals* — whole or partial — are applied by
-//!   tombstoning the row ([`tombstone::Tombstones`]; a partial removal
-//!   additionally re-classifies the surviving fragment like a fresh
-//!   build would) — the executor skips dead rows — and the catalog
+//!   tombstoning the row ([`tombstone::Tombstones`]; the replay's star
+//!   read re-classifies what is left of it) — the executor skips dead
+//!   rows — and the catalog
 //!   compacts (re-materializes) once the live-row fraction drops below
 //!   [`catalog::COMPACTION_LIVE_FRACTION`];
 //! * aggregation is **order-independent** ([`sparql::NumericSum`]: exact

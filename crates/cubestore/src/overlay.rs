@@ -178,7 +178,9 @@ impl CubeSnapshot {
 mod tests {
     use qb4olap::AggregateFunction;
 
+    use crate::columns::StoredMeasure;
     use crate::testutil::fixture;
+    use crate::NO_MEMBER;
 
     use super::*;
 
@@ -199,7 +201,7 @@ mod tests {
     #[test]
     fn verify_consistent_rejects_a_column_longer_than_the_cube() {
         let mut cube = built();
-        cube.dimensions[1].push_row(None);
+        cube.dimensions[1].codes.push(NO_MEMBER);
         let err = CubeSnapshot::folded(Arc::new(cube), 1)
             .verify_consistent()
             .unwrap_err();
@@ -209,7 +211,7 @@ mod tests {
     #[test]
     fn verify_consistent_rejects_measures_and_zones_out_of_step() {
         let mut cube = built();
-        cube.measures[0].push_value(&rdf::Literal::integer(1)).unwrap();
+        cube.measures[0].data.push_stored(StoredMeasure::Integer(1));
         let err = CubeSnapshot::folded(Arc::new(cube), 1)
             .verify_consistent()
             .unwrap_err();
@@ -218,10 +220,10 @@ mod tests {
         // Every column one row longer, the zone maps not extended.
         let mut cube = built();
         for column in &mut cube.dimensions {
-            column.push_row(None);
+            column.codes.push(NO_MEMBER);
         }
         for column in &mut cube.measures {
-            column.push_value(&rdf::Literal::integer(1)).unwrap();
+            column.data.push_stored(StoredMeasure::Integer(1));
         }
         cube.row_count += 1;
         let err = CubeSnapshot::folded(Arc::new(cube), 1)

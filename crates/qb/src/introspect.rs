@@ -278,16 +278,23 @@ enum Predicate {
 
 /// Loads the observations of a dataset with one flat read of their stars,
 /// classifying each bound property according to the DSD and noting which
-/// observations are typed `qb:Observation`.
+/// observations are typed `qb:Observation`. `nodes` restricts the read to
+/// those subjects (a `VALUES ?obs` block; IRIs and blank-node labels alike),
+/// `None` reads every observation of the dataset.
 pub fn load_observations(
     endpoint: &dyn Endpoint,
     dataset: &Iri,
     dsd: &DataStructureDefinition,
+    nodes: Option<&[Term]>,
 ) -> Result<ObservationTable, QbError> {
     const UNBOUND: u32 = ObservationTable::UNBOUND;
+    let values = nodes.map_or(String::new(), |nodes| {
+        let nodes: Vec<String> = nodes.iter().map(Term::to_string).collect();
+        format!("VALUES ?obs {{ {} }}", nodes.join(" "))
+    });
     let query = format!(
         "PREFIX qb: <http://purl.org/linked-data/cube#>
-         SELECT ?obs ?p ?v WHERE {{
+         SELECT ?obs ?p ?v WHERE {{ {values}
            ?obs qb:dataSet <{ds}> .
            ?obs ?p ?v .
          }}",
@@ -513,7 +520,7 @@ mod tests {
     fn load_observations_roundtrip() {
         let (endpoint, dataset, dsd) = endpoint_with_tiny_cube();
         let structure = load_dsd(&endpoint, &dsd).unwrap();
-        let table = load_observations(&endpoint, &dataset, &structure).unwrap();
+        let table = load_observations(&endpoint, &dataset, &structure, None).unwrap();
         assert_eq!(table.len(), 3);
         // Rows come in node order; columns follow the DSD (citizen, geo,
         // obsValue) and every cell resolves through the shared term list.
@@ -580,8 +587,8 @@ mod tests {
             )])
             .unwrap();
         let structure = load_dsd(&endpoint, &dsd).unwrap();
-        let native = load_observations(&endpoint, &dataset, &structure).unwrap();
-        let reversed = load_observations(&Reversed(endpoint), &dataset, &structure).unwrap();
+        let native = load_observations(&endpoint, &dataset, &structure, None).unwrap();
+        let reversed = load_observations(&Reversed(endpoint), &dataset, &structure, None).unwrap();
         let decode = |table: &ObservationTable, cell: u32| table.terms.get(cell as usize).cloned();
         for o in 0..native.len() {
             assert_eq!(decode(&native, native.node(o)), decode(&reversed, reversed.node(o)));
@@ -612,7 +619,7 @@ mod tests {
             )])
             .unwrap();
         let structure = load_dsd(&endpoint, &dsd).unwrap();
-        let table = load_observations(&endpoint, &dataset, &structure).unwrap();
+        let table = load_observations(&endpoint, &dataset, &structure, None).unwrap();
         assert_eq!(
             table.terms[table.node(0) as usize],
             Term::iri("http://example.org/obs0")
@@ -647,7 +654,7 @@ mod tests {
         let endpoint = LocalEndpoint::new();
         endpoint.insert_triples(&triples).unwrap();
         let dsd = DataStructureDefinition::new(Iri::new("http://example.org/dsd"));
-        let table = load_observations(&endpoint, &dataset, &dsd).unwrap();
+        let table = load_observations(&endpoint, &dataset, &dsd, None).unwrap();
         let typed: Vec<(Term, bool)> = (0..table.len())
             .map(|o| (table.terms[table.node(o) as usize].clone(), table.typed(o)))
             .collect();

@@ -317,8 +317,10 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
                 );
             }
             Mutation::EditObservation => {
-                // Rewrite one materialized observation's measure: remove +
-                // re-insert (both unappliable; rebuild fallback).
+                // Rewrite one materialized observation's measure: remove,
+                // serve (the replay drops the now measureless fragment),
+                // then re-insert — a mutation of a dropped observation,
+                // so the rebuild fallback.
                 let store = tool.endpoint().store();
                 let solutions = tool
                     .endpoint()
@@ -336,6 +338,7 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
                     sdmx_measure::obs_value(),
                     value
                 )));
+                querying.materialize().unwrap();
                 store.insert(&Triple::new(
                     node,
                     sdmx_measure::obs_value(),
@@ -646,7 +649,10 @@ mod mutation_fuzzer {
         let mut forbidden: BTreeSet<Term> = BTreeSet::new();
         let mut next_obs = 0usize;
         let mut next_member = 0usize;
-        let mut op_counts = [0usize; 9];
+        // The rest of an observation whose citizenship value an earlier
+        // step stored on its own (split op).
+        let mut split_rest: Option<Vec<Triple>> = None;
+        let mut op_counts = [0usize; 10];
 
         let demo_observation = |rng: &mut StdRng, serial: usize| -> Vec<Triple> {
             let node = Term::iri(format!("http://example.org/fuzz/obs{serial}"));
@@ -685,7 +691,7 @@ mod mutation_fuzzer {
         };
 
         for step in 0..steps {
-            let op = rng.gen_range(0..9u32);
+            let op = rng.gen_range(0..10u32);
             op_counts[op as usize] += 1;
             match op {
                 // Integer observation appends (1–3 per batch).
@@ -794,6 +800,22 @@ mod mutation_fuzzer {
                     next_obs += 1;
                     tool.endpoint().insert_triples(&batch).unwrap();
                 }
+                // A split observation: one step stores the citizenship
+                // value of a fresh node alone (invisible: no dataset link
+                // yet), a later one the rest — whose star read must pick
+                // the early value up.
+                9 => match split_rest.take() {
+                    Some(rest) => {
+                        tool.endpoint().insert_triples(&rest).unwrap();
+                    }
+                    None => {
+                        let mut rest = demo_observation(&mut rng, next_obs);
+                        next_obs += 1;
+                        let at = rest.iter().position(|t| t.predicate == citizen_level).unwrap();
+                        tool.endpoint().insert_triples(&[rest.remove(at)]).unwrap();
+                        split_rest = Some(rest);
+                    }
+                },
                 // Float removals: whole observation, or a one-measure strip
                 // that drops the fragment.
                 _ => {
