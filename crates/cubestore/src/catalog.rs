@@ -14,8 +14,9 @@
 //! * appliable [`rdf::StoreDelta`]s are replayed onto the pinned cube
 //!   inline in O(delta) through [`MaterializedCube::apply_delta`], and the
 //!   result is swapped in — unless the store moved during the replay,
-//!   whose star read may then have seen the later write: the current pin
-//!   keeps serving and the next call replays again;
+//!   whose star read may then have seen the later write: such a *torn*
+//!   replay runs once more against a frozen snapshot of the store (an
+//!   endpoint without one keeps serving the current pin);
 //! * structural changes (a refused delta, a change-log gap, a replay that
 //!   shrank the cube) and compactions go through **one fold** — a rebuild
 //!   from scratch, published with an atomic swap. It runs on a background
@@ -472,8 +473,9 @@ impl CubeCatalog {
     ///   O(delta) — this serve returns the caught-up snapshot, and the
     ///   refresh is recorded as [`MaintenanceStrategy::Delta`]. If the
     ///   store's epoch moved past the last replayed delta meanwhile, the
-    ///   replay is not published: this serve returns the current pin
-    ///   (counted in `catalog.overlay.stale_serves`);
+    ///   replay (counted in `catalog.overlay.torn_replays`) runs once more
+    ///   against the frozen [`sparql::Endpoint::background_handle`]; without
+    ///   one this serve returns the current pin (a stale serve);
     /// * structural changes (refused delta, change-log gap, a replay that
     ///   shrank the cube) and tombstones past
     ///   [`COMPACTION_LIVE_FRACTION`] go through one **fold** — a
@@ -512,7 +514,7 @@ impl CubeCatalog {
                 }
                 st.claim();
                 drop(st);
-                return self.catch_up(endpoint, schema, &slot, pinned, now, true);
+                return self.catch_up(endpoint, schema, &slot, pinned, true);
             }
             if !st.refreshing {
                 st.claim();
@@ -567,7 +569,7 @@ impl CubeCatalog {
         }
         st.claim();
         drop(st);
-        self.catch_up(endpoint, schema, &slot, pinned, now, false)
+        self.catch_up(endpoint, schema, &slot, pinned, false)
     }
 
     /// First materialization of a dataset: enable change tracking, then
@@ -623,7 +625,7 @@ impl CubeCatalog {
         Ok(snapshot)
     }
 
-    /// Brings `pinned` up to the store's epoch `now`, holding the slot's
+    /// Brings `pinned` up to the store's epoch, holding the slot's
     /// maintenance claim and no lock: replays appliable deltas onto the
     /// pinned cube inline and swaps the result in, or folds — on a
     /// background thread when `background` is allowed and the endpoint
@@ -634,36 +636,45 @@ impl CubeCatalog {
         schema: &CubeSchema,
         slot: &EntrySlot,
         pinned: CubeSnapshot,
-        now: u64,
         background: bool,
     ) -> Result<CubeSnapshot, CubeStoreError> {
         let from_epoch = pinned.epoch();
         let started = Instant::now();
-        let accreted = match endpoint.deltas_since(from_epoch) {
-            Some(deltas) => {
-                let caught_up = deltas.last().map(|d| d.epoch).unwrap_or(now);
-                let replayed = {
-                    let _accrete_span = obs::span("catalog.overlay-accrete");
-                    pinned.cube().apply_delta(&deltas, endpoint)
-                };
-                if replayed.is_ok() && endpoint.epoch() != caught_up {
-                    // The replay's star read may have seen a write past its
-                    // last delta: no pin mixes two epochs. Keep serving the
-                    // current pin; the next serve replays again.
-                    slot.release_claim();
-                    self.metrics.counter("catalog.overlay.stale_serves").inc();
-                    return Ok(pinned);
-                }
-                match replayed {
-                    Ok(replayed) => replay_growth(pinned.cube(), &replayed)
-                        .map(|growth| (Arc::new(replayed), caught_up, deltas.len(), growth)),
-                    Err(CubeStoreError::DeltaUnsupported(refusal)) => {
-                        Err(RebuildReason::DeltaRefused(refusal))
+        let mut frozen: Option<Arc<dyn Endpoint + Send + Sync>> = None;
+        let accreted = loop {
+            let source = frozen.as_ref().map_or(endpoint, |handle| handle.as_ref());
+            let caught_up = source.epoch();
+            let Some(mut deltas) = endpoint.deltas_since(from_epoch) else {
+                break Err(RebuildReason::ChangeLogGap);
+            };
+            deltas.retain(|d| d.epoch <= caught_up);
+            let replayed = {
+                let _accrete_span = obs::span("catalog.overlay-accrete");
+                pinned.cube().apply_delta(&deltas, source)
+            };
+            if replayed.is_ok() && source.epoch() != caught_up {
+                // The star read may have seen a later write: no pin mixes
+                // two epochs. Replay once more against a frozen snapshot;
+                // without one, keep serving the current pin.
+                self.metrics.counter("catalog.overlay.torn_replays").inc();
+                if frozen.is_none() {
+                    frozen = endpoint.background_handle();
+                    if frozen.is_some() {
+                        continue;
                     }
-                    Err(other) => Err(RebuildReason::Error(other.to_string())),
                 }
+                slot.release_claim();
+                self.metrics.counter("catalog.overlay.stale_serves").inc();
+                return Ok(pinned);
             }
-            None => Err(RebuildReason::ChangeLogGap),
+            break match replayed {
+                Ok(replayed) => replay_growth(pinned.cube(), &replayed)
+                    .map(|growth| (Arc::new(replayed), caught_up, deltas.len(), growth)),
+                Err(CubeStoreError::DeltaUnsupported(refusal)) => {
+                    Err(RebuildReason::DeltaRefused(refusal))
+                }
+                Err(other) => Err(RebuildReason::Error(other.to_string())),
+            };
         };
         let (replayed, caught_up, deltas_applied, (rows, tombstones, members)) = match accreted {
             Ok(accreted) => accreted,
@@ -1571,19 +1582,30 @@ mod tests {
         }
     }
 
-    /// A delegating endpoint that lands `write` in the store when the
-    /// first star read (`VALUES ?obs`) comes in: a write between a
-    /// replay's `deltas_since` and its read.
+    /// A delegating endpoint that lands the next of `writes` in the store
+    /// whenever a star read (`VALUES ?obs`) comes in: a write between a
+    /// replay's `deltas_since` and its read. With `frozen` it hands out
+    /// the inner endpoint's background handle, a snapshot no write lands
+    /// in.
     struct TornRead {
         inner: LocalEndpoint,
-        write: Mutex<Vec<rdf::Triple>>,
+        writes: Mutex<VecDeque<Vec<rdf::Triple>>>,
+        frozen: bool,
+    }
+
+    impl TornRead {
+        fn new(frozen: bool) -> (TornRead, CubeSchema) {
+            let (inner, schema) = fixture(AggregateFunction::Sum);
+            let writes = Mutex::new(VecDeque::new());
+            (TornRead { inner, writes, frozen }, schema)
+        }
     }
 
     impl Endpoint for TornRead {
         fn query(&self, sparql: &str) -> Result<sparql::QueryResults, sparql::SparqlError> {
             if sparql.contains("VALUES ?obs") {
-                let write = std::mem::take(&mut *self.write.lock());
-                if !write.is_empty() {
+                let write = self.writes.lock().pop_front();
+                if let Some(write) = write {
                     self.inner.insert_triples(&write)?;
                 }
             }
@@ -1617,43 +1639,53 @@ mod tests {
         fn enable_change_tracking(&self) {
             self.inner.enable_change_tracking();
         }
+
+        fn background_handle(&self) -> Option<Arc<dyn Endpoint + Send + Sync>> {
+            self.frozen.then(|| self.inner.background_handle()).flatten()
+        }
+    }
+
+    /// o6 without its city, and the city: the city landing during the
+    /// replay of the rest is a torn read.
+    fn o6_and_its_city() -> (Vec<rdf::Triple>, rdf::Triple) {
+        let mut o6 = observation_triples("o6", "c1", "m2", 40, 2);
+        let city = o6.remove(2);
+        (o6, city)
+    }
+
+    /// Asserts that a pin equals a fresh build over `store`.
+    fn assert_pin_is_a_build_of(pin: &CubeSnapshot, store: rdf::Store, schema: &CubeSchema) {
+        assert_eq!(pin.epoch(), store.epoch());
+        let fresh = MaterializedCube::from_endpoint(&LocalEndpoint::with_store(store), schema);
+        assert_eq!(
+            run(pin.cube(), &CubeQuery::default()).unwrap(),
+            run(&fresh.unwrap(), &CubeQuery::default()).unwrap()
+        );
     }
 
     #[test]
     fn a_write_landing_before_the_star_read_is_not_published() {
-        let (endpoint, schema) = fixture(AggregateFunction::Sum);
-        let torn = TornRead {
-            inner: endpoint,
-            write: Mutex::new(Vec::new()),
-        };
+        // No frozen snapshot to replay against: the serve keeps the
+        // current pin.
+        let (torn, schema) = TornRead::new(false);
         let catalog = CubeCatalog::new();
         let built = catalog.serve_snapshot(&torn, &schema).unwrap();
-        let at_pin = LocalEndpoint::with_store(torn.inner.store().snapshot());
+        let at_pin = torn.inner.store().snapshot();
 
-        // o6 arrives without its city; the city lands during the replay.
-        let mut o6 = observation_triples("o6", "c1", "m2", 40, 2);
-        let city = o6.remove(2);
+        let (o6, city) = o6_and_its_city();
         torn.inner.insert_triples(&o6).unwrap();
-        *torn.write.lock() = vec![city];
+        *torn.writes.lock() = VecDeque::from([vec![city]]);
         let pin = catalog.serve_snapshot(&torn, &schema).unwrap();
-        assert_eq!(
-            pin.epoch(),
-            built.epoch(),
-            "the torn replay is not published"
-        );
-        let scratch = MaterializedCube::from_endpoint(&at_pin, &schema).unwrap();
-        assert_eq!(
-            run(pin.cube(), &CubeQuery::default()).unwrap(),
-            run(&scratch, &CubeQuery::default()).unwrap()
-        );
+        assert_eq!(pin.epoch(), built.epoch(), "the torn replay is not published");
+        assert_pin_is_a_build_of(&pin, at_pin, &schema);
         let metrics = catalog.metrics().snapshot();
+        assert_eq!(metrics.counter("catalog.overlay.torn_replays"), 1);
         assert_eq!(metrics.counter("catalog.overlay.stale_serves"), 1);
         assert_eq!(metrics.counter("catalog.refresh.delta"), 0);
         assert!(!catalog.maintenance_in_flight(&schema.dataset));
 
-        // The next serve replays both writes.
+        // The next serve replays every write.
         let settled = catalog.serve_settled(&torn, &schema).unwrap();
-        assert_eq!(settled.epoch(), torn.epoch());
         let o6 = Term::iri("http://example.org/obs/o6");
         assert!(settled.cube().is_observation(&o6));
         assert_eq!(
@@ -1664,11 +1696,30 @@ mod tests {
                 .unbound_rows(),
             0
         );
-        let scratch = MaterializedCube::from_endpoint(&torn.inner, &schema).unwrap();
-        assert_eq!(
-            run(settled.cube(), &CubeQuery::default()).unwrap(),
-            run(&scratch, &CubeQuery::default()).unwrap()
-        );
+        assert_pin_is_a_build_of(&settled, torn.inner.store().snapshot(), &schema);
+    }
+
+    #[test]
+    fn a_torn_replay_runs_again_over_a_frozen_snapshot() {
+        // The city lands under the live replay; the second replay reads
+        // the background handle, which the next write cannot reach, and
+        // publishes at its epoch.
+        let (torn, schema) = TornRead::new(true);
+        let catalog = CubeCatalog::new();
+        let built = catalog.serve_snapshot(&torn, &schema).unwrap();
+
+        let (o6, city) = o6_and_its_city();
+        torn.inner.insert_triples(&o6).unwrap();
+        let late = observation_triples("o7", "c2", "m1", 3, 3);
+        *torn.writes.lock() = VecDeque::from([vec![city], late]);
+        let pin = catalog.serve_snapshot(&torn, &schema).unwrap();
+        assert!(pin.epoch() > built.epoch(), "the frozen replay publishes");
+        assert_pin_is_a_build_of(&pin, torn.inner.store().snapshot(), &schema);
+        let metrics = catalog.metrics().snapshot();
+        assert_eq!(metrics.counter("catalog.overlay.torn_replays"), 1);
+        assert_eq!(metrics.counter("catalog.overlay.stale_serves"), 0);
+        assert_eq!(metrics.counter("catalog.refresh.delta"), 1);
+        assert_eq!(torn.writes.lock().len(), 1, "no write landed in the snapshot");
     }
 
     #[test]

@@ -41,10 +41,11 @@
 //! | Insert `skos:broader` for a fresh (not yet materialized) child | **apply**: extend the adjacency | — |
 //! | Insert an attribute/label value filling an empty slot | **apply**: set the slot | — |
 //! | Remove **all** triples of one materialized observation in one delta | **apply**: tombstone its row (executor skips it; catalog compacts when the live fraction drops) | — |
-//! | Remove the `qb:dataSet` link (and possibly more) of a materialized observation | **apply**: tombstone; the star read no longer returns the fragment, which is invisible to a fresh build | — |
+//! | Remove the `qb:dataSet` link (and possibly more) of a materialized observation | **apply**: tombstone; the fragment is invisible to a fresh build, so its star is not read | — |
 //! | Remove the type triple or a measure value of a materialized observation | **apply**: tombstone; the star read classifies the fragment *dropped* (a fresh build drops it too); later mutations of it rebuild | — |
 //! | Remove only dimension values of a materialized observation | **apply**: tombstone; the star read re-appends the surviving row with those dimensions unbound | — |
 //! | A removal spread over several deltas replayed together | **apply**: the first delta tombstones, the star read after the last classifies what is left | — |
+//! | Remove a dimension/measure value of a materialized observation and insert a new one, replayed together | **apply**: the removal tombstones, the star read appends the edited observation | — |
 //! | Remove a dimension/measure value of a materialized observation that the build never materialized (a duplicate the store held) | refuse | [`RefusalKind::ObservationMutated`] — a fresh build could now pick a different value |
 //! | Partially remove an observation that carried **several** values for some dimension/measure at build time | refuse | [`RefusalKind::ObservationMutated`] — stripping the frozen value would silently expose the duplicate a fresh build now picks |
 //! | Insert/remove a schema or hierarchy-structure triple (`qb:*` components, `qb4o:*` structure) | refuse | [`RefusalKind::SchemaStructure`] — every roll-up map could change |
@@ -87,7 +88,7 @@ use crate::error::{CubeStoreError, DeltaRefusal, RefusalKind};
 
 /// The nodes whose stars a replay reads back after its last delta: those a
 /// delta newly linked to the dataset (`false`) and those it tombstoned
-/// (`true`).
+/// without unlinking (`true`).
 type ReadSet = BTreeMap<Term, bool>;
 
 impl MaterializedCube {
@@ -251,7 +252,10 @@ fn apply_one(
     }
     for (node, removed) in pending_removals {
         tombstone_observation(cube, context, &node, &removed)?;
-        reads.insert(node, true);
+        // Unlinked from the dataset, it is invisible: nothing to read.
+        if !removed.iter().any(|t| t.predicate == qb::data_set()) {
+            reads.insert(node, true);
+        }
     }
     if delta.inserted.is_empty() {
         return Ok(());
@@ -377,7 +381,7 @@ fn apply_one(
         }
     }
     for triple in attribute_inserts {
-        apply_attribute_insert(cube, context, reads, triple)?;
+        apply_attribute_insert(cube, context, triple)?;
     }
     Ok(())
 }
@@ -616,7 +620,6 @@ fn read_stars(
 fn apply_attribute_insert(
     cube: &mut MaterializedCube,
     context: &DeltaContext,
-    reads: &ReadSet,
     triple: &Triple,
 ) -> Result<(), CubeStoreError> {
     if triple.subject == context.dataset && triple.predicate == rdfs::label() {
@@ -639,7 +642,7 @@ fn apply_attribute_insert(
         }
         return Ok(());
     }
-    if cube.observations.contains(&triple.subject) || reads.contains_key(&triple.subject) {
+    if cube.observations.contains(&triple.subject) {
         // Labels or attribute-named properties on observation nodes never
         // reach any query; ignore them.
         return Ok(());
@@ -996,6 +999,63 @@ mod tests {
         assert_eq!(refreshed.stats().observations_seen, 4);
         assert_eq!(refreshed.stats().rows_dropped, 0, "invisible, not dropped");
         assert_matches_rebuild(&endpoint, &refreshed);
+    }
+
+    #[test]
+    fn a_measure_edit_replayed_as_one_applies() {
+        // Strip o1's measure, then give it another value: two deltas, one
+        // replay. The removal tombstones o1, the star read appends o1 with
+        // the new value.
+        let (endpoint, cube, epoch) = tracked();
+        let o1 = Term::iri("http://example.org/obs/o1");
+        assert!(endpoint
+            .store()
+            .remove(&Triple::new(o1.clone(), iri("measure/value"), Literal::integer(10))));
+        endpoint
+            .insert_triples(&[Triple::new(o1.clone(), iri("measure/value"), Literal::integer(11))])
+            .unwrap();
+        let deltas = deltas_after(&endpoint, epoch);
+        assert_eq!(deltas.len(), 2);
+        let refreshed = cube.apply_delta(&deltas, &endpoint).unwrap();
+        assert_eq!(refreshed.live_row_count(), 5);
+        assert_eq!(refreshed.stats().rows_dropped, 0);
+        assert!(refreshed.is_observation(&o1));
+        assert_matches_rebuild(&endpoint, &refreshed);
+    }
+
+    #[test]
+    fn an_attribute_on_a_new_observation_refuses() {
+        // The star read runs after the last delta: while the label is
+        // classified, o6 is no member the cube knows.
+        let (endpoint, cube, epoch) = tracked();
+        let mut o6 = observation_triples("o6", "c1", "m2", 40, 2);
+        let node = o6[0].subject.clone();
+        o6.push(Triple::new(node, rdfs::label(), Literal::string("six")));
+        endpoint.insert_triples(&o6).unwrap();
+        let error = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap_err();
+        assert_eq!(refusal(error).kind, RefusalKind::UnknownMemberAttribute);
+    }
+
+    #[test]
+    fn an_attribute_on_an_unlinked_tombstoned_node_refuses() {
+        // o3 loses its dataset link (invisible, nothing read); a label on
+        // it is a value for a node the cube does not know.
+        let (endpoint, cube, epoch) = tracked();
+        let o3 = o3_triples();
+        assert_eq!(endpoint.store().remove_all(&o3[1..2]), 1);
+        endpoint
+            .insert_triples(&[Triple::new(
+                o3[0].subject.clone(),
+                rdfs::label(),
+                Literal::string("three"),
+            )])
+            .unwrap();
+        let error = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap_err();
+        assert_eq!(refusal(error).kind, RefusalKind::UnknownMemberAttribute);
     }
 
     /// Builds the fixture cube over a store that also holds `early`.

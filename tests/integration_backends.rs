@@ -253,6 +253,7 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
         RemoveObservation,
         CutBroaderLink,
         EditObservation,
+        EditDroppedObservation,
     }
     let rounds = [
         Mutation::AppendExisting,
@@ -263,6 +264,7 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
         Mutation::AppendExisting,
         Mutation::RemoveObservation,
         Mutation::EditObservation,
+        Mutation::EditDroppedObservation,
     ];
 
     for (round, mutation) in rounds.iter().enumerate() {
@@ -316,11 +318,12 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
                     "victim had a continent link"
                 );
             }
-            Mutation::EditObservation => {
-                // Rewrite one materialized observation's measure: remove,
-                // serve (the replay drops the now measureless fragment),
-                // then re-insert — a mutation of a dropped observation,
-                // so the rebuild fallback.
+            Mutation::EditObservation | Mutation::EditDroppedObservation => {
+                // Rewrite one materialized observation's measure: remove +
+                // re-insert. Replayed together the edit applies by delta.
+                // With a serve between, that replay drops the measureless
+                // fragment and the re-insert mutates a dropped observation:
+                // the rebuild fallback.
                 let store = tool.endpoint().store();
                 let solutions = tool
                     .endpoint()
@@ -338,11 +341,14 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
                     sdmx_measure::obs_value(),
                     value
                 )));
-                querying.materialize().unwrap();
+                let served_between = matches!(mutation, Mutation::EditDroppedObservation);
+                if served_between {
+                    querying.materialize().unwrap();
+                }
                 store.insert(&Triple::new(
                     node,
                     sdmx_measure::obs_value(),
-                    Literal::integer(9_999),
+                    Literal::integer(if served_between { 8_888 } else { 9_999 }),
                 ));
             }
         }
@@ -380,6 +386,24 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
                 .unwrap(),
             "roll-up navigation diverges after mutation round {round}"
         );
+        if let Mutation::EditObservation | Mutation::EditDroppedObservation = mutation {
+            use qb2olap::cubestore::{MaintenanceStrategy, RebuildReason, RefusalKind};
+            let reports = querying.maintenance_reports();
+            let last = reports.last().unwrap();
+            match mutation {
+                Mutation::EditObservation => {
+                    assert_eq!(last.strategy, MaintenanceStrategy::Delta, "{last:?}")
+                }
+                _ => assert!(
+                    matches!(
+                        &last.reason,
+                        Some(RebuildReason::DeltaRefused(refusal))
+                            if refusal.kind == RefusalKind::DroppedObservationMutated
+                    ),
+                    "{last:?}"
+                ),
+            }
+        }
     }
 
     // The interleaving exercised both maintenance paths.
