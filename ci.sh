@@ -21,10 +21,20 @@ cargo test --release -q -p qb2olap-suite --test integration_backends
 # catalog-served explorer navigation identical to its SPARQL oracle.
 cargo test --release -q -p qb2olap-suite --test integration_backends -- \
     interleaved_mutations_keep_catalog_and_sparql_in_lockstep
+# The retired-shape parity gate, pinned by name: every observation shape a
+# retired refusal kind (ObservationMutated, DroppedObservationMutated,
+# IncompleteObservation, MalformedObservation) used to refuse, and the
+# removal of a link to another dataset, must apply as a delta whose cube
+# equals a from-scratch build (results, build counters, dropped set) and
+# serves exactly the observations SPARQL counts as complete.
+cargo test --release -q -p cubestore --lib -- \
+    refusal_suite::retired_observation_shapes_apply_as_deltas_equal_to_a_rebuild
 
 # The mutation-sequence differential fuzzer, pinned by name and seed: 200
-# seeded steps of interleaved integer/float appends, new members, and
-# whole/partial removals against one store (two datasets) must refresh
+# seeded steps of interleaved integer/float appends, new members,
+# whole/partial removals, restores of a stripped measure (completing a
+# dropped fragment) and dimension edits (remove_matching, then insert)
+# against one store (two datasets) must refresh
 # exclusively via the delta path (no rebuild, no compaction) while the
 # catalog-served columnar results stay bit-identical to fresh SPARQL
 # evaluation after every step (float SUM/AVG included, and periodically
@@ -202,6 +212,8 @@ grep -q 'E22' EXPERIMENTS.md
 grep -q 'E23' EXPERIMENTS.md
 grep -q 'E24' EXPERIMENTS.md
 grep -q 'E25' EXPERIMENTS.md
+grep -q 'E26' EXPERIMENTS.md
+grep -q 'E27' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

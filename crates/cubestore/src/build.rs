@@ -27,7 +27,7 @@ use crate::zonemap::ZoneMaps;
 /// incremental maintenance (appends increment, tombstoned removals
 /// decrement), so they always describe what a fresh build of the current
 /// store would produce.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// Observations of the dataset on the endpoint (delta-applied removals
     /// subtract, so this tracks what the endpoint currently holds).
@@ -85,15 +85,9 @@ pub struct MaterializedCube {
     /// Materialized observation node → fact row (live rows only).
     pub(crate) observations: ObservationIndex,
     /// Dataset-linked observation nodes that were *dropped* (untyped, or
-    /// missing a measure). A delta completing one of these must rebuild —
-    /// a fresh materialization would accept the now-complete observation.
+    /// missing a measure). A delta touching a fact triple of one forgets
+    /// it and re-reads its star, like a live row's.
     pub(crate) dropped_observations: Arc<BTreeSet<Term>>,
-    /// Materialized observations that carried **several distinct values**
-    /// for some dimension or measure in the store (QB-malformed; the
-    /// build froze one). Partial removals of these must rebuild: removing
-    /// the frozen value would silently expose the duplicate a fresh build
-    /// now picks.
-    pub(crate) multivalued_observations: Arc<BTreeSet<Term>>,
     /// Member-level `skos:broader` adjacency (child → sorted parents),
     /// `Arc`-shared until a delta adds links for new members.
     pub(crate) broader: Arc<BTreeMap<Term, Vec<Term>>>,
@@ -113,8 +107,8 @@ impl MaterializedCube {
     /// The cube is a snapshot: triples loaded into the endpoint afterwards
     /// are not reflected (rebuild to pick them up). Observations are
     /// assumed to carry at most one value per dimension and per measure
-    /// (QB well-formedness); extra values are ignored rather than
-    /// multiplying rows the way a raw SPARQL join would.
+    /// (QB well-formedness); of several values the row keeps the least
+    /// `Term` rather than multiplying rows the way a raw SPARQL join would.
     pub fn from_endpoint(
         endpoint: &dyn Endpoint,
         schema: &CubeSchema,
@@ -298,35 +292,10 @@ fn resolve_rollup_target(
     }
 }
 
-/// What a fresh build makes of one observation of an [`ObservationTable`]:
-/// the one classification the build and [`MaterializedCube::apply_delta`]
-/// share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Verdict {
-    /// A fact row.
-    Complete,
-    /// A fact row, but this table column (a dimension or measure) carried
-    /// several values; the row keeps the one the table kept.
-    Multivalued(usize),
-    /// No fact row: the SPARQL pattern's inner joins drop it too.
-    Dropped(Defect),
-}
-
-/// Why an observation is dropped. Measures are cube measure indexes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Defect {
-    /// The star holds no `rdf:type qb:Observation`.
-    Untyped,
-    /// No value for the measure.
-    MissingMeasure(usize),
-    /// A value that is not a literal for the measure.
-    NonLiteralMeasure(usize),
-}
-
 /// Turns observation-table rows into fact rows: a member is
 /// dictionary-encoded and a measure literal parsed once per distinct
 /// (column, term) of the table, however many rows carry it. The build and
-/// [`MaterializedCube::apply_delta`] both append through it.
+/// [`MaterializedCube::apply_delta`] both classify and append through it.
 pub(crate) struct FactEncoder<'t> {
     table: &'t ObservationTable,
     /// The table column of each cube dimension's bottom level and of each
@@ -372,28 +341,19 @@ impl<'t> FactEncoder<'t> {
         (cell < self.table.terms.len()).then_some(cell)
     }
 
-    /// A fact row needs the type and a literal for every measure; a slot
-    /// with several values is reported only for a fact row.
-    pub(crate) fn classify(&self, observation: usize) -> Verdict {
-        if !self.table.typed(observation) {
-            return Verdict::Dropped(Defect::Untyped);
-        }
-        for measure in 0..self.measures.len() {
-            match self.cell(observation, measure) {
-                None => return Verdict::Dropped(Defect::MissingMeasure(measure)),
-                Some(cell) if !self.table.terms[cell].is_literal() => {
-                    return Verdict::Dropped(Defect::NonLiteralMeasure(measure))
-                }
-                Some(_) => {}
-            }
-        }
-        match self.table.multivalued(observation).next() {
-            Some(column) => Verdict::Multivalued(column),
-            None => Verdict::Complete,
-        }
+    /// True if the observation is a fact row: typed, with a literal for
+    /// every measure. The SPARQL pattern's inner joins drop any other
+    /// star too; the build and [`MaterializedCube::apply_delta`] record it
+    /// as dropped.
+    pub(crate) fn is_fact_row(&self, observation: usize) -> bool {
+        self.table.typed(observation)
+            && (0..self.measures.len()).all(|measure| {
+                self.cell(observation, measure)
+                    .is_some_and(|cell| self.table.terms[cell].is_literal())
+            })
     }
 
-    /// Appends the fact row of an observation [`Self::classify`] accepts:
+    /// Appends the fact row of an observation [`Self::is_fact_row`] accepts:
     /// one code per dimension ([`NO_MEMBER`] where unbound), one value per
     /// measure. An empty measure column takes its type from its first
     /// accepted literal.
@@ -502,19 +462,12 @@ impl Builder<'_> {
         let mut observation_rows: FxHashMap<Term, usize> =
             FxHashMap::with_capacity_and_hasher(observations.len(), Default::default());
         let mut dropped_observations: BTreeSet<Term> = BTreeSet::new();
-        let mut multivalued_observations: BTreeSet<Term> = BTreeSet::new();
         for observation in 0..observations.len() {
             let node = &observations.terms[observations.node(observation) as usize];
-            match encoder.classify(observation) {
-                Verdict::Dropped(_) => {
-                    stats.rows_dropped += 1;
-                    dropped_observations.insert(node.clone());
-                    continue;
-                }
-                Verdict::Multivalued(_) => {
-                    multivalued_observations.insert(node.clone());
-                }
-                Verdict::Complete => {}
+            if !encoder.is_fact_row(observation) {
+                stats.rows_dropped += 1;
+                dropped_observations.insert(node.clone());
+                continue;
             }
             encoder.append(&mut dimensions, &mut measures, observation)?;
             observation_rows.insert(node.clone(), observation_rows.len());
@@ -601,7 +554,6 @@ impl Builder<'_> {
             rollups,
             observations: ObservationIndex::from_map(observation_rows),
             dropped_observations: Arc::new(dropped_observations),
-            multivalued_observations: Arc::new(multivalued_observations),
             broader: Arc::new(broader),
             dataset_label,
             tombstones: Tombstones::new(),

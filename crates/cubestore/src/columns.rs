@@ -7,7 +7,7 @@
 //! (see the [`crate::cowvec`] module docs for the cost model).
 
 use qb4olap::AggregateFunction;
-use rdf::{Iri, Literal, Numeric, Term};
+use rdf::{Iri, Literal, Numeric};
 
 use crate::cowvec::CowVec;
 use crate::dictionary::{Dictionary, MemberId, NO_MEMBER};
@@ -121,7 +121,7 @@ pub enum MeasureSlice<'a> {
 ///   integer (see `rdf`'s decimal formatting).
 ///
 /// `tests::numeric_routing_matches_the_literal_parse` pins the equivalence
-/// against an actual parse of [`MeasureVector::term_at`].
+/// against an actual parse of each row's literal.
 #[inline]
 pub(crate) fn route_float(value: f64, decimal: bool) -> MeasureValue {
     /// The `i64` the value's canonical lexical form denotes, if it parses
@@ -160,7 +160,7 @@ pub(crate) enum StoredMeasure {
 /// An empty vector takes its variant from the XSD datatype of the first
 /// literal the fact encoder accepts into it, and the encoder verifies that every literal round-trips exactly
 /// through the variant's reconstruction (so MIN/MAX can return the same
-/// [`Term`]s the SPARQL engine returns). Data that does not round-trip is
+/// [`rdf::Term`]s the SPARQL engine returns). Data that does not round-trip is
 /// rejected as [`CubeStoreError::Unsupported`].
 #[derive(Debug, Clone)]
 pub enum MeasureVector {
@@ -240,9 +240,8 @@ impl MeasureVector {
     }
 
     /// One row routed exactly as the SPARQL engine routes the corresponding
-    /// literal ([`MeasureVector::term_at`]) into its aggregates: integer
-    /// rows always route integer, float rows by the lexical rules of this
-    /// module's `route_float`.
+    /// literal into its aggregates: integer rows always route integer,
+    /// float rows by the lexical rules of this module's `route_float`.
     #[inline]
     pub fn numeric_at(&self, row: usize) -> MeasureValue {
         match self {
@@ -274,16 +273,16 @@ impl MeasureVector {
         }
     }
 
-    /// Reconstructs the exact [`Term`] of one row — unlike
+    /// Reconstructs the exact term of one row — unlike
     /// [`MeasureVector::numeric_for`] this never round-trips an integer
-    /// through `f64`, so it is lossless for the full `i64` range. The
-    /// removal path uses it to rebuild an observation's measure triples.
-    pub fn term_at(&self, row: usize) -> Term {
-        match self {
-            MeasureVector::Integer(v) => Term::Literal(Literal::integer(*v.get(row))),
-            MeasureVector::Decimal(v) => Term::Literal(Literal::decimal(*v.get(row))),
-            MeasureVector::Double(v) => Term::Literal(Literal::double(*v.get(row))),
-        }
+    /// through `f64`, so it is lossless for the full `i64` range.
+    #[cfg(test)]
+    pub fn term_at(&self, row: usize) -> rdf::Term {
+        rdf::Term::Literal(match self {
+            MeasureVector::Integer(v) => Literal::integer(*v.get(row)),
+            MeasureVector::Decimal(v) => Literal::decimal(*v.get(row)),
+            MeasureVector::Double(v) => Literal::double(*v.get(row)),
+        })
     }
 
     /// Number of physical rows (tombstoned rows included).
@@ -313,6 +312,8 @@ pub struct MeasureColumn {
 
 #[cfg(test)]
 mod tests {
+    use rdf::Term;
+
     use super::*;
 
     /// Appends a literal the way the fact encoder does: parse, then push.

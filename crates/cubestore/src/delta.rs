@@ -1,29 +1,31 @@
 //! Incremental maintenance: applies recorded store deltas
 //! ([`rdf::StoreDelta`]) to a [`MaterializedCube`], reading back from the
-//! endpoint only the stars of the observations the deltas link or
-//! tombstone.
+//! endpoint only the stars of the observations the deltas touch.
 //!
 //! The delta path handles every *pure-data* mutation — appending new
 //! observations (any measure type: float aggregation is order-independent
 //! via [`sparql::NumericSum`], so append order cannot diverge from a
 //! rebuild's row order), introducing brand-new members (with their
-//! roll-up links, labels and attribute values), and removing observations
-//! whole **or in part** — by extending the copy-on-write columns and
-//! roll-up maps and tombstoning removed rows. An observation becomes a row
-//! one way only, the build's: after the last delta of a replay, the stars
-//! of every node a delta newly linked to the dataset or tombstoned are read
-//! in one pivot SELECT (`qb::load_observations` restricted by a `VALUES`
-//! block) and classified and encoded by the build's fact encoder. So a
-//! partial removal re-classifies the surviving fragment exactly as a fresh
-//! build would (unlinked from the dataset → invisible; untyped or missing
-//! a measure → recorded as *dropped*; still complete → re-appended as a
-//! live row with the removed dimension values unbound), and an observation
-//! whose dimension value reached the store before its `qb:dataSet` link is
-//! appended with that value. Every mutation the path cannot replay with
-//! bit-identical results refuses with [`CubeStoreError::DeltaUnsupported`],
-//! whose typed [`DeltaRefusal`] becomes the rebuild reason in the catalog's
-//! maintenance report, so a wrong classification can cost a rebuild but
-//! never correctness.
+//! roll-up links, labels and attribute values), and any insert or removal
+//! of an observation's fact triples — by extending the copy-on-write
+//! columns and roll-up maps and tombstoning removed rows. Observation
+//! changes follow one rule. A fact triple (`rdf:type qb:Observation`, a
+//! `qb:dataSet` link to this cube's dataset, a dimension or a measure
+//! value), inserted or removed, whose subject the cube holds — a live row
+//! or a recorded drop — *forgets* that node: the row is tombstoned or the
+//! drop un-recorded, and the node's [`crate::BuildStats`] reversed. The
+//! node then joins the replay's read set, as does a node newly linked to
+//! the dataset; a node whose link the delta removed stays out of it. After
+//! the last delta the read set's stars are read in one pivot SELECT
+//! (`qb::load_observations` restricted by a `VALUES` block) and classified
+//! and encoded by the build's fact encoder, so every star ends up exactly
+//! as a fresh build leaves it: complete → appended, otherwise → recorded
+//! as dropped, not returned (unlinked) → invisible. Mutations the path
+//! cannot replay with bit-identical results — structure, hierarchy and
+//! attribute changes — refuse with [`CubeStoreError::DeltaUnsupported`],
+//! whose typed [`DeltaRefusal`] becomes the rebuild reason in the
+//! catalog's maintenance report, so a wrong classification can cost a
+//! rebuild but never correctness.
 //!
 //! # Delta-vs-rebuild decision table
 //!
@@ -34,62 +36,44 @@
 //!
 //! | Mutation | Decision | Refusal kind / rationale |
 //! |---|---|---|
-//! | Insert a complete new observation (typed, linked, every measure) over known members | **apply**: read its star, extend each column's tail | — |
+//! | Insert a new observation (complete or not) over known members | **apply**: read its star; a complete one extends each column's tail, any other is recorded as dropped | — |
 //! | Insert a complete new observation referencing a brand-new member | **apply**: extend level index, adjacency and roll-up maps, then append | — |
 //! | Insert the rest of an observation whose fragment was stored unlinked (before the build, or by an earlier delta of the replay) | **apply**: the star read sees the whole star, fragment included | — |
+//! | Insert or remove a fact triple (type, this dataset's link, a dimension or measure value) of an observation the cube holds, live or dropped, in one delta or spread over several | **apply**: forget the node (tombstone the row or un-record the drop), read its star after the last delta, classify it like the build | — |
+//! | Remove the `qb:dataSet` link of an observation the cube holds | **apply**: forget it; a fresh build cannot see it, so its star is not read | — |
+//! | A dimension or measure with several values | **apply**: the star read keeps the least `Term`, whatever order the endpoint reports them in, as a fresh build does | — |
 //! | Insert `qb4o:memberOf` for a fresh term | **apply**: add to the level index | — |
 //! | Insert `skos:broader` for a fresh (not yet materialized) child | **apply**: extend the adjacency | — |
 //! | Insert an attribute/label value filling an empty slot | **apply**: set the slot | — |
-//! | Remove **all** triples of one materialized observation in one delta | **apply**: tombstone its row (executor skips it; catalog compacts when the live fraction drops) | — |
-//! | Remove the `qb:dataSet` link (and possibly more) of a materialized observation | **apply**: tombstone; the fragment is invisible to a fresh build, so its star is not read | — |
-//! | Remove the type triple or a measure value of a materialized observation | **apply**: tombstone; the star read classifies the fragment *dropped* (a fresh build drops it too); later mutations of it rebuild | — |
-//! | Remove only dimension values of a materialized observation | **apply**: tombstone; the star read re-appends the surviving row with those dimensions unbound | — |
-//! | A removal spread over several deltas replayed together | **apply**: the first delta tombstones, the star read after the last classifies what is left | — |
-//! | Remove a dimension/measure value of a materialized observation and insert a new one, replayed together | **apply**: the removal tombstones, the star read appends the edited observation | — |
-//! | Remove a dimension/measure value of a materialized observation that the build never materialized (a duplicate the store held) | refuse | [`RefusalKind::ObservationMutated`] — a fresh build could now pick a different value |
-//! | Partially remove an observation that carried **several** values for some dimension/measure at build time | refuse | [`RefusalKind::ObservationMutated`] — stripping the frozen value would silently expose the duplicate a fresh build now picks |
+//! | Append to a populated **float** measure column | **apply**: extend the tail — SUM/AVG go through the order-independent compensated accumulator, so append order cannot move any aggregate off a rebuild's result by even an ulp | — |
 //! | Insert/remove a schema or hierarchy-structure triple (`qb:*` components, `qb4o:*` structure) | refuse | [`RefusalKind::SchemaStructure`] — every roll-up map could change |
 //! | Add a `skos:broader` link to an existing member | refuse | [`RefusalKind::RollupLinkAdded`] — frozen roll-up entries could change |
 //! | Remove a `skos:broader` link of a known member | refuse | [`RefusalKind::RollupLinkRemoved`] — ragged-hierarchy drops must be recomputed |
 //! | Remove a `qb4o:memberOf` declaration | refuse | [`RefusalKind::MemberRemoved`] |
 //! | Declare a member for a term already in the fact columns / reachable in the hierarchy | refuse | [`RefusalKind::MemberConflict`] — its frozen roll-up entries were computed without the declaration |
-//! | Give a materialized observation a new dimension/measure value | refuse | [`RefusalKind::ObservationMutated`] |
-//! | Touch (insert into or remove from) a previously *dropped* observation | refuse | [`RefusalKind::DroppedObservationMutated`] — a fresh build might classify it differently now |
-//! | Insert an incomplete observation (untyped or missing a measure) | refuse | [`RefusalKind::IncompleteObservation`] — a later delta may complete it |
-//! | Insert an observation with several values per dimension/measure, or a non-literal measure | refuse | [`RefusalKind::MalformedObservation`] |
-//! | Append to a populated **float** measure column | **apply**: extend the tail — SUM/AVG go through the order-independent compensated accumulator, so append order cannot move any aggregate off a rebuild's result by even an ulp | — |
 //! | Attribute value conflicting with the materialized one | refuse | [`RefusalKind::AttributeConflict`] (first-value-wins needs build order) |
 //! | Remove an attribute value / change or remove the dataset label | refuse | [`RefusalKind::AttributeRemoved`] / [`RefusalKind::DatasetLabelChanged`] |
-//! | Attribute value for a member the cube never saw | refuse | [`RefusalKind::UnknownMemberAttribute`] — it may matter to a member of a later delta |
-//! | Anything in a named graph, or triples invisible to the materialization | **skip** (no-op) | the cube materializes the default graph only |
+//! | Attribute value for a member the cube never saw (a node of the read set included) | refuse | [`RefusalKind::UnknownMemberAttribute`] — it may matter to a member of a later delta |
+//! | Anything in a named graph, a `qb:dataSet` link to another dataset, or triples invisible to the materialization | **skip** (no-op) | the cube materializes this dataset's default-graph stars only |
 //!
-//! Removal batching matters only across replays. A removal spread across
-//! several `Store::remove` calls arrives as several single-triple deltas;
-//! when one replay covers them all, the first tombstones the row and the
-//! star read after the last classifies whatever is left, as a fresh build
-//! would. When a replay ends between them (a serve came in after the
-//! first), that replay's read usually classifies the fragment *dropped*,
-//! and the next replay touching it refuses with
-//! [`RefusalKind::DroppedObservationMutated`] and rebuilds. Callers that
-//! want a clean one-step tombstone batch the whole observation through
-//! [`rdf::Store::remove_all`] (or [`rdf::Store::remove_matching`]).
+//! Batching does not matter. A removal spread over several
+//! `Store::remove` calls arrives as several deltas; whether one replay
+//! covers them all or a serve lands between them, each replay forgets the
+//! node and re-reads what is left of it at its epoch.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use ::qb::ComponentKind;
 use rdf::vocab::{qb, qb4o, rdf as rdfv, rdfs, skos};
 use rdf::{Iri, StoreDelta, Term, Triple};
 use sparql::Endpoint;
 
-use crate::build::{extend_rollup_maps, Defect, FactEncoder, MaterializedCube, Verdict};
-use crate::dictionary::NO_MEMBER;
+use crate::build::{extend_rollup_maps, FactEncoder, MaterializedCube};
 use crate::error::{CubeStoreError, DeltaRefusal, RefusalKind};
 
 /// The nodes whose stars a replay reads back after its last delta: those a
-/// delta newly linked to the dataset (`false`) and those it tombstoned
-/// without unlinking (`true`).
-type ReadSet = BTreeMap<Term, bool>;
+/// delta newly linked to the dataset and those it forgot without unlinking.
+type ReadSet = BTreeSet<Term>;
 
 impl MaterializedCube {
     /// Applies a sequence of store deltas, returning the refreshed cube.
@@ -103,12 +87,11 @@ impl MaterializedCube {
     ///
     /// One read per replay: the deltas are classified in order, and after
     /// the last one the stars of the nodes they newly linked to the
-    /// dataset or tombstoned are read from `endpoint` in one pivot SELECT
-    /// and pushed through the build's fact encoder. The read sees the
-    /// store as it is when it runs, so the result stands for the last
-    /// delta's epoch only if the store has not moved since; the catalog
-    /// publishes it only then. A replay that links and tombstones nothing
-    /// reads nothing.
+    /// dataset or forgot are read from `endpoint` in one pivot SELECT and
+    /// pushed through the build's fact encoder. The read sees the store as
+    /// it is when it runs, so the result stands for the last delta's epoch
+    /// only if the store has not moved since; the catalog publishes it
+    /// only then. A replay that touches no observation reads nothing.
     ///
     /// The returned cube shares every untouched component with `self`
     /// (copy-on-write): a pure observation append copies only each
@@ -200,11 +183,11 @@ impl DeltaContext {
     }
 
     /// True if the triple is part of what the materialization reads off an
-    /// observation node: its type, dataset link, dimension or measure
-    /// values.
+    /// observation node: its type, its link to this dataset, a dimension or
+    /// measure value.
     fn is_fact_triple(&self, triple: &Triple) -> bool {
         let predicate = &triple.predicate;
-        *predicate == qb::data_set()
+        (*predicate == qb::data_set() && triple.object == self.dataset)
             || (*predicate == rdfv::type_() && triple.object == Term::Iri(qb::observation()))
             || self.bottom_order.contains(predicate)
             || self.measure_order.contains(predicate)
@@ -230,31 +213,37 @@ fn is_adjacency_parent(cube: &MaterializedCube, term: &Term) -> bool {
     cube.broader.values().any(|parents| parents.contains(term))
 }
 
+/// Forgets a node the cube holds: tombstones its live row or un-records its
+/// drop, and takes it out of the counts. False if the cube holds neither.
+fn forget(cube: &mut MaterializedCube, node: &Term) -> bool {
+    if let Some(row) = cube.observations.remove(node) {
+        cube.tombstones.kill(row);
+        cube.stats.rows -= 1;
+    } else if cube.dropped_observations.contains(node) {
+        Arc::make_mut(&mut cube.dropped_observations).remove(node);
+        cube.stats.rows_dropped -= 1;
+    } else {
+        return false;
+    }
+    cube.stats.observations_seen -= 1;
+    true
+}
+
 fn apply_one(
     cube: &mut MaterializedCube,
     context: &DeltaContext,
     reads: &mut ReadSet,
     delta: &StoreDelta,
 ) -> Result<(), CubeStoreError> {
-    // Removals of a materialized observation's fact triples are collected
-    // per node: the row is tombstoned and the node's star read back after
-    // the last delta.
-    let mut pending_removals: BTreeMap<Term, Vec<&Triple>> = BTreeMap::new();
     for triple in &delta.removed {
-        if cube.observations.contains(&triple.subject) && context.is_fact_triple(triple) {
-            pending_removals
-                .entry(triple.subject.clone())
-                .or_default()
-                .push(triple);
-            continue;
-        }
-        check_removal(cube, context, triple)?;
-    }
-    for (node, removed) in pending_removals {
-        tombstone_observation(cube, context, &node, &removed)?;
-        // Unlinked from the dataset, it is invisible: nothing to read.
-        if !removed.iter().any(|t| t.predicate == qb::data_set()) {
-            reads.insert(node, true);
+        if !context.is_fact_triple(triple) {
+            check_removal(cube, context, triple)?;
+        } else if triple.predicate == qb::data_set() {
+            // Unlinked from the dataset, it is invisible: nothing to read.
+            forget(cube, &triple.subject);
+            reads.remove(&triple.subject);
+        } else if forget(cube, &triple.subject) {
+            reads.insert(triple.subject.clone());
         }
     }
     if delta.inserted.is_empty() {
@@ -317,51 +306,21 @@ fn apply_one(
             new_members.push((triple.subject.clone(), level.clone()));
             continue;
         }
-        if *predicate == qb::data_set() {
-            // A node newly linked to this cube's dataset: the star read
-            // decides whether it is a fact row. Links to other datasets
-            // are invisible.
-            if triple.object == context.dataset && !cube.observations.contains(&triple.subject) {
-                reads.entry(triple.subject.clone()).or_insert(false);
-            }
-            continue;
-        }
         if context.is_fact_triple(triple) {
-            // A type, dimension or measure triple: the star read sees it if
-            // the node is (or gets) linked, unless the node's row or its
-            // drop is frozen.
-            if cube.dropped_observations.contains(&triple.subject) {
-                // A fresh build might accept the dropped observation now.
-                return Err(unsupported(
-                    RefusalKind::DroppedObservationMutated,
-                    format!("dropped observation {} mutated", triple.subject),
-                ));
+            // A node the cube holds is forgotten and re-read; a node newly
+            // linked to the dataset is read. Any other node's star is read
+            // once a delta links it.
+            if forget(cube, &triple.subject) || *predicate == qb::data_set() {
+                reads.insert(triple.subject.clone());
             }
-            if cube.observations.contains(&triple.subject) {
-                let slot = if context.bottom_order.contains(predicate) {
-                    "dimension"
-                } else {
-                    "measure"
-                };
-                return Err(unsupported(
-                    RefusalKind::ObservationMutated,
-                    format!(
-                        "materialized observation {} gained a {slot} value",
-                        triple.subject
-                    ),
-                ));
-            }
-            continue;
-        }
-        if *predicate == rdfv::type_() {
             continue;
         }
         if context.tracked_attributes.contains(predicate) {
             attribute_inserts.push(triple);
             continue;
         }
-        // Anything else (owl:sameAs links, notations, other datasets'
-        // triples, ...) is invisible to the materialization.
+        // Anything else (owl:sameAs links, other types, notations, other
+        // datasets' triples, ...) is invisible to the materialization.
     }
 
     // Apply in dependency order: members, hierarchy links, then attribute
@@ -430,18 +389,9 @@ fn check_removal(
         }
         return Ok(());
     }
-    if cube.dropped_observations.contains(&triple.subject) && context.is_fact_triple(triple) {
-        // Unlinking or stripping a dropped observation changes what a
-        // fresh build would count as seen/dropped.
-        return Err(unsupported(
-            RefusalKind::DroppedObservationMutated,
-            format!("dropped observation {} mutated by a removal", triple.subject),
-        ));
-    }
     if cube.observations.contains(&triple.subject) {
-        // Fact triples of materialized observations were routed to the
-        // tombstone path before this function; what reaches here are
-        // irrelevant decorations (labels etc.) on observation nodes.
+        // Fact triples never reach here; what does on an observation node
+        // are irrelevant decorations (labels etc.).
         return Ok(());
     }
     if context.tracked_attributes.contains(predicate) {
@@ -470,88 +420,10 @@ fn check_removal(
     Ok(())
 }
 
-/// Tombstones a materialized observation one delta removes fact triples
-/// from. The materialized triple set is reconstructed from the columns
-/// (the dictionaries decode the dimension members,
-/// [`crate::columns::MeasureVector::term_at`] the measure literals), so
-/// the checks are exact:
-///
-/// * a removal of a value the build never materialized (a duplicate the
-///   store held) refuses — a fresh build could now pick a different value;
-/// * a partial removal from an observation whose slots carried several
-///   values at build time refuses — stripping the frozen value would
-///   silently expose the duplicate.
-///
-/// Otherwise the row dies and the node leaves the counts; the star read
-/// after the last delta decides what, if anything, is left of it.
-fn tombstone_observation(
-    cube: &mut MaterializedCube,
-    context: &DeltaContext,
-    node: &Term,
-    removed: &[&Triple],
-) -> Result<(), CubeStoreError> {
-    let row = cube.observations.row_of(node).expect("caller checked");
-    let type_triple = Triple::new(node.clone(), rdfv::type_(), Term::Iri(qb::observation()));
-    let dataset_triple = Triple::new(node.clone(), qb::data_set(), context.dataset.clone());
-    let mut expected: BTreeSet<Triple> = BTreeSet::new();
-    expected.insert(type_triple.clone());
-    expected.insert(dataset_triple.clone());
-    for column in &cube.dimensions {
-        let code = column.code(row);
-        if code != NO_MEMBER {
-            expected.insert(Triple::new(
-                node.clone(),
-                column.bottom_level.clone(),
-                column.dictionary.term(code).clone(),
-            ));
-        }
-    }
-    for measure in &cube.measures {
-        expected.insert(Triple::new(
-            node.clone(),
-            measure.property.clone(),
-            measure.data.term_at(row),
-        ));
-    }
-    let removed_set: BTreeSet<Triple> = removed.iter().map(|t| (*t).clone()).collect();
-    if !removed_set.is_subset(&expected) {
-        return Err(unsupported(
-            RefusalKind::ObservationMutated,
-            format!(
-                "removal from observation {node} covers values the build never materialized \
-                 (a fresh build could now read different ones)"
-            ),
-        ));
-    }
-    if removed_set.len() != expected.len() && cube.multivalued_observations.contains(node) {
-        // The store held several values for one of this observation's
-        // slots and the build froze one; a partial removal could strip the
-        // frozen value and silently expose the duplicate a fresh build now
-        // picks. Only a rebuild knows the surviving values.
-        return Err(unsupported(
-            RefusalKind::ObservationMutated,
-            format!(
-                "partial removal from observation {node}, which carried several values \
-                 for a dimension or measure at build time"
-            ),
-        ));
-    }
-
-    cube.observations.remove(node);
-    cube.tombstones.kill(row);
-    cube.stats.rows -= 1;
-    cube.stats.observations_seen -= 1;
-    if cube.multivalued_observations.contains(node) {
-        Arc::make_mut(&mut cube.multivalued_observations).remove(node);
-    }
-    Ok(())
-}
-
 /// Reads the stars of the replay's read set in one pivot SELECT and
-/// classifies each the way a fresh build does. A complete one is
-/// appended. A tombstoned node that is now dropped is recorded as
-/// dropped; a new one refuses, as does a star with several values in a
-/// slot. A node the read no longer returns is invisible.
+/// classifies each exactly as the build loop does: a fact row is appended,
+/// any other star recorded as dropped. A node the read does not return
+/// (unlinked) is invisible.
 fn read_stars(
     cube: &mut MaterializedCube,
     endpoint: &dyn Endpoint,
@@ -560,54 +432,17 @@ fn read_stars(
     if reads.is_empty() {
         return Ok(());
     }
-    let nodes: Vec<Term> = reads.keys().cloned().collect();
+    let nodes: Vec<Term> = reads.iter().cloned().collect();
     let structure = cube.structure.clone();
     let table = ::qb::load_observations(endpoint, &cube.schema.dataset, &structure, Some(&nodes))?;
     let mut encoder = FactEncoder::new(&structure, &cube.dimensions, &cube.measures, &table);
     for observation in 0..table.len() {
         let node = &table.terms[table.node(observation) as usize];
         cube.stats.observations_seen += 1;
-        match encoder.classify(observation) {
-            Verdict::Complete => {}
-            Verdict::Dropped(_) if reads.get(node) == Some(&true) => {
-                cube.stats.rows_dropped += 1;
-                Arc::make_mut(&mut cube.dropped_observations).insert(node.clone());
-                continue;
-            }
-            Verdict::Dropped(defect) => {
-                let measure = |index: usize| cube.measures[index].property.as_str();
-                return Err(match defect {
-                    Defect::Untyped => unsupported(
-                        RefusalKind::IncompleteObservation,
-                        format!("observation {node} arrives incomplete (not typed qb:Observation)"),
-                    ),
-                    Defect::MissingMeasure(index) => unsupported(
-                        RefusalKind::IncompleteObservation,
-                        format!("observation {node} is missing measure <{}>", measure(index)),
-                    ),
-                    Defect::NonLiteralMeasure(index) => unsupported(
-                        RefusalKind::MalformedObservation,
-                        format!(
-                            "observation {node} has a non-literal value for measure <{}>",
-                            measure(index)
-                        ),
-                    ),
-                });
-            }
-            Verdict::Multivalued(column) => {
-                let component = &structure.components[column];
-                let slot = match component.kind {
-                    ComponentKind::Measure => "measure",
-                    _ => "dimension",
-                };
-                return Err(unsupported(
-                    RefusalKind::MalformedObservation,
-                    format!(
-                        "observation {node} has several values for {slot} <{}>",
-                        component.property.as_str()
-                    ),
-                ));
-            }
+        if !encoder.is_fact_row(observation) {
+            cube.stats.rows_dropped += 1;
+            Arc::make_mut(&mut cube.dropped_observations).insert(node.clone());
+            continue;
         }
         encoder.append(&mut cube.dimensions, &mut cube.measures, observation)?;
         cube.observations.insert(node.clone(), cube.row_count);
@@ -685,15 +520,16 @@ fn apply_attribute_insert(
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
-
     use qb4olap::AggregateFunction;
     use rdf::vocab::{qb, rdf as rdfv, rdfs};
     use rdf::{Literal, Term, Triple};
     use sparql::{Endpoint, LocalEndpoint};
 
+    use crate::dictionary::NO_MEMBER;
     use crate::executor::CubeQuery;
-    use crate::testutil::{fixture, iri, member, observation_triples, run, run_with};
+    use crate::testutil::{
+        fixture, iri, member, observation_triples, rollup_to_country, run, run_with,
+    };
     use crate::{CubeStoreError, MaterializedCube, RefusalKind};
 
     use super::*;
@@ -708,13 +544,6 @@ mod tests {
         endpoint.deltas_since(epoch).expect("change log enabled")
     }
 
-    fn rollup_to_country() -> CubeQuery {
-        CubeQuery {
-            rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
-            ..CubeQuery::default()
-        }
-    }
-
     /// The refusal of an error that must be a `DeltaUnsupported`.
     fn refusal(error: CubeStoreError) -> DeltaRefusal {
         match error {
@@ -724,7 +553,8 @@ mod tests {
     }
 
     /// After a successful delta application, every query the fixture can
-    /// answer must agree with a from-scratch materialization.
+    /// answer, the build counters and the dropped set must agree with a
+    /// from-scratch materialization.
     fn assert_matches_rebuild(endpoint: &LocalEndpoint, cube: &MaterializedCube) {
         let rebuilt = MaterializedCube::from_endpoint(endpoint, cube.schema()).unwrap();
         for query in [CubeQuery::default(), rollup_to_country()] {
@@ -734,6 +564,11 @@ mod tests {
                 "delta-applied cube diverges from a rebuild"
             );
         }
+        assert_eq!(cube.stats(), rebuilt.stats(), "build counters diverge from a rebuild");
+        assert_eq!(
+            cube.dropped_observations, rebuilt.dropped_observations,
+            "dropped set diverges from a rebuild"
+        );
     }
 
     #[test]
@@ -866,9 +701,8 @@ mod tests {
 
     #[test]
     fn partial_measure_removal_tombstones_and_drops_the_fragment() {
-        // Previously refused as PartialObservationRemoval; now the row is
-        // tombstoned and the surviving fragment recorded as *dropped*,
-        // exactly as a fresh build classifies it.
+        // The row is tombstoned and the surviving fragment recorded as
+        // *dropped*, exactly as a fresh build classifies it.
         let (endpoint, cube, epoch) = tracked();
         let o1 = Term::iri("http://example.org/obs/o1");
         assert!(endpoint
@@ -883,16 +717,19 @@ mod tests {
         assert!(!refreshed.is_observation(&o1));
         assert_matches_rebuild(&endpoint, &refreshed);
 
-        // Mutating the now-dropped fragment refuses — first-touch
-        // semantics, like any other dropped observation.
+        // Restoring a measure forgets the drop and re-reads the star: o1
+        // is a fact row again.
         let epoch = endpoint.epoch();
         endpoint
-            .insert_triples(&[Triple::new(o1, iri("measure/value"), Literal::integer(11))])
+            .insert_triples(&[Triple::new(o1.clone(), iri("measure/value"), Literal::integer(11))])
             .unwrap();
-        let error = refreshed
+        let restored = refreshed
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        assert_eq!(refusal(error).kind, RefusalKind::DroppedObservationMutated);
+            .unwrap();
+        assert_eq!(restored.live_row_count(), 5);
+        assert_eq!(restored.stats().rows_dropped, 0);
+        assert!(restored.is_observation(&o1));
+        assert_matches_rebuild(&endpoint, &restored);
     }
 
     #[test]
@@ -959,12 +796,12 @@ mod tests {
     }
 
     #[test]
-    fn per_triple_whole_removal_drops_then_refuses() {
+    fn per_triple_whole_removal_drops_then_forgets() {
         // Removing a whole observation one triple at a time with a replay
         // after each: the first replay's star read finds the fragment
-        // untyped and *drops* it; the next delta touches a dropped
-        // observation and refuses. (Replayed together the same removals
-        // apply, see `a_removal_spread_over_three_deltas_replays_as_one`.)
+        // untyped and *drops* it; the next, unlinking it, forgets the drop
+        // and reads nothing. (Replayed together the same removals apply
+        // too, see `a_removal_spread_over_three_deltas_replays_as_one`.)
         let (endpoint, cube, epoch) = tracked();
         let [typed, linked, ..] = <[Triple; 6]>::try_from(o3_triples()).unwrap();
         assert!(endpoint.store().remove(&typed));
@@ -976,10 +813,12 @@ mod tests {
 
         let epoch = endpoint.epoch();
         assert!(endpoint.store().remove(&linked));
-        let error = dropped
+        let unlinked = dropped
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        assert_eq!(refusal(error).kind, RefusalKind::DroppedObservationMutated);
+            .unwrap();
+        assert_eq!(unlinked.stats().rows_dropped, 0, "invisible, not dropped");
+        assert_eq!(unlinked.stats().observations_seen, 4);
+        assert_matches_rebuild(&endpoint, &unlinked);
     }
 
     #[test]
@@ -1121,53 +960,28 @@ mod tests {
     }
 
     #[test]
-    fn removal_of_an_unmaterialized_duplicate_value_refuses() {
-        // o1 carries TWO city values in the store; the build materialized
-        // one of them. Removing the *other* invalidates the frozen choice
-        // (a fresh build could now read a different value), so the delta
-        // refuses as a mutation.
-        let (endpoint, schema) = fixture(AggregateFunction::Sum);
+    fn removing_either_value_of_a_duplicated_slot_applies() {
+        // o1 carries TWO city values in the store; the row keeps the least
+        // (c1). Removing either re-reads the star: the survivor is what a
+        // fresh build now picks.
         let o1 = Term::iri("http://example.org/obs/o1");
-        endpoint
-            .insert_triples(&[Triple::new(o1.clone(), iri("lv/city"), member("c2"))])
-            .unwrap();
-        endpoint.enable_change_tracking();
-        let epoch = endpoint.epoch();
-        let cube = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
-        let row = cube.observations.row_of(&o1).expect("o1 materialized");
-        let column = cube.dimension_column(&iri("dim/city")).unwrap();
-        let materialized = column.dictionary.term(column.code(row)).clone();
-        let other = if materialized == member("c1") {
-            member("c2")
-        } else {
-            member("c1")
-        };
-        assert!(endpoint
-            .store()
-            .remove(&Triple::new(o1.clone(), iri("lv/city"), other)));
-        let error = cube
-            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        let refusal_a = refusal(error);
-        assert_eq!(refusal_a.kind, RefusalKind::ObservationMutated);
-        assert!(refusal_a.detail.contains("never materialized"), "{refusal_a}");
-
-        // Removing the *materialized* value of the duplicated slot must
-        // refuse too: the surviving duplicate is what a fresh build would
-        // now pick, and only a rebuild can see it.
-        let epoch = endpoint.epoch();
-        assert!(endpoint
-            .store()
-            .remove(&Triple::new(o1, iri("lv/city"), materialized)));
-        let error = cube
-            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        let refusal_b = refusal(error);
-        assert_eq!(refusal_b.kind, RefusalKind::ObservationMutated);
-        assert!(refusal_b.detail.contains("several values"), "{refusal_b}");
-        // Rebuilding (what the catalog does on refusal) restores lockstep.
-        let rebuilt = MaterializedCube::from_endpoint(&endpoint, cube.schema()).unwrap();
-        assert_eq!(rebuilt.row_count(), 5, "o1 survives with the other value");
+        for (removed, survivor) in [("c2", "c1"), ("c1", "c2")] {
+            let (endpoint, cube, epoch) =
+                tracked_with(&[Triple::new(o1.clone(), iri("lv/city"), member("c2"))]);
+            let column = cube.dimension_column(&iri("dim/city")).unwrap();
+            let row = cube.observations.row_of(&o1).expect("o1 materialized");
+            assert_eq!(column.dictionary.term(column.code(row)), &member("c1"));
+            assert!(endpoint
+                .store()
+                .remove(&Triple::new(o1.clone(), iri("lv/city"), member(removed))));
+            let refreshed = cube
+                .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+                .unwrap();
+            let column = refreshed.dimension_column(&iri("dim/city")).unwrap();
+            let row = refreshed.observations.row_of(&o1).expect("o1 re-read");
+            assert_eq!(column.dictionary.term(column.code(row)), &member(survivor));
+            assert_matches_rebuild(&endpoint, &refreshed);
+        }
     }
 
     #[test]
@@ -1187,19 +1001,21 @@ mod tests {
     }
 
     #[test]
-    fn observation_mutations_force_a_rebuild() {
-        // Giving an existing observation a second dimension value refuses.
+    fn a_gained_dimension_value_rereads_the_star() {
+        // Giving an existing observation a second dimension value forgets
+        // its row and re-reads the star, which keeps the least value.
         let (endpoint, cube, epoch) = tracked();
         let o1 = Term::iri("http://example.org/obs/o1");
         endpoint
-            .insert_triples(&[Triple::new(o1, iri("lv/city"), member("c2"))])
+            .insert_triples(&[Triple::new(o1.clone(), iri("lv/city"), member("c2"))])
             .unwrap();
-        let error = cube
+        let refreshed = cube
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        let refusal = refusal(error);
-        assert_eq!(refusal.kind, RefusalKind::ObservationMutated);
-        assert!(refusal.detail.contains("gained a dimension value"), "{refusal}");
+            .unwrap();
+        assert_eq!(refreshed.row_count(), 6, "old row dead, re-read row appended");
+        assert_eq!(refreshed.live_row_count(), 5);
+        assert!(refreshed.is_observation(&o1));
+        assert_matches_rebuild(&endpoint, &refreshed);
     }
 
     #[test]
@@ -1219,20 +1035,22 @@ mod tests {
     }
 
     #[test]
-    fn incomplete_and_conflicting_inserts_force_a_rebuild() {
-        // An observation fragment missing its measures.
+    fn an_incomplete_insert_applies_and_conflicting_inserts_force_a_rebuild() {
+        // An observation fragment missing its measures is recorded as
+        // dropped, as a fresh build records it.
         let (endpoint, cube, epoch) = tracked();
         let node = Term::iri("http://example.org/obs/half");
         endpoint
             .insert_triples(&[
                 Triple::new(node.clone(), rdfv::type_(), Term::Iri(qb::observation())),
-                Triple::new(node, qb::data_set(), Term::iri("http://example.org/ds")),
+                Triple::new(node.clone(), qb::data_set(), Term::iri("http://example.org/ds")),
             ])
             .unwrap();
-        let error = cube
+        let refreshed = cube
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        assert_eq!(refusal(error).kind, RefusalKind::IncompleteObservation);
+            .unwrap();
+        assert!(refreshed.dropped_observations.contains(&node));
+        assert_matches_rebuild(&endpoint, &refreshed);
 
         // A broader link added to an already-materialized member.
         let (endpoint, cube, epoch) = tracked();
@@ -1384,42 +1202,42 @@ mod tests {
     }
 
     #[test]
-    fn completing_a_dropped_observation_forces_a_rebuild() {
+    fn completing_or_unlinking_a_dropped_observation_applies() {
         // An observation that is dataset-linked but untyped is dropped at
-        // build time; a delta typing it must rebuild (a fresh build now
-        // accepts it), not be skipped as foreign.
-        let (endpoint, schema) = fixture(AggregateFunction::Sum);
+        // build time. A delta typing it forgets the drop and re-reads the
+        // star, which a fresh build now accepts; one unlinking it forgets
+        // the drop and reads nothing.
         let node = Term::iri("http://example.org/obs/late");
-        endpoint
-            .insert_triples(&[
-                Triple::new(node.clone(), qb::data_set(), Term::iri("http://example.org/ds")),
-                Triple::new(node.clone(), iri("lv/city"), member("c1")),
-                Triple::new(node.clone(), iri("lv/month"), member("m1")),
-                Triple::new(node.clone(), iri("measure/value"), Literal::integer(7)),
-                Triple::new(node.clone(), iri("measure/score"), Literal::integer(7)),
-            ])
-            .unwrap();
-        endpoint.enable_change_tracking();
-        let epoch = endpoint.epoch();
-        let cube = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
-        assert_eq!(cube.stats().rows_dropped, 1, "untyped observation dropped");
+        let link = Triple::new(node.clone(), qb::data_set(), Term::iri("http://example.org/ds"));
+        let late = [
+            link.clone(),
+            Triple::new(node.clone(), iri("lv/city"), member("c1")),
+            Triple::new(node.clone(), iri("lv/month"), member("m1")),
+            Triple::new(node.clone(), iri("measure/value"), Literal::integer(7)),
+            Triple::new(node.clone(), iri("measure/score"), Literal::integer(7)),
+        ];
 
+        let (endpoint, cube, epoch) = tracked_with(&late);
+        assert_eq!(cube.stats().rows_dropped, 1, "untyped observation dropped");
         endpoint
             .insert_triples(&[Triple::new(node.clone(), rdfv::type_(), Term::Iri(qb::observation()))])
             .unwrap();
-        let error = cube
+        let completed = cube
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        assert_eq!(refusal(error).kind, RefusalKind::DroppedObservationMutated);
+            .unwrap();
+        assert_eq!(completed.live_row_count(), 6);
+        assert_eq!(completed.stats().rows_dropped, 0);
+        assert!(completed.is_observation(&node));
+        assert_matches_rebuild(&endpoint, &completed);
 
-        // Removing a fact triple from the dropped observation refuses too:
-        // a fresh build would no longer see (or count) the fragment.
-        let epoch = endpoint.epoch();
-        assert!(endpoint
-            .store()
-            .remove(&Triple::new(node, qb::data_set(), Term::iri("http://example.org/ds"))));
-        let error = cube.apply_delta(&deltas_after(&endpoint, epoch), &endpoint).unwrap_err();
-        assert_eq!(refusal(error).kind, RefusalKind::DroppedObservationMutated);
+        let (endpoint, cube, epoch) = tracked_with(&late);
+        assert!(endpoint.store().remove(&link));
+        let unlinked = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
+        assert_eq!(unlinked.stats().rows_dropped, 0);
+        assert_eq!(unlinked.stats().observations_seen, 5, "no longer counted");
+        assert_matches_rebuild(&endpoint, &unlinked);
     }
 
     #[test]

@@ -24,23 +24,6 @@ pub enum RefusalKind {
     /// A member declaration collided with a term already frozen in the
     /// fact columns or reachable in the hierarchy.
     MemberConflict,
-    /// An already-materialized observation *gained* a relevant triple
-    /// (dimension or measure value), or a removal targeted a value of it
-    /// the build never materialized (a duplicate the store held) — either
-    /// way its frozen row can no longer be trusted. Removals of the
-    /// materialized values themselves are delta-appliable: the row is
-    /// tombstoned and the surviving fragment re-classified (see the
-    /// decision table in the [`crate::delta`] module docs).
-    ObservationMutated,
-    /// A previously dropped (incomplete) observation gained or lost
-    /// triples — a fresh build might now classify it differently.
-    DroppedObservationMutated,
-    /// A new observation arrived incomplete (untyped, or missing a
-    /// measure value).
-    IncompleteObservation,
-    /// A new observation carried several values for one dimension or
-    /// measure, or a non-literal measure value.
-    MalformedObservation,
     /// An attribute value conflicted with the one already materialized.
     AttributeConflict,
     /// An attribute value of a materialized member was removed.
@@ -54,21 +37,21 @@ pub enum RefusalKind {
 impl RefusalKind {
     /// Every refusal kind, for exhaustive enumeration in tests and docs.
     ///
-    /// Two historical kinds are gone, lifted into the delta path:
+    /// Six historical kinds are gone, lifted into the delta path:
     /// `NonIntegralAppend` (float aggregation is order-independent now —
-    /// compensated summation — so float appends replay exactly) and
-    /// `PartialObservationRemoval` (partial removals tombstone the row and
-    /// re-classify the surviving fragment instead of rebuilding).
-    pub const ALL: [RefusalKind; 13] = [
+    /// compensated summation — so float appends replay exactly),
+    /// `PartialObservationRemoval`, `ObservationMutated`,
+    /// `DroppedObservationMutated`, `IncompleteObservation` and
+    /// `MalformedObservation` (any fact triple of an observation the cube
+    /// holds forgets the node and re-reads its star, which the build's
+    /// encoder classifies; a slot with several values keeps the least
+    /// `Term`).
+    pub const ALL: [RefusalKind; 9] = [
         RefusalKind::SchemaStructure,
         RefusalKind::RollupLinkAdded,
         RefusalKind::RollupLinkRemoved,
         RefusalKind::MemberRemoved,
         RefusalKind::MemberConflict,
-        RefusalKind::ObservationMutated,
-        RefusalKind::DroppedObservationMutated,
-        RefusalKind::IncompleteObservation,
-        RefusalKind::MalformedObservation,
         RefusalKind::AttributeConflict,
         RefusalKind::AttributeRemoved,
         RefusalKind::UnknownMemberAttribute,
@@ -83,10 +66,6 @@ impl RefusalKind {
             RefusalKind::RollupLinkRemoved => "rollup-link-removed",
             RefusalKind::MemberRemoved => "member-removed",
             RefusalKind::MemberConflict => "member-conflict",
-            RefusalKind::ObservationMutated => "observation-mutated",
-            RefusalKind::DroppedObservationMutated => "dropped-observation-mutated",
-            RefusalKind::IncompleteObservation => "incomplete-observation",
-            RefusalKind::MalformedObservation => "malformed-observation",
             RefusalKind::AttributeConflict => "attribute-conflict",
             RefusalKind::AttributeRemoved => "attribute-removed",
             RefusalKind::UnknownMemberAttribute => "unknown-member-attribute",

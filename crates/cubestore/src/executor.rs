@@ -1731,7 +1731,6 @@ mod tests {
             rollups,
             observations: crate::observations::ObservationIndex::from_map(Default::default()),
             dropped_observations: Default::default(),
-            multivalued_observations: Default::default(),
             broader: Default::default(),
             dataset_label: None,
             tombstones: Tombstones::new(),

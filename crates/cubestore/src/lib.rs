@@ -25,10 +25,10 @@
 //! broader paths to an ancestor, non-numeric measures — is rejected with
 //! [`CubeStoreError::Unsupported`] instead of approximated. The one
 //! assumption taken on faith is QB well-formedness of the *fact* side:
-//! observations with several values for one dimension or measure, and
-//! members with several values for one attribute, keep a single value
-//! (see [`build::MaterializedCube::from_endpoint`]) where a raw SPARQL
-//! join would multiply rows.
+//! observations with several values for one dimension or measure keep
+//! the least `Term`, and members with several values for one attribute
+//! a single value (see [`build::MaterializedCube::from_endpoint`]), where
+//! a raw SPARQL join would multiply rows.
 //!
 //! # Serving and maintenance
 //!
@@ -146,6 +146,14 @@ pub(crate) mod testutil {
 
     pub(crate) fn iri(suffix: &str) -> Iri {
         Iri::new(format!("http://example.org/{suffix}"))
+    }
+
+    /// The fixture's city → country roll-up.
+    pub(crate) fn rollup_to_country() -> CubeQuery {
+        CubeQuery {
+            rollups: std::collections::BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
+            ..CubeQuery::default()
+        }
     }
 
     pub(crate) fn member(suffix: &str) -> Term {
@@ -370,7 +378,7 @@ mod tests {
     /// Everything a build produces, rendered deterministically:
     /// dictionaries in `MemberId` order, code columns, measure vectors,
     /// level indexes with their attributes, roll-up maps, zone maps, the
-    /// observation → row index, the dropped / multi-valued sets, the
+    /// observation → row index, the dropped set, the
     /// broader adjacency and the build counters.
     fn build_state(cube: &MaterializedCube) -> String {
         let members = |dictionary: &Dictionary| -> Vec<Term> {
@@ -398,7 +406,7 @@ mod tests {
             out += &format!("{key:?} {:?}\n", map.targets());
         }
         out += &format!("{:?}\n", cube.zones);
-        out += &format!("{:?}\n{:?}\n", cube.dropped_observations, cube.multivalued_observations);
+        out += &format!("{:?}\n", cube.dropped_observations);
         out += &format!("{:?}\n", cube.broader);
         out
     }
@@ -452,7 +460,10 @@ mod tests {
         // The corners are really there.
         let stats = native.stats();
         assert_eq!((stats.observations_seen, stats.rows, stats.rows_dropped), (9, 7, 2));
-        assert_eq!(native.multivalued_observations.len(), 1);
+        // Of o1's two cities the row keeps the least term.
+        let city = native.dimension_column(&iri("dim/city")).unwrap();
+        let o1 = native.observations.row_of(&node("o1")).unwrap();
+        assert_eq!(city.dictionary.term(city.code(o1)), &member("c1"));
         assert_eq!(native.dimension_column(&iri("dim/month")).unwrap().unbound_rows(), 1);
         // Repeated values share one dictionary entry and one parse.
         assert_eq!(native.dimension_column(&iri("dim/city")).unwrap().dictionary.len(), 4);

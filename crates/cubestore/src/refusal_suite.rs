@@ -4,9 +4,14 @@
 //! from-scratch materialization — and with what SPARQL sees — on the
 //! mutated store.
 //!
-//! The kind → trigger mapping is an exhaustive `match`: adding a
-//! fourteenth refusal kind fails compilation here until its minimal
-//! trigger (and expected detail) is written down.
+//! The kind → trigger mapping is an exhaustive `match`: adding a refusal
+//! kind fails compilation here until its minimal trigger (and expected
+//! detail) is written down.
+//!
+//! The shapes of the retired observation kinds (`ObservationMutated`,
+//! `DroppedObservationMutated`, `IncompleteObservation`,
+//! `MalformedObservation`) now apply as deltas; one table-driven test
+//! keeps them equal to a rebuild.
 
 use qb4olap::AggregateFunction;
 use rdf::vocab::{qb, qb4o, rdf as rdfv, rdfs};
@@ -15,7 +20,7 @@ use sparql::{Endpoint, LocalEndpoint};
 
 use crate::catalog::{CubeCatalog, MaintenanceStrategy, RebuildReason};
 use crate::executor::CubeQuery;
-use crate::testutil::{fixture, iri, member, run};
+use crate::testutil::{fixture, iri, member, rollup_to_country, run};
 use crate::{MaterializedCube, RefusalKind};
 
 /// One refusal scenario: optional store state established *before* the
@@ -92,79 +97,6 @@ fn trigger_for(kind: RefusalKind) -> Trigger {
                     .unwrap();
             },
             detail_fragment: "already present in the fact columns",
-        },
-        RefusalKind::ObservationMutated => Trigger {
-            setup: no_setup,
-            mutate: |endpoint| {
-                endpoint
-                    .insert_triples(&[Triple::new(
-                        obs("o1"),
-                        iri("measure/value"),
-                        Literal::integer(99),
-                    )])
-                    .unwrap();
-            },
-            detail_fragment: "gained a measure value",
-        },
-        RefusalKind::DroppedObservationMutated => Trigger {
-            // Seed an incomplete observation the first build *drops* (no
-            // score measure) — then complete it after the build.
-            setup: |endpoint| {
-                endpoint
-                    .insert_triples(&[
-                        Triple::new(obs("bad"), rdfv::type_(), Term::Iri(qb::observation())),
-                        Triple::new(obs("bad"), qb::data_set(), Term::Iri(iri("ds"))),
-                        Triple::new(obs("bad"), iri("lv/city"), member("c1")),
-                        Triple::new(obs("bad"), iri("lv/month"), member("m1")),
-                        Triple::new(obs("bad"), iri("measure/value"), Literal::integer(1)),
-                    ])
-                    .unwrap();
-            },
-            mutate: |endpoint| {
-                endpoint
-                    .insert_triples(&[Triple::new(
-                        obs("bad"),
-                        iri("measure/score"),
-                        Literal::integer(2),
-                    )])
-                    .unwrap();
-            },
-            detail_fragment: "dropped observation",
-        },
-        RefusalKind::IncompleteObservation => Trigger {
-            setup: no_setup,
-            // A brand-new observation missing one measure, in one batch.
-            mutate: |endpoint| {
-                endpoint
-                    .insert_triples(&[
-                        Triple::new(obs("o9"), rdfv::type_(), Term::Iri(qb::observation())),
-                        Triple::new(obs("o9"), qb::data_set(), Term::Iri(iri("ds"))),
-                        Triple::new(obs("o9"), iri("lv/city"), member("c1")),
-                        Triple::new(obs("o9"), iri("lv/month"), member("m1")),
-                        Triple::new(obs("o9"), iri("measure/value"), Literal::integer(5)),
-                    ])
-                    .unwrap();
-            },
-            detail_fragment: "missing measure",
-        },
-        RefusalKind::MalformedObservation => Trigger {
-            setup: no_setup,
-            // Complete, but with two city values: a fresh build must pick
-            // one, and which one depends on build order.
-            mutate: |endpoint| {
-                endpoint
-                    .insert_triples(&[
-                        Triple::new(obs("o9"), rdfv::type_(), Term::Iri(qb::observation())),
-                        Triple::new(obs("o9"), qb::data_set(), Term::Iri(iri("ds"))),
-                        Triple::new(obs("o9"), iri("lv/city"), member("c1")),
-                        Triple::new(obs("o9"), iri("lv/city"), member("c2")),
-                        Triple::new(obs("o9"), iri("lv/month"), member("m1")),
-                        Triple::new(obs("o9"), iri("measure/value"), Literal::integer(5)),
-                        Triple::new(obs("o9"), iri("measure/score"), Literal::integer(6)),
-                    ])
-                    .unwrap();
-            },
-            detail_fragment: "several values for dimension",
         },
         RefusalKind::AttributeConflict => Trigger {
             setup: no_setup,
@@ -379,5 +311,187 @@ fn refused_serves_leave_no_delta_strategy_in_the_reports() {
             vec![MaintenanceStrategy::Fresh, MaintenanceStrategy::Rebuild],
             "{kind}: exactly one fresh build and one refusal-rebuild"
         );
+    }
+}
+
+/// One shape a retired observation refusal kind used to refuse, with a
+/// no-op next to them: store state established before the first build, the
+/// mutation that must now apply as a delta, and the live rows it forgets.
+struct RetiredShape {
+    name: &'static str,
+    setup: fn(&LocalEndpoint),
+    mutate: fn(&LocalEndpoint),
+    tombstoned: usize,
+}
+
+/// An observation of the fixture's dataset that the build drops: no score.
+fn seed_scoreless(endpoint: &LocalEndpoint) {
+    endpoint
+        .insert_triples(&[
+            Triple::new(obs("bad"), rdfv::type_(), Term::Iri(qb::observation())),
+            Triple::new(obs("bad"), qb::data_set(), Term::Iri(iri("ds"))),
+            Triple::new(obs("bad"), iri("lv/city"), member("c1")),
+            Triple::new(obs("bad"), iri("lv/month"), member("m1")),
+            Triple::new(obs("bad"), iri("measure/value"), Literal::integer(1)),
+        ])
+        .unwrap();
+}
+
+/// A second city on the fixture's o1, which the build's row does not keep
+/// (c1 sorts first).
+fn seed_second_city(endpoint: &LocalEndpoint) {
+    endpoint
+        .insert_triples(&[Triple::new(obs("o1"), iri("lv/city"), member("c2"))])
+        .unwrap();
+}
+
+/// A new observation o9: typed, linked, city c1, month m1, plus `extra`.
+fn insert_o9(endpoint: &LocalEndpoint, extra: &[(&str, Term)]) {
+    let mut triples = vec![
+        Triple::new(obs("o9"), rdfv::type_(), Term::Iri(qb::observation())),
+        Triple::new(obs("o9"), qb::data_set(), Term::Iri(iri("ds"))),
+        Triple::new(obs("o9"), iri("lv/city"), member("c1")),
+        Triple::new(obs("o9"), iri("lv/month"), member("m1")),
+    ];
+    for (property, value) in extra {
+        triples.push(Triple::new(obs("o9"), iri(property), value.clone()));
+    }
+    endpoint.insert_triples(&triples).unwrap();
+}
+
+const RETIRED_SHAPES: [RetiredShape; 8] = [
+    RetiredShape {
+        name: "observation-mutated: a live observation gains a measure value",
+        setup: no_setup,
+        mutate: |endpoint| {
+            endpoint
+                .insert_triples(&[Triple::new(
+                    obs("o1"),
+                    iri("measure/value"),
+                    Literal::integer(99),
+                )])
+                .unwrap();
+        },
+        tombstoned: 1,
+    },
+    RetiredShape {
+        name: "observation-mutated: the value the row did not keep is removed",
+        setup: seed_second_city,
+        mutate: |endpoint| {
+            assert!(endpoint
+                .store()
+                .remove(&Triple::new(obs("o1"), iri("lv/city"), member("c2"))));
+        },
+        tombstoned: 1,
+    },
+    RetiredShape {
+        name: "observation-mutated: the kept value of a duplicated slot is removed",
+        setup: seed_second_city,
+        mutate: |endpoint| {
+            assert!(endpoint
+                .store()
+                .remove(&Triple::new(obs("o1"), iri("lv/city"), member("c1"))));
+        },
+        tombstoned: 1,
+    },
+    RetiredShape {
+        name: "dropped-observation-mutated: the missing measure arrives",
+        setup: seed_scoreless,
+        mutate: |endpoint| {
+            endpoint
+                .insert_triples(&[Triple::new(
+                    obs("bad"),
+                    iri("measure/score"),
+                    Literal::integer(2),
+                )])
+                .unwrap();
+        },
+        tombstoned: 0,
+    },
+    RetiredShape {
+        name: "dropped-observation-mutated: the dropped observation is unlinked",
+        setup: seed_scoreless,
+        mutate: |endpoint| {
+            assert!(endpoint
+                .store()
+                .remove(&Triple::new(obs("bad"), qb::data_set(), Term::Iri(iri("ds")))));
+        },
+        tombstoned: 0,
+    },
+    RetiredShape {
+        name: "incomplete-observation: a new observation misses a measure",
+        setup: no_setup,
+        mutate: |endpoint| insert_o9(endpoint, &[("measure/value", Term::integer(5))]),
+        tombstoned: 0,
+    },
+    RetiredShape {
+        name: "malformed-observation: a new observation has two cities",
+        setup: no_setup,
+        mutate: |endpoint| {
+            insert_o9(
+                endpoint,
+                &[
+                    ("lv/city", member("c2")),
+                    ("measure/value", Term::integer(5)),
+                    ("measure/score", Term::integer(6)),
+                ],
+            )
+        },
+        tombstoned: 0,
+    },
+    RetiredShape {
+        name: "no-op: a live observation loses a link to another dataset",
+        setup: |endpoint| {
+            endpoint
+                .insert_triples(&[Triple::new(
+                    obs("o1"),
+                    qb::data_set(),
+                    Term::Iri(iri("otherDs")),
+                )])
+                .unwrap();
+        },
+        mutate: |endpoint| {
+            assert!(endpoint
+                .store()
+                .remove(&Triple::new(obs("o1"), qb::data_set(), Term::Iri(iri("otherDs")))));
+        },
+        tombstoned: 0,
+    },
+];
+
+#[test]
+fn retired_observation_shapes_apply_as_deltas_equal_to_a_rebuild() {
+    for shape in &RETIRED_SHAPES {
+        let name = shape.name;
+        let (endpoint, schema) = fixture(AggregateFunction::Sum);
+        (shape.setup)(&endpoint);
+        let catalog = CubeCatalog::new();
+        catalog.serve_settled(&endpoint, &schema).unwrap();
+
+        (shape.mutate)(&endpoint);
+        let served = catalog.serve_settled(&endpoint, &schema).unwrap().cube().clone();
+        let report = catalog.last_report(&schema.dataset).unwrap();
+        assert_eq!(report.strategy, MaintenanceStrategy::Delta, "{name}: {report:?}");
+        assert_eq!(report.deltas_applied, 1, "{name}: the mutation is one delta");
+
+        let scratch = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
+        for query in [CubeQuery::default(), rollup_to_country()] {
+            assert_eq!(
+                run(&served, &query).unwrap(),
+                run(&scratch, &query).unwrap(),
+                "{name}: the delta-served cube must equal a fresh materialization"
+            );
+        }
+        assert_eq!(served.stats(), scratch.stats(), "{name}: build counters");
+        assert_eq!(
+            served.dropped_observations, scratch.dropped_observations,
+            "{name}: dropped set"
+        );
+        assert_eq!(
+            served.live_row_count(),
+            sparql_complete_observations(&endpoint),
+            "{name}: the delta-served cube must serve exactly the rows SPARQL sees"
+        );
+        assert_eq!(served.tombstoned_rows(), shape.tombstoned, "{name}: rows forgotten");
     }
 }

@@ -6,7 +6,7 @@
 //! work against the [`Endpoint`] trait, exactly as the original tool works
 //! against Virtuoso.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rdf::{Iri, Term};
 use sparql::{EncodedSolutions, Endpoint, Solutions};
@@ -213,9 +213,6 @@ pub struct ObservationTable {
     nodes: Vec<u32>,
     cells: Vec<u32>,
     typed: Vec<bool>,
-    /// `(observation, column)` of the dimension/measure slots that carried
-    /// several distinct values.
-    multivalued: BTreeSet<(usize, usize)>,
 }
 
 impl ObservationTable {
@@ -239,7 +236,8 @@ impl ObservationTable {
 
     /// One cell per DSD component: the value bound to it, as an index into
     /// `terms`, or [`ObservationTable::UNBOUND`]. A slot that carried
-    /// several values keeps the last one the endpoint reported.
+    /// several values keeps the least `Term`, whatever order the endpoint
+    /// reported them in.
     pub fn cells(&self, observation: usize) -> &[u32] {
         &self.cells[observation * self.columns..(observation + 1) * self.columns]
     }
@@ -248,18 +246,6 @@ impl ObservationTable {
     /// IRI; other types next to it do not matter).
     pub fn typed(&self, observation: usize) -> bool {
         self.typed[observation]
-    }
-
-    /// The columns of the observation's dimension/measure slots that
-    /// carried **several distinct values** in the store (QB-malformed data;
-    /// the cell keeps only one). Consumers that freeze a single value per
-    /// slot — the columnar materialization — must treat these observations
-    /// conservatively: removing the kept value would silently expose the
-    /// other one.
-    pub fn multivalued(&self, observation: usize) -> impl Iterator<Item = usize> + '_ {
-        self.multivalued
-            .range((observation, 0)..(observation + 1, 0))
-            .map(|&(_, column)| column)
     }
 }
 
@@ -350,12 +336,10 @@ pub fn load_observations(
         match predicate {
             Predicate::Component(column) => {
                 let cell = &mut table.cells[observation * columns + column];
-                if dsd.components[column].kind != ComponentKind::Attribute
-                    && ![UNBOUND, v].contains(cell)
-                {
-                    table.multivalued.insert((observation, column));
+                let value = &solutions.terms[v as usize];
+                if *cell == UNBOUND || *value < solutions.terms[*cell as usize] {
+                    *cell = v;
                 }
-                *cell = v;
             }
             Predicate::Type => table.typed[observation] |= solutions.terms[v as usize] == class,
             _ => {}
@@ -371,15 +355,12 @@ pub fn load_observations(
         let mut order: Vec<u32> = (0..table.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| node(&table, a as usize).cmp(node(&table, b as usize)));
         let mut cells = Vec::with_capacity(table.cells.len());
-        let mut position = vec![0; order.len()];
-        for (new, &old) in order.iter().enumerate() {
+        for &old in &order {
             cells.extend_from_slice(table.cells(old as usize));
-            position[old as usize] = new;
         }
         table = ObservationTable {
             nodes: order.iter().map(|&old| table.nodes[old as usize]).collect(),
             typed: order.iter().map(|&old| table.typed[old as usize]).collect(),
-            multivalued: table.multivalued.iter().map(|&(old, c)| (position[old], c)).collect(),
             cells,
             ..table
         };
@@ -540,7 +521,6 @@ mod tests {
                 vec!["obs2", "NG", "FR", "7"],
             ]
         );
-        assert!((0..3).all(|o| table.multivalued(o).next().is_none()));
         // Five distinct members, three nodes, three values: shared cells
         // share a term.
         assert_eq!(table.cells(0)[0], table.cells(1)[0]);
@@ -590,27 +570,19 @@ mod tests {
         let native = load_observations(&endpoint, &dataset, &structure, None).unwrap();
         let reversed = load_observations(&Reversed(endpoint), &dataset, &structure, None).unwrap();
         let decode = |table: &ObservationTable, cell: u32| table.terms.get(cell as usize).cloned();
+        // Every cell agrees, the multi-valued one included.
         for o in 0..native.len() {
             assert_eq!(decode(&native, native.node(o)), decode(&reversed, reversed.node(o)));
-            assert_eq!(
-                native.multivalued(o).collect::<Vec<_>>(),
-                reversed.multivalued(o).collect::<Vec<_>>()
-            );
-            // Single-valued cells agree; the multi-valued one keeps
-            // whichever value arrived last.
-            for (c, (&a, &b)) in native.cells(o).iter().zip(reversed.cells(o)).enumerate() {
-                if !native.multivalued(o).any(|m| m == c) {
-                    assert_eq!(decode(&native, a), decode(&reversed, b));
-                }
+            for (&a, &b) in native.cells(o).iter().zip(reversed.cells(o)) {
+                assert_eq!(decode(&native, a), decode(&reversed, b));
             }
         }
     }
 
     #[test]
-    fn load_observations_flags_multivalued_slots() {
+    fn load_observations_keeps_the_least_value_of_a_multivalued_slot() {
         let (endpoint, dataset, dsd) = endpoint_with_tiny_cube();
-        // Give obs0 a second, different destination and a duplicate
-        // (identical) citizenship triple: only the former is multi-valued.
+        // Give obs0 a second destination, AT, which sorts before its DE.
         endpoint
             .insert_triples(&[rdf::Triple::new(
                 Term::iri("http://example.org/obs0"),
@@ -619,18 +591,22 @@ mod tests {
             )])
             .unwrap();
         let structure = load_dsd(&endpoint, &dsd).unwrap();
-        let table = load_observations(&endpoint, &dataset, &structure, None).unwrap();
-        assert_eq!(
-            table.terms[table.node(0) as usize],
-            Term::iri("http://example.org/obs0")
-        );
         let geo = structure
             .components
             .iter()
             .position(|c| c.property == eurostat_property::geo())
             .unwrap();
-        assert_eq!(table.multivalued(0).collect::<Vec<_>>(), vec![geo]);
-        assert!((1..table.len()).all(|o| table.multivalued(o).next().is_none()));
+        // Whichever value the endpoint sends last.
+        let reversed = Reversed(endpoint.clone());
+        for endpoint in [&endpoint as &dyn Endpoint, &reversed] {
+            let table = load_observations(endpoint, &dataset, &structure, None).unwrap();
+            assert_eq!(
+                table.terms[table.node(0) as usize],
+                Term::iri("http://example.org/obs0")
+            );
+            let cell = table.cells(0)[geo] as usize;
+            assert_eq!(table.terms[cell], Term::iri("http://example.org/dic/geo#AT"));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Data Structure Definition (DSD) made of dimension, measure and attribute
 //! component properties.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rdf::{Iri, Term};
 
@@ -169,12 +169,6 @@ pub struct Observation {
     pub measures: BTreeMap<Iri, Term>,
     /// Attribute property → value.
     pub attributes: BTreeMap<Iri, Term>,
-    /// Dimension/measure properties that carried **several distinct
-    /// values** in the store (QB-malformed data; the maps above keep only
-    /// one). Consumers that freeze a single value per slot — the columnar
-    /// materialization — must treat these observations conservatively:
-    /// removing the kept value would silently expose the other one.
-    pub multivalued: BTreeSet<Iri>,
 }
 
 impl Observation {
@@ -185,7 +179,6 @@ impl Observation {
             dimensions: BTreeMap::new(),
             measures: BTreeMap::new(),
             attributes: BTreeMap::new(),
-            multivalued: BTreeSet::new(),
         }
     }
 

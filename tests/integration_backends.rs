@@ -187,8 +187,8 @@ $C1 := ROLLUP (data:migr_asyappctzm, schema:citizenshipDim, schema:citAll);
 }
 
 /// The mutation-parity gate: interleaves seeded random store mutations —
-/// pure observation appends (the delta path), brand-new members with
-/// roll-up links and labels, broader-link cuts and observation edits (the
+/// pure observation appends, brand-new members with roll-up links and
+/// labels and observation edits (the delta path), broader-link cuts (the
 /// rebuild fallback) — with the bench workload, asserting after every
 /// round that the catalog-served columnar results stay cell-identical to a
 /// fresh SPARQL evaluation and that the catalog-served explorer navigation
@@ -265,6 +265,7 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
         Mutation::RemoveObservation,
         Mutation::EditObservation,
         Mutation::EditDroppedObservation,
+        Mutation::CutBroaderLink,
     ];
 
     for (round, mutation) in rounds.iter().enumerate() {
@@ -322,8 +323,8 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
                 // Rewrite one materialized observation's measure: remove +
                 // re-insert. Replayed together the edit applies by delta.
                 // With a serve between, that replay drops the measureless
-                // fragment and the re-insert mutates a dropped observation:
-                // the rebuild fallback.
+                // fragment and the re-insert forgets the drop and re-reads
+                // the star: a delta too.
                 let store = tool.endpoint().store();
                 let solutions = tool
                     .endpoint()
@@ -387,22 +388,10 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
             "roll-up navigation diverges after mutation round {round}"
         );
         if let Mutation::EditObservation | Mutation::EditDroppedObservation = mutation {
-            use qb2olap::cubestore::{MaintenanceStrategy, RebuildReason, RefusalKind};
+            use qb2olap::cubestore::MaintenanceStrategy;
             let reports = querying.maintenance_reports();
             let last = reports.last().unwrap();
-            match mutation {
-                Mutation::EditObservation => {
-                    assert_eq!(last.strategy, MaintenanceStrategy::Delta, "{last:?}")
-                }
-                _ => assert!(
-                    matches!(
-                        &last.reason,
-                        Some(RebuildReason::DeltaRefused(refusal))
-                            if refusal.kind == RefusalKind::DroppedObservationMutated
-                    ),
-                    "{last:?}"
-                ),
-            }
+            assert_eq!(last.strategy, MaintenanceStrategy::Delta, "{last:?}");
         }
     }
 
@@ -439,13 +428,17 @@ mod mutation_fuzzer {
     //! drives a long random sequence of interleaved pure-data mutations —
     //! integer and **float** observation appends, brand-new members,
     //! whole- and **partial**-observation removals (measure strips,
-    //! dataset unlinks, dimension strips) — against **one** `Store`
-    //! carrying two datasets (the integer demo cube plus a float-measure
-    //! cube), and after *every* step asserts
+    //! dataset unlinks, dimension strips), split observations, restores of
+    //! stripped measures (completing a dropped fragment) and dimension
+    //! edits (remove, then insert) — against **one** `Store` carrying two
+    //! datasets (the integer demo cube plus a float-measure cube), and
+    //! after *every* step asserts
     //!
     //! * the catalog refreshed both cubes via the **delta** path (any
     //!   `Rebuild`/`Compaction` strategy fails the run — every mutation in
-    //!   the sequence is one PR 5 made delta-appliable), and
+    //!   the sequence is delta-appliable, and the ops that tombstone wait
+    //!   while a cube's live fraction is below 0.6, so the compaction
+    //!   threshold is never crossed), and
     //! * catalog-served columnar results stay **bit-identical** to fresh
     //!   SPARQL evaluation, for the integer workload queries and for the
     //!   float cube's SUM/AVG aggregates (periodically also against a
@@ -667,16 +660,16 @@ mod mutation_fuzzer {
         let continents = qb4olap::members_of_level(tool.endpoint(), &continent_level).unwrap();
         let workload: Vec<(&str, String)> = datagen::workload::bench_queries();
 
-        // Observations whose fragments are *dropped* (partially removed)
-        // may not be touched again without forcing a rebuild; the fuzzer
-        // mirrors the decision table and steers around them.
+        // Nodes a partial removal stripped or unlinked: the removal ops
+        // leave them alone, and a restore op puts a stripped measure back.
         let mut forbidden: BTreeSet<Term> = BTreeSet::new();
+        let mut stripped: Vec<Triple> = Vec::new();
         let mut next_obs = 0usize;
         let mut next_member = 0usize;
         // The rest of an observation whose citizenship value an earlier
         // step stored on its own (split op).
         let mut split_rest: Option<Vec<Triple>> = None;
-        let mut op_counts = [0usize; 10];
+        let mut op_counts = [0usize; 12];
 
         let demo_observation = |rng: &mut StdRng, serial: usize| -> Vec<Triple> {
             let node = Term::iri(format!("http://example.org/fuzz/obs{serial}"));
@@ -703,6 +696,15 @@ mod mutation_fuzzer {
                 .collect()
         };
 
+        // Compaction is the catalog's designed reclaim, not a refusal, and
+        // it is not what this fuzzer tests: an op that tombstones runs only
+        // while the cube's live fraction is at least 0.6 (one step kills
+        // at most one row, so it never crosses the 0.5 threshold).
+        let may_tombstone = |dataset: &Iri| {
+            let pin = catalog.current_snapshot(dataset).expect("dataset served");
+            pin.cube().live_row_count() as f64 >= 0.6 * pin.cube().row_count() as f64
+        };
+
         let float_observation = |rng: &mut StdRng, city: Term, serial: usize| -> Vec<Triple> {
             let node = Term::iri(format!("http://example.org/float/fuzz/obs{serial}"));
             vec![
@@ -715,7 +717,7 @@ mod mutation_fuzzer {
         };
 
         for step in 0..steps {
-            let op = rng.gen_range(0..10u32);
+            let op = rng.gen_range(0..12u32);
             op_counts[op as usize] += 1;
             match op {
                 // Integer observation appends (1–3 per batch).
@@ -747,7 +749,7 @@ mod mutation_fuzzer {
                     tool.endpoint().insert_triples(&batch).unwrap();
                 }
                 // Whole-observation removal (one batch = one delta).
-                2 => {
+                2 if may_tombstone(&dataset) => {
                     let victims = live_victims(&tool, &dataset, &forbidden);
                     if victims.len() > 150 {
                         let victim = &victims[rng.gen_range(0..victims.len())];
@@ -760,7 +762,7 @@ mod mutation_fuzzer {
                 }
                 // Partial removal: strip the measure value → the fragment
                 // is *dropped*, the row tombstoned, no rebuild.
-                3 => {
+                3 if may_tombstone(&dataset) => {
                     let victims = live_victims(&tool, &dataset, &forbidden);
                     if victims.len() > 150 {
                         let victim = victims[rng.gen_range(0..victims.len())].clone();
@@ -771,11 +773,12 @@ mod mutation_fuzzer {
                         );
                         assert_eq!(removed.len(), 1);
                         forbidden.insert(victim);
+                        stripped.extend(removed);
                     }
                 }
                 // Partial removal: strip the dataset link → the fragment is
                 // invisible to a fresh build.
-                4 => {
+                4 if may_tombstone(&dataset) => {
                     let victims = live_victims(&tool, &dataset, &forbidden);
                     if victims.len() > 150 {
                         let victim = victims[rng.gen_range(0..victims.len())].clone();
@@ -791,7 +794,7 @@ mod mutation_fuzzer {
                 // Partial removal: strip one dimension value → the
                 // surviving (still complete) row is re-appended with that
                 // dimension unbound.
-                5 => {
+                5 if may_tombstone(&dataset) => {
                     let victims = live_victims(&tool, &dataset, &forbidden);
                     if !victims.is_empty() {
                         let victim = victims[rng.gen_range(0..victims.len())].clone();
@@ -840,9 +843,29 @@ mod mutation_fuzzer {
                         split_rest = Some(rest);
                     }
                 },
+                // A stripped measure comes back: the dropped fragment is
+                // complete again, and its star read appends it.
+                10 if !stripped.is_empty() => {
+                    let measure = stripped.swap_remove(rng.gen_range(0..stripped.len()));
+                    forbidden.remove(&measure.subject);
+                    tool.endpoint().insert_triples(&[measure]).unwrap();
+                }
+                // A dimension edit of a live observation: its value goes
+                // (remove_matching), another comes (insert), one replay.
+                11 if may_tombstone(&dataset) => {
+                    let victims = live_victims(&tool, &dataset, &forbidden);
+                    if !victims.is_empty() {
+                        let victim = victims[rng.gen_range(0..victims.len())].clone();
+                        let (level, members) = &demo_levels[rng.gen_range(0..demo_levels.len())];
+                        let member = members[rng.gen_range(0..members.len())].clone();
+                        let store = tool.endpoint().store();
+                        store.remove_matching(Some(&victim), Some(level), None);
+                        store.insert(&Triple::new(victim, level.clone(), member));
+                    }
+                }
                 // Float removals: whole observation, or a one-measure strip
                 // that drops the fragment.
-                _ => {
+                8 if may_tombstone(&float_dataset) => {
                     let victims = live_victims(&tool, &float_dataset, &forbidden);
                     if victims.len() > 20 {
                         let victim = victims[rng.gen_range(0..victims.len())].clone();
@@ -862,9 +885,13 @@ mod mutation_fuzzer {
                             );
                             assert_eq!(removed.len(), 1);
                             forbidden.insert(victim);
+                            stripped.extend(removed);
                         }
                     }
                 }
+                // An op that tombstones while its cube's live fraction is
+                // low, or a restore with nothing stripped.
+                _ => {}
             }
 
             // Both cubes must absorb the step via the delta path...
