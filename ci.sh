@@ -50,14 +50,26 @@ QB2OLAP_FUZZ_STEPS=200 cargo test --release -q -p qb2olap-suite --test integrati
 # pruning off), `columnar-scratch` (a cube built from scratch at
 # the pin's epoch), `sparql-direct` and `sparql-alternative` — and 500
 # grammar-covering SPARQL SELECTs run through the parsed and the
-# pretty-printed evaluation path. Bit-identical results required, with
+# pretty-printed evaluation path and the planned-vs-textual leg: the
+# shipped join planner (estimated-cardinality order, FILTERs where their
+# variables are bound, rows restored to textual order) against the
+# identity plan, same rows in the same order, for each query and for it
+# without its ORDER BY. Bit-identical results required, with
 # store mutations interleaved every ten queries so the campaign also
 # covers delta-accreted, tombstoned, compacted and rebuilt catalog states.
 # The coverage recorders fail the run if any grammar production was never
-# generated, and the harness self-test proves a seeded mismatch is caught,
-# shrunk to a one-statement corpus file and replayed.
+# generated, the harness self-test proves a seeded mismatch is caught,
+# shrunk to a one-statement corpus file and replayed, and the leg's
+# self-test proves a plan that skips the restoring sort is caught.
 QB2OLAP_FUZZ_SEED=0xE155EED QB2OLAP_FUZZ_PROGRAMS=500 QB2OLAP_FUZZ_QUERIES=500 \
     cargo test --release -q -p qb2olap-suite --test integration_qlsmith
+
+# The join planner's edge table, pinned by name: FILTERs over OPTIONAL,
+# BIND and rebound variables, EXISTS, type errors, a repeated variable, an
+# absent constant, VALUES with UNDEF, reordered runs inside OPTIONAL bodies
+# and DISTINCT / SAMPLE / GROUP_CONCAT / LIMIT over reordered runs must
+# return the identity plan's table row for row.
+cargo test -q -p sparql --test eval_edges -- planned_runs_return_the_identity_plan_row_for_row
 
 # The store's and the evaluator's machine-independent allocation bounds,
 # pinned by name: over a 2 000- and an 8 000-observation cube a bulk load
@@ -124,7 +136,9 @@ cargo test --release -q -p qb2olap-suite --test integration_qlsmith -- \
 # The paper's experiments (EXPERIMENTS.md E1–E10), their only harness:
 # every figure and section the repo reproduces must regenerate end to end.
 # E3 also runs E10 and asserts the direct and alternative SPARQL variants
-# agree on every workload query; E6 asserts they agree on Mary's query, E9
+# agree on every workload query and that the planned direct Mary query joins
+# no more intermediate rows than the alternative (a deterministic count,
+# `rows_intermediate`); E6 asserts they agree on Mary's query, E9
 # that the naive and the simplified program return the same cube. E7 runs
 # at its fixed 80 000-observation paper scale.
 for experiment in e1 e2 e3 e4 e5 e6 e8 e9; do
@@ -214,6 +228,7 @@ grep -q 'E24' EXPERIMENTS.md
 grep -q 'E25' EXPERIMENTS.md
 grep -q 'E26' EXPERIMENTS.md
 grep -q 'E27' EXPERIMENTS.md
+grep -q 'E28' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -184,14 +184,41 @@ fn e3_e10_querying(observations: usize) -> Vec<Measurement> {
     for (name, text) in datagen::workload::bench_queries() {
         let parameters = format!("query={name},observations={observations}");
         let (prepared, preparation) = timed(|| querying.prepare(&text).expect("prepare"));
-        let (direct, direct_time) =
-            timed(|| querying.execute(&prepared, SparqlVariant::Direct).expect("direct"));
-        let (alternative, alternative_time) = timed(|| {
+        let ((direct, direct_profile), direct_time) = timed(|| {
             querying
-                .execute(&prepared, SparqlVariant::Alternative)
+                .execute_profiled(&prepared, SparqlVariant::Direct)
+                .expect("direct")
+        });
+        let ((alternative, alternative_profile), alternative_time) = timed(|| {
+            querying
+                .execute_profiled(&prepared, SparqlVariant::Alternative)
                 .expect("alternative")
         });
         assert_eq!(direct, alternative, "variants must agree ({name})");
+        let joined = |profile: &obs::ExecutionProfile| profile.counter("rows_intermediate");
+        if name == "mary" {
+            // The planner applies the direct query's dice filters before
+            // the observation join, as the alternative's sub-selects do.
+            assert!(
+                joined(&direct_profile) <= joined(&alternative_profile),
+                "E3: Mary's direct query joins {} rows, the alternative {}",
+                joined(&direct_profile),
+                joined(&alternative_profile)
+            );
+        }
+        for (variant, profile) in [
+            ("direct", &direct_profile),
+            ("alternative", &alternative_profile),
+        ] {
+            for counter in ["rows_intermediate", "index_probes"] {
+                rows.push(Measurement::new(
+                    "E3",
+                    &parameters,
+                    format!("{counter}_{variant}"),
+                    profile.counter(counter) as f64,
+                ));
+            }
+        }
         rows.push(Measurement::new(
             "E3",
             &parameters,
@@ -296,18 +323,32 @@ fn e6_mary_query(observations: usize) -> Vec<Measurement> {
     let prepared = querying
         .prepare(&datagen::workload::mary_query())
         .expect("prepare");
-    let direct = querying
-        .execute(&prepared, SparqlVariant::Direct)
+    let (direct, direct_profile) = querying
+        .execute_profiled(&prepared, SparqlVariant::Direct)
         .expect("direct");
-    let alternative = querying
-        .execute(&prepared, SparqlVariant::Alternative)
+    let (alternative, alternative_profile) = querying
+        .execute_profiled(&prepared, SparqlVariant::Alternative)
         .expect("alternative");
     assert_eq!(
         direct, alternative,
         "E6: the SPARQL variants disagree on Mary's query"
     );
     let parameters = format!("observations={observations}");
-    vec![
+    let mut rows = Vec::new();
+    for (variant, profile) in [
+        ("direct", &direct_profile),
+        ("alternative", &alternative_profile),
+    ] {
+        for counter in ["rows_intermediate", "index_probes"] {
+            rows.push(Measurement::new(
+                "E6",
+                &parameters,
+                format!("{counter}_{variant}"),
+                profile.counter(counter) as f64,
+            ));
+        }
+    }
+    rows.extend([
         Measurement::new(
             "E6",
             &parameters,
@@ -321,7 +362,8 @@ fn e6_mary_query(observations: usize) -> Vec<Measurement> {
             prepared.report.original_operations as f64,
         ),
         Measurement::new("E6", &parameters, "result_cells", direct.len() as f64),
-    ]
+    ]);
+    rows
 }
 
 /// E7 / Section I: the 80,000-observation demo scale.

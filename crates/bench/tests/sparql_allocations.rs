@@ -164,10 +164,13 @@ fn sparql_and_build_allocations_do_not_grow_with_intermediate_rows() {
     assert!(large.pivot_wrapped.0 >= 4 * small.pivot_wrapped.0);
     assert!(large.pivot_wrapped.1 <= small.pivot_wrapped.1 + 64);
 
-    // Mary's query joins seventeen patterns over every observation and
-    // filters on `STR(..)` of two attributes before grouping: a few dozen
-    // groups out of tens of thousands of intermediate rows. It pays per
-    // pattern and per group (key, members, aggregate inputs, output row).
+    // Mary's query is one run of seventeen patterns with two `STR(..) =`
+    // dice filters. The plan joins the two pinned attribute patterns first
+    // and filters right after each, reaches the observations through the
+    // surviving members, and then sorts the rows back into textual order:
+    // a few dozen groups out of thousands of intermediate rows. It pays
+    // per pattern, per planned step and per group (key, members,
+    // aggregate inputs, output row), never per row.
     const PER_QUERY: u64 = 1_000;
     const PER_GROUP: u64 = 20;
     for (groups, spent) in [small.mary, large.mary] {

@@ -1,14 +1,16 @@
 //! The differential oracle: every QL program runs through **every**
-//! execution backend, every SPARQL query through the parsed *and* the
-//! text path, and the results must be bit-identical.
+//! execution backend, every SPARQL query through the parsed path, the
+//! text path and the identity plan, and the results must be bit-identical.
 
 use std::cell::RefCell;
 
 use cubestore::{ExecOptions, MaterializedCube};
 use ql::{execute_columnar, PreparedQuery, QlError, QueryingModule, ResultCube, SparqlVariant};
+use rdf::Graph;
 use sparql::ast::{Query, SelectQuery};
 use sparql::pretty::query_to_string;
-use sparql::{Endpoint, SparqlError};
+use sparql::testutil::evaluate_textual;
+use sparql::{Endpoint, LocalEndpoint, QueryResults, Solutions, SparqlError};
 
 /// The legs [`ModuleOracle`] evaluates every program on, in order, all
 /// against one settled pin of the store:
@@ -160,7 +162,7 @@ pub fn check_program(
 }
 
 /// A SPARQL path disagreement: direct AST evaluation vs the pretty-printed
-/// text round-trip.
+/// text round-trip, or the planned evaluation vs the identity plan.
 #[derive(Debug, Clone)]
 pub struct SparqlMismatch {
     /// The query rendered as text.
@@ -169,39 +171,97 @@ pub struct SparqlMismatch {
     pub detail: String,
 }
 
-/// Executes one generated SELECT query through both endpoint paths — the
-/// parsed AST (`select_parsed`) and the pretty-printed text (`select`) —
-/// and checks the outcomes agree: identical solutions, or both errors.
-pub fn check_select(endpoint: &dyn Endpoint, query: &SelectQuery) -> Option<SparqlMismatch> {
+/// Executes one generated SELECT query on three paths — the parsed AST
+/// (`select_parsed`), the pretty-printed text (`select`) and the identity
+/// plan ([`sparql::testutil::evaluate_textual`]: every run of triple
+/// patterns joined in textual order, every FILTER over its group's final
+/// rows) — and checks the outcomes agree: identical solutions in identical
+/// order, or all errors. The identity-plan leg checks every form of
+/// [`identity_plan_forms`].
+pub fn check_select(endpoint: &LocalEndpoint, query: &SelectQuery) -> Option<SparqlMismatch> {
     let wrapped = Query::Select(query.clone());
     let text = query_to_string(&wrapped);
     let via_ast = endpoint.select_parsed(&wrapped);
     let via_text = endpoint.select(&text);
-    match (via_ast, via_text) {
-        (Ok(a), Ok(b)) => {
-            if a == b {
-                None
-            } else {
-                Some(SparqlMismatch {
-                    sparql_text: text,
-                    detail: format!(
-                        "parsed path returned {} solutions, text path {}",
-                        a.len(),
-                        b.len()
-                    ),
-                })
-            }
-        }
-        (Err(_), Err(_)) => None,
-        (Ok(_), Err(e)) => Some(SparqlMismatch {
-            sparql_text: text,
-            detail: format!("parsed path succeeded, text path failed: {e}"),
-        }),
-        (Err(e), Ok(_)) => Some(SparqlMismatch {
-            sparql_text: text,
-            detail: format!("text path succeeded, parsed path failed: {e}"),
-        }),
+    agree(&text, ("parsed path", &via_ast), ("text path", &via_text)).or_else(|| {
+        identity_plan_forms(query).iter().find_map(|form| {
+            let planned = endpoint.select_parsed(form);
+            check_against_identity_plan(endpoint, form, &planned)
+        })
+    })
+}
+
+/// The forms of a SELECT the identity-plan leg compares: the query, and —
+/// when it has an ORDER BY, which would hide the evaluator's row order —
+/// the query without it (LIMIT and OFFSET kept).
+pub fn identity_plan_forms(query: &SelectQuery) -> Vec<Query> {
+    let mut forms = vec![Query::Select(query.clone())];
+    if !query.order_by.is_empty() {
+        let unordered = SelectQuery {
+            order_by: Vec::new(),
+            ..query.clone()
+        };
+        forms.push(Query::Select(unordered));
     }
+    forms
+}
+
+/// The planned-vs-textual leg: `planned`, the outcome of a planned
+/// evaluation of `query` on `endpoint`, must equal the identity plan's row
+/// for row. The join planner reorders patterns and moves FILTERs, then
+/// sorts rows back into textual order; this leg is what holds it to that.
+pub fn check_against_identity_plan(
+    endpoint: &LocalEndpoint,
+    query: &Query,
+    planned: &SparqlResult<Solutions>,
+) -> Option<SparqlMismatch> {
+    let textual = evaluate_on(endpoint, query, evaluate_textual);
+    let text = query_to_string(query);
+    agree(
+        &text,
+        ("planned evaluation", planned),
+        ("identity plan", &textual),
+    )
+}
+
+/// Evaluates `query` on the endpoint's default graph with one of the
+/// `sparql::testutil` evaluators and decodes its solutions.
+pub fn evaluate_on(
+    endpoint: &LocalEndpoint,
+    query: &Query,
+    evaluate: fn(&Graph, &Query) -> SparqlResult<QueryResults>,
+) -> SparqlResult<Solutions> {
+    match endpoint
+        .store()
+        .with_default_graph(|graph| evaluate(graph, query))?
+    {
+        QueryResults::Solutions(solutions) => Ok(solutions.into()),
+        QueryResults::Boolean(_) => Err(SparqlError::Endpoint("expected a SELECT".to_string())),
+    }
+}
+
+/// Two outcomes agree when both are the same solutions in the same order,
+/// or both are errors.
+fn agree(
+    text: &str,
+    (left, a): (&str, &SparqlResult<Solutions>),
+    (right, b): (&str, &SparqlResult<Solutions>),
+) -> Option<SparqlMismatch> {
+    let detail = match (a, b) {
+        (Ok(a), Ok(b)) if a == b => return None,
+        (Ok(a), Ok(b)) if a.len() == b.len() => format!(
+            "{left} and {right} returned {} solutions each, differing in rows or order",
+            a.len()
+        ),
+        (Ok(a), Ok(b)) => format!("{left} returned {} solutions, {right} {}", a.len(), b.len()),
+        (Err(_), Err(_)) => return None,
+        (Ok(_), Err(e)) => format!("{left} succeeded, {right} failed: {e}"),
+        (Err(e), Ok(_)) => format!("{right} succeeded, {left} failed: {e}"),
+    };
+    Some(SparqlMismatch {
+        sparql_text: text.to_string(),
+        detail,
+    })
 }
 
 /// Convenience: the error type both endpoint paths share.

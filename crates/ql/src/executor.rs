@@ -285,7 +285,9 @@ impl<'e> QueryingModule<'e> {
                     let sparql_text = prepared.sparql(variant);
                     let translated = started.elapsed();
                     let started = Instant::now();
+                    let counted = sparql::EvalCounters::thread_totals();
                     let solutions = self.endpoint.select(&sparql_text)?;
+                    let work = sparql::EvalCounters::thread_totals().since(counted);
                     let selected = started.elapsed();
                     let started = Instant::now();
                     let cube = ResultCube::from_solutions(
@@ -301,6 +303,8 @@ impl<'e> QueryingModule<'e> {
                         let cells = Some(cube.cells.len() as u64);
                         profile.push_step("assemble-cube", started.elapsed(), cells, "");
                         profile.add_counter("solutions", solutions.len() as u64);
+                        profile.add_counter("rows_intermediate", work.rows_intermediate);
+                        profile.add_counter("index_probes", work.index_probes);
                     }
                     cube
                 }
@@ -804,6 +808,11 @@ mod tests {
             "one logical plan line per pipeline operation"
         );
         assert!(sparql_profile.total >= sparql_profile.steps_total());
+        assert!(
+            sparql_profile.counter("rows_intermediate") > 0
+                && sparql_profile.counter("index_probes") > 0,
+            "the evaluator's work counters reach the profile"
+        );
 
         let (columnar_cube, columnar_profile) = module
             .execute_profiled(&prepared, ExecutionBackend::Columnar)

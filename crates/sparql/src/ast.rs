@@ -442,6 +442,28 @@ impl Expression {
         }
     }
 
+    /// True if the expression (recursively) contains an `EXISTS` or
+    /// `NOT EXISTS`.
+    pub fn contains_exists(&self) -> bool {
+        match self {
+            Expression::Exists(_) | Expression::NotExists(_) => true,
+            Expression::Var(_) | Expression::Constant(_) => false,
+            Expression::Not(e) | Expression::Neg(e) => e.contains_exists(),
+            Expression::And(a, b)
+            | Expression::Or(a, b)
+            | Expression::Compare(a, _, b)
+            | Expression::Arithmetic(a, _, b) => a.contains_exists() || b.contains_exists(),
+            Expression::Call(_, args) => args.iter().any(Expression::contains_exists),
+            Expression::Aggregate(aggregate) => aggregate
+                .expr
+                .as_deref()
+                .is_some_and(Expression::contains_exists),
+            Expression::In(e, list) => {
+                e.contains_exists() || list.iter().any(Expression::contains_exists)
+            }
+        }
+    }
+
     /// Calls `visit` for every variable the expression mentions, `EXISTS`
     /// bodies included.
     pub fn visit_variables<'a>(&'a self, visit: &mut dyn FnMut(&'a Variable)) {

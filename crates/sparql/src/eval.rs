@@ -3,17 +3,22 @@
 //! Evaluation works on **term ids**, not terms. A partial solution is a
 //! fixed-width row of [`TermId`]s — one slot per variable of the query,
 //! `UNBOUND` where a variable has no binding — and the solutions of a
-//! pattern are one flat `Rows` table. Triple patterns resolve their
-//! constants to ids once and run index nested-loop joins over the graph's
-//! SPO/POS/OSP ranges ([`Graph::matching_ids`]); sub-selects, `VALUES` and
-//! `OPTIONAL` join whole tables; FILTER, BIND, GROUP BY, DISTINCT and
-//! ORDER BY evaluate compiled expressions (`crate::expr`) over the ids.
-//! A finished SELECT table leaves as [`EncodedSolutions`]: its ids are
-//! re-numbered densely and each distinct term is cloned once. Decoding into
-//! [`crate::Solutions`] happens at the endpoint's edge, never here. This is
-//! sufficient for the workloads QB2OLAP generates (star-shaped observation
-//! joins plus roll-up navigation joins and a final GROUP BY).
+//! pattern are one flat `Rows` table. A group evaluates its elements in
+//! order, each run of triple patterns as one planned step (`crate::plan`):
+//! **plan** — join the run's patterns in estimated-cardinality order and
+//! give each of the group's FILTERs the first step that binds every
+//! variable it reads; **execute** — index nested-loop joins over the
+//! graph's SPO/POS/OSP ranges ([`Graph::matching_ids`]), filtering as the
+//! plan says; **restore** — sort a reordered run's rows back into the
+//! order textual evaluation yields, so every result is the textual one,
+//! row for row. Sub-selects, `VALUES` and `OPTIONAL` join whole tables;
+//! FILTERs no run can place, BIND, GROUP BY, DISTINCT and ORDER BY
+//! evaluate compiled expressions (`crate::expr`) over the ids. A finished
+//! SELECT table leaves as [`EncodedSolutions`]: its ids are re-numbered
+//! densely and each distinct term is cloned once. Decoding into
+//! [`crate::Solutions`] happens at the endpoint's edge, never here.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
@@ -24,38 +29,82 @@ use crate::ast::*;
 use crate::error::SparqlError;
 pub use crate::expr::{compare_numbers, compare_terms};
 use crate::expr::{Expr, Group, SortKey, Terms, UNBOUND};
+use crate::plan::{self, FilterSlots, Position};
 use crate::results::{EncodedSolutions, QueryResults};
 
 /// Evaluates any query form against a graph — the evaluator's one entry.
 /// A SELECT's finished table is re-numbered densely into
 /// [`EncodedSolutions`], cloning each distinct term once.
 pub fn evaluate_query(graph: &Graph, query: &Query) -> Result<QueryResults, SparqlError> {
-    let select = match query {
-        Query::Select(select) => select,
-        Query::Ask(ask) => {
-            let scope = Scope::new(|visit| ask.pattern.visit_variables(visit));
-            let mut ev = Evaluator::new(graph, scope);
-            let unit = Rows::unit(ev.scope.width);
-            return Ok(QueryResults::Boolean(
-                ev.eval_group(&ask.pattern, unit)?.len > 0,
-            ));
-        }
-    };
-    let mut ev = Evaluator::new(graph, Scope::default());
-    let (names, mut table) = ev.run_select(select)?;
-    let mut local: FxHashMap<TermId, u32> = FxHashMap::default();
-    let mut terms = Vec::new();
-    for id in table.ids.iter_mut().filter(|id| **id != UNBOUND) {
-        let global = *id;
-        *id = *local.entry(global).or_insert_with(|| {
-            terms.push(ev.terms.get(global).clone());
-            terms.len() as u32 - 1
-        });
+    evaluate_in(graph, query, JoinOrder::Planned)
+}
+
+/// [`evaluate_query`] with the runs of triple patterns joined in `order`.
+pub(crate) fn evaluate_in(
+    graph: &Graph,
+    query: &Query,
+    order: JoinOrder,
+) -> Result<QueryResults, SparqlError> {
+    let mut ev = Evaluator::new(graph, Scope::default(), order);
+    let result = ev.evaluate(query);
+    COUNTERS.with(|totals| totals.set(totals.get().plus(ev.counters)));
+    result
+}
+
+/// The work the evaluator has done: rows out of triple-pattern steps and
+/// index lookups. Machine-independent, so a plan's effect shows the same on
+/// any box; the query executor reports them in its profile.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EvalCounters {
+    /// Rows out of every triple-pattern step, before any FILTER.
+    pub rows_intermediate: u64,
+    /// [`Graph::matching_ids`] calls.
+    pub index_probes: u64,
+}
+
+thread_local! {
+    static COUNTERS: Cell<EvalCounters> = const { Cell::new(EvalCounters { rows_intermediate: 0, index_probes: 0 }) };
+}
+
+impl EvalCounters {
+    /// The totals of every evaluation this thread has run; the difference
+    /// of two readings ([`Self::since`]) counts the evaluations between
+    /// them, whichever endpoint wrapper they went through.
+    pub fn thread_totals() -> Self {
+        COUNTERS.with(Cell::get)
     }
-    let variables = names.into_iter().map(Variable::new).collect();
-    Ok(QueryResults::Solutions(EncodedSolutions::new(
-        variables, terms, table.ids, table.len,
-    )))
+
+    /// The work done since the `earlier` reading.
+    pub fn since(self, earlier: Self) -> Self {
+        EvalCounters {
+            rows_intermediate: self.rows_intermediate - earlier.rows_intermediate,
+            index_probes: self.index_probes - earlier.index_probes,
+        }
+    }
+
+    fn plus(self, other: Self) -> Self {
+        EvalCounters {
+            rows_intermediate: self.rows_intermediate + other.rows_intermediate,
+            index_probes: self.index_probes + other.index_probes,
+        }
+    }
+}
+
+/// The order the patterns of a run join in. The planned order is the only
+/// one a query runs in; the other two exist for the tests that check it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JoinOrder {
+    /// Greedy on estimated rows, FILTERs where their variables are bound,
+    /// rows restored to textual order.
+    Planned,
+    /// Textual order with the group's FILTERs over its final rows: the
+    /// reference the planned order must reproduce row for row.
+    #[cfg(any(test, feature = "testutil"))]
+    Textual,
+    /// The planned order without the restoring sort: a defect the
+    /// planned-vs-textual oracle must catch.
+    #[cfg(any(test, feature = "testutil"))]
+    Unrestored,
 }
 
 /// A table of partial solutions: `len` rows of `width` ids, row-major.
@@ -267,34 +316,48 @@ impl<'q> Scope<'q> {
     }
 }
 
-/// One position of a triple pattern, resolved once per pattern.
-#[derive(Clone, Copy, PartialEq)]
-enum Position {
-    Slot(usize),
-    /// `None`: a constant the graph has never seen.
-    Constant(Option<TermId>),
-}
-
-impl Position {
-    fn bound(self, row: &[TermId]) -> Option<TermId> {
-        match self {
-            Position::Constant(id) => id,
-            Position::Slot(slot) => Some(row[slot]).filter(|&id| id != UNBOUND),
-        }
-    }
-}
-
 struct Evaluator<'g, 'q> {
     terms: Terms<'g>,
     scope: Scope<'q>,
+    join_order: JoinOrder,
+    counters: EvalCounters,
 }
 
 impl<'g, 'q> Evaluator<'g, 'q> {
-    fn new(graph: &'g Graph, scope: Scope<'q>) -> Self {
+    fn new(graph: &'g Graph, scope: Scope<'q>, join_order: JoinOrder) -> Self {
         Evaluator {
             terms: Terms::new(graph),
             scope,
+            join_order,
+            counters: EvalCounters::default(),
         }
+    }
+
+    fn evaluate(&mut self, query: &'q Query) -> Result<QueryResults, SparqlError> {
+        let select = match query {
+            Query::Select(select) => select,
+            Query::Ask(ask) => {
+                self.scope = Scope::new(|visit| ask.pattern.visit_variables(visit));
+                let unit = Rows::unit(self.scope.width);
+                return Ok(QueryResults::Boolean(
+                    self.eval_group(&ask.pattern, unit)?.len > 0,
+                ));
+            }
+        };
+        let (names, mut table) = self.run_select(select)?;
+        let mut local: FxHashMap<TermId, u32> = FxHashMap::default();
+        let mut terms = Vec::new();
+        for id in table.ids.iter_mut().filter(|id| **id != UNBOUND) {
+            let global = *id;
+            *id = *local.entry(global).or_insert_with(|| {
+                terms.push(self.terms.get(global).clone());
+                terms.len() as u32 - 1
+            });
+        }
+        let variables = names.into_iter().map(Variable::new).collect();
+        Ok(QueryResults::Solutions(EncodedSolutions::new(
+            variables, terms, table.ids, table.len,
+        )))
     }
 
     fn var_id(&mut self, name: &'q str) -> usize {
@@ -533,12 +596,41 @@ impl<'g, 'q> Evaluator<'g, 'q> {
         input: Rows,
     ) -> Result<Rows, SparqlError> {
         let mut rows = input;
-        let mut filters: Vec<&Expression> = Vec::new();
+        // The group's filters; a run that places one takes it out.
+        let mut filters: Vec<Option<&'q Expression>> = group
+            .elements
+            .iter()
+            .filter_map(|element| match element {
+                PatternElement::Filter(expr) => Some(Some(expr)),
+                _ => None,
+            })
+            .collect();
 
-        for element in &group.elements {
+        let mut next = 0;
+        while let Some(element) = group.elements.get(next) {
+            next += 1;
             match element {
-                PatternElement::Triple(pattern) => rows = self.eval_triple(pattern, &rows),
-                PatternElement::Filter(expr) => filters.push(expr),
+                PatternElement::Triple(_) => {
+                    // The run: this pattern and the patterns after it,
+                    // across FILTERs (group-wide, wherever they stand).
+                    let len = group.elements[next - 1..]
+                        .iter()
+                        .take_while(|e| {
+                            matches!(e, PatternElement::Triple(_) | PatternElement::Filter(_))
+                        })
+                        .count();
+                    let run: Vec<&'q TriplePattern> = group.elements[next - 1..next - 1 + len]
+                        .iter()
+                        .filter_map(|element| match element {
+                            PatternElement::Triple(pattern) => Some(pattern),
+                            _ => None,
+                        })
+                        .collect();
+                    next += len - 1;
+                    let rest = &group.elements[next..];
+                    rows = self.eval_run(group, rest, &run, rows, &mut filters);
+                }
+                PatternElement::Filter(_) => {}
                 PatternElement::Optional(inner) => {
                     // A left join: the body's extensions of each row in its
                     // place, the row itself where there are none. A UNION
@@ -615,16 +707,185 @@ impl<'g, 'q> Evaluator<'g, 'q> {
             }
         }
 
-        // Apply the group's filters over its final rows.
-        for filter in filters {
-            let column = self.eval_column(filter, &rows);
-            let passes = |id| id != UNBOUND && self.terms.effective_boolean(id) == Some(true);
-            rows.retain(|index| passes(column[index]));
+        // The filters no run placed, over the group's final rows.
+        for filter in filters.into_iter().flatten() {
+            self.filter(filter, &mut rows);
         }
         Ok(rows)
     }
 
-    fn eval_triple(&mut self, pattern: &'q TriplePattern, rows: &Rows) -> Rows {
+    /// Keeps the rows on which `filter` is true.
+    fn filter(&mut self, filter: &'q Expression, rows: &mut Rows) {
+        let column = self.eval_column(filter, rows);
+        let passes = |id| id != UNBOUND && self.terms.effective_boolean(id) == Some(true);
+        rows.retain(|index| passes(column[index]));
+    }
+
+    /// Evaluates one run of `group`'s triple patterns over `rows`: plan,
+    /// execute, restore. Runs the `filters` the plan places, taking them
+    /// out of the list. `rest` holds the group's elements after the run: a
+    /// body among them that runs per row (an OPTIONAL, an EXISTS) registers
+    /// its variables only if rows reach it, so a FILTER placed early could
+    /// change what `SELECT *` reports; then the run places none.
+    fn eval_run(
+        &mut self,
+        group: &'q GroupGraphPattern,
+        rest: &'q [PatternElement],
+        patterns: &[&'q TriplePattern],
+        mut rows: Rows,
+        filters: &mut [Option<&'q Expression>],
+    ) -> Rows {
+        // Registered in textual order, as textual evaluation meets them.
+        let positions: Vec<[Position; 3]> = patterns.iter().map(|p| self.positions(p)).collect();
+        if !self.join_order.plans() || rows.len == 0 {
+            for positions in &positions {
+                rows = self.join_triple(*positions, &rows);
+            }
+            return rows;
+        }
+
+        let tag = rows.width - 1;
+        let entering: Vec<bool> = (0..tag)
+            .map(|slot| rows.iter().all(|row| row[slot] != UNBOUND))
+            .collect();
+        let places = !rest
+            .iter()
+            .any(|element| !matches!(element, PatternElement::Filter(_)) && runs_per_row(element));
+        let (offered, slots): (Vec<usize>, Vec<FilterSlots>) = filters
+            .iter()
+            .enumerate()
+            .filter(|_| places)
+            .filter_map(|(index, filter)| Some((index, self.placeable((*filter)?, group)?)))
+            .unzip();
+        let plan = plan::plan_run(self.terms.graph, &positions, &entering, &slots);
+        let mut after: Vec<Vec<&'q Expression>> = vec![Vec::new(); plan.order.len() + 1];
+        for (index, step) in offered.into_iter().zip(&plan.filter_after) {
+            if let Some(step) = *step {
+                after[step].extend(filters[index].take());
+            }
+        }
+
+        for filter in std::mem::take(&mut after[0]) {
+            self.filter(filter, &mut rows);
+        }
+        let reorders = plan.reorders();
+        // A reordered run tags each row with its index, for the restore.
+        let mut tags = Vec::new();
+        if reorders {
+            tags = rows.iter().map(|row| row[tag]).collect();
+            for index in 0..rows.len {
+                rows.row_mut(index)[tag] = index as TermId;
+            }
+        }
+        let mut out: Option<Rows> = None;
+        for (step, &pattern) in plan.order.iter().enumerate() {
+            let mut next = self.join_triple(positions[pattern], out.as_ref().unwrap_or(&rows));
+            for filter in std::mem::take(&mut after[step + 1]) {
+                self.filter(filter, &mut next);
+            }
+            out = Some(next);
+        }
+        let out = out.expect("a run holds a pattern");
+        if !reorders {
+            return out;
+        }
+        self.restore(out, &rows, &positions, &tags)
+    }
+
+    /// Sorts the rows a reordered run yielded back into textual order —
+    /// by input row, then by the ids textual evaluation met them in
+    /// ([`plan::textual_key`]) — and gives each row its input row's tag
+    /// back. Distinct rows have distinct keys, so the order is exactly the
+    /// textual one.
+    fn restore(
+        &self,
+        out: Rows,
+        input: &Rows,
+        positions: &[[Position; 3]],
+        tags: &[TermId],
+    ) -> Rows {
+        let tag = out.width - 1;
+        let mut order: Vec<usize> = (0..out.len).collect();
+        // The key's slots, and the input row they were derived for: rows
+        // entering a run mostly bind the same slots, and share one key.
+        let mut key: (Vec<usize>, Option<&[TermId]>) = (Vec::new(), None);
+        let same_slots = |a: &[TermId], b: &[TermId]| {
+            a.iter()
+                .zip(b)
+                .all(|(x, y)| (*x == UNBOUND) == (*y == UNBOUND))
+        };
+        let mut start = 0;
+        while start < out.len && self.join_order.restores() {
+            let origin = out.row(start)[tag];
+            let end = start
+                + (start..out.len)
+                    .take_while(|&i| out.row(i)[tag] == origin)
+                    .count();
+            let row = input.row(origin as usize);
+            if end - start > 1 {
+                if !key.1.is_some_and(|keyed| same_slots(keyed, row)) {
+                    key = (plan::textual_key(positions, row), Some(row));
+                }
+                let (slots, out) = (&key.0, &out);
+                let key_of = |index: usize| slots.iter().map(move |&slot| out.row(index)[slot]);
+                order[start..end].sort_unstable_by(|&a, &b| key_of(a).cmp(key_of(b)));
+            }
+            start = end;
+        }
+        let all: Vec<usize> = (0..out.width).collect();
+        let mut restored = out.gather(order.into_iter(), &all);
+        for index in 0..restored.len {
+            let row = restored.row_mut(index);
+            row[tag] = tags[row[tag] as usize];
+        }
+        restored
+    }
+
+    /// The slots a FILTER reads, if a run may place it: it holds no
+    /// `EXISTS`, every variable it reads is in scope, and no BIND of the
+    /// group rebinds one (a value seen early could still change). Also the
+    /// slot it pins to one value, if it is an equality with a constant.
+    fn placeable(
+        &self,
+        filter: &'q Expression,
+        group: &'q GroupGraphPattern,
+    ) -> Option<FilterSlots> {
+        if filter.contains_exists() {
+            return None;
+        }
+        let mut names = Vec::new();
+        filter.visit_variables(&mut |v| names.push(v.name()));
+        if names.iter().any(|name| binds(group, name)) {
+            return None;
+        }
+        let slot_of = |name: &str| self.scope.index.get(name).copied();
+        let slots = names
+            .iter()
+            .map(|name| slot_of(name))
+            .collect::<Option<Vec<usize>>>()?;
+        let variable = |e: &'q Expression| match e {
+            Expression::Var(v) => Some(v),
+            Expression::Call(Function::Str, args) => match args.as_slice() {
+                [Expression::Var(v)] => Some(v),
+                _ => None,
+            },
+            _ => None,
+        };
+        let pinned = match filter {
+            Expression::Compare(a, CmpOp::Eq, b) => match (&**a, &**b) {
+                (e, Expression::Constant(_)) | (Expression::Constant(_), e) => variable(e),
+                _ => None,
+            },
+            _ => None,
+        };
+        Some(FilterSlots {
+            slots,
+            pinned: pinned.and_then(|v| slot_of(v.name())),
+        })
+    }
+
+    /// A triple pattern's positions; registers its variables.
+    fn positions(&mut self, pattern: &'q TriplePattern) -> [Position; 3] {
         let graph = self.terms.graph;
         let subject = match &pattern.subject {
             VarOrTerm::Var(v) => Position::Slot(self.var_id(v.name())),
@@ -638,7 +899,12 @@ impl<'g, 'q> Evaluator<'g, 'q> {
             VarOrTerm::Var(v) => Position::Slot(self.var_id(v.name())),
             VarOrTerm::Term(t) => Position::Constant(graph.term_id(t)),
         };
-        let positions = [subject, predicate, object];
+        [subject, predicate, object]
+    }
+
+    /// Extends every row of `rows` by each match of a triple pattern.
+    fn join_triple(&mut self, positions: [Position; 3], rows: &Rows) -> Rows {
+        let graph = self.terms.graph;
         let mut out = Rows::new(rows.width);
         if positions.contains(&Position::Constant(None)) {
             return out;
@@ -662,8 +928,60 @@ impl<'g, 'q> Evaluator<'g, 'q> {
                 );
             }
         }
+        self.counters.index_probes += rows.len as u64;
+        self.counters.rows_intermediate += out.len as u64;
         out
     }
+}
+
+impl JoinOrder {
+    /// Whether runs are planned at all.
+    fn plans(self) -> bool {
+        match self {
+            JoinOrder::Planned => true,
+            #[cfg(any(test, feature = "testutil"))]
+            JoinOrder::Textual => false,
+            #[cfg(any(test, feature = "testutil"))]
+            JoinOrder::Unrestored => true,
+        }
+    }
+
+    /// Whether a reordered run's rows are sorted back into textual order.
+    fn restores(self) -> bool {
+        match self {
+            JoinOrder::Planned => true,
+            #[cfg(any(test, feature = "testutil"))]
+            JoinOrder::Textual => true,
+            #[cfg(any(test, feature = "testutil"))]
+            JoinOrder::Unrestored => false,
+        }
+    }
+}
+
+/// Whether evaluating `element` runs a body once per row that reaches it —
+/// an OPTIONAL, or an EXISTS in a BIND or a nested group's FILTER.
+fn runs_per_row(element: &PatternElement) -> bool {
+    match element {
+        PatternElement::Optional(_) => true,
+        PatternElement::Bind { expr, .. } | PatternElement::Filter(expr) => expr.contains_exists(),
+        PatternElement::Group(g) => g.elements.iter().any(runs_per_row),
+        PatternElement::Union(a, b) => a.elements.iter().chain(&b.elements).any(runs_per_row),
+        PatternElement::Triple(_)
+        | PatternElement::Minus(_)
+        | PatternElement::Values { .. }
+        | PatternElement::SubSelect(_) => false,
+    }
+}
+
+/// Whether a BIND in `group` — or in a body whose rows replace the group's
+/// (OPTIONAL, UNION, a nested group) — assigns `name`.
+fn binds(group: &GroupGraphPattern, name: &str) -> bool {
+    group.elements.iter().any(|element| match element {
+        PatternElement::Bind { var, .. } => var.name() == name,
+        PatternElement::Optional(g) | PatternElement::Group(g) => binds(g, name),
+        PatternElement::Union(a, b) => binds(a, name) || binds(b, name),
+        _ => false,
+    })
 }
 
 #[cfg(test)]

@@ -45,6 +45,7 @@ pub mod eval;
 mod expr;
 pub mod numeric;
 pub mod parser;
+mod plan;
 pub mod pretty;
 pub mod results;
 #[cfg(any(test, feature = "testutil"))]
@@ -54,7 +55,7 @@ pub mod token;
 pub use ast::{Query, SelectQuery, Variable};
 pub use endpoint::{ConservativeEndpoint, Endpoint, LocalEndpoint};
 pub use error::SparqlError;
-pub use eval::{compare_numbers, compare_terms, evaluate_query};
+pub use eval::{compare_numbers, compare_terms, evaluate_query, EvalCounters};
 pub use numeric::{float_max, float_min, CompensatedSum, NumericSum, NumericValue};
 pub use parser::{parse_query, parse_select};
 pub use pretty::{query_to_string, select_to_string};

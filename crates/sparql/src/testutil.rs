@@ -18,8 +18,9 @@ use crate::ast::{
     PatternElement, Query, SelectQuery, Variable,
 };
 use crate::endpoint::select_result;
-use crate::eval::evaluate_query;
-use crate::results::Solutions;
+use crate::error::SparqlError;
+use crate::eval::{evaluate_in, evaluate_query, JoinOrder};
+use crate::results::{QueryResults, Solutions};
 
 /// Evaluates a SELECT against `graph` and decodes its solutions, as
 /// [`crate::Endpoint::select`] does. Panics on an evaluation error.
@@ -27,6 +28,20 @@ pub fn evaluate_decoded(graph: &Graph, query: &SelectQuery) -> Solutions {
     let results =
         evaluate_query(graph, &Query::Select(query.clone())).expect("the query evaluates");
     select_result(results).expect("a SELECT result").into()
+}
+
+/// Evaluates `query` with every run of triple patterns joined in textual
+/// order and every FILTER over its group's final rows — the identity plan,
+/// the reference [`evaluate_query`]'s planned order must equal row for row.
+pub fn evaluate_textual(graph: &Graph, query: &Query) -> Result<QueryResults, SparqlError> {
+    evaluate_in(graph, query, JoinOrder::Textual)
+}
+
+/// Evaluates `query` with the planned join order but without the sort that
+/// restores textual row order: a known-wrong evaluator, for proving that a
+/// planned-vs-textual oracle catches it.
+pub fn evaluate_unrestored(graph: &Graph, query: &Query) -> Result<QueryResults, SparqlError> {
+    evaluate_in(graph, query, JoinOrder::Unrestored)
 }
 
 /// Every comparison operator, in a fixed order.

@@ -4,10 +4,16 @@
 //! triple pattern, OPTIONAL / UNION / MINUS / EXISTS over rows with unbound
 //! slots, `VALUES` with `UNDEF`, and the output order of GROUP BY, DISTINCT
 //! and ORDER BY. Every expected table was produced by the `Term`-row
-//! evaluator this one replaced.
+//! evaluator this one replaced. The last table holds the join planner to
+//! the identity plan over FILTER placement, reordered runs and the output
+//! forms that depend on row order.
 
 use rdf::Term;
-use sparql::{ConservativeEndpoint, EncodedSolutions, Endpoint, LocalEndpoint, Solutions};
+use sparql::testutil::{evaluate_textual, evaluate_unrestored};
+use sparql::{
+    ConservativeEndpoint, EncodedSolutions, Endpoint, EvalCounters, LocalEndpoint, QueryResults,
+    Solutions,
+};
 
 const GRAPH: &str = r#"
 @prefix ex: <http://example.org/> .
@@ -368,4 +374,156 @@ fn an_inconsistent_term_order_neither_panics_nor_splits_groups() {
     let year = Some(Term::Literal(rdf::Literal::year(2014)));
     let of_2014 = groups.rows.iter().find(|row| row[0] == year).unwrap();
     assert_eq!(of_2014[1], Some(Term::integer(3)));
+}
+
+/// The join planner against the identity plan: each query must return
+/// exactly the identity plan's table (`sparql::testutil::evaluate_textual`:
+/// textual join order, FILTERs over their group's final rows), row for
+/// row. `moved` says whether the plan must touch a different number of
+/// intermediate rows than textual evaluation — i.e. that the case really
+/// reorders a run or moves a FILTER rather than passing trivially.
+#[test]
+fn planned_runs_return_the_identity_plan_row_for_row() {
+    let cases: &[(&str, bool)] = &[
+        // A FILTER over a variable only an OPTIONAL binds stays last.
+        (
+            "SELECT * WHERE { ?obs ex:country ?c . ?c ex:continent ?k . OPTIONAL { ?c rdfs:label ?l } FILTER(!BOUND(?l) || LANG(?l) = \"en\") }",
+            true,
+        ),
+        // A FILTER with EXISTS stays last.
+        (
+            "SELECT * WHERE { ?obs ex:country ?c . ?c ex:continent ?k . FILTER EXISTS { ?k ex:part ?w } }",
+            true,
+        ),
+        // A FILTER over a BIND variable, and one over a variable a later
+        // BIND rebinds: neither may run early.
+        (
+            "SELECT * WHERE { ?obs ex:value ?v . ?obs ex:country ?c . ?c ex:continent ?k . BIND(?v * 2 AS ?d) FILTER(?d > 12) }",
+            true,
+        ),
+        (
+            "SELECT * WHERE { ?obs ex:country ?c . ?c ex:continent ?k . FILTER(?k = ex:Asia) BIND(ex:Europe AS ?k) }",
+            true,
+        ),
+        // An OPTIONAL after the run registers its variables only if rows
+        // reach it, so the run places no FILTER: `SELECT *` still lists ?opt.
+        (
+            "SELECT * WHERE { ?s ex:value ?v . FILTER(?v = 1000) OPTIONAL { ?s ex:p ?opt } }",
+            false,
+        ),
+        // Type errors drop the row wherever the FILTER runs.
+        (
+            "SELECT * WHERE { ?obs ex:value ?v . ?obs ex:country ?c . ?c ex:continent ?k . FILTER(?v > 6) FILTER(?k + 1) }",
+            true,
+        ),
+        (
+            "SELECT * WHERE { ?obs ex:value ?v . ?obs ex:country ?c . ?c ex:continent ?k . FILTER(?v > 6) }",
+            true,
+        ),
+        // An equality FILTER pins its variable; the pinned pattern moves
+        // first and the FILTER runs right after it.
+        (
+            "SELECT * WHERE { ?obs ex:country ?c . ?c rdfs:label ?l . FILTER(STR(?l) = \"Syria\") }",
+            true,
+        ),
+        // A variable repeated within and across patterns.
+        (
+            "SELECT * WHERE { ?x ?p ?y . ?y ex:rel ?x . ?x ex:rel ?x }",
+            true,
+        ),
+        // A constant the graph has never seen: the run is empty.
+        (
+            "SELECT * WHERE { ?obs ex:country ?c . ?c ex:missing ?z . ?c ex:continent ?k }",
+            true,
+        ),
+        (
+            "SELECT * WHERE { ?obs ex:country ?c . ?c ex:continent ?k . FILTER(?k = ex:Nowhere) }",
+            true,
+        ),
+        // VALUES with UNDEF: rows entering the run bind different slots,
+        // so each input row has its own textual key.
+        (
+            "SELECT * WHERE { VALUES (?c ?k) { (ex:SY UNDEF) (UNDEF ex:Africa) (UNDEF UNDEF) } ?obs ex:country ?c . ?c ex:continent ?k . ?obs ex:year ?y }",
+            true,
+        ),
+        // A reordered run inside OPTIONAL bodies, where the hidden slot
+        // tags rows with their origin, nested one level deeper too.
+        (
+            "SELECT * WHERE { ?obs a ex:Observation . OPTIONAL { ?o2 ex:country ?c . ?obs ex:country ?c . ?c ex:continent ?k } }",
+            true,
+        ),
+        (
+            "SELECT * WHERE { ?obs a ex:Observation . OPTIONAL { ?obs ex:value ?v . OPTIONAL { ?o2 ex:country ?c . ?obs ex:country ?c . ?c rdfs:label ?l } } }",
+            true,
+        ),
+        // Output that depends on arrival order, over a reordered run.
+        (
+            "SELECT DISTINCT ?c WHERE { ?obs ex:country ?c . ?c ex:continent ?k }",
+            true,
+        ),
+        (
+            "SELECT ?k (SAMPLE(?obs) AS ?s) (GROUP_CONCAT(STR(?obs)) AS ?all) WHERE { ?obs ex:country ?c . ?c ex:continent ?k } GROUP BY ?k",
+            true,
+        ),
+        (
+            "SELECT * WHERE { ?obs ex:country ?c . ?c ex:continent ?k } LIMIT 2",
+            true,
+        ),
+        (
+            "SELECT * WHERE { ?obs ex:country ?c . ?c ex:continent ?k } LIMIT 2 OFFSET 3",
+            true,
+        ),
+    ];
+    // The countries interned in reverse, so a run that joins continents
+    // first meets rows in another order than the textual one, and the
+    // country index (by country, then observation) in another order than
+    // the observations'. Forty observations of a country on no continent
+    // make starting from the countries cost what a reorder must save.
+    let endpoint = LocalEndpoint::new();
+    let fillers: String = (0..40)
+        .map(|i| format!("ex:f{i} a ex:Observation ; ex:country ex:ZZ .\n"))
+        .collect();
+    endpoint
+        .store()
+        .load_turtle(&format!(
+            "@prefix ex: <http://example.org/> .
+             ex:XX ex:rank 1 . ex:FR ex:rank 2 . ex:NG ex:rank 3 . ex:SY ex:rank 4 .
+             {fillers}"
+        ))
+        .unwrap();
+    endpoint.store().load_turtle(GRAPH).unwrap();
+    type Evaluate = fn(&rdf::Graph, &sparql::Query) -> Result<QueryResults, sparql::SparqlError>;
+    let evaluate = |query: &sparql::Query, with: Evaluate| match endpoint
+        .store()
+        .with_default_graph(|graph| with(graph, query))
+        .unwrap()
+    {
+        QueryResults::Solutions(solutions) => render(&Solutions::from(solutions)),
+        QueryResults::Boolean(_) => panic!("not a SELECT result"),
+    };
+    let mut unrestored_differs = 0;
+    for &(query, moved) in cases {
+        let text = format!("{PREFIXES}{query}");
+        let parsed = sparql::parse_query(&text).unwrap();
+        let before = EvalCounters::thread_totals();
+        let planned = render(&endpoint.select(&text).unwrap());
+        let planned_work = EvalCounters::thread_totals().since(before);
+        let before = EvalCounters::thread_totals();
+        let textual = evaluate(&parsed, evaluate_textual);
+        let textual_work = EvalCounters::thread_totals().since(before);
+        assert_eq!(planned, textual, "{query}");
+        assert_eq!(
+            planned_work.rows_intermediate != textual_work.rows_intermediate,
+            moved,
+            "{query}: planned {planned_work:?}, textual {textual_work:?}"
+        );
+        if evaluate(&parsed, evaluate_unrestored) != textual {
+            unrestored_differs += 1;
+        }
+    }
+    // The table would catch a plan that skipped the restoring sort.
+    assert!(
+        unrestored_differs >= 5,
+        "{unrestored_differs} cases need the restore"
+    );
 }

@@ -2,7 +2,8 @@
 //! the whole QL pipeline (the five oracle legs of `qlsmith::diff::LEGS`,
 //! bit-identical cells)
 //! and of the SPARQL SELECT surface (direct AST evaluation vs the
-//! pretty-print → parse → evaluate text path), interleaved with live store
+//! pretty-print → parse → evaluate text path, and the join planner vs the
+//! identity plan, row for row), interleaved with live store
 //! mutations so generated queries also run against delta-refreshed,
 //! tombstoned and rebuild-fallback catalog states.
 //!
@@ -16,14 +17,19 @@ use ql::cubestore::MaintenanceStrategy;
 use ql::ast::{CubeRef, DiceCondition, DiceOp, DiceOperand, DiceValue, QlOperation};
 use ql::{CubeCell, QlError, QueryingModule, ResultCube};
 use qlsmith::corpus::{corpus_programs, read_corpus_file, write_corpus_file};
-use qlsmith::diff::{check_program, check_select, ModuleOracle, QlOracle};
-use qlsmith::fixture::{firi, fuzz_cube, FuzzCube};
+use qlsmith::diff::{
+    check_against_identity_plan, check_program, check_select, evaluate_on, identity_plan_forms,
+    ModuleOracle, QlOracle,
+};
+use qlsmith::fixture::{firi, fmember, fuzz_cube, FuzzCube};
 use qlsmith::ql_gen::{assemble, GrammarCoverage, QlGenerator};
 use qlsmith::shrink::shrink_ql;
 use qlsmith::sparql_gen::{SparqlCoverage, SparqlGenerator};
 use qlsmith::universe::SchemaUniverse;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sparql::testutil::evaluate_unrestored;
+use sparql::Endpoint;
 
 /// Applies one store mutation, cycling through the three kinds the
 /// mutation fuzzer exercises: hierarchy raggedness toggles (refused by
@@ -141,6 +147,45 @@ fn sparql_campaign_text_and_parsed_paths_agree() {
         snapshot.counter("fuzz.sparql.production.patternelement-triple") >= 1,
         "per-production hit counts are readable from the snapshot"
     );
+}
+
+/// The planned-vs-textual leg's self-test: an evaluator that plans each
+/// run of triple patterns but skips the sort restoring textual row order
+/// must be caught, while the shipped planned evaluation of the same
+/// queries passes the same leg. The queries are generated ones plus a dice
+/// through a roll-up, the shape the planner reorders (generated queries
+/// over this small cube rarely save enough to be reordered).
+#[test]
+fn planned_vs_textual_leg_catches_a_plan_that_skips_the_restoring_sort() {
+    let cube = fuzz_cube();
+    let universe = SchemaUniverse::from_endpoint(&cube.endpoint, &cube.schema).unwrap();
+    let generator = SparqlGenerator::new(&universe);
+    let mut rng = StdRng::seed_from_u64(qlsmith::campaign_seed() ^ 0x5A5E);
+    let dice = sparql::parse_select(&format!(
+        "SELECT ?obs ?city WHERE {{ ?obs <http://purl.org/linked-data/cube#dataSet> <{}> . \
+         ?obs <{}> ?city . ?city <http://www.w3.org/2004/02/skos/core#broader> ?country . \
+         FILTER(?country = {}) }}",
+        firi("ds").as_str(),
+        firi("lv/city").as_str(),
+        fmember("K1"),
+    ))
+    .unwrap();
+    let queries = (0..200).map(|spotlight| generator.generate(&mut rng, spotlight));
+    let mut caught = 0;
+    for (index, query) in std::iter::once(dice).chain(queries).enumerate() {
+        for form in identity_plan_forms(&query) {
+            let planned = cube.endpoint.select_parsed(&form);
+            assert!(
+                check_against_identity_plan(&cube.endpoint, &form, &planned).is_none(),
+                "query {index}: the planned evaluation left textual order"
+            );
+            let unrestored = evaluate_on(&cube.endpoint, &form, evaluate_unrestored);
+            if check_against_identity_plan(&cube.endpoint, &form, &unrestored).is_some() {
+                caught += 1;
+            }
+        }
+    }
+    assert!(caught > 0, "no query exposed the unrestored plan");
 }
 
 /// An oracle with a deliberately seeded defect: whenever the program text
