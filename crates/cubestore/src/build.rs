@@ -89,7 +89,7 @@ pub struct MaterializedCube {
     /// it and re-reads its star, like a live row's.
     pub(crate) dropped_observations: Arc<BTreeSet<Term>>,
     /// Member-level `skos:broader` adjacency (child → sorted parents),
-    /// `Arc`-shared until a delta adds links for new members.
+    /// `Arc`-shared until a replay re-reads the hierarchy.
     pub(crate) broader: Arc<BTreeMap<Term, Vec<Term>>>,
     /// The dataset's `rdfs:label`, for catalog-served cube summaries.
     pub(crate) dataset_label: Option<String>,
@@ -215,8 +215,8 @@ impl MaterializedCube {
 
 /// Extends every roll-up map to cover the bottom members its column
 /// dictionary holds beyond the map's length — all of them for the empty
-/// maps a build starts from, the members that entered since for a delta
-/// refresh — so both produce identical maps. Each new entry walks the
+/// maps a build or a hierarchy re-read starts from, the members that
+/// entered since for an append replay — so all produce identical maps. Each new entry walks the
 /// `broader` links for exactly the path length the hierarchy declares (zero
 /// hops for the bottom level's identity map) and anchors the result at the
 /// target level's members: the same navigation the generated SPARQL
@@ -404,14 +404,123 @@ struct Builder<'a> {
     schema: &'a CubeSchema,
 }
 
-impl Builder<'_> {
-    /// The rows of a two-column SELECT in which both columns are bound.
-    fn bound_pairs(&self, query: &str) -> Result<Vec<(Term, Term)>, CubeStoreError> {
-        let solutions = self.endpoint.select_encoded(query)?;
-        let term = |row: &[u32], column: usize| solutions.term(*row.get(column)?).cloned();
-        Ok(solutions.rows().filter_map(|row| Some((term(row, 0)?, term(row, 1)?))).collect())
+/// The rows of a two-column SELECT in which both columns are bound.
+fn bound_pairs(endpoint: &dyn Endpoint, query: &str) -> Result<Vec<(Term, Term)>, CubeStoreError> {
+    let solutions = endpoint.select_encoded(query)?;
+    let term = |row: &[u32], column: usize| solutions.term(*row.get(column)?).cloned();
+    Ok(solutions.rows().filter_map(|row| Some((term(row, 0)?, term(row, 1)?))).collect())
+}
+
+/// The hierarchy half of a cube: everything the build reads besides the
+/// observations. A replay whose deltas touch a hierarchy triple reads it
+/// again and installs it in place of the old one; the fact columns hold
+/// bottom-member codes only, so nothing else depends on it.
+pub(crate) struct HierarchyHalf {
+    levels: BTreeMap<Iri, LevelIndex>,
+    /// One empty map per level reachable upward from each bottom level
+    /// (and the bottom itself), for [`extend_rollup_maps`] to fill.
+    rollups: BTreeMap<(Iri, Iri), RollupMap>,
+    broader: BTreeMap<Term, Vec<Term>>,
+    dataset_label: Option<String>,
+}
+
+impl HierarchyHalf {
+    /// Replaces the cube's levels, roll-up maps (empty until
+    /// [`extend_rollup_maps`] runs), adjacency and dataset label, and the
+    /// counters that describe them.
+    pub(crate) fn install(self, cube: &mut MaterializedCube) {
+        cube.stats.levels = self.levels.len();
+        cube.stats.rollup_maps = self.rollups.len();
+        cube.stats.broader_links = self.broader.values().map(Vec::len).sum();
+        cube.levels = self.levels;
+        cube.rollups = self.rollups;
+        cube.broader = Arc::new(self.broader);
+        cube.dataset_label = self.dataset_label;
+    }
+}
+
+/// Reads the hierarchy half of `schema`'s cube over the given dimension
+/// columns: the shared `rdfs:label` pairs, each level's members and one
+/// SELECT per level attribute, and the `skos:broader` adjacency.
+pub(crate) fn read_hierarchy(
+    endpoint: &dyn Endpoint,
+    schema: &CubeSchema,
+    dimensions: &[DimensionColumn],
+) -> Result<HierarchyHalf, CubeStoreError> {
+    // Display labels, read once and shared by every level index (the
+    // columnar Exploration paths serve member labels from here instead of
+    // one SPARQL lookup per member).
+    let label_pairs = bound_pairs(
+        endpoint,
+        "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
+         SELECT ?m ?v WHERE { ?m rdfs:label ?v } ORDER BY ?m ?v",
+    )?;
+    let dataset_node = Term::Iri(schema.dataset.clone());
+    let dataset_label = label_pairs
+        .iter()
+        .find(|(m, _)| m == &dataset_node)
+        .and_then(|(_, v)| v.as_literal())
+        .map(|l| l.lexical().to_string());
+
+    // Level indexes: declared members + the attribute values dices read +
+    // the display labels exploration reads. Of several values an attribute
+    // keeps the first of the `ORDER BY ?m ?v` read.
+    let mut levels: BTreeMap<Iri, LevelIndex> = BTreeMap::new();
+    for dimension in &schema.dimensions {
+        for level in dimension.levels() {
+            if levels.contains_key(level) {
+                continue;
+            }
+            let mut dictionary = Dictionary::new();
+            for member in qb4olap::members_of_level(endpoint, level)? {
+                dictionary.encode(&member);
+            }
+            let mut index = LevelIndex::new(level.clone(), dictionary);
+            for attribute in schema.level_attributes(level) {
+                let pairs = bound_pairs(
+                    endpoint,
+                    &format!(
+                        "SELECT ?m ?v WHERE {{ ?m <{}> ?v }} ORDER BY ?m ?v",
+                        attribute.iri.as_str()
+                    ),
+                )?;
+                index.set_attribute(attribute.iri.clone(), &pairs);
+            }
+            if !index.has_attribute(&rdf::vocab::rdfs::label()) {
+                index.set_attribute(rdf::vocab::rdfs::label(), &label_pairs);
+            }
+            levels.insert(level.clone(), index);
+        }
     }
 
+    // Member-level `skos:broader` adjacency, each parent list sorted.
+    let mut broader: BTreeMap<Term, Vec<Term>> = BTreeMap::new();
+    for (child, parent) in bound_pairs(
+        endpoint,
+        "PREFIX skos: <http://www.w3.org/2004/02/skos/core#>
+         SELECT ?c ?p WHERE { ?c skos:broader ?p } ORDER BY ?c ?p",
+    )? {
+        broader.entry(child).or_default().push(parent);
+    }
+
+    let mut rollups: BTreeMap<(Iri, Iri), RollupMap> = BTreeMap::new();
+    for (dimension, column) in schema.dimensions.iter().zip(dimensions) {
+        let bottom = &column.bottom_level;
+        for target in std::iter::once(bottom.clone()).chain(dimension.ancestor_levels(bottom)) {
+            let map = RollupMap::new(dimension.iri.clone(), target.clone(), Vec::new());
+            rollups.insert((dimension.iri.clone(), target), map);
+        }
+    }
+
+    Ok(HierarchyHalf {
+        levels,
+        rollups,
+        broader,
+        dataset_label,
+    })
+}
+
+impl Builder<'_> {
     fn build(self) -> Result<MaterializedCube, CubeStoreError> {
         let mut stats = BuildStats::default();
 
@@ -475,73 +584,7 @@ impl Builder<'_> {
         let row_count = observation_rows.len();
         stats.rows = row_count;
 
-        // Display labels, read once and shared by every level index (the
-        // columnar Exploration paths serve member labels from here instead
-        // of one SPARQL lookup per member).
-        let label_pairs = self.bound_pairs(
-            "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-             SELECT ?m ?v WHERE { ?m rdfs:label ?v } ORDER BY ?m ?v",
-        )?;
-        let dataset_node = Term::Iri(self.schema.dataset.clone());
-        let dataset_label = label_pairs
-            .iter()
-            .find(|(m, _)| m == &dataset_node)
-            .and_then(|(_, v)| v.as_literal())
-            .map(|l| l.lexical().to_string());
-
-        // Level indexes: declared members + the attribute values dices read
-        // + the display labels exploration reads.
-        let mut levels: BTreeMap<Iri, LevelIndex> = BTreeMap::new();
-        for dimension in &self.schema.dimensions {
-            for level in dimension.levels() {
-                if levels.contains_key(level) {
-                    continue;
-                }
-                let mut dictionary = Dictionary::new();
-                for member in qb4olap::members_of_level(self.endpoint, level)? {
-                    dictionary.encode(&member);
-                }
-                let mut index = LevelIndex::new(level.clone(), dictionary);
-                for attribute in self.schema.level_attributes(level) {
-                    let pairs = self.bound_pairs(&format!(
-                        "SELECT ?m ?v WHERE {{ ?m <{}> ?v }} ORDER BY ?m ?v",
-                        attribute.iri.as_str()
-                    ))?;
-                    index.set_attribute(attribute.iri.clone(), &pairs);
-                }
-                if !index.has_attribute(&rdf::vocab::rdfs::label()) {
-                    index.set_attribute(rdf::vocab::rdfs::label(), &label_pairs);
-                }
-                levels.insert(level.clone(), index);
-            }
-        }
-        stats.levels = levels.len();
-
-        // Member-level `skos:broader` adjacency, read once and retained on
-        // the cube (incremental maintenance and exploration replay it).
-        let mut broader: BTreeMap<Term, Vec<Term>> = BTreeMap::new();
-        for (child, parent) in self.bound_pairs(
-            "PREFIX skos: <http://www.w3.org/2004/02/skos/core#>
-             SELECT ?c ?p WHERE { ?c skos:broader ?p } ORDER BY ?c ?p",
-        )? {
-            broader.entry(child).or_default().push(parent);
-            stats.broader_links += 1;
-        }
-
-        // Roll-up maps: one per level reachable upward from the bottom (and
-        // the bottom itself), empty here and filled below by
-        // `extend_rollup_maps` — the same extender incremental maintenance
-        // runs when new bottom members arrive.
-        let mut rollups: BTreeMap<(Iri, Iri), RollupMap> = BTreeMap::new();
-        for (dimension, column) in self.schema.dimensions.iter().zip(&dimensions) {
-            let bottom = &column.bottom_level;
-            for target in std::iter::once(bottom.clone()).chain(dimension.ancestor_levels(bottom)) {
-                let map = RollupMap::new(dimension.iri.clone(), target.clone(), Vec::new());
-                rollups.insert((dimension.iri.clone(), target), map);
-            }
-        }
-        stats.rollup_maps = rollups.len();
-
+        let hierarchy = read_hierarchy(self.endpoint, self.schema, &dimensions)?;
         let zones = ZoneMaps::build(&dimensions, row_count);
 
         let mut cube = MaterializedCube {
@@ -550,16 +593,17 @@ impl Builder<'_> {
             row_count,
             dimensions,
             measures,
-            levels,
-            rollups,
+            levels: BTreeMap::new(),
+            rollups: BTreeMap::new(),
             observations: ObservationIndex::from_map(observation_rows),
             dropped_observations: Arc::new(dropped_observations),
-            broader: Arc::new(broader),
-            dataset_label,
+            broader: Arc::default(),
+            dataset_label: None,
             tombstones: Tombstones::new(),
             zones,
             stats,
         };
+        hierarchy.install(&mut cube);
         extend_rollup_maps(&mut cube);
         Ok(cube)
     }
