@@ -46,7 +46,7 @@ use rdf::Iri;
 use sparql::Endpoint;
 
 use crate::build::MaterializedCube;
-use crate::error::{CubeStoreError, DeltaRefusal};
+use crate::error::CubeStoreError;
 use crate::overlay::CubeSnapshot;
 
 /// How the catalog brought an entry up to date.
@@ -84,9 +84,10 @@ impl MaintenanceStrategy {
 /// Why a refresh re-materialized instead of (or after) replaying deltas.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RebuildReason {
-    /// The delta classifier refused; the typed refusal says why (see the
-    /// decision table in the [`crate::delta`] module docs).
-    DeltaRefused(DeltaRefusal),
+    /// A delta inserted or removed a schema or structure triple, which no
+    /// replay applies (see the decision table in the [`crate::delta`]
+    /// module docs); the detail names the triple's predicate.
+    DeltaRefused(String),
     /// The change log does not reach back to the cube's epoch (log
     /// disabled, reset, or trimmed past it).
     ChangeLogGap,
@@ -107,7 +108,7 @@ pub enum RebuildReason {
 impl fmt::Display for RebuildReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RebuildReason::DeltaRefused(refusal) => write!(f, "{refusal}"),
+            RebuildReason::DeltaRefused(detail) => write!(f, "{detail}"),
             RebuildReason::ChangeLogGap => {
                 write!(f, "change log does not cover the cube's epoch")
             }
@@ -180,9 +181,11 @@ fn member_total(cube: &MaterializedCube) -> usize {
 }
 
 /// What a delta replay added on top of its input: rows appended, rows
-/// tombstoned, members added. `apply_delta` only ever adds, so an axis
-/// that shrank means the replay mis-merged: it is refused as a fold
-/// reason, never served.
+/// tombstoned, members added. `apply_delta` only ever adds physical rows
+/// and tombstones, so either count shrinking means the replay mis-merged:
+/// it is refused as a fold reason, never served. Members are no such
+/// check: a replay that re-reads the hierarchy may remove some, and the
+/// report counts the net gain, as a fold's does.
 fn replay_growth(
     input: &MaterializedCube,
     replayed: &MaterializedCube,
@@ -197,7 +200,7 @@ fn replay_growth(
     Ok((
         grown("row-count", replayed.row_count(), input.row_count())?,
         grown("tombstone-count", replayed.tombstoned_rows(), input.tombstoned_rows())?,
-        grown("member-count", member_total(replayed), member_total(input))?,
+        member_total(replayed).saturating_sub(member_total(input)),
     ))
 }
 
@@ -318,7 +321,8 @@ impl SlotInner {
 type EntrySlot = Arc<SlotInner>;
 
 /// Records one maintenance decision into the registry: a per-strategy
-/// counter, the refusal kind when a refused delta forced a rebuild,
+/// counter, `catalog.refusal.schema-structure` when a refused delta forced
+/// a rebuild,
 /// refresh latency, per-field totals, and the live-row fraction of the
 /// cube now being served. A free function (not a method) because the
 /// background fold thread outlives any `&self` borrow of the catalog.
@@ -330,10 +334,8 @@ fn record_report_metrics(
     metrics
         .counter(&format!("catalog.refresh.{}", report.strategy.name()))
         .inc();
-    if let Some(RebuildReason::DeltaRefused(refusal)) = &report.reason {
-        metrics
-            .counter(&format!("catalog.refusal.{}", refusal.kind.name()))
-            .inc();
+    if let Some(RebuildReason::DeltaRefused(_)) = &report.reason {
+        metrics.counter("catalog.refusal.schema-structure").inc();
     }
     metrics
         .histogram("catalog.refresh.duration_ns")
@@ -860,7 +862,7 @@ mod tests {
 
     use crate::executor::CubeQuery;
     use crate::overlay::SinceFold;
-    use crate::testutil::{fixture, iri, member, observation_triples, run};
+    use crate::testutil::{fixture, iri, member, observation_triples, run, structure_triple};
 
     use super::*;
 
@@ -941,30 +943,19 @@ mod tests {
     fn unappliable_deltas_fall_back_to_a_reported_rebuild() {
         let (endpoint, schema, catalog) = setup();
         served(&catalog, &endpoint, &schema);
-        // Cut a roll-up link: the ragged mutation the delta path refuses.
-        assert!(endpoint
-            .store()
-            .remove(&qb4olap::rollup_triple(&member("c1"), &member("K1"))));
+        // A structure triple: the one change the delta path refuses.
+        endpoint.insert_triples(&[structure_triple()]).unwrap();
         let fresh = served(&catalog, &endpoint, &schema);
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);
         let reason = report.reason.unwrap();
-        assert!(
-            matches!(
-                &reason,
-                RebuildReason::DeltaRefused(refusal)
-                    if refusal.kind == crate::RefusalKind::RollupLinkRemoved
-            ),
-            "{reason}"
+        assert!(matches!(&reason, RebuildReason::DeltaRefused(_)), "{reason}");
+        assert!(reason.to_string().contains("structure triple inserted"), "{reason}");
+        let scratch = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
+        assert_eq!(
+            run(&fresh, &CubeQuery::default()).unwrap(),
+            run(&scratch, &CubeQuery::default()).unwrap()
         );
-        assert!(reason.to_string().contains("roll-up link removed"));
-        // c1 is now ragged: its observations drop out of the country roll-up.
-        let query = CubeQuery {
-            rollups: BTreeMap::from([(iri("dim/city"), iri("lv/country"))]),
-            ..CubeQuery::default()
-        };
-        let cells = run(&fresh, &query).unwrap().into_cells();
-        assert!(!cells.iter().any(|c| c.coordinates[0] == member("K1")));
     }
 
     #[test]
@@ -1156,12 +1147,10 @@ mod tests {
     fn serve_decisions_feed_the_metrics_registry() {
         let (endpoint, schema, catalog) = setup();
         served(&catalog, &endpoint, &schema);
-        // Delta append, then a refused delta (cut roll-up link) → rebuild.
+        // Delta append, then a refused delta (structure triple) → rebuild.
         endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
         served(&catalog, &endpoint, &schema);
-        assert!(endpoint
-            .store()
-            .remove(&qb4olap::rollup_triple(&member("c1"), &member("K1"))));
+        endpoint.insert_triples(&[structure_triple()]).unwrap();
         served(&catalog, &endpoint, &schema);
         // Unchanged serve → hit.
         served(&catalog, &endpoint, &schema);
@@ -1171,7 +1160,7 @@ mod tests {
         assert_eq!(snapshot.counter("catalog.refresh.delta"), 1);
         assert_eq!(snapshot.counter("catalog.refresh.rebuild"), 1);
         assert_eq!(snapshot.counter("catalog.refresh.compaction"), 0);
-        assert_eq!(snapshot.counter("catalog.refusal.rollup-link-removed"), 1);
+        assert_eq!(snapshot.counter("catalog.refusal.schema-structure"), 1);
         // The rebuild's settled serve pins twice: stale, then folded.
         assert_eq!(snapshot.counter("catalog.overlay.serve_calls"), 5);
         assert_eq!(snapshot.counter("catalog.overlay.hits"), 2);
@@ -1364,9 +1353,7 @@ mod tests {
             endpoint.insert_triples(&observation_triples(name, "c2", "m2", 2, 2)).unwrap();
             catalog.serve_snapshot(&endpoint, &schema).unwrap();
         }
-        assert!(endpoint
-            .store()
-            .remove(&qb4olap::rollup_triple(&member("c1"), &member("K1"))));
+        endpoint.insert_triples(&[structure_triple()]).unwrap();
         let folded = served(&catalog, &endpoint, &schema);
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);
@@ -1392,6 +1379,15 @@ mod tests {
             panic!("a shrinking replay must be refused");
         };
         assert!(detail.contains("row-count underflow"), "{detail}");
+
+        // Members are no such check: a replay that re-reads the hierarchy
+        // may remove some, and the report counts the net gain, none here.
+        assert!(endpoint
+            .store()
+            .remove(&qb4olap::member_of_triple(&member("m2"), &iri("lv/month"))));
+        let fewer_members = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
+        assert!(member_total(&fewer_members) < member_total(&smaller));
+        assert_eq!(replay_growth(&smaller, &fewer_members), Ok((1, 0, 0)));
     }
 
     #[test]
@@ -1412,10 +1408,8 @@ mod tests {
         let (endpoint, schema, catalog) = setup();
         served(&catalog, &endpoint, &schema);
         let before_epoch = endpoint.epoch();
-        // Cut a roll-up link: structural, refused by the delta classifier.
-        assert!(endpoint
-            .store()
-            .remove(&qb4olap::rollup_triple(&member("c1"), &member("K1"))));
+        // A structure triple, refused by the delta classifier.
+        endpoint.insert_triples(&[structure_triple()]).unwrap();
 
         let stale = catalog.serve_snapshot(&endpoint, &schema).unwrap();
         // The reader was never blocked: it got the pre-mutation pin.
@@ -1733,10 +1727,7 @@ mod tests {
         };
         let catalog = CubeCatalog::new();
         let built = catalog.serve_snapshot(&flaky, &schema).unwrap();
-        assert!(flaky
-            .inner
-            .store()
-            .remove(&qb4olap::rollup_triple(&member("c1"), &member("K1"))));
+        flaky.inner.insert_triples(&[structure_triple()]).unwrap();
 
         // The refused delta hands off to a fold that fails: readers keep
         // the stale pin, the failure is counted and the claim released.

@@ -1,65 +1,53 @@
 //! Incremental maintenance: applies recorded store deltas
 //! ([`rdf::StoreDelta`]) to a [`MaterializedCube`], reading back from the
-//! endpoint only the stars of the observations the deltas touch.
+//! endpoint only what the deltas touch, with the build's own code.
 //!
-//! The delta path handles every *pure-data* mutation — appending new
-//! observations (any measure type: float aggregation is order-independent
-//! via [`sparql::NumericSum`], so append order cannot diverge from a
-//! rebuild's row order), introducing brand-new members (with their
-//! roll-up links, labels and attribute values), and any insert or removal
-//! of an observation's fact triples — by extending the copy-on-write
-//! columns and roll-up maps and tombstoning removed rows. Observation
-//! changes follow one rule. A fact triple (`rdf:type qb:Observation`, a
-//! `qb:dataSet` link to this cube's dataset, a dimension or a measure
-//! value), inserted or removed, whose subject the cube holds — a live row
-//! or a recorded drop — *forgets* that node: the row is tombstoned or the
-//! drop un-recorded, and the node's [`crate::BuildStats`] reversed. The
-//! node then joins the replay's read set, as does a node newly linked to
-//! the dataset; a node whose link the delta removed stays out of it. After
-//! the last delta the read set's stars are read in one pivot SELECT
-//! (`qb::load_observations` restricted by a `VALUES` block) and classified
-//! and encoded by the build's fact encoder, so every star ends up exactly
-//! as a fresh build leaves it: complete → appended, otherwise → recorded
-//! as dropped, not returned (unlinked) → invisible. Mutations the path
-//! cannot replay with bit-identical results — structure, hierarchy and
-//! attribute changes — refuse with [`CubeStoreError::DeltaUnsupported`],
-//! whose typed [`DeltaRefusal`] becomes the rebuild reason in the
-//! catalog's maintenance report, so a wrong classification can cost a
-//! rebuild but never correctness.
+//! A replay sorts each default-graph triple of each delta, inserted or
+//! removed, into one of four cases:
+//!
+//! * A **schema or structure** triple (`qb:*` components, `qb4o:*`
+//!   structure) refuses with [`CubeStoreError::DeltaUnsupported`]; the
+//!   catalog folds, so a wrong classification can cost a rebuild but never
+//!   correctness.
+//! * A **fact** triple (`rdf:type qb:Observation`, a `qb:dataSet` link to
+//!   this cube's dataset, a dimension or a measure value) whose subject the
+//!   cube holds — a live row or a recorded drop — *forgets* that node: the
+//!   row is tombstoned or the drop un-recorded, and the node's
+//!   [`crate::BuildStats`] reversed. The node then joins the replay's read
+//!   set, as does a node newly linked to the dataset; a node whose link the
+//!   delta removed stays out of it. After the last delta the read set's
+//!   stars are read in one pivot SELECT (`qb::load_observations` restricted
+//!   by a `VALUES` block) and classified and encoded by the build's fact
+//!   encoder: complete → appended, otherwise → recorded as dropped, not
+//!   returned (unlinked) → invisible.
+//! * A **hierarchy** triple (`skos:broader`, `qb4o:memberOf` into one of
+//!   the cube's levels, a tracked level attribute, `rdfs:label`) marks the
+//!   replay hierarchy-dirty. After the star read a dirty replay reads the
+//!   build's hierarchy half once (`read_hierarchy` in `build.rs`), installs
+//!   it in place of the old levels, adjacency and dataset label, and
+//!   refills every roll-up map from empty. The fact columns, their
+//!   dictionaries, the zone maps and the tombstones stay shared: they hold
+//!   bottom-member codes, which no hierarchy change moves.
+//! * **Anything else** is skipped.
+//!
+//! Every cube a replay returns is therefore what a fresh build of the
+//! store would hold, the physical row order aside.
 //!
 //! # Delta-vs-rebuild decision table
 //!
-//! What is appliable, what is refused, and why. The refusal kinds are the
-//! [`RefusalKind`] variants; `tests::refusal_kinds_match_the_decision_table`
-//! keeps this table and the classifier in sync. (EXPERIMENTS.md §E13
-//! measures the cost difference between the two columns.)
+//! (EXPERIMENTS.md §E13 and §E29 measure the cost of each row.)
 //!
-//! | Mutation | Decision | Refusal kind / rationale |
+//! | Triple | Decision | What the replay does |
 //! |---|---|---|
-//! | Insert a new observation (complete or not) over known members | **apply**: read its star; a complete one extends each column's tail, any other is recorded as dropped | — |
-//! | Insert a complete new observation referencing a brand-new member | **apply**: extend level index, adjacency and roll-up maps, then append | — |
-//! | Insert the rest of an observation whose fragment was stored unlinked (before the build, or by an earlier delta of the replay) | **apply**: the star read sees the whole star, fragment included | — |
-//! | Insert or remove a fact triple (type, this dataset's link, a dimension or measure value) of an observation the cube holds, live or dropped, in one delta or spread over several | **apply**: forget the node (tombstone the row or un-record the drop), read its star after the last delta, classify it like the build | — |
-//! | Remove the `qb:dataSet` link of an observation the cube holds | **apply**: forget it; a fresh build cannot see it, so its star is not read | — |
-//! | A dimension or measure with several values | **apply**: the star read keeps the least `Term`, whatever order the endpoint reports them in, as a fresh build does | — |
-//! | Insert `qb4o:memberOf` for a fresh term | **apply**: add to the level index | — |
-//! | Insert `skos:broader` for a fresh (not yet materialized) child | **apply**: extend the adjacency | — |
-//! | Insert an attribute/label value filling an empty slot | **apply**: set the slot | — |
-//! | Append to a populated **float** measure column | **apply**: extend the tail — SUM/AVG go through the order-independent compensated accumulator, so append order cannot move any aggregate off a rebuild's result by even an ulp | — |
-//! | Insert/remove a schema or hierarchy-structure triple (`qb:*` components, `qb4o:*` structure) | refuse | [`RefusalKind::SchemaStructure`] — every roll-up map could change |
-//! | Add a `skos:broader` link to an existing member | refuse | [`RefusalKind::RollupLinkAdded`] — frozen roll-up entries could change |
-//! | Remove a `skos:broader` link of a known member | refuse | [`RefusalKind::RollupLinkRemoved`] — ragged-hierarchy drops must be recomputed |
-//! | Remove a `qb4o:memberOf` declaration | refuse | [`RefusalKind::MemberRemoved`] |
-//! | Declare a member for a term already in the fact columns / reachable in the hierarchy | refuse | [`RefusalKind::MemberConflict`] — its frozen roll-up entries were computed without the declaration |
-//! | Attribute value conflicting with the materialized one | refuse | [`RefusalKind::AttributeConflict`] (first-value-wins needs build order) |
-//! | Remove an attribute value / change or remove the dataset label | refuse | [`RefusalKind::AttributeRemoved`] / [`RefusalKind::DatasetLabelChanged`] |
-//! | Attribute value for a member the cube never saw (a node of the read set included) | refuse | [`RefusalKind::UnknownMemberAttribute`] — it may matter to a member of a later delta |
-//! | Anything in a named graph, a `qb:dataSet` link to another dataset, or triples invisible to the materialization | **skip** (no-op) | the cube materializes this dataset's default-graph stars only |
+//! | Schema or structure (`qb:*` components, `qb4o:*` structure) | **rebuild** | refuses; the catalog folds |
+//! | Fact triple of an observation (type, this dataset's link, a dimension or measure value) | **apply** | forgets the node if the cube holds it, then re-reads its star after the last delta |
+//! | Hierarchy (`skos:broader`, `qb4o:memberOf` into a cube level, a tracked level attribute, `rdfs:label`) | **apply** | re-reads the hierarchy half once, after the star read, and refills every roll-up map |
+//! | Anything else (a named graph, a link to another dataset, other predicates) | **skip** | nothing: the cube materializes this dataset's default-graph stars only |
 //!
-//! Batching does not matter. A removal spread over several
-//! `Store::remove` calls arrives as several deltas; whether one replay
-//! covers them all or a serve lands between them, each replay forgets the
-//! node and re-reads what is left of it at its epoch.
+//! Batching does not matter. A change spread over several `Store::remove`
+//! or `insert` calls arrives as several deltas; whether one replay covers
+//! them all or a serve lands between them, each replay re-reads what is
+//! there at its epoch.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -68,8 +56,8 @@ use rdf::vocab::{qb, qb4o, rdf as rdfv, rdfs, skos};
 use rdf::{Iri, StoreDelta, Term, Triple};
 use sparql::Endpoint;
 
-use crate::build::{extend_rollup_maps, FactEncoder, MaterializedCube};
-use crate::error::{CubeStoreError, DeltaRefusal, RefusalKind};
+use crate::build::{extend_rollup_maps, read_hierarchy, FactEncoder, MaterializedCube};
+use crate::error::CubeStoreError;
 
 /// The nodes whose stars a replay reads back after its last delta: those a
 /// delta newly linked to the dataset and those it forgot without unlinking.
@@ -80,24 +68,25 @@ impl MaterializedCube {
     ///
     /// On success the result is query-equivalent to a fresh
     /// [`MaterializedCube::from_endpoint`] over the mutated store. On
-    /// [`CubeStoreError::DeltaUnsupported`] the cube is untouched and the
-    /// caller should rebuild (the [`DeltaRefusal`] is the reason). Deltas
+    /// [`CubeStoreError::DeltaUnsupported`] (a schema or structure
+    /// triple) the cube is untouched and the caller should rebuild. Deltas
     /// of named graphs are skipped: the cube materializes the default
     /// graph, which is all the local SPARQL engine queries.
     ///
-    /// One read per replay: the deltas are classified in order, and after
-    /// the last one the stars of the nodes they newly linked to the
-    /// dataset or forgot are read from `endpoint` in one pivot SELECT and
-    /// pushed through the build's fact encoder. The read sees the store as
-    /// it is when it runs, so the result stands for the last delta's epoch
-    /// only if the store has not moved since; the catalog publishes it
-    /// only then. A replay that touches no observation reads nothing.
+    /// The deltas are classified in order; after the last one the stars of
+    /// the nodes they newly linked to the dataset or forgot are read from
+    /// `endpoint` in one pivot SELECT, and if a hierarchy triple was among
+    /// them the hierarchy half is read from the same `endpoint`. The reads
+    /// see the store as it is when they run, so the result stands for the
+    /// last delta's epoch only if the store has not moved since; the
+    /// catalog publishes it only then. A replay that touches no observation
+    /// and no hierarchy triple reads nothing.
     ///
     /// The returned cube shares every untouched component with `self`
     /// (copy-on-write): a pure observation append copies only each
     /// column's mutable tail and the small observation-index overlay, a
     /// whole-observation removal additionally copies the tombstone words —
-    /// never the sealed column segments, dictionaries or roll-up maps.
+    /// never the sealed column segments, dictionaries or level indexes.
     pub fn apply_delta(
         &self,
         deltas: &[StoreDelta],
@@ -106,13 +95,17 @@ impl MaterializedCube {
         let context = DeltaContext::for_cube(self);
         let mut cube = self.clone();
         let mut reads = ReadSet::new();
+        let mut hierarchy_dirty = false;
         for delta in deltas {
             if delta.graph.is_some() {
                 continue;
             }
-            apply_one(&mut cube, &context, &mut reads, delta)?;
+            hierarchy_dirty |= apply_one(&mut cube, &context, &mut reads, delta)?;
         }
         read_stars(&mut cube, endpoint, &reads)?;
+        if hierarchy_dirty {
+            read_hierarchy(endpoint, &cube.schema, &cube.dimensions)?.install(&mut cube);
+        }
         extend_rollup_maps(&mut cube);
         // Extend the zone maps over whatever rows the read appended:
         // O(appended rows), touching only each map's tail entries. A
@@ -124,15 +117,25 @@ impl MaterializedCube {
     }
 }
 
+/// The four cases of the decision table; a schema or structure triple is
+/// the classifier's error.
+enum TripleKind {
+    Fact,
+    Hierarchy,
+    Other,
+}
+
 /// Predicate classification tables, computed once per `apply_delta` call.
 struct DeltaContext {
-    /// Predicates that define schema/hierarchy structure: any effective
-    /// insert or removal using them forces a rebuild.
+    /// Predicates that define schema structure: any insert or removal
+    /// using them forces a rebuild.
     schema_predicates: BTreeSet<Iri>,
     /// Per-dimension bottom-level observation properties, in column order.
     bottom_order: Vec<Iri>,
     /// Measure properties, in column order.
     measure_order: Vec<Iri>,
+    /// The cube's levels: a `qb4o:memberOf` into one is a hierarchy triple.
+    levels: BTreeSet<Iri>,
     /// Attributes tracked on some level index (declared attributes plus the
     /// `rdfs:label` store exploration reads).
     tracked_attributes: BTreeSet<Iri>,
@@ -164,11 +167,6 @@ impl DeltaContext {
         ]
         .into_iter()
         .collect();
-        let tracked_attributes = cube
-            .levels
-            .values()
-            .flat_map(|index| index.attribute_iris().cloned())
-            .collect();
         DeltaContext {
             schema_predicates,
             bottom_order: cube
@@ -177,9 +175,38 @@ impl DeltaContext {
                 .map(|c| c.bottom_level.clone())
                 .collect(),
             measure_order: cube.measures.iter().map(|m| m.property.clone()).collect(),
-            tracked_attributes,
+            levels: cube.levels.keys().cloned().collect(),
+            tracked_attributes: cube
+                .levels
+                .values()
+                .flat_map(|index| index.attribute_iris().cloned())
+                .collect(),
             dataset: Term::Iri(cube.schema.dataset.clone()),
         }
+    }
+
+    /// Sorts one triple into its case; a schema or structure triple
+    /// refuses. `change` says whether it was inserted or removed.
+    fn classify(&self, triple: &Triple, change: &str) -> Result<TripleKind, CubeStoreError> {
+        let predicate = &triple.predicate;
+        if self.schema_predicates.contains(predicate) {
+            return Err(CubeStoreError::DeltaUnsupported(format!(
+                "schema/structure triple {change} (<{}>)",
+                predicate.as_str()
+            )));
+        }
+        Ok(if self.is_fact_triple(triple) {
+            TripleKind::Fact
+        } else if *predicate == skos::broader()
+            || *predicate == rdfs::label()
+            || self.tracked_attributes.contains(predicate)
+            || (*predicate == qb4o::member_of()
+                && matches!(&triple.object, Term::Iri(level) if self.levels.contains(level)))
+        {
+            TripleKind::Hierarchy
+        } else {
+            TripleKind::Other
+        })
     }
 
     /// True if the triple is part of what the materialization reads off an
@@ -192,25 +219,6 @@ impl DeltaContext {
             || self.bottom_order.contains(predicate)
             || self.measure_order.contains(predicate)
     }
-}
-
-fn unsupported(kind: RefusalKind, detail: impl Into<String>) -> CubeStoreError {
-    CubeStoreError::DeltaUnsupported(DeltaRefusal::new(kind, detail))
-}
-
-/// True if the term is dictionary-encoded in some fact column: its roll-up
-/// map entries are already frozen, so hierarchy changes around it cannot be
-/// replayed incrementally.
-fn term_in_columns(cube: &MaterializedCube, term: &Term) -> bool {
-    cube.dimensions
-        .iter()
-        .any(|column| column.dictionary.id(term).is_some())
-}
-
-/// True if the term appears as a parent in the broader adjacency: existing
-/// members' roll-up walks can pass through it.
-fn is_adjacency_parent(cube: &MaterializedCube, term: &Term) -> bool {
-    cube.broader.values().any(|parents| parents.contains(term))
 }
 
 /// Forgets a node the cube holds: tombstones its live row or un-records its
@@ -229,195 +237,47 @@ fn forget(cube: &mut MaterializedCube, node: &Term) -> bool {
     true
 }
 
+/// Classifies one delta's triples, removals first: fact triples forget
+/// nodes and grow the read set. Returns whether a hierarchy triple was
+/// among them.
 fn apply_one(
     cube: &mut MaterializedCube,
     context: &DeltaContext,
     reads: &mut ReadSet,
     delta: &StoreDelta,
-) -> Result<(), CubeStoreError> {
+) -> Result<bool, CubeStoreError> {
+    let mut hierarchy_dirty = false;
     for triple in &delta.removed {
-        if !context.is_fact_triple(triple) {
-            check_removal(cube, context, triple)?;
-        } else if triple.predicate == qb::data_set() {
-            // Unlinked from the dataset, it is invisible: nothing to read.
-            forget(cube, &triple.subject);
-            reads.remove(&triple.subject);
-        } else if forget(cube, &triple.subject) {
-            reads.insert(triple.subject.clone());
+        match context.classify(triple, "removed")? {
+            TripleKind::Fact if triple.predicate == qb::data_set() => {
+                // Unlinked from the dataset, it is invisible: nothing to read.
+                forget(cube, &triple.subject);
+                reads.remove(&triple.subject);
+            }
+            TripleKind::Fact => {
+                if forget(cube, &triple.subject) {
+                    reads.insert(triple.subject.clone());
+                }
+            }
+            TripleKind::Hierarchy => hierarchy_dirty = true,
+            TripleKind::Other => {}
         }
     }
-    if delta.inserted.is_empty() {
-        return Ok(());
-    }
-
-    // Classify every inserted triple against the state so far.
-    let mut new_members: Vec<(Term, Iri)> = Vec::new();
-    let mut new_broader: Vec<(Term, Term)> = Vec::new();
-    let mut attribute_inserts: Vec<&Triple> = Vec::new();
     for triple in &delta.inserted {
-        let predicate = &triple.predicate;
-        if context.schema_predicates.contains(predicate) {
-            return Err(unsupported(
-                RefusalKind::SchemaStructure,
-                format!("schema/hierarchy triple inserted (<{}>)", predicate.as_str()),
-            ));
-        }
-        if *predicate == skos::broader() {
-            if cube.broader.contains_key(&triple.subject)
-                || is_adjacency_parent(cube, &triple.subject)
-                || term_in_columns(cube, &triple.subject)
-            {
-                return Err(unsupported(
-                    RefusalKind::RollupLinkAdded,
-                    format!("roll-up link added to existing member {}", triple.subject),
-                ));
-            }
-            new_broader.push((triple.subject.clone(), triple.object.clone()));
-            continue;
-        }
-        if *predicate == qb4o::member_of() {
-            let Term::Iri(level) = &triple.object else {
-                continue;
-            };
-            let Some(index) = cube.levels.get(level) else {
-                continue; // a level of some other cube
-            };
-            if index.dictionary.id(&triple.subject).is_some() {
-                continue;
-            }
-            if term_in_columns(cube, &triple.subject) {
-                return Err(unsupported(
-                    RefusalKind::MemberConflict,
-                    format!(
-                        "member {} declared for a term already present in the fact columns",
-                        triple.subject
-                    ),
-                ));
-            }
-            if is_adjacency_parent(cube, &triple.subject) {
-                return Err(unsupported(
-                    RefusalKind::MemberConflict,
-                    format!(
-                        "member {} declared for a term already reachable in the hierarchy",
-                        triple.subject
-                    ),
-                ));
-            }
-            new_members.push((triple.subject.clone(), level.clone()));
-            continue;
-        }
-        if context.is_fact_triple(triple) {
+        match context.classify(triple, "inserted")? {
             // A node the cube holds is forgotten and re-read; a node newly
             // linked to the dataset is read. Any other node's star is read
             // once a delta links it.
-            if forget(cube, &triple.subject) || *predicate == qb::data_set() {
-                reads.insert(triple.subject.clone());
-            }
-            continue;
-        }
-        if context.tracked_attributes.contains(predicate) {
-            attribute_inserts.push(triple);
-            continue;
-        }
-        // Anything else (owl:sameAs links, other types, notations, other
-        // datasets' triples, ...) is invisible to the materialization.
-    }
-
-    // Apply in dependency order: members, hierarchy links, then attribute
-    // values. Observations are appended by the star read, and the roll-up
-    // maps extended, after the last delta.
-    for (member, level) in &new_members {
-        let index = cube.levels.get_mut(level).expect("level classified above");
-        index.add_member(member);
-    }
-    for (child, parent) in new_broader {
-        // Keep each parent list sorted, exactly as the `ORDER BY ?c ?p`
-        // read at build time leaves it.
-        let parents = Arc::make_mut(&mut cube.broader).entry(child).or_default();
-        if let Err(position) = parents.binary_search(&parent) {
-            parents.insert(position, parent);
-            cube.stats.broader_links += 1;
-        }
-    }
-    for triple in attribute_inserts {
-        apply_attribute_insert(cube, context, triple)?;
-    }
-    Ok(())
-}
-
-fn check_removal(
-    cube: &MaterializedCube,
-    context: &DeltaContext,
-    triple: &Triple,
-) -> Result<(), CubeStoreError> {
-    let predicate = &triple.predicate;
-    if context.schema_predicates.contains(predicate) {
-        return Err(unsupported(
-            RefusalKind::SchemaStructure,
-            format!("schema/hierarchy triple removed (<{}>)", predicate.as_str()),
-        ));
-    }
-    if *predicate == skos::broader() {
-        if cube
-            .broader
-            .get(&triple.subject)
-            .is_some_and(|parents| parents.contains(&triple.object))
-        {
-            return Err(unsupported(
-                RefusalKind::RollupLinkRemoved,
-                format!("roll-up link removed from member {}", triple.subject),
-            ));
-        }
-        return Ok(());
-    }
-    if *predicate == qb4o::member_of() {
-        if let Term::Iri(level) = &triple.object {
-            if cube
-                .levels
-                .get(level)
-                .is_some_and(|index| index.dictionary.id(&triple.subject).is_some())
-            {
-                return Err(unsupported(
-                    RefusalKind::MemberRemoved,
-                    format!(
-                        "member {} removed from level <{}>",
-                        triple.subject,
-                        level.as_str()
-                    ),
-                ));
-            }
-        }
-        return Ok(());
-    }
-    if cube.observations.contains(&triple.subject) {
-        // Fact triples never reach here; what does on an observation node
-        // are irrelevant decorations (labels etc.).
-        return Ok(());
-    }
-    if context.tracked_attributes.contains(predicate) {
-        if *predicate == rdfs::label() && triple.subject == context.dataset {
-            let removed = triple.object.as_literal().map(|l| l.lexical());
-            if cube.dataset_label.as_deref() == removed {
-                return Err(unsupported(
-                    RefusalKind::DatasetLabelChanged,
-                    "dataset label removed",
-                ));
-            }
-            return Ok(());
-        }
-        for index in cube.levels.values() {
-            if let Some(id) = index.dictionary.id(&triple.subject) {
-                if index.attribute_value(predicate, id) == Some(&triple.object) {
-                    return Err(unsupported(
-                        RefusalKind::AttributeRemoved,
-                        format!("attribute value removed from member {}", triple.subject),
-                    ));
+            TripleKind::Fact => {
+                if forget(cube, &triple.subject) || triple.predicate == qb::data_set() {
+                    reads.insert(triple.subject.clone());
                 }
             }
+            TripleKind::Hierarchy => hierarchy_dirty = true,
+            TripleKind::Other => {}
         }
-        return Ok(());
     }
-    Ok(())
+    Ok(hierarchy_dirty)
 }
 
 /// Reads the stars of the replay's read set in one pivot SELECT and
@@ -452,72 +312,6 @@ fn read_stars(
     Ok(())
 }
 
-fn apply_attribute_insert(
-    cube: &mut MaterializedCube,
-    context: &DeltaContext,
-    triple: &Triple,
-) -> Result<(), CubeStoreError> {
-    if triple.subject == context.dataset && triple.predicate == rdfs::label() {
-        let label = triple
-            .object
-            .as_literal()
-            .map(|l| l.lexical().to_string())
-            .ok_or_else(|| {
-                unsupported(RefusalKind::DatasetLabelChanged, "non-literal dataset label")
-            })?;
-        match &cube.dataset_label {
-            None => cube.dataset_label = Some(label),
-            Some(existing) if *existing == label => {}
-            Some(_) => {
-                return Err(unsupported(
-                    RefusalKind::DatasetLabelChanged,
-                    "dataset label changed",
-                ))
-            }
-        }
-        return Ok(());
-    }
-    if cube.observations.contains(&triple.subject) {
-        // Labels or attribute-named properties on observation nodes never
-        // reach any query; ignore them.
-        return Ok(());
-    }
-    let mut known_member = false;
-    for index in cube.levels.values_mut() {
-        let Some(id) = index.dictionary.id(&triple.subject) else {
-            continue;
-        };
-        known_member = true;
-        match index.attribute_value(&triple.predicate, id) {
-            // The attribute is not tracked on this level, or the member has
-            // no value yet: set_member_attribute handles both.
-            None => {
-                index.set_member_attribute(&triple.predicate, id, triple.object.clone());
-            }
-            Some(existing) if *existing == triple.object => {}
-            Some(_) => {
-                return Err(unsupported(
-                    RefusalKind::AttributeConflict,
-                    format!(
-                        "member {} gained a second value for attribute <{}>",
-                        triple.subject,
-                        triple.predicate.as_str()
-                    ),
-                ));
-            }
-        }
-    }
-    if !known_member {
-        // The value may matter to a member added in a *later* delta or to a
-        // future rebuild; refusing keeps the cube bit-identical with one.
-        return Err(unsupported(
-            RefusalKind::UnknownMemberAttribute,
-            format!("attribute value for unknown member {}", triple.subject),
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use qb4olap::AggregateFunction;
@@ -528,9 +322,10 @@ mod tests {
     use crate::dictionary::NO_MEMBER;
     use crate::executor::CubeQuery;
     use crate::testutil::{
-        fixture, iri, member, observation_triples, rollup_to_country, run, run_with,
+        assert_matches_scratch_build, fixture, iri, member, observation_triples,
+        rollup_to_country, run, run_with, structure_triple,
     };
-    use crate::{CubeStoreError, MaterializedCube, RefusalKind};
+    use crate::{CubeStoreError, MaterializedCube};
 
     use super::*;
 
@@ -544,31 +339,11 @@ mod tests {
         endpoint.deltas_since(epoch).expect("change log enabled")
     }
 
-    /// The refusal of an error that must be a `DeltaUnsupported`.
-    fn refusal(error: CubeStoreError) -> DeltaRefusal {
-        match error {
-            CubeStoreError::DeltaUnsupported(refusal) => refusal,
-            other => panic!("expected a delta refusal, got {other}"),
-        }
-    }
-
-    /// After a successful delta application, every query the fixture can
-    /// answer, the build counters and the dropped set must agree with a
-    /// from-scratch materialization.
+    /// After a successful delta application the cube must equal a
+    /// from-scratch materialization: results, counters, dropped set, live
+    /// rows, levels, roll-up maps, adjacency and dataset label.
     fn assert_matches_rebuild(endpoint: &LocalEndpoint, cube: &MaterializedCube) {
-        let rebuilt = MaterializedCube::from_endpoint(endpoint, cube.schema()).unwrap();
-        for query in [CubeQuery::default(), rollup_to_country()] {
-            assert_eq!(
-                run(cube, &query).unwrap(),
-                run(&rebuilt, &query).unwrap(),
-                "delta-applied cube diverges from a rebuild"
-            );
-        }
-        assert_eq!(cube.stats(), rebuilt.stats(), "build counters diverge from a rebuild");
-        assert_eq!(
-            cube.dropped_observations, rebuilt.dropped_observations,
-            "dropped set diverges from a rebuild"
-        );
+        assert_matches_scratch_build(endpoint, cube, "delta-applied cube");
     }
 
     #[test]
@@ -863,24 +638,26 @@ mod tests {
     }
 
     #[test]
-    fn an_attribute_on_a_new_observation_refuses() {
-        // The star read runs after the last delta: while the label is
-        // classified, o6 is no member the cube knows.
+    fn an_attribute_on_a_new_observation_applies() {
+        // A label is a hierarchy triple wherever it lands: the replay
+        // appends o6 and re-reads the hierarchy, which ignores a label on
+        // a node no level declares.
         let (endpoint, cube, epoch) = tracked();
         let mut o6 = observation_triples("o6", "c1", "m2", 40, 2);
         let node = o6[0].subject.clone();
-        o6.push(Triple::new(node, rdfs::label(), Literal::string("six")));
+        o6.push(Triple::new(node.clone(), rdfs::label(), Literal::string("six")));
         endpoint.insert_triples(&o6).unwrap();
-        let error = cube
+        let refreshed = cube
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        assert_eq!(refusal(error).kind, RefusalKind::UnknownMemberAttribute);
+            .unwrap();
+        assert!(refreshed.is_observation(&node));
+        assert_matches_rebuild(&endpoint, &refreshed);
     }
 
     #[test]
-    fn an_attribute_on_an_unlinked_tombstoned_node_refuses() {
+    fn an_attribute_on_an_unlinked_tombstoned_node_applies() {
         // o3 loses its dataset link (invisible, nothing read); a label on
-        // it is a value for a node the cube does not know.
+        // it re-reads the hierarchy, which does not see it either.
         let (endpoint, cube, epoch) = tracked();
         let o3 = o3_triples();
         assert_eq!(endpoint.store().remove_all(&o3[1..2]), 1);
@@ -891,10 +668,11 @@ mod tests {
                 Literal::string("three"),
             )])
             .unwrap();
-        let error = cube
+        let refreshed = cube
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        assert_eq!(refusal(error).kind, RefusalKind::UnknownMemberAttribute);
+            .unwrap();
+        assert!(!refreshed.is_observation(&o3[0].subject));
+        assert_matches_rebuild(&endpoint, &refreshed);
     }
 
     /// Builds the fixture cube over a store that also holds `early`.
@@ -985,19 +763,19 @@ mod tests {
     }
 
     #[test]
-    fn relevant_removals_force_a_rebuild() {
+    fn a_cut_roll_up_link_applies_and_makes_the_city_ragged() {
         let (endpoint, cube, epoch) = tracked();
-        // Cutting a roll-up link (the ragged-hierarchy mutation) cannot be
-        // replayed in place.
         assert!(endpoint
             .store()
             .remove(&qb4olap::rollup_triple(&member("c1"), &member("K1"))));
-        let error = cube
+        let refreshed = cube
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        let refusal = refusal(error);
-        assert_eq!(refusal.kind, RefusalKind::RollupLinkRemoved);
-        assert!(refusal.detail.contains("roll-up link removed"), "{refusal}");
+            .unwrap();
+        assert_eq!(refreshed.stats().broader_links, 1);
+        // c1's observations leave the country roll-up.
+        let cells = run(&refreshed, &rollup_to_country()).unwrap().into_cells();
+        assert!(!cells.iter().any(|c| c.coordinates[0] == member("K1")));
+        assert_matches_rebuild(&endpoint, &refreshed);
     }
 
     #[test]
@@ -1020,22 +798,31 @@ mod tests {
 
     #[test]
     fn schema_and_hierarchy_structure_changes_force_a_rebuild() {
-        let (endpoint, cube, epoch) = tracked();
-        endpoint
-            .insert_triples(&[Triple::new(
-                Term::iri("http://example.org/dsdQB4O"),
-                rdf::vocab::qb4o::has_level(),
-                Term::iri("http://example.org/lv/region"),
-            )])
-            .unwrap();
-        let error = cube
-            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        assert_eq!(refusal(error).kind, RefusalKind::SchemaStructure);
+        for removed in [false, true] {
+            let (endpoint, cube, epoch) = if removed {
+                tracked_with(&[structure_triple()])
+            } else {
+                tracked()
+            };
+            if removed {
+                assert!(endpoint.store().remove(&structure_triple()));
+            } else {
+                endpoint.insert_triples(&[structure_triple()]).unwrap();
+            }
+            let error = cube
+                .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+                .unwrap_err();
+            let CubeStoreError::DeltaUnsupported(detail) = error else {
+                panic!("expected a delta refusal, got {error}");
+            };
+            let change = if removed { "removed" } else { "inserted" };
+            assert!(detail.contains(&format!("structure triple {change}")), "{detail}");
+            assert!(detail.contains("hasLevel"), "{detail}");
+        }
     }
 
     #[test]
-    fn an_incomplete_insert_applies_and_conflicting_inserts_force_a_rebuild() {
+    fn an_incomplete_insert_and_hierarchy_inserts_apply() {
         // An observation fragment missing its measures is recorded as
         // dropped, as a fresh build records it.
         let (endpoint, cube, epoch) = tracked();
@@ -1052,15 +839,17 @@ mod tests {
         assert!(refreshed.dropped_observations.contains(&node));
         assert_matches_rebuild(&endpoint, &refreshed);
 
-        // A broader link added to an already-materialized member.
+        // A broader link added to the ragged, already-materialized c3: its
+        // observations join K2.
         let (endpoint, cube, epoch) = tracked();
         endpoint
             .insert_triples(&[qb4olap::rollup_triple(&member("c3"), &member("K2"))])
             .unwrap();
-        let error = cube
+        let refreshed = cube
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        assert_eq!(refusal(error).kind, RefusalKind::RollupLinkAdded);
+            .unwrap();
+        assert_eq!(refreshed.broader_parents(&member("c3")), &[member("K2")]);
+        assert_matches_rebuild(&endpoint, &refreshed);
 
         // An attribute value for a member the cube has never seen.
         let (endpoint, cube, epoch) = tracked();
@@ -1071,10 +860,10 @@ mod tests {
                 Literal::string("Ghost"),
             )])
             .unwrap();
-        let error = cube
+        let refreshed = cube
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        assert_eq!(refusal(error).kind, RefusalKind::UnknownMemberAttribute);
+            .unwrap();
+        assert_matches_rebuild(&endpoint, &refreshed);
     }
 
     #[test]
@@ -1097,7 +886,9 @@ mod tests {
             country.attribute_value(&iri("attr/countryName"), id),
             Some(&Term::Literal(Literal::string("Beta")))
         );
-        // A *second*, different value conflicts.
+        assert_matches_rebuild(&endpoint, &refreshed);
+        // A second, different value applies too: the slot keeps the first
+        // of the build's `ORDER BY ?m ?v` read, here still "Beta".
         let epoch = endpoint.epoch();
         endpoint
             .insert_triples(&[qb4olap::attribute_triple(
@@ -1106,10 +897,15 @@ mod tests {
                 &Term::Literal(Literal::string("Gamma")),
             )])
             .unwrap();
-        let error = refreshed
+        let conflicted = refreshed
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
-            .unwrap_err();
-        assert_eq!(refusal(error).kind, RefusalKind::AttributeConflict);
+            .unwrap();
+        let country = conflicted.level(&iri("lv/country")).unwrap();
+        assert_eq!(
+            country.attribute_value(&iri("attr/countryName"), id),
+            Some(&Term::Literal(Literal::string("Beta")))
+        );
+        assert_matches_rebuild(&endpoint, &conflicted);
     }
 
     #[test]
@@ -1290,25 +1086,48 @@ mod tests {
         assert_matches_rebuild(&endpoint, &refreshed);
     }
 
-    /// Every refusal the classifier can produce is one of the enumerated
-    /// kinds, and every kind documented in the module-level decision table
-    /// exists — this is the "tests and docs can enumerate them" guarantee
-    /// the typed refusals were introduced for.
+    /// The SELECTs `run` makes the endpoint evaluate, and its result.
+    fn selects<T>(endpoint: &LocalEndpoint, run: impl FnOnce() -> T) -> (usize, T) {
+        let before = endpoint.queries_executed();
+        let result = run();
+        (endpoint.queries_executed() - before, result)
+    }
+
+    /// The machine-independent guard that only a hierarchy triple makes a
+    /// replay read the hierarchy.
     #[test]
-    fn refusal_kinds_match_the_decision_table() {
-        let table = include_str!("delta.rs")
-            .split("# Delta-vs-rebuild decision table")
-            .nth(1)
-            .expect("module docs contain the decision table")
-            .split("use std::collections")
-            .next()
-            .expect("table precedes the code");
-        for kind in RefusalKind::ALL {
-            assert!(
-                table.contains(&format!("{kind:?}")),
-                "RefusalKind::{kind:?} is missing from the decision table in the module docs"
-            );
-        }
+    fn replays_read_the_hierarchy_only_after_a_hierarchy_triple() {
+        let (endpoint, cube, epoch) = tracked();
+        let (hierarchy, _) =
+            selects(&endpoint, || read_hierarchy(&endpoint, cube.schema(), &cube.dimensions));
+        assert_eq!(hierarchy, 6, "labels, three levels, one attribute, the adjacency");
+
+        remove_o4(&endpoint);
+        let deltas = deltas_after(&endpoint, epoch);
+        let (count, tombstoned) = selects(&endpoint, || cube.apply_delta(&deltas, &endpoint));
+        assert_eq!(count, 0, "a tombstone-only replay reads nothing");
+
+        let epoch = endpoint.epoch();
+        endpoint
+            .insert_triples(&observation_triples("o6", "c1", "m2", 40, 2))
+            .unwrap();
+        let deltas = deltas_after(&endpoint, epoch);
+        let tombstoned = tombstoned.unwrap();
+        let (count, appended) = selects(&endpoint, || tombstoned.apply_delta(&deltas, &endpoint));
+        assert_eq!(count, 1, "an append replay reads the stars alone");
+        let appended = appended.unwrap();
+        assert!(appended.levels[&iri("lv/city")]
+            .dictionary
+            .shares_storage_with(&cube.levels[&iri("lv/city")].dictionary));
+
+        let epoch = endpoint.epoch();
+        let mut batch = observation_triples("o7", "c3", "m2", 1, 1);
+        batch.push(qb4olap::rollup_triple(&member("c3"), &member("K2")));
+        endpoint.insert_triples(&batch).unwrap();
+        let deltas = deltas_after(&endpoint, epoch);
+        let (count, dirty) = selects(&endpoint, || appended.apply_delta(&deltas, &endpoint));
+        assert_eq!(count, 1 + hierarchy, "a dirty replay reads the stars, then the hierarchy");
+        assert_matches_rebuild(&endpoint, &dirty.unwrap());
     }
 
     /// A pure append's refresh must share (not copy) the heavy components

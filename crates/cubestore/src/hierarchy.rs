@@ -3,9 +3,10 @@
 //!
 //! Both structures are copy-on-write: the attribute store of a
 //! [`LevelIndex`] and the target array of a [`RollupMap`] live behind
-//! `Arc`s, so a delta refresh that adds no members (the common case)
-//! shares them outright with the previous cube, and one that does add
-//! members copies only the indexes and maps that actually grow.
+//! `Arc`s, so a replay that touches no hierarchy triple shares the level
+//! indexes outright with the previous cube and copies only the roll-up
+//! maps that grow with new bottom members. A replay that does touch one
+//! reads the levels again and refills every map.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,7 +27,7 @@ pub struct LevelIndex {
     /// the member has no value for the attribute). Only the first value of a
     /// multi-valued attribute is kept, matching the single-valued data the
     /// SPARQL backend is exercised on. `Arc`-shared between a cube and its
-    /// delta-refreshed clones until a delta mutates it.
+    /// delta-refreshed clones until a replay re-reads the hierarchy.
     attributes: Arc<BTreeMap<Iri, Vec<Option<Term>>>>,
 }
 
@@ -62,36 +63,6 @@ impl LevelIndex {
             .get(attribute)?
             .get(member as usize)?
             .as_ref()
-    }
-
-    /// Declares one more member on the level (incremental maintenance).
-    /// Every tracked attribute is extended with an empty slot. Returns the
-    /// member's id and whether it was new.
-    pub fn add_member(&mut self, member: &Term) -> (MemberId, bool) {
-        if let Some(id) = self.dictionary.id(member) {
-            return (id, false);
-        }
-        let id = self.dictionary.encode(member);
-        for values in Arc::make_mut(&mut self.attributes).values_mut() {
-            values.push(None);
-        }
-        (id, true)
-    }
-
-    /// Sets the value of a tracked attribute on one member (incremental
-    /// maintenance; the slot must currently be empty). Returns `false` when
-    /// the attribute is not tracked on this level.
-    pub fn set_member_attribute(&mut self, attribute: &Iri, member: MemberId, value: Term) -> bool {
-        if !self.attributes.contains_key(attribute) {
-            return false;
-        }
-        let values = Arc::make_mut(&mut self.attributes)
-            .get_mut(attribute)
-            .expect("checked above");
-        let slot = &mut values[member as usize];
-        debug_assert!(slot.is_none(), "delta application checked the slot is empty");
-        *slot = Some(value);
-        true
     }
 
     /// The attributes tracked on this level.

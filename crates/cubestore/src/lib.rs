@@ -55,8 +55,10 @@
 //!   `i128` integer sums plus correctly rounded compensated float sums,
 //!   shared with the SPARQL engine), so appends of *any* measure type —
 //!   floats included — replay bit-identically to a rebuild;
-//! * everything the delta classifier cannot replay bit-identically
-//!   refuses with a typed [`error::DeltaRefusal`] and falls back to a
+//! * a replay whose deltas touch the hierarchy (members, `skos:broader`
+//!   links, level attributes, labels) re-reads the build's hierarchy half
+//!   and refills every roll-up map; only a schema or structure triple
+//!   refuses ([`CubeStoreError::DeltaUnsupported`]) and falls back to a
 //!   rebuild whose [`catalog::RebuildReason`] lands in the
 //!   [`catalog::MaintenanceReport`] (the full decision table is in the
 //!   [`delta`] module docs).
@@ -101,7 +103,7 @@ pub use catalog::{
 pub use columns::{DimensionColumn, MeasureColumn, MeasureSlice, MeasureValue, MeasureVector};
 pub use cowvec::CowVec;
 pub use dictionary::{Dictionary, MemberId, AMBIGUOUS_MEMBER, NO_MEMBER};
-pub use error::{CubeStoreError, DeltaRefusal, RefusalKind};
+pub use error::CubeStoreError;
 pub use executor::{
     execute, AxisSpec, CubeCell, CubeQuery, ExecOptions, MeasureFilter, MemberFilter,
     MemberPredicate, QueryOutput, ScanStats,
@@ -120,11 +122,12 @@ pub(crate) mod testutil {
         AggregateFunction, Cardinality, CubeSchema, Dimension, Hierarchy, HierarchyStep,
         LevelAttribute, LevelComponent, MeasureSpec,
     };
-    use rdf::{Iri, Literal, Term};
+    use rdf::{Iri, Literal, Term, Triple};
     use sparql::{Endpoint, LocalEndpoint};
 
     use crate::{
-        execute, CubeQuery, CubeStoreError, ExecOptions, MaterializedCube, QueryOutput, ScanStats,
+        execute, CubeQuery, CubeStoreError, ExecOptions, LevelIndex, MaterializedCube, MemberId,
+        QueryOutput, RollupMap, ScanStats, AMBIGUOUS_MEMBER, NO_MEMBER,
     };
 
     /// [`execute`] with the default options, the output alone.
@@ -170,7 +173,6 @@ pub(crate) mod testutil {
         score: i64,
     ) -> Vec<rdf::Triple> {
         use rdf::vocab::{qb, rdf as rdfv};
-        use rdf::Triple;
         let node = Term::iri(format!("http://example.org/obs/{name}"));
         vec![
             Triple::new(node.clone(), rdfv::type_(), Term::Iri(qb::observation())),
@@ -180,6 +182,113 @@ pub(crate) mod testutil {
             Triple::new(node.clone(), iri("measure/value"), Literal::integer(value)),
             Triple::new(node, iri("measure/score"), Literal::integer(score)),
         ]
+    }
+
+    /// Observations SPARQL sees as complete in the fixture's dataset
+    /// (typed, linked, every dimension and measure bound), counted over
+    /// the live store.
+    pub(crate) fn sparql_complete_observations(endpoint: &LocalEndpoint) -> usize {
+        endpoint
+            .select(
+                "SELECT DISTINCT ?o WHERE { \
+                   ?o <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> \
+                      <http://purl.org/linked-data/cube#Observation> . \
+                   ?o <http://purl.org/linked-data/cube#dataSet> <http://example.org/ds> . \
+                   ?o <http://example.org/lv/city> ?c . \
+                   ?o <http://example.org/lv/month> ?m . \
+                   ?o <http://example.org/measure/value> ?v . \
+                   ?o <http://example.org/measure/score> ?s . }",
+            )
+            .expect("the parity count query evaluates")
+            .rows
+            .len()
+    }
+
+    /// The target of `term`'s roll-up in `map`, decoded: a term, or why
+    /// there is none. `None` if the term is not in the column dictionary.
+    fn rollup_target(cube: &MaterializedCube, map: &RollupMap, term: &Term) -> Option<String> {
+        let column = cube.dimension_column(&map.dimension)?;
+        Some(match map.target(column.dictionary.id(term)?) {
+            NO_MEMBER => "no member".to_string(),
+            AMBIGUOUS_MEMBER => "ambiguous".to_string(),
+            code => cube.levels[&map.target_level].dictionary.term(code).to_string(),
+        })
+    }
+
+    /// Asserts that `cube`, a fixture cube refreshed by replays, equals a
+    /// build of the endpoint's current store: both queries, the build
+    /// counters, the dropped set, the live rows, every level
+    /// index (members in code order and every attribute slot), every
+    /// roll-up map per bottom term (column codes differ after appends),
+    /// the `skos:broader` adjacency and the dataset label.
+    pub(crate) fn assert_matches_scratch_build(
+        endpoint: &LocalEndpoint,
+        cube: &MaterializedCube,
+        name: &str,
+    ) {
+        let scratch = MaterializedCube::from_endpoint(endpoint, cube.schema()).unwrap();
+        for query in [CubeQuery::default(), rollup_to_country()] {
+            assert_eq!(run(cube, &query), run(&scratch, &query), "{name}: query results");
+        }
+        assert_eq!(cube.stats(), scratch.stats(), "{name}: build counters");
+        assert_eq!(cube.dropped_observations, scratch.dropped_observations, "{name}: dropped set");
+        assert_eq!(cube.live_row_count(), scratch.live_row_count(), "{name}: live rows");
+        assert_eq!(
+            cube.levels.keys().collect::<Vec<_>>(),
+            scratch.levels.keys().collect::<Vec<_>>(),
+            "{name}: levels"
+        );
+        for (level, index) in &cube.levels {
+            let other = &scratch.levels[level];
+            let members = |index: &LevelIndex| -> Vec<Term> {
+                index.dictionary.iter().map(|(_, term)| term.clone()).collect()
+            };
+            assert_eq!(members(index), members(other), "{name}: members of <{level}>");
+            let attributes: Vec<&Iri> = index.attribute_iris().collect();
+            assert_eq!(attributes, other.attribute_iris().collect::<Vec<_>>(), "{name}: <{level}>");
+            for attribute in attributes {
+                for id in 0..index.member_count() as MemberId {
+                    assert_eq!(
+                        index.attribute_value(attribute, id),
+                        other.attribute_value(attribute, id),
+                        "{name}: <{attribute}> of {} on <{level}>",
+                        index.dictionary.term(id)
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            cube.rollups.keys().collect::<Vec<_>>(),
+            scratch.rollups.keys().collect::<Vec<_>>(),
+            "{name}: roll-up maps"
+        );
+        for (key, map) in &cube.rollups {
+            let column = cube.dimension_column(&map.dimension).unwrap();
+            assert_eq!(map.len(), column.dictionary.len(), "{name}: {key:?} covers its column");
+            // Every bottom term a build holds rolls up the same way; terms
+            // only the replayed cube holds belong to tombstoned rows.
+            let bottom = scratch.dimension_column(&map.dimension).unwrap();
+            for (_, term) in bottom.dictionary.iter() {
+                assert_eq!(
+                    rollup_target(cube, map, term),
+                    rollup_target(&scratch, &scratch.rollups[key], term),
+                    "{name}: {term} in {key:?}"
+                );
+            }
+        }
+        assert_eq!(cube.broader, scratch.broader, "{name}: broader adjacency");
+        assert_eq!(cube.dataset_label(), scratch.dataset_label(), "{name}: dataset label");
+    }
+
+    /// A dangling `qb4o:hasLevel` triple on the fixture schema's DSD node:
+    /// a structure triple, which no replay applies, so the next refresh
+    /// folds.
+    pub(crate) fn structure_triple() -> Triple {
+        Triple::new(
+            Term::Iri(iri("dsdQB4O")),
+            rdf::vocab::qb4o::has_level(),
+            Term::Iri(iri("lv/quarter")),
+        )
     }
 
     /// A tiny two-dimensional cube: cities (rolling up to countries) ×

@@ -21,7 +21,7 @@ use qb4olap::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdf::{Iri, Literal, Term};
+use rdf::{Iri, Literal, Term, Triple};
 use sparql::{Endpoint, LocalEndpoint};
 
 use crate::pool;
@@ -59,6 +59,7 @@ pub struct FuzzCube {
     /// Observation nodes currently present in the store.
     pub observations: Vec<Term>,
     next_obs: usize,
+    next_structure: usize,
 }
 
 /// City → country rollups; `c7` stays ragged (no country).
@@ -304,6 +305,7 @@ pub fn fuzz_cube() -> FuzzCube {
         schema,
         observations,
         next_obs: 96,
+        next_structure: 0,
     }
 }
 
@@ -333,10 +335,10 @@ impl FuzzCube {
         true
     }
 
-    /// Toggles the ragged city `c7`'s rollup link to `K0`: adding the link
-    /// triggers a `RollupLinkAdded` delta refusal (rebuild), removing it a
-    /// `RollupLinkRemoved` one — both keep the instance graph functional,
-    /// so SPARQL and columnar results stay comparable.
+    /// Toggles the ragged city `c7`'s rollup link to `K0`: a hierarchy
+    /// triple, which a delta replay applies by re-reading the hierarchy.
+    /// Both states keep the instance graph functional, so SPARQL and
+    /// columnar results stay comparable.
     pub fn toggle_ragged_link(&mut self) {
         let triple = qb4olap::rollup_triple(&fmember("c7"), &fmember("K0"));
         if self.endpoint.store().contains(&triple) {
@@ -344,6 +346,21 @@ impl FuzzCube {
         } else {
             self.endpoint.insert_triples(std::slice::from_ref(&triple)).unwrap();
         }
+    }
+
+    /// Inserts a fresh `qb4o:hasLevel` triple on a fresh DSD node, the
+    /// shape of qbbench's fold agitator: a structure triple, which no delta
+    /// replay applies, so the next refresh rebuilds. The cube's own schema
+    /// and results do not change.
+    pub fn add_dangling_structure(&mut self) {
+        let serial = self.next_structure;
+        self.next_structure += 1;
+        let triple = Triple::new(
+            Term::Iri(firi(&format!("dsd/dangling{serial}"))),
+            rdf::vocab::qb4o::has_level(),
+            Term::Iri(firi(&format!("lv/dangling{serial}"))),
+        );
+        self.endpoint.insert_triples(&[triple]).unwrap();
     }
 }
 
@@ -392,5 +409,9 @@ mod tests {
                 .unwrap()
                 .is_none()
         );
+        let before = cube.endpoint.triple_count();
+        cube.add_dangling_structure();
+        cube.add_dangling_structure();
+        assert_eq!(cube.endpoint.triple_count(), before + 2, "each triple is fresh");
     }
 }

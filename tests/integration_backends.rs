@@ -188,8 +188,9 @@ $C1 := ROLLUP (data:migr_asyappctzm, schema:citizenshipDim, schema:citAll);
 
 /// The mutation-parity gate: interleaves seeded random store mutations —
 /// pure observation appends, brand-new members with roll-up links and
-/// labels and observation edits (the delta path), broader-link cuts (the
-/// rebuild fallback) — with the bench workload, asserting after every
+/// labels, observation edits and broader-link cuts (the delta path),
+/// dangling structure triples (the rebuild fallback) — with the bench
+/// workload, asserting after every
 /// round that the catalog-served columnar results stay cell-identical to a
 /// fresh SPARQL evaluation and that the catalog-served explorer navigation
 /// matches its SPARQL oracle. Stale or divergent cells anywhere fail here.
@@ -254,6 +255,7 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
         CutBroaderLink,
         EditObservation,
         EditDroppedObservation,
+        DanglingStructure,
     }
     let rounds = [
         Mutation::AppendExisting,
@@ -261,11 +263,13 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
         Mutation::RemoveObservation,
         Mutation::AppendExisting,
         Mutation::CutBroaderLink,
+        Mutation::DanglingStructure,
         Mutation::AppendExisting,
         Mutation::RemoveObservation,
         Mutation::EditObservation,
         Mutation::EditDroppedObservation,
         Mutation::CutBroaderLink,
+        Mutation::DanglingStructure,
     ];
 
     for (round, mutation) in rounds.iter().enumerate() {
@@ -310,14 +314,25 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
                 assert!(remove_observation(&tool, victim) >= 4);
             }
             Mutation::CutBroaderLink => {
-                // Make the hierarchy ragged at one member: unappliable, so
-                // the catalog must take the rebuild fallback.
+                // Make the hierarchy ragged at one member: the replay
+                // re-reads the hierarchy, a delta.
                 let citizens = &pools[0].1;
                 let victim = &citizens[rng.gen_range(0..citizens.len())];
                 assert!(
                     cut_broader_links(&tool, victim) > 0,
                     "victim had a continent link"
                 );
+            }
+            Mutation::DanglingStructure => {
+                // A structure triple on a fresh DSD node: unappliable, so
+                // the catalog must take the rebuild fallback.
+                tool.endpoint()
+                    .insert_triples(&[Triple::new(
+                        Term::iri(format!("http://example.org/mutation/dsd{round}")),
+                        rdf::vocab::qb4o::has_level(),
+                        Term::iri(format!("http://example.org/mutation/level{round}")),
+                    )])
+                    .unwrap();
             }
             Mutation::EditObservation | Mutation::EditDroppedObservation => {
                 // Rewrite one materialized observation's measure: remove +
@@ -387,11 +402,19 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
                 .unwrap(),
             "roll-up navigation diverges after mutation round {round}"
         );
-        if let Mutation::EditObservation | Mutation::EditDroppedObservation = mutation {
-            use qb2olap::cubestore::MaintenanceStrategy;
-            let reports = querying.maintenance_reports();
-            let last = reports.last().unwrap();
-            assert_eq!(last.strategy, MaintenanceStrategy::Delta, "{last:?}");
+        use qb2olap::cubestore::MaintenanceStrategy;
+        let reports = querying.maintenance_reports();
+        let last = reports.last().unwrap();
+        match mutation {
+            Mutation::CutBroaderLink
+            | Mutation::EditObservation
+            | Mutation::EditDroppedObservation => {
+                assert_eq!(last.strategy, MaintenanceStrategy::Delta, "{last:?}");
+            }
+            Mutation::DanglingStructure => {
+                assert_eq!(last.strategy, MaintenanceStrategy::Rebuild, "{last:?}");
+            }
+            _ => {}
         }
     }
 
@@ -429,8 +452,11 @@ mod mutation_fuzzer {
     //! integer and **float** observation appends, brand-new members,
     //! whole- and **partial**-observation removals (measure strips,
     //! dataset unlinks, dimension strips), split observations, restores of
-    //! stripped measures (completing a dropped fragment) and dimension
-    //! edits (remove, then insert) — against **one** `Store` carrying two
+    //! stripped measures (completing a dropped fragment), dimension edits
+    //! (remove, then insert) and hierarchy edits (continent links cut and
+    //! restored, `qb4o:memberOf` removed and restored, a second attribute
+    //! value, a relabeled dataset, labeled float members) — against
+    //! **one** `Store` carrying two
     //! datasets (the integer demo cube plus a float-measure cube), and
     //! after *every* step asserts
     //!
@@ -461,7 +487,7 @@ mod mutation_fuzzer {
     };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rdf::vocab::{qb, rdf as rdfv, sdmx_measure};
+    use rdf::vocab::{qb, rdf as rdfv, rdfs, sdmx_measure, skos};
     use rdf::{Iri, Literal, Term, Triple};
 
     use super::{demo_tool, observation_nodes};
@@ -482,9 +508,7 @@ mod mutation_fuzzer {
 
     /// Loads a small float-measure dataset (city → country hierarchy, two
     /// decimal measures: a SUM rate and an AVG index) into the demo store
-    /// and returns its QB4OLAP schema. No labels: the fuzzer keeps every
-    /// mutation delta-appliable for *both* cubes, and attribute values for
-    /// members unknown to the other cube would refuse.
+    /// and returns its QB4OLAP schema.
     fn load_float_dataset(tool: &Qb2Olap, rng: &mut StdRng) -> CubeSchema {
         let city = firi("lv/city");
         let country = firi("lv/country");
@@ -669,7 +693,18 @@ mod mutation_fuzzer {
         // The rest of an observation whose citizenship value an earlier
         // step stored on its own (split op).
         let mut split_rest: Option<Vec<Triple>> = None;
-        let mut op_counts = [0usize; 12];
+        // Hierarchy triples a cut or removal op took out, for a later op to
+        // put back.
+        let mut cut_links: Vec<Triple> = Vec::new();
+        let mut removed_memberships: Vec<Triple> = Vec::new();
+        let continent_name = querying
+            .schema()
+            .level_attributes(&continent_level)
+            .first()
+            .expect("the demo's continent level has an attribute")
+            .iri
+            .clone();
+        let mut op_counts = [0usize; 17];
 
         let demo_observation = |rng: &mut StdRng, serial: usize| -> Vec<Triple> {
             let node = Term::iri(format!("http://example.org/fuzz/obs{serial}"));
@@ -717,7 +752,7 @@ mod mutation_fuzzer {
         };
 
         for step in 0..steps {
-            let op = rng.gen_range(0..12u32);
+            let op = rng.gen_range(0..17u32);
             op_counts[op as usize] += 1;
             match op {
                 // Integer observation appends (1–3 per batch).
@@ -888,6 +923,75 @@ mod mutation_fuzzer {
                             stripped.extend(removed);
                         }
                     }
+                }
+                // A demo citizen's continent link is cut, or a cut one comes
+                // back: the citizen turns ragged, or whole again.
+                12 => {
+                    if !cut_links.is_empty() && rng.gen_bool(0.5) {
+                        let link = cut_links.swap_remove(rng.gen_range(0..cut_links.len()));
+                        tool.endpoint().insert_triples(&[link]).unwrap();
+                    } else {
+                        let citizens = &demo_levels[0].1;
+                        let citizen = &citizens[rng.gen_range(0..citizens.len())];
+                        cut_links.extend(tool.endpoint().store().remove_matching(
+                            Some(citizen),
+                            Some(&skos::broader()),
+                            None,
+                        ));
+                    }
+                }
+                // A demo member's `qb4o:memberOf` is removed, or a removed
+                // one comes back.
+                13 => {
+                    if !removed_memberships.is_empty() && rng.gen_bool(0.5) {
+                        let at = rng.gen_range(0..removed_memberships.len());
+                        let membership = removed_memberships.swap_remove(at);
+                        tool.endpoint().insert_triples(&[membership]).unwrap();
+                    } else {
+                        let (level, members) = &demo_levels[rng.gen_range(0..demo_levels.len())];
+                        let member = &members[rng.gen_range(0..members.len())];
+                        removed_memberships.extend(tool.endpoint().store().remove_matching(
+                            Some(member),
+                            Some(&rdf::vocab::qb4o::member_of()),
+                            Some(&Term::Iri(level.clone())),
+                        ));
+                    }
+                }
+                // A continent gains a second name. It sorts after every
+                // first name, so the first value the build keeps stays the
+                // one SPARQL's dices compare.
+                14 => {
+                    let continent = &continents[rng.gen_range(0..continents.len())];
+                    let name = Literal::lang_string(format!("Zz {step}"), "en");
+                    tool.endpoint()
+                        .insert_triples(&[Triple::new(
+                            continent.clone(),
+                            continent_name.clone(),
+                            name,
+                        )])
+                        .unwrap();
+                }
+                // The demo dataset is relabeled: its labels go, one comes.
+                15 => {
+                    let dataset_node = Term::Iri(dataset.clone());
+                    let store = tool.endpoint().store();
+                    store.remove_matching(Some(&dataset_node), Some(&rdfs::label()), None);
+                    store.insert(&Triple::new(
+                        dataset_node,
+                        rdfs::label(),
+                        Literal::string(format!("Asylum applications, step {step}")),
+                    ));
+                }
+                // A float-cube member gains a label.
+                16 => {
+                    let city = fmember(&format!("fc{}", rng.gen_range(0..8)));
+                    tool.endpoint()
+                        .insert_triples(&[Triple::new(
+                            city,
+                            rdfs::label(),
+                            Literal::string(format!("City, step {step}")),
+                        )])
+                        .unwrap();
                 }
                 // An op that tombstones while its cube's live fraction is
                 // low, or a restore with nothing stripped.

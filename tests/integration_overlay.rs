@@ -102,12 +102,14 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
         let schema = &schema;
 
         // The writer: appends (delta-appliable), removals (tombstone
-        // deltas) and ragged-link toggles (delta refusals that force
-        // background rebuilds), each followed by its oracle entry.
+        // deltas), ragged-link toggles (hierarchy deltas) and dangling
+        // structure triples (delta refusals that force background
+        // rebuilds), each followed by its oracle entry.
         scope.spawn(move || {
             let mut rng = StdRng::seed_from_u64(0x0E11A);
             for step in 0..WRITER_STEPS {
                 match step % 8 {
+                    5 => cube.add_dangling_structure(),
                     6 => cube.toggle_ragged_link(),
                     7 => {
                         cube.remove_observation(&mut rng);
@@ -191,7 +193,7 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
     );
     assert!(
         strategies.contains(&MaintenanceStrategy::Rebuild),
-        "ragged-link toggles must force rebuilds: {strategies:?}"
+        "dangling structure triples must force rebuilds: {strategies:?}"
     );
     let metrics = catalog.metrics().snapshot();
     assert!(metrics.counter("catalog.overlay.accretions") > 0);
@@ -276,9 +278,9 @@ fn a_slow_background_fold_never_delays_snapshot_serving() {
     let stale_epoch = slow.epoch();
     let stale_outputs = scratch_oracle(&cube.endpoint, &schema);
 
-    // A structural change: the rollup-link delta is refused, so the next
-    // snapshot serve spawns a background rebuild over the slow handle.
-    cube.toggle_ragged_link();
+    // A structural change: the structure-triple delta is refused, so the
+    // next snapshot serve spawns a background rebuild over the slow handle.
+    cube.add_dangling_structure();
     let started = Instant::now();
     let pin = catalog.serve_snapshot(&slow, &schema).expect("stale pin");
     let first_pin = started.elapsed();

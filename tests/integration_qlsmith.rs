@@ -31,17 +31,19 @@ use rand::SeedableRng;
 use sparql::testutil::evaluate_unrestored;
 use sparql::Endpoint;
 
-/// Applies one store mutation, cycling through the three kinds the
-/// mutation fuzzer exercises: hierarchy raggedness toggles (refused by
-/// the delta path → rebuild), observation appends (delta) and whole-row
-/// removals (delta + tombstone, eventually compaction).
+/// Applies one store mutation, cycling through four kinds: hierarchy
+/// raggedness toggles (delta: the replay re-reads the hierarchy),
+/// observation appends (delta), whole-row removals (delta + tombstone,
+/// eventually compaction) and dangling structure triples (refused by the
+/// delta path → rebuild).
 fn mutate(cube: &mut FuzzCube, rng: &mut StdRng, round: usize) {
-    match round % 3 {
+    match round % 4 {
         0 => cube.toggle_ragged_link(),
         1 => cube.append_observation(rng),
-        _ => {
+        2 => {
             cube.remove_observation(rng);
         }
+        _ => cube.add_dangling_structure(),
     }
 }
 
@@ -92,8 +94,9 @@ fn ql_campaign_is_bit_identical_across_backends_and_mutations() {
     );
 
     // The campaign really ran against mid-mutation-sequence states: the
-    // catalog saw the first build, delta refreshes (appends/removals) and
-    // refusal-driven rebuild fallbacks (raggedness toggles).
+    // catalog saw the first build, delta refreshes (appends, removals,
+    // raggedness toggles) and refusal-driven rebuild fallbacks (dangling
+    // structure triples).
     let reports = module.maintenance_reports();
     let strategies: Vec<MaintenanceStrategy> = reports.iter().map(|r| r.strategy).collect();
     assert!(
@@ -102,7 +105,7 @@ fn ql_campaign_is_bit_identical_across_backends_and_mutations() {
     );
     assert!(
         strategies.contains(&MaintenanceStrategy::Rebuild),
-        "raggedness toggles must force rebuild fallbacks: {strategies:?}"
+        "dangling structure triples must force rebuild fallbacks: {strategies:?}"
     );
     assert_eq!(
         strategies.first(),
