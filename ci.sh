@@ -16,25 +16,36 @@ cargo test -q --workspace
 cargo test --release -q -p qb2olap-suite --test integration_backends
 
 # The mutation-parity gate, pinned by name: interleaved store mutations
-# (delta refreshes and rebuild fallbacks) must keep the catalog-served
+# (delta refreshes, broader-link cuts among them, and rebuild fallbacks
+# forced by dangling structure triples) must keep the catalog-served
 # columnar results cell-identical to fresh SPARQL evaluation, and the
 # catalog-served explorer navigation identical to its SPARQL oracle.
 cargo test --release -q -p qb2olap-suite --test integration_backends -- \
     interleaved_mutations_keep_catalog_and_sparql_in_lockstep
-# The retired-shape parity gate, pinned by name: every observation shape a
+# The retired-shape parity gates, pinned by name: every observation shape a
 # retired refusal kind (ObservationMutated, DroppedObservationMutated,
 # IncompleteObservation, MalformedObservation) used to refuse, and the
-# removal of a link to another dataset, must apply as a delta whose cube
-# equals a from-scratch build (results, build counters, dropped set) and
-# serves exactly the observations SPARQL counts as complete.
+# removal of a link to another dataset, and every hierarchy shape the eight
+# retired hierarchy kinds (RollupLinkAdded, RollupLinkRemoved,
+# MemberRemoved, MemberConflict, AttributeConflict, AttributeRemoved,
+# UnknownMemberAttribute, DatasetLabelChanged) used to refuse, plus an
+# attribute conflict whose new value sorts first, labels on observation
+# nodes and a link cut and restored in one replay, must apply as a delta
+# whose cube equals a from-scratch build (results, build counters, dropped
+# set, level indexes, roll-up maps per bottom term, adjacency, dataset
+# label) and serves exactly the observations SPARQL counts as complete.
 cargo test --release -q -p cubestore --lib -- \
     refusal_suite::retired_observation_shapes_apply_as_deltas_equal_to_a_rebuild
+cargo test --release -q -p cubestore --lib -- \
+    refusal_suite::retired_hierarchy_shapes_apply_as_deltas_equal_to_a_rebuild
 
 # The mutation-sequence differential fuzzer, pinned by name and seed: 200
 # seeded steps of interleaved integer/float appends, new members,
 # whole/partial removals, restores of a stripped measure (completing a
-# dropped fragment) and dimension edits (remove_matching, then insert)
-# against one store (two datasets) must refresh
+# dropped fragment), dimension edits (remove_matching, then insert) and
+# hierarchy edits (continent links cut and restored, memberships removed
+# and restored, a second attribute value, a relabeled dataset, labeled
+# float members) against one store (two datasets) must refresh
 # exclusively via the delta path (no rebuild, no compaction) while the
 # catalog-served columnar results stay bit-identical to fresh SPARQL
 # evaluation after every step (float SUM/AVG included, and periodically
@@ -56,7 +67,9 @@ QB2OLAP_FUZZ_STEPS=200 cargo test --release -q -p qb2olap-suite --test integrati
 # identity plan, same rows in the same order, for each query and for it
 # without its ORDER BY. Bit-identical results required, with
 # store mutations interleaved every ten queries so the campaign also
-# covers delta-accreted, tombstoned, compacted and rebuilt catalog states.
+# covers delta-accreted (ragged-link toggles re-read the hierarchy),
+# tombstoned, compacted and rebuilt (dangling structure triples) catalog
+# states.
 # The coverage recorders fail the run if any grammar production was never
 # generated, the harness self-test proves a seeded mismatch is caught,
 # shrunk to a one-statement corpus file and replayed, and the leg's
@@ -229,6 +242,7 @@ grep -q 'E25' EXPERIMENTS.md
 grep -q 'E26' EXPERIMENTS.md
 grep -q 'E27' EXPERIMENTS.md
 grep -q 'E28' EXPERIMENTS.md
+grep -q 'E29' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

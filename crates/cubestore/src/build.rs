@@ -216,11 +216,11 @@ impl MaterializedCube {
 /// Extends every roll-up map to cover the bottom members its column
 /// dictionary holds beyond the map's length — all of them for the empty
 /// maps a build or a hierarchy re-read starts from, the members that
-/// entered since for an append replay — so all produce identical maps. Each new entry walks the
-/// `broader` links for exactly the path length the hierarchy declares (zero
-/// hops for the bottom level's identity map) and anchors the result at the
-/// target level's members: the same navigation the generated SPARQL
-/// performs.
+/// entered since for an append replay — so all produce identical maps.
+/// Each new entry walks the `broader` links for exactly the path length
+/// the hierarchy declares (zero hops for the bottom level's identity map)
+/// and anchors the result at the target level's members: the same
+/// navigation the generated SPARQL performs.
 pub(crate) fn extend_rollup_maps(cube: &mut MaterializedCube) {
     let MaterializedCube {
         schema,

@@ -322,9 +322,8 @@ type EntrySlot = Arc<SlotInner>;
 
 /// Records one maintenance decision into the registry: a per-strategy
 /// counter, `catalog.refusal.schema-structure` when a refused delta forced
-/// a rebuild,
-/// refresh latency, per-field totals, and the live-row fraction of the
-/// cube now being served. A free function (not a method) because the
+/// a rebuild, refresh latency, per-field totals, and the live-row fraction
+/// of the cube now being served. A free function (not a method) because the
 /// background fold thread outlives any `&self` borrow of the catalog.
 fn record_report_metrics(
     metrics: &MetricsRegistry,
