@@ -1,6 +1,7 @@
 //! An in-memory, indexed RDF graph.
 //!
-//! Terms are interned into dense `u32` identifiers, and triples are kept in
+//! Terms are interned into dense `u32` identifiers — each term stored once,
+//! found through a table of ids keyed by its hash — and triples are kept in
 //! three orderings — SPO, POS and OSP — so that any triple pattern with a
 //! bound prefix is one contiguous range of one of them. This mirrors the
 //! index layout of typical RDF stores (the role Virtuoso plays in the
@@ -13,16 +14,18 @@
 //! lookup slices the run, binary-searches the other bound components and
 //! merges the overlay in, so it yields exactly the key order of a sorted
 //! set. Bulk loads, large batches and an overlay grown past a fixed share
-//! of its run all go through one merge that writes a new run. Cloning a
-//! graph shares the runs and copies the overlays and the interner. See
-//! ARCHITECTURE.md § "The triple store".
+//! of its run all go through one merge that writes a new run; a bulk load
+//! sorts each subject's keys as it encodes them and merges those runs.
+//! Cloning a graph shares the runs and copies the overlays and the
+//! interner (its terms, a reference count each, and its id table, one
+//! flat copy). See ARCHITECTURE.md § "The triple store".
 
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap};
-use std::hash::BuildHasher;
+use std::collections::BTreeSet;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
-use crate::hash::{FxBuildHasher, FxHashMap};
+use crate::hash::FxBuildHasher;
 use crate::term::{Iri, Term, Triple};
 
 /// A dense identifier for an interned term.
@@ -30,13 +33,41 @@ pub type TermId = u32;
 
 /// Interns [`Term`]s to dense [`TermId`]s and back.
 ///
-/// Hashed with [`FxHasher`](crate::hash::FxHasher) unless `S` says
-/// otherwise: the store, decoded results and the cube dictionaries intern
-/// loaded data. A table fed terms a request chose names a keyed hasher.
+/// Each term is stored once, in `terms` at its id. The lookup side is an
+/// open-addressing table of ids: a slot holds an id and 32 bits of its
+/// term's hash, a probe compares a term's bytes only against the ids whose
+/// stored hash matches, and a growth re-places the slots by the stored
+/// hashes alone. A term is hashed as its kind and the bytes of its strings
+/// ([`Self::intern_iri`] hashes a bare [`Iri`] as its `Term::Iri`),
+/// through [`FxHasher`](crate::hash::FxHasher) unless `S` says otherwise:
+/// the store, decoded results and the cube dictionaries intern loaded
+/// data. A table fed terms a request chose names a keyed hasher.
 #[derive(Debug, Default, Clone)]
 pub struct Interner<S = FxBuildHasher> {
     terms: Vec<Term>,
-    ids: HashMap<Term, TermId, S>,
+    /// A power of two long (or empty), at most half full.
+    slots: Vec<Slot>,
+    hasher: S,
+}
+
+/// One entry of the id table: an issued id and the hash its term probes
+/// with, or [`Slot::EMPTY`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    hash: u32,
+    id: TermId,
+}
+
+impl Slot {
+    /// No id: `TermId::MAX` is never issued.
+    const EMPTY: Slot = Slot {
+        hash: 0,
+        id: TermId::MAX,
+    };
+
+    fn is_empty(self) -> bool {
+        self.id == TermId::MAX
+    }
 }
 
 impl Interner {
@@ -51,18 +82,32 @@ impl<S: BuildHasher> Interner<S> {
     pub fn intern(&mut self, term: &Term) -> TermId {
         // Probe first: most calls hit (a bulk load interns ~3 terms per
         // triple over a far smaller vocabulary), and a hit clones nothing.
-        if let Some(&id) = self.ids.get(term) {
-            return id;
+        let hash = self.hash(term);
+        match self.find(hash, |stored| stored == term) {
+            Ok(id) => id,
+            Err(slot) => self.push(slot, hash, term.clone()),
         }
-        let id = self.terms.len() as TermId;
-        self.terms.push(term.clone());
-        self.ids.insert(term.clone(), id);
-        id
     }
 
     /// Returns the id of `term` if it has already been interned.
     pub fn get(&self, term: &Term) -> Option<TermId> {
-        self.ids.get(term).copied()
+        self.find(self.hash(term), |stored| stored == term).ok()
+    }
+
+    /// [`Self::intern`] of `Term::Iri(iri)`, without wrapping `iri` in a
+    /// `Term` unless it is new: a store's predicates come as bare IRIs.
+    pub fn intern_iri(&mut self, iri: &Iri) -> TermId {
+        let hash = self.hash_iri(iri);
+        match self.find(hash, |stored| stored.as_iri() == Some(iri)) {
+            Ok(id) => id,
+            Err(slot) => self.push(slot, hash, Term::Iri(iri.clone())),
+        }
+    }
+
+    /// [`Self::get`] of `Term::Iri(iri)`.
+    pub fn get_iri(&self, iri: &Iri) -> Option<TermId> {
+        self.find(self.hash_iri(iri), |stored| stored.as_iri() == Some(iri))
+            .ok()
     }
 
     /// Returns the term for a previously issued id.
@@ -76,7 +121,10 @@ impl<S: BuildHasher> Interner<S> {
     /// Reserves room for at least `additional` more distinct terms.
     pub fn reserve(&mut self, additional: usize) {
         self.terms.reserve(additional);
-        self.ids.reserve(additional);
+        let wanted = slots_for(self.terms.len() + additional);
+        if wanted > self.slots.len() {
+            self.resize(wanted);
+        }
     }
 
     /// Iterates over `(id, term)` pairs in id order.
@@ -93,6 +141,108 @@ impl<S: BuildHasher> Interner<S> {
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
     }
+
+    fn hash(&self, term: &Term) -> u32 {
+        match term {
+            Term::Iri(iri) => self.hash_iri(iri),
+            Term::Blank(blank) => hash_parts(&self.hasher, 1, &[blank.as_str()]),
+            Term::Literal(literal) => match literal.language() {
+                None => hash_parts(
+                    &self.hasher,
+                    2,
+                    &[literal.lexical(), literal.datatype().as_str()],
+                ),
+                Some(language) => hash_parts(&self.hasher, 3, &[literal.lexical(), language]),
+            },
+        }
+    }
+
+    fn hash_iri(&self, iri: &Iri) -> u32 {
+        hash_parts(&self.hasher, 0, &[iri.as_str()])
+    }
+
+    /// The id whose term has `hash` and satisfies `is`, or else the empty
+    /// slot where such a term goes.
+    fn find(&self, hash: u32, is: impl Fn(&Term) -> bool) -> Result<TermId, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot.is_empty() {
+                return Err(at);
+            }
+            if slot.hash == hash && is(&self.terms[slot.id as usize]) {
+                return Ok(slot.id);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Issues the next id to `term`, which `find` placed at `slot`.
+    fn push(&mut self, mut slot: usize, hash: u32, term: Term) -> TermId {
+        let id = next_id(self.terms.len());
+        if slots_for(self.terms.len() + 1) > self.slots.len() {
+            self.resize(slots_for(self.terms.len() + 1));
+            slot = self.empty_slot(hash);
+        }
+        self.slots[slot] = Slot { hash, id };
+        self.terms.push(term);
+        id
+    }
+
+    /// The first empty slot on `hash`'s probe path.
+    fn empty_slot(&self, hash: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while !self.slots[at].is_empty() {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// Re-places every id in a table of `len` slots, by its stored hash.
+    fn resize(&mut self, len: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![Slot::EMPTY; len]);
+        for slot in old.into_iter().filter(|slot| !slot.is_empty()) {
+            let at = self.empty_slot(slot.hash);
+            self.slots[at] = slot;
+        }
+    }
+}
+
+/// The id the `len`-th distinct term gets.
+///
+/// # Panics
+/// Panics once every id below `TermId::MAX` is taken: that one marks an
+/// empty slot here and an unbound cell in the SPARQL evaluator, and an id
+/// past it would wrap onto id 0.
+fn next_id(len: usize) -> TermId {
+    match TermId::try_from(len) {
+        Ok(id) if id != TermId::MAX => id,
+        _ => panic!("an interner issues at most {} term ids", TermId::MAX),
+    }
+}
+
+/// The table length for `terms` ids: a power of two, at least twice as
+/// many slots as ids, so a probe run stays short.
+fn slots_for(terms: usize) -> usize {
+    (terms * 2).next_power_of_two().max(16)
+}
+
+/// Hashes a term's kind and its strings, each prefixed by its length so no
+/// two splits of the same bytes meet. The table keeps the high half of the
+/// 64-bit hash, the half a multiplicative hash mixes best.
+fn hash_parts<S: BuildHasher>(hasher: &S, kind: u8, parts: &[&str]) -> u32 {
+    let mut state = hasher.build_hasher();
+    state.write_u8(kind);
+    for part in parts {
+        state.write_usize(part.len());
+        state.write(part.as_bytes());
+    }
+    (state.finish() >> 32) as u32
 }
 
 /// A triple of interned term ids in (subject, predicate, object) order.
@@ -355,9 +505,6 @@ fn first_offsets(run: &[Key]) -> Arc<Vec<u32>> {
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
     interner: Interner,
-    /// Predicate IRI → id of its `Term::Iri`, so encoding a triple wraps a
-    /// predicate in a `Term` once per distinct IRI, not once per triple.
-    predicates: FxHashMap<Iri, TermId>,
     spo: Index,
     pos: Index,
     osp: Index,
@@ -393,14 +540,7 @@ impl Graph {
 
     /// Interns a triple's predicate and object, in that order.
     fn encode_predicate_object(&mut self, triple: &Triple) -> (TermId, TermId) {
-        let p = match self.predicates.get(&triple.predicate) {
-            Some(&id) => id,
-            None => {
-                let id = self.interner.intern(&Term::Iri(triple.predicate.clone()));
-                self.predicates.insert(triple.predicate.clone(), id);
-                id
-            }
-        };
+        let p = self.interner.intern_iri(&triple.predicate);
         (p, self.interner.intern(&triple.object))
     }
 
@@ -408,18 +548,9 @@ impl Graph {
     fn ids_of(&self, triple: &Triple) -> Option<EncodedTriple> {
         Some((
             self.interner.get(&triple.subject)?,
-            self.predicate_id(&triple.predicate)?,
+            self.interner.get_iri(&triple.predicate)?,
             self.interner.get(&triple.object)?,
         ))
-    }
-
-    /// The id of a predicate IRI, if any triple could carry it.
-    fn predicate_id(&self, predicate: &Iri) -> Option<TermId> {
-        match self.predicates.get(predicate) {
-            Some(&id) => Some(id),
-            // Interned only as a subject or object so far.
-            None => self.interner.get(&Term::Iri(predicate.clone())),
-        }
     }
 
     /// Adds a triple the graph does not hold to the three overlays.
@@ -457,7 +588,10 @@ impl Graph {
     /// Inserts a batch of triples, returning how many were new.
     ///
     /// The batch is encoded, sorted and deduplicated once and checked
-    /// against what the graph holds. When the new triples would push the
+    /// against what the graph holds. The sort is run-aware: each subject's
+    /// run of keys is sorted as it is encoded, and one stable sort merges
+    /// the ascending runs that leaves (data grouped by subject, with ids
+    /// issued in first-seen order, is one long run between a few descents). When the new triples would push the
     /// overlay past its share of the run — every bulk load into an empty
     /// graph beyond a handful of triples — each index merges them into a
     /// new run in one pass; a small batch joins the overlay. Triples may be
@@ -472,25 +606,27 @@ impl Graph {
         // several triples per term, and a table sized for the triples would
         // be touched sparsely, a fresh page per probe. Data arrives grouped
         // by subject (an observation's star, a Turtle `;` list), so the
-        // previous subject is compared before the interner is probed.
-        let mut previous: Option<(Term, TermId)> = None;
-        let mut encoded: Vec<EncodedTriple> = triples
-            .into_iter()
-            .map(|triple| {
-                let triple = triple.borrow();
-                let s = match &previous {
-                    Some((subject, id)) if *subject == triple.subject => *id,
-                    _ => {
-                        let id = self.interner.intern(&triple.subject);
-                        previous = Some((triple.subject.clone(), id));
-                        id
-                    }
-                };
-                let (p, o) = self.encode_predicate_object(triple);
-                (s, p, o)
-            })
-            .collect();
-        encoded.sort_unstable();
+        // previous subject's term is compared before the interner is probed.
+        let mut encoded: Vec<EncodedTriple> = Vec::new();
+        let mut previous: Option<TermId> = None;
+        let mut run_start = 0;
+        for triple in triples {
+            let triple = triple.borrow();
+            let s = match previous {
+                Some(id) if *self.interner.resolve(id) == triple.subject => id,
+                _ => {
+                    encoded[run_start..].sort_unstable();
+                    run_start = encoded.len();
+                    let id = self.interner.intern(&triple.subject);
+                    previous = Some(id);
+                    id
+                }
+            };
+            let (p, o) = self.encode_predicate_object(triple);
+            encoded.push((s, p, o));
+        }
+        encoded[run_start..].sort_unstable();
+        encoded.sort();
         encoded.dedup();
         encoded.retain(|&key| !self.spo.contains(key));
         let added = encoded.len();
@@ -588,7 +724,7 @@ impl Graph {
         object: Option<&Term>,
     ) -> impl Iterator<Item = EncodedTriple> + '_ {
         let s = subject.map(|t| self.interner.get(t));
-        let p = predicate.map(|iri| self.predicate_id(iri));
+        let p = predicate.map(|iri| self.interner.get_iri(iri));
         let o = object.map(|t| self.interner.get(t));
         let known = ![s, p, o].contains(&Some(None));
         known
@@ -699,6 +835,7 @@ mod tests {
     use crate::term::Literal;
     use crate::vocab::{rdf, rdfs};
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Iri::new(p), Term::iri(o))
@@ -1060,9 +1197,43 @@ mod tests {
         assert_eq!(g.len(), 1);
     }
 
+    /// Bulk-loads `input` into a fresh graph and inserts it triple by
+    /// triple into another: both must issue the same ids to the same terms
+    /// and answer every pattern shape over every held triple alike.
+    fn assert_bulk_matches_loop_insert(input: &[Triple], what: &str) {
+        let mut bulk = Graph::new();
+        let added = bulk.bulk_insert(input);
+        let mut reference = Graph::new();
+        let reference_added = input.iter().filter(|t| reference.insert(t)).count();
+
+        assert_eq!(added, reference_added, "{what}: added");
+        assert_eq!(bulk.len(), reference.len(), "{what}: len");
+        assert!(
+            bulk.interner.iter().eq(reference.interner.iter()),
+            "{what}: term ids"
+        );
+        for triple in input {
+            assert!(bulk.contains(triple), "{what}: contains {triple}");
+            let (s, p, o) = ids(&bulk, triple);
+            for s in [None, Some(s)] {
+                for p in [None, Some(p)] {
+                    for o in [None, Some(o)] {
+                        assert!(
+                            bulk.matching_ids(s, p, o)
+                                .eq(reference.matching_ids(s, p, o)),
+                            "{what}: ({s:?}, {p:?}, {o:?})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn bulk_insert_into_fresh_graph_matches_loop_insert() {
-        let triples: Vec<Triple> = (0..200)
+        // Subjects cycle, so each one's triples are spread over the input;
+        // the first fifty come again as duplicates.
+        let cycling: Vec<Triple> = (0..200)
             .map(|i| {
                 t(
                     &format!("http://s{}", i % 40),
@@ -1071,41 +1242,57 @@ mod tests {
                 )
             })
             .collect();
-        let mut with_duplicates = triples.clone();
-        with_duplicates.extend(triples.iter().take(50).cloned());
+        let mut with_duplicates = cycling.clone();
+        with_duplicates.extend(cycling.iter().take(50).cloned());
+        assert_bulk_matches_loop_insert(&with_duplicates, "cycling subjects");
 
-        let mut bulk = Graph::new();
-        let added = bulk.bulk_insert(with_duplicates.clone());
-
-        let mut reference = Graph::new();
-        let mut reference_added = 0;
-        for triple in &with_duplicates {
-            if reference.insert(triple) {
-                reference_added += 1;
-            }
+        // Grouped by subject, then shuffled: no two neighbours need share
+        // a subject.
+        let grouped: Vec<Triple> = (0..240)
+            .map(|i| {
+                t(
+                    &format!("http://s{}", i / 6),
+                    &format!("http://p{}", (i * 5) % 7),
+                    &format!("http://o{}", (i * 11) % 29),
+                )
+            })
+            .collect();
+        let mut shuffled = grouped.clone();
+        let mut rng = StdRng::seed_from_u64(37);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
         }
+        assert_bulk_matches_loop_insert(&shuffled, "shuffled");
 
-        assert_eq!(added, reference_added);
-        assert_eq!(bulk.len(), reference.len());
-        for triple in &triples {
-            assert!(bulk.contains(triple));
-        }
-        // All three indexes answer pattern queries consistently.
-        let p0 = Iri::new("http://p0");
-        assert_eq!(
-            bulk.triples_matching(None, Some(&p0), None).len(),
-            reference.triples_matching(None, Some(&p0), None).len()
-        );
-        let s1 = Term::iri("http://s1");
-        assert_eq!(
-            bulk.triples_matching(Some(&s1), None, None).len(),
-            reference.triples_matching(Some(&s1), None, None).len()
-        );
-        let o2 = Term::iri("http://o2");
-        assert_eq!(
-            bulk.triples_matching(None, None, Some(&o2)).len(),
-            reference.triples_matching(None, None, Some(&o2)).len()
-        );
+        // Runs of one subject, where a subject comes back after others.
+        let returning: Vec<Triple> = [0, 0, 0, 1, 1, 0, 0, 2, 1, 1, 1, 3, 0, 2, 2]
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                t(
+                    &format!("http://s{s}"),
+                    &format!("http://p{}", 6 - i % 4),
+                    &format!("http://o{}", 9 - i % 7),
+                )
+            })
+            .collect();
+        assert_bulk_matches_loop_insert(&returning, "returning subjects");
+
+        // A chain: each triple's object is the next one's subject, so every
+        // subject after the first already has an id, issued as an object,
+        // and a leaf object is a subject further on.
+        let mut chain: Vec<Triple> = (0..30)
+            .map(|i| {
+                t(
+                    &format!("http://n{i}"),
+                    &format!("http://p{}", i % 3),
+                    &format!("http://n{}", i + 1),
+                )
+            })
+            .collect();
+        chain.push(t("http://leaf", "http://p0", "http://n0"));
+        chain.insert(3, t("http://n2", "http://p1", "http://leaf"));
+        assert_bulk_matches_loop_insert(&chain, "subjects first seen as objects");
     }
 
     #[test]
@@ -1153,6 +1340,158 @@ mod tests {
             pairs,
             vec![(a, Term::iri("http://a")), (b, Term::iri("http://b"))]
         );
+    }
+
+    /// A term of any kind from a vocabulary of near neighbours: IRIs one
+    /// byte apart, one lexical form under several datatypes and language
+    /// tags, and a blank node sharing its label with an IRI.
+    fn random_term(rng: &mut StdRng) -> Term {
+        let n = rng.gen_range(0..6_000u32);
+        match rng.gen_range(0..8u8) {
+            0 => Term::iri(format!("http://example.org/obs/{n}")),
+            1 => Term::iri(format!("http://example.org/obs/{n}/")),
+            2 => Term::iri(format!("b{n}")),
+            3 => Term::blank(format!("b{n}")),
+            4 => Term::Literal(Literal::string(n.to_string())),
+            5 => Term::Literal(Literal::typed(n.to_string(), crate::vocab::xsd::integer())),
+            6 => Term::Literal(Literal::typed(n.to_string(), Iri::new("b"))),
+            _ => Term::Literal(Literal::lang_string(
+                n.to_string(),
+                ["en", "en-gb", "fr"][rng.gen_range(0..3usize)],
+            )),
+        }
+    }
+
+    /// The reference interner: ids in first-seen order, kept twice over.
+    /// Keyed by a term's N-Triples form, which is one string per term:
+    /// `Term`'s own order compares literals numerically where both parse,
+    /// so it is not a total order over mixed datatypes.
+    #[derive(Clone, Default)]
+    struct InternerModel {
+        ids: BTreeMap<String, TermId>,
+        terms: Vec<Term>,
+    }
+
+    impl InternerModel {
+        fn intern(&mut self, term: &Term) -> TermId {
+            let next = self.terms.len() as TermId;
+            let id = *self.ids.entry(term.to_string()).or_insert(next);
+            if id == next {
+                self.terms.push(term.clone());
+            }
+            id
+        }
+
+        fn get(&self, term: &Term) -> Option<TermId> {
+            self.ids.get(&term.to_string()).copied()
+        }
+    }
+
+    /// One random `intern`, `intern_iri`, `get` or `get_iri` on both sides.
+    fn intern_step<S: BuildHasher>(
+        interner: &mut Interner<S>,
+        model: &mut InternerModel,
+        rng: &mut StdRng,
+    ) {
+        let term = random_term(rng);
+        match (rng.gen_range(0..4u8), term.as_iri()) {
+            (0, _) | (1, None) => {
+                assert_eq!(interner.intern(&term), model.intern(&term), "intern {term}")
+            }
+            (1, Some(iri)) => {
+                assert_eq!(
+                    interner.intern_iri(iri),
+                    model.intern(&term),
+                    "intern_iri {term}"
+                )
+            }
+            (2, Some(iri)) => assert_eq!(interner.get_iri(iri), model.get(&term), "get_iri {term}"),
+            _ => assert_eq!(interner.get(&term), model.get(&term), "get {term}"),
+        }
+    }
+
+    fn assert_interner_is(interner: &Interner<impl BuildHasher>, model: &InternerModel) {
+        assert_eq!(interner.len(), model.terms.len());
+        assert!(interner.iter().eq(model
+            .terms
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (i as TermId, t))));
+        for (id, term) in model.terms.iter().enumerate() {
+            let id = id as TermId;
+            assert_eq!(model.get(term), Some(id));
+            assert_eq!(interner.resolve(id), term);
+            assert_eq!(interner.get(term), Some(id), "get {term}");
+            if let Some(iri) = term.as_iri() {
+                assert_eq!(interner.get_iri(iri), Some(id), "get_iri {term}");
+            }
+        }
+    }
+
+    fn interner_matches_a_btreemap<S: BuildHasher + Default + Clone>() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut interner = Interner::<S>::default();
+        let mut model = InternerModel::default();
+        let mut growths = 0;
+        for step in 0..40_000 {
+            let slots = interner.slots.len();
+            intern_step(&mut interner, &mut model, &mut rng);
+            if interner.slots.len() != slots {
+                growths += 1;
+                assert_interner_is(&interner, &model);
+            }
+            if step % 8_000 == 0 {
+                // A clone mutated on both sides: each keeps its own terms.
+                let (mut fork, mut fork_model) = (interner.clone(), model.clone());
+                for _ in 0..500 {
+                    intern_step(&mut fork, &mut fork_model, &mut rng);
+                    intern_step(&mut interner, &mut model, &mut rng);
+                }
+                assert_interner_is(&fork, &fork_model);
+                assert_interner_is(&interner, &model);
+            }
+        }
+        assert_interner_is(&interner, &model);
+        // Growths are checked as they happen (those beside a fork, after
+        // it); the table doubles from 16 slots, at least ten times.
+        assert!(growths > 0);
+        assert!(
+            interner.slots.len() >= 16 << 10,
+            "{} slots for {} terms",
+            interner.slots.len(),
+            interner.len()
+        );
+
+        // An IRI interned either way is one id, and a same-labelled blank
+        // node or literal is another.
+        let iri = Iri::new("http://example.org/obs/7");
+        let id = interner.intern_iri(&iri);
+        assert_eq!(interner.intern(&Term::Iri(iri.clone())), id);
+        assert_ne!(
+            interner.intern(&Term::blank("http://example.org/obs/7")),
+            id
+        );
+        assert_ne!(
+            interner.intern(&Term::string("http://example.org/obs/7")),
+            id
+        );
+    }
+
+    #[test]
+    fn interner_matches_a_btreemap_model() {
+        interner_matches_a_btreemap::<FxBuildHasher>();
+        interner_matches_a_btreemap::<std::collections::hash_map::RandomState>();
+    }
+
+    #[test]
+    fn the_last_term_id_is_never_issued() {
+        assert_eq!(next_id(0), 0);
+        assert_eq!(next_id(TermId::MAX as usize - 1), TermId::MAX - 1);
+        // `TermId::MAX` is the empty slot and the evaluator's unbound cell;
+        // past it an id would wrap onto 0.
+        for len in [TermId::MAX as usize, TermId::MAX as usize + 1] {
+            assert!(std::panic::catch_unwind(|| next_id(len)).is_err());
+        }
     }
 
     #[test]
