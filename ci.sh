@@ -243,6 +243,7 @@ grep -q 'E26' EXPERIMENTS.md
 grep -q 'E27' EXPERIMENTS.md
 grep -q 'E28' EXPERIMENTS.md
 grep -q 'E29' EXPERIMENTS.md
+grep -q 'E30' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

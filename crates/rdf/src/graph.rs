@@ -591,12 +591,12 @@ impl Graph {
     /// against what the graph holds. The sort is run-aware: each subject's
     /// run of keys is sorted as it is encoded, and one stable sort merges
     /// the ascending runs that leaves (data grouped by subject, with ids
-    /// issued in first-seen order, is one long run between a few descents). When the new triples would push the
-    /// overlay past its share of the run — every bulk load into an empty
-    /// graph beyond a handful of triples — each index merges them into a
-    /// new run in one pass; a small batch joins the overlay. Triples may be
-    /// passed by reference: nothing of a triple is cloned but the terms the
-    /// graph has not seen yet.
+    /// issued in first-seen order, is a few long runs). When the new
+    /// triples would push the overlay past its share of the run — every
+    /// bulk load into an empty graph beyond a handful of triples — each
+    /// index merges them into a new run in one pass; a small batch joins
+    /// the overlay. Triples may be passed by reference: nothing of a triple
+    /// is cloned but the terms the graph has not seen yet.
     pub fn bulk_insert<I>(&mut self, triples: I) -> usize
     where
         I: IntoIterator,
@@ -607,7 +607,8 @@ impl Graph {
         // be touched sparsely, a fresh page per probe. Data arrives grouped
         // by subject (an observation's star, a Turtle `;` list), so the
         // previous subject's term is compared before the interner is probed.
-        let mut encoded: Vec<EncodedTriple> = Vec::new();
+        let triples = triples.into_iter();
+        let mut encoded: Vec<EncodedTriple> = Vec::with_capacity(triples.size_hint().0);
         let mut previous: Option<TermId> = None;
         let mut run_start = 0;
         for triple in triples {

@@ -7,7 +7,10 @@
 //! cube. One step differs from rustc's: the multiply is *folded* — the two
 //! halves of the 128-bit product are xored — because a plain 64-bit
 //! multiply only carries upward, and IRIs that differ in their last few
-//! bytes (`…/obs/1234`, `…/obs/1243`) then collide in all 64 bits.
+//! bytes (`…/obs/1234`, `…/obs/1243`) then collide in all 64 bits. The
+//! interner ([`crate::Interner`]) feeds it a term's kind and the bytes of
+//! its strings and keeps the high 32 bits of the result beside each id in
+//! its table.
 //!
 //! The hasher has no key, so keys crafted to collide make a table
 //! quadratic. Use it only where the keys are loaded data or ids this

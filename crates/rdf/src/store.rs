@@ -223,8 +223,10 @@ impl Store {
     /// one well-defined store state instead of a torn mix of epochs.
     ///
     /// The lock is held for cloning each graph: its index runs are shared,
-    /// its overlays and its interner are copied — time linear in the
-    /// distinct terms and recent changes, a fixed number of allocations.
+    /// its overlays and its interner are copied — the interner as its terms
+    /// (a reference-count bump each) and one flat copy of its id table —
+    /// time linear in the distinct terms and recent changes, a fixed number
+    /// of allocations.
     pub fn snapshot(&self) -> Store {
         let inner = self.inner.read();
         Store {
