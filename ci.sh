@@ -137,6 +137,31 @@ cargo test --release -q -p qb2olap-suite --test integration_pruning
 # snapshot serving past pin cost).
 cargo test --release -q -p qb2olap-suite --test integration_overlay
 
+# The catalog under every schedule, pinned by name. A deterministic schedule
+# explorer (crates/cubestore/src/sched.rs) runs each scenario's threads one
+# at a time and switches only at the catalog's scheduling points (claim,
+# publish, wait, the fold spawn) and at the test endpoint's queries and
+# writes, through every schedule with at most two preemptions: a reader vs a
+# writer vs a background fold (335 schedules), serve_settled vs a same-epoch
+# compaction (87), serve_settled vs a failing fold (131) and a reader vs a
+# panicking replay (27) — 580 schedules, under 1.5 s in release on 2 vCPUs.
+# After every run: a reader's epochs never go back, every pin equals a
+# scratch build at its epoch, serve_settled returned the slot's newest pin,
+# every fold started landed or failed and was counted once, the claim is
+# released, and no run ended with every live thread waiting. Then the three
+# panic regression tests: a replay whose star read panics, a first build
+# that panics and a fold whose build panics each leave the claim released,
+# a settled serve returns an error within ten seconds, and the next serve
+# recovers to a pin equal to a scratch build.
+cargo test --release -q -p cubestore --lib -- \
+    schedules::reader_vs_writer_vs_background_fold \
+    schedules::serve_settled_vs_a_same_epoch_compaction \
+    schedules::serve_settled_vs_a_failing_fold \
+    schedules::reader_vs_a_panicking_replay \
+    catalog::tests::a_replay_whose_star_read_panics_fails_the_slot_then_recovers \
+    catalog::tests::a_first_build_that_panics_leaves_the_slot_empty_then_recovers \
+    catalog::tests::a_fold_whose_build_panics_fails_the_slot_then_recovers
+
 # The regression corpus replays green, pinned by name so a corpus file
 # that stops parsing or starts diverging fails the gate even if the
 # campaign above is ever quarantined. One file,
@@ -244,6 +269,7 @@ grep -q 'E27' EXPERIMENTS.md
 grep -q 'E28' EXPERIMENTS.md
 grep -q 'E29' EXPERIMENTS.md
 grep -q 'E30' EXPERIMENTS.md
+grep -q 'E31' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -1,41 +1,23 @@
 //! The live cube catalog: one shared, change-tracked columnar
 //! representation per dataset, served to every consumer module.
 //!
-//! A [`CubeCatalog`] keys [`MaterializedCube`]s by dataset IRI and has
-//! **one read path**, [`CubeCatalog::serve_snapshot`]: it validates the
-//! endpoint's mutation epoch on every call and returns a pinned
-//! [`CubeSnapshot`] — one cube, its epoch, and a [`crate::SinceFold`]
-//! record of what was accreted onto it since its last fold — which readers
-//! execute against without holding any catalog lock. Each slot holds
-//! exactly the snapshot the next pin returns. When the store moved, the
-//! call catches up:
+//! A [`CubeCatalog`] keys [`MaterializedCube`]s by dataset IRI. Its one
+//! read path, [`CubeCatalog::serve_snapshot`], returns a pinned
+//! [`CubeSnapshot`] that readers execute against without holding any
+//! catalog lock, and catches the pin up when the store moved: a first
+//! build inline, an O(delta) replay inline, or a fold (a rebuild from
+//! scratch) on a background thread. [`CubeCatalog::serve_settled`] is the
+//! same pin for callers that must read their own writes. Every decision,
+//! reason and timing is recorded as a [`MaintenanceReport`].
 //!
-//! * the first build runs inline (there is nothing to serve meanwhile);
-//! * appliable [`rdf::StoreDelta`]s are replayed onto the pinned cube
-//!   inline in O(delta) through [`MaterializedCube::apply_delta`], and the
-//!   result is swapped in — unless the store moved during the replay,
-//!   whose star read may then have seen the later write: such a *torn*
-//!   replay runs once more against a frozen snapshot of the store (an
-//!   endpoint without one keeps serving the current pin);
-//! * structural changes (a refused delta, a change-log gap, a replay that
-//!   shrank the cube) and compactions go through **one fold** — a rebuild
-//!   from scratch, published with an atomic swap. It runs on a background
-//!   thread over the frozen [`sparql::Endpoint::background_handle`] while
-//!   readers keep the stale-but-consistent pin, and on the caller's thread
-//!   when the endpoint has no handle.
-//!
-//! [`CubeCatalog::serve_settled`] is the same pin for callers that must
-//! read their own writes: it waits for in-flight maintenance and pins
-//! again until the pin is at the store's epoch, and surfaces a failed
-//! fold as an error instead of waiting for one that is not coming. Every
-//! decision, reason and timing is recorded as a [`MaintenanceReport`].
-//! Maintenance claims are serialized by one `refreshing` flag per slot,
-//! so a slow fold can never delay a concurrent pin by more than the pin
-//! cost; a replaced cube is released only after the slot lock is.
+//! Each dataset's slot is one explicit state (`Empty`, `Building`,
+//! `Serving`, `Maintaining`, `Failed`) changed only through one checked
+//! transition. Maintenance holds the claim as an owned guard that the one
+//! publish consumes; a guard a panic drops unconsumed fails the slot and
+//! wakes its waiters, so no panic leaves a claim held.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -48,6 +30,7 @@ use sparql::Endpoint;
 use crate::build::MaterializedCube;
 use crate::error::CubeStoreError;
 use crate::overlay::CubeSnapshot;
+use crate::sched;
 
 /// How the catalog brought an entry up to date.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,9 +188,7 @@ fn replay_growth(
 }
 
 /// A bounded ring of the most recent maintenance reports for one
-/// dataset: pushing at capacity evicts the oldest report in O(1)
-/// (previously a `Vec::remove(0)` front-shift on every refresh past the
-/// 64th).
+/// dataset: pushing at capacity evicts the oldest report in O(1).
 #[derive(Debug, Clone, Default)]
 pub struct ReportLog {
     reports: VecDeque<MaintenanceReport>,
@@ -252,84 +233,121 @@ impl ReportLog {
     }
 }
 
-struct CatalogEntry {
-    /// What the next pin returns.
-    pin: CubeSnapshot,
+/// A slot's state without its pin: what [`TRANSITIONS`] is written in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    Empty,
+    Building,
+    Serving,
+    Maintaining,
+    Failed,
+}
+
+/// Every legal change of a slot's state, `(from, to)`. ARCHITECTURE.md
+/// § "Overlay & background fold" restates this table, and a test holds
+/// the two equal.
+const TRANSITIONS: [(Phase, Phase); 8] = [
+    (Phase::Empty, Phase::Building),
+    (Phase::Building, Phase::Serving),
+    (Phase::Building, Phase::Empty),
+    (Phase::Serving, Phase::Maintaining),
+    (Phase::Failed, Phase::Maintaining),
+    (Phase::Maintaining, Phase::Serving),
+    // A compaction inherits the claim after the accretion publishes.
+    (Phase::Maintaining, Phase::Maintaining),
+    (Phase::Maintaining, Phase::Failed),
+];
+
+/// A dataset slot's state; the pin lives in the states that have one.
+#[derive(Default)]
+enum State {
+    /// Nothing built and no claim.
+    #[default]
+    Empty,
+    /// The first build holds the claim; nothing to serve until it lands.
+    Building,
+    /// The pin is served and the claim is free.
+    Serving(CubeSnapshot),
+    /// The pin is served while maintenance holds the claim.
+    Maintaining(CubeSnapshot),
+    /// The pin is served, the claim is free, and the last fold failed:
+    /// [`CubeCatalog::serve_settled`] returns the error instead of waiting.
+    Failed(CubeSnapshot, CubeStoreError),
+}
+
+impl State {
+    fn phase(&self) -> Phase {
+        match self {
+            State::Empty => Phase::Empty,
+            State::Building => Phase::Building,
+            State::Serving(_) => Phase::Serving,
+            State::Maintaining(_) => Phase::Maintaining,
+            State::Failed(..) => Phase::Failed,
+        }
+    }
+
+    /// What the next pin returns, once there is one.
+    fn pin(&self) -> Option<&CubeSnapshot> {
+        match self {
+            State::Empty | State::Building => None,
+            State::Serving(pin) | State::Maintaining(pin) | State::Failed(pin, _) => Some(pin),
+        }
+    }
+
+    /// True while maintenance holds the claim.
+    fn claimed(&self) -> bool {
+        matches!(self, State::Building | State::Maintaining(_))
+    }
+}
+
+/// What a slot's lock guards: its state and its maintenance history.
+#[derive(Default)]
+struct SlotState {
+    state: State,
     reports: ReportLog,
 }
 
-/// A dataset's slot: the entry plus the maintenance claim that serializes
-/// refreshes. `refreshing` is the single-writer claim — whoever sets it
-/// (a first build, an inline accretion, or a fold on the caller's or a
-/// background thread) owns maintenance of the slot until it clears the
-/// flag and signals `maintenance_done`. The slot mutex itself is only ever
-/// held for pointer-swap-sized critical sections, never across endpoint
-/// I/O or column work.
+impl SlotState {
+    /// The one way the state changes, checked against [`TRANSITIONS`].
+    /// Returns the state left, so its pin is freed after the lock.
+    fn transition(&mut self, to: State) -> State {
+        let step = (self.state.phase(), to.phase());
+        assert!(TRANSITIONS.contains(&step), "illegal slot transition {step:?}");
+        std::mem::replace(&mut self.state, to)
+    }
+}
+
+/// A dataset's slot. Its mutex is only ever held for pointer-swap-sized
+/// critical sections, never across endpoint I/O or column work; waiters
+/// park on `maintenance_done` until a claim ends.
 #[derive(Default)]
-struct SlotInner {
+struct Slot {
     state: Mutex<SlotState>,
     maintenance_done: Condvar,
 }
 
-#[derive(Default)]
-struct SlotState {
-    entry: Option<CatalogEntry>,
-    refreshing: bool,
-    /// Why the last fold failed, until the next claim: the entry stayed
-    /// stale, and [`CubeCatalog::serve_settled`] returns this instead of
-    /// waiting for a fold that is not coming.
-    fold_error: Option<CubeStoreError>,
-}
-
-impl SlotState {
-    /// Takes the maintenance claim (the caller checked it was free).
-    fn claim(&mut self) {
-        self.refreshing = true;
-        self.fold_error = None;
-    }
-}
-
-impl SlotInner {
-    /// Parks until maintenance signals (with a timeout tick so a fold
-    /// thread that died abnormally can never strand waiters forever).
-    fn wait<'a>(&self, guard: MutexGuard<'a, SlotState>) -> MutexGuard<'a, SlotState> {
-        let (guard, _timed_out) = self
-            .maintenance_done
-            .wait_timeout(guard, Duration::from_millis(50))
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        guard
-    }
-
-    /// Parks until no maintenance is in flight.
+impl Slot {
+    /// Parks until no claim is held.
     fn idle(&self) -> MutexGuard<'_, SlotState> {
         let mut st = self.state.lock();
-        while st.refreshing {
-            st = self.wait(st);
+        while st.state.claimed() {
+            st = sched::wait(&self.maintenance_done, &self.state, st);
         }
         st
     }
-
-    /// Clears the maintenance claim and wakes every waiter.
-    fn release_claim(&self) {
-        self.state.lock().refreshing = false;
-        self.maintenance_done.notify_all();
-    }
 }
-
-/// One dataset's slot: `None` entry while the first build is still
-/// running.
-type EntrySlot = Arc<SlotInner>;
 
 /// Records one maintenance decision into the registry: a per-strategy
 /// counter, `catalog.refusal.schema-structure` when a refused delta forced
-/// a rebuild, refresh latency, per-field totals, and the live-row fraction
-/// of the cube now being served. A free function (not a method) because the
-/// background fold thread outlives any `&self` borrow of the catalog.
+/// a rebuild, refresh latency, per-field totals, the live-row fraction of
+/// the cube now being served, and for an accretion or a fold its overlay
+/// counter and the rows accreted since the fold.
 fn record_report_metrics(
     metrics: &MetricsRegistry,
     report: &MaintenanceReport,
-    cube: &MaterializedCube,
+    pin: &CubeSnapshot,
 ) {
+    let cube = pin.cube();
     metrics
         .counter(&format!("catalog.refresh.{}", report.strategy.name()))
         .inc();
@@ -354,75 +372,145 @@ fn record_report_metrics(
         cube.live_row_count() as f64 / cube.row_count() as f64
     };
     metrics.gauge("catalog.live_fraction").set(live_fraction);
+    let overlay = match report.strategy {
+        MaintenanceStrategy::Fresh => return,
+        MaintenanceStrategy::Delta => "catalog.overlay.accretions",
+        MaintenanceStrategy::Rebuild | MaintenanceStrategy::Compaction => "catalog.overlay.folds",
+    };
+    metrics.counter(overlay).inc();
+    let rows = pin.since_fold().rows as f64;
+    metrics.gauge("catalog.overlay.rows").set(rows);
 }
 
-/// Rebuilds `schema`'s cube from `source` and publishes it as the slot's
-/// new pin — the one path structural changes and compactions take, on a
-/// background thread or the caller's. Runs under the slot's maintenance
-/// claim and releases it, success or failure. The epoch is read *before*
-/// the build, so a mutation racing it is caught up by the next serve
-/// rather than skipped. A failure leaves the entry stale but consistent
-/// and is kept in the slot for [`CubeCatalog::serve_settled`]. A free
-/// function because the fold thread outlives any `&self` borrow.
+/// How a claim ends.
+enum Outcome {
+    /// A new pin, with the report of the work that made it.
+    Pin(CubeSnapshot, MaintenanceReport),
+    /// The claimed pin stays: a torn replay with no snapshot to rerun on.
+    Keep(CubeSnapshot),
+    /// The work failed.
+    Error(CubeStoreError),
+}
+
+/// The maintenance claim on a slot, taken by moving it to `Building` or
+/// `Maintaining` and ended by [`Claim::publish`], which consumes it.
+/// Dropped unconsumed — a panic unwinding through a replay or a build — it
+/// fails the slot (`Building→Empty`, `Maintaining→Failed`) and wakes the
+/// waiters, so [`CubeCatalog::serve_settled`] returns the error and the
+/// next serve claims again.
+struct Claim {
+    slot: Arc<Slot>,
+    metrics: Arc<MetricsRegistry>,
+    /// The pin the claim was taken over; `None` for a first build.
+    pinned: Option<CubeSnapshot>,
+    /// Set once a fold holds the claim: its failure counts in
+    /// `catalog.overlay.fold_failures`.
+    fold: bool,
+    ended: bool,
+}
+
+impl Claim {
+    /// The one publish: ends the claim with `outcome`. A new pin whose
+    /// tombstones dominate is published with the claim kept
+    /// (`Maintaining→Maintaining`), and the claim is handed back for the
+    /// compaction that inherits it.
+    fn publish(
+        mut self,
+        outcome: Outcome,
+    ) -> Result<(CubeSnapshot, Option<Claim>), CubeStoreError> {
+        sched::yield_point("publish");
+        let pin = self.end(outcome)?;
+        Ok((pin, (!self.ended).then_some(self)))
+    }
+
+    /// Moves the slot out of its claimed state with `outcome`, recording a
+    /// new pin's report or a fold's failure, and wakes the waiters.
+    fn end(&mut self, outcome: Outcome) -> Result<CubeSnapshot, CubeStoreError> {
+        let mut st = self.slot.state.lock();
+        let (next, ended) = match outcome {
+            Outcome::Pin(pin, report) => {
+                record_report_metrics(&self.metrics, &report, &pin);
+                st.reports.push(report);
+                self.pinned = Some(pin.clone());
+                let next = match needs_compaction(pin.cube()) {
+                    true => State::Maintaining(pin.clone()),
+                    false => State::Serving(pin.clone()),
+                };
+                (next, Ok(pin))
+            }
+            Outcome::Keep(pin) => (State::Serving(pin.clone()), Ok(pin)),
+            Outcome::Error(error) => {
+                if self.fold {
+                    self.metrics.counter("catalog.overlay.fold_failures").inc();
+                }
+                let failed = st.state.pin().cloned().map(|pin| State::Failed(pin, error.clone()));
+                (failed.unwrap_or(State::Empty), Err(error))
+            }
+        };
+        let held = next.claimed();
+        let replaced = st.transition(next);
+        self.ended = !held;
+        drop(st);
+        drop(replaced);
+        sched::notify_all(&self.slot.maintenance_done);
+        ended
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        if !self.ended {
+            let panicked = CubeStoreError::Build("maintenance panicked".to_string());
+            let _ = self.end(Outcome::Error(panicked));
+        }
+    }
+}
+
+/// Builds `schema`'s cube from `source` and publishes it: the first build
+/// (`Fresh`, no reason) and every fold, on a background thread or the
+/// caller's. The epoch is read *before* the build, so a mutation racing
+/// it is caught up by the next serve rather than skipped. A free function
+/// because the fold thread outlives any `&self` borrow.
 fn run_fold(
-    metrics: &MetricsRegistry,
-    slot: &SlotInner,
+    claim: Claim,
     schema: &CubeSchema,
     source: &dyn Endpoint,
     strategy: MaintenanceStrategy,
-    reason: RebuildReason,
+    reason: Option<RebuildReason>,
     background: bool,
 ) -> Result<CubeSnapshot, CubeStoreError> {
     let started = Instant::now();
     let target_epoch = source.epoch();
-    // catch_unwind so a panicking build can never strand the claim.
-    let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let _fold_span = obs::span("catalog.fold");
-        let _rebuild_span = obs::span("catalog.rebuild");
+    let built = {
+        let _span = obs::span(match reason {
+            Some(_) => "catalog.fold",
+            None => "catalog.fresh-build",
+        });
+        let _rebuild_span = reason.is_some().then(|| obs::span("catalog.rebuild"));
         MaterializedCube::from_endpoint(source, schema)
-    }))
-    .unwrap_or_else(|_| Err(CubeStoreError::Build("the fold panicked".to_string())));
-    let mut st = slot.state.lock();
-    st.refreshing = false;
-    let (result, replaced) = match built {
-        Ok(cube) => {
-            let cube = Arc::new(cube);
-            let entry = st.entry.as_mut().expect("entry present while claim held");
-            let old = entry.pin.cube();
-            let old_live = old.live_row_count();
-            let window = started.elapsed();
-            let report = MaintenanceReport {
-                dataset: schema.dataset.clone(),
-                strategy,
-                reason: Some(reason),
-                duration: window,
-                from_epoch: entry.pin.epoch(),
-                to_epoch: target_epoch,
-                deltas_applied: 0,
-                rows_appended: cube.live_row_count().saturating_sub(old_live),
-                rows_removed: old_live.saturating_sub(cube.live_row_count()),
-                members_added: member_total(&cube).saturating_sub(member_total(old)),
-                overlap: background.then_some(window),
-            };
-            let folded = CubeSnapshot::folded(cube.clone(), target_epoch);
-            let replaced = std::mem::replace(&mut entry.pin, folded);
-            record_report_metrics(metrics, &report, &cube);
-            entry.reports.push(report);
-            metrics.counter("catalog.overlay.folds").inc();
-            metrics.gauge("catalog.overlay.rows").set(0.0);
-            (Ok(entry.pin.clone()), Some(replaced))
-        }
-        Err(error) => {
-            metrics.counter("catalog.overlay.fold_failures").inc();
-            st.fold_error = Some(error.clone());
-            (Err(error), None)
-        }
     };
-    drop(st);
-    // Freed (when no reader still pins it) outside the slot lock.
-    drop(replaced);
-    slot.maintenance_done.notify_all();
-    result
+    let outcome = built.map(Arc::new).map(|cube| {
+        let (from_epoch, old_live, old_members) =
+            claim.pinned.as_ref().map_or((target_epoch, 0, 0), |old| {
+                (old.epoch(), old.cube().live_row_count(), member_total(old.cube()))
+            });
+        let window = started.elapsed();
+        let report = MaintenanceReport {
+            dataset: schema.dataset.clone(),
+            strategy,
+            reason,
+            duration: window,
+            from_epoch,
+            to_epoch: target_epoch,
+            deltas_applied: 0,
+            rows_appended: cube.live_row_count().saturating_sub(old_live),
+            rows_removed: old_live.saturating_sub(cube.live_row_count()),
+            members_added: member_total(&cube).saturating_sub(old_members),
+            overlap: background.then_some(window),
+        };
+        Outcome::Pin(CubeSnapshot::folded(cube, target_epoch), report)
+    });
+    claim.publish(outcome.unwrap_or_else(Outcome::Error)).map(|(pin, _)| pin)
 }
 
 /// Pins [`CubeCatalog::serve_settled`] takes before it catches up on the
@@ -433,16 +521,14 @@ const SETTLE_ATTEMPTS: usize = 8;
 ///
 /// Cheap to share (`Arc<CubeCatalog>`); the Querying and Exploration
 /// modules of one tool instance hold the same catalog so they serve from
-/// one columnar representation. Locking is two-level: the catalog map is
-/// only held long enough to find or create a dataset's slot, and each
-/// slot's own lock is only held for snapshot pins and publish swaps —
-/// refresh work runs outside it under the slot's `refreshing` claim, so
-/// a multi-second rebuild of one dataset delays only
-/// [`Self::serve_settled`] (which needs the fresh cube anyway), never a
-/// [`Self::serve_snapshot`], and never serving of any other dataset.
+/// one columnar representation. The catalog map is held only to find or
+/// create a dataset's slot, and a slot's lock only for pins and publish
+/// swaps, so a multi-second rebuild of one dataset delays only
+/// [`Self::serve_settled`], never a [`Self::serve_snapshot`] or another
+/// dataset.
 #[derive(Default)]
 pub struct CubeCatalog {
-    inner: Mutex<BTreeMap<Iri, EntrySlot>>,
+    inner: Mutex<BTreeMap<Iri, Arc<Slot>>>,
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -460,34 +546,26 @@ impl CubeCatalog {
     }
 
     /// Returns a pinned [`CubeSnapshot`] for `schema`'s dataset **without
-    /// ever waiting on maintenance** once the dataset is built: the caller
-    /// gets the current pin immediately and executes against it lock-free.
-    /// This is the catalog's one read path.
+    /// ever waiting on maintenance** once the dataset is built — the
+    /// catalog's one read path. The first call enables change tracking on
+    /// the endpoint and builds the cube inline. Later calls compare the
+    /// endpoint's epoch with the pin's and, when the store moved, catch up
+    /// without blocking the reader:
     ///
-    /// The first call for a dataset enables change tracking on the
-    /// endpoint and builds the cube inline (there is nothing to serve
-    /// meanwhile). Later calls compare the endpoint's mutation epoch with
-    /// the pin's and, when the store moved, catch up in the cheapest way
-    /// that does not block the reader:
-    ///
-    /// * appliable deltas are **accreted inline** onto the pinned cube in
-    ///   O(delta) — this serve returns the caught-up snapshot, and the
-    ///   refresh is recorded as [`MaintenanceStrategy::Delta`]. If the
-    ///   store's epoch moved past the last replayed delta meanwhile, the
-    ///   replay (counted in `catalog.overlay.torn_replays`) runs once more
-    ///   against the frozen [`sparql::Endpoint::background_handle`]; without
-    ///   one this serve returns the current pin (a stale serve);
+    /// * appliable deltas are **accreted inline** in O(delta), and this
+    ///   serve returns the caught-up snapshot ([`MaintenanceStrategy::Delta`]).
+    ///   A replay whose store moved meanwhile (counted in
+    ///   `catalog.overlay.torn_replays`) runs once more against the frozen
+    ///   [`sparql::Endpoint::background_handle`]; without one, this serve
+    ///   returns the current pin (a stale serve);
     /// * structural changes (refused delta, change-log gap, a replay that
-    ///   shrank the cube) and tombstones past
-    ///   [`COMPACTION_LIVE_FRACTION`] go through one **fold** — a
-    ///   rebuild from scratch published with an atomic swap. It runs on a
-    ///   background thread over the frozen
-    ///   [`sparql::Endpoint::background_handle`] while this serve, and
-    ///   every one until the fold publishes, returns the stale-but-
-    ///   consistent pin (`catalog.overlay.stale_serves` counts them, the
-    ///   `catalog.overlay.lag` gauge tracks how far behind they are).
-    ///   Endpoints without a background handle (the conservative wrappers)
-    ///   fold on the caller's thread and get the fresh snapshot.
+    ///   shrank the cube) and tombstones past [`COMPACTION_LIVE_FRACTION`]
+    ///   go through one **fold**, a rebuild from scratch on a background
+    ///   thread over the frozen handle; until it publishes, serves return
+    ///   the stale-but-consistent pin (`catalog.overlay.stale_serves`
+    ///   counts them, the `catalog.overlay.lag` gauge says how far behind).
+    ///   Endpoints without a handle fold on the caller's thread and get
+    ///   the fresh snapshot.
     pub fn serve_snapshot(
         &self,
         endpoint: &dyn Endpoint,
@@ -496,36 +574,29 @@ impl CubeCatalog {
         let _snapshot_span = obs::span("catalog.serve-snapshot");
         self.metrics.counter("catalog.overlay.serve_calls").inc();
         let slot = self.slot(&schema.dataset);
+        sched::yield_point("claim");
         let mut st = slot.state.lock();
-        loop {
-            if let Some(entry) = st.entry.as_ref() {
-                let now = endpoint.epoch();
-                let pinned = entry.pin.clone();
-                let lag = now.saturating_sub(pinned.epoch());
-                self.metrics.gauge("catalog.overlay.lag").set(lag as f64);
-                if lag == 0 {
-                    self.metrics.counter("catalog.overlay.hits").inc();
-                    return Ok(pinned);
-                }
-                if st.refreshing {
-                    // Maintenance already in flight: serve the stale pin
-                    // rather than wait for it.
-                    self.metrics.counter("catalog.overlay.stale_serves").inc();
-                    return Ok(pinned);
-                }
-                st.claim();
-                drop(st);
-                return self.catch_up(endpoint, schema, &slot, pinned, true);
-            }
-            if !st.refreshing {
-                st.claim();
-                drop(st);
-                return self.first_build(endpoint, schema, &slot);
-            }
-            // Another caller is building the first cube: nothing to serve
-            // until it lands.
-            st = slot.wait(st);
+        while let State::Building = st.state {
+            // Another caller builds the first cube: nothing to serve yet.
+            st = sched::wait(&slot.maintenance_done, &slot.state, st);
         }
+        if let Some(pinned) = st.state.pin().cloned() {
+            let lag = endpoint.epoch().saturating_sub(pinned.epoch());
+            self.metrics.gauge("catalog.overlay.lag").set(lag as f64);
+            if lag == 0 {
+                self.metrics.counter("catalog.overlay.hits").inc();
+                return Ok(pinned);
+            }
+            if st.state.claimed() {
+                // Maintenance already in flight: serve the stale pin
+                // rather than wait for it.
+                self.metrics.counter("catalog.overlay.stale_serves").inc();
+                return Ok(pinned);
+            }
+        }
+        let claim = self.claim(&slot, &mut st);
+        drop(st);
+        self.catch_up(claim, endpoint, schema, true)
     }
 
     /// A pinned snapshot that is **settled**: at the store's current epoch
@@ -533,13 +604,12 @@ impl CubeCatalog {
     /// their own writes use (`QueryingModule::materialize` and
     /// `snapshot_settled`, the catalog-backed explorer).
     ///
-    /// Pins through [`Self::serve_snapshot`]; while the pin is stale or a
-    /// fold is in flight, waits for maintenance and pins again. A fold that
-    /// failed meanwhile is returned as the error rather than waited for. A
-    /// store mutating faster than folds land never settles: after
-    /// eight pins the catch-up runs on the caller's thread.
-    /// A failed compaction of an otherwise current pin is not an error:
-    /// the next pin serves the accreted cube.
+    /// Pins through [`Self::serve_snapshot`] and waits for maintenance in
+    /// flight; a stale pin pins again, and a failed fold (or maintenance
+    /// that panicked) is returned as the error rather than waited for.
+    /// After eight pins of a store that keeps moving, the catch-up runs on
+    /// the caller's thread. A failed compaction of a current pin is no
+    /// error: the pin serves the accreted cube.
     pub fn serve_settled(
         &self,
         endpoint: &dyn Endpoint,
@@ -547,98 +617,55 @@ impl CubeCatalog {
     ) -> Result<CubeSnapshot, CubeStoreError> {
         let slot = self.slot(&schema.dataset);
         for _ in 0..SETTLE_ATTEMPTS {
-            let pinned = self.serve_snapshot(endpoint, schema)?;
-            let stale = pinned.epoch() != endpoint.epoch();
-            if !stale {
-                // The slot's newest pin, not `pinned`: a compaction that
-                // landed since publishes at the same epoch.
-                let st = slot.state.lock();
-                if !st.refreshing {
-                    return Ok(st.entry.as_ref().expect("pinned above").pin.clone());
-                }
-            }
-            let failed = slot.idle().fold_error.clone();
-            if let (true, Some(error)) = (stale, failed) {
-                return Err(error);
+            let stale = self.serve_snapshot(endpoint, schema)?.epoch() != endpoint.epoch();
+            let st = slot.idle();
+            match &st.state {
+                // The slot's newest pin, not the one just served: a
+                // compaction that landed since publishes at the same epoch.
+                State::Serving(pin) | State::Failed(pin, _) if !stale => return Ok(pin.clone()),
+                State::Failed(_, error) => return Err(error.clone()),
+                _ => {}
             }
         }
         let mut st = slot.idle();
-        let pinned = st.entry.as_ref().expect("pinned above").pin.clone();
-        let now = endpoint.epoch();
-        if pinned.epoch() == now {
-            return Ok(pinned);
+        if let Some(pin) = st.state.pin().filter(|pin| pin.epoch() == endpoint.epoch()) {
+            return Ok(pin.clone());
         }
-        st.claim();
+        let claim = self.claim(&slot, &mut st);
         drop(st);
-        self.catch_up(endpoint, schema, &slot, pinned, false)
+        self.catch_up(claim, endpoint, schema, false)
     }
 
-    /// First materialization of a dataset: enable change tracking, then
-    /// build, under the slot's claim. The epoch is read *before* the
-    /// build: a mutation racing with it is caught up by the next serve
-    /// rather than silently skipped.
-    fn first_build(
-        &self,
-        endpoint: &dyn Endpoint,
-        schema: &CubeSchema,
-        slot: &SlotInner,
-    ) -> Result<CubeSnapshot, CubeStoreError> {
-        endpoint.enable_change_tracking();
-        let epoch = endpoint.epoch();
-        let started = Instant::now();
-        let built = {
-            let _build_span = obs::span("catalog.fresh-build");
-            MaterializedCube::from_endpoint(endpoint, schema)
-        };
-        let cube = match built {
-            Ok(cube) => Arc::new(cube),
-            Err(error) => {
-                slot.release_claim();
-                return Err(error);
-            }
-        };
-        let report = MaintenanceReport {
-            dataset: schema.dataset.clone(),
-            strategy: MaintenanceStrategy::Fresh,
-            reason: None,
-            duration: started.elapsed(),
-            from_epoch: epoch,
-            to_epoch: epoch,
-            deltas_applied: 0,
-            rows_appended: cube.row_count(),
-            rows_removed: 0,
-            members_added: member_total(&cube),
-            overlap: None,
-        };
-        record_report_metrics(&self.metrics, &report, &cube);
-        let mut reports = ReportLog::new();
-        reports.push(report);
-        let snapshot = CubeSnapshot::folded(cube, epoch);
-        let entry = CatalogEntry {
-            pin: snapshot.clone(),
-            reports,
-        };
-        let mut st = slot.state.lock();
-        st.entry = Some(entry);
-        st.refreshing = false;
-        drop(st);
-        slot.maintenance_done.notify_all();
-        Ok(snapshot)
+    /// Takes the free claim of `slot`: `Empty→Building`, or
+    /// `Serving`/`Failed→Maintaining` over the served pin.
+    fn claim(&self, slot: &Arc<Slot>, st: &mut SlotState) -> Claim {
+        let pinned = st.state.pin().cloned();
+        drop(st.transition(pinned.clone().map_or(State::Building, State::Maintaining)));
+        Claim {
+            slot: slot.clone(),
+            metrics: self.metrics.clone(),
+            pinned,
+            fold: false,
+            ended: false,
+        }
     }
 
-    /// Brings `pinned` up to the store's epoch, holding the slot's
-    /// maintenance claim and no lock: replays appliable deltas onto the
-    /// pinned cube inline and swaps the result in, or folds — on a
-    /// background thread when `background` is allowed and the endpoint
+    /// Brings the claimed slot up to the store's epoch, holding no lock:
+    /// builds it first when there is no pin; else replays appliable deltas
+    /// onto the pinned cube inline and publishes the result, or folds — on
+    /// a background thread when `background` is allowed and the endpoint
     /// offers a handle, inline otherwise.
     fn catch_up(
         &self,
+        claim: Claim,
         endpoint: &dyn Endpoint,
         schema: &CubeSchema,
-        slot: &EntrySlot,
-        pinned: CubeSnapshot,
         background: bool,
     ) -> Result<CubeSnapshot, CubeStoreError> {
+        let Some(pinned) = claim.pinned.clone() else {
+            endpoint.enable_change_tracking();
+            return run_fold(claim, schema, endpoint, MaintenanceStrategy::Fresh, None, false);
+        };
         let from_epoch = pinned.epoch();
         let started = Instant::now();
         let mut frozen: Option<Arc<dyn Endpoint + Send + Sync>> = None;
@@ -664,9 +691,8 @@ impl CubeCatalog {
                         continue;
                     }
                 }
-                slot.release_claim();
                 self.metrics.counter("catalog.overlay.stale_serves").inc();
-                return Ok(pinned);
+                return claim.publish(Outcome::Keep(pinned)).map(|(pin, _)| pin);
             }
             break match replayed {
                 Ok(replayed) => replay_growth(pinned.cube(), &replayed)
@@ -682,13 +708,12 @@ impl CubeCatalog {
             Err(reason) => {
                 // Structural change (or a mis-merged replay): fold.
                 let strategy = MaintenanceStrategy::Rebuild;
-                return match self.fold(endpoint, schema, slot, strategy, reason, background) {
-                    Some(folded) => folded,
-                    None => {
+                return self
+                    .fold(claim, endpoint, schema, strategy, reason, background)
+                    .unwrap_or_else(|| {
                         self.metrics.counter("catalog.overlay.stale_serves").inc();
                         Ok(pinned)
-                    }
-                };
+                    });
             }
         };
         let report = MaintenanceReport {
@@ -705,67 +730,51 @@ impl CubeCatalog {
             overlap: None,
         };
         let since_fold = pinned.since_fold().accreted(&report);
-        let snapshot = CubeSnapshot::new(replayed.clone(), caught_up, since_fold);
-        let wants_compaction = needs_compaction(&replayed);
-        let mut st = slot.state.lock();
-        let entry = st.entry.as_mut().expect("entry present while claim held");
-        let replaced = std::mem::replace(&mut entry.pin, snapshot.clone());
-        record_report_metrics(&self.metrics, &report, &replayed);
-        self.metrics.counter("catalog.overlay.accretions").inc();
-        self.metrics
-            .gauge("catalog.overlay.rows")
-            .set(since_fold.rows as f64);
-        entry.reports.push(report);
-        if !wants_compaction {
-            st.refreshing = false;
-        }
-        drop(st);
-        drop(replaced);
-        if wants_compaction {
-            // Tombstones dominate: the fold inherits the claim, and readers
-            // keep the accreted cube until the compacted one lands.
-            let reason = RebuildReason::LowLiveFraction {
-                live_rows: replayed.live_row_count(),
-                total_rows: replayed.row_count(),
-            };
-            let strategy = MaintenanceStrategy::Compaction;
-            return self
-                .fold(endpoint, schema, slot, strategy, reason, background)
-                .unwrap_or(Ok(snapshot));
-        }
-        slot.maintenance_done.notify_all();
-        Ok(snapshot)
+        let accreted = CubeSnapshot::new(replayed, caught_up, since_fold);
+        let (snapshot, inherited) = claim.publish(Outcome::Pin(accreted, report))?;
+        let Some(claim) = inherited else {
+            return Ok(snapshot);
+        };
+        // Tombstones dominate: the compaction inherits the claim, and
+        // readers keep the accreted cube until the compacted one lands.
+        let reason = RebuildReason::LowLiveFraction {
+            live_rows: snapshot.cube().live_row_count(),
+            total_rows: snapshot.cube().row_count(),
+        };
+        let strategy = MaintenanceStrategy::Compaction;
+        self.fold(claim, endpoint, schema, strategy, reason, background)
+            .unwrap_or(Ok(snapshot))
     }
 
     /// Runs [`run_fold`] on a spawned thread over the endpoint's frozen
     /// background handle (`None`: the result lands in the slot later), or
     /// on the caller's thread when `background` is off or the endpoint has
-    /// no handle (`Some`: the folded snapshot or the error). The caller
-    /// holds the maintenance claim; the fold inherits and releases it.
+    /// no handle (`Some`: the folded snapshot or the error). The fold
+    /// inherits the caller's claim.
     fn fold(
         &self,
+        mut claim: Claim,
         endpoint: &dyn Endpoint,
         schema: &CubeSchema,
-        slot: &EntrySlot,
         strategy: MaintenanceStrategy,
         reason: RebuildReason,
         background: bool,
     ) -> Option<Result<CubeSnapshot, CubeStoreError>> {
         self.metrics.counter("catalog.overlay.folds_started").inc();
+        claim.fold = true;
         // Asked for only when used: a handle can be a copy of the store.
         let handle = if background { endpoint.background_handle() } else { None };
         match handle {
             Some(handle) => {
-                let (metrics, slot, schema) = (self.metrics.clone(), slot.clone(), schema.clone());
-                std::thread::spawn(move || {
+                let schema = schema.clone();
+                sched::spawn(move || {
                     // The outcome lands in the slot: a new pin, or the
                     // error `serve_settled` surfaces.
-                    let source = handle.as_ref();
-                    let _ = run_fold(&metrics, &slot, &schema, source, strategy, reason, true);
+                    let _ = run_fold(claim, &schema, handle.as_ref(), strategy, Some(reason), true);
                 });
                 None
             }
-            None => Some(run_fold(&self.metrics, slot, schema, endpoint, strategy, reason, false)),
+            None => Some(run_fold(claim, schema, endpoint, strategy, Some(reason), false)),
         }
     }
 
@@ -775,14 +784,14 @@ impl CubeCatalog {
     /// completes.
     pub fn current_snapshot(&self, dataset: &Iri) -> Option<CubeSnapshot> {
         self.existing_slot(dataset)
-            .and_then(|slot| slot.state.lock().entry.as_ref().map(|entry| entry.pin.clone()))
+            .and_then(|slot| slot.state.lock().state.pin().cloned())
     }
 
     /// True while a maintenance claim (first build, accretion, or fold)
     /// is in flight for the dataset.
     pub fn maintenance_in_flight(&self, dataset: &Iri) -> bool {
         self.existing_slot(dataset)
-            .is_some_and(|slot| slot.state.lock().refreshing)
+            .is_some_and(|slot| slot.state.lock().state.claimed())
     }
 
     /// Blocks until no maintenance is in flight for the dataset. Tests,
@@ -796,12 +805,12 @@ impl CubeCatalog {
 
     /// Finds or creates a dataset's slot, holding the map lock only for
     /// the lookup.
-    fn slot(&self, dataset: &Iri) -> EntrySlot {
+    fn slot(&self, dataset: &Iri) -> Arc<Slot> {
         self.inner.lock().entry(dataset.clone()).or_default().clone()
     }
 
     /// A dataset's slot if one exists, without creating it.
-    fn existing_slot(&self, dataset: &Iri) -> Option<EntrySlot> {
+    fn existing_slot(&self, dataset: &Iri) -> Option<Arc<Slot>> {
         self.inner.lock().get(dataset).cloned()
     }
 
@@ -809,25 +818,14 @@ impl CubeCatalog {
     /// [`ReportLog::CAPACITY`]).
     pub fn reports(&self, dataset: &Iri) -> Vec<MaintenanceReport> {
         self.existing_slot(dataset)
-            .and_then(|slot| {
-                slot.state
-                    .lock()
-                    .entry
-                    .as_ref()
-                    .map(|entry| entry.reports.to_vec())
-            })
+            .map(|slot| slot.state.lock().reports.to_vec())
             .unwrap_or_default()
     }
 
     /// The most recent maintenance report of a dataset.
     pub fn last_report(&self, dataset: &Iri) -> Option<MaintenanceReport> {
-        self.existing_slot(dataset).and_then(|slot| {
-            slot.state
-                .lock()
-                .entry
-                .as_ref()
-                .and_then(|entry| entry.reports.last().cloned())
-        })
+        self.existing_slot(dataset)
+            .and_then(|slot| slot.state.lock().reports.last().cloned())
     }
 
     /// The datasets currently materialized.
@@ -854,6 +852,7 @@ impl std::fmt::Debug for CubeCatalog {
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
+    use std::panic::AssertUnwindSafe;
 
     use qb4olap::AggregateFunction;
     use rdf::Term;
@@ -861,7 +860,9 @@ mod tests {
 
     use crate::executor::CubeQuery;
     use crate::overlay::SinceFold;
-    use crate::testutil::{fixture, iri, member, observation_triples, run, structure_triple};
+    use crate::testutil::{
+        fixture, iri, member, observation_triples, run, structure_triple, Fault, Probe,
+    };
 
     use super::*;
 
@@ -1757,5 +1758,131 @@ mod tests {
             run(settled.cube(), &CubeQuery::default()).unwrap(),
             run(&scratch, &CubeQuery::default()).unwrap()
         );
+    }
+
+    /// Runs `test` on its own thread and fails when it has not returned
+    /// within ten seconds: a hang fails the test instead of stalling it.
+    fn within_bounded_time(test: impl FnOnce() + Send + 'static) {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            test();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(10)) {
+            Ok(()) => worker.join().unwrap(),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().unwrap_err())
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("the test hung"),
+        }
+    }
+
+    /// Serves through `serve` and expects the endpoint's panic to unwind
+    /// out of it, leaving no claim held.
+    fn panics_through(catalog: &CubeCatalog, schema: &CubeSchema, serve: impl FnOnce()) {
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(serve));
+        assert!(unwound.is_err(), "the endpoint's panic unwinds through the serve");
+        assert!(!catalog.maintenance_in_flight(&schema.dataset), "the claim is released");
+    }
+
+    #[test]
+    fn a_replay_whose_star_read_panics_fails_the_slot_then_recovers() {
+        within_bounded_time(|| {
+            let (probe, schema) = Probe::new(|sparql, on_a_handle| {
+                on_a_handle || sparql.contains("VALUES ?obs")
+            });
+            let catalog = CubeCatalog::new();
+            let built = catalog.serve_snapshot(&probe, &schema).unwrap();
+            probe.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
+            *probe.fault.lock() = Fault::Panic;
+            panics_through(&catalog, &schema, || {
+                let _ = catalog.serve_snapshot(&probe, &schema);
+            });
+            assert_eq!(catalog.current_snapshot(&schema.dataset).unwrap().epoch(), built.epoch());
+            // With the endpoint down, a settled serve claims again, and
+            // returns the fold's error instead of waiting.
+            *probe.fault.lock() = Fault::Error;
+            let error = catalog.serve_settled(&probe, &schema).unwrap_err();
+            assert!(error.to_string().contains("the endpoint is down"), "{error}");
+            assert!(!catalog.maintenance_in_flight(&schema.dataset));
+
+            *probe.fault.lock() = Fault::None;
+            let settled = catalog.serve_settled(&probe, &schema).unwrap();
+            assert_pin_is_a_build_of(&settled, probe.inner.store().snapshot(), &schema);
+        });
+    }
+
+    #[test]
+    fn a_first_build_that_panics_leaves_the_slot_empty_then_recovers() {
+        within_bounded_time(|| {
+            let (probe, schema) = Probe::new(|_, _| true);
+            let catalog = CubeCatalog::new();
+            *probe.fault.lock() = Fault::Panic;
+            panics_through(&catalog, &schema, || {
+                let _ = catalog.serve_settled(&probe, &schema);
+            });
+            assert!(catalog.current_snapshot(&schema.dataset).is_none());
+            *probe.fault.lock() = Fault::Error;
+            let error = catalog.serve_settled(&probe, &schema).unwrap_err();
+            assert!(error.to_string().contains("the endpoint is down"), "{error}");
+            assert!(!catalog.maintenance_in_flight(&schema.dataset));
+
+            *probe.fault.lock() = Fault::None;
+            let settled = catalog.serve_settled(&probe, &schema).unwrap();
+            assert_pin_is_a_build_of(&settled, probe.inner.store().snapshot(), &schema);
+            let report = catalog.last_report(&schema.dataset).unwrap();
+            assert_eq!(report.strategy, MaintenanceStrategy::Fresh);
+        });
+    }
+
+    #[test]
+    fn a_fold_whose_build_panics_fails_the_slot_then_recovers() {
+        within_bounded_time(|| {
+            let (probe, schema) = Probe::new(|_, on_a_handle| on_a_handle);
+            let catalog = CubeCatalog::new();
+            let built = catalog.serve_snapshot(&probe, &schema).unwrap();
+            probe.insert_triples(&[structure_triple()]).unwrap();
+            *probe.fault.lock() = Fault::Panic;
+            // The background fold panics: the reader keeps the stale pin
+            // and the failure is counted once.
+            assert_eq!(catalog.serve_snapshot(&probe, &schema).unwrap().epoch(), built.epoch());
+            catalog.wait_for_maintenance(&schema.dataset);
+            assert!(!catalog.maintenance_in_flight(&schema.dataset));
+            let metrics = catalog.metrics().snapshot();
+            assert_eq!(metrics.counter("catalog.overlay.fold_failures"), 1);
+            assert_eq!(metrics.counter("catalog.overlay.folds"), 0);
+            // A settled serve retries the fold and returns its panic.
+            let error = catalog.serve_settled(&probe, &schema).unwrap_err();
+            assert!(error.to_string().contains("panicked"), "{error}");
+            assert_eq!(catalog.metrics().snapshot().counter("catalog.overlay.fold_failures"), 2);
+
+            *probe.fault.lock() = Fault::None;
+            let settled = catalog.serve_settled(&probe, &schema).unwrap();
+            assert_pin_is_a_build_of(&settled, probe.inner.store().snapshot(), &schema);
+        });
+    }
+
+    #[test]
+    fn architecture_restates_the_transition_table() {
+        let doc = include_str!("../../../ARCHITECTURE.md");
+        let table = doc
+            .split("<!-- transitions -->")
+            .nth(1)
+            .and_then(|rest| rest.split("<!-- /transitions -->").next())
+            .expect("ARCHITECTURE.md marks the transition table");
+        let rows: Vec<(String, String)> = table
+            .lines()
+            .filter(|line| line.starts_with("| `"))
+            .map(|line| {
+                let names: Vec<&str> = line.split('`').skip(1).step_by(2).take(2).collect();
+                (names[0].to_string(), names[1].to_string())
+            })
+            .collect();
+        let code: Vec<(String, String)> = TRANSITIONS
+            .iter()
+            .map(|(from, to)| (format!("{from:?}"), format!("{to:?}")))
+            .collect();
+        assert_eq!(rows, code, "ARCHITECTURE.md's rows, in the code's order");
     }
 }

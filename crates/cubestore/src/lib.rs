@@ -92,6 +92,9 @@ pub mod observations;
 pub mod overlay;
 #[cfg(test)]
 mod refusal_suite;
+mod sched;
+#[cfg(test)]
+mod schedules;
 pub mod tombstone;
 pub mod zonemap;
 
@@ -122,8 +125,12 @@ pub(crate) mod testutil {
         AggregateFunction, Cardinality, CubeSchema, Dimension, Hierarchy, HierarchyStep,
         LevelAttribute, LevelComponent, MeasureSpec,
     };
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    use parking_lot::Mutex;
     use rdf::{Iri, Literal, Term, Triple};
-    use sparql::{Endpoint, LocalEndpoint};
+    use sparql::{Endpoint, LocalEndpoint, QueryResults, SparqlError};
 
     use crate::{
         execute, CubeQuery, CubeStoreError, ExecOptions, LevelIndex, MaterializedCube, MemberId,
@@ -392,6 +399,124 @@ pub(crate) mod testutil {
             .attributes
             .push(LevelAttribute::new(iri("attr/countryName")));
         (endpoint, schema)
+    }
+
+    /// What the queries a [`Probe`] selects meet.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) enum Fault {
+        None,
+        Panic,
+        /// A panic, then [`Fault::None`].
+        PanicOnce,
+        Error,
+    }
+
+    /// The fixture behind a test endpoint whose queries and writes are
+    /// scheduling points (`crate::sched`), whose queries selected by
+    /// `faulted(sparql, on_a_background_handle)` meet the shared `fault`,
+    /// and which keeps a snapshot of the store at every epoch written
+    /// through it. Its background handles are frozen snapshots that share
+    /// the fault but are no scheduling points: nothing races a frozen
+    /// store.
+    pub(crate) struct Probe {
+        pub(crate) inner: LocalEndpoint,
+        pub(crate) fault: Arc<Mutex<Fault>>,
+        faulted: fn(&str, bool) -> bool,
+        handle: bool,
+        stores: Mutex<BTreeMap<u64, rdf::Store>>,
+    }
+
+    impl Probe {
+        pub(crate) fn new(faulted: fn(&str, bool) -> bool) -> (Probe, CubeSchema) {
+            let (inner, schema) = fixture(AggregateFunction::Sum);
+            let probe = Probe {
+                inner,
+                fault: Arc::new(Mutex::new(Fault::None)),
+                faulted,
+                handle: false,
+                stores: Mutex::default(),
+            };
+            probe.record();
+            (probe, schema)
+        }
+
+        /// Keeps a snapshot of the store at its current epoch.
+        pub(crate) fn record(&self) {
+            let store = self.inner.store();
+            self.stores.lock().insert(store.epoch(), store.snapshot());
+        }
+
+        /// The store as it was at `epoch`.
+        pub(crate) fn store_at(&self, epoch: u64) -> rdf::Store {
+            self.stores.lock()[&epoch].snapshot()
+        }
+    }
+
+    impl Endpoint for Probe {
+        fn query(&self, sparql: &str) -> Result<QueryResults, SparqlError> {
+            if !self.handle {
+                crate::sched::yield_point("query");
+            }
+            if (self.faulted)(sparql, self.handle) {
+                let fault = {
+                    let mut fault = self.fault.lock();
+                    let met = *fault;
+                    if met == Fault::PanicOnce {
+                        *fault = Fault::None;
+                    }
+                    met
+                };
+                match fault {
+                    Fault::None => {}
+                    Fault::Panic | Fault::PanicOnce => panic!("the endpoint panicked"),
+                    Fault::Error => {
+                        return Err(SparqlError::Endpoint("the endpoint is down".into()))
+                    }
+                }
+            }
+            self.inner.query(sparql)
+        }
+
+        fn insert_triples(&self, triples: &[Triple]) -> Result<usize, SparqlError> {
+            crate::sched::yield_point("write");
+            let inserted = self.inner.insert_triples(triples)?;
+            self.record();
+            Ok(inserted)
+        }
+
+        fn insert_triples_named(
+            &self,
+            graph: &Iri,
+            triples: &[Triple],
+        ) -> Result<usize, SparqlError> {
+            self.inner.insert_triples_named(graph, triples)
+        }
+
+        fn triple_count(&self) -> usize {
+            self.inner.triple_count()
+        }
+
+        fn epoch(&self) -> u64 {
+            self.inner.epoch()
+        }
+
+        fn deltas_since(&self, since: u64) -> Option<Vec<rdf::StoreDelta>> {
+            self.inner.deltas_since(since)
+        }
+
+        fn enable_change_tracking(&self) {
+            self.inner.enable_change_tracking();
+        }
+
+        fn background_handle(&self) -> Option<Arc<dyn Endpoint + Send + Sync>> {
+            Some(Arc::new(Probe {
+                inner: LocalEndpoint::with_store(self.inner.store().snapshot()),
+                fault: self.fault.clone(),
+                faulted: self.faulted,
+                handle: true,
+                stores: Mutex::default(),
+            }))
+        }
     }
 }
 

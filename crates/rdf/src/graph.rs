@@ -1363,20 +1363,18 @@ mod tests {
         }
     }
 
-    /// The reference interner: ids in first-seen order, kept twice over.
-    /// Keyed by a term's N-Triples form, which is one string per term:
-    /// `Term`'s own order compares literals numerically where both parse,
-    /// so it is not a total order over mixed datatypes.
+    /// The reference interner: ids in first-seen order, kept twice over,
+    /// in a map ordered by `Term`'s own (total) order.
     #[derive(Clone, Default)]
     struct InternerModel {
-        ids: BTreeMap<String, TermId>,
+        ids: BTreeMap<Term, TermId>,
         terms: Vec<Term>,
     }
 
     impl InternerModel {
         fn intern(&mut self, term: &Term) -> TermId {
             let next = self.terms.len() as TermId;
-            let id = *self.ids.entry(term.to_string()).or_insert(next);
+            let id = *self.ids.entry(term.clone()).or_insert(next);
             if id == next {
                 self.terms.push(term.clone());
             }
@@ -1384,7 +1382,7 @@ mod tests {
         }
 
         fn get(&self, term: &Term) -> Option<TermId> {
-            self.ids.get(&term.to_string()).copied()
+            self.ids.get(term).copied()
         }
     }
 

@@ -323,34 +323,80 @@ impl PartialOrd for Literal {
 }
 
 impl Ord for Literal {
+    /// A total order. Numeric-typed literals whose lexical form parses
+    /// sort first, by value: exactly when both parse as `i64` (going
+    /// through `f64` loses precision above 2^53, and MIN/MAX over
+    /// i64::MAX-adjacent values must agree with the columnar engine's
+    /// exact integer path), an `i64` against an `f64` exactly too, NaN
+    /// last. Equal values, and all other literals, order by (lexical form,
+    /// datatype, language). Comparing numbers with text instead would not
+    /// be transitive: `"9"^^xsd:integer < "10"^^xsd:integer < "5" < "9"^^xsd:integer`.
     fn cmp(&self, other: &Self) -> Ordering {
-        // Order numerically where possible so that e.g. "9" < "10" for
-        // xsd:integer literals; fall back to lexicographic ordering.
-        //
-        // When both sides parse as `i64`, compare exactly: going through
-        // `f64` loses precision above 2^53, and the lexicographic fallback
-        // then picks the numerically *wrong* winner for adjacent huge
-        // negative integers ("-…06" sorts before "-…05" by bytes). MIN/MAX
-        // over i64::MAX-adjacent values must agree with the columnar
-        // engine's exact integer path.
-        if let (Some(a), Some(b)) = (self.as_integer(), other.as_integer()) {
-            let ord = a.cmp(&b);
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        } else if let (Some(a), Some(b)) = (self.as_double(), other.as_double()) {
-            if let Some(ord) = a.partial_cmp(&b) {
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-        }
-        (self.lexical.as_ref(), &self.datatype, &self.language).cmp(&(
-            other.lexical.as_ref(),
-            &other.datatype,
-            &other.language,
-        ))
+        let by_value = match (self.numeric_value(), other.numeric_value()) {
+            (Some(a), Some(b)) => a.total_cmp(b),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => Ordering::Equal,
+        };
+        by_value.then_with(|| {
+            (self.lexical.as_ref(), &self.datatype, &self.language).cmp(&(
+                other.lexical.as_ref(),
+                &other.datatype,
+                &other.language,
+            ))
+        })
     }
+}
+
+impl Literal {
+    /// The value [`Ord`] sorts a numeric literal by: its `i64` when the
+    /// lexical form parses as one, else its `f64`.
+    fn numeric_value(&self) -> Option<OrderValue> {
+        match self.as_integer() {
+            Some(integer) => Some(OrderValue::Integer(integer)),
+            None => self.as_double().map(OrderValue::Double),
+        }
+    }
+}
+
+/// A numeric literal's value as [`Literal`]'s order compares it.
+#[derive(Clone, Copy)]
+enum OrderValue {
+    Integer(i64),
+    Double(f64),
+}
+
+impl OrderValue {
+    /// Exact comparison of the values, NaN after every number.
+    fn total_cmp(self, other: OrderValue) -> Ordering {
+        match (self, other) {
+            (OrderValue::Integer(a), OrderValue::Integer(b)) => a.cmp(&b),
+            (OrderValue::Integer(a), OrderValue::Double(b)) => integer_vs_double(a, b),
+            (OrderValue::Double(a), OrderValue::Integer(b)) => integer_vs_double(b, a).reverse(),
+            (OrderValue::Double(a), OrderValue::Double(b)) => match (a.is_nan(), b.is_nan()) {
+                (false, false) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+                (nan_a, nan_b) => nan_a.cmp(&nan_b),
+            },
+        }
+    }
+}
+
+/// Compares an integer with a double exactly (no rounding through `f64`),
+/// NaN after every number.
+fn integer_vs_double(integer: i64, double: f64) -> Ordering {
+    // 2^63 is exact as an f64; every double in [-2^63, 2^63) truncates to
+    // an i64 exactly.
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    if double.is_nan() || double >= TWO_POW_63 {
+        return Ordering::Less;
+    }
+    if double < -TWO_POW_63 {
+        return Ordering::Greater;
+    }
+    let whole = double.trunc();
+    integer
+        .cmp(&(whole as i64))
+        .then_with(|| whole.partial_cmp(&double).unwrap_or(Ordering::Equal))
 }
 
 impl fmt::Debug for Literal {
@@ -616,6 +662,52 @@ mod tests {
         assert!(lo < hi);
         // Signed zeros still fall back to the lexical tie-break.
         assert!(Literal::decimal(-0.0) < Literal::decimal(0.0));
+    }
+
+    #[test]
+    fn literal_order_is_total_over_mixed_datatypes() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // The cycle comparing numbers with text made: 9 < 10 by value,
+        // "10" < "5" and "5" < "9" by text.
+        let (nine, ten, five) =
+            (Literal::integer(9), Literal::integer(10), Literal::string("5"));
+        assert!(nine < ten && ten < five && nine < five);
+
+        let typed = |lexical: &str, datatype: &str| {
+            Literal::typed(lexical, Iri::new(format!("{}{datatype}", xsd::NAMESPACE)))
+        };
+        let mut pool = Vec::new();
+        for lexical in [
+            "5", "9", "10", "-0", "0", "-0.5", "0.5", "1e18", "999999999999999999",
+            "1000000000000000000", "9007199254740993", "9007199254740992.0", "NaN", "INF",
+            "-INF", "9223372036854775807", "9.3e18", "-9.3e18", "abc", " 7", "",
+        ] {
+            for datatype in ["integer", "decimal", "double", "string", "boolean", "date"] {
+                pool.push(typed(lexical, datatype));
+            }
+            pool.push(Literal::lang_string(lexical, "en"));
+        }
+        pool.extend([
+            Literal::integer(i64::MIN),
+            Literal::integer(i64::MAX),
+            Literal::double(-0.0),
+        ]);
+        let mut rng = StdRng::seed_from_u64(31);
+        for _ in 0..200_000 {
+            let mut pick = || &pool[rng.gen_range(0..pool.len())];
+            let (a, b, c) = (pick(), pick(), pick());
+            assert_eq!(a.cmp(b), b.cmp(a).reverse(), "antisymmetric: {a} vs {b}");
+            assert_eq!(a.cmp(b) == Ordering::Equal, a == b, "consistent with Eq: {a} vs {b}");
+            if a <= b && b <= c {
+                assert!(a <= c, "transitive: {a} <= {b} <= {c}");
+            }
+        }
+        // A sort agrees with every pairwise comparison.
+        let mut sorted = pool.clone();
+        sorted.sort();
+        for (i, a) in sorted.iter().enumerate() {
+            assert!(sorted[i..].iter().all(|b| a <= b), "{a} sorts before a smaller literal");
+        }
     }
 
     #[test]

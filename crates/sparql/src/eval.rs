@@ -227,11 +227,11 @@ fn group_ids(keys: &Rows) -> (Vec<usize>, Vec<usize>) {
     (group_of, firsts)
 }
 
-/// Sorts `items` stably by `order`. `Term`'s order — and with it ORDER BY's —
-/// is not total over literals of mixed kinds (`"10" < 7 < 10 < "10"`), and
-/// the standard library's sorts may panic on such an order; a plain merge
-/// sort just leaves those rows in some order, and agrees with any other
-/// stable sort wherever the order is consistent.
+/// Sorts `items` stably by `order`. ORDER BY's order (numbers by their
+/// `f64` reading, `Term` order otherwise) is not total: a NaN ties with both
+/// 1 and 2, which do not tie. The standard library's sorts may panic on
+/// such an order; a plain merge sort just leaves those rows in some order,
+/// and agrees with any other stable sort wherever the order is consistent.
 fn merge_sort(items: &mut Vec<usize>, order: impl Fn(usize, usize) -> Ordering) {
     let len = items.len();
     let mut merged = items.clone();
