@@ -144,9 +144,9 @@ cargo test --release -q -p qb2olap-suite --test integration_overlay
 # writes, through every schedule with at most two preemptions: a reader vs a
 # writer vs a background fold (335 schedules), serve_settled vs a same-epoch
 # compaction (87), serve_settled vs a failing fold (131) and a reader vs a
-# panicking replay (27) — 580 schedules, under 1.5 s in release on 2 vCPUs.
-# After every run: a reader's epochs never go back, every pin equals a
-# scratch build at its epoch, serve_settled returned the slot's newest pin,
+# panicking replay (27) — 580 schedules, 0.4–2 s in release on 2 shared vCPUs.
+# After every run: a reader's epochs never go back, every pin served equals
+# a scratch build at its epoch, serve_settled returned the slot's newest pin,
 # every fold started landed or failed and was counted once, the claim is
 # released, and no run ended with every live thread waiting. Then the three
 # panic regression tests: a replay whose star read panics, a first build

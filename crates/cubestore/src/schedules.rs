@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -164,12 +165,20 @@ fn reader_vs_writer_vs_background_fold() {
             "no write follows the settle"
         );
     };
+    // Runs in which a write landed under a reader's replay: the schedules
+    // must reach the torn path, not just pass around it.
+    static TORN: AtomicU64 = AtomicU64::new(0);
     let schedules = explore_catalog(
         || World::new(|_, _| false, |_| {}),
         &[reader, writer],
-        |world| assert!(world.counter("catalog.overlay.folds") >= 1),
+        |world| {
+            assert!(world.counter("catalog.overlay.folds") >= 1);
+            let torn = world.counter("catalog.overlay.torn_replays");
+            TORN.fetch_add(u64::from(torn > 0), Ordering::Relaxed);
+        },
     );
     assert!(schedules >= 300, "{schedules} schedules");
+    assert!(TORN.load(Ordering::Relaxed) > 0, "no schedule tore a replay");
 }
 
 /// A settle and a reader race an accretion whose tombstones dominate:
