@@ -222,8 +222,8 @@ impl QueryOutput {
 }
 
 /// Key-space size up to which groups are found through a dense slot array
-/// (one `u32` per possible key: 256 KiB at the limit) instead of the hash
-/// table.
+/// (one `u32` per possible key: 256 KiB at the limit) instead of by sorting
+/// the surviving rows' keys.
 const DENSE_GROUP_LIMIT: usize = 1 << 16;
 
 /// Totals observed by one columnar execution: the kernel adds to them once
@@ -441,7 +441,7 @@ fn run_keyed<K: GroupKey>(
             format!("segments_pruned={}", stats.segments_pruned),
         );
         let returned = Some(output.len() as u64);
-        profile.push_step("aggregate", started.elapsed(), returned, "HAVING + sort");
+        profile.push_step("aggregate", started.elapsed(), returned, "HAVING + assembly");
     }
     Ok((output, stats))
 }
@@ -522,81 +522,181 @@ struct SegmentSpan {
     dead: usize,
 }
 
+/// One kept axis's contribution to the group key, fixed per query and
+/// indexed by the bottom code of the axis's column: the rank of the code's
+/// target member in `Term` order times the axis's stride, or a marker —
+/// [`GroupKey::DICED`] where a dice folded into the table drops the
+/// target, [`GroupKey::NO_TARGET`] where the code has no target
+/// (ragged), [`GroupKey::AMBIGUOUS`] where it has several. One entry past
+/// the map, `NO_TARGET`, is where an unbound row's [`NO_MEMBER`] lands.
+struct AxisPass<K> {
+    /// Index into [`ScanPlan::axes`].
+    axis: usize,
+    entries: Vec<K>,
+    /// True if a dice was folded into `entries`.
+    diced: bool,
+}
+
+impl<K: GroupKey> AxisPass<K> {
+    #[inline]
+    fn entry(&self, code: MemberId) -> K {
+        self.entries[(code as usize).min(self.entries.len() - 1)]
+    }
+}
+
+/// The per-query half of the kernel: one pass per kept axis, in the order
+/// the kernel runs them, and the dices no pass holds.
+struct Passes<'f, K> {
+    passes: Vec<AxisPass<K>>,
+    /// Evaluated after the passes, on members lifted on demand.
+    residual: Vec<&'f CompiledFilter>,
+}
+
+/// Builds the axis tables and decides the pass order.
+///
+/// When no kept table holds an ambiguous entry no row can refuse, so
+/// every dice over one axis folds into that axis's table and the diced
+/// axes run first: rows they drop are never looked up on another axis.
+/// Otherwise the passes keep schema order and no dice is folded, because
+/// the row-at-a-time order runs dices after every axis and a row a dice
+/// would drop must still reach a later axis's ambiguous entry and refuse.
+/// Dices that span several axes are always residual.
+fn plan_passes<'f, K: GroupKey>(plan: &'f ScanPlan<'_>, space: &KeySpace<K>) -> Passes<'f, K> {
+    let mut ambiguous = false;
+    let mut passes: Vec<AxisPass<K>> = Vec::with_capacity(plan.axes.len());
+    for (index, (axis, &stride)) in plan.axes.iter().zip(&space.strides).enumerate() {
+        let ranks = axis.level_index.ranks();
+        let mut entries: Vec<K> = Vec::with_capacity(axis.rollup.len() + 1);
+        for &target in axis.rollup.targets() {
+            entries.push(match target {
+                NO_MEMBER => K::NO_TARGET,
+                AMBIGUOUS_MEMBER => {
+                    ambiguous = true;
+                    K::AMBIGUOUS
+                }
+                target => K::from_count(ranks[target as usize] as usize).times(stride),
+            });
+        }
+        entries.push(K::NO_TARGET);
+        passes.push(AxisPass {
+            axis: index,
+            entries,
+            diced: false,
+        });
+    }
+    if ambiguous {
+        let residual = plan.filters.iter().collect();
+        return Passes { passes, residual };
+    }
+    let mut residual = Vec::new();
+    for filter in &plan.filters {
+        let CompiledFilter::Compare { axis, table } = filter else {
+            residual.push(filter);
+            continue;
+        };
+        let pass = &mut passes[*axis];
+        let targets = plan.axes[*axis].rollup.targets();
+        for (entry, &target) in pass.entries.iter_mut().zip(targets) {
+            if *entry < K::DICED && table[target as usize] != Some(Some(true)) {
+                *entry = K::DICED;
+            }
+        }
+        pass.diced = true;
+    }
+    passes.sort_by_key(|pass| !pass.diced);
+    Passes { passes, residual }
+}
+
 /// True if the zone maps prove that skipping `segment` entirely cannot
 /// change the scan's result *or* its error behavior.
 ///
-/// The proof walks the axes in scan order; for each axis the segment's
-/// zone set (the exact distinct bottom codes present) is lifted through
-/// the axis's roll-up map:
+/// The proof walks the passes in the kernel's order and looks each of the
+/// segment's zone codes (the exact distinct bottom codes present) up in
+/// the pass's table:
 ///
-/// * a code lifting to [`AMBIGUOUS_MEMBER`] makes the segment unprunable
-///   immediately — the unpruned scan may reach that row and refuse the
-///   whole query, and pruning must preserve that refusal. Later axes and
-///   filters are not consulted: the unpruned scan would error *before*
-///   them;
-/// * if no code of the zone lifts to a live member, every row of the
-///   segment drops at (or before) this axis — and since no earlier axis
-///   saw an ambiguous code, the unpruned scan drops them silently too, so
-///   the segment prunes.
+/// * an ambiguous entry makes the segment unprunable immediately — the
+///   unpruned scan may reach that row and refuse the whole query, and
+///   pruning must preserve that refusal. Later axes and dices are not
+///   consulted: the unpruned scan would error *before* them (tables hold
+///   ambiguous entries only when the passes run in schema order);
+/// * if no zone code maps to a live, kept entry, every row of the segment
+///   drops at (or before) this pass — and since no earlier pass saw an
+///   ambiguous code, the unpruned scan drops them silently too, so the
+///   segment prunes.
 ///
-/// Only when every axis passes clean are the member filters consulted: a
-/// filter that no combination of the lifted per-axis possibilities can
-/// satisfy prunes the segment (see [`filter_possible`]).
-fn segment_prunable(
+/// Only when every pass keeps some code are the residual dices consulted:
+/// one that no combination of the per-axis possibilities can satisfy
+/// prunes the segment (see [`filter_possible`]).
+fn segment_prunable<K: GroupKey>(
     zones: &ZoneMaps,
     segment: usize,
     axes: &[AxisPlan<'_>],
-    filters: &[CompiledFilter],
+    passes: &Passes<'_, K>,
 ) -> bool {
-    let mut lifted: Vec<Vec<MemberId>> = Vec::with_capacity(axes.len());
-    for axis in axes {
-        let Some(codes) = zones.dimension_codes(axis.dim_index, segment) else {
+    for pass in &passes.passes {
+        let Some(codes) = zones.dimension_codes(axes[pass.axis].dim_index, segment) else {
             // Zone maps out of sync with the columns: never prune.
             return false;
         };
-        let mut live: Vec<MemberId> = Vec::new();
+        let mut kept = false;
         for code in codes {
-            if code == NO_MEMBER {
-                continue;
-            }
-            let target = axis.rollup.target(code);
-            if target == AMBIGUOUS_MEMBER {
+            let entry = pass.entry(code);
+            if entry == K::AMBIGUOUS {
                 return false;
             }
-            if target != NO_MEMBER {
-                live.push(target);
-            }
+            kept |= entry < K::DICED;
         }
-        if live.is_empty() {
+        if !kept {
             return true;
         }
-        lifted.push(live);
     }
-    filters.iter().any(|filter| !filter_possible(filter, &lifted))
+    passes
+        .residual
+        .iter()
+        .any(|filter| !filter_possible(filter, zones, segment, axes))
 }
 
-/// True if *some* coordinate drawn from the per-axis lifted possibilities
-/// could satisfy the filter. The check over-approximates per axis (an
-/// `And` possible on each side separately may not be jointly satisfiable
-/// by one row) — the sound direction, since a segment is pruned only when
-/// the filter is im*possible*. Any row the unpruned scan keeps has
-/// `joins && eval == Some(true)`, and its per-axis members are all in
-/// `lifted`, so a kept row witnesses possibility for every filter.
-fn filter_possible(filter: &CompiledFilter, lifted: &[Vec<MemberId>]) -> bool {
+/// True if *some* coordinate drawn from the segment's zone codes, lifted
+/// through each axis's roll-up map, could satisfy the filter. The check
+/// over-approximates per axis (an `And` possible on each side separately
+/// may not be jointly satisfiable by one row) — the sound direction, since
+/// a segment is pruned only when the filter is im*possible*. Any row the
+/// unpruned scan keeps has `joins && eval == Some(true)`, and its per-axis
+/// members are lifted from zone codes, so a kept row witnesses possibility
+/// for every filter.
+fn filter_possible(
+    filter: &CompiledFilter,
+    zones: &ZoneMaps,
+    segment: usize,
+    axes: &[AxisPlan<'_>],
+) -> bool {
     match filter {
-        CompiledFilter::Compare { axis, table } => lifted[*axis].iter().any(|&member| {
-            table.get(member as usize).copied().flatten().flatten() == Some(true)
-        }),
-        CompiledFilter::And(a, b) => filter_possible(a, lifted) && filter_possible(b, lifted),
-        CompiledFilter::Or(a, b) => filter_possible(a, lifted) || filter_possible(b, lifted),
+        CompiledFilter::Compare { axis, table } => {
+            let axis = &axes[*axis];
+            let targets = axis.rollup.targets();
+            let possible = |code: MemberId| {
+                let target = targets.get(code as usize).copied().unwrap_or(NO_MEMBER);
+                target < AMBIGUOUS_MEMBER && table[target as usize] == Some(Some(true))
+            };
+            zones
+                .dimension_codes(axis.dim_index, segment)
+                .is_some_and(|mut codes| codes.any(possible))
+        }
+        CompiledFilter::And(a, b) => {
+            filter_possible(a, zones, segment, axes) && filter_possible(b, zones, segment, axes)
+        }
+        CompiledFilter::Or(a, b) => {
+            filter_possible(a, zones, segment, axes) || filter_possible(b, zones, segment, axes)
+        }
     }
 }
 
-/// Scans the fact rows: classifies every column segment against the zone
-/// maps and the per-segment tombstone counts as dead, pruned or
-/// surviving, then runs the kernel over the survivors. Accumulation is
-/// order-independent for every measure type (compensated float sums
-/// included), so results are bit-identical to the unpruned scan.
+/// Scans the fact rows: builds the axis tables, classifies every column
+/// segment against the zone maps and the per-segment tombstone counts as
+/// dead, pruned or surviving, then runs the kernel over the survivors.
+/// Accumulation is order-independent for every measure type (compensated
+/// float sums included), so results are bit-identical to the unpruned
+/// scan.
 fn scan<K: GroupKey>(
     plan: &ScanPlan<'_>,
     space: &KeySpace<K>,
@@ -604,6 +704,7 @@ fn scan<K: GroupKey>(
     let rows = plan.cube.row_count();
     let tombstones = plan.cube.tombstones();
     let zones = plan.cube.zone_maps();
+    let passes = plan_passes(plan, space);
 
     let segments_total = rows.div_ceil(SEGMENT_LEN);
     let mut segments_dead = 0u64;
@@ -616,14 +717,14 @@ fn scan<K: GroupKey>(
             segments_dead += 1;
             continue;
         }
-        if plan.options.prune && segment_prunable(zones, segment, &plan.axes, &plan.filters) {
+        if plan.options.prune && segment_prunable(zones, segment, &plan.axes, &passes) {
             segments_pruned += 1;
             continue;
         }
         spans.push(SegmentSpan { segment, len, dead });
     }
 
-    let (groups, mut stats) = scan_spans(plan, space, &spans)?;
+    let (groups, mut stats) = scan_spans(plan, space, &passes, &spans)?;
     stats.segments_total = segments_total as u64;
     stats.segments_pruned = segments_pruned;
     stats.segments_dead = segments_dead;
@@ -637,30 +738,31 @@ fn scan<K: GroupKey>(
 ///
 /// 1. *liveness* — the segment's live row offsets, from the tombstone
 ///    bitmap words (or `0..len` when the segment has no dead row);
-/// 2. *lift* — per axis in schema order, each listed row's bottom code goes
-///    through the roll-up map into `lifted[axis]`; rows that are unbound or
-///    have no ancestor leave the list, so a later axis never sees them. A
-///    row lifting to [`AMBIGUOUS_MEMBER`] leaves the list too and is
-///    remembered if it is the earliest such row: the listed rows of an axis
-///    are exactly the rows the row-at-a-time order would have brought this
-///    far, so the earliest remembered row is the one that order refuses on;
-/// 3. *filter* — the compiled truth tables over the lifted codes;
-/// 4. *group* — each surviving row's lifted codes pack into one mixed-radix
-///    key, which the group table turns into a dense group number;
+/// 2. *axis passes* — per axis in pass order, each listed row's bottom code
+///    indexes the axis's table; a live entry adds into the row's key, a
+///    marker drops the row from the list, so a later pass never sees it. A
+///    row on an ambiguous entry is remembered if it is the earliest such
+///    row: the listed rows of a pass are exactly the rows the
+///    row-at-a-time order would have brought this far (ambiguous entries
+///    exist only when the passes run in schema order), so the earliest
+///    remembered row is the one that order refuses on;
+/// 3. *residual dices* — the compiled truth tables no pass holds, over
+///    members lifted on demand;
+/// 4. *group* — [`Groups::add`]: a dense slot per key, or the key and row
+///    kept for one sort after the scan;
 /// 5. *accumulate* — per measure, one typed loop over the surviving rows.
 fn scan_spans<K: GroupKey>(
     plan: &ScanPlan<'_>,
     space: &KeySpace<K>,
+    passes: &Passes<'_, K>,
     spans: &[SegmentSpan],
 ) -> Result<(Groups<K>, ScanStats), CubeStoreError> {
     let axes = &plan.axes;
     let tombstones = plan.cube.tombstones();
-    let mut groups = Groups::new(space, plan.measures);
+    let mut groups = Groups::new(space, plan.measures, spans);
     let mut stats = ScanStats::default();
     let mut rows: Vec<u16> = Vec::with_capacity(SEGMENT_LEN);
-    let mut lifted: Vec<Vec<MemberId>> = vec![vec![NO_MEMBER; SEGMENT_LEN]; axes.len()];
     let mut keys: Vec<K> = Vec::with_capacity(SEGMENT_LEN);
-    let mut group_of: Vec<u32> = Vec::with_capacity(SEGMENT_LEN);
 
     for span in spans {
         rows.clear();
@@ -681,35 +783,49 @@ fn scan_spans<K: GroupKey>(
         }
         stats.rows_scanned += span.len as u64;
         stats.tombstones_skipped += (span.len - rows.len()) as u64;
+        keys.clear();
+        keys.resize(rows.len(), K::ZERO);
 
         // (row offset, axis, bottom code) of the earliest ambiguous row.
         let mut refusal: Option<(u16, usize, MemberId)> = None;
-        for (index, (axis, lifted)) in axes.iter().zip(&mut lifted).enumerate() {
-            let codes = axis.column.code_segment(span.segment);
-            let targets = axis.rollup.targets();
-            let mut worst: MemberId = 0;
-            for &row in &rows {
-                // An unbound row's `NO_MEMBER` lies past every map.
-                let bottom = codes[row as usize] as usize;
-                debug_assert!(bottom < targets.len() || bottom == NO_MEMBER as usize);
-                let target = targets.get(bottom).copied().unwrap_or(NO_MEMBER);
-                lifted[row as usize] = target;
-                worst = worst.max(target);
+        for pass in &passes.passes {
+            let codes = axes[pass.axis].column.code_segment(span.segment);
+            let entering = rows.len();
+            let mut worst = K::ZERO;
+            for (key, &row) in keys.iter_mut().zip(&rows) {
+                let entry = pass.entry(codes[row as usize]);
+                *key = key.wrapping_add(entry);
+                worst = worst.max(entry);
             }
-            stats.rollup_lookups += rows.len() as u64;
-            if worst >= AMBIGUOUS_MEMBER {
-                // Some listed row is unbound, ragged or ambiguous here.
-                let entering = rows.len();
-                let is_unbound = |row: &&u16| codes[**row as usize] == NO_MEMBER;
-                stats.rollup_lookups -= rows.iter().filter(is_unbound).count() as u64;
-                let ambiguous = |row: &&u16| lifted[**row as usize] == AMBIGUOUS_MEMBER;
-                if let Some(&row) = rows.iter().find(ambiguous) {
-                    if refusal.is_none_or(|(first, ..)| row < first) {
-                        refusal = Some((row, index, codes[row as usize]));
+            let (mut kept, mut unbound, mut diced) = (entering, 0, 0);
+            let mut ambiguous: Option<u16> = None;
+            if worst >= K::DICED {
+                // Some listed row drops here: walk the list again, keeping
+                // the live rows in place and counting the others.
+                kept = 0;
+                for index in 0..entering {
+                    let row = rows[index];
+                    let code = codes[row as usize];
+                    let entry = pass.entry(code);
+                    rows[kept] = row;
+                    keys[kept] = keys[index];
+                    kept += usize::from(entry < K::DICED);
+                    unbound += usize::from(code == NO_MEMBER);
+                    diced += usize::from(entry == K::DICED);
+                    if entry == K::AMBIGUOUS && ambiguous.is_none() {
+                        ambiguous = Some(row);
                     }
                 }
-                rows.retain(|&row| lifted[row as usize] < AMBIGUOUS_MEMBER);
-                stats.rows_no_member += (entering - rows.len()) as u64;
+            }
+            rows.truncate(kept);
+            keys.truncate(kept);
+            stats.rollup_lookups += (entering - unbound) as u64;
+            stats.rows_filtered += diced as u64;
+            stats.rows_no_member += (entering - kept - diced) as u64;
+            if let Some(row) = ambiguous {
+                if refusal.is_none_or(|(first, ..)| row < first) {
+                    refusal = Some((row, pass.axis, codes[row as usize]));
+                }
             }
         }
         if let Some((_, index, bottom)) = refusal {
@@ -723,62 +839,84 @@ fn scan_spans<K: GroupKey>(
             )));
         }
 
-        let entering = rows.len();
-        for filter in &plan.filters {
-            filter.retain(&mut rows, &lifted);
-        }
-        stats.rows_filtered += (entering - rows.len()) as u64;
-        stats.rows_aggregated += rows.len() as u64;
-
-        keys.clear();
-        keys.resize(rows.len(), K::ZERO);
-        for (&radix, lifted) in space.radices.iter().zip(&lifted) {
-            for (key, &row) in keys.iter_mut().zip(&rows) {
-                *key = key.push(radix, lifted[row as usize]);
+        if !passes.residual.is_empty() {
+            let entering = rows.len();
+            let mut kept = 0;
+            for index in 0..entering {
+                let row = rows[index] as usize;
+                let member = |axis: usize| {
+                    let axis: &AxisPlan = &axes[axis];
+                    axis.rollup.target(axis.column.code_segment(span.segment)[row])
+                };
+                if passes.residual.iter().all(|filter| filter.keeps(&member)) {
+                    rows[kept] = rows[index];
+                    keys[kept] = keys[index];
+                    kept += 1;
+                }
             }
+            rows.truncate(kept);
+            keys.truncate(kept);
+            stats.rows_filtered += (entering - kept) as u64;
         }
-        group_of.clear();
-        group_of.extend(keys.iter().map(|&key| groups.table.group_of(key)));
-        for (acc, measure) in groups.accs.iter_mut().zip(plan.measures) {
-            acc.grow(groups.table.keys.len());
-            acc.update(measure.data.segment(span.segment), &rows, &group_of);
-        }
+        stats.rows_aggregated += rows.len() as u64;
+        groups.add(span.segment, &rows, &keys, plan.measures);
     }
+    groups.finish(space, plan.measures);
     Ok((groups, stats))
 }
 
-/// A packed group key: the lifted member codes of one row as the digits of
-/// a mixed-radix number, radix = member count of each axis's result level.
-/// `u64` unless the product of the radices overflows it, `u128` then.
+/// A packed group key: the ranks of one row's members in `Term` order as
+/// the digits of a mixed-radix number, radix = member count of each
+/// axis's result level, the first axis most significant. The integer order
+/// of keys is therefore the canonical coordinate order. `u64` unless the
+/// product of the radices overflows it, `u128` then.
 trait GroupKey: Copy + Ord {
     const ZERO: Self;
+    /// The markers of an [`AxisPass`] table, above every key of a space
+    /// [`KeySpace::of`] accepts; [`GroupKey::AMBIGUOUS`] is the largest.
+    const DICED: Self;
+    const NO_TARGET: Self;
+    const AMBIGUOUS: Self;
+    const BITS: u32;
     fn from_count(count: usize) -> Self;
     fn checked_mul(self, radix: Self) -> Option<Self>;
-    /// Appends a digit. Cannot overflow while the digits stay below their
-    /// radices and the product of all radices fits ([`KeySpace::of`]).
-    fn push(self, radix: Self, digit: MemberId) -> Self;
+    /// A rank times its axis's stride. Cannot overflow while the rank stays
+    /// below its radix and the product of all radices fits.
+    fn times(self, stride: Self) -> Self;
+    /// Adds a table entry; wraps on a marker, whose sum the kernel drops.
+    fn wrapping_add(self, entry: Self) -> Self;
     /// Removes the last digit.
     fn pop(self, radix: Self) -> (Self, MemberId);
     /// The key as a dense slot number (key spaces within
     /// [`DENSE_GROUP_LIMIT`] only).
     fn slot(self) -> usize;
-    fn hash(self) -> u64;
+    /// The bits `shift..` of the key under `mask`: one radix-sort digit.
+    fn digit(self, shift: u32, mask: usize) -> usize;
+    fn leading_zeros(self) -> u32;
 }
 
 macro_rules! group_key {
     ($key:ty) => {
         impl GroupKey for $key {
             const ZERO: Self = 0;
+            const DICED: Self = <$key>::MAX - 2;
+            const NO_TARGET: Self = <$key>::MAX - 1;
+            const AMBIGUOUS: Self = <$key>::MAX;
+            const BITS: u32 = <$key>::BITS;
             fn from_count(count: usize) -> Self {
                 count as $key
             }
             fn checked_mul(self, radix: Self) -> Option<Self> {
                 <$key>::checked_mul(self, radix)
             }
-            #[inline]
-            fn push(self, radix: Self, digit: MemberId) -> Self {
-                self * radix + <$key>::from(digit)
+            fn times(self, stride: Self) -> Self {
+                self * stride
             }
+            #[inline]
+            fn wrapping_add(self, entry: Self) -> Self {
+                <$key>::wrapping_add(self, entry)
+            }
+            #[inline]
             fn pop(self, radix: Self) -> (Self, MemberId) {
                 (self / radix, (self % radix) as MemberId)
             }
@@ -786,14 +924,12 @@ macro_rules! group_key {
             fn slot(self) -> usize {
                 self as usize
             }
-            /// Multiplicative (Fibonacci) hashing. High bits are folded
-            /// down first: a product only carries key bits *upwards*, so
-            /// keys that differ in their leading digits alone would
-            /// otherwise share most of their hash.
             #[inline]
-            fn hash(self) -> u64 {
-                let folded = self as u64 ^ ((self as u128 >> 64) as u64).rotate_left(29);
-                (folded ^ (folded >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            fn digit(self, shift: u32, mask: usize) -> usize {
+                (self >> shift) as usize & mask
+            }
+            fn leading_zeros(self) -> u32 {
+                <$key>::leading_zeros(self)
             }
         }
     };
@@ -801,28 +937,41 @@ macro_rules! group_key {
 group_key!(u64);
 group_key!(u128);
 
-/// The key space of one query: a radix per axis, and the number of dense
-/// slots when the product of the radices is small enough for them. The
-/// table kind follows from that product alone.
+/// The key space of one query: a radix and a stride per axis, the bits the
+/// largest key needs, and the number of dense slots when the product of
+/// the radices is small enough for them. The grouping follows from that
+/// product alone.
 struct KeySpace<K> {
     radices: Vec<K>,
+    /// `strides[axis]`: the product of the later axes' radices.
+    strides: Vec<K>,
+    bits: u32,
     dense_slots: Option<usize>,
 }
 
 impl<K: GroupKey> KeySpace<K> {
-    /// `None` when the product of the radices overflows `K`.
+    /// `None` when the product of the radices reaches `K`'s markers.
     fn of(axes: &[AxisPlan<'_>]) -> Option<Self> {
         // An empty level keeps radix 1: no row survives it anyway.
         let radices: Vec<K> = axes
             .iter()
             .map(|axis| K::from_count(axis.level_index.member_count().max(1)))
             .collect();
-        let size = radices
-            .iter()
-            .try_fold(K::from_count(1), |size, &radix| size.checked_mul(radix))?;
+        let mut strides = vec![K::ZERO; radices.len()];
+        let mut size = K::from_count(1);
+        for (stride, &radix) in strides.iter_mut().zip(&radices).rev() {
+            *stride = size;
+            size = size.checked_mul(radix)?;
+        }
+        if size > K::DICED {
+            return None;
+        }
+        let largest = size.wrapping_add(K::AMBIGUOUS); // size - 1
         let dense_slots = (size <= K::from_count(DENSE_GROUP_LIMIT)).then(|| size.slot());
         Some(KeySpace {
             radices,
+            strides,
+            bits: K::BITS - largest.leading_zeros(),
             dense_slots,
         })
     }
@@ -830,63 +979,27 @@ impl<K: GroupKey> KeySpace<K> {
 
 const NO_GROUP: u32 = u32::MAX;
 
-/// Key → dense group number, in first-seen order.
-struct GroupTable<K> {
-    /// Group numbers, [`NO_GROUP`] where none: one slot per possible key
-    /// when `dense`; otherwise an open-addressing hash table — a power of
-    /// two of slots, at most half full, probed linearly, a slot's key read
-    /// back from `keys`.
-    slots: Vec<u32>,
-    dense: bool,
-    /// Group number → key.
-    keys: Vec<K>,
-}
-
-impl<K: GroupKey> GroupTable<K> {
-    fn new(space: &KeySpace<K>) -> Self {
-        GroupTable {
-            slots: vec![NO_GROUP; space.dense_slots.unwrap_or(1 << 10)],
-            dense: space.dense_slots.is_some(),
-            keys: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn group_of(&mut self, key: K) -> u32 {
-        let mut at = if self.dense {
-            key.slot()
-        } else {
-            self.home(key)
-        };
-        loop {
-            match self.slots[at] {
-                NO_GROUP => break,
-                group if self.dense || self.keys[group as usize] == key => return group,
-                _ => at = (at + 1) & (self.slots.len() - 1),
-            }
-        }
-        let group = u32::try_from(self.keys.len()).expect("fewer than 2^32 groups");
-        self.slots[at] = group;
-        self.keys.push(key);
-        if !self.dense && self.keys.len() * 2 > self.slots.len() {
-            self.slots = vec![NO_GROUP; self.slots.len() * 2];
-            for (group, &key) in self.keys.iter().enumerate() {
-                let mut at = self.home(key);
-                while self.slots[at] != NO_GROUP {
-                    at = (at + 1) & (self.slots.len() - 1);
-                }
-                self.slots[at] = group as u32;
-            }
-        }
-        group
-    }
-
-    /// The slot a key's probe sequence starts at: the top bits of the
-    /// multiplicative hash, the only ones every bit of the key reaches.
-    #[inline]
-    fn home(&self, key: K) -> usize {
-        (key.hash() >> (64 - self.slots.len().trailing_zeros())) as usize
-    }
+/// How one scan finds its groups. Either way groups come out in key
+/// order, which is the canonical cell order.
+enum GroupIndex<K> {
+    /// Key spaces within [`DENSE_GROUP_LIMIT`]: `slots[key]` is the key's
+    /// group number, [`NO_GROUP`] where none, groups numbered as first
+    /// seen; `group_of` is per-segment scratch.
+    Dense {
+        slots: Vec<u32>,
+        groups: u32,
+        group_of: Vec<u32>,
+    },
+    /// Larger key spaces: each surviving row's key and offset, appended
+    /// segment by segment (`segments[i]` = segment number and end of its
+    /// run), sized from the span list. [`Groups::finish`] sorts the keys,
+    /// numbers their runs and accumulates; then `keys` holds the distinct
+    /// keys ascending, group `g`'s at `g`.
+    Sorted {
+        keys: Vec<K>,
+        rows: Vec<u16>,
+        segments: Vec<(usize, usize)>,
+    },
 }
 
 /// One measure's accumulators, a column indexed by group number. Only the
@@ -1005,27 +1118,182 @@ impl Accumulator {
     }
 }
 
-/// Aggregation state of one scan: the group table and one accumulator
+/// Aggregation state of one scan: the group index and one accumulator
 /// column per measure.
 struct Groups<K> {
-    table: GroupTable<K>,
+    index: GroupIndex<K>,
     accs: Vec<Accumulator>,
 }
 
 impl<K: GroupKey> Groups<K> {
-    fn new(space: &KeySpace<K>, measures: &[MeasureColumn]) -> Self {
+    fn new(space: &KeySpace<K>, measures: &[MeasureColumn], spans: &[SegmentSpan]) -> Self {
+        let index = match space.dense_slots {
+            Some(slots) => GroupIndex::Dense {
+                slots: vec![NO_GROUP; slots],
+                groups: 0,
+                group_of: Vec::with_capacity(SEGMENT_LEN),
+            },
+            None => {
+                let live: usize = spans.iter().map(|span| span.len - span.dead).sum();
+                GroupIndex::Sorted {
+                    keys: Vec::with_capacity(live),
+                    rows: Vec::with_capacity(live),
+                    segments: Vec::with_capacity(spans.len()),
+                }
+            }
+        };
         Groups {
-            table: GroupTable::new(space),
+            index,
             accs: measures.iter().map(Accumulator::for_measure).collect(),
+        }
+    }
+
+    /// Takes one segment's surviving rows and their keys.
+    fn add(&mut self, segment: usize, rows: &[u16], keys: &[K], measures: &[MeasureColumn]) {
+        match &mut self.index {
+            GroupIndex::Dense {
+                slots,
+                groups,
+                group_of,
+            } => {
+                group_of.clear();
+                group_of.extend(keys.iter().map(|&key| {
+                    let slot = &mut slots[key.slot()];
+                    if *slot == NO_GROUP {
+                        *slot = *groups;
+                        *groups += 1;
+                    }
+                    *slot
+                }));
+                for (acc, measure) in self.accs.iter_mut().zip(measures) {
+                    acc.grow(*groups as usize);
+                    acc.update(measure.data.segment(segment), rows, group_of);
+                }
+            }
+            GroupIndex::Sorted {
+                keys: all,
+                rows: offsets,
+                segments,
+            } => {
+                all.extend_from_slice(keys);
+                offsets.extend_from_slice(rows);
+                segments.push((segment, all.len()));
+            }
+        }
+    }
+
+    /// Sorts the keys a sorted index holds, numbers their runs in key
+    /// order and accumulates each segment's rows into them.
+    fn finish(&mut self, space: &KeySpace<K>, measures: &[MeasureColumn]) {
+        let GroupIndex::Sorted {
+            keys,
+            rows,
+            segments,
+        } = &mut self.index
+        else {
+            return;
+        };
+        let mut items: Vec<u32> = (0..keys.len() as u32).collect();
+        radix_sort(keys, &mut items, space.bits);
+        let mut group_of = vec![0u32; keys.len()];
+        let mut group = 0u32;
+        for (at, &item) in items.iter().enumerate() {
+            if at > 0 && keys[at] != keys[at - 1] {
+                group += 1;
+            }
+            group_of[item as usize] = group;
+        }
+        drop(items);
+        keys.dedup();
+        for acc in &mut self.accs {
+            acc.grow(keys.len());
+        }
+        let mut start = 0;
+        for &(segment, end) in segments.iter() {
+            let (rows, groups) = (&rows[start..end], &group_of[start..end]);
+            for (acc, measure) in self.accs.iter_mut().zip(measures) {
+                acc.update(measure.data.segment(segment), rows, groups);
+            }
+            start = end;
+        }
+    }
+
+    /// The number of groups.
+    fn len(&self) -> usize {
+        match &self.index {
+            GroupIndex::Dense { groups, .. } => *groups as usize,
+            GroupIndex::Sorted { keys, .. } => keys.len(),
+        }
+    }
+
+    /// Calls `f` with each group's key and number, in ascending key order.
+    fn for_each_in_key_order(&self, mut f: impl FnMut(K, usize)) {
+        match &self.index {
+            GroupIndex::Dense { slots, .. } => {
+                for (slot, &group) in slots.iter().enumerate() {
+                    if group != NO_GROUP {
+                        f(K::from_count(slot), group as usize);
+                    }
+                }
+            }
+            GroupIndex::Sorted { keys, .. } => {
+                for (group, &key) in keys.iter().enumerate() {
+                    f(key, group);
+                }
+            }
         }
     }
 }
 
-/// Turns the coded groups into the sorted, still coded output. HAVING
-/// runs on each group's finished aggregates — typed numbers, no literal is
-/// built. Each axis then ranks the member codes that actually occur by
-/// their terms once, the per-axis ranks re-pack into one key per cell whose
-/// integer order is the canonical coordinate order, and each present
+/// Widest radix-sort digit: 2 048 counters, 16 KiB on the stack.
+const DIGIT_BITS: u32 = 11;
+
+/// Sorts `keys` ascending and permutes `items` alongside, stably: a
+/// least-significant-digit radix sort over the low `bits` bits, which must
+/// hold every key. The bits split into the fewest digits of at most
+/// [`DIGIT_BITS`] each; a digit every key shares costs its count only.
+fn radix_sort<K: GroupKey>(keys: &mut Vec<K>, items: &mut Vec<u32>, bits: u32) {
+    debug_assert_eq!(keys.len(), items.len());
+    let passes = bits.div_ceil(DIGIT_BITS);
+    if passes == 0 || keys.len() < 2 {
+        return;
+    }
+    let width = bits.div_ceil(passes);
+    let mask = (1usize << width) - 1;
+    let mut counts = [0usize; 1 << DIGIT_BITS];
+    let mut sorted_keys: Vec<K> = vec![K::ZERO; keys.len()];
+    let mut sorted_items: Vec<u32> = vec![0; items.len()];
+    for pass in 0..passes {
+        let shift = pass * width;
+        let counts = &mut counts[..=mask];
+        counts.fill(0);
+        for &key in keys.iter() {
+            counts[key.digit(shift, mask)] += 1;
+        }
+        if counts.contains(&keys.len()) {
+            continue;
+        }
+        let mut start = 0;
+        for count in counts.iter_mut() {
+            (*count, start) = (start, start + *count);
+        }
+        for (&key, &item) in keys.iter().zip(items.iter()) {
+            let at = &mut counts[key.digit(shift, mask)];
+            sorted_keys[*at] = key;
+            sorted_items[*at] = item;
+            *at += 1;
+        }
+        std::mem::swap(keys, &mut sorted_keys);
+        std::mem::swap(items, &mut sorted_items);
+    }
+}
+
+/// Turns the coded groups into the still coded output, in the groups' key
+/// order — the canonical cell order — with no sort. HAVING runs on each
+/// group's finished aggregates — typed numbers, no literal is built. Each
+/// kept key's digits are decoded once into the cell's ranks and marked
+/// present on their axis; each axis then numbers its present ranks in
+/// order, the cells' ranks are rewritten to those numbers, and each present
 /// member's term is cloned from the dictionary once, however many cells
 /// name it.
 fn assemble_output<K: GroupKey>(
@@ -1035,7 +1303,7 @@ fn assemble_output<K: GroupKey>(
     stats: &mut ScanStats,
 ) -> Result<QueryOutput, CubeStoreError> {
     let (axes, measures) = (&plan.axes, plan.measures);
-    let groups_found = groups.table.keys.len();
+    let groups_found = groups.len();
     let having = plan
         .having
         .iter()
@@ -1046,82 +1314,59 @@ fn assemble_output<K: GroupKey>(
         Err(_) if groups_found == 0 => Vec::new(),
         Err(error) => return Err(error),
     };
-    // The kept groups' keys, and their aggregates, `measures.len()` each.
-    let mut kept: Vec<K> = Vec::with_capacity(groups_found);
-    let mut aggregates: Vec<Numeric> = Vec::with_capacity(groups_found * measures.len());
-    for (group, &key) in groups.table.keys.iter().enumerate() {
-        let start = aggregates.len();
-        let finished = groups.accs.iter().zip(measures);
-        aggregates.extend(finished.map(|(acc, measure)| acc.finish(group, measure)));
-        if having
-            .iter()
-            .all(|filter| filter.eval(&aggregates[start..]) == Some(true))
-        {
-            kept.push(key);
-        } else {
-            aggregates.truncate(start);
-        }
-    }
-
-    // codes[cell * width + axis]: the member code of each kept cell.
     let width = axes.len();
-    let mut codes: Vec<MemberId> = vec![NO_MEMBER; kept.len() * width];
-    for (cell, &key) in kept.iter().enumerate() {
+    // present[axis][rank]: whether a kept cell names the member at that
+    // rank, then the member's position among those present.
+    let mut present: Vec<Vec<u32>> = axes
+        .iter()
+        .map(|axis| vec![0; axis.level_index.member_count()])
+        .collect();
+    let mut ranks: Vec<u32> = Vec::with_capacity(groups_found * width);
+    let mut values: Vec<Numeric> = Vec::with_capacity(groups_found * measures.len());
+    let mut len = 0;
+    groups.for_each_in_key_order(|key, group| {
+        let start = values.len();
+        let finished = groups.accs.iter().zip(measures);
+        values.extend(finished.map(|(acc, measure)| acc.finish(group, measure)));
+        if !having
+            .iter()
+            .all(|filter| filter.eval(&values[start..]) == Some(true))
+        {
+            values.truncate(start);
+            return;
+        }
+        len += 1;
+        let at = ranks.len();
+        ranks.resize(at + width, 0);
         let mut rest = key;
         for axis in (0..width).rev() {
-            (rest, codes[cell * width + axis]) = rest.pop(space.radices[axis]);
+            let rank;
+            (rest, rank) = rest.pop(space.radices[axis]);
+            ranks[at + axis] = rank;
+            present[axis][rank as usize] = 1;
         }
-    }
+    });
 
-    const UNRANKED: u32 = u32::MAX;
-    let mut order: Vec<(K, u32)> = (0..kept.len() as u32).map(|cell| (K::ZERO, cell)).collect();
     let mut members: Vec<Vec<Term>> = Vec::with_capacity(width);
-    let mut rank_of: Vec<Vec<u32>> = Vec::with_capacity(width);
-    for (axis, plan) in axes.iter().enumerate() {
-        let dictionary = &plan.level_index.dictionary;
-        let mut rank = vec![UNRANKED; dictionary.len()];
-        let mut present: Vec<MemberId> = Vec::new();
-        for cell in 0..kept.len() {
-            let code = codes[cell * width + axis];
-            if rank[code as usize] == UNRANKED {
-                rank[code as usize] = 0;
-                present.push(code);
+    for (axis, present) in axes.iter().zip(&mut present) {
+        let level = axis.level_index;
+        let mut terms = Vec::with_capacity(present.iter().filter(|&&mark| mark != 0).count());
+        for (rank, mark) in present.iter_mut().enumerate() {
+            if *mark != 0 {
+                *mark = terms.len() as u32;
+                let member = level.member_at_rank(rank as u32);
+                terms.push(level.dictionary.term(member).clone());
             }
         }
-        present.sort_unstable_by(|&a, &b| dictionary.term(a).cmp(dictionary.term(b)));
-        for (position, &code) in present.iter().enumerate() {
-            rank[code as usize] = position as u32;
-        }
-        // At most as many ranks as the axis has members, so the re-packed
-        // key fits wherever the scan key did.
-        let radix = K::from_count(present.len());
-        for (cell, (key, _)) in order.iter_mut().enumerate() {
-            *key = key.push(radix, rank[codes[cell * width + axis] as usize]);
-        }
-        stats.dictionary_lookups += present.len() as u64;
-        members.push(
-            present
-                .iter()
-                .map(|&code| dictionary.term(code).clone())
-                .collect(),
-        );
-        rank_of.push(rank);
+        stats.dictionary_lookups += terms.len() as u64;
+        members.push(terms);
     }
-    order.sort_unstable();
-
-    let mut ranks: Vec<u32> = Vec::with_capacity(order.len() * width);
-    let mut values: Vec<Numeric> = Vec::with_capacity(order.len() * measures.len());
-    for &(_, cell) in &order {
-        let cell = cell as usize;
-        let codes = &codes[cell * width..(cell + 1) * width];
-        ranks.extend(
-            rank_of
-                .iter()
-                .zip(codes)
-                .map(|(rank, &code)| rank[code as usize]),
-        );
-        let aggregates = &aggregates[cell * measures.len()..(cell + 1) * measures.len()];
-        values.extend_from_slice(aggregates);
+    if width > 0 {
+        for cell in ranks.chunks_exact_mut(width) {
+            for (rank, present) in cell.iter_mut().zip(&present) {
+                *rank = present[*rank as usize];
+            }
+        }
     }
     Ok(QueryOutput {
         axes: axes
@@ -1135,7 +1380,7 @@ fn assemble_output<K: GroupKey>(
         members,
         ranks,
         values,
-        len: order.len(),
+        len,
     })
 }
 
@@ -1154,43 +1399,34 @@ enum CompiledFilter {
 }
 
 impl CompiledFilter {
-    /// Drops every listed row the filter does not keep, axis coordinates
-    /// read from the scan's lifted-code buffers (`lifted[axis][row]`). A
-    /// row is kept when all referenced attributes are present (join) and
-    /// the condition evaluates to true (FILTER).
-    fn retain(&self, rows: &mut Vec<u16>, lifted: &[Vec<MemberId>]) {
-        match self {
-            // The common shape, one lookup per row: joined and true.
-            CompiledFilter::Compare { axis, table } => {
-                let codes = &lifted[*axis];
-                rows.retain(|&row| table[codes[row as usize] as usize] == Some(Some(true)));
-            }
-            tree => rows.retain(|&row| {
-                tree.joins(lifted, row as usize) && tree.eval(lifted, row as usize) == Some(true)
-            }),
-        }
+    /// True if a row whose member on each axis is `member(axis)` passes:
+    /// all referenced attributes are present (join) and the condition
+    /// evaluates to true (FILTER).
+    fn keeps(&self, member: &dyn Fn(usize) -> MemberId) -> bool {
+        self.joins(member) && self.eval(member) == Some(true)
     }
 
-    fn joins(&self, lifted: &[Vec<MemberId>], row: usize) -> bool {
+    fn joins(&self, member: &dyn Fn(usize) -> MemberId) -> bool {
         match self {
-            CompiledFilter::Compare { axis, table } => table[lifted[*axis][row] as usize].is_some(),
+            CompiledFilter::Compare { axis, table } => table[member(*axis) as usize].is_some(),
             CompiledFilter::And(a, b) | CompiledFilter::Or(a, b) => {
-                a.joins(lifted, row) && b.joins(lifted, row)
+                a.joins(member) && b.joins(member)
             }
         }
     }
 
-    fn eval(&self, lifted: &[Vec<MemberId>], row: usize) -> Option<bool> {
+    fn eval(&self, member: &dyn Fn(usize) -> MemberId) -> Option<bool> {
         match self {
-            CompiledFilter::Compare { axis, table } => table[lifted[*axis][row] as usize].flatten(),
-            CompiledFilter::And(a, b) => and3(a.eval(lifted, row), b.eval(lifted, row)),
-            CompiledFilter::Or(a, b) => or3(a.eval(lifted, row), b.eval(lifted, row)),
+            CompiledFilter::Compare { axis, table } => table[member(*axis) as usize].flatten(),
+            CompiledFilter::And(a, b) => and3(a.eval(member), b.eval(member)),
+            CompiledFilter::Or(a, b) => or3(a.eval(member), b.eval(member)),
         }
     }
 
     /// `a && b` (`and`) or `a || b`. Two comparisons on one axis fold into
     /// one truth table — a member joins when it joins both sides — so a
-    /// dice over a single level always costs the scan one lookup per row.
+    /// dice over a single level is one table, which the scan folds into
+    /// that axis's pass.
     fn combine(a: CompiledFilter, b: CompiledFilter, and: bool) -> CompiledFilter {
         use CompiledFilter::Compare;
         match (a, b) {
@@ -1698,9 +1934,9 @@ mod tests {
                 codes,
                 bottoms.clone(),
             ));
-            levels.insert(bottom.clone(), LevelIndex::new(bottom.clone(), bottoms));
+            levels.insert(bottom.clone(), with_attribute(&bottom, bottoms));
             let uppers = members(&format!("d{index}u"), spec.uppers);
-            levels.insert(upper(index), LevelIndex::new(upper(index), uppers));
+            levels.insert(upper(index), with_attribute(&upper(index), uppers));
             let identity = (0..spec.bottoms as MemberId).collect();
             rollups.insert(
                 (dim(index), bottom.clone()),
@@ -1739,6 +1975,24 @@ mod tests {
         }
     }
 
+    /// The attribute every level of a [`synthetic_cube`] carries.
+    fn attribute() -> Iri {
+        iri("attr/n")
+    }
+
+    /// A level index whose member `code` has [`attribute`] `code * 7 % 5`,
+    /// except every fourth member, which has none.
+    fn with_attribute(level: &Iri, dictionary: Dictionary) -> LevelIndex {
+        let pairs: Vec<(Term, Term)> = dictionary
+            .iter()
+            .filter(|(code, _)| code % 4 != 3)
+            .map(|(code, term)| (term.clone(), Term::integer(i64::from(code * 7 % 5))))
+            .collect();
+        let mut index = LevelIndex::new(level.clone(), dictionary);
+        index.set_attribute(attribute(), &pairs);
+        index
+    }
+
     /// `rows` rows whose code on dimension `i` is `(row * step_i) % bottoms_i`
     /// — every dimension cycles at its own pace — over one integer SUM.
     fn cycling_cube(dims: &[DimSpec], rows: usize) -> MaterializedCube {
@@ -1773,6 +2027,63 @@ mod tests {
         cube: &MaterializedCube,
         query: &CubeQuery,
     ) -> Result<(Vec<CubeCell>, [u64; 4]), String> {
+        reference_refusing(cube, query).map_err(|(bottom, dimension, _)| {
+            format!("{bottom} of <{}>", dimension.as_str())
+        })
+    }
+
+    /// A member filter decided on one row's members, `(axis plan, member)`
+    /// per kept axis, the way the generated SPARQL decides it: the row
+    /// joins when every referenced attribute has a value, and passes when
+    /// the condition is then true.
+    fn reference_keeps(filter: &MemberFilter, members: &[(&AxisPlan<'_>, MemberId)]) -> bool {
+        fn value<'m>(
+            members: &[(&'m AxisPlan<'_>, MemberId)],
+            dimension: &Iri,
+            level: &Iri,
+            attribute: &Iri,
+        ) -> Option<&'m Term> {
+            let (axis, member) = members.iter().find(|(axis, _)| {
+                &axis.column.dimension == dimension && &axis.rollup.target_level == level
+            })?;
+            axis.level_index.attribute_value(attribute, *member)
+        }
+        fn joins(filter: &MemberFilter, members: &[(&AxisPlan<'_>, MemberId)]) -> bool {
+            match filter {
+                MemberFilter::Compare {
+                    dimension,
+                    level,
+                    attribute,
+                    ..
+                } => value(members, dimension, level, attribute).is_some(),
+                MemberFilter::And(a, b) | MemberFilter::Or(a, b) => {
+                    joins(a, members) && joins(b, members)
+                }
+            }
+        }
+        fn eval(filter: &MemberFilter, members: &[(&AxisPlan<'_>, MemberId)]) -> Option<bool> {
+            match filter {
+                MemberFilter::Compare {
+                    dimension,
+                    level,
+                    attribute,
+                    predicate,
+                } => eval_predicate(predicate, value(members, dimension, level, attribute)?),
+                MemberFilter::And(a, b) => and3(eval(a, members), eval(b, members)),
+                MemberFilter::Or(a, b) => or3(eval(a, members), eval(b, members)),
+            }
+        }
+        joins(filter, members) && eval(filter, members) == Some(true)
+    }
+
+    /// [`reference`] with the refusal as `(bottom member, dimension, level)`
+    /// and the member filters applied after every axis, as the generated
+    /// SPARQL applies them after its joins.
+    #[allow(clippy::type_complexity)]
+    fn reference_refusing(
+        cube: &MaterializedCube,
+        query: &CubeQuery,
+    ) -> Result<(Vec<CubeCell>, [u64; 4]), (Term, Iri, Iri)> {
         let axes = plan_axes(cube, query).unwrap();
         let mut counts = [0u64; 4];
         let mut groups: BTreeMap<Vec<Term>, Vec<Vec<Term>>> = BTreeMap::new();
@@ -1786,7 +2097,7 @@ mod tests {
                 counts[0] += 1;
                 continue;
             }
-            let mut key = Vec::new();
+            let mut members = Vec::new();
             for axis in &axes {
                 let bottom = axis.column.code(row);
                 if bottom == NO_MEMBER {
@@ -1800,16 +2111,27 @@ mod tests {
                         continue 'rows;
                     }
                     AMBIGUOUS_MEMBER => {
-                        return Err(format!(
-                            "{} of <{}>",
-                            axis.column.dictionary.term(bottom),
-                            axis.column.dimension.as_str()
+                        return Err((
+                            axis.column.dictionary.term(bottom).clone(),
+                            axis.column.dimension.clone(),
+                            axis.rollup.target_level.clone(),
                         ))
                     }
-                    target => key.push(axis.level_index.dictionary.term(target).clone()),
+                    target => members.push((axis, target)),
                 }
             }
+            if !query
+                .member_filters
+                .iter()
+                .all(|filter| reference_keeps(filter, &members))
+            {
+                continue;
+            }
             counts[3] += 1;
+            let key = members
+                .iter()
+                .map(|(axis, target)| axis.level_index.dictionary.term(*target).clone())
+                .collect();
             let inputs = groups
                 .entry(key)
                 .or_insert_with(|| vec![Vec::new(); cube.measures.len()]);
@@ -1903,6 +2225,286 @@ mod tests {
         assert_eq!(stats.dictionary_lookups, distinct as u64);
         assert_eq!(run_with(cube, query, true).unwrap().0, output);
         expected
+    }
+
+    /// A seeded xorshift generator for the sweep below.
+    struct Sweep(u64);
+
+    impl Sweep {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound as u64) as usize
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.next() % 100 < percent
+        }
+    }
+
+    /// The refusal message of an ambiguous roll-up.
+    fn refusal_message((bottom, dimension, level): (Term, Iri, Iri)) -> String {
+        format!(
+            "member {bottom} of dimension <{}> rolls up to several members of level <{}> \
+             (non-functional roll-up); use the SPARQL backend",
+            dimension.as_str(),
+            level.as_str()
+        )
+    }
+
+    /// The cells or the refusal message of `query` through an explicit key
+    /// width, grouping and pruning switch; `None` if the key space does not
+    /// fit `K`.
+    fn outcome_through<K: GroupKey>(
+        cube: &MaterializedCube,
+        query: &CubeQuery,
+        prune: bool,
+        sorted: bool,
+    ) -> Option<Result<Vec<CubeCell>, String>> {
+        let axes = plan_axes(cube, query).unwrap();
+        let plan = ScanPlan {
+            cube,
+            filters: compile_filters(query, &axes).unwrap(),
+            axes,
+            measures: cube.measure_columns(),
+            having: &query.measure_filters,
+            options: ExecOptions { prune },
+        };
+        let mut space = KeySpace::<K>::of(&plan.axes)?;
+        if sorted {
+            space.dense_slots = None;
+        }
+        Some(match run_keyed(&plan, &space, None) {
+            Ok((output, _)) => Ok(output.into_cells()),
+            Err(CubeStoreError::Unsupported(message)) => Err(message),
+            Err(error) => panic!("{error}"),
+        })
+    }
+
+    /// A random dice comparison on one kept axis of a sweep query.
+    fn random_compare(rng: &mut Sweep, kept: &[(usize, Iri)]) -> MemberFilter {
+        let (dimension, level) = &kept[rng.below(kept.len())];
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge];
+        MemberFilter::Compare {
+            dimension: dim(*dimension),
+            level: level.clone(),
+            attribute: attribute(),
+            predicate: MemberPredicate::Constant {
+                op: ops[rng.below(ops.len())],
+                value: Term::integer(rng.below(5) as i64),
+            },
+        }
+    }
+
+    /// The kernel against [`reference`] over seeded random cube and query
+    /// shapes: dense, radix-sorted and `u128` key spaces (each query also
+    /// forced through every grouping and key width that fits), dices over
+    /// one axis, trees over one axis and trees across axes, ragged and
+    /// ambiguous roll-ups, unbound rows, partly and fully tombstoned
+    /// segments, pruning off and on. Cells and refusal messages must equal
+    /// the reference's; the counters it defines must too where no dice can
+    /// reorder the passes, and the others must add up to the rows scanned.
+    #[test]
+    fn the_kernel_matches_the_reference_over_a_seeded_sweep() {
+        let mut rng = Sweep(0x5EED_0040_C0DE_D00D);
+        let mut seen = std::collections::BTreeSet::new();
+        for case in 0..48 {
+            let wide = case % 16 == 15;
+            let dims: Vec<DimSpec> = (0..if wide { 5 } else { 1 + rng.below(4) })
+                .map(|_| {
+                    let bottoms = match rng.below(10) {
+                        _ if wide => 1 << 13,
+                        0..=2 => 200 + rng.below(400),
+                        _ => 1 + rng.below(40),
+                    };
+                    let uppers = 1 + rng.below(8);
+                    let ambiguous = !wide && rng.chance(15);
+                    let up = (0..bottoms)
+                        .map(|_| match rng.below(100) {
+                            0..=7 if !wide => NO_MEMBER,
+                            8..=10 if ambiguous => AMBIGUOUS_MEMBER,
+                            _ => rng.below(uppers) as MemberId,
+                        })
+                        .collect();
+                    DimSpec {
+                        bottoms,
+                        uppers,
+                        up,
+                    }
+                })
+                .collect();
+            let rows = match rng.below(4) {
+                _ if wide => SEGMENT_LEN + 300,
+                0 => 1 + rng.below(300),
+                1 => SEGMENT_LEN + rng.below(SEGMENT_LEN),
+                _ => 3 * SEGMENT_LEN + rng.below(500),
+            };
+            // Each segment draws every dimension's codes from a window of
+            // its own, so zone maps have something to prune.
+            let codes: Vec<Vec<MemberId>> = dims
+                .iter()
+                .map(|spec| {
+                    let mut codes = Vec::with_capacity(rows);
+                    while codes.len() < rows {
+                        let (base, width) = (rng.below(spec.bottoms), 1 + rng.below(spec.bottoms));
+                        for _ in 0..SEGMENT_LEN.min(rows - codes.len()) {
+                            codes.push(match rng.chance(3) {
+                                true => NO_MEMBER,
+                                false => ((base + rng.below(width)) % spec.bottoms) as MemberId,
+                            });
+                        }
+                    }
+                    codes
+                })
+                .collect();
+            let values: Vec<i64> = (0..rows).map(|_| rng.below(1000) as i64 - 300).collect();
+            let measures = vec![
+                (
+                    AggregateFunction::Sum,
+                    MeasureVector::Integer(CowVec::from_vec(values.clone())),
+                ),
+                (
+                    AggregateFunction::Count,
+                    MeasureVector::Integer(CowVec::from_vec(values)),
+                ),
+            ];
+            let mut cube = synthetic_cube(&dims, codes, measures);
+            if rng.chance(30) {
+                for row in 0..rows {
+                    if rng.chance(10) {
+                        cube.tombstones.kill(row);
+                    }
+                }
+                seen.insert("tombstoned rows");
+            }
+            if rows > SEGMENT_LEN && rng.chance(30) {
+                for row in 0..SEGMENT_LEN {
+                    cube.tombstones.kill(row);
+                }
+                seen.insert("dead segment");
+            }
+
+            let mut query = CubeQuery::default();
+            let mut kept: Vec<(usize, Iri)> = Vec::new();
+            for index in 0..dims.len() {
+                if !wide && rng.chance(20) {
+                    query.slices.push(dim(index));
+                } else if !wide && rng.chance(50) {
+                    query.rollups.insert(dim(index), upper(index));
+                    kept.push((index, upper(index)));
+                } else {
+                    kept.push((index, iri(&format!("lv/b{index}"))));
+                }
+            }
+            if !kept.is_empty() && rng.chance(60) {
+                let first = random_compare(&mut rng, &kept);
+                let dice = match rng.below(4) {
+                    0 => first,
+                    shape => {
+                        let second = random_compare(&mut rng, &kept);
+                        match shape {
+                            1 => {
+                                query.member_filters.push(second);
+                                first
+                            }
+                            2 => MemberFilter::And(Box::new(first), Box::new(second)),
+                            _ => MemberFilter::Or(Box::new(first), Box::new(second)),
+                        }
+                    }
+                };
+                query.member_filters.push(dice);
+            }
+            let axes = plan_axes(&cube, &query).unwrap();
+            for filter in compile_filters(&query, &axes).unwrap() {
+                seen.insert(match filter {
+                    CompiledFilter::Compare { .. } => "single-axis dice",
+                    _ => "cross-axis dice",
+                });
+            }
+            seen.insert(match (KeySpace::<u64>::of(&axes), wide) {
+                (Some(space), _) if space.dense_slots.is_some() => "dense",
+                (Some(_), _) => "sorted",
+                (None, true) => "u128",
+                (None, false) => unreachable!("only the wide shapes pass u64"),
+            });
+            for axis in &axes {
+                if axis.rollup.unmapped_members() > 0 {
+                    seen.insert("ragged");
+                }
+                if axis.rollup.ambiguous_members() > 0 {
+                    seen.insert("ambiguous");
+                }
+            }
+
+            let expected = reference_refusing(&cube, &query);
+            let cells = expected.as_ref().map(|(cells, _)| cells.clone());
+            let cells = cells.map_err(|refusal| refusal_message(refusal.clone()));
+            seen.insert(if cells.is_ok() { "answered" } else { "refused" });
+            for prune in [false, true] {
+                let context = format!("case {case}, prune {prune}: {query:?}");
+                match run_with(&cube, &query, prune) {
+                    Ok((output, stats)) => {
+                        assert_eq!(Ok(output.into_cells()), cells, "{context}");
+                        let [skipped, no_member, lookups, aggregated] = expected.as_ref().unwrap().1;
+                        assert_eq!(stats.rows_aggregated, aggregated, "{context}");
+                        let dropped = stats.rows_no_member + stats.rows_filtered;
+                        assert_eq!(
+                            stats.rows_scanned,
+                            stats.tombstones_skipped + dropped + stats.rows_aggregated,
+                            "{context}"
+                        );
+                        if stats.segments_pruned > 0 {
+                            seen.insert("pruned");
+                        }
+                        if !prune {
+                            assert_eq!(stats.tombstones_skipped, skipped, "{context}");
+                        }
+                        if !prune && query.member_filters.is_empty() {
+                            assert_eq!(
+                                (stats.rows_no_member, stats.rollup_lookups),
+                                (no_member, lookups),
+                                "{context}"
+                            );
+                        }
+                    }
+                    Err(CubeStoreError::Unsupported(message)) => {
+                        assert_eq!(Err(message), cells, "{context}")
+                    }
+                    Err(error) => panic!("{context}: {error}"),
+                }
+                for sorted in [false, true] {
+                    let outcomes = [
+                        outcome_through::<u64>(&cube, &query, prune, sorted),
+                        outcome_through::<u128>(&cube, &query, prune, sorted),
+                    ];
+                    for outcome in outcomes.into_iter().flatten() {
+                        assert_eq!(outcome, cells, "{context}, sorted {sorted}");
+                    }
+                }
+            }
+        }
+        let expected = [
+            "dense",
+            "sorted",
+            "u128",
+            "single-axis dice",
+            "cross-axis dice",
+            "ragged",
+            "ambiguous",
+            "answered",
+            "refused",
+            "tombstoned rows",
+            "dead segment",
+            "pruned",
+        ];
+        for tag in expected {
+            assert!(seen.contains(tag), "the sweep never met: {tag} (saw {seen:?})");
+        }
     }
 
     #[test]
@@ -2119,11 +2721,41 @@ mod tests {
         assert!(refusal_of(&far, true).contains("dim/d0>"));
     }
 
-    /// The cells of `query` through an explicit key width and table kind.
+    #[test]
+    fn a_dice_never_hides_a_refusal_on_a_later_axis() {
+        // Row 5 lifts to upper member 1 on axis 0, which the dice drops,
+        // and is ambiguous on axis 1. The row-at-a-time order lifts every
+        // axis before it dices, so the query refuses, pruned or not.
+        let cube = ambiguous_cube(100, &[(5, [1, 3])]);
+        let mut query = rolled_up(&[0, 1], 2);
+        query.member_filters = vec![MemberFilter::Compare {
+            dimension: dim(0),
+            level: upper(0),
+            attribute: attribute(),
+            predicate: MemberPredicate::Constant {
+                op: CmpOp::Eq,
+                value: Term::integer(0),
+            },
+        }];
+        let expected = refusal_message(reference_refusing(&cube, &query).unwrap_err());
+        for prune in [false, true] {
+            match run_with(&cube, &query, prune) {
+                Err(CubeStoreError::Unsupported(message)) => assert_eq!(message, expected),
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
+        // Without the ambiguous row the same dice folds into axis 0's pass.
+        let cube = ambiguous_cube(100, &[(5, [1, 1])]);
+        let cells = assert_matches_reference(&cube, &query);
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].values, vec![Some(Term::integer(99))]);
+    }
+
+    /// The cells of `query` through an explicit key width and grouping.
     fn cells_through<K: GroupKey>(
         cube: &MaterializedCube,
         query: &CubeQuery,
-        hashed: bool,
+        sorted: bool,
     ) -> Vec<CubeCell> {
         let axes = plan_axes(cube, query).unwrap();
         let plan = ScanPlan {
@@ -2139,18 +2771,18 @@ mod tests {
             space.dense_slots.is_some(),
             "small enough for the dense table"
         );
-        if hashed {
+        if sorted {
             space.dense_slots = None;
         }
         run_keyed(&plan, &space, None).unwrap().0.into_cells()
     }
 
     #[test]
-    fn table_kind_and_key_width_do_not_show_in_the_output() {
+    fn grouping_and_key_width_do_not_show_in_the_output() {
         // Co-prime cycle lengths: every row of the cube is its own group at
-        // the bottom levels (41 × 31 × 9 = 11 439 possible keys), which
-        // grows the hash table from its initial 1 024 slots several times;
-        // rolled up, 7 × 31 × 2 = 434 groups stay within it.
+        // the bottom levels (41 × 31 × 9 = 11 439 possible keys, 8 692
+        // groups, more than one segment of sorted keys); rolled up,
+        // 7 × 31 × 2 = 434 possible keys.
         let dims = [
             DimSpec::regular(41, 7),
             DimSpec::regular(31, 31),
@@ -2166,9 +2798,9 @@ mod tests {
         for query in [rolled_up(&[0, 1, 2], 3), CubeQuery::default(), having] {
             let expected = run_with(&cube, &query, true).unwrap().0.into_cells();
             assert!(!expected.is_empty());
-            for hashed in [false, true] {
-                assert_eq!(cells_through::<u64>(&cube, &query, hashed), expected);
-                assert_eq!(cells_through::<u128>(&cube, &query, hashed), expected);
+            for sorted in [false, true] {
+                assert_eq!(cells_through::<u64>(&cube, &query, sorted), expected);
+                assert_eq!(cells_through::<u128>(&cube, &query, sorted), expected);
             }
         }
         let bottom = assert_matches_reference(&cube, &CubeQuery::default());
@@ -2176,22 +2808,97 @@ mod tests {
     }
 
     /// Keys that differ only in their leading digits — a high-stride axis
-    /// varying while the others stand still — must still spread over the
-    /// hash table: only the top bits of a multiplicative hash see them.
+    /// varying while the others stand still — must still group apart and
+    /// come out in key order on the sorted path, across segments, with each
+    /// group's rows accumulated into it.
     #[test]
-    fn hashed_groups_spread_keys_that_differ_only_in_high_bits() {
-        let space = KeySpace::<u64> { radices: vec![], dense_slots: None };
-        let mut table = GroupTable::new(&space);
-        let homes: std::collections::BTreeSet<usize> =
-            (0..512u64).map(|digit| table.home(digit << 50)).collect();
-        assert!(homes.len() > 300, "{} distinct home slots of 512 keys", homes.len());
-        for digit in 0..5000u64 {
-            assert_eq!(table.group_of(digit << 50), digit as u32);
+    fn sorted_groups_order_keys_that_differ_only_in_high_bits() {
+        let rows: usize = 10_000;
+        // Every digit twice, in an order far from sorted.
+        let digit = |row: usize| ((row * 7919) % 5000) as u64;
+        let measures = [MeasureColumn {
+            property: iri("measure/m"),
+            aggregate: AggregateFunction::Sum,
+            data: MeasureVector::Integer(CowVec::from_vec((0..rows as i64).collect())),
+        }];
+        let space = KeySpace::<u64> {
+            radices: vec![],
+            strides: vec![],
+            bits: 63,
+            dense_slots: None,
+        };
+        let spans: Vec<SegmentSpan> = (0..rows.div_ceil(SEGMENT_LEN))
+            .map(|segment| SegmentSpan {
+                segment,
+                len: SEGMENT_LEN.min(rows - segment * SEGMENT_LEN),
+                dead: 0,
+            })
+            .collect();
+        let mut groups = Groups::new(&space, &measures, &spans);
+        for span in &spans {
+            let offsets: Vec<u16> = (0..span.len as u16).collect();
+            let keys: Vec<u64> = offsets
+                .iter()
+                .map(|&offset| digit(span.segment * SEGMENT_LEN + offset as usize) << 50)
+                .collect();
+            groups.add(span.segment, &offsets, &keys, &measures);
         }
-        for digit in (0..5000u64).rev() {
-            assert_eq!(table.group_of(digit << 50), digit as u32, "found again after growth");
+        groups.finish(&space, &measures);
+        assert_eq!(groups.len(), 5000);
+        let mut sums = vec![0; 5000];
+        for row in 0..rows {
+            sums[digit(row) as usize] += row as i64;
         }
-        assert!(table.slots.len() >= 2 * 5000 && table.slots.len().is_power_of_two());
+        let mut next = 0u64;
+        groups.for_each_in_key_order(|key, group| {
+            assert_eq!((key, group), (next << 50, next as usize));
+            let sum = groups.accs[0].finish(group, &measures[0]);
+            assert_eq!(sum, Numeric::Integer(sums[group]));
+            next += 1;
+        });
+        assert_eq!(next, 5000);
+    }
+
+    /// `radix_sort` against a comparison sort of `(key, position)`: the
+    /// same keys in the same order, equal keys in their input order.
+    fn assert_radix_sorts<K: GroupKey + std::fmt::Debug>(keys: Vec<K>, bits: u32) {
+        let mut sorted = keys.clone();
+        let mut items: Vec<u32> = (0..keys.len() as u32).collect();
+        radix_sort(&mut sorted, &mut items, bits);
+        let mut expected: Vec<(K, u32)> = keys.into_iter().zip(0..).collect();
+        expected.sort();
+        let got: Vec<(K, u32)> = sorted.into_iter().zip(items).collect();
+        assert_eq!(got, expected, "{bits} bits");
+    }
+
+    #[test]
+    fn radix_sort_orders_keys_stably_in_one_pass_and_in_several() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // One pass: keys that differ only in their low bits, with repeats.
+        assert_radix_sorts((0..3000u64).map(|i| i * 37 % 1000).collect(), 10);
+        // Keys that differ only in their high bits: the low digits are all
+        // alike, so only the last of six passes moves anything.
+        assert_radix_sorts((0..3000u64).map(|i| (i * 37 % 1000) << 54).collect(), 64);
+        // Two and three passes over random keys, few distinct or all distinct.
+        assert_radix_sorts((0..5000).map(|_| next() % 300).collect::<Vec<u64>>(), 17);
+        assert_radix_sorts((0..5000).map(|_| next() >> 31).collect::<Vec<u64>>(), 33);
+        // The largest key a space can hold, next to the smallest.
+        let largest = <u64 as GroupKey>::DICED - 1;
+        assert_radix_sorts(vec![largest, 0, 5, largest, 1 << 63, 7, 0], 64);
+        let largest = <u128 as GroupKey>::DICED - 1;
+        assert_radix_sorts(vec![largest, 3, 1 << 100, largest, 0, 1 << 64], 128);
+        // u128 keys past 64 bits, and nothing to sort.
+        let wide: Vec<u128> = (0..2000).map(|_| u128::from(next()) << 6 | 5).collect();
+        assert_radix_sorts(wide, 70);
+        assert_radix_sorts(Vec::<u64>::new(), 20);
+        assert_radix_sorts(vec![9u64], 20);
+        assert_radix_sorts(vec![0u64; 40], 0);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! indexes outright with the previous cube and copies only the roll-up
 //! maps that grow with new bottom members. A replay that does touch one
 //! reads the levels again and refills every map.
+//!
+//! A level index also holds its members' order: each member's rank in
+//! `Term` order, computed once when the index is made. The executor packs
+//! group keys from those ranks, so the integer order of its keys is the
+//! canonical cell order and no query sorts a level's terms.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -29,6 +34,29 @@ pub struct LevelIndex {
     /// SPARQL backend is exercised on. `Arc`-shared between a cube and its
     /// delta-refreshed clones until a replay re-reads the hierarchy.
     attributes: Arc<BTreeMap<Iri, Vec<Option<Term>>>>,
+    /// The members' `Term` order, `Arc`-shared like the attributes.
+    order: Arc<MemberOrder>,
+}
+
+/// A level's members in `Term` order, both ways round.
+#[derive(Debug)]
+struct MemberOrder {
+    /// `rank[member]`: the member's position in `Term` order.
+    rank: Vec<u32>,
+    /// `sorted[rank]`: the member at that position.
+    sorted: Vec<MemberId>,
+}
+
+impl MemberOrder {
+    fn of(dictionary: &Dictionary) -> Self {
+        let mut sorted: Vec<MemberId> = (0..dictionary.len() as MemberId).collect();
+        sorted.sort_unstable_by(|&a, &b| dictionary.term(a).cmp(dictionary.term(b)));
+        let mut rank = vec![0; sorted.len()];
+        for (position, &member) in sorted.iter().enumerate() {
+            rank[member as usize] = position as u32;
+        }
+        MemberOrder { rank, sorted }
+    }
 }
 
 impl LevelIndex {
@@ -36,6 +64,7 @@ impl LevelIndex {
     pub fn new(level: Iri, dictionary: Dictionary) -> Self {
         LevelIndex {
             level,
+            order: Arc::new(MemberOrder::of(&dictionary)),
             dictionary,
             attributes: Arc::new(BTreeMap::new()),
         }
@@ -78,6 +107,16 @@ impl LevelIndex {
     /// Number of declared members.
     pub fn member_count(&self) -> usize {
         self.dictionary.len()
+    }
+
+    /// Every member's rank in `Term` order, indexed by member id.
+    pub(crate) fn ranks(&self) -> &[u32] {
+        &self.order.rank
+    }
+
+    /// The member at `rank` in `Term` order.
+    pub(crate) fn member_at_rank(&self, rank: u32) -> MemberId {
+        self.order.sorted[rank as usize]
     }
 }
 
@@ -183,6 +222,14 @@ mod tests {
         assert_eq!(index.attribute_value(&attr, 1), None);
         assert!(!index.has_attribute(&Iri::new("http://attr/other")));
         assert_eq!(index.attribute_value(&Iri::new("http://attr/other"), 0), None);
+    }
+
+    #[test]
+    fn members_rank_in_term_order() {
+        let index = LevelIndex::new(Iri::new("http://level"), members(&["c", "a", "d", "b"]));
+        assert_eq!(index.ranks(), &[2, 0, 3, 1]);
+        let sorted: Vec<&Term> = (0..4).map(|rank| index.dictionary.term(index.member_at_rank(rank))).collect();
+        assert!(sorted.windows(2).all(|pair| pair[0] < pair[1]), "{sorted:?}");
     }
 
     #[test]

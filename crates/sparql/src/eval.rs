@@ -227,37 +227,6 @@ fn group_ids(keys: &Rows) -> (Vec<usize>, Vec<usize>) {
     (group_of, firsts)
 }
 
-/// Sorts `items` stably by `order`. ORDER BY's order (numbers by their
-/// `f64` reading, `Term` order otherwise) is not total: a NaN ties with both
-/// 1 and 2, which do not tie. The standard library's sorts may panic on
-/// such an order; a plain merge sort just leaves those rows in some order,
-/// and agrees with any other stable sort wherever the order is consistent.
-fn merge_sort(items: &mut Vec<usize>, order: impl Fn(usize, usize) -> Ordering) {
-    let len = items.len();
-    let mut merged = items.clone();
-    let mut width = 1;
-    while width < len {
-        for start in (0..len).step_by(2 * width) {
-            let (middle, end) = ((start + width).min(len), (start + 2 * width).min(len));
-            let (mut left, mut right) = (start, middle);
-            for slot in &mut merged[start..end] {
-                // The right run only wins when strictly smaller: stability.
-                let from = if right < end
-                    && (left == middle || order(items[right], items[left]).is_lt())
-                {
-                    &mut right
-                } else {
-                    &mut left
-                };
-                *slot = items[*from];
-                *from += 1;
-            }
-        }
-        std::mem::swap(items, &mut merged);
-        width *= 2;
-    }
-}
-
 /// Joins every row of `rows` with every compatible row of `other`, whose
 /// columns bind `slots`: two rows are compatible when no slot is bound to
 /// different ids in both. Output is `rows`-major, `other` order within.
@@ -454,7 +423,7 @@ impl<'g, 'q> Evaluator<'g, 'q> {
                     (keyed.collect(), cond.descending)
                 })
                 .collect();
-            merge_sort(&mut order, |a, b| {
+            order.sort_by(|&a, &b| {
                 keys.iter()
                     .map(|(column, descending)| {
                         let ord = self.terms.order(column[a], column[b]);
@@ -534,7 +503,7 @@ impl<'g, 'q> Evaluator<'g, 'q> {
             members[group].push(row);
         }
         let mut groups: Vec<usize> = (0..firsts.len()).collect();
-        merge_sort(&mut groups, |a, b| {
+        groups.sort_by(|&a, &b| {
             let (a, b) = (keys.row(firsts[a]), keys.row(firsts[b]));
             // Key order is plain `Term` order, unbound first.
             let mut pairs = a

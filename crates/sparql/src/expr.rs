@@ -171,13 +171,18 @@ impl<'g> Terms<'g> {
     }
 
     /// ORDER BY's ordering: unbound first, then numeric where both sides
-    /// are, `Term` order otherwise.
+    /// are — NaN after every other number, as in `Term` order — and `Term`
+    /// order otherwise. A total order: numbers sit together in `Term` order
+    /// too, so comparing them by value or by term agrees against anything
+    /// else.
     pub fn order(&self, a: SortKey, b: SortKey) -> Ordering {
         match (a, b) {
             ((UNBOUND, _), (UNBOUND, _)) => Ordering::Equal,
             ((UNBOUND, _), _) => Ordering::Less,
             (_, (UNBOUND, _)) => Ordering::Greater,
-            ((_, Some(na)), (_, Some(nb))) => na.partial_cmp(&nb).unwrap_or(Ordering::Equal),
+            ((_, Some(na)), (_, Some(nb))) => na
+                .partial_cmp(&nb)
+                .unwrap_or_else(|| na.is_nan().cmp(&nb.is_nan())),
             ((a, _), (b, _)) => self.term_order(a, b),
         }
     }

@@ -344,10 +344,9 @@ fn group_distinct_and_order_by_output_order() {
     );
 }
 
-/// `Term`'s order is not total over literals of mixed kinds, so neither is
-/// ORDER BY's nor the group order. Such a query must still answer (the
-/// standard library's sorts may panic on an inconsistent order), each key
-/// must form exactly one group, and every row must come back.
+/// ORDER BY and the group order over every term of a graph of literals of
+/// mixed kinds, a case from when `Term`'s order was not total there: each
+/// key must form exactly one group, and every row must come back.
 #[test]
 fn an_inconsistent_term_order_neither_panics_nor_splits_groups() {
     let endpoint = endpoint();
@@ -374,6 +373,37 @@ fn an_inconsistent_term_order_neither_panics_nor_splits_groups() {
     let year = Some(Term::Literal(rdf::Literal::year(2014)));
     let of_2014 = groups.rows.iter().find(|row| row[0] == year).unwrap();
     assert_eq!(of_2014[1], Some(Term::integer(3)));
+}
+
+/// ORDER BY's order is total: a NaN sorts after every other number, as in
+/// `Term` order, so a column holding NaN, 1, 2, a string and an unbound
+/// value sorts to one table whatever order its rows arrive in, ascending
+/// and descending.
+#[test]
+fn order_by_over_nan_numbers_strings_and_unbound_is_one_table_for_every_input_order() {
+    let endpoint = endpoint();
+    let values = ["UNDEF", "\"NaN\"^^xsd:double", "1", "2", "\"s\""];
+    // Every permutation of the five rows: the base-5 numbers whose five
+    // digits are all different.
+    let orders: Vec<Vec<usize>> = (0..5usize.pow(5))
+        .map(|number| (0..5).map(|digit| number / 5usize.pow(digit) % 5).collect::<Vec<_>>())
+        .filter(|order| (0..5).all(|index| order.contains(&index)))
+        .collect();
+    assert_eq!(orders.len(), 120);
+    for (direction, expected) in [
+        ("?v", ["v", "-", "1", "2", "NaN", "\"s\""]),
+        ("DESC(?v)", ["v", "\"s\"", "NaN", "2", "1", "-"]),
+    ] {
+        for order in &orders {
+            let rows: Vec<String> = order.iter().map(|&index| format!("({})", values[index])).collect();
+            let query = format!(
+                "{PREFIXES}SELECT ?v WHERE {{ VALUES (?v) {{ {} }} }} ORDER BY {direction}",
+                rows.join(" ")
+            );
+            let solutions = endpoint.select(&query).unwrap();
+            assert_eq!(render(&solutions), expected, "{query}");
+        }
+    }
 }
 
 /// The join planner against the identity plan: each query must return
