@@ -801,7 +801,9 @@ fn scan_spans<K: GroupKey>(
             let mut ambiguous: Option<u16> = None;
             if worst >= K::DICED {
                 // Some listed row drops here: walk the list again, keeping
-                // the live rows in place and counting the others.
+                // the live rows in place and counting the others. (One loop
+                // that adds and compacts at once measured several times
+                // slower than the two.)
                 kept = 0;
                 for index in 0..entering {
                     let row = rows[index];
@@ -893,6 +895,9 @@ trait GroupKey: Copy + Ord {
     /// The bits `shift..` of the key under `mask`: one radix-sort digit.
     fn digit(self, shift: u32, mask: usize) -> usize;
     fn leading_zeros(self) -> u32;
+    fn widen(self) -> u128;
+    /// The low bits of `value`.
+    fn narrow(value: u128) -> Self;
 }
 
 macro_rules! group_key {
@@ -916,9 +921,14 @@ macro_rules! group_key {
             fn wrapping_add(self, entry: Self) -> Self {
                 <$key>::wrapping_add(self, entry)
             }
+            /// Radices are member counts, below 2^32, so a key that fits
+            /// 32 bits takes the cheaper 32-bit division.
             #[inline]
             fn pop(self, radix: Self) -> (Self, MemberId) {
-                (self / radix, (self % radix) as MemberId)
+                match (u32::try_from(self), u32::try_from(radix)) {
+                    (Ok(key), Ok(radix)) => ((key / radix).into(), key % radix),
+                    _ => (self / radix, (self % radix) as MemberId),
+                }
             }
             #[inline]
             fn slot(self) -> usize {
@@ -930,6 +940,14 @@ macro_rules! group_key {
             }
             fn leading_zeros(self) -> u32 {
                 <$key>::leading_zeros(self)
+            }
+            #[inline]
+            fn widen(self) -> u128 {
+                self as u128
+            }
+            #[inline]
+            fn narrow(value: u128) -> Self {
+                value as $key
             }
         }
     };
@@ -992,9 +1010,9 @@ enum GroupIndex<K> {
     },
     /// Larger key spaces: each surviving row's key and offset, appended
     /// segment by segment (`segments[i]` = segment number and end of its
-    /// run), sized from the span list. [`Groups::finish`] sorts the keys,
-    /// numbers their runs and accumulates; then `keys` holds the distinct
-    /// keys ascending, group `g`'s at `g`.
+    /// run), sized from the span list. [`Groups::finish`] sorts the keys
+    /// with their positions, numbers their runs and accumulates; then
+    /// `keys` holds the distinct keys ascending, group `g`'s at `g`.
     Sorted {
         keys: Vec<K>,
         rows: Vec<u16>,
@@ -1193,18 +1211,25 @@ impl<K: GroupKey> Groups<K> {
         else {
             return;
         };
-        let mut items: Vec<u32> = (0..keys.len() as u32).collect();
-        radix_sort(keys, &mut items, space.bits);
+        // Each row's group number, in append order.
         let mut group_of = vec![0u32; keys.len()];
-        let mut group = 0u32;
-        for (at, &item) in items.iter().enumerate() {
-            if at > 0 && keys[at] != keys[at - 1] {
-                group += 1;
+        let item_bits = u32::BITS - (keys.len() as u32).leading_zeros();
+        if space.bits + item_bits <= u64::BITS {
+            number_runs::<K, u64>(keys, &mut group_of, item_bits, space.bits);
+        } else if space.bits + item_bits <= u128::BITS {
+            number_runs::<K, u128>(keys, &mut group_of, item_bits, space.bits);
+        } else {
+            // A `u128` key space past 2^96 keys: a comparison sort.
+            let mut pairs: Vec<(K, u32)> = keys.iter().copied().zip(0..).collect();
+            pairs.sort_unstable();
+            keys.clear();
+            for (key, item) in pairs {
+                if keys.last() != Some(&key) {
+                    keys.push(key);
+                }
+                group_of[item as usize] = keys.len() as u32 - 1;
             }
-            group_of[item as usize] = group;
         }
-        drop(items);
-        keys.dedup();
         for acc in &mut self.accs {
             acc.grow(keys.len());
         }
@@ -1245,46 +1270,68 @@ impl<K: GroupKey> Groups<K> {
     }
 }
 
+/// Sorts `keys` by packing each with its position below it into one `R`,
+/// then replaces them with their distinct values, ascending, and sets
+/// `group_of[position]` to the rank of the position's key among those.
+/// `item_bits` must hold every position and `bits` every key, together
+/// within `R`.
+fn number_runs<K: GroupKey, R: GroupKey>(
+    keys: &mut Vec<K>,
+    group_of: &mut [u32],
+    item_bits: u32,
+    bits: u32,
+) {
+    let mut records: Vec<R> = (keys.iter().zip(0u32..))
+        .map(|(&key, item)| R::narrow(key.widen() << item_bits | u128::from(item)))
+        .collect();
+    radix_sort(&mut records, item_bits, bits);
+    keys.clear();
+    let mask = (1u128 << item_bits) - 1;
+    for &record in &records {
+        let key = K::narrow(record.widen() >> item_bits);
+        if keys.last() != Some(&key) {
+            keys.push(key);
+        }
+        group_of[(record.widen() & mask) as usize] = keys.len() as u32 - 1;
+    }
+}
+
 /// Widest radix-sort digit: 2 048 counters, 16 KiB on the stack.
 const DIGIT_BITS: u32 = 11;
 
-/// Sorts `keys` ascending and permutes `items` alongside, stably: a
-/// least-significant-digit radix sort over the low `bits` bits, which must
-/// hold every key. The bits split into the fewest digits of at most
-/// [`DIGIT_BITS`] each; a digit every key shares costs its count only.
-fn radix_sort<K: GroupKey>(keys: &mut Vec<K>, items: &mut Vec<u32>, bits: u32) {
-    debug_assert_eq!(keys.len(), items.len());
+/// Sorts `records` stably by their bits `low..low + bits`, above which
+/// every record must be zero: a least-significant-digit radix sort. The
+/// bits split into the fewest digits of at most [`DIGIT_BITS`] each; a
+/// digit every record shares costs its count only.
+fn radix_sort<R: GroupKey>(records: &mut Vec<R>, low: u32, bits: u32) {
     let passes = bits.div_ceil(DIGIT_BITS);
-    if passes == 0 || keys.len() < 2 {
+    if passes == 0 || records.len() < 2 {
         return;
     }
     let width = bits.div_ceil(passes);
     let mask = (1usize << width) - 1;
     let mut counts = [0usize; 1 << DIGIT_BITS];
-    let mut sorted_keys: Vec<K> = vec![K::ZERO; keys.len()];
-    let mut sorted_items: Vec<u32> = vec![0; items.len()];
+    let mut sorted: Vec<R> = vec![R::ZERO; records.len()];
     for pass in 0..passes {
-        let shift = pass * width;
+        let shift = low + pass * width;
         let counts = &mut counts[..=mask];
         counts.fill(0);
-        for &key in keys.iter() {
-            counts[key.digit(shift, mask)] += 1;
+        for &record in records.iter() {
+            counts[record.digit(shift, mask)] += 1;
         }
-        if counts.contains(&keys.len()) {
+        if counts.contains(&records.len()) {
             continue;
         }
         let mut start = 0;
         for count in counts.iter_mut() {
             (*count, start) = (start, start + *count);
         }
-        for (&key, &item) in keys.iter().zip(items.iter()) {
-            let at = &mut counts[key.digit(shift, mask)];
-            sorted_keys[*at] = key;
-            sorted_items[*at] = item;
+        for &record in records.iter() {
+            let at = &mut counts[record.digit(shift, mask)];
+            sorted[*at] = record;
             *at += 1;
         }
-        std::mem::swap(keys, &mut sorted_keys);
-        std::mem::swap(items, &mut sorted_items);
+        std::mem::swap(records, &mut sorted);
     }
 }
 
@@ -1321,7 +1368,7 @@ fn assemble_output<K: GroupKey>(
         .iter()
         .map(|axis| vec![0; axis.level_index.member_count()])
         .collect();
-    let mut ranks: Vec<u32> = Vec::with_capacity(groups_found * width);
+    let mut ranks: Vec<u32> = vec![0; groups_found * width];
     let mut values: Vec<Numeric> = Vec::with_capacity(groups_found * measures.len());
     let mut len = 0;
     groups.for_each_in_key_order(|key, group| {
@@ -1335,17 +1382,17 @@ fn assemble_output<K: GroupKey>(
             values.truncate(start);
             return;
         }
+        let cell = &mut ranks[len * width..(len + 1) * width];
         len += 1;
-        let at = ranks.len();
-        ranks.resize(at + width, 0);
         let mut rest = key;
         for axis in (0..width).rev() {
             let rank;
             (rest, rank) = rest.pop(space.radices[axis]);
-            ranks[at + axis] = rank;
+            cell[axis] = rank;
             present[axis][rank as usize] = 1;
         }
     });
+    ranks.truncate(len * width);
 
     let mut members: Vec<Vec<Term>> = Vec::with_capacity(width);
     for (axis, present) in axes.iter().zip(&mut present) {
@@ -1361,10 +1408,14 @@ fn assemble_output<K: GroupKey>(
         stats.dictionary_lookups += terms.len() as u64;
         members.push(terms);
     }
-    if width > 0 {
+    // An axis with every member present keeps its ranks as they are.
+    let gaps: Vec<usize> = (0..width)
+        .filter(|&axis| members[axis].len() < present[axis].len())
+        .collect();
+    if !gaps.is_empty() {
         for cell in ranks.chunks_exact_mut(width) {
-            for (rank, present) in cell.iter_mut().zip(&present) {
-                *rank = present[*rank as usize];
+            for &axis in &gaps {
+                cell[axis] = present[axis][cell[axis] as usize];
             }
         }
     }
@@ -2859,16 +2910,15 @@ mod tests {
         assert_eq!(next, 5000);
     }
 
-    /// `radix_sort` against a comparison sort of `(key, position)`: the
-    /// same keys in the same order, equal keys in their input order.
-    fn assert_radix_sorts<K: GroupKey + std::fmt::Debug>(keys: Vec<K>, bits: u32) {
-        let mut sorted = keys.clone();
-        let mut items: Vec<u32> = (0..keys.len() as u32).collect();
-        radix_sort(&mut sorted, &mut items, bits);
-        let mut expected: Vec<(K, u32)> = keys.into_iter().zip(0..).collect();
-        expected.sort();
-        let got: Vec<(K, u32)> = sorted.into_iter().zip(items).collect();
-        assert_eq!(got, expected, "{bits} bits");
+    /// `radix_sort` against the standard library's stable sort by the same
+    /// bits: the same records in the same order, so records with equal
+    /// keys keep their input order.
+    fn assert_radix_sorts<R: GroupKey + std::fmt::Debug>(records: Vec<R>, low: u32, bits: u32) {
+        let mut sorted = records.clone();
+        radix_sort(&mut sorted, low, bits);
+        let mut expected = records;
+        expected.sort_by_key(|record| record.widen() >> low);
+        assert_eq!(sorted, expected, "bits {low}..{}", low + bits);
     }
 
     #[test]
@@ -2880,25 +2930,38 @@ mod tests {
             state ^= state << 17;
             state
         };
+        // Below each key, bits that fall as the keys repeat: a sort by the
+        // whole word, or an unstable one, reorders them.
+        let tagged = |keys: &[u64], low: u32| -> Vec<u64> {
+            let count = keys.len() as u64;
+            (keys.iter().zip(0..)).map(|(&key, at)| key << low | (count - at)).collect()
+        };
         // One pass: keys that differ only in their low bits, with repeats.
-        assert_radix_sorts((0..3000u64).map(|i| i * 37 % 1000).collect(), 10);
+        let keys: Vec<u64> = (0..3000).map(|i| i * 37 % 1000).collect();
+        assert_radix_sorts(tagged(&keys, 12), 12, 10);
         // Keys that differ only in their high bits: the low digits are all
-        // alike, so only the last of six passes moves anything.
-        assert_radix_sorts((0..3000u64).map(|i| (i * 37 % 1000) << 54).collect(), 64);
+        // alike, so only the last two of five passes move anything.
+        let keys: Vec<u64> = (0..3000).map(|i| (i * 37 % 1000) << 42).collect();
+        assert_radix_sorts(tagged(&keys, 12), 12, 52);
         // Two and three passes over random keys, few distinct or all distinct.
-        assert_radix_sorts((0..5000).map(|_| next() % 300).collect::<Vec<u64>>(), 17);
-        assert_radix_sorts((0..5000).map(|_| next() >> 31).collect::<Vec<u64>>(), 33);
-        // The largest key a space can hold, next to the smallest.
-        let largest = <u64 as GroupKey>::DICED - 1;
-        assert_radix_sorts(vec![largest, 0, 5, largest, 1 << 63, 7, 0], 64);
-        let largest = <u128 as GroupKey>::DICED - 1;
-        assert_radix_sorts(vec![largest, 3, 1 << 100, largest, 0, 1 << 64], 128);
-        // u128 keys past 64 bits, and nothing to sort.
-        let wide: Vec<u128> = (0..2000).map(|_| u128::from(next()) << 6 | 5).collect();
-        assert_radix_sorts(wide, 70);
-        assert_radix_sorts(Vec::<u64>::new(), 20);
-        assert_radix_sorts(vec![9u64], 20);
-        assert_radix_sorts(vec![0u64; 40], 0);
+        let keys: Vec<u64> = (0..5000).map(|_| next() % 300).collect();
+        assert_radix_sorts(tagged(&keys, 13), 13, 17);
+        let keys: Vec<u64> = (0..5000).map(|_| next() >> 33).collect();
+        assert_radix_sorts(tagged(&keys, 13), 13, 31);
+        // The largest key the bits hold, next to the smallest.
+        let largest = (1u64 << 51) - 1;
+        let keys = [largest, 0, 5, largest, 1 << 50, 7, 0];
+        assert_radix_sorts(tagged(&keys, 13), 13, 51);
+        let records: Vec<u128> = [u128::MAX >> 32, 3, 1 << 90, u128::MAX >> 32, 0]
+            .iter()
+            .zip(0..)
+            .map(|(&key, at)| key << 32 | (9 - at))
+            .collect();
+        assert_radix_sorts(records, 32, 96);
+        // Nothing to sort, and no bits to sort by.
+        assert_radix_sorts(Vec::<u64>::new(), 0, 20);
+        assert_radix_sorts(vec![9u64], 0, 20);
+        assert_radix_sorts(vec![3u64, 1, 2], 2, 0);
     }
 
     #[test]
