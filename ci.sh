@@ -83,6 +83,11 @@ QB2OLAP_FUZZ_SEED=0xE155EED QB2OLAP_FUZZ_PROGRAMS=500 QB2OLAP_FUZZ_QUERIES=500 \
 # and DISTINCT / SAMPLE / GROUP_CONCAT / LIMIT over reordered runs must
 # return the identity plan's table row for row.
 cargo test -q -p sparql --test eval_edges -- planned_runs_return_the_identity_plan_row_for_row
+# ORDER BY's order is total, pinned by name: a column holding NaN, 1, 2, a
+# string and an unbound value sorts to one table for every one of its 120
+# input orders, ascending and descending (NaN after every other number).
+cargo test -q -p sparql --test eval_edges -- \
+    order_by_over_nan_numbers_strings_and_unbound_is_one_table_for_every_input_order
 
 # The store's and the evaluator's machine-independent allocation bounds,
 # pinned by name: over a 2 000- and an 8 000-observation cube a bulk load
@@ -111,6 +116,21 @@ cargo test --release -q -p cubestore --lib -- \
 # differ over fivefold differs in allocations by at most the difference in
 # distinct members plus 16 (never per cell).
 cargo test --release -q -p qb2olap_bench --test scan_allocations
+# The segment kernel against its row-at-a-time oracle, pinned by name: 48
+# seeded random cube and query shapes (dense, radix-sorted and u128 key
+# spaces, each query also forced through every grouping and key width
+# that fits; dices over one axis, same-axis trees and cross-axis trees;
+# ragged and ambiguous roll-ups; unbound rows; partly and fully tombstoned
+# segments; pruning off and on) must return the reference's cells and
+# refusal messages. Beside it: a dice folded into an axis table never
+# hides a later axis's refusal, the radix sort orders records stably in
+# one pass and in several, and keys that differ only in their high bits
+# group apart, in key order, on the sorted path.
+cargo test --release -q -p cubestore --lib -- \
+    executor::tests::the_kernel_matches_the_reference_over_a_seeded_sweep \
+    executor::tests::a_dice_never_hides_a_refusal_on_a_later_axis \
+    executor::tests::radix_sort_orders_keys_stably_in_one_pass_and_in_several \
+    executor::tests::sorted_groups_order_keys_that_differ_only_in_high_bits
 
 # The observability gates, pinned by name: the explain-smoke test (an
 # EXPLAIN ANALYZE profile must name every pipeline step with timings and
@@ -270,6 +290,7 @@ grep -q 'E28' EXPERIMENTS.md
 grep -q 'E29' EXPERIMENTS.md
 grep -q 'E30' EXPERIMENTS.md
 grep -q 'E31' EXPERIMENTS.md
+grep -q 'E32' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -26,12 +26,19 @@
 //! differential baseline).
 //!
 //! The segment is also the unit of execution: the kernel (`scan_spans`)
-//! makes one pass per column over a segment's slices — liveness, lift,
-//! filter, group, accumulate — with member codes packed into integer group
-//! keys. Cells stay coded through HAVING, the sort and the output itself:
-//! a [`QueryOutput`] holds each axis's present members once, per-cell ranks
-//! into them and typed [`Numeric`] aggregates, and builds terms only when a
-//! caller decodes it (ARCHITECTURE.md § "The segment kernel").
+//! makes one pass per kept axis over a segment's rows. Each axis has a
+//! table, built per query and indexed by the bottom code of its column,
+//! that holds the target member's rank in `Term` order times the axis's
+//! stride, or a marker for an unbound, ragged, ambiguous or diced-out
+//! code, so a pass adds the row's key digit and drops the rows that go no
+//! further in one lookup. Because the digits are ranks, the integer order
+//! of the keys is the canonical cell order: groups found in a dense slot
+//! table or by one radix sort of the surviving rows' keys come out in
+//! output order, and assembly walks them without a sort. Cells stay coded
+//! through HAVING and the output itself: a [`QueryOutput`] holds each
+//! axis's present members once, per-cell ranks into them and typed
+//! [`Numeric`] aggregates, and builds terms only when a caller decodes it
+//! (ARCHITECTURE.md § "The segment kernel").
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -234,15 +241,20 @@ pub struct ScanStats {
     pub rows_scanned: u64,
     /// Rows skipped because the tombstone bitmap marked them dead.
     pub tombstones_skipped: u64,
-    /// Live rows dropped because an axis had no member or no roll-up
-    /// target for the row's bottom member (ragged hierarchy).
+    /// Live rows dropped by an axis pass because the axis had no member or
+    /// no roll-up target for the row's bottom member (ragged hierarchy).
+    /// Passes run in the kernel's order — diced axes first when no kept
+    /// axis can refuse — so a row both diced out and ragged counts here
+    /// only if the ragged axis's pass ran first.
     pub rows_no_member: u64,
-    /// Live rows dropped by a member (dice) filter.
+    /// Live rows dropped by a member (dice) filter: by an axis pass whose
+    /// table holds the dice, or by a dice evaluated after the passes.
     pub rows_filtered: u64,
     /// Rows that reached a measure accumulator.
     pub rows_aggregated: u64,
-    /// Bound bottom codes lifted through a roll-up map: one per axis a live
-    /// row reaches with a member bound on it.
+    /// Bound bottom codes looked up in an axis table: one per axis pass a
+    /// live row reaches with a member bound on it, in the kernel's pass
+    /// order.
     pub rollup_lookups: u64,
     /// Member-id → term dictionary lookups performed while building the
     /// output: one per distinct member of each axis present in the result
@@ -441,7 +453,12 @@ fn run_keyed<K: GroupKey>(
             format!("segments_pruned={}", stats.segments_pruned),
         );
         let returned = Some(output.len() as u64);
-        profile.push_step("aggregate", started.elapsed(), returned, "HAVING + assembly");
+        profile.push_step(
+            "aggregate",
+            started.elapsed(),
+            returned,
+            "HAVING + assembly",
+        );
     }
     Ok((output, stats))
 }
@@ -848,7 +865,8 @@ fn scan_spans<K: GroupKey>(
                 let row = rows[index] as usize;
                 let member = |axis: usize| {
                     let axis: &AxisPlan = &axes[axis];
-                    axis.rollup.target(axis.column.code_segment(span.segment)[row])
+                    axis.rollup
+                        .target(axis.column.code_segment(span.segment)[row])
                 };
                 if passes.residual.iter().all(|filter| filter.keeps(&member)) {
                     rows[kept] = rows[index];
@@ -879,7 +897,6 @@ trait GroupKey: Copy + Ord {
     const DICED: Self;
     const NO_TARGET: Self;
     const AMBIGUOUS: Self;
-    const BITS: u32;
     fn from_count(count: usize) -> Self;
     fn checked_mul(self, radix: Self) -> Option<Self>;
     /// A rank times its axis's stride. Cannot overflow while the rank stays
@@ -894,7 +911,6 @@ trait GroupKey: Copy + Ord {
     fn slot(self) -> usize;
     /// The bits `shift..` of the key under `mask`: one radix-sort digit.
     fn digit(self, shift: u32, mask: usize) -> usize;
-    fn leading_zeros(self) -> u32;
     fn widen(self) -> u128;
     /// The low bits of `value`.
     fn narrow(value: u128) -> Self;
@@ -907,7 +923,6 @@ macro_rules! group_key {
             const DICED: Self = <$key>::MAX - 2;
             const NO_TARGET: Self = <$key>::MAX - 1;
             const AMBIGUOUS: Self = <$key>::MAX;
-            const BITS: u32 = <$key>::BITS;
             fn from_count(count: usize) -> Self {
                 count as $key
             }
@@ -937,9 +952,6 @@ macro_rules! group_key {
             #[inline]
             fn digit(self, shift: u32, mask: usize) -> usize {
                 (self >> shift) as usize & mask
-            }
-            fn leading_zeros(self) -> u32 {
-                <$key>::leading_zeros(self)
             }
             #[inline]
             fn widen(self) -> u128 {
@@ -984,12 +996,12 @@ impl<K: GroupKey> KeySpace<K> {
         if size > K::DICED {
             return None;
         }
-        let largest = size.wrapping_add(K::AMBIGUOUS); // size - 1
+        let largest = size.widen() - 1;
         let dense_slots = (size <= K::from_count(DENSE_GROUP_LIMIT)).then(|| size.slot());
         Some(KeySpace {
             radices,
             strides,
-            bits: K::BITS - largest.leading_zeros(),
+            bits: u128::BITS - largest.leading_zeros(),
             dense_slots,
         })
     }
@@ -2078,9 +2090,8 @@ mod tests {
         cube: &MaterializedCube,
         query: &CubeQuery,
     ) -> Result<(Vec<CubeCell>, [u64; 4]), String> {
-        reference_refusing(cube, query).map_err(|(bottom, dimension, _)| {
-            format!("{bottom} of <{}>", dimension.as_str())
-        })
+        reference_refusing(cube, query)
+            .map_err(|(bottom, dimension, _)| format!("{bottom} of <{}>", dimension.as_str()))
     }
 
     /// A member filter decided on one row's members, `(axis plan, member)`
@@ -2501,7 +2512,8 @@ mod tests {
                 match run_with(&cube, &query, prune) {
                     Ok((output, stats)) => {
                         assert_eq!(Ok(output.into_cells()), cells, "{context}");
-                        let [skipped, no_member, lookups, aggregated] = expected.as_ref().unwrap().1;
+                        let [skipped, no_member, lookups, aggregated] =
+                            expected.as_ref().unwrap().1;
                         assert_eq!(stats.rows_aggregated, aggregated, "{context}");
                         let dropped = stats.rows_no_member + stats.rows_filtered;
                         assert_eq!(
@@ -2554,7 +2566,10 @@ mod tests {
             "pruned",
         ];
         for tag in expected {
-            assert!(seen.contains(tag), "the sweep never met: {tag} (saw {seen:?})");
+            assert!(
+                seen.contains(tag),
+                "the sweep never met: {tag} (saw {seen:?})"
+            );
         }
     }
 
@@ -2829,7 +2844,7 @@ mod tests {
     }
 
     #[test]
-    fn grouping_and_key_width_do_not_show_in_the_output() {
+    fn table_kind_and_key_width_do_not_show_in_the_output() {
         // Co-prime cycle lengths: every row of the cube is its own group at
         // the bottom levels (41 × 31 × 9 = 11 439 possible keys, 8 692
         // groups, more than one segment of sorted keys); rolled up,
@@ -2934,7 +2949,9 @@ mod tests {
         // whole word, or an unstable one, reorders them.
         let tagged = |keys: &[u64], low: u32| -> Vec<u64> {
             let count = keys.len() as u64;
-            (keys.iter().zip(0..)).map(|(&key, at)| key << low | (count - at)).collect()
+            (keys.iter().zip(0..))
+                .map(|(&key, at)| key << low | (count - at))
+                .collect()
         };
         // One pass: keys that differ only in their low bits, with repeats.
         let keys: Vec<u64> = (0..3000).map(|i| i * 37 % 1000).collect();

@@ -228,8 +228,13 @@ mod tests {
     fn members_rank_in_term_order() {
         let index = LevelIndex::new(Iri::new("http://level"), members(&["c", "a", "d", "b"]));
         assert_eq!(index.ranks(), &[2, 0, 3, 1]);
-        let sorted: Vec<&Term> = (0..4).map(|rank| index.dictionary.term(index.member_at_rank(rank))).collect();
-        assert!(sorted.windows(2).all(|pair| pair[0] < pair[1]), "{sorted:?}");
+        let sorted: Vec<&Term> = (0..4)
+            .map(|rank| index.dictionary.term(index.member_at_rank(rank)))
+            .collect();
+        assert!(
+            sorted.windows(2).all(|pair| pair[0] < pair[1]),
+            "{sorted:?}"
+        );
     }
 
     #[test]

@@ -386,7 +386,11 @@ fn order_by_over_nan_numbers_strings_and_unbound_is_one_table_for_every_input_or
     // Every permutation of the five rows: the base-5 numbers whose five
     // digits are all different.
     let orders: Vec<Vec<usize>> = (0..5usize.pow(5))
-        .map(|number| (0..5).map(|digit| number / 5usize.pow(digit) % 5).collect::<Vec<_>>())
+        .map(|number| {
+            (0..5)
+                .map(|digit| number / 5usize.pow(digit) % 5)
+                .collect::<Vec<_>>()
+        })
         .filter(|order| (0..5).all(|index| order.contains(&index)))
         .collect();
     assert_eq!(orders.len(), 120);
@@ -395,7 +399,10 @@ fn order_by_over_nan_numbers_strings_and_unbound_is_one_table_for_every_input_or
         ("DESC(?v)", ["v", "\"s\"", "NaN", "2", "1", "-"]),
     ] {
         for order in &orders {
-            let rows: Vec<String> = order.iter().map(|&index| format!("({})", values[index])).collect();
+            let rows: Vec<String> = order
+                .iter()
+                .map(|&index| format!("({})", values[index]))
+                .collect();
             let query = format!(
                 "{PREFIXES}SELECT ?v WHERE {{ VALUES (?v) {{ {} }} }} ORDER BY {direction}",
                 rows.join(" ")
