@@ -123,12 +123,15 @@ cargo test --release -q -p qb2olap_bench --test scan_allocations
 # ragged and ambiguous roll-ups; unbound rows; partly and fully tombstoned
 # segments; pruning off and on) must return the reference's cells and
 # refusal messages. Beside it: a dice folded into an axis table never
-# hides a later axis's refusal, the radix sort orders records stably in
-# one pass and in several, and keys that differ only in their high bits
-# group apart, in key order, on the sorted path.
+# hides a later axis's refusal, an ambiguous entry no live row reaches
+# leaves every dice residual with the reference's cells, the radix sort
+# orders records stably in one pass and in several, and keys that differ
+# only in their high bits group apart, in key order, on the sorted path,
+# sorted at once and a segment at a time.
 cargo test --release -q -p cubestore --lib -- \
     executor::tests::the_kernel_matches_the_reference_over_a_seeded_sweep \
     executor::tests::a_dice_never_hides_a_refusal_on_a_later_axis \
+    executor::tests::an_unreached_ambiguous_entry_leaves_every_dice_residual \
     executor::tests::radix_sort_orders_keys_stably_in_one_pass_and_in_several \
     executor::tests::sorted_groups_order_keys_that_differ_only_in_high_bits
 

@@ -283,7 +283,7 @@ fn resolve_rollup_target(
     }
     let anchored: Vec<(MemberId, usize)> = frontier
         .into_iter()
-        .filter_map(|(t, paths)| target_index.dictionary.id(t).map(|id| (id, paths)))
+        .filter_map(|(t, paths)| target_index.dictionary().id(t).map(|id| (id, paths)))
         .collect();
     match anchored.as_slice() {
         [] => NO_MEMBER,

@@ -381,7 +381,7 @@ mod tests {
             .unwrap();
         assert_eq!(refreshed.row_count(), 6);
         let city_index = refreshed.level(&iri("lv/city")).unwrap();
-        let id = city_index.dictionary.id(&member("c4")).expect("declared");
+        let id = city_index.dictionary().id(&member("c4")).expect("declared");
         assert_eq!(
             city_index.attribute_value(&rdfs::label(), id),
             Some(&Term::Literal(Literal::string("City Four")))
@@ -881,7 +881,7 @@ mod tests {
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
             .unwrap();
         let country = refreshed.level(&iri("lv/country")).unwrap();
-        let id = country.dictionary.id(&member("K2")).unwrap();
+        let id = country.dictionary().id(&member("K2")).unwrap();
         assert_eq!(
             country.attribute_value(&iri("attr/countryName"), id),
             Some(&Term::Literal(Literal::string("Beta")))
@@ -1117,8 +1117,8 @@ mod tests {
         assert_eq!(count, 1, "an append replay reads the stars alone");
         let appended = appended.unwrap();
         assert!(appended.levels[&iri("lv/city")]
-            .dictionary
-            .shares_storage_with(&cube.levels[&iri("lv/city")].dictionary));
+            .dictionary()
+            .shares_storage_with(cube.levels[&iri("lv/city")].dictionary()));
 
         let epoch = endpoint.epoch();
         let mut batch = observation_triples("o7", "c3", "m2", 1, 1);
@@ -1151,8 +1151,8 @@ mod tests {
         for (level, index) in cube.levels.iter() {
             assert!(
                 index
-                    .dictionary
-                    .shares_storage_with(&refreshed.levels[level].dictionary),
+                    .dictionary()
+                    .shares_storage_with(refreshed.levels[level].dictionary()),
                 "level <{}> dictionary copied on a pure append",
                 level.as_str()
             );

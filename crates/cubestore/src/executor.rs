@@ -33,8 +33,9 @@
 //! code, so a pass adds the row's key digit and drops the rows that go no
 //! further in one lookup. Because the digits are ranks, the integer order
 //! of the keys is the canonical cell order: groups found in a dense slot
-//! table or by one radix sort of the surviving rows' keys come out in
-//! output order, and assembly walks them without a sort. Cells stay coded
+//! table or by radix-sorting the surviving rows' keys (a chunk of rows at
+//! a time, the chunks' runs merged) come out in output order, and assembly
+//! walks them without a sort. Cells stay coded
 //! through HAVING and the output itself: a [`QueryOutput`] holds each
 //! axis's present members once, per-cell ranks into them and typed
 //! [`Numeric`] aggregates, and builds terms only when a caller decodes it
@@ -232,6 +233,12 @@ impl QueryOutput {
 /// (one `u32` per possible key: 256 KiB at the limit) instead of by sorting
 /// the surviving rows' keys.
 const DENSE_GROUP_LIMIT: usize = 1 << 16;
+
+/// Surviving rows the sorted group path gathers before it sorts them and
+/// merges their groups into those found so far. The sort's scratch is
+/// about 30 bytes a gathered row, so below 2 MiB however many rows a scan
+/// keeps; a scan that keeps fewer rows sorts once and merges nothing.
+const SORT_CHUNK_ROWS: usize = 1 << 16;
 
 /// Totals observed by one columnar execution: the kernel adds to them once
 /// per segment from survivor counts.
@@ -563,10 +570,11 @@ impl<K: GroupKey> AxisPass<K> {
 
 /// The per-query half of the kernel: one pass per kept axis, in the order
 /// the kernel runs them, and the dices no pass holds.
-struct Passes<'f, K> {
+struct Passes<K> {
     passes: Vec<AxisPass<K>>,
-    /// Evaluated after the passes, on members lifted on demand.
-    residual: Vec<&'f CompiledFilter>,
+    /// Evaluated after the passes, on tables indexed by bottom code
+    /// ([`CompiledFilter::by_bottom_code`]).
+    residual: Vec<CompiledFilter>,
 }
 
 /// Builds the axis tables and decides the pass order.
@@ -578,7 +586,7 @@ struct Passes<'f, K> {
 /// the row-at-a-time order runs dices after every axis and a row a dice
 /// would drop must still reach a later axis's ambiguous entry and refuse.
 /// Dices that span several axes are always residual.
-fn plan_passes<'f, K: GroupKey>(plan: &'f ScanPlan<'_>, space: &KeySpace<K>) -> Passes<'f, K> {
+fn plan_passes<K: GroupKey>(plan: &ScanPlan<'_>, space: &KeySpace<K>) -> Passes<K> {
     let mut ambiguous = false;
     let mut passes: Vec<AxisPass<K>> = Vec::with_capacity(plan.axes.len());
     for (index, (axis, &stride)) in plan.axes.iter().zip(&space.strides).enumerate() {
@@ -601,14 +609,15 @@ fn plan_passes<'f, K: GroupKey>(plan: &'f ScanPlan<'_>, space: &KeySpace<K>) -> 
             diced: false,
         });
     }
+    let by_bottom_code = |filter: &CompiledFilter| filter.by_bottom_code(&plan.axes);
     if ambiguous {
-        let residual = plan.filters.iter().collect();
+        let residual = plan.filters.iter().map(by_bottom_code).collect();
         return Passes { passes, residual };
     }
     let mut residual = Vec::new();
     for filter in &plan.filters {
         let CompiledFilter::Compare { axis, table } = filter else {
-            residual.push(filter);
+            residual.push(by_bottom_code(filter));
             continue;
         };
         let pass = &mut passes[*axis];
@@ -648,7 +657,7 @@ fn segment_prunable<K: GroupKey>(
     zones: &ZoneMaps,
     segment: usize,
     axes: &[AxisPlan<'_>],
-    passes: &Passes<'_, K>,
+    passes: &Passes<K>,
 ) -> bool {
     for pass in &passes.passes {
         let Some(codes) = zones.dimension_codes(axes[pass.axis].dim_index, segment) else {
@@ -673,14 +682,14 @@ fn segment_prunable<K: GroupKey>(
         .any(|filter| !filter_possible(filter, zones, segment, axes))
 }
 
-/// True if *some* coordinate drawn from the segment's zone codes, lifted
-/// through each axis's roll-up map, could satisfy the filter. The check
-/// over-approximates per axis (an `And` possible on each side separately
-/// may not be jointly satisfiable by one row) — the sound direction, since
-/// a segment is pruned only when the filter is im*possible*. Any row the
-/// unpruned scan keeps has `joins && eval == Some(true)`, and its per-axis
-/// members are lifted from zone codes, so a kept row witnesses possibility
-/// for every filter.
+/// True if *some* coordinate drawn from the segment's zone codes could
+/// satisfy the filter, whose tables are indexed by bottom code
+/// ([`CompiledFilter::by_bottom_code`]). The check over-approximates per
+/// axis (an `And` possible on each side separately may not be jointly
+/// satisfiable by one row) — the sound direction, since a segment is
+/// pruned only when the filter is im*possible*. Any row the unpruned scan
+/// keeps has `joins && eval == Some(true)`, and its per-axis codes are
+/// zone codes, so a kept row witnesses possibility for every filter.
 fn filter_possible(
     filter: &CompiledFilter,
     zones: &ZoneMaps,
@@ -689,14 +698,9 @@ fn filter_possible(
 ) -> bool {
     match filter {
         CompiledFilter::Compare { axis, table } => {
-            let axis = &axes[*axis];
-            let targets = axis.rollup.targets();
-            let possible = |code: MemberId| {
-                let target = targets.get(code as usize).copied().unwrap_or(NO_MEMBER);
-                target < AMBIGUOUS_MEMBER && table[target as usize] == Some(Some(true))
-            };
+            let possible = |code: MemberId| table.get(code as usize) == Some(&Some(Some(true)));
             zones
-                .dimension_codes(axis.dim_index, segment)
+                .dimension_codes(axes[*axis].dim_index, segment)
                 .is_some_and(|mut codes| codes.any(possible))
         }
         CompiledFilter::And(a, b) => {
@@ -763,15 +767,15 @@ fn scan<K: GroupKey>(
 ///    row-at-a-time order would have brought this far (ambiguous entries
 ///    exist only when the passes run in schema order), so the earliest
 ///    remembered row is the one that order refuses on;
-/// 3. *residual dices* — the compiled truth tables no pass holds, over
-///    members lifted on demand;
+/// 3. *residual dices* — the compiled truth tables no pass holds, indexed
+///    by bottom code, one compaction of the list each;
 /// 4. *group* — [`Groups::add`]: a dense slot per key, or the key and row
-///    kept for one sort after the scan;
+///    gathered for a sort per chunk of rows ([`SortedGroups`]);
 /// 5. *accumulate* — per measure, one typed loop over the surviving rows.
 fn scan_spans<K: GroupKey>(
     plan: &ScanPlan<'_>,
     space: &KeySpace<K>,
-    passes: &Passes<'_, K>,
+    passes: &Passes<K>,
     spans: &[SegmentSpan],
 ) -> Result<(Groups<K>, ScanStats), CubeStoreError> {
     let axes = &plan.axes;
@@ -780,6 +784,8 @@ fn scan_spans<K: GroupKey>(
     let mut stats = ScanStats::default();
     let mut rows: Vec<u16> = Vec::with_capacity(SEGMENT_LEN);
     let mut keys: Vec<K> = Vec::with_capacity(SEGMENT_LEN);
+    // Per axis, the segment's codes, for the residual dices.
+    let mut segment_codes: Vec<&[MemberId]> = Vec::new();
 
     for span in spans {
         rows.clear();
@@ -859,30 +865,50 @@ fn scan_spans<K: GroupKey>(
         }
 
         if !passes.residual.is_empty() {
-            let entering = rows.len();
-            let mut kept = 0;
-            for index in 0..entering {
-                let row = rows[index] as usize;
-                let member = |axis: usize| {
-                    let axis: &AxisPlan = &axes[axis];
-                    axis.rollup
-                        .target(axis.column.code_segment(span.segment)[row])
-                };
-                if passes.residual.iter().all(|filter| filter.keeps(&member)) {
-                    rows[kept] = rows[index];
-                    keys[kept] = keys[index];
-                    kept += 1;
+            segment_codes.clear();
+            let codes = axes.iter().map(|axis| axis.column.code_segment(span.segment));
+            segment_codes.extend(codes);
+        }
+        // One compaction per residual dice: a comparison is one lookup per
+        // row, a tree reads the codes of the axes it names.
+        for filter in &passes.residual {
+            let dropped = match filter {
+                CompiledFilter::Compare { axis, table } => {
+                    let codes = segment_codes[*axis];
+                    let keep = |row: usize| table[codes[row] as usize] == Some(Some(true));
+                    retain_rows(&mut rows, &mut keys, keep)
                 }
-            }
-            rows.truncate(kept);
-            keys.truncate(kept);
-            stats.rows_filtered += (entering - kept) as u64;
+                tree => retain_rows(&mut rows, &mut keys, |row| {
+                    tree.keeps(&|axis: usize| segment_codes[axis][row])
+                }),
+            };
+            stats.rows_filtered += dropped as u64;
         }
         stats.rows_aggregated += rows.len() as u64;
         groups.add(span.segment, &rows, &keys, plan.measures);
     }
-    groups.finish(space, plan.measures);
+    groups.finish(plan.measures);
     Ok((groups, stats))
+}
+
+/// Keeps, in place and in order, the listed rows (and their keys) that
+/// `keep` accepts; returns how many it dropped.
+fn retain_rows<K: Copy>(
+    rows: &mut Vec<u16>,
+    keys: &mut Vec<K>,
+    keep: impl Fn(usize) -> bool,
+) -> usize {
+    let entering = rows.len();
+    let mut kept = 0;
+    for index in 0..entering {
+        let row = rows[index];
+        rows[kept] = row;
+        keys[kept] = keys[index];
+        kept += usize::from(keep(row as usize));
+    }
+    rows.truncate(kept);
+    keys.truncate(kept);
+    entering - kept
 }
 
 /// A packed group key: the ranks of one row's members in `Term` order as
@@ -909,8 +935,6 @@ trait GroupKey: Copy + Ord {
     /// The key as a dense slot number (key spaces within
     /// [`DENSE_GROUP_LIMIT`] only).
     fn slot(self) -> usize;
-    /// The bits `shift..` of the key under `mask`: one radix-sort digit.
-    fn digit(self, shift: u32, mask: usize) -> usize;
     fn widen(self) -> u128;
     /// The low bits of `value`.
     fn narrow(value: u128) -> Self;
@@ -950,10 +974,6 @@ macro_rules! group_key {
                 self as usize
             }
             #[inline]
-            fn digit(self, shift: u32, mask: usize) -> usize {
-                (self >> shift) as usize & mask
-            }
-            #[inline]
             fn widen(self) -> u128 {
                 self as u128
             }
@@ -977,6 +997,8 @@ struct KeySpace<K> {
     strides: Vec<K>,
     bits: u32,
     dense_slots: Option<usize>,
+    /// Rows the sorted path sorts at a time: [`SORT_CHUNK_ROWS`].
+    sort_chunk: usize,
 }
 
 impl<K: GroupKey> KeySpace<K> {
@@ -1003,6 +1025,7 @@ impl<K: GroupKey> KeySpace<K> {
             strides,
             bits: u128::BITS - largest.leading_zeros(),
             dense_slots,
+            sort_chunk: SORT_CHUNK_ROWS,
         })
     }
 }
@@ -1020,16 +1043,124 @@ enum GroupIndex<K> {
         groups: u32,
         group_of: Vec<u32>,
     },
-    /// Larger key spaces: each surviving row's key and offset, appended
-    /// segment by segment (`segments[i]` = segment number and end of its
-    /// run), sized from the span list. [`Groups::finish`] sorts the keys
-    /// with their positions, numbers their runs and accumulates; then
-    /// `keys` holds the distinct keys ascending, group `g`'s at `g`.
-    Sorted {
-        keys: Vec<K>,
-        rows: Vec<u16>,
-        segments: Vec<(usize, usize)>,
-    },
+    /// Larger key spaces: groups found by sorting the rows' keys.
+    Sorted(SortedGroups<K>),
+}
+
+/// The sorted group path. The scan appends each surviving row's key and
+/// offset, segment by segment; each time [`KeySpace::sort_chunk`] rows are
+/// gathered, and once after the scan, [`SortedGroups::flush`] sorts their
+/// keys with their positions, numbers the runs, merges them into the
+/// groups found so far and accumulates the gathered rows. Memory grows
+/// with the groups and one chunk, not with the rows a scan keeps.
+struct SortedGroups<K> {
+    /// Every group found so far, ascending by key, with its number.
+    found: Vec<(K, u32)>,
+    /// The gathered rows' keys and offsets, and per segment its number and
+    /// the end of its rows; sized from the span list.
+    keys: Vec<K>,
+    rows: Vec<u16>,
+    segments: Vec<(usize, usize)>,
+    /// Each gathered row's group number, set by a flush.
+    group_of: Vec<u32>,
+    /// Bits of the key space's largest key.
+    bits: u32,
+    chunk: usize,
+}
+
+impl<K: GroupKey> SortedGroups<K> {
+    /// Gathers one segment's surviving rows and keys, first flushing the
+    /// rows gathered so far if these would take the chunk past its size.
+    fn add(
+        &mut self,
+        segment: usize,
+        rows: &[u16],
+        keys: &[K],
+        accs: &mut [Accumulator],
+        measures: &[MeasureColumn],
+    ) {
+        if !self.keys.is_empty() && self.keys.len() + keys.len() > self.chunk {
+            self.flush(accs, measures);
+        }
+        self.keys.extend_from_slice(keys);
+        self.rows.extend_from_slice(rows);
+        self.segments.push((segment, self.keys.len()));
+    }
+
+    /// Sorts the gathered keys, merges their runs into the groups and
+    /// accumulates the gathered rows, segment by segment.
+    fn flush(&mut self, accs: &mut [Accumulator], measures: &[MeasureColumn]) {
+        let (keys, group_of) = (&mut self.keys, &mut self.group_of);
+        if keys.is_empty() {
+            return;
+        }
+        group_of.clear();
+        group_of.resize(keys.len(), 0);
+        let item_bits = u32::BITS - (keys.len() as u32).leading_zeros();
+        if self.bits + item_bits <= u64::BITS {
+            number_runs(keys, group_of, item_bits, self.bits);
+        } else {
+            // Keys and positions together past 64 bits: a comparison sort.
+            let mut pairs: Vec<(K, u32)> = keys.iter().copied().zip(0..).collect();
+            pairs.sort_unstable();
+            keys.clear();
+            for (key, item) in pairs {
+                if keys.last() != Some(&key) {
+                    keys.push(key);
+                }
+                group_of[item as usize] = keys.len() as u32 - 1;
+            }
+        }
+        if self.found.is_empty() {
+            self.found.extend(keys.iter().copied().zip(0..));
+        } else {
+            let numbers = merge_groups(&mut self.found, keys);
+            for group in group_of.iter_mut() {
+                *group = numbers[*group as usize];
+            }
+        }
+        for acc in accs.iter_mut() {
+            acc.grow(self.found.len());
+        }
+        let mut start = 0;
+        for &(segment, end) in &self.segments {
+            let (rows, groups) = (&self.rows[start..end], &group_of[start..end]);
+            for (acc, measure) in accs.iter_mut().zip(measures) {
+                acc.update(measure.data.segment(segment), rows, groups);
+            }
+            start = end;
+        }
+        keys.clear();
+        self.rows.clear();
+        self.segments.clear();
+    }
+}
+
+/// Merges a chunk's distinct keys, ascending, into `found`, numbering the
+/// keys it does not hold yet after its groups, and returns each chunk
+/// key's group number.
+fn merge_groups<K: GroupKey>(found: &mut Vec<(K, u32)>, keys: &[K]) -> Vec<u32> {
+    let mut next = found.len() as u32;
+    let mut numbers = Vec::with_capacity(keys.len());
+    let mut merged = Vec::with_capacity(found.len() + keys.len());
+    let mut earlier = found.drain(..).peekable();
+    for &key in keys {
+        while let Some(group) = earlier.next_if(|&(old, _)| old < key) {
+            merged.push(group);
+        }
+        let number = match earlier.next_if(|&(old, _)| old == key) {
+            Some((_, number)) => number,
+            None => {
+                next += 1;
+                next - 1
+            }
+        };
+        merged.push((key, number));
+        numbers.push(number);
+    }
+    merged.extend(earlier);
+    *found = merged;
+    numbers
 }
 
 /// One measure's accumulators, a column indexed by group number. Only the
@@ -1165,11 +1296,16 @@ impl<K: GroupKey> Groups<K> {
             },
             None => {
                 let live: usize = spans.iter().map(|span| span.len - span.dead).sum();
-                GroupIndex::Sorted {
-                    keys: Vec::with_capacity(live),
-                    rows: Vec::with_capacity(live),
+                let gathered = live.min(space.sort_chunk.max(SEGMENT_LEN));
+                GroupIndex::Sorted(SortedGroups {
+                    found: Vec::new(),
+                    keys: Vec::with_capacity(gathered),
+                    rows: Vec::with_capacity(gathered),
                     segments: Vec::with_capacity(spans.len()),
-                }
+                    group_of: Vec::with_capacity(gathered),
+                    bits: space.bits,
+                    chunk: space.sort_chunk,
+                })
             }
         };
         Groups {
@@ -1200,58 +1336,16 @@ impl<K: GroupKey> Groups<K> {
                     acc.update(measure.data.segment(segment), rows, group_of);
                 }
             }
-            GroupIndex::Sorted {
-                keys: all,
-                rows: offsets,
-                segments,
-            } => {
-                all.extend_from_slice(keys);
-                offsets.extend_from_slice(rows);
-                segments.push((segment, all.len()));
+            GroupIndex::Sorted(sorted) => {
+                sorted.add(segment, rows, keys, &mut self.accs, measures)
             }
         }
     }
 
-    /// Sorts the keys a sorted index holds, numbers their runs in key
-    /// order and accumulates each segment's rows into them.
-    fn finish(&mut self, space: &KeySpace<K>, measures: &[MeasureColumn]) {
-        let GroupIndex::Sorted {
-            keys,
-            rows,
-            segments,
-        } = &mut self.index
-        else {
-            return;
-        };
-        // Each row's group number, in append order.
-        let mut group_of = vec![0u32; keys.len()];
-        let item_bits = u32::BITS - (keys.len() as u32).leading_zeros();
-        if space.bits + item_bits <= u64::BITS {
-            number_runs::<K, u64>(keys, &mut group_of, item_bits, space.bits);
-        } else if space.bits + item_bits <= u128::BITS {
-            number_runs::<K, u128>(keys, &mut group_of, item_bits, space.bits);
-        } else {
-            // A `u128` key space past 2^96 keys: a comparison sort.
-            let mut pairs: Vec<(K, u32)> = keys.iter().copied().zip(0..).collect();
-            pairs.sort_unstable();
-            keys.clear();
-            for (key, item) in pairs {
-                if keys.last() != Some(&key) {
-                    keys.push(key);
-                }
-                group_of[item as usize] = keys.len() as u32 - 1;
-            }
-        }
-        for acc in &mut self.accs {
-            acc.grow(keys.len());
-        }
-        let mut start = 0;
-        for &(segment, end) in segments.iter() {
-            let (rows, groups) = (&rows[start..end], &group_of[start..end]);
-            for (acc, measure) in self.accs.iter_mut().zip(measures) {
-                acc.update(measure.data.segment(segment), rows, groups);
-            }
-            start = end;
+    /// Flushes the rows a sorted index still gathers.
+    fn finish(&mut self, measures: &[MeasureColumn]) {
+        if let GroupIndex::Sorted(sorted) = &mut self.index {
+            sorted.flush(&mut self.accs, measures);
         }
     }
 
@@ -1259,7 +1353,7 @@ impl<K: GroupKey> Groups<K> {
     fn len(&self) -> usize {
         match &self.index {
             GroupIndex::Dense { groups, .. } => *groups as usize,
-            GroupIndex::Sorted { keys, .. } => keys.len(),
+            GroupIndex::Sorted(sorted) => sorted.found.len(),
         }
     }
 
@@ -1273,38 +1367,33 @@ impl<K: GroupKey> Groups<K> {
                     }
                 }
             }
-            GroupIndex::Sorted { keys, .. } => {
-                for (group, &key) in keys.iter().enumerate() {
-                    f(key, group);
+            GroupIndex::Sorted(sorted) => {
+                for &(key, group) in &sorted.found {
+                    f(key, group as usize);
                 }
             }
         }
     }
 }
 
-/// Sorts `keys` by packing each with its position below it into one `R`,
-/// then replaces them with their distinct values, ascending, and sets
-/// `group_of[position]` to the rank of the position's key among those.
+/// Sorts `keys` by packing each with its position below it into one
+/// `u64`, then replaces them with their distinct values, ascending, and
+/// sets `group_of[position]` to the rank of the position's key among those.
 /// `item_bits` must hold every position and `bits` every key, together
-/// within `R`.
-fn number_runs<K: GroupKey, R: GroupKey>(
-    keys: &mut Vec<K>,
-    group_of: &mut [u32],
-    item_bits: u32,
-    bits: u32,
-) {
-    let mut records: Vec<R> = (keys.iter().zip(0u32..))
-        .map(|(&key, item)| R::narrow(key.widen() << item_bits | u128::from(item)))
+/// within 64 bits.
+fn number_runs<K: GroupKey>(keys: &mut Vec<K>, group_of: &mut [u32], item_bits: u32, bits: u32) {
+    let mut records: Vec<u64> = (keys.iter().zip(0u64..))
+        .map(|(&key, item)| (key.widen() as u64) << item_bits | item)
         .collect();
     radix_sort(&mut records, item_bits, bits);
     keys.clear();
-    let mask = (1u128 << item_bits) - 1;
+    let mask = (1u64 << item_bits) - 1;
     for &record in &records {
-        let key = K::narrow(record.widen() >> item_bits);
+        let key = K::narrow(u128::from(record >> item_bits));
         if keys.last() != Some(&key) {
             keys.push(key);
         }
-        group_of[(record.widen() & mask) as usize] = keys.len() as u32 - 1;
+        group_of[(record & mask) as usize] = keys.len() as u32 - 1;
     }
 }
 
@@ -1315,7 +1404,7 @@ const DIGIT_BITS: u32 = 11;
 /// every record must be zero: a least-significant-digit radix sort. The
 /// bits split into the fewest digits of at most [`DIGIT_BITS`] each; a
 /// digit every record shares costs its count only.
-fn radix_sort<R: GroupKey>(records: &mut Vec<R>, low: u32, bits: u32) {
+fn radix_sort(records: &mut Vec<u64>, low: u32, bits: u32) {
     let passes = bits.div_ceil(DIGIT_BITS);
     if passes == 0 || records.len() < 2 {
         return;
@@ -1323,13 +1412,13 @@ fn radix_sort<R: GroupKey>(records: &mut Vec<R>, low: u32, bits: u32) {
     let width = bits.div_ceil(passes);
     let mask = (1usize << width) - 1;
     let mut counts = [0usize; 1 << DIGIT_BITS];
-    let mut sorted: Vec<R> = vec![R::ZERO; records.len()];
+    let mut sorted = vec![0u64; records.len()];
     for pass in 0..passes {
         let shift = low + pass * width;
         let counts = &mut counts[..=mask];
         counts.fill(0);
         for &record in records.iter() {
-            counts[record.digit(shift, mask)] += 1;
+            counts[(record >> shift) as usize & mask] += 1;
         }
         if counts.contains(&records.len()) {
             continue;
@@ -1339,7 +1428,7 @@ fn radix_sort<R: GroupKey>(records: &mut Vec<R>, low: u32, bits: u32) {
             (*count, start) = (start, start + *count);
         }
         for &record in records.iter() {
-            let at = &mut counts[record.digit(shift, mask)];
+            let at = &mut counts[(record >> shift) as usize & mask];
             sorted[*at] = record;
             *at += 1;
         }
@@ -1414,7 +1503,7 @@ fn assemble_output<K: GroupKey>(
             if *mark != 0 {
                 *mark = terms.len() as u32;
                 let member = level.member_at_rank(rank as u32);
-                terms.push(level.dictionary.term(member).clone());
+                terms.push(level.dictionary().term(member).clone());
             }
         }
         stats.dictionary_lookups += terms.len() as u64;
@@ -1462,14 +1551,14 @@ enum CompiledFilter {
 }
 
 impl CompiledFilter {
-    /// True if a row whose member on each axis is `member(axis)` passes:
-    /// all referenced attributes are present (join) and the condition
-    /// evaluates to true (FILTER).
-    fn keeps(&self, member: &dyn Fn(usize) -> MemberId) -> bool {
+    /// True if a row whose index into `axis`'s tables is `member(axis)`
+    /// passes: all referenced attributes are present (join) and the
+    /// condition evaluates to true (FILTER).
+    fn keeps(&self, member: &impl Fn(usize) -> MemberId) -> bool {
         self.joins(member) && self.eval(member) == Some(true)
     }
 
-    fn joins(&self, member: &dyn Fn(usize) -> MemberId) -> bool {
+    fn joins(&self, member: &impl Fn(usize) -> MemberId) -> bool {
         match self {
             CompiledFilter::Compare { axis, table } => table[member(*axis) as usize].is_some(),
             CompiledFilter::And(a, b) | CompiledFilter::Or(a, b) => {
@@ -1478,11 +1567,38 @@ impl CompiledFilter {
         }
     }
 
-    fn eval(&self, member: &dyn Fn(usize) -> MemberId) -> Option<bool> {
+    fn eval(&self, member: &impl Fn(usize) -> MemberId) -> Option<bool> {
         match self {
             CompiledFilter::Compare { axis, table } => table[member(*axis) as usize].flatten(),
             CompiledFilter::And(a, b) => and3(a.eval(member), b.eval(member)),
             CompiledFilter::Or(a, b) => or3(a.eval(member), b.eval(member)),
+        }
+    }
+
+    /// The filter with each comparison's table indexed by the bottom code
+    /// of its axis's column instead of the target member: the roll-up is
+    /// composed in once per query, so a row's residual dices read its codes
+    /// with one lookup per comparison. A code with no single target reads
+    /// `None`.
+    fn by_bottom_code(&self, axes: &[AxisPlan<'_>]) -> CompiledFilter {
+        match self {
+            CompiledFilter::Compare { axis, table } => CompiledFilter::Compare {
+                axis: *axis,
+                table: (axes[*axis].rollup.targets().iter())
+                    .map(|&target| match target < AMBIGUOUS_MEMBER {
+                        true => table[target as usize],
+                        false => None,
+                    })
+                    .collect(),
+            },
+            CompiledFilter::And(a, b) => CompiledFilter::And(
+                Box::new(a.by_bottom_code(axes)),
+                Box::new(b.by_bottom_code(axes)),
+            ),
+            CompiledFilter::Or(a, b) => CompiledFilter::Or(
+                Box::new(a.by_bottom_code(axes)),
+                Box::new(b.by_bottom_code(axes)),
+            ),
         }
     }
 
@@ -2192,7 +2308,7 @@ mod tests {
             counts[3] += 1;
             let key = members
                 .iter()
-                .map(|(axis, target)| axis.level_index.dictionary.term(*target).clone())
+                .map(|(axis, target)| axis.level_index.dictionary().term(*target).clone())
                 .collect();
             let inputs = groups
                 .entry(key)
@@ -2319,14 +2435,18 @@ mod tests {
         )
     }
 
+    /// The groupings a test forces on a query: as planned, sorted at once,
+    /// and sorted a segment at a time with the runs merged.
+    const GROUPINGS: [Option<usize>; 3] = [None, Some(SORT_CHUNK_ROWS), Some(SEGMENT_LEN)];
+
     /// The cells or the refusal message of `query` through an explicit key
-    /// width, grouping and pruning switch; `None` if the key space does not
-    /// fit `K`.
+    /// width, grouping (one of [`GROUPINGS`]) and pruning switch; `None` if
+    /// the key space does not fit `K`.
     fn outcome_through<K: GroupKey>(
         cube: &MaterializedCube,
         query: &CubeQuery,
         prune: bool,
-        sorted: bool,
+        sorted: Option<usize>,
     ) -> Option<Result<Vec<CubeCell>, String>> {
         let axes = plan_axes(cube, query).unwrap();
         let plan = ScanPlan {
@@ -2338,8 +2458,9 @@ mod tests {
             options: ExecOptions { prune },
         };
         let mut space = KeySpace::<K>::of(&plan.axes)?;
-        if sorted {
+        if let Some(chunk) = sorted {
             space.dense_slots = None;
+            space.sort_chunk = chunk;
         }
         Some(match run_keyed(&plan, &space, None) {
             Ok((output, _)) => Ok(output.into_cells()),
@@ -2365,7 +2486,8 @@ mod tests {
 
     /// The kernel against [`reference`] over seeded random cube and query
     /// shapes: dense, radix-sorted and `u128` key spaces (each query also
-    /// forced through every grouping and key width that fits), dices over
+    /// forced through every grouping of [`GROUPINGS`] and key width that
+    /// fits), dices over
     /// one axis, trees over one axis and trees across axes, ragged and
     /// ambiguous roll-ups, unbound rows, partly and fully tombstoned
     /// segments, pruning off and on. Cells and refusal messages must equal
@@ -2540,13 +2662,13 @@ mod tests {
                     }
                     Err(error) => panic!("{context}: {error}"),
                 }
-                for sorted in [false, true] {
+                for sorted in GROUPINGS {
                     let outcomes = [
                         outcome_through::<u64>(&cube, &query, prune, sorted),
                         outcome_through::<u128>(&cube, &query, prune, sorted),
                     ];
                     for outcome in outcomes.into_iter().flatten() {
-                        assert_eq!(outcome, cells, "{context}, sorted {sorted}");
+                        assert_eq!(outcome, cells, "{context}, sorted {sorted:?}");
                     }
                 }
             }
@@ -2817,11 +2939,69 @@ mod tests {
         assert_eq!(cells[0].values, vec![Some(Term::integer(99))]);
     }
 
-    /// The cells of `query` through an explicit key width and grouping.
+    #[test]
+    fn an_unreached_ambiguous_entry_leaves_every_dice_residual() {
+        // Bottom member 7 of dimension 1 is ambiguous and its one row is
+        // dead: the query answers, but no dice may fold into a table.
+        let dims = [
+            DimSpec::regular(12, 4),
+            DimSpec {
+                bottoms: 8,
+                uppers: 3,
+                up: vec![0, 1, 2, 0, 1, 2, 0, AMBIGUOUS_MEMBER],
+            },
+        ];
+        let rows = SEGMENT_LEN + 300;
+        let codes = vec![
+            (0..rows).map(|row| (row % 12) as MemberId).collect(),
+            (0..rows)
+                .map(|row| if row == 40 { 7 } else { (row % 7) as MemberId })
+                .collect(),
+        ];
+        let values = MeasureVector::Integer(CowVec::from_vec((0..rows as i64).collect()));
+        let mut cube = synthetic_cube(&dims, codes, vec![(AggregateFunction::Sum, values)]);
+        assert!(cube.tombstones.kill(40));
+        // Members 3, 7 and 11 of the bottom level have no attribute value
+        // (the join drops them); a string constant makes every other
+        // comparison unknown.
+        let dices = [
+            (CmpOp::Eq, Term::integer(2)),
+            (CmpOp::Ne, Term::integer(1)),
+            (CmpOp::Lt, Term::string("x")),
+        ];
+        for (op, value) in dices {
+            let mut query = rolled_up(&[1], 2);
+            query.slices.clear();
+            query.member_filters = vec![MemberFilter::Compare {
+                dimension: dim(0),
+                level: iri("lv/b0"),
+                attribute: attribute(),
+                predicate: MemberPredicate::Constant { op, value },
+            }];
+            let axes = plan_axes(&cube, &query).unwrap();
+            let plan = ScanPlan {
+                cube: &cube,
+                filters: compile_filters(&query, &axes).unwrap(),
+                axes,
+                measures: cube.measure_columns(),
+                having: &query.measure_filters,
+                options: ExecOptions::default(),
+            };
+            let space = KeySpace::<u64>::of(&plan.axes).unwrap();
+            assert_eq!(plan_passes(&plan, &space).residual.len(), 1);
+            let cells = assert_matches_reference(&cube, &query);
+            for sorted in GROUPINGS {
+                assert_eq!(cells_through::<u64>(&cube, &query, sorted), cells);
+            }
+        }
+    }
+
+    /// The cells of `query` through an explicit key width and grouping
+    /// (one of [`GROUPINGS`]).
     fn cells_through<K: GroupKey>(
         cube: &MaterializedCube,
         query: &CubeQuery,
-        sorted: bool,
+        sorted: Option<usize>,
     ) -> Vec<CubeCell> {
         let axes = plan_axes(cube, query).unwrap();
         let plan = ScanPlan {
@@ -2837,8 +3017,9 @@ mod tests {
             space.dense_slots.is_some(),
             "small enough for the dense table"
         );
-        if sorted {
+        if let Some(chunk) = sorted {
             space.dense_slots = None;
+            space.sort_chunk = chunk;
         }
         run_keyed(&plan, &space, None).unwrap().0.into_cells()
     }
@@ -2864,7 +3045,7 @@ mod tests {
         for query in [rolled_up(&[0, 1, 2], 3), CubeQuery::default(), having] {
             let expected = run_with(&cube, &query, true).unwrap().0.into_cells();
             assert!(!expected.is_empty());
-            for sorted in [false, true] {
+            for sorted in GROUPINGS {
                 assert_eq!(cells_through::<u64>(&cube, &query, sorted), expected);
                 assert_eq!(cells_through::<u128>(&cube, &query, sorted), expected);
             }
@@ -2876,9 +3057,16 @@ mod tests {
     /// Keys that differ only in their leading digits — a high-stride axis
     /// varying while the others stand still — must still group apart and
     /// come out in key order on the sorted path, across segments, with each
-    /// group's rows accumulated into it.
+    /// group's rows accumulated into it: sorted at once, and a segment at a
+    /// time with the runs merged.
     #[test]
     fn sorted_groups_order_keys_that_differ_only_in_high_bits() {
+        for chunk in [SORT_CHUNK_ROWS, SEGMENT_LEN] {
+            sorted_groups_order_high_bit_keys(chunk);
+        }
+    }
+
+    fn sorted_groups_order_high_bit_keys(sort_chunk: usize) {
         let rows: usize = 10_000;
         // Every digit twice, in an order far from sorted.
         let digit = |row: usize| ((row * 7919) % 5000) as u64;
@@ -2892,6 +3080,7 @@ mod tests {
             strides: vec![],
             bits: 63,
             dense_slots: None,
+            sort_chunk,
         };
         let spans: Vec<SegmentSpan> = (0..rows.div_ceil(SEGMENT_LEN))
             .map(|segment| SegmentSpan {
@@ -2909,7 +3098,7 @@ mod tests {
                 .collect();
             groups.add(span.segment, &offsets, &keys, &measures);
         }
-        groups.finish(&space, &measures);
+        groups.finish(&measures);
         assert_eq!(groups.len(), 5000);
         let mut sums = vec![0; 5000];
         for row in 0..rows {
@@ -2917,9 +3106,9 @@ mod tests {
         }
         let mut next = 0u64;
         groups.for_each_in_key_order(|key, group| {
-            assert_eq!((key, group), (next << 50, next as usize));
+            assert_eq!(key, next << 50);
             let sum = groups.accs[0].finish(group, &measures[0]);
-            assert_eq!(sum, Numeric::Integer(sums[group]));
+            assert_eq!(sum, Numeric::Integer(sums[next as usize]));
             next += 1;
         });
         assert_eq!(next, 5000);
@@ -2928,11 +3117,11 @@ mod tests {
     /// `radix_sort` against the standard library's stable sort by the same
     /// bits: the same records in the same order, so records with equal
     /// keys keep their input order.
-    fn assert_radix_sorts<R: GroupKey + std::fmt::Debug>(records: Vec<R>, low: u32, bits: u32) {
+    fn assert_radix_sorts(records: Vec<u64>, low: u32, bits: u32) {
         let mut sorted = records.clone();
         radix_sort(&mut sorted, low, bits);
         let mut expected = records;
-        expected.sort_by_key(|record| record.widen() >> low);
+        expected.sort_by_key(|record| record >> low);
         assert_eq!(sorted, expected, "bits {low}..{}", low + bits);
     }
 
@@ -2969,12 +3158,6 @@ mod tests {
         let largest = (1u64 << 51) - 1;
         let keys = [largest, 0, 5, largest, 1 << 50, 7, 0];
         assert_radix_sorts(tagged(&keys, 13), 13, 51);
-        let records: Vec<u128> = [u128::MAX >> 32, 3, 1 << 90, u128::MAX >> 32, 0]
-            .iter()
-            .zip(0..)
-            .map(|(&key, at)| key << 32 | (9 - at))
-            .collect();
-        assert_radix_sorts(records, 32, 96);
         // Nothing to sort, and no bits to sort by.
         assert_radix_sorts(Vec::<u64>::new(), 0, 20);
         assert_radix_sorts(vec![9u64], 0, 20);

@@ -26,8 +26,9 @@ use crate::dictionary::{Dictionary, MemberId, AMBIGUOUS_MEMBER, NO_MEMBER};
 pub struct LevelIndex {
     /// The level IRI.
     pub level: Iri,
-    /// The declared members of the level.
-    pub dictionary: Dictionary,
+    /// The declared members of the level. Private: `order` is computed
+    /// from it once, so it must not change after the index is made.
+    dictionary: Dictionary,
     /// Attribute IRI → per-member value (indexed by member id; `None` where
     /// the member has no value for the attribute). Only the first value of a
     /// multi-valued attribute is kept, matching the single-valued data the
@@ -104,6 +105,11 @@ impl LevelIndex {
         self.attributes.contains_key(attribute)
     }
 
+    /// The declared members of the level.
+    pub fn dictionary(&self) -> &Dictionary {
+        &self.dictionary
+    }
+
     /// Number of declared members.
     pub fn member_count(&self) -> usize {
         self.dictionary.len()
@@ -111,6 +117,7 @@ impl LevelIndex {
 
     /// Every member's rank in `Term` order, indexed by member id.
     pub(crate) fn ranks(&self) -> &[u32] {
+        debug_assert_eq!(self.order.rank.len(), self.dictionary.len());
         &self.order.rank
     }
 

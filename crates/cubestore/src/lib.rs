@@ -218,7 +218,7 @@ pub(crate) mod testutil {
         Some(match map.target(column.dictionary.id(term)?) {
             NO_MEMBER => "no member".to_string(),
             AMBIGUOUS_MEMBER => "ambiguous".to_string(),
-            code => cube.levels[&map.target_level].dictionary.term(code).to_string(),
+            code => cube.levels[&map.target_level].dictionary().term(code).to_string(),
         })
     }
 
@@ -248,7 +248,7 @@ pub(crate) mod testutil {
         for (level, index) in &cube.levels {
             let other = &scratch.levels[level];
             let members = |index: &LevelIndex| -> Vec<Term> {
-                index.dictionary.iter().map(|(_, term)| term.clone()).collect()
+                index.dictionary().iter().map(|(_, term)| term.clone()).collect()
             };
             assert_eq!(members(index), members(other), "{name}: members of <{level}>");
             let attributes: Vec<&Iri> = index.attribute_iris().collect();
@@ -259,7 +259,7 @@ pub(crate) mod testutil {
                         index.attribute_value(attribute, id),
                         other.attribute_value(attribute, id),
                         "{name}: <{attribute}> of {} on <{level}>",
-                        index.dictionary.term(id)
+                        index.dictionary().term(id)
                     );
                 }
             }
@@ -628,7 +628,7 @@ mod tests {
             out += &format!("{:?} {:?}\n", column.property, column.data);
         }
         for (level, index) in &cube.levels {
-            out += &format!("{level:?} {:?}\n", members(&index.dictionary));
+            out += &format!("{level:?} {:?}\n", members(index.dictionary()));
             for attribute in index.attribute_iris() {
                 let values: Vec<Option<&Term>> = (0..index.member_count() as MemberId)
                     .map(|member| index.attribute_value(attribute, member))

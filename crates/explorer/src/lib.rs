@@ -123,7 +123,7 @@ pub struct MemberInfo {
 /// path uses.
 fn label_from_index(index: &cubestore::LevelIndex, member: &Term) -> String {
     index
-        .dictionary
+        .dictionary()
         .id(member)
         .and_then(|id| index.attribute_value(&rdfs::label(), id))
         .and_then(|value| value.as_literal())
@@ -209,7 +209,7 @@ impl<'e> CubeExplorer<'e> {
             // whatever `qb4o:memberOf` says (typically nothing).
             return self.members_via_sparql(level);
         };
-        let mut members: Vec<Term> = index.dictionary.iter().map(|(_, t)| t.clone()).collect();
+        let mut members: Vec<Term> = index.dictionary().iter().map(|(_, t)| t.clone()).collect();
         members.sort();
         Ok(members
             .into_iter()
@@ -309,9 +309,9 @@ impl<'e> CubeExplorer<'e> {
             return self.rollup_edges_via_sparql(child_level, parent_level);
         };
         let mut edges: Vec<(Term, Term)> = Vec::new();
-        for (_, child) in child_index.dictionary.iter() {
+        for (_, child) in child_index.dictionary().iter() {
             for parent in cube.broader_parents(child) {
-                if parent_index.dictionary.id(parent).is_some() {
+                if parent_index.dictionary().id(parent).is_some() {
                     edges.push((child.clone(), parent.clone()));
                 }
             }
