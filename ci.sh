@@ -298,6 +298,10 @@ grep -q 'E32' EXPERIMENTS.md
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# Formatting: every workspace member is as rustfmt writes it (qbbench/ is
+# not a member and is not checked).
+cargo fmt --all --check
+
 # Lints, on every target (libs, bins, tests, examples).
 cargo clippy --workspace --all-targets -- -D warnings
 

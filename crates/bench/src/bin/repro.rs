@@ -274,10 +274,30 @@ fn e4_candidate_discovery() -> Vec<Measurement> {
         .level_candidate(&rdf::vocab::dbpedia::government_type())
         .is_some();
     vec![
-        Measurement::new("E4", "level=property:citizen", "level_candidates", candidates.levels.len() as f64),
-        Measurement::new("E4", "level=property:citizen", "attribute_candidates", candidates.attributes.len() as f64),
-        Measurement::new("E4", "level=property:citizen", "continent_discovered", continent_found as u8 as f64),
-        Measurement::new("E4", "level=property:citizen", "external_governmentType_discovered", external_found as u8 as f64),
+        Measurement::new(
+            "E4",
+            "level=property:citizen",
+            "level_candidates",
+            candidates.levels.len() as f64,
+        ),
+        Measurement::new(
+            "E4",
+            "level=property:citizen",
+            "attribute_candidates",
+            candidates.attributes.len() as f64,
+        ),
+        Measurement::new(
+            "E4",
+            "level=property:citizen",
+            "continent_discovered",
+            continent_found as u8 as f64,
+        ),
+        Measurement::new(
+            "E4",
+            "level=property:citizen",
+            "external_governmentType_discovered",
+            external_found as u8 as f64,
+        ),
     ]
 }
 
@@ -379,11 +399,31 @@ fn e7_paper_scale() -> Vec<Measurement> {
             .1
     });
     vec![
-        Measurement::new("E7", "observations=80000", "observations_generated", cube.generated.observation_count as f64),
-        Measurement::new("E7", "observations=80000", "endpoint_triples", cube.endpoint.triple_count() as f64),
-        Measurement::new("E7", "observations=80000", "load_and_enrich_ms", millis(setup)),
+        Measurement::new(
+            "E7",
+            "observations=80000",
+            "observations_generated",
+            cube.generated.observation_count as f64,
+        ),
+        Measurement::new(
+            "E7",
+            "observations=80000",
+            "endpoint_triples",
+            cube.endpoint.triple_count() as f64,
+        ),
+        Measurement::new(
+            "E7",
+            "observations=80000",
+            "load_and_enrich_ms",
+            millis(setup),
+        ),
         Measurement::new("E7", "observations=80000", "mary_query_ms", millis(query)),
-        Measurement::new("E7", "observations=80000", "mary_result_cells", result.len() as f64),
+        Measurement::new(
+            "E7",
+            "observations=80000",
+            "mary_result_cells",
+            result.len() as f64,
+        ),
     ]
 }
 
@@ -444,8 +484,11 @@ fn e9_simplification(observations: usize) -> Vec<Measurement> {
     ] {
         let parameters = format!("program={name},observations={observations}");
         let (prepared, preparation) = timed(|| querying.prepare(&text).expect("prepare"));
-        let (cube_result, execution) =
-            timed(|| querying.execute(&prepared, SparqlVariant::Direct).expect("execute"));
+        let (cube_result, execution) = timed(|| {
+            querying
+                .execute(&prepared, SparqlVariant::Direct)
+                .expect("execute")
+        });
         rows.push(Measurement::new(
             "E9",
             &parameters,
@@ -510,8 +553,17 @@ mod tests {
     #[test]
     fn known_ids_and_flags_parse_and_unknown_ones_are_refused() {
         assert_eq!(parse(""), Ok(("all".to_string(), 20_000, false)));
-        assert_eq!(parse("E10 --observations 2000 --json"), Ok(("e10".to_string(), 2_000, true)));
-        for refused in ["e13", "e99", "--bogus", "e1 --observations abc", "e1 --observations"] {
+        assert_eq!(
+            parse("E10 --observations 2000 --json"),
+            Ok(("e10".to_string(), 2_000, true))
+        );
+        for refused in [
+            "e13",
+            "e99",
+            "--bogus",
+            "e1 --observations abc",
+            "e1 --observations",
+        ] {
             assert!(parse(refused).is_err(), "'{refused}' must be refused");
         }
     }

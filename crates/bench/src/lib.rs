@@ -80,9 +80,20 @@ impl ObservationFactory {
         use rdf::{Term, Triple};
         let mut batch = Vec::with_capacity(count * 9);
         for _ in 0..count {
-            let node = Term::iri(format!("http://example.org/{}/obs{}", self.prefix, self.serial));
-            batch.push(Triple::new(node.clone(), rdfv::type_(), Term::Iri(qb::observation())));
-            batch.push(Triple::new(node.clone(), qb::data_set(), Term::Iri(self.dataset.clone())));
+            let node = Term::iri(format!(
+                "http://example.org/{}/obs{}",
+                self.prefix, self.serial
+            ));
+            batch.push(Triple::new(
+                node.clone(),
+                rdfv::type_(),
+                Term::Iri(qb::observation()),
+            ));
+            batch.push(Triple::new(
+                node.clone(),
+                qb::data_set(),
+                Term::Iri(self.dataset.clone()),
+            ));
             for (offset, (level, members)) in self.pools.iter().enumerate() {
                 let member = members[(self.serial + offset) % members.len()].clone();
                 batch.push(Triple::new(node.clone(), level.clone(), member));

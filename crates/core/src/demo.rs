@@ -24,7 +24,11 @@ pub fn demo_enrichment_config() -> EnrichmentConfig {
             "citizenshipDim",
             "citizenshipGeoHier",
         )
-        .name_dimension(eurostat_property::geo(), "destinationDim", "destinationHier")
+        .name_dimension(
+            eurostat_property::geo(),
+            "destinationDim",
+            "destinationHier",
+        )
         .name_dimension(sdmx_dimension::ref_period(), "timeDim", "timeHier")
         .name_dimension(eurostat_property::asyl_app(), "asylappDim", "asylappHier")
         .name_dimension(eurostat_property::age(), "ageDim", "ageHier")

@@ -116,7 +116,10 @@ impl Qb2Olap {
     /// QB4OLAP schema from the endpoint and serving navigation from the
     /// tool's shared cube catalog. The paper's per-step SPARQL navigation
     /// is the explorer's `*_via_sparql` oracle methods.
-    pub fn explorer<'t>(&'t self, dataset: &Iri) -> Result<CubeExplorer<'t>, explorer::ExplorerError> {
+    pub fn explorer<'t>(
+        &'t self,
+        dataset: &Iri,
+    ) -> Result<CubeExplorer<'t>, explorer::ExplorerError> {
         let schema = qb4olap::schema_from_endpoint(&self.endpoint, dataset)?;
         Ok(CubeExplorer::with_schema_and_catalog(
             &self.endpoint,

@@ -408,7 +408,10 @@ struct Builder<'a> {
 fn bound_pairs(endpoint: &dyn Endpoint, query: &str) -> Result<Vec<(Term, Term)>, CubeStoreError> {
     let solutions = endpoint.select_encoded(query)?;
     let term = |row: &[u32], column: usize| solutions.term(*row.get(column)?).cloned();
-    Ok(solutions.rows().filter_map(|row| Some((term(row, 0)?, term(row, 1)?))).collect())
+    Ok(solutions
+        .rows()
+        .filter_map(|row| Some((term(row, 0)?, term(row, 1)?)))
+        .collect())
 }
 
 /// The hierarchy half of a cube: everything the build reads besides the

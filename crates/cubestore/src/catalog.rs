@@ -160,7 +160,10 @@ fn needs_compaction(cube: &MaterializedCube) -> bool {
 
 /// Total number of level members a cube serves (all levels summed).
 fn member_total(cube: &MaterializedCube) -> usize {
-    cube.levels().values().map(|index| index.member_count()).sum()
+    cube.levels()
+        .values()
+        .map(|index| index.member_count())
+        .sum()
 }
 
 /// What a delta replay added on top of its input: rows appended, rows
@@ -182,7 +185,11 @@ fn replay_growth(
     };
     Ok((
         grown("row-count", replayed.row_count(), input.row_count())?,
-        grown("tombstone-count", replayed.tombstoned_rows(), input.tombstoned_rows())?,
+        grown(
+            "tombstone-count",
+            replayed.tombstoned_rows(),
+            input.tombstoned_rows(),
+        )?,
         member_total(replayed).saturating_sub(member_total(input)),
     ))
 }
@@ -312,7 +319,10 @@ impl SlotState {
     /// Returns the state left, so its pin is freed after the lock.
     fn transition(&mut self, to: State) -> State {
         let step = (self.state.phase(), to.phase());
-        assert!(TRANSITIONS.contains(&step), "illegal slot transition {step:?}");
+        assert!(
+            TRANSITIONS.contains(&step),
+            "illegal slot transition {step:?}"
+        );
         std::mem::replace(&mut self.state, to)
     }
 }
@@ -443,7 +453,11 @@ impl Claim {
                 if self.fold {
                     self.metrics.counter("catalog.overlay.fold_failures").inc();
                 }
-                let failed = st.state.pin().cloned().map(|pin| State::Failed(pin, error.clone()));
+                let failed = st
+                    .state
+                    .pin()
+                    .cloned()
+                    .map(|pin| State::Failed(pin, error.clone()));
                 (failed.unwrap_or(State::Empty), Err(error))
             }
         };
@@ -492,7 +506,11 @@ fn run_fold(
     let outcome = built.map(Arc::new).map(|cube| {
         let (from_epoch, old_live, old_members) =
             claim.pinned.as_ref().map_or((target_epoch, 0, 0), |old| {
-                (old.epoch(), old.cube().live_row_count(), member_total(old.cube()))
+                (
+                    old.epoch(),
+                    old.cube().live_row_count(),
+                    member_total(old.cube()),
+                )
             });
         let window = started.elapsed();
         let report = MaintenanceReport {
@@ -510,7 +528,9 @@ fn run_fold(
         };
         Outcome::Pin(CubeSnapshot::folded(cube, target_epoch), report)
     });
-    claim.publish(outcome.unwrap_or_else(Outcome::Error)).map(|(pin, _)| pin)
+    claim
+        .publish(outcome.unwrap_or_else(Outcome::Error))
+        .map(|(pin, _)| pin)
 }
 
 /// Pins [`CubeCatalog::serve_settled`] takes before it catches up on the
@@ -664,7 +684,14 @@ impl CubeCatalog {
     ) -> Result<CubeSnapshot, CubeStoreError> {
         let Some(pinned) = claim.pinned.clone() else {
             endpoint.enable_change_tracking();
-            return run_fold(claim, schema, endpoint, MaintenanceStrategy::Fresh, None, false);
+            return run_fold(
+                claim,
+                schema,
+                endpoint,
+                MaintenanceStrategy::Fresh,
+                None,
+                false,
+            );
         };
         let from_epoch = pinned.epoch();
         let started = Instant::now();
@@ -763,18 +790,36 @@ impl CubeCatalog {
         self.metrics.counter("catalog.overlay.folds_started").inc();
         claim.fold = true;
         // Asked for only when used: a handle can be a copy of the store.
-        let handle = if background { endpoint.background_handle() } else { None };
+        let handle = if background {
+            endpoint.background_handle()
+        } else {
+            None
+        };
         match handle {
             Some(handle) => {
                 let schema = schema.clone();
                 sched::spawn(move || {
                     // The outcome lands in the slot: a new pin, or the
                     // error `serve_settled` surfaces.
-                    let _ = run_fold(claim, &schema, handle.as_ref(), strategy, Some(reason), true);
+                    let _ = run_fold(
+                        claim,
+                        &schema,
+                        handle.as_ref(),
+                        strategy,
+                        Some(reason),
+                        true,
+                    );
                 });
                 None
             }
-            None => Some(run_fold(claim, schema, endpoint, strategy, Some(reason), false)),
+            None => Some(run_fold(
+                claim,
+                schema,
+                endpoint,
+                strategy,
+                Some(reason),
+                false,
+            )),
         }
     }
 
@@ -806,7 +851,11 @@ impl CubeCatalog {
     /// Finds or creates a dataset's slot, holding the map lock only for
     /// the lookup.
     fn slot(&self, dataset: &Iri) -> Arc<Slot> {
-        self.inner.lock().entry(dataset.clone()).or_default().clone()
+        self.inner
+            .lock()
+            .entry(dataset.clone())
+            .or_default()
+            .clone()
     }
 
     /// A dataset's slot if one exists, without creating it.
@@ -877,7 +926,11 @@ mod tests {
         endpoint: &dyn Endpoint,
         schema: &CubeSchema,
     ) -> Arc<MaterializedCube> {
-        catalog.serve_settled(endpoint, schema).unwrap().cube().clone()
+        catalog
+            .serve_settled(endpoint, schema)
+            .unwrap()
+            .cube()
+            .clone()
     }
 
     #[test]
@@ -890,7 +943,10 @@ mod tests {
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Fresh);
         assert_eq!(report.rows_appended, 5);
-        assert!(report.overlap.is_none(), "caller-thread build: no overlap window");
+        assert!(
+            report.overlap.is_none(),
+            "caller-thread build: no overlap window"
+        );
         assert_eq!(catalog.datasets(), vec![schema.dataset.clone()]);
         assert!(catalog.peek(&schema.dataset).is_some());
     }
@@ -903,14 +959,20 @@ mod tests {
         let second = served(&catalog, &endpoint, &schema);
         assert!(Arc::ptr_eq(&first, &second), "same shared columns");
         assert_eq!(endpoint.queries_executed(), queries, "no SPARQL issued");
-        assert_eq!(catalog.reports(&schema.dataset).len(), 1, "no refresh recorded");
+        assert_eq!(
+            catalog.reports(&schema.dataset).len(),
+            1,
+            "no refresh recorded"
+        );
     }
 
     #[test]
     fn observation_append_refreshes_via_the_delta_path() {
         let (endpoint, schema, catalog) = setup();
         let stale = served(&catalog, &endpoint, &schema);
-        endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
+        endpoint
+            .insert_triples(&observation_triples("o6", "c1", "m1", 3, 3))
+            .unwrap();
 
         let fresh = served(&catalog, &endpoint, &schema);
         assert!(!Arc::ptr_eq(&stale, &fresh));
@@ -949,8 +1011,14 @@ mod tests {
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);
         let reason = report.reason.unwrap();
-        assert!(matches!(&reason, RebuildReason::DeltaRefused(_)), "{reason}");
-        assert!(reason.to_string().contains("structure triple inserted"), "{reason}");
+        assert!(
+            matches!(&reason, RebuildReason::DeltaRefused(_)),
+            "{reason}"
+        );
+        assert!(
+            reason.to_string().contains("structure triple inserted"),
+            "{reason}"
+        );
         let scratch = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
         assert_eq!(
             run(&fresh, &CubeQuery::default()).unwrap(),
@@ -964,7 +1032,9 @@ mod tests {
         served(&catalog, &endpoint, &schema);
         // Drop the log out from under the catalog, then mutate.
         endpoint.store().disable_change_log();
-        endpoint.insert_triples(&observation_triples("o6", "c2", "m2", 2, 2)).unwrap();
+        endpoint
+            .insert_triples(&observation_triples("o6", "c2", "m2", 2, 2))
+            .unwrap();
         let fresh = served(&catalog, &endpoint, &schema);
         assert_eq!(fresh.row_count(), 6);
         let report = catalog.last_report(&schema.dataset).unwrap();
@@ -1047,9 +1117,11 @@ mod tests {
         // delta): live 2/5 < the 0.5 threshold, so the serve accretes the
         // tombstones, notices the fraction and compacts; the settled serve
         // waits for the compacted cube.
-        for (name, city, month, value, score) in
-            [("o1", "c1", "m1", 10, 4), ("o3", "c2", "m1", 5, 1), ("o4", "c3", "m1", 100, 9)]
-        {
+        for (name, city, month, value, score) in [
+            ("o1", "c1", "m1", 10, 4),
+            ("o3", "c2", "m1", 5, 1),
+            ("o4", "c3", "m1", 100, 9),
+        ] {
             let removed = endpoint
                 .store()
                 .remove_all(&observation_triples(name, city, month, value, score));
@@ -1116,9 +1188,14 @@ mod tests {
             (ReportLog::CAPACITY + overflow - 1) as u64,
             "the newest report is retained"
         );
-        assert_eq!(log.last().unwrap().from_epoch, reports.last().unwrap().from_epoch);
+        assert_eq!(
+            log.last().unwrap().from_epoch,
+            reports.last().unwrap().from_epoch
+        );
         // Order inside the ring is strictly oldest → newest.
-        assert!(reports.windows(2).all(|w| w[0].from_epoch + 1 == w[1].from_epoch));
+        assert!(reports
+            .windows(2)
+            .all(|w| w[0].from_epoch + 1 == w[1].from_epoch));
     }
 
     #[test]
@@ -1140,7 +1217,9 @@ mod tests {
         let reports = catalog.reports(&schema.dataset);
         assert_eq!(reports.len(), ReportLog::CAPACITY);
         // All retained refreshes are the appends — the Fresh build aged out.
-        assert!(reports.iter().all(|r| r.strategy == MaintenanceStrategy::Delta));
+        assert!(reports
+            .iter()
+            .all(|r| r.strategy == MaintenanceStrategy::Delta));
     }
 
     #[test]
@@ -1148,7 +1227,9 @@ mod tests {
         let (endpoint, schema, catalog) = setup();
         served(&catalog, &endpoint, &schema);
         // Delta append, then a refused delta (structure triple) → rebuild.
-        endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
+        endpoint
+            .insert_triples(&observation_triples("o6", "c1", "m1", 3, 3))
+            .unwrap();
         served(&catalog, &endpoint, &schema);
         endpoint.insert_triples(&[structure_triple()]).unwrap();
         served(&catalog, &endpoint, &schema);
@@ -1175,11 +1256,15 @@ mod tests {
         obs::with_subscriber(collector.clone(), || {
             let (endpoint, schema, catalog) = setup();
             catalog.serve_snapshot(&endpoint, &schema).unwrap();
-            endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
+            endpoint
+                .insert_triples(&observation_triples("o6", "c1", "m1", 3, 3))
+                .unwrap();
             catalog.serve_snapshot(&endpoint, &schema).unwrap();
             // No background handle: the fold runs under the serve.
             let conservative = ConservativeEndpoint::with_epochs(endpoint.clone());
-            endpoint.insert_triples(&observation_triples("o7", "c2", "m2", 2, 2)).unwrap();
+            endpoint
+                .insert_triples(&observation_triples("o7", "c2", "m2", 2, 2))
+                .unwrap();
             catalog.serve_snapshot(&conservative, &schema).unwrap();
         });
         // The builds issue SPARQL queries, so sparql.parse/sparql.evaluate
@@ -1266,8 +1351,7 @@ mod tests {
 
             // Degraded, not wrong: the rebuilt cube matches a from-scratch
             // materialization of the same store.
-            let scratch =
-                MaterializedCube::from_endpoint(&conservative, &schema).unwrap();
+            let scratch = MaterializedCube::from_endpoint(&conservative, &schema).unwrap();
             assert_eq!(
                 run(&fresh, &CubeQuery::default()).unwrap(),
                 run(&scratch, &CubeQuery::default()).unwrap()
@@ -1288,13 +1372,19 @@ mod tests {
     fn serve_snapshot_accretes_appends_into_an_overlay() {
         let (endpoint, schema, catalog) = setup();
         let built = catalog.serve_snapshot(&endpoint, &schema).unwrap();
-        endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
+        endpoint
+            .insert_triples(&observation_triples("o6", "c1", "m1", 3, 3))
+            .unwrap();
 
         let snapshot = catalog.serve_snapshot(&endpoint, &schema).unwrap();
         snapshot.verify_consistent().unwrap();
         let since = snapshot.since_fold();
         assert_eq!((since.rows, since.tombstones, since.deltas), (1, 0, 1));
-        assert_eq!(since.fold_epoch, built.epoch(), "no fold since the first build");
+        assert_eq!(
+            since.fold_epoch,
+            built.epoch(),
+            "no fold since the first build"
+        );
         assert_eq!(built.cube().row_count(), 5, "the earlier pin is untouched");
         assert_eq!(snapshot.cube().row_count(), 6);
         assert_eq!(snapshot.epoch(), endpoint.epoch());
@@ -1314,16 +1404,23 @@ mod tests {
         );
         // A settled serve sees the caught-up pin as fresh state: it serves
         // the accreted cube as a hit rather than folding eagerly.
-        assert!(Arc::ptr_eq(&served(&catalog, &endpoint, &schema), snapshot.cube()));
+        assert!(Arc::ptr_eq(
+            &served(&catalog, &endpoint, &schema),
+            snapshot.cube()
+        ));
     }
 
     #[test]
     fn overlay_accretion_is_cumulative_until_a_fold() {
         let (endpoint, schema, catalog) = setup();
         served(&catalog, &endpoint, &schema);
-        endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
+        endpoint
+            .insert_triples(&observation_triples("o6", "c1", "m1", 3, 3))
+            .unwrap();
         let first = catalog.serve_snapshot(&endpoint, &schema).unwrap();
-        endpoint.insert_triples(&observation_triples("o7", "c2", "m2", 2, 2)).unwrap();
+        endpoint
+            .insert_triples(&observation_triples("o7", "c2", "m2", 2, 2))
+            .unwrap();
         let second = catalog.serve_snapshot(&endpoint, &schema).unwrap();
 
         // The first pin is immutable: still 6 rows at its epoch.
@@ -1333,7 +1430,11 @@ mod tests {
         second.verify_consistent().unwrap();
         assert_eq!(second.cube().row_count(), 7);
         let since = second.since_fold();
-        assert_eq!(since.fold_epoch, first.since_fold().fold_epoch, "no fold between");
+        assert_eq!(
+            since.fold_epoch,
+            first.since_fold().fold_epoch,
+            "no fold between"
+        );
         assert_eq!(since.rows, 2, "cumulative since the fold");
         assert_eq!(since.deltas, 2);
         assert!(second.epoch() > first.epoch());
@@ -1343,14 +1444,18 @@ mod tests {
     fn a_pin_keeps_its_cube_and_plan_line_across_accretions_and_a_fold() {
         let (endpoint, schema, catalog) = setup();
         served(&catalog, &endpoint, &schema);
-        endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
+        endpoint
+            .insert_triples(&observation_triples("o6", "c1", "m1", 3, 3))
+            .unwrap();
         let pinned = catalog.serve_snapshot(&endpoint, &schema).unwrap();
         let (cube, line) = (pinned.cube().clone(), pinned.plan_line());
         assert!(line.starts_with("OVERLAY rows=1 "), "{line}");
 
         // Two more accretions, then a structural change folds.
         for name in ["o7", "o8"] {
-            endpoint.insert_triples(&observation_triples(name, "c2", "m2", 2, 2)).unwrap();
+            endpoint
+                .insert_triples(&observation_triples(name, "c2", "m2", 2, 2))
+                .unwrap();
             catalog.serve_snapshot(&endpoint, &schema).unwrap();
         }
         endpoint.insert_triples(&[structure_triple()]).unwrap();
@@ -1359,7 +1464,10 @@ mod tests {
         assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);
         assert_eq!(folded.row_count(), 8);
 
-        assert!(Arc::ptr_eq(pinned.cube(), &cube), "the pin still holds its own cube");
+        assert!(
+            Arc::ptr_eq(pinned.cube(), &cube),
+            "the pin still holds its own cube"
+        );
         assert_eq!(pinned.cube().row_count(), 6);
         assert_eq!(pinned.plan_line(), line, "and its own plan line");
         pinned.verify_consistent().unwrap();
@@ -1371,7 +1479,9 @@ mod tests {
     fn a_replay_that_shrinks_the_cube_is_a_fold_reason() {
         let (endpoint, schema) = fixture(AggregateFunction::Sum);
         let smaller = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
-        endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
+        endpoint
+            .insert_triples(&observation_triples("o6", "c1", "m1", 3, 3))
+            .unwrap();
         let larger = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
         assert_eq!(replay_growth(&smaller, &larger), Ok((1, 0, 0)));
         // The roles swapped: the shape a mis-merged replay would produce.
@@ -1428,7 +1538,10 @@ mod tests {
             "{:?}",
             report.reason
         );
-        assert!(report.overlap.is_some(), "background fold records its window");
+        assert!(
+            report.overlap.is_some(),
+            "background fold records its window"
+        );
         // The folded base matches a scratch materialization.
         let scratch = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
         assert_eq!(
@@ -1445,9 +1558,11 @@ mod tests {
     fn overlay_past_the_compaction_threshold_compacts_in_the_background() {
         let (endpoint, schema, catalog) = setup();
         served(&catalog, &endpoint, &schema);
-        for (name, city, month, value, score) in
-            [("o1", "c1", "m1", 10, 4), ("o3", "c2", "m1", 5, 1), ("o4", "c3", "m1", 100, 9)]
-        {
+        for (name, city, month, value, score) in [
+            ("o1", "c1", "m1", 10, 4),
+            ("o3", "c2", "m1", 5, 1),
+            ("o4", "c3", "m1", 100, 9),
+        ] {
             endpoint
                 .store()
                 .remove_all(&observation_triples(name, city, month, value, score));
@@ -1469,14 +1584,20 @@ mod tests {
             .iter()
             .any(|r| r.strategy == MaintenanceStrategy::Delta));
         let compacted = catalog.current_snapshot(&schema.dataset).unwrap();
-        assert_eq!(compacted.since_fold(), SinceFold::folded_at(compacted.epoch()));
+        assert_eq!(
+            compacted.since_fold(),
+            SinceFold::folded_at(compacted.epoch())
+        );
         assert_eq!(compacted.cube().row_count(), 2, "dead rows reclaimed");
         assert_eq!(compacted.cube().tombstoned_rows(), 0);
         let report = catalog.last_report(&schema.dataset).unwrap();
         assert_eq!(report.strategy, MaintenanceStrategy::Compaction);
         assert!(matches!(
             report.reason,
-            Some(RebuildReason::LowLiveFraction { live_rows: 2, total_rows: 5 })
+            Some(RebuildReason::LowLiveFraction {
+                live_rows: 2,
+                total_rows: 5
+            })
         ));
         assert!(report.overlap.is_some());
         // Identical results before and after the background compaction.
@@ -1510,7 +1631,9 @@ mod tests {
     fn snapshot_refreshes_feed_the_overlay_metrics() {
         let (endpoint, schema, catalog) = setup();
         catalog.serve_snapshot(&endpoint, &schema).unwrap();
-        endpoint.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
+        endpoint
+            .insert_triples(&observation_triples("o6", "c1", "m1", 3, 3))
+            .unwrap();
         catalog.serve_snapshot(&endpoint, &schema).unwrap();
         catalog.serve_snapshot(&endpoint, &schema).unwrap();
 
@@ -1534,7 +1657,9 @@ mod tests {
     impl Endpoint for BrokenFolds {
         fn query(&self, sparql: &str) -> Result<sparql::QueryResults, sparql::SparqlError> {
             if self.handle && self.broken.load(std::sync::atomic::Ordering::SeqCst) {
-                return Err(sparql::SparqlError::Endpoint("fold handle down".to_string()));
+                return Err(sparql::SparqlError::Endpoint(
+                    "fold handle down".to_string(),
+                ));
             }
             self.inner.query(sparql)
         }
@@ -1591,7 +1716,14 @@ mod tests {
         fn new(frozen: bool) -> (TornRead, CubeSchema) {
             let (inner, schema) = fixture(AggregateFunction::Sum);
             let writes = Mutex::new(VecDeque::new());
-            (TornRead { inner, writes, frozen }, schema)
+            (
+                TornRead {
+                    inner,
+                    writes,
+                    frozen,
+                },
+                schema,
+            )
         }
     }
 
@@ -1635,7 +1767,9 @@ mod tests {
         }
 
         fn background_handle(&self) -> Option<Arc<dyn Endpoint + Send + Sync>> {
-            self.frozen.then(|| self.inner.background_handle()).flatten()
+            self.frozen
+                .then(|| self.inner.background_handle())
+                .flatten()
         }
     }
 
@@ -1670,7 +1804,11 @@ mod tests {
         torn.inner.insert_triples(&o6).unwrap();
         *torn.writes.lock() = VecDeque::from([vec![city]]);
         let pin = catalog.serve_snapshot(&torn, &schema).unwrap();
-        assert_eq!(pin.epoch(), built.epoch(), "the torn replay is not published");
+        assert_eq!(
+            pin.epoch(),
+            built.epoch(),
+            "the torn replay is not published"
+        );
         assert_pin_is_a_build_of(&pin, at_pin, &schema);
         let metrics = catalog.metrics().snapshot();
         assert_eq!(metrics.counter("catalog.overlay.torn_replays"), 1);
@@ -1713,7 +1851,11 @@ mod tests {
         assert_eq!(metrics.counter("catalog.overlay.torn_replays"), 1);
         assert_eq!(metrics.counter("catalog.overlay.stale_serves"), 0);
         assert_eq!(metrics.counter("catalog.refresh.delta"), 1);
-        assert_eq!(torn.writes.lock().len(), 1, "no write landed in the snapshot");
+        assert_eq!(
+            torn.writes.lock().len(),
+            1,
+            "no write landed in the snapshot"
+        );
     }
 
     #[test]
@@ -1743,8 +1885,14 @@ mod tests {
         let started = Instant::now();
         let error = catalog.serve_settled(&flaky, &schema).unwrap_err();
         assert!(error.to_string().contains("fold handle down"), "{error}");
-        assert!(started.elapsed() < Duration::from_secs(5), "bounded, never hangs");
-        assert_eq!(catalog.current_snapshot(&schema.dataset).unwrap().epoch(), built.epoch());
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "bounded, never hangs"
+        );
+        assert_eq!(
+            catalog.current_snapshot(&schema.dataset).unwrap().epoch(),
+            built.epoch()
+        );
 
         // The next successful fold recovers.
         broken.store(false, std::sync::atomic::Ordering::SeqCst);
@@ -1782,29 +1930,42 @@ mod tests {
     /// out of it, leaving no claim held.
     fn panics_through(catalog: &CubeCatalog, schema: &CubeSchema, serve: impl FnOnce()) {
         let unwound = std::panic::catch_unwind(AssertUnwindSafe(serve));
-        assert!(unwound.is_err(), "the endpoint's panic unwinds through the serve");
-        assert!(!catalog.maintenance_in_flight(&schema.dataset), "the claim is released");
+        assert!(
+            unwound.is_err(),
+            "the endpoint's panic unwinds through the serve"
+        );
+        assert!(
+            !catalog.maintenance_in_flight(&schema.dataset),
+            "the claim is released"
+        );
     }
 
     #[test]
     fn a_replay_whose_star_read_panics_fails_the_slot_then_recovers() {
         within_bounded_time(|| {
-            let (probe, schema) = Probe::new(|sparql, on_a_handle| {
-                on_a_handle || sparql.contains("VALUES ?obs")
-            });
+            let (probe, schema) =
+                Probe::new(|sparql, on_a_handle| on_a_handle || sparql.contains("VALUES ?obs"));
             let catalog = CubeCatalog::new();
             let built = catalog.serve_snapshot(&probe, &schema).unwrap();
-            probe.insert_triples(&observation_triples("o6", "c1", "m1", 3, 3)).unwrap();
+            probe
+                .insert_triples(&observation_triples("o6", "c1", "m1", 3, 3))
+                .unwrap();
             *probe.fault.lock() = Fault::Panic;
             panics_through(&catalog, &schema, || {
                 let _ = catalog.serve_snapshot(&probe, &schema);
             });
-            assert_eq!(catalog.current_snapshot(&schema.dataset).unwrap().epoch(), built.epoch());
+            assert_eq!(
+                catalog.current_snapshot(&schema.dataset).unwrap().epoch(),
+                built.epoch()
+            );
             // With the endpoint down, a settled serve claims again, and
             // returns the fold's error instead of waiting.
             *probe.fault.lock() = Fault::Error;
             let error = catalog.serve_settled(&probe, &schema).unwrap_err();
-            assert!(error.to_string().contains("the endpoint is down"), "{error}");
+            assert!(
+                error.to_string().contains("the endpoint is down"),
+                "{error}"
+            );
             assert!(!catalog.maintenance_in_flight(&schema.dataset));
 
             *probe.fault.lock() = Fault::None;
@@ -1825,7 +1986,10 @@ mod tests {
             assert!(catalog.current_snapshot(&schema.dataset).is_none());
             *probe.fault.lock() = Fault::Error;
             let error = catalog.serve_settled(&probe, &schema).unwrap_err();
-            assert!(error.to_string().contains("the endpoint is down"), "{error}");
+            assert!(
+                error.to_string().contains("the endpoint is down"),
+                "{error}"
+            );
             assert!(!catalog.maintenance_in_flight(&schema.dataset));
 
             *probe.fault.lock() = Fault::None;
@@ -1846,7 +2010,10 @@ mod tests {
             *probe.fault.lock() = Fault::Panic;
             // The background fold panics: the reader keeps the stale pin
             // and the failure is counted once.
-            assert_eq!(catalog.serve_snapshot(&probe, &schema).unwrap().epoch(), built.epoch());
+            assert_eq!(
+                catalog.serve_snapshot(&probe, &schema).unwrap().epoch(),
+                built.epoch()
+            );
             catalog.wait_for_maintenance(&schema.dataset);
             assert!(!catalog.maintenance_in_flight(&schema.dataset));
             let metrics = catalog.metrics().snapshot();
@@ -1855,7 +2022,13 @@ mod tests {
             // A settled serve retries the fold and returns its panic.
             let error = catalog.serve_settled(&probe, &schema).unwrap_err();
             assert!(error.to_string().contains("panicked"), "{error}");
-            assert_eq!(catalog.metrics().snapshot().counter("catalog.overlay.fold_failures"), 2);
+            assert_eq!(
+                catalog
+                    .metrics()
+                    .snapshot()
+                    .counter("catalog.overlay.fold_failures"),
+                2
+            );
 
             *probe.fault.lock() = Fault::None;
             let settled = catalog.serve_settled(&probe, &schema).unwrap();

@@ -220,9 +220,10 @@ impl MeasureVector {
     pub(crate) fn push_stored(&mut self, value: StoredMeasure) {
         match (self, value) {
             (MeasureVector::Integer(values), StoredMeasure::Integer(v)) => values.push(v),
-            (MeasureVector::Decimal(values) | MeasureVector::Double(values), StoredMeasure::Float(v)) => {
-                values.push(v)
-            }
+            (
+                MeasureVector::Decimal(values) | MeasureVector::Double(values),
+                StoredMeasure::Float(v),
+            ) => values.push(v),
             _ => unreachable!("a stored value is pushed to the vector that produced it"),
         }
     }
@@ -353,8 +354,11 @@ mod tests {
         // A decimal literal cannot be pushed into an integer vector.
         assert!(push(&mut vector, &Literal::decimal(1.5)).is_err());
         // A non-canonical lexical form does not round-trip.
-        assert!(push(&mut vector, &Literal::typed("007", rdf::vocab::xsd::integer()))
-            .is_err());
+        assert!(push(
+            &mut vector,
+            &Literal::typed("007", rdf::vocab::xsd::integer())
+        )
+        .is_err());
     }
 
     #[test]
@@ -389,10 +393,10 @@ mod tests {
             1e15,
             1e15 - 0.5,
             -1e15,
-            9.007199254740993e15, // 2^53 + 1-ish: integral, huge
-            9.223372036854776e18, // 2^63: one past i64::MAX
+            9.007199254740993e15,  // 2^53 + 1-ish: integral, huge
+            9.223372036854776e18,  // 2^63: one past i64::MAX
             -9.223372036854776e18, // exactly i64::MIN
-            4.611686018427388e18, // 2^62
+            4.611686018427388e18,  // 2^62
             1e300,
         ];
         for make in [MeasureVector::Decimal, MeasureVector::Double] {
@@ -429,7 +433,11 @@ mod tests {
         assert_eq!(vector.numeric_at(1), MeasureValue::Integer(i64::MAX - 1));
         assert_eq!(vector.numeric_at(2), MeasureValue::Integer(i64::MIN));
         assert_eq!(vector.numeric_at(3), MeasureValue::Integer(i64::MIN + 1));
-        assert_eq!(vector.term_at(1), Term::integer(i64::MAX - 1), "no f64 round-trip");
+        assert_eq!(
+            vector.term_at(1),
+            Term::integer(i64::MAX - 1),
+            "no f64 round-trip"
+        );
         // The f64 view *does* round there — which is why aggregation must
         // not use it for integer vectors.
         assert_eq!(vector.value(0), vector.value(1));

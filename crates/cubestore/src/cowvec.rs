@@ -208,7 +208,16 @@ mod tests {
         let v: CowVec<usize> = (0..n).collect();
         assert_eq!(v.segment_slice(0).len(), SEGMENT_LEN);
         assert_eq!(v.segment_slice(0)[17], 17);
-        assert_eq!(v.segment_slice(1), &[SEGMENT_LEN, SEGMENT_LEN + 1, SEGMENT_LEN + 2, SEGMENT_LEN + 3, SEGMENT_LEN + 4]);
+        assert_eq!(
+            v.segment_slice(1),
+            &[
+                SEGMENT_LEN,
+                SEGMENT_LEN + 1,
+                SEGMENT_LEN + 2,
+                SEGMENT_LEN + 3,
+                SEGMENT_LEN + 4
+            ]
+        );
     }
 
     #[test]

@@ -322,8 +322,8 @@ mod tests {
     use crate::dictionary::NO_MEMBER;
     use crate::executor::CubeQuery;
     use crate::testutil::{
-        assert_matches_scratch_build, fixture, iri, member, observation_triples,
-        rollup_to_country, run, run_with, structure_triple,
+        assert_matches_scratch_build, fixture, iri, member, observation_triples, rollup_to_country,
+        run, run_with, structure_triple,
     };
     use crate::{CubeStoreError, MaterializedCube};
 
@@ -420,7 +420,11 @@ mod tests {
         let o3 = Term::iri("http://example.org/obs/o3");
         let removed = endpoint.store().remove_all(&[
             Triple::new(o3.clone(), rdfv::type_(), Term::Iri(qb::observation())),
-            Triple::new(o3.clone(), qb::data_set(), Term::iri("http://example.org/ds")),
+            Triple::new(
+                o3.clone(),
+                qb::data_set(),
+                Term::iri("http://example.org/ds"),
+            ),
             Triple::new(o3.clone(), iri("lv/city"), member("c2")),
             Triple::new(o3.clone(), iri("lv/month"), member("m1")),
             Triple::new(o3.clone(), iri("measure/value"), Literal::integer(5)),
@@ -455,7 +459,11 @@ mod tests {
         let o3 = Term::iri("http://example.org/obs/o3");
         endpoint.store().remove_all(&[
             Triple::new(o3.clone(), rdfv::type_(), Term::Iri(qb::observation())),
-            Triple::new(o3.clone(), qb::data_set(), Term::iri("http://example.org/ds")),
+            Triple::new(
+                o3.clone(),
+                qb::data_set(),
+                Term::iri("http://example.org/ds"),
+            ),
             Triple::new(o3.clone(), iri("lv/city"), member("c2")),
             Triple::new(o3.clone(), iri("lv/month"), member("m1")),
             Triple::new(o3.clone(), iri("measure/value"), Literal::integer(5)),
@@ -480,14 +488,22 @@ mod tests {
         // *dropped*, exactly as a fresh build classifies it.
         let (endpoint, cube, epoch) = tracked();
         let o1 = Term::iri("http://example.org/obs/o1");
-        assert!(endpoint
-            .store()
-            .remove(&Triple::new(o1.clone(), iri("measure/value"), Literal::integer(10))));
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch), &endpoint).unwrap();
+        assert!(endpoint.store().remove(&Triple::new(
+            o1.clone(),
+            iri("measure/value"),
+            Literal::integer(10)
+        )));
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
         assert_eq!(refreshed.row_count(), 5, "row stays physically present");
         assert_eq!(refreshed.live_row_count(), 4);
         assert_eq!(refreshed.stats().rows, 4);
-        assert_eq!(refreshed.stats().observations_seen, 5, "still dataset-linked");
+        assert_eq!(
+            refreshed.stats().observations_seen,
+            5,
+            "still dataset-linked"
+        );
         assert_eq!(refreshed.stats().rows_dropped, 1);
         assert!(!refreshed.is_observation(&o1));
         assert_matches_rebuild(&endpoint, &refreshed);
@@ -496,7 +512,11 @@ mod tests {
         // is a fact row again.
         let epoch = endpoint.epoch();
         endpoint
-            .insert_triples(&[Triple::new(o1.clone(), iri("measure/value"), Literal::integer(11))])
+            .insert_triples(&[Triple::new(
+                o1.clone(),
+                iri("measure/value"),
+                Literal::integer(11),
+            )])
             .unwrap();
         let restored = refreshed
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
@@ -535,8 +555,14 @@ mod tests {
         assert!(endpoint
             .store()
             .remove(&Triple::new(o1.clone(), iri("lv/city"), member("c1"))));
-        let refreshed = cube.apply_delta(&deltas_after(&endpoint, epoch), &endpoint).unwrap();
-        assert_eq!(refreshed.row_count(), 6, "old row dead, survivor re-appended");
+        let refreshed = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
+        assert_eq!(
+            refreshed.row_count(),
+            6,
+            "old row dead, survivor re-appended"
+        );
         assert_eq!(refreshed.live_row_count(), 5);
         assert_eq!(refreshed.tombstoned_rows(), 1);
         assert_eq!(refreshed.stats().rows, 5);
@@ -544,7 +570,11 @@ mod tests {
         assert_eq!(refreshed.stats().rows_dropped, 0);
         assert!(refreshed.is_observation(&o1));
         let column = refreshed.dimension_column(&iri("dim/city")).unwrap();
-        assert_eq!(column.code(5), NO_MEMBER, "the stripped dimension is unbound");
+        assert_eq!(
+            column.code(5),
+            NO_MEMBER,
+            "the stripped dimension is unbound"
+        );
         assert_matches_rebuild(&endpoint, &refreshed);
         // o1's 10 leaves every city roll-up (no city binding joins)...
         assert!(!run(&refreshed, &rollup_to_country())
@@ -622,11 +652,17 @@ mod tests {
         // the new value.
         let (endpoint, cube, epoch) = tracked();
         let o1 = Term::iri("http://example.org/obs/o1");
-        assert!(endpoint
-            .store()
-            .remove(&Triple::new(o1.clone(), iri("measure/value"), Literal::integer(10))));
+        assert!(endpoint.store().remove(&Triple::new(
+            o1.clone(),
+            iri("measure/value"),
+            Literal::integer(10)
+        )));
         endpoint
-            .insert_triples(&[Triple::new(o1.clone(), iri("measure/value"), Literal::integer(11))])
+            .insert_triples(&[Triple::new(
+                o1.clone(),
+                iri("measure/value"),
+                Literal::integer(11),
+            )])
             .unwrap();
         let deltas = deltas_after(&endpoint, epoch);
         assert_eq!(deltas.len(), 2);
@@ -645,7 +681,11 @@ mod tests {
         let (endpoint, cube, epoch) = tracked();
         let mut o6 = observation_triples("o6", "c1", "m2", 40, 2);
         let node = o6[0].subject.clone();
-        o6.push(Triple::new(node.clone(), rdfs::label(), Literal::string("six")));
+        o6.push(Triple::new(
+            node.clone(),
+            rdfs::label(),
+            Literal::string("six"),
+        ));
         endpoint.insert_triples(&o6).unwrap();
         let refreshed = cube
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
@@ -749,9 +789,11 @@ mod tests {
             let column = cube.dimension_column(&iri("dim/city")).unwrap();
             let row = cube.observations.row_of(&o1).expect("o1 materialized");
             assert_eq!(column.dictionary.term(column.code(row)), &member("c1"));
-            assert!(endpoint
-                .store()
-                .remove(&Triple::new(o1.clone(), iri("lv/city"), member(removed))));
+            assert!(endpoint.store().remove(&Triple::new(
+                o1.clone(),
+                iri("lv/city"),
+                member(removed)
+            )));
             let refreshed = cube
                 .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
                 .unwrap();
@@ -790,7 +832,11 @@ mod tests {
         let refreshed = cube
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
             .unwrap();
-        assert_eq!(refreshed.row_count(), 6, "old row dead, re-read row appended");
+        assert_eq!(
+            refreshed.row_count(),
+            6,
+            "old row dead, re-read row appended"
+        );
         assert_eq!(refreshed.live_row_count(), 5);
         assert!(refreshed.is_observation(&o1));
         assert_matches_rebuild(&endpoint, &refreshed);
@@ -816,7 +862,10 @@ mod tests {
                 panic!("expected a delta refusal, got {error}");
             };
             let change = if removed { "removed" } else { "inserted" };
-            assert!(detail.contains(&format!("structure triple {change}")), "{detail}");
+            assert!(
+                detail.contains(&format!("structure triple {change}")),
+                "{detail}"
+            );
             assert!(detail.contains("hasLevel"), "{detail}");
         }
     }
@@ -830,7 +879,11 @@ mod tests {
         endpoint
             .insert_triples(&[
                 Triple::new(node.clone(), rdfv::type_(), Term::Iri(qb::observation())),
-                Triple::new(node.clone(), qb::data_set(), Term::iri("http://example.org/ds")),
+                Triple::new(
+                    node.clone(),
+                    qb::data_set(),
+                    Term::iri("http://example.org/ds"),
+                ),
             ])
             .unwrap();
         let refreshed = cube
@@ -945,16 +998,19 @@ mod tests {
         let cube = MaterializedCube::from_endpoint(&endpoint, &schema).unwrap();
         // Adversarial decimal appends, one delta each: cancellation-heavy
         // magnitudes whose naive left-to-right sum depends on the order.
-        for (serial, measure_value) in
-            [2.5, 0.1, 0.2, 1e15, 0.3, -1e15, 0.30000000000000004, -0.7]
-                .into_iter()
-                .enumerate()
+        for (serial, measure_value) in [2.5, 0.1, 0.2, 1e15, 0.3, -1e15, 0.30000000000000004, -0.7]
+            .into_iter()
+            .enumerate()
         {
             let node = Term::iri(format!("http://example.org/obs/f{}", serial + 2));
             endpoint
                 .insert_triples(&[
                     Triple::new(node.clone(), rdfv::type_(), Term::Iri(qb::observation())),
-                    Triple::new(node.clone(), qb::data_set(), Term::iri("http://example.org/ds")),
+                    Triple::new(
+                        node.clone(),
+                        qb::data_set(),
+                        Term::iri("http://example.org/ds"),
+                    ),
                     Triple::new(node.clone(), city.clone(), member("c1")),
                     Triple::new(node, value.clone(), Literal::decimal(measure_value)),
                 ])
@@ -969,7 +1025,9 @@ mod tests {
         let reference = run(&rebuilt, &CubeQuery::default()).unwrap();
         for prune in [false, true] {
             assert_eq!(
-                run_with(&refreshed, &CubeQuery::default(), prune).unwrap().0,
+                run_with(&refreshed, &CubeQuery::default(), prune)
+                    .unwrap()
+                    .0,
                 reference,
                 "float delta-applied cube diverges from a rebuild (prune={prune})"
             );
@@ -986,7 +1044,11 @@ mod tests {
         endpoint
             .insert_triples(&[
                 Triple::new(node.clone(), rdfv::type_(), Term::Iri(qb::observation())),
-                Triple::new(node.clone(), qb::data_set(), Term::iri("http://example.org/otherDs")),
+                Triple::new(
+                    node.clone(),
+                    qb::data_set(),
+                    Term::iri("http://example.org/otherDs"),
+                ),
                 Triple::new(node, iri("measure/value"), Literal::integer(123)),
             ])
             .unwrap();
@@ -1004,7 +1066,11 @@ mod tests {
         // star, which a fresh build now accepts; one unlinking it forgets
         // the drop and reads nothing.
         let node = Term::iri("http://example.org/obs/late");
-        let link = Triple::new(node.clone(), qb::data_set(), Term::iri("http://example.org/ds"));
+        let link = Triple::new(
+            node.clone(),
+            qb::data_set(),
+            Term::iri("http://example.org/ds"),
+        );
         let late = [
             link.clone(),
             Triple::new(node.clone(), iri("lv/city"), member("c1")),
@@ -1016,7 +1082,11 @@ mod tests {
         let (endpoint, cube, epoch) = tracked_with(&late);
         assert_eq!(cube.stats().rows_dropped, 1, "untyped observation dropped");
         endpoint
-            .insert_triples(&[Triple::new(node.clone(), rdfv::type_(), Term::Iri(qb::observation()))])
+            .insert_triples(&[Triple::new(
+                node.clone(),
+                rdfv::type_(),
+                Term::Iri(qb::observation()),
+            )])
             .unwrap();
         let completed = cube
             .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
@@ -1059,7 +1129,10 @@ mod tests {
             rebuilt.broader_parents(&member("c9")),
             "adjacency order diverges from a rebuild"
         );
-        assert_eq!(refreshed.broader_parents(&member("c9")), &[member("K1"), member("K2")]);
+        assert_eq!(
+            refreshed.broader_parents(&member("c9")),
+            &[member("K1"), member("K2")]
+        );
     }
 
     #[test]
@@ -1098,9 +1171,13 @@ mod tests {
     #[test]
     fn replays_read_the_hierarchy_only_after_a_hierarchy_triple() {
         let (endpoint, cube, epoch) = tracked();
-        let (hierarchy, _) =
-            selects(&endpoint, || read_hierarchy(&endpoint, cube.schema(), &cube.dimensions));
-        assert_eq!(hierarchy, 6, "labels, three levels, one attribute, the adjacency");
+        let (hierarchy, _) = selects(&endpoint, || {
+            read_hierarchy(&endpoint, cube.schema(), &cube.dimensions)
+        });
+        assert_eq!(
+            hierarchy, 6,
+            "labels, three levels, one attribute, the adjacency"
+        );
 
         remove_o4(&endpoint);
         let deltas = deltas_after(&endpoint, epoch);
@@ -1126,7 +1203,11 @@ mod tests {
         endpoint.insert_triples(&batch).unwrap();
         let deltas = deltas_after(&endpoint, epoch);
         let (count, dirty) = selects(&endpoint, || appended.apply_delta(&deltas, &endpoint));
-        assert_eq!(count, 1 + hierarchy, "a dirty replay reads the stars, then the hierarchy");
+        assert_eq!(
+            count,
+            1 + hierarchy,
+            "a dirty replay reads the stars, then the hierarchy"
+        );
         assert_matches_rebuild(&endpoint, &dirty.unwrap());
     }
 
@@ -1165,7 +1246,11 @@ mod tests {
         let o4 = Term::iri("http://example.org/obs/o4");
         let removed = endpoint.store().remove_all(&[
             Triple::new(o4.clone(), rdfv::type_(), Term::Iri(qb::observation())),
-            Triple::new(o4.clone(), qb::data_set(), Term::iri("http://example.org/ds")),
+            Triple::new(
+                o4.clone(),
+                qb::data_set(),
+                Term::iri("http://example.org/ds"),
+            ),
             Triple::new(o4.clone(), iri("lv/city"), member("c3")),
             Triple::new(o4.clone(), iri("lv/month"), member("m1")),
             Triple::new(o4.clone(), iri("measure/value"), Literal::integer(100)),
@@ -1242,7 +1327,11 @@ mod tests {
             .unwrap();
         assert_eq!(refreshed.tombstoned_rows(), 1);
         refreshed.verify_zone_invariants().unwrap();
-        assert_eq!(refreshed.zone_maps().rows(), 5, "zones still cover the dead row");
+        assert_eq!(
+            refreshed.zone_maps().rows(),
+            5,
+            "zones still cover the dead row"
+        );
         for (d, codes) in before.iter().enumerate() {
             let after: Vec<_> = refreshed
                 .zone_maps()
@@ -1271,7 +1360,11 @@ mod tests {
         refreshed.verify_zone_invariants().unwrap();
         // The delta-applied cube still lists the dead row's city code.
         assert_eq!(
-            refreshed.zone_maps().dimension_codes(city, 0).unwrap().count(),
+            refreshed
+                .zone_maps()
+                .dimension_codes(city, 0)
+                .unwrap()
+                .count(),
             3
         );
         let rebuilt = MaterializedCube::from_endpoint(&endpoint, cube.schema()).unwrap();
@@ -1279,7 +1372,11 @@ mod tests {
         rebuilt.verify_zone_invariants().unwrap();
         assert_eq!(rebuilt.zone_maps().rows(), 4);
         assert_eq!(
-            rebuilt.zone_maps().dimension_codes(city, 0).unwrap().count(),
+            rebuilt
+                .zone_maps()
+                .dimension_codes(city, 0)
+                .unwrap()
+                .count(),
             2,
             "the rebuilt zones no longer mention the compacted-away member"
         );

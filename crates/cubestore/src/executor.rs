@@ -281,7 +281,9 @@ impl ScanStats {
     /// Adds the stats to a metrics registry under `cubestore.scan.*`.
     pub fn record_into(&self, metrics: &obs::MetricsRegistry) {
         metrics.counter("cubestore.scan.runs").inc();
-        metrics.counter("cubestore.scan.rows").add(self.rows_scanned);
+        metrics
+            .counter("cubestore.scan.rows")
+            .add(self.rows_scanned);
         metrics
             .counter("cubestore.scan.tombstones_skipped")
             .add(self.tombstones_skipped);
@@ -866,7 +868,9 @@ fn scan_spans<K: GroupKey>(
 
         if !passes.residual.is_empty() {
             segment_codes.clear();
-            let codes = axes.iter().map(|axis| axis.column.code_segment(span.segment));
+            let codes = axes
+                .iter()
+                .map(|axis| axis.column.code_segment(span.segment));
             segment_codes.extend(codes);
         }
         // One compaction per residual dice: a comparison is one lookup per
@@ -1336,9 +1340,7 @@ impl<K: GroupKey> Groups<K> {
                     acc.update(measure.data.segment(segment), rows, group_of);
                 }
             }
-            GroupIndex::Sorted(sorted) => {
-                sorted.add(segment, rows, keys, &mut self.accs, measures)
-            }
+            GroupIndex::Sorted(sorted) => sorted.add(segment, rows, keys, &mut self.accs, measures),
         }
     }
 
@@ -1698,7 +1700,10 @@ fn compile_filter(
 /// emits, `Constant` compares the raw term.
 fn eval_predicate(predicate: &MemberPredicate, value: &Term) -> Option<bool> {
     match predicate {
-        MemberPredicate::Str { op, value: expected } => {
+        MemberPredicate::Str {
+            op,
+            value: expected,
+        } => {
             let lexical = match value {
                 Term::Iri(iri) => iri.as_str().to_string(),
                 Term::Blank(b) => b.as_str().to_string(),
@@ -1710,7 +1715,10 @@ fn eval_predicate(predicate: &MemberPredicate, value: &Term) -> Option<bool> {
                 &Term::Literal(Literal::string(expected)),
             )
         }
-        MemberPredicate::Constant { op, value: expected } => compare_terms(value, *op, expected),
+        MemberPredicate::Constant {
+            op,
+            value: expected,
+        } => compare_terms(value, *op, expected),
     }
 }
 
@@ -1825,7 +1833,11 @@ mod tests {
         let mut profile = ExecutionProfile::new("columnar");
         let options = ExecOptions::default();
         let (output, _) = execute(&cube, &query, &options, Some(&mut profile)).unwrap();
-        assert_eq!(output, run(&cube, &query).unwrap(), "tracing is free of effects");
+        assert_eq!(
+            output,
+            run(&cube, &query).unwrap(),
+            "tracing is free of effects"
+        );
         assert!(profile.total >= profile.steps_total());
         assert_eq!(profile.backend, "columnar");
         assert_eq!(
@@ -1835,7 +1847,11 @@ mod tests {
         assert!(profile.plan.iter().any(|l| l.starts_with("SLICE")));
         assert!(profile.plan.iter().any(|l| l.starts_with("AXIS")));
         assert_eq!(profile.counter("rows_scanned"), 5);
-        assert_eq!(profile.counter("rows_aggregated"), 4, "the ragged row drops");
+        assert_eq!(
+            profile.counter("rows_aggregated"),
+            4,
+            "the ragged row drops"
+        );
         assert_eq!(profile.counter("rows_no_member"), 1);
         assert!(profile.counter("dictionary_lookups") > 0);
         let rendered = profile.render();
@@ -1983,7 +1999,10 @@ mod tests {
         assert!(output.is_empty());
         assert_eq!(stats.segments_dead, 1);
         assert_eq!(stats.rows_scanned, 0);
-        assert_eq!(stats.tombstones_skipped, 0, "the bitmap was never consulted");
+        assert_eq!(
+            stats.tombstones_skipped, 0,
+            "the bitmap was never consulted"
+        );
     }
 
     /// A cube past 32 segments (131 072 rows), the size from which a

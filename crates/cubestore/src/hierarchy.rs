@@ -225,10 +225,16 @@ mod tests {
         );
         assert!(index.has_attribute(&attr));
         assert_eq!(index.member_count(), 2);
-        assert_eq!(index.attribute_value(&attr, 0), Some(&Term::string("first")));
+        assert_eq!(
+            index.attribute_value(&attr, 0),
+            Some(&Term::string("first"))
+        );
         assert_eq!(index.attribute_value(&attr, 1), None);
         assert!(!index.has_attribute(&Iri::new("http://attr/other")));
-        assert_eq!(index.attribute_value(&Iri::new("http://attr/other"), 0), None);
+        assert_eq!(
+            index.attribute_value(&Iri::new("http://attr/other"), 0),
+            None
+        );
     }
 
     #[test]

@@ -183,7 +183,11 @@ pub(crate) mod testutil {
         let node = Term::iri(format!("http://example.org/obs/{name}"));
         vec![
             Triple::new(node.clone(), rdfv::type_(), Term::Iri(qb::observation())),
-            Triple::new(node.clone(), qb::data_set(), Term::iri("http://example.org/ds")),
+            Triple::new(
+                node.clone(),
+                qb::data_set(),
+                Term::iri("http://example.org/ds"),
+            ),
             Triple::new(node.clone(), iri("lv/city"), member(city)),
             Triple::new(node.clone(), iri("lv/month"), member(month)),
             Triple::new(node.clone(), iri("measure/value"), Literal::integer(value)),
@@ -218,7 +222,10 @@ pub(crate) mod testutil {
         Some(match map.target(column.dictionary.id(term)?) {
             NO_MEMBER => "no member".to_string(),
             AMBIGUOUS_MEMBER => "ambiguous".to_string(),
-            code => cube.levels[&map.target_level].dictionary().term(code).to_string(),
+            code => cube.levels[&map.target_level]
+                .dictionary()
+                .term(code)
+                .to_string(),
         })
     }
 
@@ -235,11 +242,22 @@ pub(crate) mod testutil {
     ) {
         let scratch = MaterializedCube::from_endpoint(endpoint, cube.schema()).unwrap();
         for query in [CubeQuery::default(), rollup_to_country()] {
-            assert_eq!(run(cube, &query), run(&scratch, &query), "{name}: query results");
+            assert_eq!(
+                run(cube, &query),
+                run(&scratch, &query),
+                "{name}: query results"
+            );
         }
         assert_eq!(cube.stats(), scratch.stats(), "{name}: build counters");
-        assert_eq!(cube.dropped_observations, scratch.dropped_observations, "{name}: dropped set");
-        assert_eq!(cube.live_row_count(), scratch.live_row_count(), "{name}: live rows");
+        assert_eq!(
+            cube.dropped_observations, scratch.dropped_observations,
+            "{name}: dropped set"
+        );
+        assert_eq!(
+            cube.live_row_count(),
+            scratch.live_row_count(),
+            "{name}: live rows"
+        );
         assert_eq!(
             cube.levels.keys().collect::<Vec<_>>(),
             scratch.levels.keys().collect::<Vec<_>>(),
@@ -248,11 +266,23 @@ pub(crate) mod testutil {
         for (level, index) in &cube.levels {
             let other = &scratch.levels[level];
             let members = |index: &LevelIndex| -> Vec<Term> {
-                index.dictionary().iter().map(|(_, term)| term.clone()).collect()
+                index
+                    .dictionary()
+                    .iter()
+                    .map(|(_, term)| term.clone())
+                    .collect()
             };
-            assert_eq!(members(index), members(other), "{name}: members of <{level}>");
+            assert_eq!(
+                members(index),
+                members(other),
+                "{name}: members of <{level}>"
+            );
             let attributes: Vec<&Iri> = index.attribute_iris().collect();
-            assert_eq!(attributes, other.attribute_iris().collect::<Vec<_>>(), "{name}: <{level}>");
+            assert_eq!(
+                attributes,
+                other.attribute_iris().collect::<Vec<_>>(),
+                "{name}: <{level}>"
+            );
             for attribute in attributes {
                 for id in 0..index.member_count() as MemberId {
                     assert_eq!(
@@ -271,7 +301,11 @@ pub(crate) mod testutil {
         );
         for (key, map) in &cube.rollups {
             let column = cube.dimension_column(&map.dimension).unwrap();
-            assert_eq!(map.len(), column.dictionary.len(), "{name}: {key:?} covers its column");
+            assert_eq!(
+                map.len(),
+                column.dictionary.len(),
+                "{name}: {key:?} covers its column"
+            );
             // Every bottom term a build holds rolls up the same way; terms
             // only the replayed cube holds belong to tombstoned rows.
             let bottom = scratch.dimension_column(&map.dimension).unwrap();
@@ -284,7 +318,11 @@ pub(crate) mod testutil {
             }
         }
         assert_eq!(cube.broader, scratch.broader, "{name}: broader adjacency");
-        assert_eq!(cube.dataset_label(), scratch.dataset_label(), "{name}: dataset label");
+        assert_eq!(
+            cube.dataset_label(),
+            scratch.dataset_label(),
+            "{name}: dataset label"
+        );
     }
 
     /// A dangling `qb4o:hasLevel` triple on the fixture schema's DSD node:
@@ -524,8 +562,10 @@ pub(crate) mod testutil {
 mod tests {
     use std::collections::BTreeMap;
 
-    use qb4olap::{AggregateFunction, Cardinality, CubeSchema, Dimension, Hierarchy, HierarchyStep,
-        LevelComponent, MeasureSpec};
+    use qb4olap::{
+        AggregateFunction, Cardinality, CubeSchema, Dimension, Hierarchy, HierarchyStep,
+        LevelComponent, MeasureSpec,
+    };
     use rdf::{Literal, Term, Triple};
     use sparql::ast::CmpOp;
     use sparql::{Endpoint, LocalEndpoint};
@@ -658,7 +698,11 @@ mod tests {
         let node = |name: &str| Term::iri(format!("http://example.org/obs/{name}"));
         let link = |name: &str| Triple::new(node(name), rdf::vocab::qb::data_set(), iri("ds"));
         let typed = |name: &str| {
-            Triple::new(node(name), rdf::vocab::rdf::type_(), Term::Iri(rdf::vocab::qb::observation()))
+            Triple::new(
+                node(name),
+                rdf::vocab::rdf::type_(),
+                Term::Iri(rdf::vocab::qb::observation()),
+            )
         };
         let mut extra = vec![
             // Linked but untyped; typed but missing `score`: both dropped.
@@ -673,7 +717,11 @@ mod tests {
             typed("monthless"),
             link("monthless"),
             Triple::new(node("monthless"), iri("lv/city"), member("c9")),
-            Triple::new(node("monthless"), iri("measure/value"), Literal::integer(20)),
+            Triple::new(
+                node("monthless"),
+                iri("measure/value"),
+                Literal::integer(20),
+            ),
             Triple::new(node("monthless"), iri("measure/score"), Literal::integer(6)),
         ];
         extra.extend(testutil::observation_triples("o6", "c1", "m2", 20, 6));
@@ -693,29 +741,52 @@ mod tests {
         native.verify_zone_invariants().unwrap();
         // The corners are really there.
         let stats = native.stats();
-        assert_eq!((stats.observations_seen, stats.rows, stats.rows_dropped), (9, 7, 2));
+        assert_eq!(
+            (stats.observations_seen, stats.rows, stats.rows_dropped),
+            (9, 7, 2)
+        );
         // Of o1's two cities the row keeps the least term.
         let city = native.dimension_column(&iri("dim/city")).unwrap();
         let o1 = native.observations.row_of(&node("o1")).unwrap();
         assert_eq!(city.dictionary.term(city.code(o1)), &member("c1"));
-        assert_eq!(native.dimension_column(&iri("dim/month")).unwrap().unbound_rows(), 1);
+        assert_eq!(
+            native
+                .dimension_column(&iri("dim/month"))
+                .unwrap()
+                .unbound_rows(),
+            1
+        );
         // Repeated values share one dictionary entry and one parse.
-        assert_eq!(native.dimension_column(&iri("dim/city")).unwrap().dictionary.len(), 4);
+        assert_eq!(
+            native
+                .dimension_column(&iri("dim/city"))
+                .unwrap()
+                .dictionary
+                .len(),
+            4
+        );
 
         // A float measure, and a literal that does not round-trip: the same
         // cube, and the same refusal, on both paths.
         let (endpoint, schema) = fixture(AggregateFunction::Sum);
-        let value = |name: &str, literal: Literal| {
-            Triple::new(node(name), iri("measure/value"), literal)
-        };
+        let value =
+            |name: &str, literal: Literal| Triple::new(node(name), iri("measure/value"), literal);
         let floats = LocalEndpoint::new();
         for triple in endpoint.store().triples_matching(None, None, None) {
             if triple.predicate != iri("measure/value") {
                 floats.insert_triples(&[triple]).unwrap();
             }
         }
-        for (name, v) in [("o1", 1.5), ("o2", 2.0), ("o3", 1.5), ("o4", -0.25), ("o5", 2.0)] {
-            floats.insert_triples(&[value(name, Literal::decimal(v))]).unwrap();
+        for (name, v) in [
+            ("o1", 1.5),
+            ("o2", 2.0),
+            ("o3", 1.5),
+            ("o4", -0.25),
+            ("o5", 2.0),
+        ] {
+            floats
+                .insert_triples(&[value(name, Literal::decimal(v))])
+                .unwrap();
         }
         let native = MaterializedCube::from_endpoint(&floats, &schema).unwrap();
         let by_default =
@@ -726,11 +797,15 @@ mod tests {
 
         floats.store().remove(&value("o5", Literal::decimal(2.0)));
         floats
-            .insert_triples(&[value("o5", Literal::typed("02.50", rdf::vocab::xsd::decimal()))])
+            .insert_triples(&[value(
+                "o5",
+                Literal::typed("02.50", rdf::vocab::xsd::decimal()),
+            )])
             .unwrap();
         let native = MaterializedCube::from_endpoint(&floats, &schema).unwrap_err();
         let by_default =
-            MaterializedCube::from_endpoint(&ConservativeEndpoint::new(floats), &schema).unwrap_err();
+            MaterializedCube::from_endpoint(&ConservativeEndpoint::new(floats), &schema)
+                .unwrap_err();
         assert!(matches!(native, CubeStoreError::Unsupported(_)), "{native}");
         assert_eq!(native.to_string(), by_default.to_string());
     }
@@ -761,7 +836,9 @@ mod tests {
             let linked = endpoint
                 .select("SELECT ?o WHERE { ?o <http://purl.org/linked-data/cube#dataSet> ?d }")
                 .unwrap();
-            (0..linked.len()).filter_map(|row| linked.get(row, "o").cloned()).collect()
+            (0..linked.len())
+                .filter_map(|row| linked.get(row, "o").cloned())
+                .collect()
         };
         let (sent_forward, sent_backward) = (arrival(&forward), arrival(&backward));
         assert!(sent_forward.windows(2).all(|pair| pair[0] < pair[1]));
@@ -772,7 +849,10 @@ mod tests {
         assert_eq!(forward.row_count(), observations + 5);
         assert_eq!(build_state(&forward), build_state(&backward));
         for node in &sent_forward {
-            assert_eq!(forward.observations.row_of(node), backward.observations.row_of(node));
+            assert_eq!(
+                forward.observations.row_of(node),
+                backward.observations.row_of(node)
+            );
         }
         backward.verify_zone_invariants().unwrap();
     }

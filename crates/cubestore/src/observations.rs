@@ -170,9 +170,8 @@ mod tests {
         }
         // Removal-only streams merge too (removal-heavy delta sequences
         // must not accumulate an O(removals) overlay between compactions).
-        let mut removals = ObservationIndex::from_map(
-            (0..512).map(|i| (node(i), i)).collect::<FxHashMap<_, _>>(),
-        );
+        let mut removals =
+            ObservationIndex::from_map((0..512).map(|i| (node(i), i)).collect::<FxHashMap<_, _>>());
         for i in 0..200 {
             removals.remove(&node(i));
         }

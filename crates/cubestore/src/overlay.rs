@@ -205,7 +205,10 @@ mod tests {
         let err = CubeSnapshot::folded(Arc::new(cube), 1)
             .verify_consistent()
             .unwrap_err();
-        assert!(err.contains("dimension column") && err.contains("6 rows"), "{err}");
+        assert!(
+            err.contains("dimension column") && err.contains("6 rows"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -248,7 +251,10 @@ mod tests {
         let err = CubeSnapshot::new(Arc::new(built()), 3, since)
             .verify_consistent()
             .unwrap_err();
-        assert!(err.contains("fold epoch 4 is past the pin epoch 3"), "{err}");
+        assert!(
+            err.contains("fold epoch 4 is past the pin epoch 3"),
+            "{err}"
+        );
     }
 
     #[test]

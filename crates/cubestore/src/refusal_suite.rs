@@ -46,7 +46,11 @@ fn every_refusal_kind_has_a_minimal_trigger_and_a_clean_rebuild() {
     catalog.serve_settled(&endpoint, &schema).unwrap();
 
     refused_mutation(&endpoint);
-    let rebuilt = catalog.serve_settled(&endpoint, &schema).unwrap().cube().clone();
+    let rebuilt = catalog
+        .serve_settled(&endpoint, &schema)
+        .unwrap()
+        .cube()
+        .clone();
 
     let report = catalog.last_report(&schema.dataset).unwrap();
     assert_eq!(
@@ -57,7 +61,10 @@ fn every_refusal_kind_has_a_minimal_trigger_and_a_clean_rebuild() {
     let Some(RebuildReason::DeltaRefused(detail)) = report.reason else {
         panic!("expected a delta refusal, got {:?}", report.reason);
     };
-    assert!(detail.contains(REFUSAL_DETAIL), "detail {detail:?} should mention {REFUSAL_DETAIL:?}");
+    assert!(
+        detail.contains(REFUSAL_DETAIL),
+        "detail {detail:?} should mention {REFUSAL_DETAIL:?}"
+    );
 
     // Parity: the fallback result is bit-identical to a from-scratch
     // materialization of the mutated store…
@@ -89,7 +96,11 @@ fn every_refusal_kind_degrades_to_a_background_rebuild_on_the_snapshot_path() {
     // rebuild runs behind it.
     let stale = catalog.serve_snapshot(&endpoint, &schema).unwrap();
     stale.verify_consistent().unwrap();
-    assert_eq!(stale.epoch(), pinned_epoch, "the stale pin stays at the pre-mutation epoch");
+    assert_eq!(
+        stale.epoch(),
+        pinned_epoch,
+        "the stale pin stays at the pre-mutation epoch"
+    );
     assert_eq!(
         run(stale.cube(), &CubeQuery::default()).unwrap(),
         run(initial.cube(), &CubeQuery::default()).unwrap(),
@@ -98,7 +109,11 @@ fn every_refusal_kind_degrades_to_a_background_rebuild_on_the_snapshot_path() {
 
     catalog.wait_for_maintenance(&schema.dataset);
     let fresh = catalog.current_snapshot(&schema.dataset).unwrap();
-    assert_eq!(fresh.plan_line(), "OVERLAY none", "the fold reset the record");
+    assert_eq!(
+        fresh.plan_line(),
+        "OVERLAY none",
+        "the fold reset the record"
+    );
     assert_eq!(fresh.since_fold().fold_epoch, endpoint.epoch());
     let report = catalog.last_report(&schema.dataset).unwrap();
     assert_eq!(
@@ -252,9 +267,11 @@ const RETIRED_SHAPES: [RetiredShape; 8] = [
         name: "dropped-observation-mutated: the dropped observation is unlinked",
         setup: seed_scoreless,
         mutate: |endpoint| {
-            assert!(endpoint
-                .store()
-                .remove(&Triple::new(obs("bad"), qb::data_set(), Term::Iri(iri("ds")))));
+            assert!(endpoint.store().remove(&Triple::new(
+                obs("bad"),
+                qb::data_set(),
+                Term::Iri(iri("ds"))
+            )));
         },
         deltas: 1,
         tombstoned: 0,
@@ -294,9 +311,11 @@ const RETIRED_SHAPES: [RetiredShape; 8] = [
                 .unwrap();
         },
         mutate: |endpoint| {
-            assert!(endpoint
-                .store()
-                .remove(&Triple::new(obs("o1"), qb::data_set(), Term::Iri(iri("otherDs")))));
+            assert!(endpoint.store().remove(&Triple::new(
+                obs("o1"),
+                qb::data_set(),
+                Term::Iri(iri("otherDs"))
+            )));
         },
         deltas: 1,
         tombstoned: 0,
@@ -313,17 +332,32 @@ fn assert_applies_as_a_delta_equal_to_a_rebuild(shape: &RetiredShape) {
     catalog.serve_settled(&endpoint, &schema).unwrap();
 
     (shape.mutate)(&endpoint);
-    let served = catalog.serve_settled(&endpoint, &schema).unwrap().cube().clone();
+    let served = catalog
+        .serve_settled(&endpoint, &schema)
+        .unwrap()
+        .cube()
+        .clone();
     let report = catalog.last_report(&schema.dataset).unwrap();
-    assert_eq!(report.strategy, MaintenanceStrategy::Delta, "{name}: {report:?}");
-    assert_eq!(report.deltas_applied, shape.deltas, "{name}: deltas replayed");
+    assert_eq!(
+        report.strategy,
+        MaintenanceStrategy::Delta,
+        "{name}: {report:?}"
+    );
+    assert_eq!(
+        report.deltas_applied, shape.deltas,
+        "{name}: deltas replayed"
+    );
     assert_matches_scratch_build(&endpoint, &served, name);
     assert_eq!(
         served.live_row_count(),
         sparql_complete_observations(&endpoint),
         "{name}: the delta-served cube must serve exactly the rows SPARQL sees"
     );
-    assert_eq!(served.tombstoned_rows(), shape.tombstoned, "{name}: rows forgotten");
+    assert_eq!(
+        served.tombstoned_rows(),
+        shape.tombstoned,
+        "{name}: rows forgotten"
+    );
 }
 
 #[test]
@@ -347,7 +381,11 @@ fn second_country_name(endpoint: &LocalEndpoint, name: &str) {
 /// Labels the fixture's dataset.
 fn label_dataset(endpoint: &LocalEndpoint, label: &str) {
     endpoint
-        .insert_triples(&[Triple::new(Term::Iri(iri("ds")), rdfs::label(), Literal::string(label))])
+        .insert_triples(&[Triple::new(
+            Term::Iri(iri("ds")),
+            rdfs::label(),
+            Literal::string(label),
+        )])
         .unwrap();
 }
 
@@ -450,7 +488,11 @@ const RETIRED_HIERARCHY_SHAPES: [RetiredShape; 12] = [
         setup: no_setup,
         mutate: |endpoint| {
             let mut o9 = observation_triples("o9", "c1", "m1", 5, 6);
-            o9.push(Triple::new(obs("o9"), rdfs::label(), Literal::string("nine")));
+            o9.push(Triple::new(
+                obs("o9"),
+                rdfs::label(),
+                Literal::string("nine"),
+            ));
             endpoint.insert_triples(&o9).unwrap();
         },
         deltas: 1,
@@ -459,13 +501,19 @@ const RETIRED_HIERARCHY_SHAPES: [RetiredShape; 12] = [
     RetiredShape {
         name: "unknown-member-attribute: an unlinked observation gains a label",
         setup: |endpoint| {
-            assert!(endpoint
-                .store()
-                .remove(&Triple::new(obs("o3"), qb::data_set(), Term::Iri(iri("ds")))));
+            assert!(endpoint.store().remove(&Triple::new(
+                obs("o3"),
+                qb::data_set(),
+                Term::Iri(iri("ds"))
+            )));
         },
         mutate: |endpoint| {
             endpoint
-                .insert_triples(&[Triple::new(obs("o3"), rdfs::label(), Literal::string("three"))])
+                .insert_triples(&[Triple::new(
+                    obs("o3"),
+                    rdfs::label(),
+                    Literal::string("three"),
+                )])
                 .unwrap();
         },
         deltas: 1,

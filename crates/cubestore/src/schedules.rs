@@ -178,7 +178,10 @@ fn reader_vs_writer_vs_background_fold() {
         },
     );
     assert!(schedules >= 300, "{schedules} schedules");
-    assert!(TORN.load(Ordering::Relaxed) > 0, "no schedule tore a replay");
+    assert!(
+        TORN.load(Ordering::Relaxed) > 0,
+        "no schedule tore a replay"
+    );
 }
 
 /// A settle and a reader race an accretion whose tombstones dominate:

@@ -80,7 +80,9 @@ impl ZoneMaps {
                 let end = (row_count - segment * SEGMENT_LEN).min(SEGMENT_LEN);
                 // The tail set absorbs the segment's new codes as one
                 // slice: append, sort, dedup.
-                zones.tail.extend_from_slice(&column.code_segment(segment)[start..end]);
+                zones
+                    .tail
+                    .extend_from_slice(&column.code_segment(segment)[start..end]);
                 zones.tail.sort_unstable();
                 zones.tail.dedup();
                 if end == SEGMENT_LEN {
@@ -205,14 +207,25 @@ mod tests {
         for suffix in ["a", "b", "c", "d"] {
             dictionary.encode(&Term::iri(format!("http://m/{suffix}")));
         }
-        DimensionColumn::new(Iri::new("http://dim"), Iri::new("http://lv"), codes, dictionary)
+        DimensionColumn::new(
+            Iri::new("http://dim"),
+            Iri::new("http://lv"),
+            codes,
+            dictionary,
+        )
     }
 
     #[test]
     fn build_records_exact_code_sets_per_segment() {
         let rows = SEGMENT_LEN + 10;
         let codes: Vec<MemberId> = (0..rows)
-            .map(|row| if row < SEGMENT_LEN { (row % 3) as MemberId } else { 3 })
+            .map(|row| {
+                if row < SEGMENT_LEN {
+                    (row % 3) as MemberId
+                } else {
+                    3
+                }
+            })
             .collect();
         let dimensions = [column(codes)];
         let zones = ZoneMaps::build(&dimensions, rows);
@@ -241,12 +254,20 @@ mod tests {
         // fresh build over all rows.
         zones.extend(&dimensions, SEGMENT_LEN + 1);
         zones.extend(&dimensions, total);
-        zones.verify(&dimensions, total, &Tombstones::new()).unwrap();
+        zones
+            .verify(&dimensions, total, &Tombstones::new())
+            .unwrap();
         let fresh = ZoneMaps::build(&dimensions, total);
         for segment in 0..zones.segment_count() {
             assert_eq!(
-                zones.dimension_codes(0, segment).unwrap().collect::<Vec<_>>(),
-                fresh.dimension_codes(0, segment).unwrap().collect::<Vec<_>>(),
+                zones
+                    .dimension_codes(0, segment)
+                    .unwrap()
+                    .collect::<Vec<_>>(),
+                fresh
+                    .dimension_codes(0, segment)
+                    .unwrap()
+                    .collect::<Vec<_>>(),
             );
         }
     }

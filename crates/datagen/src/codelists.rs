@@ -37,8 +37,20 @@ pub const CITIZEN_COUNTRIES: &[(&str, &str, &str, &str, u32)] = &[
     ("RS", "Serbia", "Europe", "ParliamentaryRepublic", 7),
     ("AL", "Albania", "Europe", "ParliamentaryRepublic", 3),
     ("XK", "Kosovo", "Europe", "ParliamentaryRepublic", 2),
-    ("MK", "North Macedonia", "Europe", "ParliamentaryRepublic", 2),
-    ("BA", "Bosnia and Herzegovina", "Europe", "FederalRepublic", 4),
+    (
+        "MK",
+        "North Macedonia",
+        "Europe",
+        "ParliamentaryRepublic",
+        2,
+    ),
+    (
+        "BA",
+        "Bosnia and Herzegovina",
+        "Europe",
+        "FederalRepublic",
+        4,
+    ),
     ("UA", "Ukraine", "Europe", "UnitaryRepublic", 45),
     ("RU", "Russia", "Europe", "FederalRepublic", 144),
     ("TR", "Turkey", "Asia", "UnitaryRepublic", 77),
@@ -130,12 +142,16 @@ pub fn demo_months() -> Vec<(i32, u32)> {
 }
 
 /// Looks up a citizenship country row by code.
-pub fn citizen_by_code(code: &str) -> Option<&'static (&'static str, &'static str, &'static str, &'static str, u32)> {
+pub fn citizen_by_code(
+    code: &str,
+) -> Option<&'static (&'static str, &'static str, &'static str, &'static str, u32)> {
     CITIZEN_COUNTRIES.iter().find(|(c, ..)| *c == code)
 }
 
 /// Looks up a destination country row by code.
-pub fn geo_by_code(code: &str) -> Option<&'static (&'static str, &'static str, &'static str, &'static str, bool)> {
+pub fn geo_by_code(
+    code: &str,
+) -> Option<&'static (&'static str, &'static str, &'static str, &'static str, bool)> {
     GEO_COUNTRIES.iter().find(|(c, ..)| *c == code)
 }
 
@@ -147,11 +163,22 @@ mod tests {
     #[test]
     fn code_lists_are_consistent() {
         let codes: BTreeSet<&str> = CITIZEN_COUNTRIES.iter().map(|(c, ..)| *c).collect();
-        assert_eq!(codes.len(), CITIZEN_COUNTRIES.len(), "citizen codes must be unique");
+        assert_eq!(
+            codes.len(),
+            CITIZEN_COUNTRIES.len(),
+            "citizen codes must be unique"
+        );
         let geo_codes: BTreeSet<&str> = GEO_COUNTRIES.iter().map(|(c, ..)| *c).collect();
-        assert_eq!(geo_codes.len(), GEO_COUNTRIES.len(), "geo codes must be unique");
+        assert_eq!(
+            geo_codes.len(),
+            GEO_COUNTRIES.len(),
+            "geo codes must be unique"
+        );
         for (_, _, continent, _, _) in CITIZEN_COUNTRIES {
-            assert!(CONTINENTS.contains(continent), "unknown continent {continent}");
+            assert!(
+                CONTINENTS.contains(continent),
+                "unknown continent {continent}"
+            );
         }
     }
 

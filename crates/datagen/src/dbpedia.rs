@@ -141,9 +141,6 @@ mod tests {
     #[test]
     fn resource_names_are_iri_safe() {
         let r = resource("Saudi Arabia");
-        assert_eq!(
-            r,
-            Term::iri("http://dbpedia.org/resource/Saudi_Arabia")
-        );
+        assert_eq!(r, Term::iri("http://dbpedia.org/resource/Saudi_Arabia"));
     }
 }

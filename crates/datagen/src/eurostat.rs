@@ -15,8 +15,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qb::{Observation, QbDataset, QbDatasetBuilder};
-use rdf::vocab::{eurostat_data, eurostat_dic, eurostat_dsd, eurostat_property, owl, rdfs,
-    sdmx_dimension, sdmx_measure, skos};
+use rdf::vocab::{
+    eurostat_data, eurostat_dic, eurostat_dsd, eurostat_property, owl, rdfs, sdmx_dimension,
+    sdmx_measure, skos,
+};
 use rdf::{Iri, Literal, Term, Triple};
 
 use crate::codelists::{
@@ -262,9 +264,7 @@ pub fn generate(config: &EurostatConfig) -> GeneratedDataset {
         let (sex_code, _) = SEXES[si];
         let (app_code, _) = ASYL_APP_TYPES[pi];
 
-        let node = Term::Iri(eurostat_data::term(&format!(
-            "migr_asyappctzm/obs{i:06}"
-        )));
+        let node = Term::Iri(eurostat_data::term(&format!("migr_asyappctzm/obs{i:06}")));
         let mut observation = Observation::new(node);
         observation
             .dimensions
@@ -322,7 +322,11 @@ pub fn generate(config: &EurostatConfig) -> GeneratedDataset {
 pub fn code_list_triples(config: &EurostatConfig, rng: &mut StdRng) -> Vec<Triple> {
     let mut triples = Vec::new();
     let label = |subject: &Term, text: &str| {
-        Triple::new(subject.clone(), rdfs::label(), Literal::lang_string(text, "en"))
+        Triple::new(
+            subject.clone(),
+            rdfs::label(),
+            Literal::lang_string(text, "en"),
+        )
     };
     let notation = |subject: &Term, code: &str| {
         Triple::new(subject.clone(), skos::notation(), Literal::string(code))
@@ -563,7 +567,10 @@ mod tests {
                 _ => conflicting += 1,
             }
         }
-        assert_eq!(missing, (0.2f64 * CITIZEN_COUNTRIES.len() as f64).round() as usize);
+        assert_eq!(
+            missing,
+            (0.2f64 * CITIZEN_COUNTRIES.len() as f64).round() as usize
+        );
         assert_eq!(
             conflicting,
             (0.1f64 * CITIZEN_COUNTRIES.len() as f64).round() as usize
@@ -621,7 +628,10 @@ mod tests {
             ..Default::default()
         };
         let c = generate(&different_seed);
-        assert_ne!(a.triples, c.triples, "different seed changes measure values");
+        assert_ne!(
+            a.triples, c.triples,
+            "different seed changes measure values"
+        );
     }
 
     #[test]

@@ -186,10 +186,10 @@ pub fn generated_queries(seed: u64, count: usize) -> Vec<(String, String)> {
 
         let mut operations: Vec<String> = Vec::new();
         let rollup = |operations: &mut Vec<String>,
-                          rng: &mut StdRng,
-                          dimension: &str,
-                          bottom: &str,
-                          target: &str| {
+                      rng: &mut StdRng,
+                      dimension: &str,
+                      bottom: &str,
+                      target: &str| {
             // Sometimes write the roll-up redundantly (up, back down, up
             // again) so rule (b) fusion has something to do.
             if rng.gen_bool(0.25) {
@@ -285,7 +285,10 @@ mod tests {
     #[test]
     fn queries_share_the_prologue_and_query_keyword() {
         for (name, text) in bench_queries() {
-            assert!(text.contains("QUERY"), "{name} is missing the QUERY keyword");
+            assert!(
+                text.contains("QUERY"),
+                "{name} is missing the QUERY keyword"
+            );
             assert!(
                 text.contains("PREFIX schema:"),
                 "{name} is missing the schema prefix"

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use qb4olap::AggregateFunction;
-use rdf::{Iri, vocab::demo_schema};
+use rdf::{vocab::demo_schema, Iri};
 
 /// How a dimension (and its default hierarchy) derived from a QB dimension
 /// property should be named.

@@ -132,10 +132,7 @@ pub fn analyze_members(values: &MemberPropertyValues, via_same_as: bool) -> Vec<
 /// When a member has several values (quasi-FD violations) the
 /// lexicographically smallest value is chosen deterministically; members
 /// without a value are omitted.
-pub fn rollup_assignment(
-    values: &MemberPropertyValues,
-    property: &Iri,
-) -> BTreeMap<Term, Term> {
+pub fn rollup_assignment(values: &MemberPropertyValues, property: &Iri) -> BTreeMap<Term, Term> {
     let mut assignment = BTreeMap::new();
     for (member, properties) in values {
         if let Some(parent_values) = properties.get(property) {
@@ -168,16 +165,21 @@ mod tests {
         // `contested` gives one member two values, `rare` appears on one
         // member only, `label` is literal-valued.
         let mut values: MemberPropertyValues = BTreeMap::new();
-        for (m, continent) in [("SY", "Asia"), ("AF", "Asia"), ("NG", "Africa"), ("ML", "Africa")] {
+        for (m, continent) in [
+            ("SY", "Asia"),
+            ("AF", "Asia"),
+            ("NG", "Africa"),
+            ("ML", "Africa"),
+        ] {
             let mut properties: BTreeMap<Iri, BTreeSet<Term>> = BTreeMap::new();
             properties.insert(property("continent"), BTreeSet::from([value(continent)]));
             properties.insert(property("label"), BTreeSet::from([Term::string(m)]));
             values.insert(member(m), properties);
         }
-        values
-            .get_mut(&member("SY"))
-            .unwrap()
-            .insert(property("contested"), BTreeSet::from([value("A"), value("B")]));
+        values.get_mut(&member("SY")).unwrap().insert(
+            property("contested"),
+            BTreeSet::from([value("A"), value("B")]),
+        );
         values
             .get_mut(&member("AF"))
             .unwrap()
@@ -339,7 +341,9 @@ mod proptests {
                     let member_values =
                         values.get(&member).and_then(|props| props.get(&p.property));
                     assert!(
-                        member_values.map(|vs| vs.contains(&parent)).unwrap_or(false),
+                        member_values
+                            .map(|vs| vs.contains(&parent))
+                            .unwrap_or(false),
                         "seed {seed}"
                     );
                 }

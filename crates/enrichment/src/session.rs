@@ -425,8 +425,11 @@ impl<'e> EnrichmentSession<'e> {
                 });
             }
         }
-        set.levels
-            .sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+        set.levels.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
         set.attributes
             .sort_by(|a, b| a.profile.property.cmp(&b.profile.property));
         Ok(set)
@@ -561,8 +564,7 @@ impl<'e> EnrichmentSession<'e> {
                     solutions.get(i, "v").cloned(),
                 ) {
                     matched_members.insert(m.clone());
-                    self.attribute_values
-                        .insert((m, attribute_iri.clone(), v));
+                    self.attribute_values.insert((m, attribute_iri.clone(), v));
                     found += 1;
                 }
             }
@@ -578,8 +580,7 @@ impl<'e> EnrichmentSession<'e> {
                         if matched_members.contains(&m) {
                             continue;
                         }
-                        self.attribute_values
-                            .insert((m, attribute_iri.clone(), v));
+                        self.attribute_values.insert((m, attribute_iri.clone(), v));
                         found += 1;
                     }
                 }
@@ -595,7 +596,11 @@ impl<'e> EnrichmentSession<'e> {
 
         let schema = self.schema_mut()?;
         let level_entry = schema.level_mut(level);
-        if !level_entry.attributes.iter().any(|a| a.iri == attribute_iri) {
+        if !level_entry
+            .attributes
+            .iter()
+            .any(|a| a.iri == attribute_iri)
+        {
             level_entry
                 .attributes
                 .push(LevelAttribute::new(attribute_iri.clone()));
@@ -678,7 +683,7 @@ impl<'e> EnrichmentSession<'e> {
 mod tests {
     use super::*;
     use datagen::{load_demo_endpoint, EurostatConfig, NoiseConfig};
-    use rdf::vocab::{demo_schema, dbpedia, eurostat_property, rdfs, sdmx_measure};
+    use rdf::vocab::{dbpedia, demo_schema, eurostat_property, rdfs, sdmx_measure};
     use sparql::LocalEndpoint;
 
     fn demo_config() -> EnrichmentConfig {
@@ -688,8 +693,16 @@ mod tests {
                 "citizenshipDim",
                 "citizenshipGeoHier",
             )
-            .name_dimension(eurostat_property::geo(), "destinationDim", "destinationHier")
-            .name_dimension(rdf::vocab::sdmx_dimension::ref_period(), "timeDim", "timeHier")
+            .name_dimension(
+                eurostat_property::geo(),
+                "destinationDim",
+                "destinationHier",
+            )
+            .name_dimension(
+                rdf::vocab::sdmx_dimension::ref_period(),
+                "timeDim",
+                "timeHier",
+            )
             .name_dimension(eurostat_property::asyl_app(), "asylappDim", "asylappHier")
     }
 
@@ -762,7 +775,11 @@ mod tests {
             .unwrap()
             .clone();
         let continent_level = session
-            .add_level(&eurostat_property::citizen(), &continent_candidate, "continent")
+            .add_level(
+                &eurostat_property::citizen(),
+                &continent_candidate,
+                "continent",
+            )
             .unwrap();
         assert_eq!(continent_level, demo_schema::continent());
 
@@ -797,7 +814,11 @@ mod tests {
             .unwrap()
             .clone();
         let continent_level = session
-            .add_level(&eurostat_property::citizen(), &continent_candidate, "continent")
+            .add_level(
+                &eurostat_property::citizen(),
+                &continent_candidate,
+                "continent",
+            )
             .unwrap();
 
         let attribute = session
@@ -831,7 +852,11 @@ mod tests {
             .unwrap()
             .clone();
         let continent_level = session
-            .add_level(&eurostat_property::citizen(), &continent_candidate, "continent")
+            .add_level(
+                &eurostat_property::citizen(),
+                &continent_candidate,
+                "continent",
+            )
             .unwrap();
         session
             .add_attribute(&continent_level, &rdfs::label(), "continentName")
@@ -847,12 +872,9 @@ mod tests {
         let loaded = qb4olap::schema_from_endpoint(&endpoint, &data.dataset).unwrap();
         assert!(loaded.dimension(&demo_schema::citizenship_dim()).is_some());
         // ... and the instance roll-ups are queryable.
-        let pairs = qb4olap::rollup_pairs(
-            &endpoint,
-            &eurostat_property::citizen(),
-            &continent_level,
-        )
-        .unwrap();
+        let pairs =
+            qb4olap::rollup_pairs(&endpoint, &eurostat_property::citizen(), &continent_level)
+                .unwrap();
         assert!(!pairs.is_empty());
         // Attribute values are present on the continent members.
         let attr = qb4olap::attribute_value(
@@ -977,10 +999,7 @@ mod tests {
             1,
             "same property, same template"
         );
-        assert!(session
-            .probes
-            .attribute_direct
-            .contains_key(&rdfs::label()));
+        assert!(session.probes.attribute_direct.contains_key(&rdfs::label()));
     }
 
     #[test]
@@ -991,7 +1010,9 @@ mod tests {
         let mut session = EnrichmentSession::start(&endpoint, &data.dataset, config).unwrap();
         let schema = session.redefine().unwrap();
         assert_eq!(
-            schema.measure(&sdmx_measure::obs_value()).map(|m| m.aggregate),
+            schema
+                .measure(&sdmx_measure::obs_value())
+                .map(|m| m.aggregate),
             Some(qb4olap::AggregateFunction::Avg)
         );
     }

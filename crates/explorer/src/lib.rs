@@ -168,7 +168,10 @@ impl<'e> CubeExplorer<'e> {
 
     /// Counts one navigation operation under `explorer.<op>`.
     fn count_op(&self, op: &str) {
-        self.catalog.metrics().counter(&format!("explorer.{op}")).inc();
+        self.catalog
+            .metrics()
+            .counter(&format!("explorer.{op}"))
+            .inc();
     }
 
     /// A pinned, never-waiting snapshot of the cube. Navigation built on a
@@ -412,10 +415,7 @@ impl<'e> CubeExplorer<'e> {
         for hierarchy in &dim.hierarchies {
             for step in &hierarchy.steps {
                 for (child, parent) in self.rollup_edges(&step.child, &step.parent)? {
-                    out.push_str(&format!(
-                        "  \"{}\" -> \"{}\";\n",
-                        child.label, parent.label
-                    ));
+                    out.push_str(&format!("  \"{}\" -> \"{}\";\n", child.label, parent.label));
                 }
             }
         }
@@ -465,7 +465,9 @@ mod tests {
         catalog: Arc<CubeCatalog>,
     ) -> Result<CubeExplorer<'e>, ExplorerError> {
         let schema = qb4olap::schema_from_endpoint(endpoint, dataset)?;
-        Ok(CubeExplorer::with_schema_and_catalog(endpoint, schema, catalog))
+        Ok(CubeExplorer::with_schema_and_catalog(
+            endpoint, schema, catalog,
+        ))
     }
 
     /// An explorer on a fresh catalog of its own.
@@ -487,10 +489,7 @@ mod tests {
 
         // A plain QB dataset (no enrichment) is listed but not marked enriched.
         let plain = LocalEndpoint::new();
-        let (_, generated) = (
-            (),
-            datagen::generate(&datagen::EurostatConfig::small(10)),
-        );
+        let (_, generated) = ((), datagen::generate(&datagen::EurostatConfig::small(10)));
         plain.insert_triples(&generated.triples).unwrap();
         let cubes = list_cubes(&plain).unwrap();
         assert_eq!(cubes.len(), 1);
@@ -504,7 +503,9 @@ mod tests {
         let continent = demo_schema::continent();
         let members = explorer.members(&continent).unwrap();
         assert!(!members.is_empty());
-        assert!(members.iter().any(|m| m.label == "Africa" || m.label == "Asia"));
+        assert!(members
+            .iter()
+            .any(|m| m.label == "Africa" || m.label == "Asia"));
         assert_eq!(members, explorer.members_via_sparql(&continent).unwrap());
         let count = explorer.member_count(&continent).unwrap();
         assert_eq!(count, members.len());
@@ -526,7 +527,10 @@ mod tests {
             .cluster_by_level(&demo_schema::citizenship_dim())
             .unwrap();
         assert_eq!(clusters.len(), 2, "citizen and continent levels");
-        assert!(clusters[&eurostat_property::citizen()].len() > clusters[&demo_schema::continent()].len());
+        assert!(
+            clusters[&eurostat_property::citizen()].len()
+                > clusters[&demo_schema::continent()].len()
+        );
 
         let edges = explorer
             .rollup_edges(&eurostat_property::citizen(), &demo_schema::continent())
@@ -584,7 +588,9 @@ mod tests {
         explorer.members(&eurostat_property::citizen()).unwrap();
         let queries = endpoint.queries_executed();
         let columns = explorer.members(&eurostat_property::citizen()).unwrap();
-        let count = explorer.member_count(&eurostat_property::citizen()).unwrap();
+        let count = explorer
+            .member_count(&eurostat_property::citizen())
+            .unwrap();
         let edges = explorer
             .rollup_edges(&eurostat_property::citizen(), &demo_schema::continent())
             .unwrap();
@@ -599,7 +605,9 @@ mod tests {
         // Cell-for-cell parity with the SPARQL oracle, labels included.
         assert_eq!(
             columns,
-            explorer.members_via_sparql(&eurostat_property::citizen()).unwrap()
+            explorer
+                .members_via_sparql(&eurostat_property::citizen())
+                .unwrap()
         );
         assert_eq!(
             count,
@@ -741,8 +749,7 @@ mod tests {
     fn qb_errors_map_to_the_schema_variant() {
         let error: ExplorerError = qb::QbError::NotFound("d".into()).into();
         assert!(matches!(error, ExplorerError::Schema(_)), "{error}");
-        let error: ExplorerError =
-            cubestore::CubeStoreError::Build("boom".into()).into();
+        let error: ExplorerError = cubestore::CubeStoreError::Build("boom".into()).into();
         assert!(matches!(error, ExplorerError::Columnar(_)), "{error}");
     }
 
@@ -782,7 +789,9 @@ mod tests {
         // The oracle counts into the same registry, under its own name,
         // and pins nothing.
         let serve_calls = snapshot.counter("catalog.overlay.serve_calls");
-        explorer.members_via_sparql(&eurostat_property::citizen()).unwrap();
+        explorer
+            .members_via_sparql(&eurostat_property::citizen())
+            .unwrap();
         let snapshot = catalog.metrics().snapshot();
         assert_eq!(snapshot.counter("explorer.members"), 2);
         assert_eq!(snapshot.counter("explorer.members_via_sparql"), 1);
@@ -797,6 +806,9 @@ mod tests {
         // level does not exist and has no members.
         assert_eq!(explorer.member_count(&demo_schema::year()).unwrap(), 0);
         let members = explorer.members(&sdmx_dimension::ref_period()).unwrap();
-        assert!(!members.is_empty(), "bottom-level members exist after enrichment");
+        assert!(
+            !members.is_empty(),
+            "bottom-level members exist after enrichment"
+        );
     }
 }

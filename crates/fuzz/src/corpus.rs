@@ -35,12 +35,7 @@ pub struct CorpusEntry {
 }
 
 /// Writes one corpus file.
-pub fn write_corpus_file(
-    path: &Path,
-    seed: u64,
-    note: &str,
-    ql_text: &str,
-) -> io::Result<()> {
+pub fn write_corpus_file(path: &Path, seed: u64, note: &str, ql_text: &str) -> io::Result<()> {
     let mut out = String::new();
     out.push_str(HEADER);
     out.push('\n');
@@ -138,8 +133,13 @@ mod tests {
         let dir = std::env::temp_dir().join("qlsmith-corpus-headers");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("headers.ql");
-        write_corpus_file(&path, 1, "", "QUERY\n$C1 := DICE (<http://x/ds>, (<http://x/m> > 0));\n")
-            .unwrap();
+        write_corpus_file(
+            &path,
+            1,
+            "",
+            "QUERY\n$C1 := DICE (<http://x/ds>, (<http://x/m> > 0));\n",
+        )
+        .unwrap();
         let entry = read_corpus_file(&path).unwrap();
         assert!(!entry.ql_text.contains('#'));
         assert!(entry.ql_text.starts_with("QUERY"));

@@ -67,7 +67,9 @@ impl<'e> ModuleOracle<'e> {
             let endpoint = self.module.endpoint();
             let cube = MaterializedCube::from_endpoint(endpoint, self.module.schema())?;
             if endpoint.epoch() != epoch {
-                return Err(QlError::Columnar("the store moved under the oracle".to_string()));
+                return Err(QlError::Columnar(
+                    "the store moved under the oracle".to_string(),
+                ));
             }
             *scratch = Some((epoch, cube));
         }
@@ -127,7 +129,11 @@ fn first_difference(a: &ResultCube, b: &ResultCube) -> Option<String> {
         ));
     }
     if a.cells.len() != b.cells.len() {
-        return Some(format!("{} cells vs {} cells", a.cells.len(), b.cells.len()));
+        return Some(format!(
+            "{} cells vs {} cells",
+            a.cells.len(),
+            b.cells.len()
+        ));
     }
     for (i, (ca, cb)) in a.cells.iter().zip(&b.cells).enumerate() {
         if ca != cb {
@@ -142,10 +148,7 @@ fn first_difference(a: &ResultCube, b: &ResultCube) -> Option<String> {
 /// `Ok(None)` means agreement; `Ok(Some(mismatch))` is a reportable
 /// disagreement; `Err` means the (well-formed, by construction) program
 /// failed to execute at all — itself a bug worth surfacing loudly.
-pub fn check_program(
-    oracle: &dyn QlOracle,
-    ql_text: &str,
-) -> Result<Option<QlMismatch>, QlError> {
+pub fn check_program(oracle: &dyn QlOracle, ql_text: &str) -> Result<Option<QlMismatch>, QlError> {
     let results = oracle.evaluate(ql_text)?;
     let (base_label, base) = &results[0];
     for (label, cube) in &results[1..] {

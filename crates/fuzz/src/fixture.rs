@@ -344,7 +344,9 @@ impl FuzzCube {
         if self.endpoint.store().contains(&triple) {
             self.endpoint.store().remove(&triple);
         } else {
-            self.endpoint.insert_triples(std::slice::from_ref(&triple)).unwrap();
+            self.endpoint
+                .insert_triples(std::slice::from_ref(&triple))
+                .unwrap();
         }
     }
 
@@ -412,6 +414,10 @@ mod tests {
         let before = cube.endpoint.triple_count();
         cube.add_dangling_structure();
         cube.add_dangling_structure();
-        assert_eq!(cube.endpoint.triple_count(), before + 2, "each triple is fresh");
+        assert_eq!(
+            cube.endpoint.triple_count(),
+            before + 2,
+            "each triple is fresh"
+        );
     }
 }

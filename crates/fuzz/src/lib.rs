@@ -54,7 +54,10 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         return default;
     };
     let trimmed = text.trim();
-    let parsed = match trimmed.strip_prefix("0x").or_else(|| trimmed.strip_prefix("0X")) {
+    let parsed = match trimmed
+        .strip_prefix("0x")
+        .or_else(|| trimmed.strip_prefix("0X"))
+    {
         Some(hex) => u64::from_str_radix(hex, 16),
         None => trimmed.parse(),
     };
@@ -110,10 +113,7 @@ mod tests {
             super::production_metric_key("fuzz.sparql.production.", "ORDER BY … DESC"),
             "fuzz.sparql.production.order-by-desc"
         );
-        assert_eq!(
-            super::production_metric_key("p.", "CmpOp#3"),
-            "p.cmpop-3"
-        );
+        assert_eq!(super::production_metric_key("p.", "CmpOp#3"), "p.cmpop-3");
     }
 
     /// Env mutation is process-global: every case uses its own variable,

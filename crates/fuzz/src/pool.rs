@@ -65,8 +65,7 @@ pub fn round_trips(value: f64) -> bool {
     if !value.is_finite() {
         return false;
     }
-    parse_dice_literal(&format!("{value}"))
-        .is_some_and(|back| back.to_bits() == value.to_bits())
+    parse_dice_literal(&format!("{value}")).is_some_and(|back| back.to_bits() == value.to_bits())
 }
 
 /// Parses a pooled numeric literal's lexical form back into an `f64`,
@@ -118,9 +117,7 @@ mod tests {
             .iter()
             .any(|v| *v == 0.0 && v.is_sign_negative()));
         assert!(FLOAT_EXTREMES.contains(&f64::MAX));
-        assert!(FLOAT_EXTREMES
-            .iter()
-            .any(|v| v.is_subnormal() && *v > 0.0));
+        assert!(FLOAT_EXTREMES.iter().any(|v| v.is_subnormal() && *v > 0.0));
         assert!(INT_EXTREMES.contains(&i64::MAX));
         assert!(INT_EXTREMES.contains(&(i64::MAX - 1)));
     }
@@ -149,11 +146,25 @@ mod tests {
     #[test]
     fn offending_lexical_forms_are_skipped_not_panicked() {
         for text in [
-            "inf", "-inf", "infinity", "+infinity", "NaN", "nan", "-NaN", // non-finite
-            "1e400", "-1e400", // overflow to ±inf through the parser
-            "5E-2", "1e3", "2.5e0", // exponent notation QL never emits
-            "0x1p3", "0x10", // hex forms
-            "", " ", "12.5.3", "twelve", "1_000", // plain garbage
+            "inf",
+            "-inf",
+            "infinity",
+            "+infinity",
+            "NaN",
+            "nan",
+            "-NaN", // non-finite
+            "1e400",
+            "-1e400", // overflow to ±inf through the parser
+            "5E-2",
+            "1e3",
+            "2.5e0", // exponent notation QL never emits
+            "0x1p3",
+            "0x10", // hex forms
+            "",
+            " ",
+            "12.5.3",
+            "twelve",
+            "1_000", // plain garbage
         ] {
             assert_eq!(
                 parse_dice_literal(text),

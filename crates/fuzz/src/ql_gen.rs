@@ -127,7 +127,11 @@ impl<'a> QlGenerator<'a> {
         }
         // A drilldown needs something rolled up first; when the spotlight
         // asks for one and the random walk didn't produce it, stage it.
-        if preferred_op == 2 && !ops.iter().any(|o| matches!(o, QlOperation::Drilldown { .. })) {
+        if preferred_op == 2
+            && !ops
+                .iter()
+                .any(|o| matches!(o, QlOperation::Drilldown { .. }))
+        {
             if let Some(up) = self.navigation_op(rng, &mut state, Some(1)) {
                 ops.push(up);
                 if let Some(down) = self.navigation_op(rng, &mut state, Some(2)) {
@@ -331,8 +335,8 @@ impl<'a> QlGenerator<'a> {
         let candidates = self.attribute_candidates(state);
         let use_attributes = !candidates.is_empty() && rng.gen_bool(0.55);
         let leaf = |rng: &mut StdRng, forced_op: Option<DiceOp>| {
-            let op = forced_op
-                .unwrap_or_else(|| ALL_DICE_OPS[rng.gen_range(0..ALL_DICE_OPS.len())]);
+            let op =
+                forced_op.unwrap_or_else(|| ALL_DICE_OPS[rng.gen_range(0..ALL_DICE_OPS.len())]);
             if use_attributes {
                 self.attribute_comparison(rng, &candidates, op, preferred_value)
             } else {
@@ -435,7 +439,10 @@ impl<'a> QlGenerator<'a> {
             }
             ValueKind::Iri => {
                 if miss {
-                    DiceValue::Iri(Iri::new(format!("{NS}nonexistent", NS = crate::fixture::NS)))
+                    DiceValue::Iri(Iri::new(format!(
+                        "{NS}nonexistent",
+                        NS = crate::fixture::NS
+                    )))
                 } else {
                     match sample {
                         Term::Iri(iri) => DiceValue::Iri(iri.clone()),
@@ -696,9 +703,13 @@ mod tests {
         for spotlight in 0..50 {
             let program = generator.generate(&mut rng, spotlight);
             let text = program.to_ql_string();
-            let reparsed = ql::parse_ql(&text)
-                .unwrap_or_else(|e| panic!("text must reparse: {e:?}\n{text}"));
-            assert_eq!(reparsed.statements.len(), program.statements.len(), "{text}");
+            let reparsed =
+                ql::parse_ql(&text).unwrap_or_else(|e| panic!("text must reparse: {e:?}\n{text}"));
+            assert_eq!(
+                reparsed.statements.len(),
+                program.statements.len(),
+                "{text}"
+            );
         }
     }
 }

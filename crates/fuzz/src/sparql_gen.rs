@@ -68,9 +68,9 @@ impl<'a> SparqlGenerator<'a> {
         query.pattern.elements.push(element);
 
         // Featured scalar function, arity-correct (22 variants).
-        query
-            .pattern
-            .push_filter(function_showcase(ALL_FUNCTIONS[spotlight % ALL_FUNCTIONS.len()]));
+        query.pattern.push_filter(function_showcase(
+            ALL_FUNCTIONS[spotlight % ALL_FUNCTIONS.len()],
+        ));
 
         // Featured expression form (13 variants).
         if spotlight % 13 != 9 {
@@ -96,11 +96,7 @@ impl<'a> SparqlGenerator<'a> {
                 cmp_op,
                 constant(Literal::integer(rng.gen_range(-50..=50i64))),
             )),
-            Box::new(cmp(
-                Expression::var("v"),
-                CmpOp::Le,
-                Expression::var("v"),
-            )),
+            Box::new(cmp(Expression::var("v"), CmpOp::Le, Expression::var("v"))),
         ));
 
         // Solution modifiers; aggregated shape on even spotlights
@@ -207,8 +203,8 @@ impl<'a> SparqlGenerator<'a> {
                 Variable::new("parent"),
             ))])),
             3 => {
-                let other = &self.universe.dimensions
-                    [(spotlight / 9 + 1) % self.universe.dimensions.len()];
+                let other =
+                    &self.universe.dimensions[(spotlight / 9 + 1) % self.universe.dimensions.len()];
                 PatternElement::Union(
                     group(vec![PatternElement::Triple(TriplePattern::new(
                         Variable::new("obs"),
@@ -227,10 +223,9 @@ impl<'a> SparqlGenerator<'a> {
                 bottom.level.clone(),
                 sample_member(rng),
             ))])),
-            5 => sparql::testutil::bind(
-                call(Function::Str, vec![Expression::var("mem")]),
-                "memstr",
-            ),
+            5 => {
+                sparql::testutil::bind(call(Function::Str, vec![Expression::var("mem")]), "memstr")
+            }
             6 => {
                 let rows = vec![
                     vec![Some(sample_member(rng))],
@@ -271,11 +266,7 @@ impl<'a> SparqlGenerator<'a> {
         let bottom = &dim.levels[0];
         let member = bottom.members[rng.gen_range(0..bottom.members.len())].clone();
         match spotlight % 13 {
-            0 => cmp(
-                Expression::var("v"),
-                CmpOp::Le,
-                Expression::var("v"),
-            ),
+            0 => cmp(Expression::var("v"), CmpOp::Le, Expression::var("v")),
             1 => cmp(
                 constant(Literal::integer(1)),
                 CmpOp::Le,
@@ -287,11 +278,7 @@ impl<'a> SparqlGenerator<'a> {
                 Expression::var("v"),
             ))),
             3 => Expression::And(
-                Box::new(cmp(
-                    Expression::var("v"),
-                    CmpOp::Le,
-                    Expression::var("v"),
-                )),
+                Box::new(cmp(Expression::var("v"), CmpOp::Le, Expression::var("v"))),
                 Box::new(call(Function::Bound, vec![Expression::var("mem")])),
             ),
             4 => Expression::Or(
@@ -335,7 +322,10 @@ impl<'a> SparqlGenerator<'a> {
             9 => unreachable!("Aggregate is staged via the projection"),
             10 => Expression::In(
                 Box::new(Expression::var("mem")),
-                vec![constant(member), constant(Term::iri("http://qlsmith.example/nonexistent"))],
+                vec![
+                    constant(member),
+                    constant(Term::iri("http://qlsmith.example/nonexistent")),
+                ],
             ),
             11 => Expression::Exists(Box::new(group(vec![PatternElement::Triple(
                 TriplePattern::new(
@@ -440,7 +430,11 @@ fn function_showcase(function: Function) -> Expression {
             call(
                 Function::If,
                 vec![
-                    cmp(Expression::var("v"), CmpOp::Ge, constant(Literal::integer(0))),
+                    cmp(
+                        Expression::var("v"),
+                        CmpOp::Ge,
+                        constant(Literal::integer(0)),
+                    ),
                     constant(Literal::integer(1)),
                     constant(Literal::integer(2)),
                 ],
@@ -510,8 +504,16 @@ const SELECT_PRODUCTIONS: [&str; 32] = [
 /// name.
 pub fn all_select_productions() -> Vec<String> {
     let mut out: Vec<String> = SELECT_PRODUCTIONS.iter().map(|s| s.to_string()).collect();
-    out.extend(ALL_FUNCTIONS.iter().map(|f| format!("Function::{}", f.as_str())));
-    out.extend(ALL_AGGREGATES.iter().map(|a| format!("Aggregate::{}", a.as_str())));
+    out.extend(
+        ALL_FUNCTIONS
+            .iter()
+            .map(|f| format!("Function::{}", f.as_str())),
+    );
+    out.extend(
+        ALL_AGGREGATES
+            .iter()
+            .map(|a| format!("Aggregate::{}", a.as_str())),
+    );
     out.extend((0..ALL_CMP_OPS.len()).map(|i| format!("CmpOp#{i}")));
     out.extend((0..ALL_ARITH_OPS.len()).map(|i| format!("ArithOp#{i}")));
     out

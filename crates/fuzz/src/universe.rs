@@ -74,8 +74,7 @@ impl SchemaUniverse {
                 for attr in schema.level_attributes(level) {
                     let mut values = Vec::new();
                     for member in &members {
-                        if let Some(value) =
-                            qb4olap::attribute_value(endpoint, member, &attr.iri)?
+                        if let Some(value) = qb4olap::attribute_value(endpoint, member, &attr.iri)?
                         {
                             if !values.contains(&value) {
                                 values.push(value);
@@ -139,7 +138,10 @@ mod tests {
             .find(|d| d.dimension == firi("dim/geo"))
             .unwrap();
         assert_eq!(
-            geo.levels.iter().map(|l| l.level.clone()).collect::<Vec<_>>(),
+            geo.levels
+                .iter()
+                .map(|l| l.level.clone())
+                .collect::<Vec<_>>(),
             vec![firi("lv/city"), firi("lv/country"), firi("lv/continent")]
         );
         assert_eq!(geo.levels[0].members.len(), 8);

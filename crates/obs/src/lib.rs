@@ -40,9 +40,7 @@ pub mod metrics;
 pub mod profile;
 pub mod span;
 
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use profile::{ExecutionProfile, ProfileStep};
 pub use span::{
     clear_global_subscriber, set_global_subscriber, span, with_subscriber, CollectingSubscriber,

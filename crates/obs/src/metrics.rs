@@ -294,11 +294,7 @@ impl std::fmt::Debug for MetricsRegistry {
             )
             .field(
                 "histograms",
-                &self
-                    .histograms
-                    .lock()
-                    .expect("metrics lock poisoned")
-                    .len(),
+                &self.histograms.lock().expect("metrics lock poisoned").len(),
             )
             .finish()
     }

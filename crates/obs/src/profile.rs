@@ -153,7 +153,12 @@ mod tests {
         let mut profile = ExecutionProfile::new("columnar");
         profile.push_plan("SLICE dim=geo member=pt");
         profile.push_plan("ROLLUP dim=time level=year");
-        profile.push_step("scan", Duration::from_millis(3), Some(1000), "segments_pruned=4");
+        profile.push_step(
+            "scan",
+            Duration::from_millis(3),
+            Some(1000),
+            "segments_pruned=4",
+        );
         profile.push_step("aggregate", Duration::from_millis(1), Some(12), "");
         profile.add_counter("rows_scanned", 600);
         profile.add_counter("rows_scanned", 400);
@@ -173,7 +178,12 @@ mod tests {
         let mut profile = ExecutionProfile::new("sparql:direct");
         profile.push_plan("DICE measure>10");
         profile.push_step("parse", Duration::from_micros(250), None, "");
-        profile.push_step("evaluate", Duration::from_micros(750), Some(42), "solutions");
+        profile.push_step(
+            "evaluate",
+            Duration::from_micros(750),
+            Some(42),
+            "solutions",
+        );
         profile.add_counter("dictionary_lookups", 3);
         profile.total = Duration::from_millis(1);
 

@@ -279,7 +279,10 @@ mod tests {
         });
         let records = collector.records();
         assert_eq!(
-            records.iter().map(|r| (r.name, r.depth)).collect::<Vec<_>>(),
+            records
+                .iter()
+                .map(|r| (r.name, r.depth))
+                .collect::<Vec<_>>(),
             vec![("serve", 0), ("delta-replay", 1), ("render", 1)],
             "pre-order with depths"
         );
@@ -287,7 +290,10 @@ mod tests {
         let tree = collector.render_tree();
         assert!(tree.contains("serve"));
         assert!(tree.contains("  delta-replay"));
-        assert_eq!(collector.completed(), vec!["serve", "delta-replay", "render"]);
+        assert_eq!(
+            collector.completed(),
+            vec!["serve", "delta-replay", "render"]
+        );
         collector.reset();
         assert!(collector.records().is_empty());
     }

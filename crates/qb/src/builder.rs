@@ -219,15 +219,19 @@ mod tests {
             eurostat_property::citizen(),
             Term::iri("http://example.org/SY"),
         );
-        obs1.measures
-            .insert(sdmx_measure::obs_value(), Term::Literal(Literal::integer(10)));
+        obs1.measures.insert(
+            sdmx_measure::obs_value(),
+            Term::Literal(Literal::integer(10)),
+        );
         let mut obs2 = Observation::new(Term::iri("http://example.org/obs2"));
         obs2.dimensions.insert(
             eurostat_property::citizen(),
             Term::iri("http://example.org/NG"),
         );
-        obs2.measures
-            .insert(sdmx_measure::obs_value(), Term::Literal(Literal::integer(3)));
+        obs2.measures.insert(
+            sdmx_measure::obs_value(),
+            Term::Literal(Literal::integer(3)),
+        );
 
         QbDatasetBuilder::new(
             Iri::new("http://example.org/dataset"),
@@ -286,8 +290,10 @@ mod tests {
             rdf::vocab::sdmx_attribute::obs_status(),
             Term::Literal(Literal::string("provisional")),
         );
-        obs.measures
-            .insert(sdmx_measure::obs_value(), Term::Literal(Literal::integer(7)));
+        obs.measures.insert(
+            sdmx_measure::obs_value(),
+            Term::Literal(Literal::integer(7)),
+        );
         let triples = observation_triples(&Iri::new("http://example.org/dataset"), &obs);
         // type + dataSet + 1 dim + 1 measure + 1 attribute
         assert_eq!(triples.len(), 5);

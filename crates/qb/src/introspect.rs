@@ -125,7 +125,9 @@ pub fn load_dsd(endpoint: &dyn Endpoint, dsd: &Iri) -> Result<DataStructureDefin
         });
     }
     // Deduplicate (OPTIONAL rows can fan out if a spec repeats annotations).
-    structure.components.dedup_by(|a, b| a.property == b.property && a.kind == b.kind);
+    structure
+        .components
+        .dedup_by(|a, b| a.property == b.property && a.kind == b.kind);
     Ok(structure)
 }
 
@@ -299,7 +301,10 @@ pub fn load_observations(
     let columns = dsd.components.len();
     let mut row_of_node = vec![UNBOUND; solutions.terms.len()];
     let mut predicates: Vec<Option<Predicate>> = vec![None; solutions.terms.len()];
-    let (rdf_type, class) = (rdf::vocab::rdf::type_(), Term::Iri(rdf::vocab::qb::observation()));
+    let (rdf_type, class) = (
+        rdf::vocab::rdf::type_(),
+        Term::Iri(rdf::vocab::qb::observation()),
+    );
     let mut table = ObservationTable {
         columns,
         ..ObservationTable::default()
@@ -572,7 +577,10 @@ mod tests {
         let decode = |table: &ObservationTable, cell: u32| table.terms.get(cell as usize).cloned();
         // Every cell agrees, the multi-valued one included.
         for o in 0..native.len() {
-            assert_eq!(decode(&native, native.node(o)), decode(&reversed, reversed.node(o)));
+            assert_eq!(
+                decode(&native, native.node(o)),
+                decode(&reversed, reversed.node(o))
+            );
             for (&a, &b) in native.cells(o).iter().zip(reversed.cells(o)) {
                 assert_eq!(decode(&native, a), decode(&reversed, b));
             }
@@ -605,7 +613,10 @@ mod tests {
                 Term::iri("http://example.org/obs0")
             );
             let cell = table.cells(0)[geo] as usize;
-            assert_eq!(table.terms[cell], Term::iri("http://example.org/dic/geo#AT"));
+            assert_eq!(
+                table.terms[cell],
+                Term::iri("http://example.org/dic/geo#AT")
+            );
         }
     }
 
@@ -619,10 +630,20 @@ mod tests {
         for (name, types) in [
             ("typed", vec![class.clone()]),
             ("untyped", vec![]),
-            ("two-types", vec![Term::iri("http://example.org/Other"), class.clone()]),
-            ("literal-type", vec![Term::string(qb::observation().as_str())]),
+            (
+                "two-types",
+                vec![Term::iri("http://example.org/Other"), class.clone()],
+            ),
+            (
+                "literal-type",
+                vec![Term::string(qb::observation().as_str())],
+            ),
         ] {
-            triples.push(rdf::Triple::new(node(name), qb::data_set(), Term::Iri(dataset.clone())));
+            triples.push(rdf::Triple::new(
+                node(name),
+                qb::data_set(),
+                Term::Iri(dataset.clone()),
+            ));
             for class in types {
                 triples.push(rdf::Triple::new(node(name), rdfv::type_(), class));
             }

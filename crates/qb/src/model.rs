@@ -208,8 +208,7 @@ mod tests {
     use rdf::Literal;
 
     fn eurostat_dsd() -> DataStructureDefinition {
-        let mut dsd =
-            DataStructureDefinition::new(rdf::vocab::eurostat_dsd::migr_asyappctzm());
+        let mut dsd = DataStructureDefinition::new(rdf::vocab::eurostat_dsd::migr_asyappctzm());
         dsd.push(Component::dimension(sdmx_dimension::ref_period()));
         dsd.push(Component::dimension(eurostat_property::citizen()));
         dsd.push(Component::dimension(eurostat_property::geo()));
@@ -243,8 +242,10 @@ mod tests {
             eurostat_property::citizen(),
             Term::iri("http://eurostat.linked-statistics.org/dic/citizen#SY"),
         );
-        obs.measures
-            .insert(sdmx_measure::obs_value(), Term::Literal(Literal::integer(125)));
+        obs.measures.insert(
+            sdmx_measure::obs_value(),
+            Term::Literal(Literal::integer(125)),
+        );
         assert!(obs.dimension(&eurostat_property::citizen()).is_some());
         assert!(obs.dimension(&eurostat_property::geo()).is_none());
         assert_eq!(obs.measure_number(&sdmx_measure::obs_value()), Some(125.0));

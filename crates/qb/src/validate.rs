@@ -60,10 +60,7 @@ pub struct ValidationReport {
 impl ValidationReport {
     /// True if no error-severity issue was found.
     pub fn is_valid(&self) -> bool {
-        !self
-            .issues
-            .iter()
-            .any(|i| i.severity == Severity::Error)
+        !self.issues.iter().any(|i| i.severity == Severity::Error)
     }
 
     /// The error-severity issues.
@@ -360,10 +357,7 @@ mod tests {
         let dataset = Iri::new("http://example.org/empty");
         let dsd = DataStructureDefinition::new(Iri::new("http://example.org/dsd"));
         let report = validate_dataset(&endpoint, &dataset, &dsd).unwrap();
-        assert!(report
-            .issues
-            .iter()
-            .any(|i| i.check == "dataset-structure"));
+        assert!(report.issues.iter().any(|i| i.check == "dataset-structure"));
     }
 
     #[test]

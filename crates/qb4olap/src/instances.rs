@@ -75,10 +75,12 @@ pub fn rollup_pairs(
     Ok(solutions
         .rows
         .iter()
-        .filter_map(|r| match (r.first().cloned().flatten(), r.get(1).cloned().flatten()) {
-            (Some(c), Some(p)) => Some((c, p)),
-            _ => None,
-        })
+        .filter_map(
+            |r| match (r.first().cloned().flatten(), r.get(1).cloned().flatten()) {
+                (Some(c), Some(p)) => Some((c, p)),
+                _ => None,
+            },
+        )
         .collect())
 }
 
@@ -209,7 +211,12 @@ mod tests {
             None
         );
         assert_eq!(
-            parent_member(&ep, &Term::Literal(Literal::string("x")), &level("continent")).unwrap(),
+            parent_member(
+                &ep,
+                &Term::Literal(Literal::string("x")),
+                &level("continent")
+            )
+            .unwrap(),
             None
         );
     }
@@ -240,9 +247,11 @@ mod tests {
     #[test]
     fn functional_rollup_violations_detected() {
         let ep = endpoint_with_instances();
-        assert!(non_functional_members(&ep, &level("country"), &level("continent"))
-            .unwrap()
-            .is_empty());
+        assert!(
+            non_functional_members(&ep, &level("country"), &level("continent"))
+                .unwrap()
+                .is_empty()
+        );
         // Give Syria a second continent to break functionality.
         ep.insert_triples(&[rollup_triple(&member("SY"), &member("Europe"))])
             .unwrap();

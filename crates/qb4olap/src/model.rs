@@ -479,7 +479,10 @@ mod tests {
         ] {
             assert_eq!(AggregateFunction::from_iri(&f.iri()), Some(f));
         }
-        assert_eq!(AggregateFunction::from_iri(&Iri::new("http://x#median")), None);
+        assert_eq!(
+            AggregateFunction::from_iri(&Iri::new("http://x#median")),
+            None
+        );
         assert_eq!(AggregateFunction::Sum.sparql_name(), "SUM");
     }
 
@@ -522,9 +525,11 @@ mod tests {
         assert_eq!(path.len(), 2);
         assert_eq!(path[0].parent, demo_schema::continent());
 
-        assert!(dim
-            .rollup_path(&demo_schema::cit_all(), &eurostat_property::citizen())
-            .is_none(), "roll-up paths only go upwards");
+        assert!(
+            dim.rollup_path(&demo_schema::cit_all(), &eurostat_property::citizen())
+                .is_none(),
+            "roll-up paths only go upwards"
+        );
         let (_, same) = dim
             .rollup_path(&eurostat_property::citizen(), &eurostat_property::citizen())
             .unwrap();

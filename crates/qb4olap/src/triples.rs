@@ -233,7 +233,11 @@ pub fn schema_from_endpoint(
         dsd = dsd.as_str()
     ))?;
     for i in 0..level_components.len() {
-        let Some(level) = level_components.get(i, "level").and_then(Term::as_iri).cloned() else {
+        let Some(level) = level_components
+            .get(i, "level")
+            .and_then(Term::as_iri)
+            .cloned()
+        else {
             continue;
         };
         let cardinality = level_components
@@ -502,9 +506,7 @@ mod tests {
     fn schema_roundtrips_through_endpoint() {
         let schema = demo_schema_value();
         let endpoint = LocalEndpoint::new();
-        endpoint
-            .insert_triples(&schema_triples(&schema))
-            .unwrap();
+        endpoint.insert_triples(&schema_triples(&schema)).unwrap();
 
         let loaded = schema_from_endpoint(&endpoint, &schema.dataset).unwrap();
         assert_eq!(loaded.dsd, schema.dsd);
@@ -519,10 +521,7 @@ mod tests {
         assert_eq!(dim.hierarchies.len(), 1);
         assert_eq!(dim.hierarchies[0].levels.len(), 3);
         assert_eq!(dim.hierarchies[0].steps.len(), 2);
-        assert_eq!(
-            loaded.level_attributes(&demo_schema::continent()).len(),
-            1
-        );
+        assert_eq!(loaded.level_attributes(&demo_schema::continent()).len(), 1);
         assert_eq!(
             loaded.bottom_level_of_dimension(&demo_schema::citizenship_dim()),
             Some(eurostat_property::citizen())

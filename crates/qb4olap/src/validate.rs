@@ -108,10 +108,7 @@ pub fn validate_schema(schema: &CubeSchema) -> SchemaReport {
             if hierarchy.levels.is_empty() {
                 report.error(
                     "dimension-has-hierarchy",
-                    format!(
-                        "hierarchy <{}> declares no level",
-                        hierarchy.iri.as_str()
-                    ),
+                    format!("hierarchy <{}> declares no level", hierarchy.iri.as_str()),
                 );
             }
             for step in &hierarchy.steps {

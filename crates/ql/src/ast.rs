@@ -192,10 +192,12 @@ impl QlProgram {
     /// The dataset the program starts from (the first statement must
     /// reference a dataset IRI).
     pub fn dataset(&self) -> Option<&Iri> {
-        self.statements.iter().find_map(|s| match s.operation.input() {
-            CubeRef::Dataset(iri) => Some(iri),
-            CubeRef::Variable(_) => None,
-        })
+        self.statements
+            .iter()
+            .find_map(|s| match s.operation.input() {
+                CubeRef::Dataset(iri) => Some(iri),
+                CubeRef::Variable(_) => None,
+            })
     }
 
     /// Number of operations of each kind `(slice, rollup, drilldown, dice)`.

@@ -144,14 +144,13 @@ impl ResultCube {
             .cells
             .iter()
             .map(|cell| {
-                let mut row: Vec<String> = cell
-                    .coordinates
-                    .iter()
-                    .map(Term::display_label)
-                    .collect();
-                row.extend(cell.values.iter().map(|v| {
-                    v.as_ref().map(Term::display_label).unwrap_or_default()
-                }));
+                let mut row: Vec<String> =
+                    cell.coordinates.iter().map(Term::display_label).collect();
+                row.extend(
+                    cell.values
+                        .iter()
+                        .map(|v| v.as_ref().map(Term::display_label).unwrap_or_default()),
+                );
                 row
             })
             .collect();

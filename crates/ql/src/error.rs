@@ -28,7 +28,9 @@ pub enum QlError {
 impl fmt::Display for QlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QlError::Parse { line, message } => write!(f, "QL syntax error at line {line}: {message}"),
+            QlError::Parse { line, message } => {
+                write!(f, "QL syntax error at line {line}: {message}")
+            }
             QlError::Validation(m) => write!(f, "QL validation error: {m}"),
             QlError::Sparql(m) => write!(f, "SPARQL execution error: {m}"),
             QlError::Schema(m) => write!(f, "schema error: {m}"),
@@ -84,6 +86,8 @@ mod tests {
         assert!(e.to_string().contains("d"));
         let e: QlError = cubestore::CubeStoreError::Unsupported("nf".into()).into();
         assert!(e.to_string().contains("nf"));
-        assert!(QlError::Columnar("c".into()).to_string().contains("columnar"));
+        assert!(QlError::Columnar("c".into())
+            .to_string()
+            .contains("columnar"));
     }
 }

@@ -393,10 +393,8 @@ impl<'e> QueryingModule<'e> {
     /// plans and timings can be compared side by side.
     pub fn explain(&self, ql_text: &str) -> Result<String, QlError> {
         let prepared = self.prepare(ql_text)?;
-        let (_, sparql_profile) =
-            self.execute_profiled(&prepared, SparqlVariant::Direct)?;
-        let (_, columnar_profile) =
-            self.execute_profiled(&prepared, ExecutionBackend::Columnar)?;
+        let (_, sparql_profile) = self.execute_profiled(&prepared, SparqlVariant::Direct)?;
+        let (_, columnar_profile) = self.execute_profiled(&prepared, ExecutionBackend::Columnar)?;
         Ok(format!(
             "{}\n{}",
             sparql_profile.render(),
@@ -463,7 +461,11 @@ mod tests {
                 "citizenshipDim",
                 "citizenshipGeoHier",
             )
-            .name_dimension(eurostat_property::geo(), "destinationDim", "destinationHier")
+            .name_dimension(
+                eurostat_property::geo(),
+                "destinationDim",
+                "destinationHier",
+            )
             .name_dimension(sdmx_dimension::ref_period(), "timeDim", "timeHier")
             .name_dimension(eurostat_property::asyl_app(), "asylappDim", "asylappHier")
             .name_dimension(eurostat_property::age(), "ageDim", "ageHier")
@@ -520,7 +522,10 @@ mod tests {
     fn full_workflow_on_the_enriched_cube() {
         let (endpoint, dataset) = enriched_endpoint(400);
         let module = module_for(&endpoint, &dataset);
-        assert!(module.schema().dimension(&demo_schema::citizenship_dim()).is_some());
+        assert!(module
+            .schema()
+            .dimension(&demo_schema::citizenship_dim())
+            .is_some());
 
         let (prepared, cube, timings) = module.run(&datagen::workload::mary_query()).unwrap();
         assert!(prepared.sparql(SparqlVariant::Direct).lines().count() > 30);
@@ -645,7 +650,10 @@ mod tests {
                 "backends disagree for workload query '{name}'"
             );
         }
-        assert!(queries_after_build > queries_before, "the build queries once");
+        assert!(
+            queries_after_build > queries_before,
+            "the build queries once"
+        );
         // Re-running columnar queries must not touch the endpoint again.
         let before = endpoint.queries_executed();
         let prepared = module
@@ -747,7 +755,10 @@ mod tests {
             .execute(&prepared, ExecutionBackend::Columnar)
             .unwrap();
         let sparql_cube = module.execute(&prepared, SparqlVariant::Direct).unwrap();
-        assert_eq!(columnar, sparql_cube, "float append left stale/divergent cells");
+        assert_eq!(
+            columnar, sparql_cube,
+            "float append left stale/divergent cells"
+        );
         let report = module.maintenance_reports().last().cloned().unwrap();
         assert_eq!(
             report.strategy,
@@ -768,15 +779,19 @@ mod tests {
             .get(0, "o")
             .cloned()
             .unwrap();
-        let removed = endpoint
-            .store()
-            .remove_matching(Some(&victim), Some(&sdmx_measure::obs_value()), None);
+        let removed =
+            endpoint
+                .store()
+                .remove_matching(Some(&victim), Some(&sdmx_measure::obs_value()), None);
         assert_eq!(removed.len(), 1);
         let columnar = module
             .execute(&prepared, ExecutionBackend::Columnar)
             .unwrap();
         let sparql_cube = module.execute(&prepared, SparqlVariant::Direct).unwrap();
-        assert_eq!(columnar, sparql_cube, "partial removal left stale/divergent cells");
+        assert_eq!(
+            columnar, sparql_cube,
+            "partial removal left stale/divergent cells"
+        );
         let report = module.maintenance_reports().last().cloned().unwrap();
         assert_eq!(
             report.strategy,
@@ -859,7 +874,9 @@ mod tests {
         let module = module_for(&endpoint, &dataset);
         let prepared = module.prepare(&datagen::workload::mary_query()).unwrap();
         module.execute(&prepared, SparqlVariant::Direct).unwrap();
-        module.execute(&prepared, SparqlVariant::Alternative).unwrap();
+        module
+            .execute(&prepared, SparqlVariant::Alternative)
+            .unwrap();
         module
             .execute(&prepared, ExecutionBackend::Columnar)
             .unwrap();
@@ -894,7 +911,10 @@ mod tests {
                             .unwrap(),
                     )
                 });
-            assert_eq!(quiet_sparql, observed_sparql, "sparql diverged for '{name}'");
+            assert_eq!(
+                quiet_sparql, observed_sparql,
+                "sparql diverged for '{name}'"
+            );
             assert_eq!(
                 quiet_columnar, observed_columnar,
                 "columnar diverged for '{name}'"
@@ -915,13 +935,18 @@ mod tests {
         let (endpoint, dataset) = enriched_endpoint(200);
         let catalog = Arc::new(cubestore::CubeCatalog::new());
         let schema = qb4olap::schema_from_endpoint(&endpoint, &dataset).unwrap();
-        let first = QueryingModule::with_schema_and_catalog(&endpoint, schema.clone(), catalog.clone());
+        let first =
+            QueryingModule::with_schema_and_catalog(&endpoint, schema.clone(), catalog.clone());
         let second = QueryingModule::with_schema_and_catalog(&endpoint, schema, catalog.clone());
         let cube_a = first.materialize().unwrap();
         let queries = endpoint.queries_executed();
         let cube_b = second.materialize().unwrap();
         assert!(Arc::ptr_eq(&cube_a, &cube_b), "one shared materialization");
-        assert_eq!(endpoint.queries_executed(), queries, "second module built nothing");
+        assert_eq!(
+            endpoint.queries_executed(),
+            queries,
+            "second module built nothing"
+        );
         assert_eq!(catalog.datasets(), vec![dataset]);
     }
 

@@ -39,10 +39,10 @@ pub use obs;
 #[cfg(any(test, feature = "testutil"))]
 pub mod testutil;
 
-pub use columnar::execute_columnar;
 pub use ast::{
     CubeRef, DiceCondition, DiceOp, DiceOperand, DiceValue, QlOperation, QlProgram, QlStatement,
 };
+pub use columnar::execute_columnar;
 pub use cube::{CodedCube, CubeAxis, CubeCell, ResultCube};
 pub use cubestore::{CubeCatalog, MaintenanceReport, MaintenanceStrategy};
 pub use error::QlError;

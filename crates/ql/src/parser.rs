@@ -523,15 +523,11 @@ mod tests {
         assert!(parse_ql("no query keyword").is_err());
         assert!(parse_ql("QUERY").is_err());
         assert!(parse_ql("QUERY $C1 := EXPLODE (data:x);").is_err());
-        let err = parse_ql(
-            "QUERY\n$C1 := SLICE (schema:unknownPrefix, schema:x);",
-        )
-        .unwrap_err();
+        let err = parse_ql("QUERY\n$C1 := SLICE (schema:unknownPrefix, schema:x);").unwrap_err();
         assert!(err.to_string().contains("undefined prefix"));
-        assert!(parse_ql(
-            "PREFIX data: <http://d/>;\nQUERY\n$C1 := SLICE (data:x data:y);"
-        )
-        .is_err());
+        assert!(
+            parse_ql("PREFIX data: <http://d/>;\nQUERY\n$C1 := SLICE (data:x data:y);").is_err()
+        );
     }
 
     #[test]

@@ -180,8 +180,8 @@ pub fn simplify(
         CubeRef::Dataset(iri) => iri.clone(),
         CubeRef::Variable(v) => {
             return Err(QlError::Validation(format!(
-                "the first statement must start from a dataset, found the undefined cube variable ${v}"
-            )))
+            "the first statement must start from a dataset, found the undefined cube variable ${v}"
+        )))
         }
     };
     if dataset != schema.dataset {
@@ -278,13 +278,16 @@ pub fn simplify(
                         dimension.as_str()
                     )));
                 }
-                let bottom = schema
-                    .bottom_level_of_dimension(&dim.iri)
-                    .ok_or_else(|| QlError::Validation(format!(
+                let bottom = schema.bottom_level_of_dimension(&dim.iri).ok_or_else(|| {
+                    QlError::Validation(format!(
                         "dimension <{}> has no bottom level",
                         dim.iri.as_str()
-                    )))?;
-                let from = current_level.get(&dim.iri).cloned().unwrap_or(bottom.clone());
+                    ))
+                })?;
+                let from = current_level
+                    .get(&dim.iri)
+                    .cloned()
+                    .unwrap_or(bottom.clone());
                 let is_rollup = matches!(statement.operation, QlOperation::Rollup { .. });
                 let reachable_up = dim.rollup_path(&from, level).is_some();
                 let reachable_down = dim.rollup_path(level, &from).is_some();
@@ -533,53 +536,77 @@ mod tests {
         let program = parse(&format!(
             "{prologue}$C1 := SLICE (data:migr_asyappctzm, schema:bogusDim);"
         ));
-        assert!(matches!(simplify(&program, &schema), Err(QlError::Validation(_))));
+        assert!(matches!(
+            simplify(&program, &schema),
+            Err(QlError::Validation(_))
+        ));
 
         // Level not in dimension.
         let program = parse(&format!(
             "{prologue}$C1 := ROLLUP (data:migr_asyappctzm, schema:timeDim, schema:continent);"
         ));
-        assert!(matches!(simplify(&program, &schema), Err(QlError::Validation(_))));
+        assert!(matches!(
+            simplify(&program, &schema),
+            Err(QlError::Validation(_))
+        ));
 
         // Dice attribute on the wrong level (continent attribute while the
         // dimension is still at the bottom level).
         let program = parse(&format!(
             "{prologue}$C1 := DICE (data:migr_asyappctzm, schema:citizenshipDim|schema:continent|schema:continentName = \"Africa\");"
         ));
-        assert!(matches!(simplify(&program, &schema), Err(QlError::Validation(_))));
+        assert!(matches!(
+            simplify(&program, &schema),
+            Err(QlError::Validation(_))
+        ));
 
         // Rolling up a sliced dimension.
         let program = parse(&format!(
             "{prologue}$C1 := SLICE (data:migr_asyappctzm, schema:citizenshipDim);
              $C2 := ROLLUP ($C1, schema:citizenshipDim, schema:continent);"
         ));
-        assert!(matches!(simplify(&program, &schema), Err(QlError::Validation(_))));
+        assert!(matches!(
+            simplify(&program, &schema),
+            Err(QlError::Validation(_))
+        ));
 
         // Operation after a dice violates the grammar shape.
         let program = parse(&format!(
             "{prologue}$C1 := DICE (data:migr_asyappctzm, sdmx-measure:obsValue > 5);
              $C2 := SLICE ($C1, schema:asylappDim);"
         ));
-        assert!(matches!(simplify(&program, &schema), Err(QlError::Validation(_))));
+        assert!(matches!(
+            simplify(&program, &schema),
+            Err(QlError::Validation(_))
+        ));
 
         // Broken chaining.
         let program = parse(&format!(
             "{prologue}$C1 := SLICE (data:migr_asyappctzm, schema:asylappDim);
              $C2 := SLICE (data:migr_asyappctzm, schema:sexDim);"
         ));
-        assert!(matches!(simplify(&program, &schema), Err(QlError::Validation(_))));
+        assert!(matches!(
+            simplify(&program, &schema),
+            Err(QlError::Validation(_))
+        ));
 
         // Unknown measure in a dice.
         let program = parse(&format!(
             "{prologue}$C1 := DICE (data:migr_asyappctzm, schema:notAMeasure > 5);"
         ));
-        assert!(matches!(simplify(&program, &schema), Err(QlError::Validation(_))));
+        assert!(matches!(
+            simplify(&program, &schema),
+            Err(QlError::Validation(_))
+        ));
 
         // Querying a dataset the schema does not describe.
         let program = parse(&format!(
             "{prologue}$C1 := SLICE (data:someOtherDataset, schema:asylappDim);"
         ));
-        assert!(matches!(simplify(&program, &schema), Err(QlError::Validation(_))));
+        assert!(matches!(
+            simplify(&program, &schema),
+            Err(QlError::Validation(_))
+        ));
     }
 
     #[test]
@@ -593,6 +620,9 @@ mod tests {
              $C1 := DRILLDOWN (data:migr_asyappctzm, schema:citizenshipDim, schema:continent);",
         )
         .unwrap();
-        assert!(matches!(simplify(&program, &schema), Err(QlError::Validation(_))));
+        assert!(matches!(
+            simplify(&program, &schema),
+            Err(QlError::Validation(_))
+        ));
     }
 }

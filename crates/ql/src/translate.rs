@@ -695,7 +695,10 @@ mod tests {
         let output = translate_text(&datagen::workload::yearly_large_cells());
         let direct = output.direct_sparql();
         assert!(direct.contains("HAVING"), "{direct}");
-        assert!(direct.contains("> \"400\"") || direct.contains("> 400"), "{direct}");
+        assert!(
+            direct.contains("> \"400\"") || direct.contains("> 400"),
+            "{direct}"
+        );
     }
 
     #[test]
@@ -719,10 +722,7 @@ mod tests {
         let output = translate_text(&datagen::workload::totals_by_citizenship());
         // Only the citizenship dimension remains as an axis.
         assert_eq!(output.axes.len(), 1);
-        assert_eq!(
-            output.axes[0].dimension,
-            demo_schema::citizenship_dim()
-        );
+        assert_eq!(output.axes[0].dimension, demo_schema::citizenship_dim());
         let direct = output.direct_sparql();
         assert!(direct.contains("GROUP BY ?citizen"), "{direct}");
     }

@@ -163,8 +163,18 @@ mod tests {
     fn common_prefixes_cover_paper_namespaces() {
         let map = PrefixMap::with_common_prefixes();
         for p in [
-            "rdf", "rdfs", "xsd", "skos", "qb", "qb4o", "sdmx-dimension", "sdmx-measure",
-            "property", "schema", "data", "dbo",
+            "rdf",
+            "rdfs",
+            "xsd",
+            "skos",
+            "qb",
+            "qb4o",
+            "sdmx-dimension",
+            "sdmx-measure",
+            "property",
+            "schema",
+            "data",
+            "dbo",
         ] {
             assert!(map.namespace(p).is_some(), "missing prefix {p}");
         }

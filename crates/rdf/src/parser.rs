@@ -77,7 +77,11 @@ impl<'a> TurtleParser<'a> {
             if self.at_end() {
                 break;
             }
-            if self.allow_directives && (self.peek() == Some('@') || self.peek_keyword("PREFIX") || self.peek_keyword("BASE")) {
+            if self.allow_directives
+                && (self.peek() == Some('@')
+                    || self.peek_keyword("PREFIX")
+                    || self.peek_keyword("BASE"))
+            {
                 self.parse_directive()?;
                 continue;
             }
@@ -590,7 +594,10 @@ ex:hier a ex:Hierarchy ; ex:hasLevel ex:a, ex:b, ex:c .
         assert_eq!(graph.len(), 4);
         assert_eq!(
             graph
-                .objects(&Term::iri("http://example.org/hier"), &Iri::new("http://example.org/hasLevel"))
+                .objects(
+                    &Term::iri("http://example.org/hier"),
+                    &Iri::new("http://example.org/hasLevel")
+                )
                 .len(),
             3
         );
@@ -631,10 +638,9 @@ ex:obs1 ex:value 10 . # trailing comment
 
     #[test]
     fn parse_labelled_blank_nodes() {
-        let doc = parse_turtle(
-            "@prefix ex: <http://example.org/> .\n_:b1 ex:p ex:o . ex:s ex:q _:b1 .",
-        )
-        .expect("parse");
+        let doc =
+            parse_turtle("@prefix ex: <http://example.org/> .\n_:b1 ex:p ex:o . ex:s ex:q _:b1 .")
+                .expect("parse");
         assert_eq!(doc.triples.len(), 2);
         assert_eq!(doc.triples[0].subject, Term::blank("b1"));
         assert_eq!(doc.triples[1].object, Term::blank("b1"));
@@ -719,9 +725,8 @@ schema:migr_asyappctzmQB4O rdf:type qb:DataStructureDefinition ;
   qb:component [ qb:measure sdmx-measure:obsValue ; qb4o:aggregateFunction qb4o:sum ] .
 "#;
         let graph = parse_turtle(ttl).expect("parse").into_graph();
-        let dsd = Term::iri(
-            "http://www.fing.edu.uy/inco/cubes/schemas/migr_asyapp#migr_asyappctzmQB4O",
-        );
+        let dsd =
+            Term::iri("http://www.fing.edu.uy/inco/cubes/schemas/migr_asyapp#migr_asyappctzmQB4O");
         assert_eq!(graph.objects(&dsd, &qb::component()).len(), 3);
         assert_eq!(
             graph

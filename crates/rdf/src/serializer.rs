@@ -169,8 +169,14 @@ mod tests {
         let g = sample_graph();
         let prefixes = PrefixMap::with_common_prefixes();
         let ttl = to_turtle(&g, &prefixes);
-        assert!(ttl.contains("@prefix qb:"), "prefix header expected:\n{ttl}");
-        assert!(ttl.contains("a qb:DataSet"), "rdf:type shortened to 'a':\n{ttl}");
+        assert!(
+            ttl.contains("@prefix qb:"),
+            "prefix header expected:\n{ttl}"
+        );
+        assert!(
+            ttl.contains("a qb:DataSet"),
+            "rdf:type shortened to 'a':\n{ttl}"
+        );
         let parsed = parse_turtle(&ttl).expect("reparse").into_graph();
         assert_eq!(parsed.len(), g.len());
         for t in g.iter() {

@@ -336,7 +336,11 @@ impl Store {
     }
 
     /// Inserts all triples into a named graph.
-    pub fn insert_all_named<I: IntoIterator<Item = Triple>>(&self, graph: &Iri, triples: I) -> usize {
+    pub fn insert_all_named<I: IntoIterator<Item = Triple>>(
+        &self,
+        graph: &Iri,
+        triples: I,
+    ) -> usize {
         let mut inner = self.inner.write();
         let g = inner.named_graphs.entry(graph.clone()).or_default();
         let mut inserted = Vec::new();
@@ -555,19 +559,32 @@ mod tests {
     fn named_graph_isolation_and_union() {
         let store = Store::new();
         let schema_graph = Iri::new("http://example.org/graph/schema");
-        let t1 = Triple::new(Term::iri("http://a"), Iri::new("http://p"), Term::iri("http://b"));
-        let t2 = Triple::new(Term::iri("http://c"), Iri::new("http://p"), Term::iri("http://d"));
+        let t1 = Triple::new(
+            Term::iri("http://a"),
+            Iri::new("http://p"),
+            Term::iri("http://b"),
+        );
+        let t2 = Triple::new(
+            Term::iri("http://c"),
+            Iri::new("http://p"),
+            Term::iri("http://d"),
+        );
         store.insert(&t1);
         store.insert_named(&schema_graph, &t2);
 
         assert_eq!(store.len(), 1);
         assert_eq!(store.total_len(), 2);
         assert_eq!(store.graph_names(), vec![schema_graph.clone()]);
-        assert!(!store.contains(&t2), "named-graph triples stay out of the default graph");
+        assert!(
+            !store.contains(&t2),
+            "named-graph triples stay out of the default graph"
+        );
 
         // Between them the two graphs hold both triples, each exactly one.
         let in_named = store
-            .with_named_graph(&schema_graph, |g| (g.len(), g.contains(&t1), g.contains(&t2)))
+            .with_named_graph(&schema_graph, |g| {
+                (g.len(), g.contains(&t1), g.contains(&t2))
+            })
             .expect("graph exists");
         assert_eq!(in_named, (1, false, true));
         assert!(store.with_default_graph(|g| g.contains(&t1)));
@@ -615,7 +632,9 @@ mod tests {
     #[test]
     fn parse_errors_are_reported() {
         let store = Store::new();
-        let err = store.load_turtle("ex:s ex:p ex:o .").expect_err("undefined prefix");
+        let err = store
+            .load_turtle("ex:s ex:p ex:o .")
+            .expect_err("undefined prefix");
         assert!(matches!(err, StoreError::Parse(_)));
     }
 
@@ -640,7 +659,11 @@ mod tests {
     fn epoch_tracks_effective_mutations_only() {
         let store = Store::new();
         assert_eq!(store.epoch(), 0);
-        let t = Triple::new(Term::iri("http://s"), Iri::new("http://p"), Literal::integer(1));
+        let t = Triple::new(
+            Term::iri("http://s"),
+            Iri::new("http://p"),
+            Literal::integer(1),
+        );
         assert!(store.insert(&t));
         assert_eq!(store.epoch(), 1);
         // A duplicate insert and a no-op removal leave the epoch alone.
@@ -655,7 +678,11 @@ mod tests {
         assert_eq!(store.epoch(), 2);
         // Bulk loads count as one epoch step.
         store.bulk_insert((0..5).map(|i| {
-            Triple::new(Term::iri(format!("http://s{i}")), Iri::new("http://p"), Literal::integer(i))
+            Triple::new(
+                Term::iri(format!("http://s{i}")),
+                Iri::new("http://p"),
+                Literal::integer(i),
+            )
         }));
         assert_eq!(store.epoch(), 3);
         store.clear();
@@ -665,7 +692,11 @@ mod tests {
     #[test]
     fn change_log_replays_mutations() {
         let store = Store::new();
-        let t0 = Triple::new(Term::iri("http://pre"), Iri::new("http://p"), Literal::integer(0));
+        let t0 = Triple::new(
+            Term::iri("http://pre"),
+            Iri::new("http://p"),
+            Literal::integer(0),
+        );
         store.insert(&t0);
         assert_eq!(store.deltas_since(0), None, "log not enabled yet");
 
@@ -677,8 +708,16 @@ mod tests {
         assert_eq!(store.deltas_since(enabled_at.saturating_sub(1)), None);
         assert_eq!(store.deltas_since(enabled_at), Some(Vec::new()));
 
-        let t1 = Triple::new(Term::iri("http://a"), Iri::new("http://p"), Literal::integer(1));
-        let t2 = Triple::new(Term::iri("http://b"), Iri::new("http://p"), Literal::integer(2));
+        let t1 = Triple::new(
+            Term::iri("http://a"),
+            Iri::new("http://p"),
+            Literal::integer(1),
+        );
+        let t2 = Triple::new(
+            Term::iri("http://b"),
+            Iri::new("http://p"),
+            Literal::integer(2),
+        );
         store.bulk_insert(vec![t1.clone(), t2.clone(), t1.clone()]);
         store.remove(&t2);
         let g = Iri::new("http://g");
@@ -712,7 +751,11 @@ mod tests {
         let store = Store::new();
         let triples: Vec<Triple> = (0..4)
             .map(|i| {
-                Triple::new(Term::iri("http://s"), Iri::new("http://p"), Literal::integer(i))
+                Triple::new(
+                    Term::iri("http://s"),
+                    Iri::new("http://p"),
+                    Literal::integer(i),
+                )
             })
             .collect();
         store.bulk_insert(triples.clone());
@@ -746,10 +789,26 @@ mod tests {
         let subject = Term::iri("http://s");
         let p1 = Iri::new("http://p1");
         let p2 = Iri::new("http://p2");
-        store.insert(&Triple::new(subject.clone(), p1.clone(), Literal::integer(1)));
-        store.insert(&Triple::new(subject.clone(), p1.clone(), Literal::integer(2)));
-        store.insert(&Triple::new(subject.clone(), p2.clone(), Literal::integer(3)));
-        store.insert(&Triple::new(Term::iri("http://other"), p1.clone(), Literal::integer(4)));
+        store.insert(&Triple::new(
+            subject.clone(),
+            p1.clone(),
+            Literal::integer(1),
+        ));
+        store.insert(&Triple::new(
+            subject.clone(),
+            p1.clone(),
+            Literal::integer(2),
+        ));
+        store.insert(&Triple::new(
+            subject.clone(),
+            p2.clone(),
+            Literal::integer(3),
+        ));
+        store.insert(&Triple::new(
+            Term::iri("http://other"),
+            p1.clone(),
+            Literal::integer(4),
+        ));
         store.enable_change_log();
         let epoch = store.epoch();
 

@@ -580,7 +580,11 @@ impl Triple {
     ///
     /// # Panics
     /// Panics if `subject` is a literal (invalid in RDF 1.1).
-    pub fn new(subject: impl Into<Term>, predicate: impl Into<Iri>, object: impl Into<Term>) -> Self {
+    pub fn new(
+        subject: impl Into<Term>,
+        predicate: impl Into<Iri>,
+        object: impl Into<Term>,
+    ) -> Self {
         let subject = subject.into();
         assert!(
             !subject.is_literal(),
@@ -669,8 +673,11 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         // The cycle comparing numbers with text made: 9 < 10 by value,
         // "10" < "5" and "5" < "9" by text.
-        let (nine, ten, five) =
-            (Literal::integer(9), Literal::integer(10), Literal::string("5"));
+        let (nine, ten, five) = (
+            Literal::integer(9),
+            Literal::integer(10),
+            Literal::string("5"),
+        );
         assert!(nine < ten && ten < five && nine < five);
 
         let typed = |lexical: &str, datatype: &str| {
@@ -678,9 +685,27 @@ mod tests {
         };
         let mut pool = Vec::new();
         for lexical in [
-            "5", "9", "10", "-0", "0", "-0.5", "0.5", "1e18", "999999999999999999",
-            "1000000000000000000", "9007199254740993", "9007199254740992.0", "NaN", "INF",
-            "-INF", "9223372036854775807", "9.3e18", "-9.3e18", "abc", " 7", "",
+            "5",
+            "9",
+            "10",
+            "-0",
+            "0",
+            "-0.5",
+            "0.5",
+            "1e18",
+            "999999999999999999",
+            "1000000000000000000",
+            "9007199254740993",
+            "9007199254740992.0",
+            "NaN",
+            "INF",
+            "-INF",
+            "9223372036854775807",
+            "9.3e18",
+            "-9.3e18",
+            "abc",
+            " 7",
+            "",
         ] {
             for datatype in ["integer", "decimal", "double", "string", "boolean", "date"] {
                 pool.push(typed(lexical, datatype));
@@ -697,7 +722,11 @@ mod tests {
             let mut pick = || &pool[rng.gen_range(0..pool.len())];
             let (a, b, c) = (pick(), pick(), pick());
             assert_eq!(a.cmp(b), b.cmp(a).reverse(), "antisymmetric: {a} vs {b}");
-            assert_eq!(a.cmp(b) == Ordering::Equal, a == b, "consistent with Eq: {a} vs {b}");
+            assert_eq!(
+                a.cmp(b) == Ordering::Equal,
+                a == b,
+                "consistent with Eq: {a} vs {b}"
+            );
             if a <= b && b <= c {
                 assert!(a <= c, "transitive: {a} <= {b} <= {c}");
             }
@@ -706,7 +735,10 @@ mod tests {
         let mut sorted = pool.clone();
         sorted.sort();
         for (i, a) in sorted.iter().enumerate() {
-            assert!(sorted[i..].iter().all(|b| a <= b), "{a} sorts before a smaller literal");
+            assert!(
+                sorted[i..].iter().all(|b| a <= b),
+                "{a} sorts before a smaller literal"
+            );
         }
     }
 
@@ -728,7 +760,10 @@ mod tests {
 
     #[test]
     fn term_display_label() {
-        assert_eq!(Term::iri("http://x.org/ns#Africa").display_label(), "Africa");
+        assert_eq!(
+            Term::iri("http://x.org/ns#Africa").display_label(),
+            "Africa"
+        );
         assert_eq!(Term::string("Africa").display_label(), "Africa");
         assert_eq!(Term::blank("b0").display_label(), "_:b0");
     }

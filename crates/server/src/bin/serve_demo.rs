@@ -44,7 +44,11 @@ fn main() {
         ..qb2olap_server::ServerConfig::default()
     };
     let server = qb2olap_server::start(tool, config).expect("bind server");
-    eprintln!("serving <{}> on {}", cube.dataset.as_str(), server.base_url());
+    eprintln!(
+        "serving <{}> on {}",
+        cube.dataset.as_str(),
+        server.base_url()
+    );
     eprintln!("try: curl '{}/explore/schema'", server.base_url());
     eprintln!("     curl '{}/metrics'", server.base_url());
 

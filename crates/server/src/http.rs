@@ -250,11 +250,7 @@ pub fn read_request(reader: &mut impl BufRead, limits: ReadLimits) -> Result<Req
         let mut filled = 0;
         while filled < content_length {
             match reader.read(&mut body[filled..]) {
-                Ok(0) => {
-                    return Err(ReadError::Malformed(
-                        "connection closed mid-body".into(),
-                    ))
-                }
+                Ok(0) => return Err(ReadError::Malformed("connection closed mid-body".into())),
                 Ok(n) => filled += n,
                 Err(e) if is_timeout(&e) => return Err(ReadError::TimedOutMidRequest),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -495,7 +491,8 @@ mod tests {
 
     #[test]
     fn parses_a_post_with_body() {
-        let req = parse("POST /ql HTTP/1.1\r\nContent-Length: 5\r\nConnection: close\r\n\r\nhello").unwrap();
+        let req = parse("POST /ql HTTP/1.1\r\nContent-Length: 5\r\nConnection: close\r\n\r\nhello")
+            .unwrap();
         assert_eq!(req.body_text(), "hello");
         assert!(!req.keep_alive);
         assert_eq!(req.header("content-length"), Some("5"));
@@ -536,7 +533,10 @@ mod tests {
     fn oversized_declarations_are_refused_up_front() {
         assert!(matches!(
             parse("POST / HTTP/1.1\r\nContent-Length: 99999\r\n\r\n"),
-            Err(ReadError::BodyTooLarge { declared: 99999, .. })
+            Err(ReadError::BodyTooLarge {
+                declared: 99999,
+                ..
+            })
         ));
         let huge = format!("GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n", "a".repeat(8192));
         assert!(matches!(
@@ -556,10 +556,7 @@ mod tests {
     #[test]
     fn clean_eof_is_idle_close() {
         assert!(matches!(parse(""), Err(ReadError::ClosedIdle)));
-        assert!(matches!(
-            parse("GET / HTT"),
-            Err(ReadError::Malformed(_))
-        ));
+        assert!(matches!(parse("GET / HTT"), Err(ReadError::Malformed(_))));
     }
 
     #[test]
@@ -574,7 +571,11 @@ mod tests {
     fn percent_coding_round_trips() {
         let original = "SELECT * WHERE { ?s <http://x/p> \"v alue\" }";
         assert_eq!(percent_decode(&percent_encode(original)), original);
-        assert_eq!(percent_decode("a%2"), "a%2", "truncated escape passes through");
+        assert_eq!(
+            percent_decode("a%2"),
+            "a%2",
+            "truncated escape passes through"
+        );
         assert_eq!(percent_decode("a%zz"), "a%zz", "bad hex passes through");
     }
 

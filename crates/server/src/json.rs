@@ -246,7 +246,10 @@ mod tests {
         let solutions = Solutions {
             variables: vec![Variable::new("s"), Variable::new("v")],
             rows: vec![
-                vec![Some(Term::iri("http://x/a")), Some(Term::string("say \"hi\""))],
+                vec![
+                    Some(Term::iri("http://x/a")),
+                    Some(Term::string("say \"hi\"")),
+                ],
                 vec![Some(Term::iri("http://x/b")), None],
             ],
         };
@@ -255,7 +258,10 @@ mod tests {
         assert!(json.contains("\"<http://x/a>\""));
         // N-Triples escapes the inner quotes (`\"`), JSON escapes that
         // again (`\\\"`) — the wire form is doubly escaped.
-        assert!(json.contains(r#"\\\"hi\\\""#), "literal quoting is escaped: {json}");
+        assert!(
+            json.contains(r#"\\\"hi\\\""#),
+            "literal quoting is escaped: {json}"
+        );
         assert!(json.contains(",null]"), "unbound binding is null: {json}");
     }
 

@@ -46,7 +46,10 @@ pub fn handle(state: &ServerState, request: &Request) -> Response {
     let response = dispatch(state, request);
 
     let key = endpoint_key(&request.path);
-    state.metrics.counter(&format!("server.request.{key}")).add(1);
+    state
+        .metrics
+        .counter(&format!("server.request.{key}"))
+        .add(1);
     state
         .metrics
         .histogram(&format!("server.latency_ns.{key}"))
@@ -254,10 +257,9 @@ fn explore(state: &ServerState, request: &Request, view: ExploreView) -> Respons
                     crate::http::json_string(summary.dataset.as_str())
                 ));
                 match &summary.label {
-                    Some(label) => out.push_str(&format!(
-                        "\"label\":{},",
-                        crate::http::json_string(label)
-                    )),
+                    Some(label) => {
+                        out.push_str(&format!("\"label\":{},", crate::http::json_string(label)))
+                    }
                     None => out.push_str("\"label\":null,"),
                 }
                 out.push_str(&format!(

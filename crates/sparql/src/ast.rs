@@ -560,11 +560,13 @@ impl GroupGraphPattern {
     pub fn visit_variables<'a>(&'a self, visit: &mut dyn FnMut(&'a Variable)) {
         for element in &self.elements {
             match element {
-                PatternElement::Triple(pattern) => pattern.variables().into_iter().for_each(&mut *visit),
-                PatternElement::Filter(expr) => expr.visit_variables(visit),
-                PatternElement::Optional(g) | PatternElement::Minus(g) | PatternElement::Group(g) => {
-                    g.visit_variables(visit)
+                PatternElement::Triple(pattern) => {
+                    pattern.variables().into_iter().for_each(&mut *visit)
                 }
+                PatternElement::Filter(expr) => expr.visit_variables(visit),
+                PatternElement::Optional(g)
+                | PatternElement::Minus(g)
+                | PatternElement::Group(g) => g.visit_variables(visit),
                 PatternElement::Union(a, b) => {
                     a.visit_variables(visit);
                     b.visit_variables(visit);
@@ -591,9 +593,9 @@ impl GroupGraphPattern {
             .iter()
             .map(|e| match e {
                 PatternElement::Triple(_) => 1,
-                PatternElement::Optional(g) | PatternElement::Group(g) | PatternElement::Minus(g) => {
-                    g.triple_pattern_count()
-                }
+                PatternElement::Optional(g)
+                | PatternElement::Group(g)
+                | PatternElement::Minus(g) => g.triple_pattern_count(),
                 PatternElement::Union(a, b) => a.triple_pattern_count() + b.triple_pattern_count(),
                 PatternElement::SubSelect(q) => q.pattern.triple_pattern_count(),
                 _ => 0,
@@ -838,7 +840,10 @@ mod tests {
         assert_eq!(Function::from_name("regex"), Some(Function::Regex));
         assert_eq!(Function::from_name("isUri"), Some(Function::IsIri));
         assert_eq!(Function::from_name("nope"), None);
-        assert_eq!(AggregateFunction::from_name("sum"), Some(AggregateFunction::Sum));
+        assert_eq!(
+            AggregateFunction::from_name("sum"),
+            Some(AggregateFunction::Sum)
+        );
         assert_eq!(AggregateFunction::from_name("median"), None);
     }
 

@@ -420,7 +420,11 @@ mod tests {
         let ep = endpoint();
         let loaded_epoch = ep.epoch();
         assert!(loaded_epoch > 0, "loading data bumped the epoch");
-        assert_eq!(ep.deltas_since(loaded_epoch), None, "tracking off by default");
+        assert_eq!(
+            ep.deltas_since(loaded_epoch),
+            None,
+            "tracking off by default"
+        );
 
         ep.enable_change_tracking();
         let tracked_from = ep.epoch();

@@ -67,8 +67,12 @@ mod tests {
     #[test]
     fn display_forms() {
         assert!(SparqlError::parse(1, 2, "x").to_string().contains("1:2"));
-        assert!(SparqlError::unsupported("paths").to_string().contains("paths"));
+        assert!(SparqlError::unsupported("paths")
+            .to_string()
+            .contains("paths"));
         assert!(SparqlError::eval("bad").to_string().contains("bad"));
-        assert!(SparqlError::Endpoint("down".into()).to_string().contains("down"));
+        assert!(SparqlError::Endpoint("down".into())
+            .to_string()
+            .contains("down"));
     }
 }

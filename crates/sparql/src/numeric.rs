@@ -221,7 +221,9 @@ impl NumericSum {
     /// `false` (leaving the sum untouched) for non-numeric terms, on which
     /// the engine's aggregates error out.
     pub fn add_term(&mut self, term: &Term) -> bool {
-        NumericValue::of(term).map(|value| self.add_value(value)).is_some()
+        NumericValue::of(term)
+            .map(|value| self.add_value(value))
+            .is_some()
     }
 
     /// Accumulates an already-parsed value along the route its literal
@@ -518,7 +520,10 @@ mod tests {
         );
 
         // Empty sum: integer zero (SPARQL's SUM over an empty group).
-        assert_eq!(NumericSum::new().sum_term(), Term::Literal(Literal::integer(0)));
+        assert_eq!(
+            NumericSum::new().sum_term(),
+            Term::Literal(Literal::integer(0))
+        );
         assert_eq!(NumericSum::new().value(), 0.0);
     }
 

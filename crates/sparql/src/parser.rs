@@ -154,7 +154,9 @@ impl Parser {
                 self.bump();
                 let (prefix, local) = match self.bump() {
                     Some(Token::PrefixedName(p, l)) => (p, l),
-                    other => return Err(self.error(format!("expected prefix name, found {other:?}"))),
+                    other => {
+                        return Err(self.error(format!("expected prefix name, found {other:?}")))
+                    }
                 };
                 if !local.is_empty() {
                     return Err(self.error("prefix declaration must end with ':'"));
@@ -373,7 +375,9 @@ impl Parser {
                         self.bump();
                         let sub = self.parse_select_query()?;
                         self.expect_punct(Punct::RBrace)?;
-                        group.elements.push(PatternElement::SubSelect(Box::new(sub)));
+                        group
+                            .elements
+                            .push(PatternElement::SubSelect(Box::new(sub)));
                         self.eat_punct(Punct::Dot);
                     } else {
                         let first = self.parse_group_graph_pattern()?;
@@ -556,7 +560,9 @@ impl Parser {
                             self.expand_prefixed(&prefix, &local)?
                         }
                         other => {
-                            return Err(self.error(format!("expected datatype IRI, found {other:?}")))
+                            return Err(
+                                self.error(format!("expected datatype IRI, found {other:?}"))
+                            )
                         }
                     };
                     Ok(Term::Literal(Literal::typed(value, datatype)))
@@ -888,10 +894,8 @@ mod tests {
 
     #[test]
     fn parse_values_multi_var() {
-        let q = parse_select(
-            "SELECT * WHERE { VALUES (?a ?b) { (<http://x> 1) (UNDEF 2) } }",
-        )
-        .unwrap();
+        let q =
+            parse_select("SELECT * WHERE { VALUES (?a ?b) { (<http://x> 1) (UNDEF 2) } }").unwrap();
         match &q.pattern.elements[0] {
             PatternElement::Values { vars, rows } => {
                 assert_eq!(vars.len(), 2);
@@ -910,10 +914,7 @@ mod tests {
 
     #[test]
     fn parse_distinct_and_expression_ordering() {
-        let q = parse_select(
-            "SELECT DISTINCT ?x WHERE { ?x ?p ?y } ORDER BY ASC(?y) ?x",
-        )
-        .unwrap();
+        let q = parse_select("SELECT DISTINCT ?x WHERE { ?x ?p ?y } ORDER BY ASC(?y) ?x").unwrap();
         assert!(q.distinct);
         assert_eq!(q.order_by.len(), 2);
     }
@@ -950,7 +951,10 @@ mod tests {
             Projection::Items(items) => match &items[0] {
                 SelectItem::Expr { expr, .. } => match expr {
                     Expression::Arithmetic(_, ArithOp::Add, right) => {
-                        assert!(matches!(**right, Expression::Arithmetic(_, ArithOp::Mul, _)));
+                        assert!(matches!(
+                            **right,
+                            Expression::Arithmetic(_, ArithOp::Mul, _)
+                        ));
                     }
                     other => panic!("unexpected expr {other:?}"),
                 },

@@ -47,7 +47,11 @@ impl Solutions {
     /// Renders the solutions as a fixed-width text table (used by the demo
     /// examples and the exploration module's text UI).
     pub fn to_table_string(&self) -> String {
-        let headers: Vec<String> = self.variables.iter().map(|v| format!("?{}", v.name())).collect();
+        let headers: Vec<String> = self
+            .variables
+            .iter()
+            .map(|v| format!("?{}", v.name()))
+            .collect();
         let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
         let rendered: Vec<Vec<String>> = self
             .rows
@@ -127,7 +131,12 @@ impl EncodedSolutions {
 
     /// Assembles a result from its parts; `ids` holds `len` rows of
     /// `variables.len()` cells.
-    pub(crate) fn new(variables: Vec<Variable>, terms: Vec<Term>, ids: Vec<u32>, len: usize) -> Self {
+    pub(crate) fn new(
+        variables: Vec<Variable>,
+        terms: Vec<Term>,
+        ids: Vec<u32>,
+        len: usize,
+    ) -> Self {
         debug_assert_eq!(ids.len(), len * variables.len());
         EncodedSolutions {
             variables,

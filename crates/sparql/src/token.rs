@@ -132,7 +132,11 @@ impl Lexer {
     }
 
     fn push(&mut self, token: Token, line: usize, column: usize) {
-        self.tokens.push(Spanned { token, line, column });
+        self.tokens.push(Spanned {
+            token,
+            line,
+            column,
+        });
     }
 
     fn run(mut self) -> Result<Vec<Spanned>, SparqlError> {
@@ -434,7 +438,11 @@ mod tests {
     use super::*;
 
     fn toks(input: &str) -> Vec<Token> {
-        tokenize(input).unwrap().into_iter().map(|s| s.token).collect()
+        tokenize(input)
+            .unwrap()
+            .into_iter()
+            .map(|s| s.token)
+            .collect()
     }
 
     #[test]

@@ -41,18 +41,28 @@ fn main() {
         .expect("the continent candidate is discovered")
         .clone();
     let continent = session
-        .add_level(&eurostat_property::citizen(), &continent_candidate, "continent")
+        .add_level(
+            &eurostat_property::citizen(),
+            &continent_candidate,
+            "continent",
+        )
         .expect("level is added");
     session
         .add_attribute(&continent, &rdfs::label(), "continentName")
         .expect("attribute is added");
-    println!("Added level <{}> with attribute continentName\n", continent.as_str());
+    println!(
+        "Added level <{}> with attribute continentName\n",
+        continent.as_str()
+    );
 
     // A second round on the new level discovers the all-citizenships level.
     let next_round = session
         .discover_candidates(&continent)
         .expect("second discovery round succeeds");
-    println!("Candidates for the new continent level:\n{}", next_round.to_report());
+    println!(
+        "Candidates for the new continent level:\n{}",
+        next_round.to_report()
+    );
 
     // Triple Generation phase.
     let stats = session.load_into_endpoint().expect("triples load");

@@ -8,8 +8,8 @@ use qb2olap::{demo, Qb2Olap};
 use rdf::vocab::{demo_schema, eurostat_property};
 
 fn main() {
-    let cube = demo::setup_demo_cube(&datagen::EurostatConfig::small(3_000))
-        .expect("demo setup succeeds");
+    let cube =
+        demo::setup_demo_cube(&datagen::EurostatConfig::small(3_000)).expect("demo setup succeeds");
     let tool = Qb2Olap::new(cube.endpoint.clone());
 
     // Choose a cube among the collection stored in the endpoint.

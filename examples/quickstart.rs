@@ -8,8 +8,8 @@ fn main() {
     // 1. Generate a small `migr_asyappctzm` QB dataset and load it, together
     //    with the DBpedia-like external graph, into a local endpoint; then
     //    run the Enrichment module with the demo choices.
-    let cube = demo::setup_demo_cube(&datagen::EurostatConfig::small(2_000))
-        .expect("demo setup succeeds");
+    let cube =
+        demo::setup_demo_cube(&datagen::EurostatConfig::small(2_000)).expect("demo setup succeeds");
     println!(
         "Loaded {} observations ({} triples) and enriched the cube: {} schema triples, {} instance triples\n",
         cube.generated.observation_count,

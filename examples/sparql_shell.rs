@@ -14,8 +14,8 @@ SELECT ?level (COUNT(?member) AS ?members) WHERE {
 } GROUP BY ?level ORDER BY DESC(?members)";
 
 fn main() {
-    let cube = demo::setup_demo_cube(&datagen::EurostatConfig::small(2_000))
-        .expect("demo setup succeeds");
+    let cube =
+        demo::setup_demo_cube(&datagen::EurostatConfig::small(2_000)).expect("demo setup succeeds");
 
     let query = std::env::args()
         .nth(1)

@@ -111,7 +111,10 @@ fn ragged_hierarchy_drops_members_identically_in_both_backends() {
             .unwrap()
             .as_str()
     ));
-    assert!(syria_total > 0.0, "the 900-row sample has Syrian applicants");
+    assert!(
+        syria_total > 0.0,
+        "the 900-row sample has Syrian applicants"
+    );
 
     // Make the citizenship hierarchy ragged at Syria (no continent), then
     // open a fresh querying module so both backends see the mutated store.
@@ -180,10 +183,9 @@ $C1 := ROLLUP (data:migr_asyappctzm, schema:citizenshipDim, schema:citAll);
         .execute(&prepared, ExecutionBackend::Columnar)
         .unwrap();
     assert_eq!(direct, columnar);
-    assert!(direct
-        .cells
-        .iter()
-        .any(|c| c.coordinates.contains(&datagen::eurostat::continent_member("Africa"))));
+    assert!(direct.cells.iter().any(|c| c
+        .coordinates
+        .contains(&datagen::eurostat::continent_member("Africa"))));
 }
 
 /// The mutation-parity gate: interleaves seeded random store mutations —
@@ -201,9 +203,8 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
     querying.materialize().unwrap();
     let explorer = tool.explorer(&dataset).unwrap();
 
-    let members_of = |level: &Iri| -> Vec<Term> {
-        qb4olap::members_of_level(tool.endpoint(), level).unwrap()
-    };
+    let members_of =
+        |level: &Iri| -> Vec<Term> { qb4olap::members_of_level(tool.endpoint(), level).unwrap() };
     let citizen_level = rdf::vocab::eurostat_property::citizen();
     let continent_level = rdf::vocab::demo_schema::continent();
     let pools: Vec<(Iri, Vec<Term>)> = [
@@ -217,7 +218,11 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
     .into_iter()
     .map(|level| {
         let members = members_of(&level);
-        assert!(!members.is_empty(), "level <{}> has members", level.as_str());
+        assert!(
+            !members.is_empty(),
+            "level <{}> has members",
+            level.as_str()
+        );
         (level, members)
     })
     .collect();
@@ -352,11 +357,7 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
                     .unwrap();
                 let node = solutions.get(0, "o").cloned().unwrap();
                 let value = solutions.get(0, "v").cloned().unwrap();
-                assert!(store.remove(&Triple::new(
-                    node.clone(),
-                    sdmx_measure::obs_value(),
-                    value
-                )));
+                assert!(store.remove(&Triple::new(node.clone(), sdmx_measure::obs_value(), value)));
                 let served_between = matches!(mutation, Mutation::EditDroppedObservation);
                 if served_between {
                     querying.materialize().unwrap();
@@ -430,8 +431,14 @@ fn interleaved_mutations_keep_catalog_and_sparql_in_lockstep() {
         .iter()
         .filter(|r| r.strategy == MaintenanceStrategy::Rebuild)
         .count();
-    assert!(deltas >= 3, "observation appends refresh via deltas: {reports:?}");
-    assert!(rebuilds >= 2, "unappliable mutations fall back to rebuilds: {reports:?}");
+    assert!(
+        deltas >= 3,
+        "observation appends refresh via deltas: {reports:?}"
+    );
+    assert!(
+        rebuilds >= 2,
+        "unappliable mutations fall back to rebuilds: {reports:?}"
+    );
     assert!(reports
         .iter()
         .filter(|r| r.strategy == MaintenanceStrategy::Rebuild)
@@ -520,10 +527,10 @@ mod mutation_fuzzer {
             .measure(rate.clone())
             .measure(index.clone());
         for i in 0..24 {
-            let mut obs = ::qb::Observation::new(Term::iri(format!(
-                "http://example.org/float/obs/init{i}"
-            )));
-            obs.dimensions.insert(city.clone(), fmember(&format!("fc{}", i % 8)));
+            let mut obs =
+                ::qb::Observation::new(Term::iri(format!("http://example.org/float/obs/init{i}")));
+            obs.dimensions
+                .insert(city.clone(), fmember(&format!("fc{}", i % 8)));
             obs.measures
                 .insert(rate.clone(), Term::Literal(quarters(rng)));
             obs.measures
@@ -532,14 +539,20 @@ mod mutation_fuzzer {
         }
         let (_, mut triples) = builder.build();
         for i in 0..8 {
-            triples.push(qb4olap::member_of_triple(&fmember(&format!("fc{i}")), &city));
+            triples.push(qb4olap::member_of_triple(
+                &fmember(&format!("fc{i}")),
+                &city,
+            ));
             triples.push(qb4olap::rollup_triple(
                 &fmember(&format!("fc{i}")),
                 &fmember(&format!("FK{}", i % 3)),
             ));
         }
         for k in 0..3 {
-            triples.push(qb4olap::member_of_triple(&fmember(&format!("FK{k}")), &country));
+            triples.push(qb4olap::member_of_triple(
+                &fmember(&format!("FK{k}")),
+                &country,
+            ));
         }
         tool.endpoint().insert_triples(&triples).unwrap();
 
@@ -572,13 +585,20 @@ mod mutation_fuzzer {
 
     /// The bottom-level cube.
     fn scan(cube: &MaterializedCube) -> QueryOutput {
-        execute(cube, &CubeQuery::default(), &ExecOptions::default(), None).unwrap().0
+        execute(cube, &CubeQuery::default(), &ExecOptions::default(), None)
+            .unwrap()
+            .0
     }
 
     /// The float cube's SPARQL oracle: per-city SUM(rate) / AVG(index)
     /// over bottom-level members, compared **term-for-term** (bit-identical
     /// lexical forms) with the catalog-served columnar cells.
-    fn assert_float_lockstep(tool: &Qb2Olap, catalog: &CubeCatalog, schema: &CubeSchema, step: usize) {
+    fn assert_float_lockstep(
+        tool: &Qb2Olap,
+        catalog: &CubeCatalog,
+        schema: &CubeSchema,
+        step: usize,
+    ) {
         let pin = catalog.serve_settled(tool.endpoint(), schema).unwrap();
         let cells = scan(pin.cube()).into_cells();
         let solutions = tool
@@ -611,9 +631,9 @@ mod mutation_fuzzer {
             "float cube cell count diverges from SPARQL after step {step}"
         );
         for cell in &cells {
-            let (sum, avg) = oracle
-                .get(&cell.coordinates[0])
-                .unwrap_or_else(|| panic!("extra columnar cell {:?} at step {step}", cell.coordinates));
+            let (sum, avg) = oracle.get(&cell.coordinates[0]).unwrap_or_else(|| {
+                panic!("extra columnar cell {:?} at step {step}", cell.coordinates)
+            });
             assert_eq!(
                 cell.values[0].as_ref(),
                 Some(sum),
@@ -661,7 +681,9 @@ mod mutation_fuzzer {
         let catalog = tool.catalog().clone();
         let querying = tool.querying(&dataset).unwrap();
         querying.materialize().unwrap();
-        catalog.serve_settled(tool.endpoint(), &float_schema).unwrap();
+        catalog
+            .serve_settled(tool.endpoint(), &float_schema)
+            .unwrap();
         let explorer = tool.explorer(&dataset).unwrap();
 
         let citizen_level = rdf::vocab::eurostat_property::citizen();
@@ -724,12 +746,13 @@ mod mutation_fuzzer {
             batch
         };
 
-        let live_victims = |tool: &Qb2Olap, dataset: &Iri, forbidden: &BTreeSet<Term>| -> Vec<Term> {
-            observation_nodes(tool, dataset)
-                .into_iter()
-                .filter(|node| !forbidden.contains(node))
-                .collect()
-        };
+        let live_victims =
+            |tool: &Qb2Olap, dataset: &Iri, forbidden: &BTreeSet<Term>| -> Vec<Term> {
+                observation_nodes(tool, dataset)
+                    .into_iter()
+                    .filter(|node| !forbidden.contains(node))
+                    .collect()
+            };
 
         // Compaction is the catalog's designed reclaim, not a refusal, and
         // it is not what this fuzzer tests: an op that tombstones runs only
@@ -767,8 +790,7 @@ mod mutation_fuzzer {
                 // A brand-new citizenship member (declared, linked into the
                 // hierarchy) plus an observation referencing it.
                 1 => {
-                    let member =
-                        Term::iri(format!("http://example.org/fuzz/citizen{next_member}"));
+                    let member = Term::iri(format!("http://example.org/fuzz/citizen{next_member}"));
                     let continent = continents[rng.gen_range(0..continents.len())].clone();
                     let mut batch = vec![
                         qb4olap::member_of_triple(&member, &citizen_level),
@@ -779,7 +801,11 @@ mod mutation_fuzzer {
                     next_member += 1;
                     // Rebind the citizenship dimension to the new member.
                     obs.retain(|t| t.predicate != citizen_level);
-                    obs.push(Triple::new(obs[0].subject.clone(), citizen_level.clone(), member));
+                    obs.push(Triple::new(
+                        obs[0].subject.clone(),
+                        citizen_level.clone(),
+                        member,
+                    ));
                     batch.extend(obs);
                     tool.endpoint().insert_triples(&batch).unwrap();
                 }
@@ -788,10 +814,10 @@ mod mutation_fuzzer {
                     let victims = live_victims(&tool, &dataset, &forbidden);
                     if victims.len() > 150 {
                         let victim = &victims[rng.gen_range(0..victims.len())];
-                        let removed = tool
-                            .endpoint()
-                            .store()
-                            .remove_matching(Some(victim), None, None);
+                        let removed =
+                            tool.endpoint()
+                                .store()
+                                .remove_matching(Some(victim), None, None);
                         assert!(removed.len() >= 4);
                     }
                 }
@@ -856,7 +882,10 @@ mod mutation_fuzzer {
                     next_member += 1;
                     let mut batch = vec![
                         qb4olap::member_of_triple(&member, &firi("lv/city")),
-                        qb4olap::rollup_triple(&member, &fmember(&format!("FK{}", rng.gen_range(0..3)))),
+                        qb4olap::rollup_triple(
+                            &member,
+                            &fmember(&format!("FK{}", rng.gen_range(0..3))),
+                        ),
                     ];
                     batch.extend(float_observation(&mut rng, member, next_obs));
                     next_obs += 1;
@@ -873,7 +902,10 @@ mod mutation_fuzzer {
                     None => {
                         let mut rest = demo_observation(&mut rng, next_obs);
                         next_obs += 1;
-                        let at = rest.iter().position(|t| t.predicate == citizen_level).unwrap();
+                        let at = rest
+                            .iter()
+                            .position(|t| t.predicate == citizen_level)
+                            .unwrap();
                         tool.endpoint().insert_triples(&[rest.remove(at)]).unwrap();
                         split_rest = Some(rest);
                     }
@@ -1000,7 +1032,9 @@ mod mutation_fuzzer {
 
             // Both cubes must absorb the step via the delta path...
             querying.materialize().unwrap();
-            catalog.serve_settled(tool.endpoint(), &float_schema).unwrap();
+            catalog
+                .serve_settled(tool.endpoint(), &float_schema)
+                .unwrap();
             assert_delta_only(&catalog, &dataset, step);
             assert_delta_only(&catalog, &float_dataset, step);
 
@@ -1028,7 +1062,9 @@ mod mutation_fuzzer {
             if heavy {
                 // The delta-refreshed float cube's compensated sums are
                 // bit-identical to a from-scratch build's.
-                let settled = catalog.serve_settled(tool.endpoint(), &float_schema).unwrap();
+                let settled = catalog
+                    .serve_settled(tool.endpoint(), &float_schema)
+                    .unwrap();
                 let rebuilt =
                     MaterializedCube::from_endpoint(tool.endpoint(), &float_schema).unwrap();
                 assert_eq!(
@@ -1070,12 +1106,10 @@ mod mutation_fuzzer {
         for ds in [&dataset, &float_dataset] {
             let reports = catalog.reports(ds);
             assert!(
-                reports
-                    .iter()
-                    .all(|r| matches!(
-                        r.strategy,
-                        MaintenanceStrategy::Delta | MaintenanceStrategy::Fresh
-                    )),
+                reports.iter().all(|r| matches!(
+                    r.strategy,
+                    MaintenanceStrategy::Delta | MaintenanceStrategy::Fresh
+                )),
                 "<{}> saw a non-delta refresh: {reports:?}",
                 ds.as_str()
             );
@@ -1138,7 +1172,12 @@ fn removals_stay_in_lockstep_across_compaction_boundaries() {
         let nodes = observation_nodes(&tool, &dataset);
         for _ in 0..60 {
             let victim = nodes[rng.gen_range(0..nodes.len())].clone();
-            if tool.endpoint().store().triples_matching(Some(&victim), None, None).is_empty() {
+            if tool
+                .endpoint()
+                .store()
+                .triples_matching(Some(&victim), None, None)
+                .is_empty()
+            {
                 continue; // already removed this round
             }
             remove_observation(&tool, &victim);
@@ -1166,7 +1205,11 @@ fn removals_stay_in_lockstep_across_compaction_boundaries() {
     // After the compaction boundary the cube is dense again and still in
     // lockstep — including for one more removal + append round.
     let compacted = querying.materialize().unwrap();
-    assert_eq!(compacted.tombstoned_rows(), 0, "compaction reclaimed the dead rows");
+    assert_eq!(
+        compacted.tombstoned_rows(),
+        0,
+        "compaction reclaimed the dead rows"
+    );
     assert!(compacted.row_count() < initial_rows, "physical rows shrank");
     let nodes = observation_nodes(&tool, &dataset);
     let victim = nodes[rng.gen_range(0..nodes.len())].clone();

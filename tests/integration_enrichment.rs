@@ -15,10 +15,22 @@ fn discovered_hierarchies_cover_all_demo_dimensions() {
 
     // Citizenship, destination, time and age all expose roll-up candidates.
     for (level, property) in [
-        (eurostat_property::citizen(), datagen::eurostat::continent_property()),
-        (eurostat_property::geo(), datagen::eurostat::political_org_property()),
-        (sdmx_dimension::ref_period(), datagen::eurostat::year_property()),
-        (eurostat_property::age(), datagen::eurostat::age_group_property()),
+        (
+            eurostat_property::citizen(),
+            datagen::eurostat::continent_property(),
+        ),
+        (
+            eurostat_property::geo(),
+            datagen::eurostat::political_org_property(),
+        ),
+        (
+            sdmx_dimension::ref_period(),
+            datagen::eurostat::year_property(),
+        ),
+        (
+            eurostat_property::age(),
+            datagen::eurostat::age_group_property(),
+        ),
     ] {
         let candidates = session.discover_candidates(&level).unwrap();
         assert!(
@@ -31,7 +43,9 @@ fn discovered_hierarchies_cover_all_demo_dimensions() {
 
     // The sex dimension has no object-valued functional property, so no
     // roll-up candidate is suggested (only label attributes).
-    let sex = session.discover_candidates(&eurostat_property::sex()).unwrap();
+    let sex = session
+        .discover_candidates(&eurostat_property::sex())
+        .unwrap();
     assert!(sex.levels.is_empty());
     assert!(!sex.attributes.is_empty());
 }
@@ -61,7 +75,9 @@ fn external_dbpedia_candidates_require_following_same_as() {
     let candidates = without_external
         .discover_candidates(&eurostat_property::citizen())
         .unwrap();
-    assert!(candidates.level_candidate(&dbpedia::government_type()).is_none());
+    assert!(candidates
+        .level_candidate(&dbpedia::government_type())
+        .is_none());
 }
 
 #[test]
@@ -86,9 +102,10 @@ fn external_government_type_level_can_be_added_and_queried() {
     // queryable through the roll-up machinery.
     let pairs = qb4olap::rollup_pairs(&endpoint, &eurostat_property::citizen(), &level).unwrap();
     assert!(!pairs.is_empty());
-    assert!(pairs
-        .iter()
-        .all(|(_, parent)| parent.as_iri().map(|i| i.as_str().contains("dbpedia.org")).unwrap_or(false)));
+    assert!(pairs.iter().all(|(_, parent)| parent
+        .as_iri()
+        .map(|i| i.as_str().contains("dbpedia.org"))
+        .unwrap_or(false)));
 }
 
 #[test]

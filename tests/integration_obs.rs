@@ -57,7 +57,10 @@ fn explain_smoke_profiles_every_pipeline_step_on_both_backends() {
         "the columnar profile names every execution step"
     );
     assert!(!columnar_profile.plan.is_empty());
-    assert_eq!(sparql_cube, columnar_cube, "profiling must not break parity");
+    assert_eq!(
+        sparql_cube, columnar_cube,
+        "profiling must not break parity"
+    );
 
     // The facade's EXPLAIN renders both backends with their plans, step
     // timings and row counts.
@@ -102,9 +105,16 @@ $C2 := DICE ($C1, schema:citizenshipDim|schema:continent|schema:continentName = 
         "segment counters must stay monotone:\n{:?}",
         profile.counters
     );
-    assert_eq!(profile.counter("rows_scanned"), 0, "pruned segments are never read");
+    assert_eq!(
+        profile.counter("rows_scanned"),
+        0,
+        "pruned segments are never read"
+    );
     assert!(
-        profile.plan.iter().any(|line| line.starts_with("SEGMENTS ")),
+        profile
+            .plan
+            .iter()
+            .any(|line| line.starts_with("SEGMENTS ")),
         "the plan carries the segment summary:\n{:?}",
         profile.plan
     );
@@ -149,13 +159,21 @@ fn delta_only_mutation_run_reports_zero_rebuilds_via_the_snapshot() {
         cube.endpoint
             .insert_triples(&[
                 Triple::new(node.clone(), rdfv::type_(), Term::Iri(qb::observation())),
-                Triple::new(node.clone(), qb::data_set(), Term::Iri(cube.dataset.clone())),
+                Triple::new(
+                    node.clone(),
+                    qb::data_set(),
+                    Term::Iri(cube.dataset.clone()),
+                ),
                 Triple::new(
                     node.clone(),
                     eurostat_property::citizen(),
                     datagen::eurostat::citizen_member("SY"),
                 ),
-                Triple::new(node, sdmx_measure::obs_value(), Literal::integer(10 + i as i64)),
+                Triple::new(
+                    node,
+                    sdmx_measure::obs_value(),
+                    Literal::integer(10 + i as i64),
+                ),
             ])
             .unwrap();
         querying

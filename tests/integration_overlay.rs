@@ -23,8 +23,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cubestore::{
-    execute, CubeCatalog, CubeQuery, ExecOptions, MaintenanceStrategy,
-    MaterializedCube, QueryOutput,
+    execute, CubeCatalog, CubeQuery, ExecOptions, MaintenanceStrategy, MaterializedCube,
+    QueryOutput,
 };
 use qb4olap::CubeSchema;
 use qlsmith::fixture::{firi, fuzz_cube};
@@ -52,7 +52,11 @@ fn battery() -> Vec<CubeQuery> {
 fn run_battery(cube: &MaterializedCube) -> Vec<QueryOutput> {
     battery()
         .iter()
-        .map(|q| execute(cube, q, &ExecOptions::default(), None).expect("execute").0)
+        .map(|q| {
+            execute(cube, q, &ExecOptions::default(), None)
+                .expect("execute")
+                .0
+        })
         .collect()
 }
 
@@ -85,9 +89,15 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
         .unwrap()
         .insert(endpoint.epoch(), scratch_oracle(&endpoint, &schema));
 
-    let first = catalog.serve_snapshot(&endpoint, &schema).expect("first build");
+    let first = catalog
+        .serve_snapshot(&endpoint, &schema)
+        .expect("first build");
     first.verify_consistent().expect("first pin");
-    assert_eq!(first.plan_line(), "OVERLAY none", "a fresh build has accreted nothing");
+    assert_eq!(
+        first.plan_line(),
+        "OVERLAY none",
+        "a fresh build has accreted nothing"
+    );
 
     let done = AtomicBool::new(false);
     let pins = AtomicUsize::new(0);
@@ -169,7 +179,11 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
     // Convergence: once maintenance drains, the pin is current and matches
     // the final oracle entry.
     let settled = catalog.serve_settled(&endpoint, &schema).expect("settled");
-    assert_eq!(settled.epoch(), endpoint.epoch(), "catalog settles at the store epoch");
+    assert_eq!(
+        settled.epoch(),
+        endpoint.epoch(),
+        "catalog settles at the store epoch"
+    );
     assert_eq!(
         Some(&run_battery(settled.cube())),
         expected.lock().unwrap().get(&endpoint.epoch()),
@@ -177,7 +191,10 @@ fn concurrent_readers_match_the_scratch_oracle_at_every_pinned_epoch() {
     );
 
     // The run must actually have exercised the machinery, not just hit.
-    assert!(pins.load(Ordering::Relaxed) >= READERS * 2, "readers barely ran");
+    assert!(
+        pins.load(Ordering::Relaxed) >= READERS * 2,
+        "readers barely ran"
+    );
     assert!(
         accreted_pins.load(Ordering::Relaxed) > 0,
         "no reader ever saw an accreted pin"
@@ -298,11 +315,17 @@ fn a_slow_background_fold_never_delays_snapshot_serving() {
     let mut max_pin = Duration::ZERO;
     while catalog.maintenance_in_flight(&schema.dataset) && in_flight_pins < 10_000 {
         let t = Instant::now();
-        let snapshot = catalog.serve_snapshot(&slow, &schema).expect("in-flight pin");
+        let snapshot = catalog
+            .serve_snapshot(&slow, &schema)
+            .expect("in-flight pin");
         let elapsed = t.elapsed();
         max_pin = max_pin.max(elapsed);
         snapshot.verify_consistent().expect("in-flight pin");
-        assert_eq!(snapshot.epoch(), stale_epoch, "stale-but-consistent during the fold");
+        assert_eq!(
+            snapshot.epoch(),
+            stale_epoch,
+            "stale-but-consistent during the fold"
+        );
         assert_eq!(
             run_battery(snapshot.cube()),
             stale_outputs,
@@ -315,7 +338,9 @@ fn a_slow_background_fold_never_delays_snapshot_serving() {
 
     let report = catalog.last_report(&schema.dataset).expect("fold report");
     assert_eq!(report.strategy, MaintenanceStrategy::Rebuild);
-    let overlap = report.overlap.expect("background folds record their overlap window");
+    let overlap = report
+        .overlap
+        .expect("background folds record their overlap window");
     assert!(
         overlap >= slow.delay,
         "the fold must actually have gone through the slow handle ({overlap:?})"
@@ -334,6 +359,13 @@ fn a_slow_background_fold_never_delays_snapshot_serving() {
     // The fold lands the structural change; results match scratch.
     let settled = catalog.serve_snapshot(&slow, &schema).expect("settled");
     assert_eq!(settled.epoch(), slow.epoch());
-    assert_eq!(settled.plan_line(), "OVERLAY none", "a fold resets the record");
-    assert_eq!(run_battery(settled.cube()), scratch_oracle(&cube.endpoint, &schema));
+    assert_eq!(
+        settled.plan_line(),
+        "OVERLAY none",
+        "a fold resets the record"
+    );
+    assert_eq!(
+        run_battery(settled.cube()),
+        scratch_oracle(&cube.endpoint, &schema)
+    );
 }

@@ -38,7 +38,10 @@ fn qb_data_to_result_cube() {
         .unwrap();
     let countries = clusters.get(&eurostat_property::citizen()).unwrap().len();
     let continents = clusters.get(&demo_schema::continent()).unwrap().len();
-    assert!(countries > continents, "{countries} countries vs {continents} continents");
+    assert!(
+        countries > continents,
+        "{countries} countries vs {continents} continents"
+    );
 
     // Querying module: roll up to continents; the result has one cell per
     // continent actually present in the data and preserves the grand total.

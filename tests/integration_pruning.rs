@@ -16,8 +16,8 @@
 use std::collections::BTreeMap;
 
 use cubestore::{
-    execute, CubeQuery, CubeStoreError, ExecOptions, MaterializedCube, MemberFilter,
-    MemberPredicate, MeasureFilter, QueryOutput, ScanStats,
+    execute, CubeQuery, CubeStoreError, ExecOptions, MaterializedCube, MeasureFilter, MemberFilter,
+    MemberPredicate, QueryOutput, ScanStats,
 };
 use qb2olap::{demo, Qb2Olap};
 use rdf::vocab::{demo_schema, rdfs, sdmx_dimension};
@@ -33,7 +33,12 @@ fn run(
 }
 
 /// A dice comparing a level attribute's string form with a constant.
-fn attribute_dice(dimension: rdf::Iri, level: rdf::Iri, attribute: rdf::Iri, value: &str) -> MemberFilter {
+fn attribute_dice(
+    dimension: rdf::Iri,
+    level: rdf::Iri,
+    attribute: rdf::Iri,
+    value: &str,
+) -> MemberFilter {
     MemberFilter::Compare {
         dimension,
         level,
@@ -82,7 +87,12 @@ fn query_battery() -> Vec<(&'static str, CubeQuery)> {
             "mid-level year dice",
             CubeQuery {
                 rollups: BTreeMap::from([(time_dim.clone(), year.clone())]),
-                member_filters: vec![attribute_dice(time_dim.clone(), year, rdfs::label(), "2014")],
+                member_filters: vec![attribute_dice(
+                    time_dim.clone(),
+                    year,
+                    rdfs::label(),
+                    "2014",
+                )],
                 ..CubeQuery::default()
             },
         ),
@@ -103,12 +113,7 @@ fn query_battery() -> Vec<(&'static str, CubeQuery)> {
             "slice + leaf dice + having",
             CubeQuery {
                 slices: vec![demo_schema::term("sexDim"), demo_schema::term("ageDim")],
-                member_filters: vec![attribute_dice(
-                    time_dim,
-                    month,
-                    rdfs::label(),
-                    "2013-02",
-                )],
+                member_filters: vec![attribute_dice(time_dim, month, rdfs::label(), "2013-02")],
                 measure_filters: vec![MeasureFilter::Compare {
                     measure: rdf::vocab::sdmx_measure::obs_value(),
                     op: CmpOp::Gt,
@@ -137,10 +142,16 @@ fn battery_is_bit_identical_with_pruning_on_and_off() {
     let live_rows = cube.live_row_count() as u64;
 
     for (name, query) in query_battery() {
-        let (baseline, unpruned) = run(&cube, &query, false)
-            .unwrap_or_else(|e| panic!("'{name}' failed unpruned: {e}"));
-        assert_eq!(unpruned.segments_pruned, 0, "'{name}': pruning was disabled");
-        assert_eq!(unpruned.rows_scanned, live_rows, "'{name}': unpruned scans all live rows");
+        let (baseline, unpruned) =
+            run(&cube, &query, false).unwrap_or_else(|e| panic!("'{name}' failed unpruned: {e}"));
+        assert_eq!(
+            unpruned.segments_pruned, 0,
+            "'{name}': pruning was disabled"
+        );
+        assert_eq!(
+            unpruned.rows_scanned, live_rows,
+            "'{name}': unpruned scans all live rows"
+        );
 
         let (output, stats) =
             run(&cube, &query, true).unwrap_or_else(|e| panic!("'{name}' failed pruned: {e}"));

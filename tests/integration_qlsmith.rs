@@ -13,8 +13,8 @@
 
 use std::path::Path;
 
-use ql::cubestore::MaintenanceStrategy;
 use ql::ast::{CubeRef, DiceCondition, DiceOp, DiceOperand, DiceValue, QlOperation};
+use ql::cubestore::MaintenanceStrategy;
 use ql::{CubeCell, QlError, QueryingModule, ResultCube};
 use qlsmith::corpus::{corpus_programs, read_corpus_file, write_corpus_file};
 use qlsmith::diff::{
@@ -260,7 +260,12 @@ fn seeded_mismatch_is_caught_shrunk_and_replayed_from_the_corpus() {
     assert!(caught.is_some(), "the driver must flag the seeded mismatch");
     // …which the honest oracle does not exhibit, on any of its legs.
     assert!(check_program(&real, &full_text).unwrap().is_none());
-    let legs: Vec<&str> = real.evaluate(&full_text).unwrap().iter().map(|(l, _)| *l).collect();
+    let legs: Vec<&str> = real
+        .evaluate(&full_text)
+        .unwrap()
+        .iter()
+        .map(|(l, _)| *l)
+        .collect();
     assert_eq!(legs, qlsmith::diff::LEGS);
 
     // 2. The shrinker reduces the trigger to a single statement.

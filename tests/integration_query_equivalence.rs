@@ -86,7 +86,9 @@ fn rollup_to_continent_matches_independent_aggregation() {
             .get(i, "v")
             .and_then(|t| t.as_literal().and_then(|l| l.as_double()))
             .unwrap();
-        let continent = continent_of.get(citizen).expect("every country has a continent");
+        let continent = continent_of
+            .get(citizen)
+            .expect("every country has a continent");
         *expected.entry(continent.clone()).or_default() += value;
     }
 
@@ -122,7 +124,10 @@ fn mary_query_only_returns_african_citizens_applying_in_france() {
     let (tool, dataset) = demo_tool(4_000);
     let querying = tool.querying(&dataset).unwrap();
     let (_, cube, _) = querying.run(&datagen::workload::mary_query()).unwrap();
-    assert!(!cube.is_empty(), "the 4k sample contains matching observations");
+    assert!(
+        !cube.is_empty(),
+        "the 4k sample contains matching observations"
+    );
 
     // Every cell's citizenship coordinate is the Africa continent member and
     // the destination coordinate is France.
@@ -141,6 +146,9 @@ fn mary_query_only_returns_african_citizens_applying_in_france() {
             cell.coordinates[continent_axis],
             datagen::eurostat::continent_member("Africa")
         );
-        assert_eq!(cell.coordinates[geo_axis], datagen::eurostat::geo_member("FR"));
+        assert_eq!(
+            cell.coordinates[geo_axis],
+            datagen::eurostat::geo_member("FR")
+        );
     }
 }

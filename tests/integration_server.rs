@@ -20,9 +20,7 @@ use std::time::Duration;
 
 use qb2olap::Qb2Olap;
 use qb2olap_server::client::Client;
-use qb2olap_server::{
-    cube_to_json, percent_encode, solutions_to_json, QbServer, ServerConfig,
-};
+use qb2olap_server::{cube_to_json, percent_encode, solutions_to_json, QbServer, ServerConfig};
 use sparql::Endpoint;
 
 /// A server over an empty endpoint — enough for every protocol-level test.
@@ -67,7 +65,11 @@ fn malformed_requests_get_specific_errors() {
 
     check("GARBAGE\r\n\r\n", 400, "malformed request line");
     check("GET /x HTTP/9.9\r\n\r\n", 400, "unsupported protocol");
-    check("GET / HTTP/1.1\r\nNoColonHere\r\n\r\n", 400, "malformed header");
+    check(
+        "GET / HTTP/1.1\r\nNoColonHere\r\n\r\n",
+        400,
+        "malformed header",
+    );
     check(
         "POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
         400,
@@ -112,7 +114,12 @@ fn stalled_and_overlong_requests_time_out_as_408() {
     // replaced with 408.
     let mut client = Client::connect(server.addr()).expect("connect");
     let response = client
-        .request("GET", "/health", None, &[("X-Qb2olap-Test-Sleep-Ms", "250")])
+        .request(
+            "GET",
+            "/health",
+            None,
+            &[("X-Qb2olap-Test-Sleep-Ms", "250")],
+        )
         .expect("request");
     assert_eq!(response.status, 408, "deadline overrun → 408");
     assert!(response.body_text().contains("deadline"));
@@ -140,8 +147,17 @@ fn saturated_pool_refuses_with_429() {
     // A rendezvous queue refuses while the freshly spawned worker has not
     // reached its first `recv` yet: wait until it serves.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while Client::connect(addr).expect("connect").get("/health").expect("request").status != 200 {
-        assert!(std::time::Instant::now() < deadline, "the worker never came up");
+    while Client::connect(addr)
+        .expect("connect")
+        .get("/health")
+        .expect("request")
+        .status
+        != 200
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the worker never came up"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
     std::thread::sleep(Duration::from_millis(50)); // the warm-up connection has closed
@@ -150,7 +166,12 @@ fn saturated_pool_refuses_with_429() {
     let busy = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("connect");
         client
-            .request("GET", "/health", None, &[("X-Qb2olap-Test-Sleep-Ms", "600")])
+            .request(
+                "GET",
+                "/health",
+                None,
+                &[("X-Qb2olap-Test-Sleep-Ms", "600")],
+            )
             .expect("request")
     });
     std::thread::sleep(Duration::from_millis(150));
@@ -229,14 +250,22 @@ fn shutdown_drains_in_flight_requests() {
     let in_flight = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("connect");
         client
-            .request("GET", "/health", None, &[("X-Qb2olap-Test-Sleep-Ms", "300")])
+            .request(
+                "GET",
+                "/health",
+                None,
+                &[("X-Qb2olap-Test-Sleep-Ms", "300")],
+            )
             .expect("request")
     });
     std::thread::sleep(Duration::from_millis(100));
     server.shutdown(); // blocks until workers drained
 
     let response = in_flight.join().expect("in-flight thread");
-    assert_eq!(response.status, 200, "in-flight request drained, not dropped");
+    assert_eq!(
+        response.status, 200,
+        "in-flight request drained, not dropped"
+    );
 
     // The listener is gone: new connections are refused (or reset at the
     // first read on platforms that accept into a dead backlog).
@@ -246,8 +275,8 @@ fn shutdown_drains_in_flight_requests() {
 
 #[test]
 fn wire_responses_match_library_results_bit_for_bit() {
-    let cube = qb2olap::demo::setup_demo_cube(&datagen::EurostatConfig::small(200))
-        .expect("demo cube");
+    let cube =
+        qb2olap::demo::setup_demo_cube(&datagen::EurostatConfig::small(200)).expect("demo cube");
     let tool = Qb2Olap::new(cube.endpoint.clone());
     let server = qb2olap_server::start(tool.clone(), test_config()).expect("bind server");
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -265,13 +294,21 @@ fn wire_responses_match_library_results_bit_for_bit() {
         );
         let response = client.post("/ql", &ql).expect("wire execute");
         assert_eq!(response.status, 200, "{name}: {}", response.body_text());
-        assert_eq!(response.body_text(), want, "{name}: wire and library bodies differ");
+        assert_eq!(
+            response.body_text(),
+            want,
+            "{name}: wire and library bodies differ"
+        );
         let epoch: u64 = response
             .header("x-qb2olap-epoch")
             .expect("epoch header")
             .parse()
             .expect("numeric epoch");
-        assert_eq!(epoch, snapshot.epoch(), "{name}: served from the same epoch");
+        assert_eq!(
+            epoch,
+            snapshot.epoch(),
+            "{name}: served from the same epoch"
+        );
     }
 
     // /sparql: same contract against Endpoint::select.
@@ -305,8 +342,8 @@ fn wire_responses_match_library_results_bit_for_bit() {
 
 #[test]
 fn exploration_explain_and_metrics_are_served() {
-    let cube = qb2olap::demo::setup_demo_cube(&datagen::EurostatConfig::small(200))
-        .expect("demo cube");
+    let cube =
+        qb2olap::demo::setup_demo_cube(&datagen::EurostatConfig::small(200)).expect("demo cube");
     let tool = Qb2Olap::new(cube.endpoint.clone());
     let server = qb2olap_server::start(tool, test_config()).expect("bind server");
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -325,7 +362,10 @@ fn exploration_explain_and_metrics_are_served() {
 
     let level = rdf::vocab::eurostat_property::citizen();
     let members = client
-        .get(&format!("/explore/members?level={}", percent_encode(level.as_str())))
+        .get(&format!(
+            "/explore/members?level={}",
+            percent_encode(level.as_str())
+        ))
         .expect("members");
     assert_eq!(members.status, 200, "{}", members.body_text());
     assert!(members.body_text().contains("\"members\":["));
@@ -343,7 +383,10 @@ fn exploration_explain_and_metrics_are_served() {
     // Metrics: text by default, JSON on request, and the server's own
     // series appear alongside the engine's.
     let text = client.get("/metrics").expect("metrics text");
-    assert_eq!(text.header("content-type"), Some("text/plain; charset=utf-8"));
+    assert_eq!(
+        text.header("content-type"),
+        Some("text/plain; charset=utf-8")
+    );
     assert!(text.body_text().contains("server.requests"));
     assert!(text.body_text().contains("server.request.explain"));
     assert!(text.body_text().contains("server.latency_ns.explore"));
