@@ -1,7 +1,11 @@
-//! Materialization: one pass over the endpoint turns a QB4OLAP dataset into
-//! a [`MaterializedCube`] — dictionary-encoded dimension columns, dense
+//! Materialization: one replay over the endpoint turns a QB4OLAP dataset
+//! into a [`MaterializedCube`] — dictionary-encoded dimension columns, dense
 //! typed measure vectors, per-level member indexes with attribute values,
 //! and precomputed bottom-level → ancestor roll-up maps.
+//!
+//! A build is the replay of an empty cube (`delta.rs`); every replay reads
+//! stars through this module's fact encoder and the hierarchy through
+//! `read_hierarchy`.
 //!
 //! The build runs a handful of SPARQL queries *once*; afterwards every QL
 //! pipeline executes directly over the columns with no endpoint round-trip.
@@ -11,7 +15,6 @@ use std::sync::Arc;
 
 use qb::{ComponentKind, DataStructureDefinition, ObservationTable};
 use qb4olap::CubeSchema;
-use rdf::hash::FxHashMap;
 use rdf::{Iri, Term};
 use sparql::Endpoint;
 
@@ -96,7 +99,7 @@ pub struct MaterializedCube {
     /// Dead-row bitmap; rows it marks are skipped by every scan.
     pub(crate) tombstones: Tombstones,
     /// Per-segment pruning metadata (distinct member codes per dimension),
-    /// built here and extended under [`MaterializedCube::apply_delta`].
+    /// extended over the rows each replay appends, a build's included.
     pub(crate) zones: ZoneMaps,
     pub(crate) stats: BuildStats,
 }
@@ -109,11 +112,77 @@ impl MaterializedCube {
     /// assumed to carry at most one value per dimension and per measure
     /// (QB well-formedness); of several values the row keeps the least
     /// `Term` rather than multiplying rows the way a raw SPARQL join would.
+    ///
+    /// A build is the replay of an empty cube: it reads the dataset's
+    /// structure, then runs [`MaterializedCube::apply_delta`]'s tail with
+    /// every node in the read set and the hierarchy dirty — one pivot
+    /// SELECT of every observation star, then the hierarchy half.
     pub fn from_endpoint(
         endpoint: &dyn Endpoint,
         schema: &CubeSchema,
     ) -> Result<Self, CubeStoreError> {
-        Builder { endpoint, schema }.build()
+        let structure = qb::load_dataset(endpoint, &schema.dataset)?.structure;
+        let mut cube = MaterializedCube::empty(schema, structure)?;
+        cube.read_back(endpoint, None, true)?;
+        Ok(cube)
+    }
+
+    /// A cube of `schema` with no rows, no levels and no roll-up maps: one
+    /// empty column per dimension, keyed by its bottom level (the level IRI
+    /// doubles as the observation property, exactly as the SPARQL
+    /// translator assumes), and one per measure.
+    fn empty(
+        schema: &CubeSchema,
+        structure: DataStructureDefinition,
+    ) -> Result<Self, CubeStoreError> {
+        let dimensions = schema
+            .dimensions
+            .iter()
+            .map(|dimension| {
+                let bottom = schema
+                    .bottom_level_of_dimension(&dimension.iri)
+                    .ok_or_else(|| {
+                        CubeStoreError::Build(format!(
+                            "dimension <{}> has no bottom level",
+                            dimension.iri.as_str()
+                        ))
+                    })?;
+                Ok(DimensionColumn::new(
+                    dimension.iri.clone(),
+                    bottom,
+                    Vec::new(),
+                    Dictionary::new(),
+                ))
+            })
+            .collect::<Result<Vec<_>, CubeStoreError>>()?;
+        let measures = schema
+            .measures
+            .iter()
+            .map(|spec| MeasureColumn {
+                property: spec.property.clone(),
+                aggregate: spec.aggregate,
+                // Typed by its first accepted literal; with no accepted row
+                // the empty integer vector keeps the cube usable (every
+                // query returns zero cells).
+                data: MeasureVector::Integer(crate::cowvec::CowVec::new()),
+            })
+            .collect();
+        Ok(MaterializedCube {
+            schema: Arc::new(schema.clone()),
+            structure: Arc::new(structure),
+            row_count: 0,
+            zones: ZoneMaps::empty(dimensions.len()),
+            dimensions,
+            measures,
+            levels: BTreeMap::new(),
+            rollups: BTreeMap::new(),
+            observations: ObservationIndex::default(),
+            dropped_observations: Arc::default(),
+            broader: Arc::default(),
+            dataset_label: None,
+            tombstones: Tombstones::new(),
+            stats: BuildStats::default(),
+        })
     }
 
     /// The schema the cube was materialized for.
@@ -294,8 +363,8 @@ fn resolve_rollup_target(
 
 /// Turns observation-table rows into fact rows: a member is
 /// dictionary-encoded and a measure literal parsed once per distinct
-/// (column, term) of the table, however many rows carry it. The build and
-/// [`MaterializedCube::apply_delta`] both classify and append through it.
+/// (column, term) of the table, however many rows carry it. Every replay,
+/// a build's included, classifies and appends through it.
 pub(crate) struct FactEncoder<'t> {
     table: &'t ObservationTable,
     /// The table column of each cube dimension's bottom level and of each
@@ -343,8 +412,7 @@ impl<'t> FactEncoder<'t> {
 
     /// True if the observation is a fact row: typed, with a literal for
     /// every measure. The SPARQL pattern's inner joins drop any other
-    /// star too; the build and [`MaterializedCube::apply_delta`] record it
-    /// as dropped.
+    /// star too; the replay records it as dropped.
     pub(crate) fn is_fact_row(&self, observation: usize) -> bool {
         self.table.typed(observation)
             && (0..self.measures.len()).all(|measure| {
@@ -399,11 +467,6 @@ impl<'t> FactEncoder<'t> {
     }
 }
 
-struct Builder<'a> {
-    endpoint: &'a dyn Endpoint,
-    schema: &'a CubeSchema,
-}
-
 /// The rows of a two-column SELECT in which both columns are bound.
 fn bound_pairs(endpoint: &dyn Endpoint, query: &str) -> Result<Vec<(Term, Term)>, CubeStoreError> {
     let solutions = endpoint.select_encoded(query)?;
@@ -414,42 +477,19 @@ fn bound_pairs(endpoint: &dyn Endpoint, query: &str) -> Result<Vec<(Term, Term)>
         .collect())
 }
 
-/// The hierarchy half of a cube: everything the build reads besides the
-/// observations. A replay whose deltas touch a hierarchy triple reads it
-/// again and installs it in place of the old one; the fact columns hold
-/// bottom-member codes only, so nothing else depends on it.
-pub(crate) struct HierarchyHalf {
-    levels: BTreeMap<Iri, LevelIndex>,
-    /// One empty map per level reachable upward from each bottom level
-    /// (and the bottom itself), for [`extend_rollup_maps`] to fill.
-    rollups: BTreeMap<(Iri, Iri), RollupMap>,
-    broader: BTreeMap<Term, Vec<Term>>,
-    dataset_label: Option<String>,
-}
-
-impl HierarchyHalf {
-    /// Replaces the cube's levels, roll-up maps (empty until
-    /// [`extend_rollup_maps`] runs), adjacency and dataset label, and the
-    /// counters that describe them.
-    pub(crate) fn install(self, cube: &mut MaterializedCube) {
-        cube.stats.levels = self.levels.len();
-        cube.stats.rollup_maps = self.rollups.len();
-        cube.stats.broader_links = self.broader.values().map(Vec::len).sum();
-        cube.levels = self.levels;
-        cube.rollups = self.rollups;
-        cube.broader = Arc::new(self.broader);
-        cube.dataset_label = self.dataset_label;
-    }
-}
-
-/// Reads the hierarchy half of `schema`'s cube over the given dimension
-/// columns: the shared `rdfs:label` pairs, each level's members and one
-/// SELECT per level attribute, and the `skos:broader` adjacency.
+/// Reads the hierarchy half of the cube — the shared `rdfs:label` pairs,
+/// each level's members and one SELECT per level attribute, and the
+/// `skos:broader` adjacency — and installs it in place of the cube's
+/// levels, adjacency and dataset label, with the counters that describe
+/// them and one empty roll-up map per level reachable upward from each
+/// bottom level (and the bottom itself) for [`extend_rollup_maps`] to
+/// fill. The fact columns hold bottom-member codes only, so nothing else
+/// depends on what it replaces.
 pub(crate) fn read_hierarchy(
     endpoint: &dyn Endpoint,
-    schema: &CubeSchema,
-    dimensions: &[DimensionColumn],
-) -> Result<HierarchyHalf, CubeStoreError> {
+    cube: &mut MaterializedCube,
+) -> Result<(), CubeStoreError> {
+    let schema = &*cube.schema;
     // Display labels, read once and shared by every level index (the
     // columnar Exploration paths serve member labels from here instead of
     // one SPARQL lookup per member).
@@ -507,7 +547,7 @@ pub(crate) fn read_hierarchy(
     }
 
     let mut rollups: BTreeMap<(Iri, Iri), RollupMap> = BTreeMap::new();
-    for (dimension, column) in schema.dimensions.iter().zip(dimensions) {
+    for (dimension, column) in schema.dimensions.iter().zip(&cube.dimensions) {
         let bottom = &column.bottom_level;
         for target in std::iter::once(bottom.clone()).chain(dimension.ancestor_levels(bottom)) {
             let map = RollupMap::new(dimension.iri.clone(), target.clone(), Vec::new());
@@ -515,99 +555,12 @@ pub(crate) fn read_hierarchy(
         }
     }
 
-    Ok(HierarchyHalf {
-        levels,
-        rollups,
-        broader,
-        dataset_label,
-    })
-}
-
-impl Builder<'_> {
-    fn build(self) -> Result<MaterializedCube, CubeStoreError> {
-        let mut stats = BuildStats::default();
-
-        // One read of every dataset-linked observation's star. The SPARQL
-        // backend sees only the typed ones; the table flags those.
-        let structure = qb::load_dataset(self.endpoint, &self.schema.dataset)?.structure;
-        let observations =
-            qb::load_observations(self.endpoint, &self.schema.dataset, &structure, None)?;
-        stats.observations_seen = observations.len();
-
-        // One column per dimension, keyed by its bottom level (the level
-        // IRI doubles as the observation property, exactly as the SPARQL
-        // translator assumes), and one per measure.
-        let mut dimensions: Vec<DimensionColumn> = Vec::with_capacity(self.schema.dimensions.len());
-        for dimension in &self.schema.dimensions {
-            let bottom = self
-                .schema
-                .bottom_level_of_dimension(&dimension.iri)
-                .ok_or_else(|| {
-                    CubeStoreError::Build(format!(
-                        "dimension <{}> has no bottom level",
-                        dimension.iri.as_str()
-                    ))
-                })?;
-            dimensions.push(DimensionColumn::new(
-                dimension.iri.clone(),
-                bottom,
-                Vec::new(),
-                Dictionary::new(),
-            ));
-        }
-        let mut measures: Vec<MeasureColumn> = self
-            .schema
-            .measures
-            .iter()
-            .map(|spec| MeasureColumn {
-                property: spec.property.clone(),
-                aggregate: spec.aggregate,
-                // Typed by its first accepted literal; with no accepted row
-                // the empty integer vector keeps the cube usable (every
-                // query returns zero cells).
-                data: MeasureVector::Integer(crate::cowvec::CowVec::new()),
-            })
-            .collect();
-
-        // Fact rows, in the table's node order.
-        let mut encoder = FactEncoder::new(&structure, &dimensions, &measures, &observations);
-        let mut observation_rows: FxHashMap<Term, usize> =
-            FxHashMap::with_capacity_and_hasher(observations.len(), Default::default());
-        let mut dropped_observations: BTreeSet<Term> = BTreeSet::new();
-        for observation in 0..observations.len() {
-            let node = &observations.terms[observations.node(observation) as usize];
-            if !encoder.is_fact_row(observation) {
-                stats.rows_dropped += 1;
-                dropped_observations.insert(node.clone());
-                continue;
-            }
-            encoder.append(&mut dimensions, &mut measures, observation)?;
-            observation_rows.insert(node.clone(), observation_rows.len());
-        }
-        let row_count = observation_rows.len();
-        stats.rows = row_count;
-
-        let hierarchy = read_hierarchy(self.endpoint, self.schema, &dimensions)?;
-        let zones = ZoneMaps::build(&dimensions, row_count);
-
-        let mut cube = MaterializedCube {
-            schema: Arc::new(self.schema.clone()),
-            structure: Arc::new(structure),
-            row_count,
-            dimensions,
-            measures,
-            levels: BTreeMap::new(),
-            rollups: BTreeMap::new(),
-            observations: ObservationIndex::from_map(observation_rows),
-            dropped_observations: Arc::new(dropped_observations),
-            broader: Arc::default(),
-            dataset_label: None,
-            tombstones: Tombstones::new(),
-            zones,
-            stats,
-        };
-        hierarchy.install(&mut cube);
-        extend_rollup_maps(&mut cube);
-        Ok(cube)
-    }
+    cube.stats.levels = levels.len();
+    cube.stats.rollup_maps = rollups.len();
+    cube.stats.broader_links = broader.values().map(Vec::len).sum();
+    cube.levels = levels;
+    cube.rollups = rollups;
+    cube.broader = Arc::new(broader);
+    cube.dataset_label = dataset_label;
+    Ok(())
 }

@@ -1,6 +1,11 @@
 //! Incremental maintenance: applies recorded store deltas
 //! ([`rdf::StoreDelta`]) to a [`MaterializedCube`], reading back from the
-//! endpoint only what the deltas touch, with the build's own code.
+//! endpoint only what the deltas touch.
+//!
+//! There is one materialization path: a build
+//! ([`MaterializedCube::from_endpoint`]) is the replay of an empty cube
+//! with every node in the read set and the hierarchy dirty, and runs the
+//! same tail after it as every replay runs after its last delta.
 //!
 //! A replay sorts each default-graph triple of each delta, inserted or
 //! removed, into one of four cases:
@@ -17,14 +22,14 @@
 //!   set, as does a node newly linked to the dataset; a node whose link the
 //!   delta removed stays out of it. After the last delta the read set's
 //!   stars are read in one pivot SELECT (`qb::load_observations` restricted
-//!   by a `VALUES` block) and classified and encoded by the build's fact
-//!   encoder: complete → appended, otherwise → recorded as dropped, not
-//!   returned (unlinked) → invisible.
+//!   by a `VALUES` block; a build reads every star unrestricted) and
+//!   classified and encoded by the fact encoder: complete → appended,
+//!   otherwise → recorded as dropped, not returned (unlinked) → invisible.
 //! * A **hierarchy** triple (`skos:broader`, `qb4o:memberOf` into one of
 //!   the cube's levels, a tracked level attribute, `rdfs:label`) marks the
 //!   replay hierarchy-dirty. After the star read a dirty replay reads the
-//!   build's hierarchy half once (`read_hierarchy` in `build.rs`), installs
-//!   it in place of the old levels, adjacency and dataset label, and
+//!   hierarchy half once (`read_hierarchy` in `build.rs`), which writes
+//!   the levels, adjacency and dataset label in place of the old ones, and
 //!   refills every roll-up map from empty. The fact columns, their
 //!   dictionaries, the zone maps and the tombstones stay shared: they hold
 //!   bottom-member codes, which no hierarchy change moves.
@@ -32,6 +37,9 @@
 //!
 //! Every cube a replay returns is therefore what a fresh build of the
 //! store would hold, the physical row order aside.
+//!
+//! The decision table below is held equal to `DeltaContext::classify` by
+//! `tests::the_module_doc_restates_the_decision_table`.
 //!
 //! # Delta-vs-rebuild decision table
 //!
@@ -102,18 +110,33 @@ impl MaterializedCube {
             }
             hierarchy_dirty |= apply_one(&mut cube, &context, &mut reads, delta)?;
         }
-        read_stars(&mut cube, endpoint, &reads)?;
+        cube.read_back(endpoint, Some(&reads), hierarchy_dirty)?;
+        Ok(cube)
+    }
+
+    /// The tail of every replay, a build's included: reads the stars of
+    /// `reads` (every dataset-linked node when `None`, as on a build), the
+    /// hierarchy half when `hierarchy_dirty`, refills the roll-up maps,
+    /// extends the zone maps over the appended rows and gives the
+    /// observation index its one merge check.
+    pub(crate) fn read_back(
+        &mut self,
+        endpoint: &dyn Endpoint,
+        reads: Option<&ReadSet>,
+        hierarchy_dirty: bool,
+    ) -> Result<(), CubeStoreError> {
+        read_stars(self, endpoint, reads)?;
         if hierarchy_dirty {
-            read_hierarchy(endpoint, &cube.schema, &cube.dimensions)?.install(&mut cube);
+            read_hierarchy(endpoint, self)?;
         }
-        extend_rollup_maps(&mut cube);
-        // Extend the zone maps over whatever rows the read appended:
+        extend_rollup_maps(self);
         // O(appended rows), touching only each map's tail entries. A
         // tombstone-only replay appends nothing, so the maps are untouched —
         // zone sets are never loosened by removals (a dead row's codes
         // staying recorded costs precision, not soundness).
-        cube.zones.extend(&cube.dimensions, cube.row_count);
-        Ok(cube)
+        self.zones.extend(&self.dimensions, self.row_count);
+        self.observations.merge_if_outgrown();
+        Ok(())
     }
 }
 
@@ -280,22 +303,25 @@ fn apply_one(
     Ok(hierarchy_dirty)
 }
 
-/// Reads the stars of the replay's read set in one pivot SELECT and
-/// classifies each exactly as the build loop does: a fact row is appended,
-/// any other star recorded as dropped. A node the read does not return
-/// (unlinked) is invisible.
+/// Reads the stars of the replay's read set (every dataset-linked node's
+/// on a build) in one pivot SELECT and classifies each: a fact row is
+/// appended, any other star recorded as dropped. A node the read does not
+/// return (unlinked) is invisible.
 fn read_stars(
     cube: &mut MaterializedCube,
     endpoint: &dyn Endpoint,
-    reads: &ReadSet,
+    reads: Option<&ReadSet>,
 ) -> Result<(), CubeStoreError> {
-    if reads.is_empty() {
-        return Ok(());
-    }
-    let nodes: Vec<Term> = reads.iter().cloned().collect();
+    let nodes: Option<Vec<Term>> = match reads {
+        Some(reads) if reads.is_empty() => return Ok(()),
+        Some(reads) => Some(reads.iter().cloned().collect()),
+        None => None,
+    };
     let structure = cube.structure.clone();
-    let table = ::qb::load_observations(endpoint, &cube.schema.dataset, &structure, Some(&nodes))?;
+    let table =
+        ::qb::load_observations(endpoint, &cube.schema.dataset, &structure, nodes.as_deref())?;
     let mut encoder = FactEncoder::new(&structure, &cube.dimensions, &cube.measures, &table);
+    cube.observations.reserve(table.len());
     for observation in 0..table.len() {
         let node = &table.terms[table.node(observation) as usize];
         cube.stats.observations_seen += 1;
@@ -1171,9 +1197,7 @@ mod tests {
     #[test]
     fn replays_read_the_hierarchy_only_after_a_hierarchy_triple() {
         let (endpoint, cube, epoch) = tracked();
-        let (hierarchy, _) = selects(&endpoint, || {
-            read_hierarchy(&endpoint, cube.schema(), &cube.dimensions)
-        });
+        let (hierarchy, _) = selects(&endpoint, || read_hierarchy(&endpoint, &mut cube.clone()));
         assert_eq!(
             hierarchy, 6,
             "labels, three levels, one attribute, the adjacency"
@@ -1237,6 +1261,105 @@ mod tests {
                 "level <{}> dictionary copied on a pure append",
                 level.as_str()
             );
+        }
+    }
+
+    /// A freshly built cube's observation index is one base with an empty
+    /// overlay, and a one-row append replay shares that base and every
+    /// sealed zone-map segment with it.
+    #[test]
+    fn a_build_leaves_one_base_that_an_append_replay_shares() {
+        let (endpoint, cube, _) = tracked();
+        let mut triples = Vec::new();
+        for i in 0..crate::cowvec::SEGMENT_LEN {
+            triples.extend(observation_triples(&format!("a{i:06}"), "c1", "m1", 1, 1));
+        }
+        endpoint.insert_triples(&triples).unwrap();
+        // A build of the grown store, so a sealed segment exists.
+        let built = MaterializedCube::from_endpoint(&endpoint, cube.schema()).unwrap();
+        assert!(built.observations.overlay.is_empty(), "a build merges once");
+        assert_eq!(built.observations.len(), built.row_count());
+
+        let epoch = endpoint.epoch();
+        endpoint
+            .insert_triples(&observation_triples("o6", "c1", "m2", 40, 2))
+            .unwrap();
+        let appended = built
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
+        assert_eq!(appended.row_count(), built.row_count() + 1);
+        assert!(
+            Arc::ptr_eq(&appended.observations.base, &built.observations.base),
+            "a one-row append must not rebuild the observation index"
+        );
+        assert_eq!(appended.observations.overlay.len(), 1);
+        for (before, after) in built
+            .zones
+            .dimensions
+            .iter()
+            .zip(&appended.zones.dimensions)
+        {
+            assert_eq!((before.sealed.len(), after.sealed.len()), (1, 1));
+            assert!(
+                before
+                    .sealed
+                    .iter()
+                    .zip(&after.sealed)
+                    .all(|(a, b)| Arc::ptr_eq(a, b)),
+                "a one-row append must not copy the sealed zone sets"
+            );
+        }
+        assert_matches_rebuild(&endpoint, &appended);
+    }
+
+    /// The module doc's decision table has exactly four rows, and one
+    /// representative triple per row gets that row's decision from
+    /// [`DeltaContext::classify`]: rebuild is `Err`, apply is `Fact` or
+    /// `Hierarchy`, skip is `Other`.
+    #[test]
+    fn the_module_doc_restates_the_decision_table() {
+        let decisions: Vec<&str> = include_str!("delta.rs")
+            .lines()
+            .take_while(|line| line.starts_with("//!"))
+            .filter_map(|line| line.strip_prefix("//! | "))
+            .filter(|row| !row.starts_with("Triple |"))
+            .map(|row| row.split(" | ").nth(1).unwrap().trim_matches('*'))
+            .collect();
+        assert_eq!(decisions, ["rebuild", "apply", "apply", "skip"]);
+
+        let (_, cube, _) = tracked();
+        let context = DeltaContext::for_cube(&cube);
+        let o1 = Term::iri("http://example.org/obs/o1");
+        // One representative per row, in the table's order, with the kind
+        // an applied triple must get.
+        let representatives = [
+            (structure_triple(), ""),
+            (
+                Triple::new(o1, iri("measure/value"), Literal::integer(11)),
+                " fact",
+            ),
+            (
+                Triple::new(member("c2"), skos::broader(), member("K1")),
+                " hierarchy",
+            ),
+            (
+                Triple::new(
+                    Term::iri("http://example.org/elsewhere"),
+                    Iri::new("http://example.org/unrelated"),
+                    Literal::string("noise"),
+                ),
+                "",
+            ),
+        ];
+        for (decision, (triple, kind)) in decisions.iter().zip(representatives) {
+            let got = match context.classify(&triple, "inserted") {
+                Err(CubeStoreError::DeltaUnsupported(_)) => "rebuild",
+                Err(error) => panic!("{triple:?}: {error}"),
+                Ok(TripleKind::Fact) => "apply fact",
+                Ok(TripleKind::Hierarchy) => "apply hierarchy",
+                Ok(TripleKind::Other) => "skip",
+            };
+            assert_eq!(got, format!("{decision}{kind}"), "{triple:?}");
         }
     }
 

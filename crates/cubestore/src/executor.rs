@@ -2154,7 +2154,8 @@ mod tests {
                 data,
             })
             .collect();
-        let zones = ZoneMaps::build(&dimensions, row_count);
+        let mut zones = ZoneMaps::empty(dimensions.len());
+        zones.extend(&dimensions, row_count);
         MaterializedCube {
             schema: std::sync::Arc::new(schema),
             structure: std::sync::Arc::new(qb::DataStructureDefinition::new(iri("dsd"))),
@@ -2163,7 +2164,7 @@ mod tests {
             measures,
             levels,
             rollups,
-            observations: crate::observations::ObservationIndex::from_map(Default::default()),
+            observations: Default::default(),
             dropped_observations: Default::default(),
             broader: Default::default(),
             dataset_label: None,

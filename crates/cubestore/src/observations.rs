@@ -5,11 +5,13 @@
 //! already-materialized data and to resolve removals to a tombstone row).
 //! A plain `HashMap<Term, usize>` would make every delta refresh clone the
 //! whole map — O(rows) `Term` clones for a 1-row append. Instead the index
-//! is layered: a large, `Arc`-shared **base** built at materialization
-//! time, plus a small mutable **overlay** recording the rows appended (and
-//! the nodes removed) since. A clone shares the base and copies only the
-//! overlay; when the overlay outgrows a fraction of the base, it is merged
-//! down once — amortized O(delta) per refresh.
+//! is layered: a large, `Arc`-shared **base** plus a small mutable
+//! **overlay** recording the rows appended (and the nodes removed) since
+//! the last merge. A clone shares the base and copies only the overlay;
+//! an index whose base nobody shares (a build's) writes straight into it.
+//! Each replay ends with one merge check: an overlay that outgrew a
+//! fraction of the base is merged down once — amortized O(delta) per
+//! refresh.
 
 use std::sync::Arc;
 
@@ -28,24 +30,14 @@ const MERGE_MINIMUM: usize = 64;
 #[derive(Debug, Clone, Default)]
 pub struct ObservationIndex {
     /// The shared bulk of the index.
-    base: Arc<FxHashMap<Term, usize>>,
+    pub(crate) base: Arc<FxHashMap<Term, usize>>,
     /// Recent changes: `Some(row)` = inserted/overridden, `None` = removed.
-    overlay: FxHashMap<Term, Option<usize>>,
+    pub(crate) overlay: FxHashMap<Term, Option<usize>>,
     /// Number of live entries across both layers.
     live: usize,
 }
 
 impl ObservationIndex {
-    /// Creates an index over the rows assigned at build time.
-    pub fn from_map(base: FxHashMap<Term, usize>) -> Self {
-        let live = base.len();
-        ObservationIndex {
-            base: Arc::new(base),
-            overlay: FxHashMap::default(),
-            live,
-        }
-    }
-
     /// The fact row of an observation node, if it is materialized (and not
     /// removed).
     pub fn row_of(&self, node: &Term) -> Option<usize> {
@@ -70,13 +62,29 @@ impl ObservationIndex {
         self.live == 0
     }
 
-    /// Records that `node` occupies fact row `row`.
+    /// Records that `node` occupies fact row `row`: in the base while no
+    /// clone shares it and the overlay shadows nothing, else in the
+    /// overlay.
     pub fn insert(&mut self, node: Term, row: usize) {
         if self.row_of(&node).is_none() {
             self.live += 1;
         }
-        self.overlay.insert(node, Some(row));
-        self.maybe_merge();
+        match Arc::get_mut(&mut self.base) {
+            Some(base) if self.overlay.is_empty() => {
+                base.insert(node, row);
+            }
+            _ => {
+                self.overlay.insert(node, Some(row));
+            }
+        }
+    }
+
+    /// Makes room for `additional` rows in a base nobody shares, the one
+    /// [`Self::insert`] writes through to (a build's).
+    pub fn reserve(&mut self, additional: usize) {
+        if let Some(base) = Arc::get_mut(&mut self.base).filter(|_| self.overlay.is_empty()) {
+            base.reserve(additional);
+        }
     }
 
     /// Removes `node` from the index (its row was tombstoned). Returns the
@@ -89,13 +97,13 @@ impl ObservationIndex {
         } else {
             self.overlay.remove(node);
         }
-        self.maybe_merge();
         Some(row)
     }
 
     /// Merges the overlay into the base once it outgrows the ratio — one
-    /// O(rows) rebuild amortized over many O(delta) refreshes.
-    fn maybe_merge(&mut self) {
+    /// O(rows) rebuild amortized over many O(delta) refreshes. Called once
+    /// at the end of each replay, not per change.
+    pub fn merge_if_outgrown(&mut self) {
         if self.overlay.len() < MERGE_MINIMUM
             || self.overlay.len() * MERGE_DENOMINATOR < self.base.len()
         {
@@ -124,10 +132,22 @@ mod tests {
         Term::iri(format!("http://example.org/obs/{i}"))
     }
 
+    /// An index over rows `0..rows`, inserted into an empty index as a
+    /// build inserts them.
+    fn built(rows: usize) -> ObservationIndex {
+        let mut index = ObservationIndex::default();
+        for i in 0..rows {
+            index.insert(node(i), i);
+        }
+        assert!(index.overlay.is_empty(), "an unshared base takes every row");
+        index
+    }
+
     #[test]
     fn layered_insert_remove_lookup() {
-        let base: FxHashMap<Term, usize> = (0..10).map(|i| (node(i), i)).collect();
-        let mut index = ObservationIndex::from_map(base);
+        let mut index = built(10);
+        // A clone shares the base, so changes land in the overlay.
+        let shared = index.clone();
         assert_eq!(index.len(), 10);
         assert_eq!(index.row_of(&node(3)), Some(3));
 
@@ -144,15 +164,17 @@ mod tests {
         assert!(!index.contains(&node(100)));
         assert_eq!(index.remove(&node(3)), None, "double remove");
         assert!(!index.is_empty());
+        assert_eq!((shared.len(), shared.row_of(&node(3))), (10, Some(3)));
+        assert!(!shared.contains(&node(100)));
     }
 
     #[test]
     fn clones_share_the_base() {
-        let base: FxHashMap<Term, usize> = (0..100).map(|i| (node(i), i)).collect();
-        let mut index = ObservationIndex::from_map(base);
+        let mut index = built(100);
         let clone = index.clone();
         assert!(Arc::ptr_eq(&index.base, &clone.base));
         index.insert(node(500), 100);
+        index.merge_if_outgrown();
         assert!(
             Arc::ptr_eq(&index.base, &clone.base),
             "small overlay growth does not clone the base"
@@ -162,35 +184,34 @@ mod tests {
 
     #[test]
     fn overlay_merges_down_when_it_outgrows_the_ratio() {
-        let base: FxHashMap<Term, usize> = (0..64).map(|i| (node(i), i)).collect();
-        let mut index = ObservationIndex::from_map(base);
+        let mut index = built(64);
         index.remove(&node(0));
         for i in 0..80 {
             index.insert(node(1000 + i), 64 + i);
         }
+        assert_eq!(index.overlay.len(), 81, "no merge before the check");
+        index.merge_if_outgrown();
         // Removal-only streams merge too (removal-heavy delta sequences
         // must not accumulate an O(removals) overlay between compactions).
-        let mut removals =
-            ObservationIndex::from_map((0..512).map(|i| (node(i), i)).collect::<FxHashMap<_, _>>());
+        let mut removals = built(512);
         for i in 0..200 {
             removals.remove(&node(i));
         }
+        removals.merge_if_outgrown();
         assert!(
-            removals.overlay.len() < MERGE_MINIMUM,
+            removals.overlay.is_empty(),
             "removals merged down (len {})",
             removals.overlay.len()
         );
         assert_eq!(removals.len(), 312);
         assert!(!removals.contains(&node(5)));
         assert!(removals.contains(&node(300)));
-        // The merge fires somewhere along the way, so the overlay never
-        // accumulates all 81 changes.
         assert!(
-            index.overlay.len() < MERGE_MINIMUM,
+            index.overlay.is_empty(),
             "overlay merged into the base after outgrowing it (len {})",
             index.overlay.len()
         );
-        assert!(index.base.len() > 64, "base absorbed the merged entries");
+        assert_eq!(index.base.len(), 143, "base absorbed the merged entries");
         assert_eq!(index.len(), 64 - 1 + 80);
         assert!(!index.contains(&node(0)), "removal survives the merge");
         assert_eq!(index.row_of(&node(1079)), Some(64 + 79));

@@ -2,10 +2,10 @@
 //! whole [`CowVec`](crate::cowvec::CowVec) segments without reading a row.
 //!
 //! The sealed 4096-row segment is already the unit of copy-on-write
-//! sharing; this module makes it the unit of *pruning* too. At
-//! materialization time (and incrementally under
-//! [`apply_delta`](crate::MaterializedCube::apply_delta)) the cube records,
-//! per segment:
+//! sharing; this module makes it the unit of *pruning* too. Each replay
+//! (a build is the replay of an empty cube, see
+//! [`apply_delta`](crate::MaterializedCube::apply_delta)) extends, over the
+//! rows it appended, what the cube records per segment:
 //!
 //! * for each dimension column, the **set of distinct bottom-member codes**
 //!   present in the segment (including [`NO_MEMBER`](crate::NO_MEMBER) for
@@ -24,7 +24,7 @@
 //! appended. Tombstone-only deltas leave zone maps untouched — a dead
 //! row's codes stay in its segment's set, which only costs precision,
 //! never soundness. Compaction re-materializes the cube and therefore
-//! rebuilds the zone maps from scratch.
+//! extends fresh zone maps from empty.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -42,27 +42,26 @@ pub struct ZoneMaps {
     /// Physical rows covered so far (== the cube's `row_count` between
     /// maintenance steps).
     rows: usize,
-    dimensions: Vec<DimensionZones>,
+    pub(crate) dimensions: Vec<DimensionZones>,
 }
 
 /// The zone entries of one dimension column: sealed segments share their
 /// sorted code sets behind `Arc`s, the tail's sorted set grows until it
 /// seals.
 #[derive(Debug, Clone, Default)]
-struct DimensionZones {
-    sealed: Vec<Arc<Vec<MemberId>>>,
+pub(crate) struct DimensionZones {
+    pub(crate) sealed: Vec<Arc<Vec<MemberId>>>,
     tail: Vec<MemberId>,
 }
 
 impl ZoneMaps {
-    /// Builds the zone maps of a freshly materialized cube.
-    pub(crate) fn build(dimensions: &[DimensionColumn], row_count: usize) -> Self {
-        let mut zones = ZoneMaps {
+    /// The zone maps of a cube with no rows: one empty entry per dimension
+    /// column, for [`ZoneMaps::extend`] to fill.
+    pub(crate) fn empty(columns: usize) -> Self {
+        ZoneMaps {
             rows: 0,
-            dimensions: vec![DimensionZones::default(); dimensions.len()],
-        };
-        zones.extend(dimensions, row_count);
-        zones
+            dimensions: vec![DimensionZones::default(); columns],
+        }
     }
 
     /// Extends the zone maps over rows appended since the last call
@@ -215,6 +214,13 @@ mod tests {
         )
     }
 
+    /// Zone maps extended from empty over the first `rows` rows.
+    fn extended(dimensions: &[DimensionColumn], rows: usize) -> ZoneMaps {
+        let mut zones = ZoneMaps::empty(dimensions.len());
+        zones.extend(dimensions, rows);
+        zones
+    }
+
     #[test]
     fn build_records_exact_code_sets_per_segment() {
         let rows = SEGMENT_LEN + 10;
@@ -228,7 +234,7 @@ mod tests {
             })
             .collect();
         let dimensions = [column(codes)];
-        let zones = ZoneMaps::build(&dimensions, rows);
+        let zones = extended(&dimensions, rows);
         assert_eq!(zones.rows(), rows);
         assert_eq!(zones.segment_count(), 2);
         assert_eq!(
@@ -249,7 +255,7 @@ mod tests {
         let total = SEGMENT_LEN * 2 + 5;
         let codes: Vec<MemberId> = (0..total).map(|row| (row % 4) as MemberId).collect();
         let dimensions = [column(codes)];
-        let mut zones = ZoneMaps::build(&dimensions, 100);
+        let mut zones = extended(&dimensions, 100);
         // Extending in several steps must land on the same maps as one
         // fresh build over all rows.
         zones.extend(&dimensions, SEGMENT_LEN + 1);
@@ -257,7 +263,7 @@ mod tests {
         zones
             .verify(&dimensions, total, &Tombstones::new())
             .unwrap();
-        let fresh = ZoneMaps::build(&dimensions, total);
+        let fresh = extended(&dimensions, total);
         for segment in 0..zones.segment_count() {
             assert_eq!(
                 zones
@@ -275,7 +281,7 @@ mod tests {
     #[test]
     fn unbound_rows_keep_no_member_in_the_zone_set() {
         let dimensions = [column(vec![0, NO_MEMBER, 1])];
-        let zones = ZoneMaps::build(&dimensions, 3);
+        let zones = extended(&dimensions, 3);
         assert_eq!(
             zones.dimension_codes(0, 0).unwrap().collect::<Vec<_>>(),
             vec![0, 1, NO_MEMBER]
@@ -286,7 +292,7 @@ mod tests {
     #[test]
     fn verify_catches_a_stale_row_count() {
         let dimensions = [column(vec![0, 1])];
-        let zones = ZoneMaps::build(&dimensions, 2);
+        let zones = extended(&dimensions, 2);
         let error = zones
             .verify(&dimensions, 3, &Tombstones::new())
             .unwrap_err();
