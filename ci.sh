@@ -109,6 +109,16 @@ cargo test --release -q -p qb2olap_bench --test sparql_allocations
 # Term order.
 cargo test --release -q -p cubestore --lib -- \
     tests::observations_stored_out_of_term_order_materialize_the_same_rows
+# One materialization path, pinned by name: a build is the replay of an
+# empty cube, so its observation index must end as one base map with an
+# empty overlay, and a one-row append replay must share that base and every
+# sealed zone-map segment with it (copy-on-write). Beside it: the decision
+# table in delta.rs's module doc has exactly four rows, and one
+# representative triple per row gets that row's decision from
+# `DeltaContext::classify`.
+cargo test --release -q -p cubestore --lib -- \
+    delta::tests::a_build_leaves_one_base_that_an_append_replay_shares \
+    delta::tests::the_module_doc_restates_the_decision_table
 # The columnar side's two bounds, pinned by name: the same roll-up over 2
 # and 10 sealed segments costs the same allocations give or take 2 per
 # extra segment (the scan never allocates per row), and the /ql wire path
@@ -294,6 +304,7 @@ grep -q 'E29' EXPERIMENTS.md
 grep -q 'E30' EXPERIMENTS.md
 grep -q 'E31' EXPERIMENTS.md
 grep -q 'E32' EXPERIMENTS.md
+grep -q 'E33' EXPERIMENTS.md
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -130,7 +130,8 @@ impl MaterializedCube {
             read_hierarchy(endpoint, self)?;
         }
         extend_rollup_maps(self);
-        // O(appended rows), touching only each map's tail entries. A
+        // Extending the zone maps costs O(appended rows), touching only
+        // each map's tail entries. A
         // tombstone-only replay appends nothing, so the maps are untouched —
         // zone sets are never loosened by removals (a dead row's codes
         // staying recorded costs precision, not soundness).
@@ -1264,20 +1265,31 @@ mod tests {
         }
     }
 
-    /// A freshly built cube's observation index is one base with an empty
-    /// overlay, and a one-row append replay shares that base and every
-    /// sealed zone-map segment with it.
+    /// A replay ends with the observation index's merge check; a freshly
+    /// built cube's index is one base with an empty overlay, and a one-row
+    /// append replay shares that base and every sealed zone-map segment
+    /// with it.
     #[test]
     fn a_build_leaves_one_base_that_an_append_replay_shares() {
-        let (endpoint, cube, _) = tracked();
+        let (endpoint, cube, epoch) = tracked();
         let mut triples = Vec::new();
         for i in 0..crate::cowvec::SEGMENT_LEN {
             triples.extend(observation_triples(&format!("a{i:06}"), "c1", "m1", 1, 1));
         }
         endpoint.insert_triples(&triples).unwrap();
+        let grown = cube
+            .apply_delta(&deltas_after(&endpoint, epoch), &endpoint)
+            .unwrap();
+        assert!(
+            grown.observations.overlay.is_empty(),
+            "the replay's merge check folds an overlay past 1/8 of the base"
+        );
         // A build of the grown store, so a sealed segment exists.
         let built = MaterializedCube::from_endpoint(&endpoint, cube.schema()).unwrap();
-        assert!(built.observations.overlay.is_empty(), "a build merges once");
+        assert!(
+            built.observations.overlay.is_empty(),
+            "a build leaves one base"
+        );
         assert_eq!(built.observations.len(), built.row_count());
 
         let epoch = endpoint.epoch();
