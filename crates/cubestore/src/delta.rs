@@ -130,8 +130,7 @@ impl MaterializedCube {
             read_hierarchy(endpoint, self)?;
         }
         extend_rollup_maps(self);
-        // Extending the zone maps costs O(appended rows), touching only
-        // each map's tail entries. A
+        // Zone maps: O(appended rows), touching only each map's tail. A
         // tombstone-only replay appends nothing, so the maps are untouched —
         // zone sets are never loosened by removals (a dead row's codes
         // staying recorded costs precision, not soundness).
