@@ -145,6 +145,7 @@ fn e2_enrichment_scaling(max_observations: usize) -> Vec<Measurement> {
                 .expect("discovery")
         });
         let (_, full) = timed(|| demo::enrich_demo_cube(&endpoint, &data.dataset).expect("enrich"));
+        let (probes, joined) = member_discovery_work(&endpoint, &data.dataset);
 
         rows.push(Measurement::new(
             "E2",
@@ -170,8 +171,49 @@ fn e2_enrichment_scaling(max_observations: usize) -> Vec<Measurement> {
             "full_enrichment_ms",
             millis(full),
         ));
+        rows.push(Measurement::new(
+            "E2",
+            &parameters,
+            "member_discovery_index_probes",
+            probes as f64,
+        ));
+        rows.push(Measurement::new(
+            "E2",
+            &parameters,
+            "member_discovery_rows_intermediate",
+            joined as f64,
+        ));
     }
     rows
+}
+
+/// The evaluator's work listing every dimension's members the way the
+/// Enrichment phase does (`qb::dimension_members`): index probes and
+/// intermediate rows, summed over the dimensions. Deterministic per seed.
+/// The query stops at each member's first observation in the dataset, and
+/// the demo store holds one dataset, so a dimension costs one walk plus
+/// one probe per member; more fails the run.
+fn member_discovery_work(endpoint: &qb2olap::LocalEndpoint, dataset: &rdf::Iri) -> (u64, u64) {
+    let structure = qb2olap::qb::load_dataset(endpoint, dataset)
+        .expect("dataset loads")
+        .structure;
+    let (mut probes, mut joined) = (0, 0);
+    for dimension in structure.dimensions() {
+        let before = sparql::EvalCounters::thread_totals();
+        let members =
+            qb2olap::qb::dimension_members(endpoint, dataset, dimension).expect("members");
+        let work = sparql::EvalCounters::thread_totals().since(before);
+        assert!(
+            work.index_probes <= members.len() as u64 + 1,
+            "E2: listing the {} members of <{}> took {} index probes",
+            members.len(),
+            dimension.as_str(),
+            work.index_probes
+        );
+        probes += work.index_probes;
+        joined += work.rows_intermediate;
+    }
+    (probes, joined)
 }
 
 /// E3 / Figure 3 and E10: per-phase querying timings and the direct vs

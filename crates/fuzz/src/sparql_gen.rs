@@ -7,8 +7,9 @@
 //! thirteen expression forms, one of the twenty-two scalar functions
 //! (arity-correct by an exhaustive table), one of the seven aggregates,
 //! plus the solution modifiers (`DISTINCT`, `GROUP BY`, `HAVING`,
-//! `ORDER BY`, `LIMIT`, `OFFSET`). The spotlight index cycles through the
-//! production tables, so full grammar coverage needs only
+//! `ORDER BY`, `LIMIT`, `OFFSET`) and the member-list shape
+//! (`SELECT DISTINCT ?mem … ORDER BY ?mem`). The spotlight index cycles
+//! through the production tables, so full grammar coverage needs only
 //! `lcm`-of-table-sizes many queries, not luck.
 
 use rand::rngs::StdRng;
@@ -20,8 +21,8 @@ use sparql::ast::{
     OrderCondition, PatternElement, Projection, SelectItem, SelectQuery, TriplePattern, Variable,
 };
 use sparql::testutil::{
-    arith_op_index, call, cmp, cmp_op_index, constant, group, ALL_AGGREGATES, ALL_ARITH_OPS,
-    ALL_CMP_OPS, ALL_FUNCTIONS,
+    arith_op_index, call, cmp, cmp_op_index, constant, group, stops_at_first_witness,
+    ALL_AGGREGATES, ALL_ARITH_OPS, ALL_CMP_OPS, ALL_FUNCTIONS,
 };
 
 use crate::universe::SchemaUniverse;
@@ -78,18 +79,25 @@ impl<'a> SparqlGenerator<'a> {
             query.pattern.push_filter(expr);
         }
 
+        // The member-list shape on odd spotlights whose featured element is
+        // a pattern or a FILTER (and that do not aggregate): it gets no
+        // BIND, so its WHERE is one run of patterns and FILTERs.
+        let member_list = spotlight % 2 == 1 && spotlight % 9 <= 1 && spotlight % 13 != 9;
+
         // A comparison and an arithmetic showcase so the operator tables
         // fill quickly: FILTER(?v <op> (?v <arith> 1) …) stays true-ish.
         let arith_op = ALL_ARITH_OPS[spotlight % ALL_ARITH_OPS.len()];
         let cmp_op = ALL_CMP_OPS[spotlight % ALL_CMP_OPS.len()];
-        query.pattern.elements.push(sparql::testutil::bind(
-            sparql::testutil::arith(
-                Expression::var("v"),
-                arith_op,
-                constant(Literal::integer(2)),
-            ),
-            "calc",
-        ));
+        if !member_list {
+            query.pattern.elements.push(sparql::testutil::bind(
+                sparql::testutil::arith(
+                    Expression::var("v"),
+                    arith_op,
+                    constant(Literal::integer(2)),
+                ),
+                "calc",
+            ));
+        }
         query.pattern.push_filter(Expression::Or(
             Box::new(cmp(
                 Expression::var("v"),
@@ -137,6 +145,34 @@ impl<'a> SparqlGenerator<'a> {
                 expr: Expression::var("mem"),
                 descending: spotlight.is_multiple_of(8),
             }];
+        } else if member_list {
+            // `SELECT DISTINCT ?mem … ORDER BY ?mem`, the Enrichment phase's
+            // member list: its answer cannot depend on which observation
+            // witnesses a member. Varied by a second projected key, a
+            // descending key and an OFFSET; with ?mem alone, the FILTERs
+            // on ?v read an existential variable.
+            let variant = spotlight / 9;
+            let keys: &[&str] = match variant % 2 {
+                0 => &["mem"],
+                _ => &["v", "mem"],
+            };
+            query.distinct = true;
+            query.projection = Projection::Items(
+                keys.iter()
+                    .rev()
+                    .map(|key| SelectItem::Var(Variable::new(*key)))
+                    .collect(),
+            );
+            query.order_by = keys
+                .iter()
+                .map(|key| OrderCondition {
+                    expr: Expression::var(*key),
+                    descending: *key == "mem" && (variant / 2) % 2 == 1,
+                })
+                .collect();
+            if variant % 3 == 2 {
+                query.offset = Some(1);
+            }
         } else {
             if spotlight % 6 == 1 {
                 query.distinct = true;
@@ -465,7 +501,7 @@ fn function_showcase(function: Function) -> Expression {
 /// The fixed-name SELECT grammar productions (pattern elements, expression
 /// kinds, query-level clauses); operator and function productions are
 /// enumerated from the `sparql::testutil` tables.
-const SELECT_PRODUCTIONS: [&str; 32] = [
+const SELECT_PRODUCTIONS: [&str; 33] = [
     "PatternElement::Triple",
     "PatternElement::Filter",
     "PatternElement::Optional",
@@ -498,7 +534,13 @@ const SELECT_PRODUCTIONS: [&str; 32] = [
     "ORDER BY … DESC",
     "LIMIT",
     "OFFSET",
+    MEMBER_LIST,
 ];
+
+/// The shape the evaluator stops at the first witness per answer on:
+/// DISTINCT, ordered on exactly its projected variables, one run of
+/// patterns ([`sparql::testutil::stops_at_first_witness`]).
+const MEMBER_LIST: &str = "SELECT DISTINCT … ORDER BY its projection";
 
 /// Every SELECT grammar production the generator must reach, by display
 /// name.
@@ -565,6 +607,9 @@ impl SparqlCoverage {
     pub fn record(&mut self, query: &SelectQuery) {
         if query.distinct {
             self.hit("DISTINCT");
+        }
+        if stops_at_first_witness(query) {
+            self.hit(MEMBER_LIST);
         }
         match &query.projection {
             Projection::Wildcard => self.hit("Projection::Wildcard"),
@@ -759,11 +804,16 @@ mod tests {
         let universe = SchemaUniverse::from_endpoint(&cube.endpoint, &cube.schema).unwrap();
         let generator = SparqlGenerator::new(&universe);
         let mut rng = StdRng::seed_from_u64(0xACC0);
+        let mut member_lists = 0;
         for spotlight in 0..60 {
             let query = generator.generate(&mut rng, spotlight);
+            member_lists += usize::from(stops_at_first_witness(&query));
             let mismatch = check_select(&cube.endpoint, &query);
             assert!(mismatch.is_none(), "paths disagree: {mismatch:?}");
         }
+        // The member-list shape reaches the first-witness rule, so the
+        // text and identity-plan legs check it.
+        assert!(member_lists >= 4, "{member_lists} member lists");
     }
 
     #[test]

@@ -179,7 +179,16 @@ pub fn count_observations(endpoint: &dyn Endpoint, dataset: &Iri) -> Result<usiz
         .unwrap_or(0) as usize)
 }
 
-/// The distinct members bound to a dimension across a dataset's observations.
+/// The distinct members bound to a dimension across a dataset's
+/// observations, in `Term` order.
+///
+/// The query is the paper's: `SELECT DISTINCT ?member` ordered on
+/// `?member`, so its answer cannot depend on which observation witnesses a
+/// member. The evaluator uses that (ARCHITECTURE.md, "SPARQL evaluator"):
+/// it walks the dimension's triples once, tries a member's observations
+/// only until one is in the dataset, and skips the others before they
+/// become rows. A member costs one dataset probe per observation tried —
+/// one, on a store that holds only this dataset — not one per observation.
 pub fn dimension_members(
     endpoint: &dyn Endpoint,
     dataset: &Iri,
@@ -500,6 +509,45 @@ mod tests {
         assert_eq!(members.len(), 2);
         let geos = dimension_members(&endpoint, &dataset, &eurostat_property::geo()).unwrap();
         assert_eq!(geos.len(), 2);
+    }
+
+    /// The member query stops at each member's first observation in the
+    /// dataset: one probe walks the dimension's triples, then one probe per
+    /// observation tried. Twenty more observations of a member cost
+    /// nothing; a member only another dataset uses costs one probe per
+    /// observation and is not listed.
+    #[test]
+    fn dimension_members_probes_once_per_member_tried() {
+        let (endpoint, dataset, _dsd) = endpoint_with_tiny_cube();
+        let citizen = |code: &str| Term::iri(format!("http://example.org/dic/citizen#{code}"));
+        let other = Term::iri("http://example.org/other-dataset");
+        let mut triples = Vec::new();
+        for (i, (member, set)) in std::iter::repeat_n(("SY", Term::Iri(dataset.clone())), 20)
+            .chain(std::iter::repeat_n(("XX", other), 3))
+            .enumerate()
+        {
+            let node = Term::iri(format!("http://example.org/extra{i}"));
+            triples.push(rdf::Triple::new(
+                node.clone(),
+                rdf::vocab::qb::data_set(),
+                set,
+            ));
+            triples.push(rdf::Triple::new(
+                node,
+                eurostat_property::citizen(),
+                citizen(member),
+            ));
+        }
+        endpoint.insert_triples(&triples).unwrap();
+        let before = sparql::EvalCounters::thread_totals();
+        let members =
+            dimension_members(&endpoint, &dataset, &eurostat_property::citizen()).unwrap();
+        let work = sparql::EvalCounters::thread_totals().since(before);
+        assert_eq!(members, [citizen("NG"), citizen("SY")]);
+        // 1 walk + NG's and SY's first observations + XX's three.
+        assert_eq!(work.index_probes, 1 + 2 + 3);
+        // Five observations tried, two of them witnesses.
+        assert_eq!(work.rows_intermediate, 5 + 2);
     }
 
     #[test]

@@ -11,9 +11,13 @@
 //! graph's SPO/POS/OSP ranges ([`Graph::matching_ids`]), filtering as the
 //! plan says; **restore** — sort a reordered run's rows back into the
 //! order textual evaluation yields, so every result is the textual one,
-//! row for row. Sub-selects, `VALUES` and `OPTIONAL` join whole tables;
-//! FILTERs no run can place, BIND, GROUP BY, DISTINCT and ORDER BY
-//! evaluate compiled expressions (`crate::expr`) over the ids. A finished
+//! row for row. A SELECT DISTINCT ordered on exactly its projected
+//! variables, over one run, instead stops at the first witness per
+//! projected key (`plan::witness_split`): its output cannot depend on
+//! which solution witnesses a key. Sub-selects, `VALUES` and `OPTIONAL`
+//! join whole tables; FILTERs no run can place, BIND, GROUP BY, DISTINCT
+//! and ORDER BY evaluate compiled expressions (`crate::expr`) over the
+//! ids. A finished
 //! SELECT table leaves as [`EncodedSolutions`]: its ids are re-numbered
 //! densely and each distinct term is cloned once. Decoding into
 //! [`crate::Solutions`] happens at the endpoint's edge, never here.
@@ -22,7 +26,7 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
-use rdf::hash::FxHashMap;
+use rdf::hash::{FxHashMap, FxHashSet};
 use rdf::{Graph, Term, TermId};
 
 use crate::ast::*;
@@ -395,7 +399,31 @@ impl<'g, 'q> Evaluator<'g, 'q> {
     }
 
     fn select(&mut self, query: &'q SelectQuery) -> Result<(Vec<&'q str>, Rows), SparqlError> {
+        let split = self.join_order.plans().then(|| plan::witness_split(query));
+        if let Some(split) = split.flatten() {
+            let rows = self.first_witnesses(query, &split);
+            let (names, table, tied) = self.modify(query, rows, true)?;
+            // ORDER BY ties distinct keys only when they are equal numbers
+            // (`10`, `10.0`); those keep their arrival order, which the
+            // textual run decides. Such a query runs again in full.
+            if !tied {
+                return Ok((names, table));
+            }
+        }
         let rows = self.eval_group(&query.pattern, Rows::unit(self.scope.width))?;
+        let (names, table, _) = self.modify(query, rows, false)?;
+        Ok((names, table))
+    }
+
+    /// The solution modifiers over a query's solutions: projection or
+    /// aggregation, DISTINCT, ORDER BY, OFFSET / LIMIT. With `find_ties`,
+    /// also whether ORDER BY left two rows equal on every key.
+    fn modify(
+        &mut self,
+        query: &'q SelectQuery,
+        rows: Rows,
+        find_ties: bool,
+    ) -> Result<(Vec<&'q str>, Rows, bool), SparqlError> {
         let (mut rows, names) = if query.is_aggregated() {
             self.aggregate(query, rows)?
         } else {
@@ -413,6 +441,7 @@ impl<'g, 'q> Evaluator<'g, 'q> {
         // ORDER BY: one key column per condition, with the numeric reading
         // of each key looked up once; ties keep their order.
         let mut order: Vec<usize> = (0..rows.len).collect();
+        let mut tied = false;
         if !query.order_by.is_empty() {
             let keys: Vec<(Vec<SortKey>, bool)> = query
                 .order_by
@@ -423,7 +452,7 @@ impl<'g, 'q> Evaluator<'g, 'q> {
                     (keyed.collect(), cond.descending)
                 })
                 .collect();
-            order.sort_by(|&a, &b| {
+            let compare = |&a: &usize, &b: &usize| {
                 keys.iter()
                     .map(|(column, descending)| {
                         let ord = self.terms.order(column[a], column[b]);
@@ -435,7 +464,12 @@ impl<'g, 'q> Evaluator<'g, 'q> {
                     })
                     .find(|ord| ord.is_ne())
                     .unwrap_or(Ordering::Equal)
-            });
+            };
+            order.sort_by(compare);
+            tied = find_ties
+                && order
+                    .windows(2)
+                    .any(|pair| compare(&pair[0], &pair[1]).is_eq());
         }
 
         // OFFSET / LIMIT, then the final projection to the output width.
@@ -443,7 +477,7 @@ impl<'g, 'q> Evaluator<'g, 'q> {
             .into_iter()
             .skip(query.offset.unwrap_or(0))
             .take(query.limit.unwrap_or(usize::MAX));
-        Ok((names, rows.gather(window, &slots)))
+        Ok((names, rows.gather(window, &slots), tied))
     }
 
     /// Projection of a non-aggregated query: binds expression aliases into
@@ -810,6 +844,157 @@ impl<'g, 'q> Evaluator<'g, 'q> {
         restored
     }
 
+    /// Evaluates the one run of a query [`plan::witness_split`] splits. The
+    /// driver joins in planned order with its FILTERs where their variables
+    /// are bound; its last step stops at the first witness per projected
+    /// key. A match whose key has a witness is skipped before it becomes a
+    /// row; one of a new key becomes the key's witness if it passes the
+    /// step's FILTERs and every existence check, one probe each. One row
+    /// per key comes out, in no particular order, so nothing restores it.
+    fn first_witnesses(&mut self, query: &'q SelectQuery, split: &plan::WitnessSplit) -> Rows {
+        let width = self.scope.width;
+        let (mut patterns, mut filters) = (Vec::new(), Vec::new());
+        for element in &query.pattern.elements {
+            match element {
+                PatternElement::Triple(pattern) => patterns.push(self.positions(pattern)),
+                PatternElement::Filter(filter) => filters.push(filter),
+                _ => unreachable!("a split query's WHERE is one run"),
+            }
+        }
+        if patterns
+            .iter()
+            .any(|pattern| pattern.contains(&Position::Constant(None)))
+        {
+            return Rows::new(width);
+        }
+        // The ORDER BY keys are the projected variables.
+        let index = &self.scope.index;
+        let key: Vec<usize> = query
+            .order_by
+            .iter()
+            .filter_map(|condition| match &condition.expr {
+                Expression::Var(v) => index.get(v.name()).copied(),
+                _ => None,
+            })
+            .collect();
+        let slots: Vec<FilterSlots> = filters
+            .iter()
+            .map(|filter| self.placeable(filter, &query.pattern))
+            .collect::<Option<_>>()
+            .expect("a split query's FILTERs read only pattern variables");
+        let driver: Vec<[Position; 3]> = split.driver.iter().map(|&p| patterns[p]).collect();
+        let checks: Vec<[Position; 3]> = split.checks.iter().map(|&p| patterns[p]).collect();
+        let plan = plan::plan_run(self.terms.graph, &driver, &vec![false; width], &slots);
+        let mut after: Vec<Vec<&'q Expression>> = vec![Vec::new(); driver.len() + 1];
+        for (filter, step) in filters.into_iter().zip(&plan.filter_after) {
+            after[step.expect("the driver binds what a FILTER reads")].push(filter);
+        }
+
+        let mut rows = Rows::unit(width);
+        let (&last, steps) = plan.order.split_last().expect("a driver holds a pattern");
+        for (step, &pattern) in steps.iter().enumerate() {
+            for filter in std::mem::take(&mut after[step]) {
+                self.filter(filter, &mut rows);
+            }
+            rows = self.join_triple(driver[pattern], &rows);
+        }
+        for filter in std::mem::take(&mut after[steps.len()]) {
+            self.filter(filter, &mut rows);
+        }
+        let index = &self.scope.index;
+        let slot_of = |name: &str| index.get(name).copied();
+        let last_filters: Vec<Expr> = after[driver.len()]
+            .iter()
+            .map(|filter| self.terms.compile(filter, &slot_of))
+            .collect();
+        self.witness_step(driver[last], &rows, &last_filters, &checks, &key)
+    }
+
+    /// The driver's last step: extends `rows` by the matches of `positions`
+    /// until each `key` has a witness, a row that passes `filters` and
+    /// every existence check. A match of a witnessed key is skipped before
+    /// it becomes a row.
+    fn witness_step(
+        &mut self,
+        positions: [Position; 3],
+        rows: &Rows,
+        filters: &[Expr],
+        checks: &[[Position; 3]],
+        key: &[usize],
+    ) -> Rows {
+        // Each key slot's id, from the match where the pattern holds the
+        // slot (a slot the row binds matches itself), else from the row.
+        let sources: Vec<Result<usize, usize>> = key
+            .iter()
+            .map(|&slot| {
+                let held = positions.iter().position(|&p| p == Position::Slot(slot));
+                held.ok_or(slot)
+            })
+            .collect();
+        let mut witnessed: FxHashSet<Box<[TermId]>> = FxHashSet::default();
+        // The last key found witnessed: an index walk meets a key's matches
+        // in a run, and the rest of the run costs one comparison each.
+        let (mut probe, mut seen) = (Vec::with_capacity(key.len()), Vec::new());
+        let (mut candidate, mut out) = (Rows::new(rows.width), Rows::new(rows.width));
+        let graph = self.terms.graph;
+        for row in rows.iter() {
+            let [s, p, o] = positions.map(|position| position.bound(row));
+            for (s, p, o) in graph.matching_ids(s, p, o) {
+                let ids = [s, p, o];
+                probe.clear();
+                probe.extend(sources.iter().map(|source| match *source {
+                    Ok(position) => ids[position],
+                    Err(slot) => row[slot],
+                }));
+                if probe == seen {
+                    continue;
+                }
+                if witnessed.contains(probe.as_slice()) {
+                    std::mem::swap(&mut probe, &mut seen);
+                    continue;
+                }
+                candidate.ids.clear();
+                candidate.len = 0;
+                candidate.push_merged(row, slot_bindings(positions, ids));
+                if candidate.len == 0 {
+                    continue;
+                }
+                let merged = candidate.row(0);
+                self.counters.rows_intermediate += 1;
+                let passes = |terms: &mut Terms, filter| {
+                    let value = terms.eval(filter, merged, None);
+                    value.is_some_and(|id| terms.effective_boolean(id) == Some(true))
+                };
+                if filters.iter().all(|filter| passes(&mut self.terms, filter))
+                    && checks.iter().all(|&check| self.exists(check, merged))
+                {
+                    out.push(merged);
+                    witnessed.insert(probe.as_slice().into());
+                    std::mem::swap(&mut probe, &mut seen);
+                }
+            }
+        }
+        self.counters.index_probes += rows.len as u64;
+        out
+    }
+
+    /// Whether `check` has a match that agrees with `row`, in one probe: a
+    /// variable the pattern repeats must match itself.
+    fn exists(&mut self, check: [Position; 3], row: &[TermId]) -> bool {
+        let [s, p, o] = check.map(|position| position.bound(row));
+        let agrees = |ids: [TermId; 3]| {
+            (0..3).all(|a| (a + 1..3).all(|b| check[a] != check[b] || ids[a] == ids[b]))
+        };
+        let found = self
+            .terms
+            .graph
+            .matching_ids(s, p, o)
+            .any(|(s, p, o)| agrees([s, p, o]));
+        self.counters.index_probes += 1;
+        self.counters.rows_intermediate += u64::from(found);
+        found
+    }
+
     /// The slots a FILTER reads, if a run may place it: it holds no
     /// `EXISTS`, every variable it reads is in scope, and no BIND of the
     /// group rebinds one (a value seen early could still change). Also the
@@ -885,16 +1070,7 @@ impl<'g, 'q> Evaluator<'g, 'q> {
         for row in rows.iter() {
             let [s, p, o] = positions.map(|position| position.bound(row));
             for (s, p, o) in graph.matching_ids(s, p, o) {
-                // Positions that were bound match themselves; a variable
-                // repeated in the pattern must match its first binding.
-                let matched = positions.iter().zip([s, p, o]);
-                out.push_merged(
-                    row,
-                    matched.filter_map(|(position, id)| match position {
-                        Position::Slot(slot) => Some((*slot, id)),
-                        Position::Constant(_) => None,
-                    }),
-                );
+                out.push_merged(row, slot_bindings(positions, [s, p, o]));
             }
         }
         self.counters.index_probes += rows.len as u64;
@@ -925,6 +1101,22 @@ impl JoinOrder {
             JoinOrder::Unrestored => false,
         }
     }
+}
+
+/// What one match of a pattern binds: (slot, id) per variable position.
+/// Positions that were bound match themselves; a variable repeated in the
+/// pattern must match its first binding ([`Rows::push_merged`]).
+fn slot_bindings(
+    positions: [Position; 3],
+    ids: [TermId; 3],
+) -> impl Iterator<Item = (usize, TermId)> {
+    positions
+        .into_iter()
+        .zip(ids)
+        .filter_map(|(position, id)| match position {
+            Position::Slot(slot) => Some((slot, id)),
+            Position::Constant(_) => None,
+        })
 }
 
 /// Whether evaluating `element` runs a body once per row that reaches it —

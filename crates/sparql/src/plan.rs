@@ -19,9 +19,18 @@
 //! greedy — the cube build's pivot, the enrichment probes — is not moved,
 //! and so is a run the greedy order would not save half its rows on: a
 //! reordered run pays a sort to restore textual row order.
+//!
+//! One SELECT shape is planned apart ([`witness_split`]): DISTINCT, not
+//! aggregated, one run, ORDER BY keys that are exactly the projected
+//! variables. Its output is the sorted set of projected keys, whichever
+//! solution witnesses each key, so the run splits into a *driver* that binds
+//! the keys and *existence checks*, patterns that bind nothing but their
+//! own existential variables. The evaluator tries each key's driver rows
+//! only until one passes every check.
 
 use rdf::{Graph, TermId};
 
+use crate::ast::{Expression, PatternElement, Projection, SelectItem, SelectQuery};
 use crate::expr::UNBOUND;
 
 /// One position of a triple pattern, resolved once per pattern.
@@ -255,6 +264,109 @@ fn greedy(
     order
 }
 
+/// How a SELECT whose output cannot depend on its witnesses splits its one
+/// run: indexes into the run's triple patterns, in textual order.
+pub(crate) struct WitnessSplit {
+    /// The patterns that bind the projected variables, and whatever joins
+    /// them.
+    pub(crate) driver: Vec<usize>,
+    /// Patterns whose variables are bound by the driver or are existential
+    /// variables of their own, which no other pattern and no FILTER reads:
+    /// each is one probe that either finds a match or drops the row.
+    pub(crate) checks: Vec<usize>,
+}
+
+/// The split of `query`'s run, if the query qualifies: DISTINCT and not
+/// aggregated; a WHERE of triple patterns and FILTERs only, no FILTER with
+/// EXISTS, every variable a FILTER reads bound by a pattern; plain projected
+/// variables, each bound by a pattern; ORDER BY keys that are plain
+/// variables, exactly the projected ones (in any order and direction); and
+/// at least one *existential* variable, one the patterns bind but the
+/// query does not project. Then the output is the sorted set of keys some
+/// solution binds, whichever solution it is.
+///
+/// Every pattern starts in the driver. Each in turn, fewest shared
+/// variables first (the leaves of the join), moves to the checks if every
+/// check, itself included, still finds each of its variables either
+/// private to it or bound by a driver pattern.
+pub(crate) fn witness_split(query: &SelectQuery) -> Option<WitnessSplit> {
+    let Projection::Items(items) = &query.projection else {
+        return None;
+    };
+    if !query.distinct || query.is_aggregated() || !query.having.is_empty() {
+        return None;
+    }
+    let projected = items
+        .iter()
+        .map(|item| match item {
+            SelectItem::Var(v) => Some(v.name()),
+            SelectItem::Expr { .. } => None,
+        })
+        .collect::<Option<Vec<&str>>>()?;
+    let ordered = query
+        .order_by
+        .iter()
+        .map(|condition| match &condition.expr {
+            Expression::Var(v) => Some(v.name()),
+            _ => None,
+        })
+        .collect::<Option<Vec<&str>>>()?;
+    if ordered.is_empty()
+        || !ordered.iter().all(|name| projected.contains(name))
+        || !projected.iter().all(|name| ordered.contains(name))
+    {
+        return None;
+    }
+    let (mut vars, mut read): (Vec<Vec<&str>>, Vec<&str>) = (Vec::new(), Vec::new());
+    for element in &query.pattern.elements {
+        match element {
+            PatternElement::Triple(pattern) => {
+                vars.push(pattern.variables().iter().map(|v| v.name()).collect())
+            }
+            PatternElement::Filter(filter) if !filter.contains_exists() => {
+                filter.visit_variables(&mut |v| read.push(v.name()))
+            }
+            _ => return None,
+        }
+    }
+    let bound = |name: &&str| vars.iter().any(|names| names.contains(name));
+    let existential = vars.iter().flatten().any(|name| !projected.contains(name));
+    if !existential || !projected.iter().chain(&read).all(bound) {
+        return None;
+    }
+    // A variable private to `pattern`: in no other pattern, not projected,
+    // read by no FILTER.
+    let private = |pattern: usize, name: &str| {
+        !projected.contains(&name)
+            && !read.contains(&name)
+            && (0..vars.len()).all(|other| other == pattern || !vars[other].contains(&name))
+    };
+    let shared = |pattern: usize| {
+        vars[pattern]
+            .iter()
+            .filter(|name| !private(pattern, name))
+            .count()
+    };
+    let mut driver = vec![true; vars.len()];
+    let is_check = |pattern: usize, driver: &[bool]| {
+        vars[pattern].iter().all(|name| {
+            private(pattern, name)
+                || (0..vars.len()).any(|other| driver[other] && vars[other].contains(name))
+        })
+    };
+    let mut candidates: Vec<usize> = (0..vars.len()).collect();
+    candidates.sort_by_key(|&pattern| shared(pattern));
+    for candidate in candidates {
+        driver[candidate] = false;
+        let checks_hold = (0..vars.len())
+            .filter(|&pattern| !driver[pattern])
+            .all(|pattern| is_check(pattern, &driver));
+        driver[candidate] = !checks_hold;
+    }
+    let (driver, checks) = (0..vars.len()).partition(|&pattern| driver[pattern]);
+    Some(WitnessSplit { driver, checks })
+}
+
 /// The slots whose ids order the rows a run yields for one input row as
 /// textual evaluation yields them: for each pattern in textual order, the
 /// slots of the positions free at its step, in the key order of the index
@@ -291,7 +403,72 @@ pub(crate) fn textual_key(patterns: &[[Position; 3]], input: &[TermId]) -> Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse_select;
     use rdf::{Iri, Term, Triple};
+
+    fn split(where_and_modifiers: &str) -> Option<(Vec<usize>, Vec<usize>)> {
+        let query = parse_select(&format!(
+            "PREFIX ex: <http://example.org/> SELECT DISTINCT {where_and_modifiers}"
+        ))
+        .unwrap();
+        witness_split(&query).map(|split| (split.driver, split.checks))
+    }
+
+    #[test]
+    fn a_split_drives_on_the_projected_keys_and_checks_the_leaves() {
+        // The enrichment's member query: the dataset link is the check.
+        assert_eq!(
+            split("?m WHERE { ?o ex:dataSet ex:ds ; ex:dim ?m } ORDER BY ?m"),
+            Some((vec![1], vec![0]))
+        );
+        // A check may read a driver variable that is projected, and bind a
+        // private one; two checks hang off one driver pattern.
+        assert_eq!(
+            split("?m WHERE { ?o ex:dim ?m . ?m ex:label ?l . ?o ex:dataSet ex:ds } ORDER BY ?m"),
+            Some((vec![0], vec![1, 2]))
+        );
+        // A FILTER's variable is no check's own: its pattern drives.
+        assert_eq!(
+            split("?m WHERE { ?o ex:dataSet ex:ds ; ex:dim ?m ; ex:value ?v FILTER(?v > 5) } ORDER BY DESC(?m)"),
+            Some((vec![1, 2], vec![0]))
+        );
+        // A chain: ?x is shared by two patterns, so neither is a check.
+        assert_eq!(
+            split(
+                "?a ?b WHERE { ?o ex:p ?a . ?o ex:q ?b . ?o ex:r ?x . ?x ex:s ?y } ORDER BY ?b ?a"
+            ),
+            Some((vec![0, 1, 2], vec![3]))
+        );
+    }
+
+    #[test]
+    fn only_an_order_over_exactly_the_projection_splits() {
+        let run = "WHERE { ?o ex:dataSet ex:ds ; ex:dim ?m ; ex:value ?v }";
+        assert!(split(&format!("?m {run} ORDER BY ?m ?m")).is_some());
+        for rejected in [
+            format!("?m {run}"),
+            format!("?m ?v {run} ORDER BY ?m"),
+            format!("?m {run} ORDER BY ?m ?v"),
+            format!("?m {run} ORDER BY ASC(STR(?m))"),
+            format!("(?m AS ?n) {run} ORDER BY ?n"),
+            format!("* {run} ORDER BY ?m"),
+            // No existential variable: nothing to stop early on.
+            format!("?o ?m ?v {run} ORDER BY ?o ?m ?v"),
+            // Not one run, or a FILTER the driver cannot place.
+            "?m WHERE { ?o ex:dim ?m OPTIONAL { ?o ex:value ?v } } ORDER BY ?m".to_string(),
+            "?m WHERE { ?o ex:dim ?m FILTER EXISTS { ?o ex:value ?v } } ORDER BY ?m".to_string(),
+            "?m WHERE { ?o ex:dim ?m FILTER(BOUND(?z)) } ORDER BY ?m".to_string(),
+            // A projected variable no pattern binds.
+            "?m ?z WHERE { ?o ex:dim ?m } ORDER BY ?m ?z".to_string(),
+        ] {
+            assert_eq!(split(&rejected), None, "{rejected}");
+        }
+        let aggregated = parse_select(
+            "PREFIX ex: <http://example.org/> SELECT DISTINCT ?m WHERE { ?o ex:dim ?m } GROUP BY ?m ORDER BY ?m",
+        )
+        .unwrap();
+        assert!(witness_split(&aggregated).is_none());
+    }
 
     /// For every bound shape, `Graph::matching_ids` yields its matches in
     /// strictly ascending order of the free positions `textual_key` names:

@@ -44,6 +44,13 @@ pub fn evaluate_unrestored(graph: &Graph, query: &Query) -> Result<QueryResults,
     evaluate_in(graph, query, JoinOrder::Unrestored)
 }
 
+/// Whether the evaluator stops at the first witness per answer on `query`:
+/// a SELECT DISTINCT ordered on exactly its projected variables, whose
+/// WHERE is one run of triple patterns (`crate::plan::witness_split`).
+pub fn stops_at_first_witness(query: &SelectQuery) -> bool {
+    crate::plan::witness_split(query).is_some()
+}
+
 /// Every comparison operator, in a fixed order.
 pub const ALL_CMP_OPS: [CmpOp; 6] = [
     CmpOp::Eq,

@@ -564,3 +564,129 @@ fn planned_runs_return_the_identity_plan_row_for_row() {
         "{unrestored_differs} cases need the restore"
     );
 }
+
+/// A SELECT DISTINCT whose ORDER BY keys are exactly its projected
+/// variables stops at the first witness per key: the driver binds the keys,
+/// each other pattern is an existence check, and a key's later driver rows
+/// are skipped. Each query must return the identity plan's table and the
+/// literal one. `work` says what the evaluator's counters must show against
+/// the identity plan's: `Some(true)` fewer probes and fewer rows (the rule
+/// fired), `Some(false)` the same counts (it did not fire, and the planner
+/// kept the textual order), `None` nothing (ORDER BY ties distinct keys, so
+/// the query runs again in full).
+#[test]
+fn a_distinct_select_ordered_on_its_projection_stops_at_the_first_witness() {
+    let cases: &[(&str, &[&str], Option<bool>)] = &[
+        // m1's first observation is another dataset's, its second is the
+        // witness; m2 has no witness at all; m3's first one is.
+        (
+            "SELECT DISTINCT ?m WHERE { ?o ex:dataSet ex:ds ; ex:dim ?m } ORDER BY ?m",
+            &["m", "m1", "m3"],
+            Some(true),
+        ),
+        (
+            "SELECT DISTINCT ?m WHERE { ?o ex:dataSet ex:ds ; ex:dim ?m } ORDER BY DESC(?m) LIMIT 1",
+            &["m", "m3"],
+            Some(true),
+        ),
+        (
+            "SELECT DISTINCT ?m WHERE { ?o ex:dataSet ex:ds ; ex:dim ?m } ORDER BY ?m OFFSET 1",
+            &["m", "m3"],
+            Some(true),
+        ),
+        // An existential variable read by a FILTER: its pattern drives, and
+        // m1's only observation in the dataset fails the FILTER.
+        (
+            "SELECT DISTINCT ?m WHERE { ?o ex:dataSet ex:ds ; ex:dim ?m ; ex:value ?v . FILTER(?v < 5) } ORDER BY ?m",
+            &["m", "m3"],
+            Some(true),
+        ),
+        // A variable bound by both the driver and a check: ?m drives and
+        // the label check reads it; ?o drives and the dataset check reads it.
+        (
+            "SELECT DISTINCT ?m WHERE { ?o ex:dim ?m . ?m ex:label ?l . ?o ex:dataSet ex:ds } ORDER BY ?m",
+            &["m", "m1", "m3"],
+            Some(true),
+        ),
+        // Two projected variables, ordered in another order than projected.
+        (
+            "SELECT DISTINCT ?m ?k WHERE { ?o ex:dataSet ex:ds ; ex:dim ?m . ?m ex:kind ?k } ORDER BY ?k DESC(?m)",
+            &["m k", "m3 \"odd\"", "m1 \"one\""],
+            Some(true),
+        ),
+        // Distinct equal numbers tie in ORDER BY, and keep textual arrival
+        // order: 10.0 (a2) comes before 10 (b10) in the dataset, while the
+        // driver meets 10 first.
+        (
+            "SELECT DISTINCT ?v WHERE { ?o ex:dataSet ex:ds ; ex:value ?v . FILTER(?v >= 9) } ORDER BY ?v",
+            &["v", "9", "10.0", "10", "11"],
+            None,
+        ),
+        // The rule must not fire: DISTINCT with no ORDER BY, and an ORDER BY
+        // over a strict subset of the projection, keep first occurrences.
+        (
+            "SELECT DISTINCT ?m WHERE { ?o ex:dataSet ex:ds ; ex:dim ?m }",
+            &["m", "m3", "m1"],
+            Some(false),
+        ),
+        (
+            "SELECT DISTINCT ?m ?v WHERE { ?o ex:dataSet ex:ds ; ex:dim ?m ; ex:value ?v . FILTER(?v > 8) } ORDER BY ?m",
+            &["m v", "m1 10.0", "m3 9", "m3 10", "m3 11"],
+            Some(false),
+        ),
+        // A constant the graph has never seen: no witness anywhere.
+        (
+            "SELECT DISTINCT ?m WHERE { ?o ex:dataSet ex:nowhere ; ex:dim ?m } ORDER BY ?m",
+            &["m"],
+            None,
+        ),
+    ];
+    // b0 comes first, so the dataset's first observation is an m3 one and
+    // its first-occurrence order differs from the sorted one. The
+    // dimension's index walks each member's observations in interning
+    // order: m1's a1 (another dataset) before a2.
+    let mut data = String::from(
+        "@prefix ex: <http://example.org/> .
+         ex:b0 ex:dataSet ex:ds ; ex:dim ex:m3 ; ex:value 0 .
+         ex:a1 ex:dataSet ex:other ; ex:dim ex:m1 ; ex:value 10 .
+         ex:a2 ex:dataSet ex:ds ; ex:dim ex:m1 ; ex:value 10.0 .
+         ex:a3 ex:dataSet ex:other ; ex:dim ex:m2 ; ex:value 7 .
+         ex:m1 ex:label \"one\" ; ex:kind \"one\" . ex:m3 ex:label \"three\" ; ex:kind \"odd\" .\n",
+    );
+    for i in 1..12 {
+        data.push_str(&format!(
+            "ex:b{i} ex:dataSet ex:ds ; ex:dim ex:m3 ; ex:value {i} .\n"
+        ));
+    }
+    let endpoint = LocalEndpoint::new();
+    endpoint.store().load_turtle(&data).unwrap();
+    for &(query, expected, work) in cases {
+        let text = format!("{PREFIXES}{query}");
+        let parsed = sparql::parse_query(&text).unwrap();
+        let before = EvalCounters::thread_totals();
+        let planned = render(&endpoint.select(&text).unwrap());
+        let planned_work = EvalCounters::thread_totals().since(before);
+        let before = EvalCounters::thread_totals();
+        let textual = match endpoint
+            .store()
+            .with_default_graph(|graph| evaluate_textual(graph, &parsed))
+            .unwrap()
+        {
+            QueryResults::Solutions(solutions) => render(&Solutions::from(solutions)),
+            QueryResults::Boolean(_) => panic!("not a SELECT result"),
+        };
+        let textual_work = EvalCounters::thread_totals().since(before);
+        assert_eq!(planned, textual, "{query}");
+        assert_eq!(planned, expected, "{query}");
+        let fewer = planned_work.index_probes < textual_work.index_probes
+            && planned_work.rows_intermediate < textual_work.rows_intermediate;
+        match work {
+            Some(true) => assert!(
+                fewer,
+                "{query}: planned {planned_work:?}, textual {textual_work:?}"
+            ),
+            Some(false) => assert_eq!(planned_work, textual_work, "{query}"),
+            None => {}
+        }
+    }
+}
