@@ -65,9 +65,8 @@ QB2OLAP_FUZZ_STEPS=200 cargo test --release -q -p qb2olap-suite --test integrati
 # shipped join planner (estimated-cardinality order, FILTERs where their
 # variables are bound, rows restored to textual order) against the
 # identity plan, same rows in the same order, for each query and for it
-# without its ORDER BY; the generated queries include the Enrichment
-# phase's member list (`SELECT DISTINCT ?mem … ORDER BY ?mem`), the shape
-# the evaluator stops at the first witness on. Bit-identical results required, with
+# without its ORDER BY, and so is each spotlight's member list
+# (`SparqlGenerator::member_list`). Bit-identical results required, with
 # store mutations interleaved every ten queries so the campaign also
 # covers delta-accreted (ragged-link toggles re-read the hierarchy),
 # tombstoned, compacted and rebuilt (dangling structure triples) catalog
@@ -85,22 +84,19 @@ QB2OLAP_FUZZ_SEED=0xE155EED QB2OLAP_FUZZ_PROGRAMS=500 QB2OLAP_FUZZ_QUERIES=500 \
 # and DISTINCT / SAMPLE / GROUP_CONCAT / LIMIT over reordered runs must
 # return the identity plan's table row for row.
 cargo test -q -p sparql --test eval_edges -- planned_runs_return_the_identity_plan_row_for_row
-# The first-witness rule, pinned by name: a SELECT DISTINCT ordered on
-# exactly its projected variables stops at the first witness per key (a key
-# whose first observation is another dataset's, a key with no witness, a
-# FILTER on an existential variable, a variable both the driver and a check
-# bind, two keys, OFFSET/LIMIT, equal numbers that ORDER BY ties) and must
-# return the identity plan's table with fewer probes and rows; DISTINCT
-# with no ORDER BY and an ORDER BY over part of the projection must not
-# fire. Beside it: the driver/check split itself, and the member list
-# probing once per member tried.
+# The first-witness rule (ARCHITECTURE.md, "First witness per answer"),
+# pinned by name: its eval_edges table, the driver/check split, the member
+# list costing no more probes than the full join, and the generated member
+# lists against the identity plan.
 cargo test -q -p sparql --test eval_edges -- \
     a_distinct_select_ordered_on_its_projection_stops_at_the_first_witness
 cargo test -q -p sparql --lib -- \
     plan::tests::a_split_drives_on_the_projected_keys_and_checks_the_leaves \
     plan::tests::only_an_order_over_exactly_the_projection_splits
 cargo test -q -p qb --lib -- \
-    introspect::tests::dimension_members_probes_once_per_member_tried
+    introspect::tests::dimension_members_probes_no_more_than_the_full_join
+cargo test -q -p qlsmith --lib -- \
+    sparql_gen::tests::member_lists_agree_and_stop_at_the_first_witness
 # ORDER BY's order is total, pinned by name: a column holding NaN, 1, 2, a
 # string and an unbound value sorts to one table for every one of its 120
 # input orders, ascending and descending (NaN after every other number).

@@ -7,10 +7,11 @@
 //! thirteen expression forms, one of the twenty-two scalar functions
 //! (arity-correct by an exhaustive table), one of the seven aggregates,
 //! plus the solution modifiers (`DISTINCT`, `GROUP BY`, `HAVING`,
-//! `ORDER BY`, `LIMIT`, `OFFSET`) and the member-list shape
-//! (`SELECT DISTINCT ?mem … ORDER BY ?mem`). The spotlight index cycles
-//! through the production tables, so full grammar coverage needs only
-//! `lcm`-of-table-sizes many queries, not luck.
+//! `ORDER BY`, `LIMIT`, `OFFSET`). The spotlight index cycles through the
+//! production tables, so full grammar coverage needs only
+//! `lcm`-of-table-sizes many queries, not luck. Beside each query a
+//! campaign runs the spotlight's member list
+//! ([`SparqlGenerator::member_list`]).
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -21,7 +22,7 @@ use sparql::ast::{
     OrderCondition, PatternElement, Projection, SelectItem, SelectQuery, TriplePattern, Variable,
 };
 use sparql::testutil::{
-    arith_op_index, call, cmp, cmp_op_index, constant, group, stops_at_first_witness,
+    arith_op_index, call, cmp, cmp_op_index, constant, group, has_first_witness_shape,
     ALL_AGGREGATES, ALL_ARITH_OPS, ALL_CMP_OPS, ALL_FUNCTIONS,
 };
 
@@ -41,28 +42,8 @@ impl<'a> SparqlGenerator<'a> {
     /// Generates one SELECT query; `spotlight` (the campaign index)
     /// cycles the featured productions.
     pub fn generate(&self, rng: &mut StdRng, spotlight: usize) -> SelectQuery {
-        let mut query = SelectQuery::new();
+        let mut query = self.core(spotlight);
         let dim = &self.universe.dimensions[spotlight % self.universe.dimensions.len()];
-        let bottom = &dim.levels[0];
-        let (measure, _) = &self.universe.measures[spotlight % self.universe.measures.len()];
-
-        // The well-formed core: dataset observations with one member and
-        // one measure binding.
-        query.pattern.push_triple(TriplePattern::new(
-            Variable::new("obs"),
-            qb::data_set(),
-            Term::Iri(self.universe.dataset.clone()),
-        ));
-        query.pattern.push_triple(TriplePattern::new(
-            Variable::new("obs"),
-            bottom.level.clone(),
-            Variable::new("mem"),
-        ));
-        query.pattern.push_triple(TriplePattern::new(
-            Variable::new("obs"),
-            measure.clone(),
-            Variable::new("v"),
-        ));
 
         // Featured pattern element (9 variants).
         let element = self.featured_element(rng, spotlight, dim);
@@ -79,25 +60,18 @@ impl<'a> SparqlGenerator<'a> {
             query.pattern.push_filter(expr);
         }
 
-        // The member-list shape on odd spotlights whose featured element is
-        // a pattern or a FILTER (and that do not aggregate): it gets no
-        // BIND, so its WHERE is one run of patterns and FILTERs.
-        let member_list = spotlight % 2 == 1 && spotlight % 9 <= 1 && spotlight % 13 != 9;
-
         // A comparison and an arithmetic showcase so the operator tables
         // fill quickly: FILTER(?v <op> (?v <arith> 1) …) stays true-ish.
         let arith_op = ALL_ARITH_OPS[spotlight % ALL_ARITH_OPS.len()];
         let cmp_op = ALL_CMP_OPS[spotlight % ALL_CMP_OPS.len()];
-        if !member_list {
-            query.pattern.elements.push(sparql::testutil::bind(
-                sparql::testutil::arith(
-                    Expression::var("v"),
-                    arith_op,
-                    constant(Literal::integer(2)),
-                ),
-                "calc",
-            ));
-        }
+        query.pattern.elements.push(sparql::testutil::bind(
+            sparql::testutil::arith(
+                Expression::var("v"),
+                arith_op,
+                constant(Literal::integer(2)),
+            ),
+            "calc",
+        ));
         query.pattern.push_filter(Expression::Or(
             Box::new(cmp(
                 Expression::var("v"),
@@ -145,34 +119,6 @@ impl<'a> SparqlGenerator<'a> {
                 expr: Expression::var("mem"),
                 descending: spotlight.is_multiple_of(8),
             }];
-        } else if member_list {
-            // `SELECT DISTINCT ?mem … ORDER BY ?mem`, the Enrichment phase's
-            // member list: its answer cannot depend on which observation
-            // witnesses a member. Varied by a second projected key, a
-            // descending key and an OFFSET; with ?mem alone, the FILTERs
-            // on ?v read an existential variable.
-            let variant = spotlight / 9;
-            let keys: &[&str] = match variant % 2 {
-                0 => &["mem"],
-                _ => &["v", "mem"],
-            };
-            query.distinct = true;
-            query.projection = Projection::Items(
-                keys.iter()
-                    .rev()
-                    .map(|key| SelectItem::Var(Variable::new(*key)))
-                    .collect(),
-            );
-            query.order_by = keys
-                .iter()
-                .map(|key| OrderCondition {
-                    expr: Expression::var(*key),
-                    descending: *key == "mem" && (variant / 2) % 2 == 1,
-                })
-                .collect();
-            if variant % 3 == 2 {
-                query.offset = Some(1);
-            }
         } else {
             if spotlight % 6 == 1 {
                 query.distinct = true;
@@ -212,6 +158,73 @@ impl<'a> SparqlGenerator<'a> {
     }
 
     /// One of the nine [`PatternElement`] variants, spotlight-indexed.
+    /// The well-formed core: dataset observations with one member of the
+    /// spotlight's dimension (`?mem`) and one measure value (`?v`).
+    fn core(&self, spotlight: usize) -> SelectQuery {
+        let mut query = SelectQuery::new();
+        let dim = &self.universe.dimensions[spotlight % self.universe.dimensions.len()];
+        let bottom = &dim.levels[0];
+        let (measure, _) = &self.universe.measures[spotlight % self.universe.measures.len()];
+        query.pattern.push_triple(TriplePattern::new(
+            Variable::new("obs"),
+            qb::data_set(),
+            Term::Iri(self.universe.dataset.clone()),
+        ));
+        query.pattern.push_triple(TriplePattern::new(
+            Variable::new("obs"),
+            bottom.level.clone(),
+            Variable::new("mem"),
+        ));
+        query.pattern.push_triple(TriplePattern::new(
+            Variable::new("obs"),
+            measure.clone(),
+            Variable::new("v"),
+        ));
+        query
+    }
+
+    /// The Enrichment phase's member list over the core,
+    /// `SELECT DISTINCT ?mem … ORDER BY ?mem`, varied by `spotlight`: `?v` as a second key, a descending key, a FILTER on
+    /// `?v` (existential where `?mem` is the only key), LIMIT and OFFSET.
+    /// It draws nothing from a random stream, so running it beside each
+    /// generated query leaves the generated queries as they were.
+    pub fn member_list(&self, spotlight: usize) -> SelectQuery {
+        let mut query = self.core(spotlight);
+        let keys: &[&str] = match spotlight % 2 {
+            0 => &["mem"],
+            _ => &["v", "mem"],
+        };
+        if spotlight.is_multiple_of(3) {
+            let bound = (spotlight % 7) as i64 - 3;
+            query.pattern.push_filter(cmp(
+                Expression::var("v"),
+                CmpOp::Gt,
+                constant(Literal::integer(bound)),
+            ));
+        }
+        query.distinct = true;
+        query.projection = Projection::Items(
+            keys.iter()
+                .rev()
+                .map(|key| SelectItem::Var(Variable::new(*key)))
+                .collect(),
+        );
+        query.order_by = keys
+            .iter()
+            .map(|key| OrderCondition {
+                expr: Expression::var(*key),
+                descending: *key == "mem" && (spotlight / 2) % 2 == 1,
+            })
+            .collect();
+        match spotlight % 5 {
+            1 => query.limit = Some(2),
+            2 => query.offset = Some(1),
+            3 => (query.offset, query.limit) = (Some(1), Some(3)),
+            _ => {}
+        }
+        query
+    }
+
     fn featured_element(
         &self,
         rng: &mut StdRng,
@@ -537,9 +550,8 @@ const SELECT_PRODUCTIONS: [&str; 33] = [
     MEMBER_LIST,
 ];
 
-/// The shape the evaluator stops at the first witness per answer on:
-/// DISTINCT, ordered on exactly its projected variables, one run of
-/// patterns ([`sparql::testutil::stops_at_first_witness`]).
+/// The member-list shape, which may stop at the first witness per answer
+/// ([`has_first_witness_shape`]).
 const MEMBER_LIST: &str = "SELECT DISTINCT … ORDER BY its projection";
 
 /// Every SELECT grammar production the generator must reach, by display
@@ -608,7 +620,7 @@ impl SparqlCoverage {
         if query.distinct {
             self.hit("DISTINCT");
         }
-        if stops_at_first_witness(query) {
+        if has_first_witness_shape(query) {
             self.hit(MEMBER_LIST);
         }
         match &query.projection {
@@ -794,6 +806,7 @@ mod tests {
         let mut coverage = SparqlCoverage::default();
         for spotlight in 0..300 {
             coverage.record(&generator.generate(&mut rng, spotlight));
+            coverage.record(&generator.member_list(spotlight));
         }
         assert_eq!(coverage.missing(), Vec::<String>::new());
     }
@@ -804,16 +817,46 @@ mod tests {
         let universe = SchemaUniverse::from_endpoint(&cube.endpoint, &cube.schema).unwrap();
         let generator = SparqlGenerator::new(&universe);
         let mut rng = StdRng::seed_from_u64(0xACC0);
-        let mut member_lists = 0;
         for spotlight in 0..60 {
             let query = generator.generate(&mut rng, spotlight);
-            member_lists += usize::from(stops_at_first_witness(&query));
             let mismatch = check_select(&cube.endpoint, &query);
             assert!(mismatch.is_none(), "paths disagree: {mismatch:?}");
         }
-        // The member-list shape reaches the first-witness rule, so the
-        // text and identity-plan legs check it.
-        assert!(member_lists >= 4, "{member_lists} member lists");
+    }
+
+    /// Every member list agrees on both paths and with the identity plan,
+    /// and on this one-dataset cube the single-key ones stop at the first
+    /// witness: fewer index probes than the identity plan's full join.
+    #[test]
+    fn member_lists_agree_and_stop_at_the_first_witness() {
+        let cube = fuzz_cube();
+        let universe = SchemaUniverse::from_endpoint(&cube.endpoint, &cube.schema).unwrap();
+        let generator = SparqlGenerator::new(&universe);
+        let probes = |evaluate: &dyn Fn()| {
+            let before = sparql::EvalCounters::thread_totals();
+            evaluate();
+            sparql::EvalCounters::thread_totals()
+                .since(before)
+                .index_probes
+        };
+        for spotlight in 0..60 {
+            let query = generator.member_list(spotlight);
+            assert!(has_first_witness_shape(&query), "{spotlight}");
+            let mismatch = check_select(&cube.endpoint, &query);
+            assert!(mismatch.is_none(), "paths disagree: {mismatch:?}");
+            let query = sparql::ast::Query::Select(query);
+            let planned = probes(&|| drop(sparql::Endpoint::select_parsed(&cube.endpoint, &query)));
+            let textual = probes(&|| {
+                drop(crate::diff::evaluate_on(
+                    &cube.endpoint,
+                    &query,
+                    sparql::testutil::evaluate_textual,
+                ))
+            });
+            if spotlight.is_multiple_of(2) {
+                assert!(planned < textual, "{spotlight}: {planned} vs {textual}");
+            }
+        }
     }
 
     #[test]

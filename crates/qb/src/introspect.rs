@@ -180,15 +180,8 @@ pub fn count_observations(endpoint: &dyn Endpoint, dataset: &Iri) -> Result<usiz
 }
 
 /// The distinct members bound to a dimension across a dataset's
-/// observations, in `Term` order.
-///
-/// The query is the paper's: `SELECT DISTINCT ?member` ordered on
-/// `?member`, so its answer cannot depend on which observation witnesses a
-/// member. The evaluator uses that (ARCHITECTURE.md, "SPARQL evaluator"):
-/// it walks the dimension's triples once, tries a member's observations
-/// only until one is in the dataset, and skips the others before they
-/// become rows. A member costs one dataset probe per observation tried —
-/// one, on a store that holds only this dataset — not one per observation.
+/// observations, in `Term` order: the paper's `SELECT DISTINCT ?member`,
+/// ordered on `?member` (ARCHITECTURE.md, "First witness per answer").
 pub fn dimension_members(
     endpoint: &dyn Endpoint,
     dataset: &Iri,
@@ -511,43 +504,53 @@ mod tests {
         assert_eq!(geos.len(), 2);
     }
 
-    /// The member query stops at each member's first observation in the
-    /// dataset: one probe walks the dimension's triples, then one probe per
-    /// observation tried. Twenty more observations of a member cost
-    /// nothing; a member only another dataset uses costs one probe per
-    /// observation and is not listed.
+    /// On a store that holds only this dataset, the member list costs one
+    /// walk of the dimension plus one probe per member, however many
+    /// observations a member has. Beside a larger dataset over the same
+    /// dimension it costs what the full join does, one probe per
+    /// observation of the dataset, not one per observation of the other.
     #[test]
-    fn dimension_members_probes_once_per_member_tried() {
+    fn dimension_members_probes_no_more_than_the_full_join() {
         let (endpoint, dataset, _dsd) = endpoint_with_tiny_cube();
         let citizen = |code: &str| Term::iri(format!("http://example.org/dic/citizen#{code}"));
-        let other = Term::iri("http://example.org/other-dataset");
-        let mut triples = Vec::new();
-        for (i, (member, set)) in std::iter::repeat_n(("SY", Term::Iri(dataset.clone())), 20)
-            .chain(std::iter::repeat_n(("XX", other), 3))
-            .enumerate()
-        {
-            let node = Term::iri(format!("http://example.org/extra{i}"));
-            triples.push(rdf::Triple::new(
-                node.clone(),
-                rdf::vocab::qb::data_set(),
-                set,
-            ));
-            triples.push(rdf::Triple::new(
-                node,
-                eurostat_property::citizen(),
-                citizen(member),
-            ));
-        }
-        endpoint.insert_triples(&triples).unwrap();
-        let before = sparql::EvalCounters::thread_totals();
-        let members =
-            dimension_members(&endpoint, &dataset, &eurostat_property::citizen()).unwrap();
-        let work = sparql::EvalCounters::thread_totals().since(before);
-        assert_eq!(members, [citizen("NG"), citizen("SY")]);
-        // 1 walk + NG's and SY's first observations + XX's three.
-        assert_eq!(work.index_probes, 1 + 2 + 3);
-        // Five observations tried, two of them witnesses.
-        assert_eq!(work.rows_intermediate, 5 + 2);
+        let add = |set: Term, member: &str, count: usize, first: usize| {
+            let mut triples = Vec::new();
+            for i in first..first + count {
+                let node = Term::iri(format!("http://example.org/extra{i}"));
+                triples.push(rdf::Triple::new(
+                    node.clone(),
+                    rdf::vocab::qb::data_set(),
+                    set.clone(),
+                ));
+                triples.push(rdf::Triple::new(
+                    node,
+                    eurostat_property::citizen(),
+                    citizen(member),
+                ));
+            }
+            endpoint.insert_triples(&triples).unwrap();
+        };
+        let members_and_probes = || {
+            let before = sparql::EvalCounters::thread_totals();
+            let members =
+                dimension_members(&endpoint, &dataset, &eurostat_property::citizen()).unwrap();
+            let work = sparql::EvalCounters::thread_totals().since(before);
+            (members, work.index_probes)
+        };
+        // 23 observations, all of this dataset: 1 walk + NG's and SY's
+        // first observations.
+        add(Term::Iri(dataset.clone()), "SY", 20, 0);
+        assert_eq!(
+            members_and_probes(),
+            (vec![citizen("NG"), citizen("SY")], 1 + 2)
+        );
+        // 30 more of another dataset: the full join, 1 walk of the dataset
+        // + 1 probe per observation of it.
+        add(Term::iri("http://example.org/other-dataset"), "XX", 30, 20);
+        assert_eq!(
+            members_and_probes(),
+            (vec![citizen("NG"), citizen("SY")], 1 + 23)
+        );
     }
 
     #[test]

@@ -11,16 +11,14 @@
 //! graph's SPO/POS/OSP ranges ([`Graph::matching_ids`]), filtering as the
 //! plan says; **restore** — sort a reordered run's rows back into the
 //! order textual evaluation yields, so every result is the textual one,
-//! row for row. A SELECT DISTINCT ordered on exactly its projected
-//! variables, over one run, instead stops at the first witness per
-//! projected key (`plan::witness_split`): its output cannot depend on
-//! which solution witnesses a key. Sub-selects, `VALUES` and `OPTIONAL`
+//! row for row; one SELECT shape may stop at the first witness per answer
+//! instead (`plan::witness_split`). Sub-selects, `VALUES` and `OPTIONAL`
 //! join whole tables; FILTERs no run can place, BIND, GROUP BY, DISTINCT
 //! and ORDER BY evaluate compiled expressions (`crate::expr`) over the
-//! ids. A finished
-//! SELECT table leaves as [`EncodedSolutions`]: its ids are re-numbered
-//! densely and each distinct term is cloned once. Decoding into
-//! [`crate::Solutions`] happens at the endpoint's edge, never here.
+//! ids. A finished SELECT table leaves as [`EncodedSolutions`]: its ids
+//! are re-numbered densely and each distinct term is cloned once.
+//! Decoding into [`crate::Solutions`] happens at the endpoint's edge,
+//! never here.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -400,8 +398,10 @@ impl<'g, 'q> Evaluator<'g, 'q> {
 
     fn select(&mut self, query: &'q SelectQuery) -> Result<(Vec<&'q str>, Rows), SparqlError> {
         let split = self.join_order.plans().then(|| plan::witness_split(query));
-        if let Some(split) = split.flatten() {
-            let rows = self.first_witnesses(query, &split);
+        if let Some(rows) = split
+            .flatten()
+            .and_then(|split| self.first_witnesses(query, &split))
+        {
             let (names, table, tied) = self.modify(query, rows, true)?;
             // ORDER BY ties distinct keys only when they are equal numbers
             // (`10`, `10.0`); those keep their arrival order, which the
@@ -754,19 +754,8 @@ impl<'g, 'q> Evaluator<'g, 'q> {
         let places = !rest
             .iter()
             .any(|element| !matches!(element, PatternElement::Filter(_)) && runs_per_row(element));
-        let (offered, slots): (Vec<usize>, Vec<FilterSlots>) = filters
-            .iter()
-            .enumerate()
-            .filter(|_| places)
-            .filter_map(|(index, filter)| Some((index, self.placeable((*filter)?, group)?)))
-            .unzip();
-        let plan = plan::plan_run(self.terms.graph, &positions, &entering, &slots);
-        let mut after: Vec<Vec<&'q Expression>> = vec![Vec::new(); plan.order.len() + 1];
-        for (index, step) in offered.into_iter().zip(&plan.filter_after) {
-            if let Some(step) = *step {
-                after[step].extend(filters[index].take());
-            }
-        }
+        let offered = if places { filters } else { &mut [] };
+        let (plan, mut after) = self.plan_steps(group, &positions, &entering, offered);
 
         for filter in std::mem::take(&mut after[0]) {
             self.filter(filter, &mut rows);
@@ -780,19 +769,68 @@ impl<'g, 'q> Evaluator<'g, 'q> {
                 rows.row_mut(index)[tag] = index as TermId;
             }
         }
+        let out = self.join_steps(&positions, &plan.order, &mut after, &rows);
+        if !reorders {
+            return out;
+        }
+        self.restore(out, &rows, &positions, &tags)
+    }
+
+    /// Plans `positions` as one run of `group` entered by rows that bind
+    /// the `entering` slots, offered each FILTER in `filters` that the run
+    /// may place: the plan, and per step the FILTERs to run after it
+    /// (`[0]`: on the rows entering the run). A placed FILTER is taken out
+    /// of `filters`.
+    fn plan_steps(
+        &self,
+        group: &'q GroupGraphPattern,
+        positions: &[[Position; 3]],
+        entering: &[bool],
+        filters: &mut [Option<&'q Expression>],
+    ) -> (plan::RunPlan, Vec<Vec<&'q Expression>>) {
+        let (offered, slots) = self.offered(group, filters);
+        let plan = plan::plan_run(self.terms.graph, positions, entering, &slots);
+        let mut after: Vec<Vec<&'q Expression>> = vec![Vec::new(); plan.order.len() + 1];
+        for (index, step) in offered.into_iter().zip(&plan.filter_after) {
+            if let Some(step) = *step {
+                after[step].extend(filters[index].take());
+            }
+        }
+        (plan, after)
+    }
+
+    /// The FILTERs in `filters` that a run of `group` may place: their
+    /// indexes and slots.
+    fn offered(
+        &self,
+        group: &'q GroupGraphPattern,
+        filters: &[Option<&'q Expression>],
+    ) -> (Vec<usize>, Vec<FilterSlots>) {
+        filters
+            .iter()
+            .enumerate()
+            .filter_map(|(index, filter)| Some((index, self.placeable((*filter)?, group)?)))
+            .unzip()
+    }
+
+    /// Joins `rows` with the patterns `steps` names, in turn, running the
+    /// FILTERs in `after[k]` after the `k`-th step.
+    fn join_steps(
+        &mut self,
+        positions: &[[Position; 3]],
+        steps: &[usize],
+        after: &mut [Vec<&'q Expression>],
+        rows: &Rows,
+    ) -> Rows {
         let mut out: Option<Rows> = None;
-        for (step, &pattern) in plan.order.iter().enumerate() {
-            let mut next = self.join_triple(positions[pattern], out.as_ref().unwrap_or(&rows));
+        for (step, &pattern) in steps.iter().enumerate() {
+            let mut next = self.join_triple(positions[pattern], out.as_ref().unwrap_or(rows));
             for filter in std::mem::take(&mut after[step + 1]) {
                 self.filter(filter, &mut next);
             }
             out = Some(next);
         }
-        let out = out.expect("a run holds a pattern");
-        if !reorders {
-            return out;
-        }
-        self.restore(out, &rows, &positions, &tags)
+        out.unwrap_or_else(|| rows.clone())
     }
 
     /// Sorts the rows a reordered run yielded back into textual order —
@@ -844,20 +882,21 @@ impl<'g, 'q> Evaluator<'g, 'q> {
         restored
     }
 
-    /// Evaluates the one run of a query [`plan::witness_split`] splits. The
-    /// driver joins in planned order with its FILTERs where their variables
-    /// are bound; its last step stops at the first witness per projected
-    /// key. A match whose key has a witness is skipped before it becomes a
-    /// row; one of a new key becomes the key's witness if it passes the
-    /// step's FILTERs and every existence check, one probe each. One row
-    /// per key comes out, in no particular order, so nothing restores it.
-    fn first_witnesses(&mut self, query: &'q SelectQuery, split: &plan::WitnessSplit) -> Rows {
-        let width = self.scope.width;
+    /// Evaluates the one run of a query [`plan::witness_split`] splits,
+    /// stopping at the first witness per key: the driver's steps join as
+    /// any run's do, but for its last ([`Self::witness_step`]). `None` when
+    /// the full join is estimated cheaper ([`plan::witnesses_pay`]).
+    fn first_witnesses(
+        &mut self,
+        query: &'q SelectQuery,
+        split: &plan::WitnessSplit,
+    ) -> Option<Rows> {
+        let (width, group) = (self.scope.width, &query.pattern);
         let (mut patterns, mut filters) = (Vec::new(), Vec::new());
-        for element in &query.pattern.elements {
+        for element in &group.elements {
             match element {
                 PatternElement::Triple(pattern) => patterns.push(self.positions(pattern)),
-                PatternElement::Filter(filter) => filters.push(filter),
+                PatternElement::Filter(filter) => filters.push(Some(filter)),
                 _ => unreachable!("a split query's WHERE is one run"),
             }
         }
@@ -865,7 +904,20 @@ impl<'g, 'q> Evaluator<'g, 'q> {
             .iter()
             .any(|pattern| pattern.contains(&Position::Constant(None)))
         {
-            return Rows::new(width);
+            return Some(Rows::new(width));
+        }
+        let driver: Vec<[Position; 3]> = split.driver.iter().map(|&p| patterns[p]).collect();
+        let checks: Vec<[Position; 3]> = split.checks.iter().map(|&p| patterns[p]).collect();
+        let entering = vec![false; width];
+        let (_, slots) = self.offered(group, &filters);
+        let (plan, mut after) = self.plan_steps(group, &driver, &entering, &mut filters);
+        // The driver binds every variable a FILTER reads, so it places
+        // them all; a FILTER left over would go unchecked.
+        let first = driver[plan.order[0]];
+        if filters.iter().any(Option::is_some)
+            || !plan::witnesses_pay(self.terms.graph, &patterns, first, &entering, &slots)
+        {
+            return None;
         }
         // The ORDER BY keys are the projected variables.
         let index = &self.scope.index;
@@ -877,37 +929,20 @@ impl<'g, 'q> Evaluator<'g, 'q> {
                 _ => None,
             })
             .collect();
-        let slots: Vec<FilterSlots> = filters
-            .iter()
-            .map(|filter| self.placeable(filter, &query.pattern))
-            .collect::<Option<_>>()
-            .expect("a split query's FILTERs read only pattern variables");
-        let driver: Vec<[Position; 3]> = split.driver.iter().map(|&p| patterns[p]).collect();
-        let checks: Vec<[Position; 3]> = split.checks.iter().map(|&p| patterns[p]).collect();
-        let plan = plan::plan_run(self.terms.graph, &driver, &vec![false; width], &slots);
-        let mut after: Vec<Vec<&'q Expression>> = vec![Vec::new(); driver.len() + 1];
-        for (filter, step) in filters.into_iter().zip(&plan.filter_after) {
-            after[step.expect("the driver binds what a FILTER reads")].push(filter);
-        }
 
         let mut rows = Rows::unit(width);
-        let (&last, steps) = plan.order.split_last().expect("a driver holds a pattern");
-        for (step, &pattern) in steps.iter().enumerate() {
-            for filter in std::mem::take(&mut after[step]) {
-                self.filter(filter, &mut rows);
-            }
-            rows = self.join_triple(driver[pattern], &rows);
-        }
-        for filter in std::mem::take(&mut after[steps.len()]) {
+        for filter in std::mem::take(&mut after[0]) {
             self.filter(filter, &mut rows);
         }
+        let (&last, steps) = plan.order.split_last().expect("a driver holds a pattern");
+        let rows = self.join_steps(&driver, steps, &mut after, &rows);
         let index = &self.scope.index;
         let slot_of = |name: &str| index.get(name).copied();
         let last_filters: Vec<Expr> = after[driver.len()]
             .iter()
             .map(|filter| self.terms.compile(filter, &slot_of))
             .collect();
-        self.witness_step(driver[last], &rows, &last_filters, &checks, &key)
+        Some(self.witness_step(driver[last], &rows, &last_filters, &checks, &key))
     }
 
     /// The driver's last step: extends `rows` by the matches of `positions`

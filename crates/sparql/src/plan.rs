@@ -20,13 +20,8 @@
 //! and so is a run the greedy order would not save half its rows on: a
 //! reordered run pays a sort to restore textual row order.
 //!
-//! One SELECT shape is planned apart ([`witness_split`]): DISTINCT, not
-//! aggregated, one run, ORDER BY keys that are exactly the projected
-//! variables. Its output is the sorted set of projected keys, whichever
-//! solution witnesses each key, so the run splits into a *driver* that binds
-//! the keys and *existence checks*, patterns that bind nothing but their
-//! own existential variables. The evaluator tries each key's driver rows
-//! only until one passes every check.
+//! One SELECT shape may stop at the first witness per answer instead
+//! ([`witness_split`], [`witnesses_pay`]).
 
 use rdf::{Graph, TermId};
 
@@ -264,15 +259,10 @@ fn greedy(
     order
 }
 
-/// How a SELECT whose output cannot depend on its witnesses splits its one
-/// run: indexes into the run's triple patterns, in textual order.
+/// How [`witness_split`] splits a run: indexes into the run's triple
+/// patterns, in textual order.
 pub(crate) struct WitnessSplit {
-    /// The patterns that bind the projected variables, and whatever joins
-    /// them.
     pub(crate) driver: Vec<usize>,
-    /// Patterns whose variables are bound by the driver or are existential
-    /// variables of their own, which no other pattern and no FILTER reads:
-    /// each is one probe that either finds a match or drops the row.
     pub(crate) checks: Vec<usize>,
 }
 
@@ -283,12 +273,23 @@ pub(crate) struct WitnessSplit {
 /// variables, exactly the projected ones (in any order and direction); and
 /// at least one *existential* variable, one the patterns bind but the
 /// query does not project. Then the output is the sorted set of keys some
-/// solution binds, whichever solution it is.
+/// solution binds, whichever solution it is, so the evaluator may try each
+/// key's solutions only until one exists.
 ///
+/// The run splits into a *driver*, the patterns that bind the keys and
+/// whatever joins them, and *existence checks*, patterns whose variables
+/// are bound by the driver or private to them (in no other pattern, read by
+/// no FILTER): each check is one probe that finds a match or drops the row.
 /// Every pattern starts in the driver. Each in turn, fewest shared
 /// variables first (the leaves of the join), moves to the checks if every
 /// check, itself included, still finds each of its variables either
 /// private to it or bound by a driver pattern.
+///
+/// The driver's last step computes each match's key first and skips a key
+/// already witnessed before the match becomes a row; a new key's row must
+/// pass the step's FILTERs and every check to become its witness. One row
+/// per key comes out, and no restoring sort runs. Whether this beats the
+/// full join depends on the data: [`witnesses_pay`].
 pub(crate) fn witness_split(query: &SelectQuery) -> Option<WitnessSplit> {
     let Projection::Items(items) = &query.projection else {
         return None;
@@ -365,6 +366,30 @@ pub(crate) fn witness_split(query: &SelectQuery) -> Option<WitnessSplit> {
     }
     let (driver, checks) = (0..vars.len()).partition(|&pattern| driver[pattern]);
     Some(WitnessSplit { driver, checks })
+}
+
+/// Whether a split run stops at the first witness per key rather than
+/// joining in full: the driver's planned first step, `driver_first`, is
+/// estimated at no more rows than the full run's planned first step. The
+/// full join materializes at least that step; the witness walk reads each
+/// of its matches once, and probes each check at most once per match. A
+/// driver that would walk more loses: the member list of a small dataset,
+/// whose dimension other datasets share, walks every dataset's
+/// observations, where the full join starts from the dataset's own.
+pub(crate) fn witnesses_pay(
+    graph: &Graph,
+    patterns: &[[Position; 3]],
+    driver_first: [Position; 3],
+    entering: &[bool],
+    filters: &[FilterSlots],
+) -> bool {
+    let full = plan_run(graph, patterns, entering, filters);
+    let mut known = entering.to_vec();
+    for slot in filters.iter().filter_map(|filter| filter.pinned) {
+        known[slot] = true;
+    }
+    let rows = |positions| Estimate::new(graph, positions).rows(&known);
+    rows(driver_first) <= rows(patterns[full.order[0]])
 }
 
 /// The slots whose ids order the rows a run yields for one input row as

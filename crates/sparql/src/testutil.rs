@@ -44,10 +44,9 @@ pub fn evaluate_unrestored(graph: &Graph, query: &Query) -> Result<QueryResults,
     evaluate_in(graph, query, JoinOrder::Unrestored)
 }
 
-/// Whether the evaluator stops at the first witness per answer on `query`:
-/// a SELECT DISTINCT ordered on exactly its projected variables, whose
-/// WHERE is one run of triple patterns (`crate::plan::witness_split`).
-pub fn stops_at_first_witness(query: &SelectQuery) -> bool {
+/// Whether `query` has the shape that may stop at the first witness per
+/// answer (`crate::plan::witness_split`).
+pub fn has_first_witness_shape(query: &SelectQuery) -> bool {
     crate::plan::witness_split(query).is_some()
 }
 

@@ -566,9 +566,9 @@ fn planned_runs_return_the_identity_plan_row_for_row() {
 }
 
 /// A SELECT DISTINCT whose ORDER BY keys are exactly its projected
-/// variables stops at the first witness per key: the driver binds the keys,
-/// each other pattern is an existence check, and a key's later driver rows
-/// are skipped. Each query must return the identity plan's table and the
+/// variables stops at the first witness per key (`plan::witness_split`)
+/// where the driver's walk is no larger than the full join's first step.
+/// Each query must return the identity plan's table and the
 /// literal one. `work` says what the evaluator's counters must show against
 /// the identity plan's: `Some(true)` fewer probes and fewer rows (the rule
 /// fired), `Some(false)` the same counts (it did not fire, and the planner
@@ -634,6 +634,14 @@ fn a_distinct_select_ordered_on_its_projection_stops_at_the_first_witness() {
             &["m v", "m1 10.0", "m3 9", "m3 10", "m3 11"],
             Some(false),
         ),
+        // The rule must not fire either where the driver would walk more
+        // than the full join's first step: ex:other has two observations,
+        // the dimension fifteen, so the full join runs from the dataset.
+        (
+            "SELECT DISTINCT ?m WHERE { ?o ex:dataSet ex:other ; ex:dim ?m } ORDER BY ?m",
+            &["m", "m1", "m2"],
+            Some(false),
+        ),
         // A constant the graph has never seen: no witness anywhere.
         (
             "SELECT DISTINCT ?m WHERE { ?o ex:dataSet ex:nowhere ; ex:dim ?m } ORDER BY ?m",
@@ -644,7 +652,9 @@ fn a_distinct_select_ordered_on_its_projection_stops_at_the_first_witness() {
     // b0 comes first, so the dataset's first observation is an m3 one and
     // its first-occurrence order differs from the sorted one. The
     // dimension's index walks each member's observations in interning
-    // order: m1's a1 (another dataset) before a2.
+    // order: m1's a1 (another dataset) before a2. The c observations carry
+    // no ex:dim, so ex:ds (18 observations) outnumbers the dimension's 15
+    // triples and the driver's walk is the cheaper first step.
     let mut data = String::from(
         "@prefix ex: <http://example.org/> .
          ex:b0 ex:dataSet ex:ds ; ex:dim ex:m3 ; ex:value 0 .
@@ -657,6 +667,9 @@ fn a_distinct_select_ordered_on_its_projection_stops_at_the_first_witness() {
         data.push_str(&format!(
             "ex:b{i} ex:dataSet ex:ds ; ex:dim ex:m3 ; ex:value {i} .\n"
         ));
+    }
+    for i in 0..5 {
+        data.push_str(&format!("ex:c{i} ex:dataSet ex:ds .\n"));
     }
     let endpoint = LocalEndpoint::new();
     endpoint.store().load_turtle(&data).unwrap();

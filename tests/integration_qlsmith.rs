@@ -131,12 +131,15 @@ fn sparql_campaign_text_and_parsed_paths_agree() {
             mutate(&mut cube, &mut rng, spotlight / 10);
         }
         let query = generator.generate(&mut rng, spotlight);
-        coverage.record(&query);
-        let mismatch = check_select(&endpoint, &query);
-        assert!(
-            mismatch.is_none(),
-            "query {spotlight}: the two evaluation paths diverged: {mismatch:?}"
-        );
+        let member_list = generator.member_list(spotlight);
+        for query in [query, member_list] {
+            coverage.record(&query);
+            let mismatch = check_select(&endpoint, &query);
+            assert!(
+                mismatch.is_none(),
+                "query {spotlight}: the two evaluation paths diverged: {mismatch:?}"
+            );
+        }
     }
 
     let snapshot = coverage.snapshot();
