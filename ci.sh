@@ -109,9 +109,9 @@ cargo test -q -p sparql --test eval_edges -- \
 # term and per index run, never per triple or per tree node), a background
 # handle the same count at both sizes give or take 8 (the index runs are
 # shared, not copied), the flat observation-star SELECT
-# (`?obs qb:dataSet <ds> . ?obs ?p ?v`) one allocation per decoded solution
-# plus a constant (a constant alone when dictionary-encoded, natively and
-# through a wrapper that forwards only `query`), Mary's
+# (`?obs qb:dataSet <ds> . ?obs ?p ?v`) a constant, at most 64 more at
+# four times the rows (natively and through a wrapper that forwards only
+# `query`), Mary's
 # translated SPARQL a constant plus a few per group, and a cube build grows
 # with distinct members, not cells — no per-triple or per-intermediate-row
 # allocation anywhere on the load → SPARQL → columns path.
@@ -321,6 +321,15 @@ grep -q 'E31' EXPERIMENTS.md
 grep -q 'E32' EXPERIMENTS.md
 grep -q 'E33' EXPERIMENTS.md
 grep -q 'E34' EXPERIMENTS.md
+# The CHANGES budget (ROADMAP "CHANGES budget"): the newest `PR N:` entry
+# holds the tentpole, the gate changes and the verdict in at most 160
+# words; the details live in EXPERIMENTS.md and the commit messages.
+# `FOUND:` lines are separate lines and do not count.
+words=$(grep -m 1 '^PR [0-9]*:' CHANGES.md | wc -w)
+test "$words" -le 160 || {
+    echo "ci.sh: the newest CHANGES.md entry has $words words, over 160"
+    exit 1
+}
 
 # Documentation builds for all crates with zero warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

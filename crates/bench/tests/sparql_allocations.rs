@@ -26,15 +26,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// What one scale costs: (triples, allocations) of a bulk load into an
 /// empty store and the allocations of a background handle on the enriched
-/// store, (solutions, allocations) of the observation-pivot SELECT decoded,
-/// dictionary-encoded, and dictionary-encoded through a wrapper that
-/// forwards only `query`/`query_parsed`, and of Mary's translated SPARQL,
-/// and (fact cells, allocations) of a cube build.
+/// store, (solutions, allocations) of the observation-pivot SELECT, directly
+/// and through a wrapper that forwards only `query`/`query_parsed`, and of
+/// Mary's translated SPARQL, and (fact cells, allocations) of a cube build.
 struct Scale {
     load: (u64, u64),
     handle: u64,
     pivot: (u64, u64),
-    pivot_encoded: (u64, u64),
     pivot_wrapped: (u64, u64),
     mary: (u64, u64),
     build: (u64, u64),
@@ -80,15 +78,12 @@ fn measure(observations: usize) -> Scale {
     endpoint.select(&pivot).expect("pivot");
     build();
 
-    let (decoded, pivot_allocations) = counted(|| endpoint.select(&pivot).expect("pivot"));
-    let (encoded, encoded_allocations) =
-        counted(|| endpoint.select_encoded(&pivot).expect("pivot"));
-    assert_eq!(encoded.len(), decoded.len());
+    let (solutions, pivot_allocations) = counted(|| endpoint.select(&pivot).expect("pivot"));
     let wrapper = ConservativeEndpoint::new(endpoint.clone());
-    let (wrapped, wrapped_allocations) = counted(|| wrapper.select_encoded(&pivot).expect("pivot"));
-    assert_eq!(wrapped, encoded);
+    let (wrapped, wrapped_allocations) = counted(|| wrapper.select(&pivot).expect("pivot"));
+    assert_eq!(wrapped, solutions);
     assert!(
-        decoded.len() >= 8 * observations,
+        solutions.len() >= 8 * observations,
         "every triple of every observation"
     );
     let (answer, mary_allocations) = counted(|| endpoint.select(&mary).expect("Mary's query"));
@@ -99,8 +94,7 @@ fn measure(observations: usize) -> Scale {
     Scale {
         load: (loaded as u64, load_allocations),
         handle: handle_allocations,
-        pivot: (decoded.len() as u64, pivot_allocations),
-        pivot_encoded: (encoded.len() as u64, encoded_allocations),
+        pivot: (solutions.len() as u64, pivot_allocations),
         pivot_wrapped: (wrapped.len() as u64, wrapped_allocations),
         mary: (answer.len() as u64, mary_allocations),
         build: ((observations * columns) as u64, build_allocations),
@@ -134,31 +128,23 @@ fn sparql_and_build_allocations_do_not_grow_with_intermediate_rows() {
         small.load.0
     );
 
-    // Decoded solutions own one `Vec` each (the public shape); beyond
-    // that the evaluator spends a constant — tables grow by doubling.
+    // A SELECT result is one flat table: no per-solution cost at all; the
+    // evaluator spends a constant — tables grow by doubling.
     const FIXED: u64 = 500;
     for (solutions, spent) in [small.pivot, large.pivot] {
         assert!(
-            spent <= solutions + FIXED,
-            "{spent} allocations for {solutions} decoded solutions"
-        );
-    }
-    // Encoded solutions are one flat table: no per-solution cost at all.
-    for (solutions, spent) in [small.pivot_encoded, large.pivot_encoded] {
-        assert!(
             spent <= FIXED,
-            "{spent} allocations for {solutions} encoded solutions"
+            "{spent} allocations for {solutions} solutions"
         );
     }
-    assert!(large.pivot_encoded.0 >= 4 * small.pivot_encoded.0);
-    assert!(large.pivot_encoded.1 <= small.pivot_encoded.1 + 64);
+    assert!(large.pivot.0 >= 4 * small.pivot.0);
+    assert!(large.pivot.1 <= small.pivot.1 + 64);
     // A wrapper that forwards `query` (the shape of every timing or
-    // conservative wrapper) hands out the same encoded table: no decode on
-    // the way, so the same bounds.
+    // conservative wrapper) hands out the same table, so the same bounds.
     for (solutions, spent) in [small.pivot_wrapped, large.pivot_wrapped] {
         assert!(
             spent <= FIXED,
-            "{spent} allocations for {solutions} encoded solutions through a wrapper"
+            "{spent} allocations for {solutions} solutions through a wrapper"
         );
     }
     assert!(large.pivot_wrapped.0 >= 4 * small.pivot_wrapped.0);

@@ -469,7 +469,7 @@ impl<'t> FactEncoder<'t> {
 
 /// The rows of a two-column SELECT in which both columns are bound.
 fn bound_pairs(endpoint: &dyn Endpoint, query: &str) -> Result<Vec<(Term, Term)>, CubeStoreError> {
-    let solutions = endpoint.select_encoded(query)?;
+    let solutions = endpoint.select(query)?;
     let term = |row: &[u32], column: usize| solutions.term(*row.get(column)?).cloned();
     Ok(solutions
         .rows()

@@ -211,7 +211,6 @@ pub(crate) mod testutil {
                    ?o <http://example.org/measure/score> ?s . }",
             )
             .expect("the parity count query evaluates")
-            .rows
             .len()
     }
 
@@ -687,7 +686,7 @@ mod tests {
 
     /// The build reads encoded solutions, from `LocalEndpoint` directly or
     /// through a wrapper that forwards only `query` (the trait's provided
-    /// `select_encoded`). Both must materialize the very same cube —
+    /// `select`). Both must materialize the very same cube —
     /// including the corners: dropped observations, a multi-valued slot, an
     /// unbound dimension, float measures.
     #[test]

@@ -10,7 +10,7 @@
 //! point at these resources through `owl:sameAs`.
 
 use rdf::vocab::{dbpedia as dbo, rdf as rdfv, rdfs};
-use rdf::{Iri, Literal, Term, Triple};
+use rdf::{Literal, Term, Triple};
 
 use crate::codelists::CITIZEN_COUNTRIES;
 use crate::eurostat::citizen_member;
@@ -27,11 +27,6 @@ pub fn resource(name: &str) -> Term {
 /// The DBpedia-like resource of a country, by its English label.
 pub fn country_resource(name: &str) -> Term {
     resource(name)
-}
-
-/// The graph IRI under which the external dataset is stored.
-pub fn graph_name() -> Iri {
-    Iri::new("http://dbpedia.org/graph/countries")
 }
 
 /// All triples of the synthetic DBpedia-like dataset.

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use qb::{Observation, QbDataset, QbDatasetBuilder};
 use rdf::vocab::{
-    eurostat_data, eurostat_dic, eurostat_dsd, eurostat_property, owl, rdfs, sdmx_dimension,
+    eurostat_data, eurostat_dic, eurostat_dsd, eurostat_property, rdfs, sdmx_dimension,
     sdmx_measure, skos,
 };
 use rdf::{Iri, Literal, Term, Triple};
@@ -440,17 +440,6 @@ pub fn code_list_triples(config: &EurostatConfig, rng: &mut StdRng) -> Vec<Tripl
     triples
 }
 
-/// Emits `owl:sameAs` links from citizenship members to the DBpedia-like
-/// resources (part of the dataset graph, while the DBpedia triples
-/// themselves live in [`dbpedia::dbpedia_graph`]).
-pub fn same_as_link(code: &str, name: &str) -> Triple {
-    Triple::new(
-        citizen_member(code),
-        owl::same_as(),
-        dbpedia::country_resource(name),
-    )
-}
-
 fn decompose<const N: usize>(mut index: usize, radixes: &[usize; N]) -> [usize; N] {
     let mut out = [0usize; N];
     for (slot, radix) in out.iter_mut().zip(radixes.iter()) {
@@ -481,6 +470,7 @@ fn gcd(a: usize, b: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdf::vocab::owl;
     use rdf::Graph;
 
     #[test]

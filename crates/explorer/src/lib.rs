@@ -700,21 +700,18 @@ mod tests {
         let explorer = open_on(&endpoint, &dataset, catalog.clone()).unwrap();
         assert_eq!(explorer.summary().unwrap().observations, 120);
 
-        let nodes: Vec<rdf::Term> = endpoint
+        let observations = endpoint
             .select(
                 "PREFIX qb: <http://purl.org/linked-data/cube#>
                  SELECT ?o WHERE { ?o a qb:Observation } ORDER BY ?o LIMIT 2",
             )
-            .unwrap()
-            .rows
-            .iter()
-            .filter_map(|r| r.first().cloned().flatten())
-            .collect();
+            .unwrap();
+        let nodes: Vec<&rdf::Term> = (0..2).filter_map(|i| observations.get(i, "o")).collect();
 
         // Measure strip: the fragment stays dataset-linked, so the listing
         // (COUNT of ?obs qb:dataSet ?ds) still counts it.
         let removed = endpoint.store().remove_matching(
-            Some(&nodes[0]),
+            Some(nodes[0]),
             Some(&sdmx_measure::obs_value()),
             None,
         );
@@ -726,10 +723,9 @@ mod tests {
         assert_eq!(report.rows_removed, 1, "the row itself was tombstoned");
 
         // Dataset unlink: gone from both counts.
-        let removed =
-            endpoint
-                .store()
-                .remove_matching(Some(&nodes[1]), Some(&qb::data_set()), None);
+        let removed = endpoint
+            .store()
+            .remove_matching(Some(nodes[1]), Some(&qb::data_set()), None);
         assert_eq!(removed.len(), 1);
         let summary = explorer.summary().unwrap();
         assert_eq!(summary.observations, 119, "unlinked fragment uncounted");

@@ -10,7 +10,7 @@ use rdf::Graph;
 use sparql::ast::{Query, SelectQuery};
 use sparql::pretty::query_to_string;
 use sparql::testutil::evaluate_textual;
-use sparql::{Endpoint, LocalEndpoint, QueryResults, Solutions, SparqlError};
+use sparql::{EncodedSolutions, Endpoint, LocalEndpoint, QueryResults, SparqlError};
 
 /// The legs [`ModuleOracle`] evaluates every program on, in order, all
 /// against one settled pin of the store:
@@ -216,7 +216,7 @@ pub fn identity_plan_forms(query: &SelectQuery) -> Vec<Query> {
 pub fn check_against_identity_plan(
     endpoint: &LocalEndpoint,
     query: &Query,
-    planned: &SparqlResult<Solutions>,
+    planned: &SparqlResult<EncodedSolutions>,
 ) -> Option<SparqlMismatch> {
     let textual = evaluate_on(endpoint, query, evaluate_textual);
     let text = query_to_string(query);
@@ -228,17 +228,17 @@ pub fn check_against_identity_plan(
 }
 
 /// Evaluates `query` on the endpoint's default graph with one of the
-/// `sparql::testutil` evaluators and decodes its solutions.
+/// `sparql::testutil` evaluators and returns its solutions.
 pub fn evaluate_on(
     endpoint: &LocalEndpoint,
     query: &Query,
     evaluate: fn(&Graph, &Query) -> SparqlResult<QueryResults>,
-) -> SparqlResult<Solutions> {
+) -> SparqlResult<EncodedSolutions> {
     match endpoint
         .store()
         .with_default_graph(|graph| evaluate(graph, query))?
     {
-        QueryResults::Solutions(solutions) => Ok(solutions.into()),
+        QueryResults::Solutions(solutions) => Ok(solutions),
         QueryResults::Boolean(_) => Err(SparqlError::Endpoint("expected a SELECT".to_string())),
     }
 }
@@ -247,8 +247,8 @@ pub fn evaluate_on(
 /// or both are errors.
 fn agree(
     text: &str,
-    (left, a): (&str, &SparqlResult<Solutions>),
-    (right, b): (&str, &SparqlResult<Solutions>),
+    (left, a): (&str, &SparqlResult<EncodedSolutions>),
+    (right, b): (&str, &SparqlResult<EncodedSolutions>),
 ) -> Option<SparqlMismatch> {
     let detail = match (a, b) {
         (Ok(a), Ok(b)) if a == b => return None,

@@ -35,19 +35,6 @@ pub const ALL_DICE_OPS: [DiceOp; 6] = [
     DiceOp::Ge,
 ];
 
-/// The index of a dice operator in [`ALL_DICE_OPS`] — a wildcard-free
-/// match, so a new operator cannot be added without extending the table.
-pub fn dice_op_index(op: DiceOp) -> usize {
-    match op {
-        DiceOp::Eq => 0,
-        DiceOp::Ne => 1,
-        DiceOp::Lt => 2,
-        DiceOp::Le => 3,
-        DiceOp::Gt => 4,
-        DiceOp::Ge => 5,
-    }
-}
-
 /// The kind of constant a dice comparison uses, in spotlight order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ValueKind {

@@ -108,11 +108,6 @@ impl SchemaUniverse {
         })
     }
 
-    /// A uniformly random dimension index.
-    pub fn random_dimension(&self, rng: &mut StdRng) -> usize {
-        rng.gen_range(0..self.dimensions.len())
-    }
-
     /// A uniformly random measure.
     pub fn random_measure(&self, rng: &mut StdRng) -> &(Iri, AggregateFunction) {
         &self.measures[rng.gen_range(0..self.measures.len())]

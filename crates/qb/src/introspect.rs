@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use rdf::{Iri, Term};
-use sparql::{EncodedSolutions, Endpoint, Solutions};
+use sparql::{EncodedSolutions, Endpoint};
 
 use crate::error::QbError;
 use crate::model::{Component, ComponentKind, DataStructureDefinition, QbDataset};
@@ -197,9 +197,8 @@ pub fn dimension_members(
     );
     let solutions = endpoint.select(&query)?;
     Ok(solutions
-        .rows
-        .iter()
-        .filter_map(|row| row.first().cloned().flatten())
+        .rows()
+        .filter_map(|row| solutions.term(row[0]).cloned())
         .collect())
 }
 
@@ -290,7 +289,7 @@ pub fn load_observations(
          }}",
         ds = dataset.as_str(),
     );
-    let solutions = endpoint.select_encoded(&query)?;
+    let solutions = endpoint.select(&query)?;
     let column = |name: &str| {
         solutions
             .column(name)
@@ -416,7 +415,7 @@ pub fn properties_of_members(
     Ok(counts)
 }
 
-fn expect_iri(solutions: &Solutions, row: usize, var: &str) -> Result<Iri, QbError> {
+fn expect_iri(solutions: &EncodedSolutions, row: usize, var: &str) -> Result<Iri, QbError> {
     solutions
         .get(row, var)
         .and_then(|t| t.as_iri())
@@ -589,10 +588,18 @@ mod tests {
     impl Endpoint for Reversed {
         fn query(&self, sparql: &str) -> Result<sparql::QueryResults, sparql::SparqlError> {
             Ok(match self.0.query(sparql)? {
-                sparql::QueryResults::Solutions(encoded) => {
-                    let mut solutions = sparql::Solutions::from(encoded);
-                    solutions.rows.reverse();
-                    sparql::QueryResults::Solutions(solutions.into())
+                sparql::QueryResults::Solutions(solutions) => {
+                    let names: Vec<&str> = solutions.variables.iter().map(|v| v.name()).collect();
+                    let rows: Vec<Vec<Option<Term>>> = (0..solutions.len())
+                        .rev()
+                        .map(|row| {
+                            names
+                                .iter()
+                                .map(|name| solutions.get(row, name).cloned())
+                                .collect()
+                        })
+                        .collect();
+                    sparql::QueryResults::Solutions(sparql::testutil::solutions(&names, &rows))
                 }
                 other => other,
             })

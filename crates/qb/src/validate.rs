@@ -235,7 +235,7 @@ pub fn validate_dataset(
     Ok(report)
 }
 
-fn count_of(solutions: &sparql::Solutions) -> i64 {
+fn count_of(solutions: &sparql::EncodedSolutions) -> i64 {
     solutions
         .get(0, "n")
         .and_then(Term::as_literal)

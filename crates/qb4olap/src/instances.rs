@@ -36,9 +36,8 @@ pub fn members_of_level(endpoint: &dyn Endpoint, level: &Iri) -> Result<Vec<Term
         level = level.as_str()
     ))?;
     Ok(solutions
-        .rows
-        .iter()
-        .filter_map(|r| r.first().cloned().flatten())
+        .rows()
+        .filter_map(|r| solutions.term(r[0]).cloned())
         .collect())
 }
 
@@ -73,14 +72,11 @@ pub fn rollup_pairs(
         parent = parent_level.as_str()
     ))?;
     Ok(solutions
-        .rows
-        .iter()
-        .filter_map(
-            |r| match (r.first().cloned().flatten(), r.get(1).cloned().flatten()) {
-                (Some(c), Some(p)) => Some((c, p)),
-                _ => None,
-            },
-        )
+        .rows()
+        .filter_map(|r| match (solutions.term(r[0]), solutions.term(r[1])) {
+            (Some(c), Some(p)) => Some((c.clone(), p.clone())),
+            _ => None,
+        })
         .collect())
 }
 
@@ -143,9 +139,8 @@ pub fn non_functional_members(
         parent = parent_level.as_str()
     ))?;
     Ok(solutions
-        .rows
-        .iter()
-        .filter_map(|r| r.first().cloned().flatten())
+        .rows()
+        .filter_map(|r| solutions.term(r[0]).cloned())
         .collect())
 }
 

@@ -1,7 +1,7 @@
 //! The result of a QL query: a data cube computed on the fly.
 
 use rdf::{Iri, Term};
-use sparql::Solutions;
+use sparql::EncodedSolutions;
 
 pub use cubestore::CubeCell;
 use cubestore::QueryOutput;
@@ -65,31 +65,26 @@ impl CodedCube {
 
 impl ResultCube {
     /// Builds a cube from SPARQL solutions using the axis/measure variables.
+    /// Each variable's column is resolved once; a variable the solutions do
+    /// not project reads as unbound.
     pub fn from_solutions(
         axes: Vec<CubeAxis>,
         measures: Vec<(Iri, String)>,
-        solutions: &Solutions,
+        solutions: &EncodedSolutions,
     ) -> Self {
-        let mut cells = Vec::with_capacity(solutions.len());
-        for row in 0..solutions.len() {
-            let coordinates = axes
-                .iter()
-                .map(|axis| {
-                    solutions
-                        .get(row, &axis.variable)
-                        .cloned()
-                        .unwrap_or_else(|| Term::string(""))
-                })
-                .collect();
-            let values = measures
-                .iter()
-                .map(|(_, var)| solutions.get(row, var).cloned())
-                .collect();
-            cells.push(CubeCell {
-                coordinates,
-                values,
-            });
-        }
+        let axis_columns: Vec<_> = axes.iter().map(|a| solutions.column(&a.variable)).collect();
+        let measure_columns: Vec<_> = measures.iter().map(|(_, v)| solutions.column(v)).collect();
+        let cells = solutions
+            .rows()
+            .map(|row| {
+                let term = |column: &Option<usize>| solutions.term(row[(*column)?]).cloned();
+                let axis_term = |column| term(column).unwrap_or_else(|| Term::string(""));
+                CubeCell {
+                    coordinates: axis_columns.iter().map(axis_term).collect(),
+                    values: measure_columns.iter().map(term).collect(),
+                }
+            })
+            .collect();
         let mut cube = ResultCube {
             axes,
             measures,
@@ -188,28 +183,16 @@ impl ResultCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparql::Variable;
+    use sparql::Endpoint;
 
     fn sample_cube() -> ResultCube {
-        let solutions = Solutions {
-            variables: vec![
-                Variable::new("continent"),
-                Variable::new("year"),
-                Variable::new("obsValue"),
-            ],
-            rows: vec![
-                vec![
-                    Some(Term::iri("http://dic/continent#Africa")),
-                    Some(Term::iri("http://dic/time#2014")),
-                    Some(Term::integer(250)),
-                ],
-                vec![
-                    Some(Term::iri("http://dic/continent#Asia")),
-                    Some(Term::iri("http://dic/time#2013")),
-                    Some(Term::integer(420)),
-                ],
-            ],
-        };
+        let solutions = sparql::LocalEndpoint::new()
+            .select(
+                "SELECT ?continent ?year ?obsValue WHERE { VALUES (?continent ?year ?obsValue) {
+                   (<http://dic/continent#Africa> <http://dic/time#2014> 250)
+                   (<http://dic/continent#Asia> <http://dic/time#2013> 420) } }",
+            )
+            .unwrap();
         ResultCube::from_solutions(
             vec![
                 CubeAxis {

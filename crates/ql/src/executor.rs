@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use cubestore::{CubeCatalog, ExecOptions, MaintenanceReport, MaterializedCube};
 use qb4olap::CubeSchema;
-use sparql::Endpoint;
+use sparql::{EncodedSolutions, Endpoint};
 
 use crate::ast::QlProgram;
 use crate::columnar;
@@ -425,7 +425,7 @@ impl<'e> QueryingModule<'e> {
 
     /// Executes a handwritten SPARQL query (the demo's Querying module "also
     /// gives the possibility to manually formulate SPARQL queries").
-    pub fn execute_raw_sparql(&self, sparql_text: &str) -> Result<sparql::Solutions, QlError> {
+    pub fn execute_raw_sparql(&self, sparql_text: &str) -> Result<EncodedSolutions, QlError> {
         Ok(self.endpoint.select(sparql_text)?)
     }
 }

@@ -288,22 +288,6 @@ impl Store {
         added
     }
 
-    /// Inserts all triples into the default graph.
-    pub fn insert_all<I: IntoIterator<Item = Triple>>(&self, triples: I) -> usize {
-        let mut inner = self.inner.write();
-        let mut inserted = Vec::new();
-        for t in triples {
-            if inner.default_graph.insert(&t) {
-                inserted.push(t);
-            }
-        }
-        let added = inserted.len();
-        if added > 0 {
-            inner.commit(None, inserted, Vec::new());
-        }
-        added
-    }
-
     /// Bulk-loads triples into the default graph, holding the write lock
     /// once and taking [`Graph::bulk_insert`]'s sort-and-merge path. With
     /// the change log enabled the per-triple path is used instead, so the
@@ -508,12 +492,6 @@ impl Store {
     pub fn load_ntriples(&self, ntriples: &str) -> Result<usize, StoreError> {
         let doc = parser::parse_ntriples(ntriples)?;
         Ok(self.bulk_insert(doc.triples))
-    }
-
-    /// Loads a Turtle document into a named graph.
-    pub fn load_turtle_named(&self, graph: &Iri, turtle: &str) -> Result<usize, StoreError> {
-        let doc = parser::parse_turtle(turtle)?;
-        Ok(self.insert_all_named(graph, doc.triples))
     }
 
     /// Serialises the default graph to N-Triples.

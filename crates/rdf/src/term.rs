@@ -498,14 +498,6 @@ impl Term {
         }
     }
 
-    /// Returns the blank node if this term is a blank node.
-    pub fn as_blank(&self) -> Option<&BlankNode> {
-        match self {
-            Term::Blank(b) => Some(b),
-            _ => None,
-        }
-    }
-
     /// True if the term is an IRI.
     pub fn is_iri(&self) -> bool {
         matches!(self, Term::Iri(_))

@@ -15,7 +15,7 @@ use crate::http::escape_json_into;
 use cubestore::QueryOutput;
 use ql::{CodedCube, CubeAxis, CubeCell, ResultCube};
 use rdf::{Iri, Term};
-use sparql::Solutions;
+use sparql::EncodedSolutions;
 
 /// A [`fmt::Write`] sink that JSON-escapes everything formatted into it on
 /// the way into the output buffer, so a term's `Display` form lands in the
@@ -203,12 +203,12 @@ fn write_cube(
     out
 }
 
-/// Renders SPARQL SELECT [`Solutions`] as the canonical `/sparql` response
+/// Renders SPARQL SELECT solutions as the canonical `/sparql` response
 /// body: `{"variables":[...],"rows":[["<term>",null,...],...]}` with terms
 /// in N-Triples form and unbound variables as `null`.
-pub fn solutions_to_json(solutions: &Solutions) -> String {
+pub fn solutions_to_json(solutions: &EncodedSolutions) -> String {
     let per_row = 4 + 64 * solutions.variables.len();
-    let mut out = String::with_capacity(64 + solutions.rows.len() * per_row);
+    let mut out = String::with_capacity(64 + solutions.len() * per_row);
     out.push_str("{\"variables\":[");
     for (i, variable) in solutions.variables.iter().enumerate() {
         if i > 0 {
@@ -217,16 +217,16 @@ pub fn solutions_to_json(solutions: &Solutions) -> String {
         push_string(&mut out, variable.name());
     }
     out.push_str("],\"rows\":[");
-    for (i, row) in solutions.rows.iter().enumerate() {
+    for (i, row) in solutions.rows().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push('[');
-        for (j, binding) in row.iter().enumerate() {
+        for (j, &cell) in row.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            push_term(&mut out, binding.as_ref());
+            push_term(&mut out, solutions.term(cell));
         }
         out.push(']');
     }
@@ -238,21 +238,19 @@ pub fn solutions_to_json(solutions: &Solutions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf::{Iri, Term};
-    use sparql::Variable;
+    use rdf::Iri;
+    use sparql::{Endpoint, LocalEndpoint};
+
+    fn select(query: &str) -> EncodedSolutions {
+        LocalEndpoint::new().select(query).unwrap()
+    }
 
     #[test]
     fn solutions_serialize_with_nulls_and_escapes() {
-        let solutions = Solutions {
-            variables: vec![Variable::new("s"), Variable::new("v")],
-            rows: vec![
-                vec![
-                    Some(Term::iri("http://x/a")),
-                    Some(Term::string("say \"hi\"")),
-                ],
-                vec![Some(Term::iri("http://x/b")), None],
-            ],
-        };
+        let solutions = select(
+            r#"SELECT ?s ?v WHERE { VALUES (?s ?v) {
+                 (<http://x/a> "say \"hi\"") (<http://x/b> UNDEF) } }"#,
+        );
         let json = solutions_to_json(&solutions);
         assert!(json.starts_with("{\"variables\":[\"s\",\"v\"]"));
         assert!(json.contains("\"<http://x/a>\""));
@@ -267,13 +265,10 @@ mod tests {
 
     #[test]
     fn cube_serialization_is_deterministic() {
-        let solutions = Solutions {
-            variables: vec![Variable::new("year"), Variable::new("total")],
-            rows: vec![
-                vec![Some(Term::iri("http://t/2014")), Some(Term::integer(7))],
-                vec![Some(Term::iri("http://t/2013")), None],
-            ],
-        };
+        let solutions = select(
+            "SELECT ?year ?total WHERE { VALUES (?year ?total) {
+               (<http://t/2014> 7) (<http://t/2013> UNDEF) } }",
+        );
         let cube = ResultCube::from_solutions(
             vec![ql::CubeAxis {
                 dimension: Iri::new("http://s/timeDim"),

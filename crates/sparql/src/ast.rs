@@ -48,14 +48,6 @@ impl VarOrTerm {
     pub fn iri(iri: impl AsRef<str>) -> Self {
         VarOrTerm::Term(Term::iri(iri))
     }
-
-    /// Returns the variable if this is one.
-    pub fn as_var(&self) -> Option<&Variable> {
-        match self {
-            VarOrTerm::Var(v) => Some(v),
-            VarOrTerm::Term(_) => None,
-        }
-    }
 }
 
 impl From<Variable> for VarOrTerm {

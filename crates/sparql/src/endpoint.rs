@@ -8,10 +8,10 @@
 //! where the data lives, just as in the paper.
 //!
 //! Results cross the boundary in one form: a SELECT yields the evaluator's
-//! [`EncodedSolutions`], which bulk consumers read as they are
-//! ([`Endpoint::select_encoded`]) and everyone else decodes once, at the
-//! edge ([`Endpoint::select`]). A wrapper that forwards `query` and
-//! `query_parsed` therefore runs exactly the path the product runs.
+//! [`EncodedSolutions`], and [`Endpoint::select`] hands it out as it is, so
+//! every caller reads the table the evaluator built. A wrapper that
+//! forwards `query` and `query_parsed` therefore runs exactly the path the
+//! product runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -23,15 +23,14 @@ use crate::error::SparqlError;
 use crate::eval::evaluate_query;
 use crate::parser::parse_query;
 use crate::pretty::query_to_string;
-use crate::results::{EncodedSolutions, QueryResults, Solutions};
+use crate::results::{EncodedSolutions, QueryResults};
 
 /// A SPARQL endpoint: accepts query text, returns results.
 ///
 /// A SELECT answers in one form, [`EncodedSolutions`], from
 /// [`Self::query`] and [`Self::query_parsed`] — the only two methods a
-/// forwarding wrapper needs to override. [`Self::select_encoded`] hands that
-/// result out as it is; [`Self::select`] and [`Self::select_parsed`] decode
-/// it once into [`Solutions`].
+/// forwarding wrapper needs to override. [`Self::select`] and
+/// [`Self::select_parsed`] hand that result out as it is.
 pub trait Endpoint {
     /// Executes any supported query form.
     fn query(&self, sparql: &str) -> Result<QueryResults, SparqlError>;
@@ -49,20 +48,12 @@ pub trait Endpoint {
     }
 
     /// Executes an already-parsed SELECT query and returns its solutions.
-    fn select_parsed(&self, query: &Query) -> Result<Solutions, SparqlError> {
-        Ok(select_result(self.query_parsed(query)?)?.into())
+    fn select_parsed(&self, query: &Query) -> Result<EncodedSolutions, SparqlError> {
+        select_result(self.query_parsed(query)?)
     }
 
     /// Executes a SELECT query and returns its solutions.
-    fn select(&self, sparql: &str) -> Result<Solutions, SparqlError> {
-        Ok(self.select_encoded(sparql)?.into())
-    }
-
-    /// Executes a SELECT query and returns its solutions dictionary-encoded
-    /// (see [`EncodedSolutions`]), as [`Self::query`] produced them — the
-    /// entry point for bulk consumers that do per-*term* work, such as the
-    /// columnar cube build.
-    fn select_encoded(&self, sparql: &str) -> Result<EncodedSolutions, SparqlError> {
+    fn select(&self, sparql: &str) -> Result<EncodedSolutions, SparqlError> {
         select_result(self.query(sparql)?)
     }
 
@@ -407,9 +398,6 @@ mod tests {
         let via_ast = ep.select_parsed(&parsed).unwrap();
         assert_eq!(via_text, via_ast);
         assert_eq!(ep.queries_executed(), 2, "parsed execution still counts");
-        let encoded = ep.select_encoded(text).unwrap();
-        assert_eq!(Solutions::from(encoded), via_text);
-        assert_eq!(ep.queries_executed(), 3, "an encoded select is one query");
         // Handing an ASK AST to select_parsed is a type error.
         let ask = crate::parser::parse_query("ASK { ?s ?p ?o }").unwrap();
         assert!(ep.select_parsed(&ask).is_err());

@@ -16,9 +16,9 @@
 //! join whole tables; FILTERs no run can place, BIND, GROUP BY, DISTINCT
 //! and ORDER BY evaluate compiled expressions (`crate::expr`) over the
 //! ids. A finished SELECT table leaves as [`EncodedSolutions`]: its ids
-//! are re-numbered densely and each distinct term is cloned once.
-//! Decoding into [`crate::Solutions`] happens at the endpoint's edge,
-//! never here.
+//! are re-numbered densely in row-major first-occurrence order and each
+//! distinct term is cloned once. That table is what every caller of
+//! [`crate::Endpoint::select`] reads; nothing decodes it row by row.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -1184,8 +1184,7 @@ fn binds(group: &GroupGraphPattern, name: &str) -> bool {
 mod tests {
     use super::*;
     use crate::parser::{parse_query, parse_select};
-    use crate::results::Solutions;
-    use crate::testutil::evaluate_decoded;
+    use crate::testutil::evaluate_select;
     use rdf::parser::parse_turtle;
     use rdf::Iri;
 
@@ -1210,8 +1209,8 @@ ex:FR ex:continent ex:Europe ; rdfs:label "France"@en .
         .into_graph()
     }
 
-    fn select(g: &Graph, q: &str) -> Solutions {
-        evaluate_decoded(g, &parse_select(q).unwrap())
+    fn select(g: &Graph, q: &str) -> EncodedSolutions {
+        evaluate_select(g, &parse_select(q).unwrap())
     }
 
     #[test]
@@ -1291,7 +1290,9 @@ ex:FR ex:continent ex:Europe ; rdfs:label "France"@en .
              }",
         );
         assert_eq!(s.len(), 4);
-        let bound = s.rows.iter().filter(|r| r[1].is_some()).count();
+        let bound = (0..s.len())
+            .filter(|&r| s.get(r, "label").is_some())
+            .count();
         assert_eq!(bound, 1);
     }
 

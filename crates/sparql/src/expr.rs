@@ -74,7 +74,7 @@ pub(crate) struct Terms<'g> {
 }
 
 impl<'g> Terms<'g> {
-    pub fn new(graph: &'g Graph) -> Self {
+    pub(crate) fn new(graph: &'g Graph) -> Self {
         let mut terms = Terms {
             graph,
             base: graph.term_count() as TermId,
@@ -88,7 +88,7 @@ impl<'g> Terms<'g> {
     }
 
     /// The term behind a bound id.
-    pub fn get(&self, id: TermId) -> &Term {
+    pub(crate) fn get(&self, id: TermId) -> &Term {
         match id.checked_sub(self.base) {
             None => self.graph.term(id),
             Some(computed) => self.computed.resolve(computed),
@@ -96,7 +96,7 @@ impl<'g> Terms<'g> {
     }
 
     /// The id of `term`: the graph's if it has one, else the side interner's.
-    pub fn intern(&mut self, term: Term) -> TermId {
+    pub(crate) fn intern(&mut self, term: Term) -> TermId {
         if let Some(id) = self.graph.term_id(&term) {
             return id;
         }
@@ -105,7 +105,7 @@ impl<'g> Terms<'g> {
         id
     }
 
-    pub fn boolean(&self, value: bool) -> TermId {
+    pub(crate) fn boolean(&self, value: bool) -> TermId {
         self.booleans[usize::from(value)]
     }
 
@@ -144,7 +144,7 @@ impl<'g> Terms<'g> {
     }
 
     /// SPARQL effective boolean value.
-    pub fn effective_boolean(&self, id: TermId) -> Option<bool> {
+    pub(crate) fn effective_boolean(&self, id: TermId) -> Option<bool> {
         match self.booleans.iter().position(|&b| b == id) {
             Some(value) => Some(value == 1),
             None => effective_boolean(self.get(id)),
@@ -166,7 +166,7 @@ impl<'g> Terms<'g> {
     }
 
     /// An id with its numeric reading looked up, for [`Terms::order`].
-    pub fn sort_key(&mut self, id: TermId) -> SortKey {
+    pub(crate) fn sort_key(&mut self, id: TermId) -> SortKey {
         (id, self.double(id))
     }
 
@@ -175,7 +175,7 @@ impl<'g> Terms<'g> {
     /// order otherwise. A total order: numbers sit together in `Term` order
     /// too, so comparing them by value or by term agrees against anything
     /// else.
-    pub fn order(&self, a: SortKey, b: SortKey) -> Ordering {
+    pub(crate) fn order(&self, a: SortKey, b: SortKey) -> Ordering {
         match (a, b) {
             ((UNBOUND, _), (UNBOUND, _)) => Ordering::Equal,
             ((UNBOUND, _), _) => Ordering::Less,
@@ -188,7 +188,7 @@ impl<'g> Terms<'g> {
     }
 
     /// `Term` order of two bound ids.
-    pub fn term_order(&self, a: TermId, b: TermId) -> Ordering {
+    pub(crate) fn term_order(&self, a: TermId, b: TermId) -> Ordering {
         if a == b {
             Ordering::Equal
         } else {
@@ -206,7 +206,11 @@ impl<'g> Terms<'g> {
     }
 
     /// Resolves `expr`'s variables through `slot` and interns its constants.
-    pub fn compile(&mut self, expr: &Expression, slot: &dyn Fn(&str) -> Option<usize>) -> Expr {
+    pub(crate) fn compile(
+        &mut self,
+        expr: &Expression,
+        slot: &dyn Fn(&str) -> Option<usize>,
+    ) -> Expr {
         let mut sub = |e: &Expression| Box::new(self.compile(e, slot));
         match expr {
             Expression::Var(v) => Expr::Var(slot(v.name())),
@@ -238,7 +242,12 @@ impl<'g> Terms<'g> {
     /// error. With `group`, aggregates reachable through the boolean,
     /// comparison and arithmetic operators range over the group's rows and
     /// `row` is its sample row.
-    pub fn eval(&mut self, expr: &Expr, row: &[TermId], group: Option<Group>) -> Option<TermId> {
+    pub(crate) fn eval(
+        &mut self,
+        expr: &Expr,
+        row: &[TermId],
+        group: Option<Group>,
+    ) -> Option<TermId> {
         Some(match expr {
             Expr::Var(slot) => match row[(*slot)?] {
                 UNBOUND => return None,

@@ -59,7 +59,7 @@ pub use eval::{compare_numbers, compare_terms, evaluate_query, EvalCounters};
 pub use numeric::{float_max, float_min, CompensatedSum, NumericSum, NumericValue};
 pub use parser::{parse_query, parse_select};
 pub use pretty::{query_to_string, select_to_string};
-pub use results::{EncodedSolutions, QueryResults, Solutions};
+pub use results::{EncodedSolutions, QueryResults};
 
 // Randomised invariant tests. The seed repo expressed these with `proptest`,
 // which is unavailable in the offline build; seeded `StdRng` sampling keeps
@@ -71,7 +71,7 @@ mod proptests {
 
     use crate::parser::parse_select;
     use crate::pretty::select_to_string;
-    use crate::testutil::evaluate_decoded;
+    use crate::testutil::evaluate_select;
 
     const CASES: u64 = 128;
 
@@ -106,7 +106,7 @@ mod proptests {
                  SELECT ?c (SUM(?v) AS ?total) WHERE { ?o ex:country ?c ; ex:value ?v } GROUP BY ?c",
             )
             .unwrap();
-            let solutions = evaluate_decoded(&graph, &query);
+            let solutions = evaluate_select(&graph, &query);
 
             // Reference computation straight from the graph.
             let mut expected: std::collections::BTreeMap<Term, i64> = Default::default();
@@ -121,12 +121,14 @@ mod proptests {
             }
             assert_eq!(solutions.len(), expected.len(), "seed {seed}");
             for (country, total) in expected {
-                let row = solutions
-                    .rows
-                    .iter()
-                    .find(|r| r[0].as_ref() == Some(&country))
+                let row = (0..solutions.len())
+                    .find(|&row| solutions.get(row, "c") == Some(&country))
                     .expect("country group present");
-                assert_eq!(row[1].clone(), Some(Term::integer(total)), "seed {seed}");
+                assert_eq!(
+                    solutions.get(row, "total"),
+                    Some(&Term::integer(total)),
+                    "seed {seed}"
+                );
             }
         }
     }
@@ -147,8 +149,8 @@ mod proptests {
             let query = parse_select(&text).unwrap();
             let printed = select_to_string(&query);
             let reparsed = parse_select(&printed).unwrap();
-            let a = evaluate_decoded(&graph, &query);
-            let b = evaluate_decoded(&graph, &reparsed);
+            let a = evaluate_select(&graph, &query);
+            let b = evaluate_select(&graph, &reparsed);
             assert_eq!(a, b, "seed {seed}");
         }
     }
@@ -161,14 +163,14 @@ mod proptests {
             let mut rng = StdRng::seed_from_u64(seed);
             let graph = random_graph(&mut rng);
             let limit = rng.gen_range(1..10usize);
-            let all = evaluate_decoded(
+            let all = evaluate_select(
                 &graph,
                 &parse_select(
                     "PREFIX ex: <http://example.org/> SELECT ?c WHERE { ?o ex:country ?c }",
                 )
                 .unwrap(),
             );
-            let distinct = evaluate_decoded(
+            let distinct = evaluate_select(
                 &graph,
                 &parse_select(
                     "PREFIX ex: <http://example.org/> SELECT DISTINCT ?c WHERE { ?o ex:country ?c }",
@@ -177,7 +179,7 @@ mod proptests {
             );
             assert!(distinct.len() <= all.len(), "seed {seed}");
 
-            let limited = evaluate_decoded(
+            let limited = evaluate_select(
                 &graph,
                 &parse_select(&format!(
                     "PREFIX ex: <http://example.org/> SELECT ?c WHERE {{ ?o ex:country ?c }} LIMIT {limit}",

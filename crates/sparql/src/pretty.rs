@@ -310,7 +310,7 @@ impl<'a> Printer<'a> {
 mod tests {
     use super::*;
     use crate::parser::parse_select;
-    use crate::testutil::evaluate_decoded;
+    use crate::testutil::evaluate_select;
     use rdf::parser::parse_turtle;
 
     fn roundtrip(query_text: &str) -> (SelectQuery, SelectQuery) {
@@ -346,8 +346,8 @@ mod tests {
         let original = parse_select(text).unwrap();
         let printed = select_to_string(&original);
         let reparsed = parse_select(&printed).unwrap();
-        let r1 = evaluate_decoded(&data, &original);
-        let r2 = evaluate_decoded(&data, &reparsed);
+        let r1 = evaluate_select(&data, &original);
+        let r2 = evaluate_select(&data, &reparsed);
         assert_eq!(r1, r2);
     }
 

@@ -1,115 +1,22 @@
-//! Query result representations.
+//! Query results: [`QueryResults`], a boolean for ASK or, for SELECT, the
+//! one table form every caller reads, [`EncodedSolutions`] — each distinct
+//! term once, plus flat rows of indexes into that list.
 
-use rdf::{Interner, Term};
+use rdf::Term;
 
 use crate::ast::Variable;
 
-/// A table of solutions: a list of output variables plus one row per solution.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Solutions {
-    /// Output variables, in projection order.
-    pub variables: Vec<Variable>,
-    /// One row per solution; entries align with `variables` and are `None`
-    /// when the variable is unbound in that solution.
-    pub rows: Vec<Vec<Option<Term>>>,
-}
-
-impl Solutions {
-    /// Creates an empty solution table with the given variables.
-    pub fn new(variables: Vec<Variable>) -> Self {
-        Solutions {
-            variables,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Number of solutions.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if there are no solutions.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The index of a variable by name, if it is part of the output.
-    pub fn column(&self, name: &str) -> Option<usize> {
-        self.variables.iter().position(|v| v.name() == name)
-    }
-
-    /// The binding of `name` in row `row`, if bound.
-    pub fn get(&self, row: usize, name: &str) -> Option<&Term> {
-        let col = self.column(name)?;
-        self.rows.get(row)?.get(col)?.as_ref()
-    }
-
-    /// Renders the solutions as a fixed-width text table (used by the demo
-    /// examples and the exploration module's text UI).
-    pub fn to_table_string(&self) -> String {
-        let headers: Vec<String> = self
-            .variables
-            .iter()
-            .map(|v| format!("?{}", v.name()))
-            .collect();
-        let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
-        let rendered: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        let s = t.as_ref().map(render_term).unwrap_or_default();
-                        if i < widths.len() {
-                            widths[i] = widths[i].max(s.len());
-                        }
-                        s
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut out = String::new();
-        let sep = |out: &mut String| {
-            out.push('+');
-            for w in &widths {
-                out.push_str(&"-".repeat(w + 2));
-                out.push('+');
-            }
-            out.push('\n');
-        };
-        sep(&mut out);
-        out.push('|');
-        for (h, w) in headers.iter().zip(&widths) {
-            out.push_str(&format!(" {h:<w$} |"));
-        }
-        out.push('\n');
-        sep(&mut out);
-        for row in &rendered {
-            out.push('|');
-            for (i, w) in widths.iter().enumerate() {
-                let cell = row.get(i).map(String::as_str).unwrap_or("");
-                out.push_str(&format!(" {cell:<w$} |"));
-            }
-            out.push('\n');
-        }
-        sep(&mut out);
-        out.push_str(&format!("{} solution(s)\n", self.rows.len()));
-        out
-    }
-}
-
-/// Dictionary-encoded solutions: every distinct term of a result once, plus
-/// flat rows of indexes into that list.
+/// A SELECT result: the output variables, every distinct term of the
+/// result once, and flat rows of indexes into that list.
 ///
-/// This is the shape bulk consumers (the columnar cube build) read: work
-/// that depends on the *term* — hashing it into a dictionary, parsing a
-/// measure literal — is done once per entry of [`Self::terms`] and reused
-/// for every cell that carries its index. It is the evaluator's only SELECT
-/// output ([`QueryResults::Solutions`]); [`crate::Endpoint::select`] decodes
-/// it into [`Solutions`] at the edge. The ids are private to one result and
-/// mean nothing across results.
+/// It is the evaluator's only SELECT output ([`QueryResults::Solutions`]),
+/// and [`crate::Endpoint::select`] returns it as the evaluator produced it.
+/// Work that depends on the *term* — hashing it into a dictionary, parsing
+/// a measure literal, writing it as JSON — is done once per entry of
+/// [`Self::terms`] and reused for every cell that carries its index;
+/// [`Self::get`] reads one cell by variable name. Terms are numbered in
+/// row-major first-occurrence order, so a table has one encoding and `==`
+/// means "same table". The ids mean nothing across results.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EncodedSolutions {
     /// Output variables, in projection order.
@@ -176,42 +83,58 @@ impl EncodedSolutions {
     pub fn term(&self, cell: u32) -> Option<&Term> {
         self.terms.get(cell as usize)
     }
-}
 
-/// Encodes decoded solutions, numbering terms in row-major first-occurrence
-/// order — the numbering the evaluator's results carry.
-impl From<Solutions> for EncodedSolutions {
-    fn from(solutions: Solutions) -> Self {
-        let width = solutions.variables.len();
-        let mut distinct = Interner::new();
-        let mut ids = Vec::with_capacity(solutions.rows.len() * width);
-        for row in &solutions.rows {
-            for cell in (0..width).map(|column| row.get(column).and_then(Option::as_ref)) {
-                ids.push(cell.map_or(Self::UNBOUND, |term| distinct.intern(term)));
+    /// The binding of `name` in solution `row`: `None` when it is unbound,
+    /// when `name` is not an output variable, or past the last row.
+    pub fn get(&self, row: usize, name: &str) -> Option<&Term> {
+        if row >= self.len {
+            return None;
+        }
+        self.term(self.row(row)[self.column(name)?])
+    }
+
+    /// Renders the solutions as a fixed-width text table (used by the demo
+    /// examples and the exploration module's text UI).
+    pub fn to_table_string(&self) -> String {
+        let rendered: Vec<String> = self.terms.iter().map(render_term).collect();
+        let cell = |id: u32| rendered.get(id as usize).map_or("", String::as_str);
+        let headers: Vec<String> = self
+            .variables
+            .iter()
+            .map(|v| format!("?{}", v.name()))
+            .collect();
+        let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
+        for row in self.rows() {
+            for (width, &id) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell(id).len());
             }
         }
-        let terms = distinct.iter().map(|(_, term)| term.clone()).collect();
-        EncodedSolutions::new(solutions.variables, terms, ids, solutions.rows.len())
-    }
-}
 
-/// Decodes encoded solutions: one cloned term per bound cell. The one
-/// decoder behind [`crate::Endpoint::select`] and
-/// [`crate::Endpoint::select_parsed`].
-impl From<EncodedSolutions> for Solutions {
-    fn from(encoded: EncodedSolutions) -> Self {
-        let rows = encoded
-            .rows()
-            .map(|row| {
-                row.iter()
-                    .map(|&cell| encoded.term(cell).cloned())
-                    .collect()
-            })
-            .collect();
-        Solutions {
-            variables: encoded.variables,
-            rows,
+        let mut out = String::new();
+        let sep = |out: &mut String| {
+            out.push('+');
+            for w in &widths {
+                out.push_str(&"-".repeat(w + 2));
+                out.push('+');
+            }
+            out.push('\n');
+        };
+        let line = |out: &mut String, cells: &mut dyn Iterator<Item = &str>| {
+            out.push('|');
+            for (cell, w) in cells.zip(&widths) {
+                out.push_str(&format!(" {cell:<w$} |"));
+            }
+            out.push('\n');
+        };
+        sep(&mut out);
+        line(&mut out, &mut headers.iter().map(String::as_str));
+        sep(&mut out);
+        for row in self.rows() {
+            line(&mut out, &mut row.iter().map(|&id| cell(id)));
         }
+        sep(&mut out);
+        out.push_str(&format!("{} solution(s)\n", self.len));
+        out
     }
 }
 
@@ -247,50 +170,53 @@ impl QueryResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{evaluate_select, solutions};
 
-    fn sample() -> Solutions {
-        Solutions {
-            variables: vec![Variable::new("country"), Variable::new("total")],
-            rows: vec![
-                vec![Some(Term::iri("http://ex/SY")), Some(Term::integer(120))],
-                vec![Some(Term::iri("http://ex/NG")), None],
-            ],
-        }
+    fn sample() -> EncodedSolutions {
+        let query = crate::parse_select(
+            "SELECT ?country ?total WHERE { \
+             VALUES (?country ?total) { (<http://ex/SY> 120) (<http://ex/NG> UNDEF) (<http://ex/SY> 7) } }",
+        )
+        .unwrap();
+        evaluate_select(&rdf::Graph::new(), &query)
     }
 
     #[test]
     fn accessors() {
         let s = sample();
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
         assert_eq!(s.column("total"), Some(1));
         assert_eq!(s.column("missing"), None);
         assert_eq!(s.get(0, "total"), Some(&Term::integer(120)));
-        assert_eq!(s.get(1, "total"), None);
-        assert_eq!(s.get(5, "total"), None);
+        assert_eq!(s.get(1, "total"), None, "an unbound cell");
+        assert_eq!(s.row(1)[1], EncodedSolutions::UNBOUND);
+        assert_eq!(s.get(3, "total"), None, "past the last row");
+        assert_eq!(s.get(0, "missing"), None);
+        assert_eq!(s.terms.len(), 4, "each distinct term once");
+        assert_eq!(s.row(0)[0], s.row(2)[0]);
     }
 
     #[test]
-    fn encoding_round_trips() {
-        let encoded = EncodedSolutions::from(sample());
-        assert_eq!(encoded.len(), 2);
-        assert_eq!(encoded.terms.len(), 3, "each distinct term once");
-        assert_eq!(encoded.row(1)[1], EncodedSolutions::UNBOUND);
-        assert_eq!(Solutions::from(encoded), sample());
+    fn a_zero_variable_result_keeps_its_row_count() {
+        let s = solutions(&[], &[vec![], vec![]]);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.rows().count(), 2);
+        assert!(s.terms.is_empty());
+        assert!(s.to_table_string().contains("2 solution(s)"));
     }
 
     #[test]
     fn table_rendering() {
-        let s = sample();
-        let table = s.to_table_string();
+        let table = sample().to_table_string();
         assert!(table.contains("?country"));
         assert!(table.contains("http://ex/SY"));
-        assert!(table.contains("2 solution(s)"));
+        assert!(table.contains("3 solution(s)"));
     }
 
     #[test]
     fn query_results_accessors() {
-        let r = QueryResults::Solutions(sample().into());
+        let r = QueryResults::Solutions(sample());
         assert!(r.boolean().is_none());
         assert_eq!(QueryResults::Boolean(true).boolean(), Some(true));
     }

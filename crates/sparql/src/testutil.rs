@@ -8,8 +8,9 @@
 //! extending the generator fails to compile — that is the grammar-coverage
 //! guarantee the CI gate relies on.
 //!
-//! [`evaluate_decoded`] runs a SELECT straight against a graph the way an
-//! endpoint's `select` does, for tests that bypass the store.
+//! [`evaluate_select`] runs a SELECT straight against a graph the way an
+//! endpoint's `select` does, for tests that bypass the store; [`solutions`]
+//! builds a table by hand, for one that no query yields.
 
 use rdf::{Graph, Term};
 
@@ -20,14 +21,33 @@ use crate::ast::{
 use crate::endpoint::select_result;
 use crate::error::SparqlError;
 use crate::eval::{evaluate_in, evaluate_query, JoinOrder};
-use crate::results::{QueryResults, Solutions};
+use crate::results::{EncodedSolutions, QueryResults};
 
-/// Evaluates a SELECT against `graph` and decodes its solutions, as
+/// Evaluates a SELECT against `graph` and returns its solutions, as
 /// [`crate::Endpoint::select`] does. Panics on an evaluation error.
-pub fn evaluate_decoded(graph: &Graph, query: &SelectQuery) -> Solutions {
+pub fn evaluate_select(graph: &Graph, query: &SelectQuery) -> EncodedSolutions {
     let results =
         evaluate_query(graph, &Query::Select(query.clone())).expect("the query evaluates");
-    select_result(results).expect("a SELECT result").into()
+    select_result(results).expect("a SELECT result")
+}
+
+/// A SELECT table built by hand — rows in an order no evaluation yields,
+/// blank-node cells — numbered as the evaluator numbers one: each distinct
+/// term once, in row-major first-occurrence order. `None` is an unbound
+/// cell; every row holds one cell per variable.
+pub fn solutions(variables: &[&str], rows: &[Vec<Option<Term>>]) -> EncodedSolutions {
+    let mut distinct = rdf::Interner::new();
+    let mut ids = Vec::with_capacity(rows.len() * variables.len());
+    for row in rows {
+        assert_eq!(row.len(), variables.len(), "one cell per variable");
+        ids.extend(row.iter().map(|cell| {
+            cell.as_ref()
+                .map_or(EncodedSolutions::UNBOUND, |term| distinct.intern(term))
+        }));
+    }
+    let terms = distinct.iter().map(|(_, term)| term.clone()).collect();
+    let variables = variables.iter().map(|&name| Variable::new(name)).collect();
+    EncodedSolutions::new(variables, terms, ids, rows.len())
 }
 
 /// Evaluates `query` with every run of triple patterns joined in textual

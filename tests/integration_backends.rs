@@ -59,16 +59,16 @@ fn cut_broader_links(tool: &Qb2Olap, member: &rdf::Term) -> usize {
 
 /// The observation nodes of the dataset, in a deterministic order.
 fn observation_nodes(tool: &Qb2Olap, dataset: &Iri) -> Vec<Term> {
-    tool.endpoint()
+    let nodes = tool
+        .endpoint()
         .select(&format!(
             "PREFIX qb: <http://purl.org/linked-data/cube#>
              SELECT ?o WHERE {{ ?o a qb:Observation ; qb:dataSet <{}> }} ORDER BY ?o",
             dataset.as_str()
         ))
-        .unwrap()
-        .rows
-        .iter()
-        .filter_map(|r| r.first().cloned().flatten())
+        .unwrap();
+    (0..nodes.len())
+        .filter_map(|i| nodes.get(i, "o").cloned())
         .collect()
 }
 

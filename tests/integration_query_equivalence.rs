@@ -65,18 +65,19 @@ fn rollup_to_continent_matches_independent_aggregation() {
              }",
         )
         .unwrap();
-    let continent_of: BTreeMap<Term, Term> = endpoint
+    let continents = endpoint
         .select(
             "PREFIX dic: <http://eurostat.linked-statistics.org/dic/>
              SELECT ?c ?cont WHERE { ?c <http://eurostat.linked-statistics.org/dic/continent> ?cont }",
         )
-        .unwrap()
-        .rows
-        .iter()
-        .filter_map(|r| match (r.first().cloned().flatten(), r.get(1).cloned().flatten()) {
-            (Some(c), Some(cont)) => Some((c, cont)),
-            _ => None,
-        })
+        .unwrap();
+    let continent_of: BTreeMap<Term, Term> = (0..continents.len())
+        .filter_map(
+            |i| match (continents.get(i, "c"), continents.get(i, "cont")) {
+                (Some(c), Some(cont)) => Some((c.clone(), cont.clone())),
+                _ => None,
+            },
+        )
         .collect();
 
     let mut expected: BTreeMap<Term, f64> = BTreeMap::new();
