@@ -321,6 +321,7 @@ grep -q 'E31' EXPERIMENTS.md
 grep -q 'E32' EXPERIMENTS.md
 grep -q 'E33' EXPERIMENTS.md
 grep -q 'E34' EXPERIMENTS.md
+grep -q 'E35' EXPERIMENTS.md
 # The CHANGES budget (ROADMAP "CHANGES budget"): the newest `PR N:` entry
 # holds the tentpole, the gate changes and the verdict in at most 160
 # words; the details live in EXPERIMENTS.md and the commit messages.

@@ -18,7 +18,7 @@
 //! ids. A finished SELECT table leaves as [`EncodedSolutions`]: its ids
 //! are re-numbered densely in row-major first-occurrence order and each
 //! distinct term is cloned once. That table is what every caller of
-//! [`crate::Endpoint::select`] reads; nothing decodes it row by row.
+//! [`crate::Endpoint::select`] reads.
 
 use std::cell::Cell;
 use std::cmp::Ordering;

@@ -119,23 +119,25 @@ impl EncodedSolutions {
             }
             out.push('\n');
         };
-        let line = |out: &mut String, cells: &mut dyn Iterator<Item = &str>| {
-            out.push('|');
-            for (cell, w) in cells.zip(&widths) {
-                out.push_str(&format!(" {cell:<w$} |"));
-            }
-            out.push('\n');
-        };
         sep(&mut out);
-        line(&mut out, &mut headers.iter().map(String::as_str));
+        push_line(&mut out, &widths, headers.iter().map(String::as_str));
         sep(&mut out);
         for row in self.rows() {
-            line(&mut out, &mut row.iter().map(|&id| cell(id)));
+            push_line(&mut out, &widths, row.iter().map(|&id| cell(id)));
         }
         sep(&mut out);
         out.push_str(&format!("{} solution(s)\n", self.len));
         out
     }
+}
+
+/// Appends one table line: each cell padded to its column's width.
+fn push_line<'a>(out: &mut String, widths: &[usize], cells: impl Iterator<Item = &'a str>) {
+    out.push('|');
+    for (cell, w) in cells.zip(widths) {
+        out.push_str(&format!(" {cell:<w$} |"));
+    }
+    out.push('\n');
 }
 
 /// Renders a term compactly for table output (no angle brackets or quotes).

@@ -78,7 +78,9 @@ fn assert_first_occurrence_numbering(solutions: &EncodedSolutions, query: &str) 
             continue;
         }
         assert!(id <= next, "{query}: cell {id} skips term {next}");
-        next += u32::from(id == next);
+        if id == next {
+            next += 1;
+        }
     }
     assert_eq!(
         next as usize,
