@@ -97,6 +97,19 @@ cargo test -q -p qb --lib -- \
     introspect::tests::dimension_members_probes_no_more_than_the_full_join
 cargo test -q -p qlsmith --lib -- \
     sparql_gen::tests::member_lists_agree_and_stop_at_the_first_witness
+# Index ranges at slice speed, pinned by name: every range of all 27 bound
+# shapes, walked with seeks below, inside and past it, on held and removed
+# keys, against a BTreeSet model after every step of seeded mutation
+# sequences (untouched, touched and freshly merged overlays); the member
+# list seeking through an overlay of inserted and removed keys to the
+# identity plan's table in exactly 17 keys; and the build's one-probe
+# observation insert keeping its live count.
+cargo test -q -p rdf --lib -- \
+    graph::tests::matching_ids_agrees_with_a_full_scan_for_every_shape
+cargo test -q -p sparql --test eval_edges -- \
+    a_member_list_seeks_through_an_overlay_of_inserted_and_removed_keys
+cargo test -q -p cubestore --lib -- \
+    observations::tests::re_inserting_a_node_keeps_the_live_count
 # ORDER BY's order is total, pinned by name: a column holding NaN, 1, 2, a
 # string and an unbound value sorts to one table for every one of its 120
 # input orders, ascending and descending (NaN after every other number).
@@ -322,6 +335,7 @@ grep -q 'E32' EXPERIMENTS.md
 grep -q 'E33' EXPERIMENTS.md
 grep -q 'E34' EXPERIMENTS.md
 grep -q 'E35' EXPERIMENTS.md
+grep -q 'E36' EXPERIMENTS.md
 # The CHANGES budget (ROADMAP "CHANGES budget"): the newest `PR N:` entry
 # holds the tentpole, the gate changes and the verdict in at most 160
 # words; the details live in EXPERIMENTS.md and the commit messages.

@@ -145,7 +145,7 @@ fn e2_enrichment_scaling(max_observations: usize) -> Vec<Measurement> {
                 .expect("discovery")
         });
         let (_, full) = timed(|| demo::enrich_demo_cube(&endpoint, &data.dataset).expect("enrich"));
-        let (probes, joined) = member_discovery_work(&endpoint, &data.dataset);
+        let work = member_discovery_work(&endpoint, &data.dataset, &parameters, &mut rows);
 
         rows.push(Measurement::new(
             "E2",
@@ -175,45 +175,70 @@ fn e2_enrichment_scaling(max_observations: usize) -> Vec<Measurement> {
             "E2",
             &parameters,
             "member_discovery_index_probes",
-            probes as f64,
+            work.index_probes as f64,
         ));
         rows.push(Measurement::new(
             "E2",
             &parameters,
             "member_discovery_rows_intermediate",
-            joined as f64,
+            work.rows_intermediate as f64,
+        ));
+        rows.push(Measurement::new(
+            "E2",
+            &parameters,
+            "member_discovery_keys_walked",
+            work.keys_walked as f64,
         ));
     }
     rows
 }
 
 /// The evaluator's work listing every dimension's members the way the
-/// Enrichment phase does (`qb::dimension_members`): index probes and
-/// intermediate rows, summed over the dimensions. Deterministic per seed.
+/// Enrichment phase does (`qb::dimension_members`): index probes,
+/// intermediate rows and index keys walked, summed over the dimensions, and
+/// one `member_list_keys_walked` row per dimension. Deterministic per seed.
 /// The query stops at each member's first observation in the dataset, and
-/// the demo store holds one dataset, so a dimension costs one walk plus
-/// one probe per member; more fails the run.
-fn member_discovery_work(endpoint: &qb2olap::LocalEndpoint, dataset: &rdf::Iri) -> (u64, u64) {
+/// the demo store holds one dataset, so a dimension costs one walk plus one
+/// probe per member, and the walk seeks past each member's other
+/// observations: at most three keys per member (its first match, the seek
+/// and the dataset check's one key). More fails the run.
+fn member_discovery_work(
+    endpoint: &qb2olap::LocalEndpoint,
+    dataset: &rdf::Iri,
+    parameters: &str,
+    rows: &mut Vec<Measurement>,
+) -> sparql::EvalCounters {
     let structure = qb2olap::qb::load_dataset(endpoint, dataset)
         .expect("dataset loads")
         .structure;
-    let (mut probes, mut joined) = (0, 0);
+    let mut total = sparql::EvalCounters::default();
     for dimension in structure.dimensions() {
         let before = sparql::EvalCounters::thread_totals();
         let members =
             qb2olap::qb::dimension_members(endpoint, dataset, dimension).expect("members");
         let work = sparql::EvalCounters::thread_totals().since(before);
+        let members = members.len() as u64;
         assert!(
-            work.index_probes <= members.len() as u64 + 1,
-            "E2: listing the {} members of <{}> took {} index probes",
-            members.len(),
+            work.index_probes <= members + 1 && work.keys_walked <= 3 * members,
+            "E2: listing the {members} members of <{}> took {} index probes and walked {} keys",
             dimension.as_str(),
-            work.index_probes
+            work.index_probes,
+            work.keys_walked
         );
-        probes += work.index_probes;
-        joined += work.rows_intermediate;
+        rows.push(Measurement::new(
+            "E2",
+            format!("{parameters},dimension={}", local_name(dimension)),
+            "member_list_keys_walked",
+            work.keys_walked as f64,
+        ));
+        total = total.plus(work);
     }
-    (probes, joined)
+    total
+}
+
+/// The part of an IRI after its last `#` or `/`.
+fn local_name(iri: &rdf::Iri) -> &str {
+    iri.as_str().rsplit(['#', '/']).next().unwrap_or_default()
 }
 
 /// E3 / Figure 3 and E10: per-phase querying timings and the direct vs
@@ -252,7 +277,7 @@ fn e3_e10_querying(observations: usize) -> Vec<Measurement> {
             ("direct", &direct_profile),
             ("alternative", &alternative_profile),
         ] {
-            for counter in ["rows_intermediate", "index_probes"] {
+            for counter in ["rows_intermediate", "index_probes", "keys_walked"] {
                 rows.push(Measurement::new(
                     "E3",
                     &parameters,
@@ -401,7 +426,7 @@ fn e6_mary_query(observations: usize) -> Vec<Measurement> {
         ("direct", &direct_profile),
         ("alternative", &alternative_profile),
     ] {
-        for counter in ["rows_intermediate", "index_probes"] {
+        for counter in ["rows_intermediate", "index_probes", "keys_walked"] {
             rows.push(Measurement::new(
                 "E6",
                 &parameters,

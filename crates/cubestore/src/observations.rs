@@ -63,20 +63,19 @@ impl ObservationIndex {
     }
 
     /// Records that `node` occupies fact row `row`: in the base while no
-    /// clone shares it and the overlay shadows nothing, else in the
-    /// overlay.
+    /// clone shares it and the overlay shadows nothing — one probe, whose
+    /// result says whether the node is new — else in the overlay.
     pub fn insert(&mut self, node: Term, row: usize) {
+        if let Some(base) = Arc::get_mut(&mut self.base).filter(|_| self.overlay.is_empty()) {
+            if base.insert(node, row).is_none() {
+                self.live += 1;
+            }
+            return;
+        }
         if self.row_of(&node).is_none() {
             self.live += 1;
         }
-        match Arc::get_mut(&mut self.base) {
-            Some(base) if self.overlay.is_empty() => {
-                base.insert(node, row);
-            }
-            _ => {
-                self.overlay.insert(node, Some(row));
-            }
-        }
+        self.overlay.insert(node, Some(row));
     }
 
     /// Makes room for `additional` rows in a base nobody shares, the one
@@ -166,6 +165,20 @@ mod tests {
         assert!(!index.is_empty());
         assert_eq!((shared.len(), shared.row_of(&node(3))), (10, Some(3)));
         assert!(!shared.contains(&node(100)));
+    }
+
+    #[test]
+    fn re_inserting_a_node_keeps_the_live_count() {
+        // In an unshared base (one probe per insert) and in the overlay.
+        let mut index = built(4);
+        index.insert(node(2), 7);
+        assert_eq!((index.len(), index.row_of(&node(2))), (4, Some(7)));
+        let shared = index.clone();
+        index.insert(node(3), 8);
+        index.insert(node(9), 9);
+        index.insert(node(9), 10);
+        assert_eq!((index.len(), index.row_of(&node(9))), (5, Some(10)));
+        assert_eq!((shared.len(), shared.row_of(&node(3))), (4, Some(3)));
     }
 
     #[test]

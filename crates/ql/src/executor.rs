@@ -305,6 +305,7 @@ impl<'e> QueryingModule<'e> {
                         profile.add_counter("solutions", solutions.len() as u64);
                         profile.add_counter("rows_intermediate", work.rows_intermediate);
                         profile.add_counter("index_probes", work.index_probes);
+                        profile.add_counter("keys_walked", work.keys_walked);
                     }
                     cube
                 }

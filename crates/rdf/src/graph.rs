@@ -11,9 +11,11 @@
 //! **first-term offset table** that turns a bound first component into a
 //! direct slice of the run, and a small **overlay**: a `BTreeSet` of keys
 //! inserted since the run was built and one of run keys removed since. A
-//! lookup slices the run, binary-searches the other bound components and
-//! merges the overlay in, so it yields exactly the key order of a sorted
-//! set. Bulk loads, large batches and an overlay grown past a fixed share
+//! lookup ([`Graph::range`]) slices the run and binary-searches the other
+//! bound components; only where the overlay has held a key of that first
+//! component does it merge the overlay in, so a [`Range`] yields exactly the
+//! key order of a sorted set and can [`seek`](Range::seek) forward in it.
+//! Bulk loads, large batches and an overlay grown past a fixed share
 //! of its run all go through one merge that writes a new run; a bulk load
 //! sorts each subject's keys as it encodes them and merges those runs.
 //! Cloning a graph shares the runs and copies the overlays and the
@@ -23,6 +25,7 @@
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::hash::{BuildHasher, Hasher};
+use std::ops::Bound::{self, Excluded, Included};
 use std::sync::Arc;
 
 use crate::hash::FxBuildHasher;
@@ -251,8 +254,32 @@ pub type EncodedTriple = (TermId, TermId, TermId);
 /// A triple's ids in one index's component order.
 type Key = (TermId, TermId, TermId);
 
-/// An index's key back to `(s, p, o)` order.
-type ToSpo = fn(Key) -> EncodedTriple;
+/// The component orders of the three indexes, the const parameter of a
+/// [`Walk`]: each key maps back to `(s, p, o)` by a permutation fixed at
+/// compile time.
+const SPO: u8 = 0;
+const POS: u8 = 1;
+const OSP: u8 = 2;
+
+/// An `ORDER` key in `(s, p, o)` order.
+#[inline(always)]
+fn to_spo<const ORDER: u8>((a, b, c): Key) -> EncodedTriple {
+    match ORDER {
+        SPO => (a, b, c),
+        POS => (c, a, b),
+        _ => (b, c, a),
+    }
+}
+
+/// A triple in `ORDER`'s key order.
+#[inline(always)]
+fn from_spo<const ORDER: u8>((s, p, o): EncodedTriple) -> Key {
+    match ORDER {
+        SPO => (s, p, o),
+        POS => (p, o, s),
+        _ => (o, s, p),
+    }
+}
 
 /// The overlay may hold one key per this many run keys before the next
 /// mutation merges it into a new run: lookups stay a slice plus a small
@@ -345,7 +372,7 @@ impl Index {
 
     /// The run keys whose leading components equal the bound ones (`None`
     /// = wildcard; a bound component follows only bound ones). Inlined,
-    /// like the other pieces of a lookup (see [`Graph::index_for`]).
+    /// like the other pieces of a lookup (see [`Graph::range`]).
     #[inline(always)]
     fn run_matching(&self, a: Option<TermId>, b: Option<TermId>, c: Option<TermId>) -> &[Key] {
         let mut run = match a {
@@ -361,61 +388,6 @@ impl Index {
             run = narrow(run, |key| key.2.cmp(&c));
         }
         run
-    }
-
-    /// The keys whose leading components equal the bound ones, in key
-    /// order: [`Self::run_matching`] merged with the overlay.
-    fn matching(
-        &self,
-        a: Option<TermId>,
-        b: Option<TermId>,
-        c: Option<TermId>,
-    ) -> impl Iterator<Item = Key> + '_ {
-        let run = self.run_matching(a, b, c);
-        let (inserted, removed) = self.overlay_matching(a, b, c);
-        let mut removed = removed.peekable();
-        let kept = run
-            .iter()
-            .copied()
-            .filter(move |key| removed.next_if_eq(&key).is_none());
-        merge_sorted(kept, inserted.copied())
-    }
-
-    /// How many keys match: the run slice's length, corrected by the
-    /// overlay keys in range (all keys, when nothing is bound).
-    fn count(&self, a: Option<TermId>, b: Option<TermId>, c: Option<TermId>) -> usize {
-        if a.is_none() {
-            return self.len();
-        }
-        let (inserted, removed) = self.overlay_matching(a, b, c);
-        self.run_matching(a, b, c).len() + inserted.count() - removed.count()
-    }
-
-    /// The overlay's inserted and removed keys matching the bound
-    /// components (empty when the first is bound and never touched).
-    #[inline(always)]
-    fn overlay_matching(
-        &self,
-        a: Option<TermId>,
-        b: Option<TermId>,
-        c: Option<TermId>,
-    ) -> (
-        std::collections::btree_set::Range<'_, Key>,
-        std::collections::btree_set::Range<'_, Key>,
-    ) {
-        let low = (a.unwrap_or(0), b.unwrap_or(0), c.unwrap_or(0));
-        let high = (
-            a.unwrap_or(TermId::MAX),
-            b.unwrap_or(TermId::MAX),
-            c.unwrap_or(TermId::MAX),
-        );
-        match a.is_none_or(|a| self.touched(a)) {
-            true => (
-                self.inserted.range(low..=high),
-                self.removed.range(low..=high),
-            ),
-            false => Default::default(),
-        }
     }
 
     /// Writes a new run holding the index's keys plus `additions` (sorted,
@@ -453,6 +425,20 @@ fn narrow(keys: &[Key], order: impl Fn(&Key) -> std::cmp::Ordering) -> &[Key] {
     let low = keys.partition_point(|key| order(key).is_lt());
     let high = low + keys[low..].partition_point(|key| order(key).is_le());
     &keys[low..high]
+}
+
+/// The suffix of sorted `keys` from the first key at or above `bound`:
+/// a galloping search from the front, so a short skip costs a few
+/// comparisons however long the slice.
+fn gallop(keys: &[Key], bound: Key) -> &[Key] {
+    let (mut low, mut step) = (0, 1);
+    // Every key before `low` is below the bound.
+    while low + step < keys.len() && keys[low + step] < bound {
+        low += step;
+        step *= 2;
+    }
+    let high = keys.len().min(low + step);
+    &keys[low + keys[low..high].partition_point(|key| *key < bound)..]
 }
 
 /// Merges two sorted sequences of distinct keys into one.
@@ -499,6 +485,266 @@ fn first_offsets(run: &[Key]) -> Arc<Vec<u32>> {
     }
     start.push(run.len() as u32);
     Arc::new(start)
+}
+
+/// The triples matching an id-level pattern, in the key order of the index
+/// [`Graph::range`] chose for it: SPO, POS or OSP (see [`Range::order`]).
+///
+/// Where the overlay has never held a key of the range's first component
+/// (or, with that component unbound, holds nothing), the range walks the
+/// run slice as it is; otherwise it merges the overlay's keys in range,
+/// skipping removed ones. Either way [`Range::seek`] moves it forward to a
+/// bound in a few comparisons, and `count` counts what is left without
+/// walking the slice.
+pub struct Range<'g>(Ranges<'g>);
+
+/// A [`Range`] over one of the three indexes, its key order a const
+/// parameter: `next` matches on the variant, and `fold` (hence `for_each`)
+/// matches once and then loops over one monomorphic walk.
+enum Ranges<'g> {
+    Spo(Walk<'g, SPO>),
+    Pos(Walk<'g, POS>),
+    Osp(Walk<'g, OSP>),
+}
+
+/// Runs `$body` with `$walk` bound to the walk inside a [`Ranges`].
+macro_rules! each_walk {
+    ($ranges:expr, $walk:ident => $body:expr) => {
+        match $ranges {
+            Ranges::Spo($walk) => $body,
+            Ranges::Pos($walk) => $body,
+            Ranges::Osp($walk) => $body,
+        }
+    };
+}
+
+/// One index's keys in range, in its `ORDER`: the run keys not yet
+/// yielded, and the overlay's in-range keys when the range is touched.
+struct Walk<'g, const ORDER: u8> {
+    run: &'g [Key],
+    overlay: Option<Overlay<'g>>,
+}
+
+/// The overlay keys of a touched range not yet passed: the next inserted
+/// and the next removed key, `None` once that tree has none left in range.
+/// Every removed key is a run key, so the next removed key is never behind
+/// the run's next key. Only the next keys are kept (each advance descends
+/// its tree once): the overlay is small, and a range stays a few words.
+struct Overlay<'g> {
+    index: &'g Index,
+    high: Key,
+    next_inserted: Option<Key>,
+    next_removed: Option<Key>,
+}
+
+impl<'g, const ORDER: u8> Walk<'g, ORDER> {
+    /// The keys of `index` whose leading components equal the bound ones
+    /// (`None` = wildcard; a bound component follows only bound ones).
+    #[inline(always)]
+    fn new(index: &'g Index, a: Option<TermId>, b: Option<TermId>, c: Option<TermId>) -> Self {
+        debug_assert!(a.is_some() || b.is_none(), "bound components form a prefix");
+        debug_assert!(b.is_some() || c.is_none(), "bound components form a prefix");
+        let run = index.run_matching(a, b, c);
+        let touched = match a {
+            Some(a) => index.touched(a),
+            None => index.overlay_len() > 0,
+        };
+        let overlay = match touched {
+            true => Overlay::new(index, a, b, c),
+            false => None,
+        };
+        Walk { run, overlay }
+    }
+
+    #[inline(always)]
+    fn next_key(&mut self) -> Option<Key> {
+        match &mut self.overlay {
+            None => {
+                let (&key, rest) = self.run.split_first()?;
+                self.run = rest;
+                Some(key)
+            }
+            Some(overlay) => overlay.next(&mut self.run),
+        }
+    }
+
+    /// A triple in this walk's key order.
+    fn key(&self, triple: EncodedTriple) -> Key {
+        from_spo::<ORDER>(triple)
+    }
+
+    fn seek(&mut self, bound: Key) {
+        self.run = gallop(self.run, bound);
+        if let Some(overlay) = &mut self.overlay {
+            overlay.seek(bound);
+        }
+    }
+
+    fn remaining(&self) -> usize {
+        match &self.overlay {
+            None => self.run.len(),
+            Some(overlay) => {
+                self.run.len() + overlay.left(overlay.next_inserted, &overlay.index.inserted)
+                    - overlay.left(overlay.next_removed, &overlay.index.removed)
+            }
+        }
+    }
+}
+
+impl<const ORDER: u8> Iterator for Walk<'_, ORDER> {
+    type Item = EncodedTriple;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<EncodedTriple> {
+        self.next_key().map(to_spo::<ORDER>)
+    }
+
+    fn fold<B, F: FnMut(B, EncodedTriple) -> B>(self, init: B, mut f: F) -> B {
+        match self.overlay {
+            None => self
+                .run
+                .iter()
+                .fold(init, |acc, &key| f(acc, to_spo::<ORDER>(key))),
+            Some(_) => {
+                let mut acc = init;
+                for triple in self {
+                    acc = f(acc, triple);
+                }
+                acc
+            }
+        }
+    }
+}
+
+impl<'g> Overlay<'g> {
+    /// The overlay keys of `index` in the bound components' range; `None`
+    /// when there are none.
+    fn new(
+        index: &'g Index,
+        a: Option<TermId>,
+        b: Option<TermId>,
+        c: Option<TermId>,
+    ) -> Option<Self> {
+        let low = Included((a.unwrap_or(0), b.unwrap_or(0), c.unwrap_or(0)));
+        let high = (
+            a.unwrap_or(TermId::MAX),
+            b.unwrap_or(TermId::MAX),
+            c.unwrap_or(TermId::MAX),
+        );
+        let next_inserted = first_in(&index.inserted, low, high);
+        let next_removed = first_in(&index.removed, low, high);
+        (next_inserted.is_some() || next_removed.is_some()).then_some(Overlay {
+            index,
+            high,
+            next_inserted,
+            next_removed,
+        })
+    }
+
+    /// The next key of the run merged with this overlay, advancing `run`.
+    fn next(&mut self, run: &mut &'g [Key]) -> Option<Key> {
+        loop {
+            let key = match (run.first(), self.next_inserted) {
+                (Some(&key), inserted) if inserted.is_none_or(|inserted| key < inserted) => key,
+                (_, inserted) => {
+                    let inserted = inserted?;
+                    self.next_inserted =
+                        first_in(&self.index.inserted, Excluded(inserted), self.high);
+                    return Some(inserted);
+                }
+            };
+            *run = &run[1..];
+            if self.next_removed != Some(key) {
+                return Some(key);
+            }
+            self.next_removed = first_in(&self.index.removed, Excluded(key), self.high);
+        }
+    }
+
+    /// Moves each tree's next key to its first key at or above `bound`; one
+    /// already there stays where it is.
+    fn seek(&mut self, bound: Key) {
+        let (index, high) = (self.index, self.high);
+        let seek = |next: Option<Key>, set: &BTreeSet<Key>| match next {
+            Some(key) if key < bound => match bound <= high {
+                true => first_in(set, Included(bound), high),
+                false => None,
+            },
+            next => next,
+        };
+        self.next_inserted = seek(self.next_inserted, &index.inserted);
+        self.next_removed = seek(self.next_removed, &index.removed);
+    }
+
+    /// How many keys from `next` on `set` holds in range.
+    fn left(&self, next: Option<Key>, set: &BTreeSet<Key>) -> usize {
+        next.map_or(0, |next| set.range(next..=self.high).count())
+    }
+}
+
+/// The first key of `set` from `low` up to `high`.
+fn first_in(set: &BTreeSet<Key>, low: Bound<Key>, high: Key) -> Option<Key> {
+    set.range((low, Included(high))).next().copied()
+}
+
+impl Range<'_> {
+    /// The `(s, p, o)` position of each key component, in the key order
+    /// the range yields and seeks in: `[0, 1, 2]` for SPO, `[1, 2, 0]` for
+    /// POS, `[2, 0, 1]` for OSP. Its bound components come first.
+    pub fn order(&self) -> [usize; 3] {
+        match self.0 {
+            Ranges::Spo(_) => [0, 1, 2],
+            Ranges::Pos(_) => [1, 2, 0],
+            Ranges::Osp(_) => [2, 0, 1],
+        }
+    }
+
+    /// Moves to the first remaining match at or above `bound`, given in
+    /// `(s, p, o)` order and compared in the range's key order
+    /// ([`Self::order`]). A bound at or below the next match moves
+    /// nothing: a range never goes back.
+    pub fn seek(&mut self, bound: EncodedTriple) {
+        each_walk!(&mut self.0, walk => walk.seek(walk.key(bound)))
+    }
+
+    /// Moves past every remaining match that agrees with `triple` on the
+    /// first `prefix` components of the key order (1 or 2; the matches
+    /// sharing a prefix are contiguous): one [`Self::seek`] to the next
+    /// value of the last of them.
+    pub fn seek_past(&mut self, triple: EncodedTriple, prefix: usize) {
+        each_walk!(&mut self.0, walk => {
+            let (a, b, _) = walk.key(triple);
+            // Ids stay below `TermId::MAX`, so the successor is an id.
+            walk.seek(match prefix {
+                1 => (a + 1, 0, 0),
+                _ => (a, b + 1, 0),
+            })
+        })
+    }
+}
+
+impl Iterator for Range<'_> {
+    type Item = EncodedTriple;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<EncodedTriple> {
+        each_walk!(&mut self.0, walk => walk.next())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = each_walk!(&self.0, walk => walk.overlay.is_none().then_some(walk.run.len()));
+        (len.unwrap_or(0), len)
+    }
+
+    /// What is left: the run slice's length, corrected by the overlay keys
+    /// left in range.
+    fn count(self) -> usize {
+        each_walk!(&self.0, walk => walk.remaining())
+    }
+
+    fn fold<B, F: FnMut(B, EncodedTriple) -> B>(self, init: B, f: F) -> B {
+        each_walk!(self.0, walk => walk.fold(init, f))
+    }
 }
 
 /// An in-memory RDF graph with SPO/POS/OSP indexes.
@@ -588,7 +834,8 @@ impl Graph {
     /// Inserts a batch of triples, returning how many were new.
     ///
     /// The batch is encoded, sorted and deduplicated once and checked
-    /// against what the graph holds. The sort is run-aware: each subject's
+    /// against what the graph holds (a load into an empty graph skips that
+    /// pass). The sort is run-aware: each subject's
     /// run of keys is sorted as it is encoded, and one stable sort merges
     /// the ascending runs that leaves (data grouped by subject, with ids
     /// issued in first-seen order, is a few long runs). When the new
@@ -629,7 +876,9 @@ impl Graph {
         encoded[run_start..].sort_unstable();
         encoded.sort();
         encoded.dedup();
-        encoded.retain(|&key| !self.spo.contains(key));
+        if !self.is_empty() {
+            encoded.retain(|&key| !self.spo.contains(key));
+        }
         let added = encoded.len();
         if self.spo.overlay_len() + added <= self.spo.overlay_limit() {
             for &key in &encoded {
@@ -681,7 +930,7 @@ impl Graph {
 
     /// Iterates over all triples (decoded), in SPO id order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.matching_ids(None, None, None)
+        self.range(None, None, None)
             .map(move |encoded| self.decode(encoded))
     }
 
@@ -729,59 +978,40 @@ impl Graph {
         let o = object.map(|t| self.interner.get(t));
         let known = ![s, p, o].contains(&Some(None));
         known
-            .then(|| self.matching_ids(s.flatten(), p.flatten(), o.flatten()))
+            .then(|| self.range(s.flatten(), p.flatten(), o.flatten()))
             .into_iter()
             .flatten()
     }
 
-    /// Iterates the triples matching an id-level pattern (`None` =
-    /// wildcard) straight off the index whose sort order has the bound
-    /// components as a prefix, in that index's key order — one slice of its
-    /// run merged with its overlay, nothing collected. This is the single
-    /// place an index is chosen; every other matcher sits on it.
-    pub fn matching_ids(
-        &self,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> impl Iterator<Item = EncodedTriple> + '_ {
-        let (index, [a, b, c], to_spo) = self.index_for(s, p, o);
-        index.matching(a, b, c).map(to_spo)
+    /// The triples matching an id-level pattern (`None` = wildcard),
+    /// straight off the index whose sort order has the bound components as
+    /// a prefix, in that index's key order — one slice of its run, merged
+    /// with its overlay only where the overlay has held a key of the first
+    /// bound component, nothing collected. This is the single place an
+    /// index is chosen; every other matcher sits on it. Forced inline: a
+    /// lookup runs once per row of every pattern step.
+    #[inline(always)]
+    pub fn range(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Range<'_> {
+        Range(match (s, p, o) {
+            (Some(_), None, Some(_)) | (None, None, Some(_)) => {
+                Ranges::Osp(Walk::new(&self.osp, o, s, p))
+            }
+            (None, Some(_), _) => Ranges::Pos(Walk::new(&self.pos, p, o, s)),
+            _ => Ranges::Spo(Walk::new(&self.spo, s, p, o)),
+        })
     }
 
     /// How many triples match an id-level pattern (`None` = wildcard) —
-    /// what [`Self::matching_ids`] would yield, without walking it: two
-    /// binary searches per bound component after the first, plus a walk of
-    /// the overlay keys in range (the overlay holds at most a small share
-    /// of the run). The SPARQL evaluator's join planner counts with it.
+    /// the `count` of its [`Self::range`]: two binary searches per bound
+    /// component after the first, plus a walk of the overlay keys in range
+    /// (the overlay holds at most a small share of the run), and the
+    /// graph's length when nothing is bound. The SPARQL evaluator's join
+    /// planner counts with it.
     pub fn count_matching(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        let (index, [a, b, c], _) = self.index_for(s, p, o);
-        index.count(a, b, c)
-    }
-
-    /// The index whose sort order has the bound components of `(s, p, o)`
-    /// as a prefix, those components in its key order, and the map from
-    /// its keys back to `(s, p, o)`. Forced inline: a lookup runs once per
-    /// row of every pattern step, and left out of line the returned map
-    /// stays an indirect call per key (the enrichment's member scans ran
-    /// 8 % slower that way, measured).
-    #[inline(always)]
-    fn index_for(
-        &self,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> (&Index, [Option<TermId>; 3], ToSpo) {
-        let (index, [a, b, c], to_spo): (_, _, ToSpo) = match (s, p, o) {
-            (Some(_), None, Some(_)) | (None, None, Some(_)) => {
-                (&self.osp, [o, s, p], |(o, s, p)| (s, p, o))
-            }
-            (None, Some(_), _) => (&self.pos, [p, o, s], |(p, o, s)| (s, p, o)),
-            _ => (&self.spo, [s, p, o], |spo| spo),
-        };
-        debug_assert!(a.is_some() || b.is_none(), "bound components form a prefix");
-        debug_assert!(b.is_some() || c.is_none(), "bound components form a prefix");
-        (index, [a, b, c], to_spo)
+        match (s, p, o) {
+            (None, None, None) => self.len(),
+            _ => self.range(s, p, o).count(),
+        }
     }
 
     /// Convenience: all objects of `(subject, predicate, ?o)`.
@@ -926,14 +1156,20 @@ mod tests {
             removed
         }
 
-        fn matching(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Key> {
-            type ToSpo = fn(Key) -> EncodedTriple;
-            let (index, [a, b, c], to_spo): (_, _, ToSpo) = match (s, p, o) {
+        /// The keys of the index a pattern's shape selects, in its key
+        /// order, and the `(s, p, o)` position of each key component.
+        fn range(
+            &self,
+            s: Option<TermId>,
+            p: Option<TermId>,
+            o: Option<TermId>,
+        ) -> (Vec<Key>, [usize; 3]) {
+            let (index, [a, b, c], order) = match (s, p, o) {
                 (Some(_), None, Some(_)) | (None, None, Some(_)) => {
-                    (&self.osp, [o, s, p], |(o, s, p)| (s, p, o))
+                    (&self.osp, [o, s, p], [2, 0, 1])
                 }
-                (None, Some(_), _) => (&self.pos, [p, o, s], |(p, o, s)| (s, p, o)),
-                _ => (&self.spo, [s, p, o], |spo| spo),
+                (None, Some(_), _) => (&self.pos, [p, o, s], [1, 2, 0]),
+                _ => (&self.spo, [s, p, o], [0, 1, 2]),
             };
             let low = (a.unwrap_or(0), b.unwrap_or(0), c.unwrap_or(0));
             let high = (
@@ -941,10 +1177,64 @@ mod tests {
                 b.unwrap_or(TermId::MAX),
                 c.unwrap_or(TermId::MAX),
             );
-            index.range(low..=high).map(|&key| to_spo(key)).collect()
+            (index.range(low..=high).copied().collect(), order)
         }
     }
 
+    /// A key in `order` (the `(s, p, o)` position of each component) back
+    /// in `(s, p, o)` order.
+    fn spo_of(key: Key, order: [usize; 3]) -> EncodedTriple {
+        let mut spo = [0; 3];
+        for (component, position) in [key.0, key.1, key.2].into_iter().zip(order) {
+            spo[position] = component;
+        }
+        (spo[0], spo[1], spo[2])
+    }
+
+    /// A triple in `order`'s key order.
+    fn key_of((s, p, o): EncodedTriple, order: [usize; 3]) -> Key {
+        let spo = [s, p, o];
+        (spo[order[0]], spo[order[1]], spo[order[2]])
+    }
+
+    /// One step of a walk through a range: take keys, seek to a bound (in
+    /// key order), or seek past a key's first components.
+    #[derive(Debug, Clone, Copy)]
+    enum Move {
+        Take(usize),
+        Seek(Key),
+        SeekPast(Key, usize),
+    }
+
+    /// Walks `range` through `moves`, checking every key taken against
+    /// `keys`, the model's keys of the range in its key order; returns how
+    /// many of them the range has passed.
+    fn walk(range: &mut Range<'_>, keys: &[Key], moves: &[Move], what: &str) -> usize {
+        let order = range.order();
+        let prefix = |key: Key, len: usize| [key.0, key.1, key.2][..len].to_vec();
+        let mut at = 0;
+        for &step in moves {
+            match step {
+                Move::Take(count) => {
+                    for _ in 0..count {
+                        let expected = keys.get(at).map(|&key| spo_of(key, order));
+                        assert_eq!(range.next(), expected, "{what}: {moves:?}");
+                        at = keys.len().min(at + 1);
+                    }
+                }
+                Move::Seek(bound) => {
+                    range.seek(spo_of(bound, order));
+                    at = at.max(keys.partition_point(|key| *key < bound));
+                }
+                Move::SeekPast(key, len) => {
+                    range.seek_past(spo_of(key, order), len);
+                    let past = keys.partition_point(|k| prefix(*k, len) <= prefix(key, len));
+                    at = at.max(past);
+                }
+            }
+        }
+        at
+    }
     /// A triple over a small vocabulary: eight IRIs usable in any position
     /// plus four literals as objects, so patterns match several triples.
     fn random_triple(rng: &mut StdRng) -> Triple {
@@ -960,10 +1250,44 @@ mod tests {
         g.ids_of(triple).expect("the graph interned the triple")
     }
 
-    /// `len`, `contains` and `matching_ids` of `g` equal the model's, the
-    /// last for all 27 shapes of bound / unbound / never-issued components,
-    /// and `count_matching` counts what `matching_ids` yields.
-    fn check(g: &Graph, model: &Model, rng: &mut StdRng, step: &str) {
+    /// The range walks of [`check`]: their own seeded draws, so the
+    /// mutation sequence does not depend on them, and how often they met
+    /// each kind of range — a touched one that merges the overlay, an
+    /// untouched slice beside a non-empty overlay, and a slice of a freshly
+    /// merged index (an empty overlay).
+    struct Walks {
+        rng: StdRng,
+        merged: usize,
+        untouched: usize,
+        fresh: usize,
+    }
+
+    impl Walks {
+        fn new(seed: u64) -> Self {
+            Walks {
+                rng: StdRng::seed_from_u64(seed),
+                merged: 0,
+                untouched: 0,
+                fresh: 0,
+            }
+        }
+    }
+
+    /// `len`, `contains` and `range` of `g` equal the model's, the last for
+    /// all 27 shapes of bound / unbound / never-issued components;
+    /// `count_matching` counts what `range` yields; and walks through each
+    /// range that take keys and seek — to bounds below, inside and past it,
+    /// on held keys, between them and on `removed` keys, and past a key's
+    /// first components — yield exactly the model's keys from there on, and
+    /// count what is left.
+    fn check(
+        g: &Graph,
+        model: &Model,
+        removed: &[Triple],
+        rng: &mut StdRng,
+        walks: &mut Walks,
+        step: &str,
+    ) {
         assert_eq!(g.len(), model.spo.len(), "{step}: len");
         for _ in 0..8 {
             let triple = random_triple(rng);
@@ -981,17 +1305,63 @@ mod tests {
         for s in [None, Some(s0), Some(unknown)] {
             for p in [None, Some(p0), Some(unknown)] {
                 for o in [None, Some(o0), Some(unknown)] {
-                    let matched: Vec<Key> = g.matching_ids(s, p, o).collect();
-                    assert_eq!(
-                        matched,
-                        model.matching(s, p, o),
-                        "{step}: ({s:?}, {p:?}, {o:?})"
-                    );
-                    assert_eq!(
-                        g.count_matching(s, p, o),
-                        matched.len(),
-                        "{step}: count of ({s:?}, {p:?}, {o:?})"
-                    );
+                    let what = format!("{step}: ({s:?}, {p:?}, {o:?})");
+                    let (keys, order) = model.range(s, p, o);
+                    let range = g.range(s, p, o);
+                    assert_eq!(range.order(), order, "{what}: order");
+                    let merges = each_walk!(&range.0, walk => walk.overlay.is_some());
+                    match (merges, g.spo.overlay_len()) {
+                        (true, _) => walks.merged += 1,
+                        (false, 0) => walks.fresh += 1,
+                        (false, _) => walks.untouched += 1,
+                    }
+                    let matched: Vec<EncodedTriple> = range.collect();
+                    let expected: Vec<EncodedTriple> =
+                        keys.iter().map(|&key| spo_of(key, order)).collect();
+                    assert_eq!(matched, expected, "{what}");
+                    assert_eq!(g.count_matching(s, p, o), matched.len(), "{what}: count");
+
+                    // Bounds in key order: below and past every range, on a
+                    // held key and just after it, on a removed key, and on
+                    // any held key of the graph (mostly another range's).
+                    let mut bounds = vec![(0, 0, 0), (TermId::MAX, TermId::MAX, TermId::MAX)];
+                    let mut keys_at = Vec::new();
+                    if !keys.is_empty() {
+                        let key = keys[walks.rng.gen_range(0..keys.len())];
+                        bounds.extend([key, (key.0, key.1, key.2 + 1)]);
+                        keys_at.push(key);
+                    }
+                    if !removed.is_empty() {
+                        let gone = ids(g, &removed[walks.rng.gen_range(0..removed.len())]);
+                        bounds.push(key_of(gone, order));
+                        keys_at.push(key_of(gone, order));
+                    }
+                    if !all.is_empty() {
+                        let held = key_of(all[walks.rng.gen_range(0..all.len())], order);
+                        bounds.push(held);
+                        keys_at.push(held);
+                    }
+                    for _ in 0..3 {
+                        let mut moves = Vec::new();
+                        for _ in 0..walks.rng.gen_range(1..4) {
+                            moves.push(Move::Take(walks.rng.gen_range(0..3)));
+                            moves.push(match keys_at.is_empty() || walks.rng.gen_bool(0.6) {
+                                true => Move::Seek(bounds[walks.rng.gen_range(0..bounds.len())]),
+                                false => Move::SeekPast(
+                                    keys_at[walks.rng.gen_range(0..keys_at.len())],
+                                    walks.rng.gen_range(1..3),
+                                ),
+                            });
+                        }
+                        moves.push(Move::Take(1));
+                        let mut range = g.range(s, p, o);
+                        let at = walk(&mut range, &keys, &moves, &what);
+                        let rest: Vec<EncodedTriple> = range.collect();
+                        assert_eq!(rest, expected[at..], "{what}: {moves:?}");
+                        let mut range = g.range(s, p, o);
+                        walk(&mut range, &keys, &moves, &what);
+                        assert_eq!(range.count(), keys.len() - at, "{what}: {moves:?} count");
+                    }
                 }
             }
         }
@@ -1077,7 +1447,7 @@ mod tests {
 
     #[test]
     fn matching_ids_agrees_with_a_full_scan_for_every_shape() {
-        let mut compactions = 0;
+        let (mut compactions, mut walks) = (0, Walks::new(99));
         for seed in 0..6u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut g = Graph::new();
@@ -1094,7 +1464,7 @@ mod tests {
                     .filter(|triple| model.insert(ids(&g, triple)))
                     .count()
             );
-            check(&g, &model, &mut rng, "bulk load");
+            check(&g, &model, &[], &mut rng, &mut walks, "bulk load");
 
             let mut removed = Vec::new();
             for i in 0..240 {
@@ -1104,7 +1474,7 @@ mod tests {
                     compactions += 1;
                 }
                 let step = format!("seed {seed} step {i}: {step}");
-                check(&g, &model, &mut rng, &step);
+                check(&g, &model, &removed, &mut rng, &mut walks, &step);
 
                 if i % 10 == 0 {
                     // A clone shares the runs; mutating either side leaves
@@ -1125,14 +1495,18 @@ mod tests {
                         check(
                             &fork,
                             &fork_model,
+                            &fork_removed,
                             &mut rng,
+                            &mut walks,
                             &format!("{step}, fork: {fork_step}"),
                         );
                         let own_step = mutate(&mut g, &mut model, &mut removed, &mut rng);
                         check(
                             &g,
                             &model,
+                            &removed,
                             &mut rng,
+                            &mut walks,
                             &format!("{step}, beside a fork: {own_step}"),
                         );
                     }
@@ -1142,6 +1516,16 @@ mod tests {
         assert!(
             compactions > 0,
             "enough single inserts and removes to compact"
+        );
+        let Walks {
+            merged,
+            untouched,
+            fresh,
+            ..
+        } = walks;
+        assert!(
+            merged > 0 && untouched > 0 && fresh > 0,
+            "ranges that merge ({merged}), untouched slices ({untouched}) and fresh runs ({fresh})"
         );
     }
 
@@ -1220,8 +1604,7 @@ mod tests {
                 for p in [None, Some(p)] {
                     for o in [None, Some(o)] {
                         assert!(
-                            bulk.matching_ids(s, p, o)
-                                .eq(reference.matching_ids(s, p, o)),
+                            bulk.range(s, p, o).eq(reference.range(s, p, o)),
                             "{what}: ({s:?}, {p:?}, {o:?})"
                         );
                     }

@@ -48,7 +48,7 @@ pub mod term;
 pub mod vocab;
 
 pub use error::{ParseError, StoreError};
-pub use graph::{EncodedTriple, Graph, Interner, TermId};
+pub use graph::{EncodedTriple, Graph, Interner, Range, TermId};
 pub use namespace::PrefixMap;
 pub use store::{Store, StoreDelta, DEFAULT_CHANGE_LOG_CAPACITY};
 pub use term::{BlankNode, Iri, Literal, Numeric, Term, Triple};

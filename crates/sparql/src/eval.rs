@@ -8,7 +8,7 @@
 //! **plan** — join the run's patterns in estimated-cardinality order and
 //! give each of the group's FILTERs the first step that binds every
 //! variable it reads; **execute** — index nested-loop joins over the
-//! graph's SPO/POS/OSP ranges ([`Graph::matching_ids`]), filtering as the
+//! graph's SPO/POS/OSP ranges ([`Graph::range`]), filtering as the
 //! plan says; **restore** — sort a reordered run's rows back into the
 //! order textual evaluation yields, so every result is the textual one,
 //! row for row; one SELECT shape may stop at the first witness per answer
@@ -20,7 +20,7 @@
 //! distinct term is cloned once. That table is what every caller of
 //! [`crate::Endpoint::select`] reads.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
@@ -53,19 +53,30 @@ pub(crate) fn evaluate_in(
     result
 }
 
-/// The work the evaluator has done: rows out of triple-pattern steps and
-/// index lookups. Machine-independent, so a plan's effect shows the same on
-/// any box; the query executor reports them in its profile.
+/// The work the evaluator has done: rows out of triple-pattern steps, index
+/// lookups and the index keys they walked. Machine-independent, so a plan's
+/// effect shows the same on any box; the query executor reports them in its
+/// profile.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalCounters {
     /// Rows out of every triple-pattern step, before any FILTER.
     pub rows_intermediate: u64,
-    /// [`Graph::matching_ids`] calls.
+    /// [`Graph::range`] lookups.
     pub index_probes: u64,
+    /// Keys those ranges yielded, plus their seeks.
+    pub keys_walked: u64,
 }
 
 thread_local! {
-    static COUNTERS: Cell<EvalCounters> = const { Cell::new(EvalCounters { rows_intermediate: 0, index_probes: 0 }) };
+    /// The dense table [`Evaluator::number`] renumbers a SELECT's ids
+    /// through: entry `id` holds the id's new number plus one while a
+    /// table is numbered, and 0 otherwise. Kept between SELECTs, so one
+    /// costs its cells and its distinct terms, not the store's size; it
+    /// grows (by powers of two) only when the ids outgrow it.
+    static NUMBERS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    static COUNTERS: Cell<EvalCounters> = const {
+        Cell::new(EvalCounters { rows_intermediate: 0, index_probes: 0, keys_walked: 0 })
+    };
 }
 
 impl EvalCounters {
@@ -81,13 +92,16 @@ impl EvalCounters {
         EvalCounters {
             rows_intermediate: self.rows_intermediate - earlier.rows_intermediate,
             index_probes: self.index_probes - earlier.index_probes,
+            keys_walked: self.keys_walked - earlier.keys_walked,
         }
     }
 
-    fn plus(self, other: Self) -> Self {
+    /// The work of two readings together.
+    pub fn plus(self, other: Self) -> Self {
         EvalCounters {
             rows_intermediate: self.rows_intermediate + other.rows_intermediate,
             index_probes: self.index_probes + other.index_probes,
+            keys_walked: self.keys_walked + other.keys_walked,
         }
     }
 }
@@ -316,19 +330,41 @@ impl<'g, 'q> Evaluator<'g, 'q> {
             }
         };
         let (names, mut table) = self.run_select(select)?;
-        let mut local: FxHashMap<TermId, u32> = FxHashMap::default();
-        let mut terms = Vec::new();
-        for id in table.ids.iter_mut().filter(|id| **id != UNBOUND) {
-            let global = *id;
-            *id = *local.entry(global).or_insert_with(|| {
-                terms.push(self.terms.get(global).clone());
-                terms.len() as u32 - 1
-            });
-        }
+        let terms = self.number(&mut table.ids);
         let variables = names.into_iter().map(Variable::new).collect();
         Ok(QueryResults::Solutions(EncodedSolutions::new(
             variables, terms, table.ids, table.len,
         )))
+    }
+
+    /// Renumbers the bound ids of a finished table densely, in row-major
+    /// first-occurrence order, through the thread's [`NUMBERS`] table, and
+    /// returns the term of each number, cloned once. Leaves the table all
+    /// zero again, resetting only the entries it set.
+    fn number(&self, ids: &mut [TermId]) -> Vec<Term> {
+        NUMBERS.with_borrow_mut(|numbers| {
+            let issued = self.terms.issued();
+            if numbers.len() < issued {
+                // All zero between SELECTs, so a zeroed table replaces it.
+                *numbers = vec![0; issued.next_power_of_two()];
+            }
+            let mut globals: Vec<TermId> = Vec::new();
+            for id in ids.iter_mut().filter(|id| **id != UNBOUND) {
+                let number = &mut numbers[*id as usize];
+                if *number == 0 {
+                    globals.push(*id);
+                    *number = globals.len() as u32;
+                }
+                *id = *number - 1;
+            }
+            globals
+                .into_iter()
+                .map(|id| {
+                    numbers[id as usize] = 0;
+                    self.terms.get(id).clone()
+                })
+                .collect()
+        })
     }
 
     fn var_id(&mut self, name: &'q str) -> usize {
@@ -948,7 +984,9 @@ impl<'g, 'q> Evaluator<'g, 'q> {
     /// The driver's last step: extends `rows` by the matches of `positions`
     /// until each `key` has a witness, a row that passes `filters` and
     /// every existence check. A match of a witnessed key is skipped before
-    /// it becomes a row.
+    /// it becomes a row, and where the key is read off the first components
+    /// of the range's key order ([`witness_prefix`]), one seek skips every
+    /// other match of that key.
     fn witness_step(
         &mut self,
         positions: [Position; 3],
@@ -967,49 +1005,58 @@ impl<'g, 'q> Evaluator<'g, 'q> {
             })
             .collect();
         let mut witnessed: FxHashSet<Box<[TermId]>> = FxHashSet::default();
-        // The last key found witnessed: an index walk meets a key's matches
-        // in a run, and the rest of the run costs one comparison each.
+        // The last key met that has a witness: where no seek skips them, a
+        // key's other matches come next and cost one comparison each.
         let (mut probe, mut seen) = (Vec::with_capacity(key.len()), Vec::new());
         let (mut candidate, mut out) = (Rows::new(rows.width), Rows::new(rows.width));
         let graph = self.terms.graph;
+        let mut walked = 0;
         for row in rows.iter() {
-            let [s, p, o] = positions.map(|position| position.bound(row));
-            for (s, p, o) in graph.matching_ids(s, p, o) {
+            let bound = positions.map(|position| position.bound(row));
+            let mut range = graph.range(bound[0], bound[1], bound[2]);
+            let prefix = witness_prefix(range.order(), bound, &sources);
+            while let Some((s, p, o)) = range.next() {
+                walked += 1;
                 let ids = [s, p, o];
                 probe.clear();
                 probe.extend(sources.iter().map(|source| match *source {
                     Ok(position) => ids[position],
                     Err(slot) => row[slot],
                 }));
-                if probe == seen {
-                    continue;
-                }
-                if witnessed.contains(probe.as_slice()) {
-                    std::mem::swap(&mut probe, &mut seen);
-                    continue;
-                }
-                candidate.ids.clear();
-                candidate.len = 0;
-                candidate.push_merged(row, slot_bindings(positions, ids));
-                if candidate.len == 0 {
-                    continue;
-                }
-                let merged = candidate.row(0);
-                self.counters.rows_intermediate += 1;
-                let passes = |terms: &mut Terms, filter| {
-                    let value = terms.eval(filter, merged, None);
-                    value.is_some_and(|id| terms.effective_boolean(id) == Some(true))
-                };
-                if filters.iter().all(|filter| passes(&mut self.terms, filter))
-                    && checks.iter().all(|&check| self.exists(check, merged))
-                {
+                if probe != seen && !witnessed.contains(probe.as_slice()) {
+                    candidate.ids.clear();
+                    candidate.len = 0;
+                    candidate.push_merged(row, slot_bindings(positions, ids));
+                    if candidate.len == 0 {
+                        continue;
+                    }
+                    let merged = candidate.row(0);
+                    self.counters.rows_intermediate += 1;
+                    let passes = |terms: &mut Terms, filter| {
+                        let value = terms.eval(filter, merged, None);
+                        value.is_some_and(|id| terms.effective_boolean(id) == Some(true))
+                    };
+                    if !filters.iter().all(|filter| passes(&mut self.terms, filter))
+                        || !checks.iter().all(|&check| self.exists(check, merged))
+                    {
+                        continue;
+                    }
                     out.push(merged);
                     witnessed.insert(probe.as_slice().into());
-                    std::mem::swap(&mut probe, &mut seen);
+                }
+                std::mem::swap(&mut probe, &mut seen);
+                match prefix {
+                    Some(0) => break,
+                    Some(prefix) => {
+                        range.seek_past((s, p, o), prefix);
+                        walked += 1;
+                    }
+                    None => {}
                 }
             }
         }
         self.counters.index_probes += rows.len as u64;
+        self.counters.keys_walked += walked;
         out
     }
 
@@ -1020,11 +1067,14 @@ impl<'g, 'q> Evaluator<'g, 'q> {
         let agrees = |ids: [TermId; 3]| {
             (0..3).all(|a| (a + 1..3).all(|b| check[a] != check[b] || ids[a] == ids[b]))
         };
-        let found = self
-            .terms
-            .graph
-            .matching_ids(s, p, o)
-            .any(|(s, p, o)| agrees([s, p, o]));
+        let mut found = false;
+        for (s, p, o) in self.terms.graph.range(s, p, o) {
+            self.counters.keys_walked += 1;
+            if agrees([s, p, o]) {
+                found = true;
+                break;
+            }
+        }
         self.counters.index_probes += 1;
         self.counters.rows_intermediate += u64::from(found);
         found
@@ -1102,14 +1152,17 @@ impl<'g, 'q> Evaluator<'g, 'q> {
         out.ids.reserve(rows.ids.len());
         // A slot holding a computed term (or a literal, in predicate
         // position) finds an empty range: such ids are in no index.
+        let mut walked = 0;
         for row in rows.iter() {
             let [s, p, o] = positions.map(|position| position.bound(row));
-            for (s, p, o) in graph.matching_ids(s, p, o) {
+            graph.range(s, p, o).for_each(|(s, p, o)| {
+                walked += 1;
                 out.push_merged(row, slot_bindings(positions, [s, p, o]));
-            }
+            });
         }
         self.counters.index_probes += rows.len as u64;
         self.counters.rows_intermediate += out.len as u64;
+        self.counters.keys_walked += walked;
         out
     }
 }
@@ -1135,6 +1188,32 @@ impl JoinOrder {
             #[cfg(any(test, feature = "testutil"))]
             JoinOrder::Unrestored => false,
         }
+    }
+}
+
+/// How many leading components of a range's key `order` fix the witness
+/// key of its matches, where `bound` holds the range's bound components and
+/// `sources` the key's ([`Evaluator::witness_step`]): the bound ones, then
+/// exactly the free positions the key reads, when those come first among
+/// the free ones. `Some(0)` when the key reads no free position (every
+/// match of the range has the row's key), `None` when no prefix short of
+/// the whole key fixes it.
+fn witness_prefix(
+    order: [usize; 3],
+    bound: [Option<TermId>; 3],
+    sources: &[Result<usize, usize>],
+) -> Option<usize> {
+    let read = |position: usize| bound[position].is_none() && sources.contains(&Ok(position));
+    let fixed = order
+        .iter()
+        .take_while(|&&position| bound[position].is_some())
+        .count();
+    match order.iter().filter(|&&position| read(position)).count() {
+        0 => Some(0),
+        reads if fixed + reads < 3 && order[fixed..fixed + reads].iter().all(|&p| read(p)) => {
+            Some(fixed + reads)
+        }
+        _ => None,
     }
 }
 

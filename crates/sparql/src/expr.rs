@@ -95,6 +95,11 @@ impl<'g> Terms<'g> {
         }
     }
 
+    /// How many ids exist so far: every id is below this.
+    pub(crate) fn issued(&self) -> usize {
+        self.base as usize + self.computed.len()
+    }
+
     /// The id of `term`: the graph's if it has one, else the side interner's.
     pub(crate) fn intern(&mut self, term: Term) -> TermId {
         if let Some(id) = self.graph.term_id(&term) {

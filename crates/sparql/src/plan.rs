@@ -98,7 +98,7 @@ impl Estimate {
             graph.count_matching(s, p, o)
         };
         let mut fan_out = [0; 3];
-        if let Some((s0, p0, o0)) = graph.matching_ids(s, p, o).next().filter(|_| count > 0) {
+        if let Some((s0, p0, o0)) = graph.range(s, p, o).next().filter(|_| count > 0) {
             for (position, value) in [s0, p0, o0].into_iter().enumerate() {
                 let mut fixed = constants;
                 fixed[position] = Some(value);
@@ -395,7 +395,7 @@ pub(crate) fn witnesses_pay(
 /// The slots whose ids order the rows a run yields for one input row as
 /// textual evaluation yields them: for each pattern in textual order, the
 /// slots of the positions free at its step, in the key order of the index
-/// [`Graph::matching_ids`] walks for that bound shape — OSP when the object
+/// [`Graph::range`] walks for that bound shape — OSP when the object
 /// is bound and the predicate is not, POS when the predicate is bound and
 /// the subject is not, SPO otherwise.
 pub(crate) fn textual_key(patterns: &[[Position; 3]], input: &[TermId]) -> Vec<usize> {
@@ -495,7 +495,7 @@ mod tests {
         assert!(witness_split(&aggregated).is_none());
     }
 
-    /// For every bound shape, `Graph::matching_ids` yields its matches in
+    /// For every bound shape, `Graph::range` yields its matches in
     /// strictly ascending order of the free positions `textual_key` names:
     /// the key mirrors the index choice.
     #[test]
@@ -518,7 +518,7 @@ mod tests {
                 assert_eq!(key.len(), bound.iter().filter(|b| !**b).count());
                 let [s, p, o] = [0, 1, 2].map(|slot| bound[slot].then_some(value));
                 let keys: Vec<Vec<TermId>> = graph
-                    .matching_ids(s, p, o)
+                    .range(s, p, o)
                     .map(|(s, p, o)| key.iter().map(|&slot| [s, p, o][slot]).collect())
                     .collect();
                 assert!(

@@ -637,6 +637,14 @@ fn a_distinct_select_ordered_on_its_projection_stops_at_the_first_witness() {
             &["m k", "m3 \"odd\"", "m1 \"one\""],
             Some(true),
         ),
+        // The key is the observation, which the dimension's POS range
+        // orders after the member: no seek may skip a member's other
+        // observations once one is witnessed.
+        (
+            "SELECT DISTINCT ?o WHERE { ?o ex:dim ?m . FILTER(?m != ex:m2) } ORDER BY ?o",
+            &["o", "a1", "a2", "b0", "b1", "b10", "b11", "b2", "b3", "b4", "b5", "b6", "b7", "b8", "b9"],
+            None,
+        ),
         // Distinct equal numbers tie in ORDER BY, and keep textual arrival
         // order: 10.0 (a2) comes before 10 (b10) in the dataset, while the
         // driver meets 10 first.
@@ -725,4 +733,73 @@ fn a_distinct_select_ordered_on_its_projection_stops_at_the_first_witness() {
             None => {}
         }
     }
+}
+
+/// The member list's driver seeks past each witnessed member in the
+/// dimension's POS range. Over a store whose run was bulk-loaded and whose
+/// overlay then took inserted and removed keys inside that range — a member
+/// only the overlay holds, another of a second dataset, a member whose
+/// every key is removed, a member whose first observation lost its dataset
+/// link, an extra key inside a member's run keys — the seeks must land on
+/// exactly the keys the textual plan walks to, and return its table.
+#[test]
+fn a_member_list_seeks_through_an_overlay_of_inserted_and_removed_keys() {
+    let mut data = String::from("@prefix ex: <http://example.org/> .\n");
+    for i in 0..40 {
+        let set = if i % 8 == 7 { "other" } else { "ds" };
+        data.push_str(&format!(
+            "ex:o{i} ex:dataSet ex:{set} ; ex:dim ex:m{} .\n",
+            i % 5
+        ));
+    }
+    let endpoint = LocalEndpoint::new();
+    endpoint.store().load_turtle(&data).unwrap();
+    let ex = |name: &str| Term::iri(format!("http://example.org/{name}"));
+    let triple = |s: &str, p: &str, o: &str| {
+        rdf::Triple::new(
+            ex(s),
+            rdf::Iri::new(format!("http://example.org/{p}")),
+            ex(o),
+        )
+    };
+    let store = endpoint.store();
+    for (s, set, member) in [
+        ("n1", "ds", "m7"),
+        ("n2", "other", "m8"),
+        ("n3", "ds", "m0"),
+    ] {
+        assert!(store.insert(&triple(s, "dataSet", set)));
+        assert!(store.insert(&triple(s, "dim", member)));
+    }
+    for i in (2..40).step_by(5) {
+        assert!(store.remove(&triple(&format!("o{i}"), "dim", "m2")));
+    }
+    assert!(store.remove(&triple("o3", "dataSet", "ds")));
+
+    let query = "SELECT DISTINCT ?m WHERE { ?o ex:dataSet ex:ds ; ex:dim ?m } ORDER BY ?m";
+    let text = format!("{PREFIXES}{query}");
+    let before = EvalCounters::thread_totals();
+    let planned = render(&endpoint.select(&text).unwrap());
+    let planned_work = EvalCounters::thread_totals().since(before);
+    let before = EvalCounters::thread_totals();
+    let textual = match endpoint
+        .store()
+        .with_default_graph(|graph| evaluate_textual(graph, &sparql::parse_query(&text).unwrap()))
+        .unwrap()
+    {
+        QueryResults::Solutions(solutions) => render(&solutions),
+        QueryResults::Boolean(_) => panic!("not a SELECT result"),
+    };
+    let textual_work = EvalCounters::thread_totals().since(before);
+    assert_eq!(planned, textual);
+    assert_eq!(planned, ["m", "m0", "m1", "m3", "m4", "m7"]);
+    // Three keys for each of m0, m1, m4 and m7: the first match, the check's
+    // key and the seek past the member's other keys. m3's first match (o3)
+    // finds no check key, so m3 walks one more. m8's one match, of another
+    // dataset, finds none and ends the range: one key.
+    assert_eq!(planned_work.keys_walked, 4 * 3 + 4 + 1, "{planned_work:?}");
+    assert!(
+        planned_work.keys_walked < textual_work.keys_walked,
+        "planned {planned_work:?}, textual {textual_work:?}"
+    );
 }
