@@ -712,6 +712,7 @@ impl Range<'_> {
     /// sharing a prefix are contiguous): one [`Self::seek`] to the next
     /// value of the last of them.
     pub fn seek_past(&mut self, triple: EncodedTriple, prefix: usize) {
+        debug_assert!(matches!(prefix, 1 | 2), "a prefix of one or two components");
         each_walk!(&mut self.0, walk => {
             let (a, b, _) = walk.key(triple);
             // Ids stay below `TermId::MAX`, so the successor is an id.

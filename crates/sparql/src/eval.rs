@@ -67,12 +67,18 @@ pub struct EvalCounters {
     pub keys_walked: u64,
 }
 
+/// The granularity [`NUMBERS`] grows in: 16 KiB of entries, so a store
+/// that gains terms between SELECTs regrows it once per 4 096 new ids, and
+/// it holds 4 bytes per id issued plus less than one step.
+const NUMBERS_STEP: usize = 4_096;
+
 thread_local! {
     /// The dense table [`Evaluator::number`] renumbers a SELECT's ids
     /// through: entry `id` holds the id's new number plus one while a
     /// table is numbered, and 0 otherwise. Kept between SELECTs, so one
     /// costs its cells and its distinct terms, not the store's size; it
-    /// grows (by powers of two) only when the ids outgrow it.
+    /// grows only when the ids outgrow it, to the ids issued rounded up to
+    /// a multiple of [`NUMBERS_STEP`].
     static NUMBERS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
     static COUNTERS: Cell<EvalCounters> = const {
         Cell::new(EvalCounters { rows_intermediate: 0, index_probes: 0, keys_walked: 0 })
@@ -346,7 +352,7 @@ impl<'g, 'q> Evaluator<'g, 'q> {
             let issued = self.terms.issued();
             if numbers.len() < issued {
                 // All zero between SELECTs, so a zeroed table replaces it.
-                *numbers = vec![0; issued.next_power_of_two()];
+                *numbers = vec![0; issued.next_multiple_of(NUMBERS_STEP)];
             }
             let mut globals: Vec<TermId> = Vec::new();
             for id in ids.iter_mut().filter(|id| **id != UNBOUND) {
