@@ -564,7 +564,11 @@ impl<'g, const ORDER: u8> Walk<'g, ORDER> {
                 self.run = rest;
                 Some(key)
             }
-            Some(overlay) => overlay.next(&mut self.run),
+            Some(overlay) => {
+                let (key, rest) = overlay.next(self.run);
+                self.run = rest;
+                key
+            }
         }
     }
 
@@ -641,21 +645,24 @@ impl<'g> Overlay<'g> {
         })
     }
 
-    /// The next key of the run merged with this overlay, advancing `run`.
-    fn next(&mut self, run: &mut &'g [Key]) -> Option<Key> {
+    /// The next key of `run` merged with this overlay, and the run keys
+    /// left after it. The slice goes in and out by value: a walk whose
+    /// slice escaped by reference kept it in memory, not in registers, and
+    /// its slice path ran at 4–5 ns per key instead of under 3.
+    fn next(&mut self, mut run: &'g [Key]) -> (Option<Key>, &'g [Key]) {
         loop {
             let key = match (run.first(), self.next_inserted) {
                 (Some(&key), inserted) if inserted.is_none_or(|inserted| key < inserted) => key,
-                (_, inserted) => {
-                    let inserted = inserted?;
+                (_, None) => return (None, run),
+                (_, Some(inserted)) => {
                     self.next_inserted =
                         first_in(&self.index.inserted, Excluded(inserted), self.high);
-                    return Some(inserted);
+                    return (Some(inserted), run);
                 }
             };
-            *run = &run[1..];
+            run = &run[1..];
             if self.next_removed != Some(key) {
-                return Some(key);
+                return (Some(key), run);
             }
             self.next_removed = first_in(&self.index.removed, Excluded(key), self.high);
         }
